@@ -12,7 +12,9 @@
 #   ci.yml (every push/PR) — four parallel jobs sharing one cargo
 #   cache, each invoking this script with a CI_STEPS selector:
 #     lint   -> CI_STEPS=lint  ./ci.sh   (fmt, clippy, rustdoc)
-#     test   -> CI_STEPS=test  ./ci.sh   (release build + full tests)
+#     test   -> CI_STEPS=test  ./ci.sh   (release build + full tests,
+#               plus the standalone benchmark/ crate's own tests, so
+#               a change to the API it uses fails here)
 #     crash  -> CI_STEPS=crash ./ci.sh   (crash-recovery matrices)
 #     bench  -> CI_STEPS=bench ./ci.sh   (bench gate, smoke mode;
 #               uploads telemetry and writes a baseline-vs-actual
@@ -119,6 +121,12 @@ if wants test; then
     step "cargo build --release" cargo build --release --offline --workspace
 
     step "cargo test" cargo test -q --offline --workspace
+
+    # benchmark/ is its own workspace over path deps on ../crates/*: a
+    # refactor that breaks the API surface it froze must fail in CI,
+    # not at benchmark time.
+    step "cargo test (benchmark crate)" \
+        cargo test -q --offline --manifest-path benchmark/Cargo.toml
 fi
 
 if wants crash; then

@@ -873,7 +873,7 @@ pub fn run_scale_scenario(mode: GateMode) -> ScenarioRun {
 ///   hash-sharded files (`crawl.dedup.*` metrics),
 /// * the segmented store runs the sparse block index plus small-segment
 ///   compaction (`store.compaction.*` metrics),
-/// * the most-significant-term cache and work/frontier queues are
+/// * the most-significant-term cache and frontier queues are
 ///   capacity-bounded as before.
 ///
 /// Smoke mode shrinks the world to the 10K-page miniature but keeps
@@ -1741,16 +1741,10 @@ pub fn load_baseline(dir: &Path, scenario: &str) -> Option<Value> {
 
 /// Metric-name prefixes of the spill/compaction telemetry that gets its
 /// own `<scenario>.<mode>.spill.json` artifact next to the full
-/// snapshot — the memory-bounding evidence (dedup shards, vocabulary
-/// log, work-queue overflow, stale-file sweeps, segment compaction) in
-/// one small file instead of buried in the complete metrics dump.
-const SPILL_METRIC_PREFIXES: &[&str] = &[
-    "crawl.dedup.",
-    "crawl.spill.",
-    "crawl.work_queue.",
-    "vocab.spill.",
-    "store.compaction.",
-];
+/// snapshot — the memory-bounding evidence (dedup shards, stale-file
+/// sweeps, segment compaction) in one small file instead of buried in
+/// the complete metrics dump.
+const SPILL_METRIC_PREFIXES: &[&str] = &["crawl.dedup.", "crawl.spill.", "store.compaction."];
 
 /// Extract the spill/compaction counters and gauges from a rendered
 /// metrics snapshot. Returns an object with `counters` and `gauges`

@@ -131,8 +131,8 @@ pub fn save_session_with<P: AsRef<std::path::Path>>(
 /// `world` and `config` must match the original crawl. The engine comes
 /// from the newest complete generation that carries an engine snapshot
 /// (automatic crawl checkpoints do not); the crawler from the newest
-/// complete generation overall. A pre-generation flat session directory
-/// still loads.
+/// complete generation overall. Only manifest-committed files are ever
+/// loaded.
 pub fn load_session<P: AsRef<std::path::Path>>(
     world: std::sync::Arc<bingo_webworld::World>,
     config: bingo_crawler::CrawlConfig,
@@ -143,7 +143,12 @@ pub fn load_session<P: AsRef<std::path::Path>>(
         .into_iter()
         .find(|g| g.manifest.files.iter().any(|f| f.name == ENGINE_FILE))
         .map(|g| g.dir.join(ENGINE_FILE))
-        .unwrap_or_else(|| dir.join(ENGINE_FILE)); // legacy flat layout
+        .ok_or_else(|| {
+            EngineError::Persist(format!(
+                "no complete generation with an engine snapshot in {}",
+                dir.display()
+            ))
+        })?;
     let engine = load_engine_from(engine_path)?;
     let crawler = bingo_crawler::Crawler::resume_session(world, config, dir)
         .map_err(|e| EngineError::Persist(e.to_string()))?;

@@ -11,9 +11,9 @@
 //! sorted vectors so two checkpoints of identical state are
 //! byte-identical.
 //!
-//! Files are written atomically (temp file + rename) so a kill *during*
-//! a checkpoint write never leaves a torn file behind; the previous
-//! checkpoint survives.
+//! Checkpoints reach disk only as one file of a manifest-committed
+//! generation ([`crate::Crawler::save_session`]), so a kill *during* a
+//! write never replaces the previous complete checkpoint.
 
 use crate::dedup::DedupSnapshot;
 use crate::frontier::FrontierSnapshot;
@@ -152,23 +152,12 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Serialize `cp` to a JSON byte string (the exact bytes
-/// [`save_checkpoint`] writes).
+/// Serialize `cp` to a JSON byte string (the exact bytes of a
+/// generation's [`CRAWLER_FILE`]).
 pub fn checkpoint_bytes(cp: &CrawlCheckpoint) -> Result<Vec<u8>, CheckpointError> {
     serde_json::to_string(cp)
         .map(String::into_bytes)
         .map_err(|e| CheckpointError::Format(e.to_string()))
-}
-
-/// Serialize `cp` to `path` atomically: the bytes land in a sibling
-/// temp file first, are fsynced, and replace `path` in one rename.
-pub fn save_checkpoint<P: AsRef<Path>>(
-    cp: &CrawlCheckpoint,
-    path: P,
-) -> Result<(), CheckpointError> {
-    let json = checkpoint_bytes(cp)?;
-    bingo_store::durable::atomic_write(path.as_ref(), &json)?;
-    Ok(())
 }
 
 /// Read a checkpoint back, validating magic and version.
@@ -224,21 +213,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cp.json");
         let cp = minimal();
-        save_checkpoint(&cp, &path).unwrap();
+        std::fs::write(&path, checkpoint_bytes(&cp).unwrap()).unwrap();
         let loaded = load_checkpoint(&path).unwrap();
         assert_eq!(loaded.clock_ms, 123);
         assert_eq!(loaded.dedup.url_hashes, vec![1, 2]);
         assert_eq!(loaded.threads, vec![(0, 0), (5, 1)]);
         assert_eq!(loaded.page_top_terms, vec![(3, vec![TermId(1), TermId(9)])]);
-        // Saving the loaded checkpoint reproduces the same bytes.
-        let path2 = dir.join("cp2.json");
-        save_checkpoint(&loaded, &path2).unwrap();
+        // Encoding the loaded checkpoint reproduces the same bytes.
         assert_eq!(
             std::fs::read(&path).unwrap(),
-            std::fs::read(&path2).unwrap()
+            checkpoint_bytes(&loaded).unwrap()
         );
         std::fs::remove_file(path).ok();
-        std::fs::remove_file(path2).ok();
     }
 
     #[test]
@@ -253,7 +239,7 @@ mod tests {
         ));
         let mut cp = minimal();
         cp.magic = "nope".into();
-        save_checkpoint(&cp, &path).unwrap();
+        std::fs::write(&path, checkpoint_bytes(&cp).unwrap()).unwrap();
         assert!(matches!(
             load_checkpoint(&path),
             Err(CheckpointError::Format(_))

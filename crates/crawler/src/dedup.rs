@@ -112,6 +112,19 @@ impl Dedup {
         Self::with_spill_fs(cfg, std::sync::Arc::new(bingo_store::StdFs))
     }
 
+    /// The filter a crawl under `config` runs with: spilling past
+    /// `dedup_hot_cap` when `dedup_spill_dir` is set, resident
+    /// otherwise.
+    pub fn for_config(config: &crate::types::CrawlConfig) -> Self {
+        match &config.dedup_spill_dir {
+            Some(dir) => Self::with_spill(&DedupSpillConfig {
+                hot_cap: config.dedup_hot_cap,
+                ..DedupSpillConfig::new(dir)
+            }),
+            None => Self::new(),
+        }
+    }
+
     /// [`Dedup::with_spill`] through an explicit [`DurableFs`], so
     /// crash tests can kill shard-file merges at an exact byte offset.
     pub fn with_spill_fs(cfg: &DedupSpillConfig, fs: std::sync::Arc<dyn DurableFs>) -> Self {
@@ -273,18 +286,13 @@ impl Dedup {
 
     /// Rebuild the filter from a snapshot, fully resident.
     pub fn restore(snap: DedupSnapshot) -> Self {
-        Self::restore_with(snap, None)
+        Self::restore_into(Self::new(), snap)
     }
 
-    /// Rebuild the filter from a snapshot, spilling past the cap when a
-    /// [`DedupSpillConfig`] is given. Snapshots are backend-agnostic: a
-    /// checkpoint taken by a spilling crawl restores into a resident
-    /// filter and vice versa.
-    pub fn restore_with(snap: DedupSnapshot, spill: Option<DedupSpillConfig>) -> Self {
-        let mut d = match &spill {
-            Some(cfg) => Self::with_spill(cfg),
-            None => Self::new(),
-        };
+    /// Refill an empty filter — resident or spilling — from a snapshot.
+    /// Snapshots are backend-agnostic: a checkpoint taken by a spilling
+    /// crawl restores into a resident filter and vice versa.
+    pub fn restore_into(mut d: Dedup, snap: DedupSnapshot) -> Self {
         for h in snap.url_hashes {
             d.url_hashes.insert(h as u128);
         }
@@ -470,7 +478,7 @@ mod tests {
         let snap = d.snapshot();
         // Restore through a *fresh* spilling filter in a new directory.
         let dir2 = temp_dir("restore-2");
-        let r = Dedup::restore_with(snap.clone(), Some(tiny_spill(&dir2)));
+        let r = Dedup::restore_into(Dedup::with_spill(&tiny_spill(&dir2)), snap.clone());
         assert_eq!(
             serde_json::to_string(&r.snapshot()).unwrap(),
             serde_json::to_string(&snap).unwrap()

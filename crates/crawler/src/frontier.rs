@@ -27,6 +27,7 @@
 //! killed run are deleted when the next frontier claims the directory.
 
 use crate::types::QueuePriority;
+use bingo_store::spill::reap_stale_spill_files;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
@@ -300,7 +301,9 @@ impl Frontier {
         let incoming = match &spill {
             Some(cfg) => {
                 std::fs::create_dir_all(&cfg.dir).expect("frontier spill dir");
-                remove_stale_spill_files(&cfg.dir);
+                // Scratch of a crashed or superseded run: checkpoints
+                // are self-contained, so recovery never reads these.
+                reap_stale_spill_files(&cfg.dir, &["slot-"]);
                 (0..n)
                     .map(|slot| PriorityQueue::spilling(&cfg.dir, slot, cfg.hot_cap))
                     .collect()
@@ -473,22 +476,6 @@ impl Frontier {
             f.park(entry, release_ms);
         }
         f
-    }
-}
-
-/// Delete leftover `slot-*.spill` files (scratch from a crashed or
-/// superseded run) in `dir`. Spill files are never part of recovery —
-/// checkpoints are self-contained — so stale ones are pure garbage.
-fn remove_stale_spill_files(dir: &std::path::Path) {
-    let Ok(rd) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in rd.filter_map(|e| e.ok()) {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("slot-") && name.ends_with(".spill") {
-            std::fs::remove_file(entry.path()).ok();
-        }
     }
 }
 

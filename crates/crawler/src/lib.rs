@@ -64,10 +64,10 @@ pub use hosts::{
 pub use pipeline::{process_batch, BatchJudge, DocOutcome, FetchedDoc, PipelineMetrics};
 pub use step::{Crawler, StepOutcome};
 pub use telemetry::CrawlTelemetry;
-pub use threaded::{
-    run_pipeline, FaultPlan, FaultStage, PipelineOptions, SupervisionConfig, ThroughputReport,
+pub use threaded::{run_pipeline, FaultPlan, FaultStage, PipelineOptions, ThroughputReport};
+pub use types::{
+    CrawlConfig, CrawlStats, CrawlStrategy, FocusRule, Judgment, PageContext, UrlRejection,
 };
-pub use types::{CrawlConfig, CrawlStats, CrawlStrategy, FocusRule, Judgment, PageContext};
 
 use bingo_textproc::AnalyzedDocument;
 

@@ -17,15 +17,13 @@
 use crate::checkpoint::{
     load_checkpoint, CheckpointError, CrawlCheckpoint, CRAWLER_FILE, STORE_FILE,
 };
-use crate::dedup::{path_of_url, Dedup, DedupSpillConfig, DedupStats};
+use crate::dedup::{path_of_url, Dedup, DedupStats};
 use crate::dns::CachingResolver;
 use crate::frontier::{Frontier, QueueEntry};
 use crate::hosts::{FailureOutcome, HostDecision, HostManager};
 use crate::pipeline::{process_batch, top_terms, DocOutcome, FetchedDoc, NEIGHBOR_TERMS_KEPT};
 use crate::telemetry::CrawlTelemetry;
-use crate::types::{
-    CrawlConfig, CrawlStats, CrawlStrategy, FocusRule, Judgment, MAX_HOSTNAME_LEN, MAX_URL_LEN,
-};
+use crate::types::{CrawlConfig, CrawlStats, CrawlStrategy, FocusRule, Judgment, UrlRejection};
 use crate::DocumentJudge;
 use bingo_obs::{Event, WallTimer};
 use bingo_store::durable;
@@ -156,10 +154,7 @@ impl Crawler {
     /// New crawler over `world` writing into `store`.
     pub fn new(world: Arc<World>, config: CrawlConfig, store: DocumentStore) -> Self {
         let topics = world.topics().len();
-        // Sweep spill scratch of aborted runs — every family (frontier
-        // slots, dedup shards, vocabulary logs, work-queue overflow),
-        // not just the files this run's configuration would rewrite.
-        let stale_spill_reaped = Self::sweep_stale_spill_files(&config);
+        let stale_spill_reaped = config.reap_stale_spill();
         let frontier = Frontier::with_spill(
             topics,
             config.incoming_queue_cap,
@@ -190,10 +185,7 @@ impl Crawler {
             hosts: HostManager::with_config(config.breaker.clone()),
             frontier,
             threads,
-            dedup: match Self::dedup_spill_config(&config) {
-                Some(cfg) => Dedup::with_spill(&cfg),
-                None => Dedup::new(),
-            },
+            dedup: Dedup::for_config(&config),
             page_top_terms: PageTermCache::new(config.page_terms_cap),
             world,
             config,
@@ -227,38 +219,6 @@ impl Crawler {
                 dir: dir.clone(),
                 hot_cap: config.frontier_hot_cap,
             })
-    }
-
-    /// Dedup spill configuration derived from the crawl config (`None`
-    /// unless `dedup_spill_dir` is set).
-    fn dedup_spill_config(config: &CrawlConfig) -> Option<DedupSpillConfig> {
-        config.dedup_spill_dir.as_ref().map(|dir| DedupSpillConfig {
-            hot_cap: config.dedup_hot_cap,
-            ..DedupSpillConfig::new(dir)
-        })
-    }
-
-    /// Sweep stale `*.spill` files — every family (frontier slots,
-    /// dedup shards, vocabulary logs, work-queue overflow), not just
-    /// the ones this run's configuration would rewrite — from every
-    /// configured spill directory. Spill files are run-scratch and
-    /// never referenced by checkpoints, so anything present before the
-    /// run starts is leftover from an aborted run.
-    fn sweep_stale_spill_files(config: &CrawlConfig) -> u64 {
-        let mut dirs: Vec<&std::path::Path> = config
-            .frontier_spill_dir
-            .iter()
-            .chain(config.dedup_spill_dir.iter())
-            .map(|d| d.as_path())
-            .collect();
-        dirs.sort_unstable();
-        dirs.dedup();
-        dirs.into_iter()
-            .map(|dir| {
-                bingo_store::spill::reap_stale_spill_files(dir, bingo_store::SPILL_FILE_PREFIXES)
-                    as u64
-            })
-            .sum()
     }
 
     /// Aggregated spill counters of the duplicate filter (all zero for
@@ -376,7 +336,7 @@ impl Crawler {
             self.config.outgoing_queue_cap,
             Self::spill_config(&self.config),
         );
-        self.dedup = Dedup::restore_with(cp.dedup, Self::dedup_spill_config(&self.config));
+        self.dedup = Dedup::restore_into(Dedup::for_config(&self.config), cp.dedup);
         self.hosts = HostManager::restore(
             self.config.breaker.clone(),
             cp.host_health,
@@ -441,19 +401,24 @@ impl Crawler {
     /// [`Crawler::save_session`]: the newest *complete* generation is
     /// the recovery target — torn or corrupted generations (crash
     /// mid-save, bit rot) are skipped, rolling back to the last good
-    /// commit. Directories written by the pre-generation flat layout
-    /// load via the legacy fallback. `world` and `config` must match
-    /// the original crawl for the resumed run to be meaningful.
+    /// commit. A directory without one complete generation is an
+    /// error, whatever else it holds: only manifest-committed files are
+    /// ever loaded. `world` and `config` must match the original crawl
+    /// for the resumed run to be meaningful.
     pub fn resume_session<P: AsRef<std::path::Path>>(
         world: Arc<World>,
         config: CrawlConfig,
         dir: P,
     ) -> Result<Crawler, CheckpointError> {
         let dir = dir.as_ref();
-        let session = match durable::find_newest_complete(dir) {
-            Some(generation) => generation.dir,
-            None => dir.to_path_buf(), // legacy flat layout
-        };
+        let session = durable::find_newest_complete(dir)
+            .ok_or_else(|| {
+                CheckpointError::Io(format!(
+                    "no complete checkpoint generation in {}",
+                    dir.display()
+                ))
+            })?
+            .dir;
         let store = bingo_store::persist::load(session.join(STORE_FILE))
             .map_err(|e| CheckpointError::Store(e.to_string()))?;
         let cp = load_checkpoint(session.join(CRAWLER_FILE))?;
@@ -652,25 +617,13 @@ impl Crawler {
         self.stats.visited_urls += 1;
         self.stats.max_depth = self.stats.max_depth.max(entry.depth);
 
-        // URL hygiene (Section 4.2 "document type management").
-        let Some(host) = host_of_url(&entry.url).map(str::to_string) else {
-            self.stats.url_rejected += 1;
-            return StepOutcome::Skipped("malformed url");
-        };
-        if entry.url.len() > MAX_URL_LEN || host.len() > MAX_HOSTNAME_LEN {
-            self.stats.url_rejected += 1;
-            return StepOutcome::Skipped("url length guard");
-        }
-        if self.config.locked_hosts.contains(&host) {
-            self.stats.url_rejected += 1;
-            return StepOutcome::Skipped("locked host");
-        }
-        if let Some(allowed) = &self.config.allowed_hosts {
-            if !allowed.contains(&host) {
+        let host = match self.config.admit_url(&entry.url) {
+            Ok(host) => host.to_string(),
+            Err(why) => {
                 self.stats.url_rejected += 1;
-                return StepOutcome::Skipped("outside allowed domains");
+                return StepOutcome::Skipped(why.reason());
             }
-        }
+        };
         // Circuit breaker (Section 4.2 host quality, with recovery): an
         // open breaker parks the URL until the half-open deadline instead
         // of dropping it; the first URL past the deadline becomes the probe.
@@ -962,23 +915,15 @@ impl Crawler {
 
         for link in &doc.links {
             let url = &link.href;
-            if url.len() > MAX_URL_LEN {
-                self.stats.url_rejected += 1;
-                continue;
-            }
-            let Some(link_host) = host_of_url(url) else {
-                self.stats.url_rejected += 1;
-                continue;
-            };
-            if link_host.len() > MAX_HOSTNAME_LEN || self.config.locked_hosts.contains(link_host) {
-                self.stats.url_rejected += 1;
-                continue;
-            }
-            if let Some(allowed) = &self.config.allowed_hosts {
-                if !allowed.contains(link_host) {
+            let link_host = match self.config.admit_url(url) {
+                Ok(host) => host,
+                // Off-domain links are expected, not a hygiene failure.
+                Err(UrlRejection::OutsideAllowed) => continue,
+                Err(_) => {
+                    self.stats.url_rejected += 1;
                     continue;
                 }
-            }
+            };
             if self.hosts.is_bad(link_host) {
                 continue;
             }
@@ -1738,34 +1683,6 @@ mod tests {
         let resumed = Crawler::resume_session(world, config, &dir).unwrap();
         assert!(resumed.store().document_count() > 0);
         assert!(resumed.clock_ms() > 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_flat_sessions_still_resume() {
-        // Sessions written before the generation layout (store.jsonl +
-        // crawler.json directly in the directory) must keep loading.
-        let dir = std::env::temp_dir().join("bingo-legacy-session-test");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let world = Arc::new(WorldConfig::small_test(39).build());
-        let config = CrawlConfig {
-            max_depth: 0,
-            ..CrawlConfig::default()
-        };
-        let mut crawler = Crawler::new(world.clone(), config.clone(), DocumentStore::new());
-        crawler.add_seed(&world.url_of(1), Some(0));
-        let mut judge = accept_all();
-        let mut vocab = Vocabulary::new();
-        crawler.run_until(10_000, &mut judge, &mut vocab);
-        assert!(crawler.stats().stored_pages > 0);
-        bingo_store::persist::save(crawler.store(), dir.join(STORE_FILE)).unwrap();
-        crate::checkpoint::save_checkpoint(&crawler.checkpoint(), dir.join(CRAWLER_FILE)).unwrap();
-        let resumed = Crawler::resume_session(world, config, &dir).unwrap();
-        assert_eq!(
-            resumed.store().document_count(),
-            crawler.store().document_count()
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

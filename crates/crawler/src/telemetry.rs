@@ -83,12 +83,9 @@ pub struct CrawlTelemetry {
     /// Duplicate-filter spill metrics (all zero unless
     /// `dedup_spill_dir` is configured).
     pub dedup: DedupTelemetry,
-    /// Stale spill files (frontier slots, dedup shards, vocabulary
-    /// logs, work-queue overflow) swept on startup.
+    /// Stale spill files (frontier slots, dedup shards) swept on
+    /// startup.
     pub spill_reaped: Counter,
-    /// Work-queue overflow batches spilled to disk by the threaded
-    /// executor (zero unless `work_queue_hot_cap` is set).
-    pub work_spill_batches: Counter,
 }
 
 /// Metric handles for the incremental host graph
@@ -205,7 +202,6 @@ impl CrawlTelemetry {
             graph: GraphTelemetry::new(&registry),
             dedup: DedupTelemetry::new(&registry),
             spill_reaped: registry.counter("crawl.spill.reaped"),
-            work_spill_batches: registry.counter("crawl.work_queue.spill_batches"),
             registry,
             events,
         }

@@ -53,17 +53,14 @@
 use crate::dedup::{path_of_url, Dedup, DedupMark};
 use crate::pipeline::{process_batch, top_terms, BatchJudge, DocOutcome, FetchedDoc};
 use crate::telemetry::CrawlTelemetry;
-use crate::types::{CrawlConfig, CrawlStats, MAX_HOSTNAME_LEN, MAX_URL_LEN};
+use crate::types::{CrawlConfig, CrawlStats, UrlRejection};
 use bingo_obs::Event;
 use bingo_store::{BulkLoader, BulkLoaderObs, DocumentStore};
 use bingo_textproc::fxhash::{self, FxHashMap};
 use bingo_textproc::{ContentRegistry, SharedVocabulary, TermId};
-use bingo_webworld::fetch::host_of_url;
 use bingo_webworld::{FetchOutcome, FetchResponse, World};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -74,26 +71,14 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Supervisor limits for the threaded executor.
-#[derive(Debug, Clone)]
-pub struct SupervisionConfig {
-    /// Attributable (single-URL batch) panics a URL may cause before it
-    /// is quarantined instead of requeued.
-    pub poison_budget: u32,
-    /// Total replacement workers the supervisor may spawn; once
-    /// exhausted, still-unprocessed panic survivors are quarantined so
-    /// the crawl terminates.
-    pub restart_budget: u32,
-}
+/// Attributable (single-URL batch) panics a URL may cause before the
+/// supervisor quarantines it instead of requeueing it.
+const POISON_BUDGET: u32 = 2;
 
-impl Default for SupervisionConfig {
-    fn default() -> Self {
-        SupervisionConfig {
-            poison_budget: 2,
-            restart_budget: 1024,
-        }
-    }
-}
+/// Total replacement workers the supervisor may spawn in one run; once
+/// exhausted, still-unprocessed panic survivors are quarantined so the
+/// crawl terminates.
+const RESTART_BUDGET: u32 = 1024;
 
 /// Pipeline stage a [`FaultPlan`] fires in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,8 +164,6 @@ pub struct PipelineOptions {
     /// level (BFS). When false the run processes exactly the given URLs
     /// at depth 0 — the flat throughput-measurement mode.
     pub follow_links: bool,
-    /// Supervisor limits (poison and restart budgets).
-    pub supervision: SupervisionConfig,
     /// Seeded worker-panic injection (tests only; `None` in production).
     pub fault: Option<FaultPlan>,
 }
@@ -193,7 +176,6 @@ impl PipelineOptions {
             threads,
             batch_size,
             follow_links: false,
-            supervision: SupervisionConfig::default(),
             fault: None,
         }
     }
@@ -206,7 +188,6 @@ impl PipelineOptions {
             threads,
             batch_size,
             follow_links: true,
-            supervision: SupervisionConfig::default(),
             fault: None,
         }
     }
@@ -236,144 +217,13 @@ pub struct ThroughputReport {
 
 /// One URL waiting for a worker, with the crawl context its discoverer
 /// attached (the threaded twin of the frontier's `QueueEntry`).
-/// Serializable so work-queue overflow batches can spill to disk.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Debug)]
 struct WorkItem {
     url: String,
     depth: u32,
     src_topic: Option<u32>,
     src_page: u64,
     anchor_terms: Vec<TermId>,
-}
-
-/// Spill file prefix of the level work queue (registered in
-/// [`bingo_store::SPILL_FILE_PREFIXES`] so stale files are swept).
-const WORK_SPILL_PREFIX: &str = "work-";
-
-/// FIFO work queue for one BFS level. With `work_queue_hot_cap` set
-/// (and a frontier spill directory configured), overflow past the hot
-/// tier spills to `work-*.spill` batch files — JSON lines of
-/// [`WorkItem`] written with [`bingo_store::durable::atomic_write`] —
-/// and is read back in insertion order, so pop order is identical to
-/// the fully resident queue. A failed spill write keeps the batch
-/// resident (order and answers never change; only the memory bound
-/// degrades). Spill files are scratch: stale ones from an aborted run
-/// are swept when the executor starts.
-struct PendingQueue {
-    hot: VecDeque<WorkItem>,
-    /// Items newer than every spilled batch, awaiting flush or drain.
-    overflow: Vec<WorkItem>,
-    /// Spilled batches, oldest first: `(path, item count)`.
-    spill_files: VecDeque<(PathBuf, usize)>,
-    spilled: usize,
-    /// Hot-tier capacity; 0 keeps the queue fully resident.
-    hot_cap: usize,
-    dir: Option<PathBuf>,
-    /// Run-global file-number source: the current level's queue and the
-    /// accumulating next-level queue spill into the same directory.
-    file_seq: Arc<AtomicU64>,
-    spill_batches: u64,
-}
-
-impl PendingQueue {
-    fn new(config: &CrawlConfig, file_seq: Arc<AtomicU64>) -> Self {
-        let spilling = config.work_queue_hot_cap > 0 && config.frontier_spill_dir.is_some();
-        PendingQueue {
-            hot: VecDeque::new(),
-            overflow: Vec::new(),
-            spill_files: VecDeque::new(),
-            spilled: 0,
-            hot_cap: if spilling {
-                config.work_queue_hot_cap
-            } else {
-                0
-            },
-            dir: if spilling {
-                config.frontier_spill_dir.clone()
-            } else {
-                None
-            },
-            file_seq,
-            spill_batches: 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.hot.len() + self.spilled + self.overflow.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn push_back(&mut self, item: WorkItem) {
-        if self.hot_cap == 0
-            || (self.spill_files.is_empty()
-                && self.overflow.is_empty()
-                && self.hot.len() < self.hot_cap)
-        {
-            self.hot.push_back(item);
-            return;
-        }
-        self.overflow.push(item);
-        if self.overflow.len() >= self.hot_cap {
-            self.flush_overflow();
-        }
-    }
-
-    /// Write the overflow buffer as one spill batch; on failure the
-    /// batch just stays resident.
-    fn flush_overflow(&mut self) {
-        let Some(dir) = &self.dir else { return };
-        if self.overflow.is_empty() {
-            return;
-        }
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
-        let mut bytes = Vec::new();
-        for item in &self.overflow {
-            if serde_json::to_writer(&mut bytes, item).is_err() {
-                return;
-            }
-            bytes.push(b'\n');
-        }
-        let seq = self.file_seq.fetch_add(1, Ordering::Relaxed);
-        let path = dir.join(format!("{WORK_SPILL_PREFIX}{seq:06}.spill"));
-        if bingo_store::durable::atomic_write(&path, &bytes).is_err() {
-            return;
-        }
-        let count = self.overflow.len();
-        self.overflow.clear();
-        self.spilled += count;
-        self.spill_files.push_back((path, count));
-        self.spill_batches += 1;
-    }
-
-    fn pop_front(&mut self) -> Option<WorkItem> {
-        if self.hot.is_empty() {
-            self.refill();
-        }
-        self.hot.pop_front()
-    }
-
-    /// Reload the oldest spilled batch (or, once none remain, the
-    /// resident overflow tail) into the hot tier.
-    fn refill(&mut self) {
-        if let Some((path, count)) = self.spill_files.pop_front() {
-            let bytes = std::fs::read(&path).expect("work-queue spill file vanished");
-            std::fs::remove_file(&path).ok();
-            self.spilled -= count;
-            let text = String::from_utf8(bytes).expect("work-queue spill file corrupt");
-            for line in text.lines().filter(|l| !l.is_empty()) {
-                let item: WorkItem =
-                    serde_json::from_str(line).expect("work-queue spill file corrupt");
-                self.hot.push_back(item);
-            }
-        } else {
-            self.hot.extend(self.overflow.drain(..));
-        }
-    }
 }
 
 /// What one worker reported back to the supervisor when it finished or
@@ -428,32 +278,14 @@ pub fn run_pipeline(
     // Honor the same spill knobs as the deterministic executor: stale
     // spill debris from aborted runs is swept before any tier starts
     // writing, and the duplicate filter spills when configured.
-    let config = &opts.config;
-    let mut stale_reaped = 0u64;
-    for dir in [&config.frontier_spill_dir, &config.dedup_spill_dir]
-        .into_iter()
-        .flatten()
-    {
-        stale_reaped +=
-            bingo_store::spill::reap_stale_spill_files(dir, bingo_store::SPILL_FILE_PREFIXES)
-                as u64;
-    }
-    telemetry.spill_reaped.add(stale_reaped);
-    let dedup = Mutex::new(match &config.dedup_spill_dir {
-        Some(dir) => Dedup::with_spill(&crate::dedup::DedupSpillConfig {
-            hot_cap: config.dedup_hot_cap,
-            ..crate::dedup::DedupSpillConfig::new(dir)
-        }),
-        None => Dedup::new(),
-    });
+    telemetry.spill_reaped.add(opts.config.reap_stale_spill());
+    let dedup = Mutex::new(Dedup::for_config(&opts.config));
     let mut last_dedup = crate::dedup::DedupStats::default();
-    let mut last_vocab = bingo_textproc::VocabSpillStats::default();
     let page_top_terms: Mutex<FxHashMap<u64, Vec<TermId>>> = Mutex::new(FxHashMap::default());
     let stats = Mutex::new(CrawlStats::default());
     let injector = opts.fault.clone().map(FaultInjector::new);
 
-    let work_file_seq = Arc::new(AtomicU64::new(0));
-    let mut level = PendingQueue::new(config, Arc::clone(&work_file_seq));
+    let mut level: VecDeque<WorkItem> = VecDeque::new();
     {
         let mut dedup = lock_clean(&dedup);
         for (url, topic) in seeds {
@@ -472,16 +304,13 @@ pub fn run_pipeline(
     // Supervisor state, shared across all levels.
     let mut poison: FxHashMap<u64, u32> = FxHashMap::default();
     let mut quarantined: Vec<String> = Vec::new();
-    let mut restarts_left = opts.supervision.restart_budget;
+    let mut restarts_left = RESTART_BUDGET;
 
     while !level.is_empty() {
         // Drain one BFS level under supervision. `pending` holds the
         // still-unprocessed items of this level; retry rounds after a
         // panic run single-URL batches to isolate the crasher.
-        let mut pending = std::mem::replace(
-            &mut level,
-            PendingQueue::new(config, Arc::clone(&work_file_seq)),
-        );
+        let mut pending = std::mem::take(&mut level);
         let mut round = 0u64;
         while !pending.is_empty() {
             telemetry.pipeline.queue_depth.set(pending.len() as i64);
@@ -543,20 +372,13 @@ pub fn run_pipeline(
             // in-flight URLs of dead workers. Items still sitting in
             // the level queue when every worker died were never
             // attempted — recover them too, without a poison charge.
-            let mut leftover = queue.into_inner().unwrap_or_else(|p| p.into_inner());
-            telemetry.work_spill_batches.add(leftover.spill_batches);
-            leftover.spill_batches = 0;
-            let mut requeue: Vec<WorkItem> = Vec::new();
-            while let Some(item) = leftover.pop_front() {
-                requeue.push(item);
-            }
-            pending = PendingQueue::new(config, Arc::clone(&work_file_seq));
+            let leftover = queue.into_inner().unwrap_or_else(|p| p.into_inner());
+            let mut requeue: Vec<WorkItem> = leftover.into();
+            pending = VecDeque::new();
             let mut panic_messages: Vec<String> = Vec::new();
             let mut newly_quarantined: Vec<String> = Vec::new();
             for exit in exits {
-                for item in exit.next_level {
-                    level.push_back(item);
-                }
+                level.extend(exit.next_level);
                 let Some(report) = exit.panic else { continue };
                 telemetry.worker_panics.inc();
                 panic_messages.push(report.message);
@@ -565,7 +387,7 @@ pub fn run_pipeline(
                     if round > 0 {
                         let charges = poison.entry(fxhash::hash_one(&item.url)).or_insert(0);
                         *charges += 1;
-                        if *charges >= opts.supervision.poison_budget.max(1) {
+                        if *charges >= POISON_BUDGET {
                             newly_quarantined.push(item.url);
                             continue;
                         }
@@ -605,9 +427,7 @@ pub fn run_pipeline(
                     telemetry
                         .events
                         .emit(Event::at(round, "crawl.worker.restart").with("workers", respawn));
-                    for item in requeue {
-                        pending.push_back(item);
-                    }
+                    pending.extend(requeue);
                 } else {
                     // Restart budget exhausted: quarantine the
                     // remainder so the crawl still terminates.
@@ -620,15 +440,11 @@ pub fn run_pipeline(
                     }
                 }
             }
-            // Poll the spilling tiers once per round so their gauges
+            // Poll the spilling filter once per round so its gauges
             // and counters track the crawl as it runs.
             telemetry
                 .dedup
                 .record(&lock_clean(&dedup).stats(), &mut last_dedup);
-            telemetry
-                .textproc
-                .vocab_spill
-                .record(&vocab.spill_stats(), &mut last_vocab);
             round += 1;
         }
     }
@@ -655,7 +471,7 @@ pub fn run_pipeline(
 fn run_worker(
     world: &World,
     store: &DocumentStore,
-    queue: &Mutex<PendingQueue>,
+    queue: &Mutex<VecDeque<WorkItem>>,
     vocab: &SharedVocabulary,
     judge: &dyn BatchJudge,
     telemetry: &CrawlTelemetry,
@@ -844,25 +660,11 @@ fn fetch_with_hygiene(
     let mut redirects = 0u32;
     let mut attempt = 0u32;
     loop {
-        let Some(host) = host_of_url(&url).map(str::to_string) else {
+        let Ok(host) = config.admit_url(&url) else {
             stats.url_rejected += 1;
             return None;
         };
-        if url.len() > MAX_URL_LEN || host.len() > MAX_HOSTNAME_LEN {
-            stats.url_rejected += 1;
-            return None;
-        }
-        if config.locked_hosts.contains(&host) {
-            stats.url_rejected += 1;
-            return None;
-        }
-        if let Some(allowed) = &config.allowed_hosts {
-            if !allowed.contains(&host) {
-                stats.url_rejected += 1;
-                return None;
-            }
-        }
-        if world.dns_lookup(&host, attempt).is_err() {
+        if world.dns_lookup(host, attempt).is_err() {
             stats.fetch_errors += 1;
             if attempt < config.max_retries {
                 attempt += 1;
@@ -926,20 +728,12 @@ fn enqueue_links(
     }
     for link in &doc.links {
         let url = &link.href;
-        if url.len() > MAX_URL_LEN {
-            stats.url_rejected += 1;
-            continue;
-        }
-        let Some(link_host) = host_of_url(url) else {
-            stats.url_rejected += 1;
-            continue;
-        };
-        if link_host.len() > MAX_HOSTNAME_LEN || config.locked_hosts.contains(link_host) {
-            stats.url_rejected += 1;
-            continue;
-        }
-        if let Some(allowed) = &config.allowed_hosts {
-            if !allowed.contains(link_host) {
+        match config.admit_url(url) {
+            Ok(_) => {}
+            // Off-domain links are expected, not a hygiene failure.
+            Err(UrlRejection::OutsideAllowed) => continue,
+            Err(_) => {
+                stats.url_rejected += 1;
                 continue;
             }
         }
@@ -1163,66 +957,6 @@ mod tests {
             snap.counters["crawl.worker.quarantined"],
             poisoned.len() as u64
         );
-    }
-
-    #[test]
-    fn spilling_work_queue_matches_resident_run() {
-        let spill_dir = std::env::temp_dir().join("bingo-threaded-workspill");
-        std::fs::remove_dir_all(&spill_dir).ok();
-        // Plant stale debris from a "previous run": swept at start.
-        std::fs::create_dir_all(&spill_dir).unwrap();
-        std::fs::write(spill_dir.join("work-000099.spill"), b"stale").unwrap();
-
-        let run = |config: CrawlConfig| {
-            let world = Arc::new(WorldConfig::small_test(43).build());
-            let store = DocumentStore::new();
-            let vocab = SharedVocabulary::new();
-            let telemetry = CrawlTelemetry::default();
-            let report = run_pipeline(
-                Arc::clone(&world),
-                store.clone(),
-                vec![(world.url_of(0), Some(0))],
-                &vocab,
-                &accept_all(),
-                &telemetry,
-                &PipelineOptions::focused(config, 1, 4),
-            );
-            let mut urls: Vec<String> = store.all_documents().into_iter().map(|d| d.url).collect();
-            urls.sort_unstable();
-            (report, urls, telemetry)
-        };
-
-        let base = CrawlConfig {
-            max_depth: 2,
-            ..CrawlConfig::default()
-        };
-        let (resident_report, resident_urls, _) = run(base.clone());
-        let spilling = CrawlConfig {
-            frontier_spill_dir: Some(spill_dir.clone()),
-            work_queue_hot_cap: 2,
-            ..base
-        };
-        let (spill_report, spill_urls, telemetry) = run(spilling);
-
-        assert_eq!(spill_report.documents, resident_report.documents);
-        assert_eq!(spill_urls, resident_urls, "stored URL sets diverged");
-        let snap = telemetry.registry.snapshot();
-        assert!(
-            snap.counters["crawl.work_queue.spill_batches"] > 0,
-            "hot cap 2 must force overflow spills"
-        );
-        assert!(snap.counters["crawl.spill.reaped"] >= 1, "stale file swept");
-        // All spill batches were consumed and deleted.
-        let leftovers: Vec<_> = std::fs::read_dir(&spill_dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "work spill files leaked: {leftovers:?}"
-        );
-        std::fs::remove_dir_all(&spill_dir).ok();
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use crate::authority::AuthorityConfig;
 use crate::hosts::BreakerConfig;
+use bingo_store::spill::{reap_stale_spill_files, SPILL_FILE_PREFIXES};
 use bingo_textproc::fxhash::FxHashSet;
+use bingo_webworld::fetch::host_of_url;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
@@ -10,6 +12,32 @@ use std::path::PathBuf;
 pub const MAX_HOSTNAME_LEN: usize = 255;
 /// Maximum accepted URL length (Section 4.2).
 pub const MAX_URL_LEN: usize = 1000;
+
+/// Why [`CrawlConfig::admit_url`] turned a URL away.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UrlRejection {
+    /// No hostname could be parsed out of the URL.
+    Malformed,
+    /// URL longer than [`MAX_URL_LEN`] or hostname longer than
+    /// [`MAX_HOSTNAME_LEN`].
+    TooLong,
+    /// Hostname is in `locked_hosts`.
+    LockedHost,
+    /// Hostname is outside a configured `allowed_hosts` restriction.
+    OutsideAllowed,
+}
+
+impl UrlRejection {
+    /// Short human-readable reason (the `StepOutcome::Skipped` label).
+    pub fn reason(self) -> &'static str {
+        match self {
+            UrlRejection::Malformed => "malformed url",
+            UrlRejection::TooLong => "url length guard",
+            UrlRejection::LockedHost => "locked host",
+            UrlRejection::OutsideAllowed => "outside allowed domains",
+        }
+    }
+}
 
 /// The crawl focusing rule (Section 3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -111,11 +139,6 @@ pub struct CrawlConfig {
     /// crawls (links to long-stored pages then enqueue without
     /// neighbour terms, exactly like links from pre-cache runs).
     pub page_terms_cap: usize,
-    /// Threaded-executor work-queue items kept resident per BFS level;
-    /// overflow batches spill to `work-*.spill` files under
-    /// `frontier_spill_dir`, read back in order. `0` (default) keeps
-    /// every level fully resident.
-    pub work_queue_hot_cap: usize,
     /// Authority-blended frontier ordering: maintain a host-level
     /// webgraph online and blend normalized host authority into link
     /// priorities (`α·confidence + β·authority`). Disabled by default;
@@ -150,7 +173,6 @@ impl Default for CrawlConfig {
             dedup_spill_dir: None,
             dedup_hot_cap: 1 << 20,
             page_terms_cap: 0,
-            work_queue_hot_cap: 0,
             authority: AuthorityConfig::default(),
         }
     }
@@ -168,6 +190,38 @@ impl CrawlConfig {
             allowed_hosts: None,
             ..self.clone()
         }
+    }
+
+    /// The URL hygiene guard of Section 4.2 ("document type
+    /// management"), shared by every executor at both fetch and enqueue
+    /// time: the URL must parse, stay within the length limits, and its
+    /// host must be neither locked nor outside the allowed domains.
+    /// Returns the hostname; callers decide how a rejection is counted.
+    pub fn admit_url<'u>(&self, url: &'u str) -> Result<&'u str, UrlRejection> {
+        let host = host_of_url(url).ok_or(UrlRejection::Malformed)?;
+        if url.len() > MAX_URL_LEN || host.len() > MAX_HOSTNAME_LEN {
+            return Err(UrlRejection::TooLong);
+        }
+        if self.locked_hosts.contains(host) {
+            return Err(UrlRejection::LockedHost);
+        }
+        match &self.allowed_hosts {
+            Some(allowed) if !allowed.contains(host) => Err(UrlRejection::OutsideAllowed),
+            _ => Ok(host),
+        }
+    }
+
+    /// Sweep spill scratch left by an aborted run from the configured
+    /// spill directories — every file family, not just the ones this
+    /// configuration would rewrite. Spill files are never referenced by
+    /// checkpoints, so anything present before a run starts is garbage.
+    /// Returns how many files were removed.
+    pub fn reap_stale_spill(&self) -> u64 {
+        [&self.frontier_spill_dir, &self.dedup_spill_dir]
+            .into_iter()
+            .flatten()
+            .map(|dir| reap_stale_spill_files(dir, SPILL_FILE_PREFIXES) as u64)
+            .sum()
     }
 }
 
@@ -343,6 +397,57 @@ mod tests {
         assert_eq!(h.max_depth, 0);
         assert!(h.allowed_hosts.is_none());
         assert_eq!(h.threads, c.threads);
+    }
+
+    #[test]
+    fn admit_url_applies_every_guard() {
+        let config = CrawlConfig {
+            locked_hosts: ["locked.example".to_string()].into_iter().collect(),
+            ..CrawlConfig::default()
+        };
+        let confined = CrawlConfig {
+            allowed_hosts: Some(["in.edu".to_string()].into_iter().collect()),
+            ..config.clone()
+        };
+        // A URL of exactly `len` bytes on host `h.edu`.
+        let url_of_len = |len: usize| format!("http://h.edu/{}", "p".repeat(len - 13));
+        let host_of_len = |len: usize| "h".repeat(len);
+        let cases: Vec<(&CrawlConfig, String, Result<String, UrlRejection>)> = vec![
+            (&config, url_of_len(1000), Ok("h.edu".into())),
+            (&config, url_of_len(1001), Err(UrlRejection::TooLong)),
+            (
+                &config,
+                format!("http://{}/x", host_of_len(255)),
+                Ok(host_of_len(255)),
+            ),
+            (
+                &config,
+                format!("http://{}/x", host_of_len(256)),
+                Err(UrlRejection::TooLong),
+            ),
+            (&config, "not a url".into(), Err(UrlRejection::Malformed)),
+            (
+                &config,
+                "http://locked.example/x".into(),
+                Err(UrlRejection::LockedHost),
+            ),
+            (&confined, "http://in.edu/x".into(), Ok("in.edu".into())),
+            (
+                &confined,
+                "http://out.edu/x".into(),
+                Err(UrlRejection::OutsideAllowed),
+            ),
+            // Locked wins over the domain restriction.
+            (
+                &confined,
+                "http://locked.example/x".into(),
+                Err(UrlRejection::LockedHost),
+            ),
+        ];
+        for (cfg, url, want) in cases {
+            let got = cfg.admit_url(&url).map(str::to_string);
+            assert_eq!(got, want, "{} bytes: {:.60}", url.len(), url);
+        }
     }
 
     #[test]

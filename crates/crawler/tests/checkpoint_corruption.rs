@@ -128,12 +128,27 @@ fn missing_pieces_are_clean_errors() {
     std::fs::remove_dir_all(&nowhere).ok();
     assert!(matches!(
         resume(&world, &nowhere),
-        Err(CheckpointError::Store(_))
+        Err(CheckpointError::Io(_))
     ));
+
+    // Intact but uncommitted files in the session root — no manifest
+    // vouches for them, so they must never be loaded as a session.
+    let dir = clone_session("flat-root");
+    let gen = durable::generation_numbers(&dir);
+    let gen_dir = durable::generation_dir(&dir, gen[0]);
+    for piece in [CRAWLER_FILE, STORE_FILE] {
+        std::fs::rename(gen_dir.join(piece), dir.join(piece)).unwrap();
+    }
+    let (world, _) = template();
+    assert!(
+        matches!(resume(world, &dir), Err(CheckpointError::Io(_))),
+        "un-checksummed files in the session root were loaded"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 
     // Any single piece deleted from the only generation: the manifest
     // no longer verifies (or is gone), so there is no complete
-    // generation and no legacy flat files to fall back to.
+    // generation.
     for piece in PIECES {
         let dir = clone_session(&format!("missing-{piece}"));
         let gen = durable::generation_numbers(&dir);

@@ -32,15 +32,12 @@ pub mod vocab;
 pub use content::{ContentHandler, ContentRegistry, MimeType};
 pub use features::{DocumentFeatures, FeatureSpace, FeatureSpaceKind};
 pub use html::{HtmlDocument, Hyperlink};
-pub use metrics::{analyze_html_metered, TextprocMetrics, VocabSpillTelemetry};
+pub use metrics::{analyze_html_metered, TextprocMetrics};
 pub use stem::porter_stem;
 pub use tfidf::{CorpusStats, TfIdfWeighter};
 pub use tokenize::Tokenizer;
 pub use vector::SparseVector;
-pub use vocab::{
-    Interner, SharedVocabulary, TermId, TermLookup, VocabSpillConfig, VocabSpillStats, Vocabulary,
-    VOCAB_SPILL_PREFIX,
-};
+pub use vocab::{Interner, SharedVocabulary, TermId, TermLookup, Vocabulary};
 
 /// A fully analyzed document: the output of the document analyzer that the
 /// classifier, the feature selection and the local search engine consume.

@@ -4,7 +4,7 @@
 //! deterministic; the per-document analysis cost is wall time and lands
 //! in a volatile histogram.
 
-use crate::{analyze_html, AnalyzedDocument, Interner, VocabSpillStats};
+use crate::{analyze_html, AnalyzedDocument, Interner};
 use bingo_obs::{Counter, Gauge, Histogram, Registry, WallTimer};
 use std::sync::Arc;
 
@@ -26,63 +26,6 @@ pub struct TextprocMetrics {
     pub vocab_size: Gauge,
     /// Wall-clock cost per analyzed document, microseconds (volatile).
     pub analyze_wall_us: Arc<Histogram>,
-    /// Vocabulary spill metrics (all zero unless the dictionary was
-    /// built with [`crate::SharedVocabulary::with_spill`]).
-    pub vocab_spill: VocabSpillTelemetry,
-}
-
-/// Metric handles for the spilling term dictionary
-/// ([`crate::SharedVocabulary`]). The dictionary itself is obs-free;
-/// callers poll [`VocabSpillStats`] and fold deltas in here, so
-/// counters stay monotonic across polls.
-#[derive(Clone)]
-pub struct VocabSpillTelemetry {
-    /// Terms resident in the hot tiers.
-    pub hot_terms: Gauge,
-    /// Estimated resident bytes of hot-tier term text.
-    pub hot_bytes: Gauge,
-    /// Terms living in spill logs.
-    pub spilled_terms: Gauge,
-    /// Hot-tier flushes into the logs.
-    pub flushes: Counter,
-    /// Log reads issued to confirm a probable match.
-    pub disk_probes: Counter,
-    /// Log reads that confirmed the term.
-    pub disk_hits: Counter,
-    /// Failed log reads/writes (answers stayed exact).
-    pub io_errors: Counter,
-}
-
-impl VocabSpillTelemetry {
-    /// Register the `vocab.spill.*` handles in `registry`.
-    pub fn new(registry: &Registry) -> Self {
-        VocabSpillTelemetry {
-            hot_terms: registry.gauge("vocab.spill.hot_terms"),
-            hot_bytes: registry.gauge("vocab.spill.hot_bytes"),
-            spilled_terms: registry.gauge("vocab.spill.spilled_terms"),
-            flushes: registry.counter("vocab.spill.flushes"),
-            disk_probes: registry.counter("vocab.spill.disk_probes"),
-            disk_hits: registry.counter("vocab.spill.disk_hits"),
-            io_errors: registry.counter("vocab.spill.io_errors"),
-        }
-    }
-
-    /// Fold the dictionary's current counters in: gauges are
-    /// overwritten, monotonic counters advance by the delta since
-    /// `last` (which is updated to `now`).
-    pub fn record(&self, now: &VocabSpillStats, last: &mut VocabSpillStats) {
-        self.hot_terms.set(now.hot_terms as i64);
-        self.hot_bytes.set(now.hot_bytes as i64);
-        self.spilled_terms.set(now.spilled_terms as i64);
-        self.flushes.add(now.flushes.saturating_sub(last.flushes));
-        self.disk_probes
-            .add(now.disk_probes.saturating_sub(last.disk_probes));
-        self.disk_hits
-            .add(now.disk_hits.saturating_sub(last.disk_hits));
-        self.io_errors
-            .add(now.io_errors.saturating_sub(last.io_errors));
-        *last = *now;
-    }
 }
 
 impl TextprocMetrics {
@@ -95,7 +38,6 @@ impl TextprocMetrics {
             terms_per_doc: registry.histogram("textproc.terms_per_doc"),
             vocab_size: registry.gauge("textproc.vocab_size"),
             analyze_wall_us: registry.wall_histogram("textproc.analyze.wall_us"),
-            vocab_spill: VocabSpillTelemetry::new(&registry),
             registry,
         }
     }

@@ -18,26 +18,11 @@
 //! renumbered by lexicographic rank. Two runs that intern the same term
 //! set — in any order, on any number of threads — canonicalize to the
 //! same id assignment.
-//!
-//! For memory-bounded crawls the term *text* — the dictionary's only
-//! unbounded allocation — can move to disk:
-//! [`SharedVocabulary::with_spill`] keeps a resident hot tier per shard
-//! and flushes overflow to an append-only term log with a resident
-//! hash → offset index. Interning stays O(1) amortized (the index is
-//! consulted first; the log is read only to confirm a probable match),
-//! answers stay exact, and a dictionary that never exceeds the byte
-//! budget behaves byte-identically to a resident one. Logs are
-//! run-scratch: snapshots materialize every term, and stale logs from
-//! aborted runs are swept at construction.
 
 use crate::fxhash::{self, FxHashMap};
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// A dense identifier for an interned term.
 #[derive(
@@ -141,259 +126,6 @@ fn canonical_map_of(terms: &[String], seed_len: usize) -> Vec<u32> {
 /// shard of a term is a cheap mask of its hash.
 const SHARDS: usize = 16;
 
-/// File-name prefix of vocabulary spill logs (`vocab-3.spill`, …).
-pub const VOCAB_SPILL_PREFIX: &str = "vocab-";
-const VOCAB_SPILL_SUFFIX: &str = ".spill";
-
-/// Estimated resident overhead per hot term beyond its bytes (hash-map
-/// entry, string header) — what the byte budget charges per entry.
-const TERM_OVERHEAD: usize = 48;
-
-/// Spill policy for a [`SharedVocabulary`]: resident string bytes are
-/// capped, overflow moves to per-shard append-only term logs.
-#[derive(Debug, Clone)]
-pub struct VocabSpillConfig {
-    /// Directory the term logs live in (created if missing; stale
-    /// `vocab-*.spill` files from an aborted run are swept first). Use
-    /// a dedicated directory per dictionary — logs are keyed by shard
-    /// number only.
-    pub dir: PathBuf,
-    /// Resident term-byte budget across all shards. A shard flushes
-    /// its hot tier to its log once it exceeds its share; flushed
-    /// terms keep costing ~16 bytes of resident index each, so the
-    /// true resident footprint is `hot_bytes_cap` plus the offset
-    /// index, not zero.
-    pub hot_bytes_cap: usize,
-}
-
-impl VocabSpillConfig {
-    /// Defaults sized for multi-million-page crawls: 32 MiB of
-    /// resident term text.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        VocabSpillConfig {
-            dir: dir.into(),
-            hot_bytes_cap: 32 << 20,
-        }
-    }
-}
-
-/// Deterministic spill counters of a [`SharedVocabulary`] (all zero
-/// while everything fits under the cap — and always, for an unspilled
-/// dictionary).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct VocabSpillStats {
-    /// Terms resident in the hot tiers.
-    pub hot_terms: usize,
-    /// Estimated resident bytes of hot-tier term text.
-    pub hot_bytes: usize,
-    /// Terms living in spill logs (resident as 16-byte index entries).
-    pub spilled_terms: usize,
-    /// Hot-tier flushes into the logs so far.
-    pub flushes: u64,
-    /// Log reads issued to confirm a probable match.
-    pub disk_probes: u64,
-    /// Log reads that confirmed the term.
-    pub disk_hits: u64,
-    /// Failed log reads/writes (answers stayed exact; affected terms
-    /// stayed resident).
-    pub io_errors: u64,
-    /// Stale spill files swept at construction.
-    pub stale_reaped: u64,
-}
-
-/// One shard's append-only term log plus its resident offset index.
-/// Records are `[u32 id][u32 len][len bytes]`, little-endian, appended
-/// on flush. The index maps a term's hash to the candidate records
-/// (more than one only on a 64-bit hash collision); membership is
-/// confirmed by reading the string back, so answers are exact. Logs
-/// are run-scratch: [`SharedVocabulary::snapshot`] materializes every
-/// term, and stale logs are swept at construction, never read.
-struct ColdLog {
-    path: PathBuf,
-    /// Open handle, created on first flush.
-    file: Option<File>,
-    /// term-hash → candidate `(byte offset of the string, len, id)`.
-    index: FxHashMap<u64, Vec<(u64, u32, TermId)>>,
-    /// Committed length of the log — the next append offset. Only
-    /// advances after a fully successful write, so indexed reads never
-    /// see a torn record.
-    tail: u64,
-    /// Per-shard share of [`VocabSpillConfig::hot_bytes_cap`].
-    hot_bytes_cap: usize,
-    spilled_terms: usize,
-    flushes: u64,
-    disk_probes: u64,
-    disk_hits: u64,
-    io_errors: u64,
-}
-
-impl ColdLog {
-    fn new(dir: &Path, shard: usize, hot_bytes_cap: usize) -> Self {
-        ColdLog {
-            path: dir.join(format!("{VOCAB_SPILL_PREFIX}{shard}{VOCAB_SPILL_SUFFIX}")),
-            file: None,
-            index: FxHashMap::default(),
-            tail: 0,
-            hot_bytes_cap,
-            spilled_terms: 0,
-            flushes: 0,
-            disk_probes: 0,
-            disk_hits: 0,
-            io_errors: 0,
-        }
-    }
-
-    /// Exact spilled-term lookup: index candidates, then a log read to
-    /// confirm the bytes.
-    fn find(&mut self, term: &str) -> Option<TermId> {
-        let candidates = self.index.get(&fxhash::hash_one(&term))?.clone();
-        for (off, len, id) in candidates {
-            if len as usize != term.len() {
-                continue;
-            }
-            let file = self.file.as_ref()?;
-            self.disk_probes += 1;
-            let mut buf = vec![0u8; len as usize];
-            match file.read_exact_at(&mut buf, off) {
-                Ok(()) if buf == term.as_bytes() => {
-                    self.disk_hits += 1;
-                    return Some(id);
-                }
-                Ok(()) => {}
-                Err(_) => self.io_errors += 1,
-            }
-        }
-        None
-    }
-
-    /// Append the whole hot tier to the log (record order: by id, so
-    /// single-threaded runs produce byte-identical logs) and index it.
-    /// On any write error the hot tier is kept resident — the budget
-    /// is exceeded but answers stay exact.
-    fn flush(&mut self, hot: &mut FxHashMap<String, TermId>, hot_bytes: &mut usize) {
-        if hot.is_empty() {
-            return;
-        }
-        if self.file.is_none() {
-            match OpenOptions::new()
-                .create(true)
-                .read(true)
-                .append(true)
-                .open(&self.path)
-            {
-                Ok(f) => self.file = Some(f),
-                Err(_) => {
-                    self.io_errors += 1;
-                    return;
-                }
-            }
-        }
-        let mut entries: Vec<(&str, TermId)> =
-            hot.iter().map(|(t, &id)| (t.as_str(), id)).collect();
-        entries.sort_unstable_by_key(|&(_, id)| id.0);
-        let mut buf = Vec::new();
-        let mut located: Vec<(u64, u64, u32, TermId)> = Vec::with_capacity(entries.len());
-        for (term, id) in entries {
-            let record_start = self.tail + buf.len() as u64;
-            buf.extend_from_slice(&id.0.to_le_bytes());
-            buf.extend_from_slice(&(term.len() as u32).to_le_bytes());
-            buf.extend_from_slice(term.as_bytes());
-            located.push((
-                fxhash::hash_one(&term),
-                record_start + 8,
-                term.len() as u32,
-                id,
-            ));
-        }
-        let file = self.file.as_mut().expect("opened above");
-        if file.write_all(&buf).is_err() {
-            self.io_errors += 1;
-            return;
-        }
-        for (hash, off, len, id) in located {
-            self.index.entry(hash).or_default().push((off, len, id));
-        }
-        self.spilled_terms += hot.len();
-        self.flushes += 1;
-        self.tail += buf.len() as u64;
-        hot.clear();
-        *hot_bytes = 0;
-    }
-
-    /// Every `(id, term)` in the log, in append order. Panics on an
-    /// unreadable or torn log — callers are the snapshot paths, where
-    /// losing spilled terms would silently corrupt the dictionary.
-    fn read_all(&self) -> Vec<(TermId, String)> {
-        if self.spilled_terms == 0 {
-            return Vec::new();
-        }
-        let bytes = std::fs::read(&self.path).expect("vocab spill log unreadable");
-        let mut out = Vec::with_capacity(self.spilled_terms);
-        let mut off = 0usize;
-        while (off as u64) < self.tail {
-            let id = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-            let len = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap()) as usize;
-            let term = std::str::from_utf8(&bytes[off + 8..off + 8 + len])
-                .expect("vocab spill log corrupt")
-                .to_string();
-            out.push((TermId(id), term));
-            off += 8 + len;
-        }
-        out
-    }
-}
-
-/// One shard of a [`SharedVocabulary`]: the resident tier plus the
-/// optional spill log.
-#[derive(Default)]
-struct Shard {
-    hot: FxHashMap<String, TermId>,
-    /// Estimated resident bytes of `hot` (term bytes + [`TERM_OVERHEAD`]
-    /// each).
-    hot_bytes: usize,
-    cold: Option<ColdLog>,
-}
-
-impl Shard {
-    /// Resolve a term across both tiers.
-    fn resolve(&mut self, term: &str) -> Option<TermId> {
-        if let Some(&id) = self.hot.get(term) {
-            return Some(id);
-        }
-        self.cold.as_mut()?.find(term)
-    }
-
-    /// Insert a term known to be absent, flushing past the byte cap.
-    fn insert(&mut self, term: &str, id: TermId) {
-        self.hot.insert(term.to_string(), id);
-        self.hot_bytes += term.len() + TERM_OVERHEAD;
-        if let Some(cold) = &mut self.cold {
-            if self.hot_bytes >= cold.hot_bytes_cap {
-                cold.flush(&mut self.hot, &mut self.hot_bytes);
-            }
-        }
-    }
-}
-
-/// Delete leftover `vocab-*.spill` files (an aborted run's scratch).
-fn reap_stale_vocab_files(dir: &Path) -> u64 {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    let mut reaped = 0;
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.starts_with(VOCAB_SPILL_PREFIX)
-            && name.ends_with(VOCAB_SPILL_SUFFIX)
-            && std::fs::remove_file(entry.path()).is_ok()
-        {
-            reaped += 1;
-        }
-    }
-    reaped
-}
-
 /// A concurrency-safe sharded term dictionary (Section 4.1: all crawler
 /// threads feed one document analyzer term space).
 ///
@@ -413,11 +145,9 @@ fn reap_stale_vocab_files(dir: &Path) -> u64 {
 /// assert_eq!(shared.intern("databas").0, 0, "seed ids are preserved");
 /// ```
 pub struct SharedVocabulary {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<FxHashMap<String, TermId>>>,
     next_id: AtomicU32,
     seed_len: u32,
-    /// Stale spill files swept when this dictionary was constructed.
-    stale_reaped: u64,
 }
 
 impl Default for SharedVocabulary {
@@ -427,36 +157,14 @@ impl Default for SharedVocabulary {
 }
 
 impl SharedVocabulary {
-    /// Empty shared dictionary, fully resident (no cap, no disk).
+    /// Empty shared dictionary.
     pub fn new() -> Self {
         SharedVocabulary {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            next_id: AtomicU32::new(0),
-            seed_len: 0,
-            stale_reaped: 0,
-        }
-    }
-
-    /// Empty shared dictionary that spills term text past
-    /// `cfg.hot_bytes_cap`. Sweeps stale `vocab-*.spill` files in
-    /// `cfg.dir` first ([`SharedVocabulary::spill_stats`] reports how
-    /// many).
-    pub fn with_spill(cfg: &VocabSpillConfig) -> Self {
-        std::fs::create_dir_all(&cfg.dir).expect("vocab spill dir");
-        let stale_reaped = reap_stale_vocab_files(&cfg.dir);
-        let per_shard_cap = (cfg.hot_bytes_cap / SHARDS).max(1);
-        SharedVocabulary {
             shards: (0..SHARDS)
-                .map(|i| {
-                    Mutex::new(Shard {
-                        cold: Some(ColdLog::new(&cfg.dir, i, per_shard_cap)),
-                        ..Shard::default()
-                    })
-                })
+                .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
             next_id: AtomicU32::new(0),
             seed_len: 0,
-            stale_reaped,
         }
     }
 
@@ -465,32 +173,20 @@ impl SharedVocabulary {
     /// stored rows) remain valid. Canonicalization never renumbers the
     /// seed range.
     pub fn seeded(seed: &Vocabulary) -> Self {
-        Self::new().seed_from(seed)
-    }
-
-    /// [`SharedVocabulary::seeded`] over a spilling dictionary — seed
-    /// terms count against the byte budget like any others.
-    pub fn seeded_with_spill(seed: &Vocabulary, cfg: &VocabSpillConfig) -> Self {
-        Self::with_spill(cfg).seed_from(seed)
-    }
-
-    fn seed_from(self, seed: &Vocabulary) -> Self {
+        let mut shared = Self::new();
         for (id, term) in seed.iter() {
-            let shard = self.shard_of(term);
-            self.shards[shard]
-                .lock()
-                .expect("vocab shard poisoned")
-                .insert(term, id);
+            shared.shard(term).insert(term.to_string(), id);
         }
-        self.next_id.store(seed.len() as u32, Ordering::Relaxed);
-        SharedVocabulary {
-            seed_len: seed.len() as u32,
-            ..self
-        }
+        shared.seed_len = seed.len() as u32;
+        shared.next_id = AtomicU32::new(shared.seed_len);
+        shared
     }
 
-    fn shard_of(&self, term: &str) -> usize {
-        fxhash::hash_one(&term) as usize & (SHARDS - 1)
+    /// Lock the shard `term` hashes to.
+    fn shard(&self, term: &str) -> MutexGuard<'_, FxHashMap<String, TermId>> {
+        self.shards[fxhash::hash_one(&term) as usize & (SHARDS - 1)]
+            .lock()
+            .expect("vocab shard poisoned")
     }
 
     /// Resolve `term` without interning it — the read-only query-path
@@ -498,23 +194,18 @@ impl SharedVocabulary {
     /// writing. Touches only the term's shard mutex, never the id
     /// allocator.
     pub fn lookup(&self, term: &str) -> Option<TermId> {
-        self.shards[self.shard_of(term)]
-            .lock()
-            .expect("vocab shard poisoned")
-            .resolve(term)
+        self.shard(term).get(term).copied()
     }
 
     /// Intern `term` through a shared reference; safe to call from any
     /// number of threads.
     pub fn intern(&self, term: &str) -> TermId {
-        let mut shard = self.shards[self.shard_of(term)]
-            .lock()
-            .expect("vocab shard poisoned");
-        if let Some(id) = shard.resolve(term) {
+        let mut shard = self.shard(term);
+        if let Some(&id) = shard.get(term) {
             return id;
         }
         let id = TermId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        shard.insert(term, id);
+        shard.insert(term.to_string(), id);
         id
     }
 
@@ -533,43 +224,14 @@ impl SharedVocabulary {
         self.seed_len as usize
     }
 
-    /// Aggregated spill counters across the shards. All zero for a
-    /// fully resident dictionary.
-    pub fn spill_stats(&self) -> VocabSpillStats {
-        let mut agg = VocabSpillStats {
-            stale_reaped: self.stale_reaped,
-            ..VocabSpillStats::default()
-        };
-        for shard in &self.shards {
-            let shard = shard.lock().expect("vocab shard poisoned");
-            agg.hot_terms += shard.hot.len();
-            agg.hot_bytes += shard.hot_bytes;
-            if let Some(cold) = &shard.cold {
-                agg.spilled_terms += cold.spilled_terms;
-                agg.flushes += cold.flushes;
-                agg.disk_probes += cold.disk_probes;
-                agg.disk_hits += cold.disk_hits;
-                agg.io_errors += cold.io_errors;
-            }
-        }
-        agg
-    }
-
     /// Freeze into an ordinary [`Vocabulary`] in raw (arrival-order)
-    /// ids. Spilled terms are materialized from the logs, so the
-    /// snapshot is self-contained and recovery never depends on spill
-    /// files.
+    /// ids.
     pub fn snapshot(&self) -> Vocabulary {
         let mut terms = vec![String::new(); self.len()];
         for shard in &self.shards {
             let shard = shard.lock().expect("vocab shard poisoned");
-            for (term, &TermId(id)) in shard.hot.iter() {
+            for (term, &TermId(id)) in shard.iter() {
                 terms[id as usize] = term.clone();
-            }
-            if let Some(cold) = &shard.cold {
-                for (TermId(id), term) in cold.read_all() {
-                    terms[id as usize] = term;
-                }
             }
         }
         let mut vocab = Vocabulary {
@@ -745,92 +407,6 @@ mod tests {
         assert_eq!(via_vocab, via_shared);
         assert_eq!(vocab.len(), 2);
         assert_eq!((&shared).term_count(), 2);
-    }
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("bingo-vocab-{tag}"));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    }
-
-    /// A budget small enough that every test exercises the disk path.
-    fn tiny_spill(dir: &Path) -> VocabSpillConfig {
-        VocabSpillConfig {
-            dir: dir.to_path_buf(),
-            hot_bytes_cap: SHARDS * (TERM_OVERHEAD + 8),
-        }
-    }
-
-    #[test]
-    fn spilling_vocab_matches_resident_vocab() {
-        let dir = temp_dir("equiv");
-        let resident = SharedVocabulary::new();
-        let spilled = SharedVocabulary::with_spill(&tiny_spill(&dir));
-        // Same single-threaded interning sequence → same ids, exact
-        // idempotence across the spill boundary.
-        for i in 0..300u32 {
-            let term = format!("term{:03}", i % 120);
-            assert_eq!(spilled.intern(&term), resident.intern(&term), "{term}");
-        }
-        assert_eq!(spilled.len(), resident.len());
-        let stats = spilled.spill_stats();
-        assert!(stats.flushes > 0, "tiny budget must flush: {stats:?}");
-        assert!(stats.spilled_terms > 0);
-        assert!(stats.disk_hits > 0, "repeats resolve from the log");
-        assert_eq!(stats.io_errors, 0);
-        for i in 0..120u32 {
-            let term = format!("term{i:03}");
-            assert_eq!(spilled.lookup(&term), resident.lookup(&term));
-        }
-        assert_eq!(spilled.lookup("never-interned"), None);
-        // Snapshots materialize the logs and agree byte for byte.
-        assert_eq!(
-            serde_json::to_string(&spilled.snapshot()).unwrap(),
-            serde_json::to_string(&resident.snapshot()).unwrap()
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn spilling_vocab_canonicalizes_and_keeps_seed_ids() {
-        let dir = temp_dir("canon");
-        let mut seed = Vocabulary::new();
-        seed.intern("zeta");
-        seed.intern("alpha");
-        let shared = SharedVocabulary::seeded_with_spill(&seed, &tiny_spill(&dir));
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let shared = &shared;
-                scope.spawn(move || {
-                    for i in 0..50 {
-                        shared.intern(&format!("term{:02}", (i * 7 + t) % 60));
-                    }
-                });
-            }
-        });
-        let (canon, map) = shared.canonicalize();
-        assert_eq!(canon.lookup("zeta"), Some(TermId(0)));
-        assert_eq!(canon.lookup("alpha"), Some(TermId(1)));
-        assert_eq!(canon.len(), 62);
-        // The map is a bijection consistent with the canonical form.
-        let raw = shared.snapshot();
-        for (TermId(old), term) in raw.iter() {
-            assert_eq!(canon.term(TermId(map[old as usize])), term);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn stale_vocab_spill_files_swept_at_construction() {
-        let dir = temp_dir("sweep");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("vocab-0.spill"), b"stale").unwrap();
-        std::fs::write(dir.join("vocab-7.spill"), b"stale").unwrap();
-        std::fs::write(dir.join("slot-1.spill"), b"not ours").unwrap();
-        let v = SharedVocabulary::with_spill(&tiny_spill(&dir));
-        assert_eq!(v.spill_stats().stale_reaped, 2);
-        assert!(dir.join("slot-1.spill").exists(), "frontier files spared");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
