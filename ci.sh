@@ -31,22 +31,23 @@
 # BENCH_GATE_MODE controls the bench step: "full" (default) runs the
 # baseline-sized scenarios, "smoke" the reduced CI sizes, "skip"
 # disables the bench gate (e.g. on heavily loaded shared runners).
-# BENCH_GATE_ONLY (optional) restricts the gate to a comma-separated
-# scenario subset — nightly.yml uses it to give the hour-plus 10M-page
-# scale scenario its own job while the rest of the full gate runs in
-# parallel.
-# The gate covers eight scenarios (crawl, classify, pipeline, recovery,
-# serve, scale, scale10m, dist) against the checked-in
-# BENCH_<scenario>.json baselines; the serve scenario additionally
-# proves the snapshot-swap live index answers queries identically to a
-# batch rebuild while gating portal QPS and latency percentiles, the
+# BENCH_GATE_ONLY restricts the gate to a comma-separated scenario
+# subset. It defaults to the seven scenarios that have a checked-in
+# BENCH_<scenario>.json baseline (crawl, classify, pipeline, recovery,
+# serve, scale, dist). The eighth scenario, scale10m, has no committed
+# baseline yet (recording one takes the nightly job's multi-hour
+# budget), so it runs only when named: nightly.yml gives it its own job
+# with BENCH_GATE_ONLY=scale10m. Beyond the baseline comparison, the
+# serve scenario proves the snapshot-swap live index answers queries
+# identically to a batch rebuild while gating portal QPS and latency
+# percentiles, the
 # scale scenarios crawl paged worlds (a million and ten million pages
 # in full mode) through the segmented store and the spill/compaction
 # layers, failing the gate if peak-RSS growth leaves the fixed budget
 # (rss_within_budget), and the dist scenario runs a multi-node
 # coordinator/worker crawl through seeded node kills plus a process
 # kill, gating exact calm-set convergence, kill/requeue coverage, and
-# recovery wall time. Use `-- --only crawl,serve` to run a subset.
+# recovery wall time.
 #
 # BINGO_CRASH_SEEDS picks the seed matrix for the crash-recovery sweep
 # (every byte budget of a checkpoint write, a store segment seal, every
@@ -62,7 +63,7 @@ set -eu
 cd "$(dirname "$0")"
 
 BENCH_GATE_MODE="${BENCH_GATE_MODE:-full}"
-BENCH_GATE_ONLY="${BENCH_GATE_ONLY:-}"
+BENCH_GATE_ONLY="${BENCH_GATE_ONLY:-crawl,classify,pipeline,recovery,serve,scale,dist}"
 BINGO_CRASH_SEEDS="${BINGO_CRASH_SEEDS:-1,2,3,11,12,13}"
 BINGO_NODE_KILL_SEEDS="${BINGO_NODE_KILL_SEEDS:-41,42,43}"
 CI_STEPS="${CI_STEPS:-lint,test,crash,bench}"
@@ -156,18 +157,15 @@ if wants lint; then
 fi
 
 if wants bench; then
-    # Optional scenario subset; bench_gate rejects unknown/empty lists.
-    set -- --
-    if [ -n "$BENCH_GATE_ONLY" ]; then
-        set -- -- --only "$BENCH_GATE_ONLY"
-    fi
+    # bench_gate rejects unknown/empty scenario lists.
+    set -- -- --only "$BENCH_GATE_ONLY"
     case "$BENCH_GATE_MODE" in
     full)
-        step "bench_gate (full${BENCH_GATE_ONLY:+, --only $BENCH_GATE_ONLY})" \
+        step "bench_gate (full, --only $BENCH_GATE_ONLY)" \
             cargo run --release --offline -p bingo-bench --bin bench_gate "$@"
         ;;
     smoke)
-        step "bench_gate (smoke${BENCH_GATE_ONLY:+, --only $BENCH_GATE_ONLY})" \
+        step "bench_gate (smoke, --only $BENCH_GATE_ONLY)" \
             cargo run --release --offline -p bingo-bench --bin bench_gate "$@" --smoke
         ;;
     skip)

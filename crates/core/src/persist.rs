@@ -122,7 +122,7 @@ pub fn save_session_with<P: AsRef<std::path::Path>>(
         .write_file(ENGINE_FILE, &engine_bytes)
         .map_err(persist)?;
     writer.commit().map_err(persist)?;
-    bingo_store::durable::prune_generations(dir, crawler.config.checkpoint_keep);
+    bingo_store::durable::prune_generations(dir, bingo_store::durable::DEFAULT_KEEP_GENERATIONS);
     Ok(())
 }
 
@@ -149,28 +149,11 @@ pub fn load_session<P: AsRef<std::path::Path>>(
                 dir.display()
             ))
         })?;
-    let engine = load_engine_from(engine_path)?;
+    let file = std::fs::File::open(engine_path).map_err(|e| EngineError::Persist(e.to_string()))?;
+    let engine = load_engine(std::io::BufReader::new(file))?;
     let crawler = bingo_crawler::Crawler::resume_session(world, config, dir)
         .map_err(|e| EngineError::Persist(e.to_string()))?;
     Ok((engine, crawler))
-}
-
-/// Save to a file path (write-temp + fsync + atomic rename: a crash
-/// mid-write never leaves a torn engine snapshot).
-pub fn save_engine_to<P: AsRef<std::path::Path>>(
-    engine: &BingoEngine,
-    path: P,
-) -> Result<(), EngineError> {
-    let mut buf = Vec::new();
-    save_engine(engine, &mut buf)?;
-    bingo_store::durable::atomic_write(path.as_ref(), &buf)
-        .map_err(|e| EngineError::Persist(e.to_string()))
-}
-
-/// Load from a file path.
-pub fn load_engine_from<P: AsRef<std::path::Path>>(path: P) -> Result<BingoEngine, EngineError> {
-    let f = std::fs::File::open(path).map_err(|e| EngineError::Persist(e.to_string()))?;
-    load_engine(std::io::BufReader::new(f))
 }
 
 #[cfg(test)]
@@ -334,17 +317,5 @@ mod tests {
         );
         assert_eq!(engine2.tree.len(), engine.tree.len());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let (engine, _world, _topic) = trained_engine();
-        let dir = std::env::temp_dir().join("bingo-engine-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("engine.json");
-        save_engine_to(&engine, &path).unwrap();
-        let restored = load_engine_from(&path).unwrap();
-        assert_eq!(restored.tree.len(), engine.tree.len());
-        std::fs::remove_file(path).ok();
     }
 }

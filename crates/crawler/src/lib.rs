@@ -27,9 +27,9 @@
 //!   ([`checkpoint`]),
 //! * URL hygiene: hostname ≤ 255 chars, URL ≤ 1000 chars, redirect chains
 //!   bounded, MIME-type and size limits per document class,
-//! * a **staged, batch-oriented document pipeline** — fetch →
-//!   content-convert → analyze → classify → bulk-load — shared by both
-//!   executors ([`pipeline`]),
+//! * one **post-fetch core** — content-convert → analyze → classify →
+//!   bulk-load → outcome accounting → focus decision — that every
+//!   executor schedules documents into ([`pipeline`]),
 //! * a **discrete-event executor** modelling N crawler threads over
 //!   virtual time, deterministic and snapshot-friendly ([`Crawler`]), and
 //!   a real-thread executor that pulls batches through the same pipeline
@@ -61,7 +61,7 @@ pub use frontier::{Frontier, QueueEntry, SpillConfig};
 pub use hosts::{
     BreakerConfig, BreakerState, FailureOutcome, HostDecision, HostHealth, HostManager,
 };
-pub use pipeline::{process_batch, BatchJudge, DocOutcome, FetchedDoc, PipelineMetrics};
+pub use pipeline::{BatchJudge, DocOutcome, DocPipeline, FetchedDoc, PipelineMetrics};
 pub use step::{Crawler, StepOutcome};
 pub use telemetry::CrawlTelemetry;
 pub use threaded::{run_pipeline, FaultPlan, FaultStage, PipelineOptions, ThroughputReport};

@@ -1,43 +1,56 @@
-//! The staged, batch-oriented document pipeline (Section 4.1).
-//!
-//! Both crawl executors drive their documents through the same stages —
+//! The post-fetch core (Section 4.1): everything that happens to a
+//! document after its bytes arrive, implemented once.
 //!
 //! ```text
-//! fetch → content-convert → analyze → classify → bulk-load
+//! fetch → content-convert → analyze → classify → bulk-load → settle → follow links
 //! ```
 //!
-//! — so fetch-to-store behavior is defined once. The discrete-event
-//! [`crate::Crawler`] is a frontier/focus *policy* layer: it decides
-//! which URL is processed when (virtual clock, politeness slots,
-//! breakers, retries) and hands singleton batches to
-//! [`process_batch`]. The real-thread executor
-//! ([`crate::threaded::run_pipeline`]) runs N workers that pull whole
-//! batches through the identical stages for raw throughput.
+//! The paper's crawler threads all push documents through one path —
+//! convert, analyze, classify, per-thread workspace, bulk loader — and
+//! so do the three executors here. An executor is only its scheduler:
+//! the discrete-event [`crate::Crawler`] (virtual-clock frontier,
+//! politeness slots, breakers, retries), the real-thread
+//! [`crate::threaded::run_pipeline`] (a level queue drained by N
+//! workers) and the distributed worker node (a leased shard). Each owns
+//! one [`DocPipeline`] per worker and calls, in order:
 //!
-//! Stages operate on batches of [`FetchedDoc`]s. Executor-specific
-//! policy enters through two callbacks: the response-fingerprint test
-//! (the deterministic executor owns a plain [`crate::Dedup`], the
-//! threaded one shares it behind a mutex) and the judge (a stateful
-//! [`crate::DocumentJudge`] or a `Sync` [`BatchJudge`]). Everything
-//! else — MIME/size admission, HTML conversion, analysis, document and
-//! link rows, bulk loading — is shared code below.
+//! * [`DocPipeline::run`] — MIME/size admission, response
+//!   fingerprints, HTML conversion, analysis, classification, document
+//!   and link rows, bulk-load. Scheduler policy enters through two
+//!   callbacks: the response-fingerprint test (a plain [`crate::Dedup`]
+//!   or one behind a mutex) and the judge.
+//! * [`DocPipeline::settle`] — the one mapping from a [`DocOutcome`] to
+//!   [`CrawlStats`] and the neighbour-term cache.
+//! * [`plan_links`] / [`admit_link`] — the Section 3.3 focus decision
+//!   and the per-link hygiene filter, pure functions of the
+//!   configuration, the parent's queue entry and the judgment. What
+//!   stays with the scheduler is only what needs its state: the host
+//!   breaker, the duplicate filter's locking, the authority blend and
+//!   where the entry is pushed.
 //!
 //! Link rows are emitted for **every resolvable out-link of a stored
 //! document** (order-independent), not just for links that survived the
 //! frontier's enqueue filters. This makes the stored link graph a
 //! property of the document set rather than of the crawl schedule, so
-//! the two executors agree on it; the HITS link analysis only gets a
+//! the executors agree on it; the HITS link analysis only gets a
 //! denser, more faithful graph out of this.
 
-use crate::types::{Judgment, PageContext};
+use crate::frontier::QueueEntry;
+use crate::telemetry::CrawlTelemetry;
+use crate::types::{
+    CrawlConfig, CrawlStats, CrawlStrategy, FocusRule, Judgment, PageContext, UrlRejection,
+    TUNNEL_DECAY,
+};
 use bingo_obs::{Counter, Gauge, Histogram, Registry, WallTimer};
-use bingo_store::{BulkLoader, DocumentRow, LinkRow, StoreError};
+use bingo_store::{BulkLoader, BulkLoaderObs, DocumentRow, DocumentStore, LinkRow, StoreError};
 use bingo_textproc::fxhash::{FxHashMap, FxHashSet};
 use bingo_textproc::{
-    analyze_html_metered, AnalyzedDocument, ContentRegistry, Interner, TermId, TextprocMetrics,
+    analyze_html_metered, AnalyzedDocument, AnalyzedLink, ContentRegistry, Interner, TermId,
+    TextprocMetrics,
 };
 use bingo_webworld::fetch::FetchResponse;
 use bingo_webworld::World;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// How many of a page's terms feed the neighbour-document feature space
@@ -96,6 +109,20 @@ pub enum DocOutcome {
         /// known, exactly like the per-document executor).
         judgment: Judgment,
     },
+}
+
+impl DocOutcome {
+    /// Why the document was not stored (the `StepOutcome::Skipped`
+    /// label); `None` for [`DocOutcome::Stored`].
+    pub fn skip_reason(&self) -> Option<&'static str> {
+        match self {
+            DocOutcome::MimeFiltered => Some("mime/size filter"),
+            DocOutcome::DuplicateContent => Some("duplicate content"),
+            DocOutcome::Malformed { .. } => Some("malformed payload"),
+            DocOutcome::AlreadyStored { .. } => Some("already stored"),
+            DocOutcome::Stored { .. } => None,
+        }
+    }
 }
 
 /// A thread-shareable batch classifier: the classify stage of the
@@ -214,6 +241,70 @@ pub fn top_terms(doc: &AnalyzedDocument) -> Vec<TermId> {
         .collect()
 }
 
+/// Bounded cache of each stored page's [`top_terms`], feeding the
+/// neighbour-document feature space of its successors (Section 3.4).
+/// With `cap == 0` it is an ordinary unbounded map; a positive cap
+/// evicts the oldest entries FIFO — links to long-stored pages then
+/// enqueue without neighbour terms, which only perturbs feature
+/// construction, never correctness. After a checkpoint restore the
+/// insertion order is the sorted-by-id checkpoint order.
+#[derive(Debug, Default)]
+pub struct PageTermCache {
+    map: FxHashMap<u64, Vec<TermId>>,
+    /// Insertion order of keys, oldest first (unused when `cap == 0`).
+    order: VecDeque<u64>,
+    cap: usize,
+}
+
+impl PageTermCache {
+    /// An empty cache keeping at most `cap` pages (0 = unbounded).
+    pub fn new(cap: usize) -> Self {
+        PageTermCache {
+            cap,
+            ..PageTermCache::default()
+        }
+    }
+
+    /// Record `page_id`'s top terms, evicting the oldest page past the
+    /// cap.
+    pub fn insert(&mut self, page_id: u64, terms: Vec<TermId>) {
+        let fresh = self.map.insert(page_id, terms).is_none();
+        if self.cap > 0 && fresh {
+            self.order.push_back(page_id);
+            while self.map.len() > self.cap {
+                let Some(oldest) = self.order.pop_front() else {
+                    break;
+                };
+                self.map.remove(&oldest);
+            }
+        }
+    }
+
+    /// The neighbour terms a successor of `page_id` is judged with
+    /// (empty when the page is unknown, evicted, or a seed's
+    /// non-existent source).
+    pub fn neighbor_terms(&self, page_id: u64) -> Vec<TermId> {
+        self.map.get(&page_id).cloned().unwrap_or_default()
+    }
+
+    /// Entries sorted by page id — the byte-stable checkpoint form.
+    pub fn sorted_entries(&self) -> Vec<(u64, Vec<TermId>)> {
+        let mut entries: Vec<(u64, Vec<TermId>)> =
+            self.map.iter().map(|(k, v)| (*k, v.clone())).collect();
+        entries.sort_unstable_by_key(|e| e.0);
+        entries
+    }
+
+    /// Rebuild from checkpointed entries under `cap`.
+    pub fn from_entries(entries: Vec<(u64, Vec<TermId>)>, cap: usize) -> Self {
+        let mut cache = Self::new(cap);
+        for (k, v) in entries {
+            cache.insert(k, v);
+        }
+        cache
+    }
+}
+
 /// Build the store row of one analyzed, judged document.
 pub fn document_row(
     world: &World,
@@ -251,144 +342,343 @@ pub fn link_rows(world: &World, page_id: u64, doc: &AnalyzedDocument) -> Vec<Lin
         .collect()
 }
 
-/// Drive one batch of fetched documents through convert → analyze →
-/// classify → bulk-load. Returns one [`DocOutcome`] per input document,
-/// in input order.
-///
-/// `mark_response` is the executor's response-fingerprint policy
-/// (stages 2+3 of [`crate::Dedup`]); it runs between the MIME filter
-/// and conversion, exactly where the per-document executor always ran
-/// it. `judge` classifies the surviving documents in one call.
-#[allow(clippy::too_many_arguments)]
-pub fn process_batch<I: Interner + ?Sized>(
-    world: &World,
-    registry: &ContentRegistry,
-    vocab: &mut I,
-    loader: &mut BulkLoader,
-    batch: Vec<FetchedDoc>,
-    mut mark_response: impl FnMut(&FetchResponse) -> bool,
-    judge: impl FnOnce(&[AnalyzedDocument], &[PageContext]) -> Vec<Judgment>,
-    textproc: &TextprocMetrics,
-    metrics: &PipelineMetrics,
-) -> Vec<DocOutcome> {
-    metrics.batches.inc();
-    metrics.batch_docs.observe(batch.len() as u64);
-    metrics.fetched.add(batch.len() as u64);
-    let mut outcomes: Vec<Option<DocOutcome>> = batch.iter().map(|_| None).collect();
+/// One worker's post-fetch state: content registry, bulk-load
+/// workspace (with its flush-error observer) and the metric handles the
+/// stages report into. Every executor builds one per worker through
+/// [`DocPipeline::new`] — the only place crawl-side `ContentRegistry`
+/// and `BulkLoader` values are constructed.
+pub struct DocPipeline {
+    registry: ContentRegistry,
+    loader: BulkLoader,
+    textproc: TextprocMetrics,
+    metrics: PipelineMetrics,
+    stored: Counter,
+}
 
-    // Stage: admit (MIME/size), fingerprint, convert.
-    let timer = WallTimer::start();
-    let mut slots: Vec<usize> = Vec::with_capacity(batch.len());
-    let mut fetched: Vec<FetchedDoc> = Vec::with_capacity(batch.len());
-    let mut htmls: Vec<String> = Vec::with_capacity(batch.len());
-    for (i, item) in batch.into_iter().enumerate() {
-        if !admit(registry, &item.response) {
-            metrics.mime_rejected.inc();
-            outcomes[i] = Some(DocOutcome::MimeFiltered);
-            continue;
+impl DocPipeline {
+    /// A pipeline writing into `store` in workspaces of `batch_size`
+    /// documents, reporting into `telemetry`'s registry.
+    pub fn new(store: DocumentStore, batch_size: usize, telemetry: &CrawlTelemetry) -> Self {
+        DocPipeline {
+            registry: ContentRegistry::new(),
+            loader: BulkLoader::with_batch_size(store, batch_size).with_observer(
+                BulkLoaderObs::new(&telemetry.registry, telemetry.events.clone()),
+            ),
+            textproc: telemetry.textproc.clone(),
+            metrics: telemetry.pipeline.clone(),
+            stored: telemetry.stored.clone(),
         }
-        if !mark_response(&item.response) {
-            metrics.duplicates.inc();
-            outcomes[i] = Some(DocOutcome::DuplicateContent);
-            continue;
-        }
-        match registry.to_html(item.response.mime, &item.response.payload) {
-            Ok(html) => {
-                metrics.converted.inc();
-                slots.push(i);
-                htmls.push(html);
-                fetched.push(item);
+    }
+
+    /// Push buffered rows to the store (also the segmented store's seal
+    /// point). [`DocPipeline::run`] flushes after each stage that
+    /// stages rows, so this only matters as the final seal at shutdown.
+    pub fn flush(&mut self) {
+        self.loader.flush();
+    }
+
+    /// Drop rows staged by a batch that died mid-stage (worker panic):
+    /// they must not leak into the store when the batch is re-driven.
+    /// Returns the number of discarded document rows.
+    pub fn discard(&mut self) -> usize {
+        self.loader.discard_pending()
+    }
+
+    /// Drive one batch of fetched documents through convert → analyze →
+    /// classify → bulk-load. Returns one [`DocOutcome`] per input
+    /// document, in input order. Every row the batch produces is in the
+    /// store when this returns.
+    ///
+    /// `mark_response` is the executor's response-fingerprint policy
+    /// (stages 2+3 of [`crate::Dedup`]); it runs between the MIME
+    /// filter and conversion. `judge` classifies the surviving
+    /// documents in one call.
+    pub fn run<I: Interner + ?Sized>(
+        &mut self,
+        world: &World,
+        vocab: &mut I,
+        batch: Vec<FetchedDoc>,
+        mut mark_response: impl FnMut(&FetchResponse) -> bool,
+        judge: impl FnOnce(&[AnalyzedDocument], &[PageContext]) -> Vec<Judgment>,
+    ) -> Vec<DocOutcome> {
+        let DocPipeline {
+            registry,
+            loader,
+            textproc,
+            metrics,
+            ..
+        } = self;
+        metrics.batches.inc();
+        metrics.batch_docs.observe(batch.len() as u64);
+        metrics.fetched.add(batch.len() as u64);
+        let mut outcomes: Vec<Option<DocOutcome>> = batch.iter().map(|_| None).collect();
+
+        // Stage: admit (MIME/size), fingerprint, convert.
+        let timer = WallTimer::start();
+        let mut slots: Vec<usize> = Vec::with_capacity(batch.len());
+        let mut fetched: Vec<FetchedDoc> = Vec::with_capacity(batch.len());
+        let mut htmls: Vec<String> = Vec::with_capacity(batch.len());
+        for (i, item) in batch.into_iter().enumerate() {
+            if !admit(registry, &item.response) {
+                metrics.mime_rejected.inc();
+                outcomes[i] = Some(DocOutcome::MimeFiltered);
+                continue;
             }
-            Err(_) => {
-                metrics.malformed.inc();
-                outcomes[i] = Some(DocOutcome::Malformed {
-                    wasted_bytes: item.response.payload.len() as u64,
+            if !mark_response(&item.response) {
+                metrics.duplicates.inc();
+                outcomes[i] = Some(DocOutcome::DuplicateContent);
+                continue;
+            }
+            match registry.to_html(item.response.mime, &item.response.payload) {
+                Ok(html) => {
+                    metrics.converted.inc();
+                    slots.push(i);
+                    htmls.push(html);
+                    fetched.push(item);
+                }
+                Err(_) => {
+                    metrics.malformed.inc();
+                    outcomes[i] = Some(DocOutcome::Malformed {
+                        wasted_bytes: item.response.payload.len() as u64,
+                    });
+                }
+            }
+        }
+        timer.observe_us(&metrics.convert_wall_us);
+
+        // Stage: analyze.
+        let timer = WallTimer::start();
+        let docs: Vec<AnalyzedDocument> = htmls
+            .iter()
+            .map(|html| analyze_html_metered(html, vocab, textproc))
+            .collect();
+        metrics.analyzed.add(docs.len() as u64);
+        timer.observe_us(&metrics.analyze_wall_us);
+
+        // Stage: classify.
+        let timer = WallTimer::start();
+        let ctxs: Vec<PageContext> = fetched.iter().map(page_context).collect();
+        let judgments = judge(&docs, &ctxs);
+        assert_eq!(
+            judgments.len(),
+            docs.len(),
+            "judge must return one judgment per document"
+        );
+        metrics.classified.add(docs.len() as u64);
+        timer.observe_us(&metrics.classify_wall_us);
+
+        // Stage: bulk-load. Documents flush in one batch; the store reports
+        // id collisions back as errors, which decide which documents emit
+        // link rows (a duplicate stores neither row nor links).
+        let timer = WallTimer::start();
+        for ((item, doc), judgment) in fetched.iter().zip(&docs).zip(&judgments) {
+            loader.add_document(document_row(world, item, doc, judgment));
+        }
+        loader.flush();
+        let mut dup_errors: FxHashMap<u64, usize> = FxHashMap::default();
+        for err in loader.take_errors() {
+            if let StoreError::DuplicateKey(id) = err {
+                *dup_errors.entry(id).or_insert(0) += 1;
+            }
+        }
+        // Within one batch the first occurrence of an id stores unless the
+        // id was already in the store; every later occurrence is the
+        // duplicate the errors describe.
+        let mut occurrences: FxHashMap<u64, usize> = FxHashMap::default();
+        for item in &fetched {
+            *occurrences.entry(item.response.page_id).or_insert(0) += 1;
+        }
+        let mut first_seen: FxHashSet<u64> = FxHashSet::default();
+        let mut links_emitted = 0u64;
+        for ((slot, item), (doc, judgment)) in slots
+            .iter()
+            .zip(&fetched)
+            .zip(docs.into_iter().zip(judgments))
+        {
+            let id = item.response.page_id;
+            let stored = first_seen.insert(id)
+                && dup_errors.get(&id).copied().unwrap_or(0) < occurrences[&id];
+            if stored {
+                for link in link_rows(world, id, &doc) {
+                    links_emitted += 1;
+                    loader.add_link(link);
+                }
+                metrics.loaded.inc();
+                outcomes[*slot] = Some(DocOutcome::Stored {
+                    page_id: id,
+                    doc,
+                    judgment,
+                });
+            } else {
+                metrics.load_duplicates.inc();
+                outcomes[*slot] = Some(DocOutcome::AlreadyStored {
+                    page_id: id,
+                    doc,
+                    judgment,
                 });
             }
         }
-    }
-    timer.observe_us(&metrics.convert_wall_us);
+        loader.flush();
+        metrics.link_rows.add(links_emitted);
+        timer.observe_us(&metrics.load_wall_us);
 
-    // Stage: analyze.
-    let timer = WallTimer::start();
-    let docs: Vec<AnalyzedDocument> = htmls
-        .iter()
-        .map(|html| analyze_html_metered(html, vocab, textproc))
-        .collect();
-    metrics.analyzed.add(docs.len() as u64);
-    timer.observe_us(&metrics.analyze_wall_us);
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("every document has an outcome"))
+            .collect()
+    }
 
-    // Stage: classify.
-    let timer = WallTimer::start();
-    let ctxs: Vec<PageContext> = fetched.iter().map(page_context).collect();
-    let judgments = judge(&docs, &ctxs);
-    assert_eq!(
-        judgments.len(),
-        docs.len(),
-        "judge must return one judgment per document"
-    );
-    metrics.classified.add(docs.len() as u64);
-    timer.observe_us(&metrics.classify_wall_us);
-
-    // Stage: bulk-load. Documents flush in one batch; the store reports
-    // id collisions back as errors, which decide which documents emit
-    // link rows (a duplicate stores neither row nor links).
-    let timer = WallTimer::start();
-    for ((item, doc), judgment) in fetched.iter().zip(&docs).zip(&judgments) {
-        loader.add_document(document_row(world, item, doc, judgment));
-    }
-    loader.flush();
-    let mut dup_errors: FxHashMap<u64, usize> = FxHashMap::default();
-    for err in loader.take_errors() {
-        if let StoreError::DuplicateKey(id) = err {
-            *dup_errors.entry(id).or_insert(0) += 1;
-        }
-    }
-    // Within one batch the first occurrence of an id stores unless the
-    // id was already in the store; every later occurrence is the
-    // duplicate the errors describe.
-    let mut occurrences: FxHashMap<u64, usize> = FxHashMap::default();
-    for item in &fetched {
-        *occurrences.entry(item.response.page_id).or_insert(0) += 1;
-    }
-    let mut first_seen: FxHashSet<u64> = FxHashSet::default();
-    let mut links_emitted = 0u64;
-    for ((slot, item), (doc, judgment)) in slots
-        .iter()
-        .zip(&fetched)
-        .zip(docs.into_iter().zip(judgments))
-    {
-        let id = item.response.page_id;
-        let stored =
-            first_seen.insert(id) && dup_errors.get(&id).copied().unwrap_or(0) < occurrences[&id];
-        if stored {
-            for link in link_rows(world, id, &doc) {
-                links_emitted += 1;
-                loader.add_link(link);
+    /// Settle one outcome: fold it into the crawl counters
+    /// (`mime_rejected`, `duplicates`, `wasted_bytes`, `stored_pages`,
+    /// `positively_classified`, `extracted_links`, `crawl.stored`) and
+    /// remember the page's top terms for its successors — also for
+    /// [`DocOutcome::AlreadyStored`], the same page re-fetched through
+    /// another alias or redirect chain. Returns the newly stored page,
+    /// whose links the scheduler may now follow.
+    pub fn settle<'o>(
+        &self,
+        outcome: &'o DocOutcome,
+        stats: &mut CrawlStats,
+        terms: &mut PageTermCache,
+    ) -> Option<(u64, &'o AnalyzedDocument, &'o Judgment)> {
+        match outcome {
+            DocOutcome::MimeFiltered => stats.mime_rejected += 1,
+            DocOutcome::DuplicateContent => stats.duplicates += 1,
+            DocOutcome::Malformed { wasted_bytes } => {
+                stats.mime_rejected += 1;
+                stats.wasted_bytes += wasted_bytes;
             }
-            metrics.loaded.inc();
-            outcomes[*slot] = Some(DocOutcome::Stored {
-                page_id: id,
+            DocOutcome::AlreadyStored { page_id, doc, .. } => {
+                terms.insert(*page_id, top_terms(doc));
+                stats.duplicates += 1;
+            }
+            DocOutcome::Stored {
+                page_id,
                 doc,
                 judgment,
-            });
-        } else {
-            metrics.load_duplicates.inc();
-            outcomes[*slot] = Some(DocOutcome::AlreadyStored {
-                page_id: id,
-                doc,
-                judgment,
-            });
+            } => {
+                terms.insert(*page_id, top_terms(doc));
+                stats.stored_pages += 1;
+                self.stored.inc();
+                if judgment.topic.is_some() {
+                    stats.positively_classified += 1;
+                }
+                stats.extracted_links += doc.links.len() as u64;
+                return Some((*page_id, doc, judgment));
+            }
+        }
+        None
+    }
+}
+
+/// How the out-links of one judged page enter the frontier: the result
+/// of the Section 3.3 focus decision, identical for every link of the
+/// page.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkPlan {
+    /// Depth the links are fetched at (parent + 1).
+    pub depth: u32,
+    /// Tunnelling steps behind the links (0 after an on-topic page).
+    pub tunnel: u32,
+    /// Topic the links are queued for.
+    pub src_topic: Option<u32>,
+    /// Queue priority before the authority blend.
+    pub priority: f32,
+}
+
+impl LinkPlan {
+    /// The queue entry of `link`, found on stored page `src_page`.
+    pub fn entry(&self, link: &AnalyzedLink, src_page: u64) -> QueueEntry {
+        QueueEntry {
+            url: link.href.clone(),
+            priority: self.priority,
+            depth: self.depth,
+            tunnel: self.tunnel,
+            src_topic: self.src_topic,
+            src_page,
+            anchor_terms: link.anchor_terms.clone(),
+            redirects: 0,
+            attempt: 0,
         }
     }
-    loader.flush();
-    metrics.link_rows.add(links_emitted);
-    timer.observe_us(&metrics.load_wall_us);
+}
 
-    outcomes
-        .into_iter()
-        .map(|o| o.expect("every document has an outcome"))
-        .collect()
+/// Decide how a page judged `judgment`, reached through `parent`,
+/// propagates the crawl (Section 3.3). `None` when its links are not
+/// followed: past the depth limit, or rejected with the tunnelling
+/// budget used up.
+pub fn plan_links(
+    config: &CrawlConfig,
+    parent: &QueueEntry,
+    judgment: &Judgment,
+) -> Option<LinkPlan> {
+    let depth = parent.depth + 1;
+    if config.max_depth > 0 && depth > config.max_depth {
+        return None;
+    }
+    let on_topic = match (config.focus, judgment.topic) {
+        // Sharp: the document must be classified into the same topic
+        // it was queued for (seeds with src_topic None accept any
+        // positive classification).
+        (FocusRule::Sharp, Some(t)) => parent.src_topic.is_none() || parent.src_topic == Some(t),
+        // Soft: any topic of interest counts.
+        (FocusRule::Soft, Some(_)) => true,
+        (_, None) => false,
+    };
+    let (tunnel, src_topic, base_priority) = if on_topic {
+        (
+            0,
+            judgment.topic.or(parent.src_topic),
+            judgment.confidence.max(0.0),
+        )
+    } else {
+        // Tunnelling through a rejected (or off-topic) page.
+        let tunnel = parent.tunnel + 1;
+        if tunnel > config.max_tunnel {
+            return None;
+        }
+        let inherited = if parent.priority.is_finite() && parent.priority < 1e12 {
+            parent.priority
+        } else {
+            1.0
+        };
+        (
+            tunnel,
+            parent.src_topic,
+            (inherited * TUNNEL_DECAY).max(0.001),
+        )
+    };
+    // Depth-first learning gives deeper URLs higher priority;
+    // best-first harvesting orders by confidence.
+    let priority = match config.strategy {
+        CrawlStrategy::DepthFirst => depth as f32 * 10.0 + base_priority,
+        CrawlStrategy::BestFirst => base_priority,
+    };
+    Some(LinkPlan {
+        depth,
+        tunnel,
+        src_topic,
+        priority,
+    })
+}
+
+/// The per-link hygiene filter at enqueue time: the link's hostname
+/// when [`CrawlConfig::admit_url`] lets it through. Off-domain links
+/// are expected, not a hygiene failure, so they are dropped uncounted;
+/// every other rejection counts as `url_rejected`.
+pub fn admit_link<'u>(
+    config: &CrawlConfig,
+    url: &'u str,
+    stats: &mut CrawlStats,
+) -> Option<&'u str> {
+    match config.admit_url(url) {
+        Ok(host) => Some(host),
+        Err(UrlRejection::OutsideAllowed) => None,
+        Err(_) => {
+            stats.url_rejected += 1;
+            None
+        }
+    }
 }
 
 #[cfg(test)]
@@ -414,13 +704,78 @@ mod tests {
     }
 
     #[test]
+    fn settle_maps_each_outcome_to_its_exact_stats_delta() {
+        let doc = bingo_textproc::analyze_html(
+            r#"<p>alpha alpha beta</p><a href="http://h/x">x</a><a href="http://h/y">y</a>"#,
+            &mut Vocabulary::new(),
+        );
+        let judged = |topic, fresh| {
+            let (page_id, doc) = (9, doc.clone());
+            let judgment = Judgment {
+                topic,
+                confidence: 0.5,
+            };
+            match fresh {
+                true => DocOutcome::Stored {
+                    page_id,
+                    doc,
+                    judgment,
+                },
+                false => DocOutcome::AlreadyStored {
+                    page_id,
+                    doc,
+                    judgment,
+                },
+            }
+        };
+        // Columns: mime_rejected, duplicates, wasted_bytes, stored_pages,
+        // positively_classified, extracted_links, crawl.stored; then
+        // whether the page's top terms are recorded.
+        let cases = [
+            (DocOutcome::MimeFiltered, [1, 0, 0, 0, 0, 0, 0], false),
+            (DocOutcome::DuplicateContent, [0, 1, 0, 0, 0, 0, 0], false),
+            (
+                DocOutcome::Malformed { wasted_bytes: 77 },
+                [1, 0, 77, 0, 0, 0, 0],
+                false,
+            ),
+            (judged(Some(1), false), [0, 1, 0, 0, 0, 0, 0], true),
+            (judged(Some(1), true), [0, 0, 0, 1, 1, 2, 1], true),
+            (judged(None, true), [0, 0, 0, 1, 0, 2, 1], true),
+        ];
+        for (outcome, want, records_terms) in cases {
+            let telemetry = CrawlTelemetry::default();
+            let pipeline = DocPipeline::new(DocumentStore::new(), 1, &telemetry);
+            let mut stats = CrawlStats::default();
+            let mut terms = PageTermCache::new(0);
+            pipeline.settle(&outcome, &mut stats, &mut terms);
+            // The whole struct is compared: no other counter may move.
+            let want_stats = CrawlStats {
+                mime_rejected: want[0],
+                duplicates: want[1],
+                wasted_bytes: want[2],
+                stored_pages: want[3],
+                positively_classified: want[4],
+                extracted_links: want[5],
+                ..CrawlStats::default()
+            };
+            assert_eq!(
+                serde_json::to_string(&stats).unwrap(),
+                serde_json::to_string(&want_stats).unwrap(),
+                "{outcome:?}"
+            );
+            assert_eq!(telemetry.stored.get(), want[6], "{outcome:?}");
+            assert_eq!(outcome.skip_reason().is_none(), want[3] == 1);
+            assert_eq!(!terms.neighbor_terms(9).is_empty(), records_terms);
+        }
+    }
+
+    #[test]
     fn batch_stores_documents_and_all_resolvable_links() {
         let world = WorldConfig::small_test(61).build();
         let store = DocumentStore::new();
-        let mut loader = BulkLoader::with_batch_size(store.clone(), 4);
-        let registry = Arc::new(Registry::new());
-        let metrics = PipelineMetrics::new(&registry);
-        let textproc = TextprocMetrics::new(registry.clone());
+        let telemetry = CrawlTelemetry::default();
+        let mut pipeline = DocPipeline::new(store.clone(), 4, &telemetry);
         let content = ContentRegistry::new();
         let mut vocab = Vocabulary::new();
 
@@ -438,11 +793,9 @@ mod tests {
             })
             .sum();
 
-        let outcomes = process_batch(
+        let outcomes = pipeline.run(
             &world,
-            &content,
             &mut vocab,
-            &mut loader,
             batch,
             |_| true,
             |docs, ctxs| {
@@ -454,8 +807,6 @@ mod tests {
                     })
                     .collect()
             },
-            &textproc,
-            &metrics,
         );
         assert_eq!(outcomes.len(), n);
         let stored = outcomes
@@ -470,7 +821,7 @@ mod tests {
             assert_eq!(row.fetched_at, 7);
             assert_eq!(row.topic, Some(0));
         });
-        let snap = registry.snapshot();
+        let snap = telemetry.registry.snapshot();
         assert_eq!(snap.counters["pipeline.load.docs"], n as u64);
         assert_eq!(snap.counters["pipeline.batches"], 1);
         assert_eq!(
@@ -483,11 +834,8 @@ mod tests {
     fn batch_outcomes_keep_input_order_and_classify_duplicates() {
         let world = WorldConfig::small_test(62).build();
         let store = DocumentStore::new();
-        let mut loader = BulkLoader::with_batch_size(store.clone(), 256);
-        let registry = Arc::new(Registry::new());
-        let metrics = PipelineMetrics::new(&registry);
-        let textproc = TextprocMetrics::new(registry.clone());
-        let content = ContentRegistry::new();
+        let telemetry = CrawlTelemetry::default();
+        let mut pipeline = DocPipeline::new(store.clone(), 256, &telemetry);
         let mut vocab = Vocabulary::new();
 
         let a = fetch_ok(&world, 1).unwrap();
@@ -495,11 +843,9 @@ mod tests {
         // The same page twice in one batch: the second occurrence must
         // come back `AlreadyStored`, not `Stored`.
         let batch = vec![a.clone(), b, a];
-        let outcomes = process_batch(
+        let outcomes = pipeline.run(
             &world,
-            &content,
             &mut vocab,
-            &mut loader,
             batch,
             |_| true,
             |docs, ctxs| {
@@ -511,8 +857,6 @@ mod tests {
                     })
                     .collect()
             },
-            &textproc,
-            &metrics,
         );
         assert!(matches!(
             &outcomes[0],
@@ -527,37 +871,36 @@ mod tests {
                 if judgment.confidence == -0.5)
         );
         assert_eq!(store.document_count(), 2);
-        assert_eq!(registry.snapshot().counters["pipeline.load.duplicates"], 1);
+        assert_eq!(
+            telemetry.registry.snapshot().counters["pipeline.load.duplicates"],
+            1
+        );
     }
 
     #[test]
     fn fingerprint_duplicates_skip_conversion() {
         let world = WorldConfig::small_test(63).build();
         let store = DocumentStore::new();
-        let mut loader = BulkLoader::new(store.clone());
-        let registry = Arc::new(Registry::new());
-        let metrics = PipelineMetrics::new(&registry);
-        let textproc = TextprocMetrics::new(registry.clone());
-        let content = ContentRegistry::new();
+        let telemetry = CrawlTelemetry::default();
+        let mut pipeline = DocPipeline::new(store.clone(), 256, &telemetry);
         let mut vocab = Vocabulary::new();
 
         let batch = vec![fetch_ok(&world, 1).unwrap()];
-        let outcomes = process_batch(
+        let outcomes = pipeline.run(
             &world,
-            &content,
             &mut vocab,
-            &mut loader,
             batch,
             |_| false, // every response is a known fingerprint
             |docs, _| {
                 assert!(docs.is_empty(), "nothing reaches the judge");
                 Vec::new()
             },
-            &textproc,
-            &metrics,
         );
         assert!(matches!(outcomes[0], DocOutcome::DuplicateContent));
         assert_eq!(store.document_count(), 0);
-        assert_eq!(registry.snapshot().counters["pipeline.fetch.duplicates"], 1);
+        assert_eq!(
+            telemetry.registry.snapshot().counters["pipeline.fetch.duplicates"],
+            1
+        );
     }
 }

@@ -3,16 +3,14 @@
 //!
 //! Each [`Crawler::step`] call processes one URL end to end on the
 //! earliest-free simulated thread: frontier pop → hygiene guards → DNS →
-//! fetch (with redirect/timeout handling), then the shared document
-//! pipeline ([`crate::pipeline`]) — MIME/size filter → duplicate
-//! fingerprints → content conversion → document analysis →
-//! classification via the pluggable [`DocumentJudge`] → bulk-load — and
-//! finally link extraction and focusing-rule-driven enqueueing. This
-//! module is the frontier/focus *policy* layer; all fetch-to-store
-//! document handling lives in the pipeline, shared with the
-//! real-thread executor. Virtual time advances by the real latencies
-//! the simulated network reports, so wall-clock budgets ("a 90-minute
-//! crawl") are meaningful and deterministic.
+//! fetch (with redirect/timeout handling), then the post-fetch core
+//! ([`crate::pipeline`]) — MIME/size filter → duplicate fingerprints →
+//! content conversion → document analysis → classification via the
+//! pluggable [`DocumentJudge`] → bulk-load → settle → focus decision.
+//! This module is only the scheduler: the virtual clock, the frontier,
+//! politeness slots, breakers and retries. Virtual time advances by the
+//! real latencies the simulated network reports, so wall-clock budgets
+//! ("a 90-minute crawl") are meaningful and deterministic.
 
 use crate::checkpoint::{
     load_checkpoint, CheckpointError, CrawlCheckpoint, CRAWLER_FILE, STORE_FILE,
@@ -21,15 +19,17 @@ use crate::dedup::{path_of_url, Dedup, DedupStats};
 use crate::dns::CachingResolver;
 use crate::frontier::{Frontier, QueueEntry};
 use crate::hosts::{FailureOutcome, HostDecision, HostManager};
-use crate::pipeline::{process_batch, top_terms, DocOutcome, FetchedDoc, NEIGHBOR_TERMS_KEPT};
+use crate::pipeline::{admit_link, plan_links, DocPipeline, FetchedDoc, PageTermCache};
 use crate::telemetry::CrawlTelemetry;
-use crate::types::{CrawlConfig, CrawlStats, CrawlStrategy, FocusRule, Judgment, UrlRejection};
+use crate::types::{
+    CrawlConfig, CrawlStats, Judgment, MAX_REDIRECTS, PROCESSING_COST_MS, RETRY_BACKOFF_MS,
+};
 use crate::DocumentJudge;
 use bingo_obs::{Event, WallTimer};
 use bingo_store::durable;
-use bingo_store::{BulkLoader, BulkLoaderObs, DocumentStore};
+use bingo_store::DocumentStore;
 use bingo_textproc::fxhash;
-use bingo_textproc::{ContentRegistry, Vocabulary};
+use bingo_textproc::Vocabulary;
 use bingo_webworld::fetch::host_of_url;
 use bingo_webworld::{DnsError, FetchOutcome, World};
 use std::cmp::Reverse;
@@ -53,63 +53,6 @@ pub enum StepOutcome {
     FrontierEmpty,
 }
 
-/// Bounded cache of each stored page's most significant terms, feeding
-/// the neighbour-document feature space of its successors (Section
-/// 3.4). With `cap == 0` it is an ordinary unbounded map; a positive
-/// cap evicts the oldest entries FIFO — links to long-stored pages then
-/// enqueue without neighbour terms, which only perturbs feature
-/// construction, never correctness. After a checkpoint restore the
-/// insertion order is the sorted-by-id checkpoint order.
-#[derive(Debug, Default)]
-struct PageTermCache {
-    map: bingo_textproc::fxhash::FxHashMap<u64, Vec<bingo_textproc::TermId>>,
-    /// Insertion order of keys, oldest first (unused when `cap == 0`).
-    order: std::collections::VecDeque<u64>,
-    cap: usize,
-}
-
-impl PageTermCache {
-    fn new(cap: usize) -> Self {
-        PageTermCache {
-            cap,
-            ..PageTermCache::default()
-        }
-    }
-
-    fn insert(&mut self, page_id: u64, terms: Vec<bingo_textproc::TermId>) {
-        let fresh = self.map.insert(page_id, terms).is_none();
-        if self.cap > 0 && fresh {
-            self.order.push_back(page_id);
-            while self.map.len() > self.cap {
-                let Some(oldest) = self.order.pop_front() else {
-                    break;
-                };
-                self.map.remove(&oldest);
-            }
-        }
-    }
-
-    fn get(&self, page_id: &u64) -> Option<&Vec<bingo_textproc::TermId>> {
-        self.map.get(page_id)
-    }
-
-    /// Entries sorted by page id — the byte-stable checkpoint form.
-    fn sorted_entries(&self) -> Vec<(u64, Vec<bingo_textproc::TermId>)> {
-        let mut entries: Vec<(u64, Vec<bingo_textproc::TermId>)> =
-            self.map.iter().map(|(k, v)| (*k, v.clone())).collect();
-        entries.sort_unstable_by_key(|e| e.0);
-        entries
-    }
-
-    fn from_entries(entries: Vec<(u64, Vec<bingo_textproc::TermId>)>, cap: usize) -> Self {
-        let mut cache = Self::new(cap);
-        for (k, v) in entries {
-            cache.insert(k, v);
-        }
-        cache
-    }
-}
-
 /// The focused crawler over a simulated web.
 pub struct Crawler {
     world: Arc<World>,
@@ -119,12 +62,12 @@ pub struct Crawler {
     dedup: Dedup,
     resolver: CachingResolver,
     hosts: HostManager,
-    registry: ContentRegistry,
     store: DocumentStore,
-    /// Batched writer over `store` (batch size 1: the discrete-event
-    /// executor stores one document per step, and the store must be
-    /// current whenever the engine reads it between steps).
-    loader: BulkLoader,
+    /// The post-fetch core over `store` (batch size 1: the
+    /// discrete-event executor stores one document per step, and the
+    /// store must be current whenever the engine reads it between
+    /// steps).
+    pipeline: DocPipeline,
     stats: CrawlStats,
     /// Min-heap of (free-at, thread id).
     threads: BinaryHeap<Reverse<(u64, usize)>>,
@@ -179,7 +122,7 @@ impl Crawler {
             Some(auth) => store.with_added_tee(auth.clone() as Arc<dyn bingo_store::IndexTee>),
             None => store,
         };
-        let loader = Self::make_loader(&store, &telemetry);
+        let pipeline = DocPipeline::new(store.clone(), 1, &telemetry);
         telemetry.spill_reaped.add(stale_spill_reaped);
         Crawler {
             hosts: HostManager::with_config(config.breaker.clone()),
@@ -190,9 +133,8 @@ impl Crawler {
             world,
             config,
             resolver: CachingResolver::new(),
-            registry: ContentRegistry::new(),
             store,
-            loader,
+            pipeline,
             stats: CrawlStats::default(),
             host_slots: bingo_textproc::fxhash::FxHashMap::default(),
             last_dedup_stats: DedupStats::default(),
@@ -227,19 +169,10 @@ impl Crawler {
         self.dedup.stats()
     }
 
-    /// The pipeline's store writer: batch size 1 (flush per step) with
-    /// flush errors surfaced through the telemetry registry.
-    fn make_loader(store: &DocumentStore, telemetry: &CrawlTelemetry) -> BulkLoader {
-        BulkLoader::with_batch_size(store.clone(), 1).with_observer(BulkLoaderObs::new(
-            &telemetry.registry,
-            telemetry.events.clone(),
-        ))
-    }
-
     /// Route this crawler's metrics and events into a shared telemetry
     /// namespace (e.g. one registry covering crawl + engine + index).
     pub fn set_telemetry(&mut self, telemetry: CrawlTelemetry) {
-        self.loader = Self::make_loader(&self.store, &telemetry);
+        self.pipeline = DocPipeline::new(self.store.clone(), 1, &telemetry);
         if let Some(auth) = &self.authority {
             auth.set_telemetry(telemetry.graph.clone());
         }
@@ -264,36 +197,6 @@ impl Crawler {
             self.frontier.push_outgoing(QueueEntry::seed(url, topic));
             self.telemetry.frontier_push.inc();
         }
-    }
-
-    /// Rebuild duplicate-detection state from an existing crawl database
-    /// (resuming a crawl in a later session): every stored document's URL
-    /// and response fingerprints are re-marked so the resumed crawl never
-    /// refetches what it already has.
-    pub fn resume_from_store(&mut self) {
-        let docs = self.store.all_documents();
-        for row in docs {
-            self.dedup.mark_url(&row.url);
-            let ip = self.world.host_meta(row.host).ip;
-            self.dedup
-                .mark_response(ip, crate::dedup::path_of_url(&row.url), row.size as u64);
-            // Restore the neighbour-term cache for feature construction.
-            let mut by_freq: Vec<(u32, u32)> = row.term_freqs.clone();
-            by_freq.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            self.page_top_terms.insert(
-                row.id,
-                by_freq
-                    .into_iter()
-                    .take(NEIGHBOR_TERMS_KEPT)
-                    .map(|(t, _)| bingo_textproc::TermId(t))
-                    .collect(),
-            );
-            if let Some(host) = host_of_url(&row.url) {
-                self.hosts.record_success(host);
-            }
-        }
-        self.stats.stored_pages = self.store.document_count() as u64;
-        self.stats.visited_hosts = self.hosts.visited_count() as u64;
     }
 
     /// Snapshot the crawler's complete mid-crawl state (everything but
@@ -357,7 +260,8 @@ impl Crawler {
     /// (created if missing). The generation's manifest is committed
     /// last, so a kill at any byte of the save leaves the previous
     /// complete generation as the recovery target. After a successful
-    /// commit, generations beyond `config.checkpoint_keep` are pruned.
+    /// commit, generations beyond
+    /// [`durable::DEFAULT_KEEP_GENERATIONS`] are pruned.
     pub fn save_session<P: AsRef<std::path::Path>>(&self, dir: P) -> Result<(), CheckpointError> {
         self.save_session_with(&durable::StdFs, dir).map(|_| ())
     }
@@ -375,7 +279,7 @@ impl Crawler {
         let mut writer = durable::GenerationWriter::begin(fs, dir)?;
         self.write_session_into(&mut writer)?;
         let generation = writer.commit()?;
-        let pruned = durable::prune_generations(dir, self.config.checkpoint_keep);
+        let pruned = durable::prune_generations(dir, durable::DEFAULT_KEEP_GENERATIONS);
         self.telemetry.checkpoint_pruned.add(pruned as u64);
         Ok(generation)
     }
@@ -545,7 +449,7 @@ impl Crawler {
             slot_index = Some(idx);
         }
         self.clock = self.clock.max(now);
-        let mut cost = self.config.processing_cost_ms;
+        let mut cost = PROCESSING_COST_MS;
         let outcome = self.process(entry, now, &mut cost, judge, vocab);
         let done = now + cost;
         if let (Some(host), Some(idx)) = (&slot_key, slot_index) {
@@ -668,7 +572,7 @@ impl Crawler {
                 *cost += latency_ms;
                 self.stats.redirects += 1;
                 self.telemetry.fetch_redirect.inc();
-                if entry.redirects < self.config.max_redirects && self.dedup.mark_url(&location) {
+                if entry.redirects < MAX_REDIRECTS && self.dedup.mark_url(&location) {
                     self.frontier.push_outgoing(QueueEntry {
                         url: location,
                         redirects: entry.redirects + 1,
@@ -719,80 +623,44 @@ impl Crawler {
         }
         self.stats.visited_hosts = self.hosts.visited_count() as u64;
 
-        // The shared document pipeline takes over from here: MIME/size
-        // filter → duplicate fingerprints → conversion → analysis →
+        // The post-fetch core takes over from here: MIME/size filter →
+        // duplicate fingerprints → conversion → analysis →
         // classification → bulk-load. The discrete-event executor
         // processes one URL per step, so the batch is a singleton.
         let fetched = FetchedDoc {
             depth: entry.depth,
             src_topic: entry.src_topic,
             anchor_terms: entry.anchor_terms.clone(),
-            neighbor_terms: self
-                .page_top_terms
-                .get(&entry.src_page)
-                .cloned()
-                .unwrap_or_default(),
+            neighbor_terms: self.page_top_terms.neighbor_terms(entry.src_page),
             fetched_at: now,
             response,
         };
         let dedup = &mut self.dedup;
-        let outcome = process_batch(
-            &self.world,
-            &self.registry,
-            vocab,
-            &mut self.loader,
-            vec![fetched],
-            |resp| dedup.mark_response(resp.ip, path_of_url(&resp.url), resp.size),
-            |docs, ctxs| {
-                docs.iter()
-                    .zip(ctxs)
-                    .map(|(d, c)| judge.judge(d, c))
-                    .collect()
-            },
-            &self.telemetry.textproc,
-            &self.telemetry.pipeline,
-        )
-        .pop()
-        .expect("one outcome per document");
-
-        match outcome {
-            DocOutcome::MimeFiltered => {
-                self.stats.mime_rejected += 1;
-                StepOutcome::Skipped("mime/size filter")
-            }
-            DocOutcome::DuplicateContent => {
-                self.stats.duplicates += 1;
-                StepOutcome::Skipped("duplicate content")
-            }
-            DocOutcome::Malformed { wasted_bytes } => {
-                self.stats.mime_rejected += 1;
-                self.stats.wasted_bytes += wasted_bytes;
-                StepOutcome::Skipped("malformed payload")
-            }
-            DocOutcome::AlreadyStored { page_id, doc, .. } => {
-                // Same page re-fetched through another alias/redirect
-                // chain; its terms still feed successors' features.
-                self.page_top_terms.insert(page_id, top_terms(&doc));
-                self.stats.duplicates += 1;
-                StepOutcome::Skipped("already stored")
-            }
-            DocOutcome::Stored {
-                page_id,
-                doc,
-                judgment,
-            } => {
-                // Remember this page's top terms for its successors.
-                self.page_top_terms.insert(page_id, top_terms(&doc));
-                self.stats.stored_pages += 1;
-                self.telemetry.stored.inc();
-                if judgment.topic.is_some() {
-                    self.stats.positively_classified += 1;
-                }
-                // Link extraction and enqueueing under the focusing rule.
-                self.stats.extracted_links += doc.links.len() as u64;
-                self.enqueue_links(&entry, &judgment, &doc, page_id);
+        let outcome = self
+            .pipeline
+            .run(
+                &self.world,
+                vocab,
+                vec![fetched],
+                |resp| dedup.mark_response(resp.ip, path_of_url(&resp.url), resp.size),
+                |docs, ctxs| {
+                    docs.iter()
+                        .zip(ctxs)
+                        .map(|(d, c)| judge.judge(d, c))
+                        .collect()
+                },
+            )
+            .pop()
+            .expect("one outcome per document");
+        let settled = self
+            .pipeline
+            .settle(&outcome, &mut self.stats, &mut self.page_top_terms);
+        match settled {
+            Some((page_id, doc, &judgment)) => {
+                self.enqueue_links(&entry, &judgment, doc, page_id);
                 StepOutcome::Stored { page_id, judgment }
             }
+            None => StepOutcome::Skipped(outcome.skip_reason().expect("not stored")),
         }
     }
 
@@ -848,13 +716,11 @@ impl Crawler {
         );
     }
 
-    /// Backoff before retry `attempt` of `url`: `retry_backoff_ms <<
+    /// Backoff before retry `attempt` of `url`: `RETRY_BACKOFF_MS <<
     /// attempt`, capped by the breaker's ceiling, with deterministic
     /// per-URL jitter so co-failing URLs don't retry in lockstep.
     fn retry_backoff(&self, url: &str, attempt: u32) -> u64 {
-        let base = self
-            .config
-            .retry_backoff_ms
+        let base = RETRY_BACKOFF_MS
             .checked_shl(attempt.min(20))
             .unwrap_or(u64::MAX)
             .min(self.config.breaker.max_backoff_ms)
@@ -866,6 +732,11 @@ impl Crawler {
         base - amplitude + fxhash::hash_one(&(url, attempt, 0x5EEDu32)) % (2 * amplitude + 1)
     }
 
+    /// Queue the links of a stored page as [`plan_links`] decided
+    /// (Section 3.3). Only what needs this scheduler's state happens
+    /// here: the breaker's bad-host test, the duplicate filter, the
+    /// authority blend and the frontier push. (Link rows are emitted by
+    /// the pipeline's load stage, independent of these filters.)
     fn enqueue_links(
         &mut self,
         entry: &QueueEntry,
@@ -873,89 +744,25 @@ impl Crawler {
         doc: &bingo_textproc::AnalyzedDocument,
         page_id: u64,
     ) {
-        let child_depth = entry.depth + 1;
-        if self.config.max_depth > 0 && child_depth > self.config.max_depth {
+        let Some(plan) = plan_links(&self.config, entry, judgment) else {
             return;
-        }
-
-        // Decide how this document propagates focus (Section 3.3).
-        let on_topic = match (self.config.focus, judgment.topic) {
-            // Sharp: the document must be classified into the same topic
-            // it was queued for (seeds with src_topic None accept any
-            // positive classification).
-            (FocusRule::Sharp, Some(t)) => entry.src_topic.is_none() || entry.src_topic == Some(t),
-            // Soft: any topic of interest counts.
-            (FocusRule::Soft, Some(_)) => true,
-            (_, None) => false,
         };
-
-        let (tunnel, src_topic, base_priority) = if on_topic {
-            (
-                0,
-                judgment.topic.or(entry.src_topic),
-                judgment.confidence.max(0.0),
-            )
-        } else {
-            // Tunnelling through a rejected (or off-topic) page.
-            let tunnel = entry.tunnel + 1;
-            if tunnel > self.config.max_tunnel {
-                return;
-            }
-            let parent = if entry.priority.is_finite() && entry.priority < 1e12 {
-                entry.priority
-            } else {
-                1.0
-            };
-            (
-                tunnel,
-                entry.src_topic,
-                (parent * self.config.tunnel_decay).max(0.001),
-            )
-        };
-
         for link in &doc.links {
-            let url = &link.href;
-            let link_host = match self.config.admit_url(url) {
-                Ok(host) => host,
-                // Off-domain links are expected, not a hygiene failure.
-                Err(UrlRejection::OutsideAllowed) => continue,
-                Err(_) => {
-                    self.stats.url_rejected += 1;
-                    continue;
-                }
+            let Some(link_host) = admit_link(&self.config, &link.href, &mut self.stats) else {
+                continue;
             };
-            if self.hosts.is_bad(link_host) {
+            // Bad host, or already queued or visited.
+            if self.hosts.is_bad(link_host) || !self.dedup.mark_url(&link.href) {
                 continue;
             }
-            if !self.dedup.mark_url(url) {
-                continue; // already queued or visited
-            }
-            // Depth-first learning gives deeper URLs higher priority;
-            // best-first harvesting orders by confidence. (Link rows are
-            // emitted by the pipeline's load stage, independent of these
-            // enqueue filters.)
-            let priority = match self.config.strategy {
-                CrawlStrategy::DepthFirst => child_depth as f32 * 10.0 + base_priority,
-                CrawlStrategy::BestFirst => base_priority,
-            };
+            let mut child = plan.entry(link, page_id);
             // Authority blend (config-gated, default off):
             // α·content_priority + β·host_authority(link host). With
             // α = 1, β = 0 this is the identity on finite priorities.
-            let priority = match &self.authority {
-                Some(auth) => auth.blend(priority, link_host),
-                None => priority,
-            };
-            self.frontier.push(QueueEntry {
-                url: url.clone(),
-                priority,
-                depth: child_depth,
-                tunnel,
-                src_topic,
-                src_page: page_id,
-                anchor_terms: link.anchor_terms.clone(),
-                redirects: 0,
-                attempt: 0,
-            });
+            if let Some(auth) = &self.authority {
+                child.priority = auth.blend(child.priority, link_host);
+            }
+            self.frontier.push(child);
             self.telemetry.frontier_push.inc();
         }
         self.stats.queue_overflow = self.frontier.overflow;
@@ -965,7 +772,7 @@ impl Crawler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::PageContext;
+    use crate::types::{CrawlStrategy, PageContext};
     use bingo_textproc::AnalyzedDocument;
     use bingo_webworld::gen::WorldConfig;
 
@@ -1378,64 +1185,6 @@ mod tests {
     }
 
     #[test]
-    fn resume_from_store_never_refetches() {
-        // First session: crawl with a budget, snapshot the store.
-        let world = Arc::new(WorldConfig::small_test(44).build());
-        let seed_url = world.url_of(1);
-        let store = DocumentStore::new();
-        let mut crawler = Crawler::new(
-            world.clone(),
-            CrawlConfig {
-                max_depth: 0,
-                ..CrawlConfig::default()
-            },
-            store.clone(),
-        );
-        crawler.add_seed(&seed_url, Some(0));
-        let mut judge = accept_all();
-        let mut vocab = Vocabulary::new();
-        crawler.run_until(3_000, &mut judge, &mut vocab);
-        let first_ids: std::collections::HashSet<u64> =
-            store.all_documents().iter().map(|d| d.id).collect();
-        assert!(!first_ids.is_empty());
-
-        // Second session: fresh crawler over the same store, resumed.
-        let mut resumed = Crawler::new(
-            world.clone(),
-            CrawlConfig {
-                max_depth: 0,
-                ..CrawlConfig::default()
-            },
-            store.clone(),
-        );
-        resumed.resume_from_store();
-        assert_eq!(resumed.stats().stored_pages, first_ids.len() as u64);
-        // Seeding the same URLs again is a no-op (already marked)...
-        resumed.add_seed(&seed_url, Some(0));
-        assert_eq!(resumed.frontier_len(), 0, "seed was refetched");
-        // ...but seeding an uncrawled page continues the crawl without
-        // duplicate-key errors.
-        let fresh = (0..world.page_count() as u64)
-            .find(|id| {
-                !first_ids.contains(id)
-                    && world.page(*id).redirect_to.is_none()
-                    && world.page(*id).size_hint.is_none()
-                    && world.host(world.page(*id).host).behavior
-                        == bingo_webworld::HostBehavior::Normal
-            })
-            .unwrap();
-        resumed.add_seed(&world.url_of(fresh), Some(0));
-        let mut judge = accept_all();
-        resumed.run_until(u64::MAX, &mut judge, &mut vocab);
-        assert!(resumed.stats().stored_pages as usize > first_ids.len());
-        // "already stored" duplicates may only come from alias pages, not
-        // from re-walking the first session's URLs.
-        let all_ids: std::collections::HashSet<u64> =
-            store.all_documents().iter().map(|d| d.id).collect();
-        assert!(all_ids.is_superset(&first_ids));
-    }
-
-    #[test]
     fn chaos_crawl_survives_and_exercises_breakers() {
         // A chaos world injects 5xx bursts, outages, slow drips,
         // truncated bodies, DNS flaps and redirect loops; the crawl must
@@ -1669,10 +1418,10 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().starts_with("gen-"))
             .count();
         assert!(
-            generations <= crawler.config.checkpoint_keep,
+            generations <= durable::DEFAULT_KEEP_GENERATIONS,
             "pruning must bound generations: {generations} kept"
         );
-        if crawler.stats().checkpoints_written > crawler.config.checkpoint_keep as u64 {
+        if crawler.stats().checkpoints_written > durable::DEFAULT_KEEP_GENERATIONS as u64 {
             let snap = crawler.telemetry().registry.snapshot();
             assert!(
                 snap.counters["crawl.checkpoint.pruned"] > 0,

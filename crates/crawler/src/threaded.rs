@@ -1,15 +1,14 @@
-//! Real-thread executor over the shared document pipeline
+//! Real-thread executor over the post-fetch core
 //! (Section 4.1: "the crawler can sustain a throughput of up to ten
 //! thousand documents per minute").
 //!
 //! Unlike the deterministic discrete-event crawler, this executor runs N
-//! OS threads that pull *batches* of documents through the staged
-//! pipeline of [`crate::pipeline`] — the same MIME filtering, duplicate
-//! elimination, content conversion, analysis, classification and
-//! bulk-loading code the deterministic executor drives one document at a
-//! time. Simulated network latencies are *not* slept: the measurement
-//! targets the processing and storage pipeline, which is what the
-//! paper's §4.1 throughput number is about.
+//! OS threads that pull *batches* of documents through
+//! [`crate::pipeline`] — the same stages, the same outcome accounting
+//! and the same Section 3.3 focus decision the deterministic executor
+//! drives one document at a time. Simulated network latencies are *not*
+//! slept: the measurement targets the processing and storage pipeline,
+//! which is what the paper's §4.1 throughput number is about.
 //!
 //! The crawl itself is a **level-synchronized BFS**: each depth level is
 //! distributed over the workers through a channel, and the next level
@@ -40,24 +39,24 @@
 //! poison-recovering lock helper: a panicked peer never takes the
 //! dedup filter or the statistics down with it.
 //!
-//! Differences from the discrete-event executor, by design:
+//! Differences from the discrete-event executor, by design — all of
+//! them scheduling, since there is no virtual clock to park on:
 //!
 //! * no circuit breakers, politeness slots or backoff parking — retries
 //!   on transient failures happen inline and immediately;
 //! * redirects are followed inline (same hop limit, same URL dedup);
-//! * soft focus without tunnelling: links are followed iff the document
-//!   classified positively (harvesting-mode semantics);
 //! * `fetched_at` is run-relative wall-clock milliseconds, not virtual
 //!   time.
 
 use crate::dedup::{path_of_url, Dedup, DedupMark};
-use crate::pipeline::{process_batch, top_terms, BatchJudge, DocOutcome, FetchedDoc};
+use crate::frontier::QueueEntry;
+use crate::pipeline::{admit_link, plan_links, BatchJudge, DocPipeline, FetchedDoc, PageTermCache};
 use crate::telemetry::CrawlTelemetry;
-use crate::types::{CrawlConfig, CrawlStats, UrlRejection};
+use crate::types::{CrawlConfig, CrawlStats, MAX_REDIRECTS};
 use bingo_obs::Event;
-use bingo_store::{BulkLoader, BulkLoaderObs, DocumentStore};
+use bingo_store::DocumentStore;
 use bingo_textproc::fxhash::{self, FxHashMap};
-use bingo_textproc::{ContentRegistry, SharedVocabulary, TermId};
+use bingo_textproc::SharedVocabulary;
 use bingo_webworld::{FetchOutcome, FetchResponse, World};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -160,9 +159,9 @@ pub struct PipelineOptions {
     pub threads: usize,
     /// Documents per pipeline batch.
     pub batch_size: usize,
-    /// Follow the links of positively classified documents, level by
-    /// level (BFS). When false the run processes exactly the given URLs
-    /// at depth 0 — the flat throughput-measurement mode.
+    /// Follow links under `config`'s focus rule, level by level (BFS).
+    /// When false the run processes exactly the given URLs at depth 0 —
+    /// the flat throughput-measurement mode.
     pub follow_links: bool,
     /// Seeded worker-panic injection (tests only; `None` in production).
     pub fault: Option<FaultPlan>,
@@ -180,8 +179,8 @@ impl PipelineOptions {
         }
     }
 
-    /// Focused crawl from seeds: follow links of positively classified
-    /// documents under `config`'s hygiene rules.
+    /// Focused crawl from seeds: follow links under `config`'s focus,
+    /// tunnelling and hygiene rules.
     pub fn focused(config: CrawlConfig, threads: usize, batch_size: usize) -> Self {
         PipelineOptions {
             config,
@@ -215,24 +214,13 @@ pub struct ThroughputReport {
     pub quarantined: Vec<String>,
 }
 
-/// One URL waiting for a worker, with the crawl context its discoverer
-/// attached (the threaded twin of the frontier's `QueueEntry`).
-#[derive(Debug)]
-struct WorkItem {
-    url: String,
-    depth: u32,
-    src_topic: Option<u32>,
-    src_page: u64,
-    anchor_terms: Vec<TermId>,
-}
-
 /// What one worker reported back to the supervisor when it finished or
 /// died.
 #[derive(Default)]
 struct WorkerExit {
-    /// Work items discovered for the next BFS level (kept even when the
+    /// Entries discovered for the next BFS level (kept even when the
     /// worker later panicked: they came from fully committed batches).
-    next_level: Vec<WorkItem>,
+    next_level: Vec<QueueEntry>,
     /// Set when the worker died mid-batch.
     panic: Option<PanicReport>,
 }
@@ -243,7 +231,7 @@ struct PanicReport {
     message: String,
     /// URLs consumed from the level queue whose processing never
     /// committed — the supervisor requeues or quarantines them.
-    in_flight: Vec<WorkItem>,
+    in_flight: Vec<QueueEntry>,
 }
 
 /// Render a panic payload for events and counters.
@@ -281,22 +269,16 @@ pub fn run_pipeline(
     telemetry.spill_reaped.add(opts.config.reap_stale_spill());
     let dedup = Mutex::new(Dedup::for_config(&opts.config));
     let mut last_dedup = crate::dedup::DedupStats::default();
-    let page_top_terms: Mutex<FxHashMap<u64, Vec<TermId>>> = Mutex::new(FxHashMap::default());
+    let page_top_terms = Mutex::new(PageTermCache::new(opts.config.page_terms_cap));
     let stats = Mutex::new(CrawlStats::default());
     let injector = opts.fault.clone().map(FaultInjector::new);
 
-    let mut level: VecDeque<WorkItem> = VecDeque::new();
+    let mut level: VecDeque<QueueEntry> = VecDeque::new();
     {
         let mut dedup = lock_clean(&dedup);
         for (url, topic) in seeds {
             if dedup.mark_url(&url) {
-                level.push_back(WorkItem {
-                    url,
-                    depth: 0,
-                    src_topic: topic,
-                    src_page: 0,
-                    anchor_terms: Vec::new(),
-                });
+                level.push_back(QueueEntry::seed(&url, topic));
             }
         }
     }
@@ -373,7 +355,7 @@ pub fn run_pipeline(
             // the level queue when every worker died were never
             // attempted — recover them too, without a poison charge.
             let leftover = queue.into_inner().unwrap_or_else(|p| p.into_inner());
-            let mut requeue: Vec<WorkItem> = leftover.into();
+            let mut requeue: Vec<QueueEntry> = leftover.into();
             pending = VecDeque::new();
             let mut panic_messages: Vec<String> = Vec::new();
             let mut newly_quarantined: Vec<String> = Vec::new();
@@ -471,34 +453,30 @@ pub fn run_pipeline(
 fn run_worker(
     world: &World,
     store: &DocumentStore,
-    queue: &Mutex<VecDeque<WorkItem>>,
+    queue: &Mutex<VecDeque<QueueEntry>>,
     vocab: &SharedVocabulary,
     judge: &dyn BatchJudge,
     telemetry: &CrawlTelemetry,
     opts: &PipelineOptions,
     batch_size: usize,
     dedup: &Mutex<Dedup>,
-    page_top_terms: &Mutex<FxHashMap<u64, Vec<TermId>>>,
+    page_top_terms: &Mutex<PageTermCache>,
     stats: &Mutex<CrawlStats>,
     started: &Instant,
     injector: Option<&FaultInjector>,
 ) -> WorkerExit {
     let config = &opts.config;
-    let registry = ContentRegistry::new();
-    let mut loader =
-        BulkLoader::with_batch_size(store.clone(), opts.batch_size.max(1)).with_observer(
-            BulkLoaderObs::new(&telemetry.registry, telemetry.events.clone()),
-        );
+    let mut pipeline = DocPipeline::new(store.clone(), opts.batch_size, telemetry);
     let mut interner: &SharedVocabulary = vocab;
     let mut local = CrawlStats::default();
-    let mut next_level: Vec<WorkItem> = Vec::new();
+    let mut next_level: Vec<QueueEntry> = Vec::new();
 
     loop {
         // One batch attempt: everything consumed from the level queue
         // (`taken`) and every dedup fingerprint marked (`journal`) is
         // tracked *outside* the unwind boundary so a panic can be
         // rolled back.
-        let mut taken: Vec<WorkItem> = Vec::with_capacity(batch_size);
+        let mut taken: Vec<QueueEntry> = Vec::with_capacity(batch_size);
         let mut journal: Vec<DedupMark> = Vec::new();
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let mut batch: Vec<FetchedDoc> = Vec::with_capacity(batch_size);
@@ -520,10 +498,7 @@ fn run_worker(
                 else {
                     continue;
                 };
-                let neighbor_terms = lock_clean(page_top_terms)
-                    .get(&item.src_page)
-                    .cloned()
-                    .unwrap_or_default();
+                let neighbor_terms = lock_clean(page_top_terms).neighbor_terms(item.src_page);
                 batch.push(FetchedDoc {
                     response,
                     depth: item.depth,
@@ -538,11 +513,9 @@ fn run_worker(
                 return;
             }
 
-            let outcomes = process_batch(
+            let outcomes = pipeline.run(
                 world,
-                &registry,
                 &mut interner,
-                &mut loader,
                 batch,
                 |resp: &FetchResponse| {
                     lock_clean(dedup).mark_response_journaled(
@@ -560,51 +533,25 @@ fn run_worker(
                     }
                     judge.judge_batch(docs, ctxs)
                 },
-                &telemetry.textproc,
-                &telemetry.pipeline,
             );
 
             for (idx, outcome) in slots.into_iter().zip(outcomes) {
-                let item = &taken[idx];
-                match outcome {
-                    DocOutcome::MimeFiltered => local.mime_rejected += 1,
-                    DocOutcome::DuplicateContent => local.duplicates += 1,
-                    DocOutcome::Malformed { wasted_bytes } => {
-                        local.mime_rejected += 1;
-                        local.wasted_bytes += wasted_bytes;
-                    }
-                    DocOutcome::AlreadyStored { page_id, doc, .. } => {
-                        lock_clean(page_top_terms).insert(page_id, top_terms(&doc));
-                        local.duplicates += 1;
-                    }
-                    DocOutcome::Stored {
-                        page_id,
-                        doc,
-                        judgment,
-                    } => {
-                        lock_clean(page_top_terms).insert(page_id, top_terms(&doc));
-                        local.stored_pages += 1;
-                        telemetry.stored.inc();
-                        if judgment.topic.is_some() {
-                            local.positively_classified += 1;
-                        }
-                        if opts.follow_links {
-                            local.extracted_links += doc.links.len() as u64;
-                            // Soft focus without tunnelling: only positively
-                            // classified documents propagate the crawl.
-                            if judgment.topic.is_some() {
-                                enqueue_links(
-                                    config,
-                                    dedup,
-                                    &mut local,
-                                    &mut next_level,
-                                    item,
-                                    page_id,
-                                    judgment.topic,
-                                    &doc,
-                                );
-                            }
-                        }
+                let Some((page_id, doc, judgment)) =
+                    pipeline.settle(&outcome, &mut local, &mut lock_clean(page_top_terms))
+                else {
+                    continue;
+                };
+                if !opts.follow_links {
+                    continue;
+                }
+                let Some(plan) = plan_links(config, &taken[idx], judgment) else {
+                    continue;
+                };
+                for link in &doc.links {
+                    if admit_link(config, &link.href, &mut local).is_some()
+                        && lock_clean(dedup).mark_url(&link.href)
+                    {
+                        next_level.push(plan.entry(link, page_id));
                     }
                 }
             }
@@ -621,8 +568,7 @@ fn run_worker(
                 // must not make requeued retries look like duplicates,
                 // and its staged rows must not leak into the store.
                 lock_clean(dedup).unmark(&journal);
-                loader.discard_pending();
-                loader.flush();
+                pipeline.discard();
                 lock_clean(stats).merge(&local);
                 return WorkerExit {
                     next_level,
@@ -635,7 +581,7 @@ fn run_worker(
         }
     }
 
-    loader.flush();
+    pipeline.flush();
     lock_clean(stats).merge(&local);
     WorkerExit {
         next_level,
@@ -686,7 +632,7 @@ fn fetch_with_hygiene(
             FetchOutcome::Ok(resp) => return Some(resp),
             FetchOutcome::Redirect { location, .. } => {
                 stats.redirects += 1;
-                if redirects < config.max_redirects
+                if redirects < MAX_REDIRECTS
                     && lock_clean(dedup).mark_url_journaled(&location, journal)
                 {
                     url = location;
@@ -705,48 +651,6 @@ fn fetch_with_hygiene(
                 return None;
             }
         }
-    }
-}
-
-/// Queue the links of a positively classified document for the next
-/// level, under the same hygiene rules the deterministic executor
-/// applies at enqueue time.
-#[allow(clippy::too_many_arguments)]
-fn enqueue_links(
-    config: &CrawlConfig,
-    dedup: &Mutex<Dedup>,
-    stats: &mut CrawlStats,
-    next_level: &mut Vec<WorkItem>,
-    item: &WorkItem,
-    page_id: u64,
-    topic: Option<u32>,
-    doc: &bingo_textproc::AnalyzedDocument,
-) {
-    let child_depth = item.depth + 1;
-    if config.max_depth > 0 && child_depth > config.max_depth {
-        return;
-    }
-    for link in &doc.links {
-        let url = &link.href;
-        match config.admit_url(url) {
-            Ok(_) => {}
-            // Off-domain links are expected, not a hygiene failure.
-            Err(UrlRejection::OutsideAllowed) => continue,
-            Err(_) => {
-                stats.url_rejected += 1;
-                continue;
-            }
-        }
-        if !lock_clean(dedup).mark_url(url) {
-            continue; // already queued or visited
-        }
-        next_level.push(WorkItem {
-            url: url.clone(),
-            depth: child_depth,
-            src_topic: topic.or(item.src_topic),
-            src_page: page_id,
-            anchor_terms: link.anchor_terms.clone(),
-        });
     }
 }
 
@@ -875,6 +779,58 @@ mod tests {
             store.link_count() > 0,
             "stored documents emit their link rows"
         );
+    }
+
+    #[test]
+    fn rejected_pages_tunnel_for_max_tunnel_hops_and_no_further() {
+        // Every accepted page gets a topic of its own, so a page's
+        // `src_topic` names its nearest accepted ancestor and the depth
+        // gap between the two counts the rejected pages tunnelled
+        // through — the `tunnel` its queue entry carried.
+        let world = Arc::new(WorldConfig::small_test(43).build());
+        let config = CrawlConfig::default().harvesting();
+        let log: Mutex<Vec<(crate::types::PageContext, bool)>> = Mutex::new(Vec::new());
+        let judge = |_: &bingo_textproc::AnalyzedDocument, ctx: &crate::types::PageContext| {
+            let accepted = ctx.page_id == 0 || fxhash::hash_one(&ctx.page_id).is_multiple_of(3);
+            lock_clean(&log).push((ctx.clone(), accepted));
+            match accepted {
+                true => Judgment {
+                    topic: Some(ctx.page_id as u32),
+                    confidence: 0.5,
+                },
+                false => Judgment::reject(-0.5),
+            }
+        };
+        run_pipeline(
+            Arc::clone(&world),
+            DocumentStore::new(),
+            vec![(world.url_of(0), None)],
+            &SharedVocabulary::new(),
+            &judge,
+            &CrawlTelemetry::default(),
+            &PipelineOptions::focused(config.clone(), 1, 4),
+        );
+        let log = log.into_inner().unwrap();
+        let accepted_depth: FxHashMap<u32, u32> = log
+            .iter()
+            .filter(|(_, accepted)| *accepted)
+            .map(|(ctx, _)| (ctx.page_id as u32, ctx.depth))
+            .collect();
+        let tunnels: Vec<(u32, bool)> = log
+            .iter()
+            .filter_map(|(ctx, accepted)| {
+                Some((ctx.depth - accepted_depth[&ctx.src_topic?] - 1, *accepted))
+            })
+            .collect();
+        assert!(tunnels.len() > 20, "crawl too small: {}", tunnels.len());
+        for hops in 0..=config.max_tunnel {
+            assert!(
+                tunnels.contains(&(hops, false)),
+                "no rejected page reached through {hops} rejected pages"
+            );
+        }
+        // A page rejected at the tunnelling limit does not propagate.
+        assert!(tunnels.iter().all(|&(hops, _)| hops <= config.max_tunnel));
     }
 
     #[test]

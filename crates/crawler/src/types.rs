@@ -12,6 +12,17 @@ use std::path::PathBuf;
 pub const MAX_HOSTNAME_LEN: usize = 255;
 /// Maximum accepted URL length (Section 4.2).
 pub const MAX_URL_LEN: usize = 1000;
+/// Priority decay per tunnelling step (paper: 0.5).
+pub const TUNNEL_DECAY: f32 = 0.5;
+/// Maximum redirects followed per chain (paper: 25).
+pub const MAX_REDIRECTS: u32 = 25;
+/// Estimated per-document processing cost in virtual ms (parsing,
+/// classification, storing) added to each simulated thread's busy time.
+pub const PROCESSING_COST_MS: u64 = 5;
+/// Base delay for per-URL retry backoff after a transient failure.
+/// Retry `n` waits `RETRY_BACKOFF_MS << n` (capped by the breaker's
+/// `max_backoff_ms`) plus deterministic jitter, on the virtual clock.
+pub const RETRY_BACKOFF_MS: u64 = 250;
 
 /// Why [`CrawlConfig::admit_url`] turned a URL away.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,10 +87,6 @@ pub struct CrawlConfig {
     pub max_depth: u32,
     /// Maximum tunnelling distance through rejected pages (paper: 2).
     pub max_tunnel: u32,
-    /// Priority decay per tunnelling step (paper: 0.5).
-    pub tunnel_decay: f32,
-    /// Maximum redirects followed per chain (paper: 25).
-    pub max_redirects: u32,
     /// Retries per host before it is tagged bad (paper: 3).
     pub max_retries: u32,
     /// Incoming queue capacity per topic (paper: 25,000).
@@ -92,27 +99,17 @@ pub struct CrawlConfig {
     /// Hostnames never visited ("the domains of major Web search engines
     /// were explicitly locked", and DBLP is locked in the experiment).
     pub locked_hosts: FxHashSet<String>,
-    /// Estimated per-document processing cost in virtual ms (parsing,
-    /// classification, storing) added to each thread's busy time.
-    pub processing_cost_ms: u64,
     /// Maximum simultaneous connections per host (paper testbed: 2).
     /// A fetch whose host has no free connection slot waits for one.
     pub per_host_connections: usize,
     /// Per-host circuit-breaker tuning (replaces the paper's one-way
     /// good → slow → bad escalation with recovery; see [`crate::hosts`]).
     pub breaker: BreakerConfig,
-    /// Base delay for per-URL retry backoff after a transient failure.
-    /// Retry `n` waits `retry_backoff_ms << n` (capped by the breaker's
-    /// `max_backoff_ms`) plus deterministic jitter, on the virtual clock.
-    pub retry_backoff_ms: u64,
     /// Write a crawl checkpoint every N stored documents (0 = never).
     pub checkpoint_every_docs: u64,
     /// Directory checkpoints are written into; required when
     /// `checkpoint_every_docs > 0`.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Complete checkpoint generations kept after each successful save
-    /// (older ones are pruned); minimum 1.
-    pub checkpoint_keep: usize,
     /// When set, incoming frontier queues spill their cold tail to
     /// per-slot files under this directory, keeping at most
     /// `frontier_hot_cap` entry payloads per queue in memory. Pop order
@@ -154,20 +151,15 @@ impl Default for CrawlConfig {
             strategy: CrawlStrategy::DepthFirst,
             max_depth: 4,
             max_tunnel: 2,
-            tunnel_decay: 0.5,
-            max_redirects: 25,
             max_retries: 3,
             incoming_queue_cap: 25_000,
             outgoing_queue_cap: 1_000,
             allowed_hosts: None,
             locked_hosts: FxHashSet::default(),
-            processing_cost_ms: 5,
             per_host_connections: 2,
             breaker: BreakerConfig::default(),
-            retry_backoff_ms: 250,
             checkpoint_every_docs: 0,
             checkpoint_dir: None,
-            checkpoint_keep: bingo_store::durable::DEFAULT_KEEP_GENERATIONS,
             frontier_spill_dir: None,
             frontier_hot_cap: 4096,
             dedup_spill_dir: None,
@@ -378,8 +370,6 @@ mod tests {
         let c = CrawlConfig::default();
         assert_eq!(c.threads, 15);
         assert_eq!(c.max_tunnel, 2);
-        assert_eq!(c.tunnel_decay, 0.5);
-        assert_eq!(c.max_redirects, 25);
         assert_eq!(c.max_retries, 3);
         assert_eq!(c.incoming_queue_cap, 25_000);
         assert_eq!(c.outgoing_queue_cap, 1_000);

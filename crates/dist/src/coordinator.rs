@@ -33,7 +33,7 @@ use crate::lease::{LeaseQueue, LeaseStats, QueuedItem, WorkItem, JOURNAL_FILE};
 use crate::node::{scratch_dir, WorkerNode};
 use crate::shard_of_url;
 use crate::telemetry::DistTelemetry;
-use bingo_crawler::BatchJudge;
+use bingo_crawler::{BatchJudge, CrawlConfig};
 use bingo_obs::Event;
 use bingo_store::durable::{find_newest_complete, prune_generations, GenerationWriter};
 use bingo_store::spill::reap_stale_spill_files;
@@ -53,6 +53,12 @@ pub const COORD_VERSION: u32 = 1;
 /// Coordinator state file inside a generation.
 pub const COORD_FILE: &str = "coordinator.json";
 
+/// Virtual lease time-to-live: an unacked lease expires this long
+/// after issue.
+pub const LEASE_TTL_MS: u64 = 30_000;
+/// Max items per lease (and the size of a node's bulk-load workspace).
+pub const LEASE_BATCH: usize = 16;
+
 /// Configuration of a distributed crawl.
 #[derive(Debug, Clone)]
 pub struct DistConfig {
@@ -61,11 +67,6 @@ pub struct DistConfig {
     /// Session directory holding snapshot generations, the lease
     /// journal, and per-node scratch.
     pub session_dir: PathBuf,
-    /// Virtual lease time-to-live; an unacked lease expires this long
-    /// after issue.
-    pub lease_ttl_ms: u64,
-    /// Max items per lease.
-    pub lease_batch: usize,
     /// Expired leases an item may ride before quarantine.
     pub poison_budget: u32,
     /// Commit a distributed snapshot every this many acks.
@@ -84,8 +85,6 @@ impl DistConfig {
         DistConfig {
             nodes: nodes.max(1),
             session_dir: session_dir.into(),
-            lease_ttl_ms: 30_000,
-            lease_batch: 16,
             poison_budget: 3,
             snapshot_every_acks: 64,
             max_depth: 4,
@@ -114,7 +113,11 @@ pub struct DistStats {
     pub restarts: u64,
     /// Completed items replayed after their node died before a cut.
     pub replayed: u64,
-    /// Batches discarded because the node died mid-processing.
+    /// Batches whose lease never acked because the node died
+    /// mid-processing. Their rows are in that node's store: the replay
+    /// after the lease expires stores them again if the store died with
+    /// the node, or finds them `AlreadyStored` if a snapshot cut kept
+    /// them.
     pub discarded_batches: u64,
     /// Distributed snapshot generations committed.
     pub snapshots: u64,
@@ -179,7 +182,7 @@ impl Coordinator {
         let telemetry = DistTelemetry::default();
         let reaped = reap_stale_spill_files(&config.session_dir, SPILL_FILE_PREFIXES);
         telemetry.scratch_reaped.add(reaped as u64);
-        let queue = LeaseQueue::new(n, config.poison_budget, config.lease_ttl_ms);
+        let queue = LeaseQueue::new(n, config.poison_budget, LEASE_TTL_MS);
         let slots = (0..n)
             .map(|k| NodeSlot {
                 node: Some(WorkerNode::new(k, &config.session_dir)),
@@ -499,12 +502,16 @@ impl Coordinator {
     /// true when any node did work.
     fn dispatch(&mut self) -> io::Result<bool> {
         let now = self.clock_ms;
+        // The URL hygiene the single-node executors apply at enqueue
+        // time (crawl defaults: no locked or allowed hosts, so only the
+        // Section 4.2 length and well-formedness limits bite).
+        let hygiene = CrawlConfig::default();
         let mut progressed = false;
         for k in 0..self.slots.len() {
             if self.slots[k].node.is_none() || self.slots[k].free_at > now {
                 continue;
             }
-            let Some(lease) = self.queue.lease(k, self.config.lease_batch, now) else {
+            let Some(lease) = self.queue.lease(k, LEASE_BATCH, now) else {
                 continue;
             };
             progressed = true;
@@ -528,10 +535,10 @@ impl Coordinator {
                 .is_some_and(|w| w.kind == NodeFaultKind::Kill);
             if killed_mid_batch {
                 // The node dies inside this processing span: its batch
-                // never completes. Un-stage the rows so a snapshot cut
-                // before the kill can't leak them; the lease stays out
-                // and expires at its deadline.
-                node.discard_pending();
+                // never acks. The rows are already in its store — a
+                // snapshot cut before the kill lands keeps them, and
+                // the replay after the lease expires at its deadline
+                // finds them `AlreadyStored`.
                 self.stats.discarded_batches += 1;
                 self.slots[k].free_at = end;
                 continue;
@@ -549,7 +556,7 @@ impl Coordinator {
             self.telemetry.fetch_err.add(result.fetch_err);
             self.telemetry.fetch_redirect.add(result.redirects);
             for item in result.discovered {
-                if item.depth > self.config.max_depth {
+                if item.depth > self.config.max_depth || hygiene.admit_url(&item.url).is_err() {
                     continue;
                 }
                 let shard = shard_of_url(&item.url, self.config.nodes);
@@ -671,6 +678,36 @@ mod tests {
             "each page stored on exactly one node"
         );
         assert!(find_newest_complete(&dir).is_some(), "final cut committed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn over_long_discovered_urls_are_not_offered() {
+        let world = Arc::new(WorldConfig::small_test(11).build());
+        // A welcome page carrying the generator's trap links: an
+        // over-long URL and a plain 404.
+        let (trap_page, trap_links) = (0..world.page_count() as u64)
+            .map(|id| (id, world.page(id).extra_out_urls.clone()))
+            .find(|(_, urls)| {
+                urls.iter()
+                    .any(|u| u.len() > bingo_crawler::types::MAX_URL_LEN)
+            })
+            .expect("world has a trap page");
+        let dir = session("trap");
+        let mut coord = Coordinator::new(world.clone(), judge(), DistConfig::new(2, &dir));
+        coord.add_seed(&world.url_of(trap_page), Some(0));
+        coord.run(10_000_000).unwrap();
+        // The queue accepts a URL exactly once, so a fresh offer tells
+        // whether the crawl offered it before.
+        for url in trap_links {
+            let over_long = url.len() > bingo_crawler::types::MAX_URL_LEN;
+            let item = WorkItem {
+                url,
+                depth: 1,
+                src_topic: None,
+            };
+            assert_eq!(coord.queue.offer(0, item), over_long);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

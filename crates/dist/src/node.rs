@@ -1,34 +1,38 @@
 //! One worker "node" of the distributed crawl: an in-process crawler
 //! shard owning the documents of the hosts hashed to it.
 //!
-//! A node is deliberately small: a [`DocumentStore`] + [`BulkLoader`],
-//! a content registry, and a scratch directory. It fetches the URLs of
-//! a lease, drives them through the shared document pipeline
-//! ([`bingo_crawler::process_batch`] — the same convert → analyze →
-//! classify → bulk-load path the single-node crawler uses), and hands
-//! discovered links back to the coordinator for sharding. All the
-//! distributed machinery (leases, deadlines, snapshots, fault windows)
-//! lives in the coordinator; killing a node is just dropping this
-//! struct.
+//! A node is deliberately small: a [`DocumentStore`], the post-fetch
+//! core over it ([`bingo_crawler::DocPipeline`] — the same convert →
+//! analyze → classify → bulk-load path the single-node crawler uses),
+//! and a scratch directory. It fetches the URLs of a lease, drives them
+//! through the pipeline, and hands discovered links back to the
+//! coordinator for sharding. All the distributed machinery (leases,
+//! deadlines, snapshots, fault windows) lives in the coordinator;
+//! killing a node is just dropping this struct.
+//!
+//! The pipeline flushes every row of a batch into the node's store
+//! before [`WorkerNode::process`] returns, so there is nothing to
+//! un-stage when a lease never acks: the rows of an un-acked batch
+//! *are* in the store. When the lease expires and the batch is
+//! replayed, each such URL comes back `AlreadyStored` and its links are
+//! discovered again — which is why that outcome propagates links here.
 //!
 //! Fetches are always issued with `attempt = 0`, making the fetch
 //! outcome a pure function of (URL, fault windows): on a calm-host
 //! world a killed-and-replayed URL fetches identical bytes, which is
 //! what lets chaos runs converge to calm-run store contents.
 
+use crate::coordinator::LEASE_BATCH;
 use crate::lease::WorkItem;
-use bingo_crawler::pipeline::{FetchedDoc, PipelineMetrics};
-use bingo_crawler::{process_batch, BatchJudge, DocOutcome};
-use bingo_obs::Registry;
+use bingo_crawler::{BatchJudge, CrawlTelemetry, DocOutcome, DocPipeline, FetchedDoc};
 use bingo_store::persist::{read_snapshot, write_snapshot};
 use bingo_store::spill::SCRATCH_DIR_SUFFIX;
-use bingo_store::{BulkLoader, DocumentStore};
-use bingo_textproc::{ContentRegistry, Interner, TextprocMetrics};
+use bingo_store::DocumentStore;
+use bingo_textproc::Interner;
 use bingo_webworld::fetch::FetchOutcome;
 use bingo_webworld::World;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Scratch directory of node `id` under `session`: restart-disposable
 /// state (the append-only ack log). The `.scratch` suffix puts stale
@@ -61,13 +65,11 @@ pub struct BatchResult {
 pub struct WorkerNode {
     id: usize,
     store: DocumentStore,
-    loader: BulkLoader,
-    registry: ContentRegistry,
+    /// The post-fetch core over `store`, reporting into a node-local
+    /// registry (the scenario-visible counters are the coordinator's
+    /// `dist.*` set).
+    pipeline: DocPipeline,
     scratch: PathBuf,
-    /// Private obs handles for the shared pipeline (node-local; the
-    /// scenario-visible counters are the coordinator's `dist.*` set).
-    textproc: TextprocMetrics,
-    pipeline: PipelineMetrics,
     acked_batches: u64,
 }
 
@@ -89,16 +91,11 @@ impl WorkerNode {
     }
 
     fn with_store(id: usize, session: &Path, store: DocumentStore) -> Self {
-        let obs = Registry::new();
-        let obs = Arc::new(obs);
         WorkerNode {
             id,
-            loader: BulkLoader::new(store.clone()),
+            pipeline: DocPipeline::new(store.clone(), LEASE_BATCH, &CrawlTelemetry::default()),
             store,
-            registry: ContentRegistry::new(),
             scratch: scratch_dir(session, id),
-            textproc: TextprocMetrics::new(obs.clone()),
-            pipeline: PipelineMetrics::new(&obs),
             acked_batches: 0,
         }
     }
@@ -115,7 +112,7 @@ impl WorkerNode {
 
     /// Documents stored by this node.
     pub fn document_count(&self) -> usize {
-        self.loader.pending() + self.store.document_count()
+        self.store.document_count()
     }
 
     /// Acked batches since (re)start.
@@ -125,8 +122,8 @@ impl WorkerNode {
 
     /// Fetch and process one leased batch at virtual time `now_ms`.
     /// `proc_ms` is the virtual per-stored-document processing cost.
-    /// Does **not** flush the bulk loader — the coordinator acks via
-    /// [`WorkerNode::ack`] only when the lease survives to completion.
+    /// The batch's rows are in the store when this returns, whether or
+    /// not the coordinator goes on to [`WorkerNode::ack`] the lease.
     pub fn process(
         &mut self,
         world: &World,
@@ -178,22 +175,20 @@ impl WorkerNode {
         if batch.is_empty() {
             return out;
         }
-        let outcomes = process_batch(
+        let outcomes = self.pipeline.run(
             world,
-            &self.registry,
             vocab,
-            &mut self.loader,
             batch,
             |_| true,
             |docs, ctxs| judge.judge_batch(docs, ctxs),
-            &self.textproc,
-            &self.pipeline,
         );
         for (outcome, item) in outcomes.iter().zip(&batch_items) {
             // AlreadyStored discovers links too: a replayed URL whose
-            // document survived in a snapshot cut must still hand its
-            // outlinks to the coordinator (the seen-URL filter dedups
-            // re-offers), or a node kill could silently drop a subtree.
+            // document is already in the store (an un-acked batch, or a
+            // snapshot cut the node restarted from) must still hand
+            // its outlinks to the coordinator (the seen-URL filter
+            // dedups re-offers), or a node kill could silently drop a
+            // subtree.
             let (stored, doc, judgment) = match outcome {
                 DocOutcome::Stored { doc, judgment, .. } => (true, doc, judgment),
                 DocOutcome::AlreadyStored { doc, judgment, .. } => (false, doc, judgment),
@@ -214,11 +209,9 @@ impl WorkerNode {
         out
     }
 
-    /// Make the batch durable in the node's store (the lease-ack
-    /// point) and append the ack to the node-local scratch log.
+    /// The lease-ack point: the batch's rows are already in the node's
+    /// store; append the ack to the node-local scratch log.
     pub fn ack(&mut self, lease_id: u64, now_ms: u64, stored: u64) -> io::Result<()> {
-        self.loader.flush();
-        let _ = self.loader.take_errors();
         self.acked_batches += 1;
         std::fs::create_dir_all(&self.scratch)?;
         let line = format!(
@@ -233,27 +226,12 @@ impl WorkerNode {
         f.write_all(line.as_bytes())
     }
 
-    /// Drop rows staged by a batch whose lease will never ack (the
-    /// node is scripted to die mid-batch): they must not leak into a
-    /// snapshot taken before the kill lands. Returns discarded rows.
-    pub fn discard_pending(&mut self) -> usize {
-        self.loader.discard_pending()
-    }
-
     /// Serialize the node's store for the distributed snapshot
     /// (byte-deterministic; see [`bingo_store::persist`]).
-    pub fn snapshot_bytes(&mut self) -> io::Result<Vec<u8>> {
-        self.loader.flush();
-        let _ = self.loader.take_errors();
+    pub fn snapshot_bytes(&self) -> io::Result<Vec<u8>> {
         let mut bytes = Vec::new();
         write_snapshot(&self.store, &mut bytes).map_err(|e| io::Error::other(format!("{e:?}")))?;
         Ok(bytes)
-    }
-
-    /// Drop the node's scratch directory (called on clean shutdown; a
-    /// killed node leaves it behind for the restart sweep).
-    pub fn clean_scratch(&self) {
-        let _ = std::fs::remove_dir_all(&self.scratch);
     }
 }
 
@@ -301,6 +279,8 @@ mod tests {
             result.discovered.iter().all(|w| w.depth == 1),
             "link depth is parent + 1"
         );
+        // Nothing waits for the ack: the rows are already in the store.
+        assert_eq!(node.store().document_count() as u64, result.stored);
         node.ack(0, 10, result.stored).unwrap();
         assert_eq!(node.document_count() as u64, result.stored);
         assert!(scratch_dir(&dir, 0).join("ack-log.jsonl").exists());
@@ -321,7 +301,6 @@ mod tests {
         let restored = WorkerNode::restore(1, &dir, &bytes).unwrap();
         assert_eq!(restored.document_count(), node.document_count());
         // Same state serializes to the same bytes.
-        let mut restored = restored;
         assert_eq!(restored.snapshot_bytes().unwrap(), bytes);
         std::fs::remove_dir_all(&dir).unwrap();
     }

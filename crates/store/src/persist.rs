@@ -157,17 +157,6 @@ pub fn read_snapshot<R: Read>(r: R) -> Result<DocumentStore, StoreError> {
     Ok(store)
 }
 
-/// Save a snapshot to a file path. The write is atomic (temp file +
-/// fsync + rename): a crash — or a serialization error — mid-save
-/// leaves any previous snapshot at `path` untouched instead of
-/// truncating it first.
-pub fn save<P: AsRef<Path>>(store: &DocumentStore, path: P) -> Result<(), StoreError> {
-    let mut buf = Vec::new();
-    write_snapshot(store, &mut buf)?;
-    crate::durable::atomic_write(path.as_ref(), &buf)
-        .map_err(|e| StoreError::Persist(e.to_string()))
-}
-
 /// Load a snapshot from a file path.
 pub fn load<P: AsRef<Path>>(path: P) -> Result<DocumentStore, StoreError> {
     let f = std::fs::File::open(path).map_err(|e| StoreError::Persist(e.to_string()))?;
@@ -262,7 +251,7 @@ mod tests {
         let dir = std::env::temp_dir().join("bingo-store-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.jsonl");
-        save(&s, &path).unwrap();
+        write_snapshot(&s, std::fs::File::create(&path).unwrap()).unwrap();
         let loaded = load(&path).unwrap();
         assert_eq!(loaded.document_count(), s.document_count());
         std::fs::remove_file(path).ok();

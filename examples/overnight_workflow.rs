@@ -7,22 +7,20 @@
 //! cargo run --release --example overnight_workflow
 //! ```
 //!
-//! Session 1 trains an engine, crawls briefly, and persists both the
-//! crawl database and the trained engine. Session 2 — a fresh process in
-//! real use — restores both, resumes the crawl without refetching, and
-//! postprocesses the combined result.
+//! Session 1 trains an engine, crawls briefly, and saves the session —
+//! store, crawler state and trained engine — as one crash-consistent
+//! generation. Session 2 — a fresh process in real use — loads it,
+//! continues the crawl exactly where it stopped (frontier, clock,
+//! breakers and retries included), and postprocesses the combined
+//! result.
 
-use bingo::core::persist as engine_persist;
-use bingo::graph::LinkSource;
+use bingo::core::persist::{load_session, save_session};
 use bingo::prelude::*;
-use bingo::store::persist as store_persist;
 use std::sync::Arc;
 
 fn main() {
     let dir = std::env::temp_dir().join("bingo-overnight-example");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let db_path = dir.join("crawl.jsonl");
-    let engine_path = dir.join("engine.json");
+    std::fs::remove_dir_all(&dir).ok();
 
     // ---------------- Session 1: the evening setup -------------------
     let world = Arc::new(WorldConfig::small_test(2026).build());
@@ -53,43 +51,32 @@ fn main() {
     for a in &world.authors()[..2] {
         crawler.add_seed(&world.url_of(a.homepage), Some(topic.0));
     }
-    engine.crawl_until(&mut crawler, 60_000, 0);
+    engine.crawl_until(&mut crawler, 3_000, 0);
     engine.retrain(&mut crawler);
     engine.switch_to_harvesting(&mut crawler);
-    engine.crawl_until(&mut crawler, 200_000, 0);
+    // Stop while the frontier still holds work for the morning.
+    engine.crawl_until(&mut crawler, 8_000, 0);
     println!(
         "session 1: stored {} documents, {} positively classified",
         crawler.stats().stored_pages,
         crawler.stats().positively_classified
     );
 
-    store_persist::save(crawler.store(), &db_path).expect("save crawl db");
-    engine_persist::save_engine_to(&engine, &engine_path).expect("save engine");
-    println!(
-        "persisted to {} and {}",
-        db_path.display(),
-        engine_path.display()
-    );
+    save_session(&engine, &crawler, &dir).expect("save session");
+    println!("session saved to {}", dir.display());
     drop(crawler);
     drop(engine);
 
     // ---------------- Session 2: the next morning --------------------
-    let store = store_persist::load(&db_path).expect("load crawl db");
-    let mut engine = engine_persist::load_engine_from(&engine_path).expect("load engine");
+    let (mut engine, mut crawler) =
+        load_session(world.clone(), CrawlConfig::default().harvesting(), &dir)
+            .expect("load session");
     println!(
-        "\nsession 2: restored {} documents, {} training docs",
-        store.document_count(),
+        "\nsession 2: restored {} documents, {} queued URLs, {} training docs",
+        crawler.store().document_count(),
+        crawler.frontier_len(),
         engine.tree.node(topic).training.len()
     );
-
-    let mut crawler = Crawler::new(world.clone(), CrawlConfig::default().harvesting(), store);
-    crawler.resume_from_store();
-    // Refill the frontier with uncrawled successors of the stored pages.
-    for row in crawler.store().all_documents() {
-        for succ in world.successors(row.id) {
-            crawler.boost_url(&world.url_of(succ), row.topic, row.confidence.max(0.0));
-        }
-    }
     let before = crawler.store().document_count();
     let deadline = crawler.clock_ms() + 2_000_000;
     engine.crawl_until(&mut crawler, deadline, 300);
@@ -119,6 +106,5 @@ fn main() {
         println!("  {:.3}  {}  — {}", h.score, h.url, h.title);
     }
 
-    std::fs::remove_file(&db_path).ok();
-    std::fs::remove_file(&engine_path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,24 +1,27 @@
 //! `bingo` — command-line front end to the focused crawler.
 //!
 //! ```text
-//! bingo crawl  --out crawl.jsonl --engine engine.json [--seed N] [--authors N]
-//!              [--budget-secs N] [--topic NAME]
-//! bingo resume --out crawl.jsonl --engine engine.json [--budget-secs N] [--seed N]
-//! bingo search --out crawl.jsonl --engine engine.json --query "..." [--topic-id N]
-//!              [--rank cosine|confidence|authority|combined] [--top N]
-//! bingo suggest --out crawl.jsonl --engine engine.json --topic-id N
+//! bingo crawl   --session DIR [--seed N] [--authors N] [--budget-secs N] [--topic NAME]
+//! bingo resume  --session DIR [--seed N] [--authors N] [--budget-secs N]
+//! bingo search  --session DIR [--seed N] [--authors N] --query "..." [--topic-id N]
+//!               [--rank cosine|confidence|authority|combined] [--top N]
+//! bingo suggest --session DIR [--seed N] [--authors N] --topic-id N
 //! ```
 //!
-//! `crawl` builds a portal world, trains from the top-2 author homepages,
-//! runs a two-phase focused crawl, and writes both the crawl database and
-//! the trained engine to disk. `resume` continues a saved crawl.
-//! `search` and `suggest` postprocess a saved crawl offline.
+//! `crawl` builds a portal world, trains from the top-2 author homepages
+//! and runs a two-phase focused crawl, saving the session — store,
+//! crawler state (frontier, clock, breakers, retries) and trained
+//! engine as one crash-consistent generation — after the learning phase
+//! and again after the harvest. `resume` continues from the newest
+//! complete generation, so a crawl killed mid-harvest picks up where
+//! the learning phase ended; `search` and `suggest` postprocess a
+//! session offline. Only manifest-committed generations are ever
+//! loaded. The world is a function of `--seed`/`--authors`, which must
+//! match across commands.
 
-use bingo::core::persist as engine_persist;
-use bingo::graph::LinkSource;
+use bingo::core::persist::{load_session, save_session};
 use bingo::prelude::*;
 use bingo::search::suggest_subclasses;
-use bingo::store::persist as store_persist;
 use bingo::webworld::fetch::host_of_url;
 use std::sync::Arc;
 
@@ -36,19 +39,45 @@ fn arg_or(flag: &str, default: &str) -> String {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bingo <crawl|resume|search|suggest> --out <crawl.jsonl> --engine <engine.json> [options]\n\
+        "usage: bingo <crawl|resume|search|suggest> --session <dir> [--seed N] [--authors N] [options]\n\
          \n\
-         crawl   --seed N --authors N --budget-secs N --topic NAME\n\
-         resume  --budget-secs N --seed N\n\
+         crawl   --budget-secs N --topic NAME\n\
+         resume  --budget-secs N\n\
          search  --query \"...\" [--topic-id N] [--rank cosine|confidence|authority|combined] [--top N]\n\
          suggest --topic-id N"
     );
     std::process::exit(2);
 }
 
-/// Rebuild the deterministic world a saved crawl ran against.
-fn world_for(seed: u64, authors: usize) -> Arc<World> {
+/// The deterministic world named by `--seed`/`--authors`.
+fn world_from_args() -> Arc<World> {
+    let seed: u64 = arg_or("--seed", "2003").parse().expect("--seed");
+    let authors: usize = arg_or("--authors", "1000").parse().expect("--authors");
+    eprintln!("building world (seed {seed}, {authors} authors)...");
     Arc::new(WorldConfig::portal(seed, authors, 2).build())
+}
+
+/// Load the newest complete generation of `--session`. Every saved
+/// generation is in the harvesting phase (see [`cmd_crawl`]).
+fn open_session() -> (String, BingoEngine, Crawler) {
+    let session = arg_or("--session", "bingo-session");
+    let (engine, crawler) = or_exit(
+        load_session(
+            world_from_args(),
+            CrawlConfig::default().harvesting(),
+            &session,
+        ),
+        "cannot load session",
+    );
+    (session, engine, crawler)
+}
+
+/// Write the session as a new generation, or exit with a clean error.
+fn save(engine: &BingoEngine, crawler: &Crawler, session: &str) {
+    or_exit(
+        save_session(engine, crawler, session),
+        "cannot save session",
+    );
 }
 
 /// Unwrap a fallible load/save, or exit with a clean one-line error —
@@ -61,18 +90,14 @@ fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>, what: &str) -> T {
 }
 
 fn cmd_crawl() {
-    let out = arg_or("--out", "crawl.jsonl");
-    let engine_path = arg_or("--engine", "engine.json");
-    let seed: u64 = arg_or("--seed", "2003").parse().expect("--seed");
-    let authors: usize = arg_or("--authors", "1000").parse().expect("--authors");
+    let session = arg_or("--session", "bingo-session");
     let budget_ms: u64 = arg_or("--budget-secs", "600")
         .parse::<u64>()
         .expect("--budget-secs")
         * 1000;
     let topic_name = arg_or("--topic", "database research");
 
-    eprintln!("building world (seed {seed}, {authors} authors)...");
-    let world = world_for(seed, authors);
+    let world = world_from_args();
     eprintln!(
         "world: {} pages on {} hosts",
         world.page_count(),
@@ -123,84 +148,49 @@ fn cmd_crawl() {
     eprintln!("learning phase...");
     engine.crawl_until(&mut crawler, budget_ms / 5, 0);
     engine.retrain(&mut crawler);
-    eprintln!("harvesting...");
+    // The first generation is written once the crawl is in the
+    // harvesting phase, so every saved session resumes under the
+    // harvesting configuration.
     engine.switch_to_harvesting(&mut crawler);
+    save(&engine, &crawler, &session);
+    eprintln!("harvesting...");
     engine.crawl_until(&mut crawler, budget_ms, 400);
+    save(&engine, &crawler, &session);
 
     let stats = crawler.stats();
     eprintln!(
         "done: {} visited, {} stored, {} positively classified, {} hosts",
         stats.visited_urls, stats.stored_pages, stats.positively_classified, stats.visited_hosts
     );
-    or_exit(
-        store_persist::save(crawler.store(), &out),
-        "cannot write crawl db",
-    );
-    or_exit(
-        engine_persist::save_engine_to(&engine, &engine_path),
-        "cannot write engine",
-    );
-    eprintln!("crawl database: {out}\nengine: {engine_path}");
+    eprintln!("session: {session}");
     eprintln!("topic id for --topic-id: {}", topic.0);
 }
 
 fn cmd_resume() {
-    let out = arg_or("--out", "crawl.jsonl");
-    let engine_path = arg_or("--engine", "engine.json");
-    let seed: u64 = arg_or("--seed", "2003").parse().expect("--seed");
-    let authors: usize = arg_or("--authors", "1000").parse().expect("--authors");
     let extra_ms: u64 = arg_or("--budget-secs", "300")
         .parse::<u64>()
         .expect("--budget-secs")
         * 1000;
-
-    let world = world_for(seed, authors);
-    let store = or_exit(store_persist::load(&out), "cannot read crawl db");
-    let mut engine = or_exit(
-        engine_persist::load_engine_from(&engine_path),
-        "cannot read engine",
-    );
+    let (session, mut engine, mut crawler) = open_session();
+    let before = crawler.stats().stored_pages;
     eprintln!(
-        "resuming: {} documents in the database, {} topics",
-        store.document_count(),
+        "resuming at {} s: {} documents stored, {} URLs queued, {} topics",
+        crawler.clock_ms() / 1000,
+        before,
+        crawler.frontier_len(),
         engine.tree.len() - 1
     );
-
-    let mut crawler = Crawler::new(world.clone(), CrawlConfig::default().harvesting(), store);
-    crawler.resume_from_store();
-    // Requeue the uncrawled successors of everything stored so far.
-    let mut requeued = 0;
-    for row in crawler.store().all_documents() {
-        for succ in world.successors(row.id) {
-            let url = world.url_of(succ);
-            if !crawler.store().contains_url(&url) {
-                crawler.boost_url(&url, row.topic, row.confidence.max(0.0));
-                requeued += 1;
-            }
-        }
-    }
-    eprintln!("requeued {requeued} frontier URLs");
     let deadline = crawler.clock_ms() + extra_ms;
     engine.crawl_until(&mut crawler, deadline, 400);
-    let stats = crawler.stats();
+    save(&engine, &crawler, &session);
     eprintln!(
         "resumed session stored {} documents ({} total now)",
-        stats.stored_pages,
+        crawler.stats().stored_pages - before,
         crawler.store().document_count()
-    );
-    or_exit(
-        store_persist::save(crawler.store(), &out),
-        "cannot write crawl db",
-    );
-    or_exit(
-        engine_persist::save_engine_to(&engine, &engine_path),
-        "cannot write engine",
     );
 }
 
 fn cmd_search() {
-    let out = arg_or("--out", "crawl.jsonl");
-    let engine_path = arg_or("--engine", "engine.json");
     let Some(query) = arg("--query") else { usage() };
     let top_k: usize = arg_or("--top", "10").parse().expect("--top");
     let ranking = match arg_or("--rank", "cosine").as_str() {
@@ -222,12 +212,8 @@ fn cmd_search() {
         None => TopicFilter::Any,
     };
 
-    let store = or_exit(store_persist::load(&out), "cannot read crawl db");
-    let engine = or_exit(
-        engine_persist::load_engine_from(&engine_path),
-        "cannot read engine",
-    );
-    let search = SearchEngine::build(&store);
+    let (_, engine, crawler) = open_session();
+    let search = SearchEngine::build(crawler.store());
     let hits = search.query(
         &engine.vocab,
         &query,
@@ -247,15 +233,9 @@ fn cmd_search() {
 }
 
 fn cmd_suggest() {
-    let out = arg_or("--out", "crawl.jsonl");
-    let engine_path = arg_or("--engine", "engine.json");
     let topic_id: u32 = arg_or("--topic-id", "1").parse().expect("--topic-id");
-    let store = or_exit(store_persist::load(&out), "cannot read crawl db");
-    let engine = or_exit(
-        engine_persist::load_engine_from(&engine_path),
-        "cannot read engine",
-    );
-    match suggest_subclasses(&store, &engine.vocab, topic_id, 2..=5, 5) {
+    let (_, engine, crawler) = open_session();
+    match suggest_subclasses(crawler.store(), &engine.vocab, topic_id, 2..=5, 5) {
         Some(suggestions) => {
             for (i, s) in suggestions.iter().enumerate() {
                 println!(
