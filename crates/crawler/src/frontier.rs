@@ -47,7 +47,8 @@ pub struct QueueEntry {
     pub tunnel: u32,
     /// Topic of the parent document that enqueued the URL.
     pub src_topic: Option<u32>,
-    /// Page id of the enqueuing parent (0 = seed).
+    /// Page id of the enqueuing parent ([`QueueEntry::NO_SOURCE`] for
+    /// seeds).
     pub src_page: u64,
     /// Anchor terms of the enqueuing link.
     pub anchor_terms: Vec<bingo_textproc::TermId>,
@@ -58,6 +59,11 @@ pub struct QueueEntry {
 }
 
 impl QueueEntry {
+    /// `src_page` of an entry no stored page enqueued (seeds, boosted
+    /// hubs): never a real page id, so such an entry is judged without
+    /// neighbour terms. (Page 0 is a real page.)
+    pub const NO_SOURCE: u64 = u64::MAX;
+
     /// A seed entry at depth 0 with maximal priority.
     pub fn seed(url: &str, topic: Option<u32>) -> Self {
         QueueEntry {
@@ -66,7 +72,7 @@ impl QueueEntry {
             depth: 0,
             tunnel: 0,
             src_topic: topic,
-            src_page: 0,
+            src_page: Self::NO_SOURCE,
             anchor_terms: Vec::new(),
             redirects: 0,
             attempt: 0,

@@ -1001,6 +1001,30 @@ mod tests {
     }
 
     #[test]
+    fn seeds_are_judged_without_neighbour_terms() {
+        // Page 0 is a real page: once it is stored, its top terms must
+        // not pose as the neighbour terms of entries nobody enqueued.
+        let (mut crawler, mut vocab) = setup(31);
+        let world = crawler.world().clone();
+        let mut seed_neighbours = Vec::new();
+        let mut judge = |_: &AnalyzedDocument, ctx: &PageContext| {
+            if ctx.depth == 0 {
+                seed_neighbours.push(ctx.neighbor_terms.len());
+            }
+            Judgment {
+                topic: Some(0),
+                confidence: 1.0,
+            }
+        };
+        for page in [0, 1] {
+            crawler.add_seed(&world.url_of(page), Some(0));
+            let outcome = crawler.step(&mut judge, &mut vocab);
+            assert!(matches!(outcome, StepOutcome::Stored { page_id, .. } if page_id == page));
+        }
+        assert_eq!(seed_neighbours, [0, 0]);
+    }
+
+    #[test]
     fn rejection_limits_spread_via_tunnelling() {
         let (mut crawler_r, mut vocab_r) = setup(31);
         let seed_url = crawler_r.world().url_of(1);
