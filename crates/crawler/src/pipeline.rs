@@ -379,9 +379,8 @@ impl DocPipeline {
 
     /// Drop rows staged by a batch that died mid-stage (worker panic):
     /// they must not leak into the store when the batch is re-driven.
-    /// Returns the number of discarded document rows.
-    pub fn discard(&mut self) -> usize {
-        self.loader.discard_pending()
+    pub fn discard(&mut self) {
+        self.loader.discard_pending();
     }
 
     /// Drive one batch of fetched documents through convert → analyze →

@@ -176,7 +176,7 @@ impl IndexTee for TeePair {
 ///     term_freqs: vec![], size: 10, fetched_at: 0,
 /// }).unwrap();
 /// assert_eq!(store.topic_documents(2), vec![1]);
-/// assert!(store.contains_url("http://h/a"));
+/// assert_eq!(store.document_by_url("http://h/a").unwrap().id, 1);
 /// ```
 #[derive(Clone, Default)]
 pub struct DocumentStore {
@@ -499,14 +499,6 @@ impl DocumentStore {
         }
     }
 
-    /// True when a document with this URL is stored.
-    pub fn contains_url(&self, url: &str) -> bool {
-        match &self.spine {
-            Some(spine) => spine.read().contains_url(url),
-            None => self.inner.read().by_url.contains_key(url),
-        }
-    }
-
     /// Ids of all documents assigned to a topic.
     pub fn topic_documents(&self, topic: u32) -> Vec<PageId> {
         match &self.spine {
@@ -686,8 +678,7 @@ mod tests {
         assert_eq!(s.document_count(), 1);
         assert_eq!(s.document(1).unwrap().url, "http://a/x");
         assert_eq!(s.document_by_url("http://a/x").unwrap().id, 1);
-        assert!(s.contains_url("http://a/x"));
-        assert!(!s.contains_url("http://a/y"));
+        assert!(s.document_by_url("http://a/y").is_none());
         assert_eq!(s.topic_documents(3), vec![1]);
     }
 

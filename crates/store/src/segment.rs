@@ -755,10 +755,6 @@ impl Spine {
         self.document(id).filter(|row| row.url == url)
     }
 
-    pub(crate) fn contains_url(&self, url: &str) -> bool {
-        self.document_by_url(url).is_some()
-    }
-
     pub(crate) fn topic_documents(&self, topic: u32) -> Vec<PageId> {
         if self.cfg.sparse {
             // Cold path by design: stream every row (overrides
