@@ -11,7 +11,8 @@
 #
 #   ci.yml (every push/PR) — four parallel jobs sharing one cargo
 #   cache, each invoking this script with a CI_STEPS selector:
-#     lint   -> CI_STEPS=lint  ./ci.sh   (fmt, clippy, rustdoc)
+#     lint   -> CI_STEPS=lint  ./ci.sh   (fmt, no-wall-clock guard,
+#               clippy, rustdoc)
 #     test   -> CI_STEPS=test  ./ci.sh   (release build + full tests,
 #               plus the standalone benchmark/ crate's own tests, so
 #               a change to the API it uses fails here)
@@ -37,17 +38,18 @@
 # serve, scale, dist). The eighth scenario, scale10m, has no committed
 # baseline yet (recording one takes the nightly job's multi-hour
 # budget), so it runs only when named: nightly.yml gives it its own job
-# with BENCH_GATE_ONLY=scale10m. Beyond the baseline comparison, the
-# serve scenario proves the snapshot-swap live index answers queries
-# identically to a batch rebuild while gating portal QPS and latency
-# percentiles, the
-# scale scenarios crawl paged worlds (a million and ten million pages
-# in full mode) through the segmented store and the spill/compaction
-# layers, failing the gate if peak-RSS growth leaves the fixed budget
-# (rss_within_budget), and the dist scenario runs a multi-node
-# coordinator/worker crawl through seeded node kills plus a process
-# kill, gating exact calm-set convergence, kill/requeue coverage, and
-# recovery wall time.
+# with BENCH_GATE_ONLY=scale10m. The gate checks behaviour only — it
+# reads no clock, each scenario's report is a pure function of the seed
+# and two runs of it must agree; speed is measured by benchmark/run.sh.
+# Beyond the baseline comparison, the serve scenario proves the
+# snapshot-swap live index answers queries identically to a batch
+# rebuild, the scale scenarios crawl paged worlds (a million and ten
+# million pages in full mode) through the segmented store and the
+# spill/compaction layers, failing the gate if peak-RSS growth leaves
+# the fixed budget (rss_within_budget), and the dist scenario runs a
+# multi-node coordinator/worker crawl through seeded node kills plus a
+# process kill, gating exact calm-set convergence, kill/requeue
+# coverage, and the size of the resume's work.
 #
 # BINGO_CRASH_SEEDS picks the seed matrix for the crash-recovery sweep
 # (every byte budget of a checkpoint write, a store segment seal, every
@@ -114,8 +116,25 @@ for s in $(printf '%s' "$CI_STEPS" | tr ',' ' '); do
     esac
 done
 
+# Wall time has one home, benchmark/. Product crates read no clock, so
+# their telemetry is deterministic by construction; the one exception
+# is the threaded executor's run-relative fetched_at and
+# ThroughputReport::wall, which are row data and a return value.
+no_wall_clock() {
+    hits=$(git grep -nE 'Instant|SystemTime|WallTimer|wall_histogram' \
+        -- 'crates/*/src/*' ':!crates/bench' |
+        grep -v '^crates/crawler/src/threaded\.rs:' || true)
+    if [ -n "$hits" ]; then
+        echo "error: wall clock in product code (measure it in benchmark/):" >&2
+        echo "$hits" >&2
+        return 1
+    fi
+}
+
 if wants lint; then
     step "cargo fmt --check" cargo fmt --all -- --check
+
+    step "no wall clock in product crates" no_wall_clock
 fi
 
 if wants test; then

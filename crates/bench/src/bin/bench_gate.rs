@@ -14,71 +14,29 @@
 //!   --out DIR        artifact directory (default target/bench_gate)
 //! ```
 //!
-//! Each scenario runs twice; the deterministic telemetry (metrics
-//! snapshot + event log) of the two runs must match byte for byte.
-//! Reports are then compared against the checked-in baselines with
-//! per-metric tolerances. Exit code 0 = pass, 1 = regression or
-//! determinism failure, 2 = usage/setup error.
+//! Each scenario runs twice; the telemetry (metrics snapshot + event
+//! log) of the two runs must match byte for byte and their reports
+//! must be equal. Reports are then compared against the checked-in
+//! baselines with per-metric tolerances. Exit code 0 = pass, 1 =
+//! regression or determinism failure, 2 = usage/setup error.
 
 use bingo_bench::gate::{
-    baseline_file, calibrate_cpu_ms, check_determinism, default_out_dir, diff_reports,
-    load_baseline, markdown_diff_table, run_classify_scenario, run_crawl_scenario,
-    run_dist_scenario, run_pipeline_scenario, run_recovery_scenario, run_scale10m_scenario,
-    run_scale_scenario, run_serve_scenario, write_run_artifacts, GateMode, MetricDiff, MetricSpec,
-    ScenarioRun, CLASSIFY_SPECS, CRAWL_SPECS, DIST_SPECS, PIPELINE_SPECS, RECOVERY_SPECS,
-    SCALE10M_SPECS, SCALE_SPECS, SERVE_SPECS,
+    baseline_file, check_determinism, default_out_dir, diff_reports, load_baseline,
+    markdown_diff_table, write_run_artifacts, GateMode, MetricDiff, Scenario, SCENARIOS,
 };
-use serde_json::{json, Value};
+use serde_json::Value;
 use std::path::{Path, PathBuf};
 
-struct Scenario {
-    name: &'static str,
-    specs: &'static [MetricSpec],
-    run: fn(GateMode) -> ScenarioRun,
+/// Reject an `--only` argument: print what is wrong with it and the
+/// valid scenario names, exit 2.
+fn only_usage(problem: &str) -> ! {
+    let names: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+    eprintln!(
+        "--only: {problem} (expected a comma-separated list of: {})",
+        names.join(", ")
+    );
+    std::process::exit(2);
 }
-
-const SCENARIOS: &[Scenario] = &[
-    Scenario {
-        name: "crawl",
-        specs: CRAWL_SPECS,
-        run: run_crawl_scenario,
-    },
-    Scenario {
-        name: "classify",
-        specs: CLASSIFY_SPECS,
-        run: run_classify_scenario,
-    },
-    Scenario {
-        name: "pipeline",
-        specs: PIPELINE_SPECS,
-        run: run_pipeline_scenario,
-    },
-    Scenario {
-        name: "recovery",
-        specs: RECOVERY_SPECS,
-        run: run_recovery_scenario,
-    },
-    Scenario {
-        name: "serve",
-        specs: SERVE_SPECS,
-        run: run_serve_scenario,
-    },
-    Scenario {
-        name: "scale",
-        specs: SCALE_SPECS,
-        run: run_scale_scenario,
-    },
-    Scenario {
-        name: "scale10m",
-        specs: SCALE10M_SPECS,
-        run: run_scale10m_scenario,
-    },
-    Scenario {
-        name: "dist",
-        specs: DIST_SPECS,
-        run: run_dist_scenario,
-    },
-];
 
 fn main() {
     let mut smoke = false;
@@ -90,52 +48,23 @@ fn main() {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--update" => update = true,
-            "--only" => match args.next() {
-                Some(list) => {
-                    let before = only.len();
-                    for name in list.split(',').map(str::trim).filter(|n| !n.is_empty()) {
-                        if SCENARIOS.iter().any(|s| s.name == name) {
-                            only.push(name.to_string());
-                        } else {
-                            eprintln!(
-                                "--only: unknown scenario {name:?} (expected a comma-separated \
-                                 list of: {})",
-                                SCENARIOS
-                                    .iter()
-                                    .map(|s| s.name)
-                                    .collect::<Vec<_>>()
-                                    .join(", ")
-                            );
-                            std::process::exit(2);
-                        }
+            "--only" => {
+                let Some(list) = args.next() else {
+                    only_usage("missing scenario list");
+                };
+                let before = only.len();
+                for name in list.split(',').map(str::trim).filter(|n| !n.is_empty()) {
+                    if !SCENARIOS.iter().any(|s| s.name == name) {
+                        only_usage(&format!("unknown scenario {name:?}"));
                     }
-                    // An --only whose list trims away entirely ("", " , ")
-                    // must not fall through to "no filter = run everything".
-                    if only.len() == before {
-                        eprintln!(
-                            "--only: no scenario names in {list:?} (expected a comma-separated \
-                             list of: {})",
-                            SCENARIOS
-                                .iter()
-                                .map(|s| s.name)
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        );
-                        std::process::exit(2);
-                    }
+                    only.push(name.to_string());
                 }
-                None => {
-                    eprintln!(
-                        "--only requires a scenario name (one of: {})",
-                        SCENARIOS
-                            .iter()
-                            .map(|s| s.name)
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
-                    std::process::exit(2);
+                // An --only whose list trims away entirely ("", " , ")
+                // must not fall through to "no filter = run everything".
+                if only.len() == before {
+                    only_usage(&format!("no scenario names in {list:?}"));
                 }
-            },
+            }
             "--out" => match args.next() {
                 Some(dir) => out_dir = PathBuf::from(dir),
                 None => {
@@ -151,8 +80,6 @@ fn main() {
         }
     }
 
-    let calib_ms = calibrate_cpu_ms();
-    eprintln!("cpu calibration: {calib_ms:.1} ms");
     let modes: &[GateMode] = if update {
         &[GateMode::Smoke, GateMode::Full]
     } else if smoke {
@@ -190,7 +117,7 @@ fn main() {
                 started.elapsed().as_secs_f64()
             );
             let label = format!("{}.{}", scenario.name, mode.key());
-            let determinism = check_determinism(&label, &first.evidence, &second.evidence);
+            let determinism = check_determinism(&label, &first, &second);
             if !determinism.is_empty() {
                 failed_runs.push(label);
             }
@@ -205,11 +132,12 @@ fn main() {
         }
 
         if update {
-            let mut entries = vec![("calibration_ms".to_string(), json!(calib_ms))];
-            for (mode, report) in &sections {
-                entries.push((mode.key().to_string(), report.clone()));
-            }
-            let doc = Value::Object(entries);
+            let doc = Value::Object(
+                sections
+                    .iter()
+                    .map(|(mode, report)| (mode.key().to_string(), report.clone()))
+                    .collect(),
+            );
             let path = baseline_file(scenario.name);
             match serde_json::to_string_pretty(&doc) {
                 Ok(text) => {
@@ -235,12 +163,6 @@ fn main() {
             ));
             continue;
         };
-        let base_calib = baseline
-            .get("calibration_ms")
-            .and_then(Value::as_f64)
-            .unwrap_or(calib_ms);
-        // < 1 means this machine is slower than the baseline recorder.
-        let calib_scale = (base_calib / calib_ms).clamp(0.05, 20.0);
         for (mode, report) in &sections {
             let label = format!("{}.{}", scenario.name, mode.key());
             let Some(section) = baseline.get(mode.key()) else {
@@ -251,7 +173,7 @@ fn main() {
                 failed_runs.push(label);
                 continue;
             };
-            let run_diffs = diff_reports(&label, section, report, scenario.specs, calib_scale);
+            let run_diffs = diff_reports(&label, section, report, scenario.specs);
             if run_diffs.iter().any(|d| !d.ok) {
                 failed_runs.push(label);
             }

@@ -9,20 +9,15 @@
 //!   measuring macro-F1,
 //! * **pipeline** — a fixed URL set pushed through the staged batch
 //!   pipeline (fetch → convert → analyze → classify → bulk-load) by the
-//!   real-thread executor, classification on: the single-thread leg is
-//!   the determinism evidence and gates document/link/classification
-//!   counts tightly, the multi-thread leg gates wall throughput
-//!   loosely,
+//!   real-thread executor on one thread, classification on; gates
+//!   document/link/classification counts tightly,
 //! * **recovery** — crash-consistent checkpointing: an injected
 //!   mid-checkpoint crash, rollback to the newest complete generation,
 //!   and a resumed crawl that must match an uninterrupted reference,
-//! * **serve** — the portal serving layer: a deterministic leg
-//!   interleaves virtual-clock load-generator ticks with crawler steps
-//!   against the snapshot-swap [`bingo_search::LiveIndex`] and checks
-//!   the incrementally committed index answers a fixed query prefix
-//!   identically to a batch rebuild; a concurrent leg hammers the
-//!   [`bingo_serve::PortalService`] from real reader threads while a
-//!   threaded crawl keeps writing, gating QPS and latency percentiles,
+//! * **serve** — the portal serving layer: virtual-clock load-generator
+//!   ticks interleave with crawler steps against the snapshot-swap
+//!   [`bingo_search::LiveIndex`], and the incrementally committed index
+//!   must answer a fixed query prefix identically to a batch rebuild,
 //! * **scale** — a memory-bounded crawl of a lazily paged synthetic web
 //!   (one million pages in full mode) through the disk-backed segmented
 //!   store and the spillable frontier; coverage, harvest and segment
@@ -40,23 +35,17 @@
 //!   newest crash-consistent multi-node generation. Gates convergence
 //!   (chaos page set == calm page set, exact), the scripted
 //!   kill/restart counts, the lease-requeue coverage, harvest-ratio
-//!   drift, and the resume wall time (loose backstop).
+//!   drift, and the size of the resume's work (`replayed`, `snapshots`).
 //!
-//! Each scenario runs **twice**: the deterministic metrics snapshot and
-//! the event log of both runs must be byte-identical, or the gate fails
-//! — that is the executable form of the determinism contract in
-//! `crates/obs`. Results are compared against checked-in baselines
-//! (`BENCH_crawl.json`, `BENCH_classify.json`, `BENCH_pipeline.json`)
-//! with per-metric tolerances:
-//!
-//! * deterministic metrics (virtual throughput, harvest ratio, stored
-//!   pages, macro-F1) gate tightly — they cannot flake, only change when
-//!   the code changes behavior;
-//! * wall-clock throughput gates loosely (gross-regression backstop)
-//!   and is scaled by a CPU calibration ratio so baselines recorded on
-//!   one machine remain meaningful on another: both runs time the same
-//!   fixed pure-CPU workload, and the expected wall throughput scales by
-//!   the ratio of calibration times.
+//! The gate checks *behaviour*; speed has one home, the standalone
+//! `benchmark/` crate. Nothing here reads a clock, so a scenario report
+//! is a pure function of the seed. Each scenario runs **twice**: the
+//! metrics snapshot, the event log and the report of both runs must be
+//! identical, or the gate fails — that is the executable form of the
+//! determinism contract in `crates/obs`. Reports are then compared
+//! against checked-in baselines (`BENCH_<scenario>.json`) with
+//! per-metric tolerances; the values cannot flake, they only change
+//! when the code changes behaviour.
 
 use bingo_core::{BingoEngine, EngineConfig, EngineTelemetry, TopicId, TopicTree};
 use bingo_crawler::{
@@ -64,25 +53,22 @@ use bingo_crawler::{
     PipelineOptions, StepOutcome,
 };
 use bingo_dist::{Coordinator, DistConfig, DistTelemetry};
-use bingo_obs::{EventLog, Registry, WallTimer};
+use bingo_obs::{EventLog, Registry};
 use bingo_search::index::analyze_query_with;
 use bingo_search::{
     InvertedIndex, LiveIndex, LiveIndexObs, QueryOptions, SearchEngine, SearchMetrics,
 };
-use bingo_serve::{
-    run_closed_loop, PortalRequest, PortalService, QueryMix, ServeMetrics, VirtualLoadGen,
-};
+use bingo_serve::{PortalRequest, PortalService, QueryMix, ServeMetrics, VirtualLoadGen};
 use bingo_store::durable::CrashFs;
 use bingo_store::{
     CompactionConfig, CompactionStats, CompactionTelemetry, DocumentStore, SegmentStoreConfig,
 };
-use bingo_textproc::{porter_stem, AnalyzedDocument, SharedVocabulary, TermLookup, Vocabulary};
+use bingo_textproc::{AnalyzedDocument, SharedVocabulary, TermLookup, Vocabulary};
 use bingo_webworld::fetch::host_of_url;
 use bingo_webworld::gen::{TopicConfig, WorldConfig};
 use bingo_webworld::{lexicon, HostBehavior, NodeFaultPlan, NodeFaultProfile, PageKind, World};
 use serde_json::{json, Value};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// World seed shared by every scenario (same-seed runs must agree).
@@ -110,10 +96,19 @@ impl GateMode {
 /// Byte-comparable telemetry of one scenario run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeterminismEvidence {
-    /// Deterministic metrics snapshot, pretty JSON.
+    /// Metrics snapshot, pretty JSON.
     pub snapshot_json: String,
     /// Event log, JSONL.
     pub events_jsonl: String,
+}
+
+impl DeterminismEvidence {
+    fn capture(registry: &Registry, events: &EventLog) -> Self {
+        DeterminismEvidence {
+            snapshot_json: registry.snapshot().to_json(),
+            events_jsonl: events.to_jsonl(),
+        }
+    }
 }
 
 /// One scenario run: the metrics report plus its determinism evidence.
@@ -125,22 +120,35 @@ pub struct ScenarioRun {
     pub evidence: DeterminismEvidence,
 }
 
-/// Time a fixed pure-CPU workload (stemming a generated word list) in
-/// milliseconds. The ratio of two calibration times approximates the
-/// single-core speed ratio of two machines, and scales wall-throughput
-/// expectations.
-pub fn calibrate_cpu_ms() -> f64 {
-    let timer = WallTimer::start();
-    let mut acc = 0usize;
-    for round in 0..40u32 {
-        for i in 0..2500u32 {
-            let word = format!("calibrat{}ional{}izers", round, i);
-            acc += porter_stem(&word).len();
-        }
+/// A scratch directory of one scenario leg, removed on drop. The
+/// path carries the process id, so two gate processes on one machine
+/// (or `cargo test -p bingo-bench` beside `bench_gate --smoke`) never
+/// delete each other's live session.
+struct ScratchDir(PathBuf);
+
+impl std::ops::Deref for ScratchDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
     }
-    // Defeat dead-code elimination.
-    std::hint::black_box(acc);
-    timer.elapsed_us() as f64 / 1000.0
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn scratch_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("bingo-bench-{}-{name}", std::process::id()))
+}
+
+/// Create `scratch_path(name)` empty.
+fn scratch_dir(name: &str) -> ScratchDir {
+    let dir = scratch_path(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("gate scratch dir");
+    ScratchDir(dir)
 }
 
 fn held_out(world: &World, topic: u32, skip: usize, take: usize) -> Vec<u64> {
@@ -153,13 +161,41 @@ fn held_out(world: &World, topic: u32, skip: usize, take: usize) -> Vec<u64> {
         .collect()
 }
 
+/// The trained engine the classify and pipeline scenarios share: one
+/// engine topic per synthetic true topic 0/1/2 with `train_n` training
+/// pages each, plus the OTHERS class. `telemetry` is attached before the
+/// first training page is analyzed.
+fn three_topic_engine(
+    world: &World,
+    train_n: usize,
+    telemetry: EngineTelemetry,
+) -> (BingoEngine, Vec<(TopicId, u32)>) {
+    let mut engine = BingoEngine::new(EngineConfig::default());
+    engine.set_telemetry(telemetry);
+    let names = ["database research", "data mining", "web ir"];
+    let mut topics: Vec<(TopicId, u32)> = Vec::new();
+    for (true_topic, name) in names.iter().enumerate() {
+        let t = engine.add_topic(TopicTree::ROOT, name);
+        topics.push((t, true_topic as u32));
+    }
+    for &(topic, true_topic) in &topics {
+        for id in held_out(world, true_topic, 0, train_n) {
+            engine
+                .add_training_url(world, topic, &world.url_of(id))
+                .expect("training page");
+        }
+    }
+    crate::populate_others(&mut engine, world, &[3, 4], 20);
+    engine.train().expect("training");
+    (engine, topics)
+}
+
 /// Run the crawl scenario once.
 pub fn run_crawl_scenario(mode: GateMode) -> ScenarioRun {
     let (authors, noise_scale, learning_ms, harvest_ms) = match mode {
         GateMode::Full => (300usize, 2usize, 60_000u64, 400_000u64),
         GateMode::Smoke => (120, 1, 30_000, 150_000),
     };
-    let total_wall = WallTimer::start();
     let world = Arc::new(WorldConfig::portal(GATE_SEED, authors, noise_scale).build());
     let registry = Arc::new(Registry::new());
     let events = Arc::new(EventLog::default());
@@ -197,24 +233,17 @@ pub fn run_crawl_scenario(mode: GateMode) -> ScenarioRun {
     for url in &seeds {
         crawler.add_seed(url, Some(topic.0));
     }
-    let learn_wall = WallTimer::start();
     engine.crawl_until(&mut crawler, learning_ms, 0);
     engine.retrain(&mut crawler);
-    let learn_wall_ms = learn_wall.elapsed_us() as f64 / 1000.0;
 
     // Harvesting phase: soft focus, best-first, periodic retraining.
     engine.switch_to_harvesting(&mut crawler);
-    let harvest_wall = WallTimer::start();
     engine.crawl_until(&mut crawler, harvest_ms, 400);
-    let harvest_wall_ms = harvest_wall.elapsed_us() as f64 / 1000.0;
 
     // Index build + fixed query set.
     let search_metrics = SearchMetrics::new(registry.clone());
-    let index_wall = WallTimer::start();
     let search = SearchEngine::build_instrumented(crawler.store(), Some(search_metrics));
-    let index_wall_ms = index_wall.elapsed_us() as f64 / 1000.0;
     let mut query_hits = 0u64;
-    let query_wall = WallTimer::start();
     for q in [
         "database transaction recovery",
         "data mining",
@@ -224,11 +253,9 @@ pub fn run_crawl_scenario(mode: GateMode) -> ScenarioRun {
             .query(&engine.vocab, q, &QueryOptions::default())
             .len() as u64;
     }
-    let query_wall_us = query_wall.elapsed_us();
 
     let stats = crawler.stats().clone();
     let virtual_ms = crawler.clock_ms().max(1);
-    let wall_ms = (total_wall.elapsed_us() as f64 / 1000.0).max(0.001);
     let harvest_ratio = stats.stored_pages as f64 / stats.visited_urls.max(1) as f64;
     let report = json!({
         "scenario": "crawl",
@@ -238,24 +265,15 @@ pub fn run_crawl_scenario(mode: GateMode) -> ScenarioRun {
         "positively_classified": stats.positively_classified,
         "harvest_ratio": harvest_ratio,
         "urls_per_virtual_sec": stats.visited_urls as f64 * 1000.0 / virtual_ms as f64,
-        "urls_per_wall_sec": stats.visited_urls as f64 * 1000.0 / wall_ms,
-        "wall_ms": wall_ms,
         "stages": {
-            "learning": { "virtual_ms": learning_ms, "wall_ms": learn_wall_ms },
-            "harvest": {
-                "virtual_ms": virtual_ms.saturating_sub(learning_ms),
-                "wall_ms": harvest_wall_ms,
-            },
-            "index_build": { "wall_ms": index_wall_ms },
-            "queries": { "wall_us": query_wall_us, "hits": query_hits },
+            "learning": { "virtual_ms": learning_ms },
+            "harvest": { "virtual_ms": virtual_ms.saturating_sub(learning_ms) },
+            "queries": { "hits": query_hits },
         },
     });
     ScenarioRun {
         report,
-        evidence: DeterminismEvidence {
-            snapshot_json: registry.snapshot().deterministic().to_json(),
-            events_jsonl: events.to_jsonl(),
-        },
+        evidence: DeterminismEvidence::capture(&registry, &events),
     }
 }
 
@@ -269,32 +287,15 @@ pub fn run_classify_scenario(mode: GateMode) -> ScenarioRun {
     let world = WorldConfig::portal(GATE_SEED, 200, 1).build();
     let registry = Arc::new(Registry::new());
     let events = Arc::new(EventLog::default());
-    let mut engine = BingoEngine::new(EngineConfig::default());
-    engine.set_telemetry(EngineTelemetry::new(registry.clone(), events.clone()));
-
-    // One engine topic per synthetic true topic 0/1/2.
-    let names = ["database research", "data mining", "web ir"];
-    let mut topics: Vec<(TopicId, u32)> = Vec::new();
-    for (true_topic, name) in names.iter().enumerate() {
-        let t = engine.add_topic(TopicTree::ROOT, name);
-        topics.push((t, true_topic as u32));
-    }
-    for &(topic, true_topic) in &topics {
-        for id in held_out(&world, true_topic, 0, train_n) {
-            engine
-                .add_training_url(&world, topic, &world.url_of(id))
-                .expect("training page");
-        }
-    }
-    crate::populate_others(&mut engine, &world, &[3, 4], 20);
-    let train_wall = WallTimer::start();
-    engine.train().expect("training");
-    let train_wall_ms = train_wall.elapsed_us() as f64 / 1000.0;
+    let (mut engine, topics) = three_topic_engine(
+        &world,
+        train_n,
+        EngineTelemetry::new(registry.clone(), events.clone()),
+    );
 
     // Held-out evaluation: macro-F1 over the three topics.
     let mut per_class: Vec<(usize, usize, usize)> = vec![(0, 0, 0); topics.len()]; // (tp, fp, fn)
     let mut evaluated = 0usize;
-    let classify_wall = WallTimer::start();
     for (class_idx, &(_, true_topic)) in topics.iter().enumerate() {
         for id in held_out(&world, true_topic, train_n, eval_n) {
             let Ok((_, _, features)) = engine.analyze_url(&world, &world.url_of(id)) else {
@@ -315,7 +316,6 @@ pub fn run_classify_scenario(mode: GateMode) -> ScenarioRun {
             }
         }
     }
-    let classify_wall_ms = (classify_wall.elapsed_us() as f64 / 1000.0).max(0.001);
 
     let f1s: Vec<f64> = per_class
         .iter()
@@ -335,59 +335,29 @@ pub fn run_classify_scenario(mode: GateMode) -> ScenarioRun {
         "evaluated": evaluated,
         "macro_f1": macro_f1,
         "per_class_f1": f1s,
-        "docs_per_wall_sec": evaluated as f64 * 1000.0 / classify_wall_ms,
-        "stages": {
-            "train": { "wall_ms": train_wall_ms },
-            "classify": { "wall_ms": classify_wall_ms },
-        },
     });
     ScenarioRun {
         report,
-        evidence: DeterminismEvidence {
-            snapshot_json: registry.snapshot().deterministic().to_json(),
-            events_jsonl: events.to_jsonl(),
-        },
+        evidence: DeterminismEvidence::capture(&registry, &events),
     }
 }
 
 /// Run the pipeline scenario once: a fixed healthy URL set pushed
-/// through the staged batch pipeline by the real-thread executor with
-/// the engine's batch classifier judging every document.
-///
-/// Two legs share one trained engine and URL list:
-///
-/// * **single-thread** — runs against the scenario registry; its
-///   deterministic telemetry is the determinism evidence and its
-///   document/classification/link-row counts gate tightly (they can
-///   only change when pipeline behavior changes),
-/// * **multi-thread** — runs against a throwaway registry (batch
-///   partitioning across workers is scheduling-dependent, so its
-///   histograms may not replay); only its wall-clock throughput is
-///   gated, loosely.
+/// through the staged batch pipeline by the real-thread executor on one
+/// thread, with the engine's batch classifier judging every document.
+/// The document/classification/link-row counts gate tightly (they can
+/// only change when pipeline behavior changes). That N threads store
+/// the same documents is asserted by
+/// `threaded::tests::flat_run_stores_all_unique_healthy_urls` and
+/// `tests/equivalence.rs`; what N threads buy is `pipeline_mt` in
+/// `benchmark/`.
 pub fn run_pipeline_scenario(mode: GateMode) -> ScenarioRun {
-    let (authors, noise_scale, train_n, urls_n, threads) = match mode {
-        GateMode::Full => (300usize, 2usize, 12usize, 800usize, 8usize),
-        GateMode::Smoke => (120, 1, 8, 300, 4),
+    let (authors, noise_scale, train_n, urls_n) = match mode {
+        GateMode::Full => (300usize, 2usize, 12usize, 800usize),
+        GateMode::Smoke => (120, 1, 8, 300),
     };
     let world = Arc::new(WorldConfig::portal(GATE_SEED, authors, noise_scale).build());
-
-    // Three-topic engine, trained exactly like the classify scenario.
-    let mut engine = BingoEngine::new(EngineConfig::default());
-    let names = ["database research", "data mining", "web ir"];
-    let mut topics: Vec<(TopicId, u32)> = Vec::new();
-    for (true_topic, name) in names.iter().enumerate() {
-        let t = engine.add_topic(TopicTree::ROOT, name);
-        topics.push((t, true_topic as u32));
-    }
-    for &(topic, true_topic) in &topics {
-        for id in held_out(&world, true_topic, 0, train_n) {
-            engine
-                .add_training_url(&world, topic, &world.url_of(id))
-                .expect("training page");
-        }
-    }
-    crate::populate_others(&mut engine, &world, &[3, 4], 20);
-    engine.train().expect("training");
+    let (mut engine, _) = three_topic_engine(&world, train_n, EngineTelemetry::default());
 
     // Fixed work list: the first N pages that fetch cleanly (no
     // truncation, redirects or scripted host faults).
@@ -401,68 +371,36 @@ pub fn run_pipeline_scenario(mode: GateMode) -> ScenarioRun {
         .take(urls_n)
         .map(|id| (world.url_of(id), None))
         .collect();
+    let url_count = urls.len();
 
-    // Single-thread leg: deterministic counters + evidence.
     let registry = Arc::new(Registry::new());
     let events = Arc::new(EventLog::default());
     engine.set_telemetry(EngineTelemetry::new(registry.clone(), events.clone()));
     let telemetry = CrawlTelemetry::new(registry.clone(), events.clone());
-    let det_store = DocumentStore::new();
-    let det_vocab = SharedVocabulary::seeded(&engine.vocab);
-    let single_wall = WallTimer::start();
-    let det_report = {
-        let judge = engine.batch_classifier();
-        run_pipeline(
-            Arc::clone(&world),
-            det_store.clone(),
-            urls.clone(),
-            &det_vocab,
-            &judge,
-            &telemetry,
-            &PipelineOptions::flat(1, 64),
-        )
-    };
-    let single_wall_ms = (single_wall.elapsed_us() as f64 / 1000.0).max(0.001);
-    let evidence = DeterminismEvidence {
-        snapshot_json: registry.snapshot().deterministic().to_json(),
-        events_jsonl: events.to_jsonl(),
-    };
-
-    // Multi-thread leg: wall throughput only, telemetry discarded.
-    engine.set_telemetry(EngineTelemetry::default());
-    let mt_store = DocumentStore::new();
-    let mt_vocab = SharedVocabulary::seeded(&engine.vocab);
-    let mt_wall = WallTimer::start();
-    let mt_report = {
-        let judge = engine.batch_classifier();
-        run_pipeline(
-            Arc::clone(&world),
-            mt_store,
-            urls.clone(),
-            &mt_vocab,
-            &judge,
-            &CrawlTelemetry::default(),
-            &PipelineOptions::flat(threads, 64),
-        )
-    };
-    let mt_wall_ms = (mt_wall.elapsed_us() as f64 / 1000.0).max(0.001);
+    let store = DocumentStore::new();
+    let vocab = SharedVocabulary::seeded(&engine.vocab);
+    let judge = engine.batch_classifier();
+    let run = run_pipeline(
+        Arc::clone(&world),
+        store.clone(),
+        urls,
+        &vocab,
+        &judge,
+        &telemetry,
+        &PipelineOptions::flat(1, 64),
+    );
 
     let report = json!({
         "scenario": "pipeline",
-        "urls": urls.len(),
-        "documents": det_report.documents,
-        "positively_classified": det_report.stats.positively_classified,
-        "link_rows": det_store.link_count(),
-        "threads": threads,
-        "mt_documents": mt_report.documents,
-        "docs_per_minute_1t": det_report.docs_per_minute,
-        "docs_per_minute": mt_report.docs_per_minute,
-        "stages": {
-            "single_thread": { "wall_ms": single_wall_ms },
-            "multi_thread": { "wall_ms": mt_wall_ms },
-        },
+        "urls": url_count,
+        "documents": run.documents,
+        "positively_classified": run.stats.positively_classified,
+        "link_rows": store.link_count(),
     });
-    ScenarioRun { report, evidence }
+    ScenarioRun {
+        report,
+        evidence: DeterminismEvidence::capture(&registry, &events),
+    }
 }
 
 /// Run the recovery scenario once: crash-consistent checkpointing end
@@ -471,8 +409,8 @@ pub fn run_pipeline_scenario(mode: GateMode) -> ScenarioRun {
 /// crash); recovery rolls back to the newest complete generation, and
 /// the resumed crawl finishes the same virtual budget as an
 /// uninterrupted reference run. Gated: post-resume harvest ratio and
-/// stored-page count (deterministic) plus the recovery wall time
-/// (loose gross-regression backstop).
+/// stored-page count. How long the rollback takes is `recovery_s` of
+/// the `scale_durable` workload in `benchmark/`.
 pub fn run_recovery_scenario(mode: GateMode) -> ScenarioRun {
     let (budget_ms, ckpt_every) = match mode {
         GateMode::Full => (140_000u64, 25u64),
@@ -487,7 +425,6 @@ pub fn run_recovery_scenario(mode: GateMode) -> ScenarioRun {
         max_depth: 0,
         ..CrawlConfig::default()
     };
-    let total_wall = WallTimer::start();
 
     // Uninterrupted reference run.
     let mut reference = Crawler::new(world.clone(), base_config.clone(), DocumentStore::new());
@@ -502,11 +439,10 @@ pub fn run_recovery_scenario(mode: GateMode) -> ScenarioRun {
 
     // Doomed run: automatic checkpoints, killed at half the reference
     // harvest partway through its next checkpoint write.
-    let dir = std::env::temp_dir().join(format!("bingo-bench-recovery-{}", mode.key()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir(&format!("recovery-{}", mode.key()));
     let ckpt_config = CrawlConfig {
         checkpoint_every_docs: ckpt_every,
-        checkpoint_dir: Some(dir.clone()),
+        checkpoint_dir: Some(dir.to_path_buf()),
         ..base_config.clone()
     };
     {
@@ -524,19 +460,17 @@ pub fn run_recovery_scenario(mode: GateMode) -> ScenarioRun {
             "recovery scenario wrote no checkpoint before the kill"
         );
         let fs = CrashFs::with_budget(1024);
-        let _ = doomed.save_session_with(&fs, &dir); // dies mid-write
+        let _ = doomed.save_session_with(&fs, &*dir); // dies mid-write
     }
 
-    // Timed recovery: roll back to the newest complete generation.
+    // Recovery: roll back to the newest complete generation.
     let resume_config = CrawlConfig {
         checkpoint_every_docs: 0,
         checkpoint_dir: None,
         ..base_config
     };
-    let recovery_wall = WallTimer::start();
-    let mut resumed = Crawler::resume_session(world.clone(), resume_config, &dir)
+    let mut resumed = Crawler::resume_session(world.clone(), resume_config, &*dir)
         .expect("recovery from crashed checkpoint");
-    let recovery_wall_ms = (recovery_wall.elapsed_us() as f64 / 1000.0).max(0.001);
     let stored_recovered = resumed.stats().stored_pages;
 
     // The resumed leg finishes the budget under the scenario registry:
@@ -552,7 +486,6 @@ pub fn run_recovery_scenario(mode: GateMode) -> ScenarioRun {
     let stats = resumed.stats().clone();
     let harvest_ratio = stats.stored_pages as f64 / stats.visited_urls.max(1) as f64;
     let ratio_drift = (harvest_ratio - ref_ratio).abs() / ref_ratio.max(1e-9);
-    let _ = std::fs::remove_dir_all(&dir);
 
     let report = json!({
         "scenario": "recovery",
@@ -562,15 +495,10 @@ pub fn run_recovery_scenario(mode: GateMode) -> ScenarioRun {
         "harvest_ratio": harvest_ratio,
         "harvest_ratio_reference": ref_ratio,
         "ratio_drift": ratio_drift,
-        "recovery_wall_ms": recovery_wall_ms,
-        "wall_ms": total_wall.elapsed_us() as f64 / 1000.0,
     });
     ScenarioRun {
         report,
-        evidence: DeterminismEvidence {
-            snapshot_json: registry.snapshot().deterministic().to_json(),
-            events_jsonl: events.to_jsonl(),
-        },
+        evidence: DeterminismEvidence::capture(&registry, &events),
     }
 }
 
@@ -585,39 +513,33 @@ const SERVE_POOLS: &[&[&str]] = &[
 /// Run the serve scenario once: the portal serving layer under live
 /// crawl writes.
 ///
-/// Two legs share one world and one seeded [`QueryMix`]:
+/// A discrete-event crawl feeds the snapshot-swap [`LiveIndex`] through
+/// the store tee while a [`VirtualLoadGen`] issues closed-loop portal
+/// requests on the *virtual* clock between crawler steps. Request/hit
+/// counts and the serve/index telemetry are the determinism evidence.
+/// Afterwards the final snapshot must answer a fixed query prefix
+/// *identically* (ids and bit-exact scores) to a batch
+/// [`InvertedIndex::build`] over the final store — the
+/// snapshot-consistency contract, gated as `equivalence_ok`.
 ///
-/// * **deterministic** — a discrete-event crawl feeds the snapshot-swap
-///   [`LiveIndex`] through the store tee while a [`VirtualLoadGen`]
-///   issues closed-loop portal requests on the *virtual* clock between
-///   crawler steps. Request/hit counts and the serve/index telemetry
-///   are the determinism evidence. Afterwards the final snapshot must
-///   answer a fixed query prefix *identically* (ids and bit-exact
-///   scores) to a batch [`InvertedIndex::build`] over the final store —
-///   the snapshot-consistency contract, gated as `equivalence_ok`.
-/// * **concurrent** — real reader threads drive the
-///   [`PortalService`] closed-loop while the threaded pipeline executor
-///   bulk-loads the same fixed URL set into the teed store; readers keep
-///   issuing until the crawl finishes, so query traffic spans the whole
-///   write phase. Gated loosely: QPS and p50/p99 latency (wall metrics).
+/// Readers racing real commit threads are asserted by
+/// `search::live::tests::concurrent_writers_and_readers`; query latency
+/// and throughput beside a live crawl are the `serve_live` workload in
+/// `benchmark/`.
 pub fn run_serve_scenario(mode: GateMode) -> ScenarioRun {
-    let (authors, noise_scale, budget_ms, clients, urls_n, crawl_threads, serve_threads, target) =
-        match mode {
-            GateMode::Full => (
-                300usize, 2usize, 120_000u64, 6usize, 800usize, 8usize, 4usize, 12_000u64,
-            ),
-            GateMode::Smoke => (120, 1, 40_000, 3, 300, 4, 3, 1_500),
-        };
+    let (authors, noise_scale, budget_ms, clients) = match mode {
+        GateMode::Full => (300usize, 2usize, 120_000u64, 6usize),
+        GateMode::Smoke => (120, 1, 40_000, 3),
+    };
     let world = Arc::new(WorldConfig::portal(GATE_SEED, authors, noise_scale).build());
     let accept = |_: &AnalyzedDocument, _: &PageContext| Judgment {
         topic: Some(0),
         confidence: 1.0,
     };
     let mix = QueryMix::from_lexicons(GATE_SEED, SERVE_POOLS, &[0], 64);
-    let total_wall = WallTimer::start();
 
-    // Deterministic leg: discrete-event crawl + virtual-clock load
-    // generator, every serve metric on the scenario registry.
+    // Discrete-event crawl + virtual-clock load generator, every serve
+    // metric on the scenario registry.
     let registry = Arc::new(Registry::new());
     let events = Arc::new(EventLog::default());
     let live = LiveIndex::new(32).with_obs(LiveIndexObs::new(&registry));
@@ -631,7 +553,6 @@ pub fn run_serve_scenario(mode: GateMode) -> ScenarioRun {
     }
     let mut generator = VirtualLoadGen::new(mix.clone(), clients, (40, 160), GATE_SEED);
     let mut reader = service.reader();
-    let det_wall = WallTimer::start();
     {
         let mut judge = accept;
         let mut vocab = Vocabulary::new();
@@ -679,60 +600,7 @@ pub fn run_serve_scenario(mode: GateMode) -> ScenarioRun {
                     .zip(&full)
                     .all(|(a, b)| a.doc_id == b.doc_id && a.score.to_bits() == b.score.to_bits());
         }
-        let det_wall_ms = (det_wall.elapsed_us() as f64 / 1000.0).max(0.001);
         let stats = crawler.stats().clone();
-        let evidence = DeterminismEvidence {
-            snapshot_json: registry.snapshot().deterministic().to_json(),
-            events_jsonl: events.to_jsonl(),
-        };
-
-        // Concurrent leg: threaded crawl bulk-loads the teed store while
-        // real reader threads hammer the service. Telemetry is throwaway
-        // (thread scheduling skews histograms); only wall QPS/latency
-        // are reported.
-        let urls: Vec<(String, Option<u32>)> = (0..world.page_count() as u64)
-            .filter(|&id| {
-                let page = world.page(id);
-                page.size_hint.is_none()
-                    && page.redirect_to.is_none()
-                    && world.host(page.host).behavior == HostBehavior::Normal
-            })
-            .take(urls_n)
-            .map(|id| (world.url_of(id), None))
-            .collect();
-        let mt_live = LiveIndex::new(32);
-        let mt_store = DocumentStore::new().with_tee(Arc::new(mt_live.clone()));
-        let mt_vocab = SharedVocabulary::new();
-        let mt_service = PortalService::new(mt_store.clone(), mt_live.clone());
-        let crawl_active = AtomicBool::new(true);
-        let mt_wall = WallTimer::start();
-        let (mt_report, load) = std::thread::scope(|s| {
-            let crawl = s.spawn(|| {
-                let report = run_pipeline(
-                    Arc::clone(&world),
-                    mt_store.clone(),
-                    urls.clone(),
-                    &mt_vocab,
-                    &accept,
-                    &CrawlTelemetry::default(),
-                    &PipelineOptions::flat(crawl_threads, 64),
-                );
-                crawl_active.store(false, Ordering::Relaxed);
-                report
-            });
-            let load = run_closed_loop(
-                &mt_service,
-                &mt_vocab,
-                &mix,
-                serve_threads,
-                target,
-                Some(&crawl_active),
-            );
-            (crawl.join().expect("crawl thread"), load)
-        });
-        let mt_wall_ms = (mt_wall.elapsed_us() as f64 / 1000.0).max(0.001);
-        mt_live.commit();
-
         let report = json!({
             "scenario": "serve",
             "virtual_ms": crawler.clock_ms(),
@@ -743,26 +611,11 @@ pub fn run_serve_scenario(mode: GateMode) -> ScenarioRun {
             "max_epoch_seen": generator.max_epoch(),
             "equivalence_ok": u64::from(equivalent),
             "equivalence_queries": eq_queries,
-            "threads": { "crawl": crawl_threads, "serve": serve_threads },
-            "mt_documents": mt_report.documents,
-            "mt_issued": load.issued,
-            "mt_during_crawl": load.during_crawl,
-            "mt_query_hits": load.query_hits,
-            "mt_max_epoch": load.max_epoch,
-            "qps": load.qps,
-            // Floored at 1µs: sub-microsecond percentiles would bake a
-            // zero bound into the baseline that no slower machine could
-            // ever meet.
-            "p50_us": load.p50_us.max(1),
-            "p90_us": load.p90_us.max(1),
-            "p99_us": load.p99_us.max(1),
-            "wall_ms": total_wall.elapsed_us() as f64 / 1000.0,
-            "stages": {
-                "deterministic": { "wall_ms": det_wall_ms },
-                "concurrent": { "wall_ms": mt_wall_ms },
-            },
         });
-        ScenarioRun { report, evidence }
+        ScenarioRun {
+            report,
+            evidence: DeterminismEvidence::capture(&registry, &events),
+        }
     }
 }
 
@@ -926,13 +779,10 @@ pub fn run_scale10m_scenario(mode: GateMode) -> ScenarioRun {
 }
 
 fn run_scale_with(params: ScaleParams) -> ScenarioRun {
-    let total_wall = WallTimer::start();
     let world = Arc::new(World::paged(params.paged));
     let pages = world.page_count() as u64;
 
-    let scratch = std::env::temp_dir().join(format!("bingo-bench-scale-{}", params.tag));
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&scratch).expect("scale scratch dir");
+    let scratch = scratch_dir(&format!("scale-{}", params.tag));
     let store = DocumentStore::segmented_cfg(
         scratch.join("segments"),
         SegmentStoreConfig {
@@ -963,7 +813,6 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
     crawler.set_telemetry(CrawlTelemetry::new(registry.clone(), events.clone()));
     crawler.add_seed(&world.url_of(0), Some(0));
     let mut spilled_peak = 0usize;
-    let crawl_wall = WallTimer::start();
     {
         let mut judge = |_: &AnalyzedDocument, _: &PageContext| Judgment {
             topic: Some(0),
@@ -977,10 +826,7 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
             spilled_peak = spilled_peak.max(crawler.frontier_spilled_len());
         }
     }
-    let crawl_wall_ms = (crawl_wall.elapsed_us() as f64 / 1000.0).max(0.001);
-    let seal_wall = WallTimer::start();
     store.seal_now().expect("final seal");
-    let seal_wall_ms = seal_wall.elapsed_us() as f64 / 1000.0;
     let compaction = store.compaction_stats();
     let mut last_compaction = CompactionStats::default();
     compaction_tel.record(&compaction, &mut last_compaction);
@@ -992,7 +838,6 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
 
     let stats = crawler.stats().clone();
     let virtual_ms = crawler.clock_ms().max(1);
-    let wall_ms = (total_wall.elapsed_us() as f64 / 1000.0).max(0.001);
     let report = json!({
         "scenario": params.name,
         "world_pages": pages,
@@ -1002,7 +847,6 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
         "coverage": stats.visited_urls as f64 / pages as f64,
         "virtual_ms": virtual_ms,
         "urls_per_virtual_sec": stats.visited_urls as f64 * 1000.0 / virtual_ms as f64,
-        "urls_per_wall_sec": stats.visited_urls as f64 * 1000.0 / wall_ms,
         "segments_sealed": store.segment_count(),
         "sealed_documents": store.sealed_documents(),
         "workspace_documents": store.workspace_documents(),
@@ -1028,19 +872,10 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
         "rss_growth_mb": rss_growth_mb,
         "rss_budget_mb": params.rss_budget_mb,
         "rss_within_budget": u64::from(rss_growth_mb <= params.rss_budget_mb),
-        "wall_ms": wall_ms,
-        "stages": {
-            "crawl": { "wall_ms": crawl_wall_ms },
-            "final_seal": { "wall_ms": seal_wall_ms },
-        },
     });
-    let _ = std::fs::remove_dir_all(&scratch);
     ScenarioRun {
         report,
-        evidence: DeterminismEvidence {
-            snapshot_json: registry.snapshot().deterministic().to_json(),
-            events_jsonl: events.to_jsonl(),
-        },
+        evidence: DeterminismEvidence::capture(&registry, &events),
     }
 }
 
@@ -1055,8 +890,7 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
 ///   (whole-node kills and stalls), interrupted by a whole-process
 ///   kill at a virtual-time budget,
 /// * **resume** — recovery from the newest crash-consistent multi-node
-///   generation (timed as `recovery_wall_ms`), the fault plan
-///   reinstalled, and the crawl drained.
+///   generation, the fault plan reinstalled, and the crawl drained.
 ///
 /// Gated: the chaos run must converge to exactly the calm page set
 /// (`converged`, exact — the acceptance criterion "calm contents minus
@@ -1067,7 +901,8 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
 /// reported, not gated: re-stores after node kills inflate the chaos
 /// counters — the within-2%-of-uninterrupted contract is asserted on
 /// clean counters in `crates/dist/tests/dist_chaos.rs`), and the
-/// resume path gets a loose wall-time backstop.
+/// deterministic size of the resume's work (completed items `replayed`
+/// after a node died before a cut, `snapshots` committed) must not grow.
 pub fn run_dist_scenario(mode: GateMode) -> ScenarioRun {
     let (nodes, page_scale, interrupt_ms) = match mode {
         GateMode::Full => (4usize, 3usize, 5_000u64),
@@ -1092,7 +927,6 @@ pub fn run_dist_scenario(mode: GateMode) -> ScenarioRun {
     let registry = Arc::new(Registry::new());
     let events = Arc::new(EventLog::default());
     let telemetry = DistTelemetry::new(registry.clone(), events.clone());
-    let total_wall = WallTimer::start();
 
     let dist_config = |dir: &Path| {
         let mut config = DistConfig::new(nodes, dir);
@@ -1124,48 +958,37 @@ pub fn run_dist_scenario(mode: GateMode) -> ScenarioRun {
     };
 
     // Calm leg: the reference page set and harvest ratio.
-    let calm_dir = std::env::temp_dir().join(format!("bingo-bench-dist-calm-{}", mode.key()));
-    let _ = std::fs::remove_dir_all(&calm_dir);
-    let calm_wall = WallTimer::start();
+    let calm_dir = scratch_dir(&format!("dist-calm-{}", mode.key()));
     let mut calm = seed_coordinator(&calm_dir, &telemetry);
     let calm_stats = calm.run(10_000_000).expect("calm dist run");
-    let calm_wall_ms = (calm_wall.elapsed_us() as f64 / 1000.0).max(0.001);
     let calm_ids = page_ids(&calm);
     let calm_visited = calm_stats.fetch_ok + calm_stats.fetch_err + calm_stats.redirects;
     let calm_ratio = calm_stats.stored as f64 / calm_visited.max(1) as f64;
 
     // Chaos leg: scripted node kills/stalls, then the whole process
     // dies at a virtual-time budget.
-    let chaos_dir = std::env::temp_dir().join(format!("bingo-bench-dist-chaos-{}", mode.key()));
-    let _ = std::fs::remove_dir_all(&chaos_dir);
+    let chaos_dir = scratch_dir(&format!("dist-chaos-{}", mode.key()));
     let plan = NodeFaultPlan::generate(GATE_SEED, nodes, &NodeFaultProfile::chaos());
     assert!(!plan.is_empty(), "chaos profile must script node faults");
-    let chaos_wall = WallTimer::start();
     let mut doomed = seed_coordinator(&chaos_dir, &telemetry);
     doomed.install_faults(plan.clone());
     doomed.run(interrupt_ms).expect("interrupted dist run");
     drop(doomed); // process killed; the cut on disk is the survivor
 
-    // Resume leg: recover the newest complete multi-node generation
-    // (timed), reinstall the plan, drain the crawl.
-    let recovery_wall = WallTimer::start();
+    // Resume leg: recover the newest complete multi-node generation,
+    // reinstall the plan, drain the crawl.
     let mut resumed = Coordinator::resume(world.clone(), judge.clone(), dist_config(&chaos_dir))
         .expect("dist resume from committed cut");
-    let recovery_wall_ms = (recovery_wall.elapsed_us() as f64 / 1000.0).max(0.001);
     resumed.set_telemetry(telemetry.clone());
     resumed.install_faults(plan);
     let final_stats = resumed.run(10_000_000).expect("resumed dist run");
-    let chaos_wall_ms = (chaos_wall.elapsed_us() as f64 / 1000.0).max(0.001);
     let chaos_ids = page_ids(&resumed);
     let queue_stats = resumed.queue_stats();
     let visited = final_stats.fetch_ok + final_stats.fetch_err + final_stats.redirects;
     let harvest_ratio = final_stats.stored as f64 / visited.max(1) as f64;
     let ratio_drift = (harvest_ratio - calm_ratio).abs() / calm_ratio.max(1e-9);
     let converged = u64::from(chaos_ids == calm_ids);
-    let _ = std::fs::remove_dir_all(&calm_dir);
-    let _ = std::fs::remove_dir_all(&chaos_dir);
 
-    let wall_ms = (total_wall.elapsed_us() as f64 / 1000.0).max(0.001);
     let report = json!({
         "scenario": "dist",
         "nodes": nodes,
@@ -1184,363 +1007,142 @@ pub fn run_dist_scenario(mode: GateMode) -> ScenarioRun {
         "requeued": queue_stats.requeued,
         "quarantined": queue_stats.quarantined,
         "snapshots": final_stats.snapshots,
-        "recovery_wall_ms": recovery_wall_ms,
-        "wall_ms": wall_ms,
-        "stages": {
-            "calm": { "wall_ms": calm_wall_ms },
-            "chaos": { "wall_ms": chaos_wall_ms },
-        },
     });
     ScenarioRun {
         report,
-        evidence: DeterminismEvidence {
-            snapshot_json: registry.snapshot().deterministic().to_json(),
-            events_jsonl: events.to_jsonl(),
-        },
+        evidence: DeterminismEvidence::capture(&registry, &events),
     }
 }
 
 /// How one metric of a scenario report is gated.
 #[derive(Debug, Clone, Copy)]
 pub struct MetricSpec {
-    /// Dot path into the report (`stages.train.wall_ms`).
+    /// Dot path into the report (`stages.queries.hits`).
     pub path: &'static str,
     /// `true`: regression = value below baseline; `false`: above.
     pub higher_is_better: bool,
     /// Relative tolerance before the gate fails.
     pub rel_tol: f64,
-    /// Wall-clock metric: expectation is scaled by the CPU calibration
-    /// ratio and the tolerance is a gross-regression backstop.
-    pub wall: bool,
 }
 
-/// Gated metrics of the crawl scenario.
-pub const CRAWL_SPECS: &[MetricSpec] = &[
-    MetricSpec {
-        path: "urls_per_virtual_sec",
-        higher_is_better: true,
-        rel_tol: 0.10,
-        wall: false,
-    },
-    MetricSpec {
-        path: "harvest_ratio",
-        higher_is_better: true,
-        rel_tol: 0.10,
-        wall: false,
-    },
-    MetricSpec {
-        path: "stored_pages",
-        higher_is_better: true,
-        rel_tol: 0.10,
-        wall: false,
-    },
-    MetricSpec {
-        path: "urls_per_wall_sec",
-        higher_is_better: true,
-        rel_tol: 0.50,
-        wall: true,
-    },
+impl MetricSpec {
+    /// The value may fall at most `rel_tol` below the baseline.
+    pub const fn at_least(path: &'static str, rel_tol: f64) -> Self {
+        MetricSpec {
+            path,
+            higher_is_better: true,
+            rel_tol,
+        }
+    }
+
+    /// The value may rise at most `rel_tol` above the baseline.
+    pub const fn at_most(path: &'static str, rel_tol: f64) -> Self {
+        MetricSpec {
+            path,
+            higher_is_better: false,
+            rel_tol,
+        }
+    }
+}
+
+const CRAWL_SPECS: &[MetricSpec] = &[
+    MetricSpec::at_least("urls_per_virtual_sec", 0.10),
+    MetricSpec::at_least("harvest_ratio", 0.10),
+    MetricSpec::at_least("stored_pages", 0.10),
 ];
 
-/// Gated metrics of the classify scenario.
-pub const CLASSIFY_SPECS: &[MetricSpec] = &[
-    MetricSpec {
-        path: "macro_f1",
-        higher_is_better: true,
-        rel_tol: 0.05,
-        wall: false,
-    },
-    MetricSpec {
-        path: "docs_per_wall_sec",
-        higher_is_better: true,
-        rel_tol: 0.50,
-        wall: true,
-    },
+const CLASSIFY_SPECS: &[MetricSpec] = &[MetricSpec::at_least("macro_f1", 0.05)];
+
+const PIPELINE_SPECS: &[MetricSpec] = &[
+    MetricSpec::at_least("documents", 0.02),
+    MetricSpec::at_least("positively_classified", 0.05),
+    MetricSpec::at_least("link_rows", 0.05),
 ];
 
-/// Gated metrics of the pipeline scenario. Counts come from the
-/// single-thread leg (deterministic); wall throughput from the
-/// multi-thread leg.
-pub const PIPELINE_SPECS: &[MetricSpec] = &[
-    MetricSpec {
-        path: "documents",
-        higher_is_better: true,
-        rel_tol: 0.02,
-        wall: false,
-    },
-    MetricSpec {
-        path: "positively_classified",
-        higher_is_better: true,
-        rel_tol: 0.05,
-        wall: false,
-    },
-    MetricSpec {
-        path: "link_rows",
-        higher_is_better: true,
-        rel_tol: 0.05,
-        wall: false,
-    },
-    MetricSpec {
-        path: "docs_per_minute",
-        higher_is_better: true,
-        rel_tol: 0.50,
-        wall: true,
-    },
+const RECOVERY_SPECS: &[MetricSpec] = &[
+    MetricSpec::at_least("harvest_ratio", 0.10),
+    MetricSpec::at_least("stored_resumed", 0.05),
 ];
 
-/// Gated metrics of the recovery scenario. Harvest ratio and stored
-/// pages are deterministic; the recovery wall time is a loose backstop
-/// against the resume path getting pathologically slow.
-pub const RECOVERY_SPECS: &[MetricSpec] = &[
-    MetricSpec {
-        path: "harvest_ratio",
-        higher_is_better: true,
-        rel_tol: 0.10,
-        wall: false,
-    },
-    MetricSpec {
-        path: "stored_resumed",
-        higher_is_better: true,
-        rel_tol: 0.05,
-        wall: false,
-    },
-    MetricSpec {
-        path: "recovery_wall_ms",
-        higher_is_better: false,
-        rel_tol: 1.0,
-        wall: true,
-    },
+/// `equivalence_ok` is the snapshot-consistency contract and admits no
+/// tolerance.
+const SERVE_SPECS: &[MetricSpec] = &[
+    MetricSpec::at_least("queries_issued", 0.02),
+    MetricSpec::at_least("query_hits", 0.10),
+    MetricSpec::at_least("stored_pages", 0.10),
+    MetricSpec::at_least("epochs", 0.10),
+    MetricSpec::at_least("equivalence_ok", 0.0),
 ];
 
-/// Gated metrics of the serve scenario. Request/hit counts and the
-/// batch-equivalence bit come from the deterministic leg (exact replay,
-/// tight tolerances — `equivalence_ok` admits none); QPS and latency
-/// percentiles come from the concurrent leg and gate loosely as
-/// calibration-scaled wall metrics.
-pub const SERVE_SPECS: &[MetricSpec] = &[
-    MetricSpec {
-        path: "queries_issued",
-        higher_is_better: true,
-        rel_tol: 0.02,
-        wall: false,
-    },
-    MetricSpec {
-        path: "query_hits",
-        higher_is_better: true,
-        rel_tol: 0.10,
-        wall: false,
-    },
-    MetricSpec {
-        path: "stored_pages",
-        higher_is_better: true,
-        rel_tol: 0.10,
-        wall: false,
-    },
-    MetricSpec {
-        path: "epochs",
-        higher_is_better: true,
-        rel_tol: 0.10,
-        wall: false,
-    },
-    MetricSpec {
-        path: "equivalence_ok",
-        higher_is_better: true,
-        rel_tol: 0.0,
-        wall: false,
-    },
-    MetricSpec {
-        // Concurrent-leg QPS swings with runner contention (the crawl
-        // threads compete with the readers); this is a collapse
-        // detector, not a throughput benchmark.
-        path: "qps",
-        higher_is_better: true,
-        rel_tol: 0.75,
-        wall: true,
-    },
-    MetricSpec {
-        path: "p50_us",
-        higher_is_better: false,
-        rel_tol: 2.0,
-        wall: true,
-    },
-    MetricSpec {
-        path: "p99_us",
-        higher_is_better: false,
-        rel_tol: 3.0,
-        wall: true,
-    },
+/// `rss_within_budget` is the memory-bounded contract itself (the
+/// crawl's RSS growth stayed inside the fixed per-mode budget — no
+/// tolerance).
+const SCALE_SPECS: &[MetricSpec] = &[
+    MetricSpec::at_least("coverage", 0.02),
+    MetricSpec::at_least("stored_pages", 0.05),
+    MetricSpec::at_least("harvest_ratio", 0.05),
+    MetricSpec::at_least("segments_sealed", 0.05),
+    MetricSpec::at_least("spill_active", 0.0),
+    MetricSpec::at_least("rss_within_budget", 0.0),
 ];
 
-/// Gated metrics of the scale scenario. Coverage, harvest and segment
-/// counts are deterministic and gate tightly; `rss_within_budget` is
-/// the memory-bounded contract itself (the crawl's RSS growth stayed
-/// inside the fixed per-mode budget — no tolerance); wall throughput
-/// is the usual loose calibration-scaled backstop.
-pub const SCALE_SPECS: &[MetricSpec] = &[
-    MetricSpec {
-        path: "coverage",
-        higher_is_better: true,
-        rel_tol: 0.02,
-        wall: false,
-    },
-    MetricSpec {
-        path: "stored_pages",
-        higher_is_better: true,
-        rel_tol: 0.05,
-        wall: false,
-    },
-    MetricSpec {
-        path: "harvest_ratio",
-        higher_is_better: true,
-        rel_tol: 0.05,
-        wall: false,
-    },
-    MetricSpec {
-        path: "segments_sealed",
-        higher_is_better: true,
-        rel_tol: 0.05,
-        wall: false,
-    },
-    MetricSpec {
-        path: "spill_active",
-        higher_is_better: true,
-        rel_tol: 0.0,
-        wall: false,
-    },
-    MetricSpec {
-        path: "rss_within_budget",
-        higher_is_better: true,
-        rel_tol: 0.0,
-        wall: false,
-    },
-    MetricSpec {
-        path: "urls_per_wall_sec",
-        higher_is_better: true,
-        rel_tol: 0.50,
-        wall: true,
-    },
+/// Everything the 1M scale scenario gates, plus the bounded-layer
+/// evidence — the duplicate filter actually spilled
+/// (`dedup_spill_active`, exact), it never hit an I/O error
+/// (`dedup_io_errors` must stay at the baseline's zero), and segment
+/// compaction performed at least the baseline's merge runs (exact; the
+/// smoke sizes guarantee runs > 0, full-size seals land on the seal
+/// threshold so full mode records 0 and trivially holds).
+const SCALE10M_SPECS: &[MetricSpec] = &[
+    MetricSpec::at_least("coverage", 0.02),
+    MetricSpec::at_least("stored_pages", 0.05),
+    MetricSpec::at_least("harvest_ratio", 0.05),
+    MetricSpec::at_least("segments_sealed", 0.05),
+    MetricSpec::at_least("spill_active", 0.0),
+    MetricSpec::at_least("dedup_spill_active", 0.0),
+    MetricSpec::at_most("dedup_io_errors", 0.0),
+    MetricSpec::at_least("compaction_runs", 0.0),
+    MetricSpec::at_least("rss_within_budget", 0.0),
 ];
 
-/// Gated metrics of the 10M scale scenario: everything the 1M scale
-/// scenario gates, plus the bounded-layer evidence — the duplicate
-/// filter actually spilled (`dedup_spill_active`, exact), it never hit
-/// an I/O error (`dedup_io_errors` must stay at the baseline's zero),
-/// and segment compaction performed at least the baseline's merge runs
-/// (exact; the smoke sizes guarantee runs > 0, full-size seals land on
-/// the seal threshold so full mode records 0 and trivially holds).
-pub const SCALE10M_SPECS: &[MetricSpec] = &[
-    MetricSpec {
-        path: "coverage",
-        higher_is_better: true,
-        rel_tol: 0.02,
-        wall: false,
-    },
-    MetricSpec {
-        path: "stored_pages",
-        higher_is_better: true,
-        rel_tol: 0.05,
-        wall: false,
-    },
-    MetricSpec {
-        path: "harvest_ratio",
-        higher_is_better: true,
-        rel_tol: 0.05,
-        wall: false,
-    },
-    MetricSpec {
-        path: "segments_sealed",
-        higher_is_better: true,
-        rel_tol: 0.05,
-        wall: false,
-    },
-    MetricSpec {
-        path: "spill_active",
-        higher_is_better: true,
-        rel_tol: 0.0,
-        wall: false,
-    },
-    MetricSpec {
-        path: "dedup_spill_active",
-        higher_is_better: true,
-        rel_tol: 0.0,
-        wall: false,
-    },
-    MetricSpec {
-        path: "dedup_io_errors",
-        higher_is_better: false,
-        rel_tol: 0.0,
-        wall: false,
-    },
-    MetricSpec {
-        path: "compaction_runs",
-        higher_is_better: true,
-        rel_tol: 0.0,
-        wall: false,
-    },
-    MetricSpec {
-        path: "rss_within_budget",
-        higher_is_better: true,
-        rel_tol: 0.0,
-        wall: false,
-    },
-    MetricSpec {
-        path: "urls_per_wall_sec",
-        higher_is_better: true,
-        rel_tol: 0.50,
-        wall: true,
-    },
+/// Convergence is the contract itself and admits no tolerance; the
+/// scripted kill/restart counts and the lease-requeue coverage are
+/// lower-bounded so the chaos leg cannot silently stop exercising
+/// recovery; the run may not replay more completed items nor commit
+/// more snapshots than the baseline did.
+const DIST_SPECS: &[MetricSpec] = &[
+    MetricSpec::at_least("converged", 0.0),
+    MetricSpec::at_least("stored_pages", 0.05),
+    MetricSpec::at_least("harvest_ratio", 0.05),
+    MetricSpec::at_least("kills", 0.0),
+    MetricSpec::at_least("restarts", 0.0),
+    MetricSpec::at_least("requeued", 0.25),
+    MetricSpec::at_most("replayed", 0.0),
+    MetricSpec::at_most("snapshots", 0.0),
 ];
 
-/// Gated metrics of the dist scenario. Convergence is the contract
-/// itself and admits no tolerance; the scripted kill/restart counts
-/// and the lease-requeue coverage are lower-bounded so the chaos leg
-/// cannot silently stop exercising recovery; harvest ratio and stored
-/// pages gate like every crawl; the resume wall time is a loose
-/// calibration-scaled backstop against the recovery path getting
-/// pathologically slow.
-pub const DIST_SPECS: &[MetricSpec] = &[
-    MetricSpec {
-        path: "converged",
-        higher_is_better: true,
-        rel_tol: 0.0,
-        wall: false,
-    },
-    MetricSpec {
-        path: "stored_pages",
-        higher_is_better: true,
-        rel_tol: 0.05,
-        wall: false,
-    },
-    MetricSpec {
-        path: "harvest_ratio",
-        higher_is_better: true,
-        rel_tol: 0.05,
-        wall: false,
-    },
-    MetricSpec {
-        path: "kills",
-        higher_is_better: true,
-        rel_tol: 0.0,
-        wall: false,
-    },
-    MetricSpec {
-        path: "restarts",
-        higher_is_better: true,
-        rel_tol: 0.0,
-        wall: false,
-    },
-    MetricSpec {
-        path: "requeued",
-        higher_is_better: true,
-        rel_tol: 0.25,
-        wall: false,
-    },
-    MetricSpec {
-        path: "recovery_wall_ms",
-        higher_is_better: false,
-        rel_tol: 1.0,
-        wall: true,
-    },
+/// One gated scenario: its name (also the baseline file stem), how to
+/// run it, and which report metrics gate against the baseline.
+pub struct Scenario {
+    /// Name on the command line and in `BENCH_<name>.json`.
+    pub name: &'static str,
+    /// Gated metrics.
+    pub specs: &'static [MetricSpec],
+    /// Run the scenario once.
+    pub run: fn(GateMode) -> ScenarioRun,
+}
+
+/// Every scenario, in run order.
+#[rustfmt::skip]
+pub const SCENARIOS: &[Scenario] = &[
+    Scenario { name: "crawl", specs: CRAWL_SPECS, run: run_crawl_scenario },
+    Scenario { name: "classify", specs: CLASSIFY_SPECS, run: run_classify_scenario },
+    Scenario { name: "pipeline", specs: PIPELINE_SPECS, run: run_pipeline_scenario },
+    Scenario { name: "recovery", specs: RECOVERY_SPECS, run: run_recovery_scenario },
+    Scenario { name: "serve", specs: SERVE_SPECS, run: run_serve_scenario },
+    Scenario { name: "scale", specs: SCALE_SPECS, run: run_scale_scenario },
+    Scenario { name: "scale10m", specs: SCALE10M_SPECS, run: run_scale10m_scenario },
+    Scenario { name: "dist", specs: DIST_SPECS, run: run_dist_scenario },
 ];
 
 /// Resolve a dot path inside a JSON value.
@@ -1565,14 +1167,10 @@ pub struct MetricDiff {
     pub baseline: Option<f64>,
     /// Value of the current run (`None`: missing from the report).
     pub actual: Option<f64>,
-    /// The pass bound after tolerance and calibration scaling.
+    /// The pass bound after tolerance.
     pub bound: f64,
     /// Direction of the bound.
     pub higher_is_better: bool,
-    /// Wall-clock metric (bound was calibration-scaled).
-    pub wall: bool,
-    /// Calibration ratio applied to wall bounds.
-    pub calib_scale: f64,
     /// Whether the metric passed.
     pub ok: bool,
 }
@@ -1590,16 +1188,11 @@ impl MetricDiff {
             ),
             (_, None) => format!("{}.{}: missing from current run", self.scenario, self.path),
             (Some(base), Some(cur)) => format!(
-                "{}.{}: {cur:.4} vs baseline {base:.4} (expected {} {:.4}{})",
+                "{}.{}: {cur:.4} vs baseline {base:.4} (expected {} {:.4})",
                 self.scenario,
                 self.path,
                 if self.higher_is_better { ">=" } else { "<=" },
                 self.bound,
-                if self.wall {
-                    format!(", calibration-scaled x{:.3}", self.calib_scale)
-                } else {
-                    String::new()
-                },
             ),
         })
     }
@@ -1615,13 +1208,12 @@ pub fn markdown_diff_table(diffs: &[MetricDiff]) -> String {
     let fmt = |v: Option<f64>| v.map_or("missing".to_string(), |x| format!("{x:.4}"));
     for d in diffs {
         out.push_str(&format!(
-            "| {}.{} | {} | {} | {:.4}{} | {} | {} |\n",
+            "| {}.{} | {} | {} | {:.4} | {} | {} |\n",
             d.scenario,
             d.path,
             fmt(d.baseline),
             fmt(d.actual),
             d.bound,
-            if d.wall { " (wall)" } else { "" },
             if d.higher_is_better { ">=" } else { "<=" },
             if d.ok { "ok" } else { "FAIL" },
         ));
@@ -1630,37 +1222,18 @@ pub fn markdown_diff_table(diffs: &[MetricDiff]) -> String {
 }
 
 /// Compare a current report against a baseline section, metric by
-/// metric. `calib_scale` is `baseline_calibration_ms /
-/// current_calibration_ms` — values < 1 mean this machine is slower,
-/// so wall expectations shrink. Returns one [`MetricDiff`] per spec.
+/// metric. Returns one [`MetricDiff`] per spec.
 pub fn diff_reports(
     scenario: &str,
     baseline: &Value,
     current: &Value,
     specs: &[MetricSpec],
-    calib_scale: f64,
 ) -> Vec<MetricDiff> {
     let mut diffs = Vec::new();
     for spec in specs {
         let base = json_path(baseline, spec.path).and_then(Value::as_f64);
         let cur = json_path(current, spec.path).and_then(Value::as_f64);
-        // A slower machine (calib_scale < 1) lowers wall-throughput
-        // expectations and *raises* wall-latency expectations.
-        // Calibration only ever *loosens* a wall bound: a machine that
-        // calibrates faster than the baseline recorder gets no stricter
-        // bound, because the calibration workload itself is noisy on
-        // shared runners and must not manufacture regressions.
-        let loosen = calib_scale.min(1.0);
         let expected = base.unwrap_or(0.0);
-        let expected = if spec.wall {
-            if spec.higher_is_better {
-                expected * loosen
-            } else {
-                expected / loosen
-            }
-        } else {
-            expected
-        };
         let bound = if spec.higher_is_better {
             expected * (1.0 - spec.rel_tol)
         } else {
@@ -1683,8 +1256,6 @@ pub fn diff_reports(
             actual: cur,
             bound,
             higher_is_better: spec.higher_is_better,
-            wall: spec.wall,
-            calib_scale,
             ok,
         });
     }
@@ -1699,31 +1270,46 @@ pub fn compare_reports(
     baseline: &Value,
     current: &Value,
     specs: &[MetricSpec],
-    calib_scale: f64,
 ) -> Vec<String> {
-    diff_reports(scenario, baseline, current, specs, calib_scale)
+    diff_reports(scenario, baseline, current, specs)
         .iter()
         .filter_map(MetricDiff::failure_line)
         .collect()
 }
 
-/// Check that two same-seed runs produced byte-identical telemetry.
-/// Returns failure lines (empty = deterministic).
-pub fn check_determinism(
-    scenario: &str,
-    a: &DeterminismEvidence,
-    b: &DeterminismEvidence,
-) -> Vec<String> {
+/// Report fields that read this process's memory, not the seed: the
+/// only ones two same-seed runs may disagree on.
+const MEMORY_READINGS: &[&str] = &["rss_start_mb", "rss_peak_mb", "rss_growth_mb"];
+
+fn without_memory_readings(report: &Value) -> Value {
+    match report {
+        Value::Object(fields) => Value::Object(
+            fields
+                .iter()
+                .filter(|(key, _)| !MEMORY_READINGS.contains(&key.as_str()))
+                .cloned()
+                .collect(),
+        ),
+        other => other.clone(),
+    }
+}
+
+/// Check that two same-seed runs produced byte-identical telemetry and
+/// the same report. Returns failure lines (empty = deterministic).
+pub fn check_determinism(scenario: &str, a: &ScenarioRun, b: &ScenarioRun) -> Vec<String> {
     let mut failures = Vec::new();
-    if a.snapshot_json != b.snapshot_json {
+    if a.evidence.snapshot_json != b.evidence.snapshot_json {
         failures.push(format!(
-            "{scenario}: deterministic metrics snapshots differ between same-seed runs"
+            "{scenario}: metrics snapshots differ between same-seed runs"
         ));
     }
-    if a.events_jsonl != b.events_jsonl {
+    if a.evidence.events_jsonl != b.evidence.events_jsonl {
         failures.push(format!(
             "{scenario}: event logs differ between same-seed runs"
         ));
+    }
+    if without_memory_readings(&a.report) != without_memory_readings(&b.report) {
+        failures.push(format!("{scenario}: reports differ between same-seed runs"));
     }
     failures
 }
@@ -1816,57 +1402,36 @@ mod tests {
 
     #[test]
     fn compare_flags_regressions_within_tolerance() {
-        let base = json!({"tput": 100.0, "wall_tput": 50.0});
+        let base = json!({"tput": 100.0, "errors": 4.0});
         let specs = [
-            MetricSpec {
-                path: "tput",
-                higher_is_better: true,
-                rel_tol: 0.10,
-                wall: false,
-            },
-            MetricSpec {
-                path: "wall_tput",
-                higher_is_better: true,
-                rel_tol: 0.50,
-                wall: true,
-            },
+            MetricSpec::at_least("tput", 0.10),
+            MetricSpec::at_most("errors", 0.50),
         ];
         // Within tolerance: pass.
-        let ok = json!({"tput": 91.0, "wall_tput": 40.0});
-        assert!(compare_reports("s", &base, &ok, &specs, 1.0).is_empty());
+        let ok = json!({"tput": 91.0, "errors": 6.0});
+        assert!(compare_reports("s", &base, &ok, &specs).is_empty());
         // 11% virtual-throughput drop: fail.
-        let slow = json!({"tput": 89.0, "wall_tput": 50.0});
-        let fails = compare_reports("s", &base, &slow, &specs, 1.0);
+        let slow = json!({"tput": 89.0, "errors": 4.0});
+        let fails = compare_reports("s", &base, &slow, &specs);
         assert_eq!(fails.len(), 1);
         assert!(fails[0].contains("tput"));
-        // A slower machine (calibration scale 0.5) halves the wall
-        // expectation: 20 ≥ 50·0.5·0.5 passes.
-        let other_machine = json!({"tput": 100.0, "wall_tput": 20.0});
-        assert!(compare_reports("s", &base, &other_machine, &specs, 0.5).is_empty());
+        // An at-most metric fails above its bound: 7 > 4·1.5.
+        let noisy = json!({"tput": 100.0, "errors": 7.0});
+        assert_eq!(compare_reports("s", &base, &noisy, &specs).len(), 1);
         // Missing metric is a failure, not a silent pass.
         let missing = json!({"tput": 100.0});
-        assert_eq!(compare_reports("s", &base, &missing, &specs, 1.0).len(), 1);
+        assert_eq!(compare_reports("s", &base, &missing, &specs).len(), 1);
     }
 
     #[test]
     fn diff_reports_structures_every_spec() {
         let base = json!({"tput": 100.0});
         let specs = [
-            MetricSpec {
-                path: "tput",
-                higher_is_better: true,
-                rel_tol: 0.10,
-                wall: false,
-            },
-            MetricSpec {
-                path: "absent",
-                higher_is_better: true,
-                rel_tol: 0.10,
-                wall: false,
-            },
+            MetricSpec::at_least("tput", 0.10),
+            MetricSpec::at_least("absent", 0.10),
         ];
         let cur = json!({"tput": 89.0, "absent": 1.0});
-        let diffs = diff_reports("s", &base, &cur, &specs, 1.0);
+        let diffs = diff_reports("s", &base, &cur, &specs);
         assert_eq!(diffs.len(), 2);
         assert!(!diffs[0].ok);
         assert_eq!(diffs[0].baseline, Some(100.0));
@@ -1881,7 +1446,7 @@ mod tests {
             .unwrap()
             .contains("missing from baseline"));
         // Passing diffs carry no failure line.
-        let ok = diff_reports("s", &base, &json!({"tput": 95.0}), &specs[..1], 1.0);
+        let ok = diff_reports("s", &base, &json!({"tput": 95.0}), &specs[..1]);
         assert!(ok[0].ok);
         assert!(ok[0].failure_line().is_none());
     }
@@ -1889,13 +1454,8 @@ mod tests {
     #[test]
     fn markdown_table_marks_failures() {
         let base = json!({"tput": 100.0});
-        let specs = [MetricSpec {
-            path: "tput",
-            higher_is_better: true,
-            rel_tol: 0.10,
-            wall: false,
-        }];
-        let diffs = diff_reports("s", &base, &json!({"tput": 50.0}), &specs, 1.0);
+        let specs = [MetricSpec::at_least("tput", 0.10)];
+        let diffs = diff_reports("s", &base, &json!({"tput": 50.0}), &specs);
         let table = markdown_diff_table(&diffs);
         assert!(table.contains("| s.tput |"));
         assert!(table.contains("| FAIL |"));
@@ -1904,51 +1464,48 @@ mod tests {
     }
 
     #[test]
-    fn wall_latency_expectation_rises_on_slower_machines() {
-        let base = json!({"lat": 100.0});
-        let specs = [MetricSpec {
-            path: "lat",
-            higher_is_better: false,
-            rel_tol: 0.50,
-            wall: true,
-        }];
-        // Same machine: 160 > 100·1.5 fails.
-        let slow = json!({"lat": 160.0});
-        assert_eq!(compare_reports("s", &base, &slow, &specs, 1.0).len(), 1);
-        // Half-speed machine (scale 0.5): bound doubles to 100/0.5·1.5
-        // = 300, so the same 160 passes.
-        assert!(compare_reports("s", &base, &slow, &specs, 0.5).is_empty());
-        // A double-speed machine (scale 2.0) must NOT tighten the bound
-        // below the baseline's own tolerance: 140 ≤ 100·1.5 still
-        // passes.
-        let ok = json!({"lat": 140.0});
-        assert!(compare_reports("s", &base, &ok, &specs, 2.0).is_empty());
-    }
-
-    #[test]
-    fn determinism_check_compares_bytes() {
-        let a = DeterminismEvidence {
-            snapshot_json: "{}".into(),
-            events_jsonl: "".into(),
+    fn determinism_check_compares_telemetry_and_reports() {
+        let a = ScenarioRun {
+            report: json!({"stored_pages": 10, "rss_peak_mb": 14.5, "stages": {"hits": 3}}),
+            evidence: DeterminismEvidence {
+                snapshot_json: "{}".into(),
+                events_jsonl: "".into(),
+            },
         };
         let mut b = a.clone();
         assert!(check_determinism("s", &a, &b).is_empty());
-        b.events_jsonl = "x\n".into();
+        b.evidence.events_jsonl = "x\n".into();
         assert_eq!(check_determinism("s", &a, &b).len(), 1);
+        // Memory readings may differ between two runs; nothing else may.
+        let mut b = a.clone();
+        b.report = json!({"stored_pages": 10, "rss_peak_mb": 15.25, "stages": {"hits": 3}});
+        assert!(check_determinism("s", &a, &b).is_empty());
+        b.report = json!({"stored_pages": 10, "rss_peak_mb": 14.5, "stages": {"hits": 4}});
+        let fails = check_determinism("s", &a, &b);
+        assert_eq!(fails.len(), 1);
+        assert!(fails[0].contains("reports differ"));
     }
 
     #[test]
-    fn calibration_is_positive() {
-        assert!(calibrate_cpu_ms() > 0.0);
+    fn scratch_dirs_do_not_alias_and_vanish() {
+        let a = scratch_dir("test-alias-a");
+        let b = scratch_dir("test-alias-b");
+        assert_ne!(a.to_path_buf(), b.to_path_buf());
+        assert!(a.is_dir() && b.is_dir());
+        let (a_path, b_path) = (a.to_path_buf(), b.to_path_buf());
+        drop(a);
+        assert!(!a_path.exists() && b_path.is_dir());
+        drop(b);
+        assert!(!b_path.exists());
     }
 
-    /// End-to-end: the smoke pipeline scenario runs, its single-thread
-    /// leg replays byte-identically, and the counters are non-trivial.
+    /// End-to-end: the smoke pipeline scenario runs, replays
+    /// identically, and the counters are non-trivial.
     #[test]
     fn pipeline_scenario_is_deterministic_and_counts_documents() {
         let a = run_pipeline_scenario(GateMode::Smoke);
         let b = run_pipeline_scenario(GateMode::Smoke);
-        assert!(check_determinism("pipeline", &a.evidence, &b.evidence).is_empty());
+        assert!(check_determinism("pipeline", &a, &b).is_empty());
         let docs = json_path(&a.report, "documents")
             .and_then(Value::as_u64)
             .unwrap();
@@ -1970,13 +1527,15 @@ mod tests {
     }
 
     /// End-to-end: the smoke recovery scenario survives its injected
-    /// mid-checkpoint crash, replays byte-identically, and the resumed
-    /// crawl actually recovers checkpointed progress.
+    /// mid-checkpoint crash, replays byte-identically, leaves no scratch
+    /// directory behind, and the resumed crawl actually recovers
+    /// checkpointed progress.
     #[test]
     fn recovery_scenario_is_deterministic_and_recovers() {
         let a = run_recovery_scenario(GateMode::Smoke);
         let b = run_recovery_scenario(GateMode::Smoke);
-        assert!(check_determinism("recovery", &a.evidence, &b.evidence).is_empty());
+        assert!(check_determinism("recovery", &a, &b).is_empty());
+        assert!(!scratch_path("recovery-smoke").exists());
         let recovered = json_path(&a.report, "stored_recovered")
             .and_then(Value::as_u64)
             .unwrap();
@@ -1992,14 +1551,13 @@ mod tests {
     }
 
     /// End-to-end: the smoke serve scenario replays byte-identically,
-    /// the incremental index answers the fixed query prefix exactly
-    /// like a batch rebuild, and the concurrent leg overlaps query
-    /// traffic with the threaded crawl.
+    /// and the incremental index answers the fixed query prefix exactly
+    /// like a batch rebuild.
     #[test]
     fn serve_scenario_is_deterministic_and_snapshot_consistent() {
         let a = run_serve_scenario(GateMode::Smoke);
         let b = run_serve_scenario(GateMode::Smoke);
-        assert!(check_determinism("serve", &a.evidence, &b.evidence).is_empty());
+        assert!(check_determinism("serve", &a, &b).is_empty());
         assert_eq!(
             json_path(&a.report, "equivalence_ok").and_then(Value::as_u64),
             Some(1),
@@ -2015,24 +1573,6 @@ mod tests {
                 .unwrap()
                 > 0,
             "no query ever hit a document"
-        );
-        let mt_issued = json_path(&a.report, "mt_issued")
-            .and_then(Value::as_u64)
-            .unwrap();
-        assert!(mt_issued >= 1_500, "closed loop under target: {mt_issued}");
-        assert!(
-            json_path(&a.report, "mt_during_crawl")
-                .and_then(Value::as_u64)
-                .unwrap()
-                > 0,
-            "no request overlapped the live crawl"
-        );
-        assert!(
-            json_path(&a.report, "mt_max_epoch")
-                .and_then(Value::as_u64)
-                .unwrap()
-                > 0,
-            "concurrent readers never saw a published snapshot"
         );
     }
 
@@ -2062,7 +1602,7 @@ mod tests {
         };
         let a = run_scale_with(mini());
         let b = run_scale_with(mini());
-        assert!(check_determinism("scale", &a.evidence, &b.evidence).is_empty());
+        assert!(check_determinism("scale", &a, &b).is_empty());
         let get = |p: &str| json_path(&a.report, p).and_then(Value::as_u64).unwrap();
         assert!(
             json_path(&a.report, "coverage")
@@ -2125,7 +1665,7 @@ mod tests {
         };
         let a = run_scale_with(bounded());
         let b = run_scale_with(bounded());
-        assert!(check_determinism("scale10m", &a.evidence, &b.evidence).is_empty());
+        assert!(check_determinism("scale10m", &a, &b).is_empty());
         for key in ["visited_urls", "stored_pages", "coverage"] {
             assert_eq!(
                 json_path(&a.report, key).unwrap(),
@@ -2156,7 +1696,7 @@ mod tests {
     fn classify_scenario_is_deterministic_and_scored() {
         let a = run_classify_scenario(GateMode::Smoke);
         let b = run_classify_scenario(GateMode::Smoke);
-        assert!(check_determinism("classify", &a.evidence, &b.evidence).is_empty());
+        assert!(check_determinism("classify", &a, &b).is_empty());
         let f1 = json_path(&a.report, "macro_f1")
             .and_then(Value::as_f64)
             .unwrap();

@@ -8,7 +8,7 @@ use crate::topic::{TopicId, TopicTree, TrainingDoc};
 use bingo_crawler::{Crawler, DocumentJudge, Judgment, PageContext, StepOutcome};
 use bingo_graph::{expand_base_set, Hits, LinkSource};
 use bingo_ml::meta::MetaPolicy;
-use bingo_obs::{Event, WallTimer};
+use bingo_obs::Event;
 use bingo_textproc::fxhash::FxHashMap;
 use bingo_textproc::tfidf::CorpusStats;
 use bingo_textproc::vocab::TermId;
@@ -275,7 +275,6 @@ impl BingoEngine {
     /// subtree's training docs; negatives are the competing siblings'
     /// docs plus the OTHERS class.
     pub fn train(&mut self) -> Result<(), EngineError> {
-        let timer = WallTimer::start();
         let ids: Vec<TopicId> = self.tree.topic_ids().collect();
         let mut new_models = FxHashMap::default();
         for id in ids {
@@ -319,7 +318,6 @@ impl BingoEngine {
             .map(|m| m.spaces.iter().map(|s| s.selector.len()).sum::<usize>())
             .sum();
         self.obs.train_features.set(features as i64);
-        timer.observe_ms(&self.obs.train_wall_ms);
         self.models = new_models;
         Ok(())
     }

@@ -36,8 +36,6 @@ pub struct EngineTelemetry {
     pub train_models: Gauge,
     /// Total MI-selected features across all spaces of all models.
     pub train_features: Gauge,
-    /// Wall-clock cost of a training round (volatile).
-    pub train_wall_ms: Arc<Histogram>,
     /// Retraining rounds completed.
     pub retrain_rounds: Counter,
     /// Archetypes promoted across all retraining rounds.
@@ -62,7 +60,6 @@ impl EngineTelemetry {
             train_rounds: registry.counter("engine.train.rounds"),
             train_models: registry.gauge("engine.train.models"),
             train_features: registry.gauge("engine.train.features"),
-            train_wall_ms: registry.wall_histogram("engine.train.wall_ms"),
             retrain_rounds: registry.counter("engine.retrain.rounds"),
             promoted: registry.counter("engine.retrain.promoted"),
             hubs_boosted: registry.counter("engine.retrain.hubs_boosted"),
@@ -117,6 +114,5 @@ mod tests {
         assert_eq!(snap.counters["engine.classify.rejected"], 1);
         assert_eq!(snap.histograms["engine.classify.conf_pos_milli"].max, 500);
         assert_eq!(snap.histograms["engine.classify.conf_neg_milli"].max, 250);
-        assert!(snap.volatile.contains("engine.train.wall_ms"));
     }
 }

@@ -41,7 +41,7 @@ use crate::types::{
     CrawlConfig, CrawlStats, CrawlStrategy, FocusRule, Judgment, PageContext, UrlRejection,
     TUNNEL_DECAY,
 };
-use bingo_obs::{Counter, Gauge, Histogram, Registry, WallTimer};
+use bingo_obs::{Counter, Gauge, Histogram, Registry};
 use bingo_store::{BulkLoader, BulkLoaderObs, DocumentRow, DocumentStore, LinkRow, StoreError};
 use bingo_textproc::fxhash::{FxHashMap, FxHashSet};
 use bingo_textproc::{
@@ -144,8 +144,8 @@ where
 }
 
 /// Per-stage pipeline metrics: document counts in and out of each
-/// stage, batch sizes, queue depth, and wall-clock stage latencies
-/// (volatile). Cloning shares the underlying atomics.
+/// stage, batch sizes and queue depth. Cloning shares the underlying
+/// atomics.
 #[derive(Clone)]
 pub struct PipelineMetrics {
     /// Documents entering the pipeline (successful fetches).
@@ -174,14 +174,6 @@ pub struct PipelineMetrics {
     pub batch_docs: Arc<Histogram>,
     /// URLs waiting ahead of the pipeline (frontier or level queue).
     pub queue_depth: Gauge,
-    /// Wall-clock cost of the convert stage per batch, µs (volatile).
-    pub convert_wall_us: Arc<Histogram>,
-    /// Wall-clock cost of the analyze stage per batch, µs (volatile).
-    pub analyze_wall_us: Arc<Histogram>,
-    /// Wall-clock cost of the classify stage per batch, µs (volatile).
-    pub classify_wall_us: Arc<Histogram>,
-    /// Wall-clock cost of the bulk-load stage per batch, µs (volatile).
-    pub load_wall_us: Arc<Histogram>,
 }
 
 impl PipelineMetrics {
@@ -201,10 +193,6 @@ impl PipelineMetrics {
             batches: registry.counter("pipeline.batches"),
             batch_docs: registry.histogram("pipeline.batch.docs"),
             queue_depth: registry.gauge("pipeline.queue.depth"),
-            convert_wall_us: registry.wall_histogram("pipeline.convert.wall_us"),
-            analyze_wall_us: registry.wall_histogram("pipeline.analyze.wall_us"),
-            classify_wall_us: registry.wall_histogram("pipeline.classify.wall_us"),
-            load_wall_us: registry.wall_histogram("pipeline.load.wall_us"),
         }
     }
 }
@@ -413,7 +401,6 @@ impl DocPipeline {
         let mut outcomes: Vec<Option<DocOutcome>> = batch.iter().map(|_| None).collect();
 
         // Stage: admit (MIME/size), fingerprint, convert.
-        let timer = WallTimer::start();
         let mut slots: Vec<usize> = Vec::with_capacity(batch.len());
         let mut fetched: Vec<FetchedDoc> = Vec::with_capacity(batch.len());
         let mut htmls: Vec<String> = Vec::with_capacity(batch.len());
@@ -443,19 +430,15 @@ impl DocPipeline {
                 }
             }
         }
-        timer.observe_us(&metrics.convert_wall_us);
 
         // Stage: analyze.
-        let timer = WallTimer::start();
         let docs: Vec<AnalyzedDocument> = htmls
             .iter()
             .map(|html| analyze_html_metered(html, vocab, textproc))
             .collect();
         metrics.analyzed.add(docs.len() as u64);
-        timer.observe_us(&metrics.analyze_wall_us);
 
         // Stage: classify.
-        let timer = WallTimer::start();
         let ctxs: Vec<PageContext> = fetched.iter().map(page_context).collect();
         let judgments = judge(&docs, &ctxs);
         assert_eq!(
@@ -464,12 +447,10 @@ impl DocPipeline {
             "judge must return one judgment per document"
         );
         metrics.classified.add(docs.len() as u64);
-        timer.observe_us(&metrics.classify_wall_us);
 
         // Stage: bulk-load. Documents flush in one batch; the store reports
         // id collisions back as errors, which decide which documents emit
         // link rows (a duplicate stores neither row nor links).
-        let timer = WallTimer::start();
         for ((item, doc), judgment) in fetched.iter().zip(&docs).zip(&judgments) {
             loader.add_document(document_row(world, item, doc, judgment));
         }
@@ -519,7 +500,6 @@ impl DocPipeline {
         }
         loader.flush();
         metrics.link_rows.add(links_emitted);
-        timer.observe_us(&metrics.load_wall_us);
 
         outcomes
             .into_iter()

@@ -25,7 +25,7 @@ use crate::types::{
     CrawlConfig, CrawlStats, Judgment, MAX_REDIRECTS, PROCESSING_COST_MS, RETRY_BACKOFF_MS,
 };
 use crate::DocumentJudge;
-use bingo_obs::{Event, WallTimer};
+use bingo_obs::Event;
 use bingo_store::durable;
 use bingo_store::DocumentStore;
 use bingo_textproc::fxhash;
@@ -490,10 +490,8 @@ impl Crawler {
         let Some(dir) = self.config.checkpoint_dir.clone() else {
             return;
         };
-        let timer = WallTimer::start();
         if let Ok(generation) = self.save_session_with(&durable::StdFs, &dir) {
             self.stats.checkpoints_written += 1;
-            timer.observe_ms(&self.telemetry.checkpoint_wall_ms);
             self.telemetry.checkpoints.inc();
             let gen_dir = durable::generation_dir(&dir, generation);
             let bytes = [CRAWLER_FILE, STORE_FILE]

@@ -5,10 +5,9 @@
 //! private registry, or over a shared one via
 //! [`crate::Crawler::set_telemetry`] so a whole scenario (crawl + engine +
 //! index) lands in a single snapshot. All metric values here derive from
-//! the virtual clock and document contents, except the checkpoint write
-//! cost, which is wall time and therefore volatile. Events record only
-//! rare transitions (breaker state changes, checkpoint writes), so logs
-//! stay small and byte-identical across same-seed runs.
+//! the virtual clock and document contents. Events record only rare
+//! transitions (breaker state changes, checkpoint writes), so logs stay
+//! small and byte-identical across same-seed runs.
 
 use crate::pipeline::PipelineMetrics;
 use bingo_obs::{Counter, EventLog, Gauge, Histogram, Registry};
@@ -60,8 +59,6 @@ pub struct CrawlTelemetry {
     pub checkpoints: Counter,
     /// Bytes per checkpoint session (store + crawler files).
     pub checkpoint_bytes: Arc<Histogram>,
-    /// Wall-clock cost of a checkpoint write (volatile).
-    pub checkpoint_wall_ms: Arc<Histogram>,
     /// Old checkpoint generations pruned after successful saves.
     pub checkpoint_pruned: Counter,
     /// Worker panics caught by the threaded executor's supervisor.
@@ -191,7 +188,6 @@ impl CrawlTelemetry {
             stored: registry.counter("crawl.stored"),
             checkpoints: registry.counter("crawl.checkpoint.count"),
             checkpoint_bytes: registry.histogram("crawl.checkpoint.bytes"),
-            checkpoint_wall_ms: registry.wall_histogram("crawl.checkpoint.wall_ms"),
             checkpoint_pruned: registry.counter("crawl.checkpoint.pruned"),
             worker_panics: registry.counter("crawl.worker.panics"),
             worker_requeued: registry.counter("crawl.worker.requeued"),
@@ -229,7 +225,6 @@ mod tests {
         assert_eq!(snap.counters["crawl.fetch.ok"], 1);
         assert_eq!(snap.gauges["crawl.frontier.depth"], 4);
         assert_eq!(snap.histograms["crawl.fetch.latency_ms"].count, 1);
-        assert!(snap.volatile.contains("crawl.checkpoint.wall_ms"));
     }
 
     #[test]

@@ -941,7 +941,7 @@ mod tests {
                 &PipelineOptions::flat(1, 8).with_fault(fault),
             );
             (
-                telemetry.registry.snapshot().deterministic().to_json(),
+                telemetry.registry.snapshot().to_json(),
                 telemetry.events.to_jsonl(),
             )
         };

@@ -225,10 +225,7 @@ fn telemetry_bytes(seed: u64, budget_ms: u64) -> (String, String) {
     let mut judge = accept_all();
     let mut vocab = Vocabulary::new();
     crawler.run_until(budget_ms, &mut judge, &mut vocab);
-    (
-        registry.snapshot().deterministic().to_json(),
-        events.to_jsonl(),
-    )
+    (registry.snapshot().to_json(), events.to_jsonl())
 }
 
 proptest! {
@@ -251,7 +248,7 @@ proptest! {
     fn telemetry_reflects_the_crawl(seed in 0u64..16) {
         let (snap, events) = telemetry_bytes(seed, 25_000);
         prop_assert!(snap.contains("crawl.fetch.ok"));
-        prop_assert!(!snap.contains("wall"), "volatile metric leaked into deterministic snapshot");
+        prop_assert!(!snap.contains("wall"), "wall-clock metric registered in crawl telemetry");
         // Chaos worlds trip breakers: the event log should not be empty
         // for most seeds, but an empty log is legal — only assert shape.
         for line in events.lines() {

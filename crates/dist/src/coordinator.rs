@@ -44,7 +44,6 @@ use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Format marker of the coordinator state file.
 pub const COORD_MAGIC: &str = "bingo-dist-coordinator";
@@ -574,7 +573,6 @@ impl Coordinator {
     /// single manifest. Down nodes contribute their last committed
     /// bytes, so the generation always covers all N nodes.
     fn commit_snapshot(&mut self) -> io::Result<u64> {
-        let wall = Instant::now();
         let mut writer = GenerationWriter::begin(self.fs.as_ref(), &self.config.session_dir)?;
         let mut total_bytes = 0u64;
         // Phase 1: node stores.
@@ -621,9 +619,6 @@ impl Coordinator {
         self.stats.snapshots += 1;
         self.telemetry.snapshot_commits.inc();
         self.telemetry.snapshot_bytes.observe(total_bytes);
-        self.telemetry
-            .snapshot_wall_ms
-            .observe(wall.elapsed().as_millis() as u64);
         self.telemetry.events.emit(
             Event::at(self.clock_ms, "dist.snapshot.commit")
                 .with("generation", generation)

@@ -4,8 +4,7 @@
 //! Everything here derives from the virtual clock, seeds, and document
 //! contents, so a same-seed chaos run produces byte-identical metric
 //! snapshots and event logs — that identity is asserted by tests and
-//! gated by the `dist` bench scenario. The one exception is the
-//! snapshot write cost, which is wall time and registered volatile.
+//! gated by the `dist` bench scenario.
 
 use bingo_obs::{Counter, EventLog, Gauge, Histogram, Registry};
 use std::sync::Arc;
@@ -60,8 +59,6 @@ pub struct DistTelemetry {
     /// Bytes per committed generation (all node stores + journal +
     /// coordinator state).
     pub snapshot_bytes: Arc<Histogram>,
-    /// Wall-clock cost of a snapshot commit (volatile).
-    pub snapshot_wall_ms: Arc<Histogram>,
     /// Stale scratch dirs / torn journal temps swept on node restart or
     /// session open.
     pub scratch_reaped: Counter,
@@ -91,7 +88,6 @@ impl DistTelemetry {
             stored: registry.counter("dist.stored"),
             snapshot_commits: registry.counter("dist.snapshot.commits"),
             snapshot_bytes: registry.histogram("dist.snapshot.bytes"),
-            snapshot_wall_ms: registry.wall_histogram("dist.snapshot.wall_ms"),
             scratch_reaped: registry.counter("dist.scratch.reaped"),
             registry,
             events,
@@ -144,7 +140,6 @@ mod tests {
         assert_eq!(snap.counters["dist.node.kills"], 1);
         assert_eq!(snap.gauges["dist.nodes.live"], 3);
         assert_eq!(snap.histograms["dist.lease.batch_items"].count, 1);
-        assert!(snap.volatile.contains("dist.snapshot.wall_ms"));
     }
 
     #[test]

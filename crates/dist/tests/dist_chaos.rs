@@ -71,7 +71,7 @@ fn chaos_run(seed: u64, tag: &str) -> (String, String, DistStats, Vec<u64>) {
     assert!(!plan.is_empty(), "chaos profile must script faults");
     coord.install_faults(plan);
     let stats = coord.run(10_000_000).expect("chaos run");
-    let metrics = telemetry.registry.snapshot().deterministic().to_json();
+    let metrics = telemetry.registry.snapshot().to_json();
     let events = telemetry.events.to_jsonl();
     let ids = sorted_page_ids(&coord);
     std::fs::remove_dir_all(&dir).ok();

@@ -10,24 +10,20 @@
 //!   log-scale [`Histogram`]s — handles are `Arc`-backed atomics, so the
 //!   hot path pays one relaxed atomic op per observation and never
 //!   touches the registry lock after creation,
-//! * deterministic [`MetricsSnapshot`]s: metric values derived from the
-//!   *virtual* clock or from document contents are byte-identical across
-//!   same-seed runs; wall-clock metrics are flagged volatile and can be
-//!   filtered out with [`MetricsSnapshot::deterministic`],
+//! * deterministic [`MetricsSnapshot`]s: every metric is derived from
+//!   the *virtual* clock or from document contents, so the snapshots of
+//!   two same-seed runs serialize to identical bytes,
 //! * a structured [`EventLog`] keyed to the webworld virtual clock,
 //!   serializing to JSONL with sorted fields so same-seed runs emit
-//!   byte-identical telemetry,
-//! * [`WallTimer`], a convenience stopwatch for the (volatile)
-//!   wall-clock histograms.
+//!   byte-identical telemetry.
 //!
 //! # Determinism rules
 //!
-//! 1. A metric observed from virtual time, document counts, or any other
-//!    seed-derived quantity goes into a regular counter/gauge/histogram.
-//! 2. A metric observed from wall time (checkpoint write cost, classify
-//!    latency, index build time) goes into a `wall_histogram` /
-//!    `wall_counter`, which snapshots mark volatile.
-//! 3. Events carry only seed-derived fields and are emitted from the
+//! 1. A metric is observed from virtual time, document counts, or any
+//!    other seed-derived quantity. Wall time is never a metric: the
+//!    standalone `benchmark/` crate measures it from outside, and
+//!    `ci.sh` rejects a wall clock in product telemetry.
+//! 2. Events carry only seed-derived fields and are emitted from the
 //!    single-threaded discrete-event crawl loop, so sequence numbers are
 //!    reproducible.
 //!
@@ -41,69 +37,3 @@ pub mod registry;
 pub use events::{Event, EventLog};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, MetricsSnapshot, Registry};
-
-/// Wall-clock stopwatch feeding volatile histograms.
-///
-/// Wall durations are inherently non-deterministic; record them only
-/// into metrics created via [`Registry::wall_histogram`] so they stay
-/// out of deterministic snapshots.
-#[derive(Debug, Clone, Copy)]
-pub struct WallTimer(std::time::Instant);
-
-impl WallTimer {
-    /// Start timing now.
-    pub fn start() -> Self {
-        WallTimer(std::time::Instant::now())
-    }
-
-    /// Elapsed wall milliseconds.
-    pub fn elapsed_ms(&self) -> u64 {
-        self.0.elapsed().as_millis() as u64
-    }
-
-    /// Elapsed wall microseconds.
-    pub fn elapsed_us(&self) -> u64 {
-        self.0.elapsed().as_micros() as u64
-    }
-
-    /// Record elapsed milliseconds into `hist` and return them.
-    pub fn observe_ms(&self, hist: &Histogram) -> u64 {
-        let ms = self.elapsed_ms();
-        hist.observe(ms);
-        ms
-    }
-
-    /// Record elapsed microseconds into `hist` and return them.
-    pub fn observe_us(&self, hist: &Histogram) -> u64 {
-        let us = self.elapsed_us();
-        hist.observe(us);
-        us
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wall_timer_observes_into_histogram() {
-        let reg = Registry::new();
-        let h = reg.wall_histogram("t.wall_us");
-        let t = WallTimer::start();
-        let us = t.observe_us(&h);
-        assert_eq!(h.count(), 1);
-        assert!(h.sum() >= us || h.sum() <= us + 1);
-    }
-
-    #[test]
-    fn wall_metrics_are_volatile_in_snapshots() {
-        let reg = Registry::new();
-        reg.counter("a.count").inc();
-        reg.wall_histogram("a.wall_ms").observe(5);
-        let snap = reg.snapshot();
-        assert!(snap.histograms.contains_key("a.wall_ms"));
-        let det = snap.deterministic();
-        assert!(!det.histograms.contains_key("a.wall_ms"));
-        assert_eq!(det.counters["a.count"], 1);
-    }
-}

@@ -4,7 +4,7 @@
 use crate::histogram::{Histogram, HistogramSnapshot};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -67,17 +67,12 @@ impl Slot {
     }
 }
 
-struct Entry {
-    slot: Slot,
-    volatile: bool,
-}
-
 /// A namespace of metrics. The registry lock is taken only on handle
 /// creation and snapshotting; observations go straight to the shared
 /// atomics behind the handles.
 #[derive(Default)]
 pub struct Registry {
-    metrics: Mutex<BTreeMap<String, Entry>>,
+    metrics: Mutex<BTreeMap<String, Slot>>,
 }
 
 impl Registry {
@@ -89,28 +84,19 @@ impl Registry {
     fn entry<T: Clone>(
         &self,
         name: &str,
-        volatile: bool,
         make: impl FnOnce() -> Slot,
         view: impl Fn(&Slot) -> Option<T>,
     ) -> T {
         let mut metrics = self.metrics.lock();
-        let entry = metrics.entry(name.to_string()).or_insert_with(|| Entry {
-            slot: make(),
-            volatile,
-        });
-        view(&entry.slot).unwrap_or_else(|| {
-            panic!(
-                "metric {name:?} already registered as a {}",
-                entry.slot.kind()
-            )
-        })
+        let slot = metrics.entry(name.to_string()).or_insert_with(make);
+        view(slot)
+            .unwrap_or_else(|| panic!("metric {name:?} already registered as a {}", slot.kind()))
     }
 
     /// Get or register a deterministic counter.
     pub fn counter(&self, name: &str) -> Counter {
         self.entry(
             name,
-            false,
             || Slot::Counter(Counter::default()),
             |s| match s {
                 Slot::Counter(c) => Some(c.clone()),
@@ -123,7 +109,6 @@ impl Registry {
     pub fn gauge(&self, name: &str) -> Gauge {
         self.entry(
             name,
-            false,
             || Slot::Gauge(Gauge::default()),
             |s| match s {
                 Slot::Gauge(g) => Some(g.clone()),
@@ -132,10 +117,11 @@ impl Registry {
         )
     }
 
-    fn histogram_impl(&self, name: &str, volatile: bool) -> Arc<Histogram> {
+    /// Get or register a deterministic histogram — for values derived
+    /// from the virtual clock or document contents.
+    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         self.entry(
             name,
-            volatile,
             || Slot::Histogram(Arc::new(Histogram::new())),
             |s| match s {
                 Slot::Histogram(h) => Some(h.clone()),
@@ -144,28 +130,13 @@ impl Registry {
         )
     }
 
-    /// Get or register a deterministic histogram — for values derived
-    /// from the virtual clock or document contents.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.histogram_impl(name, false)
-    }
-
-    /// Get or register a *volatile* histogram — for wall-clock values.
-    /// Excluded from [`MetricsSnapshot::deterministic`].
-    pub fn wall_histogram(&self, name: &str) -> Arc<Histogram> {
-        self.histogram_impl(name, true)
-    }
-
     /// Freeze every metric into a serializable snapshot. Keys iterate
     /// in sorted order, so serialization is byte-stable.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let metrics = self.metrics.lock();
         let mut snap = MetricsSnapshot::default();
-        for (name, entry) in metrics.iter() {
-            if entry.volatile {
-                snap.volatile.insert(name.clone());
-            }
-            match &entry.slot {
+        for (name, slot) in metrics.iter() {
+            match slot {
                 Slot::Counter(c) => {
                     snap.counters.insert(name.clone(), c.get());
                 }
@@ -181,9 +152,8 @@ impl Registry {
     }
 }
 
-/// Frozen registry state. `volatile` names the wall-clock metrics;
-/// [`MetricsSnapshot::deterministic`] strips them for byte-identity
-/// comparisons across same-seed runs.
+/// Frozen registry state. Every metric is seed-derived, so two
+/// same-seed runs must serialize this to identical bytes.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -192,38 +162,9 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, i64>,
     /// Histogram snapshots by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Names of wall-clock (non-deterministic) metrics.
-    pub volatile: BTreeSet<String>,
 }
 
 impl MetricsSnapshot {
-    /// A copy with every volatile (wall-clock) metric removed. Two
-    /// same-seed runs must serialize this to identical bytes.
-    pub fn deterministic(&self) -> MetricsSnapshot {
-        let keep_c = |m: &BTreeMap<String, u64>| {
-            m.iter()
-                .filter(|(k, _)| !self.volatile.contains(*k))
-                .map(|(k, v)| (k.clone(), *v))
-                .collect()
-        };
-        MetricsSnapshot {
-            counters: keep_c(&self.counters),
-            gauges: self
-                .gauges
-                .iter()
-                .filter(|(k, _)| !self.volatile.contains(*k))
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .filter(|(k, _)| !self.volatile.contains(*k))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-            volatile: BTreeSet::new(),
-        }
-    }
-
     /// Pretty JSON rendering (sorted keys → byte-stable).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("snapshot serializes")
@@ -277,19 +218,6 @@ mod tests {
         let a = j1.find("a.first").unwrap();
         let z = j1.find("z.last").unwrap();
         assert!(a < z, "keys must serialize sorted");
-    }
-
-    #[test]
-    fn deterministic_filters_volatile() {
-        let reg = Registry::new();
-        reg.counter("keep").inc();
-        reg.wall_histogram("drop.wall_ms").observe(123);
-        let snap = reg.snapshot();
-        assert_eq!(snap.volatile.len(), 1);
-        let det = snap.deterministic();
-        assert!(det.volatile.is_empty());
-        assert!(det.histograms.is_empty());
-        assert_eq!(det.counters.len(), 1);
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub use live::{IndexReader, IndexSnapshot, LiveIndex, LiveIndexObs};
 pub use metrics::SearchMetrics;
 pub use rank::{RankingScheme, SearchHit, TopicFilter};
 
-use bingo_obs::WallTimer;
 use bingo_store::DocumentStore;
 use bingo_textproc::Vocabulary;
 
@@ -76,13 +75,11 @@ impl SearchEngine {
         SearchEngine::build_instrumented(store, None)
     }
 
-    /// Build the index, optionally recording index size and build cost
-    /// (and, later, query volume/latency) into `metrics`.
+    /// Build the index, optionally recording index size (and, later,
+    /// query volume) into `metrics`.
     pub fn build_instrumented(store: &DocumentStore, metrics: Option<SearchMetrics>) -> Self {
-        let timer = WallTimer::start();
         let index = InvertedIndex::build(store);
         if let Some(m) = &metrics {
-            timer.observe_ms(&m.index_build_wall_ms);
             m.index_docs.set(index.doc_count() as i64);
             m.index_terms.set(index.term_count() as i64);
         }
@@ -107,7 +104,6 @@ impl SearchEngine {
     /// stemmed with the crawl's shared vocabulary; unknown terms are
     /// ignored.
     pub fn query(&self, vocab: &Vocabulary, text: &str, opts: &QueryOptions) -> Vec<SearchHit> {
-        let timer = WallTimer::start();
         let query_terms = index::analyze_query(vocab, text);
         let hits = rank::rank(
             &self.store,
@@ -120,7 +116,6 @@ impl SearchEngine {
         if let Some(m) = &self.metrics {
             m.queries.inc();
             m.hits_per_query.observe(hits.len() as u64);
-            timer.observe_us(&m.query_wall_us);
         }
         hits
     }

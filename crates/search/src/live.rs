@@ -28,7 +28,7 @@
 
 use crate::index::{doc_norm, TermIndex};
 use bingo_graph::PageId;
-use bingo_obs::{Counter, Gauge, Histogram, Registry, WallTimer};
+use bingo_obs::{Counter, Gauge, Registry};
 use bingo_store::{DocumentRow, IndexTee};
 use bingo_textproc::fxhash::FxHashMap;
 use parking_lot::Mutex;
@@ -202,7 +202,6 @@ impl LiveIndex {
     /// Returns the epoch of the snapshot current after the call (a
     /// no-op, without an epoch bump, when nothing is pending).
     pub fn commit(&self) -> u64 {
-        let timer = WallTimer::start();
         let mut w = self.shared.writer.lock();
         if w.pending.is_empty() {
             return self.shared.epoch.load(Ordering::Acquire);
@@ -243,7 +242,6 @@ impl LiveIndex {
             o.epoch.set(epoch as i64);
             o.docs.set(docs as i64);
             o.pending.set(0);
-            timer.observe_us(&o.commit_wall_us);
         }
         epoch
     }
@@ -303,7 +301,7 @@ impl IndexReader {
 }
 
 /// Metric handles for a live index. Deterministic under a deterministic
-/// ingest/commit schedule, except the volatile commit-latency histogram.
+/// ingest/commit schedule.
 #[derive(Clone)]
 pub struct LiveIndexObs {
     /// Commits that published a new snapshot.
@@ -316,8 +314,6 @@ pub struct LiveIndexObs {
     pub docs: Gauge,
     /// Rows currently staged for the next commit.
     pub pending: Gauge,
-    /// Wall-clock commit latency, microseconds (volatile).
-    pub commit_wall_us: Arc<Histogram>,
 }
 
 impl std::fmt::Debug for LiveIndexObs {
@@ -335,7 +331,6 @@ impl LiveIndexObs {
             epoch: registry.gauge("search.live.epoch"),
             docs: registry.gauge("search.live.docs"),
             pending: registry.gauge("search.live.pending"),
-            commit_wall_us: registry.wall_histogram("search.live.commit_wall_us"),
         }
     }
 }
@@ -491,7 +486,6 @@ mod tests {
         assert_eq!(snap.gauges["search.live.epoch"], 1);
         assert_eq!(snap.gauges["search.live.docs"], 5);
         assert_eq!(snap.gauges["search.live.pending"], 0);
-        assert!(snap.volatile.contains("search.live.commit_wall_us"));
     }
 
     #[test]

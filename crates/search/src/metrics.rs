@@ -1,8 +1,7 @@
-//! Search metrics: index size and query volume/latency.
+//! Search metrics: index size and query volume.
 //!
 //! Index dimensions and hit counts derive from the crawl database and
-//! are deterministic; index-build and per-query costs are wall time and
-//! land in volatile histograms.
+//! are deterministic.
 
 use bingo_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
@@ -17,14 +16,10 @@ pub struct SearchMetrics {
     pub index_docs: Gauge,
     /// Distinct terms with postings.
     pub index_terms: Gauge,
-    /// Wall-clock cost of building the index, ms (volatile).
-    pub index_build_wall_ms: Arc<Histogram>,
     /// Queries executed.
     pub queries: Counter,
     /// Results returned per query.
     pub hits_per_query: Arc<Histogram>,
-    /// Wall-clock latency per query, microseconds (volatile).
-    pub query_wall_us: Arc<Histogram>,
 }
 
 impl SearchMetrics {
@@ -33,10 +28,8 @@ impl SearchMetrics {
         SearchMetrics {
             index_docs: registry.gauge("search.index.docs"),
             index_terms: registry.gauge("search.index.terms"),
-            index_build_wall_ms: registry.wall_histogram("search.index.build_wall_ms"),
             queries: registry.counter("search.query.count"),
             hits_per_query: registry.histogram("search.query.hits"),
-            query_wall_us: registry.wall_histogram("search.query.wall_us"),
             registry,
         }
     }
@@ -55,7 +48,5 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counters["search.query.count"], 1);
         assert_eq!(snap.gauges["search.index.docs"], 12);
-        assert!(snap.volatile.contains("search.query.wall_us"));
-        assert!(snap.volatile.contains("search.index.build_wall_ms"));
     }
 }

@@ -13,13 +13,12 @@
 //!   immutable [`IndexSnapshot`](bingo_search::IndexSnapshot), so
 //!   results are snapshot-consistent no matter how many bulk-load
 //!   commits land mid-query.
-//! * [`ServeMetrics`] traces every request through `bingo-obs`
-//!   (`serve.query.{count,hits}` deterministic metrics plus a volatile
-//!   log2 latency histogram `serve.query.wall_us`).
+//! * [`ServeMetrics`] counts every request through `bingo-obs`
+//!   (`serve.{query,browse,stats}.count`, `serve.query.{terms,hits}`).
 //! * [`loadgen`] generates a seeded, reproducible query mix and drives
-//!   the service either on the virtual clock (deterministic,
-//!   single-threaded — bench evidence) or closed-loop from real threads
-//!   against a live threaded crawl (throughput/latency measurement).
+//!   the service on the virtual clock (deterministic, single-threaded —
+//!   bench evidence). Wall-clock load generation lives in the
+//!   standalone `benchmark/` crate.
 //!
 //! Wiring a live portal onto a crawl is three lines:
 //!
@@ -39,11 +38,10 @@
 pub mod loadgen;
 pub mod metrics;
 
-pub use loadgen::{run_closed_loop, LoadReport, QueryMix, VirtualLoadGen};
+pub use loadgen::{QueryMix, VirtualLoadGen};
 pub use metrics::ServeMetrics;
 
 use bingo_graph::PageId;
-use bingo_obs::WallTimer;
 use bingo_search::index::analyze_query_with;
 use bingo_search::{IndexReader, LiveIndex, QueryOptions, SearchHit};
 use bingo_store::DocumentStore;
@@ -183,7 +181,6 @@ impl PortalService {
     ) -> PortalResponse {
         match req {
             PortalRequest::Query { text, opts } => {
-                let timer = WallTimer::start();
                 let terms = analyze_query_with(|stem| vocab.lookup_term(stem).map(|id| id.0), text);
                 let snapshot = reader.snapshot();
                 let hits = bingo_search::rank::rank(
@@ -198,7 +195,6 @@ impl PortalService {
                     m.queries.inc();
                     m.query_terms.observe(terms.len() as u64);
                     m.query_hits.observe(hits.len() as u64);
-                    timer.observe_us(&m.query_wall_us);
                 }
                 PortalResponse::Hits {
                     epoch: snapshot.epoch(),
@@ -206,7 +202,6 @@ impl PortalService {
                 }
             }
             PortalRequest::TopicBrowse { topic, limit } => {
-                let timer = WallTimer::start();
                 let mut ids = self.store.topic_documents(*topic);
                 ids.sort_unstable();
                 let total = ids.len();
@@ -223,7 +218,6 @@ impl PortalService {
                     .collect();
                 if let Some(m) = &self.metrics {
                     m.browses.inc();
-                    timer.observe_us(&m.query_wall_us);
                 }
                 PortalResponse::Topic { total, entries }
             }

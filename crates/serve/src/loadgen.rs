@@ -3,25 +3,18 @@
 //! A [`QueryMix`] maps a request index to a [`PortalRequest`] through a
 //! per-index seeded RNG, so request `i` is the same regardless of which
 //! client or thread issues it — the whole workload is a pure function of
-//! `(seed, lexicon)`. Two drivers consume a mix:
-//!
-//! * [`VirtualLoadGen`] — deterministic closed-loop clients on the
-//!   *virtual* clock. Interleave [`VirtualLoadGen::tick`] with
-//!   discrete-event crawler steps and the full request schedule (and
-//!   every deterministic serve metric) reproduces bit-for-bit per seed.
-//! * [`run_closed_loop`] — real threads hammering the service
-//!   concurrently with a threaded crawl, measuring wall-clock QPS and
-//!   latency percentiles (via `bingo_obs`'s log2-histogram percentile
-//!   estimator).
+//! `(seed, lexicon)`. [`VirtualLoadGen`] drives a mix from
+//! deterministic closed-loop clients on the *virtual* clock: interleave
+//! [`VirtualLoadGen::tick`] with discrete-event crawler steps and the
+//! full request schedule (and every serve metric) reproduces
+//! bit-for-bit per seed. Paced wall-clock drivers (open and closed
+//! loop) live in `benchmark/src/loadgen.rs`.
 
 use crate::{PortalRequest, PortalResponse, PortalService};
-use bingo_obs::Histogram;
 use bingo_search::{IndexReader, QueryOptions, RankingScheme, TopicFilter};
 use bingo_textproc::TermLookup;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
 
 /// A seeded query workload over a harvested lexicon: weighted phrase
 /// queries (with a spread of topic filters and ranking schemes), topic
@@ -201,103 +194,13 @@ impl VirtualLoadGen {
     }
 }
 
-/// Outcome of a closed-loop wall-clock run.
-#[derive(Debug, Clone, Copy)]
-pub struct LoadReport {
-    /// Requests issued.
-    pub issued: u64,
-    /// Requests that completed while the crawl flag was still up.
-    pub during_crawl: u64,
-    /// Total hits returned by keyword queries.
-    pub query_hits: u64,
-    /// Highest index epoch observed in a query response.
-    pub max_epoch: u64,
-    /// Wall time of the whole run, milliseconds.
-    pub wall_ms: u64,
-    /// Requests per second.
-    pub qps: f64,
-    /// Request latency percentiles, microseconds.
-    pub p50_us: u64,
-    /// 90th percentile latency, microseconds.
-    pub p90_us: u64,
-    /// 99th percentile latency, microseconds.
-    pub p99_us: u64,
-}
-
-/// Drive `service` closed-loop from `threads` real threads until
-/// `target` requests have been issued — and, when `crawl_active` is
-/// given, until the crawl has finished too, so reader traffic spans the
-/// entire write phase. Each thread owns one [`IndexReader`]; latencies
-/// aggregate into a shared lock-free histogram.
-pub fn run_closed_loop(
-    service: &PortalService,
-    vocab: &dyn TermLookup,
-    mix: &QueryMix,
-    threads: usize,
-    target: u64,
-    crawl_active: Option<&AtomicBool>,
-) -> LoadReport {
-    let next = AtomicU64::new(0);
-    let during = AtomicU64::new(0);
-    let query_hits = AtomicU64::new(0);
-    let max_epoch = AtomicU64::new(0);
-    let latencies = Histogram::new();
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..threads.max(1) {
-            s.spawn(|| {
-                let mut reader = service.reader();
-                loop {
-                    let crawl_on = crawl_active
-                        .map(|f| f.load(Ordering::Relaxed))
-                        .unwrap_or(false);
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= target && !crawl_on {
-                        break;
-                    }
-                    let req = mix.request(i);
-                    let t0 = Instant::now();
-                    let resp = service.handle(&mut reader, vocab, &req);
-                    latencies.observe(t0.elapsed().as_micros() as u64);
-                    if crawl_on {
-                        during.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if let PortalResponse::Hits { epoch, hits } = resp {
-                        query_hits.fetch_add(hits.len() as u64, Ordering::Relaxed);
-                        max_epoch.fetch_max(epoch, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    let wall = start.elapsed();
-    let snap = latencies.snapshot();
-    let issued = snap.count;
-    let qps = if wall.as_secs_f64() > 0.0 {
-        issued as f64 / wall.as_secs_f64()
-    } else {
-        0.0
-    };
-    LoadReport {
-        issued,
-        during_crawl: during.load(Ordering::Relaxed),
-        query_hits: query_hits.load(Ordering::Relaxed),
-        max_epoch: max_epoch.load(Ordering::Relaxed),
-        wall_ms: wall.as_millis() as u64,
-        qps,
-        p50_us: snap.p50(),
-        p90_us: snap.p90(),
-        p99_us: snap.p99(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::PortalService;
     use bingo_search::LiveIndex;
     use bingo_store::{DocumentRow, DocumentStore};
-    use bingo_textproc::{SharedVocabulary, Vocabulary};
+    use bingo_textproc::Vocabulary;
     use std::sync::Arc;
 
     const POOLS: &[&[&str]] = &[
@@ -382,21 +285,5 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert!(run(42).0 > 50, "4 clients over 500 virtual ms issue plenty");
-    }
-
-    #[test]
-    fn closed_loop_reaches_target_and_measures() {
-        let mut vocab = Vocabulary::new();
-        let live = LiveIndex::new(0);
-        let store = store_with_docs(&mut vocab, &live);
-        let shared = SharedVocabulary::seeded(&vocab);
-        let service = PortalService::new(store, live);
-        let mix = QueryMix::from_lexicons(3, POOLS, &[1, 2], 16);
-        let report = run_closed_loop(&service, &shared, &mix, 4, 500, None);
-        assert_eq!(report.issued, 500);
-        assert!(report.query_hits > 0);
-        assert!(report.qps > 0.0);
-        assert!(report.p50_us <= report.p99_us);
-        assert_eq!(report.during_crawl, 0, "no crawl flag given");
     }
 }

@@ -1,8 +1,7 @@
-//! Portal-service metrics: request volume, result sizes, latency.
+//! Portal-service metrics: request volume and result sizes.
 //!
 //! Request and hit counts are deterministic under a deterministic
-//! request schedule (the virtual-clock load generator); per-request
-//! latency is wall time and lands in a volatile log2 histogram.
+//! request schedule (the virtual-clock load generator).
 
 use bingo_obs::{Counter, Histogram, Registry};
 use std::sync::Arc;
@@ -21,8 +20,6 @@ pub struct ServeMetrics {
     pub query_terms: Arc<Histogram>,
     /// Results returned per query.
     pub query_hits: Arc<Histogram>,
-    /// Wall-clock request latency, microseconds (volatile).
-    pub query_wall_us: Arc<Histogram>,
 }
 
 impl std::fmt::Debug for ServeMetrics {
@@ -40,7 +37,6 @@ impl ServeMetrics {
             stats: registry.counter("serve.stats.count"),
             query_terms: registry.histogram("serve.query.terms"),
             query_hits: registry.histogram("serve.query.hits"),
-            query_wall_us: registry.wall_histogram("serve.query.wall_us"),
         }
     }
 }
@@ -58,6 +54,5 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counters["serve.query.count"], 1);
         assert!(snap.histograms.contains_key("serve.query.hits"));
-        assert!(snap.volatile.contains("serve.query.wall_us"));
     }
 }

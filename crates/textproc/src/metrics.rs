@@ -1,11 +1,10 @@
-//! Text-processing metrics: document analysis volume and cost.
+//! Text-processing metrics: document analysis volume.
 //!
 //! Term, token and link counts derive from document contents and are
-//! deterministic; the per-document analysis cost is wall time and lands
-//! in a volatile histogram.
+//! deterministic.
 
 use crate::{analyze_html, AnalyzedDocument, Interner};
-use bingo_obs::{Counter, Gauge, Histogram, Registry, WallTimer};
+use bingo_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 
 /// Metric handles for HTML analysis. Cloning shares the underlying
@@ -24,8 +23,6 @@ pub struct TextprocMetrics {
     pub terms_per_doc: Arc<Histogram>,
     /// Current vocabulary size.
     pub vocab_size: Gauge,
-    /// Wall-clock cost per analyzed document, microseconds (volatile).
-    pub analyze_wall_us: Arc<Histogram>,
 }
 
 impl TextprocMetrics {
@@ -37,7 +34,6 @@ impl TextprocMetrics {
             links: registry.counter("textproc.links"),
             terms_per_doc: registry.histogram("textproc.terms_per_doc"),
             vocab_size: registry.gauge("textproc.vocab_size"),
-            analyze_wall_us: registry.wall_histogram("textproc.analyze.wall_us"),
             registry,
         }
     }
@@ -53,16 +49,13 @@ impl TextprocMetrics {
     }
 }
 
-/// [`analyze_html`] plus metrics: volume counters and the wall-clock
-/// analysis cost.
+/// [`analyze_html`] plus the volume counters.
 pub fn analyze_html_metered<I: Interner + ?Sized>(
     html_text: &str,
     vocab: &mut I,
     metrics: &TextprocMetrics,
 ) -> AnalyzedDocument {
-    let timer = WallTimer::start();
     let doc = analyze_html(html_text, vocab);
-    timer.observe_us(&metrics.analyze_wall_us);
     metrics.record(&doc, vocab.term_count());
     doc
 }
@@ -89,10 +82,5 @@ mod tests {
         assert_eq!(snap.counters["textproc.terms"], doc.terms.len() as u64);
         assert_eq!(snap.counters["textproc.links"], 1);
         assert!(snap.gauges["textproc.vocab_size"] > 0);
-        assert!(snap.volatile.contains("textproc.analyze.wall_us"));
-        // Deterministic view drops only the wall metric.
-        let det = snap.deterministic();
-        assert!(det.counters.contains_key("textproc.docs"));
-        assert!(!det.histograms.contains_key("textproc.analyze.wall_us"));
     }
 }
