@@ -516,7 +516,10 @@ const SERVE_POOLS: &[&[&str]] = &[
 /// A discrete-event crawl feeds the snapshot-swap [`LiveIndex`] through
 /// the store tee while a [`VirtualLoadGen`] issues closed-loop portal
 /// requests on the *virtual* clock between crawler steps. Request/hit
-/// counts and the serve/index telemetry are the determinism evidence.
+/// counts and the serve/index telemetry are the determinism evidence;
+/// `norm_postings` is the work every commit's norm recomputation did,
+/// summed (each commit visits every posting indexed so far) — the count
+/// an O(batch) commit would collapse.
 /// Afterwards the final snapshot must answer a fixed query prefix
 /// *identically* (ids and bit-exact scores) to a batch
 /// [`InvertedIndex::build`] over the final store — the
@@ -542,7 +545,8 @@ pub fn run_serve_scenario(mode: GateMode) -> ScenarioRun {
     // metric on the scenario registry.
     let registry = Arc::new(Registry::new());
     let events = Arc::new(EventLog::default());
-    let live = LiveIndex::new(32).with_obs(LiveIndexObs::new(&registry));
+    let index_obs = LiveIndexObs::new(&registry);
+    let live = LiveIndex::new(32).with_obs(index_obs.clone());
     let store = DocumentStore::new().with_tee(Arc::new(live.clone()));
     let service =
         PortalService::new(store.clone(), live.clone()).with_metrics(ServeMetrics::new(&registry));
@@ -611,6 +615,7 @@ pub fn run_serve_scenario(mode: GateMode) -> ScenarioRun {
             "max_epoch_seen": generator.max_epoch(),
             "equivalence_ok": u64::from(equivalent),
             "equivalence_queries": eq_queries,
+            "norm_postings": index_obs.norm_postings.get(),
         });
         ScenarioRun {
             report,

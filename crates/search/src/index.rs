@@ -24,35 +24,140 @@ pub trait TermIndex {
     /// appears at most once per term; visit order is unspecified.
     fn for_each_posting(&self, term: u32, f: &mut dyn FnMut(PageId, u32));
 
-    /// Logarithmically dampened idf of a term. The single definition
-    /// both implementations share — norms and query weights must agree.
+    /// Logarithmically dampened idf of a term, `ln(1 + N / df)`: the
+    /// crate's one `idf` function of the corpus size and the term's
+    /// document frequency.
     fn idf(&self, term: u32) -> f32 {
-        let df = self.df(term) as f32;
-        if df == 0.0 {
-            0.0
-        } else {
-            (1.0 + self.doc_count() as f32 / df).ln()
+        idf(self.doc_count(), self.df(term))
+    }
+}
+
+/// Logarithmically dampened idf of a term found in `df` of `doc_count`
+/// documents (0 for an unseen term). The single definition: the idf
+/// table behind the norms, the query weights and both indexes use it —
+/// norms and query weights must agree.
+pub(crate) fn idf(doc_count: u64, df: u64) -> f32 {
+    let df = df as f32;
+    if df == 0.0 {
+        0.0
+    } else {
+        (1.0 + doc_count as f32 / df).ln()
+    }
+}
+
+/// Dampened term frequency `1 + ln tf`. Under the index's tf·idf scheme
+/// a posting weighs this times its term's idf.
+pub(crate) fn tf_damp(tf: u32) -> f32 {
+    1.0 + (tf as f32).ln()
+}
+
+/// Term id → dense slot in first-sight order, with the document
+/// frequency per slot. Slots keep every per-term table a `Vec` sized by
+/// the vocabulary actually seen: a stray huge term id costs one slot,
+/// not a table sized by its value.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct TermSlots {
+    slot_of: FxHashMap<u32, u32>,
+    df: Vec<u64>,
+}
+
+impl TermSlots {
+    /// Count one more document containing `term`; returns its slot.
+    fn count(&mut self, term: u32) -> u32 {
+        let next = self.df.len() as u32;
+        let slot = *self.slot_of.entry(term).or_insert(next);
+        if slot == next {
+            self.df.push(0);
+        }
+        self.df[slot as usize] += 1;
+        slot
+    }
+
+    pub(crate) fn slot(&self, term: u32) -> Option<usize> {
+        self.slot_of.get(&term).map(|&slot| slot as usize)
+    }
+
+    /// Number of documents containing `term` (0 when unknown).
+    pub(crate) fn df(&self, term: u32) -> u64 {
+        self.slot(term).map_or(0, |slot| self.df[slot])
+    }
+
+    /// Number of distinct terms seen.
+    pub(crate) fn len(&self) -> usize {
+        self.df.len()
+    }
+
+    /// [`idf`] of every slot in a corpus of `doc_count` documents.
+    pub(crate) fn idf_table(&self, doc_count: u64) -> Vec<f32> {
+        self.df.iter().map(|&df| idf(doc_count, df)).collect()
+    }
+}
+
+/// A batch of indexed documents in two layouts: doc-major, one flat
+/// (CSR) run of `(term slot, 1 + ln tf)` per document in arrival order
+/// and stored term order — the norm accumulation order — and term-major
+/// `(doc, tf)` postings for the query path. The batch index is one
+/// segment over the whole store; the live index seals one per commit.
+#[derive(Debug, Default)]
+pub struct Segment {
+    docs: Vec<PageId>,
+    /// End of each document's run in `weights`.
+    ends: Vec<usize>,
+    weights: Vec<(u32, f32)>,
+    postings: FxHashMap<u32, Vec<(PageId, u32)>>,
+}
+
+impl Segment {
+    /// Append one document, counting its terms into `terms`.
+    pub(crate) fn push(&mut self, terms: &mut TermSlots, doc: PageId, term_freqs: &[(u32, u32)]) {
+        for &(term, tf) in term_freqs {
+            self.weights.push((terms.count(term), tf_damp(tf)));
+            self.postings.entry(term).or_default().push((doc, tf));
+        }
+        self.docs.push(doc);
+        self.ends.push(self.weights.len());
+    }
+
+    /// Order every postings list by document id; the segment is
+    /// immutable from here on.
+    pub(crate) fn seal(&mut self) {
+        for list in self.postings.values_mut() {
+            list.sort_unstable_by_key(|&(d, _)| d);
         }
     }
-}
 
-/// Weight of one term occurrence under the index's tf·idf scheme.
-pub(crate) fn tf_weight(tf: u32, idf: f32) -> f32 {
-    (1.0 + (tf as f32).ln()) * idf
-}
-
-/// L2 norm of one document's tf·idf vector, accumulated in the row's
-/// stored term order. Both the batch build and the live snapshot index
-/// use this exact routine, so incrementally built indexes are
-/// bit-identical to a batch rebuild (float addition is not associative —
-/// a shared accumulation order is what makes the equivalence exact).
-pub(crate) fn doc_norm<I: TermIndex + ?Sized>(index: &I, term_freqs: &[(u32, u32)]) -> f32 {
-    let mut sq = 0.0f32;
-    for &(term, tf) in term_freqs {
-        let w = tf_weight(tf, index.idf(term));
-        sq += w * w;
+    /// Documents in this segment.
+    pub fn doc_count(&self) -> usize {
+        self.docs.len()
     }
-    sq.sqrt()
+
+    /// `(term, doc)` occurrences in this segment.
+    pub(crate) fn posting_count(&self) -> usize {
+        self.weights.len()
+    }
+
+    pub(crate) fn postings(&self, term: u32) -> &[(PageId, u32)] {
+        self.postings.get(&term).map_or(&[], Vec::as_slice)
+    }
+
+    /// L2 norm of every document's tf·idf vector under `idf` (indexed by
+    /// term slot), accumulated in the row's stored term order. The only
+    /// norm routine: the batch build and every live commit run it, and
+    /// float addition is not associative — the shared accumulation order
+    /// is what makes an incrementally built index bit-identical to a
+    /// batch rebuild.
+    pub(crate) fn norms_into(&self, idf: &[f32], norms: &mut FxHashMap<PageId, f32>) {
+        let mut start = 0;
+        for (&doc, &end) in self.docs.iter().zip(&self.ends) {
+            let mut sq = 0.0f32;
+            for &(slot, damped_tf) in &self.weights[start..end] {
+                let w = damped_tf * idf[slot as usize];
+                sq += w * w;
+            }
+            norms.insert(doc, sq.sqrt());
+            start = end;
+        }
+    }
 }
 
 /// Term → postings index with idf and document norms, built once from the
@@ -69,31 +174,18 @@ pub struct InvertedIndex {
 impl InvertedIndex {
     /// Build from all documents in the store.
     pub fn build(store: &DocumentStore) -> Self {
-        let mut postings: FxHashMap<u32, Vec<(PageId, u32)>> = FxHashMap::default();
-        let mut doc_count = 0u64;
-        store.for_each_document(|row| {
-            doc_count += 1;
-            for &(term, tf) in &row.term_freqs {
-                postings.entry(term).or_default().push((row.id, tf));
-            }
-        });
-        for list in postings.values_mut() {
-            list.sort_unstable_by_key(|&(d, _)| d);
-        }
-        let mut index = InvertedIndex {
-            postings,
-            norms: FxHashMap::default(),
+        let mut terms = TermSlots::default();
+        let mut all = Segment::default();
+        store.for_each_document(|row| all.push(&mut terms, row.id, &row.term_freqs));
+        all.seal();
+        let doc_count = all.doc_count() as u64;
+        let mut norms = FxHashMap::with_capacity_and_hasher(all.doc_count(), Default::default());
+        all.norms_into(&terms.idf_table(doc_count), &mut norms);
+        InvertedIndex {
+            postings: all.postings,
+            norms,
             doc_count,
-        };
-        // Norms under the same weighting used at query time, accumulated
-        // doc-major in stored term order (see [`doc_norm`]) so the live
-        // snapshot index can reproduce them bit-for-bit.
-        let mut norms: FxHashMap<PageId, f32> = FxHashMap::default();
-        store.for_each_document(|row| {
-            norms.insert(row.id, doc_norm(&index, &row.term_freqs));
-        });
-        index.norms = norms;
-        index
+        }
     }
 
     /// Documents containing `term`, with raw frequencies.
@@ -106,12 +198,7 @@ impl InvertedIndex {
 
     /// Logarithmically dampened idf of a term.
     pub fn idf(&self, term: u32) -> f32 {
-        let df = self.postings(term).len() as f32;
-        if df == 0.0 {
-            0.0
-        } else {
-            (1.0 + self.doc_count as f32 / df).ln()
-        }
+        idf(self.doc_count, self.postings(term).len() as u64)
     }
 
     /// L2 norm of a document's tf·idf vector.
@@ -178,6 +265,59 @@ pub fn analyze_query_with<F: FnMut(&str) -> Option<u32>>(mut resolve: F, text: &
 mod tests {
     use super::*;
     use crate::tests::sample_store;
+    use proptest::prelude::*;
+
+    /// The scalar definition the flat norm kernel must reproduce bit for
+    /// bit: weight of one term occurrence...
+    fn tf_weight(tf: u32, idf: f32) -> f32 {
+        (1.0 + (tf as f32).ln()) * idf
+    }
+
+    /// ...and the L2 norm of one row, one idf lookup per term, summed in
+    /// the row's stored term order.
+    fn doc_norm<I: TermIndex + ?Sized>(index: &I, term_freqs: &[(u32, u32)]) -> f32 {
+        let mut sq = 0.0f32;
+        for &(term, tf) in term_freqs {
+            let w = tf_weight(tf, index.idf(term));
+            sq += w * w;
+        }
+        sq.sqrt()
+    }
+
+    fn assert_norms_match_oracle(store: &DocumentStore) {
+        let idx = InvertedIndex::build(store);
+        store.for_each_document(|row| {
+            assert_eq!(
+                idx.norm(row.id).to_bits(),
+                doc_norm(&idx, &row.term_freqs).to_bits(),
+                "norm of doc {}",
+                row.id
+            );
+        });
+    }
+
+    #[test]
+    fn kernel_norms_equal_scalar_oracle() {
+        assert_norms_match_oracle(&sample_store().0);
+    }
+
+    proptest! {
+        #[test]
+        fn kernel_norms_equal_scalar_oracle_on_arbitrary_rows(
+            rows in proptest::collection::vec(
+                proptest::collection::vec((0u32..60, 1u32..500), 0..25),
+                1..30,
+            ),
+        ) {
+            let store = DocumentStore::new();
+            for (i, term_freqs) in rows.into_iter().enumerate() {
+                let mut row = crate::tests::blank_row(i as u64 + 1);
+                row.term_freqs = term_freqs;
+                store.insert_document(row).unwrap();
+            }
+            assert_norms_match_oracle(&store);
+        }
+    }
 
     #[test]
     fn postings_and_counts() {

@@ -127,6 +127,23 @@ mod tests {
     use bingo_store::DocumentRow;
     use bingo_textproc::{analyze_html, MimeType};
 
+    /// An unclassified row with no terms, for tests that fill in the rest.
+    pub(crate) fn blank_row(id: u64) -> DocumentRow {
+        DocumentRow {
+            id,
+            url: format!("http://h/{id}"),
+            host: 1,
+            mime: MimeType::Html,
+            depth: 0,
+            title: String::new(),
+            topic: None,
+            confidence: 0.0,
+            term_freqs: Vec::new(),
+            size: 10,
+            fetched_at: 0,
+        }
+    }
+
     /// A small crawl database: three ARIES docs (topic 1), two sports
     /// docs (topic 2), linked so that doc 1 is the authority.
     pub(crate) fn sample_store() -> (DocumentStore, Vocabulary) {

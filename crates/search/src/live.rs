@@ -6,27 +6,46 @@
 //! for:
 //!
 //! * Writers ([`LiveIndex::ingest`], typically fed through the store's
-//!   [`bingo_store::IndexTee`] hook) accumulate rows into a pending
-//!   batch under a writer mutex the query path never touches.
-//! * [`LiveIndex::commit`] seals the pending rows into an immutable
-//!   [`Segment`], recomputes global document frequencies and norms, and
-//!   publishes a fresh [`IndexSnapshot`] by swapping an `Arc` and then
-//!   bumping an atomic epoch counter.
+//!   [`bingo_store::IndexTee`] hook) append rows to a pending
+//!   [`Segment`] under a writer mutex the query path never touches.
+//! * [`LiveIndex::commit`] seals the pending segment, recomputes the idf
+//!   table and every norm, and publishes a fresh [`IndexSnapshot`] by
+//!   swapping an `Arc` and then bumping an atomic epoch counter.
 //! * Readers hold an [`IndexReader`], which caches `(epoch, Arc)`. The
 //!   steady-state query path is one `Acquire` load of the epoch plus an
 //!   `Arc` clone — lock-free; a reader takes the (brief) publication
 //!   mutex only on the query *after* a commit, to re-fetch the `Arc`.
 //!   No `RwLock` is ever held across a query.
 //!
-//! Segments share their postings via `Arc`, so a commit never copies
-//! previously indexed postings. What a commit does recompute is every
-//! document norm: idf depends on the global document count, so all
-//! tf·idf norms change whenever the corpus grows. That makes commits
-//! O(total postings) — amortized by committing per bulk-load batch
-//! rather than per document — and buys exact equivalence with a batch
-//! rebuild (see [`IndexSnapshot`] and the `live_equivalence` test).
+//! Snapshots share sealed segments via `Arc`, so a commit never copies
+//! previously indexed postings or weights.
+//!
+//! # Cost model
+//!
+//! * [`LiveIndex::ingest`] is O(batch): each row is appended to the
+//!   pending [`Segment`] — one term-slot lookup and one `1 + ln tf` per
+//!   posting, computed once and never again.
+//! * [`LiveIndex::commit`] sorts the pending segment's postings
+//!   (O(batch)), builds one dense idf table (O(vocabulary)) and then
+//!   recomputes **every** document norm: idf depends on the global
+//!   document count, so all tf·idf norms change whenever the corpus
+//!   grows. That pass is O(total postings) — amortized by committing per
+//!   bulk-load batch rather than per document — but it is one
+//!   multiply-add over flat arrays per posting (≈2 ns; it was a hash
+//!   lookup and two `ln` calls, ≈22 ns). It buys exact equivalence with
+//!   a batch rebuild (see [`IndexSnapshot`] and the `live_equivalence`
+//!   test); `search.live.norm_postings` counts the postings it visits.
+//!
+//! Computing norms lazily — per matching document at query time — was
+//! tried when this design was sized and lost: it takes the pass out of
+//! the commit (the same ingest rate on the `serve_live` benchmark
+//! workload), but a portal query matches thousands of documents, so
+//! closed-loop capacity fell from 138 to 88 requests/s and `rank` p50
+//! rose from 7.0 to 12.7 ms. A commit that is flat in corpus size needs
+//! norms that do not depend on the corpus size, i.e. a different
+//! ranking.
 
-use crate::index::{doc_norm, TermIndex};
+use crate::index::{Segment, TermIndex, TermSlots};
 use bingo_graph::PageId;
 use bingo_obs::{Counter, Gauge, Registry};
 use bingo_store::{DocumentRow, IndexTee};
@@ -35,49 +54,22 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// An immutable batch of indexed documents: the rows in arrival order
-/// (doc-major, each row's term list in stored order — the norm
-/// accumulation order) plus term-major postings for the query path.
-#[derive(Debug, Default)]
-pub struct Segment {
-    rows: Vec<(PageId, Vec<(u32, u32)>)>,
-    postings: FxHashMap<u32, Vec<(PageId, u32)>>,
-}
-
-impl Segment {
-    fn from_rows(rows: Vec<(PageId, Vec<(u32, u32)>)>) -> Self {
-        let mut postings: FxHashMap<u32, Vec<(PageId, u32)>> = FxHashMap::default();
-        for (doc, tfs) in &rows {
-            for &(term, tf) in tfs {
-                postings.entry(term).or_default().push((*doc, tf));
-            }
-        }
-        for list in postings.values_mut() {
-            list.sort_unstable_by_key(|&(d, _)| d);
-        }
-        Segment { rows, postings }
-    }
-
-    /// Documents in this segment.
-    pub fn doc_count(&self) -> usize {
-        self.rows.len()
-    }
-}
-
 /// One published, immutable index state. Queries resolve entirely
 /// against a single snapshot, so every query sees one consistent corpus
 /// (never a half-committed batch) no matter how many commits land while
 /// it runs.
 ///
-/// Snapshots implement [`TermIndex`] with the same idf formula and the
-/// same doc-major norm accumulation as the batch build, so a snapshot
-/// over segments `S1..Sn` scores identically (bit-for-bit) to
-/// `InvertedIndex::build` over the union of their rows.
+/// Snapshots implement [`TermIndex`] with the same idf definition and
+/// the same norm routine (`Segment::norms_into`) as the batch build,
+/// so a snapshot over segments `S1..Sn` scores identically (bit-for-bit)
+/// to `InvertedIndex::build` over the union of their rows.
 #[derive(Debug, Default)]
 pub struct IndexSnapshot {
     epoch: u64,
     segments: Vec<Arc<Segment>>,
-    df: FxHashMap<u32, u64>,
+    terms: TermSlots,
+    /// idf per term slot at this snapshot's `doc_count`.
+    idf: Vec<f32>,
     norms: FxHashMap<PageId, f32>,
     doc_count: u64,
 }
@@ -96,7 +88,7 @@ impl IndexSnapshot {
 
     /// Number of distinct terms with postings.
     pub fn term_count(&self) -> usize {
-        self.df.len()
+        self.terms.len()
     }
 }
 
@@ -106,7 +98,7 @@ impl TermIndex for IndexSnapshot {
     }
 
     fn df(&self, term: u32) -> u64 {
-        self.df.get(&term).copied().unwrap_or(0)
+        self.terms.df(term)
     }
 
     fn norm(&self, doc: PageId) -> f32 {
@@ -115,21 +107,25 @@ impl TermIndex for IndexSnapshot {
 
     fn for_each_posting(&self, term: u32, f: &mut dyn FnMut(PageId, u32)) {
         for seg in &self.segments {
-            if let Some(list) = seg.postings.get(&term) {
-                for &(doc, tf) in list {
-                    f(doc, tf);
-                }
+            for &(doc, tf) in seg.postings(term) {
+                f(doc, tf);
             }
         }
+    }
+
+    fn idf(&self, term: u32) -> f32 {
+        self.terms.slot(term).map_or(0.0, |slot| self.idf[slot])
     }
 }
 
 /// Writer-side state, guarded by one mutex that queries never take.
 #[derive(Debug)]
 struct Writer {
-    pending: Vec<(PageId, Vec<(u32, u32)>)>,
+    /// Rows staged since the last commit, already in segment layout.
+    pending: Segment,
     segments: Vec<Arc<Segment>>,
-    df: FxHashMap<u32, u64>,
+    /// Slots and document frequencies over `segments` and `pending`.
+    terms: TermSlots,
     doc_count: u64,
 }
 
@@ -163,9 +159,9 @@ impl LiveIndex {
                 epoch: AtomicU64::new(0),
                 current: Mutex::new(Arc::new(IndexSnapshot::default())),
                 writer: Mutex::new(Writer {
-                    pending: Vec::new(),
+                    pending: Segment::default(),
                     segments: Vec::new(),
-                    df: FxHashMap::default(),
+                    terms: TermSlots::default(),
                     doc_count: 0,
                 }),
                 commit_every,
@@ -184,14 +180,16 @@ impl LiveIndex {
     /// threads; readers are unaffected until a commit publishes.
     pub fn ingest(&self, rows: &[DocumentRow]) {
         let commit_now = {
-            let mut w = self.shared.writer.lock();
-            w.pending
-                .extend(rows.iter().map(|r| (r.id, r.term_freqs.clone())));
+            let mut guard = self.shared.writer.lock();
+            let w = &mut *guard;
+            for row in rows {
+                w.pending.push(&mut w.terms, row.id, &row.term_freqs);
+            }
             if let Some(o) = &self.obs {
                 o.ingested.add(rows.len() as u64);
-                o.pending.set(w.pending.len() as i64);
+                o.pending.set(w.pending.doc_count() as i64);
             }
-            self.shared.commit_every > 0 && w.pending.len() >= self.shared.commit_every
+            self.shared.commit_every > 0 && w.pending.doc_count() >= self.shared.commit_every
         };
         if commit_now {
             self.commit();
@@ -203,42 +201,40 @@ impl LiveIndex {
     /// no-op, without an epoch bump, when nothing is pending).
     pub fn commit(&self) -> u64 {
         let mut w = self.shared.writer.lock();
-        if w.pending.is_empty() {
+        if w.pending.doc_count() == 0 {
             return self.shared.epoch.load(Ordering::Acquire);
         }
-        let rows = std::mem::take(&mut w.pending);
-        w.doc_count += rows.len() as u64;
-        for (_, tfs) in &rows {
-            for &(term, _) in tfs {
-                *w.df.entry(term).or_insert(0) += 1;
-            }
-        }
-        w.segments.push(Arc::new(Segment::from_rows(rows)));
+        let mut sealed = std::mem::take(&mut w.pending);
+        sealed.seal();
+        w.doc_count += sealed.doc_count() as u64;
+        w.segments.push(Arc::new(sealed));
 
+        // Norms are global (idf moves with doc_count), so recompute all
+        // of them, segment by segment in arrival order.
+        let idf = w.terms.idf_table(w.doc_count);
+        let mut norms =
+            FxHashMap::with_capacity_and_hasher(w.doc_count as usize, Default::default());
+        let mut norm_postings = 0;
+        for seg in &w.segments {
+            seg.norms_into(&idf, &mut norms);
+            norm_postings += seg.posting_count() as u64;
+        }
         let epoch = self.shared.epoch.load(Ordering::Acquire) + 1;
-        let mut snapshot = IndexSnapshot {
+        let docs = w.doc_count;
+        let snapshot = IndexSnapshot {
             epoch,
             segments: w.segments.clone(),
-            df: w.df.clone(),
-            norms: FxHashMap::default(),
-            doc_count: w.doc_count,
+            terms: w.terms.clone(),
+            idf,
+            norms,
+            doc_count: docs,
         };
-        // Norms are global (idf moves with doc_count), so recompute all
-        // of them doc-major — the exact accumulation the batch build
-        // uses.
-        let mut norms = FxHashMap::default();
-        for seg in &snapshot.segments {
-            for (doc, tfs) in &seg.rows {
-                norms.insert(*doc, doc_norm(&snapshot, tfs));
-            }
-        }
-        snapshot.norms = norms;
-        let docs = snapshot.doc_count;
 
         *self.shared.current.lock() = Arc::new(snapshot);
         self.shared.epoch.store(epoch, Ordering::Release);
         if let Some(o) = &self.obs {
             o.commits.inc();
+            o.norm_postings.add(norm_postings);
             o.epoch.set(epoch as i64);
             o.docs.set(docs as i64);
             o.pending.set(0);
@@ -263,7 +259,7 @@ impl LiveIndex {
 
     /// Rows staged but not yet committed.
     pub fn pending_docs(&self) -> usize {
-        self.shared.writer.lock().pending.len()
+        self.shared.writer.lock().pending.doc_count()
     }
 }
 
@@ -308,6 +304,9 @@ pub struct LiveIndexObs {
     pub commits: Counter,
     /// Rows staged via ingest.
     pub ingested: Counter,
+    /// Postings visited by norm recomputation, summed over commits: the
+    /// O(total postings) work a commit does, as a deterministic count.
+    pub norm_postings: Counter,
     /// Epoch of the latest published snapshot.
     pub epoch: Gauge,
     /// Documents in the latest published snapshot.
@@ -328,6 +327,7 @@ impl LiveIndexObs {
         LiveIndexObs {
             commits: registry.counter("search.live.commits"),
             ingested: registry.counter("search.live.ingested"),
+            norm_postings: registry.counter("search.live.norm_postings"),
             epoch: registry.gauge("search.live.epoch"),
             docs: registry.gauge("search.live.docs"),
             pending: registry.gauge("search.live.pending"),
@@ -340,7 +340,7 @@ mod tests {
     use super::*;
     use crate::index::{analyze_query, InvertedIndex};
     use crate::rank::{rank, RankingScheme, TopicFilter};
-    use crate::tests::sample_store;
+    use crate::tests::{blank_row, sample_store};
     use bingo_store::DocumentStore;
 
     fn ingest_all(live: &LiveIndex, store: &DocumentStore, batch: usize) {
@@ -456,6 +456,54 @@ mod tests {
         }
     }
 
+    /// Term tables are indexed by dense slot, not by term id: a stray
+    /// huge id costs one slot, in the commit that brings it and in every
+    /// later one, and changes nothing about the arithmetic.
+    #[test]
+    fn huge_term_id_costs_one_slot_and_matches_batch() {
+        const HUGE: u32 = u32::MAX - 1;
+        let store = DocumentStore::new();
+        let live = LiveIndex::new(0);
+        let row = |id: u64, term_freqs: &[(u32, u32)]| DocumentRow {
+            term_freqs: term_freqs.to_vec(),
+            ..blank_row(id)
+        };
+        let commits = [
+            vec![row(1, &[(3, 2), (HUGE, 1)]), row(2, &[(3, 1), (9, 4)])],
+            vec![row(3, &[(9, 1)])],
+            vec![row(4, &[(0, 3), (HUGE, 5)]), row(5, &[])],
+        ];
+        for rows in commits {
+            live.ingest(&rows);
+            live.commit();
+            assert!(store.insert_documents(rows).is_empty());
+        }
+        let snap = live.reader().snapshot();
+        assert_eq!(snap.term_count(), 4);
+        assert_eq!(snap.idf.len(), 4, "idf table sized by terms seen");
+        assert_eq!(snap.df(HUGE), 2);
+        let batch = InvertedIndex::build(&store);
+        assert_eq!(snap.idf(HUGE).to_bits(), batch.idf(HUGE).to_bits());
+        for d in 1..=5u64 {
+            assert_eq!(snap.norm(d).to_bits(), batch.norm(d).to_bits(), "doc {d}");
+        }
+        let hits = |index: &dyn TermIndex| {
+            rank(
+                &store,
+                index,
+                &[HUGE],
+                &TopicFilter::Any,
+                RankingScheme::Cosine,
+                10,
+            )
+            .iter()
+            .map(|h| (h.doc_id, h.score.to_bits()))
+            .collect::<Vec<_>>()
+        };
+        assert_eq!(hits(&*snap).len(), 2);
+        assert_eq!(hits(&*snap), hits(&batch));
+    }
+
     #[test]
     fn store_tee_feeds_live_index() {
         let live = LiveIndex::new(0);
@@ -483,6 +531,15 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counters["search.live.commits"], 1);
         assert_eq!(snap.counters["search.live.ingested"], 5);
+        let postings: usize = store
+            .all_documents()
+            .iter()
+            .map(|r| r.term_freqs.len())
+            .sum();
+        assert_eq!(
+            snap.counters["search.live.norm_postings"], postings as u64,
+            "one commit visits every posting once"
+        );
         assert_eq!(snap.gauges["search.live.epoch"], 1);
         assert_eq!(snap.gauges["search.live.docs"], 5);
         assert_eq!(snap.gauges["search.live.pending"], 0);
@@ -499,17 +556,8 @@ mod tests {
                     for i in 0..200u64 {
                         let id = t * 1000 + i;
                         live.ingest(&[DocumentRow {
-                            id,
-                            url: format!("http://h/{id}"),
-                            host: 1,
-                            mime: bingo_textproc::MimeType::Html,
-                            depth: 0,
-                            title: String::new(),
-                            topic: None,
-                            confidence: 0.0,
                             term_freqs: vec![(id as u32 % 50, 1), (1000 + id as u32 % 7, 2)],
-                            size: 10,
-                            fetched_at: 0,
+                            ..blank_row(id)
                         }]);
                     }
                 });

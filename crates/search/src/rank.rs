@@ -122,7 +122,7 @@ pub fn rank<I: TermIndex + ?Sized>(
         let qw = idf; // query tf = 1
         query_norm_sq += qw * qw;
         index.for_each_posting(term, &mut |doc, tf| {
-            let dw = crate::index::tf_weight(tf, idf);
+            let dw = crate::index::tf_damp(tf) * idf;
             *scores.entry(doc).or_insert(0.0) += qw * dw;
         });
     }
@@ -131,24 +131,27 @@ pub fn rank<I: TermIndex + ?Sized>(
         return Vec::new();
     }
 
-    // Topic filter + metadata.
+    // Topic filter. A match is judged and scored from two scalars of its
+    // row, read in place; `url` and `title` are fetched further down,
+    // for the `top_k` survivors only.
     let mut matches: Vec<SearchHit> = Vec::new();
     for (doc, dot) in scores {
-        let Some(row) = store.document(doc) else {
+        let Some((topic, confidence)) = store.with_document(doc, |row| (row.topic, row.confidence))
+        else {
             continue;
         };
-        if !filter.accepts(row.topic, row.confidence) {
+        if !filter.accepts(topic, confidence) {
             continue;
         }
         let denom = query_norm * index.norm(doc);
         let cosine = if denom > 0.0 { dot / denom } else { 0.0 };
         matches.push(SearchHit {
             doc_id: doc,
-            url: row.url,
-            title: row.title,
+            url: String::new(),
+            title: String::new(),
             score: 0.0,
             cosine,
-            confidence: row.confidence,
+            confidence,
             authority: 0.0,
         });
     }
@@ -194,6 +197,14 @@ pub fn rank<I: TermIndex + ?Sized>(
             .then(a.doc_id.cmp(&b.doc_id))
     });
     matches.truncate(top_k);
+    for m in &mut matches {
+        if let Some((url, title)) =
+            store.with_document(m.doc_id, |row| (row.url.clone(), row.title.clone()))
+        {
+            m.url = url;
+            m.title = title;
+        }
+    }
     matches
 }
 

@@ -484,6 +484,17 @@ impl DocumentStore {
         }
     }
 
+    /// Run `f` on a document row in place, under the read lock, without
+    /// cloning it — for readers that need a field or two of many rows
+    /// (ranking reads `topic` and `confidence` of every match).
+    /// Segmented stores materialize the row first.
+    pub fn with_document<R>(&self, id: PageId, f: impl FnOnce(&DocumentRow) -> R) -> Option<R> {
+        match &self.spine {
+            Some(spine) => spine.read().document(id).as_ref().map(f),
+            None => self.inner.read().documents.get(&id).map(f),
+        }
+    }
+
     /// Fetch a document row by URL.
     pub fn document_by_url(&self, url: &str) -> Option<DocumentRow> {
         match &self.spine {

@@ -210,6 +210,8 @@ proptest! {
         prop_assert_eq!(seg.host_count(), mem.host_count());
         for id in 0..60u64 {
             prop_assert_eq!(seg.document(id), mem.document(id), "doc {}", id);
+            prop_assert_eq!(seg.with_document(id, Clone::clone), mem.document(id), "doc {}", id);
+            prop_assert_eq!(mem.with_document(id, Clone::clone), mem.document(id), "doc {}", id);
             prop_assert_eq!(seg.successors(id), mem.successors(id), "succ {}", id);
             prop_assert_eq!(seg.predecessors(id), mem.predecessors(id), "pred {}", id);
             prop_assert_eq!(seg.host_of(id), mem.host_of(id), "host_of {}", id);
