@@ -9,7 +9,7 @@
 # This script is the single local entry point AND the unit the GitHub
 # workflows are built from. CI job layout (.github/workflows/):
 #
-#   ci.yml (every push/PR) — four parallel jobs sharing one cargo
+#   ci.yml (every push/PR) — five parallel jobs sharing one cargo
 #   cache, each invoking this script with a CI_STEPS selector:
 #     lint   -> CI_STEPS=lint  ./ci.sh   (fmt, no-wall-clock guard,
 #               clippy, rustdoc)
@@ -17,6 +17,11 @@
 #               plus the standalone benchmark/ crate's own tests, so
 #               a change to the API it uses fails here)
 #     crash  -> CI_STEPS=crash ./ci.sh   (crash-recovery matrices)
+#     paper  -> CI_STEPS=paper ./ci.sh   (reruns the six exp_* bins in
+#               a scratch directory and cmp's their reports against
+#               the committed experiments_*.json, so a change that
+#               moves a paper table fails here instead of leaving
+#               EXPERIMENTS.md stale)
 #     bench  -> CI_STEPS=bench ./ci.sh   (bench gate, smoke mode;
 #               uploads telemetry and writes a baseline-vs-actual
 #               diff table to $GITHUB_STEP_SUMMARY on failure)
@@ -24,7 +29,7 @@
 #   million-page scale scenario, plus a wider crash-seed matrix.
 #
 # CI_STEPS selects which steps run, as a comma-separated list of
-#   lint | test | crash | bench
+#   lint | test | crash | paper | bench
 # (default: all of them, in local-friendly order). Examples:
 #   CI_STEPS=lint ./ci.sh
 #   CI_STEPS=test,crash ./ci.sh
@@ -68,7 +73,7 @@ BENCH_GATE_MODE="${BENCH_GATE_MODE:-full}"
 BENCH_GATE_ONLY="${BENCH_GATE_ONLY:-crawl,classify,pipeline,recovery,serve,scale,dist}"
 BINGO_CRASH_SEEDS="${BINGO_CRASH_SEEDS:-1,2,3,11,12,13}"
 BINGO_NODE_KILL_SEEDS="${BINGO_NODE_KILL_SEEDS:-41,42,43}"
-CI_STEPS="${CI_STEPS:-lint,test,crash,bench}"
+CI_STEPS="${CI_STEPS:-lint,test,crash,paper,bench}"
 STEP_TIMINGS=""
 CI_OK=0
 
@@ -108,9 +113,9 @@ wants() {
 
 for s in $(printf '%s' "$CI_STEPS" | tr ',' ' '); do
     case "$s" in
-    lint | test | crash | bench) ;;
+    lint | test | crash | paper | bench) ;;
     *)
-        echo "error: unknown CI_STEPS entry '$s' (lint|test|crash|bench)" >&2
+        echo "error: unknown CI_STEPS entry '$s' (lint|test|crash|paper|bench)" >&2
         exit 2
         ;;
     esac
@@ -129,6 +134,28 @@ no_wall_clock() {
         echo "$hits" >&2
         return 1
     fi
+}
+
+# The committed experiments_*.json (and the EXPERIMENTS.md tables
+# quoting them) are pure functions of the seeds in the exp_* harnesses.
+# Rerun every harness in a scratch directory and require byte-identical
+# reports; on a mismatch the scratch directory is kept for a diff.
+paper_artifacts() {
+    repo=$(pwd)
+    scratch=$(mktemp -d)
+    stale=""
+    for exp in portal expert meta ablation authority faults; do
+        (cd "$scratch" && "$repo/target/release/exp_$exp" >"$exp.log" 2>&1)
+        cmp "$scratch/experiments_$exp.json" "experiments_$exp.json" ||
+            stale="$stale experiments_$exp.json"
+    done
+    if [ -n "$stale" ]; then
+        echo "error: regenerated reports differ from the committed ones:$stale" >&2
+        echo "       (fresh copies and logs in $scratch; if the change is meant," >&2
+        echo "       copy them over and correct EXPERIMENTS.md)" >&2
+        return 1
+    fi
+    rm -rf "$scratch"
 }
 
 if wants lint; then
@@ -165,6 +192,13 @@ if wants crash; then
     step "node-kill chaos (seeds $BINGO_NODE_KILL_SEEDS)" \
         env BINGO_NODE_KILL_SEEDS="$BINGO_NODE_KILL_SEEDS" \
         cargo test -q --offline -p bingo-dist --test dist_chaos
+fi
+
+if wants paper; then
+    step "cargo build --release (exp bins)" \
+        cargo build --release --offline -p bingo-bench --bins
+
+    step "paper artifacts (experiments_*.json)" paper_artifacts
 fi
 
 if wants lint; then
