@@ -195,8 +195,8 @@ if wants crash; then
 fi
 
 if wants paper; then
-    step "cargo build --release (exp bins)" \
-        cargo build --release --offline -p bingo-bench --bins
+    step "cargo build --release" \
+        cargo build --release --offline --workspace
 
     step "paper artifacts (experiments_*.json)" paper_artifacts
 fi

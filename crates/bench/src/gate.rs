@@ -6,7 +6,9 @@
 //! * **crawl** — a seeded portal crawl (learning → retrain → harvesting)
 //!   followed by an index build and a fixed query set,
 //! * **classify** — a three-topic training + held-out evaluation
-//!   measuring macro-F1,
+//!   measuring macro-F1, plus a digest of every judgment's topic and
+//!   confidence bits (`judgment_digest`, gated exactly: classification
+//!   speed work must not move a single bit),
 //! * **pipeline** — a fixed URL set pushed through the staged batch
 //!   pipeline (fetch → convert → analyze → classify → bulk-load) by the
 //!   real-thread executor on one thread, classification on; gates
@@ -277,8 +279,16 @@ pub fn run_crawl_scenario(mode: GateMode) -> ScenarioRun {
     }
 }
 
+/// 64-bit FNV-1a, continued from `hash` over `bytes`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Run the classify scenario once: three topics, held-out evaluation,
-/// macro-F1.
+/// macro-F1, and a digest over `(topic, confidence bits)` of every
+/// evaluated page in order.
 pub fn run_classify_scenario(mode: GateMode) -> ScenarioRun {
     let (train_n, eval_n) = match mode {
         GateMode::Full => (12usize, 60usize),
@@ -296,6 +306,7 @@ pub fn run_classify_scenario(mode: GateMode) -> ScenarioRun {
     // Held-out evaluation: macro-F1 over the three topics.
     let mut per_class: Vec<(usize, usize, usize)> = vec![(0, 0, 0); topics.len()]; // (tp, fp, fn)
     let mut evaluated = 0usize;
+    let mut digest = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
     for (class_idx, &(_, true_topic)) in topics.iter().enumerate() {
         for id in held_out(&world, true_topic, train_n, eval_n) {
             let Ok((_, _, features)) = engine.analyze_url(&world, &world.url_of(id)) else {
@@ -303,6 +314,8 @@ pub fn run_classify_scenario(mode: GateMode) -> ScenarioRun {
             };
             evaluated += 1;
             let judgment = engine.classify(&features);
+            digest = fnv1a(digest, &judgment.topic.unwrap_or(u32::MAX).to_le_bytes());
+            digest = fnv1a(digest, &judgment.confidence.to_bits().to_le_bytes());
             let predicted = judgment
                 .topic
                 .and_then(|t| topics.iter().position(|&(tid, _)| tid.0 == t));
@@ -335,6 +348,8 @@ pub fn run_classify_scenario(mode: GateMode) -> ScenarioRun {
         "evaluated": evaluated,
         "macro_f1": macro_f1,
         "per_class_f1": f1s,
+        // Xor-folded to 32 bits so the JSON number is exact.
+        "judgment_digest": (digest >> 32) ^ (digest & 0xffff_ffff),
     });
     ScenarioRun {
         report,
@@ -1056,7 +1071,12 @@ const CRAWL_SPECS: &[MetricSpec] = &[
     MetricSpec::at_least("stored_pages", 0.10),
 ];
 
-const CLASSIFY_SPECS: &[MetricSpec] = &[MetricSpec::at_least("macro_f1", 0.05)];
+/// `judgment_digest` must equal the baseline: no lower, no higher.
+const CLASSIFY_SPECS: &[MetricSpec] = &[
+    MetricSpec::at_least("macro_f1", 0.05),
+    MetricSpec::at_least("judgment_digest", 0.0),
+    MetricSpec::at_most("judgment_digest", 0.0),
+];
 
 const PIPELINE_SPECS: &[MetricSpec] = &[
     MetricSpec::at_least("documents", 0.02),
@@ -1711,6 +1731,21 @@ mod tests {
                 .and_then(Value::as_u64)
                 .unwrap()
                 > 30
+        );
+        // The digest gates both ways: one flipped bit fails it.
+        let mut moved = a.report.clone();
+        let Value::Object(fields) = &mut moved else {
+            panic!("report is an object");
+        };
+        let digest = fields
+            .iter_mut()
+            .find(|(key, _)| key == "judgment_digest")
+            .expect("digest reported");
+        digest.1 = Value::U64(digest.1.as_u64().unwrap() ^ 1);
+        assert!(compare_reports("classify", &a.report, &a.report, CLASSIFY_SPECS).is_empty());
+        assert_eq!(
+            compare_reports("classify", &a.report, &moved, CLASSIFY_SPECS).len(),
+            1
         );
     }
 }

@@ -10,10 +10,9 @@ use bingo_graph::{expand_base_set, Hits, LinkSource};
 use bingo_ml::meta::MetaPolicy;
 use bingo_obs::Event;
 use bingo_textproc::fxhash::FxHashMap;
-use bingo_textproc::tfidf::CorpusStats;
-use bingo_textproc::vocab::TermId;
+use bingo_textproc::tfidf::{CorpusStats, TfIdfWeighter};
 use bingo_textproc::{
-    analyze_html_metered, AnalyzedDocument, ContentRegistry, DocumentFeatures, FeatureSpaceKind,
+    analyze_html_metered, AnalyzedDocument, ContentRegistry, DocWeights, DocumentFeatures,
     Vocabulary,
 };
 use bingo_webworld::{FetchOutcome, World};
@@ -133,6 +132,10 @@ pub struct BingoEngine {
     /// Engine configuration.
     pub config: EngineConfig,
     corpus: CorpusStats,
+    /// The corpus as frozen by the last successful [`train`](Self::train):
+    /// the one weighter every space of every model in `models` holds a
+    /// handle to, and the one every page is weighed with.
+    frozen: TfIdfWeighter,
     models: FxHashMap<u32, TopicModel>,
     phase: Phase,
     candidates: FxHashMap<u32, Vec<Candidate>>,
@@ -148,6 +151,7 @@ impl BingoEngine {
             vocab: Vocabulary::new(),
             config,
             corpus: CorpusStats::new(),
+            frozen: TfIdfWeighter::default(),
             models: FxHashMap::default(),
             phase: Phase::Learning,
             candidates: FxHashMap::default(),
@@ -221,12 +225,7 @@ impl BingoEngine {
     }
 
     fn record_corpus(&mut self, features: &DocumentFeatures) {
-        self.corpus.add_document(
-            features
-                .occurrences(FeatureSpaceKind::Combined)
-                .iter()
-                .map(|&(i, _)| TermId(i)),
-        );
+        self.corpus.add_document(features.distinct_features());
     }
 
     /// Add an intellectually classified training document for `topic` by
@@ -273,8 +272,10 @@ impl BingoEngine {
 
     /// (Re)train all topic classifiers: for each topic, positives are its
     /// subtree's training docs; negatives are the competing siblings'
-    /// docs plus the OTHERS class.
+    /// docs plus the OTHERS class. The corpus statistics are frozen once
+    /// for the whole round.
     pub fn train(&mut self) -> Result<(), EngineError> {
+        let frozen = self.corpus.weighter();
         let ids: Vec<TopicId> = self.tree.topic_ids().collect();
         let mut new_models = FxHashMap::default();
         for id in ids {
@@ -303,7 +304,7 @@ impl BingoEngine {
                 ));
             }
             if let Some(model) =
-                TopicModel::train(&positives, &negatives, &self.corpus, &self.config.model)
+                TopicModel::train(&positives, &negatives, &frozen, &self.config.model)
             {
                 new_models.insert(id.0, model);
             }
@@ -318,6 +319,7 @@ impl BingoEngine {
             .map(|m| m.spaces.iter().map(|s| s.selector.len()).sum::<usize>())
             .sum();
         self.obs.train_features.set(features as i64);
+        self.frozen = frozen;
         self.models = new_models;
         Ok(())
     }
@@ -333,6 +335,7 @@ impl BingoEngine {
         let judgment = classify_impl(
             &self.tree,
             &self.models,
+            &self.frozen,
             features,
             policy,
             self.config.single_classifier,
@@ -353,6 +356,7 @@ impl BingoEngine {
         TopicClassifier {
             tree: &self.tree,
             models: &self.models,
+            weighter: &self.frozen,
             obs: &self.obs,
             policy,
             single_classifier: self.config.single_classifier,
@@ -412,6 +416,7 @@ impl BingoEngine {
             vocab,
             config,
             corpus,
+            frozen,
             models,
             candidates,
             obs,
@@ -420,6 +425,7 @@ impl BingoEngine {
         let mut judge = EngineJudge {
             tree,
             models,
+            weighter: frozen,
             corpus,
             candidates,
             obs,
@@ -453,7 +459,9 @@ impl BingoEngine {
             }
 
             // --- Candidate set: top authorities ∪ top-confidence docs.
-            let mut pool = self.candidates.get(&t).cloned().unwrap_or_default();
+            // The pool is ranked by reference; only the survivors are
+            // cloned.
+            let mut pool: Vec<&Candidate> = self.candidates(topic).iter().collect();
             pool.sort_by(|a, b| {
                 b.confidence
                     .partial_cmp(&a.confidence)
@@ -461,7 +469,7 @@ impl BingoEngine {
             });
             pool.truncate(self.config.n_conf);
             let mut union: FxHashMap<u64, Candidate> =
-                pool.into_iter().map(|c| (c.page_id, c)).collect();
+                pool.into_iter().map(|c| (c.page_id, c.clone())).collect();
             for (page, _score) in &authority_candidates {
                 if union.contains_key(page) {
                     continue;
@@ -630,6 +638,12 @@ impl BingoEngine {
             .emit(Event::at(crawler.clock_ms(), "engine.phase.harvesting"));
     }
 
+    /// The frozen corpus view the current models were trained with
+    /// (persistence support).
+    pub(crate) fn frozen(&self) -> &TfIdfWeighter {
+        &self.frozen
+    }
+
     /// Snapshot of all trained models (persistence support).
     pub(crate) fn models_snapshot(&self) -> Vec<(u32, TopicModel)> {
         let mut v: Vec<(u32, TopicModel)> =
@@ -645,6 +659,7 @@ impl BingoEngine {
         vocab: Vocabulary,
         tree: TopicTree,
         corpus: CorpusStats,
+        frozen: TfIdfWeighter,
         models: FxHashMap<u32, TopicModel>,
     ) -> Self {
         BingoEngine {
@@ -652,6 +667,7 @@ impl BingoEngine {
             vocab,
             config,
             corpus,
+            frozen,
             models,
             phase,
             candidates: FxHashMap::default(),
@@ -682,6 +698,7 @@ impl BingoEngine {
 pub struct TopicClassifier<'a> {
     tree: &'a TopicTree,
     models: &'a FxHashMap<u32, TopicModel>,
+    weighter: &'a TfIdfWeighter,
     obs: &'a EngineTelemetry,
     policy: MetaPolicy,
     single_classifier: bool,
@@ -693,6 +710,7 @@ impl TopicClassifier<'_> {
         let judgment = classify_impl(
             self.tree,
             self.models,
+            self.weighter,
             features,
             self.policy,
             self.single_classifier,
@@ -701,96 +719,34 @@ impl TopicClassifier<'_> {
         judgment
     }
 
-    /// Classify a batch with one level-synchronous top-down descent:
-    /// documents are grouped by their current tree node and each
-    /// competing child model is evaluated once per group via
-    /// [`TopicModel::decide_batch`], amortizing model dispatch and
-    /// per-space setup across the batch. Per document the decisions and
-    /// confidences are exactly those of [`classify`](Self::classify).
+    /// [`classify`](Self::classify) over a batch, in order. Nothing is
+    /// shared between documents; what is shared is per document — one
+    /// weighing against the frozen corpus serves every topic and feature
+    /// space the descent evaluates.
     pub fn classify_batch(&self, features: &[DocumentFeatures]) -> Vec<Judgment> {
-        let n = features.len();
-        let mut assigned: Vec<Option<TopicId>> = vec![None; n];
-        let mut confidence = vec![f32::MIN; n];
-        let mut groups: Vec<(TopicId, Vec<usize>)> = vec![(TopicTree::ROOT, (0..n).collect())];
-        while !groups.is_empty() {
-            let mut descend: FxHashMap<u32, Vec<usize>> = FxHashMap::default();
-            for (node, idxs) in groups {
-                let children = &self.tree.node(node).children;
-                if children.is_empty() {
-                    continue;
-                }
-                let docs: Vec<&DocumentFeatures> = idxs.iter().map(|&i| &features[i]).collect();
-                let mut best: Vec<Option<(TopicId, f32)>> = vec![None; idxs.len()];
-                let mut best_rejected = vec![f32::MIN; idxs.len()];
-                for &child in children {
-                    let Some(model) = self.models.get(&child.0) else {
-                        continue;
-                    };
-                    let decisions = model.decide_batch(&docs, self.policy, self.single_classifier);
-                    for (k, (accept, conf)) in decisions.into_iter().enumerate() {
-                        if accept {
-                            if best[k].map(|(_, c)| conf > c).unwrap_or(true) {
-                                best[k] = Some((child, conf));
-                            }
-                        } else {
-                            best_rejected[k] = best_rejected[k].max(conf);
-                        }
-                    }
-                }
-                for (k, &i) in idxs.iter().enumerate() {
-                    match best[k] {
-                        Some((child, conf)) => {
-                            assigned[i] = Some(child);
-                            confidence[i] = conf;
-                            descend.entry(child.0).or_default().push(i);
-                        }
-                        None => {
-                            if assigned[i].is_none() {
-                                confidence[i] = if best_rejected[k] == f32::MIN {
-                                    -1.0
-                                } else {
-                                    best_rejected[k]
-                                };
-                            }
-                        }
-                    }
-                }
-            }
-            groups = descend.into_iter().map(|(t, v)| (TopicId(t), v)).collect();
-            groups.sort_unstable_by_key(|&(t, _)| t.0);
-        }
-        assigned
-            .into_iter()
-            .zip(confidence)
-            .map(|(topic, confidence)| {
-                let judgment = Judgment {
-                    topic: topic.map(|t| t.0),
-                    confidence,
-                };
-                self.obs.record_judgment(&judgment);
-                judgment
-            })
+        features.iter().map(|f| self.classify(f)).collect()
+    }
+}
+
+/// The classify stage of the real-thread document pipeline: build each
+/// page's multi-space features (document + incoming anchors + neighbour
+/// terms) and classify it.
+impl bingo_crawler::BatchJudge for TopicClassifier<'_> {
+    fn judge_batch(&self, docs: &[AnalyzedDocument], ctxs: &[PageContext]) -> Vec<Judgment> {
+        docs.iter()
+            .zip(ctxs)
+            .map(|(doc, ctx)| self.classify(&page_features(doc, ctx)))
             .collect()
     }
 }
 
-/// The classify stage of the real-thread document pipeline: build the
-/// multi-space features (document + incoming anchors + neighbour terms)
-/// for a whole batch and run one level-synchronous hierarchical descent.
-impl bingo_crawler::BatchJudge for TopicClassifier<'_> {
-    fn judge_batch(&self, docs: &[AnalyzedDocument], ctxs: &[PageContext]) -> Vec<Judgment> {
-        let features: Vec<DocumentFeatures> = docs
-            .iter()
-            .zip(ctxs)
-            .map(|(doc, ctx)| {
-                let mut f = DocumentFeatures::from_document(doc);
-                f.add_incoming_anchor(&ctx.anchor_terms);
-                f.add_neighbor_terms(&ctx.neighbor_terms);
-                f
-            })
-            .collect();
-        self.classify_batch(&features)
-    }
+/// A crawled page's features: its own terms and pairs plus the link
+/// context the crawler collected for it.
+fn page_features(doc: &AnalyzedDocument, ctx: &PageContext) -> DocumentFeatures {
+    let mut features = DocumentFeatures::from_document(doc);
+    features.add_incoming_anchor(&ctx.anchor_terms);
+    features.add_neighbor_terms(&ctx.neighbor_terms);
+    features
 }
 
 /// The crawl-time judge: classification + corpus/candidate bookkeeping,
@@ -799,6 +755,7 @@ impl bingo_crawler::BatchJudge for TopicClassifier<'_> {
 struct EngineJudge<'a> {
     tree: &'a TopicTree,
     models: &'a FxHashMap<u32, TopicModel>,
+    weighter: &'a TfIdfWeighter,
     corpus: &'a mut CorpusStats,
     candidates: &'a mut FxHashMap<u32, Vec<Candidate>>,
     obs: &'a EngineTelemetry,
@@ -809,18 +766,12 @@ struct EngineJudge<'a> {
 
 impl DocumentJudge for EngineJudge<'_> {
     fn judge(&mut self, doc: &AnalyzedDocument, ctx: &PageContext) -> Judgment {
-        let mut features = DocumentFeatures::from_document(doc);
-        features.add_incoming_anchor(&ctx.anchor_terms);
-        features.add_neighbor_terms(&ctx.neighbor_terms);
-        self.corpus.add_document(
-            features
-                .occurrences(FeatureSpaceKind::Combined)
-                .iter()
-                .map(|&(i, _)| TermId(i)),
-        );
+        let features = page_features(doc, ctx);
+        self.corpus.add_document(features.distinct_features());
         let judgment = classify_impl(
             self.tree,
             self.models,
+            self.weighter,
             &features,
             self.policy,
             self.single_classifier,
@@ -849,14 +800,18 @@ impl DocumentJudge for EngineJudge<'_> {
 
 /// Top-down hierarchical classification: at each level evaluate the
 /// competing children; descend into the most confident acceptor; a
-/// document nobody accepts lands in OTHERS (rejection).
+/// document nobody accepts lands in OTHERS (rejection). The document is
+/// weighed once with `weighter` — the frozen corpus all of `models` were
+/// trained with — for every model on the way down.
 fn classify_impl(
     tree: &TopicTree,
     models: &FxHashMap<u32, TopicModel>,
+    weighter: &TfIdfWeighter,
     features: &DocumentFeatures,
     policy: MetaPolicy,
     single_classifier: bool,
 ) -> Judgment {
+    let weights = DocWeights::new(features, weighter);
     let mut current = TopicTree::ROOT;
     let mut assigned: Option<TopicId> = None;
     let mut confidence = f32::MIN;
@@ -871,7 +826,8 @@ fn classify_impl(
             let Some(model) = models.get(&child.0) else {
                 continue;
             };
-            let (accept, conf) = model.decide(features, policy, single_classifier);
+            let (accept, conf) =
+                model.decide_weighed(features, &weights, policy, single_classifier);
             if accept {
                 if best.map(|(_, c)| conf > c).unwrap_or(true) {
                     best = Some((child, conf));

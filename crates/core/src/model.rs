@@ -12,9 +12,10 @@ use bingo_ml::feature_selection::{FeatureSelection, FeatureSelectionConfig};
 use bingo_ml::meta::MetaPolicy;
 use bingo_ml::svm::{LinearSvm, SvmConfig, TrainedSvm};
 use bingo_ml::{FeatureSelector, NaiveBayes, TrainingSet};
-use bingo_textproc::tfidf::{CorpusStats, TfIdfWeighter};
+use bingo_textproc::fxhash::FxHashMap;
+use bingo_textproc::tfidf::TfIdfWeighter;
 use bingo_textproc::vocab::TermId;
-use bingo_textproc::{DocumentFeatures, FeatureSpaceKind, SparseVector};
+use bingo_textproc::{DocWeights, DocumentFeatures, FeatureSpaceKind, SparseVector};
 
 /// One feature-space variant of a topic's classifier.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -23,10 +24,63 @@ pub struct SpaceModel {
     pub kind: FeatureSpaceKind,
     /// MI-selected feature set with raw→compact projection.
     pub selector: FeatureSelector,
-    /// Frozen idf statistics at training time.
+    /// Frozen idf statistics at training time: a handle to the one
+    /// weighter of the training round, shared by every space of every
+    /// topic. Not serialized per space — an engine snapshot stores it
+    /// once and [`TopicModel::restore`] hands it back.
+    #[serde(skip)]
     pub weighter: TfIdfWeighter,
     /// The trained SVM in the compact selected space.
     pub svm: TrainedSvm,
+    /// Derived from `selector` and `svm`: what [`score`](Self::score)
+    /// probes once per document feature.
+    #[serde(skip)]
+    table: SelectedTable,
+}
+
+/// Selected raw feature → (compact index, SVM weight).
+///
+/// Most features of a page are selected by no given space, so a miss has
+/// to be cheap: a 2 KB one-bit-per-bucket filter answers it with a
+/// multiply and a mask, and only the features that pass — the selected
+/// ones and, at the default 2,000 selected, one in nine of the others —
+/// reach the hash map.
+#[derive(Debug, Clone, Default)]
+struct SelectedTable {
+    filter: Vec<u64>,
+    map: FxHashMap<u32, (u32, f32)>,
+}
+
+impl SelectedTable {
+    const FILTER_BITS: u32 = 14;
+
+    fn new(selector: &FeatureSelector, svm: &TrainedSvm) -> Self {
+        let mut filter = vec![0; 1 << (Self::FILTER_BITS - 6)];
+        let map = (0u32..)
+            .zip(selector.ranked())
+            .map(|(compact, &(raw, _))| {
+                let (word, bit) = Self::bucket(raw);
+                filter[word] |= bit;
+                (raw, (compact, svm.weights.get(compact)))
+            })
+            .collect();
+        SelectedTable { filter, map }
+    }
+
+    /// Filter word and bit of a feature: the top bits of a
+    /// multiplicative hash.
+    fn bucket(feature: u32) -> (usize, u64) {
+        let h = feature.wrapping_mul(0x9E37_79B1) >> (32 - Self::FILTER_BITS);
+        ((h / 64) as usize, 1 << (h % 64))
+    }
+
+    fn get(&self, feature: u32) -> Option<(u32, f32)> {
+        let (word, bit) = Self::bucket(feature);
+        if self.filter.get(word)? & bit == 0 {
+            return None;
+        }
+        self.map.get(&feature).copied()
+    }
 }
 
 /// Floor on the projected-mass fraction used when renormalizing after
@@ -36,7 +90,40 @@ pub struct SpaceModel {
 /// confident as a fully topical page.
 pub const MIN_PROJECTION_COVERAGE: f32 = 0.3;
 
+/// The classifier-ready vector of a document's occurrences in one space:
+/// tf·idf, unit-normalized in the full feature space, projected onto the
+/// selected features, rescaled by `1 / max(coverage, MIN_PROJECTION_COVERAGE)`.
+fn selected_vector(
+    selector: &FeatureSelector,
+    weighter: &TfIdfWeighter,
+    occurrences: &[(u32, u32)],
+) -> SparseVector {
+    let pairs: Vec<(TermId, u32)> = occurrences.iter().map(|&(i, f)| (TermId(i), f)).collect();
+    let mut projected = selector.project(&weighter.weigh(&pairs));
+    let coverage = projected.norm();
+    if coverage > 0.0 {
+        projected.scale(1.0 / coverage.max(MIN_PROJECTION_COVERAGE));
+    }
+    projected
+}
+
 impl SpaceModel {
+    fn new(
+        kind: FeatureSpaceKind,
+        selector: FeatureSelector,
+        weighter: TfIdfWeighter,
+        svm: TrainedSvm,
+    ) -> Self {
+        let table = SelectedTable::new(&selector, &svm);
+        SpaceModel {
+            kind,
+            selector,
+            weighter,
+            svm,
+            table,
+        }
+    }
+
     /// The classifier-ready vector of a document in this space.
     ///
     /// The tf·idf vector is unit-normalized in the full feature space,
@@ -45,21 +132,66 @@ impl SpaceModel {
     /// retained mass. Fully topical documents come out unit length;
     /// marginal ones stay proportionally shorter so the SVM bias can
     /// reject them.
+    ///
+    /// This is the training path and the reference [`score`](Self::score)
+    /// is tested against; classification does not build vectors.
     pub fn vector(&self, features: &DocumentFeatures) -> SparseVector {
-        let occ = features.occurrences(self.kind);
-        let pairs: Vec<(TermId, u32)> = occ.into_iter().map(|(i, f)| (TermId(i), f)).collect();
-        let weighted = self.weighter.weigh(&pairs);
-        let mut projected = self.selector.project(&weighted);
-        let coverage = projected.norm();
-        if coverage > 0.0 {
-            projected.scale(1.0 / coverage.max(MIN_PROJECTION_COVERAGE));
+        selected_vector(
+            &self.selector,
+            &self.weighter,
+            &features.occurrences(self.kind),
+        )
+    }
+
+    /// Signed hyperplane-distance confidence of a weighed document:
+    /// `self.svm.confidence(&self.vector(features))` to the bit, without
+    /// building either vector. `doc` must have been weighed with this
+    /// space's weighter.
+    ///
+    /// The document's selected features are gathered with their
+    /// unit-normalized weights, put in compact-index order — the order
+    /// the projected vector holds them in — and then every f32 operation
+    /// of the reference happens in the reference's order: coverage norm,
+    /// rescale, dot product against the SVM weights, bias, weight norm.
+    pub fn score(&self, doc: &DocWeights) -> f32 {
+        let runs = doc.runs(self.kind);
+        // `SparseVector::normalized`: a zero norm leaves the weights as
+        // they are, a factor of zero empties the vector.
+        let norm = doc.norm(self.kind);
+        let unit = if norm == 0.0 { 1.0 } else { 1.0 / norm };
+        let features: usize = runs.iter().map(|run| run.len()).sum();
+        let mut hits: Vec<(u32, f32, f32)> = Vec::with_capacity(features.min(self.selector.len()));
+        if unit != 0.0 {
+            for &(feature, w) in runs.into_iter().flatten() {
+                if let Some((compact, svm_weight)) = self.table.get(feature) {
+                    let x = w * unit;
+                    if x != 0.0 {
+                        hits.push((compact, svm_weight, x));
+                    }
+                }
+            }
         }
-        projected
+        hits.sort_unstable_by_key(|&(compact, _, _)| compact);
+        let coverage = hits.iter().map(|&(_, _, x)| x * x).sum::<f32>().sqrt();
+        let rescale = if coverage > 0.0 {
+            1.0 / coverage.max(MIN_PROJECTION_COVERAGE)
+        } else {
+            1.0
+        };
+        let mut dot = 0.0f32;
+        if rescale != 0.0 {
+            // The SVM's sparse weight vector holds no zeros, so the
+            // reference dot product skips those features.
+            for &(_, svm_weight, x) in hits.iter().filter(|h| h.1 != 0.0) {
+                dot += svm_weight * (x * rescale);
+            }
+        }
+        (dot + self.svm.bias) / self.svm.weight_norm
     }
 
     /// Signed hyperplane-distance confidence for a document.
     pub fn confidence(&self, features: &DocumentFeatures) -> f32 {
-        self.svm.confidence(&self.vector(features))
+        self.score(&DocWeights::new(features, &self.weighter))
     }
 
     /// The ξα precision estimate of this space's SVM.
@@ -119,18 +251,19 @@ pub struct TopicModel {
 }
 
 impl TopicModel {
-    /// Train a topic model from positive and negative documents.
+    /// Train a topic model from positive and negative documents, all
+    /// weighed with `weighter` — the training round's one frozen view of
+    /// the corpus, which every space of the model keeps a handle to.
     /// Returns `None` when either side is empty.
     pub fn train(
         positives: &[&DocumentFeatures],
         negatives: &[&DocumentFeatures],
-        corpus: &CorpusStats,
+        weighter: &TfIdfWeighter,
         config: &ModelConfig,
     ) -> Option<TopicModel> {
         if positives.is_empty() || negatives.is_empty() {
             return None;
         }
-        let weighter = corpus.weighter();
         // Balance the box constraints for the (typically tiny) positive
         // side.
         let mut svm_cfg = config.svm;
@@ -140,15 +273,15 @@ impl TopicModel {
 
         let mut spaces = Vec::with_capacity(config.spaces.len());
         for &kind in &config.spaces {
-            // Occurrences per document for this space.
-            let pos_occ: Vec<Vec<(u32, u32)>> =
-                positives.iter().map(|f| f.occurrences(kind)).collect();
-            let neg_occ: Vec<Vec<(u32, u32)>> =
-                negatives.iter().map(|f| f.occurrences(kind)).collect();
-            let labeled: Vec<(&[(u32, u32)], bool)> = pos_occ
+            // Occurrences per document for this space, positives first.
+            let occurrences: Vec<(Vec<(u32, u32)>, bool)> = positives
                 .iter()
-                .map(|o| (o.as_slice(), true))
-                .chain(neg_occ.iter().map(|o| (o.as_slice(), false)))
+                .map(|f| (f.occurrences(kind), true))
+                .chain(negatives.iter().map(|f| (f.occurrences(kind), false)))
+                .collect();
+            let labeled: Vec<(&[(u32, u32)], bool)> = occurrences
+                .iter()
+                .map(|(o, positive)| (o.as_slice(), *positive))
                 .collect();
             let selector = FeatureSelection::new(config.selection).select(&labeled);
             if selector.is_empty() {
@@ -156,28 +289,13 @@ impl TopicModel {
             }
 
             let mut set = TrainingSet::new();
-            for (occ, positive) in pos_occ
-                .iter()
-                .map(|o| (o, true))
-                .chain(neg_occ.iter().map(|o| (o, false)))
-            {
-                let pairs: Vec<(TermId, u32)> = occ.iter().map(|&(i, f)| (TermId(i), f)).collect();
-                let mut v = selector.project(&weighter.weigh(&pairs));
-                let coverage = v.norm();
-                if coverage > 0.0 {
-                    v.scale(1.0 / coverage.max(MIN_PROJECTION_COVERAGE));
-                }
-                set.push(v, positive);
+            for (occ, positive) in &occurrences {
+                set.push(selected_vector(&selector, weighter, occ), *positive);
             }
             let Some(svm) = trainer.train(&set) else {
                 continue;
             };
-            spaces.push(SpaceModel {
-                kind,
-                selector,
-                weighter: weighter.clone(),
-                svm,
-            });
+            spaces.push(SpaceModel::new(kind, selector, weighter.clone(), svm));
         }
         if spaces.is_empty() {
             return None;
@@ -248,8 +366,23 @@ impl TopicModel {
         policy: MetaPolicy,
         single_classifier: bool,
     ) -> (bool, f32) {
+        let weights = DocWeights::new(features, &self.spaces[0].weighter);
+        self.decide_weighed(features, &weights, policy, single_classifier)
+    }
+
+    /// [`decide`](Self::decide) for a document already weighed with this
+    /// model's weighter: one [`DocWeights`] serves every space of every
+    /// topic trained in the same round, so a caller judging a page
+    /// against several topics weighs it once.
+    pub fn decide_weighed(
+        &self,
+        features: &DocumentFeatures,
+        weights: &DocWeights,
+        policy: MetaPolicy,
+        single_classifier: bool,
+    ) -> (bool, f32) {
         if single_classifier {
-            let conf = self.spaces[self.best_space].confidence(features);
+            let conf = self.spaces[self.best_space].score(weights);
             return (conf >= 0.0, conf);
         }
         let h = (self.spaces.len() + usize::from(self.naive_bayes.is_some())) as f32;
@@ -257,27 +390,18 @@ impl TopicModel {
             MetaPolicy::Unanimous => h - 0.5,
             MetaPolicy::Majority | MetaPolicy::WeightedAverage => 0.0,
         };
-        let mut vote_sum = 0.0f32;
-        let mut conf_sum = 0.0f32;
-        for space in &self.spaces {
-            let conf = space.confidence(features);
+        let weighted = policy == MetaPolicy::WeightedAverage;
+        let (mut vote_sum, mut conf_sum) = (0.0f32, 0.0f32);
+        let mut vote = |conf: f32, precision: f32| {
             conf_sum += conf;
-            let res = if conf >= 0.0 { 1.0 } else { -1.0 };
-            let w = match policy {
-                MetaPolicy::WeightedAverage => space.xi_precision().max(0.01),
-                _ => 1.0,
-            };
-            vote_sum += w * res;
+            let w = if weighted { precision.max(0.01) } else { 1.0 };
+            vote_sum += w * if conf >= 0.0 { 1.0 } else { -1.0 };
+        };
+        for space in &self.spaces {
+            vote(space.score(weights), space.xi_precision());
         }
         if let Some((nb, weight)) = &self.naive_bayes {
-            let conf = nb.score(&nb_vector(features));
-            conf_sum += conf;
-            let res = if conf >= 0.0 { 1.0 } else { -1.0 };
-            let w = match policy {
-                MetaPolicy::WeightedAverage => weight.max(0.01),
-                _ => 1.0,
-            };
-            vote_sum += w * res;
+            vote(nb.score(&nb_vector(features)), *weight);
         }
         let mean_conf = conf_sum / h;
         if vote_sum > t1 {
@@ -288,68 +412,15 @@ impl TopicModel {
         }
     }
 
-    /// Batched [`decide`](Self::decide): evaluates each feature space
-    /// once per batch, amortizing the space/model dispatch that
-    /// per-document calls repeat. The per-document arithmetic — vector
-    /// construction, vote and confidence accumulation in space order —
-    /// is exactly that of `decide`, so the two agree bit-for-bit.
-    pub fn decide_batch(
-        &self,
-        docs: &[&DocumentFeatures],
-        policy: MetaPolicy,
-        single_classifier: bool,
-    ) -> Vec<(bool, f32)> {
-        if single_classifier {
-            let space = &self.spaces[self.best_space];
-            let vectors: Vec<SparseVector> = docs.iter().map(|f| space.vector(f)).collect();
-            return space
-                .svm
-                .confidence_batch(&vectors)
-                .into_iter()
-                .map(|conf| (conf >= 0.0, conf))
-                .collect();
+    /// Finish loading a deserialized model: hand every space the
+    /// training round's frozen weighter (stored once per snapshot, not
+    /// per space) and rebuild the derived lookup structures.
+    pub fn restore(&mut self, weighter: &TfIdfWeighter) {
+        for space in &mut self.spaces {
+            space.weighter = weighter.clone();
+            space.selector.rebuild_index();
+            space.table = SelectedTable::new(&space.selector, &space.svm);
         }
-        let h = (self.spaces.len() + usize::from(self.naive_bayes.is_some())) as f32;
-        let t1 = match policy {
-            MetaPolicy::Unanimous => h - 0.5,
-            MetaPolicy::Majority | MetaPolicy::WeightedAverage => 0.0,
-        };
-        let mut vote_sum = vec![0.0f32; docs.len()];
-        let mut conf_sum = vec![0.0f32; docs.len()];
-        for space in &self.spaces {
-            let w = match policy {
-                MetaPolicy::WeightedAverage => space.xi_precision().max(0.01),
-                _ => 1.0,
-            };
-            let vectors: Vec<SparseVector> = docs.iter().map(|f| space.vector(f)).collect();
-            for (i, conf) in space.svm.confidence_batch(&vectors).into_iter().enumerate() {
-                conf_sum[i] += conf;
-                vote_sum[i] += w * if conf >= 0.0 { 1.0 } else { -1.0 };
-            }
-        }
-        if let Some((nb, weight)) = &self.naive_bayes {
-            let w = match policy {
-                MetaPolicy::WeightedAverage => weight.max(0.01),
-                _ => 1.0,
-            };
-            for (i, features) in docs.iter().enumerate() {
-                let conf = nb.score(&nb_vector(features));
-                conf_sum[i] += conf;
-                vote_sum[i] += w * if conf >= 0.0 { 1.0 } else { -1.0 };
-            }
-        }
-        vote_sum
-            .into_iter()
-            .zip(conf_sum)
-            .map(|(votes, confs)| {
-                let mean_conf = confs / h;
-                if votes > t1 {
-                    (true, mean_conf.max(0.0))
-                } else {
-                    (false, mean_conf.min(-f32::EPSILON))
-                }
-            })
-            .collect()
     }
 
     /// Confidence only (signed), under the given policy.
@@ -384,7 +455,7 @@ fn nb_vector(features: &DocumentFeatures) -> SparseVector {
 pub fn choose_feature_count(
     positives: &[&DocumentFeatures],
     negatives: &[&DocumentFeatures],
-    corpus: &CorpusStats,
+    weighter: &TfIdfWeighter,
     base: &ModelConfig,
     candidates: &[usize],
 ) -> Option<(usize, TopicModel)> {
@@ -392,7 +463,7 @@ pub fn choose_feature_count(
     for &count in candidates {
         let mut config = base.clone();
         config.selection.select = count;
-        let Some(model) = TopicModel::train(positives, negatives, corpus, &config) else {
+        let Some(model) = TopicModel::train(positives, negatives, weighter, &config) else {
             continue;
         };
         let score = model.spaces[model.best_space].xi_precision();
@@ -420,6 +491,7 @@ pub fn features_from_term_freqs(term_freqs: &[(u32, u32)]) -> DocumentFeatures {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bingo_textproc::tfidf::CorpusStats;
     use bingo_textproc::{analyze_html, Vocabulary};
 
     fn corpus_and_docs() -> (CorpusStats, Vec<DocumentFeatures>, Vec<DocumentFeatures>) {
@@ -428,11 +500,7 @@ mod tests {
         let mut make = |text: &str| {
             let doc = analyze_html(text, &mut vocab);
             let f = DocumentFeatures::from_document(&doc);
-            corpus.add_document(
-                f.occurrences(FeatureSpaceKind::Combined)
-                    .iter()
-                    .map(|&(i, _)| TermId(i)),
-            );
+            corpus.add_document(f.distinct_features());
             f
         };
         let positives: Vec<DocumentFeatures> = (0..6)
@@ -458,24 +526,23 @@ mod tests {
         let (corpus, pos, neg) = corpus_and_docs();
         let p: Vec<&DocumentFeatures> = pos.iter().collect();
         let n: Vec<&DocumentFeatures> = neg.iter().collect();
-        let model = TopicModel::train(&p, &n, &corpus, &ModelConfig::default()).unwrap();
+        let model = TopicModel::train(&p, &n, &corpus.weighter(), &ModelConfig::default()).unwrap();
         (model, pos, neg)
     }
 
     #[test]
-    fn decide_batch_matches_per_document_decide() {
+    fn score_equals_the_vector_path_and_spaces_share_one_weighter() {
         let (model, pos, neg) = train();
-        let all: Vec<&DocumentFeatures> = pos.iter().chain(neg.iter()).collect();
-        for policy in [
-            MetaPolicy::Unanimous,
-            MetaPolicy::Majority,
-            MetaPolicy::WeightedAverage,
-        ] {
-            for single in [false, true] {
-                let batch = model.decide_batch(&all, policy, single);
-                for (f, got) in all.iter().zip(&batch) {
-                    assert_eq!(*got, model.decide(f, policy, single));
-                }
+        for space in &model.spaces {
+            assert!(space.weighter.shares_stats_with(&model.spaces[0].weighter));
+            for f in pos.iter().chain(&neg) {
+                let weights = DocWeights::new(f, &space.weighter);
+                assert_eq!(
+                    space.score(&weights).to_bits(),
+                    space.svm.confidence(&space.vector(f)).to_bits(),
+                    "{:?}",
+                    space.kind
+                );
             }
         }
     }
@@ -529,8 +596,8 @@ mod tests {
     fn empty_sides_rejected() {
         let (corpus, pos, _neg) = corpus_and_docs();
         let p: Vec<&DocumentFeatures> = pos.iter().collect();
-        assert!(TopicModel::train(&p, &[], &corpus, &ModelConfig::default()).is_none());
-        assert!(TopicModel::train(&[], &p, &corpus, &ModelConfig::default()).is_none());
+        assert!(TopicModel::train(&p, &[], &corpus.weighter(), &ModelConfig::default()).is_none());
+        assert!(TopicModel::train(&[], &p, &corpus.weighter(), &ModelConfig::default()).is_none());
     }
 
     #[test]
@@ -542,7 +609,7 @@ mod tests {
             use_naive_bayes: true,
             ..ModelConfig::default()
         };
-        let model = TopicModel::train(&p, &n, &corpus, &config).unwrap();
+        let model = TopicModel::train(&p, &n, &corpus.weighter(), &config).unwrap();
         let (nb, weight) = model.naive_bayes.as_ref().expect("nb trained");
         assert!((0.05..=1.0).contains(weight));
         // NB broadly agrees on clean data (it may reject borderline
@@ -571,9 +638,14 @@ mod tests {
         let (corpus, pos, neg) = corpus_and_docs();
         let p: Vec<&DocumentFeatures> = pos.iter().collect();
         let n: Vec<&DocumentFeatures> = neg.iter().collect();
-        let (count, model) =
-            choose_feature_count(&p, &n, &corpus, &ModelConfig::default(), &[5, 50, 500])
-                .expect("some candidate trains");
+        let (count, model) = choose_feature_count(
+            &p,
+            &n,
+            &corpus.weighter(),
+            &ModelConfig::default(),
+            &[5, 50, 500],
+        )
+        .expect("some candidate trains");
         assert!([5usize, 50, 500].contains(&count));
         // The returned model is trained with that size.
         assert!(model.spaces[0].selector.len() <= count);

@@ -6,12 +6,16 @@
 //! corpus statistics and all per-topic decision models — survives the
 //! process through a JSON snapshot, so postprocessing, feedback rounds
 //! and crawl resumption can run in later sessions.
+//!
+//! Format version 2 stores the corpus statistics the models were trained
+//! with once (`frozen`), next to the live ones (`corpus`); version 1
+//! repeated them inside every feature space of every model.
 
 use crate::engine::{BingoEngine, EngineError, Phase};
 use crate::model::TopicModel;
 use crate::topic::TopicTree;
 use bingo_textproc::fxhash::FxHashMap;
-use bingo_textproc::tfidf::CorpusStats;
+use bingo_textproc::tfidf::{CorpusStats, TfIdfWeighter};
 use bingo_textproc::Vocabulary;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
@@ -19,17 +23,18 @@ use std::io::{Read, Write};
 #[derive(Serialize, Deserialize)]
 struct EngineSnapshot {
     magic: String,
-    version: u32,
+    version: u64,
     config: crate::engine::EngineConfig,
     phase: Phase,
     vocab: Vocabulary,
     tree: TopicTree,
     corpus: CorpusStats,
+    frozen: TfIdfWeighter,
     models: Vec<(u32, TopicModel)>,
 }
 
 const MAGIC: &str = "bingo-engine";
-const VERSION: u32 = 1;
+const VERSION: u64 = 2;
 
 /// Serialize the engine's trained state to a writer as JSON.
 pub fn save_engine<W: Write>(engine: &BingoEngine, w: W) -> Result<(), EngineError> {
@@ -41,35 +46,41 @@ pub fn save_engine<W: Write>(engine: &BingoEngine, w: W) -> Result<(), EngineErr
         vocab: engine.vocab.clone(),
         tree: engine.tree.clone(),
         corpus: engine.corpus().clone(),
+        frozen: engine.frozen().clone(),
         models: engine.models_snapshot(),
     };
     serde_json::to_writer(w, &snapshot).map_err(|e| EngineError::Persist(e.to_string()))
 }
 
 /// Restore an engine from a snapshot. Derived lookup structures
-/// (vocabulary index, feature-selection projections) are rebuilt; the
-/// candidate pool is session state and starts empty.
-pub fn load_engine<R: Read>(r: R) -> Result<BingoEngine, EngineError> {
-    let mut snapshot: EngineSnapshot =
-        serde_json::from_reader(r).map_err(|e| EngineError::Persist(e.to_string()))?;
-    if snapshot.magic != MAGIC {
-        return Err(EngineError::Persist(format!(
-            "bad magic {:?}",
-            snapshot.magic
-        )));
+/// (vocabulary index, feature-selection projections, scoring tables) are
+/// rebuilt and every model gets its handle to the one frozen weighter;
+/// the candidate pool is session state and starts empty.
+pub fn load_engine<R: Read>(mut r: R) -> Result<BingoEngine, EngineError> {
+    let persist = |e: &dyn std::fmt::Display| EngineError::Persist(e.to_string());
+    let mut text = String::new();
+    r.read_to_string(&mut text).map_err(|e| persist(&e))?;
+    let value = serde_json::Value::parse_json(&text).map_err(|e| persist(&e))?;
+    // Magic and version first, so a snapshot of another format is
+    // refused by name rather than by whichever field it lacks.
+    match value.get("magic").and_then(|m| m.as_str()) {
+        Some(MAGIC) => {}
+        other => return Err(EngineError::Persist(format!("bad magic {other:?}"))),
     }
-    if snapshot.version != VERSION {
-        return Err(EngineError::Persist(format!(
-            "unsupported version {}",
-            snapshot.version
-        )));
+    match value.get("version").and_then(|v| v.as_u64()) {
+        Some(VERSION) => {}
+        Some(other) => {
+            return Err(EngineError::Persist(format!(
+                "unsupported version {other} (this build reads {VERSION})"
+            )))
+        }
+        None => return Err(EngineError::Persist("no format version".to_string())),
     }
+    let mut snapshot = EngineSnapshot::from_value(&value).map_err(|e| persist(&e))?;
     snapshot.vocab.rebuild_index();
     let mut models: FxHashMap<u32, TopicModel> = FxHashMap::default();
     for (id, mut model) in snapshot.models {
-        for space in &mut model.spaces {
-            space.selector.rebuild_index();
-        }
+        model.restore(&snapshot.frozen);
         models.insert(id, model);
     }
     Ok(BingoEngine::from_parts(
@@ -78,6 +89,7 @@ pub fn load_engine<R: Read>(r: R) -> Result<BingoEngine, EngineError> {
         snapshot.vocab,
         snapshot.tree,
         snapshot.corpus,
+        snapshot.frozen,
         models,
     ))
 }
@@ -216,7 +228,7 @@ mod tests {
         let after: Vec<_> = probes.iter().map(|f| restored.classify(f)).collect();
         for (b, a) in before.iter().zip(&after) {
             assert_eq!(b.topic, a.topic);
-            assert!((b.confidence - a.confidence).abs() < 1e-5);
+            assert_eq!(b.confidence.to_bits(), a.confidence.to_bits());
         }
     }
 
@@ -239,6 +251,45 @@ mod tests {
             "magic": "nope", "version": 1, "config": serde_json::Value::Null,
         });
         assert!(load_engine(wrong.to_string().as_bytes()).is_err());
+    }
+
+    #[test]
+    fn frozen_statistics_are_stored_once_and_shared_after_load() {
+        let (engine, _world, topic) = trained_engine();
+        let mut buf = Vec::new();
+        save_engine(&engine, &mut buf).unwrap();
+        let json = String::from_utf8(buf).unwrap();
+        // One df map for the live corpus, one for the frozen view; none
+        // per feature space.
+        assert_eq!(json.matches("\"doc_freq\"").count(), 2);
+        assert!(!json.contains("\"weighter\""));
+
+        let restored = load_engine(json.as_bytes()).unwrap();
+        let spaces = &restored.model(topic).unwrap().spaces;
+        assert!(spaces.len() > 1);
+        for space in spaces {
+            assert!(space.weighter.shares_stats_with(restored.frozen()));
+        }
+        assert_eq!(
+            restored.frozen().stats().doc_count(),
+            engine.frozen().stats().doc_count()
+        );
+    }
+
+    #[test]
+    fn older_format_version_is_refused_by_name() {
+        let (engine, _world, _topic) = trained_engine();
+        let mut buf = Vec::new();
+        save_engine(&engine, &mut buf).unwrap();
+        let json = String::from_utf8(buf).unwrap();
+        assert_eq!(json.matches("\"version\":2").count(), 1);
+        let v1 = json.replace("\"version\":2", "\"version\":1");
+        match load_engine(v1.as_bytes()) {
+            Err(EngineError::Persist(msg)) => {
+                assert!(msg.contains("unsupported version"), "{msg}")
+            }
+            other => panic!("expected a persist error, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

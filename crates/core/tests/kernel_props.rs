@@ -1,0 +1,355 @@
+//! Property: the classification kernel (`DocWeights` + `SpaceModel::score`)
+//! is the vector path bit for bit. For arbitrary documents — unsorted
+//! components, repeated link-context terms, tf up to 10⁴, features the
+//! corpus never saw, empty components — in all five feature spaces, with
+//! and without the single-classifier mode and a Naive Bayes member, under
+//! all three meta policies:
+//!
+//! * `score` equals `svm.confidence(&space.vector(f))` by `to_bits()`,
+//! * `TopicModel::decide` equals the meta decision written over the
+//!   vector path,
+//! * `BingoEngine::classify`, `TopicClassifier::classify_batch` and a
+//!   saved-and-reloaded engine all equal the hierarchical descent written
+//!   over that reference decision.
+
+use bingo_core::persist::{load_engine, save_engine};
+use bingo_core::{BingoEngine, EngineConfig, ModelConfig, TopicId, TopicModel, TopicTree};
+use bingo_crawler::Judgment;
+use bingo_ml::meta::MetaPolicy;
+use bingo_textproc::features::pair_feature;
+use bingo_textproc::vocab::TermId;
+use bingo_textproc::{DocWeights, DocumentFeatures, FeatureSpaceKind, SparseVector};
+use proptest::prelude::*;
+use std::collections::HashSet;
+use std::sync::OnceLock;
+
+const POLICIES: [MetaPolicy; 3] = [
+    MetaPolicy::Unanimous,
+    MetaPolicy::Majority,
+    MetaPolicy::WeightedAverage,
+];
+
+/// Term ids the arbitrary documents draw from: the training vocabulary
+/// (well under 100 stems) plus ids no training document interned.
+const TERM_IDS: u32 = 120;
+
+const TOPICS: [(&str, &str); 4] = [
+    (
+        "database",
+        "database transaction recovery logging concurrency index query storage",
+    ),
+    (
+        "recovery",
+        "aries recovery logging checkpoint redo undo transaction crash",
+    ),
+    (
+        "mining",
+        "mining pattern dataset cluster itemset discovery knowledge frequent",
+    ),
+    (
+        "sports",
+        "football stadium championship soccer team player coach season",
+    ),
+];
+const OTHERS: &str = "recipe kitchen flour oven butter sugar baking dinner";
+
+/// An engine over a two-level tree (database → {recovery, mining}, and
+/// sports) with all five feature spaces, trained on small virtual
+/// documents; every other training document also carries link context,
+/// so anchor and neighbour features get selected too.
+fn engine(single_classifier: bool, policy: MetaPolicy, naive_bayes: bool) -> BingoEngine {
+    let mut engine = BingoEngine::new(EngineConfig {
+        model: ModelConfig {
+            spaces: FeatureSpaceKind::ALL.to_vec(),
+            use_naive_bayes: naive_bayes,
+            ..ModelConfig::default()
+        },
+        meta_learning: policy,
+        single_classifier,
+        ..EngineConfig::default()
+    });
+    let database = engine.add_topic(TopicTree::ROOT, TOPICS[0].0);
+    let ids = [
+        database,
+        engine.add_topic(database, TOPICS[1].0),
+        engine.add_topic(database, TOPICS[2].0),
+        engine.add_topic(TopicTree::ROOT, TOPICS[3].0),
+    ];
+    for (&id, (_, words)) in ids.iter().zip(TOPICS) {
+        let words: Vec<&str> = words.split(' ').collect();
+        for i in 0..6 {
+            // Rotate and thin the topic's words so documents differ.
+            let text: Vec<&str> = (0..words.len() + 3)
+                .filter(|k| (k + i) % 4 != 0)
+                .map(|k| words[(k + i) % words.len()])
+                .collect();
+            engine.add_training_virtual(id, &format!("<p>{}</p>", text.join(" ")));
+            if i % 2 == 0 {
+                let doc = engine.tree.node_mut(id).training.last_mut().unwrap();
+                let context: Vec<TermId> =
+                    doc.features.term_freqs.iter().map(|&(t, _)| t).collect();
+                doc.features.add_incoming_anchor(&context[..2]);
+                doc.features.add_neighbor_terms(&context[1..4]);
+            }
+        }
+    }
+    let others: Vec<&str> = OTHERS.split(' ').collect();
+    for i in 0..6 {
+        let text: Vec<&str> = (0..6).map(|k| others[(k + i) % others.len()]).collect();
+        let features = engine.analyze_virtual(&format!("<p>{}</p>", text.join(" ")));
+        engine.tree.others.push(bingo_core::TrainingDoc {
+            page_id: 0,
+            url: String::new(),
+            features,
+            archetype: false,
+        });
+    }
+    engine.train().expect("the fixture trains");
+    assert!((engine.vocab.len() as u32) < TERM_IDS - 20);
+    engine
+}
+
+/// `(single_classifier, policy, engine, the same engine saved and loaded)`
+/// for every mode; Naive Bayes joins the committee in every other one.
+fn engines() -> &'static [(bool, MetaPolicy, BingoEngine, BingoEngine)] {
+    static ENGINES: OnceLock<Vec<(bool, MetaPolicy, BingoEngine, BingoEngine)>> = OnceLock::new();
+    ENGINES.get_or_init(|| {
+        let mut out = Vec::new();
+        for single in [false, true] {
+            for (i, policy) in POLICIES.into_iter().enumerate() {
+                let engine = engine(single, policy, i % 2 == 0);
+                let mut bytes = Vec::new();
+                save_engine(&engine, &mut bytes).unwrap();
+                let restored = load_engine(&bytes[..]).unwrap();
+                out.push((single, policy, engine, restored));
+            }
+        }
+        out
+    })
+}
+
+fn tf() -> impl Strategy<Value = u32> {
+    prop_oneof![1u32..4, 1u32..=10_000]
+}
+
+fn features() -> impl Strategy<Value = DocumentFeatures> {
+    (
+        proptest::collection::vec((0..TERM_IDS, tf()), 0..40),
+        proptest::collection::vec(((0..TERM_IDS, 0..TERM_IDS), tf()), 0..60),
+        proptest::collection::vec(0..TERM_IDS, 0..12),
+        proptest::collection::vec(0..TERM_IDS, 0..12),
+    )
+        .prop_map(|(terms, pairs, anchors, neighbors)| {
+            // Each component lists a feature once, as every producer
+            // does — but in the order drawn, not in feature order.
+            let mut seen = HashSet::new();
+            let term_freqs = terms
+                .into_iter()
+                .filter(|&(t, _)| seen.insert(t))
+                .map(|(t, f)| (TermId(t), f))
+                .collect();
+            let pair_freqs = pairs
+                .into_iter()
+                .filter(|&((a, b), _)| a != b)
+                .map(|((a, b), f)| (pair_feature(TermId(a), TermId(b)), f))
+                .filter(|&(p, _)| seen.insert(p))
+                .collect();
+            DocumentFeatures {
+                term_freqs,
+                pair_freqs,
+                incoming_anchor_terms: anchors.into_iter().map(TermId).collect(),
+                neighbor_terms: neighbors.into_iter().map(TermId).collect(),
+            }
+        })
+}
+
+/// `TopicModel::decide` as it was before the kernel: every confidence
+/// through `SpaceModel::vector` and `TrainedSvm::confidence`.
+fn decide_by_vectors(
+    model: &TopicModel,
+    features: &DocumentFeatures,
+    policy: MetaPolicy,
+    single_classifier: bool,
+) -> (bool, f32) {
+    let confidence = |i: usize| {
+        let space = &model.spaces[i];
+        space.svm.confidence(&space.vector(features))
+    };
+    if single_classifier {
+        let conf = confidence(model.best_space);
+        return (conf >= 0.0, conf);
+    }
+    let h = (model.spaces.len() + usize::from(model.naive_bayes.is_some())) as f32;
+    let t1 = match policy {
+        MetaPolicy::Unanimous => h - 0.5,
+        MetaPolicy::Majority | MetaPolicy::WeightedAverage => 0.0,
+    };
+    let weighted = policy == MetaPolicy::WeightedAverage;
+    let (mut vote_sum, mut conf_sum) = (0.0f32, 0.0f32);
+    for (i, space) in model.spaces.iter().enumerate() {
+        let conf = confidence(i);
+        conf_sum += conf;
+        let w = if weighted {
+            space.xi_precision().max(0.01)
+        } else {
+            1.0
+        };
+        vote_sum += w * if conf >= 0.0 { 1.0 } else { -1.0 };
+    }
+    if let Some((nb, weight)) = &model.naive_bayes {
+        let counts = features
+            .occurrences(FeatureSpaceKind::SingleTerms)
+            .into_iter()
+            .map(|(i, c)| (i, c as f32))
+            .collect();
+        let conf = nb.score(&SparseVector::from_pairs(counts));
+        conf_sum += conf;
+        let w = if weighted { weight.max(0.01) } else { 1.0 };
+        vote_sum += w * if conf >= 0.0 { 1.0 } else { -1.0 };
+    }
+    let mean_conf = conf_sum / h;
+    if vote_sum > t1 {
+        (true, mean_conf.max(0.0))
+    } else {
+        (false, mean_conf.min(-f32::EPSILON))
+    }
+}
+
+/// The top-down descent of `BingoEngine::classify` over
+/// [`decide_by_vectors`].
+fn classify_by_vectors(
+    engine: &BingoEngine,
+    features: &DocumentFeatures,
+    policy: MetaPolicy,
+    single_classifier: bool,
+) -> Judgment {
+    let mut current = TopicTree::ROOT;
+    let mut assigned: Option<TopicId> = None;
+    let mut confidence = f32::MIN;
+    loop {
+        let mut best: Option<(TopicId, f32)> = None;
+        let mut best_rejected = f32::MIN;
+        for &child in &engine.tree.node(current).children {
+            let Some(model) = engine.model(child) else {
+                continue;
+            };
+            let (accept, conf) = decide_by_vectors(model, features, policy, single_classifier);
+            if accept {
+                if best.map(|(_, c)| conf > c).unwrap_or(true) {
+                    best = Some((child, conf));
+                }
+            } else {
+                best_rejected = best_rejected.max(conf);
+            }
+        }
+        match best {
+            Some((child, conf)) => {
+                assigned = Some(child);
+                confidence = conf;
+                current = child;
+            }
+            None => {
+                if assigned.is_none() {
+                    confidence = if best_rejected == f32::MIN {
+                        -1.0
+                    } else {
+                        best_rejected
+                    };
+                }
+                break;
+            }
+        }
+    }
+    Judgment {
+        topic: assigned.map(|t| t.0),
+        confidence,
+    }
+}
+
+fn bits(j: &Judgment) -> (Option<u32>, u32) {
+    (j.topic, j.confidence.to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn kernel_is_the_vector_path_bit_for_bit(
+        docs in proptest::collection::vec(features(), 1..6),
+    ) {
+        for (single, policy, engine, restored) in engines() {
+            let (single, policy) = (*single, *policy);
+            for topic in engine.tree.topic_ids() {
+                let model = engine.model(topic).expect("every topic trained");
+                prop_assert_eq!(model.spaces.len(), FeatureSpaceKind::ALL.len());
+                for f in &docs {
+                    let weights = DocWeights::new(f, &model.spaces[0].weighter);
+                    for space in &model.spaces {
+                        let reference = space.svm.confidence(&space.vector(f));
+                        prop_assert_eq!(
+                            space.score(&weights).to_bits(),
+                            reference.to_bits(),
+                            "{:?}: kernel {} vs vectors {}",
+                            space.kind, space.score(&weights), reference
+                        );
+                        prop_assert_eq!(space.confidence(f).to_bits(), reference.to_bits());
+                    }
+                    for p in POLICIES {
+                        let (accept, conf) = model.decide(f, p, single);
+                        let (ref_accept, ref_conf) = decide_by_vectors(model, f, p, single);
+                        prop_assert_eq!((accept, conf.to_bits()), (ref_accept, ref_conf.to_bits()));
+                    }
+                }
+            }
+            let reference: Vec<_> = docs
+                .iter()
+                .map(|f| bits(&classify_by_vectors(engine, f, policy, single)))
+                .collect();
+            let one_by_one: Vec<_> = docs.iter().map(|f| bits(&engine.classify(f))).collect();
+            let batch: Vec<_> = engine
+                .batch_classifier()
+                .classify_batch(&docs)
+                .iter()
+                .map(bits)
+                .collect();
+            let reloaded: Vec<_> = docs.iter().map(|f| bits(&restored.classify(f))).collect();
+            prop_assert_eq!(&one_by_one, &reference);
+            prop_assert_eq!(&batch, &reference);
+            prop_assert_eq!(&reloaded, &reference);
+        }
+    }
+}
+
+/// The property above is only worth its name if the fixture's models
+/// both accept and reject, descend below the first level, and select
+/// link-context features.
+#[test]
+fn fixture_exercises_acceptance_descent_and_link_context() {
+    for (single, policy, engine, _) in engines() {
+        let leaf = engine.tree.leaves()[0];
+        let parent = engine.tree.node(leaf).parent.unwrap();
+        assert_ne!(parent, TopicTree::ROOT, "two-level tree");
+        let own = &engine.tree.node(leaf).training[0].features;
+        let judged = engine.classify(own);
+        assert_eq!(
+            judged.topic,
+            classify_by_vectors(engine, own, *policy, *single).topic
+        );
+        let model = engine.model(leaf).unwrap();
+        assert!(model.decide(own, MetaPolicy::Majority, false).0);
+        let foreign = &engine.tree.others[0].features;
+        assert!(!model.decide(foreign, MetaPolicy::Majority, false).0);
+        let selects = |kind, namespace: u32| {
+            let space = model.spaces.iter().find(|s| s.kind == kind).unwrap();
+            space
+                .selector
+                .ranked()
+                .iter()
+                .any(|&(feature, _)| feature >> 30 == namespace)
+        };
+        assert!(selects(FeatureSpaceKind::TermPairs, 1));
+        assert!(selects(FeatureSpaceKind::AnchorTexts, 2));
+        assert!(selects(FeatureSpaceKind::NeighborTerms, 3));
+        assert!(selects(FeatureSpaceKind::Combined, 3));
+    }
+}

@@ -12,8 +12,8 @@
 //! plus **combined** spaces with any subset of the above as components.
 //! "The classifier can handle the various options in a uniform manner: it
 //! does not have to know how feature vectors are constructed" — here every
-//! space produces an ordinary [`SparseVector`] over a shared `u32` feature
-//! index namespace:
+//! space produces an ordinary [`SparseVector`](crate::SparseVector) over a
+//! shared `u32` feature index namespace:
 //!
 //! | bits 30..32 | component |
 //! |---|---|
@@ -28,7 +28,6 @@
 
 use crate::fxhash;
 use crate::tfidf::TfIdfWeighter;
-use crate::vector::SparseVector;
 use crate::vocab::TermId;
 use crate::AnalyzedDocument;
 use serde::{Deserialize, Serialize};
@@ -166,11 +165,7 @@ impl DocumentFeatures {
     /// All feature `(index, frequency)` occurrences a given space uses,
     /// with namespace tagging applied.
     pub fn occurrences(&self, kind: FeatureSpaceKind) -> Vec<(u32, u32)> {
-        let mut out: Vec<(u32, u32)> = self
-            .term_freqs
-            .iter()
-            .map(|&(t, f)| (ns_index(Namespace::Term, t.0), f))
-            .collect();
+        let mut out: Vec<(u32, u32)> = self.term_occurrences().collect();
         if kind.uses_pairs() {
             out.extend(self.pair_freqs.iter().copied());
         }
@@ -182,46 +177,154 @@ impl DocumentFeatures {
         }
         out
     }
+
+    /// The features of the combined space, each as often as
+    /// [`occurrences`](Self::occurrences) lists it (once, for features
+    /// built by this module) — what one document adds to the corpus
+    /// document frequencies.
+    pub fn distinct_features(&self) -> impl Iterator<Item = TermId> + '_ {
+        self.term_occurrences()
+            .chain(self.pair_freqs.iter().copied())
+            .chain(count_terms(&self.incoming_anchor_terms, Namespace::Anchor))
+            .chain(count_terms(&self.neighbor_terms, Namespace::Neighbor))
+            .map(|(i, _)| TermId(i))
+    }
+
+    fn term_occurrences(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.term_freqs
+            .iter()
+            .map(|&(t, f)| (ns_index(Namespace::Term, t.0), f))
+    }
+}
+
+/// Turn single occurrences `(feature, 1)` into the distinct features
+/// with their counts, in feature order.
+fn merge_counts(mut counts: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
+    counts.sort_unstable();
+    counts.dedup_by(|later, kept| {
+        kept.0 == later.0 && {
+            kept.1 += later.1;
+            true
+        }
+    });
+    counts
 }
 
 fn count_terms(terms: &[TermId], ns: Namespace) -> Vec<(u32, u32)> {
-    let mut m: fxhash::FxHashMap<u32, u32> = fxhash::FxHashMap::default();
-    for &t in terms {
-        *m.entry(ns_index(ns, t.0)).or_insert(0) += 1;
-    }
-    m.into_iter().collect()
+    merge_counts(terms.iter().map(|t| (ns_index(ns, t.0), 1)).collect())
 }
 
-/// Sliding-window unordered pair extraction.
+/// A document weighed once against a frozen corpus, for every feature
+/// space at once.
+///
+/// Holds the unnormalized `(1 + ln tf) · idf` weight of every feature of
+/// the combined space in feature order — by the namespace bits that is
+/// the term, pair, anchor and neighbour runs one after another, the order
+/// [`SparseVector::from_pairs`](crate::SparseVector::from_pairs) sorts a
+/// space's occurrences into — and, per [`FeatureSpaceKind`], the L2 norm
+/// [`TfIdfWeighter::weigh`] divides by. The norms are the sequential f32
+/// sum of squares `weigh` performs over the space's sorted entries:
+/// every space starts with the term run, so that prefix is accumulated
+/// once and continued over the runs each space adds. A weight times
+/// `1 / norm(kind)` therefore has the bits of the entry `weigh` produces
+/// for `kind`.
+///
+/// Like `weigh` it merges equal features (three or more may round
+/// differently when merged; no producer emits a feature twice).
+#[derive(Debug, Clone)]
+pub struct DocWeights {
+    entries: Vec<(u32, f32)>,
+    /// Where the term, pair and anchor runs end in `entries`.
+    ends: [usize; 3],
+    /// Full-space norm per kind, in [`FeatureSpaceKind::ALL`] order.
+    norms: [f32; 5],
+}
+
+impl DocWeights {
+    /// Weigh `features` with the frozen statistics of `weighter`.
+    pub fn new(features: &DocumentFeatures, weighter: &TfIdfWeighter) -> Self {
+        let anchors = count_terms(&features.incoming_anchor_terms, Namespace::Anchor);
+        let neighbors = count_terms(&features.neighbor_terms, Namespace::Neighbor);
+        let mut entries: Vec<(u32, f32)> = Vec::with_capacity(
+            features.term_freqs.len() + features.pair_freqs.len() + anchors.len() + neighbors.len(),
+        );
+        entries.extend(
+            features
+                .term_occurrences()
+                .chain(features.pair_freqs.iter().copied())
+                .chain(anchors)
+                .chain(neighbors)
+                .map(|(i, f)| (i, weighter.weight(TermId(i), f))),
+        );
+        // Every producer in this workspace lists terms and pairs in
+        // feature order; anything else is put in order here.
+        if !entries.is_sorted_by_key(|e| e.0) {
+            entries.sort_unstable_by_key(|e| e.0);
+        }
+        entries.dedup_by(|later, kept| {
+            kept.0 == later.0 && {
+                kept.1 += later.1;
+                true
+            }
+        });
+        let ends @ [t, p, a] = [Namespace::Pair, Namespace::Anchor, Namespace::Neighbor]
+            .map(|ns| entries.partition_point(|e| e.0 < ns_index(ns, 0)));
+
+        let sum_sq = |from: f32, run: &[(u32, f32)]| run.iter().fold(from, |s, &(_, w)| s + w * w);
+        let terms = sum_sq(0.0, &entries[..t]);
+        let term_pairs = sum_sq(terms, &entries[t..p]);
+        let norms = [
+            terms,
+            term_pairs,
+            sum_sq(terms, &entries[p..a]),
+            sum_sq(terms, &entries[a..]),
+            sum_sq(term_pairs, &entries[p..]),
+        ]
+        .map(f32::sqrt);
+        DocWeights {
+            entries,
+            ends,
+            norms,
+        }
+    }
+
+    /// The norm [`TfIdfWeighter::weigh`] divides the vector of `kind` by.
+    pub fn norm(&self, kind: FeatureSpaceKind) -> f32 {
+        self.norms[kind as usize]
+    }
+
+    /// The `(feature, unnormalized weight)` entries `kind` uses, as its
+    /// term, pair, anchor and neighbour runs (empty where the space has
+    /// no such component); concatenated they are in feature order.
+    pub fn runs(&self, kind: FeatureSpaceKind) -> [&[(u32, f32)]; 4] {
+        let [t, p, a] = self.ends;
+        let run = |used: bool, range: std::ops::Range<usize>| {
+            if used {
+                &self.entries[range]
+            } else {
+                &self.entries[..0]
+            }
+        };
+        [
+            run(true, 0..t),
+            run(kind.uses_pairs(), t..p),
+            run(kind.uses_anchors(), p..a),
+            run(kind.uses_neighbors(), a..self.entries.len()),
+        ]
+    }
+}
+
+/// Sliding-window unordered pair extraction, in feature order.
 fn extract_pairs(terms: &[TermId]) -> Vec<(u32, u32)> {
-    let mut m: fxhash::FxHashMap<u32, u32> = fxhash::FxHashMap::default();
+    let mut pairs = Vec::with_capacity(terms.len() * (PAIR_WINDOW - 1));
     for (i, &a) in terms.iter().enumerate() {
         for &b in terms.iter().skip(i + 1).take(PAIR_WINDOW - 1) {
             if a != b {
-                *m.entry(pair_feature(a, b)).or_insert(0) += 1;
+                pairs.push((pair_feature(a, b), 1));
             }
         }
     }
-    m.into_iter().collect()
-}
-
-/// A feature space: a kind plus the frozen idf weighter used to produce
-/// classifier-ready vectors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FeatureSpace {
-    /// Which components this space includes.
-    pub kind: FeatureSpaceKind,
-    /// Frozen corpus statistics for idf weighting over feature indices.
-    pub weighter: TfIdfWeighter,
-}
-
-impl FeatureSpace {
-    /// Build the weighted, normalized feature vector of a document.
-    pub fn vector(&self, features: &DocumentFeatures) -> SparseVector {
-        let occ = features.occurrences(self.kind);
-        let pairs: Vec<(TermId, u32)> = occ.into_iter().map(|(i, f)| (TermId(i), f)).collect();
-        self.weighter.weigh(&pairs)
-    }
+    merge_counts(pairs)
 }
 
 #[cfg(test)]
@@ -293,24 +396,97 @@ mod tests {
         assert!(combined.len() > single.len());
     }
 
+    /// The vector `weigh` builds for `kind`, rebuilt from the shared
+    /// weights: every run entry times `1 / norm(kind)`.
+    fn unit_entries(w: &DocWeights, kind: FeatureSpaceKind) -> Vec<(u32, u32)> {
+        let factor = 1.0 / w.norm(kind);
+        w.runs(kind)
+            .into_iter()
+            .flatten()
+            .map(|&(i, x)| (i, (x * factor).to_bits()))
+            .collect()
+    }
+
     #[test]
-    fn feature_space_vector_is_normalized() {
+    fn doc_weights_reproduce_weigh_bit_for_bit_in_every_space() {
         let mut vocab = Vocabulary::new();
-        let d = doc("<p>mining data mining patterns</p>", &mut vocab);
-        let f = DocumentFeatures::from_document(&d);
         let mut stats = CorpusStats::new();
-        stats.add_document(
-            f.occurrences(FeatureSpaceKind::Combined)
-                .iter()
-                .map(|&(i, _)| TermId(i)),
+        let texts = [
+            "<p>mining data mining patterns in large databases</p>",
+            "<p>transaction recovery logging and data storage</p>",
+            "<p>patterns of football championship seasons</p>",
+        ];
+        let mut docs: Vec<DocumentFeatures> = texts
+            .iter()
+            .map(|t| DocumentFeatures::from_document(&doc(t, &mut vocab)))
+            .collect();
+        // Repeated and shared link-context terms, in no particular order.
+        let (a, b, c) = (
+            vocab.intern("anchor"),
+            vocab.intern("mine"),
+            vocab.intern("zeta"),
         );
-        let space = FeatureSpace {
-            kind: FeatureSpaceKind::Combined,
-            weighter: stats.weighter(),
-        };
-        let v = space.vector(&f);
-        assert!(!v.is_empty());
-        assert!((v.norm() - 1.0).abs() < 1e-5);
+        docs[0].add_incoming_anchor(&[c, a, c, b, a, c]);
+        docs[0].add_neighbor_terms(&[b, b, a]);
+        docs[1].add_neighbor_terms(&[c]);
+        for f in &docs[..2] {
+            stats.add_document(f.distinct_features());
+        }
+        // docs[2] is unseen by the corpus: its rare features take the
+        // maximal idf.
+        let weighter = stats.weighter();
+        for f in &docs {
+            let w = DocWeights::new(f, &weighter);
+            for kind in FeatureSpaceKind::ALL {
+                let occ: Vec<(TermId, u32)> = f
+                    .occurrences(kind)
+                    .into_iter()
+                    .map(|(i, n)| (TermId(i), n))
+                    .collect();
+                let want: Vec<(u32, u32)> = weighter
+                    .weigh(&occ)
+                    .entries()
+                    .iter()
+                    .map(|&(i, x)| (i, x.to_bits()))
+                    .collect();
+                assert_eq!(unit_entries(&w, kind), want, "{kind:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn doc_weights_of_an_empty_document_are_empty() {
+        let w = DocWeights::new(&DocumentFeatures::default(), &CorpusStats::new().weighter());
+        for kind in FeatureSpaceKind::ALL {
+            assert_eq!(w.norm(kind), 0.0);
+            assert!(w.runs(kind).iter().all(|r| r.is_empty()));
+        }
+    }
+
+    #[test]
+    fn distinct_features_are_the_combined_occurrences() {
+        let mut vocab = Vocabulary::new();
+        let d = doc("<p>alpha beta gamma alpha</p>", &mut vocab);
+        let mut f = DocumentFeatures::from_document(&d);
+        let t = vocab.intern("anchorword");
+        f.add_incoming_anchor(&[t, t]);
+        f.add_neighbor_terms(&[t]);
+        let mut got: Vec<u32> = f.distinct_features().map(|t| t.0).collect();
+        let mut want: Vec<u32> = f
+            .occurrences(FeatureSpaceKind::Combined)
+            .iter()
+            .map(|&(i, _)| i)
+            .collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want);
+        assert_eq!(
+            count_terms(&[t, TermId(1), t], Namespace::Anchor),
+            vec![
+                (ns_index(Namespace::Anchor, 1), 1),
+                (ns_index(Namespace::Anchor, t.0), 2)
+            ]
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod vector;
 pub mod vocab;
 
 pub use content::{ContentHandler, ContentRegistry, MimeType};
-pub use features::{DocumentFeatures, FeatureSpace, FeatureSpaceKind};
+pub use features::{DocWeights, DocumentFeatures, FeatureSpaceKind};
 pub use html::{HtmlDocument, Hyperlink};
 pub use metrics::{analyze_html_metered, TextprocMetrics};
 pub use stem::porter_stem;

@@ -10,13 +10,30 @@ use crate::fxhash::FxHashMap;
 use crate::vector::SparseVector;
 use crate::vocab::TermId;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Incrementally maintained document-frequency statistics over the local
 /// document database.
+///
+/// The df map sits behind an [`Arc`]: [`weighter`](Self::weighter) shares
+/// it instead of copying it, and the first [`add_document`](Self::add_document)
+/// after a freeze pays one copy-on-write clone — one copy per training
+/// round, however many models hold the frozen view.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct CorpusStats {
     doc_count: u64,
-    doc_freq: FxHashMap<u32, u64>,
+    doc_freq: Arc<FxHashMap<u32, u64>>,
+}
+
+/// `ln(1 + N / df)`, the one idf expression; `n` is the document count
+/// floored at one, an unseen term (`df == 0`) gets the maximal `ln(1 + N)`.
+fn idf_of(n: f32, df: u64) -> f32 {
+    let df = df as f32;
+    if df == 0.0 {
+        (1.0 + n).ln()
+    } else {
+        (1.0 + n / df).ln()
+    }
 }
 
 impl CorpusStats {
@@ -28,8 +45,9 @@ impl CorpusStats {
     /// Record one document by its distinct terms.
     pub fn add_document<I: IntoIterator<Item = TermId>>(&mut self, distinct_terms: I) {
         self.doc_count += 1;
+        let doc_freq = Arc::make_mut(&mut self.doc_freq);
         for t in distinct_terms {
-            *self.doc_freq.entry(t.0).or_insert(0) += 1;
+            *doc_freq.entry(t.0).or_insert(0) += 1;
         }
     }
 
@@ -46,29 +64,60 @@ impl CorpusStats {
     /// Logarithmically dampened inverse document frequency:
     /// `ln(1 + N / df)`. Terms never seen get the maximal idf `ln(1 + N)`.
     pub fn idf(&self, term: TermId) -> f32 {
-        let n = self.doc_count.max(1) as f32;
-        let df = self.doc_freq(term) as f32;
-        if df == 0.0 {
-            (1.0 + n).ln()
-        } else {
-            (1.0 + n / df).ln()
-        }
+        idf_of(self.n(), self.doc_freq(term))
+    }
+
+    fn n(&self) -> f32 {
+        self.doc_count.max(1) as f32
     }
 
     /// Snapshot a weighter with the current statistics. The paper
     /// recomputes idf "lazily upon each retraining"; freezing a weighter at
-    /// retraining time is exactly that.
+    /// retraining time is exactly that. O(1) in the vocabulary: the df
+    /// map is shared, and since idf depends only on df once N is frozen,
+    /// the only thing computed is a table of idf by df.
     pub fn weighter(&self) -> TfIdfWeighter {
+        let n = self.n();
+        let len = self.doc_count.min(IDF_TABLE_MAX_DF) + 1;
         TfIdfWeighter {
             stats: self.clone(),
+            idf_by_df: (0..len).map(|df| idf_of(n, df)).collect(),
         }
     }
 }
 
-/// A frozen idf table applied to raw term-frequency vectors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Longest idf-by-df table a weighter builds; a df beyond it (only in a
+/// corpus of more documents than this) is computed on the spot.
+const IDF_TABLE_MAX_DF: u64 = 1 << 16;
+
+/// A frozen idf table applied to raw term-frequency vectors. Cloning is
+/// O(1): clones are handles to the same frozen statistics.
+#[derive(Debug, Clone)]
 pub struct TfIdfWeighter {
     stats: CorpusStats,
+    /// `idf_of(n, df)` at index `df`, for every df up to the frozen
+    /// document count (capped at [`IDF_TABLE_MAX_DF`]).
+    idf_by_df: Arc<[f32]>,
+}
+
+impl Default for TfIdfWeighter {
+    /// A weighter over the empty corpus.
+    fn default() -> Self {
+        CorpusStats::new().weighter()
+    }
+}
+
+/// On disk a weighter is its frozen statistics; the idf table is derived.
+impl Serialize for TfIdfWeighter {
+    fn to_value(&self) -> serde::Value {
+        self.stats.to_value()
+    }
+}
+
+impl Deserialize for TfIdfWeighter {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        CorpusStats::from_value(v).map(|stats| stats.weighter())
+    }
 }
 
 impl TfIdfWeighter {
@@ -77,17 +126,36 @@ impl TfIdfWeighter {
     pub fn weigh(&self, term_freqs: &[(TermId, u32)]) -> SparseVector {
         let pairs = term_freqs
             .iter()
-            .map(|&(t, f)| {
-                let tf = 1.0 + (f as f32).ln();
-                (t.0, tf * self.stats.idf(t))
-            })
+            .map(|&(t, f)| (t.0, self.weight(t, f)))
             .collect();
         SparseVector::from_pairs(pairs).normalized()
+    }
+
+    /// The unnormalized weight of one occurrence: `(1 + ln tf) * idf`.
+    pub fn weight(&self, term: TermId, freq: u32) -> f32 {
+        let tf = 1.0 + (freq as f32).ln();
+        tf * self.idf(term)
+    }
+
+    /// The frozen idf of a term — the bits [`CorpusStats::idf`] returned
+    /// at freeze time, read from the idf-by-df table.
+    pub fn idf(&self, term: TermId) -> f32 {
+        let df = self.stats.doc_freq(term);
+        match usize::try_from(df).ok().and_then(|i| self.idf_by_df.get(i)) {
+            Some(&idf) => idf,
+            None => idf_of(self.stats.n(), df),
+        }
     }
 
     /// The underlying corpus statistics.
     pub fn stats(&self) -> &CorpusStats {
         &self.stats
+    }
+
+    /// True when `other` reads the same df map in memory (no copy was
+    /// made between them).
+    pub fn shares_stats_with(&self, other: &TfIdfWeighter) -> bool {
+        Arc::ptr_eq(&self.stats.doc_freq, &other.stats.doc_freq)
     }
 }
 
@@ -146,6 +214,50 @@ mod tests {
         let ratio_b = b.get(0) / b.get(1);
         assert!(ratio_b < ratio_a * 10.0);
         assert!(ratio_b > ratio_a);
+    }
+
+    #[test]
+    fn frozen_idf_table_matches_the_live_expression_bit_for_bit() {
+        let mut c = CorpusStats::new();
+        for i in 0..40u32 {
+            c.add_document((0..=i % 7).map(t));
+        }
+        // df above the document count (a caller repeating a term) falls
+        // off the table and is computed on the spot.
+        c.add_document(vec![t(99); 60]);
+        let w = c.weighter();
+        for term in (0..8).chain([99, 1234]) {
+            assert_eq!(w.idf(t(term)).to_bits(), c.idf(t(term)).to_bits());
+        }
+    }
+
+    #[test]
+    fn freezing_shares_and_later_documents_do_not_leak_in() {
+        let mut c = CorpusStats::new();
+        c.add_document(vec![t(0), t(1)]);
+        let w = c.weighter();
+        assert!(w.shares_stats_with(&w.clone()));
+        let before = w.idf(t(1)).to_bits();
+        c.add_document(vec![t(1)]);
+        c.add_document(vec![t(1)]);
+        assert_eq!(w.stats().doc_count(), 1);
+        assert_eq!(w.idf(t(1)).to_bits(), before);
+        assert_eq!(c.doc_freq(t(1)), 3);
+        assert!(!w.shares_stats_with(&c.weighter()));
+    }
+
+    #[test]
+    fn weighter_serializes_as_its_statistics() {
+        let mut c = CorpusStats::new();
+        c.add_document(vec![t(0), t(1)]);
+        c.add_document(vec![t(0)]);
+        let w = c.weighter();
+        let json = serde_json::to_string(&w).unwrap();
+        assert_eq!(json, serde_json::to_string(&c).unwrap());
+        let back: TfIdfWeighter = serde_json::from_str(&json).unwrap();
+        for term in [0, 1, 7] {
+            assert_eq!(back.idf(t(term)).to_bits(), w.idf(t(term)).to_bits());
+        }
     }
 
     #[test]
