@@ -3,8 +3,9 @@
 //! For each topic BINGO! trains one linear SVM *per feature space* on the
 //! topic's training documents (positives) against its competing siblings
 //! and the OTHERS documents (negatives). Each space carries its own MI
-//! feature selection and frozen idf weighting; at decision time the
-//! per-space verdicts are combined by the configured meta decision
+//! feature selection and a handle to the training round's frozen idf
+//! weighting; at decision time a page is weighed once for all spaces
+//! and the per-space verdicts are combined by the configured meta decision
 //! function, or — in the run-time-critical single-classifier mode — only
 //! the space with the best ξα precision estimate is evaluated.
 

@@ -197,16 +197,21 @@ impl DocumentFeatures {
     }
 }
 
-/// Turn single occurrences `(feature, 1)` into the distinct features
-/// with their counts, in feature order.
-fn merge_counts(mut counts: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
-    counts.sort_unstable();
-    counts.dedup_by(|later, kept| {
+/// Merge neighbouring entries of the same feature by adding them up.
+fn merge_equal_features<T: Copy + std::ops::AddAssign>(entries: &mut Vec<(u32, T)>) {
+    entries.dedup_by(|later, kept| {
         kept.0 == later.0 && {
             kept.1 += later.1;
             true
         }
     });
+}
+
+/// Turn single occurrences `(feature, 1)` into the distinct features
+/// with their counts, in feature order.
+fn merge_counts(mut counts: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
+    counts.sort_unstable();
+    merge_equal_features(&mut counts);
     counts
 }
 
@@ -261,12 +266,7 @@ impl DocWeights {
         if !entries.is_sorted_by_key(|e| e.0) {
             entries.sort_unstable_by_key(|e| e.0);
         }
-        entries.dedup_by(|later, kept| {
-            kept.0 == later.0 && {
-                kept.1 += later.1;
-                true
-            }
-        });
+        merge_equal_features(&mut entries);
         let ends @ [t, p, a] = [Namespace::Pair, Namespace::Anchor, Namespace::Neighbor]
             .map(|ns| entries.partition_point(|e| e.0 < ns_index(ns, 0)));
 
