@@ -57,7 +57,8 @@
 # coverage, and the size of the resume's work.
 #
 # BINGO_CRASH_SEEDS picks the seed matrix for the crash-recovery sweep
-# (every byte budget of a checkpoint write, a store segment seal, every
+# (every byte budget of a checkpoint write, a store segment seal, a
+# segment-referenced session save and the seal after it, every
 # frontier spill-file boundary, the lease journal, and every file
 # boundary of the two-phase distributed snapshot commit is crashed and
 # recovered); the default widens the in-repo test default for CI
@@ -184,6 +185,10 @@ if wants crash; then
     step "segment crash matrix (seeds $BINGO_CRASH_SEEDS)" \
         env BINGO_CRASH_SEEDS="$BINGO_CRASH_SEEDS" \
         cargo test -q --offline -p bingo-store --test segment_crash
+
+    step "segmented session crash matrix (seeds $BINGO_CRASH_SEEDS)" \
+        env BINGO_CRASH_SEEDS="$BINGO_CRASH_SEEDS" \
+        cargo test -q --offline -p bingo-crawler --test segment_session_crash
 
     step "dist crash matrix (seeds $BINGO_CRASH_SEEDS)" \
         env BINGO_CRASH_SEEDS="$BINGO_CRASH_SEEDS" \

@@ -50,6 +50,7 @@
 //! when the code changes behaviour.
 
 use bingo_core::{BingoEngine, EngineConfig, EngineTelemetry, TopicId, TopicTree};
+use bingo_crawler::checkpoint::STORE_FILE;
 use bingo_crawler::{
     run_pipeline, BatchJudge, CrawlConfig, CrawlTelemetry, Crawler, Judgment, PageContext,
     PipelineOptions, StepOutcome,
@@ -61,7 +62,7 @@ use bingo_search::{
     InvertedIndex, LiveIndex, LiveIndexObs, QueryOptions, SearchEngine, SearchMetrics,
 };
 use bingo_serve::{PortalRequest, PortalService, QueryMix, ServeMetrics, VirtualLoadGen};
-use bingo_store::durable::CrashFs;
+use bingo_store::durable::{self, CrashFs};
 use bingo_store::{
     CompactionConfig, CompactionStats, CompactionTelemetry, DocumentStore, SegmentStoreConfig,
 };
@@ -142,7 +143,10 @@ impl Drop for ScratchDir {
 }
 
 fn scratch_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("bingo-bench-{}-{name}", std::process::id()))
+    // The pid is zero-padded so the path has one length per machine: a
+    // segmented session records its segment directory, and the size of
+    // that record reaches the `crawl.checkpoint.*` telemetry.
+    std::env::temp_dir().join(format!("bingo-bench-{:010}-{name}", std::process::id()))
 }
 
 /// Create `scratch_path(name)` empty.
@@ -685,6 +689,9 @@ struct ScaleParams {
     sparse: bool,
     /// Small-segment merge policy (`None` never compacts).
     compaction: Option<CompactionConfig>,
+    /// Commit a session generation every N stored pages and resume the
+    /// newest one after the crawl (0 = the crawl never checkpoints).
+    checkpoint_every: u64,
     /// Fixed budget on RSS *growth* during the crawl, MB.
     rss_budget_mb: f64,
     /// Scratch directory tag (segments + spill files).
@@ -702,7 +709,14 @@ struct ScaleParams {
 /// a bounded hot set of entry payloads resident. The report carries the
 /// RSS evidence (`rss_growth_mb` against the fixed `rss_budget_mb`,
 /// gated as the `rss_within_budget` bit); the deterministic coverage,
-/// harvest and segment counts gate tightly.
+/// harvest and segment counts gate tightly. The crawl commits a session
+/// generation every `checkpoint_every` stored pages inside the measured
+/// leg, and the newest one is resumed afterwards: `generations_written`
+/// must not shrink, no generation may serialise more document rows than
+/// the recorded `generation_rows_max` (the run itself asserts it stays
+/// under `seal_every` — a generation references sealed rows, it does
+/// not copy them), and `resume_ok` says the resumed store is segmented
+/// and holds exactly the documents of that generation.
 pub fn run_scale_scenario(mode: GateMode) -> ScenarioRun {
     let params = match mode {
         GateMode::Full => ScaleParams {
@@ -715,6 +729,7 @@ pub fn run_scale_scenario(mode: GateMode) -> ScenarioRun {
             page_terms_cap: 0,
             sparse: false,
             compaction: None,
+            checkpoint_every: 200_000,
             rss_budget_mb: 1_024.0,
             tag: "full".into(),
         },
@@ -728,6 +743,7 @@ pub fn run_scale_scenario(mode: GateMode) -> ScenarioRun {
             page_terms_cap: 0,
             sparse: false,
             compaction: None,
+            checkpoint_every: 2_500,
             rss_budget_mb: 256.0,
             tag: "smoke".into(),
         },
@@ -772,6 +788,7 @@ pub fn run_scale10m_scenario(mode: GateMode) -> ScenarioRun {
                 small_docs: 2_048,
                 min_run: 4,
             }),
+            checkpoint_every: 0,
             rss_budget_mb: 1_024.0,
             tag: "10m-full".into(),
         },
@@ -791,6 +808,7 @@ pub fn run_scale10m_scenario(mode: GateMode) -> ScenarioRun {
                 small_docs: 320,
                 min_run: 3,
             }),
+            checkpoint_every: 0,
             rss_budget_mb: 256.0,
             tag: "10m-smoke".into(),
         },
@@ -813,6 +831,7 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
     )
     .expect("segment spine");
     let base = CrawlConfig::default().harvesting();
+    let session = scratch.join("session");
     let config = CrawlConfig {
         incoming_queue_cap: params.incoming_cap,
         frontier_spill_dir: Some(scratch.join("frontier")),
@@ -820,6 +839,8 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
         dedup_spill_dir: params.dedup_hot_cap.map(|_| scratch.join("dedup")),
         dedup_hot_cap: params.dedup_hot_cap.unwrap_or(base.dedup_hot_cap),
         page_terms_cap: params.page_terms_cap,
+        checkpoint_every_docs: params.checkpoint_every,
+        checkpoint_dir: (params.checkpoint_every > 0).then(|| session.clone()),
         ..base
     };
 
@@ -829,10 +850,14 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
     reset_rss_peak();
     let rss_start_mb = rss_status_mb("VmRSS:");
 
-    let mut crawler = Crawler::new(world.clone(), config, store.clone());
+    let mut crawler = Crawler::new(world.clone(), config.clone(), store.clone());
     crawler.set_telemetry(CrawlTelemetry::new(registry.clone(), events.clone()));
     crawler.add_seed(&world.url_of(0), Some(0));
     let mut spilled_peak = 0usize;
+    // What each committed generation's store file holds, read back from
+    // its header: (document rows, segments referenced, documents in the
+    // store at that moment).
+    let mut generations: Vec<(u64, u64, u64)> = Vec::new();
     {
         let mut judge = |_: &AnalyzedDocument, _: &PageContext| Judgment {
             topic: Some(0),
@@ -844,6 +869,20 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
                 break;
             }
             spilled_peak = spilled_peak.max(crawler.frontier_spilled_len());
+            if crawler.stats().checkpoints_written > generations.len() as u64 {
+                let newest = durable::generation_numbers(&session)[0];
+                let file = durable::generation_dir(&session, newest).join(STORE_FILE);
+                let text = std::fs::read_to_string(file).expect("generation store file");
+                let header = Value::parse_json(text.lines().next().unwrap_or_default())
+                    .expect("generation store header");
+                let rows = json_path(&header, "documents").and_then(Value::as_u64);
+                let segments = json_path(&header, "manifest.segments").and_then(Value::as_array);
+                generations.push((
+                    rows.expect("header counts its rows"),
+                    segments.expect("header references segments").len() as u64,
+                    store.document_count() as u64,
+                ));
+            }
         }
     }
     store.seal_now().expect("final seal");
@@ -858,7 +897,7 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
 
     let stats = crawler.stats().clone();
     let virtual_ms = crawler.clock_ms().max(1);
-    let report = json!({
+    let mut report = json!({
         "scenario": params.name,
         "world_pages": pages,
         "visited_urls": stats.visited_urls,
@@ -893,6 +932,35 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
         "rss_budget_mb": params.rss_budget_mb,
         "rss_within_budget": u64::from(rss_growth_mb <= params.rss_budget_mb),
     });
+    drop((crawler, store));
+
+    // Where durability and scale meet: the crawl checkpointed, each
+    // generation held unsealed rows only, and the newest one resumes as
+    // a segmented store. Counts only — the scratch path is part of a
+    // generation's header, so its byte size is not a function of the seed.
+    if params.checkpoint_every > 0 {
+        let rows_max = generations.iter().map(|g| g.0).max().unwrap_or(0);
+        assert!(
+            rows_max < params.seal_every as u64,
+            "a generation serialised {rows_max} rows: sealed rows leaked into it"
+        );
+        let (_, segments_last, documents_last) = generations.last().copied().unwrap_or_default();
+        let resumed = Crawler::resume_session(world, config, &session);
+        let resume_ok = resumed.is_ok_and(|resumed| {
+            let store = resumed.store();
+            store.is_segmented()
+                && store.document_count() as u64 == documents_last
+                && store.segment_count() as u64 == segments_last
+        });
+        if let Value::Object(fields) = &mut report {
+            fields.extend([
+                ("generations_written".to_string(), json!(generations.len())),
+                ("generation_rows_max".to_string(), json!(rows_max)),
+                ("generation_segments_last".to_string(), json!(segments_last)),
+                ("resume_ok".to_string(), json!(u64::from(resume_ok))),
+            ]);
+        }
+    }
     ScenarioRun {
         report,
         evidence: DeterminismEvidence::capture(&registry, &events),
@@ -1109,6 +1177,9 @@ const SCALE_SPECS: &[MetricSpec] = &[
     MetricSpec::at_least("segments_sealed", 0.05),
     MetricSpec::at_least("spill_active", 0.0),
     MetricSpec::at_least("rss_within_budget", 0.0),
+    MetricSpec::at_least("generations_written", 0.0),
+    MetricSpec::at_most("generation_rows_max", 0.0),
+    MetricSpec::at_least("resume_ok", 0.0),
 ];
 
 /// Everything the 1M scale scenario gates, plus the bounded-layer
@@ -1622,6 +1693,7 @@ mod tests {
             page_terms_cap: 0,
             sparse: false,
             compaction: None,
+            checkpoint_every: 150,
             rss_budget_mb: 256.0,
             tag: "test".into(),
         };
@@ -1639,6 +1711,13 @@ mod tests {
         assert!(get("segments_sealed") >= 2, "store never spanned segments");
         assert_eq!(get("spill_active"), 1, "frontier never spilled");
         assert_eq!(get("rss_within_budget"), 1, "RSS budget blown");
+        assert!(get("generations_written") >= 3, "crawl barely checkpointed");
+        assert!(
+            get("generation_rows_max") < 64,
+            "a generation held sealed rows"
+        );
+        assert!(get("generation_segments_last") >= 2);
+        assert_eq!(get("resume_ok"), 1, "newest generation did not resume");
         assert_eq!(
             json_path(&a.report, "visited_urls").unwrap(),
             json_path(&b.report, "visited_urls").unwrap(),
@@ -1669,6 +1748,7 @@ mod tests {
             page_terms_cap: 0,
             sparse: false,
             compaction: None,
+            checkpoint_every: 0,
             rss_budget_mb: 256.0,
             tag: "test-plain".into(),
         });
@@ -1685,6 +1765,7 @@ mod tests {
                 small_docs: 80,
                 min_run: 3,
             }),
+            checkpoint_every: 0,
             rss_budget_mb: 256.0,
             tag: "test-bounded".into(),
         };

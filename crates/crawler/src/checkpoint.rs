@@ -152,12 +152,127 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
+/// Elements [`JsonOut::array`] hands to the serializer at a time.
+const ENCODE_RUN: usize = 4096;
+
+/// Compact JSON written piece by piece. The serializer this workspace
+/// vendors turns whatever it is handed into a `Value` tree before
+/// writing it, and for a checkpoint's O(visited URLs) collections that
+/// tree is several times the size of the JSON — on the million-page
+/// gate crawl it alone overran the crawl's memory budget. Encoding the
+/// large arrays a bounded run of elements at a time keeps the
+/// transient at the size of the output; the bytes are exactly those of
+/// `serde_json::to_string` over the whole record.
+#[derive(Default)]
+struct JsonOut(Vec<u8>);
+
+fn encode<T: Serialize + ?Sized>(value: &T) -> Result<String, CheckpointError> {
+    serde_json::to_string(value).map_err(|e| CheckpointError::Format(e.to_string()))
+}
+
+impl JsonOut {
+    fn begin(&mut self) {
+        self.0.push(b'{');
+    }
+
+    fn end(&mut self) {
+        self.0.push(b'}');
+    }
+
+    /// `"name":`, comma-separated from a preceding field.
+    fn field(&mut self, name: &str) {
+        if self.0.last() != Some(&b'{') {
+            self.0.push(b',');
+        }
+        self.0.push(b'"');
+        self.0.extend_from_slice(name.as_bytes());
+        self.0.extend_from_slice(b"\":");
+    }
+
+    fn value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CheckpointError> {
+        self.0.extend_from_slice(encode(value)?.as_bytes());
+        Ok(())
+    }
+
+    /// `items` as one array, serialized [`ENCODE_RUN`] elements at a
+    /// time (each run's own brackets dropped).
+    fn array<T: Serialize>(&mut self, items: &[T]) -> Result<(), CheckpointError> {
+        self.0.push(b'[');
+        for (i, run) in items.chunks(ENCODE_RUN).enumerate() {
+            if i > 0 {
+                self.0.push(b',');
+            }
+            let text = encode(run)?;
+            self.0
+                .extend_from_slice(&text.as_bytes()[1..text.len() - 1]);
+        }
+        self.0.push(b']');
+        Ok(())
+    }
+
+    /// An array of arrays, each inner one through [`JsonOut::array`].
+    fn arrays<T: Serialize>(&mut self, outer: &[Vec<T>]) -> Result<(), CheckpointError> {
+        self.0.push(b'[');
+        for (i, inner) in outer.iter().enumerate() {
+            if i > 0 {
+                self.0.push(b',');
+            }
+            self.array(inner)?;
+        }
+        self.0.push(b']');
+        Ok(())
+    }
+}
+
 /// Serialize `cp` to a JSON byte string (the exact bytes of a
-/// generation's [`CRAWLER_FILE`]).
+/// generation's [`CRAWLER_FILE`], and of `serde_json::to_string(cp)`).
 pub fn checkpoint_bytes(cp: &CrawlCheckpoint) -> Result<Vec<u8>, CheckpointError> {
-    serde_json::to_string(cp)
-        .map(String::into_bytes)
-        .map_err(|e| CheckpointError::Format(e.to_string()))
+    let mut o = JsonOut::default();
+    o.begin();
+    o.field("magic");
+    o.value(&cp.magic)?;
+    o.field("version");
+    o.value(&cp.version)?;
+    o.field("clock_ms");
+    o.value(&cp.clock_ms)?;
+    o.field("stats");
+    o.value(&cp.stats)?;
+    o.field("frontier");
+    o.begin();
+    o.field("incoming");
+    o.arrays(&cp.frontier.incoming)?;
+    o.field("outgoing");
+    o.arrays(&cp.frontier.outgoing)?;
+    o.field("parked");
+    o.array(&cp.frontier.parked)?;
+    o.field("overflow");
+    o.value(&cp.frontier.overflow)?;
+    o.end();
+    o.field("dedup");
+    o.begin();
+    o.field("url_hashes");
+    o.array(&cp.dedup.url_hashes)?;
+    o.field("ip_path");
+    o.array(&cp.dedup.ip_path)?;
+    o.field("ip_size");
+    o.array(&cp.dedup.ip_size)?;
+    o.end();
+    o.field("host_health");
+    o.array(&cp.host_health)?;
+    o.field("visited_hosts");
+    o.array(&cp.visited_hosts)?;
+    o.field("threads");
+    o.array(&cp.threads)?;
+    o.field("host_slots");
+    o.array(&cp.host_slots)?;
+    o.field("page_top_terms");
+    o.array(&cp.page_top_terms)?;
+    if let Some(host_graph) = &cp.host_graph {
+        o.field("host_graph");
+        o.value(host_graph)?;
+    }
+    o.end();
+    Ok(o.0)
 }
 
 /// Read a checkpoint back, validating magic and version.
@@ -225,6 +340,25 @@ mod tests {
             checkpoint_bytes(&loaded).unwrap()
         );
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn streamed_bytes_are_the_whole_record_encoding() {
+        use crate::frontier::QueueEntry;
+        let run = ENCODE_RUN as u64;
+        let mut cp = minimal();
+        // Empty arrays, arrays of exactly one run, and arrays that end
+        // one element into a third run.
+        cp.dedup.url_hashes = (0..2 * run + 1).collect();
+        cp.dedup.ip_path = (0..run).map(|i| (i as u32, i * 7)).collect();
+        cp.dedup.ip_size = Vec::new();
+        let entry = |i: u64| QueueEntry::seed(&format!("http://h/\"p{i}\""), Some(1));
+        cp.frontier.incoming = vec![Vec::new(), (0..run + 1).map(entry).collect()];
+        cp.frontier.outgoing = vec![vec![entry(0)]];
+        cp.frontier.parked = vec![(5, entry(1)), (9, entry(2))];
+        cp.page_top_terms = (0..run + 1).map(|i| (i, vec![TermId(i as u32)])).collect();
+        let whole = serde_json::to_string(&cp).unwrap().into_bytes();
+        assert_eq!(checkpoint_bytes(&cp).unwrap(), whole);
     }
 
     #[test]

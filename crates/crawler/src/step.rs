@@ -255,13 +255,19 @@ impl Crawler {
         self.resolver = CachingResolver::new();
     }
 
-    /// Write a full crawl session — store snapshot plus crawler
+    /// Write a full crawl session — store checkpoint plus crawler
     /// checkpoint — as a new checkpoint *generation* under `dir`
     /// (created if missing). The generation's manifest is committed
     /// last, so a kill at any byte of the save leaves the previous
     /// complete generation as the recovery target. After a successful
     /// commit, generations beyond
     /// [`durable::DEFAULT_KEEP_GENERATIONS`] are pruned.
+    ///
+    /// An in-memory store is written in full; a segmented store is
+    /// written as references to its sealed segments plus the unsealed
+    /// workspace rows ([`bingo_store::persist::write_checkpoint`]), so
+    /// a generation costs O(workspace) and the segment files are the
+    /// same bytes whether or not the crawl checkpoints.
     pub fn save_session<P: AsRef<std::path::Path>>(&self, dir: P) -> Result<(), CheckpointError> {
         self.save_session_with(&durable::StdFs, dir).map(|_| ())
     }
@@ -279,21 +285,23 @@ impl Crawler {
         let mut writer = durable::GenerationWriter::begin(fs, dir)?;
         self.write_session_into(&mut writer)?;
         let generation = writer.commit()?;
-        let pruned = durable::prune_generations(dir, durable::DEFAULT_KEEP_GENERATIONS);
+        let pruned = self.prune_session(fs, dir);
         self.telemetry.checkpoint_pruned.add(pruned as u64);
         Ok(generation)
     }
 
-    /// Write this crawler's session files (store snapshot + checkpoint)
-    /// into an open generation. Callers that bundle more artifacts into
-    /// the same commit (e.g. `bingo_core::persist::save_session` adds
-    /// the engine snapshot) append them before committing the writer.
+    /// Write this crawler's session files (store checkpoint + crawler
+    /// checkpoint) into an open generation. Callers that bundle more
+    /// artifacts into the same commit (e.g.
+    /// `bingo_core::persist::save_session` adds the engine snapshot)
+    /// append them, commit the writer and then call
+    /// [`Crawler::prune_session`].
     pub fn write_session_into(
         &self,
         writer: &mut durable::GenerationWriter<'_>,
     ) -> Result<(), CheckpointError> {
         let mut snapshot = Vec::new();
-        bingo_store::persist::write_snapshot(&self.store, &mut snapshot)
+        bingo_store::persist::write_checkpoint(&self.store, &mut snapshot)
             .map_err(|e| CheckpointError::Store(e.to_string()))?;
         writer.write_file(STORE_FILE, &snapshot)?;
         let cp = crate::checkpoint::checkpoint_bytes(&self.checkpoint())?;
@@ -301,34 +309,58 @@ impl Crawler {
         Ok(())
     }
 
+    /// After a generation of `dir` committed: prune generations beyond
+    /// [`durable::DEFAULT_KEEP_GENERATIONS`], then let a segmented store
+    /// delete the segments that only pruned generations referenced.
+    /// Returns the prune count; like pruning, a failed release is
+    /// retried by the next save, never fatal.
+    pub fn prune_session(&self, fs: &dyn durable::DurableFs, dir: &std::path::Path) -> usize {
+        let pruned = durable::prune_generations(dir, durable::DEFAULT_KEEP_GENERATIONS);
+        let kept = durable::generation_numbers(dir)
+            .into_iter()
+            .map(|generation| durable::generation_dir(dir, generation).join(STORE_FILE));
+        let _ = bingo_store::persist::release_unreferenced(&self.store, fs, kept);
+        pruned
+    }
+
     /// Rebuild a crawler mid-crawl from a session directory written by
-    /// [`Crawler::save_session`]: the newest *complete* generation is
-    /// the recovery target — torn or corrupted generations (crash
-    /// mid-save, bit rot) are skipped, rolling back to the last good
-    /// commit. A directory without one complete generation is an
-    /// error, whatever else it holds: only manifest-committed files are
-    /// ever loaded. `world` and `config` must match the original crawl
-    /// for the resumed run to be meaningful.
+    /// [`Crawler::save_session`]: the newest *complete* generation whose
+    /// store opens is the recovery target — torn or corrupted
+    /// generations (crash mid-save, bit rot, a referenced segment
+    /// missing or failing its checksum) are skipped, rolling back to
+    /// the last good commit. A segmented session comes back segmented,
+    /// over the same directory, without touching it. A directory
+    /// without one complete generation is an error, whatever else it
+    /// holds: only manifest-committed files are ever loaded. `world`
+    /// and `config` must match the original crawl for the resumed run
+    /// to be meaningful.
     pub fn resume_session<P: AsRef<std::path::Path>>(
         world: Arc<World>,
         config: CrawlConfig,
         dir: P,
     ) -> Result<Crawler, CheckpointError> {
         let dir = dir.as_ref();
-        let session = durable::find_newest_complete(dir)
-            .ok_or_else(|| {
-                CheckpointError::Io(format!(
-                    "no complete checkpoint generation in {}",
-                    dir.display()
-                ))
-            })?
-            .dir;
-        let store = bingo_store::persist::load(session.join(STORE_FILE))
-            .map_err(|e| CheckpointError::Store(e.to_string()))?;
-        let cp = load_checkpoint(session.join(CRAWLER_FILE))?;
-        let mut crawler = Crawler::new(world, config, store);
-        crawler.restore_checkpoint(cp);
-        Ok(crawler)
+        let mut newest_failure = None;
+        for session in durable::complete_newest_first(dir) {
+            match bingo_store::persist::load(session.dir.join(STORE_FILE)) {
+                Ok(store) => {
+                    let cp = load_checkpoint(session.dir.join(CRAWLER_FILE))?;
+                    let mut crawler = Crawler::new(world, config, store);
+                    crawler.restore_checkpoint(cp);
+                    return Ok(crawler);
+                }
+                Err(e) => {
+                    newest_failure.get_or_insert(e);
+                }
+            }
+        }
+        Err(match newest_failure {
+            Some(e) => CheckpointError::Store(e.to_string()),
+            None => CheckpointError::Io(format!(
+                "no complete checkpoint generation in {}",
+                dir.display()
+            )),
+        })
     }
 
     /// Per-host breaker health as `(hostname, state, failure count)`,
@@ -925,6 +957,11 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&cp).unwrap(),
             serde_json::to_string(&crawler.checkpoint()).unwrap()
+        );
+        assert_eq!(
+            crate::checkpoint::checkpoint_bytes(&cp).unwrap(),
+            serde_json::to_string(&cp).unwrap().into_bytes(),
+            "the streamed file bytes are the record's encoding, host graph included"
         );
 
         // Two replicas restored from the same checkpoint (deep store

@@ -163,6 +163,88 @@ fn missing_pieces_are_clean_errors() {
     }
 }
 
+/// A segmented session's generation is only as good as the segment
+/// files it references: one missing, truncated or bit-flipped — or the
+/// whole directory gone — and that generation is skipped like a torn
+/// one, the previous complete generation resumes, and when none is
+/// left the error is clean.
+#[test]
+fn damaged_referenced_segments_roll_back_to_the_previous_generation() {
+    let world = small_world(42);
+    let root = std::env::temp_dir().join("bingo-ckpt-corruption-segments");
+    std::fs::remove_dir_all(&root).ok();
+    let (segments, session) = (root.join("segments"), root.join("session"));
+    let store = DocumentStore::segmented_with(&segments, 8).unwrap();
+    let mut crawler = Crawler::new(world.clone(), CrawlConfig::default(), store.clone());
+    crawler.add_seed(&world.url_of(1), Some(0));
+    let mut judge = accept_all();
+    let mut vocab = Vocabulary::new();
+    // Generation 1 before the first seal: it references no segment.
+    while crawler.stats().stored_pages < 5 {
+        crawler.step(&mut judge, &mut vocab);
+    }
+    assert_eq!(store.segment_count(), 0);
+    crawler.save_session(&session).expect("first save");
+    let first_stored = crawler.stats().stored_pages;
+    // Generation 2 references three.
+    while store.segment_count() < 3 {
+        crawler.step(&mut judge, &mut vocab);
+    }
+    crawler.save_session(&session).expect("second save");
+    let second_stored = crawler.stats().stored_pages;
+    drop((crawler, store));
+
+    let stored_after_resume = || {
+        let resumed = resume(&world, &session)?;
+        assert!(resumed.store().is_segmented());
+        assert_eq!(
+            resumed.store().document_count() as u64,
+            resumed.stats().stored_pages
+        );
+        Ok::<u64, CheckpointError>(resumed.stats().stored_pages)
+    };
+    assert_eq!(stored_after_resume().unwrap(), second_stored, "intact");
+
+    let victim = segments.join("seg-000001.jsonl");
+    let intact = std::fs::read(&victim).unwrap();
+    let mut flipped = intact.clone();
+    flipped[intact.len() / 2] ^= 0x01;
+    let damages: [(&str, Option<&[u8]>); 3] = [
+        ("missing", None),
+        ("truncated", Some(&intact[..intact.len() / 2])),
+        ("one bit flipped", Some(&flipped)),
+    ];
+    for (damage, bytes) in damages {
+        match bytes {
+            Some(bytes) => std::fs::write(&victim, bytes).unwrap(),
+            None => std::fs::remove_file(&victim).unwrap(),
+        }
+        assert_eq!(
+            stored_after_resume().unwrap_or_else(|e| panic!("segment {damage}: {e}")),
+            first_stored,
+            "segment {damage}: rollback to the generation before it"
+        );
+        std::fs::write(&victim, &intact).unwrap();
+    }
+    assert_eq!(stored_after_resume().unwrap(), second_stored, "repaired");
+
+    // The directory the header names is gone: generation 2 cannot open,
+    // generation 1 needs nothing from it.
+    std::fs::rename(&segments, root.join("segments-moved")).unwrap();
+    assert_eq!(
+        stored_after_resume().unwrap(),
+        first_stored,
+        "directory gone"
+    );
+    // With generation 1 gone too nothing is resumable.
+    std::fs::remove_dir_all(durable::generation_dir(&session, 1)).unwrap();
+    assert!(
+        matches!(stored_after_resume(), Err(CheckpointError::Store(_))),
+        "no resumable generation must be a clean store error"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -176,7 +176,7 @@ fn deterministic_and_threaded_executors_fill_identical_stores() {
             break;
         }
     }
-    det_store.remap_terms(&vocab.canonical_map(0));
+    det_store.remap_terms(&vocab.canonical_map(0)).unwrap();
 
     // Real-thread batch executor over the shared vocabulary.
     let thr_store = DocumentStore::new();
@@ -191,7 +191,7 @@ fn deterministic_and_threaded_executors_fill_identical_stores() {
         &PipelineOptions::focused(config, 4, 7),
     );
     let (_, map) = shared.canonicalize();
-    thr_store.remap_terms(&map);
+    thr_store.remap_terms(&map).unwrap();
 
     // The crawl must be non-trivial: multiple documents, real depths,
     // link rows.
@@ -267,7 +267,7 @@ fn segmented_store_runs_match_in_memory_byte_for_byte() {
                 break;
             }
         }
-        store.remap_terms(&vocab.canonical_map(0));
+        store.remap_terms(&vocab.canonical_map(0)).unwrap();
         store
     };
     let det_mem = det_run(DocumentStore::new());
@@ -306,7 +306,7 @@ fn segmented_store_runs_match_in_memory_byte_for_byte() {
             &PipelineOptions::focused(config.clone(), 4, 7),
         );
         let (_, map) = shared.canonicalize();
-        store.remap_terms(&map);
+        store.remap_terms(&map).unwrap();
         store
     };
     let thr_seg = thr_run(DocumentStore::segmented_with(seg_dir("thr"), 16).expect("open"));
@@ -373,7 +373,7 @@ fn panic_injected_run_matches_calm_run_minus_quarantined() {
             &opts,
         );
         let (_, map) = shared.canonicalize();
-        store.remap_terms(&map);
+        store.remap_terms(&map).unwrap();
         (store, report)
     };
 

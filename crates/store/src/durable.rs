@@ -246,11 +246,13 @@ pub fn verify_generation(dir: &Path) -> Option<Manifest> {
     Some(manifest)
 }
 
-/// All complete generations in `session`, newest first.
-pub fn complete_generations(session: &Path) -> Vec<CompleteGeneration> {
+/// The complete generations of `session`, newest first, each verified
+/// only when the iterator reaches it — a caller that stops after the
+/// first (or the first `keep`) never reads the older ones.
+pub fn complete_newest_first(session: &Path) -> impl Iterator<Item = CompleteGeneration> + '_ {
     generation_numbers(session)
         .into_iter()
-        .filter_map(|generation| {
+        .filter_map(move |generation| {
             let dir = generation_dir(session, generation);
             verify_generation(&dir).map(|manifest| CompleteGeneration {
                 generation,
@@ -258,26 +260,30 @@ pub fn complete_generations(session: &Path) -> Vec<CompleteGeneration> {
                 manifest,
             })
         })
-        .collect()
+}
+
+/// All complete generations in `session`, newest first.
+pub fn complete_generations(session: &Path) -> Vec<CompleteGeneration> {
+    complete_newest_first(session).collect()
 }
 
 /// The newest complete generation in `session`, if any — the rollback
 /// target every load goes through.
 pub fn find_newest_complete(session: &Path) -> Option<CompleteGeneration> {
-    complete_generations(session).into_iter().next()
+    complete_newest_first(session).next()
 }
 
 /// Delete everything but the newest `keep` complete generations
 /// (incomplete generations — crashed attempts — are always garbage and
-/// removed when older siblings go). Also reaps orphaned segment files
+/// removed when older siblings go; generations older than the kept ones
+/// are deleted unverified). Also reaps orphaned segment files
 /// a crash between segment seal and manifest commit left in the
 /// session directory (see [`crate::segment::reap_orphan_segments`]).
 /// Returns the number of generation directories plus orphan files
 /// removed; failures to remove are skipped, never fatal.
 pub fn prune_generations(session: &Path, keep: usize) -> usize {
     let reaped = crate::segment::reap_orphan_segments(session);
-    let keep_gens: Vec<u64> = complete_generations(session)
-        .into_iter()
+    let keep_gens: Vec<u64> = complete_newest_first(session)
         .take(keep.max(1))
         .map(|g| g.generation)
         .collect();

@@ -238,12 +238,15 @@ impl DocumentStore {
         dir: P,
         cfg: segment::SegmentStoreConfig,
     ) -> Result<Self, StoreError> {
-        let spine = segment::Spine::open(dir.as_ref().to_path_buf(), cfg)?;
-        Ok(DocumentStore {
+        segment::Spine::open(dir.as_ref().to_path_buf(), cfg).map(Self::from_spine)
+    }
+
+    pub(crate) fn from_spine(spine: segment::Spine) -> Self {
+        DocumentStore {
             inner: Arc::default(),
             spine: Some(Arc::new(RwLock::new(spine))),
             tee: None,
-        })
+        }
     }
 
     /// True when this store is disk-backed ([`DocumentStore::segmented`]).
@@ -599,14 +602,14 @@ impl DocumentStore {
     /// pipeline's arrival-ordered interner — see
     /// `bingo_textproc::SharedVocabulary::canonicalize`.
     ///
-    /// On segmented stores this rewrites every sealed segment on disk;
-    /// an I/O failure there is unrecoverable mid-rewrite and panics.
-    pub fn remap_terms(&self, map: &[u32]) {
+    /// On segmented stores this rewrites every sealed segment on disk —
+    /// an I/O failure there leaves the rewrite half done — and is
+    /// refused with an error, before anything is touched, once a
+    /// checkpoint generation references the segments
+    /// ([`persist::write_checkpoint`]): canonicalize before persisting.
+    pub fn remap_terms(&self, map: &[u32]) -> Result<(), StoreError> {
         match &self.spine {
-            Some(spine) => spine
-                .write()
-                .remap_terms(map)
-                .expect("segment rewrite during term remap failed"),
+            Some(spine) => spine.write().remap_terms(map),
             None => {
                 let mut inner = self.inner.write();
                 for row in inner.documents.values_mut() {
@@ -615,6 +618,7 @@ impl DocumentStore {
                     }
                     row.term_freqs.sort_unstable_by_key(|&(t, _)| t);
                 }
+                Ok(())
             }
         }
     }
@@ -714,7 +718,7 @@ mod tests {
         let mut map = vec![0u32; 8];
         map[1] = 6;
         map[7] = 2;
-        s.remap_terms(&map);
+        s.remap_terms(&map).unwrap();
         assert_eq!(s.document(1).unwrap().term_freqs, vec![(2, 1), (6, 2)]);
     }
 

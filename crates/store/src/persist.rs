@@ -6,14 +6,30 @@
 //! header line, then one line per document row, then one line per link
 //! row, then one per host row — streamable in both directions, no
 //! whole-database buffer.
+//!
+//! Two forms share the header's magic and differ in its version:
+//!
+//! * the **full** form ([`write_snapshot`]) holds every row of the
+//!   store, whatever its backend;
+//! * the **reference** form is what [`write_checkpoint`] writes for a
+//!   segmented store: sealed rows are already on disk in immutable,
+//!   checksummed segment files, so the header records *which* segments
+//!   (the manifest a seal would commit at that moment, the directory and
+//!   the store configuration) and only the unsealed workspace rows
+//!   follow. Its cost is O(workspace), not O(corpus).
+//!
+//! [`read_snapshot`] and [`load`] accept either.
 
+use crate::durable::DurableFs;
+use crate::segment::{pe, SegmentManifest, SegmentStoreConfig, Spine};
 use crate::tables::{DocumentRow, HostRow, LinkRow};
 use crate::{DocumentStore, StoreError};
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// Snapshot header with section counts, enabling validation on load.
+/// Header of the full form, with section counts enabling validation on
+/// load.
 #[derive(Debug, Serialize, Deserialize, PartialEq, Eq)]
 struct SnapshotHeader {
     magic: String,
@@ -23,15 +39,35 @@ struct SnapshotHeader {
     hosts: usize,
 }
 
+/// Header of the reference form. `documents` and `links` count the
+/// workspace rows that follow; overrides and hosts ride in `manifest`.
+#[derive(Debug, Serialize, Deserialize)]
+struct ReferenceHeader {
+    magic: String,
+    version: u32,
+    documents: usize,
+    links: usize,
+    /// The segment directory as the store was opened.
+    dir: String,
+    config: SegmentStoreConfig,
+    manifest: SegmentManifest,
+}
+
 const MAGIC: &str = "bingo-snapshot";
 const VERSION: u32 = 1;
+const REFERENCE_VERSION: u32 = 2;
 
-/// Write a snapshot of the store to `w`.
+fn write_line<W: Write, T: Serialize>(w: &mut W, value: &T) -> Result<(), StoreError> {
+    serde_json::to_writer(&mut *w, value).map_err(pe)?;
+    w.write_all(b"\n").map_err(pe)
+}
+
+/// Write a full snapshot of the store to `w`.
 ///
 /// Byte-identical for an in-memory store and a segmented store holding
 /// the same rows: both emit documents sorted by id, links in insertion
-/// order, hosts sorted by id — so checkpoints and equivalence tests
-/// can compare the two backends literally.
+/// order, hosts sorted by id — so exports and equivalence tests can
+/// compare the two backends literally.
 pub fn write_snapshot<W: Write>(store: &DocumentStore, w: W) -> Result<(), StoreError> {
     if let Some(spine) = &store.spine {
         return write_snapshot_segmented(&spine.read(), w);
@@ -45,41 +81,29 @@ pub fn write_snapshot<W: Write>(store: &DocumentStore, w: W) -> Result<(), Store
         links: inner.links.len(),
         hosts: inner.hosts.len(),
     };
-    let io_err = |e: std::io::Error| StoreError::Persist(e.to_string());
-    let ser_err = |e: serde_json::Error| StoreError::Persist(e.to_string());
-
-    serde_json::to_writer(&mut w, &header).map_err(ser_err)?;
-    w.write_all(b"\n").map_err(io_err)?;
+    write_line(&mut w, &header)?;
     // Deterministic order: sort by id so snapshots are comparable.
     let mut ids: Vec<_> = inner.documents.keys().copied().collect();
     ids.sort_unstable();
     for id in ids {
-        serde_json::to_writer(&mut w, &inner.documents[&id]).map_err(ser_err)?;
-        w.write_all(b"\n").map_err(io_err)?;
+        write_line(&mut w, &inner.documents[&id])?;
     }
     for link in &inner.links {
-        serde_json::to_writer(&mut w, link).map_err(ser_err)?;
-        w.write_all(b"\n").map_err(io_err)?;
+        write_line(&mut w, link)?;
     }
     let mut host_ids: Vec<_> = inner.hosts.keys().copied().collect();
     host_ids.sort_unstable();
     for id in host_ids {
-        serde_json::to_writer(&mut w, &inner.hosts[&id]).map_err(ser_err)?;
-        w.write_all(b"\n").map_err(io_err)?;
+        write_line(&mut w, &inner.hosts[&id])?;
     }
-    w.flush().map_err(io_err)
+    w.flush().map_err(pe)
 }
 
 /// Segmented branch of [`write_snapshot`]: materialize the merged
 /// (workspace + sealed, overrides applied) tables and emit the same
 /// byte stream the in-memory path would.
-fn write_snapshot_segmented<W: Write>(
-    spine: &crate::segment::Spine,
-    w: W,
-) -> Result<(), StoreError> {
+fn write_snapshot_segmented<W: Write>(spine: &Spine, w: W) -> Result<(), StoreError> {
     let mut w = BufWriter::new(w);
-    let io_err = |e: std::io::Error| StoreError::Persist(e.to_string());
-    let ser_err = |e: serde_json::Error| StoreError::Persist(e.to_string());
     let header = SnapshotHeader {
         magic: MAGIC.to_string(),
         version: VERSION,
@@ -87,80 +111,184 @@ fn write_snapshot_segmented<W: Write>(
         links: spine.link_count(),
         hosts: spine.host_count(),
     };
-    serde_json::to_writer(&mut w, &header).map_err(ser_err)?;
-    w.write_all(b"\n").map_err(io_err)?;
+    write_line(&mut w, &header)?;
     let mut docs = spine.all_documents();
     docs.sort_unstable_by_key(|d| d.id);
     for row in &docs {
-        serde_json::to_writer(&mut w, row).map_err(ser_err)?;
-        w.write_all(b"\n").map_err(io_err)?;
+        write_line(&mut w, row)?;
     }
     let mut link_err = None;
     spine.for_each_link(|link| {
         if link_err.is_none() {
-            link_err = serde_json::to_writer(&mut w, link)
-                .map_err(ser_err)
-                .and_then(|()| w.write_all(b"\n").map_err(io_err))
-                .err();
+            link_err = write_line(&mut w, link).err();
         }
     })?;
     if let Some(e) = link_err {
         return Err(e);
     }
     for host in spine.hosts_sorted() {
-        serde_json::to_writer(&mut w, &host).map_err(ser_err)?;
-        w.write_all(b"\n").map_err(io_err)?;
+        write_line(&mut w, &host)?;
     }
-    w.flush().map_err(io_err)
+    w.flush().map_err(pe)
 }
 
-/// Read a snapshot into a fresh store.
+/// Write what a checkpoint generation stores for `store`: the full
+/// snapshot of an in-memory store ([`write_snapshot`], byte for byte),
+/// the reference form of a segmented one. Nothing is sealed — segment
+/// files stay a pure function of the crawl and the seal threshold — but
+/// from here on the store keeps every segment a generation may name:
+/// compaction retains what it replaces until
+/// [`release_unreferenced`] lets go, and
+/// [`DocumentStore::remap_terms`] is refused.
+pub fn write_checkpoint<W: Write>(store: &DocumentStore, w: W) -> Result<(), StoreError> {
+    let Some(spine) = &store.spine else {
+        return write_snapshot(store, w);
+    };
+    let mut spine = spine.write();
+    spine.pin();
+    let (docs, links) = spine.workspace();
+    let header = ReferenceHeader {
+        magic: MAGIC.to_string(),
+        version: REFERENCE_VERSION,
+        documents: docs.len(),
+        links: links.len(),
+        dir: spine
+            .dir()
+            .to_str()
+            .ok_or_else(|| pe("segment directory is not valid UTF-8"))?
+            .to_string(),
+        config: spine.config().clone(),
+        manifest: spine.manifest_now(),
+    };
+    let mut w = BufWriter::new(w);
+    write_line(&mut w, &header)?;
+    for row in docs {
+        write_line(&mut w, row)?;
+    }
+    for link in links {
+        write_line(&mut w, link)?;
+    }
+    w.flush().map_err(pe)
+}
+
+/// Parse a header line far enough to know the form: magic checked,
+/// version returned.
+fn header_version(line: &str) -> Result<(serde_json::Value, u32), StoreError> {
+    let value = serde_json::Value::parse_json(line).map_err(pe)?;
+    match value.get("magic").and_then(|m| m.as_str()) {
+        Some(MAGIC) => {}
+        other => return Err(pe(format!("bad magic {other:?}"))),
+    }
+    let version = value
+        .get("version")
+        .and_then(|v| v.as_u64())
+        .and_then(|v| u32::try_from(v).ok())
+        .ok_or_else(|| pe("no format version"))?;
+    Ok((value, version))
+}
+
+/// Read a snapshot of either form into a fresh store. The full form
+/// yields an in-memory store. The reference form opens the recorded
+/// segment directory *at the recorded manifest* — every referenced
+/// segment verified against its length and checksum, nothing on disk
+/// created, deleted or rewritten — replays the workspace rows and
+/// yields a segmented store; segments sealed after the snapshot are
+/// ignored and replaced by the store's next seals.
 pub fn read_snapshot<R: Read>(r: R) -> Result<DocumentStore, StoreError> {
     let mut lines = BufReader::new(r).lines();
-    let perr = |m: String| StoreError::Persist(m);
     let header_line = lines
         .next()
-        .ok_or_else(|| perr("empty snapshot".into()))?
-        .map_err(|e| perr(e.to_string()))?;
-    let header: SnapshotHeader =
-        serde_json::from_str(&header_line).map_err(|e| perr(e.to_string()))?;
-    if header.magic != MAGIC {
-        return Err(perr(format!("bad magic {:?}", header.magic)));
-    }
-    if header.version != VERSION {
-        return Err(perr(format!("unsupported version {}", header.version)));
-    }
-
-    let store = DocumentStore::new();
+        .ok_or_else(|| pe("empty snapshot"))?
+        .map_err(pe)?;
+    let (header, version) = header_version(&header_line)?;
     let mut next = || -> Result<String, StoreError> {
         lines
             .next()
-            .ok_or_else(|| perr("truncated snapshot".into()))?
-            .map_err(|e| perr(e.to_string()))
+            .ok_or_else(|| pe("truncated snapshot"))?
+            .map_err(pe)
     };
-    for _ in 0..header.documents {
-        let row: DocumentRow = serde_json::from_str(&next()?).map_err(|e| perr(e.to_string()))?;
-        store
-            .insert_document(row)
-            .map_err(|e| perr(e.to_string()))?;
+    match version {
+        VERSION => {
+            let header = SnapshotHeader::from_value(&header).map_err(pe)?;
+            let store = DocumentStore::new();
+            for _ in 0..header.documents {
+                let row: DocumentRow = serde_json::from_str(&next()?).map_err(pe)?;
+                store.insert_document(row).map_err(pe)?;
+            }
+            let mut links = Vec::new();
+            for _ in 0..header.links {
+                let row: LinkRow = serde_json::from_str(&next()?).map_err(pe)?;
+                links.push(row);
+            }
+            store.insert_links(links);
+            for _ in 0..header.hosts {
+                let row: HostRow = serde_json::from_str(&next()?).map_err(pe)?;
+                store.upsert_host(row);
+            }
+            Ok(store)
+        }
+        REFERENCE_VERSION => {
+            let header = ReferenceHeader::from_value(&header).map_err(pe)?;
+            let mut spine =
+                Spine::open_referenced(PathBuf::from(header.dir), header.config, header.manifest)?;
+            for _ in 0..header.documents {
+                spine.insert_document(serde_json::from_str(&next()?).map_err(pe)?)?;
+            }
+            for _ in 0..header.links {
+                spine.insert_link(serde_json::from_str(&next()?).map_err(pe)?);
+            }
+            Ok(DocumentStore::from_spine(spine))
+        }
+        other => Err(pe(format!("unsupported version {other}"))),
     }
-    let mut links = Vec::with_capacity(header.links);
-    for _ in 0..header.links {
-        let row: LinkRow = serde_json::from_str(&next()?).map_err(|e| perr(e.to_string()))?;
-        links.push(row);
-    }
-    store.insert_links(links);
-    for _ in 0..header.hosts {
-        let row: HostRow = serde_json::from_str(&next()?).map_err(|e| perr(e.to_string()))?;
-        store.upsert_host(row);
-    }
-    Ok(store)
 }
 
-/// Load a snapshot from a file path.
+/// Load a snapshot of either form from a file path.
 pub fn load<P: AsRef<Path>>(path: P) -> Result<DocumentStore, StoreError> {
-    let f = std::fs::File::open(path).map_err(|e| StoreError::Persist(e.to_string()))?;
-    read_snapshot(f)
+    read_snapshot(std::fs::File::open(path).map_err(pe)?)
+}
+
+/// Segment file names the snapshot file at `path` references (none for
+/// the full form).
+fn referenced_segments(path: &Path) -> Result<Vec<String>, StoreError> {
+    let mut line = String::new();
+    BufReader::new(std::fs::File::open(path).map_err(pe)?)
+        .read_line(&mut line)
+        .map_err(pe)?;
+    let (header, version) = header_version(line.trim_end())?;
+    if version != REFERENCE_VERSION {
+        return Ok(Vec::new());
+    }
+    let header = ReferenceHeader::from_value(&header).map_err(pe)?;
+    Ok(header
+        .manifest
+        .segments
+        .into_iter()
+        .map(|s| s.name)
+        .collect())
+}
+
+/// Let `store` delete the segments compaction replaced that no kept
+/// checkpoint generation references any more. `kept` names the store
+/// file of every generation that survived the prune; a segment a header
+/// among them lists stays retained. Costs nothing (no file is read)
+/// unless the store retains something. Returns the files removed.
+pub fn release_unreferenced(
+    store: &DocumentStore,
+    fs: &dyn DurableFs,
+    kept: impl IntoIterator<Item = PathBuf>,
+) -> Result<usize, StoreError> {
+    let Some(spine) = &store.spine else {
+        return Ok(0);
+    };
+    if !spine.read().has_retained() {
+        return Ok(0);
+    }
+    let mut referenced = std::collections::HashSet::new();
+    for path in kept {
+        referenced.extend(referenced_segments(&path)?);
+    }
+    spine.write().release_retained(fs, &referenced)
 }
 
 #[cfg(test)]

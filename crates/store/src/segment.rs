@@ -33,6 +33,16 @@
 //!   rows it contained were never acked as sealed, so nothing is lost.
 //! * On open, every referenced segment is verified against its
 //!   recorded length and checksum before any locator is trusted.
+//! * A checkpoint generation of a segmented store references sealed
+//!   segments by name, length and checksum instead of copying their
+//!   rows ([`crate::persist::write_checkpoint`]), and loading one opens
+//!   this directory *at the manifest it recorded*, touching nothing.
+//!   From the first reference on the store never deletes or rewrites a
+//!   file a kept generation may name: compaction moves the entries it
+//!   replaces into the manifest's `retained` list (same atomic commit)
+//!   instead of orphaning them, every reap spares `retained`, and
+//!   [`crate::persist::release_unreferenced`] drops what the surviving
+//!   generations no longer list.
 //!
 //! Segment readers are lazy ("mmap-or-read" resolved to the portable
 //! read path): a point lookup seeks to the row's recorded offset and
@@ -73,7 +83,7 @@ pub const DEFAULT_SEAL_EVERY: usize = 4096;
 pub const SPARSE_SAMPLE_EVERY: usize = 64;
 
 /// Behavior of a segmented store beyond the seal threshold.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SegmentStoreConfig {
     /// Workspace size (documents) that triggers a seal
     /// ([`DEFAULT_SEAL_EVERY`]).
@@ -108,7 +118,7 @@ impl Default for SegmentStoreConfig {
 /// per-segment resident index overhead) on long crawls whose seals are
 /// small, and *materializes* topic overrides into the rewritten rows so
 /// the resident override map shrinks back.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CompactionConfig {
     /// Segments with fewer document rows than this are merge
     /// candidates.
@@ -202,7 +212,7 @@ fn url_hash(url: &str) -> u64 {
     fxhash::hash_one(url)
 }
 
-fn pe<E: std::fmt::Display>(e: E) -> StoreError {
+pub(crate) fn pe<E: std::fmt::Display>(e: E) -> StoreError {
     StoreError::Persist(e.to_string())
 }
 
@@ -231,8 +241,13 @@ pub struct SegmentEntry {
 ///
 /// Rewritten atomically at every seal. Topic overrides and host upserts
 /// that happen *after* the last seal live only in memory until the next
-/// seal — durable via [`crate::persist`] snapshots in the meantime.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// seal — durable via [`crate::persist`] checkpoints in the meantime.
+///
+/// Serialization is hand-written for one reason: `retained` is omitted
+/// when empty, so a store no checkpoint generation references writes
+/// the same `SEGMENTS.json` bytes as builds that predate the field,
+/// and their files still load.
+#[derive(Debug, Clone)]
 pub struct SegmentManifest {
     /// Format marker ([`SEGMENTS_MAGIC`]).
     pub magic: String,
@@ -247,6 +262,11 @@ pub struct SegmentManifest {
     pub overrides: Vec<(PageId, Option<u32>, f32)>,
     /// Host table, sorted by id.
     pub hosts: Vec<HostRow>,
+    /// File names of segments compaction replaced while a checkpoint
+    /// generation may still reference them. Not part of the store's
+    /// contents, but every reap treats them as referenced until
+    /// [`crate::persist::release_unreferenced`] drops them.
+    pub retained: Vec<String>,
 }
 
 impl SegmentManifest {
@@ -258,7 +278,50 @@ impl SegmentManifest {
             segments: Vec::new(),
             overrides: Vec::new(),
             hosts: Vec::new(),
+            retained: Vec::new(),
         }
+    }
+}
+
+impl Serialize for SegmentManifest {
+    fn to_value(&self) -> serde::Value {
+        let mut fields = vec![
+            ("magic".to_string(), self.magic.to_value()),
+            ("version".to_string(), self.version.to_value()),
+            ("next_seg".to_string(), self.next_seg.to_value()),
+            ("segments".to_string(), self.segments.to_value()),
+            ("overrides".to_string(), self.overrides.to_value()),
+            ("hosts".to_string(), self.hosts.to_value()),
+        ];
+        if !self.retained.is_empty() {
+            fields.push(("retained".to_string(), self.retained.to_value()));
+        }
+        serde::Value::Object(fields)
+    }
+}
+
+impl Deserialize for SegmentManifest {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        fn req<T: Deserialize>(v: &serde::Value, name: &str) -> Result<T, serde::Error> {
+            match v.get(name) {
+                Some(x) => T::from_value(x),
+                None => Err(serde::Error::custom(format!(
+                    "missing field `{name}` in SegmentManifest"
+                ))),
+            }
+        }
+        Ok(SegmentManifest {
+            magic: req(v, "magic")?,
+            version: req(v, "version")?,
+            next_seg: req(v, "next_seg")?,
+            segments: req(v, "segments")?,
+            overrides: req(v, "overrides")?,
+            hosts: req(v, "hosts")?,
+            retained: match v.get("retained") {
+                Some(x) => Deserialize::from_value(x)?,
+                None => Vec::new(),
+            },
+        })
     }
 }
 
@@ -406,6 +469,10 @@ pub(crate) struct Spine {
     /// Overrides/hosts changed since the last manifest commit; a seal
     /// with an empty workspace still recommits the manifest then.
     meta_dirty: bool,
+    /// A checkpoint generation may reference this store's segment files
+    /// ([`Spine::pin`]): compaction retains what it replaces instead of
+    /// orphaning it, and in-place rewrites are refused.
+    pinned: bool,
     compaction_stats: CompactionStats,
 }
 
@@ -452,14 +519,14 @@ impl Spine {
             hosts: FxHashMap::default(),
             sealed_links: 0,
             meta_dirty: false,
+            pinned: false,
             compaction_stats: CompactionStats::default(),
         }
     }
 
     /// Open (or create) a segmented store directory: reap orphans from
-    /// a crashed seal, verify every referenced segment against the
-    /// manifest, and rebuild the resident indexes by streaming each
-    /// segment once.
+    /// a crashed seal, then open at the committed manifest
+    /// ([`Spine::open_at`]).
     ///
     /// Index mode belongs to the *handle*, not the files: the same
     /// directory opens dense or sparse (sparse segments are sorted by
@@ -467,14 +534,28 @@ impl Spine {
     /// open of dense segments rejects unsorted segments).
     pub(crate) fn open(dir: PathBuf, cfg: SegmentStoreConfig) -> Result<Self, StoreError> {
         reap_orphan_segments(&dir);
-        let mut spine = Spine::empty(dir, cfg);
-        let manifest_path = spine.dir.join(SEGMENTS_FILE);
-        let text = match std::fs::read_to_string(&manifest_path) {
+        let text = match std::fs::read_to_string(dir.join(SEGMENTS_FILE)) {
             Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(spine),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Ok(Spine::empty(dir, cfg))
+            }
             Err(e) => return Err(pe(e)),
         };
-        let manifest: SegmentManifest = serde_json::from_str(&text).map_err(pe)?;
+        Spine::open_at(dir, cfg, serde_json::from_str(&text).map_err(pe)?)
+    }
+
+    /// Open `dir` at `manifest` — the committed one ([`Spine::open`])
+    /// or the one a checkpoint generation recorded — without touching
+    /// the disk: every referenced segment is verified against its
+    /// recorded length and checksum before a locator is trusted, and
+    /// the resident indexes are rebuilt by streaming each segment once.
+    /// Files the manifest does not name are ignored.
+    pub(crate) fn open_at(
+        dir: PathBuf,
+        cfg: SegmentStoreConfig,
+        manifest: SegmentManifest,
+    ) -> Result<Self, StoreError> {
+        let mut spine = Spine::empty(dir, cfg);
         if manifest.magic != SEGMENTS_MAGIC || manifest.version != SEGMENT_VERSION {
             return Err(pe("bad segment manifest magic/version"));
         }
@@ -548,8 +629,66 @@ impl Spine {
         Ok(spine)
     }
 
+    /// [`Spine::open_at`] for a manifest recorded by a checkpoint
+    /// generation. The handle starts pinned (that generation references
+    /// its segments) and with its metadata dirty: `SEGMENTS.json` on
+    /// disk may describe segments sealed after the generation, so the
+    /// next seal commits this lineage even with an empty workspace.
+    pub(crate) fn open_referenced(
+        dir: PathBuf,
+        cfg: SegmentStoreConfig,
+        manifest: SegmentManifest,
+    ) -> Result<Self, StoreError> {
+        let mut spine = Spine::open_at(dir, cfg, manifest)?;
+        spine.pinned = true;
+        spine.meta_dirty = true;
+        Ok(spine)
+    }
+
     pub(crate) fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    pub(crate) fn config(&self) -> &SegmentStoreConfig {
+        &self.cfg
+    }
+
+    /// The unsealed rows: documents and links in insertion order.
+    pub(crate) fn workspace(&self) -> (&[DocumentRow], &[LinkRow]) {
+        (&self.ws_docs, &self.ws_links)
+    }
+
+    /// Record that a checkpoint generation is about to reference this
+    /// store's segment files by name, length and checksum.
+    pub(crate) fn pin(&mut self) {
+        self.pinned = true;
+    }
+
+    /// The manifest a commit would write *now*: the committed segments
+    /// with the current overrides and host table.
+    pub(crate) fn manifest_now(&self) -> SegmentManifest {
+        SegmentManifest {
+            overrides: self.overrides_sorted(),
+            hosts: self.hosts_sorted(),
+            ..self.manifest.clone()
+        }
+    }
+
+    /// Install `manifest` as the commit record (atomic rewrite of
+    /// `SEGMENTS.json`), then adopt it. On error nothing changed.
+    fn commit_manifest(
+        &mut self,
+        fs: &dyn DurableFs,
+        manifest: SegmentManifest,
+    ) -> Result<(), StoreError> {
+        let mut mjson = Vec::new();
+        serde_json::to_writer(&mut mjson, &manifest).map_err(pe)?;
+        fs.create_dir_all(&self.dir).map_err(pe)?;
+        fs.atomic_write(&self.dir.join(SEGMENTS_FILE), &mjson)
+            .map_err(pe)?;
+        self.manifest = manifest;
+        self.meta_dirty = false;
+        Ok(())
     }
 
     pub(crate) fn segment_count(&self) -> usize {
@@ -892,16 +1031,7 @@ impl Spine {
             }
             // Metadata-only commit: overrides/hosts changed since the
             // last seal but there is no workspace to seal.
-            let mut manifest = self.manifest.clone();
-            manifest.overrides = self.overrides_sorted();
-            manifest.hosts = self.hosts_sorted();
-            let mut mjson = Vec::new();
-            serde_json::to_writer(&mut mjson, &manifest).map_err(pe)?;
-            fs.create_dir_all(&self.dir).map_err(pe)?;
-            fs.atomic_write(&self.dir.join(SEGMENTS_FILE), &mjson)
-                .map_err(pe)?;
-            self.manifest = manifest;
-            self.meta_dirty = false;
+            self.commit_manifest(fs, self.manifest_now())?;
             return Ok(true);
         }
         let seg_index = self.manifest.segments.len() as u32;
@@ -938,7 +1068,7 @@ impl Spine {
         }
         fs.create_dir_all(&self.dir).map_err(pe)?;
         fs.atomic_write(&self.dir.join(&name), &bytes).map_err(pe)?;
-        let mut manifest = self.manifest.clone();
+        let mut manifest = self.manifest_now();
         manifest.segments.push(SegmentEntry {
             name,
             docs: self.ws_docs.len() as u64,
@@ -947,14 +1077,8 @@ impl Spine {
             checksum: checksum(&bytes),
         });
         manifest.next_seg = seg_no + 1;
-        manifest.overrides = self.overrides_sorted();
-        manifest.hosts = self.hosts_sorted();
-        let mut mjson = Vec::new();
-        serde_json::to_writer(&mut mjson, &manifest).map_err(pe)?;
-        fs.atomic_write(&self.dir.join(SEGMENTS_FILE), &mjson)
-            .map_err(pe)?;
+        self.commit_manifest(fs, manifest)?;
         // Committed: move the workspace into the sealed state.
-        self.manifest = manifest;
         if self.cfg.sparse {
             let rows: Vec<(PageId, u64, u32)> = order
                 .iter()
@@ -983,7 +1107,6 @@ impl Spine {
         self.ws_index.clear();
         self.sealed_links += self.ws_links.len() as u64;
         self.ws_links.clear();
-        self.meta_dirty = false;
         self.maybe_compact(fs)?;
         Ok(true)
     }
@@ -1080,8 +1203,7 @@ impl Spine {
         }
         bytes.extend_from_slice(&link_bytes);
         fs.atomic_write(&self.dir.join(&name), &bytes).map_err(pe)?;
-        let mut manifest = self.manifest.clone();
-        let merged_ids: Vec<PageId> = rows.iter().map(|r| r.id).collect();
+        let mut manifest = self.manifest_now();
         let entry = SegmentEntry {
             name,
             docs: rows.len() as u64,
@@ -1089,19 +1211,21 @@ impl Spine {
             len: bytes.len() as u64,
             checksum: checksum(&bytes),
         };
-        manifest.segments.splice(start..start + len, [entry]);
-        manifest.next_seg = seg_no + 1;
-        for id in &merged_ids {
-            self.overrides.remove(id);
+        let replaced = manifest.segments.splice(start..start + len, [entry]);
+        let replaced: Vec<String> = replaced.map(|e| e.name).collect();
+        if self.pinned {
+            // A checkpoint generation may name the replaced files: keep
+            // them out of every reap until they are released.
+            manifest.retained.extend(replaced);
         }
-        manifest.overrides = self.overrides_sorted();
-        manifest.hosts = self.hosts_sorted();
-        let mut mjson = Vec::new();
-        serde_json::to_writer(&mut mjson, &manifest).map_err(pe)?;
-        fs.atomic_write(&self.dir.join(SEGMENTS_FILE), &mjson)
-            .map_err(pe)?;
+        manifest.next_seg = seg_no + 1;
+        let merged_ids: std::collections::HashSet<PageId> = rows.iter().map(|r| r.id).collect();
+        manifest
+            .overrides
+            .retain(|(id, _, _)| !merged_ids.contains(id));
+        self.commit_manifest(fs, manifest)?;
         // Committed: fold the merge into resident state.
-        self.manifest = manifest;
+        self.overrides.retain(|id, _| !merged_ids.contains(id));
         if self.cfg.sparse {
             let idx_rows: Vec<(PageId, u64, u32)> = rows
                 .iter()
@@ -1129,7 +1253,6 @@ impl Spine {
                 );
             }
         }
-        self.meta_dirty = false;
         self.compaction_stats.runs += 1;
         self.compaction_stats.segments_merged += len as u64;
         self.compaction_stats.rows_rewritten += rows.len() as u64;
@@ -1137,6 +1260,34 @@ impl Spine {
         self.compaction_stats.bytes_written += bytes.len() as u64;
         self.compaction_stats.orphans_reaped += reap_orphan_segments(&self.dir) as u64;
         Ok(())
+    }
+
+    /// True when compaction is holding replaced segments for checkpoint
+    /// generations.
+    pub(crate) fn has_retained(&self) -> bool {
+        !self.manifest.retained.is_empty()
+    }
+
+    /// Drop every retained segment name not in `referenced` (one
+    /// manifest commit, only when the list changes) and reap the files.
+    /// Returns the number of files removed.
+    pub(crate) fn release_retained(
+        &mut self,
+        fs: &dyn DurableFs,
+        referenced: &std::collections::HashSet<String>,
+    ) -> Result<usize, StoreError> {
+        if self
+            .manifest
+            .retained
+            .iter()
+            .all(|n| referenced.contains(n))
+        {
+            return Ok(0);
+        }
+        let mut manifest = self.manifest_now();
+        manifest.retained.retain(|n| referenced.contains(n));
+        self.commit_manifest(fs, manifest)?;
+        Ok(reap_orphan_segments(&self.dir))
     }
 
     fn overrides_sorted(&self) -> Vec<(PageId, Option<u32>, f32)> {
@@ -1155,7 +1306,14 @@ impl Spine {
     /// manifest. Not crash-atomic across segments — canonicalization
     /// runs before a crawl's results are persisted, so a crash here
     /// means re-running the crawl, not data loss of an acked seal.
+    /// Refused once a checkpoint generation references the segments: it
+    /// records their checksums, and a rewrite would orphan it.
     pub(crate) fn remap_terms(&mut self, map: &[u32]) -> Result<(), StoreError> {
+        if self.pinned {
+            return Err(pe(
+                "remap_terms refused: a checkpoint generation references this store's segments",
+            ));
+        }
         let remap = |row: &mut DocumentRow| {
             for entry in &mut row.term_freqs {
                 entry.0 = map[entry.0 as usize];
@@ -1220,9 +1378,9 @@ impl Spine {
 }
 
 /// Delete segment files (and stale `.tmp` siblings) in `dir` that the
-/// manifest does not reference — the debris a crash between segment
-/// write and manifest commit leaves behind. A missing or unreadable
-/// manifest means no segment is referenced. Returns the number of
+/// manifest neither references nor retains — the debris a crash between
+/// segment write and manifest commit leaves behind. A missing or
+/// unreadable manifest means no segment is referenced. Returns the number of
 /// files removed. Single-writer: callers must not reap a directory
 /// whose spine is mid-seal in another handle.
 pub fn reap_orphan_segments(dir: &Path) -> usize {
@@ -1230,7 +1388,10 @@ pub fn reap_orphan_segments(dir: &Path) -> usize {
         std::fs::read_to_string(dir.join(SEGMENTS_FILE))
             .ok()
             .and_then(|text| serde_json::from_str::<SegmentManifest>(&text).ok())
-            .map(|m| m.segments.into_iter().map(|s| s.name).collect())
+            .map(|m| {
+                let names = m.segments.into_iter().map(|s| s.name);
+                names.chain(m.retained).collect()
+            })
             .unwrap_or_default();
     let Ok(entries) = std::fs::read_dir(dir) else {
         return 0;

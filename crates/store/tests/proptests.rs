@@ -3,7 +3,10 @@
 //! databases.
 
 use bingo_graph::LinkSource;
-use bingo_store::{persist, DocumentRow, DocumentStore, HostRow, HostState, LinkRow};
+use bingo_store::{
+    persist, CompactionConfig, DocumentRow, DocumentStore, HostRow, HostState, LinkRow,
+    SegmentStoreConfig,
+};
 use bingo_textproc::MimeType;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -258,6 +261,96 @@ proptest! {
         let mut re_snap = Vec::new();
         persist::write_snapshot(&re, &mut re_snap).unwrap();
         prop_assert_eq!(&mem_snap, &re_snap, "reopen snapshot bytes diverged");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What a checkpoint generation stores for a segmented store — the
+    /// segment references plus the workspace rows — loads back into the
+    /// same database as the full snapshot taken at the same moment,
+    /// whatever the rows, seal points, overrides on sealed rows, host
+    /// upserts, index mode and compaction policy; and loading it leaves
+    /// the segment directory exactly as it was.
+    #[test]
+    fn checkpoint_references_load_as_the_full_snapshot(
+        ops in proptest::collection::vec(seg_op_strategy(), 0..100),
+        sparse in any::<bool>(),
+        compact in any::<bool>(),
+    ) {
+        let dir = fresh_dir("ckpt");
+        let cfg = SegmentStoreConfig {
+            // Threshold high enough that only explicit Op::Seal seals.
+            seal_every: 1_000_000,
+            sparse,
+            compaction: compact.then_some(CompactionConfig { small_docs: 1_000, min_run: 2 }),
+        };
+        let live = DocumentStore::segmented_cfg(&dir, cfg.clone()).unwrap();
+        for op in &ops {
+            apply(&live, op);
+        }
+        let listing = || -> Vec<(String, u64, std::time::SystemTime)> {
+            let mut files: Vec<_> = std::fs::read_dir(&dir)
+                .map(|entries| {
+                    entries
+                        .map(|e| e.unwrap())
+                        .map(|e| {
+                            let meta = e.metadata().unwrap();
+                            let name = e.file_name().to_string_lossy().into_owned();
+                            (name, meta.len(), meta.modified().unwrap())
+                        })
+                        .collect()
+                })
+                .unwrap_or_default(); // nothing sealed yet: no directory
+            files.sort();
+            files
+        };
+
+        let mut full = Vec::new();
+        persist::write_snapshot(&live, &mut full).unwrap();
+        let mut checkpoint = Vec::new();
+        persist::write_checkpoint(&live, &mut checkpoint).unwrap();
+        // One header, then the unsealed rows and nothing else.
+        let text = std::str::from_utf8(&checkpoint).unwrap();
+        let header = serde_json::Value::parse_json(text.lines().next().unwrap()).unwrap();
+        let count = |name: &str| header.get(name).and_then(|n| n.as_u64()).unwrap() as usize;
+        prop_assert_eq!(count("documents"), live.workspace_documents());
+        prop_assert_eq!(text.lines().count(), 1 + count("documents") + count("links"));
+
+        let before = listing();
+        let loaded = persist::read_snapshot(&checkpoint[..]).unwrap();
+        prop_assert_eq!(listing(), before, "loading touched the segment directory");
+        prop_assert!(loaded.is_segmented());
+        prop_assert_eq!(loaded.segment_dir(), live.segment_dir());
+        prop_assert_eq!(loaded.segment_count(), live.segment_count());
+        prop_assert_eq!(loaded.workspace_documents(), live.workspace_documents());
+
+        let mut reloaded = Vec::new();
+        persist::write_snapshot(&loaded, &mut reloaded).unwrap();
+        prop_assert_eq!(&reloaded, &full, "loaded checkpoint is not the full snapshot");
+        for id in 0..60u64 {
+            prop_assert_eq!(loaded.document(id), live.document(id), "doc {}", id);
+        }
+        for row in live.all_documents() {
+            let hit = loaded.document_by_url(&row.url);
+            prop_assert_eq!(hit.map(|r| r.id), Some(row.id), "url {}", &row.url);
+        }
+        for t in 0..5u32 {
+            let as_set = |s: &DocumentStore| -> std::collections::BTreeSet<u64> {
+                s.topic_documents(t).into_iter().collect()
+            };
+            prop_assert_eq!(as_set(&loaded), as_set(&live), "topic {}", t);
+        }
+        prop_assert_eq!(loaded.all_links(), live.all_links());
+
+        // The loaded handle carries its lineage forward: its next seal
+        // commits it (even with nothing to seal), and the directory then
+        // reopens as the same database.
+        drop(live);
+        loaded.seal_now().unwrap();
+        drop(loaded);
+        let reopened = DocumentStore::segmented_cfg(&dir, cfg).unwrap();
+        let mut resealed = Vec::new();
+        persist::write_snapshot(&reopened, &mut resealed).unwrap();
+        prop_assert_eq!(&resealed, &full, "sealed checkpoint lineage diverged");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
