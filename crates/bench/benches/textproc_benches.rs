@@ -1,11 +1,13 @@
-//! E10 microbenches: document analysis — HTML parsing, tokenization,
-//! Porter stemming, tf·idf weighting, term-pair extraction.
+//! E10 microbenches over analyzed documents: tf·idf weighting, term-pair
+//! extraction, feature-space vectors. The analyzer itself (parse,
+//! tokenize, stem, intern) is timed by `benchmark/` as
+//! `textproc.analyze_s`.
 
 use bingo_textproc::tfidf::CorpusStats;
-use bingo_textproc::{analyze_html, porter_stem, DocumentFeatures, FeatureSpaceKind, Vocabulary};
+use bingo_textproc::{analyze_html, DocumentFeatures, FeatureSpaceKind, Vocabulary};
 use bingo_webworld::content_gen;
 use bingo_webworld::gen::WorldConfig;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn sample_pages(n: usize) -> Vec<String> {
@@ -15,44 +17,6 @@ fn sample_pages(n: usize) -> Vec<String> {
         .take(n)
         .map(|id| content_gen::payload(&world, id))
         .collect()
-}
-
-fn bench_analyze_html(c: &mut Criterion) {
-    let pages = sample_pages(100);
-    let bytes: usize = pages.iter().map(String::len).sum();
-    let mut group = c.benchmark_group("document_analyzer");
-    group.throughput(Throughput::Bytes(bytes as u64));
-    group.bench_function("analyze_100_pages", |b| {
-        b.iter(|| {
-            let mut vocab = Vocabulary::new();
-            for p in &pages {
-                black_box(analyze_html(black_box(p), &mut vocab));
-            }
-        })
-    });
-    group.finish();
-}
-
-fn bench_porter(c: &mut Criterion) {
-    let words = [
-        "classification",
-        "relational",
-        "authorities",
-        "hyperlinks",
-        "crawling",
-        "recovery",
-        "transactions",
-        "generalization",
-        "effectiveness",
-        "probabilistic",
-    ];
-    c.bench_function("porter_stem_10_words", |b| {
-        b.iter(|| {
-            for w in &words {
-                black_box(porter_stem(black_box(w)));
-            }
-        })
-    });
 }
 
 fn bench_feature_construction(c: &mut Criterion) {
@@ -104,8 +68,6 @@ fn bench_feature_space_vectors(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_analyze_html,
-    bench_porter,
     bench_feature_construction,
     bench_tfidf,
     bench_feature_space_vectors

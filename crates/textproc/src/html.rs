@@ -6,6 +6,8 @@
 //! double or no quotes, comments, `script`/`style` content skipping, and
 //! the common character entities.
 
+use std::borrow::Cow;
+
 /// A parsed HTML document.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HtmlDocument {
@@ -26,37 +28,79 @@ pub struct Hyperlink {
     pub anchor: String,
 }
 
+/// What [`scan`] hands its sink, in document order.
+#[derive(Debug)]
+pub(crate) enum Event<'a> {
+    /// One run of visible text between two tags, entities decoded. Any tag
+    /// separates words, so a token never spans two runs: tokenizing run by
+    /// run equals tokenizing [`HtmlDocument::text`].
+    Text {
+        /// The run; never empty, whitespace as written.
+        chunk: &'a str,
+        /// True when the run also belongs to the open `<a href>`.
+        in_anchor: bool,
+    },
+    /// The open `<a href>` closed (at `</a>`, a nested `<a>` or the end of
+    /// input); its text is the `in_anchor` runs since the last `Link`.
+    Link {
+        /// The raw `href` attribute value.
+        href: String,
+    },
+}
+
 /// Parse an HTML string.
 pub fn parse(input: &str) -> HtmlDocument {
-    Parser::new(input).run()
+    let mut text = String::with_capacity(input.len() / 2);
+    let mut anchor = String::new();
+    let mut links = Vec::new();
+    let title = scan(input, |event| match event {
+        Event::Text { chunk, in_anchor } => {
+            push_words(&mut text, chunk);
+            if in_anchor {
+                push_words(&mut anchor, chunk);
+            }
+        }
+        Event::Link { href } => links.push(Hyperlink {
+            href,
+            anchor: std::mem::take(&mut anchor),
+        }),
+    });
+    HtmlDocument { title, text, links }
 }
 
-struct Parser<'a> {
+/// The one HTML scanner: walk `input` once, hand text runs and closed
+/// links to `sink`, and return the whitespace-normalized title. Apart
+/// from the title it allocates once per link (the `href`), never per tag
+/// or per text run.
+pub(crate) fn scan(input: &str, sink: impl FnMut(Event<'_>)) -> String {
+    let mut scanner = Scanner {
+        input,
+        pos: 0,
+        sink,
+        title: String::new(),
+        title_seen: false,
+        in_title: false,
+        open_href: None,
+    };
+    scanner.run();
+    scanner.title
+}
+
+struct Scanner<'a, F> {
     input: &'a str,
     pos: usize,
-    text: String,
+    sink: F,
     title: String,
-    links: Vec<Hyperlink>,
-    /// Set while inside `<title>`.
+    /// Set by the first text inside a `<title>`; later titles are ignored.
+    title_seen: bool,
+    /// Set while inside the `<title>` that counts.
     in_title: bool,
-    /// Anchor currently being collected (href, anchor text).
-    open_anchor: Option<(String, String)>,
+    /// `href` of the anchor currently open.
+    open_href: Option<String>,
 }
 
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Parser {
-            input,
-            pos: 0,
-            text: String::with_capacity(input.len() / 2),
-            title: String::new(),
-            links: Vec::new(),
-            in_title: false,
-            open_anchor: None,
-        }
-    }
-
-    fn run(mut self) -> HtmlDocument {
+impl<F: FnMut(Event<'_>)> Scanner<'_, F> {
+    fn run(&mut self) {
         while self.pos < self.input.len() {
             match self.input[self.pos..].find('<') {
                 None => {
@@ -72,18 +116,8 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        if let Some((href, anchor)) = self.open_anchor.take() {
-            // Unclosed <a> at EOF: keep what we have.
-            self.links.push(Hyperlink {
-                href,
-                anchor: normalize_ws(&anchor),
-            });
-        }
-        HtmlDocument {
-            title: normalize_ws(&self.title),
-            text: normalize_ws(&self.text),
-            links: self.links,
-        }
+        // Unclosed <a> at EOF: keep what we have.
+        self.close_anchor();
     }
 
     fn emit_text(&mut self, raw: &str) {
@@ -92,15 +126,13 @@ impl<'a> Parser<'a> {
         }
         let decoded = decode_entities(raw);
         if self.in_title {
-            self.title.push_str(&decoded);
-            self.title.push(' ');
+            self.title_seen = true;
+            push_words(&mut self.title, &decoded);
         }
-        if let Some((_, anchor)) = self.open_anchor.as_mut() {
-            anchor.push_str(&decoded);
-            anchor.push(' ');
-        }
-        self.text.push_str(&decoded);
-        self.text.push(' ');
+        (self.sink)(Event::Text {
+            chunk: &decoded,
+            in_anchor: self.open_href.is_some(),
+        });
     }
 
     /// `self.pos` points at `<`. Consume the whole tag (or comment).
@@ -127,94 +159,83 @@ impl<'a> Parser<'a> {
         let name_end = tag_body
             .find(|c: char| c.is_whitespace() || c == '/')
             .unwrap_or(tag_body.len());
-        let name = tag_body[..name_end].to_ascii_lowercase();
-        let attrs = &tag_body[name_end..];
+        let (name, attrs) = tag_body.split_at(name_end);
+        let is = |tag: &str| name.eq_ignore_ascii_case(tag);
 
-        match (closing, name.as_str()) {
-            (false, "title") => self.in_title = self.title.is_empty(),
-            (true, "title") => self.in_title = false,
-            (false, "script") | (false, "style") => self.skip_raw_content(&name),
-            (false, "a") => {
-                // A nested <a> implicitly closes the previous one.
-                self.close_anchor();
-                if let Some(href) = extract_attr(attrs, "href") {
-                    self.open_anchor = Some((href, String::new()));
-                }
+        if is("title") {
+            self.in_title = !closing && !self.title_seen;
+        } else if is("a") {
+            // A nested <a> implicitly closes the previous one.
+            self.close_anchor();
+            if !closing {
+                self.open_href = extract_attr(attrs, "href");
             }
-            (true, "a") => self.close_anchor(),
-            _ => {}
-        }
-        // Block-level boundaries separate words.
-        if matches!(
-            name.as_str(),
-            "p" | "br" | "div" | "td" | "tr" | "li" | "h1" | "h2" | "h3" | "h4"
-        ) {
-            self.text.push(' ');
+        } else if !closing && is("script") {
+            self.skip_raw_content(b"</script");
+        } else if !closing && is("style") {
+            self.skip_raw_content(b"</style");
         }
     }
 
     fn close_anchor(&mut self) {
-        if let Some((href, anchor)) = self.open_anchor.take() {
-            self.links.push(Hyperlink {
-                href,
-                anchor: normalize_ws(&anchor),
-            });
+        if let Some(href) = self.open_href.take() {
+            (self.sink)(Event::Link { href });
         }
     }
 
-    /// Skip everything until the matching close tag of `script`/`style`.
-    fn skip_raw_content(&mut self, name: &str) {
-        let close = format!("</{name}");
-        let hay = &self.input[self.pos..];
-        let lower = hay.to_ascii_lowercase();
-        match lower.find(&close) {
-            Some(rel) => {
-                let after = &self.input[self.pos + rel..];
-                match after.find('>') {
-                    Some(gt) => self.pos += rel + gt + 1,
-                    None => self.pos = self.input.len(),
-                }
-            }
-            None => self.pos = self.input.len(),
-        }
+    /// Skip everything up to the `>` of the first `close` tag (matched
+    /// ignoring ASCII case), or to the end of input if there is none.
+    fn skip_raw_content(&mut self, close: &[u8]) {
+        let rest = &self.input[self.pos..];
+        let end = find_ignore_ascii_case(rest.as_bytes(), close)
+            .and_then(|at| Some(at + rest[at..].find('>')? + 1));
+        self.pos += end.unwrap_or(rest.len());
     }
+}
+
+/// Byte offset of the first occurrence of the ASCII `needle` in `hay`,
+/// ignoring ASCII case. A match covers ASCII bytes only, so in UTF-8 text
+/// both of its ends are character boundaries.
+fn find_ignore_ascii_case(hay: &[u8], needle: &[u8]) -> Option<usize> {
+    hay.windows(needle.len())
+        .position(|w| w.eq_ignore_ascii_case(needle))
 }
 
 /// Extract an attribute value from a tag-attribute string, handling
 /// double-quoted, single-quoted and bare values.
 fn extract_attr(attrs: &str, wanted: &str) -> Option<String> {
-    let lower = attrs.to_ascii_lowercase();
+    let bytes = attrs.as_bytes();
     let mut search_from = 0;
-    while let Some(rel) = lower[search_from..].find(wanted) {
+    while let Some(rel) = find_ignore_ascii_case(&bytes[search_from..], wanted.as_bytes()) {
         let at = search_from + rel;
-        // Must be a standalone attribute name.
-        let before_ok = at == 0
-            || lower.as_bytes()[at - 1].is_ascii_whitespace()
-            || lower.as_bytes()[at - 1] == b'\'';
+        // Must be a standalone attribute name: first in the tag, or after
+        // whitespace or the closing quote of the previous value.
+        let before_ok =
+            at == 0 || bytes[at - 1].is_ascii_whitespace() || matches!(bytes[at - 1], b'\'' | b'"');
         let after = at + wanted.len();
-        let tail = lower[after..].trim_start();
-        if before_ok && tail.starts_with('=') {
-            let val_start_in_lower = after + (lower[after..].len() - tail.len()) + 1;
-            let val = attrs[val_start_in_lower..].trim_start();
-            return Some(match val.as_bytes().first() {
-                Some(b'"') => val[1..].split('"').next().unwrap_or("").to_string(),
-                Some(b'\'') => val[1..].split('\'').next().unwrap_or("").to_string(),
-                _ => val
-                    .split(|c: char| c.is_whitespace())
-                    .next()
-                    .unwrap_or("")
-                    .to_string(),
-            });
+        if let Some(val) = attrs[after..].trim_start().strip_prefix('=') {
+            if before_ok {
+                let val = val.trim_start();
+                return Some(match val.as_bytes().first() {
+                    Some(b'"') => val[1..].split('"').next().unwrap_or("").to_string(),
+                    Some(b'\'') => val[1..].split('\'').next().unwrap_or("").to_string(),
+                    _ => val
+                        .split(|c: char| c.is_whitespace())
+                        .next()
+                        .unwrap_or("")
+                        .to_string(),
+                });
+            }
         }
-        search_from = at + wanted.len();
+        search_from = after;
     }
     None
 }
 
 /// Decode the handful of entities that matter for text analysis.
-fn decode_entities(raw: &str) -> String {
+fn decode_entities(raw: &str) -> Cow<'_, str> {
     if !raw.contains('&') {
-        return raw.to_string();
+        return Cow::Borrowed(raw);
     }
     let mut out = String::with_capacity(raw.len());
     let mut rest = raw;
@@ -240,27 +261,18 @@ fn decode_entities(raw: &str) -> String {
         rest = &tail[len..];
     }
     out.push_str(rest);
-    out
+    Cow::Owned(out)
 }
 
-fn normalize_ws(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut last_space = true;
-    for c in s.chars() {
-        if c.is_whitespace() {
-            if !last_space {
-                out.push(' ');
-                last_space = true;
-            }
-        } else {
-            out.push(c);
-            last_space = false;
+/// Append the whitespace-separated words of `s` to `out`, one space
+/// between any two words: `out` stays whitespace-normalized.
+fn push_words(out: &mut String, s: &str) {
+    for word in s.split_whitespace() {
+        if !out.is_empty() {
+            out.push(' ');
         }
+        out.push_str(word);
     }
-    if out.ends_with(' ') {
-        out.pop();
-    }
-    out
 }
 
 #[cfg(test)]
@@ -351,5 +363,22 @@ mod tests {
     fn hreflang_is_not_href() {
         let d = parse("<a hreflang=\"en\" href=\"real\">x</a>");
         assert_eq!(d.links[0].href, "real");
+    }
+
+    #[test]
+    fn href_right_after_a_closing_quote() {
+        let d = parse("<a class=\"x\"href=\"y\">t</a> <a class='x'href='z'>u</a>");
+        assert_eq!(d.links[0].href, "y");
+        assert_eq!(d.links[1].href, "z");
+    }
+
+    #[test]
+    fn raw_content_ends_at_a_close_tag_in_any_case() {
+        let d = parse(
+            "a<script>if (x</scrip) <b>no</b></SCRIPT >b\
+             <STYLE>p{} </script> </Style>c\
+             <script>never closed </scrip> <p>hidden",
+        );
+        assert_eq!(d.text, "a b c");
     }
 }

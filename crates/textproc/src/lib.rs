@@ -92,36 +92,44 @@ impl AnalyzedDocument {
 /// extracted link structure. Generic over the [`Interner`] so the same
 /// analyzer serves the deterministic crawler (`&mut Vocabulary`) and the
 /// concurrent pipeline (`&mut &SharedVocabulary`).
+///
+/// One pass of the scanner behind [`html::parse`], nothing allocated per
+/// token: text runs are tokenized as they come and each token goes
+/// through [`Interner::intern_token`]. The result is what tokenizing
+/// `parse`'s `text` and then each anchor would give, ids included: an
+/// anchor's run is a body run first and the anchor stopwords contain the
+/// body's, so interning an anchor term never creates an id.
 pub fn analyze_html<I: Interner + ?Sized>(html_text: &str, vocab: &mut I) -> AnalyzedDocument {
-    let parsed = html::parse(html_text);
-    let tokenizer = Tokenizer::default();
-    let mut terms = Vec::new();
-    for token in tokenizer.tokens(&parsed.text) {
-        terms.push(vocab.intern(&porter_stem(&token)));
-    }
-    let mut freq_map: std::collections::HashMap<TermId, u32, fxhash::FxBuildHasher> =
-        std::collections::HashMap::default();
-    for &t in &terms {
-        *freq_map.entry(t).or_insert(0) += 1;
-    }
-    let mut term_freqs: Vec<(TermId, u32)> = freq_map.into_iter().collect();
-    term_freqs.sort_unstable_by_key(|&(t, _)| t);
-
+    let body_tokenizer = Tokenizer::default();
     let anchor_tokenizer = Tokenizer::for_anchor_text();
-    let links = parsed
-        .links
-        .iter()
-        .map(|l| AnalyzedLink {
-            href: l.href.clone(),
-            anchor_terms: anchor_tokenizer
-                .tokens(&l.anchor)
-                .map(|t| vocab.intern(&porter_stem(&t)))
-                .collect(),
-        })
-        .collect();
+    // One allocation for the usual page: markup included, prose runs to
+    // more than eight bytes per kept token.
+    let mut terms = Vec::with_capacity(html_text.len() / 8);
+    let mut links = Vec::new();
+    let mut anchor_terms = Vec::new();
+    let title = html::scan(html_text, |event| match event {
+        html::Event::Text { chunk, in_anchor } => {
+            body_tokenizer.for_each_token(chunk, |token| terms.push(vocab.intern_token(token)));
+            if in_anchor {
+                anchor_tokenizer.for_each_token(chunk, |token| {
+                    anchor_terms.push(vocab.intern_token(token));
+                });
+            }
+        }
+        html::Event::Link { href } => links.push(AnalyzedLink {
+            href,
+            anchor_terms: std::mem::take(&mut anchor_terms),
+        }),
+    });
+
+    let mut sorted = terms.clone();
+    sorted.sort_unstable();
+    let runs = || sorted.chunk_by(|a, b| a == b);
+    let mut term_freqs = Vec::with_capacity(runs().count());
+    term_freqs.extend(runs().map(|run| (run[0], run.len() as u32)));
 
     AnalyzedDocument {
-        title: parsed.title,
+        title,
         terms,
         term_freqs,
         links,

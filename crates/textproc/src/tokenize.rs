@@ -28,14 +28,59 @@ impl Tokenizer {
     pub fn tokens<'a>(&'a self, text: &'a str) -> impl Iterator<Item = String> + 'a {
         TokenIter {
             rest: text,
-            anchor_mode: self.anchor_mode,
+            tokenizer: self,
+        }
+    }
+
+    /// Call `f` with every token [`tokens`](Self::tokens) would yield, in
+    /// order, without allocating one `String` per token. ASCII text (where
+    /// `char::is_alphabetic` and `to_lowercase` are their ASCII namesakes)
+    /// is scanned bytewise: a token already in lowercase is a slice of
+    /// `text`, any other is lowercased into a stack buffer. Non-ASCII text
+    /// takes the `char` path of `tokens`.
+    pub(crate) fn for_each_token(&self, text: &str, mut f: impl FnMut(&str)) {
+        if !text.is_ascii() {
+            self.tokens(text).for_each(|token| f(&token));
+            return;
+        }
+        let bytes = text.as_bytes();
+        let mut buf = [0u8; MAX_TOKEN_LEN];
+        let mut end = 0;
+        while let Some(skip) = bytes[end..].iter().position(u8::is_ascii_alphabetic) {
+            let start = end + skip;
+            let len = bytes[start..]
+                .iter()
+                .position(|b| !b.is_ascii_alphabetic())
+                .unwrap_or(bytes.len() - start);
+            end = start + len;
+            if !(MIN_TOKEN_LEN..=MAX_TOKEN_LEN).contains(&len) {
+                continue;
+            }
+            let mut token = &text[start..end];
+            if token.bytes().any(|b| b.is_ascii_uppercase()) {
+                let lower = &mut buf[..len];
+                lower.copy_from_slice(token.as_bytes());
+                lower.make_ascii_lowercase();
+                token = std::str::from_utf8(lower).expect("ASCII letters are UTF-8");
+            }
+            if !self.is_stopword(token) {
+                f(token);
+            }
+        }
+    }
+
+    fn is_stopword(&self, lower: &str) -> bool {
+        if self.anchor_mode {
+            stopwords::is_anchor_stopword(lower)
+        } else {
+            stopwords::is_stopword(lower)
         }
     }
 }
 
 struct TokenIter<'a> {
     rest: &'a str,
-    anchor_mode: bool,
+    tokenizer: &'a Tokenizer,
 }
 
 impl Iterator for TokenIter<'_> {
@@ -54,12 +99,7 @@ impl Iterator for TokenIter<'_> {
                 continue;
             }
             let lower = raw.to_lowercase();
-            let stop = if self.anchor_mode {
-                stopwords::is_anchor_stopword(&lower)
-            } else {
-                stopwords::is_stopword(&lower)
-            };
-            if !stop {
+            if !self.tokenizer.is_stopword(&lower) {
                 return Some(lower);
             }
         }

@@ -20,8 +20,10 @@
 //! same id assignment.
 
 use crate::fxhash::{self, FxHashMap};
+use crate::stem::porter_stem;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// A dense identifier for an interned term.
@@ -39,12 +41,25 @@ pub struct Vocabulary {
     terms: Vec<String>,
     #[serde(skip)]
     index: FxHashMap<String, TermId>,
+    /// Raw tokens already stemmed and interned here.
+    #[serde(skip)]
+    memo: TokenMemo,
 }
 
 impl Vocabulary {
     /// Empty vocabulary.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The dictionary whose ids are the positions in `terms`.
+    fn from_terms(terms: Vec<String>) -> Self {
+        let mut vocab = Vocabulary {
+            terms,
+            ..Self::default()
+        };
+        vocab.rebuild_index();
+        vocab
     }
 
     /// Intern `term`, returning its stable id.
@@ -122,6 +137,97 @@ fn canonical_map_of(terms: &[String], seed_len: usize) -> Vec<u32> {
     map
 }
 
+/// Longest raw token a [`TokenMemo`] keeps; longer ones (none in the
+/// generated lexicons, under one in a thousand English words) are stemmed
+/// on every occurrence.
+const MEMO_KEY_LEN: usize = 16;
+
+/// Slots of a full-grown [`TokenMemo`]: 320 KiB, filled to three quarters
+/// (12,288 tokens) and then left as it is.
+const MEMO_MAX_SLOTS: usize = 1 << 14;
+
+/// Raw lowercase token → the id of its stem: what lets the analyzer stem
+/// and intern each distinct word once instead of once per occurrence.
+///
+/// An open-addressed table with the key bytes inline (zero-padded; a
+/// token holds no zero byte and at least two letters, so the all-zero key
+/// marks an empty slot), grown by doubling up to [`MEMO_MAX_SLOTS`] and
+/// never evicted. It is a cache of `intern(&porter_stem(token))` against
+/// an append-only dictionary: an entry never goes stale, and a token that
+/// does not fit or arrives after the table is full just misses.
+#[derive(Default, Clone)]
+struct TokenMemo {
+    /// Empty or a power of two long.
+    slots: Vec<([u8; MEMO_KEY_LEN], TermId)>,
+    used: usize,
+}
+
+/// Counts only: the table is derived data, and thousands of slots would
+/// drown the `Debug` output of the [`Vocabulary`] around it.
+impl std::fmt::Debug for TokenMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "TokenMemo({} of {} slots)", self.used, self.slots.len())
+    }
+}
+
+impl TokenMemo {
+    const EMPTY: [u8; MEMO_KEY_LEN] = [0; MEMO_KEY_LEN];
+
+    fn key(token: &str) -> Option<[u8; MEMO_KEY_LEN]> {
+        let mut key = Self::EMPTY;
+        key.get_mut(..token.len())?
+            .copy_from_slice(token.as_bytes());
+        Some(key)
+    }
+
+    /// Where `key` is, or the empty slot where it would go. The table
+    /// always has an empty slot, so the probe ends.
+    fn slot_of(&self, key: &[u8; MEMO_KEY_LEN]) -> usize {
+        let mask = self.slots.len() - 1;
+        // The high bits of a multiplicative hash are the mixed ones.
+        let mut at = (fxhash::hash_one(key) >> 32) as usize & mask;
+        while self.slots[at].0 != *key && self.slots[at].0 != Self::EMPTY {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    fn get(&self, token: &str) -> Option<TermId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let key = Self::key(token)?;
+        let (found, id) = self.slots[self.slot_of(&key)];
+        (found == key).then_some(id)
+    }
+
+    /// Remember `token → id`; the caller has just seen [`get`](Self::get)
+    /// miss.
+    fn insert(&mut self, token: &str, id: TermId) {
+        let Some(key) = Self::key(token) else { return };
+        if self.used * 4 >= self.slots.len() * 3 {
+            if self.slots.len() >= MEMO_MAX_SLOTS {
+                return;
+            }
+            let grown = vec![(Self::EMPTY, TermId(0)); (self.slots.len() * 2).max(256)];
+            for entry in std::mem::replace(&mut self.slots, grown) {
+                if entry.0 != Self::EMPTY {
+                    let at = self.slot_of(&entry.0);
+                    self.slots[at] = entry;
+                }
+            }
+        }
+        let at = self.slot_of(&key);
+        self.slots[at] = (key, id);
+        self.used += 1;
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill((Self::EMPTY, TermId(0)));
+        self.used = 0;
+    }
+}
+
 /// Number of shards in a [`SharedVocabulary`]; a power of two so the
 /// shard of a term is a cheap mask of its hash.
 const SHARDS: usize = 16;
@@ -148,6 +254,17 @@ pub struct SharedVocabulary {
     shards: Vec<Mutex<FxHashMap<String, TermId>>>,
     next_id: AtomicU32,
     seed_len: u32,
+    /// Unique per dictionary in this process; tags the per-thread memo.
+    instance: u64,
+}
+
+thread_local! {
+    /// This thread's raw-token memo for the [`SharedVocabulary`] it
+    /// interned into last, tagged with that dictionary's `instance`. Per
+    /// thread so that a hit takes no lock and shares no cache line; one
+    /// table, not one per dictionary, because a worker thread serves one
+    /// dictionary for its whole life.
+    static SHARED_MEMO: RefCell<(u64, TokenMemo)> = RefCell::new((0, TokenMemo::default()));
 }
 
 impl Default for SharedVocabulary {
@@ -159,12 +276,15 @@ impl Default for SharedVocabulary {
 impl SharedVocabulary {
     /// Empty shared dictionary.
     pub fn new() -> Self {
+        // 0 is the tag of a thread memo that has served no dictionary.
+        static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
         SharedVocabulary {
             shards: (0..SHARDS)
                 .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
             next_id: AtomicU32::new(0),
             seed_len: 0,
+            instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -234,12 +354,7 @@ impl SharedVocabulary {
                 terms[id as usize] = term.clone();
             }
         }
-        let mut vocab = Vocabulary {
-            terms,
-            index: FxHashMap::default(),
-        };
-        vocab.rebuild_index();
-        vocab
+        Vocabulary::from_terms(terms)
     }
 
     /// Canonicalize (see the module docs): returns the renumbered
@@ -252,12 +367,7 @@ impl SharedVocabulary {
         for (old, term) in raw.terms.into_iter().enumerate() {
             terms[map[old] as usize] = term;
         }
-        let mut vocab = Vocabulary {
-            terms,
-            index: FxHashMap::default(),
-        };
-        vocab.rebuild_index();
-        (vocab, map)
+        (Vocabulary::from_terms(terms), map)
     }
 }
 
@@ -268,6 +378,12 @@ impl SharedVocabulary {
 pub trait Interner {
     /// Intern `term`, returning its stable id.
     fn intern(&mut self, term: &str) -> TermId;
+    /// Stem the lowercase raw `token` and intern the stem. Always the id
+    /// `intern(&porter_stem(token))` returns; both dictionaries answer a
+    /// token they have met before from a memo instead.
+    fn intern_token(&mut self, token: &str) -> TermId {
+        self.intern(&porter_stem(token))
+    }
     /// Number of distinct terms interned so far.
     fn term_count(&self) -> usize;
 }
@@ -275,6 +391,15 @@ pub trait Interner {
 impl Interner for Vocabulary {
     fn intern(&mut self, term: &str) -> TermId {
         Vocabulary::intern(self, term)
+    }
+
+    fn intern_token(&mut self, token: &str) -> TermId {
+        if let Some(id) = self.memo.get(token) {
+            return id;
+        }
+        let id = self.intern(&porter_stem(token));
+        self.memo.insert(token, id);
+        id
     }
 
     fn term_count(&self) -> usize {
@@ -285,6 +410,21 @@ impl Interner for Vocabulary {
 impl Interner for &SharedVocabulary {
     fn intern(&mut self, term: &str) -> TermId {
         SharedVocabulary::intern(self, term)
+    }
+
+    fn intern_token(&mut self, token: &str) -> TermId {
+        SHARED_MEMO.with_borrow_mut(|(instance, memo)| {
+            if *instance != self.instance {
+                memo.clear();
+                *instance = self.instance;
+            }
+            if let Some(id) = memo.get(token) {
+                return id;
+            }
+            let id = SharedVocabulary::intern(self, &porter_stem(token));
+            memo.insert(token, id);
+            id
+        })
     }
 
     fn term_count(&self) -> usize {

@@ -100,3 +100,107 @@ proptest! {
         prop_assert_eq!(&ids1, &ids8);
     }
 }
+
+/// Every thread analyzes *every* page, so each thread's memo fills with
+/// the same tokens while the others race it to intern their stems. Each
+/// thread's documents, canonicalized, must be the single-threaded
+/// `Vocabulary` result canonicalized.
+#[test]
+fn threads_analyzing_the_same_pages_agree_with_one_thread() {
+    const THREADS: usize = 4;
+    let words = [
+        "Recovery",
+        "recovering",
+        "logs",
+        "LOGGING",
+        "the",
+        "click",
+        "here",
+        "naïve",
+        "Café",
+        "serializability",
+        "mining",
+        "mined",
+        "AT&amp;T",
+        "databases",
+        "x",
+        "joins",
+        "Über",
+    ];
+    let pages: Vec<String> = (0..40usize)
+        .map(|i| {
+            let word = |j: usize| words[(i * 5 + j * 3) % words.len()];
+            format!(
+                "<title>{} {}</title><p>{} {} <b>{}</b> {}</p><a href=\"/p{i}\">{} {}</a>",
+                word(0),
+                word(1),
+                word(2),
+                word(3),
+                word(4),
+                word(5),
+                word(6),
+                word(7),
+            )
+        })
+        .collect();
+    let mut seed = Vocabulary::new();
+    for w in ["mine", "zebra"] {
+        seed.intern(w);
+    }
+
+    let mut single = seed.clone();
+    let expected: Vec<_> = pages.iter().map(|p| analyze_html(p, &mut single)).collect();
+    let single_map = single.canonical_map(seed.len());
+
+    let shared = SharedVocabulary::seeded(&seed);
+    let barrier = std::sync::Barrier::new(THREADS);
+    let per_thread: Vec<Vec<_>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (shared, barrier, pages) = (&shared, &barrier, &pages);
+                scope.spawn(move || {
+                    barrier.wait();
+                    // Staggered starts: no two threads meet the words in
+                    // the same order.
+                    let mut docs: Vec<_> = (0..pages.len())
+                        .map(|i| (i * 7 + t * 11) % pages.len())
+                        .map(|i| (i, analyze_html(&pages[i], &mut &*shared)))
+                        .collect();
+                    docs.sort_by_key(|&(i, _)| i);
+                    docs
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let (canon, shared_map) = shared.canonicalize();
+    let canon_terms: Vec<&str> = canon.iter().map(|(_, t)| t).collect();
+    let mut single_terms = vec![""; single.len()];
+    for (TermId(old), term) in single.iter() {
+        single_terms[single_map[old as usize] as usize] = term;
+    }
+    assert_eq!(canon_terms, single_terms);
+
+    let canonical = |doc: &bingo_textproc::AnalyzedDocument, map: &[u32]| {
+        let id = |t: &TermId| map[t.0 as usize];
+        (
+            doc.title.clone(),
+            doc.terms.iter().map(id).collect::<Vec<_>>(),
+            doc.links
+                .iter()
+                .map(|l| (l.href.clone(), l.anchor_terms.iter().map(id).collect()))
+                .collect::<Vec<(String, Vec<u32>)>>(),
+        )
+    };
+    for docs in &per_thread {
+        assert_eq!(docs.len(), pages.len());
+        for ((i, doc), want) in docs.iter().zip(&expected) {
+            assert_eq!(
+                canonical(doc, &shared_map),
+                canonical(want, &single_map),
+                "page {i}"
+            );
+        }
+    }
+}

@@ -35,6 +35,7 @@ use crate::{HostBehavior, HostMeta, PageKind, PageMeta, TopicInfo, World};
 use bingo_graph::{HostId, PageId};
 use bingo_textproc::fxhash::{self, FxHashMap};
 use bingo_textproc::MimeType;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -121,8 +122,15 @@ pub struct PagedWeb {
     hosts: u32,
     pages_per_host: u32,
     hot_cap: usize,
-    cache: Mutex<FxHashMap<HostId, Arc<HostBlock>>>,
+    cache: Mutex<BlockCache>,
     generated: AtomicU64,
+}
+
+/// The resident blocks and the order they were generated in.
+#[derive(Debug, Default)]
+struct BlockCache {
+    blocks: FxHashMap<HostId, Arc<HostBlock>>,
+    oldest_first: VecDeque<HostId>,
 }
 
 impl PagedWeb {
@@ -133,7 +141,7 @@ impl PagedWeb {
             hosts: cfg.hosts,
             pages_per_host: cfg.pages_per_host,
             hot_cap: cfg.hot_cap,
-            cache: Mutex::new(FxHashMap::default()),
+            cache: Mutex::new(BlockCache::default()),
             generated: AtomicU64::new(0),
         }
     }
@@ -148,7 +156,7 @@ impl PagedWeb {
 
     /// Host blocks currently resident (always ≤ `hot_cap`).
     pub(crate) fn resident_blocks(&self) -> usize {
-        self.cache.lock().unwrap().len()
+        self.cache.lock().unwrap().blocks.len()
     }
 
     /// Total block generations since creation (cache misses).
@@ -158,19 +166,21 @@ impl PagedWeb {
 
     fn block(&self, host: HostId) -> Arc<HostBlock> {
         let mut cache = self.cache.lock().unwrap();
-        if let Some(b) = cache.get(&host) {
+        if let Some(b) = cache.blocks.get(&host) {
             return Arc::clone(b);
         }
-        // Generational eviction: when the hot set is full, drop it
-        // wholesale. Crawl locality refills the working set in a few
-        // lookups, and the one-in-hot_cap flush costs far less than
-        // per-entry LRU bookkeeping on every hit.
-        if cache.len() >= self.hot_cap {
-            cache.clear();
+        // First in, first out: a full hot set gives up its oldest block.
+        // A hit does no bookkeeping, and the victim is a function of the
+        // lookup sequence alone, so runs repeat.
+        if cache.blocks.len() >= self.hot_cap {
+            if let Some(victim) = cache.oldest_first.pop_front() {
+                cache.blocks.remove(&victim);
+            }
         }
         let b = Arc::new(self.generate(host));
         self.generated.fetch_add(1, Ordering::Relaxed);
-        cache.insert(host, Arc::clone(&b));
+        cache.blocks.insert(host, Arc::clone(&b));
+        cache.oldest_first.push_back(host);
         b
     }
 
@@ -434,8 +444,17 @@ mod tests {
             let _ = a.host_meta(h);
             assert!(a.paged.as_ref().unwrap().resident_blocks() <= 64);
         }
+        // A full cache gives up one block per miss, the oldest: it stays
+        // full, and the hosts touched last are still in it.
+        let paged = a.paged.as_ref().unwrap();
+        assert_eq!(paged.resident_blocks(), 64);
+        let generated = paged.blocks_generated();
+        for h in (a.host_count() as u32 - 64)..a.host_count() as u32 {
+            let _ = a.host_meta(h);
+        }
+        assert_eq!(paged.blocks_generated(), generated);
         assert_eq!(a.host_meta(3).name, b.host_meta(3).name);
-        assert!(a.paged.as_ref().unwrap().blocks_generated() >= 400);
+        assert!(paged.blocks_generated() >= 400);
     }
 
     #[test]
