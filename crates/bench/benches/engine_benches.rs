@@ -1,15 +1,14 @@
-//! E10 microbenches at the engine level: per-document classification
-//! cost (the inner loop of a crawl), training and retraining cost, and
-//! the full crawl-step throughput with the real classifier — this is
-//! what bounds crawl speed once the network is fast.
+//! E10 microbenches at the engine level: training and retraining cost,
+//! and the full crawl-step throughput with the real classifier — this is
+//! what bounds crawl speed once the network is fast. Per-document
+//! classification cost is timed by `benchmark/` as `core.classify_s`.
 
 use bingo_core::{BingoEngine, EngineConfig, TopicTree};
 use bingo_crawler::{CrawlConfig, Crawler};
 use bingo_store::DocumentStore;
-use bingo_textproc::DocumentFeatures;
 use bingo_webworld::gen::WorldConfig;
-use bingo_webworld::{PageKind, World};
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use bingo_webworld::World;
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -37,52 +36,6 @@ fn trained_engine(world: &World) -> (BingoEngine, bingo_core::TopicId) {
     }
     engine.train().unwrap();
     (engine, topic)
-}
-
-fn probe_features(engine: &mut BingoEngine, world: &World, n: usize) -> Vec<DocumentFeatures> {
-    (0..world.page_count() as u64)
-        .filter(|&id| world.page(id).kind == PageKind::Content)
-        .filter_map(|id| {
-            engine
-                .analyze_url(world, &world.url_of(id))
-                .ok()
-                .map(|(_, _, f)| f)
-        })
-        .take(n)
-        .collect()
-}
-
-fn bench_classification(c: &mut Criterion) {
-    let world = WorldConfig::small_test(12).build();
-    let (mut engine, _topic) = trained_engine(&world);
-    let probes = probe_features(&mut engine, &world, 100);
-    let mut group = c.benchmark_group("engine_classify");
-    group.throughput(Throughput::Elements(probes.len() as u64));
-    group.bench_function("meta_100_docs", |b| {
-        b.iter(|| {
-            let mut acc = 0;
-            for f in &probes {
-                if engine.classify(black_box(f)).topic.is_some() {
-                    acc += 1;
-                }
-            }
-            black_box(acc)
-        })
-    });
-    // Run-time-critical single-classifier mode for comparison.
-    engine.config.single_classifier = true;
-    group.bench_function("single_100_docs", |b| {
-        b.iter(|| {
-            let mut acc = 0;
-            for f in &probes {
-                if engine.classify(black_box(f)).topic.is_some() {
-                    acc += 1;
-                }
-            }
-            black_box(acc)
-        })
-    });
-    group.finish();
 }
 
 fn bench_training(c: &mut Criterion) {
@@ -134,10 +87,5 @@ fn bench_crawl_with_classifier(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_classification,
-    bench_training,
-    bench_crawl_with_classifier
-);
+criterion_group!(benches, bench_training, bench_crawl_with_classifier);
 criterion_main!(benches);

@@ -11,11 +11,13 @@ use bingo_ml::meta::MetaPolicy;
 use bingo_obs::Event;
 use bingo_textproc::fxhash::FxHashMap;
 use bingo_textproc::tfidf::{CorpusStats, TfIdfWeighter};
+use bingo_textproc::vocab::TermId;
 use bingo_textproc::{
     analyze_html_metered, AnalyzedDocument, ContentRegistry, DocWeights, DocumentFeatures,
     Vocabulary,
 };
 use bingo_webworld::{FetchOutcome, World};
+use std::sync::Arc;
 
 /// Engine-level configuration (defaults follow Section 5.1).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -123,6 +125,18 @@ pub struct RetrainReport {
     pub hubs_boosted: usize,
 }
 
+/// The link analysis of a topic's last retraining, kept for as long as
+/// its inputs repeat: the world is immutable, so an equal base set under
+/// equal parameters expands to the same nodes and scores.
+struct LinkAnalysis {
+    world: Arc<World>,
+    base: Vec<u64>,
+    /// `(max_predecessors, n_auth, hub_boost)` it was computed with.
+    params: (usize, usize, usize),
+    authorities: Vec<(u64, f64)>,
+    hubs: Vec<(u64, f64)>,
+}
+
 /// The engine.
 pub struct BingoEngine {
     /// The user's topic tree with training data.
@@ -139,6 +153,8 @@ pub struct BingoEngine {
     models: FxHashMap<u32, TopicModel>,
     phase: Phase,
     candidates: FxHashMap<u32, Vec<Candidate>>,
+    /// Per topic, what its last link analysis read and found.
+    link_analysis: FxHashMap<u32, LinkAnalysis>,
     registry: ContentRegistry,
     obs: EngineTelemetry,
 }
@@ -155,6 +171,7 @@ impl BingoEngine {
             models: FxHashMap::default(),
             phase: Phase::Learning,
             candidates: FxHashMap::default(),
+            link_analysis: FxHashMap::default(),
             registry: ContentRegistry::new(),
             obs: EngineTelemetry::default(),
         }
@@ -335,8 +352,8 @@ impl BingoEngine {
         let judgment = classify_impl(
             &self.tree,
             &self.models,
-            &self.frozen,
             features,
+            &DocWeights::new(features, &self.frozen),
             policy,
             self.config.single_classifier,
         );
@@ -451,11 +468,35 @@ impl BingoEngine {
             let mut hub_candidates: Vec<(u64, f64)> = Vec::new();
             let mut authority_candidates: Vec<(u64, f64)> = Vec::new();
             if !base.is_empty() {
-                let world = crawler.world().clone();
-                let nodes = expand_base_set(world.as_ref(), &base, self.config.max_predecessors);
-                let hits = Hits::default().run(world.as_ref(), &nodes);
-                authority_candidates = hits.top_authorities(self.config.n_auth);
-                hub_candidates = hits.top_hubs(self.config.hub_boost);
+                // Once a topic holds `max_base_set` documents the base
+                // set — insertion order, truncated — repeats from one
+                // retraining to the next.
+                let world = crawler.world();
+                let params = (
+                    self.config.max_predecessors,
+                    self.config.n_auth,
+                    self.config.hub_boost,
+                );
+                let known = self.link_analysis.get(&t).filter(|known| {
+                    Arc::ptr_eq(&known.world, world) && known.params == params && known.base == base
+                });
+                if known.is_none() {
+                    let nodes = expand_base_set(world.as_ref(), &base, params.0);
+                    let hits = Hits::default().run(world.as_ref(), &nodes);
+                    self.link_analysis.insert(
+                        t,
+                        LinkAnalysis {
+                            world: Arc::clone(world),
+                            base,
+                            params,
+                            authorities: hits.top_authorities(params.1),
+                            hubs: hits.top_hubs(params.2),
+                        },
+                    );
+                }
+                let analysis = &self.link_analysis[&t];
+                authority_candidates = analysis.authorities.clone();
+                hub_candidates = analysis.hubs.clone();
             }
 
             // --- Candidate set: top authorities ∪ top-confidence docs.
@@ -671,6 +712,7 @@ impl BingoEngine {
             models,
             phase,
             candidates: FxHashMap::default(),
+            link_analysis: FxHashMap::default(),
             registry: ContentRegistry::new(),
             obs: EngineTelemetry::default(),
         }
@@ -710,8 +752,8 @@ impl TopicClassifier<'_> {
         let judgment = classify_impl(
             self.tree,
             self.models,
-            self.weighter,
             features,
+            &DocWeights::new(features, self.weighter),
             self.policy,
             self.single_classifier,
         );
@@ -767,12 +809,20 @@ struct EngineJudge<'a> {
 impl DocumentJudge for EngineJudge<'_> {
     fn judge(&mut self, doc: &AnalyzedDocument, ctx: &PageContext) -> Judgment {
         let features = page_features(doc, ctx);
-        self.corpus.add_document(features.distinct_features());
+        // Weighed with the frozen corpus, counted into the live one: the
+        // weights list every feature of the page once, in feature order.
+        let weights = DocWeights::new(&features, self.weighter);
+        self.corpus.add_document(
+            weights
+                .entries()
+                .iter()
+                .map(|&(feature, _)| TermId(feature)),
+        );
         let judgment = classify_impl(
             self.tree,
             self.models,
-            self.weighter,
             &features,
+            &weights,
             self.policy,
             self.single_classifier,
         );
@@ -800,18 +850,17 @@ impl DocumentJudge for EngineJudge<'_> {
 
 /// Top-down hierarchical classification: at each level evaluate the
 /// competing children; descend into the most confident acceptor; a
-/// document nobody accepts lands in OTHERS (rejection). The document is
-/// weighed once with `weighter` — the frozen corpus all of `models` were
-/// trained with — for every model on the way down.
+/// document nobody accepts lands in OTHERS (rejection). `weights` is the
+/// document weighed once with the frozen corpus all of `models` were
+/// trained with, for every model on the way down.
 fn classify_impl(
     tree: &TopicTree,
     models: &FxHashMap<u32, TopicModel>,
-    weighter: &TfIdfWeighter,
     features: &DocumentFeatures,
+    weights: &DocWeights,
     policy: MetaPolicy,
     single_classifier: bool,
 ) -> Judgment {
-    let weights = DocWeights::new(features, weighter);
     let mut current = TopicTree::ROOT;
     let mut assigned: Option<TopicId> = None;
     let mut confidence = f32::MIN;
@@ -826,8 +875,7 @@ fn classify_impl(
             let Some(model) = models.get(&child.0) else {
                 continue;
             };
-            let (accept, conf) =
-                model.decide_weighed(features, &weights, policy, single_classifier);
+            let (accept, conf) = model.decide_weighed(features, weights, policy, single_classifier);
             if accept {
                 if best.map(|(_, c)| conf > c).unwrap_or(true) {
                     best = Some((child, conf));
@@ -857,5 +905,82 @@ fn classify_impl(
     Judgment {
         topic: assigned.map(|t| t.0),
         confidence,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::persist::save_engine;
+    use crate::tests::trained_engine;
+    use bingo_crawler::CrawlConfig;
+    use bingo_store::DocumentStore;
+    use bingo_webworld::gen::WorldConfig;
+
+    /// What four short crawl slices, each closed by a retraining, leave behind;
+    /// `forget` drops the link-analysis memo before every retraining.
+    /// Also returns how many retrainings found their base set unchanged.
+    fn crawl_with_retrains(max_base_set: usize, forget: bool) -> (Vec<String>, usize) {
+        let world = Arc::new(WorldConfig::small_test(52).build());
+        let (mut engine, topic) = trained_engine(&world);
+        engine.config.max_base_set = max_base_set;
+        let mut crawler = Crawler::new(world.clone(), CrawlConfig::default(), DocumentStore::new());
+        for a in &world.authors()[..2] {
+            crawler.add_seed(&world.url_of(a.homepage), Some(topic.0));
+        }
+        let (mut trace, mut repeats) = (Vec::new(), 0);
+        let mut last_base: Option<Vec<u64>> = None;
+        for round in 1..=4u64 {
+            engine.crawl_until(&mut crawler, round * 1_500, 0);
+            let mut base = crawler.store().topic_documents(topic.0);
+            base.truncate(max_base_set);
+            assert!(!base.is_empty());
+            repeats += usize::from(last_base.as_ref() == Some(&base));
+            if forget {
+                engine.link_analysis.clear();
+            }
+            let report = engine.retrain(&mut crawler);
+            // Hit or miss, the memo now describes this retraining.
+            assert_eq!(engine.link_analysis[&topic.0].base, base);
+            last_base = Some(base);
+
+            let archetypes: Vec<u64> = engine
+                .tree
+                .node(topic)
+                .training
+                .iter()
+                .map(|d| d.page_id)
+                .collect();
+            let mut snapshot = Vec::new();
+            save_engine(&engine, &mut snapshot).unwrap();
+            trace.push(format!(
+                "{:?} {} {archetypes:?} {:?} {:?}",
+                report.promoted,
+                report.hubs_boosted,
+                crawler.stats(),
+                crawler.store().topic_documents(topic.0),
+            ));
+            trace.push(String::from_utf8(snapshot).unwrap());
+        }
+        (trace, repeats)
+    }
+
+    #[test]
+    fn remembered_link_analysis_changes_nothing() {
+        // A base set capped at 12 documents repeats from the second
+        // retraining on: the memo answers.
+        let (remembered, repeats) = crawl_with_retrains(12, false);
+        assert_eq!(repeats, 3);
+        assert!(remembered == crawl_with_retrains(12, true).0);
+    }
+
+    #[test]
+    fn a_grown_base_set_is_analysed_again() {
+        // Uncapped, every slice adds documents to the base set: the memo
+        // misses every time (`crawl_with_retrains` checks it was replaced)
+        // and the crawl is the one a memo-less engine makes.
+        let (remembered, repeats) = crawl_with_retrains(1000, false);
+        assert_eq!(repeats, 0);
+        assert!(remembered == crawl_with_retrains(1000, true).0);
     }
 }

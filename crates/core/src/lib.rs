@@ -72,7 +72,7 @@ mod tests {
 
     /// Build an engine trained on topic 0 (database research) seeds with
     /// sports/entertainment negatives.
-    fn trained_engine(world: &Arc<World>) -> (BingoEngine, TopicId) {
+    pub(crate) fn trained_engine(world: &Arc<World>) -> (BingoEngine, TopicId) {
         // Mirror §5.2: with an extremely small seed set the paper did not
         // enforce the archetype confidence threshold.
         let mut engine = BingoEngine::new(EngineConfig {

@@ -13,6 +13,7 @@ use bingo_ml::feature_selection::{FeatureSelection, FeatureSelectionConfig};
 use bingo_ml::meta::MetaPolicy;
 use bingo_ml::svm::{LinearSvm, SvmConfig, TrainedSvm};
 use bingo_ml::{FeatureSelector, NaiveBayes, TrainingSet};
+use bingo_textproc::features::namespace_of;
 use bingo_textproc::fxhash::FxHashMap;
 use bingo_textproc::tfidf::TfIdfWeighter;
 use bingo_textproc::vocab::TermId;
@@ -39,48 +40,195 @@ pub struct SpaceModel {
     table: SelectedTable,
 }
 
-/// Selected raw feature → (compact index, SVM weight).
-///
-/// Most features of a page are selected by no given space, so a miss has
-/// to be cheap: a 2 KB one-bit-per-bucket filter answers it with a
-/// multiply and a mask, and only the features that pass — the selected
-/// ones and, at the default 2,000 selected, one in nine of the others —
-/// reach the hash map.
+/// One bit per bucket of a multiplicative hash: answers "selected by
+/// nobody" — the common case for a page's feature — with a multiply and
+/// a mask, so only the selected features and a small share of the others
+/// reach a hash map. 2 KB, however many features were inserted.
+#[derive(Debug, Clone)]
+struct BitFilter(Vec<u64>);
+
+impl Default for BitFilter {
+    fn default() -> Self {
+        BitFilter(vec![0; 1 << (Self::BITS - 6)])
+    }
+}
+
+impl BitFilter {
+    const BITS: u32 = 14;
+
+    /// Filter word and bit of a feature: the top bits of a
+    /// multiplicative hash.
+    fn bucket(feature: u32) -> (usize, u64) {
+        let h = feature.wrapping_mul(0x9E37_79B1) >> (32 - Self::BITS);
+        ((h / 64) as usize, 1 << (h % 64))
+    }
+
+    fn insert(&mut self, feature: u32) {
+        let (word, bit) = Self::bucket(feature);
+        self.0[word] |= bit;
+    }
+
+    fn may_contain(&self, feature: u32) -> bool {
+        let (word, bit) = Self::bucket(feature);
+        self.0[word] & bit != 0
+    }
+}
+
+/// Selected raw feature → (compact index, SVM weight) of one space.
 #[derive(Debug, Clone, Default)]
 struct SelectedTable {
-    filter: Vec<u64>,
+    filter: BitFilter,
     map: FxHashMap<u32, (u32, f32)>,
 }
 
 impl SelectedTable {
-    const FILTER_BITS: u32 = 14;
-
     fn new(selector: &FeatureSelector, svm: &TrainedSvm) -> Self {
-        let mut filter = vec![0; 1 << (Self::FILTER_BITS - 6)];
+        let mut filter = BitFilter::default();
         let map = (0u32..)
             .zip(selector.ranked())
             .map(|(compact, &(raw, _))| {
-                let (word, bit) = Self::bucket(raw);
-                filter[word] |= bit;
+                filter.insert(raw);
                 (raw, (compact, svm.weights.get(compact)))
             })
             .collect();
         SelectedTable { filter, map }
     }
 
-    /// Filter word and bit of a feature: the top bits of a
-    /// multiplicative hash.
-    fn bucket(feature: u32) -> (usize, u64) {
-        let h = feature.wrapping_mul(0x9E37_79B1) >> (32 - Self::FILTER_BITS);
-        ((h / 64) as usize, 1 << (h % 64))
-    }
-
     fn get(&self, feature: u32) -> Option<(u32, f32)> {
-        let (word, bit) = Self::bucket(feature);
-        if self.filter.get(word)? & bit == 0 {
+        if !self.filter.may_contain(feature) {
             return None;
         }
         self.map.get(&feature).copied()
+    }
+}
+
+/// A selected feature found in a document: where it sits in the order
+/// of the projected vector, the SVM weight there, and the document's
+/// unit-normalized weight `x`.
+#[derive(Debug, Clone, Copy)]
+struct Hit {
+    /// The compact index; the fused pass puts the space's position in
+    /// `TopicModel::spaces` above it, so one sort orders every space's
+    /// hits.
+    order: u64,
+    svm_weight: f32,
+    x: f32,
+}
+
+/// The factor `SparseVector::normalized` scales by: a zero norm leaves
+/// the weights as they are (and a factor of zero empties the vector).
+fn unit_factor(norm: f32) -> f32 {
+    if norm == 0.0 {
+        1.0
+    } else {
+        1.0 / norm
+    }
+}
+
+/// The confidence of one space from its hits in compact-index order —
+/// the order the projected vector holds them in — with every f32
+/// operation of the reference (`svm.confidence(&space.vector(f))`) in
+/// the reference's order: coverage norm, rescale, dot product against
+/// the SVM weights, bias, weight norm.
+fn confidence_of_hits(svm: &TrainedSvm, hits: &[Hit]) -> f32 {
+    let coverage = hits.iter().map(|h| h.x * h.x).sum::<f32>().sqrt();
+    let rescale = if coverage > 0.0 {
+        1.0 / coverage.max(MIN_PROJECTION_COVERAGE)
+    } else {
+        1.0
+    };
+    let mut dot = 0.0f32;
+    if rescale != 0.0 {
+        // The SVM's sparse weight vector holds no zeros, so the
+        // reference dot product skips those features.
+        for h in hits.iter().filter(|h| h.svm_weight != 0.0) {
+            dot += h.svm_weight * (h.x * rescale);
+        }
+    }
+    (dot + svm.bias) / svm.weight_norm
+}
+
+/// Every space's [`SelectedTable`] of one topic in one: a document
+/// feature is probed once and yields its slot in every space that
+/// selected it.
+#[derive(Debug, Clone, Default)]
+struct FusedTable {
+    filter: BitFilter,
+    /// Feature → its range in `slots`.
+    map: FxHashMap<u32, (u32, u32)>,
+    /// The slots of one feature next to each other.
+    slots: Vec<Slot>,
+}
+
+/// One space's entry for a selected feature.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// [`Hit::order`]: the space's position in `TopicModel::spaces`,
+    /// then the compact index.
+    order: u64,
+    svm_weight: f32,
+    /// The space's kind, whose norm the document weight is divided by.
+    kind: FeatureSpaceKind,
+}
+
+impl FusedTable {
+    fn new(spaces: &[SpaceModel]) -> Self {
+        let mut selected: Vec<(u32, Slot)> = Vec::new();
+        for (s, space) in (0u64..).zip(spaces) {
+            for (&raw, &(compact, svm_weight)) in &space.table.map {
+                // `score` reads only the runs of the space's kind; a
+                // selector naming a feature outside them never hits.
+                if space.kind.uses(namespace_of(raw)) {
+                    let order = s << 32 | compact as u64;
+                    selected.push((
+                        raw,
+                        Slot {
+                            order,
+                            svm_weight,
+                            kind: space.kind,
+                        },
+                    ));
+                }
+            }
+        }
+        selected.sort_unstable_by_key(|&(raw, slot)| (raw, slot.order));
+        let mut table = FusedTable::default();
+        for of_feature in selected.chunk_by(|a, b| a.0 == b.0) {
+            let raw = of_feature[0].0;
+            let start = table.slots.len() as u32;
+            table.slots.extend(of_feature.iter().map(|&(_, slot)| slot));
+            table.filter.insert(raw);
+            table.map.insert(raw, (start, table.slots.len() as u32));
+        }
+        table
+    }
+
+    /// Walk the document's entries once and return every space's hits,
+    /// space after space, each space's in compact-index order.
+    fn hits(&self, doc: &DocWeights) -> Vec<Hit> {
+        let units = FeatureSpaceKind::ALL.map(|kind| unit_factor(doc.norm(kind)));
+        let mut hits: Vec<Hit> = Vec::with_capacity(doc.entries().len().min(self.slots.len()));
+        for &(feature, w) in doc.entries() {
+            if !self.filter.may_contain(feature) {
+                continue;
+            }
+            let Some(&(start, end)) = self.map.get(&feature) else {
+                continue;
+            };
+            for slot in &self.slots[start as usize..end as usize] {
+                let unit = units[slot.kind as usize];
+                let x = w * unit;
+                if unit != 0.0 && x != 0.0 {
+                    hits.push(Hit {
+                        order: slot.order,
+                        svm_weight: slot.svm_weight,
+                        x,
+                    });
+                }
+            }
+        }
+        hits.sort_unstable_by_key(|h| h.order);
+        hits
     }
 }
 
@@ -91,16 +239,30 @@ impl SelectedTable {
 /// confident as a fully topical page.
 pub const MIN_PROJECTION_COVERAGE: f32 = 0.3;
 
-/// The classifier-ready vector of a document's occurrences in one space:
-/// tf·idf, unit-normalized in the full feature space, projected onto the
-/// selected features, rescaled by `1 / max(coverage, MIN_PROJECTION_COVERAGE)`.
+/// The classifier-ready vector of a weighed document in the space of
+/// `kind` — [`SpaceModel::vector`] to the bit, from weights shared by
+/// every space: the runs of `kind` times `1 / norm(kind)` are the entries
+/// `weigh` produces, the rest is the reference's own code.
 fn selected_vector(
     selector: &FeatureSelector,
-    weighter: &TfIdfWeighter,
-    occurrences: &[(u32, u32)],
+    kind: FeatureSpaceKind,
+    doc: &DocWeights,
 ) -> SparseVector {
-    let pairs: Vec<(TermId, u32)> = occurrences.iter().map(|&(i, f)| (TermId(i), f)).collect();
-    let mut projected = selector.project(&weighter.weigh(&pairs));
+    let unit = unit_factor(doc.norm(kind));
+    let mut pairs: Vec<(u32, f32)> = Vec::new();
+    if unit != 0.0 {
+        for &(feature, w) in doc.runs(kind).into_iter().flatten() {
+            if let Some(compact) = selector.compact(feature) {
+                pairs.push((compact, w * unit));
+            }
+        }
+    }
+    rescaled_by_coverage(SparseVector::from_pairs(pairs))
+}
+
+/// Rescale a projected vector by `1 / max(coverage, MIN_PROJECTION_COVERAGE)`,
+/// coverage being the mass the selected features retained.
+fn rescaled_by_coverage(mut projected: SparseVector) -> SparseVector {
     let coverage = projected.norm();
     if coverage > 0.0 {
         projected.scale(1.0 / coverage.max(MIN_PROJECTION_COVERAGE));
@@ -134,14 +296,16 @@ impl SpaceModel {
     /// marginal ones stay proportionally shorter so the SVM bias can
     /// reject them.
     ///
-    /// This is the training path and the reference [`score`](Self::score)
-    /// is tested against; classification does not build vectors.
+    /// This is the reference [`score`](Self::score) and the training
+    /// vectors are tested against; neither training nor classification
+    /// weighs a document per space.
     pub fn vector(&self, features: &DocumentFeatures) -> SparseVector {
-        selected_vector(
-            &self.selector,
-            &self.weighter,
-            &features.occurrences(self.kind),
-        )
+        let occurrences: Vec<(TermId, u32)> = features
+            .occurrences(self.kind)
+            .into_iter()
+            .map(|(i, f)| (TermId(i), f))
+            .collect();
+        rescaled_by_coverage(self.selector.project(&self.weighter.weigh(&occurrences)))
     }
 
     /// Signed hyperplane-distance confidence of a weighed document:
@@ -150,44 +314,29 @@ impl SpaceModel {
     /// space's weighter.
     ///
     /// The document's selected features are gathered with their
-    /// unit-normalized weights, put in compact-index order — the order
-    /// the projected vector holds them in — and then every f32 operation
-    /// of the reference happens in the reference's order: coverage norm,
-    /// rescale, dot product against the SVM weights, bias, weight norm.
+    /// unit-normalized weights and put in compact-index order;
+    /// `confidence_of_hits` does the rest.
     pub fn score(&self, doc: &DocWeights) -> f32 {
         let runs = doc.runs(self.kind);
-        // `SparseVector::normalized`: a zero norm leaves the weights as
-        // they are, a factor of zero empties the vector.
-        let norm = doc.norm(self.kind);
-        let unit = if norm == 0.0 { 1.0 } else { 1.0 / norm };
+        let unit = unit_factor(doc.norm(self.kind));
         let features: usize = runs.iter().map(|run| run.len()).sum();
-        let mut hits: Vec<(u32, f32, f32)> = Vec::with_capacity(features.min(self.selector.len()));
+        let mut hits: Vec<Hit> = Vec::with_capacity(features.min(self.selector.len()));
         if unit != 0.0 {
             for &(feature, w) in runs.into_iter().flatten() {
                 if let Some((compact, svm_weight)) = self.table.get(feature) {
                     let x = w * unit;
                     if x != 0.0 {
-                        hits.push((compact, svm_weight, x));
+                        hits.push(Hit {
+                            order: compact as u64,
+                            svm_weight,
+                            x,
+                        });
                     }
                 }
             }
         }
-        hits.sort_unstable_by_key(|&(compact, _, _)| compact);
-        let coverage = hits.iter().map(|&(_, _, x)| x * x).sum::<f32>().sqrt();
-        let rescale = if coverage > 0.0 {
-            1.0 / coverage.max(MIN_PROJECTION_COVERAGE)
-        } else {
-            1.0
-        };
-        let mut dot = 0.0f32;
-        if rescale != 0.0 {
-            // The SVM's sparse weight vector holds no zeros, so the
-            // reference dot product skips those features.
-            for &(_, svm_weight, x) in hits.iter().filter(|h| h.1 != 0.0) {
-                dot += svm_weight * (x * rescale);
-            }
-        }
-        (dot + self.svm.bias) / self.svm.weight_norm
+        hits.sort_unstable_by_key(|h| h.order);
+        confidence_of_hits(&self.svm, &hits)
     }
 
     /// Signed hyperplane-distance confidence for a document.
@@ -249,6 +398,10 @@ pub struct TopicModel {
     /// Mean confidence of the training documents under the trained model
     /// — the archetype-promotion threshold of Section 3.2.
     pub mean_training_confidence: f32,
+    /// Derived from `spaces`: what [`decide_weighed`](Self::decide_weighed)
+    /// probes once per document feature for all spaces together.
+    #[serde(skip)]
+    fused: FusedTable,
 }
 
 impl TopicModel {
@@ -272,17 +425,24 @@ impl TopicModel {
             (negatives.len() as f32 / positives.len() as f32).clamp(1.0, 50.0);
         let trainer = LinearSvm::new(svm_cfg);
 
+        // Every document is weighed once for all spaces, positives first.
+        let documents: Vec<(&DocumentFeatures, DocWeights, bool)> = positives
+            .iter()
+            .map(|&f| (f, true))
+            .chain(negatives.iter().map(|&f| (f, false)))
+            .map(|(f, positive)| (f, DocWeights::new(f, weighter), positive))
+            .collect();
+
         let mut spaces = Vec::with_capacity(config.spaces.len());
         for &kind in &config.spaces {
-            // Occurrences per document for this space, positives first.
-            let occurrences: Vec<(Vec<(u32, u32)>, bool)> = positives
+            let occurrences: Vec<Vec<(u32, u32)>> = documents
                 .iter()
-                .map(|f| (f.occurrences(kind), true))
-                .chain(negatives.iter().map(|f| (f.occurrences(kind), false)))
+                .map(|(f, ..)| f.occurrences(kind))
                 .collect();
             let labeled: Vec<(&[(u32, u32)], bool)> = occurrences
                 .iter()
-                .map(|(o, positive)| (o.as_slice(), *positive))
+                .zip(&documents)
+                .map(|(o, &(.., positive))| (o.as_slice(), positive))
                 .collect();
             let selector = FeatureSelection::new(config.selection).select(&labeled);
             if selector.is_empty() {
@@ -290,8 +450,8 @@ impl TopicModel {
             }
 
             let mut set = TrainingSet::new();
-            for (occ, positive) in &occurrences {
-                set.push(selected_vector(&selector, weighter, occ), *positive);
+            for (_, weights, positive) in &documents {
+                set.push(selected_vector(&selector, kind, weights), *positive);
             }
             let Some(svm) = trainer.train(&set) else {
                 continue;
@@ -343,6 +503,7 @@ impl TopicModel {
         };
 
         let mut model = TopicModel {
+            fused: FusedTable::new(&spaces),
             spaces,
             best_space,
             naive_bayes,
@@ -351,9 +512,13 @@ impl TopicModel {
         // The training documents' own confidence scores define the
         // archetype threshold ("training documents have a confidence
         // score associated with them, too", Section 2.4).
-        let sum: f32 = positives
+        let sum: f32 = documents[..positives.len()]
             .iter()
-            .map(|f| model.confidence(f, MetaPolicy::WeightedAverage, false))
+            .map(|(f, weights, _)| {
+                model
+                    .decide_weighed(f, weights, MetaPolicy::WeightedAverage, false)
+                    .1
+            })
             .sum();
         model.mean_training_confidence = sum / positives.len() as f32;
         Some(model)
@@ -374,7 +539,9 @@ impl TopicModel {
     /// [`decide`](Self::decide) for a document already weighed with this
     /// model's weighter: one [`DocWeights`] serves every space of every
     /// topic trained in the same round, so a caller judging a page
-    /// against several topics weighs it once.
+    /// against several topics weighs it once. The document's entries are
+    /// walked once for all spaces; each space's confidence is
+    /// [`SpaceModel::score`] to the bit.
     pub fn decide_weighed(
         &self,
         features: &DocumentFeatures,
@@ -398,8 +565,12 @@ impl TopicModel {
             let w = if weighted { precision.max(0.01) } else { 1.0 };
             vote_sum += w * if conf >= 0.0 { 1.0 } else { -1.0 };
         };
-        for space in &self.spaces {
-            vote(space.score(weights), space.xi_precision());
+        let hits = self.fused.hits(weights);
+        let mut rest = &hits[..];
+        for (s, space) in self.spaces.iter().enumerate() {
+            let own;
+            (own, rest) = rest.split_at(rest.partition_point(|h| h.order >> 32 == s as u64));
+            vote(confidence_of_hits(&space.svm, own), space.xi_precision());
         }
         if let Some((nb, weight)) = &self.naive_bayes {
             vote(nb.score(&nb_vector(features)), *weight);
@@ -422,6 +593,7 @@ impl TopicModel {
             space.selector.rebuild_index();
             space.table = SelectedTable::new(&space.selector, &space.svm);
         }
+        self.fused = FusedTable::new(&self.spaces);
     }
 
     /// Confidence only (signed), under the given policy.
@@ -544,6 +716,32 @@ mod tests {
                     "{:?}",
                     space.kind
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn training_vectors_from_shared_weights_are_the_reference_vectors() {
+        let (model, mut pos, neg) = train();
+        // Link context, repeated and out of order, on some documents.
+        let context: Vec<TermId> = pos[0].term_freqs.iter().map(|&(t, _)| t).collect();
+        pos[1].add_incoming_anchor(&[context[2], context[0], context[2]]);
+        pos[2].add_neighbor_terms(&context[1..4]);
+        let bits = |v: &SparseVector| -> Vec<(u32, u32)> {
+            v.entries().iter().map(|&(i, w)| (i, w.to_bits())).collect()
+        };
+        for kind in FeatureSpaceKind::ALL {
+            // Every kind over the selectors the fixture trained.
+            for space in &model.spaces {
+                let space = SpaceModel {
+                    kind,
+                    ..space.clone()
+                };
+                for f in pos.iter().chain(&neg) {
+                    let weights = DocWeights::new(f, &space.weighter);
+                    let got = selected_vector(&space.selector, kind, &weights);
+                    assert_eq!(bits(&got), bits(&space.vector(f)), "{kind:?}");
+                }
             }
         }
     }

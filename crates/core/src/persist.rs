@@ -276,6 +276,23 @@ mod tests {
         );
     }
 
+    /// `engine.json` as the build before the compact df table wrote it
+    /// (commit c7c9c0a: `small_test(71)`, two bookmarks, three OTHERS, a
+    /// retraining between two short crawl slices, so live and frozen
+    /// statistics differ and hold features of all four namespaces).
+    #[test]
+    fn parent_written_snapshot_loads_and_saves_back_byte_for_byte() {
+        let parent = include_bytes!("../tests/fixtures/engine_parent_c7c9c0a.json");
+        let engine = load_engine(&parent[..]).unwrap();
+        assert!(engine.corpus().doc_count() > engine.frozen().stats().doc_count());
+        let mut saved = Vec::new();
+        save_engine(&engine, &mut saved).unwrap();
+        assert!(
+            saved == parent,
+            "re-saved snapshot differs from the parent's"
+        );
+    }
+
     #[test]
     fn older_format_version_is_refused_by_name() {
         let (engine, _world, _topic) = trained_engine();

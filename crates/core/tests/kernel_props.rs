@@ -1,19 +1,22 @@
-//! Property: the classification kernel (`DocWeights` + `SpaceModel::score`)
-//! is the vector path bit for bit. For arbitrary documents — unsorted
-//! components, repeated link-context terms, tf up to 10⁴, features the
-//! corpus never saw, empty components — in all five feature spaces, with
-//! and without the single-classifier mode and a Naive Bayes member, under
-//! all three meta policies:
+//! Property: the classification kernel (`DocWeights`, `SpaceModel::score`
+//! and the fused pass of `TopicModel::decide_weighed`) is the vector path
+//! bit for bit. For arbitrary documents — unsorted components, repeated
+//! link-context terms, tf up to 10⁴, features the corpus never saw, empty
+//! components — in all five feature spaces, with and without the
+//! single-classifier mode and a Naive Bayes member, under all three meta
+//! policies, for a trained model and the same model restored from disk:
 //!
 //! * `score` equals `svm.confidence(&space.vector(f))` by `to_bits()`,
-//! * `TopicModel::decide` equals the meta decision written over the
-//!   vector path,
+//! * `TopicModel::decide` and `decide_weighed` equal the meta decision
+//!   written over the vector path and over a loop of `score` calls,
 //! * `BingoEngine::classify`, `TopicClassifier::classify_batch` and a
 //!   saved-and-reloaded engine all equal the hierarchical descent written
 //!   over that reference decision.
 
 use bingo_core::persist::{load_engine, save_engine};
-use bingo_core::{BingoEngine, EngineConfig, ModelConfig, TopicId, TopicModel, TopicTree};
+use bingo_core::{
+    BingoEngine, EngineConfig, ModelConfig, SpaceModel, TopicId, TopicModel, TopicTree,
+};
 use bingo_crawler::Judgment;
 use bingo_ml::meta::MetaPolicy;
 use bingo_textproc::features::pair_feature;
@@ -105,6 +108,10 @@ fn engine(single_classifier: bool, policy: MetaPolicy, naive_bayes: bool) -> Bin
         });
     }
     engine.train().expect("the fixture trains");
+    // The live corpus moves on; the models keep the frozen one.
+    for (_, words) in TOPICS {
+        engine.analyze_virtual(&format!("<p>{words} {words} {OTHERS}</p>"));
+    }
     assert!((engine.vocab.len() as u32) < TERM_IDS - 20);
     engine
 }
@@ -163,20 +170,17 @@ fn features() -> impl Strategy<Value = DocumentFeatures> {
         })
 }
 
-/// `TopicModel::decide` as it was before the kernel: every confidence
-/// through `SpaceModel::vector` and `TrainedSvm::confidence`.
-fn decide_by_vectors(
+/// `TopicModel::decide` written over one confidence per space, however
+/// `confidence` comes by it.
+fn decide_by(
+    confidence: impl Fn(&SpaceModel) -> f32,
     model: &TopicModel,
     features: &DocumentFeatures,
     policy: MetaPolicy,
     single_classifier: bool,
 ) -> (bool, f32) {
-    let confidence = |i: usize| {
-        let space = &model.spaces[i];
-        space.svm.confidence(&space.vector(features))
-    };
     if single_classifier {
-        let conf = confidence(model.best_space);
+        let conf = confidence(&model.spaces[model.best_space]);
         return (conf >= 0.0, conf);
     }
     let h = (model.spaces.len() + usize::from(model.naive_bayes.is_some())) as f32;
@@ -186,8 +190,8 @@ fn decide_by_vectors(
     };
     let weighted = policy == MetaPolicy::WeightedAverage;
     let (mut vote_sum, mut conf_sum) = (0.0f32, 0.0f32);
-    for (i, space) in model.spaces.iter().enumerate() {
-        let conf = confidence(i);
+    for space in &model.spaces {
+        let conf = confidence(space);
         conf_sum += conf;
         let w = if weighted {
             space.xi_precision().max(0.01)
@@ -213,6 +217,18 @@ fn decide_by_vectors(
     } else {
         (false, mean_conf.min(-f32::EPSILON))
     }
+}
+
+/// `TopicModel::decide` as it was before the kernel: every confidence
+/// through `SpaceModel::vector` and `TrainedSvm::confidence`.
+fn decide_by_vectors(
+    model: &TopicModel,
+    features: &DocumentFeatures,
+    policy: MetaPolicy,
+    single_classifier: bool,
+) -> (bool, f32) {
+    let by_vector = |space: &SpaceModel| space.svm.confidence(&space.vector(features));
+    decide_by(by_vector, model, features, policy, single_classifier)
 }
 
 /// The top-down descent of `BingoEngine::classify` over
@@ -270,19 +286,14 @@ fn bits(j: &Judgment) -> (Option<u32>, u32) {
     (j.topic, j.confidence.to_bits())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn kernel_is_the_vector_path_bit_for_bit(
-        docs in proptest::collection::vec(features(), 1..6),
-    ) {
-        for (single, policy, engine, restored) in engines() {
-            let (single, policy) = (*single, *policy);
-            for topic in engine.tree.topic_ids() {
-                let model = engine.model(topic).expect("every topic trained");
+/// Every claim of the module header, for `docs`.
+fn check_kernel(docs: &[DocumentFeatures]) -> Result<(), TestCaseError> {
+    for (single, policy, engine, restored) in engines() {
+        let (single, policy) = (*single, *policy);
+        for topic in engine.tree.topic_ids() {
+            for model in [engine, restored].map(|e| e.model(topic).expect("every topic trained")) {
                 prop_assert_eq!(model.spaces.len(), FeatureSpaceKind::ALL.len());
-                for f in &docs {
+                for f in docs {
                     let weights = DocWeights::new(f, &model.spaces[0].weighter);
                     for space in &model.spaces {
                         let reference = space.svm.confidence(&space.vector(f));
@@ -290,34 +301,84 @@ proptest! {
                             space.score(&weights).to_bits(),
                             reference.to_bits(),
                             "{:?}: kernel {} vs vectors {}",
-                            space.kind, space.score(&weights), reference
+                            space.kind,
+                            space.score(&weights),
+                            reference
                         );
                         prop_assert_eq!(space.confidence(f).to_bits(), reference.to_bits());
                     }
                     for p in POLICIES {
-                        let (accept, conf) = model.decide(f, p, single);
                         let (ref_accept, ref_conf) = decide_by_vectors(model, f, p, single);
-                        prop_assert_eq!((accept, conf.to_bits()), (ref_accept, ref_conf.to_bits()));
+                        let by_score = |space: &SpaceModel| space.score(&weights);
+                        for (accept, conf) in [
+                            model.decide(f, p, single),
+                            model.decide_weighed(f, &weights, p, single),
+                            decide_by(by_score, model, f, p, single),
+                        ] {
+                            prop_assert_eq!(
+                                (accept, conf.to_bits()),
+                                (ref_accept, ref_conf.to_bits())
+                            );
+                        }
                     }
                 }
             }
-            let reference: Vec<_> = docs
-                .iter()
-                .map(|f| bits(&classify_by_vectors(engine, f, policy, single)))
-                .collect();
-            let one_by_one: Vec<_> = docs.iter().map(|f| bits(&engine.classify(f))).collect();
-            let batch: Vec<_> = engine
-                .batch_classifier()
-                .classify_batch(&docs)
-                .iter()
-                .map(bits)
-                .collect();
-            let reloaded: Vec<_> = docs.iter().map(|f| bits(&restored.classify(f))).collect();
-            prop_assert_eq!(&one_by_one, &reference);
-            prop_assert_eq!(&batch, &reference);
-            prop_assert_eq!(&reloaded, &reference);
         }
+        let reference: Vec<_> = docs
+            .iter()
+            .map(|f| bits(&classify_by_vectors(engine, f, policy, single)))
+            .collect();
+        let one_by_one: Vec<_> = docs.iter().map(|f| bits(&engine.classify(f))).collect();
+        let batch: Vec<_> = engine
+            .batch_classifier()
+            .classify_batch(docs)
+            .iter()
+            .map(bits)
+            .collect();
+        let reloaded: Vec<_> = docs.iter().map(|f| bits(&restored.classify(f))).collect();
+        prop_assert_eq!(&one_by_one, &reference);
+        prop_assert_eq!(&batch, &reference);
+        prop_assert_eq!(&reloaded, &reference);
     }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn kernel_is_the_vector_path_bit_for_bit(
+        docs in proptest::collection::vec(features(), 1..6),
+    ) {
+        check_kernel(&docs)?;
+    }
+}
+
+/// Documents some space sees nothing of: its norm is zero while the
+/// other spaces' are not, and for the empty document every norm is.
+#[test]
+fn spaces_with_zero_norm_score_like_the_vector_path() {
+    let (a, b, c) = (TermId(1), TermId(2), TermId(3));
+    let docs = [
+        DocumentFeatures::default(),
+        DocumentFeatures {
+            pair_freqs: vec![(pair_feature(a, b), 2), (pair_feature(b, c), 1)],
+            ..DocumentFeatures::default()
+        },
+        DocumentFeatures {
+            incoming_anchor_terms: vec![a, b, a],
+            ..DocumentFeatures::default()
+        },
+        DocumentFeatures {
+            neighbor_terms: vec![c, b],
+            ..DocumentFeatures::default()
+        },
+    ];
+    let weighter = &engines()[0].2.model(TopicId(1)).unwrap().spaces[0].weighter;
+    let pairs_only = DocWeights::new(&docs[1], weighter);
+    assert_eq!(pairs_only.norm(FeatureSpaceKind::SingleTerms), 0.0);
+    assert!(pairs_only.norm(FeatureSpaceKind::TermPairs) > 0.0);
+    check_kernel(&docs).unwrap();
 }
 
 /// The property above is only worth its name if the fixture's models
@@ -347,6 +408,17 @@ fn fixture_exercises_acceptance_descent_and_link_context() {
                 .iter()
                 .any(|&(feature, _)| feature >> 30 == namespace)
         };
+        // Some feature sits in three or more spaces' selections, so the
+        // fused table has features with several slots.
+        let selected_by = |feature: u32| {
+            let has = |s: &&SpaceModel| s.selector.compact(feature).is_some();
+            model.spaces.iter().filter(has).count()
+        };
+        let ranked = model.spaces[0].selector.ranked();
+        assert!(ranked.iter().any(|&(feature, _)| selected_by(feature) >= 3));
+        // And the engine's live corpus is not the one the models froze.
+        let frozen = model.spaces[0].weighter.stats();
+        assert!(engine.corpus().doc_count() > frozen.doc_count());
         assert!(selects(FeatureSpaceKind::TermPairs, 1));
         assert!(selects(FeatureSpaceKind::AnchorTexts, 2));
         assert!(selects(FeatureSpaceKind::NeighborTerms, 3));

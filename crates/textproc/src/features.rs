@@ -36,8 +36,8 @@ use serde::{Deserialize, Serialize};
 /// "determines only pairs within a limited word distance".
 pub const PAIR_WINDOW: usize = 5;
 
-const NAMESPACE_SHIFT: u32 = 30;
-const LOCAL_MASK: u32 = (1 << NAMESPACE_SHIFT) - 1;
+pub(crate) const NAMESPACE_SHIFT: u32 = 30;
+pub(crate) const LOCAL_MASK: u32 = (1 << NAMESPACE_SHIFT) - 1;
 
 /// Feature namespaces within the shared u32 index space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,25 +100,16 @@ impl FeatureSpaceKind {
         FeatureSpaceKind::Combined,
     ];
 
-    fn uses_pairs(self) -> bool {
-        matches!(
-            self,
-            FeatureSpaceKind::TermPairs | FeatureSpaceKind::Combined
-        )
-    }
-
-    fn uses_anchors(self) -> bool {
-        matches!(
-            self,
-            FeatureSpaceKind::AnchorTexts | FeatureSpaceKind::Combined
-        )
-    }
-
-    fn uses_neighbors(self) -> bool {
-        matches!(
-            self,
-            FeatureSpaceKind::NeighborTerms | FeatureSpaceKind::Combined
-        )
+    /// True when this space has the features of `namespace` as a
+    /// component.
+    pub fn uses(self, namespace: Namespace) -> bool {
+        use FeatureSpaceKind::*;
+        match namespace {
+            Namespace::Term => true,
+            Namespace::Pair => matches!(self, TermPairs | Combined),
+            Namespace::Anchor => matches!(self, AnchorTexts | Combined),
+            Namespace::Neighbor => matches!(self, NeighborTerms | Combined),
+        }
     }
 }
 
@@ -166,13 +157,13 @@ impl DocumentFeatures {
     /// with namespace tagging applied.
     pub fn occurrences(&self, kind: FeatureSpaceKind) -> Vec<(u32, u32)> {
         let mut out: Vec<(u32, u32)> = self.term_occurrences().collect();
-        if kind.uses_pairs() {
+        if kind.uses(Namespace::Pair) {
             out.extend(self.pair_freqs.iter().copied());
         }
-        if kind.uses_anchors() {
+        if kind.uses(Namespace::Anchor) {
             out.extend(count_terms(&self.incoming_anchor_terms, Namespace::Anchor));
         }
-        if kind.uses_neighbors() {
+        if kind.uses(Namespace::Neighbor) {
             out.extend(count_terms(&self.neighbor_terms, Namespace::Neighbor));
         }
         out
@@ -197,26 +188,23 @@ impl DocumentFeatures {
     }
 }
 
-/// Merge neighbouring entries of the same feature by adding them up.
-fn merge_equal_features<T: Copy + std::ops::AddAssign>(entries: &mut Vec<(u32, T)>) {
-    entries.dedup_by(|later, kept| {
-        kept.0 == later.0 && {
-            kept.1 += later.1;
-            true
+/// Turn single occurrences of features into the distinct features with
+/// their counts, in feature order: the bare keys are sorted and their
+/// runs counted.
+fn count_features(mut features: Vec<u32>) -> Vec<(u32, u32)> {
+    features.sort_unstable();
+    let mut counts: Vec<(u32, u32)> = Vec::with_capacity(features.len());
+    for feature in features {
+        match counts.last_mut() {
+            Some((last, n)) if *last == feature => *n += 1,
+            _ => counts.push((feature, 1)),
         }
-    });
-}
-
-/// Turn single occurrences `(feature, 1)` into the distinct features
-/// with their counts, in feature order.
-fn merge_counts(mut counts: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
-    counts.sort_unstable();
-    merge_equal_features(&mut counts);
+    }
     counts
 }
 
 fn count_terms(terms: &[TermId], ns: Namespace) -> Vec<(u32, u32)> {
-    merge_counts(terms.iter().map(|t| (ns_index(ns, t.0), 1)).collect())
+    count_features(terms.iter().map(|t| ns_index(ns, t.0)).collect())
 }
 
 /// A document weighed once against a frozen corpus, for every feature
@@ -266,7 +254,12 @@ impl DocWeights {
         if !entries.is_sorted_by_key(|e| e.0) {
             entries.sort_unstable_by_key(|e| e.0);
         }
-        merge_equal_features(&mut entries);
+        entries.dedup_by(|later, kept| {
+            kept.0 == later.0 && {
+                kept.1 += later.1;
+                true
+            }
+        });
         let ends @ [t, p, a] = [Namespace::Pair, Namespace::Anchor, Namespace::Neighbor]
             .map(|ns| entries.partition_point(|e| e.0 < ns_index(ns, 0)));
 
@@ -293,23 +286,30 @@ impl DocWeights {
         self.norms[kind as usize]
     }
 
+    /// Every `(feature, unnormalized weight)` of the document — the
+    /// entries of the combined space — in feature order, each feature
+    /// once.
+    pub fn entries(&self) -> &[(u32, f32)] {
+        &self.entries
+    }
+
     /// The `(feature, unnormalized weight)` entries `kind` uses, as its
     /// term, pair, anchor and neighbour runs (empty where the space has
     /// no such component); concatenated they are in feature order.
     pub fn runs(&self, kind: FeatureSpaceKind) -> [&[(u32, f32)]; 4] {
         let [t, p, a] = self.ends;
-        let run = |used: bool, range: std::ops::Range<usize>| {
-            if used {
+        let run = |ns: Namespace, range: std::ops::Range<usize>| {
+            if kind.uses(ns) {
                 &self.entries[range]
             } else {
                 &self.entries[..0]
             }
         };
         [
-            run(true, 0..t),
-            run(kind.uses_pairs(), t..p),
-            run(kind.uses_anchors(), p..a),
-            run(kind.uses_neighbors(), a..self.entries.len()),
+            run(Namespace::Term, 0..t),
+            run(Namespace::Pair, t..p),
+            run(Namespace::Anchor, p..a),
+            run(Namespace::Neighbor, a..self.entries.len()),
         ]
     }
 }
@@ -320,11 +320,11 @@ fn extract_pairs(terms: &[TermId]) -> Vec<(u32, u32)> {
     for (i, &a) in terms.iter().enumerate() {
         for &b in terms.iter().skip(i + 1).take(PAIR_WINDOW - 1) {
             if a != b {
-                pairs.push((pair_feature(a, b), 1));
+                pairs.push(pair_feature(a, b));
             }
         }
     }
-    merge_counts(pairs)
+    count_features(pairs)
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! approximation for idf and recomputes it lazily upon each retraining —
 //! [`CorpusStats`] is that incrementally maintained corpus view.
 
+use crate::features::{Namespace, LOCAL_MASK, NAMESPACE_SHIFT};
 use crate::fxhash::FxHashMap;
 use crate::vector::SparseVector;
 use crate::vocab::TermId;
@@ -15,19 +16,111 @@ use std::sync::Arc;
 /// Incrementally maintained document-frequency statistics over the local
 /// document database.
 ///
-/// The df map sits behind an [`Arc`]: [`weighter`](Self::weighter) shares
+/// The df table sits behind an [`Arc`]: [`weighter`](Self::weighter) shares
 /// it instead of copying it, and the first [`add_document`](Self::add_document)
 /// after a freeze pays one copy-on-write clone — one copy per training
 /// round, however many models hold the frozen view.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct CorpusStats {
     doc_count: u64,
-    doc_freq: Arc<FxHashMap<u32, u64>>,
+    doc_freq: Arc<DfTable>,
+}
+
+/// Local indices below this bound are counted in a dense array per
+/// namespace: term, anchor and neighbour features are vocabulary ids,
+/// handed out densely from zero.
+const DENSE_LOCAL_BOUND: u32 = 1 << 16;
+
+/// Document frequency by feature.
+///
+/// Vocabulary-id features (term, anchor, neighbour namespace) with a
+/// local index under [`DENSE_LOCAL_BOUND`] live in one `Vec<u32>` per
+/// namespace, grown to the largest index seen; hashed pair features —
+/// the bulk of the table, spread over 30 bits — and anything beyond the
+/// bound live in a hash map with 8-byte slots. A count of zero means
+/// "never seen" in either part.
+///
+/// On disk the table is the JSON object `{"feature": df, …}` ordered by
+/// key string, exactly what the `FxHashMap<u32, u64>` it replaces wrote.
+#[derive(Debug, Default, Clone)]
+struct DfTable {
+    /// Indexed by the namespace bits; the pair slot stays empty.
+    dense: [Vec<u32>; 4],
+    sparse: FxHashMap<u32, u32>,
+}
+
+impl DfTable {
+    /// `(namespace, local index)` of a feature counted densely.
+    fn dense_slot(feature: u32) -> Option<(usize, usize)> {
+        let (ns, local) = (feature >> NAMESPACE_SHIFT, feature & LOCAL_MASK);
+        (ns != Namespace::Pair as u32 && local < DENSE_LOCAL_BOUND)
+            .then_some((ns as usize, local as usize))
+    }
+
+    fn get(&self, feature: u32) -> u32 {
+        match Self::dense_slot(feature) {
+            Some((ns, local)) => self.dense[ns].get(local).copied().unwrap_or(0),
+            None => self.sparse.get(&feature).copied().unwrap_or(0),
+        }
+    }
+
+    fn add(&mut self, feature: u32, count: u32) {
+        let df = match Self::dense_slot(feature) {
+            Some((ns, local)) => {
+                let counts = &mut self.dense[ns];
+                if counts.len() <= local {
+                    counts.resize(local + 1, 0);
+                }
+                &mut counts[local]
+            }
+            None => self.sparse.entry(feature).or_insert(0),
+        };
+        *df += count;
+    }
+
+    /// Every feature seen, with its count, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let dense = (0u32..).zip(&self.dense).flat_map(|(ns, counts)| {
+            (0u32..)
+                .zip(counts)
+                .map(move |(local, &df)| ((ns << NAMESPACE_SHIFT) | local, df))
+        });
+        dense
+            .chain(self.sparse.iter().map(|(&f, &df)| (f, df)))
+            .filter(|&(_, df)| df != 0)
+    }
+}
+
+impl Serialize for DfTable {
+    fn to_value(&self) -> serde::Value {
+        let mut entries: Vec<(String, serde::Value)> = self
+            .iter()
+            .map(|(feature, df)| (feature.to_string(), df.to_value()))
+            .collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        serde::Value::Object(entries)
+    }
+}
+
+impl Deserialize for DfTable {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let entries = v
+            .as_object()
+            .ok_or_else(|| serde::Error::custom(format!("expected object, got {v}")))?;
+        let mut table = DfTable::default();
+        for (key, df) in entries {
+            let feature: u32 = key
+                .parse()
+                .map_err(|_| serde::Error::custom(format!("invalid feature key '{key}'")))?;
+            table.add(feature, u32::from_value(df)?);
+        }
+        Ok(table)
+    }
 }
 
 /// `ln(1 + N / df)`, the one idf expression; `n` is the document count
 /// floored at one, an unseen term (`df == 0`) gets the maximal `ln(1 + N)`.
-fn idf_of(n: f32, df: u64) -> f32 {
+fn idf_of(n: f32, df: u32) -> f32 {
     let df = df as f32;
     if df == 0.0 {
         (1.0 + n).ln()
@@ -47,7 +140,7 @@ impl CorpusStats {
         self.doc_count += 1;
         let doc_freq = Arc::make_mut(&mut self.doc_freq);
         for t in distinct_terms {
-            *doc_freq.entry(t.0).or_insert(0) += 1;
+            doc_freq.add(t.0, 1);
         }
     }
 
@@ -58,13 +151,13 @@ impl CorpusStats {
 
     /// Document frequency of a term.
     pub fn doc_freq(&self, term: TermId) -> u64 {
-        self.doc_freq.get(&term.0).copied().unwrap_or(0)
+        self.doc_freq.get(term.0) as u64
     }
 
     /// Logarithmically dampened inverse document frequency:
     /// `ln(1 + N / df)`. Terms never seen get the maximal idf `ln(1 + N)`.
     pub fn idf(&self, term: TermId) -> f32 {
-        idf_of(self.n(), self.doc_freq(term))
+        idf_of(self.n(), self.doc_freq.get(term.0))
     }
 
     fn n(&self) -> f32 {
@@ -74,14 +167,15 @@ impl CorpusStats {
     /// Snapshot a weighter with the current statistics. The paper
     /// recomputes idf "lazily upon each retraining"; freezing a weighter at
     /// retraining time is exactly that. O(1) in the vocabulary: the df
-    /// map is shared, and since idf depends only on df once N is frozen,
+    /// table is shared, and since idf depends only on df once N is frozen,
     /// the only thing computed is a table of idf by df.
     pub fn weighter(&self) -> TfIdfWeighter {
         let n = self.n();
-        let len = self.doc_count.min(IDF_TABLE_MAX_DF) + 1;
+        let len = self.doc_count.min(IDF_TABLE_MAX_DF) as u32 + 1;
         TfIdfWeighter {
             stats: self.clone(),
             idf_by_df: (0..len).map(|df| idf_of(n, df)).collect(),
+            tf_factor_by_tf: std::array::from_fn(|tf| tf_factor(tf as u32)),
         }
     }
 }
@@ -89,6 +183,15 @@ impl CorpusStats {
 /// Longest idf-by-df table a weighter builds; a df beyond it (only in a
 /// corpus of more documents than this) is computed on the spot.
 const IDF_TABLE_MAX_DF: u64 = 1 << 16;
+
+/// The tf factor `1 + ln tf`, the one expression for it.
+fn tf_factor(tf: u32) -> f32 {
+    1.0 + (tf as f32).ln()
+}
+
+/// Term frequencies a weighter tabulates [`tf_factor`] for; almost every
+/// feature of a page occurs once or a few times.
+const TF_TABLE_LEN: usize = 16;
 
 /// A frozen idf table applied to raw term-frequency vectors. Cloning is
 /// O(1): clones are handles to the same frozen statistics.
@@ -98,6 +201,8 @@ pub struct TfIdfWeighter {
     /// `idf_of(n, df)` at index `df`, for every df up to the frozen
     /// document count (capped at [`IDF_TABLE_MAX_DF`]).
     idf_by_df: Arc<[f32]>,
+    /// `tf_factor(tf)` at index `tf`.
+    tf_factor_by_tf: [f32; TF_TABLE_LEN],
 }
 
 impl Default for TfIdfWeighter {
@@ -133,15 +238,15 @@ impl TfIdfWeighter {
 
     /// The unnormalized weight of one occurrence: `(1 + ln tf) * idf`.
     pub fn weight(&self, term: TermId, freq: u32) -> f32 {
-        let tf = 1.0 + (freq as f32).ln();
-        tf * self.idf(term)
+        let tf = self.tf_factor_by_tf.get(freq as usize).copied();
+        tf.unwrap_or_else(|| tf_factor(freq)) * self.idf(term)
     }
 
     /// The frozen idf of a term — the bits [`CorpusStats::idf`] returned
     /// at freeze time, read from the idf-by-df table.
     pub fn idf(&self, term: TermId) -> f32 {
-        let df = self.stats.doc_freq(term);
-        match usize::try_from(df).ok().and_then(|i| self.idf_by_df.get(i)) {
+        let df = self.stats.doc_freq.get(term.0);
+        match self.idf_by_df.get(df as usize) {
             Some(&idf) => idf,
             None => idf_of(self.stats.n(), df),
         }
@@ -152,7 +257,7 @@ impl TfIdfWeighter {
         &self.stats
     }
 
-    /// True when `other` reads the same df map in memory (no copy was
+    /// True when `other` reads the same df table in memory (no copy was
     /// made between them).
     pub fn shares_stats_with(&self, other: &TfIdfWeighter) -> bool {
         Arc::ptr_eq(&self.stats.doc_freq, &other.stats.doc_freq)

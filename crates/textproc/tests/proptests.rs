@@ -4,12 +4,53 @@
 //! document the web could serve.
 
 use bingo_textproc::content::{make_pdf, make_word, make_zip, ContentRegistry};
+use bingo_textproc::fxhash::FxHashMap;
 use bingo_textproc::html;
 use bingo_textproc::stem::porter_stem;
+use bingo_textproc::tfidf::{CorpusStats, TfIdfWeighter};
 use bingo_textproc::tokenize::Tokenizer;
 use bingo_textproc::vector::SparseVector;
-use bingo_textproc::{analyze_html, MimeType, Vocabulary};
+use bingo_textproc::{analyze_html, MimeType, TermId, Vocabulary};
 use proptest::prelude::*;
+
+/// What `CorpusStats` was before its compact df table, and still is on
+/// disk: a document count and one `u32 → u64` map.
+#[derive(Default, serde::Serialize)]
+struct PlainCorpus {
+    doc_count: u64,
+    doc_freq: FxHashMap<u32, u64>,
+}
+
+impl PlainCorpus {
+    fn add_document(&mut self, features: &[u32]) {
+        self.doc_count += 1;
+        for &f in features {
+            *self.doc_freq.entry(f).or_insert(0) += 1;
+        }
+    }
+
+    fn df(&self, feature: u32) -> u64 {
+        self.doc_freq.get(&feature).copied().unwrap_or(0)
+    }
+
+    fn idf_bits(&self, feature: u32) -> u32 {
+        let (n, df) = (self.doc_count.max(1) as f32, self.df(feature) as f32);
+        let idf = if df == 0.0 {
+            (1.0 + n).ln()
+        } else {
+            (1.0 + n / df).ln()
+        };
+        idf.to_bits()
+    }
+}
+
+/// A feature of any of the four namespaces whose local index is small,
+/// next to the bound of the dense part of the df table (2¹⁶), or
+/// anywhere in the 30 bits.
+fn df_feature() -> impl Strategy<Value = u32> {
+    let local = prop_oneof![0u32..24, (1u32 << 16) - 3..(1 << 16) + 3, 0u32..1 << 30];
+    (0u32..4, local).prop_map(|(namespace, local)| namespace << 30 | local)
+}
 
 proptest! {
     // ---- HTML parser fuzzing ---------------------------------------
@@ -118,6 +159,50 @@ proptest! {
     }
 
     // ---- Sparse vectors (crate-level remap/filter laws) ---------------
+
+    // ---- Corpus statistics -----------------------------------------
+
+    #[test]
+    fn corpus_stats_answer_and_serialize_like_a_plain_map(
+        docs in proptest::collection::vec(proptest::collection::vec(df_feature(), 0..12), 0..12),
+        frozen_after in 0usize..12,
+        unseen in proptest::collection::vec(df_feature(), 4),
+    ) {
+        let mut stats = CorpusStats::new();
+        let mut plain = PlainCorpus::default();
+        let mut frozen: Option<(TfIdfWeighter, PlainCorpus)> = None;
+        let probes: Vec<u32> = docs.iter().flatten().copied().chain(unseen).collect();
+        let agree = |stats: &CorpusStats, weighter: &TfIdfWeighter, plain: &PlainCorpus| {
+            prop_assert_eq!(stats.doc_count(), plain.doc_count);
+            for &f in &probes {
+                prop_assert_eq!(stats.doc_freq(TermId(f)), plain.df(f), "df of {}", f);
+                prop_assert_eq!(stats.idf(TermId(f)).to_bits(), plain.idf_bits(f));
+                prop_assert_eq!(weighter.idf(TermId(f)).to_bits(), plain.idf_bits(f));
+            }
+            let json = serde_json::to_string(stats).unwrap();
+            prop_assert_eq!(&json, &serde_json::to_string(plain).unwrap());
+            let back: CorpusStats = serde_json::from_str(&json).unwrap();
+            prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
+            Ok(())
+        };
+        for (i, doc) in docs.iter().enumerate() {
+            if i == frozen_after {
+                let copy = PlainCorpus {
+                    doc_count: plain.doc_count,
+                    doc_freq: plain.doc_freq.clone(),
+                };
+                frozen = Some((stats.weighter(), copy));
+            }
+            // A feature listed twice in one document counts twice.
+            stats.add_document(doc.iter().map(|&f| TermId(f)));
+            plain.add_document(doc);
+        }
+        agree(&stats, &stats.weighter(), &plain)?;
+        // The view frozen mid-stream saw none of the later documents.
+        if let Some((weighter, plain_then)) = &frozen {
+            agree(weighter.stats(), weighter, plain_then)?;
+        }
+    }
 
     #[test]
     fn remap_drops_and_shifts_consistently(

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 /// The full payload served when fetching `id` (including format
 /// envelopes for non-HTML types).
 pub fn payload(world: &World, id: PageId) -> String {
-    let meta = world.page_meta(id);
+    let meta = world.page_ref(id);
     if let Some(ov) = &meta.content_override {
         return ov.to_string();
     }
@@ -53,33 +53,35 @@ pub fn payload(world: &World, id: PageId) -> String {
     }
 }
 
-/// Sample one word for a topical page: mostly topic lexicon (Zipf), some
-/// common vocabulary, some filler tail. Pages with a secondary topic
-/// split their topical mass between the two lexicons.
-fn sample_word_blended(
+/// Sample one word for a topical page onto the end of `out`: mostly
+/// topic lexicon (Zipf), some common vocabulary, some filler tail. Pages
+/// with a secondary topic split their topical mass between the two
+/// lexicons.
+fn push_word_blended(
+    out: &mut String,
     world: &World,
     topic: Option<u32>,
     secondary: Option<u32>,
     rng: &mut SmallRng,
-) -> String {
+) {
     let roll: f64 = rng.gen();
     match (topic, secondary) {
         (Some(t), Some(s)) if roll < 0.5 => {
             let pick = if rng.gen_bool(0.6) { t } else { s };
             let lex = world.topics()[pick as usize].lexicon;
-            lex[zipf(rng, lex.len())].to_string()
+            out.push_str(lex[zipf(rng, lex.len())]);
         }
         (Some(t), None) if roll < 0.5 => {
             let lex = world.topics()[t as usize].lexicon;
-            lex[zipf(rng, lex.len())].to_string()
+            out.push_str(lex[zipf(rng, lex.len())]);
         }
-        _ if roll < 0.85 => lexicon::COMMON[zipf(rng, lexicon::COMMON.len())].to_string(),
-        _ => lexicon::filler_word(rng.gen_range(0..5000u64)),
+        _ if roll < 0.85 => out.push_str(lexicon::COMMON[zipf(rng, lexicon::COMMON.len())]),
+        _ => lexicon::push_filler_word(out, rng.gen_range(0..5000u64)),
     }
 }
 
-fn sample_word(world: &World, topic: Option<u32>, rng: &mut SmallRng) -> String {
-    sample_word_blended(world, topic, None, rng)
+fn push_word(out: &mut String, world: &World, topic: Option<u32>, rng: &mut SmallRng) {
+    push_word_blended(out, world, topic, None, rng)
 }
 
 /// Zipf-ish index: low indexes much more likely.
@@ -97,37 +99,31 @@ fn words(world: &World, topic: Option<u32>, count: usize, rng: &mut SmallRng) ->
                 out.push(' ');
             }
         }
-        out.push_str(&sample_word(world, topic, rng));
+        push_word(&mut out, world, topic, rng);
     }
     out
 }
 
 fn content_text(world: &World, id: PageId, rng: &mut SmallRng) -> (String, String) {
-    let meta = world.page_meta(id);
+    let meta = world.page_ref(id);
     let n = rng.gen_range(120..300);
-    let title = format!(
-        "{} {}",
-        sample_word(world, meta.topic, rng),
-        sample_word(world, meta.topic, rng)
-    );
+    let mut title = String::new();
+    push_word(&mut title, world, meta.topic, rng);
+    title.push(' ');
+    push_word(&mut title, world, meta.topic, rng);
     let mut body = String::with_capacity(n * 8);
     for i in 0..n {
         if i > 0 {
             body.push(' ');
         }
-        body.push_str(&sample_word_blended(
-            world,
-            meta.topic,
-            meta.secondary_topic,
-            rng,
-        ));
+        push_word_blended(&mut body, world, meta.topic, meta.secondary_topic, rng);
     }
     (title, body)
 }
 
 fn welcome_text(world: &World, id: PageId, rng: &mut SmallRng) -> (String, String) {
-    let meta = world.page_meta(id);
-    let host = world.host_meta(meta.host);
+    let meta = world.page_ref(id);
+    let host = world.host_ref(meta.host);
     let n = rng.gen_range(8..25);
     (
         format!("Welcome to {}", host.name),
@@ -136,7 +132,7 @@ fn welcome_text(world: &World, id: PageId, rng: &mut SmallRng) -> (String, Strin
 }
 
 fn hub_text(world: &World, id: PageId, rng: &mut SmallRng) -> (String, String) {
-    let meta = world.page_meta(id);
+    let meta = world.page_ref(id);
     let n = rng.gen_range(30..60);
     let title = format!(
         "Resources on {}",
@@ -148,7 +144,7 @@ fn hub_text(world: &World, id: PageId, rng: &mut SmallRng) -> (String, String) {
 }
 
 fn author_home_text(world: &World, id: PageId, rng: &mut SmallRng) -> (String, String) {
-    let meta = world.page_meta(id);
+    let meta = world.page_ref(id);
     let author = &world.authors()[meta.author.unwrap() as usize];
     let n = rng.gen_range(60..120);
     (
@@ -163,17 +159,19 @@ fn author_home_text(world: &World, id: PageId, rng: &mut SmallRng) -> (String, S
 }
 
 fn author_pub_text(world: &World, id: PageId, rng: &mut SmallRng) -> (String, String) {
-    let meta = world.page_meta(id);
+    let meta = world.page_ref(id);
     let author = &world.authors()[meta.author.unwrap() as usize];
     let is_paper = meta.mime == MimeType::Pdf;
     let n = rng.gen_range(if is_paper { 200..400 } else { 100..250 });
     let title = if is_paper {
-        format!(
-            "{} {}: a {} approach",
-            sample_word(world, meta.topic, rng),
-            sample_word(world, meta.topic, rng),
-            sample_word(world, meta.topic, rng)
-        )
+        let mut title = String::new();
+        push_word(&mut title, world, meta.topic, rng);
+        title.push(' ');
+        push_word(&mut title, world, meta.topic, rng);
+        title.push_str(": a ");
+        push_word(&mut title, world, meta.topic, rng);
+        title.push_str(" approach");
+        title
     } else {
         format!("Publications of {}", author.name)
     };
@@ -184,40 +182,46 @@ fn author_pub_text(world: &World, id: PageId, rng: &mut SmallRng) -> (String, St
 /// target's alias URL (producing duplicate content under two URLs); some
 /// anchors are navigation noise ("click here").
 fn render_links(world: &World, id: PageId, rng: &mut SmallRng) -> String {
-    let meta = world.page_meta(id);
+    let meta = world.page_ref(id);
     let mut out = String::new();
     for &target in &meta.out {
-        let url = match world.alias_url_of(target) {
-            Some(alias) if rng.gen_bool(0.3) => alias.to_string(),
-            _ => world.url_of(target),
-        };
-        let anchor = anchor_text(world, target, rng);
-        out.push_str(&format!(" <a href=\"{url}\">{anchor}</a>"));
+        out.push_str(" <a href=\"");
+        match world.alias_url_of(target) {
+            Some(alias) if rng.gen_bool(0.3) => out.push_str(alias),
+            _ => out.push_str(&world.url_of(target)),
+        }
+        out.push_str("\">");
+        push_anchor_text(&mut out, world, target, rng);
+        out.push_str("</a>");
     }
     for raw in &meta.extra_out_urls {
-        out.push_str(&format!(" <a href=\"{raw}\">more</a>"));
+        out.push_str(" <a href=\"");
+        out.push_str(raw);
+        out.push_str("\">more</a>");
     }
     out
 }
 
-fn anchor_text(world: &World, target: PageId, rng: &mut SmallRng) -> String {
+fn push_anchor_text(out: &mut String, world: &World, target: PageId, rng: &mut SmallRng) {
     if rng.gen_bool(0.15) {
-        return ["click here", "more", "link", "home page", "next page"][rng.gen_range(0..5)]
-            .to_string();
+        out.push_str(["click here", "more", "link", "home page", "next page"][rng.gen_range(0..5)]);
+        return;
     }
-    let meta = world.page_meta(target);
+    let meta = world.page_ref(target);
     match meta.kind {
         PageKind::AuthorHome => {
-            let a = &world.authors()[meta.author.unwrap() as usize];
-            a.name.clone()
+            out.push_str(&world.authors()[meta.author.unwrap() as usize].name);
         }
-        PageKind::AuthorPub => format!("{} paper", sample_word(world, meta.topic, rng)),
-        PageKind::Welcome => world.host_meta(meta.host).name.clone(),
-        _ => format!(
-            "{} {}",
-            sample_word(world, meta.topic, rng),
-            sample_word(world, meta.topic, rng)
-        ),
+        PageKind::AuthorPub => {
+            push_word(out, world, meta.topic, rng);
+            out.push_str(" paper");
+        }
+        PageKind::Welcome => out.push_str(&world.host_ref(meta.host).name),
+        _ => {
+            push_word(out, world, meta.topic, rng);
+            out.push(' ');
+            push_word(out, world, meta.topic, rng);
+        }
     }
 }
 

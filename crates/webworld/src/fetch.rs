@@ -12,6 +12,7 @@ use crate::{HostBehavior, HostMeta, World};
 use bingo_graph::{HostId, PageId};
 use bingo_textproc::fxhash;
 use bingo_textproc::MimeType;
+use std::borrow::Cow;
 
 /// Simulated bandwidth: bytes transferred per virtual millisecond.
 pub const BYTES_PER_MS: u64 = 2000;
@@ -196,8 +197,8 @@ impl World {
             };
         };
 
-        let meta = self.page_meta(page_id);
-        let host = self.host_meta(meta.host);
+        let meta = self.page_ref(page_id);
+        let host = self.host_ref(meta.host);
         match host.behavior {
             HostBehavior::Dead => {
                 return FetchOutcome::Err {
@@ -306,14 +307,12 @@ impl World {
         })
     }
 
-    fn find_host(&self, name: &str) -> Option<(HostId, HostMeta)> {
+    fn find_host(&self, name: &str) -> Option<(HostId, Cow<'_, HostMeta>)> {
         if let Some(p) = &self.paged {
-            return p.find_host(name);
+            return p.find_host(name).map(|(id, host)| (id, Cow::Owned(host)));
         }
-        self.hosts
-            .iter()
-            .position(|h| h.name == name)
-            .map(|i| (i as HostId, self.hosts[i].clone()))
+        let id = *self.host_index.get(name)?;
+        Some((id, Cow::Borrowed(&self.hosts[id as usize])))
     }
 }
 

@@ -769,6 +769,12 @@ impl Generator {
             url_index.insert(alias.clone(), id);
         }
 
+        // Host index; the first host of a name answers for it.
+        let mut host_index: FxHashMap<String, HostId> = FxHashMap::default();
+        for (id, host) in (0..).zip(&self.hosts) {
+            host_index.entry(host.name.clone()).or_insert(id);
+        }
+
         // In-link index.
         let mut in_links: FxHashMap<PageId, Vec<PageId>> = FxHashMap::default();
         for id in 0..n {
@@ -792,6 +798,7 @@ impl Generator {
             seed: self.cfg.seed,
             pages: self.pages,
             hosts: self.hosts,
+            host_index,
             topics: self.topics,
             url_index,
             aliases,

@@ -44,6 +44,7 @@ use bingo_graph::{HostId, LinkSource, PageId};
 use bingo_textproc::fxhash::FxHashMap;
 use bingo_textproc::MimeType;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// What role a page plays in the web's structure.
@@ -145,6 +146,8 @@ pub struct World {
     pub(crate) seed: u64,
     pub(crate) pages: Vec<PageMeta>,
     pub(crate) hosts: Vec<HostMeta>,
+    /// Host name → id; among hosts of one name the first.
+    pub(crate) host_index: FxHashMap<String, HostId>,
     pub(crate) topics: Vec<TopicInfo>,
     pub(crate) url_index: FxHashMap<String, PageId>,
     /// Alias URL per page (a second path serving identical content).
@@ -211,17 +214,28 @@ impl World {
 
     /// Owned page metadata; works on both eager and paged worlds.
     pub fn page_meta(&self, id: PageId) -> PageMeta {
-        match &self.paged {
-            Some(p) => p.page_meta(id),
-            None => self.pages[id as usize].clone(),
-        }
+        self.page_ref(id).into_owned()
     }
 
     /// Owned host metadata; works on both eager and paged worlds.
     pub fn host_meta(&self, id: HostId) -> HostMeta {
+        self.host_ref(id).into_owned()
+    }
+
+    /// Page metadata for the simulator's own fetch and content paths:
+    /// borrowed from an eager world, generated by a paged one.
+    pub(crate) fn page_ref(&self, id: PageId) -> Cow<'_, PageMeta> {
         match &self.paged {
-            Some(p) => p.host_meta(id),
-            None => self.hosts[id as usize].clone(),
+            Some(p) => Cow::Owned(p.page_meta(id)),
+            None => Cow::Borrowed(&self.pages[id as usize]),
+        }
+    }
+
+    /// Host metadata, as [`page_ref`](Self::page_ref).
+    pub(crate) fn host_ref(&self, id: HostId) -> Cow<'_, HostMeta> {
+        match &self.paged {
+            Some(p) => Cow::Owned(p.host_meta(id)),
+            None => Cow::Borrowed(&self.hosts[id as usize]),
         }
     }
 

@@ -349,6 +349,7 @@ impl World {
             seed: cfg.seed,
             pages: Vec::new(),
             hosts: Vec::new(),
+            host_index: FxHashMap::default(),
             topics: topic_infos(),
             url_index: FxHashMap::default(),
             aliases: FxHashMap::default(),

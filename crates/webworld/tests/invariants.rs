@@ -206,3 +206,35 @@ fn blending_respects_relatedness() {
         }
     }
 }
+
+/// Running digest of what the first `pages` pages serve: the generated
+/// payload, and the whole outcome of fetching the canonical URL.
+fn served_digest(world: &World, pages: u64) -> (u64, u64) {
+    use bingo_textproc::fxhash::hash_one;
+    (0..pages).fold((0, 0), |(payloads, fetches), id| {
+        let payload = content_gen::payload(world, id);
+        let outcome = format!("{:?}", world.fetch(&world.url_of(id), 0));
+        (
+            hash_one(&(payloads, payload.as_str())),
+            hash_one(&(fetches, outcome.as_str())),
+        )
+    })
+}
+
+/// The simulator is the input of every benchmark workload and every
+/// recorded report: what a page serves is pinned, digests recorded
+/// before content generation stopped allocating per word and fetches
+/// stopped cloning page and host metadata.
+#[test]
+fn served_content_is_pinned() {
+    let eager = WorldConfig::portal(2003, 300, 1).build();
+    assert_eq!(
+        served_digest(&eager, 500),
+        (5788488773033338018, 1430618683250780342)
+    );
+    let paged = World::paged(bingo_webworld::PagedConfig::scale_smoke(2003));
+    assert_eq!(
+        served_digest(&paged, 500),
+        (16463262941268131461, 12063756773045639547)
+    );
+}
