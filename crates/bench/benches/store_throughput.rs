@@ -1,21 +1,16 @@
-//! E8: storage-pipeline throughput (Section 4.1).
+//! E8: storage throughput (Section 4.1).
 //!
 //! The paper's lesson: per-row inserts cannot keep up; per-thread
 //! workspaces flushed through a bulk loader sustain "up to ten thousand
 //! documents per minute" (on 2002 hardware). These benches measure
-//! row-at-a-time vs. batched loading, and the full multi-threaded
-//! fetch→convert→analyze→bulk-load pipeline (documents per minute is
-//! printed by the pipeline benchmark's throughput estimate).
+//! row-at-a-time vs. batched loading, alone and with eight writers. The
+//! whole multi-threaded fetch→convert→analyze→classify→bulk-load
+//! pipeline is timed by the `pipeline_mt` workload of `benchmark/`.
 
-use bingo_crawler::threaded::{run_pipeline, PipelineOptions};
-use bingo_crawler::{CrawlTelemetry, Judgment};
 use bingo_store::{BulkLoader, DocumentRow, DocumentStore};
-use bingo_textproc::{MimeType, SharedVocabulary};
-use bingo_webworld::gen::WorldConfig;
-use bingo_webworld::World;
+use bingo_textproc::MimeType;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use std::sync::Arc;
 
 fn row(id: u64) -> DocumentRow {
     DocumentRow {
@@ -117,64 +112,5 @@ fn bench_contended_inserts(c: &mut Criterion) {
     group.finish();
 }
 
-fn healthy_urls(world: &World, n: usize) -> Vec<String> {
-    (0..world.page_count() as u64)
-        .filter(|&id| {
-            world.page(id).size_hint.is_none()
-                && world.page(id).redirect_to.is_none()
-                && world.host(world.page(id).host).behavior == bingo_webworld::HostBehavior::Normal
-        })
-        .take(n)
-        .map(|id| world.url_of(id))
-        .collect()
-}
-
-fn no_judge(
-    _doc: &bingo_textproc::AnalyzedDocument,
-    _ctx: &bingo_crawler::PageContext,
-) -> Judgment {
-    Judgment {
-        topic: None,
-        confidence: 0.0,
-    }
-}
-
-fn bench_full_pipeline(c: &mut Criterion) {
-    let world = Arc::new(WorldConfig::small_test(8).build());
-    let urls = healthy_urls(&world, 400);
-    let mut group = c.benchmark_group("analyze_and_load_pipeline");
-    group.throughput(Throughput::Elements(urls.len() as u64));
-    group.sample_size(10);
-    for &threads in &[1usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let store = DocumentStore::new();
-                    let vocab = SharedVocabulary::new();
-                    let telemetry = CrawlTelemetry::default();
-                    let report = run_pipeline(
-                        Arc::clone(&world),
-                        store,
-                        urls.iter().map(|u| (u.clone(), None)).collect(),
-                        &vocab,
-                        &no_judge,
-                        &telemetry,
-                        &PipelineOptions::flat(threads, 256),
-                    );
-                    black_box(report.documents)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_insert_strategies,
-    bench_contended_inserts,
-    bench_full_pipeline
-);
+criterion_group!(benches, bench_insert_strategies, bench_contended_inserts);
 criterion_main!(benches);

@@ -10,9 +10,10 @@
 //! so do the three executors here. An executor is only its scheduler:
 //! the discrete-event [`crate::Crawler`] (virtual-clock frontier,
 //! politeness slots, breakers, retries), the real-thread
-//! [`crate::threaded::run_pipeline`] (a level queue drained by N
-//! workers) and the distributed worker node (a leased shard). Each owns
-//! one [`DocPipeline`] per worker and calls, in order:
+//! [`crate::threaded::run_pipeline`] (a flat work list drained by N
+//! workers, no link following) and the distributed worker node (a
+//! leased shard). Each owns one [`DocPipeline`] per worker and calls,
+//! in order:
 //!
 //! * [`DocPipeline::run`] — MIME/size admission, response
 //!   fingerprints, HTML conversion, analysis, classification, document
@@ -20,13 +21,14 @@
 //!   callbacks: the response-fingerprint test (a plain [`crate::Dedup`]
 //!   or one behind a mutex) and the judge.
 //! * [`DocPipeline::settle`] — the one mapping from a [`DocOutcome`] to
-//!   [`CrawlStats`] and the neighbour-term cache.
+//!   [`CrawlStats`]. A scheduler that feeds successors' neighbour
+//!   features first hands the outcome to [`PageTermCache::record`].
 //! * [`plan_links`] / [`admit_link`] — the Section 3.3 focus decision
 //!   and the per-link hygiene filter, pure functions of the
 //!   configuration, the parent's queue entry and the judgment. What
 //!   stays with the scheduler is only what needs its state: the host
-//!   breaker, the duplicate filter's locking, the authority blend and
-//!   where the entry is pushed.
+//!   breaker, the duplicate filter, the authority blend and where the
+//!   entry is pushed.
 //!
 //! Link rows are emitted for **every resolvable out-link of a stored
 //! document** (order-independent), not just for links that survived the
@@ -72,7 +74,7 @@ pub struct FetchedDoc {
     /// Top terms of the enqueuing predecessor (neighbour feature space).
     pub neighbor_terms: Vec<TermId>,
     /// Timestamp recorded as `fetched_at`: virtual ms on the
-    /// deterministic executor, run-relative wall ms on the threaded one.
+    /// deterministic executor, 0 on the threaded one.
     pub fetched_at: u64,
 }
 
@@ -172,7 +174,7 @@ pub struct PipelineMetrics {
     pub batches: Counter,
     /// Documents per batch.
     pub batch_docs: Arc<Histogram>,
-    /// URLs waiting ahead of the pipeline (frontier or level queue).
+    /// URLs waiting ahead of the pipeline (frontier or work list).
     pub queue_depth: Gauge,
 }
 
@@ -253,9 +255,20 @@ impl PageTermCache {
         }
     }
 
+    /// Record the top terms of the page `outcome` analyzed: a stored
+    /// page, or one already stored (the same page re-fetched through
+    /// another alias or redirect chain). Other outcomes record nothing.
+    pub fn record(&mut self, outcome: &DocOutcome) {
+        if let DocOutcome::Stored { page_id, doc, .. }
+        | DocOutcome::AlreadyStored { page_id, doc, .. } = outcome
+        {
+            self.insert(*page_id, top_terms(doc));
+        }
+    }
+
     /// Record `page_id`'s top terms, evicting the oldest page past the
     /// cap.
-    pub fn insert(&mut self, page_id: u64, terms: Vec<TermId>) {
+    fn insert(&mut self, page_id: u64, terms: Vec<TermId>) {
         let fresh = self.map.insert(page_id, terms).is_none();
         if self.cap > 0 && fresh {
             self.order.push_back(page_id);
@@ -509,16 +522,13 @@ impl DocPipeline {
 
     /// Settle one outcome: fold it into the crawl counters
     /// (`mime_rejected`, `duplicates`, `wasted_bytes`, `stored_pages`,
-    /// `positively_classified`, `extracted_links`, `crawl.stored`) and
-    /// remember the page's top terms for its successors — also for
-    /// [`DocOutcome::AlreadyStored`], the same page re-fetched through
-    /// another alias or redirect chain. Returns the newly stored page,
-    /// whose links the scheduler may now follow.
+    /// `positively_classified`, `extracted_links`, `crawl.stored`).
+    /// Returns the newly stored page, whose links the scheduler may now
+    /// follow.
     pub fn settle<'o>(
         &self,
         outcome: &'o DocOutcome,
         stats: &mut CrawlStats,
-        terms: &mut PageTermCache,
     ) -> Option<(u64, &'o AnalyzedDocument, &'o Judgment)> {
         match outcome {
             DocOutcome::MimeFiltered => stats.mime_rejected += 1,
@@ -527,16 +537,12 @@ impl DocPipeline {
                 stats.mime_rejected += 1;
                 stats.wasted_bytes += wasted_bytes;
             }
-            DocOutcome::AlreadyStored { page_id, doc, .. } => {
-                terms.insert(*page_id, top_terms(doc));
-                stats.duplicates += 1;
-            }
+            DocOutcome::AlreadyStored { .. } => stats.duplicates += 1,
             DocOutcome::Stored {
                 page_id,
                 doc,
                 judgment,
             } => {
-                terms.insert(*page_id, top_terms(doc));
                 stats.stored_pages += 1;
                 self.stored.inc();
                 if judgment.topic.is_some() {
@@ -709,7 +715,7 @@ mod tests {
         };
         // Columns: mime_rejected, duplicates, wasted_bytes, stored_pages,
         // positively_classified, extracted_links, crawl.stored; then
-        // whether the page's top terms are recorded.
+        // whether `PageTermCache::record` keeps the page's top terms.
         let cases = [
             (DocOutcome::MimeFiltered, [1, 0, 0, 0, 0, 0, 0], false),
             (DocOutcome::DuplicateContent, [0, 1, 0, 0, 0, 0, 0], false),
@@ -727,7 +733,8 @@ mod tests {
             let pipeline = DocPipeline::new(DocumentStore::new(), 1, &telemetry);
             let mut stats = CrawlStats::default();
             let mut terms = PageTermCache::new(0);
-            pipeline.settle(&outcome, &mut stats, &mut terms);
+            terms.record(&outcome);
+            pipeline.settle(&outcome, &mut stats);
             // The whole struct is compared: no other counter may move.
             let want_stats = CrawlStats {
                 mime_rejected: want[0],

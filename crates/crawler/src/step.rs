@@ -682,10 +682,8 @@ impl Crawler {
             )
             .pop()
             .expect("one outcome per document");
-        let settled = self
-            .pipeline
-            .settle(&outcome, &mut self.stats, &mut self.page_top_terms);
-        match settled {
+        self.page_top_terms.record(&outcome);
+        match self.pipeline.settle(&outcome, &mut self.stats) {
             Some((page_id, doc, &judgment)) => {
                 self.enqueue_links(&entry, &judgment, doc, page_id);
                 StepOutcome::Stored { page_id, judgment }
@@ -1082,6 +1080,62 @@ mod tests {
             stored_rejecting > 0,
             "tunnelling must still pass welcome pages"
         );
+    }
+
+    #[test]
+    fn rejected_pages_tunnel_for_max_tunnel_hops_and_no_further() {
+        // Every accepted page gets a topic of its own, so a page's
+        // `src_topic` names its nearest accepted ancestor and the depth
+        // gap between the two counts the rejected pages tunnelled
+        // through — the `tunnel` its queue entry carried. Soft focus
+        // and no depth limit as in harvesting, but depth-first order:
+        // best-first pops tunnelled links last, after other paths have
+        // claimed nearly every page, so a tunnel one hop too long would
+        // go unseen.
+        let world = Arc::new(WorldConfig::small_test(43).build());
+        let config = CrawlConfig {
+            strategy: CrawlStrategy::DepthFirst,
+            ..CrawlConfig::default().harvesting()
+        };
+        let mut crawler = Crawler::new(world.clone(), config.clone(), DocumentStore::new());
+        crawler.add_seed(&world.url_of(0), None);
+        let mut log: Vec<(PageContext, bool)> = Vec::new();
+        let mut judge = |_: &AnalyzedDocument, ctx: &PageContext| {
+            let accepted = ctx.page_id == 0 || fxhash::hash_one(&ctx.page_id).is_multiple_of(3);
+            log.push((ctx.clone(), accepted));
+            match accepted {
+                true => Judgment {
+                    topic: Some(ctx.page_id as u32),
+                    confidence: 0.5,
+                },
+                false => Judgment::reject(-0.5),
+            }
+        };
+        let mut vocab = Vocabulary::new();
+        while crawler.step(&mut judge, &mut vocab) != StepOutcome::FrontierEmpty {}
+        // A page judged again through an alias follows no links: the
+        // first judgment is the one its successors descend from.
+        let mut accepted_depth: fxhash::FxHashMap<u32, u32> = Default::default();
+        for (ctx, _) in log.iter().filter(|(_, accepted)| *accepted) {
+            accepted_depth
+                .entry(ctx.page_id as u32)
+                .or_insert(ctx.depth);
+        }
+        let tunnels: Vec<(u32, bool)> = log
+            .iter()
+            .filter_map(|(ctx, accepted)| {
+                Some((ctx.depth - accepted_depth[&ctx.src_topic?] - 1, *accepted))
+            })
+            .collect();
+        assert!(tunnels.len() > 20, "crawl too small: {}", tunnels.len());
+        for hops in 0..=config.max_tunnel {
+            assert!(
+                tunnels.contains(&(hops, false)),
+                "no rejected page reached through {hops} rejected pages"
+            );
+        }
+        // A page rejected at the tunnelling limit does not propagate.
+        assert!(tunnels.iter().all(|&(hops, _)| hops <= config.max_tunnel));
     }
 
     #[test]

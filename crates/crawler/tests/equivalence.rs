@@ -1,11 +1,16 @@
 //! Executor equivalence: the deterministic discrete-event crawler and
 //! the real-thread batch executor drive the *same* staged document
-//! pipeline, so crawling the same URL universe with the same judge must
+//! pipeline, so storing the same URL list with the same judge must
 //! produce identical store contents — same documents, same depths, same
-//! canonical term ids, same link rows — modulo row order and wall-clock
-//! timestamps.
+//! canonical term ids, same link rows — modulo row order and
+//! `fetched_at` (virtual time against 0).
 //!
-//! The crawl is restricted to "calm" hosts (no faults, redirects,
+//! The real-thread executor runs a flat work list and follows no links,
+//! so the discrete-event `Crawler` is seeded with the *whole* list: it
+//! has nothing left to discover, stores every URL at depth 0, and any
+//! link it did follow would show up as an extra row or a depth ≥ 1.
+//!
+//! The list is every page of the "calm" hosts (no faults, redirects,
 //! truncation, path aliases or fingerprint collisions) because
 //! response-fingerprint duplicate elimination and breaker-driven drops
 //! are inherently order-dependent: outside that universe the two
@@ -77,8 +82,73 @@ fn calm_hosts(world: &World) -> FxHashSet<String> {
     allowed
 }
 
+/// Every page of the `allowed` hosts, sorted by URL.
+fn calm_urls(world: &World, allowed: &FxHashSet<String>) -> Vec<String> {
+    let mut urls: Vec<String> = (0..world.page_count() as u64)
+        .filter(|&id| allowed.contains(&world.host(world.page(id).host).name))
+        .map(|id| world.url_of(id))
+        .collect();
+    urls.sort();
+    urls
+}
+
+/// A world without path aliases: an aliased page stores under whichever
+/// of its URLs is fetched first, which is legitimately order-dependent.
+fn alias_free_world() -> Arc<World> {
+    Arc::new(
+        WorldConfig {
+            alias_fraction: 0.0,
+            ..WorldConfig::small_test(41)
+        }
+        .build(),
+    )
+}
+
+fn accept_all(_: &AnalyzedDocument, _: &PageContext) -> Judgment {
+    Judgment {
+        topic: Some(0),
+        confidence: 1.0,
+    }
+}
+
+/// The discrete-event crawler seeded with all of `seeds`, run until its
+/// frontier empties, term ids made canonical.
+fn det_run(
+    world: &Arc<World>,
+    config: &CrawlConfig,
+    seeds: &[String],
+    store: DocumentStore,
+) -> DocumentStore {
+    let mut crawler = Crawler::new(Arc::clone(world), config.clone(), store.clone());
+    for url in seeds {
+        crawler.add_seed(url, Some(0));
+    }
+    let mut vocab = Vocabulary::new();
+    let mut judge = accept_all;
+    while crawler.step(&mut judge, &mut vocab) != StepOutcome::FrontierEmpty {}
+    store.remap_terms(&vocab.canonical_map(0)).unwrap();
+    store
+}
+
+/// The real-thread executor over `seeds`, term ids made canonical.
+fn thr_run(world: &Arc<World>, seeds: &[String], store: DocumentStore) -> DocumentStore {
+    let shared = SharedVocabulary::new();
+    bingo_crawler::run_pipeline(
+        Arc::clone(world),
+        store.clone(),
+        seeds.iter().map(|u| (u.clone(), Some(0))).collect(),
+        &shared,
+        &accept_all,
+        &CrawlTelemetry::default(),
+        &PipelineOptions::flat(4, 7),
+    );
+    let (_, map) = shared.canonicalize();
+    store.remap_terms(&map).unwrap();
+    store
+}
+
 /// One comparable document row: everything except `fetched_at` (virtual
-/// vs. wall time) — id, url, host, mime, depth, title, judgment, term
+/// time vs. 0) — id, url, host, mime, depth, title, judgment, term
 /// vector, size.
 type RowKey = (
     u64,
@@ -128,83 +198,24 @@ fn link_keys(store: &DocumentStore) -> Vec<(u64, u64, String)> {
 
 #[test]
 fn deterministic_and_threaded_executors_fill_identical_stores() {
-    // Aliased pages store under whichever of their URLs is fetched
-    // first — legitimately order-dependent — so this world has none.
-    let world = Arc::new(
-        WorldConfig {
-            alias_fraction: 0.0,
-            ..WorldConfig::small_test(41)
-        }
-        .build(),
-    );
+    let world = alias_free_world();
     let allowed = calm_hosts(&world);
     assert!(allowed.len() >= 2, "world too hostile for the test");
-    let seeds: Vec<String> = {
-        let mut first_page_by_host: FxHashMap<u32, u64> = FxHashMap::default();
-        for id in 0..world.page_count() as u64 {
-            let e = first_page_by_host.entry(world.page(id).host).or_insert(id);
-            *e = (*e).min(id);
-        }
-        let mut urls: Vec<String> = first_page_by_host
-            .into_values()
-            .filter(|&id| allowed.contains(&world.host(world.page(id).host).name))
-            .map(|id| world.url_of(id))
-            .collect();
-        urls.sort();
-        urls
-    };
-    assert!(!seeds.is_empty());
+    let seeds = calm_urls(&world, &allowed);
     let config = CrawlConfig {
-        allowed_hosts: Some(allowed.clone()),
+        allowed_hosts: Some(allowed),
         ..CrawlConfig::default().harvesting()
     };
-    let accept_all = |_: &AnalyzedDocument, _: &PageContext| Judgment {
-        topic: Some(0),
-        confidence: 1.0,
-    };
 
-    // Deterministic discrete-event crawl with a private vocabulary.
-    let det_store = DocumentStore::new();
-    let mut crawler = Crawler::new(Arc::clone(&world), config.clone(), det_store.clone());
-    for url in &seeds {
-        crawler.add_seed(url, Some(0));
-    }
-    let mut vocab = Vocabulary::new();
-    let mut judge = accept_all;
-    loop {
-        if crawler.step(&mut judge, &mut vocab) == StepOutcome::FrontierEmpty {
-            break;
-        }
-    }
-    det_store.remap_terms(&vocab.canonical_map(0)).unwrap();
+    let det_store = det_run(&world, &config, &seeds, DocumentStore::new());
+    let thr_store = thr_run(&world, &seeds, DocumentStore::new());
 
-    // Real-thread batch executor over the shared vocabulary.
-    let thr_store = DocumentStore::new();
-    let shared = SharedVocabulary::new();
-    bingo_crawler::run_pipeline(
-        Arc::clone(&world),
-        thr_store.clone(),
-        seeds.iter().map(|u| (u.clone(), Some(0))).collect(),
-        &shared,
-        &accept_all,
-        &CrawlTelemetry::default(),
-        &PipelineOptions::focused(config, 4, 7),
-    );
-    let (_, map) = shared.canonicalize();
-    thr_store.remap_terms(&map).unwrap();
-
-    // The crawl must be non-trivial: multiple documents, real depths,
-    // link rows.
-    assert!(
-        det_store.document_count() >= 10,
-        "crawl too small to be meaningful: {} docs",
-        det_store.document_count()
-    );
+    // Every seed stored once, at depth 0: a queue-cap drop or a
+    // followed link fails here rather than hiding in the comparison.
     let det_rows = row_keys(&det_store);
-    assert!(
-        det_rows.iter().any(|r| r.4 >= 1),
-        "no document beyond depth 0"
-    );
+    assert!(det_rows.len() >= 10, "too few rows: {}", det_rows.len());
+    assert_eq!(det_rows.len(), seeds.len());
+    assert!(det_rows.iter().all(|r| r.4 == 0), "a row beyond depth 0");
     assert!(det_store.link_count() > 0, "no link rows emitted");
 
     assert_eq!(det_rows, row_keys(&thr_store));
@@ -214,70 +225,37 @@ fn deterministic_and_threaded_executors_fill_identical_stores() {
 #[test]
 fn segmented_store_runs_match_in_memory_byte_for_byte() {
     // Both executors over a disk-backed segmented store must produce
-    // the same harvest as over the plain in-memory store — and for the
-    // deterministic executor (virtual timestamps) the persisted
-    // snapshot must be *byte-identical*, sealed segments and all.
-    let world = Arc::new(
-        WorldConfig {
-            alias_fraction: 0.0,
-            ..WorldConfig::small_test(41)
-        }
-        .build(),
-    );
+    // the same rows as over the plain in-memory store — and for the
+    // deterministic executor the persisted snapshot must be
+    // *byte-identical*, sealed segments and all.
+    let world = alias_free_world();
     let allowed = calm_hosts(&world);
     assert!(allowed.len() >= 2, "world too hostile for the test");
-    let seeds: Vec<String> = {
-        let mut first_page_by_host: FxHashMap<u32, u64> = FxHashMap::default();
-        for id in 0..world.page_count() as u64 {
-            let e = first_page_by_host.entry(world.page(id).host).or_insert(id);
-            *e = (*e).min(id);
-        }
-        let mut urls: Vec<String> = first_page_by_host
-            .into_values()
-            .filter(|&id| allowed.contains(&world.host(world.page(id).host).name))
-            .map(|id| world.url_of(id))
-            .collect();
-        urls.sort();
-        urls
-    };
+    let seeds = calm_urls(&world, &allowed);
     let config = CrawlConfig {
-        allowed_hosts: Some(allowed.clone()),
+        allowed_hosts: Some(allowed),
         ..CrawlConfig::default().harvesting()
-    };
-    let accept_all = |_: &AnalyzedDocument, _: &PageContext| Judgment {
-        topic: Some(0),
-        confidence: 1.0,
     };
 
     let seg_dir = |tag: &str| {
-        let dir = std::env::temp_dir().join(format!("bingo-equiv-seg-{tag}"));
+        let dir = seg_dir2(tag);
         std::fs::remove_dir_all(&dir).ok();
         dir
     };
-    // Seal every 16 documents so the crawl genuinely spans segments.
-    let det_run = |store: DocumentStore| {
-        let mut crawler = Crawler::new(Arc::clone(&world), config.clone(), store.clone());
-        for url in &seeds {
-            crawler.add_seed(url, Some(0));
-        }
-        let mut vocab = Vocabulary::new();
-        let mut judge = accept_all;
-        loop {
-            if crawler.step(&mut judge, &mut vocab) == StepOutcome::FrontierEmpty {
-                break;
-            }
-        }
-        store.remap_terms(&vocab.canonical_map(0)).unwrap();
-        store
-    };
-    let det_mem = det_run(DocumentStore::new());
-    let det_seg = det_run(DocumentStore::segmented_with(seg_dir("det"), 16).expect("open"));
+    // Seal every 16 documents so the run genuinely spans segments.
+    let det_mem = det_run(&world, &config, &seeds, DocumentStore::new());
+    let det_seg = det_run(
+        &world,
+        &config,
+        &seeds,
+        DocumentStore::segmented_with(seg_dir("det"), 16).expect("open"),
+    );
     assert!(
         det_seg.segment_count() >= 2,
-        "crawl too small to span segments: {}",
+        "run too small to span segments: {}",
         det_seg.segment_count()
     );
-    assert!(det_mem.document_count() >= 10, "crawl too small");
+    assert_eq!(det_mem.document_count(), seeds.len());
     assert_eq!(row_keys(&det_mem), row_keys(&det_seg));
     assert_eq!(link_keys(&det_mem), link_keys(&det_seg));
 
@@ -292,29 +270,18 @@ fn segmented_store_runs_match_in_memory_byte_for_byte() {
         "segmented snapshot must serialize byte-identically to in-memory"
     );
 
-    // The threaded executor uses wall-clock timestamps, so it gets the
+    // The threaded executor's rows carry `fetched_at` 0, so it gets the
     // row/link comparison (everything but `fetched_at`).
-    let thr_run = |store: DocumentStore| {
-        let shared = SharedVocabulary::new();
-        bingo_crawler::run_pipeline(
-            Arc::clone(&world),
-            store.clone(),
-            seeds.iter().map(|u| (u.clone(), Some(0))).collect(),
-            &shared,
-            &accept_all,
-            &CrawlTelemetry::default(),
-            &PipelineOptions::focused(config.clone(), 4, 7),
-        );
-        let (_, map) = shared.canonicalize();
-        store.remap_terms(&map).unwrap();
-        store
-    };
-    let thr_seg = thr_run(DocumentStore::segmented_with(seg_dir("thr"), 16).expect("open"));
+    let thr_seg = thr_run(
+        &world,
+        &seeds,
+        DocumentStore::segmented_with(seg_dir("thr"), 16).expect("open"),
+    );
     assert!(thr_seg.segment_count() >= 2, "threaded run never sealed");
     assert_eq!(row_keys(&det_mem), row_keys(&thr_seg));
     assert_eq!(link_keys(&det_mem), link_keys(&thr_seg));
 
-    // A reopened spine serves the identical harvest back from disk.
+    // A reopened spine serves the identical rows back from disk.
     // (Seal the workspace tail first: unsealed rows live in memory.)
     det_seg.seal_now().expect("final seal");
     drop(det_seg);
@@ -339,30 +306,17 @@ fn panic_injected_run_matches_calm_run_minus_quarantined() {
     // store equals the calm run's store minus exactly the quarantined
     // documents. Classify-stage faults fire *after* analysis, so both
     // runs intern the same term universe and canonical ids line up.
-    let world = Arc::new(
-        WorldConfig {
-            alias_fraction: 0.0,
-            ..WorldConfig::small_test(41)
-        }
-        .build(),
-    );
-    let allowed = calm_hosts(&world);
-    let mut urls: Vec<String> = (0..world.page_count() as u64)
-        .filter(|&id| allowed.contains(&world.host(world.page(id).host).name))
-        .map(|id| world.url_of(id))
-        .collect();
-    urls.sort();
+    let world = alias_free_world();
+    let urls = calm_urls(&world, &calm_hosts(&world));
     assert!(urls.len() >= 10, "world too hostile for the test");
 
-    let accept_all = |_: &AnalyzedDocument, _: &PageContext| Judgment {
-        topic: Some(0),
-        confidence: 1.0,
-    };
     let run = |fault: Option<FaultPlan>| {
         let store = DocumentStore::new();
         let shared = SharedVocabulary::new();
-        let mut opts = PipelineOptions::flat(4, 8);
-        opts.fault = fault;
+        let opts = match fault {
+            Some(fault) => PipelineOptions::flat(4, 8).with_fault(fault),
+            None => PipelineOptions::flat(4, 8),
+        };
         let report = bingo_crawler::run_pipeline(
             Arc::clone(&world),
             store.clone(),
