@@ -167,6 +167,12 @@ if wants test; then
 
     step "cargo test" cargo test -q --offline --workspace
 
+    # Every persisted byte goes through the vendored JSON codec. Its
+    # crates sit inside the workspace, so the step above runs their tests
+    # too; this one reports them under their own heading.
+    step "cargo test (vendored JSON codec)" \
+        cargo test -q --offline -p serde -p serde_json
+
     # benchmark/ is its own workspace over path deps on ../crates/*: a
     # refactor that breaks the API surface it froze must fail in CI,
     # not at benchmark time.

@@ -711,7 +711,8 @@ struct ScaleParams {
 /// gated as the `rss_within_budget` bit); the deterministic coverage,
 /// harvest and segment counts gate tightly. The crawl commits a session
 /// generation every `checkpoint_every` stored pages inside the measured
-/// leg, and the newest one is resumed afterwards: `generations_written`
+/// leg, and the newest one is resumed afterwards, still inside the RSS
+/// window (the peak is read after the resume): `generations_written`
 /// must not shrink, no generation may serialise more document rows than
 /// the recorded `generation_rows_max` (the run itself asserts it stays
 /// under `seal_every` — a generation references sealed rows, it does
@@ -873,7 +874,7 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
                 let newest = durable::generation_numbers(&session)[0];
                 let file = durable::generation_dir(&session, newest).join(STORE_FILE);
                 let text = std::fs::read_to_string(file).expect("generation store file");
-                let header = Value::parse_json(text.lines().next().unwrap_or_default())
+                let header: Value = serde_json::from_str(text.lines().next().unwrap_or_default())
                     .expect("generation store header");
                 let rows = json_path(&header, "documents").and_then(Value::as_u64);
                 let segments = json_path(&header, "manifest.segments").and_then(Value::as_array);
@@ -890,10 +891,6 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
     let mut last_compaction = CompactionStats::default();
     compaction_tel.record(&compaction, &mut last_compaction);
     let dedup = crawler.dedup_stats();
-
-    // Peak RSS growth over the whole crawl, against the fixed budget.
-    let rss_peak_mb = rss_status_mb("VmHWM:");
-    let rss_growth_mb = (rss_peak_mb - rss_start_mb).max(0.0);
 
     let stats = crawler.stats().clone();
     let virtual_ms = crawler.clock_ms().max(1);
@@ -926,11 +923,6 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
         "compaction_orphans_reaped": compaction.orphans_reaped,
         "paged_blocks_generated": world.paged_blocks_generated(),
         "paged_resident_blocks": world.paged_resident_blocks(),
-        "rss_start_mb": rss_start_mb,
-        "rss_peak_mb": rss_peak_mb,
-        "rss_growth_mb": rss_growth_mb,
-        "rss_budget_mb": params.rss_budget_mb,
-        "rss_within_budget": u64::from(rss_growth_mb <= params.rss_budget_mb),
     });
     drop((crawler, store));
 
@@ -938,6 +930,7 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
     // generation held unsealed rows only, and the newest one resumes as
     // a segmented store. Counts only — the scratch path is part of a
     // generation's header, so its byte size is not a function of the seed.
+    let mut resume_fields = Vec::new();
     if params.checkpoint_every > 0 {
         let rows_max = generations.iter().map(|g| g.0).max().unwrap_or(0);
         assert!(
@@ -952,14 +945,30 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
                 && store.document_count() as u64 == documents_last
                 && store.segment_count() as u64 == segments_last
         });
-        if let Value::Object(fields) = &mut report {
-            fields.extend([
-                ("generations_written".to_string(), json!(generations.len())),
-                ("generation_rows_max".to_string(), json!(rows_max)),
-                ("generation_segments_last".to_string(), json!(segments_last)),
-                ("resume_ok".to_string(), json!(u64::from(resume_ok))),
-            ]);
-        }
+        resume_fields = vec![
+            ("generations_written".to_string(), json!(generations.len())),
+            ("generation_rows_max".to_string(), json!(rows_max)),
+            ("generation_segments_last".to_string(), json!(segments_last)),
+            ("resume_ok".to_string(), json!(u64::from(resume_ok))),
+        ];
+    }
+
+    // Peak RSS growth over the crawl and the resume of its newest
+    // generation, against the fixed budget.
+    let rss_peak_mb = rss_status_mb("VmHWM:");
+    let rss_growth_mb = (rss_peak_mb - rss_start_mb).max(0.0);
+    if let Value::Object(fields) = &mut report {
+        fields.extend([
+            ("rss_start_mb".to_string(), json!(rss_start_mb)),
+            ("rss_peak_mb".to_string(), json!(rss_peak_mb)),
+            ("rss_growth_mb".to_string(), json!(rss_growth_mb)),
+            ("rss_budget_mb".to_string(), json!(params.rss_budget_mb)),
+            (
+                "rss_within_budget".to_string(),
+                json!(u64::from(rss_growth_mb <= params.rss_budget_mb)),
+            ),
+        ]);
+        fields.extend(resume_fields);
     }
     ScenarioRun {
         report,

@@ -36,6 +36,14 @@ struct EngineSnapshot {
 const MAGIC: &str = "bingo-engine";
 const VERSION: u64 = 2;
 
+/// The format fields of a snapshot of any version, read before the
+/// rest; every other field is skipped, not built.
+#[derive(Deserialize)]
+struct FormatProbe {
+    magic: String,
+    version: u64,
+}
+
 /// Serialize the engine's trained state to a writer as JSON.
 pub fn save_engine<W: Write>(engine: &BingoEngine, w: W) -> Result<(), EngineError> {
     let snapshot = EngineSnapshot {
@@ -60,23 +68,19 @@ pub fn load_engine<R: Read>(mut r: R) -> Result<BingoEngine, EngineError> {
     let persist = |e: &dyn std::fmt::Display| EngineError::Persist(e.to_string());
     let mut text = String::new();
     r.read_to_string(&mut text).map_err(|e| persist(&e))?;
-    let value = serde_json::Value::parse_json(&text).map_err(|e| persist(&e))?;
     // Magic and version first, so a snapshot of another format is
     // refused by name rather than by whichever field it lacks.
-    match value.get("magic").and_then(|m| m.as_str()) {
-        Some(MAGIC) => {}
-        other => return Err(EngineError::Persist(format!("bad magic {other:?}"))),
+    let probe: FormatProbe = serde_json::from_str(&text).map_err(|e| persist(&e))?;
+    if probe.magic != MAGIC {
+        return Err(EngineError::Persist(format!("bad magic {:?}", probe.magic)));
     }
-    match value.get("version").and_then(|v| v.as_u64()) {
-        Some(VERSION) => {}
-        Some(other) => {
-            return Err(EngineError::Persist(format!(
-                "unsupported version {other} (this build reads {VERSION})"
-            )))
-        }
-        None => return Err(EngineError::Persist("no format version".to_string())),
+    if probe.version != VERSION {
+        return Err(EngineError::Persist(format!(
+            "unsupported version {} (this build reads {VERSION})",
+            probe.version
+        )));
     }
-    let mut snapshot = EngineSnapshot::from_value(&value).map_err(|e| persist(&e))?;
+    let mut snapshot: EngineSnapshot = serde_json::from_str(&text).map_err(|e| persist(&e))?;
     snapshot.vocab.rebuild_index();
     let mut models: FxHashMap<u32, TopicModel> = FxHashMap::default();
     for (id, mut model) in snapshot.models {

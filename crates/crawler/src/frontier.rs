@@ -117,8 +117,9 @@ struct SpillState {
 
 impl SpillState {
     fn write_entry(&mut self, entry: &QueueEntry) -> Slot {
-        let mut buf = Vec::new();
-        serde_json::to_writer(&mut buf, entry).expect("queue entry serializes");
+        let mut buf = serde_json::to_string(entry)
+            .expect("queue entry serializes")
+            .into_bytes();
         let slot = Slot::Spilled {
             offset: self.write_off,
             len: buf.len() as u32,

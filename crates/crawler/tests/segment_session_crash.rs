@@ -266,7 +266,7 @@ fn resume_and_finish(
 /// The header line of a generation's store file.
 fn store_header(gen_dir: &Path) -> serde_json::Value {
     let text = std::fs::read_to_string(gen_dir.join(STORE_FILE)).expect("store file reads");
-    serde_json::Value::parse_json(text.lines().next().expect("header line")).expect("header")
+    serde_json::from_str(text.lines().next().expect("header line")).expect("header")
 }
 
 /// Segment file names a generation's store file references.

@@ -171,20 +171,22 @@ pub fn write_checkpoint<W: Write>(store: &DocumentStore, w: W) -> Result<(), Sto
     w.flush().map_err(pe)
 }
 
+/// The format fields of a header of either form; every other field is
+/// skipped, not built.
+#[derive(Deserialize)]
+struct FormatProbe {
+    magic: String,
+    version: u32,
+}
+
 /// Parse a header line far enough to know the form: magic checked,
 /// version returned.
-fn header_version(line: &str) -> Result<(serde_json::Value, u32), StoreError> {
-    let value = serde_json::Value::parse_json(line).map_err(pe)?;
-    match value.get("magic").and_then(|m| m.as_str()) {
-        Some(MAGIC) => {}
-        other => return Err(pe(format!("bad magic {other:?}"))),
+fn header_version(line: &str) -> Result<u32, StoreError> {
+    let probe: FormatProbe = serde_json::from_str(line).map_err(pe)?;
+    if probe.magic != MAGIC {
+        return Err(pe(format!("bad magic {:?}", probe.magic)));
     }
-    let version = value
-        .get("version")
-        .and_then(|v| v.as_u64())
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or_else(|| pe("no format version"))?;
-    Ok((value, version))
+    Ok(probe.version)
 }
 
 /// Read a snapshot of either form into a fresh store. The full form
@@ -200,7 +202,7 @@ pub fn read_snapshot<R: Read>(r: R) -> Result<DocumentStore, StoreError> {
         .next()
         .ok_or_else(|| pe("empty snapshot"))?
         .map_err(pe)?;
-    let (header, version) = header_version(&header_line)?;
+    let version = header_version(&header_line)?;
     let mut next = || -> Result<String, StoreError> {
         lines
             .next()
@@ -209,7 +211,7 @@ pub fn read_snapshot<R: Read>(r: R) -> Result<DocumentStore, StoreError> {
     };
     match version {
         VERSION => {
-            let header = SnapshotHeader::from_value(&header).map_err(pe)?;
+            let header: SnapshotHeader = serde_json::from_str(&header_line).map_err(pe)?;
             let store = DocumentStore::new();
             for _ in 0..header.documents {
                 let row: DocumentRow = serde_json::from_str(&next()?).map_err(pe)?;
@@ -228,7 +230,7 @@ pub fn read_snapshot<R: Read>(r: R) -> Result<DocumentStore, StoreError> {
             Ok(store)
         }
         REFERENCE_VERSION => {
-            let header = ReferenceHeader::from_value(&header).map_err(pe)?;
+            let header: ReferenceHeader = serde_json::from_str(&header_line).map_err(pe)?;
             let mut spine =
                 Spine::open_referenced(PathBuf::from(header.dir), header.config, header.manifest)?;
             for _ in 0..header.documents {
@@ -255,11 +257,11 @@ fn referenced_segments(path: &Path) -> Result<Vec<String>, StoreError> {
     BufReader::new(std::fs::File::open(path).map_err(pe)?)
         .read_line(&mut line)
         .map_err(pe)?;
-    let (header, version) = header_version(line.trim_end())?;
-    if version != REFERENCE_VERSION {
+    let line = line.trim_end();
+    if header_version(line)? != REFERENCE_VERSION {
         return Ok(Vec::new());
     }
-    let header = ReferenceHeader::from_value(&header).map_err(pe)?;
+    let header: ReferenceHeader = serde_json::from_str(line).map_err(pe)?;
     Ok(header
         .manifest
         .segments

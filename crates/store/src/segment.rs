@@ -242,12 +242,7 @@ pub struct SegmentEntry {
 /// Rewritten atomically at every seal. Topic overrides and host upserts
 /// that happen *after* the last seal live only in memory until the next
 /// seal — durable via [`crate::persist`] checkpoints in the meantime.
-///
-/// Serialization is hand-written for one reason: `retained` is omitted
-/// when empty, so a store no checkpoint generation references writes
-/// the same `SEGMENTS.json` bytes as builds that predate the field,
-/// and their files still load.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SegmentManifest {
     /// Format marker ([`SEGMENTS_MAGIC`]).
     pub magic: String,
@@ -265,7 +260,11 @@ pub struct SegmentManifest {
     /// File names of segments compaction replaced while a checkpoint
     /// generation may still reference them. Not part of the store's
     /// contents, but every reap treats them as referenced until
-    /// [`crate::persist::release_unreferenced`] drops them.
+    /// [`crate::persist::release_unreferenced`] drops them. Omitted when
+    /// empty, so a store no checkpoint generation references writes the
+    /// same `SEGMENTS.json` bytes as builds that predate the field, and
+    /// their files still load.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub retained: Vec<String>,
 }
 
@@ -280,48 +279,6 @@ impl SegmentManifest {
             hosts: Vec::new(),
             retained: Vec::new(),
         }
-    }
-}
-
-impl Serialize for SegmentManifest {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("magic".to_string(), self.magic.to_value()),
-            ("version".to_string(), self.version.to_value()),
-            ("next_seg".to_string(), self.next_seg.to_value()),
-            ("segments".to_string(), self.segments.to_value()),
-            ("overrides".to_string(), self.overrides.to_value()),
-            ("hosts".to_string(), self.hosts.to_value()),
-        ];
-        if !self.retained.is_empty() {
-            fields.push(("retained".to_string(), self.retained.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for SegmentManifest {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn req<T: Deserialize>(v: &serde::Value, name: &str) -> Result<T, serde::Error> {
-            match v.get(name) {
-                Some(x) => T::from_value(x),
-                None => Err(serde::Error::custom(format!(
-                    "missing field `{name}` in SegmentManifest"
-                ))),
-            }
-        }
-        Ok(SegmentManifest {
-            magic: req(v, "magic")?,
-            version: req(v, "version")?,
-            next_seg: req(v, "next_seg")?,
-            segments: req(v, "segments")?,
-            overrides: req(v, "overrides")?,
-            hosts: req(v, "hosts")?,
-            retained: match v.get("retained") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => Vec::new(),
-            },
-        })
     }
 }
 

@@ -3,6 +3,7 @@
 //! databases.
 
 use bingo_graph::LinkSource;
+use bingo_store::segment::{SegmentEntry, SegmentManifest};
 use bingo_store::{
     persist, CompactionConfig, DocumentRow, DocumentStore, HostRow, HostState, LinkRow,
     SegmentStoreConfig,
@@ -310,7 +311,7 @@ proptest! {
         persist::write_checkpoint(&live, &mut checkpoint).unwrap();
         // One header, then the unsealed rows and nothing else.
         let text = std::str::from_utf8(&checkpoint).unwrap();
-        let header = serde_json::Value::parse_json(text.lines().next().unwrap()).unwrap();
+        let header: serde_json::Value = serde_json::from_str(text.lines().next().unwrap()).unwrap();
         let count = |name: &str| header.get(name).and_then(|n| n.as_u64()).unwrap() as usize;
         prop_assert_eq!(count("documents"), live.workspace_documents());
         prop_assert_eq!(text.lines().count(), 1 + count("documents") + count("links"));
@@ -352,5 +353,51 @@ proptest! {
         persist::write_snapshot(&reopened, &mut resealed).unwrap();
         prop_assert_eq!(&resealed, &full, "sealed checkpoint lineage diverged");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `SEGMENTS.json` text is a fixed point of the codec, and an empty
+    /// `retained` list is omitted, not written as `[]`.
+    #[test]
+    fn segment_manifest_text_is_a_fixed_point(
+        segments in proptest::collection::vec((0u64..1_000_000, 0u64..500, any::<u64>()), 0..6),
+        overrides in proptest::collection::vec(
+            (any::<u64>(), proptest::option::of(0u32..5), -1.0f32..1.0),
+            0..6,
+        ),
+        hosts in proptest::collection::vec((0u32..50, "[a-zé\"\\\\\n]{0,8}", 0u32..4), 0..4),
+        retained in proptest::collection::vec("seg-[0-9]{6}\\.jsonl", 0..3),
+    ) {
+        let manifest = SegmentManifest {
+            magic: "bingo-segments".into(),
+            version: 1,
+            next_seg: segments.len() as u64,
+            segments: segments
+                .iter()
+                .enumerate()
+                .map(|(i, &(len, docs, checksum))| SegmentEntry {
+                    name: format!("seg-{i:06}.jsonl"),
+                    docs,
+                    links: docs / 3,
+                    len,
+                    checksum,
+                })
+                .collect(),
+            overrides,
+            hosts: hosts
+                .into_iter()
+                .map(|(id, name, failures)| HostRow {
+                    id,
+                    name,
+                    state: if failures > 2 { HostState::Bad } else { HostState::Good },
+                    failures,
+                })
+                .collect(),
+            retained,
+        };
+        let text = serde_json::to_string(&manifest).unwrap();
+        prop_assert_eq!(text.contains("\"retained\""), !manifest.retained.is_empty());
+        let back: SegmentManifest = serde_json::from_str(&text).unwrap();
+        prop_assert_eq!(&back.retained, &manifest.retained);
+        prop_assert_eq!(serde_json::to_string(&back).unwrap(), text);
     }
 }

@@ -92,27 +92,22 @@ impl DfTable {
 }
 
 impl Serialize for DfTable {
-    fn to_value(&self) -> serde::Value {
-        let mut entries: Vec<(String, serde::Value)> = self
-            .iter()
-            .map(|(feature, df)| (feature.to_string(), df.to_value()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        serde::Value::Object(entries)
+    fn serialize(&self, out: &mut String) {
+        // A hash map is written in key-string order.
+        let map: FxHashMap<u32, u32> = self.iter().collect();
+        map.serialize(out)
     }
 }
 
 impl Deserialize for DfTable {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom(format!("expected object, got {v}")))?;
+    fn deserialize(p: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
         let mut table = DfTable::default();
-        for (key, df) in entries {
+        let mut entries = p.read_object()?;
+        while let Some((key, p)) = entries.next_key()? {
             let feature: u32 = key
                 .parse()
                 .map_err(|_| serde::Error::custom(format!("invalid feature key '{key}'")))?;
-            table.add(feature, u32::from_value(df)?);
+            table.add(feature, u32::deserialize(p)?);
         }
         Ok(table)
     }
@@ -214,14 +209,14 @@ impl Default for TfIdfWeighter {
 
 /// On disk a weighter is its frozen statistics; the idf table is derived.
 impl Serialize for TfIdfWeighter {
-    fn to_value(&self) -> serde::Value {
-        self.stats.to_value()
+    fn serialize(&self, out: &mut String) {
+        self.stats.serialize(out)
     }
 }
 
 impl Deserialize for TfIdfWeighter {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        CorpusStats::from_value(v).map(|stats| stats.weighter())
+    fn deserialize(p: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        CorpusStats::deserialize(p).map(|stats| stats.weighter())
     }
 }
 
