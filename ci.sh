@@ -21,7 +21,9 @@
 #               a scratch directory and cmp's their reports against
 #               the committed experiments_*.json, so a change that
 #               moves a paper table fails here instead of leaving
-#               EXPERIMENTS.md stale)
+#               EXPERIMENTS.md stale; then diffs a `bingo` crawl +
+#               resume session pinned to one CPU against an
+#               unrestricted one)
 #     bench  -> CI_STEPS=bench ./ci.sh   (bench gate, smoke mode;
 #               uploads telemetry and writes a baseline-vs-actual
 #               diff table to $GITHUB_STEP_SUMMARY on failure)
@@ -156,6 +158,26 @@ paper_artifacts() {
     rm -rf "$scratch"
 }
 
+# The focused crawl prepares pages ahead on every core but one; the
+# sessions it saves must not depend on how many cores that is. Crawl and
+# resume once pinned to one CPU (no lookahead worker) and once
+# unrestricted, and require the two session directories to be identical.
+one_cpu_equals_all() {
+    repo=$(pwd)
+    scratch=$(mktemp -d)
+    for run in one all; do
+        pin=""
+        [ "$run" = one ] && pin="taskset -c 0"
+        mkdir "$scratch/$run"
+        (cd "$scratch/$run" &&
+            $pin "$repo/target/release/bingo" crawl --session S --seed 2003 --authors 300 &&
+            $pin "$repo/target/release/bingo" resume --session S --seed 2003 --authors 300) \
+            >"$scratch/$run.log" 2>&1
+    done
+    diff -r "$scratch/one/S" "$scratch/all/S"
+    rm -rf "$scratch"
+}
+
 if wants lint; then
     step "cargo fmt --check" cargo fmt --all -- --check
 
@@ -207,6 +229,8 @@ if wants paper; then
         cargo build --release --offline --workspace
 
     step "paper artifacts (experiments_*.json)" paper_artifacts
+
+    step "one CPU = all CPUs (bingo crawl + resume)" one_cpu_equals_all
 fi
 
 if wants lint; then

@@ -5,7 +5,7 @@
 use crate::model::{features_from_term_freqs, ModelConfig, TopicModel};
 use crate::telemetry::EngineTelemetry;
 use crate::topic::{TopicId, TopicTree, TrainingDoc};
-use bingo_crawler::{Crawler, DocumentJudge, Judgment, PageContext, StepOutcome};
+use bingo_crawler::{Assess, Crawler, DocumentJudge, Judgment, PageContext, StepOutcome};
 use bingo_graph::{expand_base_set, Hits, LinkSource};
 use bingo_ml::meta::MetaPolicy;
 use bingo_obs::Event;
@@ -391,39 +391,75 @@ impl BingoEngine {
     /// Run the crawler until `deadline_ms` (virtual), retraining every
     /// `retrain_every` stored-and-positively-classified documents when
     /// `retrain_every > 0`. Returns documents stored in this slice.
+    ///
+    /// Every core but one prepares the pages the crawl is about to pop
+    /// ([`Crawler::crawl_ahead`]); the crawl is the one
+    /// [`judge_step`](Self::judge_step) makes, step for step.
     pub fn crawl_until(
         &mut self,
         crawler: &mut Crawler,
         deadline_ms: u64,
         retrain_every: u64,
     ) -> u64 {
+        let workers = std::thread::available_parallelism().map_or(0, |n| n.get() - 1);
+        self.crawl_until_with_workers(crawler, deadline_ms, retrain_every, workers)
+    }
+
+    /// [`crawl_until`](Self::crawl_until) with `workers` lookahead
+    /// threads instead of one per spare core; the equivalence tests pin
+    /// that the count changes nothing but speed.
+    #[doc(hidden)]
+    pub fn crawl_until_with_workers(
+        &mut self,
+        crawler: &mut Crawler,
+        deadline_ms: u64,
+        retrain_every: u64,
+        workers: usize,
+    ) -> u64 {
         let mut stored = 0u64;
         let mut classified_since_retrain = 0u64;
-        loop {
-            if crawler.clock_ms() >= deadline_ms {
+        // One epoch per model: the crawl runs ahead until the next
+        // retraining is due.
+        while crawler.clock_ms() < deadline_ms {
+            let mut frontier_empty = false;
+            let (assess, mut ledger, vocab) = self.judge_halves();
+            crawler.crawl_ahead(
+                deadline_ms,
+                &assess,
+                &mut |ctx, assessed| ledger.record(ctx, assessed),
+                vocab,
+                workers,
+                &mut |outcome| {
+                    match outcome {
+                        StepOutcome::Stored { judgment, .. } => {
+                            stored += 1;
+                            classified_since_retrain += u64::from(judgment.topic.is_some());
+                        }
+                        StepOutcome::Skipped(_) => {}
+                        StepOutcome::FrontierEmpty => frontier_empty = true,
+                    }
+                    retrain_every > 0 && classified_since_retrain >= retrain_every
+                },
+            );
+            if frontier_empty || retrain_every == 0 || classified_since_retrain < retrain_every {
                 break;
             }
-            let outcome = self.judge_step(crawler);
-            match outcome {
-                StepOutcome::Stored { judgment, .. } => {
-                    stored += 1;
-                    if judgment.topic.is_some() {
-                        classified_since_retrain += 1;
-                    }
-                }
-                StepOutcome::Skipped(_) => {}
-                StepOutcome::FrontierEmpty => break,
-            }
-            if retrain_every > 0 && classified_since_retrain >= retrain_every {
-                classified_since_retrain = 0;
-                let _ = self.retrain(crawler);
-            }
+            classified_since_retrain = 0;
+            let _ = self.retrain(crawler);
         }
         stored
     }
 
     /// One crawl step with this engine as the judge.
     pub fn judge_step(&mut self, crawler: &mut Crawler) -> StepOutcome {
+        let (assess, ledger, vocab) = self.judge_halves();
+        crawler.step(&mut EngineJudge { assess, ledger }, vocab)
+    }
+
+    /// The crawl-time judge in its two halves — the classifier, and the
+    /// ledger of corpus statistics and archetype candidates — beside the
+    /// dictionary the crawl interns into.
+    fn judge_halves(&mut self) -> (TopicClassifier<'_>, Ledger<'_>, &mut Vocabulary) {
         let policy = match self.phase {
             Phase::Learning => self.config.meta_learning,
             Phase::Harvesting => self.config.meta_harvesting,
@@ -439,18 +475,21 @@ impl BingoEngine {
             obs,
             ..
         } = self;
-        let mut judge = EngineJudge {
+        let assess = TopicClassifier {
             tree,
             models,
             weighter: frozen,
-            corpus,
-            candidates,
             obs,
             policy,
             single_classifier: config.single_classifier,
+        };
+        let ledger = Ledger {
+            corpus,
+            candidates,
+            obs,
             pool_cap: config.candidate_pool,
         };
-        crawler.step(&mut judge, vocab)
+        (assess, ledger, vocab)
     }
 
     /// Retraining round (Sections 2.5, 3.2): promote archetypes from top
@@ -777,47 +816,35 @@ impl bingo_crawler::BatchJudge for TopicClassifier<'_> {
     fn judge_batch(&self, docs: &[AnalyzedDocument], ctxs: &[PageContext]) -> Vec<Judgment> {
         docs.iter()
             .zip(ctxs)
-            .map(|(doc, ctx)| self.classify(&page_features(doc, ctx)))
+            .map(|(doc, ctx)| {
+                self.classify(&page_features(doc, &ctx.anchor_terms, &ctx.neighbor_terms))
+            })
             .collect()
     }
 }
 
-/// A crawled page's features: its own terms and pairs plus the link
-/// context the crawler collected for it.
-fn page_features(doc: &AnalyzedDocument, ctx: &PageContext) -> DocumentFeatures {
-    let mut features = DocumentFeatures::from_document(doc);
-    features.add_incoming_anchor(&ctx.anchor_terms);
-    features.add_neighbor_terms(&ctx.neighbor_terms);
-    features
+/// A crawled page weighed and classified against the frozen models: the
+/// pure half of the crawl-time judge, which lookahead workers compute
+/// ahead of the page's commit. It carries only what the commit reads.
+pub struct Assessed {
+    /// Every feature of the page once, in feature order: what it adds to
+    /// the live corpus.
+    distinct: Vec<TermId>,
+    /// The features, kept only for a page accepted into a topic — the
+    /// one case the candidate pool wants them.
+    features: Option<DocumentFeatures>,
+    judgment: Judgment,
 }
 
-/// The crawl-time judge: classification + corpus/candidate bookkeeping,
-/// borrowing disjoint engine fields so the crawler can hold the shared
-/// vocabulary mutably at the same time.
-struct EngineJudge<'a> {
-    tree: &'a TopicTree,
-    models: &'a FxHashMap<u32, TopicModel>,
-    weighter: &'a TfIdfWeighter,
-    corpus: &'a mut CorpusStats,
-    candidates: &'a mut FxHashMap<u32, Vec<Candidate>>,
-    obs: &'a EngineTelemetry,
-    policy: MetaPolicy,
-    single_classifier: bool,
-    pool_cap: usize,
-}
+/// The crawl-time judge's pure half: the page's features, weighed once
+/// with the frozen corpus, and the top-down classification. No
+/// telemetry — the commit half records the judgment.
+impl Assess for TopicClassifier<'_> {
+    type Assessment = Assessed;
 
-impl DocumentJudge for EngineJudge<'_> {
-    fn judge(&mut self, doc: &AnalyzedDocument, ctx: &PageContext) -> Judgment {
-        let features = page_features(doc, ctx);
-        // Weighed with the frozen corpus, counted into the live one: the
-        // weights list every feature of the page once, in feature order.
+    fn assess(&self, doc: &AnalyzedDocument, anchors: &[TermId], neighbors: &[TermId]) -> Assessed {
+        let features = page_features(doc, anchors, neighbors);
         let weights = DocWeights::new(&features, self.weighter);
-        self.corpus.add_document(
-            weights
-                .entries()
-                .iter()
-                .map(|&(feature, _)| TermId(feature)),
-        );
         let judgment = classify_impl(
             self.tree,
             self.models,
@@ -826,8 +853,51 @@ impl DocumentJudge for EngineJudge<'_> {
             self.policy,
             self.single_classifier,
         );
+        // Weighed with the frozen corpus, counted into the live one: the
+        // weights list every feature of the page once, in feature order.
+        let distinct = weights.entries().iter().map(|&(f, _)| TermId(f)).collect();
+        Assessed {
+            distinct,
+            features: judgment.topic.is_some().then_some(features),
+            judgment,
+        }
+    }
+}
+
+/// A crawled page's features: its own terms and pairs plus the link
+/// context the crawler collected for it.
+fn page_features(
+    doc: &AnalyzedDocument,
+    anchors: &[TermId],
+    neighbors: &[TermId],
+) -> DocumentFeatures {
+    let mut features = DocumentFeatures::from_document(doc);
+    features.add_incoming_anchor(anchors);
+    features.add_neighbor_terms(neighbors);
+    features
+}
+
+/// The crawl-time judge's commit half: the corpus statistics, archetype
+/// candidate pools and judgment telemetry every judged page feeds, in
+/// pop order. Borrows disjoint engine fields so the crawler can hold
+/// the shared vocabulary mutably at the same time.
+struct Ledger<'a> {
+    corpus: &'a mut CorpusStats,
+    candidates: &'a mut FxHashMap<u32, Vec<Candidate>>,
+    obs: &'a EngineTelemetry,
+    pool_cap: usize,
+}
+
+impl Ledger<'_> {
+    fn record(&mut self, ctx: &PageContext, assessed: Assessed) -> Judgment {
+        let Assessed {
+            distinct,
+            features,
+            judgment,
+        } = assessed;
+        self.corpus.add_document(distinct);
         self.obs.record_judgment(&judgment);
-        if let Some(t) = judgment.topic {
+        if let (Some(t), Some(features)) = (judgment.topic, features) {
             let pool = self.candidates.entry(t).or_default();
             pool.push(Candidate {
                 page_id: ctx.page_id,
@@ -845,6 +915,22 @@ impl DocumentJudge for EngineJudge<'_> {
             }
         }
         judgment
+    }
+}
+
+/// The crawl-time judge of [`BingoEngine::judge_step`]: both halves, one
+/// page at a time.
+struct EngineJudge<'a> {
+    assess: TopicClassifier<'a>,
+    ledger: Ledger<'a>,
+}
+
+impl DocumentJudge for EngineJudge<'_> {
+    fn judge(&mut self, doc: &AnalyzedDocument, ctx: &PageContext) -> Judgment {
+        let assessed = self
+            .assess
+            .assess(doc, &ctx.anchor_terms, &ctx.neighbor_terms);
+        self.ledger.record(ctx, assessed)
     }
 }
 

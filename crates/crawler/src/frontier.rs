@@ -250,6 +250,14 @@ impl PriorityQueue {
         self.entries.keys().next().map(|(p, _)| p.as_f32())
     }
 
+    /// The resident payloads, best first.
+    fn hot(&self) -> impl Iterator<Item = &QueueEntry> {
+        self.entries.values().filter_map(|slot| match slot {
+            Slot::Hot(e) => Some(e),
+            Slot::Spilled { .. } => None,
+        })
+    }
+
     fn len(&self) -> usize {
         self.entries.len()
     }
@@ -352,6 +360,28 @@ impl Frontier {
         }
     }
 
+    /// Outgoing queues below this length are refilled before a pop.
+    fn refill_below(&self) -> usize {
+        (self.outgoing_cap / 4).max(1)
+    }
+
+    /// The best `k` entries, best first, as the next `k` pops would find
+    /// them if nothing were pushed or released before: each outgoing
+    /// queue with the incoming entries its refills could move in over
+    /// those pops, merged by priority. Payloads spilled to disk are left
+    /// out. Reads only.
+    pub fn peek(&self, k: usize) -> Vec<&QueueEntry> {
+        let mut best: Vec<&QueueEntry> = Vec::new();
+        for (outgoing, incoming) in self.outgoing.iter().zip(&self.incoming) {
+            let refills = (self.refill_below() + k).saturating_sub(outgoing.len() + 1);
+            best.extend(outgoing.hot().take(k));
+            best.extend(incoming.hot().take(refills.min(k)));
+        }
+        best.sort_by(|a, b| b.priority.total_cmp(&a.priority));
+        best.truncate(k);
+        best
+    }
+
     /// Take the globally best URL: refill outgoing queues that run low,
     /// then pop the best entry across all outgoing queues.
     pub fn pop(&mut self) -> Option<QueueEntry> {
@@ -360,7 +390,7 @@ impl Frontier {
         // point where the real system starts asynchronous DNS resolution
         // "only for promising crawl candidates".
         for slot in 0..self.outgoing.len() {
-            while self.outgoing[slot].len() < (self.outgoing_cap / 4).max(1) {
+            while self.outgoing[slot].len() < self.refill_below() {
                 match self.incoming[slot].pop() {
                     Some(e) => {
                         self.outgoing[slot].push(e, self.outgoing_cap);
@@ -575,6 +605,21 @@ mod tests {
         let first = f.pop().unwrap();
         assert_eq!(first.priority, 9.0);
         assert_eq!(f.len(), 99);
+    }
+
+    #[test]
+    fn peek_names_the_next_pops_through_refills() {
+        // Outgoing cap 8 refills below 2: most of the best entries still
+        // sit in the incoming queue when the peek looks.
+        let mut f = Frontier::new(1, 100, 8);
+        for i in 0..40u64 {
+            f.push(entry(&format!("u{i}"), ((i * 17) % 40) as f32, Some(0)));
+        }
+        f.push_outgoing(entry("boosted", 100.0, Some(0)));
+        f.pop();
+        let peeked: Vec<String> = f.peek(3).into_iter().map(|e| e.url.clone()).collect();
+        let popped: Vec<String> = (0..3).map(|_| f.pop().unwrap().url).collect();
+        assert_eq!(peeked, popped);
     }
 
     #[test]

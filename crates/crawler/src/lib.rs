@@ -31,9 +31,11 @@
 //!   bulk-load → outcome accounting → focus decision — that every
 //!   executor schedules documents into ([`pipeline`]),
 //! * a **discrete-event executor** modelling N crawler threads over
-//!   virtual time, deterministic and snapshot-friendly ([`Crawler`]), and
-//!   a real-thread executor that pulls batches through the same pipeline
-//!   for raw throughput measurements ([`threaded`]).
+//!   virtual time, deterministic and snapshot-friendly ([`Crawler`]),
+//!   which prepares the pages it will pop next on spare cores without
+//!   changing a byte of its output ([`lookahead`]), and a real-thread
+//!   executor that pulls batches through the same pipeline for raw
+//!   throughput measurements ([`threaded`]).
 //!
 //! Classification is pluggable through the [`DocumentJudge`] trait; the
 //! BINGO! engine (crate `bingo-core`) implements it with the hierarchical
@@ -46,6 +48,7 @@ pub mod dedup;
 pub mod dns;
 pub mod frontier;
 pub mod hosts;
+pub mod lookahead;
 pub mod pipeline;
 pub mod telemetry;
 pub mod threaded;
@@ -69,7 +72,27 @@ pub use types::{
     CrawlConfig, CrawlStats, CrawlStrategy, FocusRule, Judgment, PageContext, UrlRejection,
 };
 
-use bingo_textproc::AnalyzedDocument;
+use bingo_textproc::{AnalyzedDocument, TermId};
+
+/// The side-effect-free half of a crawl-time judge, for
+/// [`Crawler::crawl_ahead`]: what a page's judgment depends on besides
+/// the crawl's mutable state. Lookahead workers run it before the page
+/// is popped; the commit half (a closure passed beside it) then applies
+/// the assessment — corpus statistics, candidate pools, telemetry — in
+/// pop order on the crawl thread.
+pub trait Assess: Sync {
+    /// What the assessment hands to the commit half.
+    type Assessment: Send;
+    /// Assess `doc`, reached through a link with `anchor_terms` from a
+    /// page whose most significant terms are `neighbor_terms`. The
+    /// result may depend on nothing else.
+    fn assess(
+        &self,
+        doc: &AnalyzedDocument,
+        anchor_terms: &[TermId],
+        neighbor_terms: &[TermId],
+    ) -> Self::Assessment;
+}
 
 /// The classification callback the crawler invokes for every analyzed
 /// document. Implemented by the BINGO! engine's topic-tree classifier.

@@ -19,7 +19,9 @@
 //!   fingerprints, HTML conversion, analysis, classification, document
 //!   and link rows, bulk-load. Scheduler policy enters through two
 //!   callbacks: the response-fingerprint test (a plain [`crate::Dedup`]
-//!   or one behind a mutex) and the judge.
+//!   or one behind a mutex) and the judge. Its content stage,
+//!   [`prepare_content`], is pure, so the discrete-event executor may run
+//!   it ahead of the rest ([`crate::lookahead`]).
 //! * [`DocPipeline::settle`] — the one mapping from a [`DocOutcome`] to
 //!   [`CrawlStats`]. A scheduler that feeds successors' neighbour
 //!   features first hands the outcome to [`PageTermCache::record`].
@@ -47,7 +49,7 @@ use bingo_obs::{Counter, Gauge, Histogram, Registry};
 use bingo_store::{BulkLoader, BulkLoaderObs, DocumentRow, DocumentStore, LinkRow, StoreError};
 use bingo_textproc::fxhash::{FxHashMap, FxHashSet};
 use bingo_textproc::{
-    analyze_html_metered, AnalyzedDocument, AnalyzedLink, ContentRegistry, Interner, TermId,
+    analyze_html, AnalyzedDocument, AnalyzedLink, ContentRegistry, Interner, TermId,
     TextprocMetrics,
 };
 use bingo_webworld::fetch::FetchResponse;
@@ -205,6 +207,32 @@ pub fn admit(registry: &ContentRegistry, response: &FetchResponse) -> bool {
     registry.can_handle(response.mime) && response.size <= response.mime.max_size() as u64
 }
 
+/// What the content stage made of an admitted response.
+#[derive(Debug)]
+pub enum Content {
+    /// Conversion to canonical HTML failed.
+    Malformed,
+    /// Converted and analyzed.
+    Analyzed(AnalyzedDocument),
+}
+
+/// The content stage of one admitted response: conversion to canonical
+/// HTML, then analysis against `vocab`. Pure apart from interning: it
+/// touches no counter, store or duplicate filter, so a lookahead worker
+/// runs it ahead of the commit against a read-only dictionary view
+/// ([`bingo_textproc::KnownTerms`]) and the commit runs it inline
+/// against the real dictionary.
+pub fn prepare_content<I: Interner + ?Sized>(
+    registry: &ContentRegistry,
+    response: &FetchResponse,
+    vocab: &mut I,
+) -> Content {
+    match registry.to_html(response.mime, &response.payload) {
+        Ok(html) => Content::Analyzed(analyze_html(&html, vocab)),
+        Err(_) => Content::Malformed,
+    }
+}
+
 /// The crawl context handed to the judge for one fetched document.
 pub fn page_context(fetched: &FetchedDoc) -> PageContext {
     PageContext {
@@ -222,13 +250,16 @@ pub fn page_context(fetched: &FetchedDoc) -> PageContext {
 /// ties by term id): what the neighbour feature space of its successors
 /// sees.
 pub fn top_terms(doc: &AnalyzedDocument) -> Vec<TermId> {
+    let order = |a: &(TermId, u32), b: &(TermId, u32)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
     let mut by_freq: Vec<(TermId, u32)> = doc.term_freqs.clone();
-    by_freq.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    by_freq
-        .into_iter()
-        .take(NEIGHBOR_TERMS_KEPT)
-        .map(|(t, _)| t)
-        .collect()
+    // The order is total (ids are distinct): select the best few, then
+    // sort only those.
+    if by_freq.len() > NEIGHBOR_TERMS_KEPT {
+        by_freq.select_nth_unstable_by(NEIGHBOR_TERMS_KEPT, order);
+        by_freq.truncate(NEIGHBOR_TERMS_KEPT);
+    }
+    by_freq.sort_unstable_by(order);
+    by_freq.into_iter().map(|(t, _)| t).collect()
 }
 
 /// Bounded cache of each stored page's [`top_terms`], feeding the
@@ -284,8 +315,14 @@ impl PageTermCache {
     /// The neighbour terms a successor of `page_id` is judged with
     /// (empty when the page is unknown, evicted, or a seed's
     /// non-existent source).
-    pub fn neighbor_terms(&self, page_id: u64) -> Vec<TermId> {
-        self.map.get(&page_id).cloned().unwrap_or_default()
+    pub fn neighbor_terms(&self, page_id: u64) -> &[TermId] {
+        self.map.get(&page_id).map_or(&[], Vec::as_slice)
+    }
+
+    /// True when `page_id`'s top terms are held: the page was analyzed
+    /// and not evicted since.
+    pub fn knows(&self, page_id: u64) -> bool {
+        self.map.contains_key(&page_id)
     }
 
     /// Entries sorted by page id — the byte-stable checkpoint form.
@@ -346,8 +383,9 @@ pub fn link_rows(world: &World, page_id: u64, doc: &AnalyzedDocument) -> Vec<Lin
 /// One worker's post-fetch state: content registry, bulk-load
 /// workspace (with its flush-error observer) and the metric handles the
 /// stages report into. Every executor builds one per worker through
-/// [`DocPipeline::new`] — the only place crawl-side `ContentRegistry`
-/// and `BulkLoader` values are constructed.
+/// [`DocPipeline::new`] — the only place crawl-side `BulkLoader` values
+/// are constructed. (Lookahead workers, which only run the content
+/// stage, hold a `ContentRegistry` of their own.)
 pub struct DocPipeline {
     registry: ContentRegistry,
     loader: BulkLoader,
@@ -398,6 +436,23 @@ impl DocPipeline {
         world: &World,
         vocab: &mut I,
         batch: Vec<FetchedDoc>,
+        mark_response: impl FnMut(&FetchResponse) -> bool,
+        judge: impl FnOnce(&[AnalyzedDocument], &[PageContext]) -> Vec<Judgment>,
+    ) -> Vec<DocOutcome> {
+        let batch = batch.into_iter().map(|item| (item, None)).collect();
+        self.commit(world, vocab, batch, mark_response, judge)
+    }
+
+    /// [`DocPipeline::run`] over documents whose content stage may have
+    /// run ahead: an item paired with its [`Content`] skips conversion
+    /// and analysis, and only its analysis counters are recorded — the
+    /// document must be what [`prepare_content`] gives against `vocab`
+    /// now. Items paired with `None` run the content stage here.
+    pub(crate) fn commit<I: Interner + ?Sized>(
+        &mut self,
+        world: &World,
+        vocab: &mut I,
+        batch: Vec<(FetchedDoc, Option<Content>)>,
         mut mark_response: impl FnMut(&FetchResponse) -> bool,
         judge: impl FnOnce(&[AnalyzedDocument], &[PageContext]) -> Vec<Judgment>,
     ) -> Vec<DocOutcome> {
@@ -413,11 +468,11 @@ impl DocPipeline {
         metrics.fetched.add(batch.len() as u64);
         let mut outcomes: Vec<Option<DocOutcome>> = batch.iter().map(|_| None).collect();
 
-        // Stage: admit (MIME/size), fingerprint, convert.
+        // Stage: admit (MIME/size), fingerprint, convert + analyze.
         let mut slots: Vec<usize> = Vec::with_capacity(batch.len());
         let mut fetched: Vec<FetchedDoc> = Vec::with_capacity(batch.len());
-        let mut htmls: Vec<String> = Vec::with_capacity(batch.len());
-        for (i, item) in batch.into_iter().enumerate() {
+        let mut docs: Vec<AnalyzedDocument> = Vec::with_capacity(batch.len());
+        for (i, (item, ready)) in batch.into_iter().enumerate() {
             if !admit(registry, &item.response) {
                 metrics.mime_rejected.inc();
                 outcomes[i] = Some(DocOutcome::MimeFiltered);
@@ -428,14 +483,15 @@ impl DocPipeline {
                 outcomes[i] = Some(DocOutcome::DuplicateContent);
                 continue;
             }
-            match registry.to_html(item.response.mime, &item.response.payload) {
-                Ok(html) => {
+            match ready.unwrap_or_else(|| prepare_content(registry, &item.response, vocab)) {
+                Content::Analyzed(doc) => {
                     metrics.converted.inc();
+                    textproc.record(&doc, vocab.term_count());
                     slots.push(i);
-                    htmls.push(html);
+                    docs.push(doc);
                     fetched.push(item);
                 }
-                Err(_) => {
+                Content::Malformed => {
                     metrics.malformed.inc();
                     outcomes[i] = Some(DocOutcome::Malformed {
                         wasted_bytes: item.response.payload.len() as u64,
@@ -443,12 +499,6 @@ impl DocPipeline {
                 }
             }
         }
-
-        // Stage: analyze.
-        let docs: Vec<AnalyzedDocument> = htmls
-            .iter()
-            .map(|html| analyze_html_metered(html, vocab, textproc))
-            .collect();
         metrics.analyzed.add(docs.len() as u64);
 
         // Stage: classify.

@@ -7,10 +7,17 @@
 //! ([`crate::pipeline`]) — MIME/size filter → duplicate fingerprints →
 //! content conversion → document analysis → classification via the
 //! pluggable [`DocumentJudge`] → bulk-load → settle → focus decision.
-//! This module is only the scheduler: the virtual clock, the frontier,
+//! This module is the scheduler: the virtual clock, the frontier,
 //! politeness slots, breakers and retries. Virtual time advances by the
 //! real latencies the simulated network reports, so wall-clock budgets
 //! ("a 90-minute crawl") are meaningful and deterministic.
+//!
+//! [`Crawler::crawl_ahead`] runs the same steps on real cores: worker
+//! threads fetch, analyze and assess the entries the frontier will pop
+//! next ([`crate::lookahead`]), and each step commits in pop order,
+//! using a preparation only when its inputs are the ones the step itself
+//! would have used. Its stores, term ids and clock are those of
+//! [`Crawler::step`] at any worker count.
 
 use crate::checkpoint::{
     load_checkpoint, CheckpointError, CrawlCheckpoint, CRAWLER_FILE, STORE_FILE,
@@ -19,17 +26,19 @@ use crate::dedup::{path_of_url, Dedup, DedupStats};
 use crate::dns::CachingResolver;
 use crate::frontier::{Frontier, QueueEntry};
 use crate::hosts::{FailureOutcome, HostDecision, HostManager};
-use crate::pipeline::{admit_link, plan_links, DocPipeline, FetchedDoc, PageTermCache};
+use crate::lookahead::{Ahead, Miss, Pool, Schedule, Ticket, LOOKAHEAD};
+use crate::pipeline::{admit_link, plan_links, DocOutcome, DocPipeline, FetchedDoc, PageTermCache};
 use crate::telemetry::CrawlTelemetry;
 use crate::types::{
-    CrawlConfig, CrawlStats, Judgment, MAX_REDIRECTS, PROCESSING_COST_MS, RETRY_BACKOFF_MS,
+    CrawlConfig, CrawlStats, Judgment, PageContext, MAX_REDIRECTS, PROCESSING_COST_MS,
+    RETRY_BACKOFF_MS,
 };
-use crate::DocumentJudge;
+use crate::{Assess, DocumentJudge};
 use bingo_obs::Event;
 use bingo_store::durable;
 use bingo_store::DocumentStore;
 use bingo_textproc::fxhash;
-use bingo_textproc::Vocabulary;
+use bingo_textproc::{AnalyzedDocument, Vocabulary};
 use bingo_webworld::fetch::host_of_url;
 use bingo_webworld::{DnsError, FetchOutcome, World};
 use std::cmp::Reverse;
@@ -91,6 +100,59 @@ pub struct Crawler {
     /// Incremental host-level webgraph feeding authority-blended
     /// frontier priorities; `None` unless `config.authority.enabled`.
     authority: Option<Arc<crate::authority::HostAuthority>>,
+    /// Lookahead requests of [`Crawler::crawl_ahead`]; like telemetry,
+    /// not crawl state, so not part of checkpoints.
+    schedule: Schedule,
+}
+
+/// The judge as a step's commit calls it: a whole [`DocumentJudge`],
+/// whose assessment is empty, or the two halves of a split one.
+trait Judge {
+    type Assessment: Send;
+    fn assess(&self, doc: &AnalyzedDocument, ctx: &PageContext) -> Self::Assessment;
+    fn judge(
+        &mut self,
+        doc: &AnalyzedDocument,
+        ctx: &PageContext,
+        assessment: Self::Assessment,
+    ) -> Judgment;
+}
+
+impl Judge for dyn DocumentJudge + '_ {
+    type Assessment = ();
+
+    fn assess(&self, _: &AnalyzedDocument, _: &PageContext) {}
+
+    fn judge(&mut self, doc: &AnalyzedDocument, ctx: &PageContext, (): ()) -> Judgment {
+        DocumentJudge::judge(self, doc, ctx)
+    }
+}
+
+/// Note on a step's lookahead ticket that its entry went back to the
+/// frontier.
+fn went_back<T>(ahead: &mut Option<(&mut Ticket, &mut (dyn Ahead<T> + '_))>) {
+    if let Some((ticket, _)) = ahead {
+        ticket.comes_back = true;
+    }
+}
+
+/// An [`Assess`] half and the commit half applying its assessments.
+struct Split<'a, A: Assess> {
+    assess: &'a A,
+    commit: &'a mut dyn FnMut(&PageContext, A::Assessment) -> Judgment,
+}
+
+impl<A: Assess> Judge for Split<'_, A> {
+    type Assessment = A::Assessment;
+
+    fn assess(&self, doc: &AnalyzedDocument, ctx: &PageContext) -> A::Assessment {
+        self.assess
+            .assess(doc, &ctx.anchor_terms, &ctx.neighbor_terms)
+    }
+
+    fn judge(&mut self, _: &AnalyzedDocument, ctx: &PageContext, a: A::Assessment) -> Judgment {
+        (self.commit)(ctx, a)
+    }
 }
 
 impl Crawler {
@@ -142,6 +204,7 @@ impl Crawler {
             clock: 0,
             telemetry,
             authority,
+            schedule: Schedule::default(),
         }
     }
 
@@ -443,12 +506,75 @@ impl Crawler {
         stored
     }
 
+    /// [`Crawler::run_until`] on every core: until the virtual clock
+    /// passes `deadline_ms`, the frontier empties or `until` returns true
+    /// for a step's outcome, with `workers` threads preparing the next
+    /// [`LOOKAHEAD`] entries of the frontier ahead of their pops. `assess`
+    /// and `commit` are the two halves of the judge: each page is judged
+    /// `commit(ctx, assess(doc, anchors, neighbours))` in pop order, so
+    /// the crawl is the one [`Crawler::step`] makes with that judge,
+    /// whatever the number of workers (0 prepares everything inline).
+    ///
+    /// One call is one epoch: `assess` is fixed for its duration, and a
+    /// request left over from an earlier call is never used. The
+    /// `crawl.lookahead.*` counters follow the request schedule, not the
+    /// threads, so they too are the same at every worker count. A paged
+    /// world is never speculated: its block cache counts regenerations.
+    pub fn crawl_ahead<A: Assess>(
+        &mut self,
+        deadline_ms: u64,
+        assess: &A,
+        commit: &mut dyn FnMut(&PageContext, A::Assessment) -> Judgment,
+        vocab: &mut Vocabulary,
+        workers: usize,
+        until: &mut dyn FnMut(&StepOutcome) -> bool,
+    ) {
+        let speculate = !self.world.is_paged();
+        let world = Arc::clone(&self.world);
+        let replicas = self
+            .schedule
+            .open_epoch(if speculate { workers } else { 0 }, vocab);
+        std::thread::scope(|scope| {
+            let mut pool = Pool::spawn(scope, &world, assess, replicas, vocab.len());
+            let mut judge = Split { assess, commit };
+            while self.clock < deadline_ms {
+                if speculate {
+                    self.schedule.request(
+                        self.frontier.peek(LOOKAHEAD),
+                        &self.page_top_terms,
+                        &self.world,
+                        vocab,
+                        &mut pool,
+                        &self.telemetry.lookahead,
+                    );
+                }
+                let outcome = self.step_with(&mut judge, vocab, Some(&mut pool));
+                if until(&outcome) || outcome == StepOutcome::FrontierEmpty {
+                    break;
+                }
+            }
+            self.schedule
+                .close_epoch(pool.finish(), &self.telemetry.lookahead);
+        });
+    }
+
     /// Process one URL. See the module docs for the pipeline stages.
     ///
     /// When every remaining URL is parked in retry/breaker backoff, the
     /// virtual clock fast-forwards to the earliest release time — the
     /// simulated crawler idles until work becomes available again.
     pub fn step(&mut self, judge: &mut dyn DocumentJudge, vocab: &mut Vocabulary) -> StepOutcome {
+        self.step_with(judge, vocab, None)
+    }
+
+    /// [`Crawler::step`] with any judge; with a `pool`, the pop may use
+    /// the preparation its request on the schedule got.
+    fn step_with<J: Judge + ?Sized>(
+        &mut self,
+        judge: &mut J,
+        vocab: &mut Vocabulary,
+        mut pool: Option<&mut (dyn Ahead<J::Assessment> + '_)>,
+    ) -> StepOutcome {
         let entry = loop {
             self.frontier.release_due(self.clock);
             if let Some(e) = self.frontier.pop() {
@@ -482,7 +608,16 @@ impl Crawler {
         }
         self.clock = self.clock.max(now);
         let mut cost = PROCESSING_COST_MS;
-        let outcome = self.process(entry, now, &mut cost, judge, vocab);
+        let mut ticket = pool
+            .is_some()
+            .then(|| self.schedule.ticket(&entry, &self.page_top_terms))
+            .flatten();
+        let ahead = ticket.as_mut().zip(pool.as_deref_mut());
+        let outcome = self.process(entry, now, &mut cost, judge, vocab, ahead);
+        if let (Some(ticket), Some(pool)) = (ticket, pool) {
+            self.schedule
+                .settle(ticket, &self.telemetry.lookahead, pool);
+        }
         let done = now + cost;
         if let (Some(host), Some(idx)) = (&slot_key, slot_index) {
             if let Some(slots) = self.host_slots.get_mut(host) {
@@ -540,13 +675,18 @@ impl Crawler {
         }
     }
 
-    fn process(
+    /// The commit of one popped entry. With `ahead`, its lookahead
+    /// ticket and the workers' pool: once the gates before the fetch let
+    /// the page through, a valid preparation replaces the fetch, the
+    /// content stage and the judge's assessment.
+    fn process<J: Judge + ?Sized>(
         &mut self,
         entry: QueueEntry,
         now: u64,
         cost: &mut u64,
-        judge: &mut dyn DocumentJudge,
+        judge: &mut J,
         vocab: &mut Vocabulary,
+        mut ahead: Option<(&mut Ticket, &mut (dyn Ahead<J::Assessment> + '_))>,
     ) -> StepOutcome {
         self.stats.visited_urls += 1;
         self.stats.max_depth = self.stats.max_depth.max(entry.depth);
@@ -565,6 +705,7 @@ impl Crawler {
             HostDecision::Dead => return StepOutcome::Skipped("bad host"),
             HostDecision::Defer { until_ms } => {
                 self.stats.backoff_wait_ms += until_ms.saturating_sub(now);
+                went_back(&mut ahead);
                 self.frontier.park(entry, until_ms);
                 self.telemetry.frontier_park.inc();
                 return StepOutcome::Skipped("breaker open");
@@ -586,15 +727,24 @@ impl Crawler {
                 self.note_failure(&host, now);
                 // NxDomain is permanent; a timeout may be a DNS flap
                 // window, so the URL gets a backoff retry.
-                if err == DnsError::Timeout {
-                    self.maybe_retry(entry, now);
+                if err == DnsError::Timeout && self.maybe_retry(entry, now) {
+                    went_back(&mut ahead);
                 }
                 return StepOutcome::Skipped("dns failure");
             }
         }
 
         // Fetch.
-        let response = match self.world.fetch_at(&entry.url, entry.attempt, now) {
+        let mut prepared = None;
+        if let Some((ticket, pool)) = &mut ahead {
+            ticket.fetched = true;
+            prepared = ticket.job().and_then(|job| pool.take(job, vocab));
+        }
+        let (fetch, ready) = match prepared {
+            Some(p) => (p.fetch, p.content),
+            None => (self.world.fetch_at(&entry.url, entry.attempt, now), None),
+        };
+        let response = match fetch {
             FetchOutcome::Redirect {
                 location,
                 latency_ms,
@@ -617,8 +767,8 @@ impl Crawler {
                 self.stats.fetch_errors += 1;
                 self.telemetry.fetch_err.inc();
                 self.note_failure(&host, now);
-                if error.is_transient() {
-                    self.maybe_retry(entry, now);
+                if error.is_transient() && self.maybe_retry(entry, now) {
+                    went_back(&mut ahead);
                 }
                 return StepOutcome::Skipped("fetch error");
             }
@@ -638,7 +788,9 @@ impl Crawler {
             self.telemetry.fetch_truncated.inc();
             self.telemetry.fetch_err.inc();
             self.note_failure(&host, now);
-            self.maybe_retry(entry, now);
+            if self.maybe_retry(entry, now) {
+                went_back(&mut ahead);
+            }
             return StepOutcome::Skipped("truncated body");
         }
 
@@ -661,27 +813,40 @@ impl Crawler {
             depth: entry.depth,
             src_topic: entry.src_topic,
             anchor_terms: entry.anchor_terms.clone(),
-            neighbor_terms: self.page_top_terms.neighbor_terms(entry.src_page),
+            neighbor_terms: self.page_top_terms.neighbor_terms(entry.src_page).to_vec(),
             fetched_at: now,
             response,
         };
+        let (content, mut assessment) = ready.map_or((None, None), |(c, a)| (Some(c), a));
         let dedup = &mut self.dedup;
         let outcome = self
             .pipeline
-            .run(
+            .commit(
                 &self.world,
                 vocab,
-                vec![fetched],
+                vec![(fetched, content)],
                 |resp| dedup.mark_response(resp.ip, path_of_url(&resp.url), resp.size),
                 |docs, ctxs| {
                     docs.iter()
                         .zip(ctxs)
-                        .map(|(d, c)| judge.judge(d, c))
+                        .map(|(d, c)| {
+                            let a = assessment.take().unwrap_or_else(|| judge.assess(d, c));
+                            judge.judge(d, c, a)
+                        })
                         .collect()
                 },
             )
             .pop()
             .expect("one outcome per document");
+        if let Some((ticket, _)) = ahead {
+            match &outcome {
+                DocOutcome::DuplicateContent => ticket.late = Some(Miss::Gate),
+                DocOutcome::Stored { doc, .. } | DocOutcome::AlreadyStored { doc, .. } => {
+                    ticket.check_terms(doc)
+                }
+                _ => {}
+            }
+        }
         self.page_top_terms.record(&outcome);
         match self.pipeline.settle(&outcome, &mut self.stats) {
             Some((page_id, doc, &judgment)) => {
@@ -718,16 +883,17 @@ impl Crawler {
     }
 
     /// Park `entry` for an exponential-backoff retry when its per-URL
-    /// attempt budget and the host's breaker allow another try.
-    fn maybe_retry(&mut self, entry: QueueEntry, now: u64) {
+    /// attempt budget and the host's breaker allow another try. Returns
+    /// whether it was parked.
+    fn maybe_retry(&mut self, entry: QueueEntry, now: u64) -> bool {
         if entry.attempt >= self.config.max_retries {
-            return;
+            return false;
         }
         let Some(host) = host_of_url(&entry.url) else {
-            return;
+            return false;
         };
         if !self.hosts.retries_left(host) {
-            return;
+            return false;
         }
         let backoff = self.retry_backoff(&entry.url, entry.attempt);
         self.stats.retries += 1;
@@ -742,6 +908,7 @@ impl Crawler {
             },
             now + backoff,
         );
+        true
     }
 
     /// Backoff before retry `attempt` of `url`: `RETRY_BACKOFF_MS <<

@@ -9,6 +9,7 @@
 //! transitions (breaker state changes, checkpoint writes), so logs stay
 //! small and byte-identical across same-seed runs.
 
+use crate::lookahead::LookaheadMetrics;
 use crate::pipeline::PipelineMetrics;
 use bingo_obs::{Counter, EventLog, Gauge, Histogram, Registry};
 use bingo_textproc::TextprocMetrics;
@@ -83,6 +84,9 @@ pub struct CrawlTelemetry {
     /// Stale spill files (frontier slots, dedup shards) swept on
     /// startup.
     pub spill_reaped: Counter,
+    /// Speculative-lookahead counters (all zero unless the crawl runs
+    /// through [`crate::Crawler::crawl_ahead`]).
+    pub lookahead: LookaheadMetrics,
 }
 
 /// Metric handles for the incremental host graph
@@ -198,6 +202,7 @@ impl CrawlTelemetry {
             graph: GraphTelemetry::new(&registry),
             dedup: DedupTelemetry::new(&registry),
             spill_reaped: registry.counter("crawl.spill.reaped"),
+            lookahead: LookaheadMetrics::new(&registry),
             registry,
             events,
         }

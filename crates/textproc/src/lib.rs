@@ -37,7 +37,7 @@ pub use stem::porter_stem;
 pub use tfidf::{CorpusStats, TfIdfWeighter};
 pub use tokenize::Tokenizer;
 pub use vector::SparseVector;
-pub use vocab::{Interner, SharedVocabulary, TermId, TermLookup, Vocabulary};
+pub use vocab::{Interner, KnownTerms, SharedVocabulary, TermId, TermLookup, Vocabulary};
 
 /// A fully analyzed document: the output of the document analyzer that the
 /// classifier, the feature selection and the local search engine consume.

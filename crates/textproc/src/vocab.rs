@@ -112,6 +112,27 @@ impl Vocabulary {
             .map(|(i, t)| (TermId(i as u32), t.as_str()))
     }
 
+    /// The terms with ids from `start` on, in id order: what a mirror of
+    /// the first `start` terms appends to catch up.
+    pub fn terms_from(&self, start: usize) -> &[String] {
+        &self.terms[start.min(self.terms.len())..]
+    }
+
+    /// Make this dictionary a mirror of `source`: same terms, same ids.
+    /// A non-empty dictionary whose terms are a prefix of `source`'s
+    /// keeps its token memo and appends the rest; any other is replaced
+    /// by a copy of `source`, memo included.
+    pub fn mirror(&mut self, source: &Vocabulary) {
+        let n = self.terms.len();
+        if n > 0 && source.terms.get(..n) == Some(&self.terms[..]) {
+            for term in &source.terms[n..] {
+                self.intern(term);
+            }
+        } else {
+            *self = source.clone();
+        }
+    }
+
     /// Canonical renumbering: ids below `seed_len` stay fixed; every
     /// later term is renumbered by lexicographic rank starting at
     /// `seed_len`. Returns the old-id → canonical-id table (index = old
@@ -432,6 +453,72 @@ impl Interner for &SharedVocabulary {
     }
 }
 
+/// The first `len` terms of a dictionary as an [`Interner`] that never
+/// interns: a token whose stem is among them resolves to its id, and the
+/// first one that is not marks the view [`unknown`](Self::all_known)
+/// and stops resolution — every later token gets a placeholder id.
+///
+/// Because a [`Vocabulary`] is append-only, an analysis through this
+/// view with every token known is exactly the analysis the full
+/// dictionary would give, ids included, however many terms were
+/// appended after the first `len`. The view borrows the dictionary
+/// mutably only for its token memo.
+pub struct KnownTerms<'a> {
+    vocab: &'a mut Vocabulary,
+    len: u32,
+    unknown: bool,
+}
+
+impl<'a> KnownTerms<'a> {
+    /// The view of `vocab`'s first `len` terms.
+    pub fn new(vocab: &'a mut Vocabulary, len: usize) -> Self {
+        KnownTerms {
+            vocab,
+            len: len as u32,
+            unknown: false,
+        }
+    }
+
+    /// True when every token so far resolved inside the view.
+    pub fn all_known(&self) -> bool {
+        !self.unknown
+    }
+
+    fn within(&mut self, id: Option<TermId>) -> TermId {
+        match id {
+            Some(id) if id.0 < self.len => id,
+            _ => {
+                self.unknown = true;
+                TermId(0)
+            }
+        }
+    }
+}
+
+impl Interner for KnownTerms<'_> {
+    fn intern(&mut self, term: &str) -> TermId {
+        let id = self.vocab.lookup(term);
+        self.within(id)
+    }
+
+    fn intern_token(&mut self, token: &str) -> TermId {
+        if self.unknown {
+            return TermId(0);
+        }
+        let memo = &mut self.vocab.memo;
+        let id = memo.get(token).or_else(|| {
+            let id = self.vocab.index.get(&porter_stem(token)).copied()?;
+            memo.insert(token, id);
+            Some(id)
+        });
+        self.within(id)
+    }
+
+    fn term_count(&self) -> usize {
+        self.len as usize
+    }
+}
+
 /// Read-only term resolution shared by both dictionaries, so the query
 /// path can resolve stems against whichever dictionary the crawl writes:
 /// the deterministic crawler's [`Vocabulary`] or the threaded pipeline's
@@ -547,6 +634,41 @@ mod tests {
         assert_eq!(via_vocab, via_shared);
         assert_eq!(vocab.len(), 2);
         assert_eq!((&shared).term_count(), 2);
+    }
+
+    #[test]
+    fn known_terms_resolve_a_prefix_and_flag_the_rest() {
+        let page = "<p>crawling spiders crawl the databases</p><a href=\"h\">spiders</a>";
+        let mut vocab = Vocabulary::new();
+        let full = crate::analyze_html(page, &mut vocab);
+        let len = vocab.len();
+        vocab.intern("appended later");
+        // Every stem known: the view's analysis is the dictionary's.
+        let mut view = KnownTerms::new(&mut vocab, len);
+        assert_eq!(crate::analyze_html(page, &mut view), full);
+        assert!(view.all_known());
+        assert_eq!(view.term_count(), len);
+        // A stem the dictionary lacks is unknown, and so is one whose id
+        // is past the view's length.
+        let mut empty = Vocabulary::new();
+        let mut view = KnownTerms::new(&mut empty, 0);
+        crate::analyze_html(page, &mut view);
+        assert!(!view.all_known());
+        let mut view = KnownTerms::new(&mut vocab, len - 1);
+        crate::analyze_html(page, &mut view);
+        assert!(!view.all_known());
+        assert_eq!(vocab.len(), len + 1, "a view never interns");
+
+        // A mirror catches up by appending, or starts over when it has
+        // diverged; either way it ends with the source's ids.
+        let mut prefix = Vocabulary::new();
+        prefix.intern(vocab.term(TermId(0)));
+        let mut diverged = Vocabulary::new();
+        diverged.intern("elsewhere");
+        for mirror in [&mut prefix, &mut diverged] {
+            mirror.mirror(&vocab);
+            assert!(mirror.iter().eq(vocab.iter()));
+        }
     }
 
     #[test]

@@ -307,6 +307,23 @@ impl World {
         })
     }
 
+    /// True when no scripted fault window touches fetches of `url` — not
+    /// on its host, nor on the host of the page it resolves to — so
+    /// [`World::fetch_at`] gives the same outcome at every virtual time.
+    pub fn fetch_ignores_time(&self, url: &str) -> bool {
+        if self.faults.is_empty() {
+            return true;
+        }
+        let host = host_of_url(url)
+            .and_then(|name| self.find_host(name))
+            .map(|(id, _)| id);
+        let page_host = self.resolve_url(url).map(|id| self.page_ref(id).host);
+        [host, page_host]
+            .into_iter()
+            .flatten()
+            .all(|id| self.faults.windows_for(id).is_empty())
+    }
+
     fn find_host(&self, name: &str) -> Option<(HostId, Cow<'_, HostMeta>)> {
         if let Some(p) = &self.paged {
             return p.find_host(name).map(|(id, host)| (id, Cow::Owned(host)));
@@ -527,6 +544,10 @@ mod tests {
             FetchOutcome::Ok(r) => r,
             o => panic!("{o:?}"),
         };
+        let other = (0..w.page_count() as u64)
+            .find(|&p| w.page(p).host != host)
+            .unwrap();
+        assert!(w.fetch_ignores_time(&url));
 
         let mut plan = FaultPlan::empty();
         for (start, kind) in [
@@ -548,6 +569,8 @@ mod tests {
             );
         }
         w.install_faults(plan);
+        assert!(!w.fetch_ignores_time(&url));
+        assert!(w.fetch_ignores_time(&w.url_of(other)));
 
         // Outside every window the fetch is byte-identical to clean.
         match w.fetch_at(&url, 0, 500) {

@@ -1,0 +1,166 @@
+//! Speculative lookahead changes nothing but speed: `crawl_until` with
+//! 0, 1 and 3 lookahead workers leaves byte-identical stores, crawler
+//! checkpoints, engine snapshots, metrics and event logs — including the
+//! `crawl.lookahead.*` counters, which follow the request schedule rather
+//! than the threads. The three worlds between them make every reason a
+//! preparation can be turned down fire at least once.
+
+use bingo::core::persist::save_engine;
+use bingo::core::EngineTelemetry;
+use bingo::crawler::CrawlTelemetry;
+use bingo::prelude::*;
+use bingo::store::persist::write_snapshot;
+use bingo::webworld::fetch::host_of_url;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// Everything a crawl leaves behind.
+#[derive(PartialEq)]
+struct Artifacts {
+    store: Vec<u8>,
+    checkpoint: String,
+    engine: Vec<u8>,
+    metrics: String,
+    events: String,
+}
+
+struct Scenario {
+    name: &'static str,
+    world: Arc<World>,
+    config: CrawlConfig,
+    retrain_every: u64,
+}
+
+fn run(s: &Scenario, workers: usize) -> (Artifacts, BTreeMap<String, u64>) {
+    let world = &s.world;
+    let telemetry = CrawlTelemetry::default();
+    let mut engine = BingoEngine::new(EngineConfig {
+        archetype_threshold: false,
+        ..EngineConfig::default()
+    });
+    engine.set_telemetry(EngineTelemetry::new(
+        telemetry.registry.clone(),
+        telemetry.events.clone(),
+    ));
+    let topic = engine.add_topic(TopicTree::ROOT, "database research");
+    let seeds: Vec<String> = world.authors()[..2]
+        .iter()
+        .map(|a| world.url_of(a.homepage))
+        .collect();
+    for url in &seeds {
+        engine.add_training_url(world, topic, url).unwrap();
+    }
+    let others = (0..world.page_count() as u64)
+        .filter(|&id| matches!(world.true_topic(id), Some(2) | Some(3)))
+        .take(30);
+    for id in others {
+        let _ = engine.add_others_url(world, &world.url_of(id));
+    }
+    engine.train().unwrap();
+
+    let seed_hosts = seeds
+        .iter()
+        .map(|u| host_of_url(u).unwrap().to_string())
+        .collect();
+    let mut crawler = Crawler::new(
+        world.clone(),
+        CrawlConfig {
+            allowed_hosts: Some(seed_hosts),
+            ..s.config.clone()
+        },
+        DocumentStore::new(),
+    );
+    crawler.set_telemetry(telemetry.clone());
+    for url in &seeds {
+        crawler.add_seed(url, Some(topic.0));
+    }
+    engine.crawl_until_with_workers(&mut crawler, 20_000, 0, workers);
+    engine.retrain(&mut crawler);
+    engine.switch_to_harvesting(&mut crawler);
+    engine.crawl_until_with_workers(&mut crawler, 600_000, s.retrain_every, workers);
+
+    let mut store = Vec::new();
+    write_snapshot(crawler.store(), &mut store).unwrap();
+    let mut engine_json = Vec::new();
+    save_engine(&engine, &mut engine_json).unwrap();
+    let snapshot = telemetry.registry.snapshot();
+    let counters = snapshot
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("crawl.lookahead."))
+        .map(|(name, &v)| (name.to_string(), v))
+        .collect();
+    let artifacts = Artifacts {
+        store,
+        checkpoint: serde_json::to_string(&crawler.checkpoint()).unwrap(),
+        engine: engine_json,
+        metrics: snapshot.to_json(),
+        events: telemetry.events.to_jsonl(),
+    };
+    (artifacts, counters)
+}
+
+#[test]
+fn lookahead_workers_change_nothing_but_speed() {
+    let scenarios = [
+        // Epochs turn mid-crawl: requests left over from one model are
+        // popped under the next.
+        Scenario {
+            name: "portal, retraining",
+            world: Arc::new(WorldConfig::small_test(2003).build()),
+            config: CrawlConfig::default(),
+            retrain_every: 25,
+        },
+        // Fault windows make fetches depend on time, and DNS flaps send
+        // requested entries back to the frontier as retries.
+        Scenario {
+            name: "chaos",
+            world: Arc::new(WorldConfig::chaos(41).build()),
+            config: CrawlConfig::default(),
+            retrain_every: 0,
+        },
+        // A tiny term cache evicts a predecessor's top terms between a
+        // request and its pop.
+        Scenario {
+            name: "term cache of 2",
+            world: Arc::new(WorldConfig::small_test(7).build()),
+            config: CrawlConfig {
+                page_terms_cap: 2,
+                ..CrawlConfig::default()
+            },
+            retrain_every: 0,
+        },
+    ];
+    let mut fired: BTreeMap<String, u64> = BTreeMap::new();
+    for scenario in &scenarios {
+        let (inline, counters) = run(scenario, 0);
+        for workers in [1, 3] {
+            let (ahead, _) = run(scenario, workers);
+            let name = scenario.name;
+            assert!(
+                inline.store == ahead.store,
+                "{name}, {workers} workers: store"
+            );
+            assert!(
+                inline.checkpoint == ahead.checkpoint,
+                "{name}, {workers} workers: crawler checkpoint"
+            );
+            assert!(
+                inline.engine == ahead.engine,
+                "{name}, {workers} workers: engine"
+            );
+            assert_eq!(inline.metrics, ahead.metrics, "{name}, {workers} workers");
+            assert_eq!(inline.events, ahead.events, "{name}, {workers} workers");
+        }
+        for (name, v) in counters {
+            *fired.entry(name).or_default() += v;
+        }
+    }
+    for reason in ["entry", "epoch", "neighbors", "fault", "gate", "unknown"] {
+        let name = format!("crawl.lookahead.miss.{reason}");
+        assert!(fired[&name] > 0, "{name} never fired: {fired:?}");
+    }
+    for name in ["requested", "used", "discarded"] {
+        assert!(fired[&format!("crawl.lookahead.{name}")] > 0, "{fired:?}");
+    }
+}
