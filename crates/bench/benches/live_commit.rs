@@ -1,5 +1,5 @@
 //! Cost of one `LiveIndex::commit` against corpus size — the curve
-//! ROADMAP item 3 asks for. A commit recomputes every document norm, so
+//! ROADMAP item 5 asks for. A commit recomputes every document norm, so
 //! it is O(total postings); this bench times the *last* commit of 256
 //! rows on top of 25k / 100k / 400k already committed documents
 //! (synthetic rows, ≈60 distinct terms each, skewed toward low term

@@ -73,13 +73,13 @@ impl TermSlots {
         slot
     }
 
-    pub(crate) fn slot(&self, term: u32) -> Option<usize> {
-        self.slot_of.get(&term).map(|&slot| slot as usize)
+    pub(crate) fn slot(&self, term: u32) -> Option<u32> {
+        self.slot_of.get(&term).copied()
     }
 
     /// Number of documents containing `term` (0 when unknown).
     pub(crate) fn df(&self, term: u32) -> u64 {
-        self.slot(term).map_or(0, |slot| self.df[slot])
+        self.slot(term).map_or(0, |slot| self.df[slot as usize])
     }
 
     /// Number of distinct terms seen.
@@ -91,20 +91,45 @@ impl TermSlots {
     pub(crate) fn idf_table(&self, doc_count: u64) -> Vec<f32> {
         self.df.iter().map(|&df| idf(doc_count, df)).collect()
     }
+
+    /// Heap bytes of the slot map and the df table.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        map_bytes(&self.slot_of) + self.df.len() * size_of::<u64>()
+    }
 }
 
-/// A batch of indexed documents in two layouts: doc-major, one flat
-/// (CSR) run of `(term slot, 1 + ln tf)` per document in arrival order
-/// and stored term order — the norm accumulation order — and term-major
-/// `(doc, tf)` postings for the query path. The batch index is one
-/// segment over the whole store; the live index seals one per commit.
+/// Heap bytes of a hash table from its capacity: one entry and one
+/// control byte per bucket, at the table's 7/8 maximum load.
+pub(crate) fn map_bytes<K, V, S>(map: &std::collections::HashMap<K, V, S>) -> usize {
+    map.capacity() / 7 * 8 * (size_of::<(K, V)>() + 1)
+}
+
+/// A batch of indexed documents in two layouts, each a few flat arrays.
+///
+/// * Doc-major: one (CSR) run of `(term slot, 1 + ln tf)` per document,
+///   in arrival order and stored term order — the norm accumulation
+///   order. `push` appends here, plus each raw tf for the seal.
+/// * Term-major, built once by `seal`: one postings
+///   array of `(document ordinal, tf)`, a run per term slot with the
+///   run's documents in id order, and a directory of `(slot, run end)`
+///   for the slots present, ascending. The directory is sized by the
+///   segment's own distinct terms, never by the global vocabulary.
+///
+/// An ordinal indexes the segment's arrival-order document list. A
+/// sealed segment holds 16 bytes per posting plus 8 per distinct term
+/// and ≈16 per document. The batch index is one segment over the whole
+/// store; the live index seals one per commit.
 #[derive(Debug, Default)]
 pub struct Segment {
     docs: Vec<PageId>,
     /// End of each document's run in `weights`.
     ends: Vec<usize>,
     weights: Vec<(u32, f32)>,
-    postings: FxHashMap<u32, Vec<(PageId, u32)>>,
+    /// Raw tf of each entry of `weights`, staged until the seal.
+    tfs: Vec<u32>,
+    /// `(slot, end of its run in postings)`, ascending by slot.
+    directory: Vec<(u32, u32)>,
+    postings: Vec<(u32, u32)>,
 }
 
 impl Segment {
@@ -112,18 +137,62 @@ impl Segment {
     pub(crate) fn push(&mut self, terms: &mut TermSlots, doc: PageId, term_freqs: &[(u32, u32)]) {
         for &(term, tf) in term_freqs {
             self.weights.push((terms.count(term), tf_damp(tf)));
-            self.postings.entry(term).or_default().push((doc, tf));
+            self.tfs.push(tf);
         }
         self.docs.push(doc);
         self.ends.push(self.weights.len());
     }
 
-    /// Order every postings list by document id; the segment is
-    /// immutable from here on.
+    /// Build the term-major layout with one stable counting sort by
+    /// slot, visiting documents in id order so every run is ordered by
+    /// document id. The segment is immutable from here on.
     pub(crate) fn seal(&mut self) {
-        for list in self.postings.values_mut() {
-            list.sort_unstable_by_key(|&(d, _)| d);
+        // Ordinals and run ends are `u32`.
+        let total = u32::try_from(self.weights.len()).expect("a segment holds < 2^32 postings");
+        let docs = u32::try_from(self.docs.len()).expect("a segment holds < 2^32 documents");
+        let mut order: Vec<u32> = (0..docs).collect();
+        order.sort_by_key(|&ord| self.docs[ord as usize]);
+
+        // Postings per slot, then each slot's write cursor. The counts
+        // are a scratch table over the slots seen so far; only the
+        // directory outlives the seal.
+        let width = self.weights.iter().map(|&(slot, _)| slot + 1).max();
+        let mut next = vec![0u32; width.unwrap_or(0) as usize];
+        for &(slot, _) in &self.weights {
+            next[slot as usize] += 1;
         }
+        let mut directory = Vec::with_capacity(next.iter().filter(|&&n| n > 0).count());
+        let mut end = 0;
+        for (slot, n) in next.iter_mut().enumerate() {
+            if *n > 0 {
+                let start = end;
+                end += *n;
+                directory.push((slot as u32, end));
+                *n = start;
+            }
+        }
+        debug_assert_eq!(end, total);
+
+        let mut postings = vec![(0, 0); self.weights.len()];
+        for ord in order {
+            for i in self.run(ord as usize) {
+                let at = &mut next[self.weights[i].0 as usize];
+                postings[*at as usize] = (ord, self.tfs[i]);
+                *at += 1;
+            }
+        }
+        self.directory = directory;
+        self.postings = postings;
+        self.tfs = Vec::new();
+        self.docs.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self.weights.shrink_to_fit();
+    }
+
+    /// Index range of document `ord`'s run in `weights`.
+    fn run(&self, ord: usize) -> std::ops::Range<usize> {
+        let start = if ord == 0 { 0 } else { self.ends[ord - 1] };
+        start..self.ends[ord]
     }
 
     /// Documents in this segment.
@@ -136,8 +205,29 @@ impl Segment {
         self.weights.len()
     }
 
-    pub(crate) fn postings(&self, term: u32) -> &[(PageId, u32)] {
-        self.postings.get(&term).map_or(&[], Vec::as_slice)
+    /// `(doc, tf)` postings of term `slot` in document id order (none
+    /// before the seal).
+    pub(crate) fn postings(&self, slot: u32) -> impl Iterator<Item = (PageId, u32)> + '_ {
+        let run = match self.directory.binary_search_by_key(&slot, |&(s, _)| s) {
+            Ok(i) => {
+                let start = if i == 0 { 0 } else { self.directory[i - 1].1 };
+                start as usize..self.directory[i].1 as usize
+            }
+            Err(_) => 0..0,
+        };
+        self.postings[run]
+            .iter()
+            .map(|&(ord, tf)| (self.docs[ord as usize], tf))
+    }
+
+    /// Heap bytes of the segment's arrays, from their lengths.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.docs.len() * size_of::<PageId>()
+            + self.ends.len() * size_of::<usize>()
+            + self.weights.len() * size_of::<(u32, f32)>()
+            + self.tfs.len() * size_of::<u32>()
+            + self.directory.len() * size_of::<(u32, u32)>()
+            + self.postings.len() * size_of::<(u32, u32)>()
     }
 
     /// L2 norm of every document's tf·idf vector under `idf` (indexed by
@@ -161,11 +251,12 @@ impl Segment {
 }
 
 /// Term → postings index with idf and document norms, built once from the
-/// crawl result database.
+/// crawl result database: one sealed [`Segment`] over every row, in the
+/// live index's layout.
 #[derive(Debug, Default)]
 pub struct InvertedIndex {
-    /// term (feature index) → `(doc, tf)` postings.
-    postings: FxHashMap<u32, Vec<(PageId, u32)>>,
+    segment: Segment,
+    terms: TermSlots,
     /// Per-document L2 norm of the tf·idf vector.
     norms: FxHashMap<PageId, f32>,
     doc_count: u64,
@@ -175,30 +266,31 @@ impl InvertedIndex {
     /// Build from all documents in the store.
     pub fn build(store: &DocumentStore) -> Self {
         let mut terms = TermSlots::default();
-        let mut all = Segment::default();
-        store.for_each_document(|row| all.push(&mut terms, row.id, &row.term_freqs));
-        all.seal();
-        let doc_count = all.doc_count() as u64;
-        let mut norms = FxHashMap::with_capacity_and_hasher(all.doc_count(), Default::default());
-        all.norms_into(&terms.idf_table(doc_count), &mut norms);
+        let mut segment = Segment::default();
+        store.for_each_document(|row| segment.push(&mut terms, row.id, &row.term_freqs));
+        segment.seal();
+        let doc_count = segment.doc_count() as u64;
+        let mut norms =
+            FxHashMap::with_capacity_and_hasher(segment.doc_count(), Default::default());
+        segment.norms_into(&terms.idf_table(doc_count), &mut norms);
         InvertedIndex {
-            postings: all.postings,
+            segment,
+            terms,
             norms,
             doc_count,
         }
     }
 
-    /// Documents containing `term`, with raw frequencies.
-    pub fn postings(&self, term: u32) -> &[(PageId, u32)] {
-        self.postings
-            .get(&term)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+    /// Documents containing `term`, with raw frequencies, in document id
+    /// order.
+    pub fn postings(&self, term: u32) -> impl Iterator<Item = (PageId, u32)> + '_ {
+        let slot = self.terms.slot(term).into_iter();
+        slot.flat_map(|slot| self.segment.postings(slot))
     }
 
     /// Logarithmically dampened idf of a term.
     pub fn idf(&self, term: u32) -> f32 {
-        idf(self.doc_count, self.postings(term).len() as u64)
+        idf(self.doc_count, self.terms.df(term))
     }
 
     /// L2 norm of a document's tf·idf vector.
@@ -213,7 +305,7 @@ impl InvertedIndex {
 
     /// Number of distinct terms.
     pub fn term_count(&self) -> usize {
-        self.postings.len()
+        self.terms.len()
     }
 }
 
@@ -223,7 +315,7 @@ impl TermIndex for InvertedIndex {
     }
 
     fn df(&self, term: u32) -> u64 {
-        self.postings(term).len() as u64
+        self.terms.df(term)
     }
 
     fn norm(&self, doc: PageId) -> f32 {
@@ -231,7 +323,7 @@ impl TermIndex for InvertedIndex {
     }
 
     fn for_each_posting(&self, term: u32, f: &mut dyn FnMut(PageId, u32)) {
-        for &(doc, tf) in self.postings(term) {
+        for (doc, tf) in self.postings(term) {
             f(doc, tf);
         }
     }
@@ -266,6 +358,7 @@ mod tests {
     use super::*;
     use crate::tests::sample_store;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// The scalar definition the flat norm kernel must reproduce bit for
     /// bit: weight of one term occurrence...
@@ -327,8 +420,77 @@ mod tests {
         assert!(idx.term_count() > 10);
         let aries = vocab.lookup("ari").or_else(|| vocab.lookup("aries"));
         let aries = aries.expect("aries stem interned").0;
-        let docs: Vec<u64> = idx.postings(aries).iter().map(|&(d, _)| d).collect();
+        let docs: Vec<u64> = idx.postings(aries).map(|(d, _)| d).collect();
         assert_eq!(docs, vec![1, 2]);
+    }
+
+    /// A document and its `(term, tf)` pairs.
+    type Row = (PageId, Vec<(u32, u32)>);
+
+    /// Seal `rows` (in the order given) into one segment and compare
+    /// every term's postings with the naive definition: each `(doc, tf)`
+    /// of the term, in document id order.
+    fn assert_postings_match_reference(rows: &[Row]) {
+        let mut terms = TermSlots::default();
+        let mut segment = Segment::default();
+        for (doc, term_freqs) in rows {
+            segment.push(&mut terms, *doc, term_freqs);
+        }
+        segment.seal();
+
+        let mut by_id: Vec<_> = rows.iter().collect();
+        by_id.sort_by_key(|(doc, _)| *doc);
+        let mut reference: BTreeMap<u32, Vec<(PageId, u32)>> = BTreeMap::new();
+        for (doc, term_freqs) in by_id {
+            for &(term, tf) in term_freqs {
+                reference.entry(term).or_default().push((*doc, tf));
+            }
+        }
+        assert_eq!(terms.len(), reference.len());
+        for (&term, want) in &reference {
+            let slot = terms.slot(term).expect("every indexed term has a slot");
+            let got: Vec<_> = segment.postings(slot).collect();
+            assert_eq!(&got, want, "term {term}");
+        }
+        assert_eq!(segment.postings(terms.len() as u32).count(), 0);
+    }
+
+    proptest! {
+        /// Rows arrive in any order, as concurrent writers deliver them;
+        /// the seal alone restores document id order within each run.
+        #[test]
+        fn sealed_postings_equal_a_naive_reference_in_any_arrival_order(
+            rows in proptest::collection::vec(
+                (any::<u32>(), proptest::collection::vec((0u32..40, 1u32..9), 0..12)),
+                0..40,
+            ),
+            huge_at in any::<u32>(),
+            empty_at in any::<u32>(),
+        ) {
+            const HUGE: u32 = u32::MAX - 1;
+            // Ids follow generation order; arrival follows the drawn key.
+            let n = rows.len() as u64;
+            let mut arrivals: Vec<(u32, Row)> = rows
+                .into_iter()
+                .enumerate()
+                .map(|(i, (at, term_freqs))| (at, (i as u64 + 1, term_freqs)))
+                .collect();
+            arrivals.push((huge_at, (n + 1, vec![(7, 2), (HUGE, 1)])));
+            arrivals.push((empty_at, (n + 2, Vec::new())));
+            arrivals.sort_by_key(|&(at, _)| at);
+            let rows: Vec<Row> = arrivals.into_iter().map(|(_, row)| row).collect();
+            assert_postings_match_reference(&rows);
+        }
+    }
+
+    #[test]
+    fn seal_reorders_runs_that_arrived_out_of_id_order() {
+        assert_postings_match_reference(&[
+            (9, vec![(3, 1), (u32::MAX - 1, 4)]),
+            (2, vec![]),
+            (5, vec![(3, 2), (0, 1)]),
+            (1, vec![(u32::MAX - 1, 1), (3, 7)]),
+        ]);
     }
 
     #[test]

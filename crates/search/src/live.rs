@@ -2,8 +2,8 @@
 //!
 //! The batch [`InvertedIndex`](crate::InvertedIndex) answers queries only
 //! *after* a crawl; the portal front end needs answers *during* one. This
-//! module provides the epoch/snapshot-swap design ROADMAP item 2 calls
-//! for:
+//! module provides the epoch/snapshot-swap serving index of ROADMAP
+//! item 5:
 //!
 //! * Writers ([`LiveIndex::ingest`], typically fed through the store's
 //!   [`bingo_store::IndexTee`] hook) append rows to a pending
@@ -18,16 +18,20 @@
 //!   No `RwLock` is ever held across a query.
 //!
 //! Snapshots share sealed segments via `Arc`, so a commit never copies
-//! previously indexed postings or weights.
+//! previously indexed postings or weights. A sealed segment is a handful
+//! of flat arrays, the same layout as the batch index's one segment (see
+//! [`Segment`]).
 //!
 //! # Cost model
 //!
 //! * [`LiveIndex::ingest`] is O(batch): each row is appended to the
-//!   pending [`Segment`] — one term-slot lookup and one `1 + ln tf` per
-//!   posting, computed once and never again.
-//! * [`LiveIndex::commit`] sorts the pending segment's postings
-//!   (O(batch)), builds one dense idf table (O(vocabulary)) and then
-//!   recomputes **every** document norm: idf depends on the global
+//!   pending [`Segment`]'s doc-major arrays — one term-slot lookup, one
+//!   `1 + ln tf` (computed once and never again) and the raw tf per
+//!   posting.
+//! * [`LiveIndex::commit`] seals the pending segment with one counting
+//!   sort by term slot into a single postings array (O(batch) plus a
+//!   scratch count per slot), builds one dense idf table (O(vocabulary))
+//!   and then recomputes **every** document norm: idf depends on the global
 //!   document count, so all tf·idf norms change whenever the corpus
 //!   grows. That pass is O(total postings) — amortized by committing per
 //!   bulk-load batch rather than per document — but it is one
@@ -35,6 +39,19 @@
 //!   lookup and two `ln` calls, ≈22 ns). It buys exact equivalence with
 //!   a batch rebuild (see [`IndexSnapshot`] and the `live_equivalence`
 //!   test); `search.live.norm_postings` counts the postings it visits.
+//! * A query term costs one slot lookup, then one binary search of each
+//!   segment's directory — O(segments · log terms per segment) before
+//!   its postings are read.
+//! * Memory: a sealed segment holds 16 bytes per posting (its doc-major
+//!   weight and its term-major posting), 8 per distinct term of the
+//!   segment and ≈16 per document; the published snapshot adds a norm
+//!   per document and the slot and idf tables. In all that is 24 heap
+//!   bytes per posting on `live_commit`'s synthetic rows and ≈19 bytes
+//!   of RSS on the `serve_live` corpus, where one heap vector per term
+//!   per segment cost 93 and ≈48 (`tests/live_alloc_budget.rs` gates the
+//!   first).
+//!   [`LiveIndex::resident_bytes`] estimates the total from the tables'
+//!   sizes.
 //!
 //! Computing norms lazily — per matching document at query time — was
 //! tried when this design was sized and lost: it takes the pass out of
@@ -45,7 +62,7 @@
 //! norms that do not depend on the corpus size, i.e. a different
 //! ranking.
 
-use crate::index::{Segment, TermIndex, TermSlots};
+use crate::index::{map_bytes, Segment, TermIndex, TermSlots};
 use bingo_graph::PageId;
 use bingo_obs::{Counter, Gauge, Registry};
 use bingo_store::{DocumentRow, IndexTee};
@@ -90,6 +107,12 @@ impl IndexSnapshot {
     pub fn term_count(&self) -> usize {
         self.terms.len()
     }
+
+    /// Heap bytes of the tables this snapshot owns: its slot table, idf
+    /// table and norms. The segments it shares are the writer's.
+    fn own_bytes(&self) -> usize {
+        self.terms.resident_bytes() + self.idf.len() * size_of::<f32>() + map_bytes(&self.norms)
+    }
 }
 
 impl TermIndex for IndexSnapshot {
@@ -106,15 +129,20 @@ impl TermIndex for IndexSnapshot {
     }
 
     fn for_each_posting(&self, term: u32, f: &mut dyn FnMut(PageId, u32)) {
+        let Some(slot) = self.terms.slot(term) else {
+            return;
+        };
         for seg in &self.segments {
-            for &(doc, tf) in seg.postings(term) {
+            for (doc, tf) in seg.postings(slot) {
                 f(doc, tf);
             }
         }
     }
 
     fn idf(&self, term: u32) -> f32 {
-        self.terms.slot(term).map_or(0.0, |slot| self.idf[slot])
+        self.terms
+            .slot(term)
+            .map_or(0.0, |slot| self.idf[slot as usize])
     }
 }
 
@@ -127,6 +155,15 @@ struct Writer {
     /// Slots and document frequencies over `segments` and `pending`.
     terms: TermSlots,
     doc_count: u64,
+}
+
+impl Writer {
+    /// Heap bytes of every segment, sealed or pending, and of the slot
+    /// table.
+    fn resident_bytes(&self) -> usize {
+        let segments: usize = self.segments.iter().map(|s| s.resident_bytes()).sum();
+        segments + self.pending.resident_bytes() + self.terms.resident_bytes()
+    }
 }
 
 #[derive(Debug)]
@@ -229,6 +266,7 @@ impl LiveIndex {
             norms,
             doc_count: docs,
         };
+        let resident = w.resident_bytes() + snapshot.own_bytes();
 
         *self.shared.current.lock() = Arc::new(snapshot);
         self.shared.epoch.store(epoch, Ordering::Release);
@@ -238,8 +276,20 @@ impl LiveIndex {
             o.epoch.set(epoch as i64);
             o.docs.set(docs as i64);
             o.pending.set(0);
+            o.resident_bytes.set(resident as i64);
         }
         epoch
+    }
+
+    /// Heap bytes the index holds: every segment, the writer's slot
+    /// table and the published snapshot's slot, idf and norm tables.
+    /// Computed from the tables' sizes, not measured, so it is a
+    /// deterministic function of the ingest/commit schedule. Snapshots
+    /// still held by readers after a newer commit are not counted.
+    pub fn resident_bytes(&self) -> usize {
+        let w = self.shared.writer.lock();
+        let snapshot = self.shared.current.lock().clone();
+        w.resident_bytes() + snapshot.own_bytes()
     }
 
     /// A reader handle for one querying thread.
@@ -313,6 +363,8 @@ pub struct LiveIndexObs {
     pub docs: Gauge,
     /// Rows currently staged for the next commit.
     pub pending: Gauge,
+    /// [`LiveIndex::resident_bytes`] after the latest commit.
+    pub resident_bytes: Gauge,
 }
 
 impl std::fmt::Debug for LiveIndexObs {
@@ -331,6 +383,7 @@ impl LiveIndexObs {
             epoch: registry.gauge("search.live.epoch"),
             docs: registry.gauge("search.live.docs"),
             pending: registry.gauge("search.live.pending"),
+            resident_bytes: registry.gauge("search.live.resident_bytes"),
         }
     }
 }

@@ -1,7 +1,8 @@
-//! Property: a live index fed the store's rows under *any* commit
-//! chunking is indistinguishable from `InvertedIndex::build` over that
-//! store — norms bit for bit, and `rank` hit for hit under every ranking
-//! scheme and topic filter — and every hit carries its row's metadata.
+//! Property: a live index fed the store's rows in *any* arrival order
+//! under *any* commit chunking is indistinguishable from
+//! `InvertedIndex::build` over that store — norms bit for bit, every
+//! term's postings, and `rank` hit for hit under every ranking scheme and
+//! topic filter — and every hit carries its row's metadata.
 
 use bingo_search::rank::rank;
 use bingo_search::{InvertedIndex, LiveIndex, RankingScheme, SearchHit, TermIndex, TopicFilter};
@@ -85,12 +86,17 @@ proptest! {
         links in proptest::collection::vec((0usize..40, 0usize..40), 0..60),
         queries in proptest::collection::vec(proptest::collection::vec(0u32..45, 1..4), 1..5),
         top_k in 1usize..12,
+        arrival in proptest::collection::vec(any::<u32>(), 40),
     ) {
-        let rows: Vec<DocumentRow> = specs
+        // Ids follow generation order; rows arrive ordered by a drawn
+        // key, as concurrent writers deliver them, so a commit's rows
+        // are generally out of id order.
+        let mut rows: Vec<DocumentRow> = specs
             .into_iter()
             .enumerate()
             .map(|(i, spec)| row(i as u64 + 1, spec))
             .collect();
+        rows.sort_by_key(|r| arrival[r.id as usize - 1]);
         let store = DocumentStore::new();
         prop_assert!(store.insert_documents(rows.clone()).is_empty());
         for (from, to) in links {
@@ -120,6 +126,14 @@ proptest! {
                 batch.norm(row.id).to_bits(),
                 "norm of doc {}", row.id
             );
+        }
+        for term in 0..45 {
+            let mut incremental = Vec::new();
+            snapshot.for_each_posting(term, &mut |doc, tf| incremental.push((doc, tf)));
+            incremental.sort_unstable();
+            let full: Vec<_> = batch.postings(term).collect();
+            prop_assert!(full.windows(2).all(|w| w[0].0 < w[1].0), "term {} in id order", term);
+            prop_assert_eq!(incremental, full, "postings of term {}", term);
         }
 
         for mut terms in queries {
