@@ -40,19 +40,15 @@
 # baseline-sized scenarios, "smoke" the reduced CI sizes, "skip"
 # disables the bench gate (e.g. on heavily loaded shared runners).
 # BENCH_GATE_ONLY restricts the gate to a comma-separated scenario
-# subset. It defaults to the seven scenarios that have a checked-in
-# BENCH_<scenario>.json baseline (crawl, classify, pipeline, recovery,
-# serve, scale, dist). The eighth scenario, scale10m, has no committed
-# baseline yet (recording one takes the nightly job's multi-hour
-# budget), so it runs only when named: nightly.yml gives it its own job
-# with BENCH_GATE_ONLY=scale10m. The gate checks behaviour only — it
+# subset; unset, every scenario runs (each has a checked-in
+# BENCH_<scenario>.json baseline). The gate checks behaviour only — it
 # reads no clock, each scenario's report is a pure function of the seed
 # and two runs of it must agree; speed is measured by benchmark/run.sh.
 # Beyond the baseline comparison, the serve scenario proves the
 # snapshot-swap live index answers queries identically to a batch
-# rebuild, the scale scenarios crawl paged worlds (a million and ten
-# million pages in full mode) through the segmented store and the
-# spill/compaction layers, failing the gate if peak-RSS growth leaves
+# rebuild, the scale scenario crawls a paged world (a million pages in
+# full mode) through the segmented store and the spilling frontier,
+# checkpointing and resuming, failing the gate if peak-RSS growth leaves
 # the fixed budget (rss_within_budget), and the dist scenario runs a
 # multi-node coordinator/worker crawl through seeded node kills plus a
 # process kill, gating exact calm-set convergence, kill/requeue
@@ -73,7 +69,7 @@ set -eu
 cd "$(dirname "$0")"
 
 BENCH_GATE_MODE="${BENCH_GATE_MODE:-full}"
-BENCH_GATE_ONLY="${BENCH_GATE_ONLY:-crawl,classify,pipeline,recovery,serve,scale,dist}"
+BENCH_GATE_ONLY="${BENCH_GATE_ONLY:-}"
 BINGO_CRASH_SEEDS="${BINGO_CRASH_SEEDS:-1,2,3,11,12,13}"
 BINGO_NODE_KILL_SEEDS="${BINGO_NODE_KILL_SEEDS:-41,42,43}"
 CI_STEPS="${CI_STEPS:-lint,test,crash,paper,bench}"
@@ -242,15 +238,18 @@ if wants lint; then
 fi
 
 if wants bench; then
-    # bench_gate rejects unknown/empty scenario lists.
-    set -- -- --only "$BENCH_GATE_ONLY"
+    # bench_gate rejects unknown scenario names.
+    set -- --
+    if [ -n "$BENCH_GATE_ONLY" ]; then
+        set -- -- --only "$BENCH_GATE_ONLY"
+    fi
     case "$BENCH_GATE_MODE" in
     full)
-        step "bench_gate (full, --only $BENCH_GATE_ONLY)" \
+        step "bench_gate (full${BENCH_GATE_ONLY:+, --only $BENCH_GATE_ONLY})" \
             cargo run --release --offline -p bingo-bench --bin bench_gate "$@"
         ;;
     smoke)
-        step "bench_gate (smoke, --only $BENCH_GATE_ONLY)" \
+        step "bench_gate (smoke${BENCH_GATE_ONLY:+, --only $BENCH_GATE_ONLY})" \
             cargo run --release --offline -p bingo-bench --bin bench_gate "$@" --smoke
         ;;
     skip)

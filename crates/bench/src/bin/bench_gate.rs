@@ -8,7 +8,7 @@
 //!                    (runs both smoke and full sizes)
 //!   --only LIST      run a subset of scenarios: a comma-separated list
 //!                    of (crawl | classify | pipeline | recovery |
-//!                    serve | scale | scale10m | dist), e.g. `--only
+//!                    serve | scale | dist), e.g. `--only
 //!                    crawl,serve`; repeatable. Unknown or empty lists
 //!                    are usage errors listing the valid names.
 //!   --out DIR        artifact directory (default target/bench_gate)
@@ -259,7 +259,7 @@ fn stage_failed_telemetry(out_dir: &Path, failed_runs: &[String]) {
         return;
     }
     for run in failed_runs {
-        for suffix in ["report.json", "metrics.json", "events.jsonl", "spill.json"] {
+        for suffix in ["report.json", "metrics.json", "events.jsonl"] {
             let name = format!("{run}.{suffix}");
             let src = out_dir.join(&name);
             if src.is_file() {

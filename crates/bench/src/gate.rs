@@ -1,6 +1,6 @@
 //! The deterministic bench-regression gate.
 //!
-//! Eight fixed macro scenarios run with a scenario-wide telemetry
+//! Seven fixed macro scenarios run with a scenario-wide telemetry
 //! registry:
 //!
 //! * **crawl** — a seeded portal crawl (learning → retrain → harvesting)
@@ -24,13 +24,9 @@
 //!   (one million pages in full mode) through the disk-backed segmented
 //!   store and the spillable frontier; coverage, harvest and segment
 //!   counts gate tightly and the crawl's peak RSS growth must stay
-//!   inside a fixed per-mode budget (`rss_within_budget`),
-//! * **scale10m** — the same memory-bounded crawl at ten million pages
-//!   (full mode) under the *same* RSS-growth budget as the 1M run,
-//!   with every bounding knob on: spilling duplicate filter, sparse
-//!   segment index, segment compaction, capped term cache. Adds exact
-//!   gates on `dedup_spill_active`, `dedup_io_errors` and
-//!   `compaction_runs`,
+//!   inside a fixed per-mode budget (`rss_within_budget`); the crawl
+//!   checkpoints, and the resume of its newest generation runs inside
+//!   the measured window,
 //! * **dist** — the distributed coordinator/worker crawl: a calm
 //!   N-node run, then the same crawl under a seeded node-kill fault
 //!   plan interrupted by a whole-process kill and resumed from the
@@ -63,9 +59,7 @@ use bingo_search::{
 };
 use bingo_serve::{PortalRequest, PortalService, QueryMix, ServeMetrics, VirtualLoadGen};
 use bingo_store::durable::{self, CrashFs};
-use bingo_store::{
-    CompactionConfig, CompactionStats, CompactionTelemetry, DocumentStore, SegmentStoreConfig,
-};
+use bingo_store::DocumentStore;
 use bingo_textproc::{AnalyzedDocument, SharedVocabulary, TermLookup, Vocabulary};
 use bingo_webworld::fetch::host_of_url;
 use bingo_webworld::gen::{TopicConfig, WorldConfig};
@@ -669,8 +663,6 @@ fn reset_rss_peak() {
 
 /// Sizing knobs of one scale-scenario run.
 struct ScaleParams {
-    /// Report `scenario` name (`"scale"` or `"scale10m"`).
-    name: &'static str,
     paged: bingo_webworld::PagedConfig,
     /// Segment seal cadence (documents per sealed segment).
     seal_every: usize,
@@ -679,18 +671,8 @@ struct ScaleParams {
     incoming_cap: usize,
     /// In-memory entry payloads per incoming queue; the rest spills.
     frontier_hot_cap: usize,
-    /// `Some(cap)`: the duplicate filter spills past `cap` resident
-    /// fingerprints per set; `None` keeps every fingerprint resident.
-    dedup_hot_cap: Option<usize>,
-    /// Most-significant-term cache entries kept resident (0 = all).
-    page_terms_cap: usize,
-    /// Sparse per-segment block index instead of the dense per-row
-    /// locator map.
-    sparse: bool,
-    /// Small-segment merge policy (`None` never compacts).
-    compaction: Option<CompactionConfig>,
     /// Commit a session generation every N stored pages and resume the
-    /// newest one after the crawl (0 = the crawl never checkpoints).
+    /// newest one after the crawl.
     checkpoint_every: u64,
     /// Fixed budget on RSS *growth* during the crawl, MB.
     rss_budget_mb: f64,
@@ -721,97 +703,22 @@ struct ScaleParams {
 pub fn run_scale_scenario(mode: GateMode) -> ScenarioRun {
     let params = match mode {
         GateMode::Full => ScaleParams {
-            name: "scale",
             paged: bingo_webworld::PagedConfig::scale_full(GATE_SEED),
             seal_every: 4_096,
             incoming_cap: 1_500_000,
             frontier_hot_cap: 512,
-            dedup_hot_cap: None,
-            page_terms_cap: 0,
-            sparse: false,
-            compaction: None,
             checkpoint_every: 200_000,
             rss_budget_mb: 1_024.0,
             tag: "full".into(),
         },
         GateMode::Smoke => ScaleParams {
-            name: "scale",
             paged: bingo_webworld::PagedConfig::scale_smoke(GATE_SEED),
             seal_every: 256,
             incoming_cap: 50_000,
             frontier_hot_cap: 64,
-            dedup_hot_cap: None,
-            page_terms_cap: 0,
-            sparse: false,
-            compaction: None,
             checkpoint_every: 2_500,
             rss_budget_mb: 256.0,
             tag: "smoke".into(),
-        },
-    };
-    run_scale_with(params)
-}
-
-/// Run the 10M-page scale scenario once: ten times the [`run_scale_scenario`]
-/// full-mode world under the *same* 1024 MB RSS-growth budget. The 1M
-/// scenario leaves the duplicate filter, the most-significant-term
-/// cache and the per-row segment index fully resident; at ten million
-/// pages those are exactly the O(pages) structures that would eat the
-/// budget, so this scenario turns on every bounding knob at once:
-///
-/// * the dedup fingerprint sets spill past `dedup_hot_cap` to
-///   hash-sharded files (`crawl.dedup.*` metrics),
-/// * the segmented store runs the sparse block index plus small-segment
-///   compaction (`store.compaction.*` metrics),
-/// * the most-significant-term cache and frontier queues are
-///   capacity-bounded as before.
-///
-/// Smoke mode shrinks the world to the 10K-page miniature but keeps
-/// every spill/compaction knob active at tiny caps, so CI exercises the
-/// full bounded pipeline (compaction runs, dedup shard merges) in
-/// seconds.
-pub fn run_scale10m_scenario(mode: GateMode) -> ScenarioRun {
-    let params = match mode {
-        GateMode::Full => ScaleParams {
-            name: "scale10m",
-            paged: bingo_webworld::PagedConfig::scale_10m(GATE_SEED),
-            seal_every: 4_096,
-            incoming_cap: 15_000_000,
-            frontier_hot_cap: 512,
-            dedup_hot_cap: Some(262_144),
-            page_terms_cap: 65_536,
-            sparse: true,
-            // Full-size seals land exactly on seal_every, so only a
-            // trailing partial segment is ever a candidate: compaction
-            // stays armed but normally idle at this scale (the smoke
-            // sizes exercise the merge path on every run).
-            compaction: Some(CompactionConfig {
-                small_docs: 2_048,
-                min_run: 4,
-            }),
-            checkpoint_every: 0,
-            rss_budget_mb: 1_024.0,
-            tag: "10m-full".into(),
-        },
-        GateMode::Smoke => ScaleParams {
-            name: "scale10m",
-            paged: bingo_webworld::PagedConfig::scale_smoke(GATE_SEED),
-            seal_every: 256,
-            incoming_cap: 50_000,
-            frontier_hot_cap: 64,
-            dedup_hot_cap: Some(1_024),
-            page_terms_cap: 2_048,
-            sparse: true,
-            // small_docs > seal_every: every sealed segment is a merge
-            // candidate, so runs of three coalesce as the crawl seals —
-            // the merge path executes on every smoke run.
-            compaction: Some(CompactionConfig {
-                small_docs: 320,
-                min_run: 3,
-            }),
-            checkpoint_every: 0,
-            rss_budget_mb: 256.0,
-            tag: "10m-smoke".into(),
         },
     };
     run_scale_with(params)
@@ -822,32 +729,20 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
     let pages = world.page_count() as u64;
 
     let scratch = scratch_dir(&format!("scale-{}", params.tag));
-    let store = DocumentStore::segmented_cfg(
-        scratch.join("segments"),
-        SegmentStoreConfig {
-            seal_every: params.seal_every,
-            sparse: params.sparse,
-            compaction: params.compaction,
-        },
-    )
-    .expect("segment spine");
-    let base = CrawlConfig::default().harvesting();
+    let store = DocumentStore::segmented_with(scratch.join("segments"), params.seal_every)
+        .expect("segment spine");
     let session = scratch.join("session");
     let config = CrawlConfig {
         incoming_queue_cap: params.incoming_cap,
         frontier_spill_dir: Some(scratch.join("frontier")),
         frontier_hot_cap: params.frontier_hot_cap,
-        dedup_spill_dir: params.dedup_hot_cap.map(|_| scratch.join("dedup")),
-        dedup_hot_cap: params.dedup_hot_cap.unwrap_or(base.dedup_hot_cap),
-        page_terms_cap: params.page_terms_cap,
         checkpoint_every_docs: params.checkpoint_every,
-        checkpoint_dir: (params.checkpoint_every > 0).then(|| session.clone()),
-        ..base
+        checkpoint_dir: Some(session.clone()),
+        ..CrawlConfig::default().harvesting()
     };
 
     let registry = Arc::new(Registry::new());
     let events = Arc::new(EventLog::default());
-    let compaction_tel = CompactionTelemetry::new(&registry);
     reset_rss_peak();
     let rss_start_mb = rss_status_mb("VmRSS:");
 
@@ -887,15 +782,11 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
         }
     }
     store.seal_now().expect("final seal");
-    let compaction = store.compaction_stats();
-    let mut last_compaction = CompactionStats::default();
-    compaction_tel.record(&compaction, &mut last_compaction);
-    let dedup = crawler.dedup_stats();
 
     let stats = crawler.stats().clone();
     let virtual_ms = crawler.clock_ms().max(1);
     let mut report = json!({
-        "scenario": params.name,
+        "scenario": "scale",
         "world_pages": pages,
         "visited_urls": stats.visited_urls,
         "stored_pages": stats.stored_pages,
@@ -908,19 +799,7 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
         "workspace_documents": store.workspace_documents(),
         "spilled_peak": spilled_peak,
         "spill_active": u64::from(spilled_peak > 0),
-        "dedup_hot": dedup.hot as u64,
-        "dedup_spilled": dedup.spilled as u64,
-        "dedup_merges": dedup.merges,
-        "dedup_disk_probes": dedup.disk_probes,
-        "dedup_disk_hits": dedup.disk_hits,
-        "dedup_io_errors": dedup.io_errors,
-        "dedup_spill_active": u64::from(dedup.spilled > 0 || dedup.merges > 0),
-        "compaction_runs": compaction.runs,
-        "compaction_segments_merged": compaction.segments_merged,
-        "compaction_rows_rewritten": compaction.rows_rewritten,
-        "compaction_overrides_materialized": compaction.overrides_materialized,
-        "compaction_bytes_written": compaction.bytes_written,
-        "compaction_orphans_reaped": compaction.orphans_reaped,
+        "dedup_hot": crawler.dedup_fingerprints() as u64,
         "paged_blocks_generated": world.paged_blocks_generated(),
         "paged_resident_blocks": world.paged_resident_blocks(),
     });
@@ -930,28 +809,19 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
     // generation held unsealed rows only, and the newest one resumes as
     // a segmented store. Counts only — the scratch path is part of a
     // generation's header, so its byte size is not a function of the seed.
-    let mut resume_fields = Vec::new();
-    if params.checkpoint_every > 0 {
-        let rows_max = generations.iter().map(|g| g.0).max().unwrap_or(0);
-        assert!(
-            rows_max < params.seal_every as u64,
-            "a generation serialised {rows_max} rows: sealed rows leaked into it"
-        );
-        let (_, segments_last, documents_last) = generations.last().copied().unwrap_or_default();
-        let resumed = Crawler::resume_session(world, config, &session);
-        let resume_ok = resumed.is_ok_and(|resumed| {
-            let store = resumed.store();
-            store.is_segmented()
-                && store.document_count() as u64 == documents_last
-                && store.segment_count() as u64 == segments_last
-        });
-        resume_fields = vec![
-            ("generations_written".to_string(), json!(generations.len())),
-            ("generation_rows_max".to_string(), json!(rows_max)),
-            ("generation_segments_last".to_string(), json!(segments_last)),
-            ("resume_ok".to_string(), json!(u64::from(resume_ok))),
-        ];
-    }
+    let rows_max = generations.iter().map(|g| g.0).max().unwrap_or(0);
+    assert!(
+        rows_max < params.seal_every as u64,
+        "a generation serialised {rows_max} rows: sealed rows leaked into it"
+    );
+    let (_, segments_last, documents_last) = generations.last().copied().unwrap_or_default();
+    let resumed = Crawler::resume_session(world, config, &session);
+    let resume_ok = resumed.is_ok_and(|resumed| {
+        let store = resumed.store();
+        store.is_segmented()
+            && store.document_count() as u64 == documents_last
+            && store.segment_count() as u64 == segments_last
+    });
 
     // Peak RSS growth over the crawl and the resume of its newest
     // generation, against the fixed budget.
@@ -967,8 +837,11 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
                 "rss_within_budget".to_string(),
                 json!(u64::from(rss_growth_mb <= params.rss_budget_mb)),
             ),
+            ("generations_written".to_string(), json!(generations.len())),
+            ("generation_rows_max".to_string(), json!(rows_max)),
+            ("generation_segments_last".to_string(), json!(segments_last)),
+            ("resume_ok".to_string(), json!(u64::from(resume_ok))),
         ]);
-        fields.extend(resume_fields);
     }
     ScenarioRun {
         report,
@@ -1191,25 +1064,6 @@ const SCALE_SPECS: &[MetricSpec] = &[
     MetricSpec::at_least("resume_ok", 0.0),
 ];
 
-/// Everything the 1M scale scenario gates, plus the bounded-layer
-/// evidence — the duplicate filter actually spilled
-/// (`dedup_spill_active`, exact), it never hit an I/O error
-/// (`dedup_io_errors` must stay at the baseline's zero), and segment
-/// compaction performed at least the baseline's merge runs (exact; the
-/// smoke sizes guarantee runs > 0, full-size seals land on the seal
-/// threshold so full mode records 0 and trivially holds).
-const SCALE10M_SPECS: &[MetricSpec] = &[
-    MetricSpec::at_least("coverage", 0.02),
-    MetricSpec::at_least("stored_pages", 0.05),
-    MetricSpec::at_least("harvest_ratio", 0.05),
-    MetricSpec::at_least("segments_sealed", 0.05),
-    MetricSpec::at_least("spill_active", 0.0),
-    MetricSpec::at_least("dedup_spill_active", 0.0),
-    MetricSpec::at_most("dedup_io_errors", 0.0),
-    MetricSpec::at_least("compaction_runs", 0.0),
-    MetricSpec::at_least("rss_within_budget", 0.0),
-];
-
 /// Convergence is the contract itself and admits no tolerance; the
 /// scripted kill/restart counts and the lease-requeue coverage are
 /// lower-bounded so the chaos leg cannot silently stop exercising
@@ -1246,7 +1100,6 @@ pub const SCENARIOS: &[Scenario] = &[
     Scenario { name: "recovery", specs: RECOVERY_SPECS, run: run_recovery_scenario },
     Scenario { name: "serve", specs: SERVE_SPECS, run: run_serve_scenario },
     Scenario { name: "scale", specs: SCALE_SPECS, run: run_scale_scenario },
-    Scenario { name: "scale10m", specs: SCALE10M_SPECS, run: run_scale10m_scenario },
     Scenario { name: "dist", specs: DIST_SPECS, run: run_dist_scenario },
 ];
 
@@ -1430,37 +1283,8 @@ pub fn load_baseline(dir: &Path, scenario: &str) -> Option<Value> {
     serde_json::from_str(&text).ok()
 }
 
-/// Metric-name prefixes of the spill/compaction telemetry that gets its
-/// own `<scenario>.<mode>.spill.json` artifact next to the full
-/// snapshot — the memory-bounding evidence (dedup shards, stale-file
-/// sweeps, segment compaction) in one small file instead of buried in
-/// the complete metrics dump.
-const SPILL_METRIC_PREFIXES: &[&str] = &["crawl.dedup.", "crawl.spill.", "store.compaction."];
-
-/// Extract the spill/compaction counters and gauges from a rendered
-/// metrics snapshot. Returns an object with `counters` and `gauges`
-/// sections holding only `SPILL_METRIC_PREFIXES` metrics (empty
-/// sections when the snapshot has none — e.g. scenarios without a
-/// crawler).
-pub fn spill_telemetry(snapshot_json: &str) -> Value {
-    let snap: Value = serde_json::from_str(snapshot_json).unwrap_or(Value::Null);
-    let mut sections: Vec<(String, Value)> = Vec::new();
-    for kind in ["counters", "gauges"] {
-        let mut kept: Vec<(String, Value)> = Vec::new();
-        if let Some(Value::Object(entries)) = snap.get(kind) {
-            for (key, value) in entries {
-                if SPILL_METRIC_PREFIXES.iter().any(|p| key.starts_with(p)) {
-                    kept.push((key.clone(), value.clone()));
-                }
-            }
-        }
-        sections.push((kind.to_string(), Value::Object(kept)));
-    }
-    Value::Object(sections)
-}
-
-/// Artifacts of one gated scenario+mode: report, evidence files, and
-/// the spill/compaction telemetry extract.
+/// Artifacts of one gated scenario+mode: the report and the evidence
+/// files.
 pub fn write_run_artifacts(
     out_dir: &Path,
     scenario: &str,
@@ -1480,11 +1304,6 @@ pub fn write_run_artifacts(
     std::fs::write(
         out_dir.join(format!("{stem}.events.jsonl")),
         &run.evidence.events_jsonl,
-    )?;
-    std::fs::write(
-        out_dir.join(format!("{stem}.spill.json")),
-        serde_json::to_string_pretty(&spill_telemetry(&run.evidence.snapshot_json))
-            .expect("spill telemetry serializes"),
     )?;
     Ok(())
 }
@@ -1688,7 +1507,6 @@ mod tests {
     #[test]
     fn scale_scenario_is_deterministic_and_memory_bounded() {
         let mini = || ScaleParams {
-            name: "scale",
             paged: bingo_webworld::PagedConfig {
                 seed: GATE_SEED,
                 hosts: 60,
@@ -1698,10 +1516,6 @@ mod tests {
             seal_every: 64,
             incoming_cap: 5_000,
             frontier_hot_cap: 16,
-            dedup_hot_cap: None,
-            page_terms_cap: 0,
-            sparse: false,
-            compaction: None,
             checkpoint_every: 150,
             rss_budget_mb: 256.0,
             tag: "test".into(),
@@ -1732,77 +1546,6 @@ mod tests {
             json_path(&b.report, "visited_urls").unwrap(),
             "same-seed runs disagree on visited count"
         );
-    }
-
-    /// End-to-end: the same miniature world with every bounding layer
-    /// armed — spilling dedup, sparse segment index, compaction, capped
-    /// term cache — replays byte-identically, visits exactly the same
-    /// pages as the unbounded run (the spill layers must not change
-    /// crawl behavior), and actually exercises dedup spill + compaction.
-    #[test]
-    fn scale_scenario_spill_layers_preserve_crawl_and_activate() {
-        let world = bingo_webworld::PagedConfig {
-            seed: GATE_SEED,
-            hosts: 60,
-            pages_per_host: 10,
-            hot_cap: 16,
-        };
-        let plain = run_scale_with(ScaleParams {
-            name: "scale",
-            paged: world.clone(),
-            seal_every: 64,
-            incoming_cap: 5_000,
-            frontier_hot_cap: 16,
-            dedup_hot_cap: None,
-            page_terms_cap: 0,
-            sparse: false,
-            compaction: None,
-            checkpoint_every: 0,
-            rss_budget_mb: 256.0,
-            tag: "test-plain".into(),
-        });
-        let bounded = || ScaleParams {
-            name: "scale10m",
-            paged: world.clone(),
-            seal_every: 64,
-            incoming_cap: 5_000,
-            frontier_hot_cap: 16,
-            dedup_hot_cap: Some(64),
-            page_terms_cap: 128,
-            sparse: true,
-            compaction: Some(bingo_store::CompactionConfig {
-                small_docs: 80,
-                min_run: 3,
-            }),
-            checkpoint_every: 0,
-            rss_budget_mb: 256.0,
-            tag: "test-bounded".into(),
-        };
-        let a = run_scale_with(bounded());
-        let b = run_scale_with(bounded());
-        assert!(check_determinism("scale10m", &a, &b).is_empty());
-        for key in ["visited_urls", "stored_pages", "coverage"] {
-            assert_eq!(
-                json_path(&a.report, key).unwrap(),
-                json_path(&plain.report, key).unwrap(),
-                "spill layers changed the crawl ({key})"
-            );
-        }
-        let get = |p: &str| json_path(&a.report, p).and_then(Value::as_u64).unwrap();
-        assert_eq!(get("dedup_spill_active"), 1, "dedup never spilled");
-        assert_eq!(get("dedup_io_errors"), 0, "dedup spill hit I/O errors");
-        assert!(get("compaction_runs") > 0, "compaction never ran");
-        assert!(
-            get("segments_sealed") < plain_sealed(&plain.report),
-            "compaction did not reduce live segment count"
-        );
-        assert_eq!(get("rss_within_budget"), 1, "RSS budget blown");
-    }
-
-    fn plain_sealed(report: &Value) -> u64 {
-        json_path(report, "segments_sealed")
-            .and_then(Value::as_u64)
-            .unwrap()
     }
 
     /// End-to-end: the smoke classify scenario runs, is deterministic

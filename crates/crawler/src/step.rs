@@ -22,7 +22,7 @@
 use crate::checkpoint::{
     load_checkpoint, CheckpointError, CrawlCheckpoint, CRAWLER_FILE, STORE_FILE,
 };
-use crate::dedup::{path_of_url, Dedup, DedupStats};
+use crate::dedup::{path_of_url, Dedup};
 use crate::dns::CachingResolver;
 use crate::frontier::{Frontier, QueueEntry};
 use crate::hosts::{FailureOutcome, HostDecision, HostManager};
@@ -88,8 +88,6 @@ pub struct Crawler {
     /// neighbour-document feature space of its successors (Section 3.4).
     /// Bounded by `config.page_terms_cap` (0 = unbounded).
     page_top_terms: PageTermCache,
-    /// Dedup counters at the last telemetry poll (for counter deltas).
-    last_dedup_stats: DedupStats,
     /// Stale spill files swept from the configured spill directories at
     /// construction.
     stale_spill_reaped: u64,
@@ -190,7 +188,7 @@ impl Crawler {
             hosts: HostManager::with_config(config.breaker.clone()),
             frontier,
             threads,
-            dedup: Dedup::for_config(&config),
+            dedup: Dedup::new(),
             page_top_terms: PageTermCache::new(config.page_terms_cap),
             world,
             config,
@@ -199,7 +197,6 @@ impl Crawler {
             pipeline,
             stats: CrawlStats::default(),
             host_slots: bingo_textproc::fxhash::FxHashMap::default(),
-            last_dedup_stats: DedupStats::default(),
             stale_spill_reaped,
             clock: 0,
             telemetry,
@@ -226,10 +223,9 @@ impl Crawler {
             })
     }
 
-    /// Aggregated spill counters of the duplicate filter (all zero for
-    /// a fully resident filter).
-    pub fn dedup_stats(&self) -> DedupStats {
-        self.dedup.stats()
+    /// Fingerprints held by the duplicate filter.
+    pub fn dedup_fingerprints(&self) -> usize {
+        self.dedup.fingerprints()
     }
 
     /// Route this crawler's metrics and events into a shared telemetry
@@ -242,10 +238,7 @@ impl Crawler {
         // Replay startup-time spill state into the new registry: the
         // stale-file sweep happened under the private default registry.
         telemetry.spill_reaped.add(self.stale_spill_reaped);
-        self.last_dedup_stats = DedupStats::default();
-        telemetry
-            .dedup
-            .record(&self.dedup.stats(), &mut self.last_dedup_stats);
+        telemetry.dedup_hot.set(self.dedup.fingerprints() as i64);
         self.telemetry = telemetry;
     }
 
@@ -302,7 +295,7 @@ impl Crawler {
             self.config.outgoing_queue_cap,
             Self::spill_config(&self.config),
         );
-        self.dedup = Dedup::restore_into(Dedup::for_config(&self.config), cp.dedup);
+        self.dedup = Dedup::restore(cp.dedup);
         self.hosts = HostManager::restore(
             self.config.breaker.clone(),
             cp.host_health,
@@ -634,8 +627,8 @@ impl Crawler {
             .queue_depth
             .set(self.frontier.len() as i64);
         self.telemetry
-            .dedup
-            .record(&self.dedup.stats(), &mut self.last_dedup_stats);
+            .dedup_hot
+            .set(self.dedup.fingerprints() as i64);
         if matches!(outcome, StepOutcome::Stored { .. }) {
             self.maybe_checkpoint();
         }

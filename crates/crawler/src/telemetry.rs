@@ -78,11 +78,10 @@ pub struct CrawlTelemetry {
     /// Host-graph / authority-blend metrics (all zero unless the
     /// authority blend is enabled).
     pub graph: GraphTelemetry,
-    /// Duplicate-filter spill metrics (all zero unless
-    /// `dedup_spill_dir` is configured).
-    pub dedup: DedupTelemetry,
-    /// Stale spill files (frontier slots, dedup shards) swept on
-    /// startup.
+    /// Fingerprints held by the duplicate filter
+    /// ([`crate::dedup::Dedup::fingerprints`]).
+    pub dedup_hot: Gauge,
+    /// Stale frontier spill files swept on startup.
     pub spill_reaped: Counter,
     /// Speculative-lookahead counters (all zero unless the crawl runs
     /// through [`crate::Crawler::crawl_ahead`]).
@@ -119,56 +118,6 @@ impl GraphTelemetry {
     }
 }
 
-/// Metric handles for the spilling duplicate filter
-/// ([`crate::dedup::Dedup`]). The filter itself stays obs-free; the
-/// crawler polls [`crate::dedup::DedupStats`] and folds deltas in here,
-/// so counters stay monotonic across polls.
-#[derive(Clone)]
-pub struct DedupTelemetry {
-    /// Fingerprints resident in the hot tiers.
-    pub hot: Gauge,
-    /// Fingerprints living in spill shard files.
-    pub spilled: Gauge,
-    /// Hot-tier merges into shard files.
-    pub merges: Counter,
-    /// Disk probes issued (front filter said "maybe").
-    pub disk_probes: Counter,
-    /// Disk probes that confirmed a duplicate.
-    pub disk_hits: Counter,
-    /// Failed shard-file reads/writes (answers stayed exact).
-    pub io_errors: Counter,
-}
-
-impl DedupTelemetry {
-    /// Register the `crawl.dedup.*` handles in `registry`.
-    pub fn new(registry: &Registry) -> Self {
-        DedupTelemetry {
-            hot: registry.gauge("crawl.dedup.hot"),
-            spilled: registry.gauge("crawl.dedup.spilled"),
-            merges: registry.counter("crawl.dedup.merges"),
-            disk_probes: registry.counter("crawl.dedup.disk_probes"),
-            disk_hits: registry.counter("crawl.dedup.disk_hits"),
-            io_errors: registry.counter("crawl.dedup.io_errors"),
-        }
-    }
-
-    /// Fold the filter's current counters in: gauges are overwritten,
-    /// monotonic counters advance by the delta since `last` (which is
-    /// updated to `now`).
-    pub fn record(&self, now: &crate::dedup::DedupStats, last: &mut crate::dedup::DedupStats) {
-        self.hot.set(now.hot as i64);
-        self.spilled.set(now.spilled as i64);
-        self.merges.add(now.merges.saturating_sub(last.merges));
-        self.disk_probes
-            .add(now.disk_probes.saturating_sub(last.disk_probes));
-        self.disk_hits
-            .add(now.disk_hits.saturating_sub(last.disk_hits));
-        self.io_errors
-            .add(now.io_errors.saturating_sub(last.io_errors));
-        *last = *now;
-    }
-}
-
 impl CrawlTelemetry {
     /// Register all crawl metrics in `registry`, logging events to
     /// `events`.
@@ -200,7 +149,7 @@ impl CrawlTelemetry {
             textproc: TextprocMetrics::new(registry.clone()),
             pipeline: PipelineMetrics::new(&registry),
             graph: GraphTelemetry::new(&registry),
-            dedup: DedupTelemetry::new(&registry),
+            dedup_hot: registry.gauge("crawl.dedup.hot"),
             spill_reaped: registry.counter("crawl.spill.reaped"),
             lookahead: LookaheadMetrics::new(&registry),
             registry,

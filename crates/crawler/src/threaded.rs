@@ -46,7 +46,7 @@
 //! * redirects are followed inline (same hop limit, same URL dedup);
 //! * `fetched_at` is 0: the run reads no clock.
 
-use crate::dedup::{path_of_url, Dedup, DedupMark, DedupStats};
+use crate::dedup::{path_of_url, Dedup, DedupMark};
 use crate::pipeline::{BatchJudge, DocPipeline, FetchedDoc};
 use crate::telemetry::CrawlTelemetry;
 use crate::types::{CrawlConfig, CrawlStats, MAX_REDIRECTS};
@@ -54,7 +54,7 @@ use bingo_obs::Event;
 use bingo_store::DocumentStore;
 use bingo_textproc::fxhash::{self, FxHashMap};
 use bingo_textproc::SharedVocabulary;
-use bingo_webworld::{FetchOutcome, FetchResponse, World};
+use bingo_webworld::{DnsError, FetchOutcome, FetchResponse, World};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -226,7 +226,6 @@ pub fn run_pipeline(
 ) -> ThroughputReport {
     let config = CrawlConfig::default();
     let dedup = Mutex::new(Dedup::new());
-    let mut last_dedup = DedupStats::default();
     let stats = Mutex::new(CrawlStats::default());
     let injector = opts.fault.clone().map(FaultInjector::new);
 
@@ -350,11 +349,11 @@ pub fn run_pipeline(
                 }
             }
         }
-        // Poll the duplicate filter once per round so its gauges and
-        // counters track the run as it goes.
+        // Poll the duplicate filter once per round so its gauge tracks
+        // the run as it goes.
         telemetry
-            .dedup
-            .record(&lock_clean(&dedup).stats(), &mut last_dedup);
+            .dedup_hot
+            .set(lock_clean(&dedup).fingerprints() as i64);
         round += 1;
     }
     telemetry.pipeline.queue_depth.set(0);
@@ -481,7 +480,8 @@ fn run_worker(
 }
 
 /// URL hygiene + fetch with inline redirect following and immediate
-/// retries on transient failures — the real-time counterparts of the
+/// retries on transient failures (DNS timeouts, transient fetch errors,
+/// truncated bodies) — the real-time counterparts of the
 /// discrete-event executor's guards, redirect re-enqueueing and backoff
 /// parking. Redirect-target URL marks are journaled so a later panic in
 /// the same batch can roll them back.
@@ -501,9 +501,10 @@ fn fetch_with_hygiene(
             stats.url_rejected += 1;
             return None;
         };
-        if world.dns_lookup(host, attempt).is_err() {
+        if let Err(err) = world.dns_lookup(host, attempt) {
             stats.fetch_errors += 1;
-            if attempt < config.max_retries {
+            // NxDomain is permanent; only a timeout is worth a retry.
+            if err == DnsError::Timeout && attempt < config.max_retries {
                 attempt += 1;
                 continue;
             }
@@ -638,6 +639,30 @@ mod tests {
             &PipelineOptions::flat(1, 1),
         );
         assert!(report.documents >= 1);
+    }
+
+    #[test]
+    fn unresolvable_host_costs_one_lookup() {
+        // NxDomain is permanent: no retry, one fetch error, nothing stored.
+        let world = Arc::new(WorldConfig::small_test(42).build());
+        assert_eq!(
+            world.dns_lookup("unknown.invalid", 0),
+            Err(DnsError::NxDomain)
+        );
+        let store = DocumentStore::new();
+        let report = run_pipeline(
+            Arc::clone(&world),
+            store.clone(),
+            vec![("http://unknown.invalid/a.html".to_string(), None)],
+            &SharedVocabulary::new(),
+            &accept_all(),
+            &CrawlTelemetry::default(),
+            &PipelineOptions::flat(1, 1),
+        );
+        assert_eq!(report.documents, 0);
+        assert_eq!(store.document_count(), 0);
+        assert_eq!(report.stats.visited_urls, 1);
+        assert_eq!(report.stats.fetch_errors, 1, "NxDomain was retried");
     }
 
     #[test]

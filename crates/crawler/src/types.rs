@@ -119,16 +119,6 @@ pub struct CrawlConfig {
     pub frontier_spill_dir: Option<PathBuf>,
     /// In-memory entry payloads per incoming queue when spilling.
     pub frontier_hot_cap: usize,
-    /// When set, the duplicate filter's three fingerprint sets spill
-    /// past `dedup_hot_cap` to hash-sharded sorted files under this
-    /// directory, with a Bloom-style front filter so exact checks hit
-    /// disk only on probable duplicates. Answers and checkpoints are
-    /// byte-identical to the resident filter; stale `dedup-*.spill`
-    /// files from an aborted run are swept on startup. `None` (default)
-    /// keeps every fingerprint resident.
-    pub dedup_spill_dir: Option<PathBuf>,
-    /// Hot-tier fingerprints per dedup set when spilling.
-    pub dedup_hot_cap: usize,
     /// Most-significant-term cache entries kept for the
     /// neighbour-document feature space (Section 3.4). `0` (default)
     /// caches every stored page's top terms; a positive cap evicts the
@@ -162,8 +152,6 @@ impl Default for CrawlConfig {
             checkpoint_dir: None,
             frontier_spill_dir: None,
             frontier_hot_cap: 4096,
-            dedup_spill_dir: None,
-            dedup_hot_cap: 1 << 20,
             page_terms_cap: 0,
             authority: AuthorityConfig::default(),
         }
@@ -203,17 +191,15 @@ impl CrawlConfig {
         }
     }
 
-    /// Sweep spill scratch left by an aborted run from the configured
-    /// spill directories — every file family, not just the ones this
+    /// Sweep spill scratch left by an aborted run from the frontier
+    /// spill directory — every file family, not just the ones this
     /// configuration would rewrite. Spill files are never referenced by
     /// checkpoints, so anything present before a run starts is garbage.
     /// Returns how many files were removed.
     pub fn reap_stale_spill(&self) -> u64 {
-        [&self.frontier_spill_dir, &self.dedup_spill_dir]
-            .into_iter()
-            .flatten()
-            .map(|dir| reap_stale_spill_files(dir, SPILL_FILE_PREFIXES) as u64)
-            .sum()
+        self.frontier_spill_dir.as_ref().map_or(0, |dir| {
+            reap_stale_spill_files(dir, SPILL_FILE_PREFIXES) as u64
+        })
     }
 }
 

@@ -31,12 +31,10 @@ pub mod tables;
 pub use bulk::{BulkLoader, BulkLoaderObs};
 pub use durable::{CrashFs, DurableFs, GenerationWriter, StdFs};
 pub use segment::{
-    reap_orphan_segments, CompactionConfig, CompactionStats, CompactionTelemetry,
-    SegmentStoreConfig, DEFAULT_SEAL_EVERY, SEGMENTS_FILE, SPARSE_SAMPLE_EVERY,
+    reap_orphan_segments, CompactionConfig, CompactionStats, SegmentStoreConfig,
+    DEFAULT_SEAL_EVERY, SEGMENTS_FILE, SPARSE_SAMPLE_EVERY,
 };
-pub use spill::{
-    reap_stale_spill_files, SpillSet, SpillSetConfig, SpillSetStats, SPILL_FILE_PREFIXES,
-};
+pub use spill::{reap_stale_spill_files, SPILL_FILE_PREFIXES};
 pub use tables::{DocumentRow, HostRow, HostState, LinkRow};
 
 use bingo_graph::{HostId, LinkSource, PageId};

@@ -79,20 +79,6 @@ impl PagedConfig {
         }
     }
 
-    /// The ten-million-page world: two hundred thousand hosts of fifty
-    /// pages. Same shape and resident-block cap as [`Self::scale_full`]
-    /// — the world's footprint is O(hot_cap · pages_per_host), so ten
-    /// times the pages cost no extra world memory, only crawl state
-    /// (which is exactly what the 10M bench scenario bounds).
-    pub fn scale_10m(seed: u64) -> Self {
-        PagedConfig {
-            seed,
-            hosts: 200_000,
-            pages_per_host: 50,
-            hot_cap: 1024,
-        }
-    }
-
     /// A ten-thousand-page miniature with the same shape, for tests and
     /// the quick bench mode.
     pub fn scale_smoke(seed: u64) -> Self {
