@@ -1,105 +1,34 @@
-//! E10 microbenches: SVM training/decision, MI feature selection,
-//! k-means clustering.
+//! E10 microbench: k-means clustering. SVM training and decision and MI
+//! feature selection are measured by `benchmark/` (`ml.svm_train_s`,
+//! `ml.svm_score_us`, `ml.mi_select_s`).
 
-use bingo_ml::feature_selection::{FeatureSelection, FeatureSelectionConfig};
 use bingo_ml::kmeans::{KMeans, KMeansConfig};
-use bingo_ml::svm::{LinearSvm, SvmConfig};
-use bingo_ml::{Classifier, TrainingSet};
 use bingo_textproc::SparseVector;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
-/// Synthetic sparse documents: positives concentrate on low feature ids,
-/// negatives on high ones, with overlap noise.
-fn synthetic_docs(n: usize, dim: u32, nnz: usize, seed: u64) -> Vec<(SparseVector, bool)> {
+/// Synthetic sparse documents: even ones concentrate on low feature ids,
+/// odd ones on high ones, with overlap noise.
+fn synthetic_docs(n: usize, dim: u32, nnz: usize, seed: u64) -> Vec<SparseVector> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|i| {
-            let positive = i % 2 == 0;
-            let base = if positive { 0 } else { dim / 2 };
+            let base = if i % 2 == 0 { 0 } else { dim / 2 };
             let pairs: Vec<(u32, f32)> = (0..nnz)
                 .map(|_| {
                     let f = base + rng.gen_range(0..dim / 2 + dim / 8) % dim;
                     (f, rng.gen_range(0.1..1.0f32))
                 })
                 .collect();
-            (SparseVector::from_pairs(pairs).normalized(), positive)
+            SparseVector::from_pairs(pairs).normalized()
         })
         .collect()
 }
 
-fn bench_svm_train(c: &mut Criterion) {
-    let mut group = c.benchmark_group("svm_train");
-    for &n in &[100usize, 400, 1600] {
-        let docs = synthetic_docs(n, 2000, 40, 7);
-        let mut set = TrainingSet::new();
-        for (v, p) in docs {
-            set.push(v, p);
-        }
-        group.bench_with_input(BenchmarkId::from_parameter(n), &set, |b, set| {
-            b.iter(|| {
-                let svm = LinearSvm::new(SvmConfig {
-                    max_iterations: 50,
-                    ..SvmConfig::default()
-                });
-                black_box(svm.train(set).unwrap())
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_svm_decide(c: &mut Criterion) {
-    let docs = synthetic_docs(400, 2000, 40, 7);
-    let mut set = TrainingSet::new();
-    for (v, p) in &docs {
-        set.push(v.clone(), *p);
-    }
-    let model = LinearSvm::default().train(&set).unwrap();
-    let probe = &docs[13].0;
-    // The decision phase is "an m-dimensional scalar product" — this is
-    // the per-document classification cost during a crawl.
-    c.bench_function("svm_decide", |b| {
-        b.iter(|| black_box(model.decide(black_box(probe))))
-    });
-}
-
-fn bench_feature_selection(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mi_feature_selection");
-    for &n in &[200usize, 800] {
-        let docs = synthetic_docs(n, 20_000, 120, 3);
-        let occurrences: Vec<(Vec<(u32, u32)>, bool)> = docs
-            .iter()
-            .map(|(v, p)| {
-                (
-                    v.entries()
-                        .iter()
-                        .map(|&(f, w)| (f, (w * 10.0) as u32 + 1))
-                        .collect(),
-                    *p,
-                )
-            })
-            .collect();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &occurrences, |b, occ| {
-            let labeled: Vec<(&[(u32, u32)], bool)> =
-                occ.iter().map(|(o, p)| (o.as_slice(), *p)).collect();
-            b.iter(|| {
-                let sel = FeatureSelection::new(FeatureSelectionConfig::default())
-                    .select(black_box(&labeled));
-                black_box(sel)
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_kmeans(c: &mut Criterion) {
-    let docs: Vec<SparseVector> = synthetic_docs(400, 5000, 60, 11)
-        .into_iter()
-        .map(|(v, _)| v)
-        .collect();
+    let docs = synthetic_docs(400, 5000, 60, 11);
     c.bench_function("kmeans_k4_400docs", |b| {
         b.iter(|| {
             let res = KMeans::new(KMeansConfig {
@@ -114,11 +43,5 @@ fn bench_kmeans(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_svm_train,
-    bench_svm_decide,
-    bench_feature_selection,
-    bench_kmeans
-);
+criterion_group!(benches, bench_kmeans);
 criterion_main!(benches);

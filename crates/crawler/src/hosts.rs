@@ -27,7 +27,6 @@
 //! All timing uses the crawl's virtual clock and all jitter is hashed
 //! from `(host, cycle)`, so chaos crawls replay identically per seed.
 
-use bingo_store::HostState;
 use bingo_textproc::fxhash::{self, FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 
@@ -86,6 +85,19 @@ impl SaturatingShl for u64 {
     fn saturating_shl(self, shift: u32) -> u64 {
         self.checked_shl(shift).unwrap_or(u64::MAX)
     }
+}
+
+/// Crawler-visible host health (Section 4.2: hosts are tagged "slow"
+/// after failures and "bad" — excluded — after repeated failures): the
+/// paper's three tags, read off a host's breaker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HostState {
+    /// Responding normally.
+    Good,
+    /// Timed out or errored at least once; retries restricted.
+    Slow,
+    /// Exceeded the retry budget; excluded for the rest of the crawl.
+    Bad,
 }
 
 /// Breaker position of one host.

@@ -62,7 +62,7 @@ pub use dedup::Dedup;
 pub use dns::CachingResolver;
 pub use frontier::{Frontier, QueueEntry, SpillConfig};
 pub use hosts::{
-    BreakerConfig, BreakerState, FailureOutcome, HostDecision, HostHealth, HostManager,
+    BreakerConfig, BreakerState, FailureOutcome, HostDecision, HostHealth, HostManager, HostState,
 };
 pub use pipeline::{BatchJudge, DocOutcome, DocPipeline, FetchedDoc, PipelineMetrics};
 pub use step::{Crawler, StepOutcome};

@@ -76,7 +76,8 @@ pub(crate) enum Miss {
     Entry,
     /// The request was made under another judge (an earlier epoch).
     Epoch,
-    /// The predecessor's top terms changed (evicted by the term cache).
+    /// The predecessor's top terms changed: the page was analyzed again,
+    /// reached through another URL.
     Neighbors,
     /// The host has a fault window: the fetch depends on `now`.
     Fault,
@@ -625,4 +626,85 @@ fn prepare<A: Assess>(
         _ => None,
     };
     Prepared { fetch, content }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::DocOutcome;
+    use crate::Judgment;
+    use bingo_textproc::analyze_html;
+    use bingo_webworld::gen::WorldConfig;
+
+    struct Nothing;
+
+    impl Assess for Nothing {
+        type Assessment = ();
+        fn assess(&self, _: &AnalyzedDocument, _: &[TermId], _: &[TermId]) {}
+    }
+
+    /// A predecessor analyzed again between a request and its pop — the
+    /// same page reached through another URL comes back `AlreadyStored`
+    /// and its top terms are recorded anew — leaves the preparation
+    /// judged with stale neighbour terms, so the pop turns it down.
+    #[test]
+    fn re_recorded_neighbour_terms_turn_a_preparation_down() {
+        let world = WorldConfig::small_test(7).build();
+        let url = (0..world.page_count() as u64)
+            .map(|id| world.url_of(id))
+            .find(|url| world.fetch_ignores_time(url))
+            .expect("a host without fault windows");
+        let entry = QueueEntry {
+            src_page: 3,
+            ..QueueEntry::seed(&url, Some(0))
+        };
+        let mut vocab = Vocabulary::new();
+        let mut analyzed = |html: &str, stored: bool| {
+            let (page_id, doc) = (3, analyze_html(html, &mut vocab));
+            let judgment = Judgment {
+                topic: Some(0),
+                confidence: 1.0,
+            };
+            match stored {
+                true => DocOutcome::Stored {
+                    page_id,
+                    doc,
+                    judgment,
+                },
+                false => DocOutcome::AlreadyStored {
+                    page_id,
+                    doc,
+                    judgment,
+                },
+            }
+        };
+        let first = analyzed("<p>alpha alpha beta</p>", true);
+        let again = analyzed("<p>gamma gamma delta</p>", false);
+        let mut terms = PageTermCache::default();
+        terms.record(&first);
+
+        let registry = Registry::new();
+        let metrics = LookaheadMetrics::new(&registry);
+        let mut schedule = Schedule::default();
+        std::thread::scope(|scope| {
+            let replicas = schedule.open_epoch(0, &vocab);
+            let mut pool = Pool::spawn(scope, &world, &Nothing, replicas, vocab.len());
+            // Unchanged neighbour terms: the preparation stands.
+            schedule.request(vec![&entry], &terms, &world, &vocab, &mut pool, &metrics);
+            let mut ticket = schedule.ticket(&entry, &terms).expect("requested");
+            assert!(matches!(ticket.verdict, Verdict::Valid { .. }));
+            ticket.fetched = true;
+            schedule.settle(ticket, &metrics, &mut pool);
+            // Re-recorded in between: prepared inline.
+            schedule.request(vec![&entry], &terms, &world, &vocab, &mut pool, &metrics);
+            terms.record(&again);
+            let ticket = schedule.ticket(&entry, &terms).expect("requested");
+            assert!(matches!(ticket.verdict, Verdict::Miss(Miss::Neighbors)));
+            schedule.settle(ticket, &metrics, &mut pool);
+            schedule.close_epoch(pool.finish(), &metrics);
+        });
+        let counters = registry.snapshot().counters;
+        assert_eq!(counters["crawl.lookahead.used"], 1);
+        assert_eq!(counters["crawl.lookahead.miss.neighbors"], 1);
+    }
 }

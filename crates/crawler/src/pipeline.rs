@@ -54,7 +54,6 @@ use bingo_textproc::{
 };
 use bingo_webworld::fetch::FetchResponse;
 use bingo_webworld::World;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// How many of a page's terms feed the neighbour-document feature space
@@ -262,30 +261,14 @@ pub fn top_terms(doc: &AnalyzedDocument) -> Vec<TermId> {
     by_freq.into_iter().map(|(t, _)| t).collect()
 }
 
-/// Bounded cache of each stored page's [`top_terms`], feeding the
-/// neighbour-document feature space of its successors (Section 3.4).
-/// With `cap == 0` it is an ordinary unbounded map; a positive cap
-/// evicts the oldest entries FIFO — links to long-stored pages then
-/// enqueue without neighbour terms, which only perturbs feature
-/// construction, never correctness. After a checkpoint restore the
-/// insertion order is the sorted-by-id checkpoint order.
+/// Each analyzed page's [`top_terms`], feeding the neighbour-document
+/// feature space of its successors (Section 3.4).
 #[derive(Debug, Default)]
 pub struct PageTermCache {
     map: FxHashMap<u64, Vec<TermId>>,
-    /// Insertion order of keys, oldest first (unused when `cap == 0`).
-    order: VecDeque<u64>,
-    cap: usize,
 }
 
 impl PageTermCache {
-    /// An empty cache keeping at most `cap` pages (0 = unbounded).
-    pub fn new(cap: usize) -> Self {
-        PageTermCache {
-            cap,
-            ..PageTermCache::default()
-        }
-    }
-
     /// Record the top terms of the page `outcome` analyzed: a stored
     /// page, or one already stored (the same page re-fetched through
     /// another alias or redirect chain). Other outcomes record nothing.
@@ -293,34 +276,18 @@ impl PageTermCache {
         if let DocOutcome::Stored { page_id, doc, .. }
         | DocOutcome::AlreadyStored { page_id, doc, .. } = outcome
         {
-            self.insert(*page_id, top_terms(doc));
-        }
-    }
-
-    /// Record `page_id`'s top terms, evicting the oldest page past the
-    /// cap.
-    fn insert(&mut self, page_id: u64, terms: Vec<TermId>) {
-        let fresh = self.map.insert(page_id, terms).is_none();
-        if self.cap > 0 && fresh {
-            self.order.push_back(page_id);
-            while self.map.len() > self.cap {
-                let Some(oldest) = self.order.pop_front() else {
-                    break;
-                };
-                self.map.remove(&oldest);
-            }
+            self.map.insert(*page_id, top_terms(doc));
         }
     }
 
     /// The neighbour terms a successor of `page_id` is judged with
-    /// (empty when the page is unknown, evicted, or a seed's
-    /// non-existent source).
+    /// (empty when the page is unknown or a seed's non-existent
+    /// source).
     pub fn neighbor_terms(&self, page_id: u64) -> &[TermId] {
         self.map.get(&page_id).map_or(&[], Vec::as_slice)
     }
 
-    /// True when `page_id`'s top terms are held: the page was analyzed
-    /// and not evicted since.
+    /// True when `page_id`'s top terms are held: the page was analyzed.
     pub fn knows(&self, page_id: u64) -> bool {
         self.map.contains_key(&page_id)
     }
@@ -333,13 +300,11 @@ impl PageTermCache {
         entries
     }
 
-    /// Rebuild from checkpointed entries under `cap`.
-    pub fn from_entries(entries: Vec<(u64, Vec<TermId>)>, cap: usize) -> Self {
-        let mut cache = Self::new(cap);
-        for (k, v) in entries {
-            cache.insert(k, v);
+    /// Rebuild from checkpointed entries.
+    pub fn from_entries(entries: Vec<(u64, Vec<TermId>)>) -> Self {
+        PageTermCache {
+            map: entries.into_iter().collect(),
         }
-        cache
     }
 }
 
@@ -782,7 +747,7 @@ mod tests {
             let telemetry = CrawlTelemetry::default();
             let pipeline = DocPipeline::new(DocumentStore::new(), 1, &telemetry);
             let mut stats = CrawlStats::default();
-            let mut terms = PageTermCache::new(0);
+            let mut terms = PageTermCache::default();
             terms.record(&outcome);
             pipeline.settle(&outcome, &mut stats);
             // The whole struct is compared: no other counter may move.

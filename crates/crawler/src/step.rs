@@ -25,7 +25,7 @@ use crate::checkpoint::{
 use crate::dedup::{path_of_url, Dedup};
 use crate::dns::CachingResolver;
 use crate::frontier::{Frontier, QueueEntry};
-use crate::hosts::{FailureOutcome, HostDecision, HostManager};
+use crate::hosts::{FailureOutcome, HostDecision, HostManager, HostState};
 use crate::lookahead::{Ahead, Miss, Pool, Schedule, Ticket, LOOKAHEAD};
 use crate::pipeline::{admit_link, plan_links, DocOutcome, DocPipeline, FetchedDoc, PageTermCache};
 use crate::telemetry::CrawlTelemetry;
@@ -86,7 +86,6 @@ pub struct Crawler {
     host_slots: bingo_textproc::fxhash::FxHashMap<String, Vec<u64>>,
     /// Most significant terms of each stored page, feeding the
     /// neighbour-document feature space of its successors (Section 3.4).
-    /// Bounded by `config.page_terms_cap` (0 = unbounded).
     page_top_terms: PageTermCache,
     /// Stale spill files swept from the configured spill directories at
     /// construction.
@@ -189,7 +188,7 @@ impl Crawler {
             frontier,
             threads,
             dedup: Dedup::new(),
-            page_top_terms: PageTermCache::new(config.page_terms_cap),
+            page_top_terms: PageTermCache::default(),
             world,
             config,
             resolver: CachingResolver::new(),
@@ -303,8 +302,7 @@ impl Crawler {
         );
         self.threads = cp.threads.into_iter().map(Reverse).collect();
         self.host_slots = cp.host_slots.into_iter().collect();
-        self.page_top_terms =
-            PageTermCache::from_entries(cp.page_top_terms, self.config.page_terms_cap);
+        self.page_top_terms = PageTermCache::from_entries(cp.page_top_terms);
         if let (Some(auth), Some(snap)) = (&self.authority, cp.host_graph) {
             auth.restore(snap);
         }
@@ -422,8 +420,8 @@ impl Crawler {
     /// Per-host breaker health as `(hostname, state, failure count)`,
     /// sorted by hostname — for diagnostics and the breaker-sanity
     /// assertions of the chaos/crash tests.
-    pub fn host_states(&self) -> Vec<(String, bingo_store::HostState, u32)> {
-        let mut states: Vec<(String, bingo_store::HostState, u32)> = self
+    pub fn host_states(&self) -> Vec<(String, HostState, u32)> {
+        let mut states: Vec<(String, HostState, u32)> = self
             .hosts
             .states()
             .map(|(h, s, f)| (h.to_string(), s, f))

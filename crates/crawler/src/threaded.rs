@@ -16,9 +16,9 @@
 //! recorded as link rows but not followed — focused crawling (§3.3) is
 //! the discrete-event [`crate::Crawler`]'s job. URL/fingerprint
 //! duplicate elimination is shared across workers behind a mutex; term
-//! ids come from the lock-sharded [`SharedVocabulary`], whose
-//! `canonicalize` map makes the final store comparable with a
-//! single-threaded run.
+//! ids come from the lock-sharded [`SharedVocabulary`] in arrival order,
+//! so the final store compares with a single-threaded run as term text,
+//! each read through its own dictionary.
 //!
 //! # Supervision
 //!
@@ -211,8 +211,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// `opts.threads` workers. Classification runs through `judge` on whole
 /// batches; every document is stored at depth 0 with its judgment and
 /// link rows, so the resulting store matches a deterministic crawl of
-/// the same URL set modulo term-id numbering (see
-/// [`SharedVocabulary::canonicalize`]) and row order. Worker panics are
+/// the same URL set modulo term-id numbering (compare term text through
+/// [`SharedVocabulary::snapshot`]) and row order. Worker panics are
 /// supervised (see the module docs): the run always completes, with at
 /// most the quarantined documents missing.
 pub fn run_pipeline(

@@ -119,13 +119,6 @@ pub struct CrawlConfig {
     pub frontier_spill_dir: Option<PathBuf>,
     /// In-memory entry payloads per incoming queue when spilling.
     pub frontier_hot_cap: usize,
-    /// Most-significant-term cache entries kept for the
-    /// neighbour-document feature space (Section 3.4). `0` (default)
-    /// caches every stored page's top terms; a positive cap evicts the
-    /// oldest entries FIFO, bounding the cache for multi-million-page
-    /// crawls (links to long-stored pages then enqueue without
-    /// neighbour terms, exactly like links from pre-cache runs).
-    pub page_terms_cap: usize,
     /// Authority-blended frontier ordering: maintain a host-level
     /// webgraph online and blend normalized host authority into link
     /// priorities (`α·confidence + β·authority`). Disabled by default;
@@ -152,7 +145,6 @@ impl Default for CrawlConfig {
             checkpoint_dir: None,
             frontier_spill_dir: None,
             frontier_hot_cap: 4096,
-            page_terms_cap: 0,
             authority: AuthorityConfig::default(),
         }
     }

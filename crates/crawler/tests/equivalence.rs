@@ -2,8 +2,10 @@
 //! the real-thread batch executor drive the *same* staged document
 //! pipeline, so storing the same URL list with the same judge must
 //! produce identical store contents — same documents, same depths, same
-//! canonical term ids, same link rows — modulo row order and
-//! `fetched_at` (virtual time against 0).
+//! terms, same link rows — modulo row order and `fetched_at` (virtual
+//! time against 0). Term ids are each run's own: the threaded executor
+//! interns in arrival order, so rows are compared as term text, each
+//! read through the dictionary its run wrote.
 //!
 //! The real-thread executor runs a flat work list and follows no links,
 //! so the discrete-event `Crawler` is seeded with the *whole* list: it
@@ -23,7 +25,7 @@ use bingo_crawler::{
 };
 use bingo_store::{CompactionConfig, DocumentStore, LinkRow, SegmentStoreConfig};
 use bingo_textproc::fxhash::{FxHashMap, FxHashSet};
-use bingo_textproc::{AnalyzedDocument, SharedVocabulary, Vocabulary};
+use bingo_textproc::{AnalyzedDocument, SharedVocabulary, TermId, Vocabulary};
 use bingo_webworld::gen::WorldConfig;
 use bingo_webworld::{FetchOutcome, HostBehavior, World};
 use std::sync::Arc;
@@ -112,13 +114,13 @@ fn accept_all(_: &AnalyzedDocument, _: &PageContext) -> Judgment {
 }
 
 /// The discrete-event crawler seeded with all of `seeds`, run until its
-/// frontier empties, term ids made canonical.
+/// frontier empties: the store and the dictionary its rows use.
 fn det_run(
     world: &Arc<World>,
     config: &CrawlConfig,
     seeds: &[String],
     store: DocumentStore,
-) -> DocumentStore {
+) -> (DocumentStore, Vocabulary) {
     let mut crawler = Crawler::new(Arc::clone(world), config.clone(), store.clone());
     for url in seeds {
         crawler.add_seed(url, Some(0));
@@ -126,12 +128,16 @@ fn det_run(
     let mut vocab = Vocabulary::new();
     let mut judge = accept_all;
     while crawler.step(&mut judge, &mut vocab) != StepOutcome::FrontierEmpty {}
-    store.remap_terms(&vocab.canonical_map(0)).unwrap();
-    store
+    (store, vocab)
 }
 
-/// The real-thread executor over `seeds`, term ids made canonical.
-fn thr_run(world: &Arc<World>, seeds: &[String], store: DocumentStore) -> DocumentStore {
+/// The real-thread executor over `seeds`: the store and the dictionary
+/// its rows use.
+fn thr_run(
+    world: &Arc<World>,
+    seeds: &[String],
+    store: DocumentStore,
+) -> (DocumentStore, Vocabulary) {
     let shared = SharedVocabulary::new();
     bingo_crawler::run_pipeline(
         Arc::clone(world),
@@ -142,14 +148,12 @@ fn thr_run(world: &Arc<World>, seeds: &[String], store: DocumentStore) -> Docume
         &CrawlTelemetry::default(),
         &PipelineOptions::flat(4, 7),
     );
-    let (_, map) = shared.canonicalize();
-    store.remap_terms(&map).unwrap();
-    store
+    (store, shared.snapshot())
 }
 
 /// One comparable document row: everything except `fetched_at` (virtual
 /// time vs. 0) — id, url, host, mime, depth, title, judgment, term
-/// vector, size.
+/// vector as `(term, frequency)` sorted by term, size.
 type RowKey = (
     u64,
     String,
@@ -159,15 +163,22 @@ type RowKey = (
     String,
     Option<u32>,
     u32,
-    Vec<(u32, u32)>,
+    Vec<(String, u32)>,
     usize,
 );
 
-fn row_keys(store: &DocumentStore) -> Vec<RowKey> {
+/// Every row of `store`, its term ids read through `vocab`.
+fn row_keys((store, vocab): &(DocumentStore, Vocabulary)) -> Vec<RowKey> {
     let mut rows: Vec<RowKey> = store
         .all_documents()
         .into_iter()
         .map(|r| {
+            let mut terms: Vec<(String, u32)> = r
+                .term_freqs
+                .iter()
+                .map(|&(t, f)| (vocab.term(TermId(t)).to_string(), f))
+                .collect();
+            terms.sort_unstable();
             (
                 r.id,
                 r.url,
@@ -177,7 +188,7 @@ fn row_keys(store: &DocumentStore) -> Vec<RowKey> {
                 r.title,
                 r.topic,
                 r.confidence.to_bits(),
-                r.term_freqs,
+                terms,
                 r.size,
             )
         })
@@ -186,7 +197,7 @@ fn row_keys(store: &DocumentStore) -> Vec<RowKey> {
     rows
 }
 
-fn link_keys(store: &DocumentStore) -> Vec<(u64, u64, String)> {
+fn link_keys((store, _): &(DocumentStore, Vocabulary)) -> Vec<(u64, u64, String)> {
     let mut links: Vec<(u64, u64, String)> = store
         .all_links()
         .into_iter()
@@ -216,7 +227,7 @@ fn deterministic_and_threaded_executors_fill_identical_stores() {
     assert!(det_rows.len() >= 10, "too few rows: {}", det_rows.len());
     assert_eq!(det_rows.len(), seeds.len());
     assert!(det_rows.iter().all(|r| r.4 == 0), "a row beyond depth 0");
-    assert!(det_store.link_count() > 0, "no link rows emitted");
+    assert!(det_store.0.link_count() > 0, "no link rows emitted");
 
     assert_eq!(det_rows, row_keys(&thr_store));
     assert_eq!(link_keys(&det_store), link_keys(&thr_store));
@@ -251,22 +262,24 @@ fn segmented_store_runs_match_in_memory_byte_for_byte() {
         DocumentStore::segmented_with(seg_dir("det"), 16).expect("open"),
     );
     assert!(
-        det_seg.segment_count() >= 2,
+        det_seg.0.segment_count() >= 2,
         "run too small to span segments: {}",
-        det_seg.segment_count()
+        det_seg.0.segment_count()
     );
-    assert_eq!(det_mem.document_count(), seeds.len());
+    assert_eq!(det_mem.0.document_count(), seeds.len());
     assert_eq!(row_keys(&det_mem), row_keys(&det_seg));
     assert_eq!(link_keys(&det_mem), link_keys(&det_seg));
 
+    // One dictionary each, built in the same order: the same ids.
+    assert!(det_mem.1.iter().eq(det_seg.1.iter()));
     let snapshot_bytes = |store: &DocumentStore| {
         let mut buf = Vec::new();
         bingo_store::persist::write_snapshot(store, &mut buf).expect("snapshot");
         buf
     };
     assert_eq!(
-        snapshot_bytes(&det_mem),
-        snapshot_bytes(&det_seg),
+        snapshot_bytes(&det_mem.0),
+        snapshot_bytes(&det_seg.0),
         "segmented snapshot must serialize byte-identically to in-memory"
     );
 
@@ -291,7 +304,7 @@ fn segmented_store_runs_match_in_memory_byte_for_byte() {
         .expect("open"),
     );
     assert!(
-        det_sparse.compaction_stats().runs > 0,
+        det_sparse.0.compaction_stats().runs > 0,
         "compaction never ran"
     );
     assert_eq!(row_keys(&det_mem), row_keys(&det_sparse));
@@ -304,17 +317,18 @@ fn segmented_store_runs_match_in_memory_byte_for_byte() {
         &seeds,
         DocumentStore::segmented_with(seg_dir("thr"), 16).expect("open"),
     );
-    assert!(thr_seg.segment_count() >= 2, "threaded run never sealed");
+    assert!(thr_seg.0.segment_count() >= 2, "threaded run never sealed");
     assert_eq!(row_keys(&det_mem), row_keys(&thr_seg));
     assert_eq!(link_keys(&det_mem), link_keys(&thr_seg));
 
     // A reopened spine serves the identical rows back from disk.
     // (Seal the workspace tail first: unsealed rows live in memory.)
+    let (det_seg, det_vocab) = det_seg;
     det_seg.seal_now().expect("final seal");
     drop(det_seg);
     let reopened = DocumentStore::segmented_with(seg_dir2("det"), 16).expect("reopen");
-    assert_eq!(row_keys(&det_mem), row_keys(&reopened));
-    assert_eq!(snapshot_bytes(&det_mem), snapshot_bytes(&reopened));
+    assert_eq!(snapshot_bytes(&det_mem.0), snapshot_bytes(&reopened));
+    assert_eq!(row_keys(&det_mem), row_keys(&(reopened, det_vocab)));
 
     std::fs::remove_dir_all(seg_dir2("det")).ok();
     std::fs::remove_dir_all(seg_dir2("thr")).ok();
@@ -332,8 +346,7 @@ fn panic_injected_run_matches_calm_run_minus_quarantined() {
     // The supervised executor's equivalence contract under faults: with
     // deterministic crashers injected, the run still completes and its
     // store equals the calm run's store minus exactly the quarantined
-    // documents. Classify-stage faults fire *after* analysis, so both
-    // runs intern the same term universe and canonical ids line up.
+    // documents, row for row as term text.
     let world = alias_free_world();
     let urls = calm_urls(&world, &calm_hosts(&world));
     assert!(urls.len() >= 10, "world too hostile for the test");
@@ -354,9 +367,7 @@ fn panic_injected_run_matches_calm_run_minus_quarantined() {
             &CrawlTelemetry::default(),
             &opts,
         );
-        let (_, map) = shared.canonicalize();
-        store.remap_terms(&map).unwrap();
-        (store, report)
+        ((store, shared.snapshot()), report)
     };
 
     let (calm_store, calm_report) = run(None);

@@ -309,8 +309,11 @@ fn save_killed_at_any_byte_resumes_segmented_and_converges() {
     let world = Arc::new(WorldConfig::small_test(42).build());
     let expected = reference(&world, "save-ref");
 
-    // Byte sizes of the save under test, from a clean run of it.
-    let site = Site::fresh("save-siz");
+    // Byte sizes of the save under test, from a clean run of it. Every
+    // case runs at the same site path: the store file names the segment
+    // directory, so its bytes — and the decimal width of their checksum
+    // in MANIFEST.json — depend on the path.
+    let site = Site::fresh("save");
     let mut sizes = Vec::new();
     doomed(&site, &world, None, DEATH_POINT, &mut |c| {
         let generation = c.save_session_with(&StdFs, site.session()).unwrap();
@@ -330,9 +333,9 @@ fn save_killed_at_any_byte_resumes_segmented_and_converges() {
     });
     drop(site);
 
-    for (i, budget) in budgets(&sizes, "save").into_iter().enumerate() {
+    for budget in budgets(&sizes, "save") {
         let case = format!("budget {budget}");
-        let site = Site::fresh(&format!("save-{i:03}"));
+        let site = Site::fresh("save");
         let acked = doomed(&site, &world, None, DEATH_POINT, &mut |c| {
             let fs = CrashFs::with_budget(budget);
             let saved = c.save_session_with(&fs, site.session());
@@ -427,33 +430,4 @@ fn compaction_keeps_segments_an_older_generation_references() {
         let store = persist::load(generation.dir.join(STORE_FILE)).expect("kept generation opens");
         assert!(store.is_segmented());
     }
-}
-
-#[test]
-fn remap_terms_is_refused_once_a_generation_references_the_segments() {
-    let world = Arc::new(WorldConfig::small_test(42).build());
-    let site = Site::fresh("remap");
-    let mut crawler = site.crawler(&world, None);
-    let mut vocab = Vocabulary::new();
-    let mut judge = accept_all();
-    while crawler.store().segment_count() < 2 {
-        assert_ne!(
-            crawler.step(&mut judge, &mut vocab),
-            StepOutcome::FrontierEmpty
-        );
-    }
-    let identity: Vec<u32> = (0..vocab.len() as u32).collect();
-    let segments = site.segment_files();
-    crawler
-        .store()
-        .remap_terms(&identity)
-        .expect("no reference is out yet");
-    assert_eq!(site.segment_files(), segments, "identity remap");
-    crawler.save_session(site.session()).expect("save");
-    let refused = crawler.store().remap_terms(&identity);
-    assert!(
-        matches!(refused, Err(bingo_store::StoreError::Persist(_))),
-        "a rewrite under a referencing generation must be refused: {refused:?}"
-    );
-    assert_eq!(site.segment_files(), segments, "refusal touched the files");
 }

@@ -13,9 +13,10 @@
 //! discovered links back into the queue; (4) commits a **two-phase
 //! distributed snapshot** every [`DistConfig::snapshot_every_acks`]
 //! acks: phase one writes every node's store (`node-K/store.jsonl`),
-//! phase two writes the lease journal plus coordinator state and
-//! commits the manifest — one generation, all nodes, atomically
-//! visible or not at all.
+//! phase two writes the lease journal, the coordinator state and the
+//! term dictionary every node's rows are interned in, and commits the
+//! manifest — one generation, all nodes, atomically visible or not at
+//! all.
 //!
 //! Recovery is the same path twice over:
 //!
@@ -26,8 +27,8 @@
 //! * a **process** crash loses everything in memory; [`Coordinator::
 //!   resume`] rolls the whole cluster back to the newest complete
 //!   generation — node stores, lease journal (whose in-flight leases
-//!   are orphan-requeued on load), and clock — so the crawl continues
-//!   from a cut where all three agreed.
+//!   are orphan-requeued on load), dictionary and clock — so the crawl
+//!   continues from a cut where all of them agreed.
 
 use crate::lease::{LeaseQueue, LeaseStats, QueuedItem, WorkItem, JOURNAL_FILE};
 use crate::node::{scratch_dir, WorkerNode};
@@ -51,6 +52,8 @@ pub const COORD_MAGIC: &str = "bingo-dist-coordinator";
 pub const COORD_VERSION: u32 = 1;
 /// Coordinator state file inside a generation.
 pub const COORD_FILE: &str = "coordinator.json";
+/// Term dictionary file inside a generation.
+pub const VOCAB_FILE: &str = "vocab.json";
 
 /// Virtual lease time-to-live: an unacked lease expires this long
 /// after issue.
@@ -212,8 +215,8 @@ impl Coordinator {
     /// Resume a crawl from the newest complete snapshot generation in
     /// `config.session_dir`. With no committed generation this is
     /// [`Coordinator::new`]. Rolls every node's store, the lease
-    /// journal (orphaning its in-flight leases), and the clock back to
-    /// the same cut.
+    /// journal (orphaning its in-flight leases), the term dictionary and
+    /// the clock back to the same cut.
     pub fn resume(
         world: Arc<World>,
         judge: Arc<dyn BatchJudge>,
@@ -223,12 +226,12 @@ impl Coordinator {
             return Ok(Self::new(world, judge, config));
         };
         let mut coord = Self::new(world, judge, config);
-        let state_bytes = std::fs::read(generation.dir.join(COORD_FILE))?;
-        let state: CoordState = serde_json::from_str(
-            std::str::from_utf8(&state_bytes)
-                .map_err(|e| io::Error::other(format!("coordinator state not utf-8: {e}")))?,
-        )
-        .map_err(|e| io::Error::other(e.to_string()))?;
+        let read_json = |file: &str| -> io::Result<String> {
+            String::from_utf8(std::fs::read(generation.dir.join(file))?)
+                .map_err(|e| io::Error::other(format!("{file} not utf-8: {e}")))
+        };
+        let state: CoordState = serde_json::from_str(&read_json(COORD_FILE)?)
+            .map_err(|e| io::Error::other(e.to_string()))?;
         if state.magic != COORD_MAGIC || state.version != COORD_VERSION {
             return Err(io::Error::other("bad coordinator state header"));
         }
@@ -240,6 +243,9 @@ impl Coordinator {
         }
         coord.clock_ms = state.clock_ms;
         coord.stats = state.stats;
+        coord.vocab = serde_json::from_str(&read_json(VOCAB_FILE)?)
+            .map_err(|e| io::Error::other(e.to_string()))?;
+        coord.vocab.rebuild_index();
         coord.queue =
             LeaseQueue::from_journal_bytes(&std::fs::read(generation.dir.join(JOURNAL_FILE))?)?;
         for k in 0..coord.config.nodes {
@@ -317,6 +323,11 @@ impl Coordinator {
     /// Crawl counters so far.
     pub fn stats(&self) -> &DistStats {
         &self.stats
+    }
+
+    /// The term dictionary every node's rows are interned in.
+    pub fn vocabulary(&self) -> &Vocabulary {
+        &self.vocab
     }
 
     /// The lease queue's counters.
@@ -569,9 +580,10 @@ impl Coordinator {
     }
 
     /// Commit one crash-consistent distributed snapshot: every node's
-    /// store, the lease journal, and the coordinator state under a
-    /// single manifest. Down nodes contribute their last committed
-    /// bytes, so the generation always covers all N nodes.
+    /// store, the lease journal, the coordinator state and the term
+    /// dictionary under a single manifest. Down nodes contribute their
+    /// last committed bytes, so the generation always covers all N
+    /// nodes.
     fn commit_snapshot(&mut self) -> io::Result<u64> {
         let mut writer = GenerationWriter::begin(self.fs.as_ref(), &self.config.session_dir)?;
         let mut total_bytes = 0u64;
@@ -588,8 +600,8 @@ impl Coordinator {
             total_bytes += bytes.len() as u64;
             writer.write_file(&format!("node-{k}/store.jsonl"), &bytes)?;
         }
-        // Phase 2: queue journal + coordinator state, then the commit
-        // record itself.
+        // Phase 2: queue journal + coordinator state + dictionary, then
+        // the commit record itself.
         let journal = self.queue.journal_bytes();
         total_bytes += journal.len() as u64;
         writer.write_file(JOURNAL_FILE, &journal)?;
@@ -610,6 +622,11 @@ impl Coordinator {
         .into_bytes();
         total_bytes += state.len() as u64;
         writer.write_file(COORD_FILE, &state)?;
+        let vocab = serde_json::to_string(&self.vocab)
+            .map_err(|e| io::Error::other(e.to_string()))?
+            .into_bytes();
+        total_bytes += vocab.len() as u64;
+        writer.write_file(VOCAB_FILE, &vocab)?;
         let generation = writer.commit()?;
         // The cut is durable: node deaths can no longer lose these.
         for u in &mut self.uncheckpointed {

@@ -6,7 +6,7 @@
 
 use bingo_crawler::{BatchJudge, Judgment, PageContext};
 use bingo_dist::{Coordinator, DistConfig, DistStats, DistTelemetry};
-use bingo_textproc::AnalyzedDocument;
+use bingo_textproc::{AnalyzedDocument, TermId};
 use bingo_webworld::gen::WorldConfig;
 use bingo_webworld::{NodeFaultKind, NodeFaultPlan, NodeFaultProfile, NodeFaultWindow, World};
 use std::path::PathBuf;
@@ -50,6 +50,29 @@ fn sorted_page_ids(coord: &Coordinator) -> Vec<u64> {
         .collect();
     ids.sort_unstable();
     ids
+}
+
+/// Every stored row as `(page id, terms)`, each term id read as text
+/// through the coordinator's dictionary and sorted: what a run stored,
+/// whatever order it interned its terms in.
+fn term_rows(coord: &Coordinator) -> Vec<(u64, Vec<(String, u32)>)> {
+    let vocab = coord.vocabulary();
+    let mut rows: Vec<(u64, Vec<(String, u32)>)> = coord
+        .combined_store()
+        .all_documents()
+        .into_iter()
+        .map(|d| {
+            let mut terms: Vec<(String, u32)> = d
+                .term_freqs
+                .iter()
+                .map(|&(t, f)| (vocab.term(TermId(t)).to_string(), f))
+                .collect();
+            terms.sort_unstable();
+            (d.id, terms)
+        })
+        .collect();
+    rows.sort_unstable();
+    rows
 }
 
 /// Ratio of stored documents to fetch attempts — the distributed
@@ -159,6 +182,34 @@ fn node_kills_plus_process_kill_converge_to_calm_harvest() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A process killed mid-crawl resumes with the dictionary of its cut:
+/// rows stored before and after the cut read as the same terms as the
+/// calm run's rows.
+#[test]
+fn resumed_rows_read_as_the_calm_run_terms() {
+    let seed = 33;
+    let world = Arc::new(WorldConfig::small_test(seed).build());
+    let calm_dir = fresh_dir("terms-calm");
+    let mut calm = seeded(&world, dist_config(3, &calm_dir));
+    calm.run(10_000_000).expect("calm run");
+
+    let dir = fresh_dir("terms-killed");
+    let mut doomed = seeded(&world, dist_config(3, &dir));
+    doomed.run(3_000).expect("interrupted run");
+    drop(doomed); // process killed
+    let mut resumed =
+        Coordinator::resume(world.clone(), judge(), dist_config(3, &dir)).expect("resume");
+    resumed.run(10_000_000).expect("resumed run");
+
+    assert_eq!(sorted_page_ids(&resumed), sorted_page_ids(&calm));
+    assert!(
+        term_rows(&resumed) == term_rows(&calm),
+        "resumed rows read as other terms than the calm run's"
+    );
+    std::fs::remove_dir_all(&calm_dir).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Seed-matrix sweep: every seed in `BINGO_NODE_KILL_SEEDS`
 /// (comma-separated, default `41,42,43`) gets its own world, its own
 /// generated chaos fault plan, a whole-process kill mid-crawl, and a
@@ -200,6 +251,10 @@ fn node_kill_seed_matrix_converges() {
             sorted_page_ids(&resumed),
             sorted_page_ids(&calm),
             "seed {seed}: chaos + resume diverged from the calm page set"
+        );
+        assert!(
+            term_rows(&resumed) == term_rows(&calm),
+            "seed {seed}: chaos + resume rows read as other terms"
         );
         std::fs::remove_dir_all(&calm_dir).ok();
         std::fs::remove_dir_all(&dir).ok();

@@ -9,7 +9,7 @@
 //! `BINGO_CRASH_SEEDS=7,8,9` to sweep extra pseudo-random crash points.
 
 use bingo_crawler::{BatchJudge, Judgment, PageContext};
-use bingo_dist::coordinator::COORD_FILE;
+use bingo_dist::coordinator::{COORD_FILE, VOCAB_FILE};
 use bingo_dist::lease::{LeaseQueue, WorkItem, JOURNAL_FILE};
 use bingo_dist::{Coordinator, DistConfig};
 use bingo_store::durable::{self, CrashFs, MANIFEST_FILE};
@@ -172,6 +172,7 @@ fn distributed_commit_crash_at_every_boundary_rolls_back_all_nodes() {
     }
     assert!(base_files.contains_key(JOURNAL_FILE));
     assert!(base_files.contains_key(COORD_FILE));
+    assert!(base_files.contains_key(VOCAB_FILE));
 
     // One clean continuation measures the file sizes of the *next*
     // commit, in write order, for exact boundary budgets...
@@ -187,6 +188,7 @@ fn distributed_commit_crash_at_every_boundary_rolls_back_all_nodes() {
         .collect();
     write_order.push(JOURNAL_FILE.to_string());
     write_order.push(COORD_FILE.to_string());
+    write_order.push(VOCAB_FILE.to_string());
     write_order.push(MANIFEST_FILE.to_string());
     let sizes: Vec<u64> = write_order
         .iter()
@@ -201,7 +203,8 @@ fn distributed_commit_crash_at_every_boundary_rolls_back_all_nodes() {
     );
 
     // Exact file edges — first byte of each file, the gap between phase
-    // one (node stores) and phase two (journal + coordinator state), the
+    // one (node stores) and phase two (journal, coordinator state and
+    // dictionary), the
     // last manifest byte — plus a seed-driven sweep in between.
     let mut budgets: Vec<u64> = vec![0, 1];
     let mut cum = 0u64;

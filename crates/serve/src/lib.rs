@@ -121,8 +121,6 @@ pub struct PortalStats {
     pub epoch: u64,
     /// Link rows in the store.
     pub links: usize,
-    /// Hosts in the store.
-    pub hosts: usize,
 }
 
 /// The in-process portal service: a store handle, a live index handle
@@ -233,7 +231,6 @@ impl PortalService {
                     segments: snapshot.segment_count(),
                     epoch: snapshot.epoch(),
                     links: self.store.link_count(),
-                    hosts: self.store.host_count(),
                 })
             }
         }

@@ -6,8 +6,8 @@
 //! * **Flat relations.** The first BINGO! prototype used object-relational
 //!   nested tables and suffered Cartesian-product plans; the production
 //!   version switched to "a schema with 24 flat relations". This engine
-//!   stores typed flat rows (documents, links, hosts) with hash indexes —
-//!   no nesting.
+//!   stores typed flat rows (documents, links) with hash indexes — no
+//!   nesting.
 //! * **Batched bulk loading.** "Each thread batches the storing of new
 //!   documents ... first collecting a certain number of documents in
 //!   workspaces and then invoking the bulk loader", sustaining roughly ten
@@ -35,7 +35,7 @@ pub use segment::{
     DEFAULT_SEAL_EVERY, SEGMENTS_FILE, SPARSE_SAMPLE_EVERY,
 };
 pub use spill::{reap_stale_spill_files, SPILL_FILE_PREFIXES};
-pub use tables::{DocumentRow, HostRow, HostState, LinkRow};
+pub use tables::{DocumentRow, LinkRow};
 
 use bingo_graph::{HostId, LinkSource, PageId};
 use bingo_textproc::fxhash::FxHashMap;
@@ -71,7 +71,6 @@ impl std::error::Error for StoreError {}
 pub(crate) struct Inner {
     pub(crate) documents: FxHashMap<PageId, DocumentRow>,
     pub(crate) links: Vec<LinkRow>,
-    pub(crate) hosts: FxHashMap<HostId, HostRow>,
     // Derived indexes.
     pub(crate) by_url: FxHashMap<String, PageId>,
     pub(crate) by_topic: FxHashMap<u32, Vec<PageId>>,
@@ -453,16 +452,6 @@ impl DocumentStore {
         }
     }
 
-    /// Upsert host metadata.
-    pub fn upsert_host(&self, row: HostRow) {
-        match &self.spine {
-            Some(spine) => spine.write().upsert_host(row),
-            None => {
-                self.inner.write().hosts.insert(row.id, row);
-            }
-        }
-    }
-
     /// Update the topic assignment and classification confidence of a
     /// stored document (re-classification during retraining).
     pub fn set_topic(
@@ -544,14 +533,6 @@ impl DocumentStore {
         }
     }
 
-    /// Host metadata.
-    pub fn host(&self, id: HostId) -> Option<HostRow> {
-        match &self.spine {
-            Some(spine) => spine.read().host(id),
-            None => self.inner.read().hosts.get(&id).cloned(),
-        }
-    }
-
     /// Number of stored documents.
     pub fn document_count(&self) -> usize {
         match &self.spine {
@@ -569,14 +550,6 @@ impl DocumentStore {
         }
     }
 
-    /// Number of stored hosts.
-    pub fn host_count(&self) -> usize {
-        match &self.spine {
-            Some(spine) => spine.read().host_count(),
-            None => self.inner.read().hosts.len(),
-        }
-    }
-
     /// Run `f` over every document row without cloning the table
     /// (segmented stores stream rows one segment at a time).
     pub fn for_each_document<F: FnMut(&DocumentRow)>(&self, mut f: F) {
@@ -589,34 +562,6 @@ impl DocumentStore {
                 for row in inner.documents.values() {
                     f(row);
                 }
-            }
-        }
-    }
-
-    /// Rewrite every stored document's term ids through `map`
-    /// (index = old id, value = new id; the map must cover every id in
-    /// the store and be injective). Term frequencies are re-sorted by the
-    /// new ids. Used to canonicalize rows produced by the concurrent
-    /// pipeline's arrival-ordered interner — see
-    /// `bingo_textproc::SharedVocabulary::canonicalize`.
-    ///
-    /// On segmented stores this rewrites every sealed segment on disk —
-    /// an I/O failure there leaves the rewrite half done — and is
-    /// refused with an error, before anything is touched, once a
-    /// checkpoint generation references the segments
-    /// ([`persist::write_checkpoint`]): canonicalize before persisting.
-    pub fn remap_terms(&self, map: &[u32]) -> Result<(), StoreError> {
-        match &self.spine {
-            Some(spine) => spine.write().remap_terms(map),
-            None => {
-                let mut inner = self.inner.write();
-                for row in inner.documents.values_mut() {
-                    for entry in &mut row.term_freqs {
-                        entry.0 = map[entry.0 as usize];
-                    }
-                    row.term_freqs.sort_unstable_by_key(|&(t, _)| t);
-                }
-                Ok(())
             }
         }
     }
@@ -706,18 +651,6 @@ mod tests {
         let errs = s.insert_documents(vec![doc(1, "z", None), doc(2, "w", None)]);
         assert_eq!(errs, vec![StoreError::DuplicateKey(1)]);
         assert_eq!(s.document_count(), 2);
-    }
-
-    #[test]
-    fn remap_terms_rewrites_and_resorts() {
-        let s = DocumentStore::new();
-        s.insert_document(doc(1, "u", None)).unwrap();
-        // Old ids 1 and 7 swap order under the map.
-        let mut map = vec![0u32; 8];
-        map[1] = 6;
-        map[7] = 2;
-        s.remap_terms(&map).unwrap();
-        assert_eq!(s.document(1).unwrap().term_freqs, vec![(2, 1), (6, 2)]);
     }
 
     #[test]

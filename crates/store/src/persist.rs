@@ -4,8 +4,7 @@
 //! that outlives the crawl process (the user inspects it the next
 //! morning, Section 1.2). Snapshots are newline-delimited JSON: one
 //! header line, then one line per document row, then one line per link
-//! row, then one per host row — streamable in both directions, no
-//! whole-database buffer.
+//! row — streamable in both directions, no whole-database buffer.
 //!
 //! Two forms share the header's magic and differ in its version:
 //!
@@ -22,7 +21,7 @@
 
 use crate::durable::DurableFs;
 use crate::segment::{pe, SegmentManifest, SegmentStoreConfig, Spine};
-use crate::tables::{DocumentRow, HostRow, LinkRow};
+use crate::tables::{DocumentRow, LinkRow};
 use crate::{DocumentStore, StoreError};
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -36,11 +35,10 @@ struct SnapshotHeader {
     version: u32,
     documents: usize,
     links: usize,
-    hosts: usize,
 }
 
 /// Header of the reference form. `documents` and `links` count the
-/// workspace rows that follow; overrides and hosts ride in `manifest`.
+/// workspace rows that follow; topic overrides ride in `manifest`.
 #[derive(Debug, Serialize, Deserialize)]
 struct ReferenceHeader {
     magic: String,
@@ -65,9 +63,9 @@ fn write_line<W: Write, T: Serialize>(w: &mut W, value: &T) -> Result<(), StoreE
 /// Write a full snapshot of the store to `w`.
 ///
 /// Byte-identical for an in-memory store and a segmented store holding
-/// the same rows: both emit documents sorted by id, links in insertion
-/// order, hosts sorted by id — so exports and equivalence tests can
-/// compare the two backends literally.
+/// the same rows: both emit documents sorted by id and links in
+/// insertion order — so exports and equivalence tests can compare the
+/// two backends literally.
 pub fn write_snapshot<W: Write>(store: &DocumentStore, w: W) -> Result<(), StoreError> {
     if let Some(spine) = &store.spine {
         return write_snapshot_segmented(&spine.read(), w);
@@ -79,7 +77,6 @@ pub fn write_snapshot<W: Write>(store: &DocumentStore, w: W) -> Result<(), Store
         version: VERSION,
         documents: inner.documents.len(),
         links: inner.links.len(),
-        hosts: inner.hosts.len(),
     };
     write_line(&mut w, &header)?;
     // Deterministic order: sort by id so snapshots are comparable.
@@ -90,11 +87,6 @@ pub fn write_snapshot<W: Write>(store: &DocumentStore, w: W) -> Result<(), Store
     }
     for link in &inner.links {
         write_line(&mut w, link)?;
-    }
-    let mut host_ids: Vec<_> = inner.hosts.keys().copied().collect();
-    host_ids.sort_unstable();
-    for id in host_ids {
-        write_line(&mut w, &inner.hosts[&id])?;
     }
     w.flush().map_err(pe)
 }
@@ -109,7 +101,6 @@ fn write_snapshot_segmented<W: Write>(spine: &Spine, w: W) -> Result<(), StoreEr
         version: VERSION,
         documents: spine.document_count(),
         links: spine.link_count(),
-        hosts: spine.host_count(),
     };
     write_line(&mut w, &header)?;
     let mut docs = spine.all_documents();
@@ -126,9 +117,6 @@ fn write_snapshot_segmented<W: Write>(spine: &Spine, w: W) -> Result<(), StoreEr
     if let Some(e) = link_err {
         return Err(e);
     }
-    for host in spine.hosts_sorted() {
-        write_line(&mut w, &host)?;
-    }
     w.flush().map_err(pe)
 }
 
@@ -137,9 +125,8 @@ fn write_snapshot_segmented<W: Write>(spine: &Spine, w: W) -> Result<(), StoreEr
 /// the reference form of a segmented one. Nothing is sealed — segment
 /// files stay a pure function of the crawl and the seal threshold — but
 /// from here on the store keeps every segment a generation may name:
-/// compaction retains what it replaces until
-/// [`release_unreferenced`] lets go, and
-/// [`DocumentStore::remap_terms`] is refused.
+/// compaction retains what it replaces until [`release_unreferenced`]
+/// lets go.
 pub fn write_checkpoint<W: Write>(store: &DocumentStore, w: W) -> Result<(), StoreError> {
     let Some(spine) = &store.spine else {
         return write_snapshot(store, w);
@@ -223,10 +210,6 @@ pub fn read_snapshot<R: Read>(r: R) -> Result<DocumentStore, StoreError> {
                 links.push(row);
             }
             store.insert_links(links);
-            for _ in 0..header.hosts {
-                let row: HostRow = serde_json::from_str(&next()?).map_err(pe)?;
-                store.upsert_host(row);
-            }
             Ok(store)
         }
         REFERENCE_VERSION => {
@@ -296,7 +279,6 @@ pub fn release_unreferenced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::HostState;
     use bingo_textproc::MimeType;
 
     fn populated() -> DocumentStore {
@@ -322,12 +304,6 @@ mod tests {
             to: 1,
             to_url: "http://h1/p1".into(),
         });
-        s.upsert_host(HostRow {
-            id: 0,
-            name: "h0".into(),
-            state: HostState::Slow,
-            failures: 2,
-        });
         s
     }
 
@@ -339,12 +315,64 @@ mod tests {
         let loaded = read_snapshot(&buf[..]).unwrap();
         assert_eq!(loaded.document_count(), 10);
         assert_eq!(loaded.link_count(), 1);
-        assert_eq!(loaded.host_count(), 1);
         assert_eq!(loaded.document(3).unwrap().title, "t3");
         assert_eq!(loaded.topic_documents(1).len(), 5);
-        assert_eq!(loaded.host(0).unwrap().state, HostState::Slow);
         use bingo_graph::LinkSource;
         assert_eq!(loaded.successors(0), vec![1]);
+    }
+
+    /// A full snapshot as earlier builds wrote it, with the always-zero
+    /// `hosts` count in its header, loads; saving it again drops only
+    /// that key.
+    #[test]
+    fn full_snapshot_with_a_hosts_count_loads() {
+        let parent = concat!(
+            r#"{"magic":"bingo-snapshot","version":1,"documents":1,"links":1,"hosts":0}"#,
+            "\n",
+            r#"{"id":7,"url":"http://h/a","host":0,"mime":"Html","depth":1,"title":"a","topic":2,"confidence":0.5,"term_freqs":[[1,2]],"size":10,"fetched_at":3}"#,
+            "\n",
+            r#"{"from":7,"to":8,"to_url":"http://h/b"}"#,
+            "\n",
+        );
+        let loaded = read_snapshot(parent.as_bytes()).unwrap();
+        assert_eq!(loaded.document(7).unwrap().term_freqs, vec![(1, 2)]);
+        let mut saved = Vec::new();
+        write_snapshot(&loaded, &mut saved).unwrap();
+        assert_eq!(
+            String::from_utf8(saved).unwrap(),
+            parent.replace(r#","hosts":0"#, "")
+        );
+    }
+
+    /// A reference-form header as earlier builds wrote it, with an empty
+    /// `hosts` list in its manifest, loads; checkpointing the loaded
+    /// store again drops only that key.
+    #[test]
+    fn reference_header_with_a_hosts_list_loads() {
+        let dir =
+            std::env::temp_dir().join(format!("bingo-store-ref-hosts-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let s = DocumentStore::segmented_with(&dir, 4).unwrap();
+        for row in populated().all_documents() {
+            s.insert_document(row).unwrap();
+            s.commit_sealed().unwrap();
+        }
+        s.set_topic(0, Some(3), 0.25).unwrap();
+        let mut current = Vec::new();
+        write_checkpoint(&s, &mut current).unwrap();
+        let current = String::from_utf8(current).unwrap();
+        let parent = current.replacen(
+            r#""overrides":[[0,3,0.25]]"#,
+            r#""overrides":[[0,3,0.25]],"hosts":[]"#,
+            1,
+        );
+        assert_ne!(parent, current);
+        let loaded = read_snapshot(parent.as_bytes()).unwrap();
+        assert_eq!(loaded.document(0).unwrap().topic, Some(3));
+        let mut saved = Vec::new();
+        write_checkpoint(&loaded, &mut saved).unwrap();
+        assert_eq!(String::from_utf8(saved).unwrap(), current);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

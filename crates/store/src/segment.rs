@@ -57,7 +57,7 @@
 //! original reassignment order (set-equal, order may differ).
 
 use crate::durable::{checksum, DurableFs};
-use crate::tables::{DocumentRow, HostRow, LinkRow};
+use crate::tables::{DocumentRow, LinkRow};
 use crate::StoreError;
 use bingo_graph::{HostId, PageId};
 use bingo_textproc::fxhash::{self, FxHashMap};
@@ -182,11 +182,11 @@ pub struct SegmentEntry {
 }
 
 /// The store-level commit record: which segments exist, plus the small
-/// mutable state (topic overrides, host table) that rides along.
+/// mutable state (topic overrides) that rides along.
 ///
-/// Rewritten atomically at every seal. Topic overrides and host upserts
-/// that happen *after* the last seal live only in memory until the next
-/// seal — durable via [`crate::persist`] checkpoints in the meantime.
+/// Rewritten atomically at every seal. Topic overrides that happen
+/// *after* the last seal live only in memory until the next seal —
+/// durable via [`crate::persist`] checkpoints in the meantime.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SegmentManifest {
     /// Format marker ([`SEGMENTS_MAGIC`]).
@@ -200,8 +200,6 @@ pub struct SegmentManifest {
     /// Re-classification overrides applied to sealed rows:
     /// `(id, topic, confidence)`, sorted by id.
     pub overrides: Vec<(PageId, Option<u32>, f32)>,
-    /// Host table, sorted by id.
-    pub hosts: Vec<HostRow>,
     /// File names of segments compaction replaced while a checkpoint
     /// generation may still reference them. Not part of the store's
     /// contents, but every reap treats them as referenced until
@@ -221,7 +219,6 @@ impl SegmentManifest {
             next_seg: 0,
             segments: Vec::new(),
             overrides: Vec::new(),
-            hosts: Vec::new(),
             retained: Vec::new(),
         }
     }
@@ -338,7 +335,7 @@ fn parse_segment(bytes: &[u8]) -> Result<ParsedSegment<'_>, StoreError> {
 }
 
 /// The disk-backed store state: workspace + sealed segments + resident
-/// locator/host indexes. Wrapped in a lock by
+/// locator indexes. Wrapped in a lock by
 /// [`crate::DocumentStore::segmented`].
 pub(crate) struct Spine {
     dir: PathBuf,
@@ -366,14 +363,13 @@ pub(crate) struct Spine {
     // --- shared mutable metadata ---
     /// Re-classification of sealed (immutable) rows, applied on read.
     overrides: FxHashMap<PageId, (Option<u32>, f32)>,
-    hosts: FxHashMap<HostId, HostRow>,
     sealed_links: u64,
-    /// Overrides/hosts changed since the last manifest commit; a seal
-    /// with an empty workspace still recommits the manifest then.
+    /// Overrides changed since the last manifest commit; a seal with an
+    /// empty workspace still recommits the manifest then.
     meta_dirty: bool,
     /// A checkpoint generation may reference this store's segment files
     /// ([`Spine::pin`]): compaction retains what it replaces instead of
-    /// orphaning it, and in-place rewrites are refused.
+    /// orphaning it.
     pinned: bool,
     compaction_stats: CompactionStats,
 }
@@ -460,7 +456,6 @@ impl Spine {
             sealed_ids: Bloom::new(bloom_bits),
             sealed_docs_ct: 0,
             overrides: FxHashMap::default(),
-            hosts: FxHashMap::default(),
             sealed_links: 0,
             meta_dirty: false,
             pinned: false,
@@ -508,7 +503,6 @@ impl Spine {
             .iter()
             .map(|&(id, topic, confidence)| (id, (topic, confidence)))
             .collect();
-        spine.hosts = manifest.hosts.iter().map(|h| (h.id, h.clone())).collect();
         for (seg, entry) in manifest.segments.iter().enumerate() {
             let bytes = std::fs::read(spine.dir.join(&entry.name)).map_err(pe)?;
             if bytes.len() as u64 != entry.len || checksum(&bytes) != entry.checksum {
@@ -609,11 +603,10 @@ impl Spine {
     }
 
     /// The manifest a commit would write *now*: the committed segments
-    /// with the current overrides and host table.
+    /// with the current overrides.
     pub(crate) fn manifest_now(&self) -> SegmentManifest {
         SegmentManifest {
             overrides: self.overrides_sorted(),
-            hosts: self.hosts_sorted(),
             ..self.manifest.clone()
         }
     }
@@ -661,10 +654,6 @@ impl Spine {
 
     pub(crate) fn link_count(&self) -> usize {
         self.sealed_links as usize + self.ws_links.len()
-    }
-
-    pub(crate) fn host_count(&self) -> usize {
-        self.hosts.len()
     }
 
     pub(crate) fn insert_document(&mut self, row: DocumentRow) -> Result<(), StoreError> {
@@ -733,11 +722,6 @@ impl Spine {
 
     pub(crate) fn insert_link(&mut self, link: LinkRow) {
         self.ws_links.push(link);
-    }
-
-    pub(crate) fn upsert_host(&mut self, row: HostRow) {
-        self.hosts.insert(row.id, row);
-        self.meta_dirty = true;
     }
 
     pub(crate) fn set_topic(
@@ -854,16 +838,6 @@ impl Spine {
         self.by_topic.get(&topic).cloned().unwrap_or_default()
     }
 
-    pub(crate) fn host(&self, id: HostId) -> Option<HostRow> {
-        self.hosts.get(&id).cloned()
-    }
-
-    pub(crate) fn hosts_sorted(&self) -> Vec<HostRow> {
-        let mut hosts: Vec<HostRow> = self.hosts.values().cloned().collect();
-        hosts.sort_unstable_by_key(|h| h.id);
-        hosts
-    }
-
     /// Stream every *sealed* document row in segment order, overrides
     /// applied.
     fn for_each_sealed_document<F: FnMut(&DocumentRow)>(&self, mut f: F) -> Result<(), StoreError> {
@@ -973,8 +947,8 @@ impl Spine {
             if !self.meta_dirty {
                 return Ok(false);
             }
-            // Metadata-only commit: overrides/hosts changed since the
-            // last seal but there is no workspace to seal.
+            // Metadata-only commit: overrides changed since the last
+            // seal but there is no workspace to seal.
             self.commit_manifest(fs, self.manifest_now())?;
             return Ok(true);
         }
@@ -1243,82 +1217,6 @@ impl Spine {
         overrides.sort_unstable_by_key(|&(id, _, _)| id);
         overrides
     }
-
-    /// Rewrite every row's term ids through `map` (see
-    /// [`crate::DocumentStore::remap_terms`]): workspace rows in place,
-    /// sealed segments by rewriting each file and recommitting the
-    /// manifest. Not crash-atomic across segments — canonicalization
-    /// runs before a crawl's results are persisted, so a crash here
-    /// means re-running the crawl, not data loss of an acked seal.
-    /// Refused once a checkpoint generation references the segments: it
-    /// records their checksums, and a rewrite would orphan it.
-    pub(crate) fn remap_terms(&mut self, map: &[u32]) -> Result<(), StoreError> {
-        if self.pinned {
-            return Err(pe(
-                "remap_terms refused: a checkpoint generation references this store's segments",
-            ));
-        }
-        let remap = |row: &mut DocumentRow| {
-            for entry in &mut row.term_freqs {
-                entry.0 = map[entry.0 as usize];
-            }
-            row.term_freqs.sort_unstable_by_key(|&(t, _)| t);
-        };
-        for row in &mut self.ws_docs {
-            remap(row);
-        }
-        let fs = crate::durable::StdFs;
-        for (seg, entry) in self.manifest.segments.iter_mut().enumerate() {
-            let bytes = std::fs::read(self.dir.join(&entry.name)).map_err(pe)?;
-            let parsed = parse_segment(&bytes)?;
-            let mut out = Vec::with_capacity(bytes.len());
-            let header_end = bytes.iter().position(|&b| b == b'\n').unwrap_or(0);
-            out.extend_from_slice(&bytes[..=header_end]);
-            let mut idx_rows: Vec<(PageId, u64, u32)> = Vec::with_capacity(if self.cfg.sparse {
-                parsed.doc_lines.len()
-            } else {
-                0
-            });
-            for &(_, line) in &parsed.doc_lines {
-                let mut row: DocumentRow = from_line(line)?;
-                remap(&mut row);
-                let start = out.len() as u64;
-                serde_json::to_writer(&mut out, &row).map_err(pe)?;
-                let row_len = (out.len() as u64 - start) as u32;
-                if self.cfg.sparse {
-                    idx_rows.push((row.id, start, row_len));
-                } else {
-                    self.locs.insert(
-                        row.id,
-                        SegLoc {
-                            seg: seg as u32,
-                            offset: start,
-                            len: row_len,
-                        },
-                    );
-                }
-                out.push(b'\n');
-            }
-            if self.cfg.sparse {
-                self.sparse[seg] = SparseSegIndex::from_rows(&idx_rows);
-            }
-            for line in &parsed.link_lines {
-                out.extend_from_slice(line);
-                out.push(b'\n');
-            }
-            fs.atomic_write(&self.dir.join(&entry.name), &out)
-                .map_err(pe)?;
-            entry.len = out.len() as u64;
-            entry.checksum = checksum(&out);
-        }
-        if !self.manifest.segments.is_empty() {
-            let mut mjson = Vec::new();
-            serde_json::to_writer(&mut mjson, &self.manifest).map_err(pe)?;
-            fs.atomic_write(&self.dir.join(SEGMENTS_FILE), &mjson)
-                .map_err(pe)?;
-        }
-        Ok(())
-    }
 }
 
 /// Delete segment files (and stale `.tmp` siblings) in `dir` that the
@@ -1488,26 +1386,6 @@ mod tests {
             Spine::open(dir.clone(), cfg4()),
             Err(StoreError::Persist(_))
         ));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn remap_rewrites_sealed_segments() {
-        let dir = temp_dir("remap");
-        let mut spine = Spine::open(dir.clone(), cfg4()).unwrap();
-        spine.insert_document(doc(0, None)).unwrap();
-        spine.seal(&StdFs).unwrap();
-        spine.insert_document(doc(1, None)).unwrap();
-        let mut map = vec![0u32; 8];
-        map[1] = 6;
-        map[7] = 2;
-        spine.remap_terms(&map).unwrap();
-        assert_eq!(spine.document(0).unwrap().term_freqs, vec![(2, 1), (6, 2)]);
-        assert_eq!(spine.document(1).unwrap().term_freqs, vec![(2, 1), (6, 2)]);
-        drop(spine);
-        // The rewritten segment re-verifies and reopens.
-        let spine = Spine::open(dir.clone(), cfg4()).unwrap();
-        assert_eq!(spine.document(0).unwrap().term_freqs, vec![(2, 1), (6, 2)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,6 +1,6 @@
 //! The flat relations of the crawl database (Section 4.1: "a schema with
-//! 24 flat relations" — here the three that carry the experiments'
-//! workload: documents, links, hosts).
+//! 24 flat relations" — here the two the crawl writes: documents and
+//! links).
 
 use bingo_graph::{HostId, PageId};
 use bingo_textproc::MimeType;
@@ -45,32 +45,6 @@ pub struct LinkRow {
     pub to_url: String,
 }
 
-/// Crawler-visible host health (Section 4.2: hosts are tagged "slow"
-/// after failures and "bad" — excluded — after repeated failures).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum HostState {
-    /// Responding normally.
-    #[default]
-    Good,
-    /// Timed out or errored at least once; retries restricted.
-    Slow,
-    /// Exceeded the retry budget; excluded for the rest of the crawl.
-    Bad,
-}
-
-/// Host metadata row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HostRow {
-    /// Host id.
-    pub id: HostId,
-    /// Hostname.
-    pub name: String,
-    /// Crawler health tag.
-    pub state: HostState,
-    /// Failures observed so far.
-    pub failures: u32,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,10 +67,5 @@ mod tests {
         let json = serde_json::to_string(&row).unwrap();
         let back: DocumentRow = serde_json::from_str(&json).unwrap();
         assert_eq!(back, row);
-    }
-
-    #[test]
-    fn host_state_default_is_good() {
-        assert_eq!(HostState::default(), HostState::Good);
     }
 }

@@ -5,8 +5,7 @@
 use bingo_graph::LinkSource;
 use bingo_store::segment::{SegmentEntry, SegmentManifest};
 use bingo_store::{
-    persist, CompactionConfig, DocumentRow, DocumentStore, HostRow, HostState, LinkRow,
-    SegmentStoreConfig,
+    persist, CompactionConfig, DocumentRow, DocumentStore, LinkRow, SegmentStoreConfig,
 };
 use bingo_textproc::MimeType;
 use proptest::prelude::*;
@@ -44,7 +43,6 @@ enum Op {
     Insert(DocumentRow),
     SetTopic(u64, Option<u32>, f32),
     Link(u64, u64),
-    Host(u32, u32),
     /// Seal the segmented store's workspace (no-op on the in-memory
     /// reference) — this is what makes flush points arbitrary.
     Seal,
@@ -62,12 +60,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 fn seg_op_strategy() -> impl Strategy<Value = Op> {
     // Unweighted arms (the vendored proptest has no weight syntax):
     // listing op_strategy twice biases toward data ops over seals.
-    prop_oneof![
-        op_strategy(),
-        op_strategy(),
-        (0u32..8, 0u32..5).prop_map(|(id, failures)| Op::Host(id, failures)),
-        Just(Op::Seal),
-    ]
+    prop_oneof![op_strategy(), op_strategy(), Just(Op::Seal)]
 }
 
 fn fresh_dir(tag: &str) -> std::path::PathBuf {
@@ -88,19 +81,6 @@ fn apply(store: &DocumentStore, op: &Op) -> bool {
                 from: *a,
                 to: *b,
                 to_url: format!("u{b}"),
-            });
-            true
-        }
-        Op::Host(id, failures) => {
-            store.upsert_host(HostRow {
-                id: *id,
-                name: format!("h{id}"),
-                state: if *failures > 2 {
-                    HostState::Bad
-                } else {
-                    HostState::Good
-                },
-                failures: *failures,
             });
             true
         }
@@ -148,7 +128,6 @@ proptest! {
     fn snapshots_are_lossless(
         rows in proptest::collection::vec(row_strategy(), 0..40),
         links in proptest::collection::vec((0u64..60, 0u64..60), 0..20),
-        hosts in proptest::collection::vec((0u32..8, 0u32..5), 0..8),
     ) {
         let store = DocumentStore::new();
         let mut inserted: std::collections::BTreeSet<u64> = Default::default();
@@ -160,14 +139,6 @@ proptest! {
         for (a, b) in links {
             store.insert_link(LinkRow { from: a, to: b, to_url: format!("u{b}") });
         }
-        for (id, failures) in hosts {
-            store.upsert_host(HostRow {
-                id,
-                name: format!("h{id}"),
-                state: if failures > 2 { HostState::Bad } else { HostState::Good },
-                failures,
-            });
-        }
 
         let mut buf = Vec::new();
         persist::write_snapshot(&store, &mut buf).unwrap();
@@ -175,7 +146,6 @@ proptest! {
 
         prop_assert_eq!(restored.document_count(), store.document_count());
         prop_assert_eq!(restored.link_count(), store.link_count());
-        prop_assert_eq!(restored.host_count(), store.host_count());
         for &id in &inserted {
             prop_assert_eq!(restored.document(id), store.document(id));
             let mut a = restored.successors(id);
@@ -211,7 +181,6 @@ proptest! {
 
         prop_assert_eq!(seg.document_count(), mem.document_count());
         prop_assert_eq!(seg.link_count(), mem.link_count());
-        prop_assert_eq!(seg.host_count(), mem.host_count());
         for id in 0..60u64 {
             prop_assert_eq!(seg.document(id), mem.document(id), "doc {}", id);
             prop_assert_eq!(seg.with_document(id, Clone::clone), mem.document(id), "doc {}", id);
@@ -228,9 +197,6 @@ proptest! {
             prop_assert_eq!(hit.map(|r| r.id), Some(row.id), "url {}", &row.url);
         }
         prop_assert_eq!(seg.all_links(), mem.all_links());
-        for id in 0..8u32 {
-            prop_assert_eq!(seg.host(id), mem.host(id), "host row {}", id);
-        }
 
         // Snapshots of the two backends are byte-identical.
         let mut mem_snap = Vec::new();
@@ -240,7 +206,7 @@ proptest! {
         prop_assert_eq!(&mem_snap, &seg_snap, "live snapshot bytes diverged");
 
         // Permutation stability across reopen: a final seal persists
-        // the workspace and trailing overrides/hosts; reading the
+        // the workspace and trailing overrides; reading the
         // directory back yields the same database (topic lists are
         // set-equal — reopen rebuilds them in insertion order).
         seg.seal_now().unwrap();
@@ -248,7 +214,6 @@ proptest! {
         let re = DocumentStore::segmented_with(&dir, 1_000_000).unwrap();
         prop_assert_eq!(re.document_count(), mem.document_count());
         prop_assert_eq!(re.link_count(), mem.link_count());
-        prop_assert_eq!(re.host_count(), mem.host_count());
         for id in 0..60u64 {
             prop_assert_eq!(re.document(id), mem.document(id), "reopen doc {}", id);
         }
@@ -268,8 +233,8 @@ proptest! {
     /// What a checkpoint generation stores for a segmented store — the
     /// segment references plus the workspace rows — loads back into the
     /// same database as the full snapshot taken at the same moment,
-    /// whatever the rows, seal points, overrides on sealed rows, host
-    /// upserts, index mode and compaction policy; and loading it leaves
+    /// whatever the rows, seal points, overrides on sealed rows, index
+    /// mode and compaction policy; and loading it leaves
     /// the segment directory exactly as it was.
     #[test]
     fn checkpoint_references_load_as_the_full_snapshot(
@@ -356,7 +321,10 @@ proptest! {
     }
 
     /// `SEGMENTS.json` text is a fixed point of the codec, and an empty
-    /// `retained` list is omitted, not written as `[]`.
+    /// `retained` list is omitted, not written as `[]`. A manifest as
+    /// earlier builds wrote it, with an empty `hosts` list after the
+    /// overrides, reads back as the same manifest: saving it again drops
+    /// only that key.
     #[test]
     fn segment_manifest_text_is_a_fixed_point(
         segments in proptest::collection::vec((0u64..1_000_000, 0u64..500, any::<u64>()), 0..6),
@@ -364,7 +332,6 @@ proptest! {
             (any::<u64>(), proptest::option::of(0u32..5), -1.0f32..1.0),
             0..6,
         ),
-        hosts in proptest::collection::vec((0u32..50, "[a-zé\"\\\\\n]{0,8}", 0u32..4), 0..4),
         retained in proptest::collection::vec("seg-[0-9]{6}\\.jsonl", 0..3),
     ) {
         let manifest = SegmentManifest {
@@ -383,21 +350,17 @@ proptest! {
                 })
                 .collect(),
             overrides,
-            hosts: hosts
-                .into_iter()
-                .map(|(id, name, failures)| HostRow {
-                    id,
-                    name,
-                    state: if failures > 2 { HostState::Bad } else { HostState::Good },
-                    failures,
-                })
-                .collect(),
             retained,
         };
         let text = serde_json::to_string(&manifest).unwrap();
         prop_assert_eq!(text.contains("\"retained\""), !manifest.retained.is_empty());
         let back: SegmentManifest = serde_json::from_str(&text).unwrap();
         prop_assert_eq!(&back.retained, &manifest.retained);
+        prop_assert_eq!(&serde_json::to_string(&back).unwrap(), &text);
+
+        let at = text.find(",\"retained\"").unwrap_or(text.len() - 1);
+        let parent = format!("{},\"hosts\":[]{}", &text[..at], &text[at..]);
+        let back: SegmentManifest = serde_json::from_str(&parent).unwrap();
         prop_assert_eq!(serde_json::to_string(&back).unwrap(), text);
     }
 }

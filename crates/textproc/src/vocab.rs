@@ -11,13 +11,12 @@
 //!   through `&self`, so a batch analyzed on any thread produces ids
 //!   every other thread understands.
 //!
-//! Concurrent interning assigns raw ids in arrival order, which depends
-//! on scheduling. Both dictionaries therefore support *canonicalization*:
-//! seed terms (interned before the concurrent phase, e.g. by classifier
-//! training) keep their ids, and every term interned afterwards is
-//! renumbered by lexicographic rank. Two runs that intern the same term
-//! set — in any order, on any number of threads — canonicalize to the
-//! same id assignment.
+//! Concurrent interning assigns ids in arrival order, which depends on
+//! scheduling: seed terms (interned before the concurrent phase, e.g. by
+//! classifier training) keep their ids, every later term gets the next
+//! free one. Two runs over the same documents therefore agree on each
+//! document's terms, not on their ids — compare them as term text, each
+//! through its own dictionary ([`SharedVocabulary::snapshot`]).
 
 use crate::fxhash::{self, FxHashMap};
 use crate::stem::porter_stem;
@@ -132,30 +131,6 @@ impl Vocabulary {
             *self = source.clone();
         }
     }
-
-    /// Canonical renumbering: ids below `seed_len` stay fixed; every
-    /// later term is renumbered by lexicographic rank starting at
-    /// `seed_len`. Returns the old-id → canonical-id table (index = old
-    /// id). See the module docs — two interning orders over the same
-    /// term set produce the same canonical ids.
-    pub fn canonical_map(&self, seed_len: usize) -> Vec<u32> {
-        canonical_map_of(&self.terms, seed_len)
-    }
-}
-
-/// Shared canonicalization rule over an id-ordered term list.
-fn canonical_map_of(terms: &[String], seed_len: usize) -> Vec<u32> {
-    let seed_len = seed_len.min(terms.len());
-    let mut tail: Vec<usize> = (seed_len..terms.len()).collect();
-    tail.sort_unstable_by(|&a, &b| terms[a].cmp(&terms[b]));
-    let mut map = vec![0u32; terms.len()];
-    for (id, slot) in map.iter_mut().enumerate().take(seed_len) {
-        *slot = id as u32;
-    }
-    for (rank, &old) in tail.iter().enumerate() {
-        map[old] = (seed_len + rank) as u32;
-    }
-    map
 }
 
 /// Longest raw token a [`TokenMemo`] keeps; longer ones (none in the
@@ -259,8 +234,8 @@ const SHARDS: usize = 16;
 /// Interning takes `&self`: the term's hash picks a shard, the shard's
 /// mutex guards its slice of the dictionary, and a global atomic hands
 /// out fresh ids. Ids are unique and stable for the lifetime of the
-/// dictionary but *arrival-ordered* — use [`SharedVocabulary::canonicalize`]
-/// to renumber them deterministically after a concurrent phase.
+/// dictionary but *arrival-ordered*: [`SharedVocabulary::snapshot`] reads
+/// them back as term text.
 ///
 /// ```
 /// use bingo_textproc::{SharedVocabulary, Vocabulary};
@@ -274,7 +249,6 @@ const SHARDS: usize = 16;
 pub struct SharedVocabulary {
     shards: Vec<Mutex<FxHashMap<String, TermId>>>,
     next_id: AtomicU32,
-    seed_len: u32,
     /// Unique per dictionary in this process; tags the per-thread memo.
     instance: u64,
 }
@@ -304,22 +278,19 @@ impl SharedVocabulary {
                 .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
             next_id: AtomicU32::new(0),
-            seed_len: 0,
             instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
         }
     }
 
     /// Shared dictionary pre-loaded with `seed`'s terms *keeping their
     /// ids*, so vectors produced against the seed (trained classifiers,
-    /// stored rows) remain valid. Canonicalization never renumbers the
-    /// seed range.
+    /// stored rows) remain valid.
     pub fn seeded(seed: &Vocabulary) -> Self {
         let mut shared = Self::new();
         for (id, term) in seed.iter() {
             shared.shard(term).insert(term.to_string(), id);
         }
-        shared.seed_len = seed.len() as u32;
-        shared.next_id = AtomicU32::new(shared.seed_len);
+        shared.next_id = AtomicU32::new(seed.len() as u32);
         shared
     }
 
@@ -360,13 +331,8 @@ impl SharedVocabulary {
         self.len() == 0
     }
 
-    /// Number of seed terms whose ids are immutable.
-    pub fn seed_len(&self) -> usize {
-        self.seed_len as usize
-    }
-
-    /// Freeze into an ordinary [`Vocabulary`] in raw (arrival-order)
-    /// ids.
+    /// Freeze into an ordinary [`Vocabulary`] with the same
+    /// (arrival-order) ids.
     pub fn snapshot(&self) -> Vocabulary {
         let mut terms = vec![String::new(); self.len()];
         for shard in &self.shards {
@@ -376,19 +342,6 @@ impl SharedVocabulary {
             }
         }
         Vocabulary::from_terms(terms)
-    }
-
-    /// Canonicalize (see the module docs): returns the renumbered
-    /// dictionary plus the raw-id → canonical-id table, suitable for
-    /// rewriting stored rows via `DocumentStore::remap_terms`.
-    pub fn canonicalize(&self) -> (Vocabulary, Vec<u32>) {
-        let raw = self.snapshot();
-        let map = canonical_map_of(&raw.terms, self.seed_len as usize);
-        let mut terms = vec![String::new(); raw.terms.len()];
-        for (old, term) in raw.terms.into_iter().enumerate() {
-            terms[map[old] as usize] = term;
-        }
-        (Vocabulary::from_terms(terms), map)
     }
 }
 
@@ -570,7 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_vocab_interns_concurrently_and_canonicalizes() {
+    fn shared_vocab_interns_concurrently_around_its_seed() {
         let mut seed = Vocabulary::new();
         seed.intern("zeta");
         seed.intern("alpha");
@@ -586,39 +539,15 @@ mod tests {
                 });
             }
         });
-        let (canon, map) = shared.canonicalize();
+        let snapshot = shared.snapshot();
         // Seed ids survive untouched, in place.
-        assert_eq!(canon.lookup("zeta"), Some(TermId(0)));
-        assert_eq!(canon.lookup("alpha"), Some(TermId(1)));
-        assert_eq!(&map[..2], &[0, 1]);
-        // New terms are densely renumbered in lexicographic order.
-        let new_terms: Vec<&str> = canon.iter().skip(2).map(|(_, t)| t).collect();
-        let mut sorted = new_terms.clone();
-        sorted.sort_unstable();
-        assert_eq!(new_terms, sorted);
-        // The map is a bijection consistent with the canonical dictionary.
-        let raw = shared.snapshot();
-        for (TermId(old), term) in raw.iter() {
-            assert_eq!(canon.term(TermId(map[old as usize])), term);
-        }
-    }
-
-    #[test]
-    fn canonical_map_matches_across_interning_orders() {
-        let words = ["delta", "charlie", "bravo", "echo", "alpha"];
-        let mut a = Vocabulary::new();
-        let mut b = Vocabulary::new();
-        for w in words {
-            a.intern(w);
-        }
-        for w in words.iter().rev() {
-            b.intern(w);
-        }
-        let (ma, mb) = (a.canonical_map(0), b.canonical_map(0));
-        for w in words {
-            let ca = ma[a.lookup(w).unwrap().0 as usize];
-            let cb = mb[b.lookup(w).unwrap().0 as usize];
-            assert_eq!(ca, cb, "canonical id of {w} differs");
+        assert_eq!(snapshot.lookup("zeta"), Some(TermId(0)));
+        assert_eq!(snapshot.lookup("alpha"), Some(TermId(1)));
+        // Every term was interned once, with a dense id the snapshot
+        // reads back.
+        assert_eq!(snapshot.len(), 2 + 60);
+        for (id, term) in snapshot.iter() {
+            assert_eq!(shared.lookup(term), Some(id));
         }
     }
 

@@ -1,18 +1,19 @@
-//! Property-based tests of the sharded shared vocabulary: the
-//! canonicalized term-id assignment must not depend on thread count,
-//! scheduling, or the order documents arrive in.
+//! Property-based tests of the sharded shared vocabulary: what each
+//! document holds, read as term text through the run's own dictionary,
+//! must not depend on thread count, scheduling, or the order documents
+//! arrive in — and the seed terms keep their ids.
 
 use bingo_textproc::{analyze_html, Interner, SharedVocabulary, TermId, Vocabulary};
 use proptest::prelude::*;
 
 /// Analyze `docs` on `threads` OS threads against one shared dictionary
-/// and return its canonical form plus the canonicalized term ids of
-/// every document (sorted so results are comparable across runs).
+/// and return its snapshot plus the terms of every document as text
+/// (sorted so results are comparable across runs).
 fn analyze_sharded(
     docs: &[String],
     seed: &Vocabulary,
     threads: usize,
-) -> (Vocabulary, Vec<Vec<u32>>) {
+) -> (Vocabulary, Vec<Vec<String>>) {
     let shared = SharedVocabulary::seeded(seed);
     let mut raw_ids: Vec<Vec<TermId>> = vec![Vec::new(); docs.len()];
     std::thread::scope(|scope| {
@@ -30,26 +31,26 @@ fn analyze_sharded(
             });
         }
     });
-    let (canon, map) = shared.canonicalize();
+    let vocab = shared.snapshot();
     let per_doc = raw_ids
         .into_iter()
         .map(|terms| {
-            let mut ids: Vec<u32> = terms.into_iter().map(|t| map[t.0 as usize]).collect();
-            ids.sort_unstable();
-            ids
+            let mut text: Vec<String> = terms.iter().map(|&t| vocab.term(t).to_string()).collect();
+            text.sort_unstable();
+            text
         })
         .collect();
-    (canon, per_doc)
+    (vocab, per_doc)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The satellite property: analyzing a shuffled corpus at 1, 2 and 8
-    /// threads produces the same canonical vocabulary and the same
-    /// canonical term ids per document.
+    /// Analyzing a shuffled corpus at 1, 2 and 8 threads interns the same
+    /// term set, keeps the seed ids, and gives every document the same
+    /// terms.
     #[test]
-    fn canonical_ids_independent_of_thread_count_and_order(
+    fn document_terms_independent_of_thread_count_and_order(
         words in proptest::collection::vec("[a-z]{2,8}", 4..40),
         shuffle in proptest::collection::vec(any::<u64>(), 12),
         seed_words in proptest::collection::vec("[a-z]{2,8}", 0..6),
@@ -78,20 +79,24 @@ proptest! {
         let (v2, mut ids2) = analyze_sharded(&shuffled, &seed, 2);
         let (v8, mut ids8) = analyze_sharded(&shuffled, &seed, 8);
 
-        // Same canonical dictionary: identical (id, term) sequences.
+        // Same term set; ids past the seed are arrival-ordered.
         let terms = |v: &Vocabulary| -> Vec<String> {
-            v.iter().map(|(_, t)| t.to_string()).collect()
+            let mut terms: Vec<String> = v.iter().map(|(_, t)| t.to_string()).collect();
+            terms.sort_unstable();
+            terms
         };
         prop_assert_eq!(terms(&v1), terms(&v2));
         prop_assert_eq!(terms(&v1), terms(&v8));
         // Seed ids survive in place.
-        for (id, term) in seed.iter() {
-            prop_assert_eq!(v1.lookup(term), Some(id));
+        for v in [&v1, &v2, &v8] {
+            for (id, term) in seed.iter() {
+                prop_assert_eq!(v.lookup(term), Some(id));
+            }
         }
 
-        // Same canonical ids per document regardless of interleaving.
-        // The shuffled runs analyzed a permuted corpus; compare as sets
-        // of per-document id lists.
+        // Same terms per document regardless of interleaving. The
+        // shuffled runs analyzed a permuted corpus; compare as sets of
+        // per-document term lists.
         let mut ids1 = ids1;
         ids1.sort();
         ids2.sort();
@@ -103,8 +108,8 @@ proptest! {
 
 /// Every thread analyzes *every* page, so each thread's memo fills with
 /// the same tokens while the others race it to intern their stems. Each
-/// thread's documents, canonicalized, must be the single-threaded
-/// `Vocabulary` result canonicalized.
+/// thread's documents, read as term text, must be the single-threaded
+/// `Vocabulary` result read as term text.
 #[test]
 fn threads_analyzing_the_same_pages_agree_with_one_thread() {
     const THREADS: usize = 4;
@@ -150,7 +155,6 @@ fn threads_analyzing_the_same_pages_agree_with_one_thread() {
 
     let mut single = seed.clone();
     let expected: Vec<_> = pages.iter().map(|p| analyze_html(p, &mut single)).collect();
-    let single_map = single.canonical_map(seed.len());
 
     let shared = SharedVocabulary::seeded(&seed);
     let barrier = std::sync::Barrier::new(THREADS);
@@ -174,33 +178,32 @@ fn threads_analyzing_the_same_pages_agree_with_one_thread() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let (canon, shared_map) = shared.canonicalize();
-    let canon_terms: Vec<&str> = canon.iter().map(|(_, t)| t).collect();
-    let mut single_terms = vec![""; single.len()];
-    for (TermId(old), term) in single.iter() {
-        single_terms[single_map[old as usize] as usize] = term;
+    let threaded = shared.snapshot();
+    let sorted_terms = |v: &Vocabulary| {
+        let mut terms: Vec<String> = v.iter().map(|(_, t)| t.to_string()).collect();
+        terms.sort_unstable();
+        terms
+    };
+    assert_eq!(sorted_terms(&threaded), sorted_terms(&single));
+    for (id, term) in seed.iter() {
+        assert_eq!(threaded.lookup(term), Some(id), "seed id of {term}");
     }
-    assert_eq!(canon_terms, single_terms);
 
-    let canonical = |doc: &bingo_textproc::AnalyzedDocument, map: &[u32]| {
-        let id = |t: &TermId| map[t.0 as usize];
+    let as_text = |doc: &bingo_textproc::AnalyzedDocument, vocab: &Vocabulary| {
+        let text = |t: &TermId| vocab.term(*t).to_string();
         (
             doc.title.clone(),
-            doc.terms.iter().map(id).collect::<Vec<_>>(),
+            doc.terms.iter().map(text).collect::<Vec<_>>(),
             doc.links
                 .iter()
-                .map(|l| (l.href.clone(), l.anchor_terms.iter().map(id).collect()))
-                .collect::<Vec<(String, Vec<u32>)>>(),
+                .map(|l| (l.href.clone(), l.anchor_terms.iter().map(text).collect()))
+                .collect::<Vec<(String, Vec<String>)>>(),
         )
     };
     for docs in &per_thread {
         assert_eq!(docs.len(), pages.len());
         for ((i, doc), want) in docs.iter().zip(&expected) {
-            assert_eq!(
-                canonical(doc, &shared_map),
-                canonical(want, &single_map),
-                "page {i}"
-            );
+            assert_eq!(as_text(doc, &threaded), as_text(want, &single), "page {i}");
         }
     }
 }

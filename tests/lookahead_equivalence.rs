@@ -2,8 +2,10 @@
 //! 0, 1 and 3 lookahead workers leaves byte-identical stores, crawler
 //! checkpoints, engine snapshots, metrics and event logs — including the
 //! `crawl.lookahead.*` counters, which follow the request schedule rather
-//! than the threads. The three worlds between them make every reason a
-//! preparation can be turned down fire at least once.
+//! than the threads. The two worlds between them make every reason a
+//! preparation can be turned down fire at least once, except
+//! `neighbors` — a predecessor analyzed again between request and pop —
+//! which the `lookahead` module's unit test covers.
 
 use bingo::core::persist::save_engine;
 use bingo::core::EngineTelemetry;
@@ -119,17 +121,6 @@ fn lookahead_workers_change_nothing_but_speed() {
             config: CrawlConfig::default(),
             retrain_every: 0,
         },
-        // A tiny term cache evicts a predecessor's top terms between a
-        // request and its pop.
-        Scenario {
-            name: "term cache of 2",
-            world: Arc::new(WorldConfig::small_test(7).build()),
-            config: CrawlConfig {
-                page_terms_cap: 2,
-                ..CrawlConfig::default()
-            },
-            retrain_every: 0,
-        },
     ];
     let mut fired: BTreeMap<String, u64> = BTreeMap::new();
     for scenario in &scenarios {
@@ -156,7 +147,7 @@ fn lookahead_workers_change_nothing_but_speed() {
             *fired.entry(name).or_default() += v;
         }
     }
-    for reason in ["entry", "epoch", "neighbors", "fault", "gate", "unknown"] {
+    for reason in ["entry", "epoch", "fault", "gate", "unknown"] {
         let name = format!("crawl.lookahead.miss.{reason}");
         assert!(fired[&name] > 0, "{name} never fired: {fired:?}");
     }
