@@ -686,7 +686,7 @@ struct ScaleParams {
 /// budget.
 ///
 /// Nothing in the path materializes the web or the harvest in memory:
-/// host blocks generate on demand into a bounded cache, sealed segments
+/// page metadata is derived per lookup and never cached, sealed segments
 /// live on disk behind the write workspace, and the frontier keeps only
 /// a bounded hot set of entry payloads resident. The report carries the
 /// RSS evidence (`rss_growth_mb` against the fixed `rss_budget_mb`,
@@ -800,8 +800,6 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
         "spilled_peak": spilled_peak,
         "spill_active": u64::from(spilled_peak > 0),
         "dedup_hot": crawler.dedup_fingerprints() as u64,
-        "paged_blocks_generated": world.paged_blocks_generated(),
-        "paged_resident_blocks": world.paged_resident_blocks(),
     });
     drop((crawler, store));
 

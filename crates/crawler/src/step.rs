@@ -509,8 +509,7 @@ impl Crawler {
     /// One call is one epoch: `assess` is fixed for its duration, and a
     /// request left over from an earlier call is never used. The
     /// `crawl.lookahead.*` counters follow the request schedule, not the
-    /// threads, so they too are the same at every worker count. A paged
-    /// world is never speculated: its block cache counts regenerations.
+    /// threads, so they too are the same at every worker count.
     pub fn crawl_ahead<A: Assess>(
         &mut self,
         deadline_ms: u64,
@@ -520,25 +519,20 @@ impl Crawler {
         workers: usize,
         until: &mut dyn FnMut(&StepOutcome) -> bool,
     ) {
-        let speculate = !self.world.is_paged();
         let world = Arc::clone(&self.world);
-        let replicas = self
-            .schedule
-            .open_epoch(if speculate { workers } else { 0 }, vocab);
+        let replicas = self.schedule.open_epoch(workers, vocab);
         std::thread::scope(|scope| {
             let mut pool = Pool::spawn(scope, &world, assess, replicas, vocab.len());
             let mut judge = Split { assess, commit };
             while self.clock < deadline_ms {
-                if speculate {
-                    self.schedule.request(
-                        self.frontier.peek(LOOKAHEAD),
-                        &self.page_top_terms,
-                        &self.world,
-                        vocab,
-                        &mut pool,
-                        &self.telemetry.lookahead,
-                    );
-                }
+                self.schedule.request(
+                    self.frontier.peek(LOOKAHEAD),
+                    &self.page_top_terms,
+                    &self.world,
+                    vocab,
+                    &mut pool,
+                    &self.telemetry.lookahead,
+                );
                 let outcome = self.step_with(&mut judge, vocab, Some(&mut pool));
                 if until(&outcome) || outcome == StepOutcome::FrontierEmpty {
                     break;

@@ -158,7 +158,7 @@ pub struct World {
     pub(crate) named: FxHashMap<String, PageId>,
     /// Scripted fault windows (empty unless configured; see [`faults`]).
     pub(crate) faults: FaultPlan,
-    /// Lazy block generator backing paged worlds ([`World::paged`]);
+    /// Per-page derivation backing paged worlds ([`World::paged`]);
     /// `None` for eagerly generated worlds.
     pub(crate) paged: Option<paged::PagedWeb>,
 }
@@ -245,16 +245,11 @@ impl World {
         self.paged.is_some()
     }
 
-    /// Host blocks a paged world has generated so far (cache misses);
-    /// 0 for eager worlds. Telemetry for the scale experiment.
+    /// Always 0: a paged world derives each page alone and generates no
+    /// host blocks. Kept as frozen `benchmark/` surface until that
+    /// surface is next revised.
     pub fn paged_blocks_generated(&self) -> u64 {
-        self.paged.as_ref().map_or(0, |p| p.blocks_generated())
-    }
-
-    /// Host blocks currently resident in a paged world's cache (always
-    /// ≤ its `hot_cap`); 0 for eager worlds.
-    pub fn paged_resident_blocks(&self) -> usize {
-        self.paged.as_ref().map_or(0, |p| p.resident_blocks())
+        0
     }
 
     /// Canonical URL of a page.

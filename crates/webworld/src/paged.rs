@@ -5,11 +5,9 @@
 //! million when the point of the experiment is a bounded resident set.
 //! A *paged* world stores **no** per-page state: host and page metadata
 //! are a pure arithmetic function of `(seed, host, page-within-host)`,
-//! generated one host *block* at a time and held in a bounded cache.
-//! Crawls exhibit strong host locality (the frontier drains per-host
-//! queues), so a small hot set of blocks serves almost every lookup
-//! while the world's resident footprint stays O(hot_cap · pages_per_host)
-//! regardless of total size.
+//! derived afresh for each lookup. Nothing is cached, so the world's
+//! resident footprint is O(1) regardless of total size, and lookups from
+//! any number of threads share no lock.
 //!
 //! Layout of the synthetic scale web:
 //!
@@ -25,6 +23,9 @@
 //!   (chaining the whole host), and to the welcome of a same-topic
 //!   host — the topical locality the focused crawler exploits.
 //!
+//! URLs are canonical: [`World::resolve_url`] accepts exactly the strings
+//! [`World::url_of`] writes, as an eager world's URL index does.
+//!
 //! Content still flows through [`crate::content_gen`], which only needs
 //! metadata, so payloads stay lazily generated exactly as for eager
 //! worlds and page sizes vary naturally (the `(ip, size)` duplicate
@@ -35,9 +36,6 @@ use crate::{HostBehavior, HostMeta, PageKind, PageMeta, TopicInfo, World};
 use bingo_graph::{HostId, PageId};
 use bingo_textproc::fxhash::{self, FxHashMap};
 use bingo_textproc::MimeType;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Topics of a paged world (fixed — the scale experiment needs one
 /// target topic and predictable noise, not configurability).
@@ -52,7 +50,7 @@ const TOPIC_KEYS: [(&str, &str); 4] = [
 const HOST_SUFFIX: &str = ".scale.test";
 
 /// Own-host content links carried by a welcome page.
-const WELCOME_FANOUT: u32 = 12;
+const WELCOME_FANOUT: u64 = 12;
 
 /// Configuration of a paged world.
 #[derive(Debug, Clone)]
@@ -63,13 +61,14 @@ pub struct PagedConfig {
     pub hosts: u32,
     /// Pages per host (first page is the welcome page).
     pub pages_per_host: u32,
-    /// Maximum host blocks resident at once.
+    /// Ignored: a paged world caches nothing. Kept as frozen
+    /// `benchmark/` surface until that surface is next revised.
     pub hot_cap: usize,
 }
 
 impl PagedConfig {
     /// The full-scale world: one million pages across twenty thousand
-    /// hosts, with at most 1024 host blocks (~5% of the world) resident.
+    /// hosts.
     pub fn scale_full(seed: u64) -> Self {
         PagedConfig {
             seed,
@@ -91,44 +90,22 @@ impl PagedConfig {
     }
 }
 
-/// All metadata of one host, generated together.
-#[derive(Debug)]
-struct HostBlock {
-    host: HostMeta,
-    pages: Vec<PageMeta>,
-}
-
-/// The lazy backing of a paged [`World`]: a block generator plus a
-/// bounded cache. Blocks are pure functions of `(seed, host)`, so
-/// eviction never loses information — a re-generated block is
-/// bit-identical to the evicted one.
+/// The lazy backing of a paged [`World`]: the world's shape and seed,
+/// from which every host and page is derived on demand.
 #[derive(Debug)]
 pub struct PagedWeb {
     seed: u64,
     hosts: u32,
     pages_per_host: u32,
-    hot_cap: usize,
-    cache: Mutex<BlockCache>,
-    generated: AtomicU64,
-}
-
-/// The resident blocks and the order they were generated in.
-#[derive(Debug, Default)]
-struct BlockCache {
-    blocks: FxHashMap<HostId, Arc<HostBlock>>,
-    oldest_first: VecDeque<HostId>,
 }
 
 impl PagedWeb {
     pub(crate) fn new(cfg: &PagedConfig) -> Self {
-        assert!(cfg.hosts > 0 && cfg.pages_per_host > 0 && cfg.hot_cap > 0);
+        assert!(cfg.hosts > 0 && cfg.pages_per_host > 0);
         PagedWeb {
             seed: cfg.seed,
             hosts: cfg.hosts,
             pages_per_host: cfg.pages_per_host,
-            hot_cap: cfg.hot_cap,
-            cache: Mutex::new(BlockCache::default()),
-            generated: AtomicU64::new(0),
         }
     }
 
@@ -140,49 +117,71 @@ impl PagedWeb {
         self.hosts as usize
     }
 
-    /// Host blocks currently resident (always ≤ `hot_cap`).
-    pub(crate) fn resident_blocks(&self) -> usize {
-        self.cache.lock().unwrap().blocks.len()
-    }
-
-    /// Total block generations since creation (cache misses).
-    pub(crate) fn blocks_generated(&self) -> u64 {
-        self.generated.load(Ordering::Relaxed)
-    }
-
-    fn block(&self, host: HostId) -> Arc<HostBlock> {
-        let mut cache = self.cache.lock().unwrap();
-        if let Some(b) = cache.blocks.get(&host) {
-            return Arc::clone(b);
-        }
-        // First in, first out: a full hot set gives up its oldest block.
-        // A hit does no bookkeeping, and the victim is a function of the
-        // lookup sequence alone, so runs repeat.
-        if cache.blocks.len() >= self.hot_cap {
-            if let Some(victim) = cache.oldest_first.pop_front() {
-                cache.blocks.remove(&victim);
-            }
-        }
-        let b = Arc::new(self.generate(host));
-        self.generated.fetch_add(1, Ordering::Relaxed);
-        cache.blocks.insert(host, Arc::clone(&b));
-        cache.oldest_first.push_back(host);
-        b
-    }
-
+    /// Page `k` of host `h` — a pure function of `(seed, h, k)`.
     pub(crate) fn page_meta(&self, id: PageId) -> PageMeta {
         assert!(
             (id as usize) < self.page_count(),
             "page id {id} out of range for paged world"
         );
-        let host = (id / self.pages_per_host as u64) as HostId;
-        let k = (id % self.pages_per_host as u64) as usize;
-        self.block(host).pages[k].clone()
+        let p = self.pages_per_host as u64;
+        let host = self.host_of(id);
+        let k = id % p;
+        let base = id - k;
+        let (path, topic, kind, out) = if k == 0 {
+            // Welcome page: own-host fanout plus heap-child welcome links.
+            let mut out: Vec<PageId> = (1..p.min(WELCOME_FANOUT + 1)).map(|k| base + k).collect();
+            for child in [2 * host as u64 + 1, 2 * host as u64 + 2] {
+                if child < self.hosts as u64 {
+                    out.push(child * p);
+                }
+            }
+            ("index.html".to_string(), None, PageKind::Welcome, out)
+        } else {
+            let mut out = vec![base]; // back to the welcome page
+            if k + 1 < p {
+                out.push(id + 1); // sibling chain covers the host
+            }
+            // One cross-host topical link: hosts `host + TOPIC_COUNT·j`
+            // share this host's topic, and the stride varies per page so
+            // the topical subgraph is well connected.
+            let stride = 1 + fxhash::hash_one(&(self.seed, host, k, 0xcc5u32)) % 97;
+            let peer = (host as u64 + TOPIC_KEYS.len() as u64 * stride) % self.hosts as u64;
+            if peer != host as u64 {
+                out.push(peer * p);
+            }
+            let topic = host % TOPIC_KEYS.len() as u32;
+            (format!("p{k}.html"), Some(topic), PageKind::Content, out)
+        };
+        PageMeta {
+            host,
+            path,
+            topic,
+            secondary_topic: None,
+            kind,
+            mime: MimeType::Html,
+            out,
+            redirect_to: None,
+            author: None,
+            content_override: None,
+            extra_out_urls: Vec::new(),
+            size_hint: None,
+        }
     }
 
-    pub(crate) fn host_meta(&self, id: HostId) -> HostMeta {
-        assert!(id < self.hosts, "host id {id} out of range for paged world");
-        self.block(id).host.clone()
+    /// Host `h` — a pure function of `(seed, h)`.
+    pub(crate) fn host_meta(&self, host: HostId) -> HostMeta {
+        assert!(
+            host < self.hosts,
+            "host id {host} out of range for paged world"
+        );
+        let h = |salt: u32| fxhash::hash_one(&(self.seed, host, salt));
+        HostMeta {
+            name: format!("h{host}{HOST_SUFFIX}"),
+            ip: 0x0b00_0000 + host,
+            base_latency_ms: 20 + (h(0x1a7) % 100) as u32,
+            behavior: HostBehavior::Normal,
+            dns_latency_ms: 5 + (h(0xd15) % 55) as u32,
+        }
     }
 
     pub(crate) fn host_of(&self, id: PageId) -> HostId {
@@ -207,11 +206,7 @@ impl PagedWeb {
         if path == "index.html" {
             return Some(base);
         }
-        let k: u64 = path
-            .strip_prefix('p')?
-            .strip_suffix(".html")?
-            .parse()
-            .ok()?;
+        let k = canonical_number(path.strip_prefix('p')?.strip_suffix(".html")?)?;
         (k > 0 && k < self.pages_per_host as u64).then_some(base + k)
     }
 
@@ -229,82 +224,19 @@ impl PagedWeb {
     }
 
     fn parse_host(&self, name: &str) -> Option<HostId> {
-        let id: u32 = name
-            .strip_prefix('h')?
-            .strip_suffix(HOST_SUFFIX)?
-            .parse()
-            .ok()?;
-        (id < self.hosts).then_some(id)
+        let id = canonical_number(name.strip_prefix('h')?.strip_suffix(HOST_SUFFIX)?)?;
+        (id < self.hosts as u64).then_some(id as HostId)
     }
+}
 
-    /// Generate the block of `host` — a pure function of `(seed, host)`.
-    fn generate(&self, host: HostId) -> HostBlock {
-        let p = self.pages_per_host as u64;
-        let base = host as u64 * p;
-        let topic = host % TOPIC_KEYS.len() as u32;
-        let h = |salt: u32| fxhash::hash_one(&(self.seed, host, salt));
-        let meta = HostMeta {
-            name: format!("h{host}{HOST_SUFFIX}"),
-            ip: 0x0b00_0000 + host,
-            base_latency_ms: 20 + (h(0x1a7) % 100) as u32,
-            behavior: HostBehavior::Normal,
-            dns_latency_ms: 5 + (h(0xd15) % 55) as u32,
-        };
-
-        let mut pages = Vec::with_capacity(p as usize);
-        // Welcome page: own-host fanout plus heap-child welcome links.
-        let mut welcome_out: Vec<PageId> = (1..p.min(WELCOME_FANOUT as u64 + 1))
-            .map(|k| base + k)
-            .collect();
-        for child in [2 * host as u64 + 1, 2 * host as u64 + 2] {
-            if child < self.hosts as u64 {
-                welcome_out.push(child * p);
-            }
-        }
-        pages.push(PageMeta {
-            host,
-            path: "index.html".to_string(),
-            topic: None,
-            secondary_topic: None,
-            kind: PageKind::Welcome,
-            mime: MimeType::Html,
-            out: welcome_out,
-            redirect_to: None,
-            author: None,
-            content_override: None,
-            extra_out_urls: Vec::new(),
-            size_hint: None,
-        });
-        for k in 1..p {
-            let mut out = vec![base]; // back to the welcome page
-            if k + 1 < p {
-                out.push(base + k + 1); // sibling chain covers the host
-            }
-            // One cross-host topical link: hosts `host + TOPIC_COUNT·j`
-            // share this host's topic, and the stride varies per page so
-            // the topical subgraph is well connected.
-            let stride = 1 + fxhash::hash_one(&(self.seed, host, k, 0xcc5u32)) % 97;
-            let peer = (host as u64 + TOPIC_KEYS.len() as u64 * stride) % self.hosts as u64;
-            if peer != host as u64 {
-                out.push(peer * p);
-            }
-            pages.push(PageMeta {
-                host,
-                path: format!("p{k}.html"),
-                topic: Some(topic),
-                secondary_topic: None,
-                kind: PageKind::Content,
-                mime: MimeType::Html,
-                out,
-                redirect_to: None,
-                author: None,
-                content_override: None,
-                extra_out_urls: Vec::new(),
-                size_hint: None,
-            });
-        }
-        HostBlock { host: meta, pages }
+/// The number `digits` spells the way `format!("{n}")` writes it: ASCII
+/// digits with no sign and no leading zero.
+fn canonical_number(digits: &str) -> Option<u64> {
+    let leading_zero = digits.len() > 1 && digits.starts_with('0');
+    if leading_zero || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
     }
+    digits.parse().ok()
 }
 
 /// Topic table of a paged world.
@@ -319,9 +251,9 @@ pub(crate) fn topic_infos() -> Vec<TopicInfo> {
 }
 
 impl World {
-    /// Build a lazily paged world: host and page metadata are generated
-    /// arithmetically on demand and held in a bounded block cache, so
-    /// even a million-page world has a small, fixed resident footprint.
+    /// Build a lazily paged world: host and page metadata are derived
+    /// arithmetically for each lookup, so even a million-page world holds
+    /// no per-page state.
     ///
     /// Paged worlds answer every owned accessor
     /// ([`World::page_meta`], [`World::host_meta`], [`World::url_of`],
@@ -375,10 +307,26 @@ mod tests {
             let url = w.url_of(id);
             assert_eq!(w.resolve_url(&url), Some(id), "url {url}");
         }
+        assert_eq!(w.resolve_url("http://h0.scale.test/index.html"), Some(0));
         assert_eq!(w.resolve_url("http://h400.scale.test/index.html"), None);
         assert_eq!(w.resolve_url("http://h1.scale.test/p25.html"), None);
         assert_eq!(w.resolve_url("http://h1.scale.test/p0.html"), None);
         assert_eq!(w.resolve_url("http://nowhere.example/x"), None);
+        // Only the spelling `url_of` writes resolves: no leading zeros,
+        // no sign, no empty number.
+        assert_eq!(w.resolve_url("http://h3.scale.test/p1.html"), Some(76));
+        for url in [
+            "http://h3.scale.test/p01.html",
+            "http://h3.scale.test/p+1.html",
+            "http://h3.scale.test/p.html",
+            "http://h03.scale.test/p1.html",
+            "http://h+3.scale.test/index.html",
+            "http://h00.scale.test/index.html",
+            "http://h.scale.test/index.html",
+        ] {
+            assert_eq!(w.resolve_url(url), None, "url {url}");
+        }
+        assert!(w.dns_lookup("h03.scale.test", 0).is_err());
     }
 
     #[test]
@@ -414,34 +362,32 @@ mod tests {
         assert_eq!(reach.len(), 25, "all pages of host 7 reachable");
     }
 
+    /// Every `page_meta`, `host_meta` and `successors` result, digested
+    /// per page id and summed, so the digest does not depend on the order
+    /// the ids are read in.
+    fn digest(w: &World, ids: impl Iterator<Item = PageId>) -> u64 {
+        ids.fold(0u64, |acc, id| {
+            let line = format!(
+                "{:?} {:?} {:?}",
+                w.page_meta(id),
+                w.host_meta(w.host_of(id)),
+                w.successors(id)
+            );
+            acc.wrapping_add(fxhash::hash_one(&(id, line)))
+        })
+    }
+
+    /// Deriving each page alone builds exactly the metadata the host-block
+    /// generator built: the constants are the digests of the block
+    /// generator at commit 5882d21, for `scale_smoke` at two seeds.
     #[test]
-    fn generation_is_deterministic_and_cache_is_bounded() {
-        let a = smoke();
-        let b = smoke();
-        for id in (0..a.page_count() as u64).step_by(13) {
-            let pa = a.page_meta(id);
-            let pb = b.page_meta(id);
-            assert_eq!(pa.out, pb.out);
-            assert_eq!(pa.path, pb.path);
-            assert_eq!(a.url_of(id), b.url_of(id));
+    fn derivation_matches_the_block_generator() {
+        for (seed, expected) in [(11, 0x05ee_0760_ffec_e37d), (2003, 0xc94d_8f9b_0c1d_573d)] {
+            let w = World::paged(PagedConfig::scale_smoke(seed));
+            let n = w.page_count() as u64;
+            assert_eq!(digest(&w, 0..n), expected, "seed {seed}, forward");
+            assert_eq!(digest(&w, (0..n).rev()), expected, "seed {seed}, reverse");
         }
-        // Touch every host: the cache never exceeds its cap, and evicted
-        // blocks regenerate identically.
-        for h in 0..a.host_count() as u32 {
-            let _ = a.host_meta(h);
-            assert!(a.paged.as_ref().unwrap().resident_blocks() <= 64);
-        }
-        // A full cache gives up one block per miss, the oldest: it stays
-        // full, and the hosts touched last are still in it.
-        let paged = a.paged.as_ref().unwrap();
-        assert_eq!(paged.resident_blocks(), 64);
-        let generated = paged.blocks_generated();
-        for h in (a.host_count() as u32 - 64)..a.host_count() as u32 {
-            let _ = a.host_meta(h);
-        }
-        assert_eq!(paged.blocks_generated(), generated);
-        assert_eq!(a.host_meta(3).name, b.host_meta(3).name);
-        assert!(paged.blocks_generated() >= 400);
     }
 
     #[test]

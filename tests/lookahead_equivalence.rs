@@ -2,10 +2,11 @@
 //! 0, 1 and 3 lookahead workers leaves byte-identical stores, crawler
 //! checkpoints, engine snapshots, metrics and event logs — including the
 //! `crawl.lookahead.*` counters, which follow the request schedule rather
-//! than the threads. The two worlds between them make every reason a
-//! preparation can be turned down fire at least once, except
+//! than the threads. The generated worlds between them make every reason
+//! a preparation can be turned down fire at least once, except
 //! `neighbors` — a predecessor analyzed again between request and pop —
-//! which the `lookahead` module's unit test covers.
+//! which the `lookahead` module's unit test covers. A paged world, whose
+//! metadata every worker derives on its own, is speculated too.
 
 use bingo::core::persist::save_engine;
 use bingo::core::EngineTelemetry;
@@ -13,6 +14,7 @@ use bingo::crawler::CrawlTelemetry;
 use bingo::prelude::*;
 use bingo::store::persist::write_snapshot;
 use bingo::webworld::fetch::host_of_url;
+use bingo::webworld::PagedConfig;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -29,8 +31,32 @@ struct Artifacts {
 struct Scenario {
     name: &'static str,
     world: Arc<World>,
-    config: CrawlConfig,
     retrain_every: u64,
+    /// Where the crawl starts; the learning phase keeps to their hosts.
+    seeds: Vec<String>,
+    /// The topic's training pages.
+    training: Vec<String>,
+    /// Virtual deadline of the harvest.
+    harvest_ms: u64,
+}
+
+impl Scenario {
+    /// A generated world, seeded from and trained on the homepages of
+    /// its first two authors.
+    fn authors(name: &'static str, world: World, retrain_every: u64) -> Scenario {
+        let seeds: Vec<String> = world.authors()[..2]
+            .iter()
+            .map(|a| world.url_of(a.homepage))
+            .collect();
+        Scenario {
+            name,
+            world: Arc::new(world),
+            retrain_every,
+            training: seeds.clone(),
+            seeds,
+            harvest_ms: 600_000,
+        }
+    }
 }
 
 fn run(s: &Scenario, workers: usize) -> (Artifacts, BTreeMap<String, u64>) {
@@ -45,11 +71,7 @@ fn run(s: &Scenario, workers: usize) -> (Artifacts, BTreeMap<String, u64>) {
         telemetry.events.clone(),
     ));
     let topic = engine.add_topic(TopicTree::ROOT, "database research");
-    let seeds: Vec<String> = world.authors()[..2]
-        .iter()
-        .map(|a| world.url_of(a.homepage))
-        .collect();
-    for url in &seeds {
+    for url in &s.training {
         engine.add_training_url(world, topic, url).unwrap();
     }
     let others = (0..world.page_count() as u64)
@@ -60,7 +82,8 @@ fn run(s: &Scenario, workers: usize) -> (Artifacts, BTreeMap<String, u64>) {
     }
     engine.train().unwrap();
 
-    let seed_hosts = seeds
+    let seed_hosts = s
+        .seeds
         .iter()
         .map(|u| host_of_url(u).unwrap().to_string())
         .collect();
@@ -68,18 +91,18 @@ fn run(s: &Scenario, workers: usize) -> (Artifacts, BTreeMap<String, u64>) {
         world.clone(),
         CrawlConfig {
             allowed_hosts: Some(seed_hosts),
-            ..s.config.clone()
+            ..CrawlConfig::default()
         },
         DocumentStore::new(),
     );
     crawler.set_telemetry(telemetry.clone());
-    for url in &seeds {
+    for url in &s.seeds {
         crawler.add_seed(url, Some(topic.0));
     }
     engine.crawl_until_with_workers(&mut crawler, 20_000, 0, workers);
     engine.retrain(&mut crawler);
     engine.switch_to_harvesting(&mut crawler);
-    engine.crawl_until_with_workers(&mut crawler, 600_000, s.retrain_every, workers);
+    engine.crawl_until_with_workers(&mut crawler, s.harvest_ms, s.retrain_every, workers);
 
     let mut store = Vec::new();
     write_snapshot(crawler.store(), &mut store).unwrap();
@@ -104,22 +127,32 @@ fn run(s: &Scenario, workers: usize) -> (Artifacts, BTreeMap<String, u64>) {
 
 #[test]
 fn lookahead_workers_change_nothing_but_speed() {
+    let paged = World::paged(PagedConfig::scale_smoke(2003));
+    let topic_zero: Vec<String> = (0..paged.page_count() as u64)
+        .filter(|&id| paged.true_topic(id) == Some(0))
+        .take(12)
+        .map(|id| paged.url_of(id))
+        .collect();
     let scenarios = [
         // Epochs turn mid-crawl: requests left over from one model are
         // popped under the next.
-        Scenario {
-            name: "portal, retraining",
-            world: Arc::new(WorldConfig::small_test(2003).build()),
-            config: CrawlConfig::default(),
-            retrain_every: 25,
-        },
+        Scenario::authors(
+            "portal, retraining",
+            WorldConfig::small_test(2003).build(),
+            25,
+        ),
         // Fault windows make fetches depend on time, and DNS flaps send
         // requested entries back to the frontier as retries.
+        Scenario::authors("chaos", WorldConfig::chaos(41).build(), 0),
+        // Every page's metadata is derived on demand, by whichever
+        // thread asks for it.
         Scenario {
-            name: "chaos",
-            world: Arc::new(WorldConfig::chaos(41).build()),
-            config: CrawlConfig::default(),
+            name: "paged",
+            seeds: vec![paged.url_of(0)],
+            world: Arc::new(paged),
             retrain_every: 0,
+            training: topic_zero,
+            harvest_ms: 60_000,
         },
     ];
     let mut fired: BTreeMap<String, u64> = BTreeMap::new();
@@ -142,6 +175,12 @@ fn lookahead_workers_change_nothing_but_speed() {
             );
             assert_eq!(inline.metrics, ahead.metrics, "{name}, {workers} workers");
             assert_eq!(inline.events, ahead.events, "{name}, {workers} workers");
+        }
+        if scenario.name == "paged" {
+            assert!(
+                counters.get("crawl.lookahead.used").is_some_and(|&v| v > 0),
+                "a paged world is speculated: {counters:?}"
+            );
         }
         for (name, v) in counters {
             *fired.entry(name).or_default() += v;
