@@ -145,10 +145,15 @@ pub struct BingoEngine {
     pub vocab: Vocabulary,
     /// Engine configuration.
     pub config: EngineConfig,
+    /// The live corpus statistics: one df table and the counts of the
+    /// pages judged since the last successful [`train`](Self::train),
+    /// which folds them into the table in place. Before the first round
+    /// nothing else holds the table and pages count straight into it.
     corpus: CorpusStats,
-    /// The corpus as frozen by the last successful [`train`](Self::train):
-    /// the one weighter every space of every model in `models` holds a
-    /// handle to, and the one every page is weighed with.
+    /// The corpus as frozen by the last successful `train`: a handle on
+    /// `corpus`'s table, the one weighter every space of every model in
+    /// `models` holds a handle to, and the one every page is weighed
+    /// with. Before the first round, the empty corpus's.
     frozen: TfIdfWeighter,
     models: FxHashMap<u32, TopicModel>,
     phase: Phase,
@@ -181,6 +186,7 @@ impl BingoEngine {
     /// namespace.
     pub fn set_telemetry(&mut self, obs: EngineTelemetry) {
         self.obs = obs;
+        self.gauge_corpus();
     }
 
     /// The engine's metric handles and event log.
@@ -198,7 +204,8 @@ impl BingoEngine {
         self.models.get(&topic.0)
     }
 
-    /// The engine's corpus statistics (idf source).
+    /// The engine's live corpus statistics: the frozen table plus the
+    /// counts judged since the last [`train`](Self::train).
     pub fn corpus(&self) -> &CorpusStats {
         &self.corpus
     }
@@ -290,12 +297,13 @@ impl BingoEngine {
     /// (Re)train all topic classifiers: for each topic, positives are its
     /// subtree's training docs; negatives are the competing siblings'
     /// docs plus the OTHERS class. The corpus statistics are frozen once
-    /// for the whole round.
+    /// for the whole round: the previous round's handles on the df table
+    /// are released, the counts judged since are folded into it in place,
+    /// and the table is shared with the new models. A round that fails
+    /// leaves counts, models and judgments as they were.
     pub fn train(&mut self) -> Result<(), EngineError> {
-        let frozen = self.corpus.weighter();
-        let ids: Vec<TopicId> = self.tree.topic_ids().collect();
-        let mut new_models = FxHashMap::default();
-        for id in ids {
+        let mut sets = Vec::new();
+        for id in self.tree.topic_ids() {
             let positives: Vec<&DocumentFeatures> = self
                 .tree
                 .subtree_training(id)
@@ -320,6 +328,21 @@ impl BingoEngine {
                     "no negative examples: populate OTHERS or add sibling topics",
                 ));
             }
+            sets.push((id, positives, negatives));
+        }
+        // Release every handle on the table so the fold is in place.
+        // A `frozen` that reads another table (the empty corpus's before
+        // the first round, or the one the pending counts outgrew) is
+        // kept: a failed round cannot rebuild it by undoing the fold.
+        let previous = std::mem::take(&mut self.frozen);
+        for model in self.models.values_mut() {
+            model.set_weighter(&self.frozen);
+        }
+        let kept = (previous.stats().table_ptr() != self.corpus.table_ptr()).then_some(previous);
+        let folded = self.corpus.fold();
+        let frozen = self.corpus.weighter();
+        let mut new_models = FxHashMap::default();
+        for (id, positives, negatives) in sets {
             if let Some(model) =
                 TopicModel::train(&positives, &negatives, &frozen, &self.config.model)
             {
@@ -327,6 +350,13 @@ impl BingoEngine {
             }
         }
         if new_models.is_empty() {
+            drop(frozen);
+            let restored = self.corpus.unfold(folded);
+            self.frozen = kept.unwrap_or(restored);
+            for model in self.models.values_mut() {
+                model.set_weighter(&self.frozen);
+            }
+            self.gauge_corpus();
             return Err(EngineError::Training("no topic could be trained"));
         }
         self.obs.train_rounds.inc();
@@ -338,7 +368,16 @@ impl BingoEngine {
         self.obs.train_features.set(features as i64);
         self.frozen = frozen;
         self.models = new_models;
+        self.gauge_corpus();
         Ok(())
+    }
+
+    /// Publish the corpus statistics' resident bytes.
+    fn gauge_corpus(&self) {
+        let bytes = self.corpus.resident_bytes();
+        self.obs
+            .corpus_bytes
+            .set(bytes.try_into().unwrap_or(i64::MAX));
     }
 
     /// Classify a document top-down through the topic tree
@@ -447,6 +486,7 @@ impl BingoEngine {
             classified_since_retrain = 0;
             let _ = self.retrain(crawler);
         }
+        self.gauge_corpus();
         stored
     }
 
@@ -724,10 +764,9 @@ impl BingoEngine {
         &self.frozen
     }
 
-    /// Snapshot of all trained models (persistence support).
-    pub(crate) fn models_snapshot(&self) -> Vec<(u32, TopicModel)> {
-        let mut v: Vec<(u32, TopicModel)> =
-            self.models.iter().map(|(&k, m)| (k, m.clone())).collect();
+    /// All trained models by topic id (persistence support).
+    pub(crate) fn models_by_id(&self) -> Vec<(u32, &TopicModel)> {
+        let mut v: Vec<(u32, &TopicModel)> = self.models.iter().map(|(&k, m)| (k, m)).collect();
         v.sort_by_key(|&(k, _)| k);
         v
     }
@@ -742,7 +781,7 @@ impl BingoEngine {
         frozen: TfIdfWeighter,
         models: FxHashMap<u32, TopicModel>,
     ) -> Self {
-        BingoEngine {
+        let engine = BingoEngine {
             tree,
             vocab,
             config,
@@ -754,7 +793,9 @@ impl BingoEngine {
             link_analysis: FxHashMap::default(),
             registry: ContentRegistry::new(),
             obs: EngineTelemetry::default(),
-        }
+        };
+        engine.gauge_corpus();
+        engine
     }
 
     /// Candidate pool of a topic (inspection/testing).
@@ -1049,6 +1090,100 @@ mod tests {
             trace.push(String::from_utf8(snapshot).unwrap());
         }
         (trace, repeats)
+    }
+
+    /// A trained engine after a crawl slice to `deadline_ms`, so counts
+    /// are pending, with the features of up to 50 stored pages to judge.
+    fn engine_with_pending_counts(deadline_ms: u64) -> (BingoEngine, Vec<DocumentFeatures>) {
+        let world = Arc::new(WorldConfig::small_test(52).build());
+        let (mut engine, topic) = trained_engine(&world);
+        let mut crawler = Crawler::new(world.clone(), CrawlConfig::default(), DocumentStore::new());
+        crawler.add_seed(&world.url_of(world.authors()[0].homepage), Some(topic.0));
+        engine.crawl_until(&mut crawler, deadline_ms, 0);
+        let mut rows = crawler.store().all_documents();
+        rows.sort_unstable_by_key(|r| r.id);
+        let probes: Vec<DocumentFeatures> = rows
+            .iter()
+            .map(|row| features_from_term_freqs(&row.term_freqs))
+            .take(50)
+            .collect();
+        assert!(engine.corpus().doc_count() > engine.frozen().stats().doc_count());
+        (engine, probes)
+    }
+
+    /// Everything a failed round must leave as it was: the judgments of
+    /// `probes`, every live df, and the snapshot (frozen view, pending
+    /// counts, models).
+    fn state(engine: &BingoEngine, probes: &[DocumentFeatures]) -> (String, String, Vec<u8>) {
+        let judgments: String = probes
+            .iter()
+            .map(|f| engine.classify(f))
+            .map(|j| format!("{:?} {:08x};", j.topic, j.confidence.to_bits()))
+            .collect();
+        let mut snapshot = Vec::new();
+        save_engine(engine, &mut snapshot).unwrap();
+        (
+            judgments,
+            serde_json::to_string(engine.corpus()).unwrap(),
+            snapshot,
+        )
+    }
+
+    #[test]
+    fn a_failed_train_changes_nothing() {
+        // Long enough that the pending counts moved into a private copy
+        // of the table, which the failed round must not disturb either.
+        let (mut engine, probes) = engine_with_pending_counts(2_000);
+        assert_eq!(probes.len(), 50);
+        assert_ne!(
+            engine.corpus().table_ptr(),
+            engine.frozen().stats().table_ptr()
+        );
+        let before = state(&engine, &probes);
+        let table = engine.corpus().table_ptr();
+
+        // Refused before anything is released.
+        let others = std::mem::take(&mut engine.tree.others);
+        let err = engine.train().unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::Training("no negative examples: populate OTHERS or add sibling topics")
+        );
+        engine.tree.others = others;
+        assert!(state(&engine, &probes) == before);
+
+        // Refused after the fold: no space trains, the fold is undone.
+        let spaces = std::mem::take(&mut engine.config.model.spaces);
+        let err = engine.train().unwrap_err();
+        assert_eq!(err, EngineError::Training("no topic could be trained"));
+        engine.config.model.spaces = spaces;
+        assert!(state(&engine, &probes) == before);
+        assert_eq!(engine.corpus().table_ptr(), table);
+        for space in &engine.models.values().next().unwrap().spaces {
+            assert!(space.weighter.shares_stats_with(&engine.frozen));
+        }
+    }
+
+    #[test]
+    fn a_successful_train_copies_no_table() {
+        let (mut engine, _probes) = engine_with_pending_counts(400);
+        let live = serde_json::to_string(engine.corpus()).unwrap();
+        let table = engine.corpus().table_ptr();
+        assert_eq!(engine.frozen().stats().table_ptr(), table);
+        engine.train().unwrap();
+        // The pending counts were folded into the very table the corpus
+        // and the previous round shared; the new round reads it.
+        assert_eq!(engine.corpus().table_ptr(), table);
+        assert_eq!(engine.frozen().stats().table_ptr(), table);
+        assert_eq!(serde_json::to_string(engine.corpus()).unwrap(), live);
+        assert_eq!(serde_json::to_string(engine.frozen()).unwrap(), live);
+        for model in engine.models.values() {
+            for space in &model.spaces {
+                assert!(space.weighter.shares_stats_with(&engine.frozen));
+            }
+        }
+        let gauge = engine.telemetry().registry.snapshot().gauges["engine.corpus.resident_bytes"];
+        assert_eq!(gauge, engine.corpus().resident_bytes() as i64);
     }
 
     #[test]

@@ -357,7 +357,8 @@ pub struct ModelConfig {
     pub svm: SvmConfig,
     /// Feature-selection sizes (paper: pre-select 5000, keep 2000).
     pub selection: FeatureSelectionConfig,
-    /// Feature spaces to train in parallel.
+    /// Feature spaces to train, one after another; the meta decision
+    /// combines their verdicts.
     pub spaces: Vec<FeatureSpaceKind>,
     /// Also train a multinomial Naive Bayes on the first feature space
     /// and include it in the meta committee — a genuinely different
@@ -588,12 +589,19 @@ impl TopicModel {
     /// training round's frozen weighter (stored once per snapshot, not
     /// per space) and rebuild the derived lookup structures.
     pub fn restore(&mut self, weighter: &TfIdfWeighter) {
+        self.set_weighter(weighter);
         for space in &mut self.spaces {
-            space.weighter = weighter.clone();
             space.selector.rebuild_index();
             space.table = SelectedTable::new(&space.selector, &space.svm);
         }
         self.fused = FusedTable::new(&self.spaces);
+    }
+
+    /// Hand every space a handle on `weighter`, releasing the one it held.
+    pub(crate) fn set_weighter(&mut self, weighter: &TfIdfWeighter) {
+        for space in &mut self.spaces {
+            space.weighter = weighter.clone();
+        }
     }
 
     /// Confidence only (signed), under the given policy.

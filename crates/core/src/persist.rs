@@ -7,11 +7,17 @@
 //! process through a JSON snapshot, so postprocessing, feedback rounds
 //! and crawl resumption can run in later sessions.
 //!
-//! Format version 2 stores the corpus statistics the models were trained
-//! with once (`frozen`), next to the live ones (`corpus`); version 1
-//! repeated them inside every feature space of every model.
+//! Format version 3 stores the corpus statistics the models were trained
+//! with once (`frozen`), and beside them only what was counted since
+//! (`pending`), one df map each: the live statistics are their sum.
+//! Version 2 stored the live statistics in full (`corpus`) next to
+//! `frozen`; it still loads, with `pending` = `corpus` − `frozen`, and a
+//! file where that difference is negative is refused. Version 1
+//! repeated the statistics inside every feature space of every model.
+//! Every df map is checked on load: a repeated feature key, a zero df or
+//! a df above its map's document count is refused.
 
-use crate::engine::{BingoEngine, EngineError, Phase};
+use crate::engine::{BingoEngine, EngineConfig, EngineError, Phase};
 use crate::model::TopicModel;
 use crate::topic::TopicTree;
 use bingo_textproc::fxhash::FxHashMap;
@@ -20,21 +26,60 @@ use bingo_textproc::Vocabulary;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 
-#[derive(Serialize, Deserialize)]
-struct EngineSnapshot {
-    magic: String,
-    version: u64,
-    config: crate::engine::EngineConfig,
+/// A snapshot as written: borrowed from the engine, nothing copied but
+/// the pending counts.
+struct EngineSnapshot<'a> {
+    config: &'a EngineConfig,
+    phase: Phase,
+    vocab: &'a Vocabulary,
+    tree: &'a TopicTree,
+    frozen: &'a TfIdfWeighter,
+    pending: CorpusStats,
+    models: Vec<(u32, &'a TopicModel)>,
+}
+
+impl Serialize for EngineSnapshot<'_> {
+    fn serialize(&self, out: &mut String) {
+        let fields: [(&str, &dyn Serialize); 9] = [
+            ("magic", &MAGIC),
+            ("version", &VERSION),
+            ("config", self.config),
+            ("phase", &self.phase),
+            ("vocab", self.vocab),
+            ("tree", self.tree),
+            ("frozen", self.frozen),
+            ("pending", &self.pending),
+            ("models", &self.models),
+        ];
+        for (i, (name, value)) in fields.into_iter().enumerate() {
+            out.push_str(if i == 0 { "{\"" } else { ",\"" });
+            out.push_str(name);
+            out.push_str("\":");
+            value.serialize(out);
+        }
+        out.push('}');
+    }
+}
+
+/// A snapshot as read, of version 2 (`corpus`) or 3 (`pending`).
+#[derive(Deserialize)]
+struct LoadedSnapshot {
+    config: EngineConfig,
     phase: Phase,
     vocab: Vocabulary,
     tree: TopicTree,
-    corpus: CorpusStats,
+    #[serde(default)]
+    corpus: Option<CorpusStats>,
     frozen: TfIdfWeighter,
+    #[serde(default)]
+    pending: Option<CorpusStats>,
     models: Vec<(u32, TopicModel)>,
 }
 
 const MAGIC: &str = "bingo-engine";
-const VERSION: u64 = 2;
+const VERSION: u64 = 3;
+/// The oldest version this build reads.
+const OLDEST_VERSION: u64 = 2;
 
 /// The format fields of a snapshot of any version, read before the
 /// rest; every other field is skipped, not built.
@@ -46,24 +91,41 @@ struct FormatProbe {
 
 /// Serialize the engine's trained state to a writer as JSON.
 pub fn save_engine<W: Write>(engine: &BingoEngine, w: W) -> Result<(), EngineError> {
+    let pending = engine
+        .corpus()
+        .counted_since(engine.frozen())
+        .ok_or_else(|| {
+            EngineError::Persist("live corpus holds fewer counts than the frozen one".into())
+        })?;
     let snapshot = EngineSnapshot {
-        magic: MAGIC.to_string(),
-        version: VERSION,
-        config: engine.config.clone(),
+        config: &engine.config,
         phase: engine.phase(),
-        vocab: engine.vocab.clone(),
-        tree: engine.tree.clone(),
-        corpus: engine.corpus().clone(),
-        frozen: engine.frozen().clone(),
-        models: engine.models_snapshot(),
+        vocab: &engine.vocab,
+        tree: &engine.tree,
+        frozen: engine.frozen(),
+        pending,
+        models: engine.models_by_id(),
     };
     serde_json::to_writer(w, &snapshot).map_err(|e| EngineError::Persist(e.to_string()))
+}
+
+/// Refuse a df map with a df above its document count: counted by
+/// distinct features, no document adds more than one to a feature.
+fn check_df_bound(name: &str, stats: &CorpusStats) -> Result<(), EngineError> {
+    let (max, docs) = (stats.max_doc_freq(), stats.doc_count());
+    if max > docs {
+        return Err(EngineError::Persist(format!(
+            "{name}: a df of {max} in a corpus of {docs} documents"
+        )));
+    }
+    Ok(())
 }
 
 /// Restore an engine from a snapshot. Derived lookup structures
 /// (vocabulary index, feature-selection projections, scoring tables) are
 /// rebuilt and every model gets its handle to the one frozen weighter;
-/// the candidate pool is session state and starts empty.
+/// the live corpus is that weighter's table with the pending counts
+/// beside it. The candidate pool is session state and starts empty.
 pub fn load_engine<R: Read>(mut r: R) -> Result<BingoEngine, EngineError> {
     let persist = |e: &dyn std::fmt::Display| EngineError::Persist(e.to_string());
     let mut text = String::new();
@@ -74,13 +136,38 @@ pub fn load_engine<R: Read>(mut r: R) -> Result<BingoEngine, EngineError> {
     if probe.magic != MAGIC {
         return Err(EngineError::Persist(format!("bad magic {:?}", probe.magic)));
     }
-    if probe.version != VERSION {
+    if !(OLDEST_VERSION..=VERSION).contains(&probe.version) {
         return Err(EngineError::Persist(format!(
-            "unsupported version {} (this build reads {VERSION})",
+            "unsupported version {} (this build reads {OLDEST_VERSION} to {VERSION})",
             probe.version
         )));
     }
-    let mut snapshot: EngineSnapshot = serde_json::from_str(&text).map_err(|e| persist(&e))?;
+    let mut snapshot: LoadedSnapshot = serde_json::from_str(&text).map_err(|e| persist(&e))?;
+    check_df_bound("frozen", snapshot.frozen.stats())?;
+    let pending = if probe.version == VERSION {
+        let pending = snapshot
+            .pending
+            .ok_or_else(|| persist(&"missing field `pending`"))?;
+        check_df_bound("pending", &pending)?;
+        pending
+    } else {
+        let corpus = snapshot
+            .corpus
+            .ok_or_else(|| persist(&"missing field `corpus`"))?;
+        check_df_bound("corpus", &corpus)?;
+        corpus
+            .counted_since(&snapshot.frozen)
+            .ok_or_else(|| persist(&"corpus holds fewer counts than frozen: not frozen from it"))?
+    };
+    // Counts are `u32`: no df of the live corpus may overflow one.
+    let docs = snapshot
+        .frozen
+        .stats()
+        .doc_count()
+        .checked_add(pending.doc_count());
+    if docs.is_none_or(|docs| docs > u64::from(u32::MAX)) {
+        return Err(persist(&"more documents than a df count holds"));
+    }
     snapshot.vocab.rebuild_index();
     let mut models: FxHashMap<u32, TopicModel> = FxHashMap::default();
     for (id, mut model) in snapshot.models {
@@ -92,7 +179,7 @@ pub fn load_engine<R: Read>(mut r: R) -> Result<BingoEngine, EngineError> {
         snapshot.phase,
         snapshot.vocab,
         snapshot.tree,
-        snapshot.corpus,
+        CorpusStats::from_frozen(&snapshot.frozen, pending),
         snapshot.frozen,
         models,
     ))
@@ -263,8 +350,8 @@ mod tests {
         let mut buf = Vec::new();
         save_engine(&engine, &mut buf).unwrap();
         let json = String::from_utf8(buf).unwrap();
-        // One df map for the live corpus, one for the frozen view; none
-        // per feature space.
+        // One df map for the frozen view, one for the counts pending
+        // beside it; none per feature space.
         assert_eq!(json.matches("\"doc_freq\"").count(), 2);
         assert!(!json.contains("\"weighter\""));
 
@@ -281,19 +368,109 @@ mod tests {
     }
 
     /// `engine.json` as the build before the compact df table wrote it
-    /// (commit c7c9c0a: `small_test(71)`, two bookmarks, three OTHERS, a
-    /// retraining between two short crawl slices, so live and frozen
-    /// statistics differ and hold features of all four namespaces).
+    /// (commit c7c9c0a, format version 2: `small_test(71)`, two
+    /// bookmarks, three OTHERS, a retraining between two short crawl
+    /// slices, so live and frozen statistics differ and hold features of
+    /// all four namespaces).
+    const PARENT: &[u8] = include_bytes!("../tests/fixtures/engine_parent_c7c9c0a.json");
+
+    /// A top-level field of a snapshot, as the JSON text it was written as.
+    fn field_text(json: &[u8], name: &str) -> String {
+        let value: serde_json::Value =
+            serde_json::from_str(std::str::from_utf8(json).unwrap()).unwrap();
+        serde_json::to_string(value.get(name).unwrap()).unwrap()
+    }
+
     #[test]
-    fn parent_written_snapshot_loads_and_saves_back_byte_for_byte() {
-        let parent = include_bytes!("../tests/fixtures/engine_parent_c7c9c0a.json");
-        let engine = load_engine(&parent[..]).unwrap();
+    fn parent_written_snapshot_loads_and_saves_as_v3_to_a_fixed_point() {
+        let engine = load_engine(PARENT).unwrap();
+        // Every live and every frozen count is the v2 file's.
         assert!(engine.corpus().doc_count() > engine.frozen().stats().doc_count());
-        let mut saved = Vec::new();
-        save_engine(&engine, &mut saved).unwrap();
-        assert!(
-            saved == parent,
-            "re-saved snapshot differs from the parent's"
+        let live = serde_json::to_string(engine.corpus()).unwrap();
+        assert_eq!(live, field_text(PARENT, "corpus"));
+        let frozen = serde_json::to_string(engine.frozen()).unwrap();
+        assert_eq!(frozen, field_text(PARENT, "frozen"));
+        // The live corpus is the frozen table with the rest pending.
+        assert_eq!(
+            engine.corpus().table_ptr(),
+            engine.frozen().stats().table_ptr()
+        );
+
+        let mut v3 = Vec::new();
+        save_engine(&engine, &mut v3).unwrap();
+        assert_eq!(field_text(&v3, "version"), "3");
+        assert_eq!(field_text(&v3, "frozen"), frozen);
+        let pending: CorpusStats = serde_json::from_str(&field_text(&v3, "pending")).unwrap();
+        assert_eq!(
+            pending.doc_count(),
+            engine.corpus().doc_count() - engine.frozen().stats().doc_count()
+        );
+        assert!(v3.len() < PARENT.len());
+        let reloaded = load_engine(&v3[..]).unwrap();
+        assert_eq!(serde_json::to_string(reloaded.corpus()).unwrap(), live);
+        let mut again = Vec::new();
+        save_engine(&reloaded, &mut again).unwrap();
+        assert!(again == v3, "v3 save -> load -> save is not a fixed point");
+    }
+
+    #[test]
+    fn v2_snapshot_with_live_counts_below_the_frozen_ones_is_refused() {
+        // Swapping the two maps makes `corpus` - `frozen` negative.
+        let text = String::from_utf8(PARENT.to_vec()).unwrap();
+        let (corpus, frozen) = (field_text(PARENT, "corpus"), field_text(PARENT, "frozen"));
+        let swapped = text
+            .replace(&corpus, "CORPUS")
+            .replace(&frozen, &corpus)
+            .replace("CORPUS", &frozen);
+        match load_engine(swapped.as_bytes()) {
+            Err(EngineError::Persist(msg)) => assert!(msg.contains("fewer counts"), "{msg}"),
+            other => panic!("expected a persist error, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn damaged_df_maps_are_refused() {
+        let refused = |json: &str, what: &str| match load_engine(json.as_bytes()) {
+            Err(EngineError::Persist(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected a persist error, got {:?}", other.map(|_| ())),
+        };
+        let text = String::from_utf8(PARENT.to_vec()).unwrap();
+        let corpus = field_text(PARENT, "corpus");
+        let docs = corpus[..corpus.find(',').unwrap()].to_string();
+        refused(
+            &text.replacen(&docs, "{\"doc_count\":1", 1),
+            "corpus: a df of",
+        );
+        let (engine, _world, _topic) = trained_engine();
+        let mut v3 = Vec::new();
+        save_engine(&engine, &mut v3).unwrap();
+        let v3 = String::from_utf8(v3).unwrap();
+        let frozen = field_text(v3.as_bytes(), "frozen");
+        let docs = frozen[..frozen.find(',').unwrap()].to_string();
+        refused(
+            &v3.replacen(&docs, "{\"doc_count\":1", 1),
+            "frozen: a df of",
+        );
+        // `trained_engine` judged nothing after training: pending is empty.
+        let pending = r#""pending":{"doc_count":0,"doc_freq":{}}"#;
+        assert!(v3.contains(pending));
+        refused(
+            &v3.replace(pending, r#""pending":{"doc_count":1,"doc_freq":{"7":2}}"#),
+            "pending: a df of",
+        );
+        refused(
+            &v3.replace(
+                pending,
+                r#""pending":{"doc_count":3,"doc_freq":{"7":2,"7":3}}"#,
+            ),
+            "repeated feature key 7",
+        );
+        refused(
+            &v3.replace(
+                pending,
+                r#""pending":{"doc_count":4294967295,"doc_freq":{}}"#,
+            ),
+            "more documents than a df count holds",
         );
     }
 
@@ -303,8 +480,9 @@ mod tests {
         let mut buf = Vec::new();
         save_engine(&engine, &mut buf).unwrap();
         let json = String::from_utf8(buf).unwrap();
-        assert_eq!(json.matches("\"version\":2").count(), 1);
-        let v1 = json.replace("\"version\":2", "\"version\":1");
+        let current = format!("\"version\":{VERSION}");
+        assert_eq!(json.matches(&current).count(), 1);
+        let v1 = json.replace(&current, "\"version\":1");
         match load_engine(v1.as_bytes()) {
             Err(EngineError::Persist(msg)) => {
                 assert!(msg.contains("unsupported version"), "{msg}")

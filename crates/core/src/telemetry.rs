@@ -42,6 +42,9 @@ pub struct EngineTelemetry {
     pub promoted: Counter,
     /// Hub links boosted into the frontier.
     pub hubs_boosted: Counter,
+    /// [`CorpusStats::resident_bytes`](bingo_textproc::CorpusStats::resident_bytes)
+    /// of the judge's corpus after its latest fold, freeze or crawl slice.
+    pub corpus_bytes: Gauge,
     /// Document-analysis metrics for engine-side analysis (training
     /// seeds, virtual documents).
     pub textproc: TextprocMetrics,
@@ -63,6 +66,7 @@ impl EngineTelemetry {
             retrain_rounds: registry.counter("engine.retrain.rounds"),
             promoted: registry.counter("engine.retrain.promoted"),
             hubs_boosted: registry.counter("engine.retrain.hubs_boosted"),
+            corpus_bytes: registry.gauge("engine.corpus.resident_bytes"),
             textproc: TextprocMetrics::new(registry.clone()),
             registry,
             events,

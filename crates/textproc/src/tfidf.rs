@@ -11,19 +11,43 @@ use crate::fxhash::FxHashMap;
 use crate::vector::SparseVector;
 use crate::vocab::TermId;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Incrementally maintained document-frequency statistics over the local
-/// document database.
+/// document database: one df table, plus what was counted since the
+/// table was last frozen.
 ///
-/// The df table sits behind an [`Arc`]: [`weighter`](Self::weighter) shares
-/// it instead of copying it, and the first [`add_document`](Self::add_document)
-/// after a freeze pays one copy-on-write clone — one copy per training
-/// round, however many models hold the frozen view.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+/// The table sits behind an [`Arc`] that [`weighter`](Self::weighter)
+/// shares instead of copying. While no weighter holds it, a document
+/// counts straight into the table. While one does, the table is the
+/// frozen view, and a document appends its feature ids to a pending log
+/// (4 bytes each). Once the log holds more ids than the table has slots,
+/// it is folded into a private delta table; once the delta has more
+/// slots than the table, both are folded into a private copy of the
+/// table and documents count straight into that — where a crawl that
+/// never refreezes ends up, as it did when every freeze was followed by
+/// a copy. [`fold`](Self::fold) moves the log and the delta into the
+/// table, in place when nothing else holds it: a corpus whose owner
+/// releases its weighters before refreezing holds one full table and
+/// copies none.
+#[derive(Debug, Default, Clone)]
 pub struct CorpusStats {
     doc_count: u64,
-    doc_freq: Arc<DfTable>,
+    table: Arc<DfTable>,
+    /// Documents counted in `delta` and `log`, not in `table`.
+    pending_docs: u64,
+    delta: DfTable,
+    log: Vec<u32>,
+}
+
+/// Counts [`CorpusStats::fold`] moved into the table, kept so that
+/// [`CorpusStats::unfold`] can take them out again.
+#[derive(Debug)]
+pub struct Folded {
+    docs: u64,
+    delta: DfTable,
+    log: Vec<u32>,
 }
 
 /// Local indices below this bound are counted in a dense array per
@@ -78,6 +102,34 @@ impl DfTable {
         *df += count;
     }
 
+    /// Take back `count` of a feature's df that [`add`](Self::add) put in.
+    fn sub(&mut self, feature: u32, count: u32) {
+        match Self::dense_slot(feature) {
+            Some((ns, local)) => self.dense[ns][local] -= count,
+            None => {
+                let df = self.sparse.get_mut(&feature).expect("df counted before");
+                *df -= count;
+                if *df == 0 {
+                    self.sparse.remove(&feature);
+                }
+            }
+        }
+    }
+
+    /// Count slots, zero or not: what the table's size is measured in.
+    fn slots(&self) -> usize {
+        self.dense.iter().map(Vec::len).sum::<usize>() + self.sparse.len()
+    }
+
+    /// Heap bytes, from the dense arrays' capacities and the hash map's
+    /// (one entry and one control byte per bucket, at the map's 7/8
+    /// maximum load).
+    fn resident_bytes(&self) -> usize {
+        let dense: usize = self.dense.iter().map(Vec::capacity).sum();
+        let buckets = self.sparse.capacity() * 8 / 7;
+        dense * size_of::<u32>() + buckets * (size_of::<(u32, u32)>() + 1)
+    }
+
     /// Every feature seen, with its count, in no particular order.
     fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         let dense = (0u32..).zip(&self.dense).flat_map(|(ns, counts)| {
@@ -99,6 +151,8 @@ impl Serialize for DfTable {
     }
 }
 
+/// A df map the writer could not have written — a repeated feature key
+/// or a zero df — is refused rather than summed into wrong counts.
 impl Deserialize for DfTable {
     fn deserialize(p: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
         let mut table = DfTable::default();
@@ -107,7 +161,16 @@ impl Deserialize for DfTable {
             let feature: u32 = key
                 .parse()
                 .map_err(|_| serde::Error::custom(format!("invalid feature key '{key}'")))?;
-            table.add(feature, u32::deserialize(p)?);
+            let df = u32::deserialize(p)?;
+            if df == 0 {
+                return Err(serde::Error::custom(format!("df 0 for feature {feature}")));
+            }
+            if table.get(feature) != 0 {
+                return Err(serde::Error::custom(format!(
+                    "repeated feature key {feature}"
+                )));
+            }
+            table.add(feature, df);
         }
         Ok(table)
     }
@@ -133,9 +196,23 @@ impl CorpusStats {
     /// Record one document by its distinct terms.
     pub fn add_document<I: IntoIterator<Item = TermId>>(&mut self, distinct_terms: I) {
         self.doc_count += 1;
-        let doc_freq = Arc::make_mut(&mut self.doc_freq);
-        for t in distinct_terms {
-            doc_freq.add(t.0, 1);
+        if let Some(table) = Arc::get_mut(&mut self.table) {
+            for t in distinct_terms {
+                table.add(t.0, 1);
+            }
+            return;
+        }
+        self.pending_docs += 1;
+        self.log.extend(distinct_terms.into_iter().map(|t| t.0));
+        if self.log.len() > self.table.slots() {
+            for f in self.log.drain(..) {
+                self.delta.add(f, 1);
+            }
+            // Pending counts that outgrow the frozen table cost more than
+            // a private copy of it: fold them into one.
+            if self.delta.slots() > self.table.slots() {
+                self.fold();
+            }
         }
     }
 
@@ -144,15 +221,17 @@ impl CorpusStats {
         self.doc_count
     }
 
-    /// Document frequency of a term.
+    /// Document frequency of a term. O(pending log) while a weighter
+    /// shares the table.
     pub fn doc_freq(&self, term: TermId) -> u64 {
-        self.doc_freq.get(term.0) as u64
+        let logged = self.log.iter().filter(|&&f| f == term.0).count();
+        (self.table.get(term.0) + self.delta.get(term.0)) as u64 + logged as u64
     }
 
     /// Logarithmically dampened inverse document frequency:
     /// `ln(1 + N / df)`. Terms never seen get the maximal idf `ln(1 + N)`.
     pub fn idf(&self, term: TermId) -> f32 {
-        idf_of(self.n(), self.doc_freq.get(term.0))
+        idf_of(self.n(), self.doc_freq(term) as u32)
     }
 
     fn n(&self) -> f32 {
@@ -161,17 +240,187 @@ impl CorpusStats {
 
     /// Snapshot a weighter with the current statistics. The paper
     /// recomputes idf "lazily upon each retraining"; freezing a weighter at
-    /// retraining time is exactly that. O(1) in the vocabulary: the df
-    /// table is shared, and since idf depends only on df once N is frozen,
-    /// the only thing computed is a table of idf by df.
+    /// retraining time is exactly that. O(1) in the vocabulary when
+    /// nothing is pending — the df table is shared, and since idf depends
+    /// only on df once N is frozen, the only thing computed is a table of
+    /// idf by df; with pending counts the weighter gets a folded copy
+    /// ([`fold`](Self::fold) first to freeze in place).
     pub fn weighter(&self) -> TfIdfWeighter {
-        let n = self.n();
-        let len = self.doc_count.min(IDF_TABLE_MAX_DF) as u32 + 1;
+        if self.pending_docs == 0 {
+            return self.freeze();
+        }
+        let mut live = self.clone();
+        live.fold();
+        live.freeze()
+    }
+
+    /// The table's counts as a weighter: N is the documents the table
+    /// holds, which leaves out the pending ones.
+    fn freeze(&self) -> TfIdfWeighter {
+        let doc_count = self.doc_count - self.pending_docs;
+        let n = doc_count.max(1) as f32;
+        let len = doc_count.min(IDF_TABLE_MAX_DF) as u32 + 1;
         TfIdfWeighter {
-            stats: self.clone(),
+            stats: CorpusStats {
+                doc_count,
+                table: Arc::clone(&self.table),
+                ..CorpusStats::default()
+            },
             idf_by_df: (0..len).map(|df| idf_of(n, df)).collect(),
             tf_factor_by_tf: std::array::from_fn(|tf| tf_factor(tf as u32)),
         }
+    }
+
+    /// Move the pending counts into the table: in place when no weighter
+    /// holds it, into a copy otherwise. Afterwards
+    /// [`weighter`](Self::weighter) shares the table. The counts moved
+    /// are returned for [`unfold`](Self::unfold).
+    pub fn fold(&mut self) -> Folded {
+        let table = Arc::make_mut(&mut self.table);
+        for (f, df) in self.delta.iter() {
+            table.add(f, df);
+        }
+        for &f in &self.log {
+            table.add(f, 1);
+        }
+        Folded {
+            docs: std::mem::take(&mut self.pending_docs),
+            delta: std::mem::take(&mut self.delta),
+            log: std::mem::take(&mut self.log),
+        }
+    }
+
+    /// Undo a [`fold`](Self::fold): take its counts out of the table
+    /// and make them pending again. Returns the weighter of what the
+    /// table held before the fold, bit for bit.
+    pub fn unfold(&mut self, folded: Folded) -> TfIdfWeighter {
+        let table = Arc::make_mut(&mut self.table);
+        for (f, df) in folded.delta.iter() {
+            table.sub(f, df);
+        }
+        for &f in &folded.log {
+            table.sub(f, 1);
+        }
+        self.pending_docs += folded.docs;
+        for (f, df) in std::mem::replace(&mut self.delta, folded.delta).iter() {
+            self.delta.add(f, df);
+        }
+        self.log.extend(folded.log);
+        self.freeze()
+    }
+
+    /// The live counts as one table: the table itself when nothing is
+    /// pending, a folded copy otherwise.
+    fn live_table(&self) -> Cow<'_, DfTable> {
+        if self.pending_docs == 0 {
+            return Cow::Borrowed(&self.table);
+        }
+        let mut live = self.clone();
+        live.fold();
+        Cow::Owned(Arc::unwrap_or_clone(live.table))
+    }
+
+    /// The largest document frequency of any feature. A corpus counted
+    /// by distinct features never holds one above
+    /// [`doc_count`](Self::doc_count).
+    pub fn max_doc_freq(&self) -> u64 {
+        self.live_table()
+            .iter()
+            .map(|(_, df)| df)
+            .max()
+            .unwrap_or(0) as u64
+    }
+
+    /// What was counted after `frozen` was taken: `None` when `frozen`
+    /// holds a count this corpus does not (it was not frozen from it).
+    pub fn counted_since(&self, frozen: &TfIdfWeighter) -> Option<CorpusStats> {
+        let then = &frozen.stats;
+        let doc_count = self.doc_count.checked_sub(then.doc_count)?;
+        let mut since = DfTable::default();
+        if Arc::ptr_eq(&self.table, &then.table) {
+            since = self.delta.clone();
+            for &f in &self.log {
+                since.add(f, 1);
+            }
+        } else {
+            let live = self.live_table();
+            for (f, df) in live.iter() {
+                let added = df.checked_sub(then.table.get(f))?;
+                if added > 0 {
+                    since.add(f, added);
+                }
+            }
+            if then.table.iter().any(|(f, df)| live.get(f) < df) {
+                return None;
+            }
+        }
+        Some(CorpusStats {
+            doc_count,
+            table: Arc::new(since),
+            ..CorpusStats::default()
+        })
+    }
+
+    /// The corpus `frozen` was taken from, with `since` counted after
+    /// it: the table is `frozen`'s, `since` is pending.
+    pub fn from_frozen(frozen: &TfIdfWeighter, mut since: CorpusStats) -> CorpusStats {
+        let then = &frozen.stats;
+        since.fold();
+        let delta = Arc::unwrap_or_clone(since.table);
+        CorpusStats {
+            doc_count: then.doc_count + since.doc_count,
+            table: Arc::clone(&then.table),
+            pending_docs: since.doc_count,
+            delta,
+            log: Vec::new(),
+        }
+    }
+
+    /// Heap bytes of the table, the delta and the log, from their lengths
+    /// and capacities. A table shared with weighters counts here in full.
+    pub fn resident_bytes(&self) -> usize {
+        self.table.resident_bytes()
+            + self.delta.resident_bytes()
+            + self.log.capacity() * size_of::<u32>()
+    }
+
+    /// Address of the df table: identity only, to tell a table folded in
+    /// place from a copy.
+    pub fn table_ptr(&self) -> *const () {
+        Arc::as_ptr(&self.table).cast()
+    }
+}
+
+/// On disk a corpus is `{"doc_count": N, "doc_freq": {feature: df, …}}`
+/// with its live counts, pending ones folded in.
+impl Serialize for CorpusStats {
+    fn serialize(&self, out: &mut String) {
+        out.push_str("{\"doc_count\":");
+        self.doc_count.serialize(out);
+        out.push_str(",\"doc_freq\":");
+        DfTable::serialize(&self.live_table(), out);
+        out.push('}');
+    }
+}
+
+impl Deserialize for CorpusStats {
+    fn deserialize(p: &mut serde::Parser<'_>) -> Result<Self, serde::Error> {
+        let (mut doc_count, mut table) = (None, None);
+        let mut entries = p.read_object()?;
+        while let Some((key, p)) = entries.next_key()? {
+            match &*key {
+                "doc_count" if doc_count.is_none() => doc_count = Some(u64::deserialize(p)?),
+                "doc_freq" if table.is_none() => table = Some(DfTable::deserialize(p)?),
+                _ => p.skip_value()?,
+            }
+        }
+        let missing =
+            |field| serde::Error::custom(format!("missing field `{field}` in CorpusStats"));
+        Ok(CorpusStats {
+            doc_count: doc_count.ok_or_else(|| missing("doc_count"))?,
+            table: Arc::new(table.ok_or_else(|| missing("doc_freq"))?),
+            ..CorpusStats::default()
+        })
     }
 }
 
@@ -240,7 +489,7 @@ impl TfIdfWeighter {
     /// The frozen idf of a term — the bits [`CorpusStats::idf`] returned
     /// at freeze time, read from the idf-by-df table.
     pub fn idf(&self, term: TermId) -> f32 {
-        let df = self.stats.doc_freq.get(term.0);
+        let df = self.stats.table.get(term.0);
         match self.idf_by_df.get(df as usize) {
             Some(&idf) => idf,
             None => idf_of(self.stats.n(), df),
@@ -255,7 +504,7 @@ impl TfIdfWeighter {
     /// True when `other` reads the same df table in memory (no copy was
     /// made between them).
     pub fn shares_stats_with(&self, other: &TfIdfWeighter) -> bool {
-        Arc::ptr_eq(&self.stats.doc_freq, &other.stats.doc_freq)
+        Arc::ptr_eq(&self.stats.table, &other.stats.table)
     }
 }
 
@@ -344,6 +593,148 @@ mod tests {
         assert_eq!(w.idf(t(1)).to_bits(), before);
         assert_eq!(c.doc_freq(t(1)), 3);
         assert!(!w.shares_stats_with(&c.weighter()));
+    }
+
+    /// Live df of every feature in `features`, and the bits of the idf a
+    /// weighter of `c` gives them.
+    fn counts(c: &CorpusStats, features: &[u32]) -> Vec<(u64, u32)> {
+        let w = c.weighter();
+        let at = |f: u32| (c.doc_freq(t(f)), w.idf(t(f)).to_bits());
+        features.iter().map(|&f| at(f)).collect()
+    }
+
+    #[test]
+    fn pending_counts_fold_into_the_table_in_place() {
+        let mut c = CorpusStats::new();
+        c.add_document((0..20).map(t));
+        let w = c.weighter();
+        let table = c.table_ptr();
+        for i in 0..5 {
+            c.add_document(vec![t(1), t(2 + i)]);
+        }
+        // The weighter still reads the table: the documents are pending.
+        assert_eq!(c.table_ptr(), table);
+        assert_eq!(w.stats().doc_count(), 1);
+        let probes = [0, 1, 2, 6, 19, 25];
+        let live = counts(&c, &probes);
+        assert_eq!(live[1].0, 6);
+        drop(w);
+        c.fold();
+        assert_eq!(c.table_ptr(), table, "nothing held the table: no copy");
+        let w = c.weighter();
+        assert_eq!(w.stats().table_ptr(), table);
+        assert_eq!(counts(&c, &probes), live);
+        assert_eq!(
+            serde_json::to_string(w.stats()).unwrap(),
+            serde_json::to_string(&c).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_held_table_is_copied_by_the_fold_and_unfold_restores_it() {
+        let mut c = CorpusStats::new();
+        c.add_document(vec![t(0), t(1), t(2)]);
+        let w = c.weighter();
+        c.add_document(vec![t(1)]);
+        let before = serde_json::to_string(&c).unwrap();
+        let folded = c.fold();
+        assert_ne!(c.table_ptr(), w.stats().table_ptr());
+        assert_eq!(c.weighter().stats().doc_count(), 2);
+        let back = c.unfold(folded);
+        assert_eq!(serde_json::to_string(&c).unwrap(), before);
+        assert_eq!(back.stats().doc_count(), 1);
+        for f in 0..4 {
+            assert_eq!(back.idf(t(f)).to_bits(), w.idf(t(f)).to_bits());
+        }
+    }
+
+    #[test]
+    fn pending_counts_are_bounded_by_the_table() {
+        let mut c = CorpusStats::new();
+        c.add_document((0..4).map(t));
+        let _w = c.weighter();
+        let mut plain = CorpusStats::new();
+        plain.add_document((0..4).map(t));
+        let table = c.table_ptr();
+        for i in 0..50u32 {
+            let doc: Vec<TermId> = (i..i + 3).map(|f| t(f | 1 << NAMESPACE_SHIFT)).collect();
+            c.add_document(doc.clone());
+            plain.add_document(doc);
+            assert!(c.log.len() <= c.table.slots());
+            assert!(c.delta.slots() <= c.table.slots());
+            if i == 1 {
+                // Six ids outgrew the four-slot table: a delta now.
+                assert!(c.log.is_empty() && c.delta.slots() > 0);
+            }
+        }
+        // The delta outgrew the table, and the counts moved into a copy.
+        assert_ne!(c.table_ptr(), table);
+        assert_eq!(c.pending_docs, 0);
+        assert_eq!(c.weighter().stats().doc_count(), 51);
+        let probes: Vec<u32> = (0..60)
+            .map(|f| f | 1 << NAMESPACE_SHIFT)
+            .chain(0..4)
+            .collect();
+        assert_eq!(counts(&c, &probes), counts(&plain, &probes));
+        assert_eq!(
+            serde_json::to_string(&c).unwrap(),
+            serde_json::to_string(&plain).unwrap()
+        );
+    }
+
+    #[test]
+    fn counts_since_a_freeze_round_trip() {
+        let mut c = CorpusStats::new();
+        c.add_document(vec![t(0), t(1)]);
+        let w = c.weighter();
+        c.add_document(vec![t(1), t(5)]);
+        let since = c.counted_since(&w).unwrap();
+        assert_eq!(since.doc_count(), 1);
+        assert_eq!(
+            serde_json::to_string(&since).unwrap(),
+            r#"{"doc_count":1,"doc_freq":{"1":1,"5":1}}"#
+        );
+        let back = CorpusStats::from_frozen(&w, since);
+        assert_eq!(back.table_ptr(), w.stats().table_ptr());
+        assert_eq!(
+            serde_json::to_string(&back).unwrap(),
+            serde_json::to_string(&c).unwrap()
+        );
+        // A separately counted corpus is diffed feature by feature; one
+        // that lacks a frozen count was not frozen from it.
+        let copy: CorpusStats = serde_json::from_str(&serde_json::to_string(&c).unwrap()).unwrap();
+        let since = copy.counted_since(&w).unwrap();
+        assert_eq!(
+            serde_json::to_string(&since).unwrap(),
+            r#"{"doc_count":1,"doc_freq":{"1":1,"5":1}}"#
+        );
+        assert!(CorpusStats::new().counted_since(&w).is_none());
+        let mut other = CorpusStats::new();
+        other.add_document(vec![t(0)]);
+        other.add_document(vec![t(0)]);
+        assert!(other.counted_since(&w).is_none());
+    }
+
+    #[test]
+    fn a_damaged_df_map_is_refused() {
+        let load = |json: &str| serde_json::from_str::<CorpusStats>(json);
+        assert!(load(r#"{"doc_count":3,"doc_freq":{"5":2,"5":3}}"#).is_err());
+        assert!(load(r#"{"doc_count":3,"doc_freq":{"5":0,"5":3}}"#).is_err());
+        assert!(load(r#"{"doc_count":3,"doc_freq":{"5":2}}"#).is_ok());
+        let above = load(r#"{"doc_count":3,"doc_freq":{"5":2,"7":4}}"#).unwrap();
+        assert_eq!(above.max_doc_freq(), 4);
+    }
+
+    #[test]
+    fn resident_bytes_follow_the_table_delta_and_log() {
+        let mut c = CorpusStats::new();
+        assert_eq!(c.resident_bytes(), 0);
+        c.add_document(vec![t(3), t(7 | 1 << NAMESPACE_SHIFT)]);
+        let table = c.resident_bytes();
+        assert!(table >= 4 * 4 + 9);
+        let _w = c.weighter();
+        c.add_document(vec![t(3)]);
+        assert_eq!(c.resident_bytes(), table + c.log.capacity() * 4);
     }
 
     #[test]
