@@ -5,11 +5,11 @@
 //!
 //! A checkpoint captures everything [`crate::Crawler`] owns besides the
 //! world and the document store: virtual clock, statistics, frontier
-//! (including parked backoff entries), duplicate fingerprints, per-host
-//! breaker health, simulated thread/connection-slot timelines and the
-//! neighbour-term cache. All collection-backed fields are stored as
-//! sorted vectors so two checkpoints of identical state are
-//! byte-identical.
+//! (including parked backoff entries, each with the neighbour terms it
+//! will be judged with), duplicate fingerprints, per-host breaker
+//! health and simulated thread/connection-slot timelines. All
+//! collection-backed fields are stored as sorted vectors so two
+//! checkpoints of identical state are byte-identical.
 //!
 //! Checkpoints reach disk only as one file of a manifest-committed
 //! generation ([`crate::Crawler::save_session`]), so a kill *during* a
@@ -19,6 +19,7 @@ use crate::dedup::DedupSnapshot;
 use crate::frontier::FrontierSnapshot;
 use crate::hosts::HostHealth;
 use crate::types::CrawlStats;
+use bingo_textproc::fxhash::FxHashMap;
 use bingo_textproc::TermId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -58,7 +59,10 @@ pub struct CrawlCheckpoint {
     pub threads: Vec<(u64, usize)>,
     /// Per-host connection slots: (host, free-at per slot), sorted.
     pub host_slots: Vec<(String, Vec<u64>)>,
-    /// Neighbour-term cache: (page id, top terms), sorted by page.
+    /// (page id, top terms) of every stored page, as sessions written
+    /// before the terms rode the queue entries hold them. Never written;
+    /// [`load_checkpoint`] moves them onto the entries and empties it.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub page_top_terms: Vec<(u64, Vec<TermId>)>,
     /// Host-graph authority state; present only when the authority
     /// blend is enabled, and omitted entirely when absent so
@@ -105,10 +109,12 @@ pub fn checkpoint_bytes(cp: &CrawlCheckpoint) -> Result<Vec<u8>, CheckpointError
         .map_err(|e| CheckpointError::Format(e.to_string()))
 }
 
-/// Read a checkpoint back, validating magic and version.
+/// Read a checkpoint back, validating magic, version and the frontier's
+/// shape. The `page_top_terms` of an older session become the
+/// `neighbor_terms` of every entry whose `src_page` they name.
 pub fn load_checkpoint<P: AsRef<Path>>(path: P) -> Result<CrawlCheckpoint, CheckpointError> {
     let bytes = std::fs::read_to_string(path)?;
-    let cp: CrawlCheckpoint =
+    let mut cp: CrawlCheckpoint =
         serde_json::from_str(&bytes).map_err(|e| CheckpointError::Format(e.to_string()))?;
     if cp.magic != MAGIC {
         return Err(CheckpointError::Format(format!("bad magic {:?}", cp.magic)));
@@ -119,12 +125,33 @@ pub fn load_checkpoint<P: AsRef<Path>>(path: P) -> Result<CrawlCheckpoint, Check
             cp.version
         )));
     }
+    let f = &mut cp.frontier;
+    if f.outgoing.len() != f.incoming.len() {
+        return Err(CheckpointError::Format("uneven frontier queues".into()));
+    }
+    let tops: FxHashMap<_, _> = std::mem::take(&mut cp.page_top_terms).into_iter().collect();
+    let queued = f.incoming.iter_mut().chain(&mut f.outgoing).flatten();
+    for entry in queued.chain(f.parked.iter_mut().map(|(_, e)| e)) {
+        if let Some(terms) = tops.get(&entry.src_page) {
+            entry.neighbor_terms = terms.clone();
+        }
+    }
     Ok(cp)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontier::QueueEntry;
+
+    /// A queued link found on page 3, whose top terms are 1 and 9.
+    fn child() -> QueueEntry {
+        QueueEntry {
+            src_page: 3,
+            neighbor_terms: vec![TermId(1), TermId(9)],
+            ..QueueEntry::seed("http://h/x", Some(0))
+        }
+    }
 
     fn minimal() -> CrawlCheckpoint {
         CrawlCheckpoint {
@@ -133,7 +160,7 @@ mod tests {
             clock_ms: 123,
             stats: CrawlStats::default(),
             frontier: FrontierSnapshot {
-                incoming: vec![Vec::new()],
+                incoming: vec![vec![child()]],
                 outgoing: vec![Vec::new()],
                 parked: Vec::new(),
                 overflow: 0,
@@ -147,7 +174,7 @@ mod tests {
             visited_hosts: vec!["h".into()],
             threads: vec![(0, 0), (5, 1)],
             host_slots: vec![("h".into(), vec![0, 7])],
-            page_top_terms: vec![(3, vec![TermId(1), TermId(9)])],
+            page_top_terms: Vec::new(),
             host_graph: None,
         }
     }
@@ -163,7 +190,7 @@ mod tests {
         assert_eq!(loaded.clock_ms, 123);
         assert_eq!(loaded.dedup.url_hashes, vec![1, 2]);
         assert_eq!(loaded.threads, vec![(0, 0), (5, 1)]);
-        assert_eq!(loaded.page_top_terms, vec![(3, vec![TermId(1), TermId(9)])]);
+        assert_eq!(loaded.frontier.incoming, vec![vec![child()]]);
         // Encoding the loaded checkpoint reproduces the same bytes.
         assert_eq!(
             std::fs::read(&path).unwrap(),
@@ -176,9 +203,43 @@ mod tests {
     fn absent_host_graph_is_omitted_not_written_as_null() {
         let bytes = checkpoint_bytes(&minimal()).unwrap();
         let text = String::from_utf8(bytes).unwrap();
-        assert!(text.ends_with("\"page_top_terms\":[[3,[1,9]]]}"), "{text}");
+        assert!(text.ends_with("\"host_slots\":[[\"h\",[0,7]]]}"), "{text}");
+        assert!(text.contains("\"src_page\":3,\"anchor_terms\":[],\"neighbor_terms\":[1,9],"));
         let back: CrawlCheckpoint = serde_json::from_str(&text).unwrap();
         assert!(back.host_graph.is_none());
+    }
+
+    #[test]
+    fn older_page_top_terms_move_onto_the_entries() {
+        // The form older builds wrote: no terms on the entries, every
+        // stored page's top terms in one table. A seed has no source,
+        // and page 4 is not in the table: both get no terms.
+        let mut old = minimal();
+        let seed = QueueEntry::seed("http://h/", Some(0));
+        let orphan = QueueEntry {
+            src_page: 4,
+            ..seed.clone()
+        };
+        let strip = |e: QueueEntry| QueueEntry {
+            neighbor_terms: Vec::new(),
+            ..e
+        };
+        old.frontier.incoming = vec![vec![strip(child()), seed.clone()]];
+        old.frontier.outgoing = vec![vec![orphan.clone()]];
+        old.frontier.parked = vec![(9, strip(child()))];
+        old.page_top_terms = vec![(3, vec![TermId(1), TermId(9)]), (5, vec![TermId(2)])];
+        let dir = std::env::temp_dir().join("bingo-checkpoint-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.json");
+        std::fs::write(&path, checkpoint_bytes(&old).unwrap()).unwrap();
+        let loaded = load_checkpoint(&path).unwrap();
+        assert_eq!(loaded.frontier.incoming, vec![vec![child(), seed]]);
+        assert_eq!(loaded.frontier.outgoing, vec![vec![orphan]]);
+        assert_eq!(loaded.frontier.parked, vec![(9, child())]);
+        assert!(loaded.page_top_terms.is_empty());
+        let text = String::from_utf8(checkpoint_bytes(&loaded).unwrap()).unwrap();
+        assert!(!text.contains("page_top_terms"), "{text}");
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -28,6 +28,7 @@
 
 use crate::types::QueuePriority;
 use bingo_store::spill::reap_stale_spill_files;
+use bingo_textproc::TermId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
@@ -51,7 +52,12 @@ pub struct QueueEntry {
     /// seeds).
     pub src_page: u64,
     /// Anchor terms of the enqueuing link.
-    pub anchor_terms: Vec<bingo_textproc::TermId>,
+    pub anchor_terms: Vec<TermId>,
+    /// Top terms of the enqueuing page ([`crate::pipeline::top_terms`]),
+    /// the neighbour features the entry is judged with (Section 3.4).
+    /// Empty for entries no stored page enqueued, and then not written.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    pub neighbor_terms: Vec<TermId>,
     /// Redirect hops already taken for this URL.
     pub redirects: u32,
     /// Fetch attempt number (for retry bookkeeping).
@@ -60,8 +66,7 @@ pub struct QueueEntry {
 
 impl QueueEntry {
     /// `src_page` of an entry no stored page enqueued (seeds, boosted
-    /// hubs): never a real page id, so such an entry is judged without
-    /// neighbour terms. (Page 0 is a real page.)
+    /// hubs): never a real page id. (Page 0 is a real page.)
     pub const NO_SOURCE: u64 = u64::MAX;
 
     /// A seed entry at depth 0 with maximal priority.
@@ -74,9 +79,19 @@ impl QueueEntry {
             src_topic: topic,
             src_page: Self::NO_SOURCE,
             anchor_terms: Vec::new(),
+            neighbor_terms: Vec::new(),
             redirects: 0,
             attempt: 0,
         }
+    }
+
+    /// Bytes the entry holds while resident: its inline size plus the
+    /// capacity of its URL and term vectors.
+    pub fn resident_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.url.capacity()
+            + (self.anchor_terms.capacity() + self.neighbor_terms.capacity())
+                * std::mem::size_of::<TermId>()
     }
 }
 
@@ -151,6 +166,8 @@ struct PriorityQueue {
     entries: BTreeMap<(QueuePriority, u64), Slot>,
     seq: u64,
     spill: Option<SpillState>,
+    /// [`QueueEntry::resident_bytes`] summed over the hot payloads.
+    resident: usize,
 }
 
 impl PriorityQueue {
@@ -166,6 +183,7 @@ impl PriorityQueue {
         PriorityQueue {
             entries: BTreeMap::new(),
             seq: 0,
+            resident: 0,
             spill: Some(SpillState {
                 file,
                 write_off: 0,
@@ -179,6 +197,7 @@ impl PriorityQueue {
     fn push(&mut self, entry: QueueEntry, cap: usize) -> bool {
         let key = (QueuePriority::new(entry.priority), self.seq);
         self.seq += 1;
+        self.resident += entry.resident_bytes();
         self.entries.insert(key, Slot::Hot(entry));
         if let Some(st) = &mut self.spill {
             st.hot_keys.insert(key);
@@ -189,6 +208,7 @@ impl PriorityQueue {
                 st.hot_keys.remove(&worst_hot);
                 let slot = self.entries.get_mut(&worst_hot).expect("indexed");
                 if let Slot::Hot(e) = slot {
+                    self.resident -= e.resident_bytes();
                     let spilled = st.write_entry(e);
                     *slot = spilled;
                 }
@@ -198,7 +218,8 @@ impl PriorityQueue {
             // Evict the worst (largest key: lowest priority, newest).
             let worst = *self.entries.keys().next_back().expect("non-empty");
             match self.entries.remove(&worst) {
-                Some(Slot::Hot(_)) => {
+                Some(Slot::Hot(e)) => {
+                    self.resident -= e.resident_bytes();
                     if let Some(st) = &mut self.spill {
                         st.hot_keys.remove(&worst);
                     }
@@ -219,6 +240,7 @@ impl PriorityQueue {
         let best = *self.entries.keys().next()?;
         let entry = match self.entries.remove(&best)? {
             Slot::Hot(e) => {
+                self.resident -= e.resident_bytes();
                 if let Some(st) = &mut self.spill {
                     st.hot_keys.remove(&best);
                 }
@@ -292,6 +314,8 @@ pub struct Frontier {
     /// `(release_ms, seq)` so the earliest release pops first.
     parked: BTreeMap<(u64, u64), QueueEntry>,
     park_seq: u64,
+    /// [`QueueEntry::resident_bytes`] summed over the parked entries.
+    parked_resident: usize,
     /// Links dropped due to capacity.
     pub overflow: u64,
 }
@@ -332,6 +356,7 @@ impl Frontier {
             outgoing_cap,
             parked: BTreeMap::new(),
             park_seq: 0,
+            parked_resident: 0,
             overflow: 0,
         }
     }
@@ -410,6 +435,7 @@ impl Frontier {
     /// open circuit breaker). Parked entries do not compete for pops
     /// until released.
     pub fn park(&mut self, entry: QueueEntry, release_ms: u64) {
+        self.parked_resident += entry.resident_bytes();
         self.parked.insert((release_ms, self.park_seq), entry);
         self.park_seq += 1;
     }
@@ -423,6 +449,7 @@ impl Frontier {
                 break;
             }
             let entry = self.parked.remove(&(release_ms, seq)).expect("just peeked");
+            self.parked_resident -= entry.resident_bytes();
             self.push_outgoing(entry);
             released += 1;
         }
@@ -458,6 +485,13 @@ impl Frontier {
     /// than memory (0 without a [`SpillConfig`]).
     pub fn spilled_len(&self) -> usize {
         self.incoming.iter().map(PriorityQueue::spilled_len).sum()
+    }
+
+    /// [`QueueEntry::resident_bytes`] of every entry held in memory,
+    /// kept on push and pop (the ordered key index is not counted).
+    pub fn resident_bytes(&self) -> usize {
+        let queues = self.incoming.iter().chain(&self.outgoing);
+        queues.map(|q| q.resident).sum::<usize>() + self.parked_resident
     }
 
     /// Serializable snapshot. Entries are listed in pop order per queue
@@ -539,6 +573,13 @@ mod tests {
             priority,
             ..QueueEntry::seed(url, topic)
         }
+    }
+
+    /// [`Frontier::resident_bytes`] recomputed from every resident entry.
+    fn rescan(f: &Frontier) -> usize {
+        let queues = f.incoming.iter().chain(&f.outgoing);
+        let hot = queues.flat_map(PriorityQueue::hot).chain(f.parked.values());
+        hot.map(QueueEntry::resident_bytes).sum()
     }
 
     #[test]
@@ -701,7 +742,8 @@ mod tests {
                 2 => None,
                 _ => Some(0),
             };
-            let e = entry(&format!("u{i}"), pri, topic);
+            let mut e = entry(&format!("u{i}"), pri, topic);
+            e.neighbor_terms = vec![TermId(i as u32); (i % 9) as usize];
             plain.push(e.clone());
             spilled.push(e);
             if i % 7 == 6 {
@@ -716,6 +758,10 @@ mod tests {
                 plain.release_due(i * 10);
                 spilled.release_due(i * 10);
             }
+            // Kept on push, pop, park, release, demotion and eviction.
+            assert_eq!(plain.resident_bytes(), rescan(&plain));
+            assert_eq!(spilled.resident_bytes(), rescan(&spilled));
+            assert!(spilled.resident_bytes() <= plain.resident_bytes());
         }
         assert_eq!(plain.len(), spilled.len());
         assert_eq!(plain.overflow, spilled.overflow);

@@ -13,9 +13,9 @@
 //! entries among the best [`LOOKAHEAD`] of the frontier. A request
 //! records what its preparation assumes, and the preparation is used at
 //! the entry's pop only when all of it still holds: the popped entry
-//! equals the requested one, the epoch (one `crawl_ahead` call, one
-//! judge) is the same, the predecessor's top terms are unchanged, the
-//! host has no fault window, the gates — URL hygiene, breaker, DNS,
+//! equals the requested one (its neighbour terms included), the epoch
+//! (one `crawl_ahead` call, one judge) is the same, the host has no
+//! fault window, the gates — URL hygiene, breaker, DNS,
 //! response fingerprints — let the page through, and no token's stem
 //! was missing from the dictionary at request time. Otherwise the page
 //! is prepared inline, so output never depends on the number of workers.
@@ -26,11 +26,12 @@
 //! counters read the same.
 
 use crate::frontier::QueueEntry;
-use crate::pipeline::{admit, prepare_content, Content, PageTermCache};
+use crate::pipeline::{admit, prepare_content, Content};
 use crate::Assess;
 use bingo_obs::{Counter, Registry};
+use bingo_store::DocumentStore;
 use bingo_textproc::fxhash::{FxHashMap, FxHashSet};
-use bingo_textproc::{AnalyzedDocument, ContentRegistry, KnownTerms, TermId, Vocabulary};
+use bingo_textproc::{AnalyzedDocument, ContentRegistry, KnownTerms, Vocabulary};
 use bingo_webworld::{FetchOutcome, World};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -76,9 +77,6 @@ pub(crate) enum Miss {
     Entry,
     /// The request was made under another judge (an earlier epoch).
     Epoch,
-    /// The predecessor's top terms changed: the page was analyzed again,
-    /// reached through another URL.
-    Neighbors,
     /// The host has a fault window: the fetch depends on `now`.
     Fault,
     /// URL hygiene, the breaker, DNS or the response fingerprints
@@ -89,10 +87,9 @@ pub(crate) enum Miss {
 }
 
 impl Miss {
-    const ALL: [Miss; 6] = [
+    const ALL: [Miss; 5] = [
         Miss::Entry,
         Miss::Epoch,
-        Miss::Neighbors,
         Miss::Fault,
         Miss::Gate,
         Miss::Unknown,
@@ -102,7 +99,6 @@ impl Miss {
         match self {
             Miss::Entry => "entry",
             Miss::Epoch => "epoch",
-            Miss::Neighbors => "neighbors",
             Miss::Fault => "fault",
             Miss::Gate => "gate",
             Miss::Unknown => "unknown",
@@ -113,7 +109,6 @@ impl Miss {
 /// One request on the schedule: what its preparation assumed.
 struct Request {
     entry: Arc<QueueEntry>,
-    neighbors: Vec<TermId>,
     dict_len: usize,
     epoch: u64,
     timeless: bool,
@@ -164,12 +159,12 @@ impl Schedule {
     }
 
     /// Request the not-yet-requested entries of `best` (the frontier's
-    /// next pops), each with the neighbour terms it would be judged with
-    /// now and the dictionary as it stands, and hand them to `pool`.
+    /// next pops), each against the dictionary as it stands, and hand
+    /// them to `pool`.
     pub(crate) fn request<A: Assess>(
         &mut self,
         best: Vec<&QueueEntry>,
-        terms: &PageTermCache,
+        store: &DocumentStore,
         world: &World,
         vocab: &Vocabulary,
         pool: &mut Pool<'_, A>,
@@ -182,21 +177,19 @@ impl Schedule {
             metrics.requested.inc();
             self.outstanding += 1;
             let entry = Arc::new(entry.clone());
-            let neighbors = terms.neighbor_terms(entry.src_page).to_vec();
             let timeless = world.fetch_ignores_time(&entry.url);
-            // A page the crawl has analyzed before (through another URL)
+            // A page the crawl has stored before (through another URL)
             // can only come back as duplicate content: not worth a job.
             let seen = world
                 .resolve_url(&entry.url)
-                .is_some_and(|p| terms.knows(p));
+                .is_some_and(|p| store.contains(p));
             let job = (timeless && !seen)
-                .then(|| pool.send(&entry, &neighbors, vocab))
+                .then(|| pool.send(&entry, vocab))
                 .flatten();
             self.requests.insert(
                 entry.url.clone(),
                 Request {
                     entry,
-                    neighbors,
                     dict_len: vocab.len(),
                     epoch: self.epoch,
                     timeless,
@@ -208,16 +201,13 @@ impl Schedule {
 
     /// Take the request of a popped entry, if there is one, and check
     /// the rules a preparation must pass before the commit starts: same
-    /// entry, same epoch, the neighbour terms `terms` holds now, a fetch
-    /// that does not depend on time.
-    pub(crate) fn ticket(&mut self, entry: &QueueEntry, terms: &PageTermCache) -> Option<Ticket> {
+    /// entry, same epoch, a fetch that does not depend on time.
+    pub(crate) fn ticket(&mut self, entry: &QueueEntry) -> Option<Ticket> {
         let request = self.requests.remove(&entry.url)?;
         let verdict = if *request.entry != *entry {
             Verdict::Miss(Miss::Entry)
         } else if request.epoch != self.epoch {
             Verdict::Miss(Miss::Epoch)
-        } else if request.neighbors != terms.neighbor_terms(entry.src_page) {
-            Verdict::Miss(Miss::Neighbors)
         } else if !request.timeless {
             Verdict::Miss(Miss::Fault)
         } else {
@@ -333,7 +323,6 @@ pub(crate) struct Prepared<T> {
 struct Job {
     seq: u64,
     entry: Arc<QueueEntry>,
-    neighbors: Vec<TermId>,
     dict_len: usize,
 }
 
@@ -425,12 +414,7 @@ impl<'s, A: Assess> Pool<'s, A> {
     }
 
     /// Queue `entry` for the workers; `None` without workers.
-    fn send(
-        &mut self,
-        entry: &Arc<QueueEntry>,
-        neighbors: &[TermId],
-        vocab: &Vocabulary,
-    ) -> Option<u64> {
+    fn send(&mut self, entry: &Arc<QueueEntry>, vocab: &Vocabulary) -> Option<u64> {
         if self.workers.is_empty() {
             return None;
         }
@@ -442,7 +426,6 @@ impl<'s, A: Assess> Pool<'s, A> {
         board.jobs.push_back(Job {
             seq,
             entry: Arc::clone(entry),
-            neighbors: neighbors.to_vec(),
             dict_len: vocab.len(),
         });
         let idle = board.idle > 0;
@@ -613,7 +596,8 @@ fn prepare<A: Assess>(
             let mut known = KnownTerms::new(replica, job.dict_len);
             match prepare_content(registry, response, &mut known) {
                 Content::Analyzed(doc) if known.all_known() => {
-                    let assessment = assess.assess(&doc, &job.entry.anchor_terms, &job.neighbors);
+                    let assessment =
+                        assess.assess(&doc, &job.entry.anchor_terms, &job.entry.neighbor_terms);
                     // The commit reads no body it does not convert: free
                     // it on the thread that allocated it.
                     response.payload = String::new();
@@ -626,85 +610,4 @@ fn prepare<A: Assess>(
         _ => None,
     };
     Prepared { fetch, content }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pipeline::DocOutcome;
-    use crate::Judgment;
-    use bingo_textproc::analyze_html;
-    use bingo_webworld::gen::WorldConfig;
-
-    struct Nothing;
-
-    impl Assess for Nothing {
-        type Assessment = ();
-        fn assess(&self, _: &AnalyzedDocument, _: &[TermId], _: &[TermId]) {}
-    }
-
-    /// A predecessor analyzed again between a request and its pop — the
-    /// same page reached through another URL comes back `AlreadyStored`
-    /// and its top terms are recorded anew — leaves the preparation
-    /// judged with stale neighbour terms, so the pop turns it down.
-    #[test]
-    fn re_recorded_neighbour_terms_turn_a_preparation_down() {
-        let world = WorldConfig::small_test(7).build();
-        let url = (0..world.page_count() as u64)
-            .map(|id| world.url_of(id))
-            .find(|url| world.fetch_ignores_time(url))
-            .expect("a host without fault windows");
-        let entry = QueueEntry {
-            src_page: 3,
-            ..QueueEntry::seed(&url, Some(0))
-        };
-        let mut vocab = Vocabulary::new();
-        let mut analyzed = |html: &str, stored: bool| {
-            let (page_id, doc) = (3, analyze_html(html, &mut vocab));
-            let judgment = Judgment {
-                topic: Some(0),
-                confidence: 1.0,
-            };
-            match stored {
-                true => DocOutcome::Stored {
-                    page_id,
-                    doc,
-                    judgment,
-                },
-                false => DocOutcome::AlreadyStored {
-                    page_id,
-                    doc,
-                    judgment,
-                },
-            }
-        };
-        let first = analyzed("<p>alpha alpha beta</p>", true);
-        let again = analyzed("<p>gamma gamma delta</p>", false);
-        let mut terms = PageTermCache::default();
-        terms.record(&first);
-
-        let registry = Registry::new();
-        let metrics = LookaheadMetrics::new(&registry);
-        let mut schedule = Schedule::default();
-        std::thread::scope(|scope| {
-            let replicas = schedule.open_epoch(0, &vocab);
-            let mut pool = Pool::spawn(scope, &world, &Nothing, replicas, vocab.len());
-            // Unchanged neighbour terms: the preparation stands.
-            schedule.request(vec![&entry], &terms, &world, &vocab, &mut pool, &metrics);
-            let mut ticket = schedule.ticket(&entry, &terms).expect("requested");
-            assert!(matches!(ticket.verdict, Verdict::Valid { .. }));
-            ticket.fetched = true;
-            schedule.settle(ticket, &metrics, &mut pool);
-            // Re-recorded in between: prepared inline.
-            schedule.request(vec![&entry], &terms, &world, &vocab, &mut pool, &metrics);
-            terms.record(&again);
-            let ticket = schedule.ticket(&entry, &terms).expect("requested");
-            assert!(matches!(ticket.verdict, Verdict::Miss(Miss::Neighbors)));
-            schedule.settle(ticket, &metrics, &mut pool);
-            schedule.close_epoch(pool.finish(), &metrics);
-        });
-        let counters = registry.snapshot().counters;
-        assert_eq!(counters["crawl.lookahead.used"], 1);
-        assert_eq!(counters["crawl.lookahead.miss.neighbors"], 1);
-    }
 }

@@ -23,11 +23,12 @@
 //!   [`prepare_content`], is pure, so the discrete-event executor may run
 //!   it ahead of the rest ([`crate::lookahead`]).
 //! * [`DocPipeline::settle`] — the one mapping from a [`DocOutcome`] to
-//!   [`CrawlStats`]. A scheduler that feeds successors' neighbour
-//!   features first hands the outcome to [`PageTermCache::record`].
+//!   [`CrawlStats`].
 //! * [`plan_links`] / [`admit_link`] — the Section 3.3 focus decision
 //!   and the per-link hygiene filter, pure functions of the
-//!   configuration, the parent's queue entry and the judgment. What
+//!   configuration, the parent's queue entry and the judgment. Each
+//!   child entry carries the parent's [`top_terms`], the neighbour
+//!   features it is judged with (Section 3.4). What
 //!   stays with the scheduler is only what needs its state: the host
 //!   breaker, the duplicate filter, the authority blend and where the
 //!   entry is pushed.
@@ -259,53 +260,6 @@ pub fn top_terms(doc: &AnalyzedDocument) -> Vec<TermId> {
     }
     by_freq.sort_unstable_by(order);
     by_freq.into_iter().map(|(t, _)| t).collect()
-}
-
-/// Each analyzed page's [`top_terms`], feeding the neighbour-document
-/// feature space of its successors (Section 3.4).
-#[derive(Debug, Default)]
-pub struct PageTermCache {
-    map: FxHashMap<u64, Vec<TermId>>,
-}
-
-impl PageTermCache {
-    /// Record the top terms of the page `outcome` analyzed: a stored
-    /// page, or one already stored (the same page re-fetched through
-    /// another alias or redirect chain). Other outcomes record nothing.
-    pub fn record(&mut self, outcome: &DocOutcome) {
-        if let DocOutcome::Stored { page_id, doc, .. }
-        | DocOutcome::AlreadyStored { page_id, doc, .. } = outcome
-        {
-            self.map.insert(*page_id, top_terms(doc));
-        }
-    }
-
-    /// The neighbour terms a successor of `page_id` is judged with
-    /// (empty when the page is unknown or a seed's non-existent
-    /// source).
-    pub fn neighbor_terms(&self, page_id: u64) -> &[TermId] {
-        self.map.get(&page_id).map_or(&[], Vec::as_slice)
-    }
-
-    /// True when `page_id`'s top terms are held: the page was analyzed.
-    pub fn knows(&self, page_id: u64) -> bool {
-        self.map.contains_key(&page_id)
-    }
-
-    /// Entries sorted by page id — the byte-stable checkpoint form.
-    pub fn sorted_entries(&self) -> Vec<(u64, Vec<TermId>)> {
-        let mut entries: Vec<(u64, Vec<TermId>)> =
-            self.map.iter().map(|(k, v)| (*k, v.clone())).collect();
-        entries.sort_unstable_by_key(|e| e.0);
-        entries
-    }
-
-    /// Rebuild from checkpointed entries.
-    pub fn from_entries(entries: Vec<(u64, Vec<TermId>)>) -> Self {
-        PageTermCache {
-            map: entries.into_iter().collect(),
-        }
-    }
 }
 
 /// Build the store row of one analyzed, judged document.
@@ -587,8 +541,9 @@ pub struct LinkPlan {
 }
 
 impl LinkPlan {
-    /// The queue entry of `link`, found on stored page `src_page`.
-    pub fn entry(&self, link: &AnalyzedLink, src_page: u64) -> QueueEntry {
+    /// The queue entry of `link`, found on stored page `src_page` whose
+    /// [`top_terms`] are `terms`.
+    pub fn entry(&self, link: &AnalyzedLink, src_page: u64, terms: &[TermId]) -> QueueEntry {
         QueueEntry {
             url: link.href.clone(),
             priority: self.priority,
@@ -597,6 +552,7 @@ impl LinkPlan {
             src_topic: self.src_topic,
             src_page,
             anchor_terms: link.anchor_terms.clone(),
+            neighbor_terms: terms.to_vec(),
             redirects: 0,
             attempt: 0,
         }
@@ -729,26 +685,22 @@ mod tests {
             }
         };
         // Columns: mime_rejected, duplicates, wasted_bytes, stored_pages,
-        // positively_classified, extracted_links, crawl.stored; then
-        // whether `PageTermCache::record` keeps the page's top terms.
+        // positively_classified, extracted_links, crawl.stored.
         let cases = [
-            (DocOutcome::MimeFiltered, [1, 0, 0, 0, 0, 0, 0], false),
-            (DocOutcome::DuplicateContent, [0, 1, 0, 0, 0, 0, 0], false),
+            (DocOutcome::MimeFiltered, [1, 0, 0, 0, 0, 0, 0]),
+            (DocOutcome::DuplicateContent, [0, 1, 0, 0, 0, 0, 0]),
             (
                 DocOutcome::Malformed { wasted_bytes: 77 },
                 [1, 0, 77, 0, 0, 0, 0],
-                false,
             ),
-            (judged(Some(1), false), [0, 1, 0, 0, 0, 0, 0], true),
-            (judged(Some(1), true), [0, 0, 0, 1, 1, 2, 1], true),
-            (judged(None, true), [0, 0, 0, 1, 0, 2, 1], true),
+            (judged(Some(1), false), [0, 1, 0, 0, 0, 0, 0]),
+            (judged(Some(1), true), [0, 0, 0, 1, 1, 2, 1]),
+            (judged(None, true), [0, 0, 0, 1, 0, 2, 1]),
         ];
-        for (outcome, want, records_terms) in cases {
+        for (outcome, want) in cases {
             let telemetry = CrawlTelemetry::default();
             let pipeline = DocPipeline::new(DocumentStore::new(), 1, &telemetry);
             let mut stats = CrawlStats::default();
-            let mut terms = PageTermCache::default();
-            terms.record(&outcome);
             pipeline.settle(&outcome, &mut stats);
             // The whole struct is compared: no other counter may move.
             let want_stats = CrawlStats {
@@ -767,7 +719,6 @@ mod tests {
             );
             assert_eq!(telemetry.stored.get(), want[6], "{outcome:?}");
             assert_eq!(outcome.skip_reason().is_none(), want[3] == 1);
-            assert_eq!(!terms.neighbor_terms(9).is_empty(), records_terms);
         }
     }
 

@@ -27,7 +27,7 @@ use crate::dns::CachingResolver;
 use crate::frontier::{Frontier, QueueEntry};
 use crate::hosts::{FailureOutcome, HostDecision, HostManager, HostState};
 use crate::lookahead::{Ahead, Miss, Pool, Schedule, Ticket, LOOKAHEAD};
-use crate::pipeline::{admit_link, plan_links, DocOutcome, DocPipeline, FetchedDoc, PageTermCache};
+use crate::pipeline::{admit_link, plan_links, top_terms, DocOutcome, DocPipeline, FetchedDoc};
 use crate::telemetry::CrawlTelemetry;
 use crate::types::{
     CrawlConfig, CrawlStats, Judgment, PageContext, MAX_REDIRECTS, PROCESSING_COST_MS,
@@ -84,9 +84,6 @@ pub struct Crawler {
     /// (politeness: at most `per_host_connections` simultaneous fetches
     /// per host, Section 5.1).
     host_slots: bingo_textproc::fxhash::FxHashMap<String, Vec<u64>>,
-    /// Most significant terms of each stored page, feeding the
-    /// neighbour-document feature space of its successors (Section 3.4).
-    page_top_terms: PageTermCache,
     /// Stale spill files swept from the configured spill directories at
     /// construction.
     stale_spill_reaped: u64,
@@ -188,7 +185,6 @@ impl Crawler {
             frontier,
             threads,
             dedup: Dedup::new(),
-            page_top_terms: PageTermCache::default(),
             world,
             config,
             resolver: CachingResolver::new(),
@@ -277,7 +273,7 @@ impl Crawler {
             visited_hosts,
             threads,
             host_slots,
-            page_top_terms: self.page_top_terms.sorted_entries(),
+            page_top_terms: Vec::new(),
             host_graph: self.authority.as_ref().map(|a| a.checkpoint()),
         }
     }
@@ -302,7 +298,6 @@ impl Crawler {
         );
         self.threads = cp.threads.into_iter().map(Reverse).collect();
         self.host_slots = cp.host_slots.into_iter().collect();
-        self.page_top_terms = PageTermCache::from_entries(cp.page_top_terms);
         if let (Some(auth), Some(snap)) = (&self.authority, cp.host_graph) {
             auth.restore(snap);
         }
@@ -527,7 +522,7 @@ impl Crawler {
             while self.clock < deadline_ms {
                 self.schedule.request(
                     self.frontier.peek(LOOKAHEAD),
-                    &self.page_top_terms,
+                    &self.store,
                     &self.world,
                     vocab,
                     &mut pool,
@@ -595,7 +590,7 @@ impl Crawler {
         let mut cost = PROCESSING_COST_MS;
         let mut ticket = pool
             .is_some()
-            .then(|| self.schedule.ticket(&entry, &self.page_top_terms))
+            .then(|| self.schedule.ticket(&entry))
             .flatten();
         let ahead = ticket.as_mut().zip(pool.as_deref_mut());
         let outcome = self.process(entry, now, &mut cost, judge, vocab, ahead);
@@ -614,6 +609,9 @@ impl Crawler {
         self.telemetry
             .frontier_depth
             .set(self.frontier.len() as i64);
+        self.telemetry
+            .frontier_bytes
+            .set(self.frontier.resident_bytes() as i64);
         self.telemetry
             .pipeline
             .queue_depth
@@ -798,7 +796,7 @@ impl Crawler {
             depth: entry.depth,
             src_topic: entry.src_topic,
             anchor_terms: entry.anchor_terms.clone(),
-            neighbor_terms: self.page_top_terms.neighbor_terms(entry.src_page).to_vec(),
+            neighbor_terms: entry.neighbor_terms.clone(),
             fetched_at: now,
             response,
         };
@@ -832,7 +830,6 @@ impl Crawler {
                 _ => {}
             }
         }
-        self.page_top_terms.record(&outcome);
         match self.pipeline.settle(&outcome, &mut self.stats) {
             Some((page_id, doc, &judgment)) => {
                 self.enqueue_links(&entry, &judgment, doc, page_id);
@@ -927,6 +924,7 @@ impl Crawler {
         let Some(plan) = plan_links(&self.config, entry, judgment) else {
             return;
         };
+        let neighbor_terms = top_terms(doc);
         for link in &doc.links {
             let Some(link_host) = admit_link(&self.config, &link.href, &mut self.stats) else {
                 continue;
@@ -935,7 +933,7 @@ impl Crawler {
             if self.hosts.is_bad(link_host) || !self.dedup.mark_url(&link.href) {
                 continue;
             }
-            let mut child = plan.entry(link, page_id);
+            let mut child = plan.entry(link, page_id, &neighbor_terms);
             // Authority blend (config-gated, default off):
             // α·content_priority + β·host_authority(link host). With
             // α = 1, β = 0 this is the identity on finite priorities.
@@ -953,7 +951,7 @@ impl Crawler {
 mod tests {
     use super::*;
     use crate::types::{CrawlStrategy, PageContext};
-    use bingo_textproc::AnalyzedDocument;
+    use bingo_textproc::{AnalyzedDocument, TermId};
     use bingo_webworld::gen::WorldConfig;
 
     /// Accept everything into topic 0 with constant confidence.
@@ -1184,24 +1182,52 @@ mod tests {
     fn seeds_are_judged_without_neighbour_terms() {
         // Page 0 is a real page: once it is stored, its top terms must
         // not pose as the neighbour terms of entries nobody enqueued.
+        // Every other page is judged with the top terms of exactly the
+        // page that queued it.
         let (mut crawler, mut vocab) = setup(31);
         let world = crawler.world().clone();
-        let mut seed_neighbours = Vec::new();
-        let mut judge = |_: &AnalyzedDocument, ctx: &PageContext| {
-            if ctx.depth == 0 {
-                seed_neighbours.push(ctx.neighbor_terms.len());
-            }
+        let mut judged: Vec<(String, Vec<TermId>)> = Vec::new();
+        let mut tops: fxhash::FxHashMap<u64, Vec<TermId>> = Default::default();
+        let mut judge = |doc: &AnalyzedDocument, ctx: &PageContext| {
+            judged.push((ctx.url.clone(), ctx.neighbor_terms.clone()));
+            tops.entry(ctx.page_id).or_insert_with(|| top_terms(doc));
             Judgment {
                 topic: Some(0),
                 confidence: 1.0,
             }
         };
+        // The page that queued each URL, read off the frontier after
+        // every step (a URL is queued once; retries keep the source).
+        let mut queued_by: fxhash::FxHashMap<String, u64> = Default::default();
+        let mut note_sources = |frontier: &Frontier| {
+            let snap = frontier.snapshot();
+            let queued = snap.incoming.into_iter().chain(snap.outgoing).flatten();
+            for e in queued.chain(snap.parked.into_iter().map(|(_, e)| e)) {
+                queued_by.entry(e.url).or_insert(e.src_page);
+            }
+        };
         for page in [0, 1] {
             crawler.add_seed(&world.url_of(page), Some(0));
+            note_sources(&crawler.frontier);
             let outcome = crawler.step(&mut judge, &mut vocab);
             assert!(matches!(outcome, StepOutcome::Stored { page_id, .. } if page_id == page));
+            note_sources(&crawler.frontier);
         }
-        assert_eq!(seed_neighbours, [0, 0]);
+        while crawler.step(&mut judge, &mut vocab) != StepOutcome::FrontierEmpty {
+            note_sources(&crawler.frontier);
+        }
+        assert!(judged[..2].iter().all(|(_, terms)| terms.is_empty()));
+        let mut from_pages = 0;
+        for (url, terms) in &judged {
+            match queued_by[url] {
+                QueueEntry::NO_SOURCE => assert!(terms.is_empty(), "{url}"),
+                src => {
+                    assert_eq!(terms, &tops[&src], "{url}, queued by page {src}");
+                    from_pages += 1;
+                }
+            }
+        }
+        assert!(from_pages > 50, "crawl too small: {from_pages}");
     }
 
     #[test]
@@ -1406,6 +1432,9 @@ mod tests {
         let mut judge = accept_all();
         crawler.run_until(500, &mut judge, &mut vocab);
         let early = crawler.stats().stored_pages;
+        let gauges = crawler.telemetry().registry.snapshot().gauges;
+        let bytes = crawler.frontier.resident_bytes();
+        assert!(bytes > 0 && gauges["crawl.frontier.resident_bytes"] == bytes as i64);
         crawler.run_until(u64::MAX, &mut judge, &mut vocab);
         let late = crawler.stats().stored_pages;
         assert!(early < late, "crawl must be resumable after a budget stop");

@@ -42,6 +42,9 @@ pub struct CrawlTelemetry {
     pub frontier_park: Counter,
     /// Current frontier depth.
     pub frontier_depth: Gauge,
+    /// Bytes of the frontier's resident entries
+    /// ([`crate::Frontier::resident_bytes`]).
+    pub frontier_bytes: Gauge,
     /// Breakers tripped open.
     pub breaker_opened: Counter,
     /// Breakers recovered to closed.
@@ -132,6 +135,7 @@ impl CrawlTelemetry {
             frontier_pop: registry.counter("crawl.frontier.pop"),
             frontier_park: registry.counter("crawl.frontier.park"),
             frontier_depth: registry.gauge("crawl.frontier.depth"),
+            frontier_bytes: registry.gauge("crawl.frontier.resident_bytes"),
             breaker_opened: registry.counter("crawl.breaker.opened"),
             breaker_closed: registry.counter("crawl.breaker.closed"),
             breaker_probes: registry.counter("crawl.breaker.probes"),

@@ -7,8 +7,10 @@
 //! telemetry (the determinism contract the bench gate enforces at macro
 //! scale).
 
-use bingo_crawler::checkpoint::{CheckpointError, CRAWLER_FILE, STORE_FILE};
-use bingo_crawler::{CrawlConfig, CrawlTelemetry, Crawler, Judgment, PageContext};
+use bingo_crawler::checkpoint::{checkpoint_bytes, CheckpointError, CRAWLER_FILE, STORE_FILE};
+use bingo_crawler::{
+    CrawlCheckpoint, CrawlConfig, CrawlTelemetry, Crawler, Judgment, PageContext, QueueEntry,
+};
 use bingo_obs::{EventLog, Registry};
 use bingo_store::durable::{self, MANIFEST_FILE};
 use bingo_store::DocumentStore;
@@ -161,6 +163,35 @@ fn missing_pieces_are_clean_errors() {
         );
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A committed generation whose crawler checkpoint is well-formed JSON
+/// but names more outgoing queues than incoming ones (the frontier is
+/// sized from the incoming queues) is refused as a bad checkpoint.
+#[test]
+fn a_frontier_with_more_outgoing_than_incoming_queues_is_refused() {
+    let (world, src) = template();
+    let gen = durable::find_newest_complete(src).expect("template has a complete generation");
+    let text = std::fs::read_to_string(gen.dir.join(CRAWLER_FILE)).unwrap();
+    let mut cp: CrawlCheckpoint = serde_json::from_str(&text).unwrap();
+    let seed = QueueEntry::seed(&world.url_of(1), Some(0));
+    cp.frontier.incoming = vec![Vec::new()];
+    cp.frontier.outgoing = vec![Vec::new(), vec![seed]];
+    cp.frontier.parked.clear();
+    let dir = std::env::temp_dir().join("bingo-ckpt-corruption-frontier-shape");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut writer = durable::GenerationWriter::begin(&durable::StdFs, &dir).unwrap();
+    let store = std::fs::read(gen.dir.join(STORE_FILE)).unwrap();
+    writer.write_file(STORE_FILE, &store).unwrap();
+    writer
+        .write_file(CRAWLER_FILE, &checkpoint_bytes(&cp).unwrap())
+        .unwrap();
+    writer.commit().unwrap();
+    assert!(
+        matches!(resume(world, &dir), Err(CheckpointError::Format(_))),
+        "a frontier with an outgoing queue past the incoming ones must be refused"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A segmented session's generation is only as good as the segment

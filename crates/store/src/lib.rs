@@ -474,6 +474,16 @@ impl DocumentStore {
         }
     }
 
+    /// Whether a document with `id` is stored, without materializing
+    /// its row: a map probe in memory and on a dense segmented store; a
+    /// sparse one asks its Bloom filter, then reads one block.
+    pub fn contains(&self, id: PageId) -> bool {
+        match &self.spine {
+            Some(spine) => spine.read().contains(id),
+            None => self.inner.read().documents.contains_key(&id),
+        }
+    }
+
     /// Run `f` on a document row in place, under the read lock, without
     /// cloning it — for readers that need a field or two of many rows
     /// (ranking reads `topic` and `confidence` of every match).
@@ -635,6 +645,7 @@ mod tests {
         s.insert_document(doc(1, "http://a/x", Some(3))).unwrap();
         assert_eq!(s.document_count(), 1);
         assert_eq!(s.document(1).unwrap().url, "http://a/x");
+        assert!(s.contains(1) && !s.contains(2));
         assert_eq!(s.document_by_url("http://a/x").unwrap().id, 1);
         assert!(s.document_by_url("http://a/y").is_none());
         assert_eq!(s.topic_documents(3), vec![1]);

@@ -671,6 +671,12 @@ impl Spine {
         Ok(())
     }
 
+    /// Exact membership; a sealed row that cannot be read counts as
+    /// absent, as it does for [`Spine::document`].
+    pub(crate) fn contains(&self, id: PageId) -> bool {
+        self.ws_index.contains_key(&id) || self.sealed_contains(id).unwrap_or(false)
+    }
+
     /// Exact sealed-row membership. Dense: one resident-map probe.
     /// Sparse: the Bloom filter answers "definitely not" for almost
     /// every fresh id; a probable duplicate is confirmed with a sparse
@@ -1311,6 +1317,7 @@ mod tests {
         assert_eq!(spine.sealed_documents(), 6);
         assert_eq!(spine.document(3).unwrap().title, "doc 3");
         assert_eq!(spine.document(6).unwrap().title, "doc 6");
+        assert!(spine.contains(3) && spine.contains(6) && !spine.contains(7));
         assert_eq!(spine.document_by_url("http://h1/p4").unwrap().id, 4);
         assert!(spine.document_by_url("http://h1/p99").is_none());
         // Workspace rows survive only via another seal; reopen sees sealed.
@@ -1415,6 +1422,7 @@ mod tests {
             assert_eq!(spine.document(i).unwrap().title, format!("doc {i}"));
         }
         assert!(spine.document(99).is_none());
+        assert!((0..9).all(|i| spine.contains(i)) && !spine.contains(99));
         assert_eq!(spine.document_by_url("http://h1/p4").unwrap().id, 4);
         assert!(spine.document_by_url("http://h1/p99").is_none());
         let mut evens = spine.topic_documents(0);

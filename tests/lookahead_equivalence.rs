@@ -3,10 +3,8 @@
 //! checkpoints, engine snapshots, metrics and event logs — including the
 //! `crawl.lookahead.*` counters, which follow the request schedule rather
 //! than the threads. The generated worlds between them make every reason
-//! a preparation can be turned down fire at least once, except
-//! `neighbors` — a predecessor analyzed again between request and pop —
-//! which the `lookahead` module's unit test covers. A paged world, whose
-//! metadata every worker derives on its own, is speculated too.
+//! a preparation can be turned down fire at least once. A paged world,
+//! whose metadata every worker derives on its own, is speculated too.
 
 use bingo::core::persist::save_engine;
 use bingo::core::EngineTelemetry;
