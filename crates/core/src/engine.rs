@@ -2,7 +2,7 @@
 //! retraining, and the learning → harvesting phase transition
 //! (Sections 2.6, 3.1-3.3).
 
-use crate::model::{features_from_term_freqs, ModelConfig, TopicModel};
+use crate::model::{features_from_term_freqs, HitBuffers, ModelConfig, TopicModel};
 use crate::telemetry::EngineTelemetry;
 use crate::topic::{TopicId, TopicTree, TrainingDoc};
 use bingo_crawler::{Assess, Crawler, DocumentJudge, Judgment, PageContext, StepOutcome};
@@ -14,9 +14,10 @@ use bingo_textproc::tfidf::{CorpusStats, TfIdfWeighter};
 use bingo_textproc::vocab::TermId;
 use bingo_textproc::{
     analyze_html_metered, AnalyzedDocument, ContentRegistry, DocWeights, DocumentFeatures,
-    Vocabulary,
+    FeatureParts, PairCounter, Vocabulary,
 };
 use bingo_webworld::{FetchOutcome, World};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Engine-level configuration (defaults follow Section 5.1).
@@ -384,20 +385,7 @@ impl BingoEngine {
     /// (Section 2.4). Returns the deepest accepted topic and the
     /// confidence of the final decision.
     pub fn classify(&self, features: &DocumentFeatures) -> Judgment {
-        let policy = match self.phase {
-            Phase::Learning => self.config.meta_learning,
-            Phase::Harvesting => self.config.meta_harvesting,
-        };
-        let judgment = classify_impl(
-            &self.tree,
-            &self.models,
-            features,
-            &DocWeights::new(features, &self.frozen),
-            policy,
-            self.config.single_classifier,
-        );
-        self.obs.record_judgment(&judgment);
-        judgment
+        self.batch_classifier().classify(features)
     }
 
     /// A read-only, `Sync` classification handle over the trained
@@ -829,16 +817,38 @@ pub struct TopicClassifier<'a> {
 impl TopicClassifier<'_> {
     /// Classify one document; identical to [`BingoEngine::classify`].
     pub fn classify(&self, features: &DocumentFeatures) -> Judgment {
-        let judgment = classify_impl(
-            self.tree,
-            self.models,
-            features,
-            &DocWeights::new(features, self.weighter),
-            self.policy,
-            self.single_classifier,
-        );
+        let judgment = with_scratch(|scratch| {
+            let JudgeScratch {
+                weights,
+                link_keys,
+                hits,
+                ..
+            } = scratch;
+            self.judge(features.parts(), weights, link_keys, hits)
+        });
         self.obs.record_judgment(&judgment);
         judgment
+    }
+
+    /// Weigh `parts` into `weights` and classify them, gathering hits in
+    /// `hits`. No telemetry.
+    fn judge(
+        &self,
+        parts: FeatureParts<'_>,
+        weights: &mut DocWeights,
+        link_keys: &mut Vec<u32>,
+        hits: &mut HitBuffers,
+    ) -> Judgment {
+        weights.weigh(parts, self.weighter, link_keys);
+        classify_impl(
+            self.tree,
+            self.models,
+            parts.term_freqs,
+            weights,
+            self.policy,
+            self.single_classifier,
+            hits,
+        )
     }
 
     /// [`classify`](Self::classify) over a batch, in order. Nothing is
@@ -855,12 +865,22 @@ impl TopicClassifier<'_> {
 /// terms) and classify it.
 impl bingo_crawler::BatchJudge for TopicClassifier<'_> {
     fn judge_batch(&self, docs: &[AnalyzedDocument], ctxs: &[PageContext]) -> Vec<Judgment> {
-        docs.iter()
-            .zip(ctxs)
-            .map(|(doc, ctx)| {
-                self.classify(&page_features(doc, &ctx.anchor_terms, &ctx.neighbor_terms))
-            })
-            .collect()
+        with_scratch(|scratch| {
+            let JudgeScratch {
+                pairs,
+                weights,
+                link_keys,
+                hits,
+            } = scratch;
+            (docs.iter().zip(ctxs))
+                .map(|(doc, ctx)| {
+                    let parts = page_parts(doc, &ctx.anchor_terms, &ctx.neighbor_terms, pairs);
+                    let judgment = self.judge(parts, weights, link_keys, hits);
+                    self.obs.record_judgment(&judgment);
+                    judgment
+                })
+                .collect()
+        })
     }
 }
 
@@ -884,38 +904,68 @@ impl Assess for TopicClassifier<'_> {
     type Assessment = Assessed;
 
     fn assess(&self, doc: &AnalyzedDocument, anchors: &[TermId], neighbors: &[TermId]) -> Assessed {
-        let features = page_features(doc, anchors, neighbors);
-        let weights = DocWeights::new(&features, self.weighter);
-        let judgment = classify_impl(
-            self.tree,
-            self.models,
-            &features,
-            &weights,
-            self.policy,
-            self.single_classifier,
-        );
-        // Weighed with the frozen corpus, counted into the live one: the
-        // weights list every feature of the page once, in feature order.
-        let distinct = weights.entries().iter().map(|&(f, _)| TermId(f)).collect();
-        Assessed {
-            distinct,
-            features: judgment.topic.is_some().then_some(features),
-            judgment,
-        }
+        with_scratch(|scratch| {
+            let JudgeScratch {
+                pairs,
+                weights,
+                link_keys,
+                hits,
+            } = scratch;
+            let parts = page_parts(doc, anchors, neighbors, pairs);
+            let judgment = self.judge(parts, weights, link_keys, hits);
+            // Weighed with the frozen corpus, counted into the live one:
+            // the weights list every feature of the page once, in feature
+            // order.
+            let distinct = weights.entries().iter().map(|&(f, _)| TermId(f)).collect();
+            Assessed {
+                distinct,
+                features: judgment.topic.is_some().then(|| parts.to_features()),
+                judgment,
+            }
+        })
     }
 }
 
-/// A crawled page's features: its own terms and pairs plus the link
-/// context the crawler collected for it.
-fn page_features(
-    doc: &AnalyzedDocument,
-    anchors: &[TermId],
-    neighbors: &[TermId],
-) -> DocumentFeatures {
-    let mut features = DocumentFeatures::from_document(doc);
-    features.add_incoming_anchor(anchors);
-    features.add_neighbor_terms(neighbors);
-    features
+/// A crawled page's features: its own terms, its pairs counted in
+/// `pairs`, and the link context the crawler collected for it —
+/// `DocumentFeatures::from_document` with the context added, borrowed.
+fn page_parts<'a>(
+    doc: &'a AnalyzedDocument,
+    anchors: &'a [TermId],
+    neighbors: &'a [TermId],
+    pairs: &'a mut PairCounter,
+) -> FeatureParts<'a> {
+    FeatureParts {
+        term_freqs: &doc.term_freqs,
+        pair_freqs: pairs.count(&doc.terms),
+        incoming_anchor_terms: anchors,
+        neighbor_terms: neighbors,
+    }
+}
+
+/// What the judge reuses from page to page on one thread, so that
+/// judging a page allocates nothing once the buffers have grown to a
+/// page's size.
+#[derive(Default)]
+struct JudgeScratch {
+    pairs: PairCounter,
+    weights: DocWeights,
+    /// The link-context keys being counted.
+    link_keys: Vec<u32>,
+    hits: HitBuffers,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<JudgeScratch> = RefCell::default();
+}
+
+/// Run `f` with this thread's judge buffers.
+fn with_scratch<R>(f: impl FnOnce(&mut JudgeScratch) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        // Already lent out further up this thread's stack.
+        Err(_) => f(&mut JudgeScratch::default()),
+    })
 }
 
 /// The crawl-time judge's commit half: the corpus statistics, archetype
@@ -979,14 +1029,16 @@ impl DocumentJudge for EngineJudge<'_> {
 /// competing children; descend into the most confident acceptor; a
 /// document nobody accepts lands in OTHERS (rejection). `weights` is the
 /// document weighed once with the frozen corpus all of `models` were
-/// trained with, for every model on the way down.
+/// trained with, for every model on the way down; `term_freqs` are its
+/// body term frequencies, for a Naive Bayes member.
 fn classify_impl(
     tree: &TopicTree,
     models: &FxHashMap<u32, TopicModel>,
-    features: &DocumentFeatures,
+    term_freqs: &[(TermId, u32)],
     weights: &DocWeights,
     policy: MetaPolicy,
     single_classifier: bool,
+    hits: &mut HitBuffers,
 ) -> Judgment {
     let mut current = TopicTree::ROOT;
     let mut assigned: Option<TopicId> = None;
@@ -1002,7 +1054,8 @@ fn classify_impl(
             let Some(model) = models.get(&child.0) else {
                 continue;
             };
-            let (accept, conf) = model.decide_weighed(features, weights, policy, single_classifier);
+            let (accept, conf) =
+                model.decide_with(term_freqs, weights, policy, single_classifier, hits);
             if accept {
                 if best.map(|(_, c)| conf > c).unwrap_or(true) {
                     best = Some((child, conf));

@@ -13,7 +13,7 @@ use bingo_ml::feature_selection::{FeatureSelection, FeatureSelectionConfig};
 use bingo_ml::meta::MetaPolicy;
 use bingo_ml::svm::{LinearSvm, SvmConfig, TrainedSvm};
 use bingo_ml::{FeatureSelector, NaiveBayes, TrainingSet};
-use bingo_textproc::features::namespace_of;
+use bingo_textproc::features::{namespace_of, ns_index, Namespace};
 use bingo_textproc::fxhash::FxHashMap;
 use bingo_textproc::tfidf::TfIdfWeighter;
 use bingo_textproc::vocab::TermId;
@@ -43,34 +43,50 @@ pub struct SpaceModel {
 /// One bit per bucket of a multiplicative hash: answers "selected by
 /// nobody" — the common case for a page's feature — with a multiply and
 /// a mask, so only the selected features and a small share of the others
-/// reach a hash map. 2 KB, however many features were inserted.
+/// reach a hash map. Sized at sixteen bits or more per feature
+/// inserted (2 KB at least), so about one unselected feature in sixteen
+/// passes.
 #[derive(Debug, Clone)]
-struct BitFilter(Vec<u64>);
+struct BitFilter {
+    words: Vec<u64>,
+    /// `32 - log2(bits)`: the hash bits above it pick the bucket.
+    shift: u32,
+}
 
 impl Default for BitFilter {
     fn default() -> Self {
-        BitFilter(vec![0; 1 << (Self::BITS - 6)])
+        BitFilter::for_features(0)
     }
 }
 
 impl BitFilter {
-    const BITS: u32 = 14;
+    const MIN_BITS: u32 = 14;
+
+    /// An empty filter for `features` insertions.
+    fn for_features(features: usize) -> Self {
+        let bits = (features * 16).next_power_of_two().trailing_zeros();
+        let bits = bits.clamp(Self::MIN_BITS, 31);
+        BitFilter {
+            words: vec![0; 1 << (bits - 6)],
+            shift: 32 - bits,
+        }
+    }
 
     /// Filter word and bit of a feature: the top bits of a
     /// multiplicative hash.
-    fn bucket(feature: u32) -> (usize, u64) {
-        let h = feature.wrapping_mul(0x9E37_79B1) >> (32 - Self::BITS);
+    fn bucket(&self, feature: u32) -> (usize, u64) {
+        let h = feature.wrapping_mul(0x9E37_79B1) >> self.shift;
         ((h / 64) as usize, 1 << (h % 64))
     }
 
     fn insert(&mut self, feature: u32) {
-        let (word, bit) = Self::bucket(feature);
-        self.0[word] |= bit;
+        let (word, bit) = self.bucket(feature);
+        self.words[word] |= bit;
     }
 
     fn may_contain(&self, feature: u32) -> bool {
-        let (word, bit) = Self::bucket(feature);
-        self.0[word] & bit != 0
+        let (word, bit) = self.bucket(feature);
+        self.words[word] & bit != 0
     }
 }
 
@@ -83,12 +99,11 @@ struct SelectedTable {
 
 impl SelectedTable {
     fn new(selector: &FeatureSelector, svm: &TrainedSvm) -> Self {
-        let mut filter = BitFilter::default();
-        let map = (0u32..)
-            .zip(selector.ranked())
-            .map(|(compact, &(raw, _))| {
+        let mut filter = BitFilter::for_features(selector.len());
+        let map = selected_features(selector, svm)
+            .map(|(raw, compact, svm_weight)| {
                 filter.insert(raw);
-                (raw, (compact, svm.weights.get(compact)))
+                (raw, (compact, svm_weight))
             })
             .collect();
         SelectedTable { filter, map }
@@ -102,17 +117,83 @@ impl SelectedTable {
     }
 }
 
+/// `(raw feature, compact index, SVM weight)` of every feature a space
+/// selected.
+fn selected_features<'a>(
+    selector: &'a FeatureSelector,
+    svm: &'a TrainedSvm,
+) -> impl Iterator<Item = (u32, u32, f32)> + 'a {
+    (0u32..)
+        .zip(selector.ranked())
+        .map(|(compact, &(raw, _))| (raw, compact, svm.weights.get(compact)))
+}
+
 /// A selected feature found in a document: where it sits in the order
 /// of the projected vector, the SVM weight there, and the document's
 /// unit-normalized weight `x`.
 #[derive(Debug, Clone, Copy)]
 struct Hit {
-    /// The compact index; the fused pass puts the space's position in
-    /// `TopicModel::spaces` above it, so one sort orders every space's
-    /// hits.
-    order: u64,
+    /// The compact index; the fused pass adds the selected counts of the
+    /// spaces before this one in `TopicModel::spaces`, so one order holds
+    /// every space's hits and the keys stay dense.
+    key: u32,
     svm_weight: f32,
     x: f32,
+}
+
+/// Reusable buffers for a document's hits and their order: once grown
+/// to a page's size, scoring allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HitBuffers {
+    /// The document entries that passed a filter.
+    passed: Vec<(u32, f32)>,
+    hits: Vec<Hit>,
+    /// `hits` in key order.
+    ordered: Vec<Hit>,
+    /// One bit per key: which keys hit. All clear between documents.
+    present: Vec<u64>,
+    /// Per key that hit, its position in `hits`.
+    position: Vec<u32>,
+}
+
+impl HitBuffers {
+    /// The hits in key order. Every key is below `bound` and hits at most
+    /// once — a document lists each feature once, and a feature has at
+    /// most one slot per space — so the keys are counted into place: each
+    /// hit sets its key's bit and records where it is, and the bitmap,
+    /// read in order, gathers them.
+    fn in_key_order(&mut self, bound: u32) -> &[Hit] {
+        let HitBuffers {
+            hits,
+            ordered,
+            present,
+            position,
+            ..
+        } = self;
+        let words = bound.div_ceil(64) as usize;
+        if present.len() < words {
+            present.resize(words, 0);
+        }
+        if position.len() < bound as usize {
+            position.resize(bound as usize, 0);
+        }
+        for (i, h) in (0u32..).zip(hits.iter()) {
+            let (word, bit) = (h.key as usize / 64, 1u64 << (h.key % 64));
+            debug_assert!(present[word] & bit == 0, "key {} hit twice", h.key);
+            present[word] |= bit;
+            position[h.key as usize] = i;
+        }
+        ordered.clear();
+        for (w, word) in present[..words].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let key = w * 64 + bits.trailing_zeros() as usize;
+                ordered.push(hits[position[key] as usize]);
+                bits &= bits - 1;
+            }
+        }
+        ordered
+    }
 }
 
 /// The factor `SparseVector::normalized` scales by: a zero norm leaves
@@ -158,14 +239,16 @@ struct FusedTable {
     map: FxHashMap<u32, (u32, u32)>,
     /// The slots of one feature next to each other.
     slots: Vec<Slot>,
+    /// Per space, the end of its [`Hit::key`] range: the selected counts
+    /// of it and the spaces before it.
+    key_ends: Vec<u32>,
 }
 
 /// One space's entry for a selected feature.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    /// [`Hit::order`]: the space's position in `TopicModel::spaces`,
-    /// then the compact index.
-    order: u64,
+    /// [`Hit::key`].
+    key: u32,
     svm_weight: f32,
     /// The space's kind, whose norm the document weight is divided by.
     kind: FeatureSpaceKind,
@@ -174,44 +257,66 @@ struct Slot {
 impl FusedTable {
     fn new(spaces: &[SpaceModel]) -> Self {
         let mut selected: Vec<(u32, Slot)> = Vec::new();
-        for (s, space) in (0u64..).zip(spaces) {
-            for (&raw, &(compact, svm_weight)) in &space.table.map {
+        let mut key_ends = Vec::with_capacity(spaces.len());
+        let mut base = 0u32;
+        for space in spaces {
+            for (raw, compact, svm_weight) in selected_features(&space.selector, &space.svm) {
                 // `score` reads only the runs of the space's kind; a
                 // selector naming a feature outside them never hits.
                 if space.kind.uses(namespace_of(raw)) {
-                    let order = s << 32 | compact as u64;
                     selected.push((
                         raw,
                         Slot {
-                            order,
+                            key: base + compact,
                             svm_weight,
                             kind: space.kind,
                         },
                     ));
                 }
             }
+            base += space.selector.len() as u32;
+            key_ends.push(base);
         }
-        selected.sort_unstable_by_key(|&(raw, slot)| (raw, slot.order));
-        let mut table = FusedTable::default();
+        selected.sort_unstable_by_key(|&(raw, slot)| (raw, slot.key));
+        let features = selected.chunk_by(|a, b| a.0 == b.0).count();
+        let mut filter = BitFilter::for_features(features);
+        let mut slots = Vec::with_capacity(selected.len());
+        let mut map = FxHashMap::default();
         for of_feature in selected.chunk_by(|a, b| a.0 == b.0) {
             let raw = of_feature[0].0;
-            let start = table.slots.len() as u32;
-            table.slots.extend(of_feature.iter().map(|&(_, slot)| slot));
-            table.filter.insert(raw);
-            table.map.insert(raw, (start, table.slots.len() as u32));
+            let start = slots.len() as u32;
+            slots.extend(of_feature.iter().map(|&(_, slot)| slot));
+            filter.insert(raw);
+            map.insert(raw, (start, slots.len() as u32));
         }
-        table
+        FusedTable {
+            filter,
+            map,
+            slots,
+            key_ends,
+        }
     }
 
     /// Walk the document's entries once and return every space's hits,
     /// space after space, each space's in compact-index order.
-    fn hits(&self, doc: &DocWeights) -> Vec<Hit> {
+    fn hits<'b>(&self, doc: &DocWeights, buffers: &'b mut HitBuffers) -> &'b [Hit] {
         let units = FeatureSpaceKind::ALL.map(|kind| unit_factor(doc.norm(kind)));
-        let mut hits: Vec<Hit> = Vec::with_capacity(doc.entries().len().min(self.slots.len()));
-        for &(feature, w) in doc.entries() {
-            if !self.filter.may_contain(feature) {
-                continue;
-            }
+        // The filter passes few features, and which ones no branch
+        // predictor guesses: every entry is written, the count advances
+        // by the filter's answer.
+        let entries = doc.entries();
+        let passed = &mut buffers.passed;
+        if passed.len() < entries.len() {
+            passed.resize(entries.len(), (0, 0.0));
+        }
+        let mut n = 0;
+        for &entry in entries {
+            passed[n] = entry;
+            n += usize::from(self.filter.may_contain(entry.0));
+        }
+        let hits = &mut buffers.hits;
+        hits.clear();
+        for &(feature, w) in &passed[..n] {
             let Some(&(start, end)) = self.map.get(&feature) else {
                 continue;
             };
@@ -220,15 +325,14 @@ impl FusedTable {
                 let x = w * unit;
                 if unit != 0.0 && x != 0.0 {
                     hits.push(Hit {
-                        order: slot.order,
+                        key: slot.key,
                         svm_weight: slot.svm_weight,
                         x,
                     });
                 }
             }
         }
-        hits.sort_unstable_by_key(|h| h.order);
-        hits
+        buffers.in_key_order(self.key_ends.last().copied().unwrap_or(0))
     }
 }
 
@@ -317,17 +421,22 @@ impl SpaceModel {
     /// unit-normalized weights and put in compact-index order;
     /// `confidence_of_hits` does the rest.
     pub fn score(&self, doc: &DocWeights) -> f32 {
+        self.score_with(doc, &mut HitBuffers::default())
+    }
+
+    /// [`score`](Self::score) with the hits gathered in `buffers`.
+    fn score_with(&self, doc: &DocWeights, buffers: &mut HitBuffers) -> f32 {
         let runs = doc.runs(self.kind);
         let unit = unit_factor(doc.norm(self.kind));
-        let features: usize = runs.iter().map(|run| run.len()).sum();
-        let mut hits: Vec<Hit> = Vec::with_capacity(features.min(self.selector.len()));
+        let hits = &mut buffers.hits;
+        hits.clear();
         if unit != 0.0 {
             for &(feature, w) in runs.into_iter().flatten() {
                 if let Some((compact, svm_weight)) = self.table.get(feature) {
                     let x = w * unit;
                     if x != 0.0 {
                         hits.push(Hit {
-                            order: compact as u64,
+                            key: compact,
                             svm_weight,
                             x,
                         });
@@ -335,8 +444,8 @@ impl SpaceModel {
                 }
             }
         }
-        hits.sort_unstable_by_key(|h| h.order);
-        confidence_of_hits(&self.svm, &hits)
+        let bound = self.selector.len() as u32;
+        confidence_of_hits(&self.svm, buffers.in_key_order(bound))
     }
 
     /// Signed hyperplane-distance confidence for a document.
@@ -478,19 +587,19 @@ impl TopicModel {
         let naive_bayes = if config.use_naive_bayes {
             let mut nb_set = TrainingSet::new();
             for f in positives {
-                nb_set.push(nb_vector(f), true);
+                nb_set.push(nb_vector(&f.term_freqs), true);
             }
             for f in negatives {
-                nb_set.push(nb_vector(f), false);
+                nb_set.push(nb_vector(&f.term_freqs), false);
             }
             NaiveBayes::train(&nb_set).map(|nb| {
                 let tp = positives
                     .iter()
-                    .filter(|f| nb.score(&nb_vector(f)) >= 0.0)
+                    .filter(|f| nb.score(&nb_vector(&f.term_freqs)) >= 0.0)
                     .count();
                 let fp = negatives
                     .iter()
-                    .filter(|f| nb.score(&nb_vector(f)) >= 0.0)
+                    .filter(|f| nb.score(&nb_vector(&f.term_freqs)) >= 0.0)
                     .count();
                 let weight = if tp + fp > 0 {
                     (tp as f32 / (tp + fp) as f32).max(0.05)
@@ -513,12 +622,12 @@ impl TopicModel {
         // The training documents' own confidence scores define the
         // archetype threshold ("training documents have a confidence
         // score associated with them, too", Section 2.4).
+        let mut buffers = HitBuffers::default();
         let sum: f32 = documents[..positives.len()]
             .iter()
             .map(|(f, weights, _)| {
-                model
-                    .decide_weighed(f, weights, MetaPolicy::WeightedAverage, false)
-                    .1
+                let policy = MetaPolicy::WeightedAverage;
+                (model.decide_with(&f.term_freqs, weights, policy, false, &mut buffers)).1
             })
             .sum();
         model.mean_training_confidence = sum / positives.len() as f32;
@@ -550,8 +659,24 @@ impl TopicModel {
         policy: MetaPolicy,
         single_classifier: bool,
     ) -> (bool, f32) {
+        let mut buffers = HitBuffers::default();
+        let term_freqs = &features.term_freqs;
+        self.decide_with(term_freqs, weights, policy, single_classifier, &mut buffers)
+    }
+
+    /// [`decide_weighed`](Self::decide_weighed) of a document given by
+    /// its body term frequencies (all a Naive Bayes member reads) and its
+    /// weights, with the hits gathered in `buffers`.
+    pub(crate) fn decide_with(
+        &self,
+        term_freqs: &[(TermId, u32)],
+        weights: &DocWeights,
+        policy: MetaPolicy,
+        single_classifier: bool,
+        buffers: &mut HitBuffers,
+    ) -> (bool, f32) {
         if single_classifier {
-            let conf = self.spaces[self.best_space].score(weights);
+            let conf = self.spaces[self.best_space].score_with(weights, buffers);
             return (conf >= 0.0, conf);
         }
         let h = (self.spaces.len() + usize::from(self.naive_bayes.is_some())) as f32;
@@ -566,15 +691,14 @@ impl TopicModel {
             let w = if weighted { precision.max(0.01) } else { 1.0 };
             vote_sum += w * if conf >= 0.0 { 1.0 } else { -1.0 };
         };
-        let hits = self.fused.hits(weights);
-        let mut rest = &hits[..];
-        for (s, space) in self.spaces.iter().enumerate() {
+        let mut rest = self.fused.hits(weights, buffers);
+        for (space, &end) in self.spaces.iter().zip(&self.fused.key_ends) {
             let own;
-            (own, rest) = rest.split_at(rest.partition_point(|h| h.order >> 32 == s as u64));
+            (own, rest) = rest.split_at(rest.partition_point(|h| h.key < end));
             vote(confidence_of_hits(&space.svm, own), space.xi_precision());
         }
         if let Some((nb, weight)) = &self.naive_bayes {
-            vote(nb.score(&nb_vector(features)), *weight);
+            vote(nb.score(&nb_vector(term_freqs)), *weight);
         }
         let mean_conf = conf_sum / h;
         if vote_sum > t1 {
@@ -615,13 +739,14 @@ impl TopicModel {
     }
 }
 
-/// The raw single-term count vector a Naive Bayes member consumes.
-fn nb_vector(features: &DocumentFeatures) -> SparseVector {
+/// The raw single-term count vector a Naive Bayes member consumes: the
+/// single-term occurrences of a document with these body term
+/// frequencies.
+fn nb_vector(term_freqs: &[(TermId, u32)]) -> SparseVector {
     SparseVector::from_pairs(
-        features
-            .occurrences(FeatureSpaceKind::SingleTerms)
-            .into_iter()
-            .map(|(i, c)| (i, c as f32))
+        term_freqs
+            .iter()
+            .map(|&(t, c)| (ns_index(Namespace::Term, t.0), c as f32))
             .collect(),
     )
 }
@@ -824,7 +949,7 @@ mod tests {
         // meta trades recall for precision).
         let nb_accepts = pos
             .iter()
-            .filter(|f| nb.score(&super::nb_vector(f)) >= 0.0)
+            .filter(|f| nb.score(&super::nb_vector(&f.term_freqs)) >= 0.0)
             .count();
         assert!(
             nb_accepts * 2 >= pos.len(),

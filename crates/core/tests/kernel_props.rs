@@ -4,7 +4,10 @@
 //! link-context terms, tf up to 10⁴, features the corpus never saw, empty
 //! components — in all five feature spaces, with and without the
 //! single-classifier mode and a Naive Bayes member, under all three meta
-//! policies, for a trained model and the same model restored from disk:
+//! policies, for a trained model and the same model restored from disk,
+//! over a tree with three competing siblings at its root; and for
+//! documents drawn from the training documents' features, which hit
+//! more selected features than the kernel orders by comparison:
 //!
 //! * `score` equals `svm.confidence(&space.vector(f))` by `to_bits()`,
 //! * `TopicModel::decide` and `decide_weighed` equal the meta decision
@@ -33,10 +36,10 @@ const POLICIES: [MetaPolicy; 3] = [
 ];
 
 /// Term ids the arbitrary documents draw from: the training vocabulary
-/// (well under 100 stems) plus ids no training document interned.
-const TERM_IDS: u32 = 120;
+/// (well under 120 stems) plus ids no training document interned.
+const TERM_IDS: u32 = 140;
 
-const TOPICS: [(&str, &str); 4] = [
+const TOPICS: [(&str, &str); 5] = [
     (
         "database",
         "database transaction recovery logging concurrency index query storage",
@@ -53,11 +56,15 @@ const TOPICS: [(&str, &str); 4] = [
         "sports",
         "football stadium championship soccer team player coach season",
     ),
+    (
+        "music",
+        "guitar melody orchestra concert rhythm chord symphony piano",
+    ),
 ];
 const OTHERS: &str = "recipe kitchen flour oven butter sugar baking dinner";
 
-/// An engine over a two-level tree (database → {recovery, mining}, and
-/// sports) with all five feature spaces, trained on small virtual
+/// An engine over a two-level tree (database → {recovery, mining}, sports
+/// and music) with all five feature spaces, trained on small virtual
 /// documents; every other training document also carries link context,
 /// so anchor and neighbour features get selected too.
 fn engine(single_classifier: bool, policy: MetaPolicy, naive_bayes: bool) -> BingoEngine {
@@ -77,6 +84,7 @@ fn engine(single_classifier: bool, policy: MetaPolicy, naive_bayes: bool) -> Bin
         engine.add_topic(database, TOPICS[1].0),
         engine.add_topic(database, TOPICS[2].0),
         engine.add_topic(TopicTree::ROOT, TOPICS[3].0),
+        engine.add_topic(TopicTree::ROOT, TOPICS[4].0),
     ];
     for (&id, (_, words)) in ids.iter().zip(TOPICS) {
         let words: Vec<&str> = words.split(' ').collect();
@@ -167,6 +175,63 @@ fn features() -> impl Strategy<Value = DocumentFeatures> {
                 incoming_anchor_terms: anchors.into_iter().map(TermId).collect(),
                 neighbor_terms: neighbors.into_iter().map(TermId).collect(),
             }
+        })
+}
+
+/// The features of the fixture's training documents. Every engine
+/// interns the same texts in the same order, so the ids are the same in
+/// all of them.
+fn training_features() -> &'static [DocumentFeatures] {
+    static FEATURES: OnceLock<Vec<DocumentFeatures>> = OnceLock::new();
+    FEATURES.get_or_init(|| {
+        let tree = &engines()[0].2.tree;
+        (tree.topic_ids().flat_map(|t| &tree.node(t).training))
+            .chain(&tree.others)
+            .map(|d| d.features.clone())
+            .collect()
+    })
+}
+
+/// The union of `docs`' features — terms, pairs and link context — each
+/// feature once, with frequencies drawn from `tfs` in turn.
+fn union_of<'a>(docs: impl Iterator<Item = &'a DocumentFeatures>, tfs: &[u32]) -> DocumentFeatures {
+    let mut seen = HashSet::new();
+    let mut tfs = tfs.iter().copied().cycle();
+    let mut union = DocumentFeatures::default();
+    for doc in docs {
+        for &(t, _) in &doc.term_freqs {
+            if seen.insert(t.0) {
+                union.term_freqs.push((t, tfs.next().unwrap()));
+            }
+        }
+        for &(p, _) in &doc.pair_freqs {
+            if seen.insert(p) {
+                union.pair_freqs.push((p, tfs.next().unwrap()));
+            }
+        }
+        union.add_incoming_anchor(&doc.incoming_anchor_terms);
+        union.add_neighbor_terms(&doc.neighbor_terms);
+    }
+    union
+}
+
+/// A document made of several training documents' features with fresh
+/// frequencies: in every space it hits much of what the space selected.
+/// Half of them list their terms and pairs out of feature order.
+fn topical_features() -> impl Strategy<Value = DocumentFeatures> {
+    (
+        proptest::collection::vec(0usize..1_000, 2..9),
+        proptest::collection::vec(tf(), 1..64),
+        any::<bool>(),
+    )
+        .prop_map(|(picks, tfs, reversed)| {
+            let pool = training_features();
+            let mut f = union_of(picks.iter().map(|i| &pool[i % pool.len()]), &tfs);
+            if reversed {
+                f.term_freqs.reverse();
+                f.pair_freqs.reverse();
+            }
+            f
         })
 }
 
@@ -354,6 +419,17 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn topical_kernel_is_the_vector_path_bit_for_bit(
+        docs in proptest::collection::vec(topical_features(), 1..4),
+    ) {
+        check_kernel(&docs)?;
+    }
+}
+
 /// Documents some space sees nothing of: its norm is zero while the
 /// other spaces' are not, and for the empty document every norm is.
 #[test]
@@ -423,5 +499,32 @@ fn fixture_exercises_acceptance_descent_and_link_context() {
         assert!(selects(FeatureSpaceKind::AnchorTexts, 2));
         assert!(selects(FeatureSpaceKind::NeighborTerms, 3));
         assert!(selects(FeatureSpaceKind::Combined, 3));
+    }
+}
+
+/// The topical documents are worth their property only if they can hit
+/// selected features by the dozen, as a crawled page does (≈165 per
+/// topic): a topic's fused pass orders the hits of all its spaces
+/// together, and the single-classifier mode one space's. Every training
+/// document at once does both.
+#[test]
+fn topical_documents_hit_many_selected_features() {
+    let all = union_of(training_features().iter(), &[1, 2, 3]);
+    for (_, _, engine, _) in engines() {
+        let mut widest_space = 0;
+        for topic in engine.tree.topic_ids() {
+            let model = engine.model(topic).unwrap();
+            let weights = DocWeights::new(&all, &model.spaces[0].weighter);
+            let hits: Vec<usize> = (model.spaces.iter())
+                .map(|space| {
+                    (weights.runs(space.kind).into_iter().flatten())
+                        .filter(|&&(feature, _)| space.selector.compact(feature).is_some())
+                        .count()
+                })
+                .collect();
+            assert!(hits.iter().sum::<usize>() > 64, "{topic:?}: {hits:?}");
+            widest_space = widest_space.max(*hits.iter().max().unwrap());
+        }
+        assert!(widest_space > 32);
     }
 }

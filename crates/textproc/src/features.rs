@@ -27,6 +27,7 @@
 //! features, which the MI feature selection tolerates.
 
 use crate::fxhash;
+use crate::radix;
 use crate::tfidf::TfIdfWeighter;
 use crate::vocab::TermId;
 use crate::AnalyzedDocument;
@@ -153,6 +154,16 @@ impl DocumentFeatures {
         self.neighbor_terms.extend_from_slice(terms);
     }
 
+    /// The four components, borrowed.
+    pub fn parts(&self) -> FeatureParts<'_> {
+        FeatureParts {
+            term_freqs: &self.term_freqs,
+            pair_freqs: &self.pair_freqs,
+            incoming_anchor_terms: &self.incoming_anchor_terms,
+            neighbor_terms: &self.neighbor_terms,
+        }
+    }
+
     /// All feature `(index, frequency)` occurrences a given space uses,
     /// with namespace tagging applied.
     pub fn occurrences(&self, kind: FeatureSpaceKind) -> Vec<(u32, u32)> {
@@ -182,29 +193,93 @@ impl DocumentFeatures {
     }
 
     fn term_occurrences(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.term_freqs
-            .iter()
-            .map(|&(t, f)| (ns_index(Namespace::Term, t.0), f))
+        term_occurrences(&self.term_freqs)
     }
 }
 
-/// Turn single occurrences of features into the distinct features with
-/// their counts, in feature order: the bare keys are sorted and their
-/// runs counted.
-fn count_features(mut features: Vec<u32>) -> Vec<(u32, u32)> {
-    features.sort_unstable();
-    let mut counts: Vec<(u32, u32)> = Vec::with_capacity(features.len());
-    for feature in features {
-        match counts.last_mut() {
-            Some((last, n)) if *last == feature => *n += 1,
-            _ => counts.push((feature, 1)),
+/// The components of a document's features, borrowed: what
+/// [`DocWeights::weigh`] reads. [`DocumentFeatures::parts`] lends a kept
+/// document's; a page judged and let go lends its analysis, the pair
+/// counts of a [`PairCounter`] and its link context, and only a caller
+/// that keeps the features pays for [`to_features`](Self::to_features).
+#[derive(Debug, Clone, Copy)]
+pub struct FeatureParts<'a> {
+    /// `(term, frequency)` of body stems.
+    pub term_freqs: &'a [(TermId, u32)],
+    /// Frequencies of hashed term-pair features.
+    pub pair_freqs: &'a [(u32, u32)],
+    /// Stems of anchor texts on links pointing to the document.
+    pub incoming_anchor_terms: &'a [TermId],
+    /// Most significant stems of hyperlink neighbours.
+    pub neighbor_terms: &'a [TermId],
+}
+
+impl FeatureParts<'_> {
+    /// The components copied into features of their own.
+    pub fn to_features(self) -> DocumentFeatures {
+        DocumentFeatures {
+            term_freqs: self.term_freqs.to_vec(),
+            pair_freqs: self.pair_freqs.to_vec(),
+            incoming_anchor_terms: self.incoming_anchor_terms.to_vec(),
+            neighbor_terms: self.neighbor_terms.to_vec(),
         }
     }
-    counts
+}
+
+fn term_occurrences(term_freqs: &[(TermId, u32)]) -> impl Iterator<Item = (u32, u32)> + '_ {
+    term_freqs
+        .iter()
+        .map(|&(t, f)| (ns_index(Namespace::Term, t.0), f))
+}
+
+/// The distinct keys of a sorted run with their counts, in order.
+fn runs(sorted: &[u32]) -> impl Iterator<Item = (u32, u32)> + '_ {
+    sorted
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len() as u32))
 }
 
 fn count_terms(terms: &[TermId], ns: Namespace) -> Vec<(u32, u32)> {
-    count_features(terms.iter().map(|t| ns_index(ns, t.0)).collect())
+    let mut keys: Vec<u32> = terms.iter().map(|t| ns_index(ns, t.0)).collect();
+    keys.sort_unstable();
+    runs(&keys).collect()
+}
+
+/// Sliding-window unordered pair extraction, in feature order.
+fn extract_pairs(terms: &[TermId]) -> Vec<(u32, u32)> {
+    let mut counter = PairCounter::default();
+    counter.count(terms);
+    counter.pairs
+}
+
+/// Reusable buffers for a page's term-pair counts: after the first few
+/// pages [`count`](Self::count) allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct PairCounter {
+    keys: Vec<u32>,
+    swap: Vec<u32>,
+    pairs: Vec<(u32, u32)>,
+}
+
+impl PairCounter {
+    /// The sliding-window unordered pairs of `terms` with their counts,
+    /// in feature order — [`DocumentFeatures::from_document`]'s
+    /// `pair_freqs` for a document with these body terms.
+    pub fn count(&mut self, terms: &[TermId]) -> &[(u32, u32)] {
+        let PairCounter { keys, swap, pairs } = self;
+        keys.clear();
+        for (i, &a) in terms.iter().enumerate() {
+            for &b in terms.iter().skip(i + 1).take(PAIR_WINDOW - 1) {
+                if a != b {
+                    keys.push(pair_feature(a, b));
+                }
+            }
+        }
+        radix::sort(keys, swap);
+        pairs.clear();
+        pairs.extend(runs(keys));
+        pairs
+    }
 }
 
 /// A document weighed once against a frozen corpus, for every feature
@@ -224,7 +299,11 @@ fn count_terms(terms: &[TermId], ns: Namespace) -> Vec<(u32, u32)> {
 ///
 /// Like `weigh` it merges equal features (three or more may round
 /// differently when merged; no producer emits a feature twice).
-#[derive(Debug, Clone)]
+///
+/// One value can weigh page after page ([`weigh`](Self::weigh)): its
+/// entries are reused, so once they have grown to a page's size weighing
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct DocWeights {
     entries: Vec<(u32, f32)>,
     /// Where the term, pair and anchor runs end in `entries`.
@@ -236,19 +315,42 @@ pub struct DocWeights {
 impl DocWeights {
     /// Weigh `features` with the frozen statistics of `weighter`.
     pub fn new(features: &DocumentFeatures, weighter: &TfIdfWeighter) -> Self {
-        let anchors = count_terms(&features.incoming_anchor_terms, Namespace::Anchor);
-        let neighbors = count_terms(&features.neighbor_terms, Namespace::Neighbor);
-        let mut entries: Vec<(u32, f32)> = Vec::with_capacity(
-            features.term_freqs.len() + features.pair_freqs.len() + anchors.len() + neighbors.len(),
+        let mut weights = DocWeights::default();
+        weights.weigh(features.parts(), weighter, &mut Vec::new());
+        weights
+    }
+
+    /// Weigh another document in place: afterwards `self` is
+    /// `DocWeights::new` of `parts`' features. `link_keys` is scratch for
+    /// counting the link context; its contents are discarded.
+    pub fn weigh(
+        &mut self,
+        parts: FeatureParts<'_>,
+        weighter: &TfIdfWeighter,
+        link_keys: &mut Vec<u32>,
+    ) {
+        let DocWeights {
+            entries,
+            ends,
+            norms,
+        } = self;
+        // Anchor keys sort before neighbour keys by their namespace bits:
+        // one sort counts both. A crawled page's link context is a few
+        // keys (one anchor's terms and a page's top neighbour terms), too
+        // few for `radix::sort`'s histograms to pay.
+        link_keys.clear();
+        link_keys.extend(
+            (parts.incoming_anchor_terms.iter())
+                .map(|t| ns_index(Namespace::Anchor, t.0))
+                .chain((parts.neighbor_terms.iter()).map(|t| ns_index(Namespace::Neighbor, t.0))),
         );
-        entries.extend(
-            features
-                .term_occurrences()
-                .chain(features.pair_freqs.iter().copied())
-                .chain(anchors)
-                .chain(neighbors)
-                .map(|(i, f)| (i, weighter.weight(TermId(i), f))),
-        );
+        link_keys.sort_unstable();
+        let weigh = |(i, f): (u32, u32)| (i, weighter.weight(TermId(i), f));
+        // One loop per run: a chain of them costs a branch per item.
+        entries.clear();
+        entries.extend(term_occurrences(parts.term_freqs).map(weigh));
+        entries.extend(parts.pair_freqs.iter().copied().map(weigh));
+        entries.extend(runs(link_keys).map(weigh));
         // Every producer in this workspace lists terms and pairs in
         // feature order; anything else is put in order here.
         if !entries.is_sorted_by_key(|e| e.0) {
@@ -260,13 +362,14 @@ impl DocWeights {
                 true
             }
         });
-        let ends @ [t, p, a] = [Namespace::Pair, Namespace::Anchor, Namespace::Neighbor]
+        *ends = [Namespace::Pair, Namespace::Anchor, Namespace::Neighbor]
             .map(|ns| entries.partition_point(|e| e.0 < ns_index(ns, 0)));
+        let [t, p, a] = *ends;
 
         let sum_sq = |from: f32, run: &[(u32, f32)]| run.iter().fold(from, |s, &(_, w)| s + w * w);
         let terms = sum_sq(0.0, &entries[..t]);
         let term_pairs = sum_sq(terms, &entries[t..p]);
-        let norms = [
+        *norms = [
             terms,
             term_pairs,
             sum_sq(terms, &entries[p..a]),
@@ -274,11 +377,6 @@ impl DocWeights {
             sum_sq(term_pairs, &entries[p..]),
         ]
         .map(f32::sqrt);
-        DocWeights {
-            entries,
-            ends,
-            norms,
-        }
     }
 
     /// The norm [`TfIdfWeighter::weigh`] divides the vector of `kind` by.
@@ -312,19 +410,6 @@ impl DocWeights {
             run(Namespace::Neighbor, a..self.entries.len()),
         ]
     }
-}
-
-/// Sliding-window unordered pair extraction, in feature order.
-fn extract_pairs(terms: &[TermId]) -> Vec<(u32, u32)> {
-    let mut pairs = Vec::with_capacity(terms.len() * (PAIR_WINDOW - 1));
-    for (i, &a) in terms.iter().enumerate() {
-        for &b in terms.iter().skip(i + 1).take(PAIR_WINDOW - 1) {
-            if a != b {
-                pairs.push(pair_feature(a, b));
-            }
-        }
-    }
-    count_features(pairs)
 }
 
 #[cfg(test)]

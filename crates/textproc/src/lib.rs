@@ -15,13 +15,15 @@
 //! * `tf*idf` weighting over a document corpus ([`tfidf`]),
 //! * feature-space construction: single terms, sliding-window term pairs,
 //!   anchor texts of predecessors, and neighbour-document terms, plus
-//!   combined spaces ([`features`]).
+//!   combined spaces ([`features`]), whose per-page keys are put in order
+//!   by a radix sort ([`radix`]).
 
 pub mod content;
 pub mod features;
 pub mod fxhash;
 pub mod html;
 pub mod metrics;
+pub mod radix;
 pub mod stem;
 pub mod stopwords;
 pub mod tfidf;
@@ -30,7 +32,7 @@ pub mod vector;
 pub mod vocab;
 
 pub use content::{ContentHandler, ContentRegistry, MimeType};
-pub use features::{DocWeights, DocumentFeatures, FeatureSpaceKind};
+pub use features::{DocWeights, DocumentFeatures, FeatureParts, FeatureSpaceKind, PairCounter};
 pub use html::{HtmlDocument, Hyperlink};
 pub use metrics::{analyze_html_metered, TextprocMetrics};
 pub use stem::porter_stem;

@@ -4,13 +4,17 @@
 //! document the web could serve.
 
 use bingo_textproc::content::{make_pdf, make_word, make_zip, ContentRegistry};
+use bingo_textproc::features::{ns_index, pair_feature, Namespace, PAIR_WINDOW};
 use bingo_textproc::fxhash::FxHashMap;
 use bingo_textproc::html;
 use bingo_textproc::stem::porter_stem;
 use bingo_textproc::tfidf::{CorpusStats, TfIdfWeighter};
 use bingo_textproc::tokenize::Tokenizer;
 use bingo_textproc::vector::SparseVector;
-use bingo_textproc::{analyze_html, MimeType, TermId, Vocabulary};
+use bingo_textproc::{
+    analyze_html, radix, AnalyzedDocument, DocWeights, DocumentFeatures, FeatureSpaceKind,
+    MimeType, PairCounter, TermId, Vocabulary,
+};
 use proptest::prelude::*;
 
 /// What `CorpusStats` was before its compact df table, and still is on
@@ -50,6 +54,35 @@ impl PlainCorpus {
 fn df_feature() -> impl Strategy<Value = u32> {
     let local = prop_oneof![0u32..24, (1u32 << 16) - 3..(1 << 16) + 3, 0u32..1 << 30];
     (0u32..4, local).prop_map(|(namespace, local)| namespace << 30 | local)
+}
+
+/// Distinct keys of `keys` with their counts, in key order: sorted by
+/// comparison and counted run by run.
+fn counted_by_comparison(mut keys: Vec<u32>) -> Vec<(u32, u32)> {
+    keys.sort_unstable();
+    let mut runs: Vec<(u32, u32)> = Vec::new();
+    for key in keys {
+        match runs.last_mut() {
+            Some((last, n)) if *last == key => *n += 1,
+            _ => runs.push((key, 1)),
+        }
+    }
+    runs
+}
+
+/// A page body: short (a few pair keys, or a few dozen), or page-sized;
+/// over two term ids (one pair key, repeated), a handful, or many. One
+/// id only gives no pairs.
+fn body_terms() -> impl Strategy<Value = Vec<TermId>> {
+    let ids = |n: u32| {
+        prop_oneof![
+            proptest::collection::vec(0..n, 0..16),
+            proptest::collection::vec(0..n, 15..22),
+            proptest::collection::vec(0..n, 0..400),
+        ]
+    };
+    prop_oneof![ids(1), ids(2), ids(6), ids(5_000)]
+        .prop_map(|ids| ids.into_iter().map(TermId).collect())
 }
 
 proptest! {
@@ -202,6 +235,69 @@ proptest! {
         if let Some((weighter, plain_then)) = &frozen {
             agree(weighter.stats(), weighter, plain_then)?;
         }
+    }
+
+    // ---- Feature counting ------------------------------------------
+
+    #[test]
+    fn pair_runs_are_the_sorted_and_counted_window_pairs(terms in body_terms()) {
+        let mut keys = Vec::new();
+        for (i, &a) in terms.iter().enumerate() {
+            for &b in &terms[i + 1..terms.len().min(i + PAIR_WINDOW)] {
+                if a != b {
+                    keys.push(pair_feature(a, b));
+                }
+            }
+        }
+        let want = counted_by_comparison(keys);
+        let mut term_freqs = counted_by_comparison(terms.iter().map(|t| t.0).collect());
+        let doc = AnalyzedDocument {
+            title: String::new(),
+            term_freqs: term_freqs.drain(..).map(|(t, n)| (TermId(t), n)).collect(),
+            terms,
+            links: Vec::new(),
+        };
+        prop_assert_eq!(&DocumentFeatures::from_document(&doc).pair_freqs, &want);
+        // A counter that already counted another page counts this one
+        // alike.
+        let mut counter = PairCounter::default();
+        counter.count(&doc.terms[doc.terms.len() / 2..]);
+        prop_assert_eq!(counter.count(&doc.terms), &want[..]);
+    }
+
+    #[test]
+    fn link_context_runs_are_sorted_and_counted(
+        anchors in proptest::collection::vec(0u32..40, 0..150),
+        neighbors in proptest::collection::vec(prop_oneof![0u32..40, 0u32..1 << 30], 0..150),
+    ) {
+        let keys = |terms: &[u32], ns| terms.iter().map(|&t| ns_index(ns, t)).collect();
+        let mut want = counted_by_comparison(keys(&anchors, Namespace::Anchor));
+        want.extend(counted_by_comparison(keys(&neighbors, Namespace::Neighbor)));
+        let f = DocumentFeatures {
+            incoming_anchor_terms: anchors.into_iter().map(TermId).collect(),
+            neighbor_terms: neighbors.into_iter().map(TermId).collect(),
+            ..DocumentFeatures::default()
+        };
+        prop_assert_eq!(f.occurrences(FeatureSpaceKind::Combined), want.clone());
+        let weights = DocWeights::new(&f, &TfIdfWeighter::default());
+        let weighed: Vec<u32> = weights.entries().iter().map(|&(i, _)| i).collect();
+        let want: Vec<u32> = want.iter().map(|&(i, _)| i).collect();
+        prop_assert_eq!(weighed, want);
+    }
+
+    #[test]
+    fn radix_sort_orders_keys_of_every_namespace(
+        keys in prop_oneof![
+            proptest::collection::vec(df_feature(), 0..64),
+            proptest::collection::vec(df_feature(), 0..2_000),
+            (df_feature(), 0usize..200).prop_map(|(key, n)| vec![key; n]),
+        ],
+    ) {
+        let mut want = keys.clone();
+        want.sort_unstable();
+        let (mut got, mut swap) = (keys, vec![7; 3]);
+        radix::sort(&mut got, &mut swap);
+        prop_assert_eq!(got, want);
     }
 
     #[test]
