@@ -708,7 +708,7 @@ pub fn run_scale_scenario(mode: GateMode) -> ScenarioRun {
             incoming_cap: 1_500_000,
             frontier_hot_cap: 512,
             checkpoint_every: 200_000,
-            rss_budget_mb: 1_024.0,
+            rss_budget_mb: 512.0,
             tag: "full".into(),
         },
         GateMode::Smoke => ScaleParams {

@@ -312,8 +312,8 @@ impl Crawler {
     /// commit, generations beyond
     /// [`durable::DEFAULT_KEEP_GENERATIONS`] are pruned.
     ///
-    /// An in-memory store is written in full; a segmented store is
-    /// written as references to its sealed segments plus the unsealed
+    /// A store with no directory is written in full; a segmented store
+    /// is written as references to its sealed segments plus the unsealed
     /// workspace rows ([`bingo_store::persist::write_checkpoint`]), so
     /// a generation costs O(workspace) and the segment files are the
     /// same bytes whether or not the crawl checkpoints.

@@ -17,6 +17,12 @@
 //! * The store doubles as the idf corpus and the base for the local
 //!   search engine's postprocessing.
 //!
+//! Every store has one backend, [`segment`]'s workspace in front of
+//! sealed on-disk segments. A store opened on a directory
+//! ([`DocumentStore::segmented`]) seals its workspace as it grows; a
+//! store with no directory ([`DocumentStore::new`]) keeps every row in
+//! the workspace and never seals.
+//!
 //! Persistence is snapshot-based ([`persist`]): the crawl result database
 //! can be saved and reloaded between the crawl and postprocessing
 //! sessions.
@@ -38,7 +44,6 @@ pub use spill::{reap_stale_spill_files, SPILL_FILE_PREFIXES};
 pub use tables::{DocumentRow, LinkRow};
 
 use bingo_graph::{HostId, LinkSource, PageId};
-use bingo_textproc::fxhash::FxHashMap;
 use parking_lot::RwLock;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -65,64 +70,6 @@ impl std::fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
-
-/// The in-memory relational state: flat tables plus derived indexes.
-#[derive(Debug, Default)]
-pub(crate) struct Inner {
-    pub(crate) documents: FxHashMap<PageId, DocumentRow>,
-    pub(crate) links: Vec<LinkRow>,
-    // Derived indexes.
-    pub(crate) by_url: FxHashMap<String, PageId>,
-    pub(crate) by_topic: FxHashMap<u32, Vec<PageId>>,
-    pub(crate) out_links: FxHashMap<PageId, Vec<PageId>>,
-    pub(crate) in_links: FxHashMap<PageId, Vec<PageId>>,
-}
-
-impl Inner {
-    fn insert_document(&mut self, row: DocumentRow) -> Result<(), StoreError> {
-        if self.documents.contains_key(&row.id) {
-            return Err(StoreError::DuplicateKey(row.id));
-        }
-        self.by_url.insert(row.url.clone(), row.id);
-        if let Some(topic) = row.topic {
-            self.by_topic.entry(topic).or_default().push(row.id);
-        }
-        self.documents.insert(row.id, row);
-        Ok(())
-    }
-
-    fn insert_link(&mut self, link: LinkRow) {
-        let out = self.out_links.entry(link.from).or_default();
-        if !out.contains(&link.to) {
-            out.push(link.to);
-            self.in_links.entry(link.to).or_default().push(link.from);
-        }
-        self.links.push(link);
-    }
-
-    fn set_topic(
-        &mut self,
-        id: PageId,
-        topic: Option<u32>,
-        confidence: f32,
-    ) -> Result<(), StoreError> {
-        let row = self
-            .documents
-            .get_mut(&id)
-            .ok_or(StoreError::MissingDocument(id))?;
-        if let Some(old) = row.topic {
-            if let Some(list) = self.by_topic.get_mut(&old) {
-                list.retain(|&d| d != id);
-            }
-        }
-        row.topic = topic;
-        row.confidence = confidence;
-        if let Some(t) = topic {
-            self.by_topic.entry(t).or_default().push(id);
-        }
-        Ok(())
-    }
-}
 
 /// A consumer of accepted document inserts, invoked *after* the store's
 /// write lock is released — e.g. a live inverted index ingesting rows as
@@ -175,13 +122,9 @@ impl IndexTee for TeePair {
 /// assert_eq!(store.topic_documents(2), vec![1]);
 /// assert_eq!(store.document_by_url("http://h/a").unwrap().id, 1);
 /// ```
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct DocumentStore {
-    inner: Arc<RwLock<Inner>>,
-    /// Disk-backed segmented state; `None` for the classic all-in-memory
-    /// store. When set, `inner` is unused — every method dispatches to
-    /// the spine. See [`DocumentStore::segmented`].
-    pub(crate) spine: Option<Arc<RwLock<segment::Spine>>>,
+    pub(crate) spine: Arc<RwLock<segment::Spine>>,
     /// Post-insert observer (shared across clones). `None` on the
     /// common batch path; see [`DocumentStore::with_tee`].
     tee: Option<Arc<dyn IndexTee>>,
@@ -190,24 +133,29 @@ pub struct DocumentStore {
 impl std::fmt::Debug for DocumentStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DocumentStore")
-            .field("inner", &self.inner)
             .field("spine", &self.spine)
             .field("tee", &self.tee.as_ref().map(|_| "IndexTee"))
             .finish()
     }
 }
 
+impl Default for DocumentStore {
+    fn default() -> Self {
+        Self::from_spine(segment::Spine::empty(None, Default::default()))
+    }
+}
+
 impl DocumentStore {
-    /// Empty store.
+    /// Empty store with no directory: every row stays in memory.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Open (or create) a disk-backed segmented store in `dir` with the
-    /// default seal threshold ([`segment::DEFAULT_SEAL_EVERY`]). The
-    /// same API as the in-memory store, but document/link rows live in
-    /// append-only on-disk segments behind a bounded in-memory write
-    /// workspace — see [`segment`] for the layout and crash story.
+    /// Open (or create) a segmented store in `dir` with the default seal
+    /// threshold ([`segment::DEFAULT_SEAL_EVERY`]). The same API as
+    /// [`DocumentStore::new`], but document/link rows move into
+    /// append-only on-disk segments as the in-memory write workspace
+    /// fills — see [`segment`] for the layout and crash story.
     pub fn segmented<P: AsRef<Path>>(dir: P) -> Result<Self, StoreError> {
         Self::segmented_with(dir, segment::DEFAULT_SEAL_EVERY)
     }
@@ -240,57 +188,55 @@ impl DocumentStore {
 
     pub(crate) fn from_spine(spine: segment::Spine) -> Self {
         DocumentStore {
-            inner: Arc::default(),
-            spine: Some(Arc::new(RwLock::new(spine))),
+            spine: Arc::new(RwLock::new(spine)),
             tee: None,
         }
     }
 
-    /// True when this store is disk-backed ([`DocumentStore::segmented`]).
+    /// True when this store has a directory to seal into
+    /// ([`DocumentStore::segmented`]).
     pub fn is_segmented(&self) -> bool {
-        self.spine.is_some()
+        self.spine.read().dir().is_some()
     }
 
-    /// Directory of the segmented store (`None` for in-memory).
+    /// Directory of the segmented store (`None` for a store with no
+    /// directory).
     pub fn segment_dir(&self) -> Option<PathBuf> {
-        self.spine.as_ref().map(|s| s.read().dir().to_path_buf())
+        self.spine.read().dir().map(Path::to_path_buf)
     }
 
-    /// Number of sealed on-disk segments (0 for in-memory stores).
+    /// Number of sealed on-disk segments (0 for a store with no
+    /// directory).
     pub fn segment_count(&self) -> usize {
-        self.spine.as_ref().map_or(0, |s| s.read().segment_count())
+        self.spine.read().segment_count()
     }
 
-    /// Documents living in sealed on-disk segments (0 for in-memory
-    /// stores).
+    /// Documents living in sealed on-disk segments (0 for a store with
+    /// no directory).
     pub fn sealed_documents(&self) -> usize {
-        self.spine
-            .as_ref()
-            .map_or(0, |s| s.read().sealed_documents())
+        self.spine.read().sealed_documents()
     }
 
-    /// Documents currently buffered in the in-memory write workspace of
-    /// a segmented store (0 for in-memory stores, where every row is
-    /// "workspace").
+    /// Documents in the in-memory write workspace, not yet sealed (every
+    /// document of a store with no directory).
     pub fn workspace_documents(&self) -> usize {
-        self.spine
-            .as_ref()
-            .map_or(0, |s| s.read().workspace_documents())
+        self.spine.read().workspace_documents()
     }
 
     /// Seal the workspace into a new on-disk segment if it has grown
-    /// past the seal threshold; no-op on in-memory stores. Called by
-    /// [`BulkLoader::flush`] after every batch. Returns whether a
+    /// past the seal threshold; a store with no directory never does.
+    /// Called by [`BulkLoader::flush`] after every batch, so it takes
+    /// the write lock only when a seal is due. Returns whether a
     /// segment was sealed.
     pub fn commit_sealed(&self) -> Result<bool, StoreError> {
-        match &self.spine {
-            Some(spine) => spine.write().maybe_seal(&StdFs),
-            None => Ok(false),
+        if !self.spine.read().seal_due() {
+            return Ok(false);
         }
+        self.spine.write().maybe_seal(&StdFs)
     }
 
     /// Force-seal the workspace regardless of size (e.g. at crawl end);
-    /// no-op on in-memory stores.
+    /// no-op on a store with no directory.
     pub fn seal_now(&self) -> Result<bool, StoreError> {
         self.seal_now_with(&StdFs)
     }
@@ -298,29 +244,22 @@ impl DocumentStore {
     /// [`DocumentStore::seal_now`] through an explicit [`DurableFs`],
     /// so crash tests can kill the seal at an exact byte offset.
     pub fn seal_now_with(&self, fs: &dyn DurableFs) -> Result<bool, StoreError> {
-        match &self.spine {
-            Some(spine) => spine.write().seal(fs),
-            None => Ok(false),
-        }
+        self.spine.write().seal(fs)
     }
 
     /// Run one compaction pass now (merge the first eligible run of
-    /// small sealed segments) regardless of the seal cycle; no-op on
-    /// in-memory stores or when no compaction policy is configured.
-    /// Returns whether a run was compacted. The explicit [`DurableFs`]
-    /// lets crash tests kill the rewrite at an exact byte offset.
+    /// small sealed segments) regardless of the seal cycle; no-op when
+    /// no compaction policy is configured. Returns whether a run was
+    /// compacted. The explicit [`DurableFs`] lets crash tests kill the
+    /// rewrite at an exact byte offset.
     pub fn compact_now_with(&self, fs: &dyn DurableFs) -> Result<bool, StoreError> {
-        match &self.spine {
-            Some(spine) => spine.write().maybe_compact(fs),
-            None => Ok(false),
-        }
+        self.spine.write().maybe_compact(fs)
     }
 
-    /// Cumulative compaction counters (zeros for in-memory stores).
+    /// Cumulative compaction counters (zeros when no compaction policy
+    /// is configured).
     pub fn compaction_stats(&self) -> segment::CompactionStats {
-        self.spine
-            .as_ref()
-            .map_or_else(Default::default, |s| s.read().compaction_stats())
+        self.spine.read().compaction_stats()
     }
 
     /// Handle over the same shared state that forwards every accepted
@@ -330,8 +269,7 @@ impl DocumentStore {
     /// handing the store to crawler threads.
     pub fn with_tee(&self, tee: Arc<dyn IndexTee>) -> Self {
         DocumentStore {
-            inner: Arc::clone(&self.inner),
-            spine: self.spine.clone(),
+            spine: Arc::clone(&self.spine),
             tee: Some(tee),
         }
     }
@@ -349,80 +287,48 @@ impl DocumentStore {
 
     /// Insert one document row. Fails on duplicate ids.
     pub fn insert_document(&self, row: DocumentRow) -> Result<(), StoreError> {
-        match &self.tee {
-            None => match &self.spine {
-                Some(spine) => spine.write().insert_document(row),
-                None => self.inner.write().insert_document(row),
-            },
-            Some(tee) => {
-                let keep = row.clone();
-                match &self.spine {
-                    Some(spine) => spine.write().insert_document(row)?,
-                    None => self.inner.write().insert_document(row)?,
-                }
-                tee.on_insert(std::slice::from_ref(&keep));
-                Ok(())
-            }
-        }
+        let Some(tee) = &self.tee else {
+            return self.spine.write().insert_document(row);
+        };
+        let keep = row.clone();
+        self.spine.write().insert_document(row)?;
+        tee.on_insert(std::slice::from_ref(&keep));
+        Ok(())
     }
 
     /// Insert a batch of documents under one lock acquisition; rows with
     /// duplicate ids are skipped and reported back.
     pub fn insert_documents(&self, rows: Vec<DocumentRow>) -> Vec<StoreError> {
-        match &self.tee {
-            None => match &self.spine {
-                Some(spine) => {
-                    let mut spine = spine.write();
-                    rows.into_iter()
-                        .filter_map(|r| spine.insert_document(r).err())
-                        .collect()
+        let Some(tee) = &self.tee else {
+            let mut spine = self.spine.write();
+            return rows
+                .into_iter()
+                .filter_map(|r| spine.insert_document(r).err())
+                .collect();
+        };
+        let mut errors = Vec::new();
+        let mut accepted = Vec::with_capacity(rows.len());
+        {
+            let mut spine = self.spine.write();
+            for row in rows {
+                let keep = row.clone();
+                match spine.insert_document(row) {
+                    Ok(()) => accepted.push(keep),
+                    Err(e) => errors.push(e),
                 }
-                None => {
-                    let mut inner = self.inner.write();
-                    rows.into_iter()
-                        .filter_map(|r| inner.insert_document(r).err())
-                        .collect()
-                }
-            },
-            Some(tee) => {
-                let mut errors = Vec::new();
-                let mut accepted = Vec::with_capacity(rows.len());
-                {
-                    let mut spine = self.spine.as_ref().map(|s| s.write());
-                    let mut inner = if spine.is_some() {
-                        None
-                    } else {
-                        Some(self.inner.write())
-                    };
-                    for row in rows {
-                        let keep = row.clone();
-                        let result = match (&mut spine, &mut inner) {
-                            (Some(spine), _) => spine.insert_document(row),
-                            (None, Some(inner)) => inner.insert_document(row),
-                            (None, None) => unreachable!(),
-                        };
-                        match result {
-                            Ok(()) => accepted.push(keep),
-                            Err(e) => errors.push(e),
-                        }
-                    }
-                }
-                if !accepted.is_empty() {
-                    tee.on_insert(&accepted);
-                }
-                errors
             }
         }
+        if !accepted.is_empty() {
+            tee.on_insert(&accepted);
+        }
+        errors
     }
 
     /// Record a hyperlink between pages (ids need not be stored yet; the
     /// link table also feeds the HITS predecessor lookup).
     pub fn insert_link(&self, link: LinkRow) {
         let keep = self.tee.as_ref().map(|_| link.clone());
-        match &self.spine {
-            Some(spine) => spine.write().insert_link(link),
-            None => self.inner.write().insert_link(link),
-        }
+        self.spine.write().insert_link(link);
         if let (Some(tee), Some(keep)) = (&self.tee, keep) {
             tee.on_links(std::slice::from_ref(&keep));
         }
@@ -431,18 +337,10 @@ impl DocumentStore {
     /// Record a batch of links under one lock acquisition.
     pub fn insert_links(&self, links: Vec<LinkRow>) {
         let keep = self.tee.as_ref().map(|_| links.clone());
-        match &self.spine {
-            Some(spine) => {
-                let mut spine = spine.write();
-                for l in links {
-                    spine.insert_link(l);
-                }
-            }
-            None => {
-                let mut inner = self.inner.write();
-                for l in links {
-                    inner.insert_link(l);
-                }
+        {
+            let mut spine = self.spine.write();
+            for l in links {
+                spine.insert_link(l);
             }
         }
         if let (Some(tee), Some(keep)) = (&self.tee, keep) {
@@ -460,161 +358,84 @@ impl DocumentStore {
         topic: Option<u32>,
         confidence: f32,
     ) -> Result<(), StoreError> {
-        match &self.spine {
-            Some(spine) => spine.write().set_topic(id, topic, confidence),
-            None => self.inner.write().set_topic(id, topic, confidence),
-        }
+        self.spine.write().set_topic(id, topic, confidence)
     }
 
     /// Fetch a document row by id.
     pub fn document(&self, id: PageId) -> Option<DocumentRow> {
-        match &self.spine {
-            Some(spine) => spine.read().document(id),
-            None => self.inner.read().documents.get(&id).cloned(),
-        }
+        self.spine.read().document(id)
     }
 
     /// Whether a document with `id` is stored, without materializing
-    /// its row: a map probe in memory and on a dense segmented store; a
-    /// sparse one asks its Bloom filter, then reads one block.
+    /// its row: a map probe unless the store is sparse, which asks its
+    /// Bloom filter, then reads one block.
     pub fn contains(&self, id: PageId) -> bool {
-        match &self.spine {
-            Some(spine) => spine.read().contains(id),
-            None => self.inner.read().documents.contains_key(&id),
-        }
+        self.spine.read().contains(id)
     }
 
-    /// Run `f` on a document row in place, under the read lock, without
-    /// cloning it — for readers that need a field or two of many rows
-    /// (ranking reads `topic` and `confidence` of every match).
-    /// Segmented stores materialize the row first.
+    /// Run `f` on a document row under the read lock — in place for a
+    /// workspace row, without cloning it — for readers that need a
+    /// field or two of many rows (ranking reads `topic` and
+    /// `confidence` of every match). A sealed row is read first.
     pub fn with_document<R>(&self, id: PageId, f: impl FnOnce(&DocumentRow) -> R) -> Option<R> {
-        match &self.spine {
-            Some(spine) => spine.read().document(id).as_ref().map(f),
-            None => self.inner.read().documents.get(&id).map(f),
-        }
+        self.spine.read().with_document(id, f)
     }
 
-    /// Fetch a document row by URL.
+    /// Fetch a document row by URL. Exact: the newest row with that URL.
     pub fn document_by_url(&self, url: &str) -> Option<DocumentRow> {
-        match &self.spine {
-            Some(spine) => spine.read().document_by_url(url),
-            None => {
-                let inner = self.inner.read();
-                inner
-                    .by_url
-                    .get(url)
-                    .and_then(|id| inner.documents.get(id))
-                    .cloned()
-            }
-        }
+        self.spine.read().document_by_url(url)
     }
 
     /// Ids of all documents assigned to a topic.
     pub fn topic_documents(&self, topic: u32) -> Vec<PageId> {
-        match &self.spine {
-            Some(spine) => spine.read().topic_documents(topic),
-            None => self
-                .inner
-                .read()
-                .by_topic
-                .get(&topic)
-                .cloned()
-                .unwrap_or_default(),
-        }
+        self.spine.read().topic_documents(topic)
     }
 
-    /// Snapshot of all document rows (postprocessing input). On
-    /// segmented stores this streams every sealed segment — a cold,
-    /// whole-database materialization.
+    /// Snapshot of all document rows (postprocessing input), in the
+    /// order of [`DocumentStore::for_each_document`]. On segmented
+    /// stores this streams every sealed segment — a cold, whole-database
+    /// materialization.
     pub fn all_documents(&self) -> Vec<DocumentRow> {
-        match &self.spine {
-            Some(spine) => spine.read().all_documents(),
-            None => self.inner.read().documents.values().cloned().collect(),
-        }
+        self.spine.read().all_documents()
     }
 
     /// Snapshot of all link rows, in insertion order (the log-style
     /// link relation, duplicates included).
     pub fn all_links(&self) -> Vec<LinkRow> {
-        match &self.spine {
-            Some(spine) => spine.read().all_links(),
-            None => self.inner.read().links.clone(),
-        }
+        self.spine.read().all_links()
     }
 
     /// Number of stored documents.
     pub fn document_count(&self) -> usize {
-        match &self.spine {
-            Some(spine) => spine.read().document_count(),
-            None => self.inner.read().documents.len(),
-        }
+        self.spine.read().document_count()
     }
 
     /// Number of stored link rows (including duplicates of the edge
     /// index, mirroring a log-style link relation).
     pub fn link_count(&self) -> usize {
-        match &self.spine {
-            Some(spine) => spine.read().link_count(),
-            None => self.inner.read().links.len(),
-        }
+        self.spine.read().link_count()
     }
 
-    /// Run `f` over every document row without cloning the table
-    /// (segmented stores stream rows one segment at a time).
-    pub fn for_each_document<F: FnMut(&DocumentRow)>(&self, mut f: F) {
-        match &self.spine {
-            Some(spine) => {
-                let _ = spine.read().for_each_document(f);
-            }
-            None => {
-                let inner = self.inner.read();
-                for row in inner.documents.values() {
-                    f(row);
-                }
-            }
-        }
+    /// Run `f` over every document row without cloning the table:
+    /// sealed rows in seal order (one segment at a time), then the
+    /// workspace rows in insertion order. A store with no directory
+    /// therefore yields its rows in insertion order.
+    pub fn for_each_document<F: FnMut(&DocumentRow)>(&self, f: F) {
+        let _ = self.spine.read().for_each_document(f);
     }
 }
 
 impl LinkSource for DocumentStore {
     fn successors(&self, page: PageId) -> Vec<PageId> {
-        match &self.spine {
-            Some(spine) => spine.read().successors(page),
-            None => self
-                .inner
-                .read()
-                .out_links
-                .get(&page)
-                .cloned()
-                .unwrap_or_default(),
-        }
+        self.spine.read().successors(page)
     }
 
     fn predecessors(&self, page: PageId) -> Vec<PageId> {
-        match &self.spine {
-            Some(spine) => spine.read().predecessors(page),
-            None => self
-                .inner
-                .read()
-                .in_links
-                .get(&page)
-                .cloned()
-                .unwrap_or_default(),
-        }
+        self.spine.read().predecessors(page)
     }
 
     fn host_of(&self, page: PageId) -> HostId {
-        match &self.spine {
-            Some(spine) => spine.read().host_of(page),
-            None => self
-                .inner
-                .read()
-                .documents
-                .get(&page)
-                .map(|d| d.host)
-                .unwrap_or(0),
-        }
+        self.spine.read().host_of(page)
     }
 }
 
@@ -821,6 +642,43 @@ mod tests {
             assert_eq!(t.0.load(std::sync::atomic::Ordering::SeqCst), 1);
             assert_eq!(t.1.load(std::sync::atomic::Ordering::SeqCst), 1);
         }
+    }
+
+    /// Two URLs of the `WorldConfig::portal(32, 5000, 4)` world with one
+    /// fxhash: the URL index must find both, unsealed, sealed and after
+    /// a reopen.
+    #[test]
+    fn urls_sharing_a_hash_are_both_found() {
+        let urls = [
+            "http://sports17.com/p2804.html",
+            "http://sports17.com/p2889.html",
+        ];
+        let hash = bingo_textproc::fxhash::hash_one;
+        assert_eq!(hash(urls[0]), hash(urls[1]));
+        let find_both = |s: &DocumentStore| {
+            for (id, url) in (1..).zip(urls) {
+                assert_eq!(s.document_by_url(url).map(|r| r.id), Some(id), "{url}");
+            }
+        };
+        let fill = |s: &DocumentStore| {
+            for (id, url) in (1..).zip(urls) {
+                s.insert_document(doc(id, url, None)).unwrap();
+            }
+        };
+        let mem = DocumentStore::new();
+        fill(&mem);
+        find_both(&mem);
+
+        let dir = std::env::temp_dir().join(format!("bingo-store-url-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let seg = DocumentStore::segmented_with(&dir, 1).unwrap();
+        fill(&seg);
+        seg.seal_now().unwrap();
+        assert_eq!(seg.sealed_documents(), 2);
+        find_both(&seg);
+        drop(seg);
+        find_both(&DocumentStore::segmented_with(&dir, 1).unwrap());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

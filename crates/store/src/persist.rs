@@ -9,13 +9,15 @@
 //! Two forms share the header's magic and differ in its version:
 //!
 //! * the **full** form ([`write_snapshot`]) holds every row of the
-//!   store, whatever its backend;
+//!   store: documents sorted by id, then links in insertion order;
 //! * the **reference** form is what [`write_checkpoint`] writes for a
-//!   segmented store: sealed rows are already on disk in immutable,
-//!   checksummed segment files, so the header records *which* segments
-//!   (the manifest a seal would commit at that moment, the directory and
-//!   the store configuration) and only the unsealed workspace rows
-//!   follow. Its cost is O(workspace), not O(corpus).
+//!   store with a directory: sealed rows are already on disk in
+//!   immutable, checksummed segment files, so the header records
+//!   *which* segments (the manifest a seal would commit at that moment,
+//!   the directory and the store configuration) and only the unsealed
+//!   workspace rows follow. Its cost is O(workspace), not O(corpus). A
+//!   store with no directory has nothing sealed to reference, and its
+//!   checkpoint is the full form.
 //!
 //! [`read_snapshot`] and [`load`] accept either.
 
@@ -60,52 +62,26 @@ fn write_line<W: Write, T: Serialize>(w: &mut W, value: &T) -> Result<(), StoreE
     w.write_all(b"\n").map_err(pe)
 }
 
-/// Write a full snapshot of the store to `w`.
-///
-/// Byte-identical for an in-memory store and a segmented store holding
-/// the same rows: both emit documents sorted by id and links in
-/// insertion order — so exports and equivalence tests can compare the
-/// two backends literally.
+/// Write a full snapshot of the store to `w`: every document sorted by
+/// id, then every link in insertion order. The bytes depend only on the
+/// rows, not on how many are sealed, so exports and equivalence tests
+/// can compare stores literally. Fails if a sealed segment cannot be
+/// read.
 pub fn write_snapshot<W: Write>(store: &DocumentStore, w: W) -> Result<(), StoreError> {
-    if let Some(spine) = &store.spine {
-        return write_snapshot_segmented(&spine.read(), w);
-    }
-    let mut w = BufWriter::new(w);
-    let inner = store.inner.read();
-    let header = SnapshotHeader {
-        magic: MAGIC.to_string(),
-        version: VERSION,
-        documents: inner.documents.len(),
-        links: inner.links.len(),
-    };
-    write_line(&mut w, &header)?;
-    // Deterministic order: sort by id so snapshots are comparable.
-    let mut ids: Vec<_> = inner.documents.keys().copied().collect();
-    ids.sort_unstable();
-    for id in ids {
-        write_line(&mut w, &inner.documents[&id])?;
-    }
-    for link in &inner.links {
-        write_line(&mut w, link)?;
-    }
-    w.flush().map_err(pe)
-}
-
-/// Segmented branch of [`write_snapshot`]: materialize the merged
-/// (workspace + sealed, overrides applied) tables and emit the same
-/// byte stream the in-memory path would.
-fn write_snapshot_segmented<W: Write>(spine: &Spine, w: W) -> Result<(), StoreError> {
+    let spine = store.spine.read();
+    let mut sealed = Vec::with_capacity(spine.sealed_documents());
+    spine.for_each_sealed_document(|row| sealed.push(row))?;
+    let mut docs: Vec<&DocumentRow> = sealed.iter().chain(spine.workspace().0).collect();
+    docs.sort_unstable_by_key(|row| row.id);
     let mut w = BufWriter::new(w);
     let header = SnapshotHeader {
         magic: MAGIC.to_string(),
         version: VERSION,
-        documents: spine.document_count(),
+        documents: docs.len(),
         links: spine.link_count(),
     };
     write_line(&mut w, &header)?;
-    let mut docs = spine.all_documents();
-    docs.sort_unstable_by_key(|d| d.id);
-    for row in &docs {
+    for row in docs {
         write_line(&mut w, row)?;
     }
     let mut link_err = None;
@@ -120,18 +96,22 @@ fn write_snapshot_segmented<W: Write>(spine: &Spine, w: W) -> Result<(), StoreEr
     w.flush().map_err(pe)
 }
 
-/// Write what a checkpoint generation stores for `store`: the full
-/// snapshot of an in-memory store ([`write_snapshot`], byte for byte),
-/// the reference form of a segmented one. Nothing is sealed — segment
-/// files stay a pure function of the crawl and the seal threshold — but
-/// from here on the store keeps every segment a generation may name:
+/// Write what a checkpoint generation stores for `store`: the reference
+/// form of a store with a directory, the full form ([`write_snapshot`],
+/// byte for byte) of one without. Nothing is sealed — segment files
+/// stay a pure function of the crawl and the seal threshold — but from
+/// here on the store keeps every segment a generation may name:
 /// compaction retains what it replaces until [`release_unreferenced`]
 /// lets go.
 pub fn write_checkpoint<W: Write>(store: &DocumentStore, w: W) -> Result<(), StoreError> {
-    let Some(spine) = &store.spine else {
+    let Some(dir) = store.segment_dir() else {
         return write_snapshot(store, w);
     };
-    let mut spine = spine.write();
+    let dir = dir
+        .to_str()
+        .ok_or_else(|| pe("segment directory is not valid UTF-8"))?
+        .to_string();
+    let mut spine = store.spine.write();
     spine.pin();
     let (docs, links) = spine.workspace();
     let header = ReferenceHeader {
@@ -139,11 +119,7 @@ pub fn write_checkpoint<W: Write>(store: &DocumentStore, w: W) -> Result<(), Sto
         version: REFERENCE_VERSION,
         documents: docs.len(),
         links: links.len(),
-        dir: spine
-            .dir()
-            .to_str()
-            .ok_or_else(|| pe("segment directory is not valid UTF-8"))?
-            .to_string(),
+        dir,
         config: spine.config().clone(),
         manifest: spine.manifest_now(),
     };
@@ -177,7 +153,7 @@ fn header_version(line: &str) -> Result<u32, StoreError> {
 }
 
 /// Read a snapshot of either form into a fresh store. The full form
-/// yields an in-memory store. The reference form opens the recorded
+/// yields a store with no directory. The reference form opens the recorded
 /// segment directory *at the recorded manifest* — every referenced
 /// segment verified against its length and checksum, nothing on disk
 /// created, deleted or rewritten — replays the workspace rows and
@@ -263,17 +239,14 @@ pub fn release_unreferenced(
     fs: &dyn DurableFs,
     kept: impl IntoIterator<Item = PathBuf>,
 ) -> Result<usize, StoreError> {
-    let Some(spine) = &store.spine else {
-        return Ok(0);
-    };
-    if !spine.read().has_retained() {
+    if !store.spine.read().has_retained() {
         return Ok(0);
     }
     let mut referenced = std::collections::HashSet::new();
     for path in kept {
         referenced.extend(referenced_segments(&path)?);
     }
-    spine.write().release_retained(fs, &referenced)
+    store.spine.write().release_retained(fs, &referenced)
 }
 
 #[cfg(test)]
@@ -372,6 +345,38 @@ mod tests {
         let mut saved = Vec::new();
         write_checkpoint(&loaded, &mut saved).unwrap();
         assert_eq!(String::from_utf8(saved).unwrap(), current);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A snapshot counts every row in its header, so a sealed segment
+    /// that cannot be read must fail the write, not shorten it: neither
+    /// a document row damaged in place (the link rows after it still
+    /// read) nor a deleted file.
+    #[test]
+    fn snapshot_fails_when_a_segment_is_unreadable() {
+        let dir = std::env::temp_dir().join(format!("bingo-store-lost-seg-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let s = DocumentStore::segmented(&dir).unwrap();
+        for row in populated().all_documents() {
+            s.insert_document(row).unwrap();
+        }
+        assert!(s.seal_now().unwrap());
+        write_snapshot(&s, Vec::new()).unwrap();
+        let seg = dir.join("seg-000000.jsonl");
+        let bytes = std::fs::read(&seg).unwrap();
+        let second_row = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let mut damaged = bytes.clone();
+        damaged[second_row] = b'x';
+        std::fs::write(&seg, &damaged).unwrap();
+        assert!(matches!(
+            write_snapshot(&s, Vec::new()),
+            Err(StoreError::Persist(_))
+        ));
+        std::fs::remove_file(&seg).unwrap();
+        assert!(matches!(
+            write_snapshot(&s, Vec::new()),
+            Err(StoreError::Persist(_))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

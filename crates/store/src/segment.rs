@@ -1,14 +1,15 @@
-//! Append-only on-disk segments behind an in-memory write workspace.
+//! Append-only on-disk segments behind an in-memory write workspace —
+//! the one backend of every [`crate::DocumentStore`].
 //!
 //! The paper's crawl result "may be a database with several million
-//! documents" (Section 1.2) — far more than the flat in-memory tables
-//! of [`crate::DocumentStore`] can hold. This module gives the store a
-//! BUbiNG-style memory-bounded shape: hot writes land in a small
-//! in-memory **workspace**, and [`BulkLoader::flush`](crate::BulkLoader)
-//! periodically **seals** the workspace into an immutable on-disk
-//! **segment** file. Reads merge the workspace with lazy segment reads,
-//! so resident memory holds only per-row *locators* (segment + byte
-//! offset), never the million document bodies.
+//! documents" (Section 1.2). This module gives the store a BUbiNG-style
+//! memory-bounded shape: writes land in an in-memory **workspace**, and
+//! [`BulkLoader::flush`](crate::BulkLoader) periodically **seals** the
+//! workspace into an immutable on-disk **segment** file. Reads merge the
+//! workspace with lazy segment reads, so resident memory holds only
+//! per-row *locators* (segment + byte offset), never the million
+//! document bodies. A store with no directory ([`crate::DocumentStore::new`])
+//! is the same structure with a workspace that never seals.
 //!
 //! On-disk layout of a segmented store directory:
 //!
@@ -48,13 +49,11 @@
 //! read path): a point lookup seeks to the row's recorded offset and
 //! reads exactly one line; scans stream one segment at a time.
 //!
-//! Semantics deliberately mirror the in-memory store so the two are
-//! interchangeable (property-tested in `tests/proptests.rs`), with two
-//! documented deviations: the URL index is a 64-bit-hash index verified
-//! on read (a hash collision can hide an older row — vanishingly rare
-//! and fail-safe), and after a *reopen* the per-topic id lists reflect
-//! insertion order with topic overrides applied in place, not the
-//! original reassignment order (set-equal, order may differ).
+//! Sealing changes no answer (property-tested in `tests/proptests.rs`
+//! against a plain model), with one documented deviation: after a
+//! *reopen* the per-topic id lists reflect insertion order with topic
+//! overrides applied in place, not the original reassignment order
+//! (set-equal, order may differ).
 
 use crate::durable::{checksum, DurableFs};
 use crate::tables::{DocumentRow, LinkRow};
@@ -334,23 +333,30 @@ fn parse_segment(bytes: &[u8]) -> Result<ParsedSegment<'_>, StoreError> {
     })
 }
 
-/// The disk-backed store state: workspace + sealed segments + resident
-/// locator indexes. Wrapped in a lock by
-/// [`crate::DocumentStore::segmented`].
+/// The store state: workspace + sealed segments + resident locator
+/// indexes. Wrapped in a lock by [`crate::DocumentStore`].
 pub(crate) struct Spine {
-    dir: PathBuf,
+    /// `None` for a store with no directory: it never seals.
+    dir: Option<PathBuf>,
     manifest: SegmentManifest,
     cfg: SegmentStoreConfig,
     // --- in-memory write workspace (insertion order defines segment bytes) ---
     ws_docs: Vec<DocumentRow>,
     ws_index: FxHashMap<PageId, usize>,
     ws_links: Vec<LinkRow>,
+    /// The distinct edges of `ws_links`.
+    ws_edges: Adjacency,
     // --- resident indexes over sealed rows (dense mode) ---
     locs: FxHashMap<PageId, SegLoc>,
-    /// `fxhash(url) -> id`, verified against the row's URL on read.
+    /// `fxhash(url) -> id` of the first URL with that hash, verified
+    /// against the row's URL on read.
     by_url_hash: FxHashMap<u64, PageId>,
-    /// Effective topic -> ids, workspace and sealed rows combined,
-    /// maintained exactly like the in-memory index.
+    /// Exact `url -> id` for every later URL whose hash slot in
+    /// `by_url_hash` was already taken. Newer than the slot's row, so
+    /// it is asked first.
+    url_collisions: FxHashMap<String, PageId>,
+    /// Effective topic -> ids, workspace and sealed rows combined, in
+    /// (re)assignment order.
     by_topic: FxHashMap<u32, Vec<PageId>>,
     // --- resident indexes over sealed rows (sparse mode) ---
     /// Per-segment sparse indexes, parallel to `manifest.segments`.
@@ -382,6 +388,51 @@ impl std::fmt::Debug for Spine {
             .field("sealed_docs", &self.locs.len())
             .field("workspace_docs", &self.ws_docs.len())
             .finish()
+    }
+}
+
+/// Distinct `[from, to]` edges in first-occurrence order, chained per
+/// source and per target: a lookup walks only its page's edges, and an
+/// insert allocates nothing per page.
+#[derive(Default)]
+struct Adjacency {
+    edges: Vec<[PageId; 2]>,
+    /// Per edge and side (0: source, 1: target), the next edge with the
+    /// same page on that side, or `NO_EDGE`.
+    next: Vec<[u32; 2]>,
+    /// Per side, the first and last edge of each page.
+    ends: [FxHashMap<PageId, (u32, u32)>; 2],
+}
+
+const NO_EDGE: u32 = u32::MAX;
+
+impl Adjacency {
+    /// The edges whose `side` is `page`, in insertion order.
+    fn chain(&self, side: usize, page: PageId) -> impl Iterator<Item = [PageId; 2]> + '_ {
+        let mut e = self.ends[side]
+            .get(&page)
+            .map_or(NO_EDGE, |&(first, _)| first);
+        std::iter::from_fn(move || {
+            let edge = *self.edges.get(e as usize)?;
+            e = self.next[e as usize][side];
+            Some(edge)
+        })
+    }
+
+    fn insert(&mut self, edge: [PageId; 2]) {
+        if self.chain(0, edge[0]).any(|known| known == edge) {
+            return;
+        }
+        let e = u32::try_from(self.edges.len()).expect("fewer than 2^32 workspace edges");
+        self.edges.push(edge);
+        self.next.push([NO_EDGE; 2]);
+        for (side, &page) in edge.iter().enumerate() {
+            let ends = self.ends[side].entry(page).or_insert((e, e));
+            if ends.1 != e {
+                self.next[ends.1 as usize][side] = e;
+                ends.1 = e;
+            }
+        }
     }
 }
 
@@ -433,7 +484,9 @@ impl Bloom {
 const SEALED_BLOOM_BITS_LOG2: u32 = 28;
 
 impl Spine {
-    fn empty(dir: PathBuf, cfg: SegmentStoreConfig) -> Self {
+    /// An empty store; with no directory every row stays in the
+    /// workspace.
+    pub(crate) fn empty(dir: Option<PathBuf>, cfg: SegmentStoreConfig) -> Self {
         let bloom_bits = if cfg.sparse {
             SEALED_BLOOM_BITS_LOG2
         } else {
@@ -449,8 +502,10 @@ impl Spine {
             ws_docs: Vec::new(),
             ws_index: FxHashMap::default(),
             ws_links: Vec::new(),
+            ws_edges: Adjacency::default(),
             locs: FxHashMap::default(),
             by_url_hash: FxHashMap::default(),
+            url_collisions: FxHashMap::default(),
             by_topic: FxHashMap::default(),
             sparse: Vec::new(),
             sealed_ids: Bloom::new(bloom_bits),
@@ -476,7 +531,7 @@ impl Spine {
         let text = match std::fs::read_to_string(dir.join(SEGMENTS_FILE)) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(Spine::empty(dir, cfg))
+                return Ok(Spine::empty(Some(dir), cfg))
             }
             Err(e) => return Err(pe(e)),
         };
@@ -494,7 +549,7 @@ impl Spine {
         cfg: SegmentStoreConfig,
         manifest: SegmentManifest,
     ) -> Result<Self, StoreError> {
-        let mut spine = Spine::empty(dir, cfg);
+        let mut spine = Spine::empty(Some(dir), cfg);
         if manifest.magic != SEGMENTS_MAGIC || manifest.version != SEGMENT_VERSION {
             return Err(pe("bad segment manifest magic/version"));
         }
@@ -504,7 +559,7 @@ impl Spine {
             .map(|&(id, topic, confidence)| (id, (topic, confidence)))
             .collect();
         for (seg, entry) in manifest.segments.iter().enumerate() {
-            let bytes = std::fs::read(spine.dir.join(&entry.name)).map_err(pe)?;
+            let bytes = std::fs::read(spine.file(&entry.name)).map_err(pe)?;
             if bytes.len() as u64 != entry.len || checksum(&bytes) != entry.checksum {
                 return Err(pe(format!("segment {} failed verification", entry.name)));
             }
@@ -535,7 +590,7 @@ impl Spine {
                     sparse_rows.push((row.id, offset, line.len() as u32));
                     spine.sealed_ids.add(row.id as u128);
                 } else {
-                    spine.by_url_hash.insert(url_hash(&row.url), row.id);
+                    spine.index_url(&row.url, row.id);
                     let topic = match spine.overrides.get(&row.id) {
                         Some(&(t, _)) => t,
                         None => row.topic,
@@ -583,8 +638,19 @@ impl Spine {
         Ok(spine)
     }
 
-    pub(crate) fn dir(&self) -> &Path {
-        &self.dir
+    pub(crate) fn dir(&self) -> Option<&Path> {
+        self.dir.as_deref()
+    }
+
+    /// The store directory. Only a store with a directory seals, so only
+    /// such a store has segments or a manifest to name.
+    fn root(&self) -> &Path {
+        self.dir()
+            .expect("only a store with a directory has sealed files")
+    }
+
+    fn file(&self, name: &str) -> PathBuf {
+        self.root().join(name)
     }
 
     pub(crate) fn config(&self) -> &SegmentStoreConfig {
@@ -620,8 +686,8 @@ impl Spine {
     ) -> Result<(), StoreError> {
         let mut mjson = Vec::new();
         serde_json::to_writer(&mut mjson, &manifest).map_err(pe)?;
-        fs.create_dir_all(&self.dir).map_err(pe)?;
-        fs.atomic_write(&self.dir.join(SEGMENTS_FILE), &mjson)
+        fs.create_dir_all(self.root()).map_err(pe)?;
+        fs.atomic_write(&self.file(SEGMENTS_FILE), &mjson)
             .map_err(pe)?;
         self.manifest = manifest;
         self.meta_dirty = false;
@@ -661,7 +727,7 @@ impl Spine {
             return Err(StoreError::DuplicateKey(row.id));
         }
         if !self.cfg.sparse {
-            self.by_url_hash.insert(url_hash(&row.url), row.id);
+            self.index_url(&row.url, row.id);
             if let Some(topic) = row.topic {
                 self.by_topic.entry(topic).or_default().push(row.id);
             }
@@ -669,6 +735,12 @@ impl Spine {
         self.ws_index.insert(row.id, self.ws_docs.len());
         self.ws_docs.push(row);
         Ok(())
+    }
+
+    fn index_url(&mut self, url: &str, id: PageId) {
+        if *self.by_url_hash.entry(url_hash(url)).or_insert(id) != id {
+            self.url_collisions.insert(url.to_string(), id);
+        }
     }
 
     /// Exact membership; a sealed row that cannot be read counts as
@@ -707,7 +779,7 @@ impl Spine {
                 .map(|&(_, off)| off)
                 .unwrap_or(idx.docs_end);
             let entry = &self.manifest.segments[seg];
-            let mut f = std::fs::File::open(self.dir.join(&entry.name)).map_err(pe)?;
+            let mut f = std::fs::File::open(self.file(&entry.name)).map_err(pe)?;
             f.seek(SeekFrom::Start(start)).map_err(pe)?;
             let mut buf = vec![0u8; (end - start) as usize];
             f.read_exact(&mut buf).map_err(pe)?;
@@ -727,6 +799,7 @@ impl Spine {
     }
 
     pub(crate) fn insert_link(&mut self, link: LinkRow) {
+        self.ws_edges.insert([link.from, link.to]);
         self.ws_links.push(link);
     }
 
@@ -780,32 +853,44 @@ impl Spine {
     /// Read one sealed row from disk and apply any topic override.
     fn read_sealed(&self, loc: SegLoc) -> Result<DocumentRow, StoreError> {
         let entry = &self.manifest.segments[loc.seg as usize];
-        let mut f = std::fs::File::open(self.dir.join(&entry.name)).map_err(pe)?;
+        let mut f = std::fs::File::open(self.file(&entry.name)).map_err(pe)?;
         f.seek(SeekFrom::Start(loc.offset)).map_err(pe)?;
         let mut buf = vec![0u8; loc.len as usize];
         f.read_exact(&mut buf).map_err(pe)?;
         let mut row: DocumentRow = from_line(&buf)?;
+        self.apply_override(&mut row);
+        Ok(row)
+    }
+
+    fn apply_override(&self, row: &mut DocumentRow) {
         if let Some(&(topic, confidence)) = self.overrides.get(&row.id) {
             row.topic = topic;
             row.confidence = confidence;
         }
-        Ok(row)
+    }
+
+    /// Run `f` on row `id`: a workspace row in place, a sealed one once
+    /// read (a sealed row that cannot be read counts as absent).
+    pub(crate) fn with_document<R>(
+        &self,
+        id: PageId,
+        f: impl FnOnce(&DocumentRow) -> R,
+    ) -> Option<R> {
+        if let Some(&i) = self.ws_index.get(&id) {
+            return Some(f(&self.ws_docs[i]));
+        }
+        let row = if self.cfg.sparse {
+            let mut row = self.sparse_find(id).ok()??;
+            self.apply_override(&mut row);
+            row
+        } else {
+            self.read_sealed(*self.locs.get(&id)?).ok()?
+        };
+        Some(f(&row))
     }
 
     pub(crate) fn document(&self, id: PageId) -> Option<DocumentRow> {
-        if let Some(&i) = self.ws_index.get(&id) {
-            return Some(self.ws_docs[i].clone());
-        }
-        if self.cfg.sparse {
-            let mut row = self.sparse_find(id).ok()??;
-            if let Some(&(topic, confidence)) = self.overrides.get(&row.id) {
-                row.topic = topic;
-                row.confidence = confidence;
-            }
-            return Some(row);
-        }
-        let loc = *self.locs.get(&id)?;
-        self.read_sealed(loc).ok()
+        self.with_document(id, DocumentRow::clone)
     }
 
     pub(crate) fn document_by_url(&self, url: &str) -> Option<DocumentRow> {
@@ -818,14 +903,17 @@ impl Spine {
             let mut found = None;
             let _ = self.for_each_sealed_document(|row| {
                 if found.is_none() && row.url == url {
-                    found = Some(row.clone());
+                    found = Some(row);
                 }
             });
             return found;
         }
-        let id = *self.by_url_hash.get(&url_hash(url))?;
-        // Verify: the hash index may alias distinct URLs (fail-safe miss).
-        self.document(id).filter(|row| row.url == url)
+        let id = match self.url_collisions.get(url) {
+            Some(&id) => id,
+            None => *self.by_url_hash.get(&url_hash(url))?,
+        };
+        // Verify: the hash slot may hold a different URL.
+        self.with_document(id, |row| (row.url == url).then(|| row.clone()))?
     }
 
     pub(crate) fn topic_documents(&self, topic: u32) -> Vec<PageId> {
@@ -845,32 +933,40 @@ impl Spine {
     }
 
     /// Stream every *sealed* document row in segment order, overrides
-    /// applied.
-    fn for_each_sealed_document<F: FnMut(&DocumentRow)>(&self, mut f: F) -> Result<(), StoreError> {
+    /// applied, handing each row over.
+    pub(crate) fn for_each_sealed_document<F: FnMut(DocumentRow)>(
+        &self,
+        mut f: F,
+    ) -> Result<(), StoreError> {
         for entry in &self.manifest.segments {
-            let bytes = std::fs::read(self.dir.join(&entry.name)).map_err(pe)?;
-            let parsed = parse_segment(&bytes)?;
-            for &(_, line) in &parsed.doc_lines {
+            let bytes = std::fs::read(self.file(&entry.name)).map_err(pe)?;
+            for &(_, line) in &parse_segment(&bytes)?.doc_lines {
                 let mut row: DocumentRow = from_line(line)?;
-                if let Some(&(topic, confidence)) = self.overrides.get(&row.id) {
-                    row.topic = topic;
-                    row.confidence = confidence;
-                }
-                f(&row);
+                self.apply_override(&mut row);
+                f(row);
             }
         }
         Ok(())
     }
 
     /// Stream every document row (sealed segments in seal order, then
-    /// the workspace), overrides applied.
+    /// the workspace in insertion order), overrides applied.
     pub(crate) fn for_each_document<F: FnMut(&DocumentRow)>(
         &self,
         mut f: F,
     ) -> Result<(), StoreError> {
-        self.for_each_sealed_document(&mut f)?;
-        for row in &self.ws_docs {
-            f(row);
+        self.for_each_sealed_document(|row| f(&row))?;
+        self.ws_docs.iter().for_each(f);
+        Ok(())
+    }
+
+    /// Stream every *sealed* link row in seal order.
+    fn for_each_sealed_link<F: FnMut(&LinkRow)>(&self, mut f: F) -> Result<(), StoreError> {
+        for entry in &self.manifest.segments {
+            let bytes = std::fs::read(self.file(&entry.name)).map_err(pe)?;
+            for line in &parse_segment(&bytes)?.link_lines {
+                f(&from_line(line)?);
+            }
         }
         Ok(())
     }
@@ -878,17 +974,8 @@ impl Spine {
     /// Stream every link row in global insertion order (seal order is
     /// insertion order; workspace links come last).
     pub(crate) fn for_each_link<F: FnMut(&LinkRow)>(&self, mut f: F) -> Result<(), StoreError> {
-        for entry in &self.manifest.segments {
-            let bytes = std::fs::read(self.dir.join(&entry.name)).map_err(pe)?;
-            let parsed = parse_segment(&bytes)?;
-            for line in &parsed.link_lines {
-                let row: LinkRow = from_line(line)?;
-                f(&row);
-            }
-        }
-        for link in &self.ws_links {
-            f(link);
-        }
+        self.for_each_sealed_link(&mut f)?;
+        self.ws_links.iter().for_each(f);
         Ok(())
     }
 
@@ -904,38 +991,53 @@ impl Spine {
         links
     }
 
-    /// First-occurrence-deduplicated out-edges of `page`, matching the
-    /// in-memory edge index (cold path: streams the link log).
-    pub(crate) fn successors(&self, page: PageId) -> Vec<PageId> {
+    /// Distinct neighbours of `page` on `side` (0: successors, 1:
+    /// predecessors) in first-occurrence order over the whole link log:
+    /// the streamed sealed links, then the workspace edges not seen yet.
+    fn neighbours(&self, side: usize, page: PageId) -> Vec<PageId> {
+        let ws = self.ws_edges.chain(side, page).map(|edge| edge[1 - side]);
+        if self.sealed_links == 0 {
+            return ws.collect();
+        }
         let mut out = Vec::new();
-        let _ = self.for_each_link(|l| {
-            if l.from == page && !out.contains(&l.to) {
-                out.push(l.to);
+        let mut add = |n: PageId| {
+            if !out.contains(&n) {
+                out.push(n);
+            }
+        };
+        let _ = self.for_each_sealed_link(|l| {
+            let edge = [l.from, l.to];
+            if edge[side] == page {
+                add(edge[1 - side]);
             }
         });
+        ws.for_each(add);
         out
     }
 
-    /// Distinct predecessors of `page` in first-occurrence order,
-    /// matching the in-memory edge index (cold path).
+    pub(crate) fn successors(&self, page: PageId) -> Vec<PageId> {
+        self.neighbours(0, page)
+    }
+
     pub(crate) fn predecessors(&self, page: PageId) -> Vec<PageId> {
-        let mut from = Vec::new();
-        let _ = self.for_each_link(|l| {
-            if l.to == page && !from.contains(&l.from) {
-                from.push(l.from);
-            }
-        });
-        from
+        self.neighbours(1, page)
     }
 
     pub(crate) fn host_of(&self, page: PageId) -> HostId {
-        self.document(page).map(|d| d.host).unwrap_or(0)
+        self.with_document(page, |d| d.host).unwrap_or(0)
+    }
+
+    /// Whether the workspace has grown past the seal threshold. A store
+    /// with no directory never seals.
+    pub(crate) fn seal_due(&self) -> bool {
+        let seal_every = self.cfg.seal_every;
+        self.dir.is_some()
+            && (self.ws_docs.len() >= seal_every || self.ws_links.len() >= seal_every * 16)
     }
 
     /// Seal the workspace when it has grown past the threshold.
     pub(crate) fn maybe_seal(&mut self, fs: &dyn DurableFs) -> Result<bool, StoreError> {
-        let seal_every = self.cfg.seal_every;
-        if self.ws_docs.len() >= seal_every || self.ws_links.len() >= seal_every * 16 {
+        if self.seal_due() {
             self.seal(fs)
         } else {
             Ok(false)
@@ -949,6 +1051,9 @@ impl Spine {
     /// between the two writes leaves an orphan segment file that
     /// recovery ignores and [`reap_orphan_segments`] deletes.
     pub(crate) fn seal(&mut self, fs: &dyn DurableFs) -> Result<bool, StoreError> {
+        if self.dir.is_none() {
+            return Ok(false);
+        }
         if self.ws_docs.is_empty() && self.ws_links.is_empty() {
             if !self.meta_dirty {
                 return Ok(false);
@@ -990,8 +1095,8 @@ impl Spine {
             serde_json::to_writer(&mut bytes, link).map_err(pe)?;
             bytes.push(b'\n');
         }
-        fs.create_dir_all(&self.dir).map_err(pe)?;
-        fs.atomic_write(&self.dir.join(&name), &bytes).map_err(pe)?;
+        fs.create_dir_all(self.root()).map_err(pe)?;
+        fs.atomic_write(&self.file(&name), &bytes).map_err(pe)?;
         let mut manifest = self.manifest_now();
         manifest.segments.push(SegmentEntry {
             name,
@@ -1014,7 +1119,6 @@ impl Spine {
             }
             self.sealed_docs_ct += rows.len();
             self.sparse.push(SparseSegIndex::from_rows(&rows));
-            self.ws_docs.clear();
         } else {
             for (&i, &(offset, len)) in order.iter().zip(&offsets) {
                 self.locs.insert(
@@ -1026,11 +1130,12 @@ impl Spine {
                     },
                 );
             }
-            self.ws_docs.clear();
         }
+        self.ws_docs.clear();
         self.ws_index.clear();
         self.sealed_links += self.ws_links.len() as u64;
         self.ws_links.clear();
+        self.ws_edges = Adjacency::default();
         self.maybe_compact(fs)?;
         Ok(true)
     }
@@ -1084,7 +1189,7 @@ impl Spine {
         let mut link_bytes: Vec<u8> = Vec::new();
         let mut links = 0u64;
         for entry in &self.manifest.segments[start..start + len] {
-            let bytes = std::fs::read(self.dir.join(&entry.name)).map_err(pe)?;
+            let bytes = std::fs::read(self.file(&entry.name)).map_err(pe)?;
             let parsed = parse_segment(&bytes)?;
             for &(_, line) in &parsed.doc_lines {
                 rows.push(from_line(line)?);
@@ -1126,7 +1231,7 @@ impl Spine {
             bytes.push(b'\n');
         }
         bytes.extend_from_slice(&link_bytes);
-        fs.atomic_write(&self.dir.join(&name), &bytes).map_err(pe)?;
+        fs.atomic_write(&self.file(&name), &bytes).map_err(pe)?;
         let mut manifest = self.manifest_now();
         let entry = SegmentEntry {
             name,
@@ -1182,7 +1287,7 @@ impl Spine {
         self.compaction_stats.rows_rewritten += rows.len() as u64;
         self.compaction_stats.overrides_materialized += materialized;
         self.compaction_stats.bytes_written += bytes.len() as u64;
-        self.compaction_stats.orphans_reaped += reap_orphan_segments(&self.dir) as u64;
+        self.compaction_stats.orphans_reaped += reap_orphan_segments(self.root()) as u64;
         Ok(())
     }
 
@@ -1211,7 +1316,7 @@ impl Spine {
         let mut manifest = self.manifest_now();
         manifest.retained.retain(|n| referenced.contains(n));
         self.commit_manifest(fs, manifest)?;
-        Ok(reap_orphan_segments(&self.dir))
+        Ok(reap_orphan_segments(self.root()))
     }
 
     fn overrides_sorted(&self) -> Vec<(PageId, Option<u32>, f32)> {

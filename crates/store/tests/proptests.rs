@@ -9,6 +9,7 @@ use bingo_store::{
 };
 use bingo_textproc::MimeType;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn row_strategy() -> impl Strategy<Value = DocumentRow> {
@@ -43,8 +44,8 @@ enum Op {
     Insert(DocumentRow),
     SetTopic(u64, Option<u32>, f32),
     Link(u64, u64),
-    /// Seal the segmented store's workspace (no-op on the in-memory
-    /// reference) — this is what makes flush points arbitrary.
+    /// Seal the store's workspace (no-op on a store with no directory)
+    /// — this is what makes flush points arbitrary.
     Seal,
 }
 
@@ -85,12 +86,129 @@ fn apply(store: &DocumentStore, op: &Op) -> bool {
             true
         }
         Op::Seal => {
-            if store.is_segmented() {
-                store.seal_now().expect("seal");
-            }
+            store.seal_now().expect("seal");
             true
         }
     }
+}
+
+/// What every store must answer, kept the plainest way: the rows by id
+/// in insertion order, the link log, and per-topic id lists maintained
+/// as reassignments happen.
+#[derive(Default)]
+struct Model {
+    docs: BTreeMap<u64, DocumentRow>,
+    inserted: Vec<u64>,
+    links: Vec<LinkRow>,
+    by_topic: BTreeMap<u32, Vec<u64>>,
+}
+
+impl Model {
+    fn apply(&mut self, op: &Op) -> bool {
+        match op {
+            Op::Insert(row) => {
+                if self.docs.contains_key(&row.id) {
+                    return false;
+                }
+                if let Some(t) = row.topic {
+                    self.by_topic.entry(t).or_default().push(row.id);
+                }
+                self.inserted.push(row.id);
+                self.docs.insert(row.id, row.clone());
+            }
+            Op::SetTopic(id, topic, confidence) => {
+                let Some(row) = self.docs.get_mut(id) else {
+                    return false;
+                };
+                if let Some(old) = row.topic {
+                    self.by_topic.entry(old).or_default().retain(|d| d != id);
+                }
+                row.topic = *topic;
+                row.confidence = *confidence;
+                if let Some(t) = topic {
+                    self.by_topic.entry(*t).or_default().push(*id);
+                }
+            }
+            Op::Link(a, b) => self.links.push(LinkRow {
+                from: *a,
+                to: *b,
+                to_url: format!("u{b}"),
+            }),
+            Op::Seal => {}
+        }
+        true
+    }
+
+    /// Distinct `pick`ed neighbours over the link log, in first
+    /// occurrence order.
+    fn adjacent(&self, pick: impl Fn(&LinkRow) -> Option<u64>) -> Vec<u64> {
+        let mut out = Vec::new();
+        for n in self.links.iter().filter_map(pick) {
+            if !out.contains(&n) {
+                out.push(n);
+            }
+        }
+        out
+    }
+
+    fn topic(&self, t: u32) -> Vec<u64> {
+        self.by_topic.get(&t).cloned().unwrap_or_default()
+    }
+
+    /// The rows in the order a scan must yield them. Seals keep
+    /// insertion order, so every store without sparse segments scans
+    /// in insertion order.
+    fn scan(&self) -> Vec<DocumentRow> {
+        self.inserted
+            .iter()
+            .map(|id| self.docs[id].clone())
+            .collect()
+    }
+}
+
+/// `store` answers every read as `model` does; `topics_in_order` is
+/// false after a reopen, which rebuilds topic lists in insertion order.
+fn check(store: &DocumentStore, model: &Model, topics_in_order: bool) -> Result<(), TestCaseError> {
+    prop_assert_eq!(store.document_count(), model.docs.len());
+    prop_assert_eq!(store.link_count(), model.links.len());
+    for id in 0..60u64 {
+        let row = model.docs.get(&id).cloned();
+        prop_assert_eq!(store.document(id), row.clone(), "doc {}", id);
+        prop_assert_eq!(
+            store.with_document(id, Clone::clone),
+            row.clone(),
+            "doc {}",
+            id
+        );
+        prop_assert_eq!(
+            store.host_of(id),
+            row.map_or(0, |r| r.host),
+            "host_of {}",
+            id
+        );
+        let succ = model.adjacent(|l| (l.from == id).then_some(l.to));
+        prop_assert_eq!(store.successors(id), succ, "succ {}", id);
+        let pred = model.adjacent(|l| (l.to == id).then_some(l.from));
+        prop_assert_eq!(store.predecessors(id), pred, "pred {}", id);
+    }
+    for t in 0..5u32 {
+        let (mut got, mut want) = (store.topic_documents(t), model.topic(t));
+        if !topics_in_order {
+            got.sort_unstable();
+            want.sort_unstable();
+        }
+        prop_assert_eq!(got, want, "topic {}", t);
+    }
+    for row in model.docs.values() {
+        let hit = store.document_by_url(&row.url);
+        prop_assert_eq!(hit.map(|r| r.id), Some(row.id), "url {}", &row.url);
+    }
+    prop_assert_eq!(store.all_links(), model.links.clone());
+    prop_assert_eq!(store.all_documents(), model.scan(), "scan order");
+    let mut streamed = Vec::new();
+    store.for_each_document(|row| streamed.push(row.id));
+    prop_assert_eq!(streamed, model.inserted.clone(), "for_each_document order");
+    Ok(())
 }
 
 proptest! {
@@ -160,45 +278,30 @@ proptest! {
         prop_assert_eq!(buf, buf2);
     }
 
-    /// The disk-backed segmented store is observationally equal to the
-    /// all-in-memory store under arbitrary operation sequences with
-    /// arbitrary seal (flush) points — same rows, same index order,
-    /// same link adjacency, byte-identical snapshots — and reads stay
-    /// stable across a reopen from disk.
+    /// A store with no directory and one with a directory, sealed at
+    /// arbitrary (flush) points, both answer as the plain model does —
+    /// same rows, same index order, same link adjacency, rows scanned
+    /// in insertion order — and write byte-identical snapshots; reads
+    /// stay stable across a reopen from disk.
     #[test]
     fn segmented_store_matches_in_memory_for_arbitrary_seal_points(
         ops in proptest::collection::vec(seg_op_strategy(), 0..100)
     ) {
         let dir = fresh_dir("seg");
+        let mut model = Model::default();
         let mem = DocumentStore::new();
         // Threshold high enough that only explicit Op::Seal seals.
         let seg = DocumentStore::segmented_with(&dir, 1_000_000).unwrap();
         for op in &ops {
-            let a = apply(&mem, op);
-            let b = apply(&seg, op);
-            prop_assert_eq!(a, b, "op outcome diverged: {:?}", op);
+            let want = model.apply(op);
+            prop_assert_eq!(apply(&mem, op), want, "op outcome diverged: {:?}", op);
+            prop_assert_eq!(apply(&seg, op), want, "op outcome diverged: {:?}", op);
         }
+        prop_assert_eq!(mem.segment_count(), 0);
+        check(&mem, &model, true)?;
+        check(&seg, &model, true)?;
 
-        prop_assert_eq!(seg.document_count(), mem.document_count());
-        prop_assert_eq!(seg.link_count(), mem.link_count());
-        for id in 0..60u64 {
-            prop_assert_eq!(seg.document(id), mem.document(id), "doc {}", id);
-            prop_assert_eq!(seg.with_document(id, Clone::clone), mem.document(id), "doc {}", id);
-            prop_assert_eq!(mem.with_document(id, Clone::clone), mem.document(id), "doc {}", id);
-            prop_assert_eq!(seg.successors(id), mem.successors(id), "succ {}", id);
-            prop_assert_eq!(seg.predecessors(id), mem.predecessors(id), "pred {}", id);
-            prop_assert_eq!(seg.host_of(id), mem.host_of(id), "host_of {}", id);
-        }
-        for t in 0..5u32 {
-            prop_assert_eq!(seg.topic_documents(t), mem.topic_documents(t), "topic {}", t);
-        }
-        for row in mem.all_documents() {
-            let hit = seg.document_by_url(&row.url);
-            prop_assert_eq!(hit.map(|r| r.id), Some(row.id), "url {}", &row.url);
-        }
-        prop_assert_eq!(seg.all_links(), mem.all_links());
-
-        // Snapshots of the two backends are byte-identical.
+        // Snapshots of the two stores are byte-identical.
         let mut mem_snap = Vec::new();
         persist::write_snapshot(&mem, &mut mem_snap).unwrap();
         let mut seg_snap = Vec::new();
@@ -206,24 +309,13 @@ proptest! {
         prop_assert_eq!(&mem_snap, &seg_snap, "live snapshot bytes diverged");
 
         // Permutation stability across reopen: a final seal persists
-        // the workspace and trailing overrides; reading the
-        // directory back yields the same database (topic lists are
-        // set-equal — reopen rebuilds them in insertion order).
+        // the workspace and trailing overrides; reading the directory
+        // back yields the same database (topic lists are set-equal —
+        // reopen rebuilds them in insertion order).
         seg.seal_now().unwrap();
         drop(seg);
         let re = DocumentStore::segmented_with(&dir, 1_000_000).unwrap();
-        prop_assert_eq!(re.document_count(), mem.document_count());
-        prop_assert_eq!(re.link_count(), mem.link_count());
-        for id in 0..60u64 {
-            prop_assert_eq!(re.document(id), mem.document(id), "reopen doc {}", id);
-        }
-        for t in 0..5u32 {
-            let mut a = re.topic_documents(t);
-            let mut b = mem.topic_documents(t);
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b, "reopen topic {}", t);
-        }
+        check(&re, &model, false)?;
         let mut re_snap = Vec::new();
         persist::write_snapshot(&re, &mut re_snap).unwrap();
         prop_assert_eq!(&mem_snap, &re_snap, "reopen snapshot bytes diverged");
