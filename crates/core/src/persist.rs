@@ -225,7 +225,7 @@ pub fn save_session_with<P: AsRef<std::path::Path>>(
         .write_file(ENGINE_FILE, &engine_bytes)
         .map_err(persist)?;
     writer.commit().map_err(persist)?;
-    crawler.prune_session(fs, dir);
+    bingo_store::durable::prune_generations(dir, bingo_store::durable::DEFAULT_KEEP_GENERATIONS);
     Ok(())
 }
 

@@ -334,7 +334,7 @@ impl Crawler {
         let mut writer = durable::GenerationWriter::begin(fs, dir)?;
         self.write_session_into(&mut writer)?;
         let generation = writer.commit()?;
-        let pruned = self.prune_session(fs, dir);
+        let pruned = durable::prune_generations(dir, durable::DEFAULT_KEEP_GENERATIONS);
         self.telemetry.checkpoint_pruned.add(pruned as u64);
         Ok(generation)
     }
@@ -344,7 +344,7 @@ impl Crawler {
     /// artifacts into the same commit (e.g.
     /// `bingo_core::persist::save_session` adds the engine snapshot)
     /// append them, commit the writer and then call
-    /// [`Crawler::prune_session`].
+    /// [`durable::prune_generations`].
     pub fn write_session_into(
         &self,
         writer: &mut durable::GenerationWriter<'_>,
@@ -356,20 +356,6 @@ impl Crawler {
         let cp = crate::checkpoint::checkpoint_bytes(&self.checkpoint())?;
         writer.write_file(CRAWLER_FILE, &cp)?;
         Ok(())
-    }
-
-    /// After a generation of `dir` committed: prune generations beyond
-    /// [`durable::DEFAULT_KEEP_GENERATIONS`], then let a segmented store
-    /// delete the segments that only pruned generations referenced.
-    /// Returns the prune count; like pruning, a failed release is
-    /// retried by the next save, never fatal.
-    pub fn prune_session(&self, fs: &dyn durable::DurableFs, dir: &std::path::Path) -> usize {
-        let pruned = durable::prune_generations(dir, durable::DEFAULT_KEEP_GENERATIONS);
-        let kept = durable::generation_numbers(dir)
-            .into_iter()
-            .map(|generation| durable::generation_dir(dir, generation).join(STORE_FILE));
-        let _ = bingo_store::persist::release_unreferenced(&self.store, fs, kept);
-        pruned
     }
 
     /// Rebuild a crawler mid-crawl from a session directory written by

@@ -23,7 +23,7 @@ use bingo_crawler::{
     CrawlConfig, CrawlTelemetry, Crawler, FaultPlan, FaultStage, Judgment, PageContext,
     PipelineOptions, StepOutcome,
 };
-use bingo_store::{CompactionConfig, DocumentStore, LinkRow, SegmentStoreConfig};
+use bingo_store::{DocumentStore, LinkRow};
 use bingo_textproc::fxhash::{FxHashMap, FxHashSet};
 use bingo_textproc::{AnalyzedDocument, SharedVocabulary, TermId, Vocabulary};
 use bingo_webworld::gen::WorldConfig;
@@ -283,33 +283,6 @@ fn segmented_store_runs_match_in_memory_byte_for_byte() {
         "segmented snapshot must serialize byte-identically to in-memory"
     );
 
-    // The sparse block index and compaction of small segments change
-    // where rows live, not which rows the crawl stores. Sparse segments
-    // are sorted by id, so rows and links are compared as sets.
-    let det_sparse = det_run(
-        &world,
-        &config,
-        &seeds,
-        DocumentStore::segmented_cfg(
-            seg_dir("sparse"),
-            SegmentStoreConfig {
-                seal_every: 16,
-                sparse: true,
-                compaction: Some(CompactionConfig {
-                    small_docs: 24,
-                    min_run: 3,
-                }),
-            },
-        )
-        .expect("open"),
-    );
-    assert!(
-        det_sparse.0.compaction_stats().runs > 0,
-        "compaction never ran"
-    );
-    assert_eq!(row_keys(&det_mem), row_keys(&det_sparse));
-    assert_eq!(link_keys(&det_mem), link_keys(&det_sparse));
-
     // The threaded executor's rows carry `fetched_at` 0, so it gets the
     // row/link comparison (everything but `fetched_at`).
     let thr_seg = thr_run(
@@ -332,7 +305,6 @@ fn segmented_store_runs_match_in_memory_byte_for_byte() {
 
     std::fs::remove_dir_all(seg_dir2("det")).ok();
     std::fs::remove_dir_all(seg_dir2("thr")).ok();
-    std::fs::remove_dir_all(seg_dir2("sparse")).ok();
 }
 
 /// The segment directory for `tag` without wiping it (unlike `seg_dir`

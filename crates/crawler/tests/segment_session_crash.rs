@@ -23,7 +23,7 @@
 use bingo_crawler::checkpoint::{CRAWLER_FILE, STORE_FILE};
 use bingo_crawler::{CrawlConfig, Crawler, Judgment, PageContext, StepOutcome};
 use bingo_store::durable::{self, CrashFs, MANIFEST_FILE};
-use bingo_store::{persist, CompactionConfig, DocumentStore, SegmentStoreConfig, StdFs};
+use bingo_store::{persist, DocumentStore, StdFs};
 use bingo_textproc::{fxhash, AnalyzedDocument, Vocabulary};
 use bingo_webworld::gen::WorldConfig;
 use bingo_webworld::World;
@@ -84,16 +84,9 @@ impl Site {
         }
     }
 
-    fn crawler(&self, world: &Arc<World>, compaction: Option<CompactionConfig>) -> Crawler {
-        let store = DocumentStore::segmented_cfg(
-            self.segments(),
-            SegmentStoreConfig {
-                seal_every: SEAL_EVERY,
-                sparse: false,
-                compaction,
-            },
-        )
-        .expect("segment directory opens");
+    fn crawler(&self, world: &Arc<World>) -> Crawler {
+        let store = DocumentStore::segmented_with(self.segments(), SEAL_EVERY)
+            .expect("segment directory opens");
         let mut crawler = Crawler::new(world.clone(), self.config(), store);
         crawler.add_seed(&world.url_of(1), Some(0));
         crawler
@@ -178,7 +171,7 @@ fn finish(site: &Site, crawler: &Crawler) -> Outcome {
 /// The crawl that is never interrupted and never checkpoints.
 fn reference(world: &Arc<World>, tag: &str) -> Outcome {
     let site = Site::fresh(tag);
-    let mut crawler = site.crawler(world, None);
+    let mut crawler = site.crawler(world);
     let mut points = 0;
     let exhausted = drive(&mut crawler, &mut Vocabulary::new(), &mut |k, _, _| {
         points = k;
@@ -201,20 +194,14 @@ struct Acked {
 }
 
 /// A checkpointing crawl that saves a generation at every point before
-/// `death_point` and is killed by `die` at it. The crawler is dropped.
-fn doomed(
-    site: &Site,
-    world: &Arc<World>,
-    compaction: Option<CompactionConfig>,
-    death_point: u64,
-    die: &mut dyn FnMut(&Crawler),
-) -> Acked {
-    let mut crawler = site.crawler(world, compaction);
+/// [`DEATH_POINT`] and is killed by `die` at it. The crawler is dropped.
+fn doomed(site: &Site, world: &Arc<World>, die: &mut dyn FnMut(&Crawler)) -> Acked {
+    let mut crawler = site.crawler(world);
     let mut acked = None;
     let mut spilled = false;
     let exhausted = drive(&mut crawler, &mut Vocabulary::new(), &mut |k, c, v| {
         spilled |= c.frontier_spilled_len() > 0;
-        if k == death_point {
+        if k == DEATH_POINT {
             die(c);
             return false;
         }
@@ -233,8 +220,7 @@ fn doomed(
 
 /// Resume `site`, check the recovered store is the segmented one the
 /// acked generation described, and finish the crawl — checkpointing at
-/// every further point, so later generations, pruning and segment
-/// release run too.
+/// every further point, so later generations and pruning run too.
 fn resume_and_finish(
     site: &Site,
     world: &Arc<World>,
@@ -315,7 +301,7 @@ fn save_killed_at_any_byte_resumes_segmented_and_converges() {
     // in MANIFEST.json — depend on the path.
     let site = Site::fresh("save");
     let mut sizes = Vec::new();
-    doomed(&site, &world, None, DEATH_POINT, &mut |c| {
+    doomed(&site, &world, &mut |c| {
         let generation = c.save_session_with(&StdFs, site.session()).unwrap();
         let dir = durable::generation_dir(&site.session(), generation);
         let size = |name: &str| std::fs::metadata(dir.join(name)).unwrap().len();
@@ -336,7 +322,7 @@ fn save_killed_at_any_byte_resumes_segmented_and_converges() {
     for budget in budgets(&sizes, "save") {
         let case = format!("budget {budget}");
         let site = Site::fresh("save");
-        let acked = doomed(&site, &world, None, DEATH_POINT, &mut |c| {
+        let acked = doomed(&site, &world, &mut |c| {
             let fs = CrashFs::with_budget(budget);
             let saved = c.save_session_with(&fs, site.session());
             assert!(saved.is_err(), "{case}: save must report the crash");
@@ -356,7 +342,7 @@ fn seal_killed_after_a_committed_generation_converges() {
     // Byte sizes (segment file, manifest) of the seal under test.
     let site = Site::fresh("seal-siz");
     let mut sizes = Vec::new();
-    doomed(&site, &world, None, DEATH_POINT, &mut |c| {
+    doomed(&site, &world, &mut |c| {
         let segment = format!("seg-{:06}.jsonl", c.store().segment_count());
         assert!(c.store().seal_now().unwrap(), "workspace was empty");
         let size = |name: &str| std::fs::metadata(site.segments().join(name)).unwrap().len();
@@ -369,65 +355,12 @@ fn seal_killed_after_a_committed_generation_converges() {
         let site = Site::fresh(&format!("seal-{i:03}"));
         // Two segments were sealed since the last generation; this
         // third seal dies and leaves a torn temp file or an orphan.
-        let acked = doomed(&site, &world, None, DEATH_POINT, &mut |c| {
+        let acked = doomed(&site, &world, &mut |c| {
             let fs = CrashFs::with_budget(budget);
             assert!(c.store().seal_now_with(&fs).is_err(), "{case}");
             assert!(fs.crashed(), "{case}: crash must have fired");
         });
         let outcome = resume_and_finish(&site, &world, acked, &case);
         assert_eq!(outcome, expected, "{case}: resumed crawl diverged");
-    }
-}
-
-#[test]
-fn compaction_keeps_segments_an_older_generation_references() {
-    let world = Arc::new(WorldConfig::small_test(42).build());
-    let expected = reference(&world, "cmp-ref");
-    // Every sealed segment is a merge candidate; each fourth is merged.
-    let compaction = Some(CompactionConfig {
-        small_docs: SEAL_EVERY + 1,
-        min_run: 4,
-    });
-    let exists = |site: &Site, name: &str| site.segments().join(name).exists();
-
-    // Generation 1 references two segments; compaction then merges them
-    // away; the save of generation 2 dies, so generation 1 is the
-    // recovery target and needs the replaced files.
-    let site = Site::fresh("cmp-000");
-    let mut replaced = Vec::new();
-    let acked = doomed(&site, &world, compaction, 2, &mut |c| {
-        let generation_1 = durable::find_newest_complete(&site.session()).unwrap();
-        replaced = referenced_segments(&generation_1.dir);
-        assert!(
-            c.store().compaction_stats().runs > 0,
-            "nothing was compacted"
-        );
-        let fs = CrashFs::with_budget(100);
-        assert!(c.save_session_with(&fs, site.session()).is_err());
-    });
-    assert!(!replaced.is_empty());
-    let live = std::fs::read_to_string(site.segments().join(bingo_store::SEGMENTS_FILE)).unwrap();
-    for name in &replaced {
-        assert!(exists(&site, name), "{name} was reaped under generation 1");
-        assert!(
-            !live.contains(&format!("{name}\",\"docs")),
-            "{name} was not compacted away"
-        );
-    }
-    let outcome = resume_and_finish(&site, &world, acked, &"compaction");
-    assert_eq!(
-        outcome.export, expected.export,
-        "a compacting, resumed crawl holds the same rows"
-    );
-    // Generation 1 was pruned long ago: what only it referenced is gone,
-    // and every kept generation still opens.
-    for name in &replaced {
-        assert!(!exists(&site, name), "{name} outlived its last generation");
-    }
-    let kept = durable::complete_generations(&site.session());
-    assert_eq!(kept.len(), durable::DEFAULT_KEEP_GENERATIONS);
-    for generation in kept {
-        let store = persist::load(generation.dir.join(STORE_FILE)).expect("kept generation opens");
-        assert!(store.is_segmented());
     }
 }

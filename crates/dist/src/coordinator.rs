@@ -31,7 +31,7 @@
 //!   continues from a cut where all of them agreed.
 
 use crate::lease::{LeaseQueue, LeaseStats, QueuedItem, WorkItem, JOURNAL_FILE};
-use crate::node::{scratch_dir, WorkerNode};
+use crate::node::WorkerNode;
 use crate::shard_of_url;
 use crate::telemetry::DistTelemetry;
 use bingo_crawler::{BatchJudge, CrawlConfig};
@@ -66,8 +66,8 @@ pub const LEASE_BATCH: usize = 16;
 pub struct DistConfig {
     /// Worker nodes (== shards).
     pub nodes: usize,
-    /// Session directory holding snapshot generations, the lease
-    /// journal, and per-node scratch.
+    /// Session directory holding snapshot generations and the lease
+    /// journal.
     pub session_dir: PathBuf,
     /// Expired leases an item may ride before quarantine.
     pub poison_budget: u32,
@@ -187,7 +187,7 @@ impl Coordinator {
         let queue = LeaseQueue::new(n, config.poison_budget, LEASE_TTL_MS);
         let slots = (0..n)
             .map(|k| NodeSlot {
-                node: Some(WorkerNode::new(k, &config.session_dir)),
+                node: Some(WorkerNode::new(k)),
                 free_at: 0,
                 restart_at: None,
                 fault_idx: 0,
@@ -250,7 +250,7 @@ impl Coordinator {
             LeaseQueue::from_journal_bytes(&std::fs::read(generation.dir.join(JOURNAL_FILE))?)?;
         for k in 0..coord.config.nodes {
             let bytes = std::fs::read(generation.dir.join(format!("node-{k}/store.jsonl")))?;
-            let node = WorkerNode::restore(k, &coord.config.session_dir, &bytes)?;
+            let node = WorkerNode::restore(k, &bytes)?;
             coord.node_restore[k] = bytes;
             coord.slots[k] = NodeSlot {
                 node: Some(node),
@@ -464,12 +464,7 @@ impl Coordinator {
             }
             let due = self.slots[k].restart_at.is_some_and(|t| t <= now);
             if self.slots[k].node.is_none() && due {
-                // Sweep the dead node's scratch before it comes back.
-                let scratch = scratch_dir(&self.config.session_dir, k);
-                if scratch.exists() && std::fs::remove_dir_all(&scratch).is_ok() {
-                    self.telemetry.scratch_reaped.inc();
-                }
-                let node = WorkerNode::restore(k, &self.config.session_dir, &self.node_restore[k])?;
+                let node = WorkerNode::restore(k, &self.node_restore[k])?;
                 self.slots[k].node = Some(node);
                 self.slots[k].restart_at = None;
                 self.slots[k].free_at = self.slots[k].free_at.max(now);
@@ -553,7 +548,7 @@ impl Coordinator {
                 self.slots[k].free_at = end;
                 continue;
             }
-            node.ack(lease.id, end, result.stored)?;
+            node.ack();
             let completed = self.queue.ack(lease.id).expect("ack of a live lease");
             self.uncheckpointed[k].extend(completed);
             self.acks_since_snapshot += 1;

@@ -45,7 +45,7 @@ pub mod telemetry;
 
 pub use coordinator::{Coordinator, DistConfig, DistStats};
 pub use lease::{LeaseQueue, LeaseRecord, LeaseStats, QuarantinedItem, QueuedItem, WorkItem};
-pub use node::{scratch_dir, WorkerNode};
+pub use node::WorkerNode;
 pub use telemetry::DistTelemetry;
 
 /// Shard (node index) owning `url`: fxhash of the URL's host modulo the

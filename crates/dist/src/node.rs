@@ -1,12 +1,11 @@
 //! One worker "node" of the distributed crawl: an in-process crawler
 //! shard owning the documents of the hosts hashed to it.
 //!
-//! A node is deliberately small: a [`DocumentStore`], the post-fetch
+//! A node is deliberately small: a [`DocumentStore`] and the post-fetch
 //! core over it ([`bingo_crawler::DocPipeline`] — the same convert →
-//! analyze → classify → bulk-load path the single-node crawler uses),
-//! and a scratch directory. It fetches the URLs of a lease, drives them
-//! through the pipeline, and hands discovered links back to the
-//! coordinator for sharding. All the distributed machinery (leases,
+//! analyze → classify → bulk-load path the single-node crawler uses).
+//! It fetches the URLs of a lease, drives them through the pipeline,
+//! and hands discovered links back to the coordinator for sharding. All the distributed machinery (leases,
 //! deadlines, snapshots, fault windows) lives in the coordinator;
 //! killing a node is just dropping this struct.
 //!
@@ -26,21 +25,11 @@ use crate::coordinator::LEASE_BATCH;
 use crate::lease::WorkItem;
 use bingo_crawler::{BatchJudge, CrawlTelemetry, DocOutcome, DocPipeline, FetchedDoc};
 use bingo_store::persist::{read_snapshot, write_snapshot};
-use bingo_store::spill::SCRATCH_DIR_SUFFIX;
 use bingo_store::DocumentStore;
 use bingo_textproc::Interner;
 use bingo_webworld::fetch::FetchOutcome;
 use bingo_webworld::World;
 use std::io;
-use std::path::{Path, PathBuf};
-
-/// Scratch directory of node `id` under `session`: restart-disposable
-/// state (the append-only ack log). The `.scratch` suffix puts stale
-/// copies left by a killed node under the startup sweep
-/// ([`bingo_store::reap_stale_spill_files`]).
-pub fn scratch_dir(session: &Path, id: usize) -> PathBuf {
-    session.join(format!("node-{id}{SCRATCH_DIR_SUFFIX}"))
-}
 
 /// What one leased batch did, from the coordinator's point of view.
 #[derive(Debug, Default, Clone)]
@@ -69,33 +58,31 @@ pub struct WorkerNode {
     /// registry (the scenario-visible counters are the coordinator's
     /// `dist.*` set).
     pipeline: DocPipeline,
-    scratch: PathBuf,
     acked_batches: u64,
 }
 
 impl WorkerNode {
     /// A fresh node with an empty store.
-    pub fn new(id: usize, session: &Path) -> Self {
-        Self::with_store(id, session, DocumentStore::new())
+    pub fn new(id: usize) -> Self {
+        Self::with_store(id, DocumentStore::new())
     }
 
     /// Restart a node from the snapshot bytes of the last committed
     /// distributed generation (empty bytes → empty store).
-    pub fn restore(id: usize, session: &Path, snapshot: &[u8]) -> io::Result<Self> {
+    pub fn restore(id: usize, snapshot: &[u8]) -> io::Result<Self> {
         let store = if snapshot.is_empty() {
             DocumentStore::new()
         } else {
             read_snapshot(snapshot).map_err(|e| io::Error::other(format!("{e:?}")))?
         };
-        Ok(Self::with_store(id, session, store))
+        Ok(Self::with_store(id, store))
     }
 
-    fn with_store(id: usize, session: &Path, store: DocumentStore) -> Self {
+    fn with_store(id: usize, store: DocumentStore) -> Self {
         WorkerNode {
             id,
             pipeline: DocPipeline::new(store.clone(), LEASE_BATCH, &CrawlTelemetry::default()),
             store,
-            scratch: scratch_dir(session, id),
             acked_batches: 0,
         }
     }
@@ -210,20 +197,9 @@ impl WorkerNode {
     }
 
     /// The lease-ack point: the batch's rows are already in the node's
-    /// store; append the ack to the node-local scratch log.
-    pub fn ack(&mut self, lease_id: u64, now_ms: u64, stored: u64) -> io::Result<()> {
+    /// store, so acking only counts the batch.
+    pub fn ack(&mut self) {
         self.acked_batches += 1;
-        std::fs::create_dir_all(&self.scratch)?;
-        let line = format!(
-            "{}\n",
-            serde_json::json!({"lease": lease_id, "t_ms": now_ms, "stored": stored})
-        );
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.scratch.join("ack-log.jsonl"))?;
-        f.write_all(line.as_bytes())
     }
 
     /// Serialize the node's store for the distributed snapshot
@@ -266,9 +242,8 @@ mod tests {
     #[test]
     fn process_stores_documents_and_discovers_links() {
         let world = small_world();
-        let dir = tempdir();
         let mut vocab = Vocabulary::new();
-        let mut node = WorkerNode::new(0, &dir);
+        let mut node = WorkerNode::new(0);
         let items = seed_items(&world, 4);
         let judge = judge_all();
         let result = node.process(&world, &mut vocab, &judge, &items, 0, 2);
@@ -281,37 +256,24 @@ mod tests {
         );
         // Nothing waits for the ack: the rows are already in the store.
         assert_eq!(node.store().document_count() as u64, result.stored);
-        node.ack(0, 10, result.stored).unwrap();
+        node.ack();
         assert_eq!(node.document_count() as u64, result.stored);
-        assert!(scratch_dir(&dir, 0).join("ack-log.jsonl").exists());
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(node.acked_batches(), 1);
     }
 
     #[test]
     fn snapshot_restore_round_trips_the_store() {
         let world = small_world();
-        let dir = tempdir();
         let mut vocab = Vocabulary::new();
-        let mut node = WorkerNode::new(1, &dir);
+        let mut node = WorkerNode::new(1);
         let items = seed_items(&world, 4);
         let judge = judge_all();
-        let result = node.process(&world, &mut vocab, &judge, &items, 0, 2);
-        node.ack(0, 5, result.stored).unwrap();
+        node.process(&world, &mut vocab, &judge, &items, 0, 2);
+        node.ack();
         let bytes = node.snapshot_bytes().unwrap();
-        let restored = WorkerNode::restore(1, &dir, &bytes).unwrap();
+        let restored = WorkerNode::restore(1, &bytes).unwrap();
         assert_eq!(restored.document_count(), node.document_count());
         // Same state serializes to the same bytes.
         assert_eq!(restored.snapshot_bytes().unwrap(), bytes);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    fn tempdir() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "bingo-dist-node-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
     }
 }

@@ -59,8 +59,7 @@ pub struct DistTelemetry {
     /// Bytes per committed generation (all node stores + journal +
     /// coordinator state).
     pub snapshot_bytes: Arc<Histogram>,
-    /// Stale scratch dirs / torn journal temps swept on node restart or
-    /// session open.
+    /// Torn lease-journal and spill temps swept when a session opens.
     pub scratch_reaped: Counter,
 }
 

@@ -37,8 +37,7 @@ pub mod tables;
 pub use bulk::{BulkLoader, BulkLoaderObs};
 pub use durable::{CrashFs, DurableFs, GenerationWriter, StdFs};
 pub use segment::{
-    reap_orphan_segments, CompactionConfig, CompactionStats, SegmentStoreConfig,
-    DEFAULT_SEAL_EVERY, SEGMENTS_FILE, SPARSE_SAMPLE_EVERY,
+    reap_orphan_segments, CompactionConfig, SegmentStoreConfig, DEFAULT_SEAL_EVERY, SEGMENTS_FILE,
 };
 pub use spill::{reap_stale_spill_files, SPILL_FILE_PREFIXES};
 pub use tables::{DocumentRow, LinkRow};
@@ -173,12 +172,11 @@ impl DocumentStore {
         )
     }
 
-    /// [`DocumentStore::segmented`] with full control over the index
-    /// mode and compaction policy ([`segment::SegmentStoreConfig`]).
-    /// `sparse: true` keeps only a sparse block index resident (every
-    /// [`segment::SPARSE_SAMPLE_EVERY`]th row per segment plus fence
-    /// keys) instead of one locator per sealed row; `compaction`
-    /// merges runs of small sealed segments after each seal.
+    /// [`DocumentStore::segmented`] with a full
+    /// [`segment::SegmentStoreConfig`]. Only `seal_every` may vary: a
+    /// config with `sparse: true` or a `compaction` policy is refused
+    /// with a [`StoreError`], since every sealed row keeps one resident
+    /// locator and sealed segments are never merged.
     pub fn segmented_cfg<P: AsRef<Path>>(
         dir: P,
         cfg: segment::SegmentStoreConfig,
@@ -245,21 +243,6 @@ impl DocumentStore {
     /// so crash tests can kill the seal at an exact byte offset.
     pub fn seal_now_with(&self, fs: &dyn DurableFs) -> Result<bool, StoreError> {
         self.spine.write().seal(fs)
-    }
-
-    /// Run one compaction pass now (merge the first eligible run of
-    /// small sealed segments) regardless of the seal cycle; no-op when
-    /// no compaction policy is configured. Returns whether a run was
-    /// compacted. The explicit [`DurableFs`] lets crash tests kill the
-    /// rewrite at an exact byte offset.
-    pub fn compact_now_with(&self, fs: &dyn DurableFs) -> Result<bool, StoreError> {
-        self.spine.write().maybe_compact(fs)
-    }
-
-    /// Cumulative compaction counters (zeros when no compaction policy
-    /// is configured).
-    pub fn compaction_stats(&self) -> segment::CompactionStats {
-        self.spine.read().compaction_stats()
     }
 
     /// Handle over the same shared state that forwards every accepted
@@ -367,8 +350,7 @@ impl DocumentStore {
     }
 
     /// Whether a document with `id` is stored, without materializing
-    /// its row: a map probe unless the store is sparse, which asks its
-    /// Bloom filter, then reads one block.
+    /// its row: resident map probes, no disk read.
     pub fn contains(&self, id: PageId) -> bool {
         self.spine.read().contains(id)
     }

@@ -17,11 +17,12 @@
 //!   the directory and the store configuration) and only the unsealed
 //!   workspace rows follow. Its cost is O(workspace), not O(corpus). A
 //!   store with no directory has nothing sealed to reference, and its
-//!   checkpoint is the full form.
+//!   checkpoint is the full form. Sealed segments are never rewritten,
+//!   so writing one takes only the store's read lock and leaves the
+//!   store as it was.
 //!
 //! [`read_snapshot`] and [`load`] accept either.
 
-use crate::durable::DurableFs;
 use crate::segment::{pe, SegmentManifest, SegmentStoreConfig, Spine};
 use crate::tables::{DocumentRow, LinkRow};
 use crate::{DocumentStore, StoreError};
@@ -98,11 +99,8 @@ pub fn write_snapshot<W: Write>(store: &DocumentStore, w: W) -> Result<(), Store
 
 /// Write what a checkpoint generation stores for `store`: the reference
 /// form of a store with a directory, the full form ([`write_snapshot`],
-/// byte for byte) of one without. Nothing is sealed — segment files
-/// stay a pure function of the crawl and the seal threshold — but from
-/// here on the store keeps every segment a generation may name:
-/// compaction retains what it replaces until [`release_unreferenced`]
-/// lets go.
+/// byte for byte) of one without. Nothing is sealed: segment files stay
+/// a pure function of the crawl and the seal threshold.
 pub fn write_checkpoint<W: Write>(store: &DocumentStore, w: W) -> Result<(), StoreError> {
     let Some(dir) = store.segment_dir() else {
         return write_snapshot(store, w);
@@ -111,8 +109,7 @@ pub fn write_checkpoint<W: Write>(store: &DocumentStore, w: W) -> Result<(), Sto
         .to_str()
         .ok_or_else(|| pe("segment directory is not valid UTF-8"))?
         .to_string();
-    let mut spine = store.spine.write();
-    spine.pin();
+    let spine = store.spine.read();
     let (docs, links) = spine.workspace();
     let header = ReferenceHeader {
         magic: MAGIC.to_string(),
@@ -158,7 +155,9 @@ fn header_version(line: &str) -> Result<u32, StoreError> {
 /// segment verified against its length and checksum, nothing on disk
 /// created, deleted or rewritten — replays the workspace rows and
 /// yields a segmented store; segments sealed after the snapshot are
-/// ignored and replaced by the store's next seals.
+/// ignored and replaced by the store's next seals. A reference header
+/// whose configuration asks for a sparse index or compaction is
+/// refused.
 pub fn read_snapshot<R: Read>(r: R) -> Result<DocumentStore, StoreError> {
     let mut lines = BufReader::new(r).lines();
     let header_line = lines
@@ -207,46 +206,6 @@ pub fn read_snapshot<R: Read>(r: R) -> Result<DocumentStore, StoreError> {
 /// Load a snapshot of either form from a file path.
 pub fn load<P: AsRef<Path>>(path: P) -> Result<DocumentStore, StoreError> {
     read_snapshot(std::fs::File::open(path).map_err(pe)?)
-}
-
-/// Segment file names the snapshot file at `path` references (none for
-/// the full form).
-fn referenced_segments(path: &Path) -> Result<Vec<String>, StoreError> {
-    let mut line = String::new();
-    BufReader::new(std::fs::File::open(path).map_err(pe)?)
-        .read_line(&mut line)
-        .map_err(pe)?;
-    let line = line.trim_end();
-    if header_version(line)? != REFERENCE_VERSION {
-        return Ok(Vec::new());
-    }
-    let header: ReferenceHeader = serde_json::from_str(line).map_err(pe)?;
-    Ok(header
-        .manifest
-        .segments
-        .into_iter()
-        .map(|s| s.name)
-        .collect())
-}
-
-/// Let `store` delete the segments compaction replaced that no kept
-/// checkpoint generation references any more. `kept` names the store
-/// file of every generation that survived the prune; a segment a header
-/// among them lists stays retained. Costs nothing (no file is read)
-/// unless the store retains something. Returns the files removed.
-pub fn release_unreferenced(
-    store: &DocumentStore,
-    fs: &dyn DurableFs,
-    kept: impl IntoIterator<Item = PathBuf>,
-) -> Result<usize, StoreError> {
-    if !store.spine.read().has_retained() {
-        return Ok(0);
-    }
-    let mut referenced = std::collections::HashSet::new();
-    for path in kept {
-        referenced.extend(referenced_segments(&path)?);
-    }
-    store.spine.write().release_retained(fs, &referenced)
 }
 
 #[cfg(test)]
@@ -345,6 +304,90 @@ mod tests {
         let mut saved = Vec::new();
         write_checkpoint(&loaded, &mut saved).unwrap();
         assert_eq!(String::from_utf8(saved).unwrap(), current);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The retired sparse index and compaction are refused, not
+    /// ignored: by a store opened on a directory, and by a reference
+    /// header that asks for either.
+    #[test]
+    fn sparse_and_compaction_are_refused() {
+        use crate::CompactionConfig;
+        let dir = std::env::temp_dir().join(format!("bingo-store-refuse-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let sparse = SegmentStoreConfig {
+            sparse: true,
+            ..Default::default()
+        };
+        let compacting = SegmentStoreConfig {
+            compaction: Some(CompactionConfig::default()),
+            ..Default::default()
+        };
+        for cfg in [sparse, compacting] {
+            assert!(matches!(
+                DocumentStore::segmented_cfg(&dir, cfg),
+                Err(StoreError::Persist(_))
+            ));
+        }
+        let s = DocumentStore::segmented_with(&dir, 4).unwrap();
+        for row in populated().all_documents() {
+            s.insert_document(row).unwrap();
+            s.commit_sealed().unwrap();
+        }
+        let mut current = Vec::new();
+        write_checkpoint(&s, &mut current).unwrap();
+        let current = String::from_utf8(current).unwrap();
+        let path = dir.join("store.jsonl");
+        std::fs::write(&path, &current).unwrap();
+        assert_eq!(load(&path).unwrap().document_count(), 10);
+        for (from, to) in [
+            (r#""sparse":false"#, r#""sparse":true"#),
+            (
+                r#""compaction":null"#,
+                r#""compaction":{"small_docs":4,"min_run":2}"#,
+            ),
+        ] {
+            let asked = current.replacen(from, to, 1);
+            assert_ne!(asked, current);
+            std::fs::write(&path, asked).unwrap();
+            assert!(matches!(load(&path), Err(StoreError::Persist(_))));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The reference-form header bytes of a small segmented store (two
+    /// seals, unsealed rows, an override on a sealed row), directory
+    /// aside: sessions resume from headers earlier builds wrote, so a
+    /// change here must be deliberate.
+    #[test]
+    fn reference_header_bytes_are_pinned() {
+        const PINNED: &str = concat!(
+            r#"{"magic":"bingo-snapshot","version":2,"documents":2,"links":1,"dir":"DIR","#,
+            r#""config":{"seal_every":4,"sparse":false,"compaction":null},"#,
+            r#""manifest":{"magic":"bingo-segments","version":1,"next_seg":2,"segments":["#,
+            r#"{"name":"seg-000000.jsonl","docs":4,"links":0,"len":715,"checksum":1475736273760512848},"#,
+            r#"{"name":"seg-000001.jsonl","docs":4,"links":0,"len":711,"checksum":15356108993364839010}],"#,
+            r#""overrides":[[1,3,0.5]]}}"#,
+        );
+        let dir = std::env::temp_dir().join(format!("bingo-store-ref-pin-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let s = DocumentStore::segmented_with(&dir, 4).unwrap();
+        for row in populated().all_documents() {
+            s.insert_document(row).unwrap();
+            s.commit_sealed().unwrap();
+        }
+        s.insert_link(LinkRow {
+            from: 9,
+            to: 1,
+            to_url: "http://h1/p1".into(),
+        });
+        s.set_topic(1, Some(3), 0.5).unwrap();
+        assert_eq!((s.segment_count(), s.workspace_documents()), (2, 2));
+        let mut bytes = Vec::new();
+        write_checkpoint(&s, &mut bytes).unwrap();
+        let text = String::from_utf8(bytes).unwrap();
+        let header = text.lines().next().unwrap();
+        assert_eq!(header.replace(dir.to_str().unwrap(), "DIR"), PINNED);
         std::fs::remove_dir_all(&dir).ok();
     }
 

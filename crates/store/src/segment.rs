@@ -32,18 +32,18 @@
 //!   [`reap_orphan_segments`] (also run by
 //!   [`crate::durable::prune_generations`]) deletes it; the workspace
 //!   rows it contained were never acked as sealed, so nothing is lost.
+//!   A manifest that cannot be read or parsed names nothing for sure,
+//!   so the reap then deletes nothing and the open fails.
 //! * On open, every referenced segment is verified against its
 //!   recorded length and checksum before any locator is trusted.
 //! * A checkpoint generation of a segmented store references sealed
 //!   segments by name, length and checksum instead of copying their
 //!   rows ([`crate::persist::write_checkpoint`]), and loading one opens
 //!   this directory *at the manifest it recorded*, touching nothing.
-//!   From the first reference on the store never deletes or rewrites a
-//!   file a kept generation may name: compaction moves the entries it
-//!   replaces into the manifest's `retained` list (same atomic commit)
-//!   instead of orphaning them, every reap spares `retained`, and
-//!   [`crate::persist::release_unreferenced`] drops what the surviving
-//!   generations no longer list.
+//!   No sealed segment is ever rewritten or replaced, so a generation's
+//!   references stay valid for as long as no later seal reuses the
+//!   names: only a crawl resumed from an older generation does, when
+//!   its first seal takes the next number of the manifest it resumed.
 //!
 //! Segment readers are lazy ("mmap-or-read" resolved to the portable
 //! read path): a point lookup seeks to the row's recorded offset and
@@ -75,9 +75,6 @@ pub const SEGMENT_VERSION: u32 = 1;
 /// Default workspace size (documents) that triggers a seal of the
 /// workspace into a new on-disk segment.
 pub const DEFAULT_SEAL_EVERY: usize = 4096;
-/// Sparse-index sampling interval: one resident `(id, offset)` pair per
-/// this many sealed rows; a point lookup reads at most one such block.
-pub const SPARSE_SAMPLE_EVERY: usize = 64;
 
 /// Behavior of a segmented store beyond the seal threshold.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -85,18 +82,11 @@ pub struct SegmentStoreConfig {
     /// Workspace size (documents) that triggers a seal
     /// ([`DEFAULT_SEAL_EVERY`]).
     pub seal_every: usize,
-    /// Sparse resident index. The dense default keeps one locator per
-    /// sealed row (exact, byte-identical to the historical layout);
-    /// sparse mode keeps only per-segment fence keys plus every
-    /// [`SPARSE_SAMPLE_EVERY`]th `(id, offset)` sample, sorts each
-    /// segment's rows by id, and answers point reads with one block
-    /// read. Sparse stores drop the resident URL-hash and topic
-    /// indexes too: [`crate::DocumentStore::document_by_url`] and
-    /// [`crate::DocumentStore::topic_documents`] become cold scans
-    /// (set-equal, order may differ — same caveat as a dense reopen).
+    /// Retired: a sparse index over sealed rows. Must be `false`; a
+    /// store asked for it refuses to open.
     pub sparse: bool,
-    /// Merge adjacent runs of small sealed segments after a seal;
-    /// `None` never compacts.
+    /// Retired: merging small sealed segments. Must be `None`; a store
+    /// asked for it refuses to open.
     pub compaction: Option<CompactionConfig>,
 }
 
@@ -110,18 +100,26 @@ impl Default for SegmentStoreConfig {
     }
 }
 
-/// When and how sealed segments are merged. Compaction bounds the
-/// segment count (and with it open-time verification cost and
-/// per-segment resident index overhead) on long crawls whose seals are
-/// small, and *materializes* topic overrides into the rewritten rows so
-/// the resident override map shrinks back.
+impl SegmentStoreConfig {
+    /// Refuse the retired options: every sealed row is indexed by one
+    /// resident locator, and sealed segments are never merged.
+    fn check(&self) -> Result<(), StoreError> {
+        if self.sparse || self.compaction.is_some() {
+            return Err(pe(
+                "sparse segment indexes and compaction are not supported",
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Retired compaction policy, kept only as the type of
+/// [`SegmentStoreConfig::compaction`]; its values are never read.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CompactionConfig {
-    /// Segments with fewer document rows than this are merge
-    /// candidates.
+    /// Document-row threshold of a small segment.
     pub small_docs: usize,
-    /// Minimum adjacent run of candidates that triggers a merge (at
-    /// most one run is merged per seal).
+    /// Minimum adjacent run of small segments to merge.
     pub min_run: usize,
 }
 
@@ -132,24 +130,6 @@ impl Default for CompactionConfig {
             min_run: 4,
         }
     }
-}
-
-/// Deterministic compaction counters (all zero when compaction is off).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionStats {
-    /// Merge runs performed.
-    pub runs: u64,
-    /// Source segments consumed by merges.
-    pub segments_merged: u64,
-    /// Document rows rewritten.
-    pub rows_rewritten: u64,
-    /// Topic overrides materialized into rewritten rows (and dropped
-    /// from the resident override map).
-    pub overrides_materialized: u64,
-    /// Bytes written into merged segments.
-    pub bytes_written: u64,
-    /// Replaced segment files reaped after commit.
-    pub orphans_reaped: u64,
 }
 
 fn url_hash(url: &str) -> u64 {
@@ -199,15 +179,6 @@ pub struct SegmentManifest {
     /// Re-classification overrides applied to sealed rows:
     /// `(id, topic, confidence)`, sorted by id.
     pub overrides: Vec<(PageId, Option<u32>, f32)>,
-    /// File names of segments compaction replaced while a checkpoint
-    /// generation may still reference them. Not part of the store's
-    /// contents, but every reap treats them as referenced until
-    /// [`crate::persist::release_unreferenced`] drops them. Omitted when
-    /// empty, so a store no checkpoint generation references writes the
-    /// same `SEGMENTS.json` bytes as builds that predate the field, and
-    /// their files still load.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub retained: Vec<String>,
 }
 
 impl SegmentManifest {
@@ -218,9 +189,28 @@ impl SegmentManifest {
             next_seg: 0,
             segments: Vec::new(),
             overrides: Vec::new(),
-            retained: Vec::new(),
         }
     }
+
+    fn check(&self) -> Result<(), StoreError> {
+        if self.magic != SEGMENTS_MAGIC || self.version != SEGMENT_VERSION {
+            return Err(pe("bad segment manifest magic/version"));
+        }
+        Ok(())
+    }
+}
+
+/// The committed manifest of `dir`: `None` when there is none yet, an
+/// error when it cannot be read or is not a manifest.
+fn read_manifest(dir: &Path) -> Result<Option<SegmentManifest>, StoreError> {
+    let text = match std::fs::read_to_string(dir.join(SEGMENTS_FILE)) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(pe(e)),
+    };
+    let manifest: SegmentManifest = serde_json::from_str(&text).map_err(pe)?;
+    manifest.check()?;
+    Ok(Some(manifest))
 }
 
 /// First line of every segment file.
@@ -234,55 +224,12 @@ struct SegmentHeader {
 }
 
 /// Locator of one sealed document row: which segment, and where in it.
-/// This — not the row — is what stays resident per document (dense
-/// index mode only).
+/// This — not the row — is what stays resident per document.
 #[derive(Debug, Clone, Copy)]
 struct SegLoc {
     seg: u32,
     offset: u64,
     len: u32,
-}
-
-/// Sparse resident index of one sealed segment (rows sorted by id):
-/// fence keys plus every [`SPARSE_SAMPLE_EVERY`]th row's `(id, byte
-/// offset)`. A point lookup binary-searches the samples and reads one
-/// block — O(rows / SAMPLE) resident entries instead of O(rows).
-#[derive(Debug, Clone)]
-struct SparseSegIndex {
-    min_id: PageId,
-    max_id: PageId,
-    /// `(id, byte offset)` of every Nth row; the first row is always
-    /// sampled, so `partition_point` never lands before a block start.
-    samples: Vec<(PageId, u64)>,
-    /// End offset of the document-row region (scan upper bound of the
-    /// last block).
-    docs_end: u64,
-}
-
-impl SparseSegIndex {
-    /// Build from each sealed row's `(id, offset, len)`, in file order
-    /// (= ascending id). A docless segment (links only) gets an
-    /// always-miss fence.
-    fn from_rows(rows: &[(PageId, u64, u32)]) -> Self {
-        let Some(&(last_id, last_off, last_len)) = rows.last() else {
-            return SparseSegIndex {
-                min_id: 1,
-                max_id: 0,
-                samples: Vec::new(),
-                docs_end: 0,
-            };
-        };
-        SparseSegIndex {
-            min_id: rows[0].0,
-            max_id: last_id,
-            samples: rows
-                .iter()
-                .step_by(SPARSE_SAMPLE_EVERY)
-                .map(|&(id, off, _)| (id, off))
-                .collect(),
-            docs_end: last_off + last_len as u64 + 1,
-        }
-    }
 }
 
 /// A segment file split into lines with their byte offsets.
@@ -346,7 +293,7 @@ pub(crate) struct Spine {
     ws_links: Vec<LinkRow>,
     /// The distinct edges of `ws_links`.
     ws_edges: Adjacency,
-    // --- resident indexes over sealed rows (dense mode) ---
+    // --- resident indexes over sealed rows ---
     locs: FxHashMap<PageId, SegLoc>,
     /// `fxhash(url) -> id` of the first URL with that hash, verified
     /// against the row's URL on read.
@@ -358,14 +305,6 @@ pub(crate) struct Spine {
     /// Effective topic -> ids, workspace and sealed rows combined, in
     /// (re)assignment order.
     by_topic: FxHashMap<u32, Vec<PageId>>,
-    // --- resident indexes over sealed rows (sparse mode) ---
-    /// Per-segment sparse indexes, parallel to `manifest.segments`.
-    sparse: Vec<SparseSegIndex>,
-    /// Front filter over sealed ids: duplicate-id checks hit disk only
-    /// on a probable duplicate.
-    sealed_ids: Bloom,
-    /// Sealed row count (sparse mode has no `locs` to count).
-    sealed_docs_ct: usize,
     // --- shared mutable metadata ---
     /// Re-classification of sealed (immutable) rows, applied on read.
     overrides: FxHashMap<PageId, (Option<u32>, f32)>,
@@ -373,11 +312,6 @@ pub(crate) struct Spine {
     /// Overrides changed since the last manifest commit; a seal with an
     /// empty workspace still recommits the manifest then.
     meta_dirty: bool,
-    /// A checkpoint generation may reference this store's segment files
-    /// ([`Spine::pin`]): compaction retains what it replaces instead of
-    /// orphaning it.
-    pinned: bool,
-    compaction_stats: CompactionStats,
 }
 
 impl std::fmt::Debug for Spine {
@@ -436,62 +370,10 @@ impl Adjacency {
     }
 }
 
-/// Two-probe Bloom front filter over `u128` keys. A negative answer is
-/// authoritative; a positive answer is merely a license to go look.
-struct Bloom {
-    words: Vec<u64>,
-    mask: u64,
-}
-
-impl Bloom {
-    fn new(bits_log2: u32) -> Self {
-        let bits = 1u64 << bits_log2.clamp(6, 36);
-        Bloom {
-            words: vec![0u64; (bits / 64) as usize],
-            mask: bits - 1,
-        }
-    }
-
-    fn probes(key: u128) -> (u64, u64) {
-        let h1 = fxhash::hash_one(&key);
-        let h2 = fxhash::hash_one(&h1) | 1;
-        (h1, h1.wrapping_add(h2))
-    }
-
-    // `add` and `maybe` run only for sparse stores. Inlined, they grow
-    // `Spine::open_at`'s row loop enough to slow a dense open by ≈3–7%
-    // (measured on 40k-row segment sets), so they stay out of line.
-    #[inline(never)]
-    fn add(&mut self, key: u128) {
-        let (a, b) = Self::probes(key);
-        for bit in [a & self.mask, b & self.mask] {
-            self.words[(bit / 64) as usize] |= 1 << (bit % 64);
-        }
-    }
-
-    #[inline(never)]
-    fn maybe(&self, key: u128) -> bool {
-        let (a, b) = Self::probes(key);
-        [a & self.mask, b & self.mask]
-            .iter()
-            .all(|bit| self.words[(bit / 64) as usize] & (1 << (bit % 64)) != 0)
-    }
-}
-
-/// Front-filter size of the sparse-mode sealed-id Bloom (2^28 bits =
-/// 32 MiB): ~0.5% false-positive rate at ten million sealed rows, so
-/// duplicate-id checks rarely touch disk.
-const SEALED_BLOOM_BITS_LOG2: u32 = 28;
-
 impl Spine {
     /// An empty store; with no directory every row stays in the
     /// workspace.
     pub(crate) fn empty(dir: Option<PathBuf>, cfg: SegmentStoreConfig) -> Self {
-        let bloom_bits = if cfg.sparse {
-            SEALED_BLOOM_BITS_LOG2
-        } else {
-            6
-        };
         Spine {
             dir,
             manifest: SegmentManifest::empty(),
@@ -507,52 +389,39 @@ impl Spine {
             by_url_hash: FxHashMap::default(),
             url_collisions: FxHashMap::default(),
             by_topic: FxHashMap::default(),
-            sparse: Vec::new(),
-            sealed_ids: Bloom::new(bloom_bits),
-            sealed_docs_ct: 0,
             overrides: FxHashMap::default(),
             sealed_links: 0,
             meta_dirty: false,
-            pinned: false,
-            compaction_stats: CompactionStats::default(),
         }
     }
 
-    /// Open (or create) a segmented store directory: reap orphans from
-    /// a crashed seal, then open at the committed manifest
-    /// ([`Spine::open_at`]).
-    ///
-    /// Index mode belongs to the *handle*, not the files: the same
-    /// directory opens dense or sparse (sparse segments are sorted by
-    /// id, which a dense open indexes like any other order; a sparse
-    /// open of dense segments rejects unsorted segments).
+    /// Open (or create) a segmented store directory: read the committed
+    /// manifest, reap orphans from a crashed seal, then open at that
+    /// manifest ([`Spine::open_at`]). A manifest that cannot be read or
+    /// parsed fails the open before anything is deleted.
     pub(crate) fn open(dir: PathBuf, cfg: SegmentStoreConfig) -> Result<Self, StoreError> {
-        reap_orphan_segments(&dir);
-        let text = match std::fs::read_to_string(dir.join(SEGMENTS_FILE)) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(Spine::empty(Some(dir), cfg))
-            }
-            Err(e) => return Err(pe(e)),
-        };
-        Spine::open_at(dir, cfg, serde_json::from_str(&text).map_err(pe)?)
+        cfg.check()?;
+        let manifest = read_manifest(&dir)?;
+        reap_unlisted(&dir, manifest.as_ref());
+        match manifest {
+            Some(manifest) => Spine::open_at(dir, cfg, manifest),
+            None => Ok(Spine::empty(Some(dir), cfg)),
+        }
     }
 
-    /// Open `dir` at `manifest` — the committed one ([`Spine::open`])
-    /// or the one a checkpoint generation recorded — without touching
-    /// the disk: every referenced segment is verified against its
-    /// recorded length and checksum before a locator is trusted, and
-    /// the resident indexes are rebuilt by streaming each segment once.
-    /// Files the manifest does not name are ignored.
-    pub(crate) fn open_at(
+    /// Open `dir` at a checked `manifest` — the committed one
+    /// ([`Spine::open`]) or the one a checkpoint generation recorded
+    /// ([`Spine::open_referenced`]) — without touching the disk: every
+    /// referenced segment is verified against its recorded length and
+    /// checksum before a locator is trusted, and the resident indexes
+    /// are rebuilt by streaming each segment once. Files the manifest
+    /// does not name are ignored.
+    fn open_at(
         dir: PathBuf,
         cfg: SegmentStoreConfig,
         manifest: SegmentManifest,
     ) -> Result<Self, StoreError> {
         let mut spine = Spine::empty(Some(dir), cfg);
-        if manifest.magic != SEGMENTS_MAGIC || manifest.version != SEGMENT_VERSION {
-            return Err(pe("bad segment manifest magic/version"));
-        }
         spine.overrides = manifest
             .overrides
             .iter()
@@ -570,47 +439,24 @@ impl Spine {
                     entry.name
                 )));
             }
-            let mut sparse_rows: Vec<(PageId, u64, u32)> =
-                Vec::with_capacity(if spine.cfg.sparse {
-                    parsed.doc_lines.len()
-                } else {
-                    0
-                });
             for &(offset, line) in &parsed.doc_lines {
                 let row: DocumentRow = from_line(line)?;
-                if spine.cfg.sparse {
-                    if let Some(&(prev, _, _)) = sparse_rows.last() {
-                        if prev >= row.id {
-                            return Err(pe(format!(
-                                "segment {} is not id-sorted; reopen it dense",
-                                entry.name
-                            )));
-                        }
-                    }
-                    sparse_rows.push((row.id, offset, line.len() as u32));
-                    spine.sealed_ids.add(row.id as u128);
-                } else {
-                    spine.index_url(&row.url, row.id);
-                    let topic = match spine.overrides.get(&row.id) {
-                        Some(&(t, _)) => t,
-                        None => row.topic,
-                    };
-                    if let Some(t) = topic {
-                        spine.by_topic.entry(t).or_default().push(row.id);
-                    }
-                    spine.locs.insert(
-                        row.id,
-                        SegLoc {
-                            seg: seg as u32,
-                            offset,
-                            len: line.len() as u32,
-                        },
-                    );
+                spine.index_url(&row.url, row.id);
+                let topic = match spine.overrides.get(&row.id) {
+                    Some(&(t, _)) => t,
+                    None => row.topic,
+                };
+                if let Some(t) = topic {
+                    spine.by_topic.entry(t).or_default().push(row.id);
                 }
-            }
-            if spine.cfg.sparse {
-                spine.sealed_docs_ct += sparse_rows.len();
-                spine.sparse.push(SparseSegIndex::from_rows(&sparse_rows));
+                spine.locs.insert(
+                    row.id,
+                    SegLoc {
+                        seg: seg as u32,
+                        offset,
+                        len: line.len() as u32,
+                    },
+                );
             }
             for line in &parsed.link_lines {
                 // Parse to validate; the adjacency is streamed on demand.
@@ -623,17 +469,18 @@ impl Spine {
     }
 
     /// [`Spine::open_at`] for a manifest recorded by a checkpoint
-    /// generation. The handle starts pinned (that generation references
-    /// its segments) and with its metadata dirty: `SEGMENTS.json` on
-    /// disk may describe segments sealed after the generation, so the
-    /// next seal commits this lineage even with an empty workspace.
+    /// generation. The handle starts with its metadata dirty:
+    /// `SEGMENTS.json` on disk may describe segments sealed after the
+    /// generation, so the next seal commits this lineage even with an
+    /// empty workspace.
     pub(crate) fn open_referenced(
         dir: PathBuf,
         cfg: SegmentStoreConfig,
         manifest: SegmentManifest,
     ) -> Result<Self, StoreError> {
+        cfg.check()?;
+        manifest.check()?;
         let mut spine = Spine::open_at(dir, cfg, manifest)?;
-        spine.pinned = true;
         spine.meta_dirty = true;
         Ok(spine)
     }
@@ -660,12 +507,6 @@ impl Spine {
     /// The unsealed rows: documents and links in insertion order.
     pub(crate) fn workspace(&self) -> (&[DocumentRow], &[LinkRow]) {
         (&self.ws_docs, &self.ws_links)
-    }
-
-    /// Record that a checkpoint generation is about to reference this
-    /// store's segment files by name, length and checksum.
-    pub(crate) fn pin(&mut self) {
-        self.pinned = true;
     }
 
     /// The manifest a commit would write *now*: the committed segments
@@ -699,11 +540,7 @@ impl Spine {
     }
 
     pub(crate) fn sealed_documents(&self) -> usize {
-        if self.cfg.sparse {
-            self.sealed_docs_ct
-        } else {
-            self.locs.len()
-        }
+        self.locs.len()
     }
 
     pub(crate) fn workspace_documents(&self) -> usize {
@@ -714,23 +551,17 @@ impl Spine {
         self.sealed_documents() + self.ws_docs.len()
     }
 
-    pub(crate) fn compaction_stats(&self) -> CompactionStats {
-        self.compaction_stats
-    }
-
     pub(crate) fn link_count(&self) -> usize {
         self.sealed_links as usize + self.ws_links.len()
     }
 
     pub(crate) fn insert_document(&mut self, row: DocumentRow) -> Result<(), StoreError> {
-        if self.ws_index.contains_key(&row.id) || self.sealed_contains(row.id)? {
+        if self.contains(row.id) {
             return Err(StoreError::DuplicateKey(row.id));
         }
-        if !self.cfg.sparse {
-            self.index_url(&row.url, row.id);
-            if let Some(topic) = row.topic {
-                self.by_topic.entry(topic).or_default().push(row.id);
-            }
+        self.index_url(&row.url, row.id);
+        if let Some(topic) = row.topic {
+            self.by_topic.entry(topic).or_default().push(row.id);
         }
         self.ws_index.insert(row.id, self.ws_docs.len());
         self.ws_docs.push(row);
@@ -743,59 +574,9 @@ impl Spine {
         }
     }
 
-    /// Exact membership; a sealed row that cannot be read counts as
-    /// absent, as it does for [`Spine::document`].
+    /// Exact membership: two resident-map probes, no disk read.
     pub(crate) fn contains(&self, id: PageId) -> bool {
-        self.ws_index.contains_key(&id) || self.sealed_contains(id).unwrap_or(false)
-    }
-
-    /// Exact sealed-row membership. Dense: one resident-map probe.
-    /// Sparse: the Bloom filter answers "definitely not" for almost
-    /// every fresh id; a probable duplicate is confirmed with a sparse
-    /// point read.
-    fn sealed_contains(&self, id: PageId) -> Result<bool, StoreError> {
-        if !self.cfg.sparse {
-            return Ok(self.locs.contains_key(&id));
-        }
-        if !self.sealed_ids.maybe(id as u128) {
-            return Ok(false);
-        }
-        Ok(self.sparse_find(id)?.is_some())
-    }
-
-    /// Sparse point lookup: fence-filter the segments, binary-search
-    /// each candidate's samples, read one block, scan to the id. Rows
-    /// in a block are id-sorted, so the scan early-exits.
-    fn sparse_find(&self, id: PageId) -> Result<Option<DocumentRow>, StoreError> {
-        for (seg, idx) in self.sparse.iter().enumerate() {
-            if idx.samples.is_empty() || id < idx.min_id || id > idx.max_id {
-                continue;
-            }
-            let i = idx.samples.partition_point(|&(s, _)| s <= id) - 1;
-            let start = idx.samples[i].1;
-            let end = idx
-                .samples
-                .get(i + 1)
-                .map(|&(_, off)| off)
-                .unwrap_or(idx.docs_end);
-            let entry = &self.manifest.segments[seg];
-            let mut f = std::fs::File::open(self.file(&entry.name)).map_err(pe)?;
-            f.seek(SeekFrom::Start(start)).map_err(pe)?;
-            let mut buf = vec![0u8; (end - start) as usize];
-            f.read_exact(&mut buf).map_err(pe)?;
-            for line in buf.split(|&b| b == b'\n') {
-                if line.is_empty() {
-                    continue;
-                }
-                let row: DocumentRow = from_line(line)?;
-                match row.id.cmp(&id) {
-                    std::cmp::Ordering::Less => continue,
-                    std::cmp::Ordering::Equal => return Ok(Some(row)),
-                    std::cmp::Ordering::Greater => break,
-                }
-            }
-        }
-        Ok(None)
+        self.ws_index.contains_key(&id) || self.locs.contains_key(&id)
     }
 
     pub(crate) fn insert_link(&mut self, link: LinkRow) {
@@ -809,20 +590,6 @@ impl Spine {
         topic: Option<u32>,
         confidence: f32,
     ) -> Result<(), StoreError> {
-        if self.cfg.sparse {
-            // No resident topic index to maintain — record the
-            // override (reads apply it; compaction materializes it).
-            if let Some(&i) = self.ws_index.get(&id) {
-                self.ws_docs[i].topic = topic;
-                self.ws_docs[i].confidence = confidence;
-            } else if self.sealed_contains(id)? {
-                self.overrides.insert(id, (topic, confidence));
-                self.meta_dirty = true;
-            } else {
-                return Err(StoreError::MissingDocument(id));
-            }
-            return Ok(());
-        }
         let old = if let Some(&i) = self.ws_index.get(&id) {
             let old = self.ws_docs[i].topic;
             self.ws_docs[i].topic = topic;
@@ -879,13 +646,7 @@ impl Spine {
         if let Some(&i) = self.ws_index.get(&id) {
             return Some(f(&self.ws_docs[i]));
         }
-        let row = if self.cfg.sparse {
-            let mut row = self.sparse_find(id).ok()??;
-            self.apply_override(&mut row);
-            row
-        } else {
-            self.read_sealed(*self.locs.get(&id)?).ok()?
-        };
+        let row = self.read_sealed(*self.locs.get(&id)?).ok()?;
         Some(f(&row))
     }
 
@@ -894,20 +655,6 @@ impl Spine {
     }
 
     pub(crate) fn document_by_url(&self, url: &str) -> Option<DocumentRow> {
-        if self.cfg.sparse {
-            // Cold path by design: no resident URL index in sparse
-            // mode. Workspace first (newest rows), then a segment scan.
-            if let Some(row) = self.ws_docs.iter().find(|row| row.url == url) {
-                return Some(row.clone());
-            }
-            let mut found = None;
-            let _ = self.for_each_sealed_document(|row| {
-                if found.is_none() && row.url == url {
-                    found = Some(row);
-                }
-            });
-            return found;
-        }
         let id = match self.url_collisions.get(url) {
             Some(&id) => id,
             None => *self.by_url_hash.get(&url_hash(url))?,
@@ -917,18 +664,6 @@ impl Spine {
     }
 
     pub(crate) fn topic_documents(&self, topic: u32) -> Vec<PageId> {
-        if self.cfg.sparse {
-            // Cold path by design: stream every row (overrides
-            // applied), segment order then workspace — set-equal to
-            // the dense index, order may differ.
-            let mut ids = Vec::new();
-            let _ = self.for_each_document(|row| {
-                if row.topic == Some(topic) {
-                    ids.push(row.id);
-                }
-            });
-            return ids;
-        }
         self.by_topic.get(&topic).cloned().unwrap_or_default()
     }
 
@@ -1073,21 +808,13 @@ impl Spine {
             docs: self.ws_docs.len() as u64,
             links: self.ws_links.len() as u64,
         };
-        // Row order in the file: insertion order, except sparse mode
-        // sorts by id so block reads can binary-search. The order is
-        // computed without disturbing the workspace — on a write error
-        // `ws_index` must stay valid.
-        let mut order: Vec<usize> = (0..self.ws_docs.len()).collect();
-        if self.cfg.sparse {
-            order.sort_unstable_by_key(|&i| self.ws_docs[i].id);
-        }
         let mut bytes = Vec::new();
         serde_json::to_writer(&mut bytes, &header).map_err(pe)?;
         bytes.push(b'\n');
         let mut offsets = Vec::with_capacity(self.ws_docs.len());
-        for &i in &order {
+        for row in &self.ws_docs {
             let start = bytes.len() as u64;
-            serde_json::to_writer(&mut bytes, &self.ws_docs[i]).map_err(pe)?;
+            serde_json::to_writer(&mut bytes, row).map_err(pe)?;
             offsets.push((start, (bytes.len() as u64 - start) as u32));
             bytes.push(b'\n');
         }
@@ -1108,215 +835,22 @@ impl Spine {
         manifest.next_seg = seg_no + 1;
         self.commit_manifest(fs, manifest)?;
         // Committed: move the workspace into the sealed state.
-        if self.cfg.sparse {
-            let rows: Vec<(PageId, u64, u32)> = order
-                .iter()
-                .zip(&offsets)
-                .map(|(&i, &(offset, len))| (self.ws_docs[i].id, offset, len))
-                .collect();
-            for &(id, _, _) in &rows {
-                self.sealed_ids.add(id as u128);
-            }
-            self.sealed_docs_ct += rows.len();
-            self.sparse.push(SparseSegIndex::from_rows(&rows));
-        } else {
-            for (&i, &(offset, len)) in order.iter().zip(&offsets) {
-                self.locs.insert(
-                    self.ws_docs[i].id,
-                    SegLoc {
-                        seg: seg_index,
-                        offset,
-                        len,
-                    },
-                );
-            }
+        for (row, &(offset, len)) in self.ws_docs.iter().zip(&offsets) {
+            self.locs.insert(
+                row.id,
+                SegLoc {
+                    seg: seg_index,
+                    offset,
+                    len,
+                },
+            );
         }
         self.ws_docs.clear();
         self.ws_index.clear();
         self.sealed_links += self.ws_links.len() as u64;
         self.ws_links.clear();
         self.ws_edges = Adjacency::default();
-        self.maybe_compact(fs)?;
         Ok(true)
-    }
-
-    /// Merge the first adjacent run of small sealed segments, if any.
-    /// Called after every successful data seal; also reachable via
-    /// [`crate::DocumentStore::compact_now_with`]. Returns whether a
-    /// run was compacted.
-    pub(crate) fn maybe_compact(&mut self, fs: &dyn DurableFs) -> Result<bool, StoreError> {
-        let Some(cfg) = self.cfg.compaction else {
-            return Ok(false);
-        };
-        let small_docs = cfg.small_docs.max(1) as u64;
-        let min_run = cfg.min_run.max(2);
-        let mut start = 0usize;
-        while start < self.manifest.segments.len() {
-            if self.manifest.segments[start].docs >= small_docs {
-                start += 1;
-                continue;
-            }
-            let mut end = start + 1;
-            while end < self.manifest.segments.len()
-                && self.manifest.segments[end].docs < small_docs
-            {
-                end += 1;
-            }
-            if end - start >= min_run {
-                self.compact_run(fs, start, end - start)?;
-                return Ok(true);
-            }
-            start = end;
-        }
-        Ok(false)
-    }
-
-    /// Rewrite the `len` sealed segments starting at index `start` as
-    /// one merged segment under a fresh segment number. Overrides on
-    /// merged rows are materialized into the rewritten rows and dropped
-    /// from the override map. Crash-safe: the merged segment and the
-    /// new manifest are written atomically (manifest last, as the
-    /// commit record), and resident state mutates only after both
-    /// writes succeed — a crash in between leaves an orphan segment
-    /// that the next open reaps.
-    fn compact_run(
-        &mut self,
-        fs: &dyn DurableFs,
-        start: usize,
-        len: usize,
-    ) -> Result<(), StoreError> {
-        let mut rows: Vec<DocumentRow> = Vec::new();
-        let mut link_bytes: Vec<u8> = Vec::new();
-        let mut links = 0u64;
-        for entry in &self.manifest.segments[start..start + len] {
-            let bytes = std::fs::read(self.file(&entry.name)).map_err(pe)?;
-            let parsed = parse_segment(&bytes)?;
-            for &(_, line) in &parsed.doc_lines {
-                rows.push(from_line(line)?);
-            }
-            for line in &parsed.link_lines {
-                link_bytes.extend_from_slice(line);
-                link_bytes.push(b'\n');
-            }
-            links += parsed.header.links;
-        }
-        let mut materialized = 0u64;
-        for row in &mut rows {
-            if let Some(&(topic, confidence)) = self.overrides.get(&row.id) {
-                row.topic = topic;
-                row.confidence = confidence;
-                materialized += 1;
-            }
-        }
-        if self.cfg.sparse {
-            rows.sort_unstable_by_key(|row| row.id);
-        }
-        let seg_no = self.manifest.next_seg;
-        let name = format!("seg-{seg_no:06}.jsonl");
-        let header = SegmentHeader {
-            magic: SEGMENT_MAGIC.to_string(),
-            version: SEGMENT_VERSION,
-            seg: seg_no,
-            docs: rows.len() as u64,
-            links,
-        };
-        let mut bytes = Vec::new();
-        serde_json::to_writer(&mut bytes, &header).map_err(pe)?;
-        bytes.push(b'\n');
-        let mut offsets = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let off = bytes.len() as u64;
-            serde_json::to_writer(&mut bytes, row).map_err(pe)?;
-            offsets.push((off, (bytes.len() as u64 - off) as u32));
-            bytes.push(b'\n');
-        }
-        bytes.extend_from_slice(&link_bytes);
-        fs.atomic_write(&self.file(&name), &bytes).map_err(pe)?;
-        let mut manifest = self.manifest_now();
-        let entry = SegmentEntry {
-            name,
-            docs: rows.len() as u64,
-            links,
-            len: bytes.len() as u64,
-            checksum: checksum(&bytes),
-        };
-        let replaced = manifest.segments.splice(start..start + len, [entry]);
-        let replaced: Vec<String> = replaced.map(|e| e.name).collect();
-        if self.pinned {
-            // A checkpoint generation may name the replaced files: keep
-            // them out of every reap until they are released.
-            manifest.retained.extend(replaced);
-        }
-        manifest.next_seg = seg_no + 1;
-        let merged_ids: std::collections::HashSet<PageId> = rows.iter().map(|r| r.id).collect();
-        manifest
-            .overrides
-            .retain(|(id, _, _)| !merged_ids.contains(id));
-        self.commit_manifest(fs, manifest)?;
-        // Committed: fold the merge into resident state.
-        self.overrides.retain(|id, _| !merged_ids.contains(id));
-        if self.cfg.sparse {
-            let idx_rows: Vec<(PageId, u64, u32)> = rows
-                .iter()
-                .zip(&offsets)
-                .map(|(row, &(off, rlen))| (row.id, off, rlen))
-                .collect();
-            self.sparse
-                .splice(start..start + len, [SparseSegIndex::from_rows(&idx_rows)]);
-        } else {
-            let removed = (len - 1) as u32;
-            let cutoff = (start + len) as u32;
-            for loc in self.locs.values_mut() {
-                if loc.seg >= cutoff {
-                    loc.seg -= removed;
-                }
-            }
-            for (row, &(off, rlen)) in rows.iter().zip(&offsets) {
-                self.locs.insert(
-                    row.id,
-                    SegLoc {
-                        seg: start as u32,
-                        offset: off,
-                        len: rlen,
-                    },
-                );
-            }
-        }
-        self.compaction_stats.runs += 1;
-        self.compaction_stats.segments_merged += len as u64;
-        self.compaction_stats.rows_rewritten += rows.len() as u64;
-        self.compaction_stats.overrides_materialized += materialized;
-        self.compaction_stats.bytes_written += bytes.len() as u64;
-        self.compaction_stats.orphans_reaped += reap_orphan_segments(self.root()) as u64;
-        Ok(())
-    }
-
-    /// True when compaction is holding replaced segments for checkpoint
-    /// generations.
-    pub(crate) fn has_retained(&self) -> bool {
-        !self.manifest.retained.is_empty()
-    }
-
-    /// Drop every retained segment name not in `referenced` (one
-    /// manifest commit, only when the list changes) and reap the files.
-    /// Returns the number of files removed.
-    pub(crate) fn release_retained(
-        &mut self,
-        fs: &dyn DurableFs,
-        referenced: &std::collections::HashSet<String>,
-    ) -> Result<usize, StoreError> {
-        if self
-            .manifest
-            .retained
-            .iter()
-            .all(|n| referenced.contains(n))
-        {
-            return Ok(0);
-        }
-        let mut manifest = self.manifest_now();
-        manifest.retained.retain(|n| referenced.contains(n));
-        self.commit_manifest(fs, manifest)?;
-        Ok(reap_orphan_segments(self.root()))
     }
 
     fn overrides_sorted(&self) -> Vec<(PageId, Option<u32>, f32)> {
@@ -1331,21 +865,25 @@ impl Spine {
 }
 
 /// Delete segment files (and stale `.tmp` siblings) in `dir` that the
-/// manifest neither references nor retains — the debris a crash between
-/// segment write and manifest commit leaves behind. A missing or
-/// unreadable manifest means no segment is referenced. Returns the number of
-/// files removed. Single-writer: callers must not reap a directory
-/// whose spine is mid-seal in another handle.
+/// committed manifest does not reference — the debris a crash between
+/// segment write and manifest commit leaves behind. With no manifest no
+/// segment is referenced; a manifest that cannot be read or parsed
+/// deletes nothing. Returns the number of files removed. Single-writer:
+/// callers must not reap a directory whose spine is mid-seal in another
+/// handle.
 pub fn reap_orphan_segments(dir: &Path) -> usize {
-    let referenced: std::collections::HashSet<String> =
-        std::fs::read_to_string(dir.join(SEGMENTS_FILE))
-            .ok()
-            .and_then(|text| serde_json::from_str::<SegmentManifest>(&text).ok())
-            .map(|m| {
-                let names = m.segments.into_iter().map(|s| s.name);
-                names.chain(m.retained).collect()
-            })
-            .unwrap_or_default();
+    match read_manifest(dir) {
+        Ok(manifest) => reap_unlisted(dir, manifest.as_ref()),
+        Err(_) => 0,
+    }
+}
+
+/// [`reap_orphan_segments`] against an already read manifest.
+fn reap_unlisted(dir: &Path, manifest: Option<&SegmentManifest>) -> usize {
+    let referenced: std::collections::HashSet<&str> = manifest
+        .iter()
+        .flat_map(|m| m.segments.iter().map(|s| s.name.as_str()))
+        .collect();
     let Ok(entries) = std::fs::read_dir(dir) else {
         return 0;
     };
@@ -1499,177 +1037,5 @@ mod tests {
             Err(StoreError::Persist(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    fn sparse4() -> SegmentStoreConfig {
-        SegmentStoreConfig {
-            seal_every: 4,
-            sparse: true,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn sparse_mode_answers_match_dense() {
-        let dir = temp_dir("sparse-eq");
-        let mut spine = Spine::open(dir.clone(), sparse4()).unwrap();
-        // Insert out of id order so the sparse seal has to sort.
-        for i in [3u64, 0, 2, 1, 7, 4, 6, 5] {
-            spine.insert_document(doc(i, Some((i % 2) as u32))).unwrap();
-            if spine.workspace_documents() >= 4 {
-                assert!(spine.seal(&StdFs).unwrap());
-            }
-        }
-        spine.insert_document(doc(8, None)).unwrap();
-        assert_eq!(spine.document_count(), 9);
-        assert_eq!(spine.sealed_documents(), 8);
-        for i in 0..9 {
-            assert_eq!(spine.document(i).unwrap().title, format!("doc {i}"));
-        }
-        assert!(spine.document(99).is_none());
-        assert!((0..9).all(|i| spine.contains(i)) && !spine.contains(99));
-        assert_eq!(spine.document_by_url("http://h1/p4").unwrap().id, 4);
-        assert!(spine.document_by_url("http://h1/p99").is_none());
-        let mut evens = spine.topic_documents(0);
-        evens.sort_unstable();
-        assert_eq!(evens, vec![0, 2, 4, 6]);
-        // Sealed duplicate ids are rejected through the bloom + block read.
-        assert!(matches!(
-            spine.insert_document(doc(3, None)),
-            Err(StoreError::DuplicateKey(3))
-        ));
-        // Overrides on sealed rows work without a resident locator.
-        spine.set_topic(5, Some(9), 0.9).unwrap();
-        assert_eq!(spine.document(5).unwrap().topic, Some(9));
-        assert!(matches!(
-            spine.set_topic(42, Some(1), 0.1),
-            Err(StoreError::MissingDocument(42))
-        ));
-        assert!(spine.seal(&StdFs).unwrap());
-        drop(spine);
-        // The same directory reopens in either mode with the same answers.
-        for cfg in [cfg4(), sparse4()] {
-            let spine = Spine::open(dir.clone(), cfg).unwrap();
-            assert_eq!(spine.document_count(), 9);
-            assert_eq!(spine.document(5).unwrap().topic, Some(9));
-            assert_eq!(spine.document(8).unwrap().title, "doc 8");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sparse_open_rejects_unsorted_segments() {
-        let dir = temp_dir("sparse-unsorted");
-        let mut spine = Spine::open(dir.clone(), cfg4()).unwrap();
-        // Dense seals keep insertion order: 1 before 0 is unsorted.
-        spine.insert_document(doc(1, None)).unwrap();
-        spine.insert_document(doc(0, None)).unwrap();
-        spine.seal(&StdFs).unwrap();
-        drop(spine);
-        assert!(matches!(
-            Spine::open(dir.clone(), sparse4()),
-            Err(StoreError::Persist(_))
-        ));
-        // Dense reopen is unaffected.
-        assert!(Spine::open(dir.clone(), cfg4()).is_ok());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    fn compacting(sparse: bool, min_run: usize) -> SegmentStoreConfig {
-        SegmentStoreConfig {
-            seal_every: 2,
-            sparse,
-            compaction: Some(CompactionConfig {
-                small_docs: 5,
-                min_run,
-            }),
-        }
-    }
-
-    #[test]
-    fn compaction_merges_adjacent_small_segments() {
-        for sparse in [false, true] {
-            let dir = temp_dir(&format!("compact-{sparse}"));
-            let mut spine = Spine::open(dir.clone(), compacting(sparse, 2)).unwrap();
-            for i in 0..8u64 {
-                spine.insert_document(doc(i, Some((i % 2) as u32))).unwrap();
-                spine.insert_link(LinkRow {
-                    from: i,
-                    to: i + 1,
-                    to_url: "u".into(),
-                });
-                spine.maybe_seal(&StdFs).unwrap();
-            }
-            // Seals of 2 rows each; every second seal completes a run of
-            // two small segments and merges it. The merged 4-row segment
-            // is still < small_docs, so the next merge folds into it too.
-            assert_eq!(spine.document_count(), 8);
-            assert!(
-                spine.segment_count() < 4,
-                "small segments were not merged: {}",
-                spine.segment_count()
-            );
-            let stats = spine.compaction_stats();
-            assert!(stats.runs >= 1);
-            assert!(stats.segments_merged >= 2);
-            assert!(stats.rows_rewritten >= 4);
-            assert!(stats.bytes_written > 0);
-            for i in 0..8 {
-                assert_eq!(spine.document(i).unwrap().title, format!("doc {i}"));
-            }
-            assert_eq!(spine.link_count(), 8);
-            drop(spine);
-            // Merged directory reopens in both modes.
-            for cfg in [cfg4(), sparse4()] {
-                let spine = Spine::open(dir.clone(), cfg).unwrap();
-                assert_eq!(spine.document_count(), 8);
-                assert_eq!(spine.link_count(), 8);
-                assert_eq!(spine.document(6).unwrap().title, "doc 6");
-                assert_eq!(spine.successors(3), vec![4]);
-            }
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
-
-    #[test]
-    fn compaction_materializes_overrides_and_shifts_later_segments() {
-        for sparse in [false, true] {
-            let dir = temp_dir(&format!("compact-ovr-{sparse}"));
-            // min_run 3 keeps the first two small seals unmerged so an
-            // override can land on a sealed row before compaction runs.
-            let mut spine = Spine::open(dir.clone(), compacting(sparse, 3)).unwrap();
-            for i in 0..4u64 {
-                spine.insert_document(doc(i, Some(0))).unwrap();
-                spine.maybe_seal(&StdFs).unwrap();
-            }
-            assert_eq!(spine.segment_count(), 2);
-            spine.set_topic(1, Some(9), 0.75).unwrap();
-            // Third small seal completes the run; compaction merges all
-            // three segments and bakes the override into the rows.
-            for i in 4..6u64 {
-                spine.insert_document(doc(i, Some(0))).unwrap();
-            }
-            spine.seal(&StdFs).unwrap();
-            assert_eq!(spine.segment_count(), 1);
-            let stats = spine.compaction_stats();
-            assert_eq!(stats.overrides_materialized, 1);
-            assert_eq!(spine.document(1).unwrap().topic, Some(9));
-            assert_eq!(spine.document(1).unwrap().confidence, 0.75);
-            // The override left the resident map: the next manifest
-            // commit writes it empty, and a reopen still sees the topic.
-            for i in 6..10u64 {
-                spine.insert_document(doc(i, Some(1))).unwrap();
-            }
-            spine.seal(&StdFs).unwrap();
-            // Rows in segments after the merged run stay addressable
-            // (dense locs shifted; sparse indexes respliced).
-            assert_eq!(spine.document(7).unwrap().title, "doc 7");
-            drop(spine);
-            let spine = Spine::open(dir.clone(), if sparse { sparse4() } else { cfg4() }).unwrap();
-            assert_eq!(spine.manifest.overrides.len(), 0);
-            assert_eq!(spine.document(1).unwrap().topic, Some(9));
-            assert_eq!(spine.document_count(), 10);
-            std::fs::remove_dir_all(&dir).ok();
-        }
     }
 }

@@ -1,29 +1,21 @@
 //! Sweeping run-scratch left behind by an aborted run.
 //!
-//! Several layers write scratch files next to durable state: the
-//! frontier's per-slot spill files, the distributed coordinator's lease
-//! journal temps, and per-node scratch directories. None of them is
-//! ever part of recovery — checkpoints and snapshot generations are
-//! self-contained — so whatever a killed run leaves behind is garbage,
-//! swept by [`reap_stale_spill_files`] before the next run starts.
+//! Two layers write scratch files next to durable state: the
+//! frontier's per-slot spill files and the distributed coordinator's
+//! lease journal temps. Neither is ever part of recovery — checkpoints
+//! and snapshot generations are self-contained — so whatever a killed
+//! run leaves behind is garbage, swept by [`reap_stale_spill_files`]
+//! before the next run starts.
 
 use std::path::Path;
 
 /// File-name prefixes of every spill-file family the system writes.
-/// The stale-file sweep on recovery reaps all of them — frontier slots,
-/// distributed lease journals, and per-node scratch directories alike
-/// (see [`reap_stale_spill_files`]).
-pub const SPILL_FILE_PREFIXES: &[&str] = &["slot-", "lease-", "node-"];
+/// The stale-file sweep on recovery reaps both — frontier slots and
+/// distributed lease journals (see [`reap_stale_spill_files`]).
+pub const SPILL_FILE_PREFIXES: &[&str] = &["slot-", "lease-"];
 
 /// Suffix shared by all spill scratch files.
 pub const SPILL_FILE_SUFFIX: &str = ".spill";
-
-/// Suffix of per-node scratch *directories* a distributed crawl's
-/// worker nodes write under (`node-3.scratch/`). A killed node leaves
-/// its directory behind; recovery never reads it — node state is
-/// restored from committed snapshot generations — so stale ones are
-/// swept whole.
-pub const SCRATCH_DIR_SUFFIX: &str = ".scratch";
 
 /// Delete leftover run-scratch in `dir` whose name starts with one of
 /// `prefixes`:
@@ -31,14 +23,12 @@ pub const SCRATCH_DIR_SUFFIX: &str = ".scratch";
 /// * spill files (`.spill`, or `.spill.tmp` — the torn sibling a crash
 ///   mid-[`crate::DurableFs::atomic_write`] leaves behind),
 /// * any other torn `.tmp` sibling of an atomic write, e.g. the
-///   `lease-journal.json.tmp` a killed coordinator abandons,
-/// * per-node scratch *directories* (`node-3.scratch/`) left by killed
-///   worker nodes, removed whole.
+///   `lease-journal.json.tmp` a killed coordinator abandons.
 ///
-/// None of these are ever part of recovery — checkpoints and snapshot
+/// Neither is ever part of recovery — checkpoints and snapshot
 /// generations are self-contained — so stale ones from an aborted run
-/// are pure garbage. Returns how many files and directories were
-/// removed.
+/// are pure garbage. Directories are never removed. Returns how many
+/// files were removed.
 pub fn reap_stale_spill_files(dir: &Path, prefixes: &[&str]) -> usize {
     let Ok(rd) = std::fs::read_dir(dir) else {
         return 0;
@@ -51,14 +41,9 @@ pub fn reap_stale_spill_files(dir: &Path, prefixes: &[&str]) -> usize {
         if !prefixes.iter().any(|p| base.starts_with(p)) {
             continue;
         }
-        let is_dir = entry.file_type().map(|t| t.is_dir()).unwrap_or(false);
-        let removed = if is_dir {
-            base.ends_with(SCRATCH_DIR_SUFFIX) && std::fs::remove_dir_all(entry.path()).is_ok()
-        } else {
-            (base.ends_with(SPILL_FILE_SUFFIX) || name.ends_with(".tmp"))
-                && std::fs::remove_file(entry.path()).is_ok()
-        };
-        if removed {
+        if (base.ends_with(SPILL_FILE_SUFFIX) || name.ends_with(".tmp"))
+            && std::fs::remove_file(entry.path()).is_ok()
+        {
             reaped += 1;
         }
     }
@@ -106,7 +91,7 @@ mod tests {
     }
 
     #[test]
-    fn stale_journal_temps_and_scratch_dirs_are_reaped() {
+    fn stale_journal_temps_are_reaped_and_directories_spared() {
         let dir = temp_dir("reap-dist");
         std::fs::create_dir_all(&dir).unwrap();
         // Torn atomic-write sibling of a lease journal, and a spill temp.
@@ -114,21 +99,16 @@ mod tests {
         std::fs::write(dir.join("slot-2.spill.tmp"), b"torn").unwrap();
         // Committed journal: never touched.
         std::fs::write(dir.join("lease-journal.json"), b"{}").unwrap();
-        // Scratch directory of a killed node, with contents.
-        let scratch = dir.join("node-3.scratch");
-        std::fs::create_dir_all(&scratch).unwrap();
-        std::fs::write(scratch.join("seg-000001.jsonl"), b"x").unwrap();
-        // Directories that merely share a prefix are spared.
-        std::fs::create_dir_all(dir.join("node-0")).unwrap();
+        // Directories are spared, whatever their name.
+        std::fs::create_dir_all(dir.join("lease-0.spill")).unwrap();
         // Unknown-prefix temp file is spared.
         std::fs::write(dir.join("other.json.tmp"), b"torn").unwrap();
 
         let reaped = reap_stale_spill_files(&dir, SPILL_FILE_PREFIXES);
-        assert_eq!(reaped, 3, "journal temp + spill temp + scratch dir");
+        assert_eq!(reaped, 2, "journal temp + spill temp");
         assert!(dir.join("lease-journal.json").exists(), "committed spared");
-        assert!(dir.join("node-0").exists(), "non-scratch dir spared");
+        assert!(dir.join("lease-0.spill").exists(), "directory spared");
         assert!(dir.join("other.json.tmp").exists(), "unknown prefix spared");
-        assert!(!scratch.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

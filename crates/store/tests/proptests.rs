@@ -4,9 +4,7 @@
 
 use bingo_graph::LinkSource;
 use bingo_store::segment::{SegmentEntry, SegmentManifest};
-use bingo_store::{
-    persist, CompactionConfig, DocumentRow, DocumentStore, LinkRow, SegmentStoreConfig,
-};
+use bingo_store::{persist, DocumentRow, DocumentStore, LinkRow, SegmentStoreConfig};
 use bingo_textproc::MimeType;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -156,8 +154,7 @@ impl Model {
     }
 
     /// The rows in the order a scan must yield them. Seals keep
-    /// insertion order, so every store without sparse segments scans
-    /// in insertion order.
+    /// insertion order, so every store scans in insertion order.
     fn scan(&self) -> Vec<DocumentRow> {
         self.inserted
             .iter()
@@ -325,21 +322,17 @@ proptest! {
     /// What a checkpoint generation stores for a segmented store — the
     /// segment references plus the workspace rows — loads back into the
     /// same database as the full snapshot taken at the same moment,
-    /// whatever the rows, seal points, overrides on sealed rows, index
-    /// mode and compaction policy; and loading it leaves
-    /// the segment directory exactly as it was.
+    /// whatever the rows, seal points and overrides on sealed rows; and
+    /// loading it leaves the segment directory exactly as it was.
     #[test]
     fn checkpoint_references_load_as_the_full_snapshot(
         ops in proptest::collection::vec(seg_op_strategy(), 0..100),
-        sparse in any::<bool>(),
-        compact in any::<bool>(),
     ) {
         let dir = fresh_dir("ckpt");
         let cfg = SegmentStoreConfig {
             // Threshold high enough that only explicit Op::Seal seals.
             seal_every: 1_000_000,
-            sparse,
-            compaction: compact.then_some(CompactionConfig { small_docs: 1_000, min_run: 2 }),
+            ..Default::default()
         };
         let live = DocumentStore::segmented_cfg(&dir, cfg.clone()).unwrap();
         for op in &ops {
@@ -412,8 +405,7 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// `SEGMENTS.json` text is a fixed point of the codec, and an empty
-    /// `retained` list is omitted, not written as `[]`. A manifest as
+    /// `SEGMENTS.json` text is a fixed point of the codec. A manifest as
     /// earlier builds wrote it, with an empty `hosts` list after the
     /// overrides, reads back as the same manifest: saving it again drops
     /// only that key.
@@ -424,7 +416,6 @@ proptest! {
             (any::<u64>(), proptest::option::of(0u32..5), -1.0f32..1.0),
             0..6,
         ),
-        retained in proptest::collection::vec("seg-[0-9]{6}\\.jsonl", 0..3),
     ) {
         let manifest = SegmentManifest {
             magic: "bingo-segments".into(),
@@ -442,15 +433,12 @@ proptest! {
                 })
                 .collect(),
             overrides,
-            retained,
         };
         let text = serde_json::to_string(&manifest).unwrap();
-        prop_assert_eq!(text.contains("\"retained\""), !manifest.retained.is_empty());
         let back: SegmentManifest = serde_json::from_str(&text).unwrap();
-        prop_assert_eq!(&back.retained, &manifest.retained);
         prop_assert_eq!(&serde_json::to_string(&back).unwrap(), &text);
 
-        let at = text.find(",\"retained\"").unwrap_or(text.len() - 1);
+        let at = text.len() - 1;
         let parent = format!("{},\"hosts\":[]{}", &text[..at], &text[at..]);
         let back: SegmentManifest = serde_json::from_str(&parent).unwrap();
         prop_assert_eq!(serde_json::to_string(&back).unwrap(), text);

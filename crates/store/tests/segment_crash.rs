@@ -156,115 +156,40 @@ fn seal_killed_at_every_byte_keeps_the_acked_segment() {
     }
 }
 
-/// Populate `dir` with two small sealed segments (a compactable run)
-/// followed by one larger sealed segment.
-fn build_compactable(dir: &PathBuf) {
-    let store = DocumentStore::segmented_with(dir, 1_000_000).expect("open");
-    for id in 0..2 {
-        store.insert_document(doc(id)).unwrap();
-    }
-    store.seal_now().expect("small seal 1");
-    for id in 2..4 {
-        store.insert_document(doc(id)).unwrap();
-    }
-    store.seal_now().expect("small seal 2");
-    for id in 4..12 {
-        store.insert_document(doc(id)).unwrap();
-        store.insert_link(link(id, id + 1));
-    }
-    store.seal_now().expect("big seal");
-}
-
-/// Open `dir` with a compaction policy armed so `compact_now_with`
-/// merges the small run.
-fn open_compacting(dir: &PathBuf) -> DocumentStore {
-    DocumentStore::segmented_cfg(
-        dir,
-        bingo_store::SegmentStoreConfig {
-            seal_every: 1_000_000,
-            sparse: false,
-            compaction: Some(bingo_store::CompactionConfig {
-                small_docs: 5,
-                min_run: 2,
-            }),
-        },
-    )
-    .expect("reopen with compaction")
-}
-
-/// Byte sizes (merged segment file, manifest) of a clean compaction.
-fn compaction_sizes() -> (u64, u64) {
-    let dir = fresh_dir("compact-sizes");
-    build_compactable(&dir);
-    let store = open_compacting(&dir);
-    assert!(store.compact_now_with(&bingo_store::StdFs).unwrap());
-    let seg = std::fs::metadata(dir.join("seg-000003.jsonl"))
-        .unwrap()
-        .len();
-    let manifest = std::fs::metadata(dir.join(SEGMENTS_FILE)).unwrap().len();
-    drop(store);
-    std::fs::remove_dir_all(&dir).ok();
-    (seg, manifest)
-}
-
+/// A `SEGMENTS.json` that cannot be parsed names nothing for sure:
+/// the open fails and every sealed segment stays on disk, as does a
+/// generation prune run over the same directory.
 #[test]
-fn compaction_killed_at_every_byte_never_loses_a_row() {
-    let (seg_len, manifest_len) = compaction_sizes();
-    let total = seg_len + manifest_len;
-
-    let mut budgets: Vec<u64> = vec![0, 1, seg_len - 1, seg_len, seg_len + 1, total - 1];
-    for seed in crash_seeds() {
-        for i in 0u64..6 {
-            budgets.push(fxhash::hash_one(&(seed, i, "compact")) % total);
+fn unparseable_manifest_fails_the_open_and_deletes_nothing() {
+    let dir = fresh_dir("garbled-manifest");
+    let store = DocumentStore::segmented_with(&dir, 1_000_000).expect("open");
+    for id in 0..8 {
+        store.insert_document(doc(id)).unwrap();
+        if id % 2 == 1 {
+            store.seal_now().expect("seal");
         }
     }
-    budgets.sort_unstable();
-    budgets.dedup();
-    budgets.retain(|b| *b < total);
-
-    for budget in budgets {
-        let dir = fresh_dir(&format!("compact-{budget}"));
-        build_compactable(&dir);
-        let store = open_compacting(&dir);
-
-        let fs = CrashFs::with_budget(budget);
-        assert!(
-            store.compact_now_with(&fs).is_err(),
-            "budget {budget}: compaction must report the crash"
-        );
-        assert!(fs.crashed(), "budget {budget}: crash must have fired");
-        assert_eq!(store.compaction_stats().runs, 0, "budget {budget}: no ack");
-
-        // The live handle never adopted the torn rewrite: every row
-        // still reads from the pre-compaction segments.
-        assert_eq!(store.document_count(), 12, "budget {budget}: live reads");
-        assert_eq!(store.document(3).unwrap().title, "doc 3");
-        drop(store);
-
-        // Recovery: the old manifest still governs; the torn merged
-        // segment (if any bytes landed) is an orphan and gets reaped.
-        let reopened = DocumentStore::segmented(&dir)
-            .unwrap_or_else(|e| panic!("budget {budget}: reopen failed: {e}"));
-        assert_eq!(reopened.document_count(), 12, "budget {budget}: rows lost");
-        assert_eq!(reopened.segment_count(), 3, "budget {budget}");
-        for id in 0..12 {
-            assert!(
-                reopened.document(id).is_some(),
-                "budget {budget}: row {id} lost to a torn compaction"
-            );
-        }
-        drop(reopened);
-
-        // A retried compaction from a fresh handle completes and the
-        // merged store still serves every row.
-        let retry = open_compacting(&dir);
-        assert!(retry.compact_now_with(&bingo_store::StdFs).unwrap());
-        assert_eq!(retry.segment_count(), 2, "budget {budget}: retry merge");
-        assert_eq!(retry.document_count(), 12, "budget {budget}: retry rows");
-        assert_eq!(retry.link_count(), 8, "budget {budget}: retry links");
-        drop(retry);
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    assert_eq!(store.segment_count(), 4);
+    drop(store);
+    let listing = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort_unstable();
+        names
+    };
+    let before = listing();
+    assert_eq!(before.len(), 5, "four segments and the manifest");
+    std::fs::write(dir.join(SEGMENTS_FILE), b"{\"magic\":1").unwrap();
+    assert!(matches!(
+        DocumentStore::segmented(&dir),
+        Err(bingo_store::StoreError::Persist(_))
+    ));
+    assert_eq!(listing(), before, "a failed open deleted files");
+    bingo_store::durable::prune_generations(&dir, 1);
+    assert_eq!(listing(), before, "a prune deleted files");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
