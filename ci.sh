@@ -47,7 +47,7 @@
 # Beyond the baseline comparison, the serve scenario proves the
 # snapshot-swap live index answers queries identically to a batch
 # rebuild, the scale scenario crawls a paged world (a million pages in
-# full mode) through the segmented store and the spilling frontier,
+# full mode) through the segmented store,
 # checkpointing and resuming, failing the gate if peak-RSS growth leaves
 # the fixed budget (rss_within_budget), and the dist scenario runs a
 # multi-node coordinator/worker crawl through seeded node kills plus a
@@ -56,10 +56,9 @@
 #
 # BINGO_CRASH_SEEDS picks the seed matrix for the crash-recovery sweep
 # (every byte budget of a checkpoint write, a store segment seal, a
-# segment-referenced session save and the seal after it, every
-# frontier spill-file boundary, the lease journal, and every file
-# boundary of the two-phase distributed snapshot commit is crashed and
-# recovered); the default widens the in-repo test default for CI
+# segment-referenced session save and the seal after it, the lease
+# journal, and every file boundary of the two-phase distributed
+# snapshot commit is crashed and recovered); the default widens the in-repo test default for CI
 # coverage. BINGO_NODE_KILL_SEEDS picks the seed matrix for the
 # node-kill chaos sweep (each seed: generated fault plan, mid-crawl
 # process kill, resume must converge to the calm page set); nightly.yml

@@ -232,29 +232,6 @@ pub fn run(cfg: &ExpertExperimentConfig) -> ExpertOutcome {
         })
         .collect();
 
-    if std::env::var("BINGO_DEBUG_EXPERT").is_ok() {
-        let mut by_topic: std::collections::HashMap<Option<u32>, usize> = Default::default();
-        crawler.store().for_each_document(|row| {
-            if row.topic == Some(topic.0) {
-                *by_topic.entry(world.true_topic(row.id)).or_insert(0) += 1;
-            }
-        });
-        eprintln!("run(): classified-ARIES by true topic: {by_topic:?}");
-        for d in engine
-            .tree
-            .node(topic)
-            .training
-            .iter()
-            .filter(|d| d.archetype)
-        {
-            eprintln!(
-                "run(): archetype {} true={:?}",
-                d.url,
-                world.resolve_url(&d.url).and_then(|p| world.true_topic(p))
-            );
-        }
-    }
-
     let count_needles = |results: &[RankedResult]| {
         results
             .iter()

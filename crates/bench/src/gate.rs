@@ -22,7 +22,7 @@
 //!   must answer a fixed query prefix identically to a batch rebuild,
 //! * **scale** — a memory-bounded crawl of a lazily paged synthetic web
 //!   (one million pages in full mode) through the disk-backed segmented
-//!   store and the spillable frontier; coverage, harvest and segment
+//!   store and a resident frontier; coverage, harvest and segment
 //!   counts gate tightly and the crawl's peak RSS growth must stay
 //!   inside a fixed per-mode budget (`rss_within_budget`); the crawl
 //!   checkpoints, and the resume of its newest generation runs inside
@@ -45,6 +45,7 @@
 //! per-metric tolerances; the values cannot flake, they only change
 //! when the code changes behaviour.
 
+use crate::portal::{PortalExperimentConfig, PortalRun};
 use bingo_core::{BingoEngine, EngineConfig, EngineTelemetry, TopicId, TopicTree};
 use bingo_crawler::checkpoint::STORE_FILE;
 use bingo_crawler::{
@@ -61,7 +62,6 @@ use bingo_serve::{PortalRequest, PortalService, QueryMix, ServeMetrics, VirtualL
 use bingo_store::durable::{self, CrashFs};
 use bingo_store::DocumentStore;
 use bingo_textproc::{AnalyzedDocument, SharedVocabulary, TermLookup, Vocabulary};
-use bingo_webworld::fetch::host_of_url;
 use bingo_webworld::gen::{TopicConfig, WorldConfig};
 use bingo_webworld::{lexicon, HostBehavior, NodeFaultPlan, NodeFaultProfile, PageKind, World};
 use serde_json::{json, Value};
@@ -190,55 +190,30 @@ fn three_topic_engine(
     (engine, topics)
 }
 
-/// Run the crawl scenario once.
+/// Run the crawl scenario once: the §5.2 protocol of
+/// [`crate::portal::run`] at gate size, with both snapshots at the end
+/// of the harvest.
 pub fn run_crawl_scenario(mode: GateMode) -> ScenarioRun {
     let (authors, noise_scale, learning_ms, harvest_ms) = match mode {
         GateMode::Full => (300usize, 2usize, 60_000u64, 400_000u64),
         GateMode::Smoke => (120, 1, 30_000, 150_000),
     };
-    let world = Arc::new(WorldConfig::portal(GATE_SEED, authors, noise_scale).build());
     let registry = Arc::new(Registry::new());
     let events = Arc::new(EventLog::default());
-
-    // Engine: one topic seeded from the two most prolific authors.
-    let mut engine = BingoEngine::new(EngineConfig {
-        archetype_threshold: false,
-        ..EngineConfig::default()
-    });
-    engine.set_telemetry(EngineTelemetry::new(registry.clone(), events.clone()));
-    let topic = engine.add_topic(TopicTree::ROOT, "database research");
-    let seeds: Vec<String> = world.authors()[..2]
-        .iter()
-        .map(|a| world.url_of(a.homepage))
-        .collect();
-    for url in &seeds {
-        engine
-            .add_training_url(&world, topic, url)
-            .unwrap_or_else(|e| panic!("seed {url}: {e}"));
-    }
-    crate::populate_others(&mut engine, &world, &[3, 4, 5, 6], 30);
-    engine.train().expect("initial training");
-
-    // Learning phase: sharp focus inside the seed domains.
-    let seed_hosts = seeds
-        .iter()
-        .map(|u| host_of_url(u).unwrap().to_string())
-        .collect();
-    let learn_config = CrawlConfig {
-        allowed_hosts: Some(seed_hosts),
-        ..CrawlConfig::default()
+    let cfg = PortalExperimentConfig {
+        seed: GATE_SEED,
+        authors,
+        noise_scale,
+        t1_ms: harvest_ms,
+        t2_ms: harvest_ms,
+        learning_ms,
+        n_others: 30,
+        retrain_every: 400,
+        ..PortalExperimentConfig::default()
     };
-    let mut crawler = Crawler::new(world.clone(), learn_config, DocumentStore::new());
-    crawler.set_telemetry(CrawlTelemetry::new(registry.clone(), events.clone()));
-    for url in &seeds {
-        crawler.add_seed(url, Some(topic.0));
-    }
-    engine.crawl_until(&mut crawler, learning_ms, 0);
-    engine.retrain(&mut crawler);
-
-    // Harvesting phase: soft focus, best-first, periodic retraining.
-    engine.switch_to_harvesting(&mut crawler);
-    engine.crawl_until(&mut crawler, harvest_ms, 400);
+    let PortalRun {
+        engine, crawler, ..
+    } = crate::portal::run_observed(&cfg, Some((&registry, &events)));
 
     // Index build + fixed query set.
     let search_metrics = SearchMetrics::new(registry.clone());
@@ -667,28 +642,24 @@ struct ScaleParams {
     /// Segment seal cadence (documents per sealed segment).
     seal_every: usize,
     /// Frontier incoming-queue capacity: sized to hold the whole
-    /// discovered tail — the spill layer makes that memory-cheap.
+    /// discovered tail, so no link is dropped.
     incoming_cap: usize,
-    /// In-memory entry payloads per incoming queue; the rest spills.
-    frontier_hot_cap: usize,
     /// Commit a session generation every N stored pages and resume the
     /// newest one after the crawl.
     checkpoint_every: u64,
     /// Fixed budget on RSS *growth* during the crawl, MB.
     rss_budget_mb: f64,
-    /// Scratch directory tag (segments + spill files).
+    /// Scratch directory tag (segments + session generations).
     tag: String,
 }
 
 /// Run the scale scenario once: a seeded crawl of a paged synthetic web
 /// (one million pages in [`GateMode::Full`]) through the disk-backed
-/// segmented store and the spillable frontier, inside a fixed RSS
-/// budget.
+/// segmented store and a resident frontier, inside a fixed RSS budget.
 ///
 /// Nothing in the path materializes the web or the harvest in memory:
-/// page metadata is derived per lookup and never cached, sealed segments
-/// live on disk behind the write workspace, and the frontier keeps only
-/// a bounded hot set of entry payloads resident. The report carries the
+/// page metadata is derived per lookup and never cached, and sealed
+/// segments live on disk behind the write workspace. The report carries the
 /// RSS evidence (`rss_growth_mb` against the fixed `rss_budget_mb`,
 /// gated as the `rss_within_budget` bit); the deterministic coverage,
 /// harvest and segment counts gate tightly. The crawl commits a session
@@ -706,7 +677,6 @@ pub fn run_scale_scenario(mode: GateMode) -> ScenarioRun {
             paged: bingo_webworld::PagedConfig::scale_full(GATE_SEED),
             seal_every: 4_096,
             incoming_cap: 1_500_000,
-            frontier_hot_cap: 512,
             checkpoint_every: 200_000,
             rss_budget_mb: 512.0,
             tag: "full".into(),
@@ -715,7 +685,6 @@ pub fn run_scale_scenario(mode: GateMode) -> ScenarioRun {
             paged: bingo_webworld::PagedConfig::scale_smoke(GATE_SEED),
             seal_every: 256,
             incoming_cap: 50_000,
-            frontier_hot_cap: 64,
             checkpoint_every: 2_500,
             rss_budget_mb: 256.0,
             tag: "smoke".into(),
@@ -734,8 +703,6 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
     let session = scratch.join("session");
     let config = CrawlConfig {
         incoming_queue_cap: params.incoming_cap,
-        frontier_spill_dir: Some(scratch.join("frontier")),
-        frontier_hot_cap: params.frontier_hot_cap,
         checkpoint_every_docs: params.checkpoint_every,
         checkpoint_dir: Some(session.clone()),
         ..CrawlConfig::default().harvesting()
@@ -749,7 +716,6 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
     let mut crawler = Crawler::new(world.clone(), config.clone(), store.clone());
     crawler.set_telemetry(CrawlTelemetry::new(registry.clone(), events.clone()));
     crawler.add_seed(&world.url_of(0), Some(0));
-    let mut spilled_peak = 0usize;
     // What each committed generation's store file holds, read back from
     // its header: (document rows, segments referenced, documents in the
     // store at that moment).
@@ -764,7 +730,6 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
             if crawler.step(&mut judge, &mut vocab) == StepOutcome::FrontierEmpty {
                 break;
             }
-            spilled_peak = spilled_peak.max(crawler.frontier_spilled_len());
             if crawler.stats().checkpoints_written > generations.len() as u64 {
                 let newest = durable::generation_numbers(&session)[0];
                 let file = durable::generation_dir(&session, newest).join(STORE_FILE);
@@ -797,8 +762,6 @@ fn run_scale_with(params: ScaleParams) -> ScenarioRun {
         "segments_sealed": store.segment_count(),
         "sealed_documents": store.sealed_documents(),
         "workspace_documents": store.workspace_documents(),
-        "spilled_peak": spilled_peak,
-        "spill_active": u64::from(spilled_peak > 0),
         "dedup_hot": crawler.dedup_fingerprints() as u64,
     });
     drop((crawler, store));
@@ -1055,7 +1018,6 @@ const SCALE_SPECS: &[MetricSpec] = &[
     MetricSpec::at_least("stored_pages", 0.05),
     MetricSpec::at_least("harvest_ratio", 0.05),
     MetricSpec::at_least("segments_sealed", 0.05),
-    MetricSpec::at_least("spill_active", 0.0),
     MetricSpec::at_least("rss_within_budget", 0.0),
     MetricSpec::at_least("generations_written", 0.0),
     MetricSpec::at_most("generation_rows_max", 0.0),
@@ -1500,8 +1462,8 @@ mod tests {
 
     /// End-to-end: a miniature scale run (600 paged pages, so it stays
     /// fast in debug builds) replays byte-identically, covers the whole
-    /// paged world through the segmented store and spillable frontier,
-    /// and stays inside its RSS budget.
+    /// paged world through the segmented store, and stays inside its
+    /// RSS budget.
     #[test]
     fn scale_scenario_is_deterministic_and_memory_bounded() {
         let mini = || ScaleParams {
@@ -1513,7 +1475,6 @@ mod tests {
             },
             seal_every: 64,
             incoming_cap: 5_000,
-            frontier_hot_cap: 16,
             checkpoint_every: 150,
             rss_budget_mb: 256.0,
             tag: "test".into(),
@@ -1530,7 +1491,6 @@ mod tests {
             "crawl left most of the paged world unvisited"
         );
         assert!(get("segments_sealed") >= 2, "store never spanned segments");
-        assert_eq!(get("spill_active"), 1, "frontier never spilled");
         assert_eq!(get("rss_within_budget"), 1, "RSS budget blown");
         assert!(get("generations_written") >= 3, "crawl barely checkpointed");
         assert!(

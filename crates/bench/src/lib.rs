@@ -26,7 +26,7 @@ pub mod meta_exp;
 pub mod portal;
 pub mod report;
 
-use bingo_core::{BingoEngine, EngineConfig, TopicId, TopicTree};
+use bingo_core::{BingoEngine, TopicId, TopicTree};
 use bingo_webworld::{PageKind, World};
 
 /// Pick `n` noise content pages (the "Yahoo top-level categories"
@@ -65,18 +65,17 @@ pub fn populate_others(
     added
 }
 
-/// Standard single-topic engine setup used by several experiments:
-/// a fresh engine with one topic, trained from the given seed URLs and
-/// `n_others` noise negatives.
+/// Standard single-topic engine setup: `engine` (fresh, possibly with
+/// telemetry attached) gets one topic, trained from the given seed URLs
+/// and `n_others` noise negatives.
 pub fn single_topic_engine(
+    mut engine: BingoEngine,
     world: &World,
     topic_name: &str,
     seed_urls: &[String],
     noise_topics: &[u32],
     n_others: usize,
-    config: EngineConfig,
 ) -> (BingoEngine, TopicId) {
-    let mut engine = BingoEngine::new(config);
     let topic = engine.add_topic(TopicTree::ROOT, topic_name);
     for url in seed_urls {
         engine
@@ -91,6 +90,7 @@ pub fn single_topic_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bingo_core::EngineConfig;
     use bingo_webworld::gen::WorldConfig;
 
     #[test]
@@ -107,8 +107,8 @@ mod tests {
     fn single_topic_engine_trains() {
         let world = WorldConfig::small_test(61).build();
         let seeds = vec![world.url_of(world.authors()[0].homepage)];
-        let (engine, topic) =
-            single_topic_engine(&world, "db", &seeds, &[2, 3], 20, EngineConfig::default());
+        let engine = BingoEngine::new(EngineConfig::default());
+        let (engine, topic) = single_topic_engine(engine, &world, "db", &seeds, &[2, 3], 20);
         assert!(engine.model(topic).is_some());
     }
 }

@@ -8,8 +8,9 @@
 //! at two budgets whose ratio matches the paper's 90 minutes : 12 hours.
 
 use crate::single_topic_engine;
-use bingo_core::{BingoEngine, EngineConfig, TopicId};
-use bingo_crawler::{CrawlConfig, CrawlStats, Crawler};
+use bingo_core::{BingoEngine, EngineConfig, EngineTelemetry, TopicId};
+use bingo_crawler::{CrawlConfig, CrawlStats, CrawlTelemetry, Crawler};
+use bingo_obs::{EventLog, Registry};
 use bingo_store::DocumentStore;
 use bingo_webworld::dblp::{author_prefix_of, evaluate_found_authors};
 use bingo_webworld::fetch::host_of_url;
@@ -96,6 +97,17 @@ pub struct PortalOutcome {
     pub archetypes: usize,
 }
 
+/// A finished [`run`]: its outcome, and the engine and crawler that
+/// produced it.
+pub struct PortalRun {
+    /// The experiment's numbers.
+    pub outcome: PortalOutcome,
+    /// The engine after the final snapshot.
+    pub engine: BingoEngine,
+    /// The crawler after the final snapshot; its store holds the crawl.
+    pub crawler: Crawler,
+}
+
 /// Evaluate the crawl result against the author directory at the current
 /// moment.
 fn snapshot(
@@ -150,6 +162,16 @@ fn snapshot(
 
 /// Run the full portal-generation experiment.
 pub fn run(cfg: &PortalExperimentConfig) -> PortalOutcome {
+    run_observed(cfg, None).outcome
+}
+
+/// [`run`], with `telemetry` recording the engine from before its first
+/// training and the crawler from its first seed. Returns the crawl with
+/// the outcome, for callers that go on to index and query it.
+pub fn run_observed(
+    cfg: &PortalExperimentConfig,
+    telemetry: Option<(&Arc<Registry>, &Arc<EventLog>)>,
+) -> PortalRun {
     let world = Arc::new(WorldConfig::portal(cfg.seed, cfg.authors, cfg.noise_scale).build());
 
     // Seeds: the two most prolific authors' homepages.
@@ -158,18 +180,21 @@ pub fn run(cfg: &PortalExperimentConfig) -> PortalOutcome {
         .map(|a| world.url_of(a.homepage))
         .collect();
     // §5.2: the archetype threshold was not enforced for this experiment.
-    let engine_cfg = EngineConfig {
+    let mut engine = BingoEngine::new(EngineConfig {
         archetype_threshold: false,
         ..EngineConfig::default()
-    };
+    });
+    if let Some((registry, events)) = telemetry {
+        engine.set_telemetry(EngineTelemetry::new(registry.clone(), events.clone()));
+    }
     // Paper: negatives drawn from Yahoo-style top-level categories.
     let (mut engine, topic) = single_topic_engine(
+        engine,
         &world,
         "database research",
         &seeds,
         &[3, 4, 5, 6],
         cfg.n_others.max(1),
-        engine_cfg,
     );
 
     // Learning phase: depth-first, sharp focus, depth ≤ 4, tunnel ≤ 2,
@@ -183,6 +208,9 @@ pub fn run(cfg: &PortalExperimentConfig) -> PortalOutcome {
         ..CrawlConfig::default()
     };
     let mut crawler = Crawler::new(world.clone(), learn_config, DocumentStore::new());
+    if let Some((registry, events)) = telemetry {
+        crawler.set_telemetry(CrawlTelemetry::new(registry.clone(), events.clone()));
+    }
     for (url, _a) in seeds.iter().zip(world.authors()) {
         crawler.add_seed(url, Some(topic.0));
     }
@@ -196,12 +224,17 @@ pub fn run(cfg: &PortalExperimentConfig) -> PortalOutcome {
     engine.crawl_until(&mut crawler, cfg.t2_ms, cfg.retrain_every);
     let t2 = snapshot("t2", &engine, topic, &crawler, &world, cfg);
 
-    PortalOutcome {
+    let outcome = PortalOutcome {
         t1,
         t2,
         world_pages: world.page_count(),
         authors: world.authors().len(),
         archetypes: engine.archetype_count(topic),
+    };
+    PortalRun {
+        outcome,
+        engine,
+        crawler,
     }
 }
 

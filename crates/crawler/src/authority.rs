@@ -195,18 +195,6 @@ impl HostAuthority {
         telemetry.hosts.set(state.graph.host_count() as i64);
         telemetry.edges.set(state.graph.edge_count() as i64);
     }
-
-    /// Force a recompute now (exposed for experiments and tests; the
-    /// crawl path recomputes on the batch cadence).
-    pub fn recompute_now(&self) -> usize {
-        let mut state = self.state.lock();
-        let iters = state.graph.recompute(self.cfg.signal, self.cfg.pagerank);
-        state.batches_since_recompute = 0;
-        let telemetry = self.telemetry.lock();
-        telemetry.recomputes.inc();
-        telemetry.recompute_iters.observe(iters as u64);
-        iters
-    }
 }
 
 impl IndexTee for HostAuthority {

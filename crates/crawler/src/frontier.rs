@@ -13,26 +13,13 @@
 //! queue is refilled when it runs low, which in the paper is the moment
 //! DNS prefetching is triggered for the promising candidates.
 //!
-//! # Spilling (memory-bounded crawls)
-//!
-//! With a [`SpillConfig`], each incoming queue keeps only a bounded *hot
-//! set* of entry payloads in memory; the cold tail is appended to a
-//! per-slot spill file and read back by offset when popped. The ordered
-//! key index stays fully in memory (a key is ~40 bytes vs. hundreds for
-//! a URL + anchor terms payload), so pop order, eviction and capacity
-//! semantics are **bit-identical** to the unspilled frontier — spilling
-//! changes where bytes live, never what pops next. Spill files are pure
-//! scratch: checkpoints materialize every entry into the snapshot, so
-//! crash recovery never reads a spill file, and stale files from a
-//! killed run are deleted when the next frontier claims the directory.
+//! Every queued entry is resident: the capacities above are the
+//! frontier's memory bound, as in the paper.
 
 use crate::types::QueuePriority;
-use bingo_store::spill::reap_stale_spill_files;
 use bingo_textproc::TermId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
-use std::fs::File;
-use std::os::unix::fs::FileExt;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// One queued crawl task.
@@ -95,210 +82,58 @@ impl QueueEntry {
     }
 }
 
-/// Spill configuration: where incoming queues park their cold tail and
-/// how many entry payloads per queue stay resident.
+/// Ignored: every frontier queue is resident. Kept as frozen
+/// `benchmark/` surface until that surface is next revised.
 #[derive(Debug, Clone)]
 pub struct SpillConfig {
-    /// Directory holding the per-slot spill files (created if missing;
-    /// stale spill files from earlier runs are deleted).
+    /// Ignored.
     pub dir: PathBuf,
-    /// Maximum in-memory entry payloads per incoming queue.
+    /// Ignored.
     pub hot_cap: usize,
 }
 
-/// Where one queued entry's payload lives.
-#[derive(Debug)]
-enum Slot {
-    /// Payload resident in memory.
-    Hot(QueueEntry),
-    /// Payload appended to the spill file at `offset..offset + len`.
-    Spilled { offset: u64, len: u32 },
-}
-
-/// Disk backing of one spilling queue.
-#[derive(Debug)]
-struct SpillState {
-    file: File,
-    /// Append cursor (the file is pure scratch — popped and evicted
-    /// entries leave garbage behind; the file is truncated whenever the
-    /// last spilled entry is consumed).
-    write_off: u64,
-    hot_cap: usize,
-    /// Keys currently held as [`Slot::Hot`], for O(log n) demotion.
-    hot_keys: BTreeSet<(QueuePriority, u64)>,
-    /// Live (non-garbage) spilled entries.
-    spilled: usize,
-}
-
-impl SpillState {
-    fn write_entry(&mut self, entry: &QueueEntry) -> Slot {
-        let mut buf = serde_json::to_string(entry)
-            .expect("queue entry serializes")
-            .into_bytes();
-        let slot = Slot::Spilled {
-            offset: self.write_off,
-            len: buf.len() as u32,
-        };
-        buf.push(b'\n');
-        self.file
-            .write_all_at(&buf, self.write_off)
-            .expect("frontier spill write failed");
-        self.write_off += buf.len() as u64;
-        self.spilled += 1;
-        slot
-    }
-
-    fn read_entry(&self, offset: u64, len: u32) -> QueueEntry {
-        let mut buf = vec![0u8; len as usize];
-        self.file
-            .read_exact_at(&mut buf, offset)
-            .expect("frontier spill read failed");
-        let text = std::str::from_utf8(&buf).expect("frontier spill utf8");
-        serde_json::from_str(text).expect("frontier spill entry parses")
-    }
-}
-
 /// Ordered queue keyed by descending priority, FIFO within equal
-/// priorities, with worst-entry eviction at capacity. With a spill
-/// state attached, only the best `hot_cap` payloads stay in memory.
+/// priorities, with worst-entry eviction at capacity.
 #[derive(Debug, Default)]
 struct PriorityQueue {
-    entries: BTreeMap<(QueuePriority, u64), Slot>,
+    entries: BTreeMap<(QueuePriority, u64), QueueEntry>,
     seq: u64,
-    spill: Option<SpillState>,
-    /// [`QueueEntry::resident_bytes`] summed over the hot payloads.
+    /// [`QueueEntry::resident_bytes`] summed over the entries.
     resident: usize,
 }
 
 impl PriorityQueue {
-    fn spilling(dir: &std::path::Path, slot: usize, hot_cap: usize) -> Self {
-        let path = dir.join(format!("slot-{slot}.spill"));
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .expect("frontier spill file");
-        PriorityQueue {
-            entries: BTreeMap::new(),
-            seq: 0,
-            resident: 0,
-            spill: Some(SpillState {
-                file,
-                write_off: 0,
-                hot_cap: hot_cap.max(1),
-                hot_keys: BTreeSet::new(),
-                spilled: 0,
-            }),
-        }
-    }
-
     fn push(&mut self, entry: QueueEntry, cap: usize) -> bool {
         let key = (QueuePriority::new(entry.priority), self.seq);
         self.seq += 1;
         self.resident += entry.resident_bytes();
-        self.entries.insert(key, Slot::Hot(entry));
-        if let Some(st) = &mut self.spill {
-            st.hot_keys.insert(key);
-            // Demote the worst hot payload once the hot set overflows —
-            // the ordered index is untouched, so pop order is unchanged.
-            if st.hot_keys.len() > st.hot_cap {
-                let worst_hot = *st.hot_keys.iter().next_back().expect("non-empty");
-                st.hot_keys.remove(&worst_hot);
-                let slot = self.entries.get_mut(&worst_hot).expect("indexed");
-                if let Slot::Hot(e) = slot {
-                    self.resident -= e.resident_bytes();
-                    let spilled = st.write_entry(e);
-                    *slot = spilled;
-                }
-            }
-        }
+        self.entries.insert(key, entry);
         if self.entries.len() > cap {
             // Evict the worst (largest key: lowest priority, newest).
-            let worst = *self.entries.keys().next_back().expect("non-empty");
-            match self.entries.remove(&worst) {
-                Some(Slot::Hot(e)) => {
-                    self.resident -= e.resident_bytes();
-                    if let Some(st) = &mut self.spill {
-                        st.hot_keys.remove(&worst);
-                    }
-                }
-                Some(Slot::Spilled { .. }) => {
-                    let st = self.spill.as_mut().expect("spilled slot implies spill");
-                    st.spilled -= 1; // bytes become garbage in the file
-                }
-                None => unreachable!(),
-            }
-            self.maybe_reclaim();
+            let (_, worst) = self.entries.pop_last().expect("non-empty");
+            self.resident -= worst.resident_bytes();
             return false;
         }
         true
     }
 
     fn pop(&mut self) -> Option<QueueEntry> {
-        let best = *self.entries.keys().next()?;
-        let entry = match self.entries.remove(&best)? {
-            Slot::Hot(e) => {
-                self.resident -= e.resident_bytes();
-                if let Some(st) = &mut self.spill {
-                    st.hot_keys.remove(&best);
-                }
-                e
-            }
-            Slot::Spilled { offset, len } => {
-                let st = self.spill.as_mut().expect("spilled slot implies spill");
-                st.spilled -= 1;
-                st.read_entry(offset, len)
-            }
-        };
-        self.maybe_reclaim();
+        let (_, entry) = self.entries.pop_first()?;
+        self.resident -= entry.resident_bytes();
         Some(entry)
-    }
-
-    /// Truncate the spill file once no live entry references it, so a
-    /// long crawl's scratch space is bounded by frontier churn, not
-    /// crawl length.
-    fn maybe_reclaim(&mut self) {
-        if let Some(st) = &mut self.spill {
-            if st.spilled == 0 && st.write_off > 0 {
-                st.file.set_len(0).expect("frontier spill truncate");
-                st.write_off = 0;
-            }
-        }
     }
 
     fn peek_priority(&self) -> Option<f32> {
         self.entries.keys().next().map(|(p, _)| p.as_f32())
     }
 
-    /// The resident payloads, best first.
-    fn hot(&self) -> impl Iterator<Item = &QueueEntry> {
-        self.entries.values().filter_map(|slot| match slot {
-            Slot::Hot(e) => Some(e),
-            Slot::Spilled { .. } => None,
-        })
+    /// The entries, best first.
+    fn iter(&self) -> impl Iterator<Item = &QueueEntry> {
+        self.entries.values()
     }
 
     fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Entries whose payload currently lives on disk.
-    fn spilled_len(&self) -> usize {
-        self.spill.as_ref().map_or(0, |st| st.spilled)
-    }
-
-    /// Materialize an entry for snapshotting without consuming it.
-    fn materialize(&self, slot: &Slot) -> QueueEntry {
-        match slot {
-            Slot::Hot(e) => e.clone(),
-            Slot::Spilled { offset, len } => self
-                .spill
-                .as_ref()
-                .expect("spilled slot implies spill")
-                .read_entry(*offset, *len),
-        }
     }
 }
 
@@ -323,34 +158,9 @@ pub struct Frontier {
 impl Frontier {
     /// Frontier over `topics` topic queues plus the shared untopiced slot.
     pub fn new(topics: usize, incoming_cap: usize, outgoing_cap: usize) -> Self {
-        Self::with_spill(topics, incoming_cap, outgoing_cap, None)
-    }
-
-    /// Like [`Frontier::new`], but with the incoming queues' cold tail
-    /// spilled to per-slot files when a [`SpillConfig`] is given. The
-    /// outgoing queues (≤1000 entries) and the parked set stay resident.
-    /// Stale spill files in the directory are deleted first.
-    pub fn with_spill(
-        topics: usize,
-        incoming_cap: usize,
-        outgoing_cap: usize,
-        spill: Option<SpillConfig>,
-    ) -> Self {
         let n = topics + 1;
-        let incoming = match &spill {
-            Some(cfg) => {
-                std::fs::create_dir_all(&cfg.dir).expect("frontier spill dir");
-                // Scratch of a crashed or superseded run: checkpoints
-                // are self-contained, so recovery never reads these.
-                reap_stale_spill_files(&cfg.dir, &["slot-"]);
-                (0..n)
-                    .map(|slot| PriorityQueue::spilling(&cfg.dir, slot, cfg.hot_cap))
-                    .collect()
-            }
-            None => (0..n).map(|_| PriorityQueue::default()).collect(),
-        };
         Frontier {
-            incoming,
+            incoming: (0..n).map(|_| PriorityQueue::default()).collect(),
             outgoing: (0..n).map(|_| PriorityQueue::default()).collect(),
             incoming_cap,
             outgoing_cap,
@@ -359,6 +169,17 @@ impl Frontier {
             parked_resident: 0,
             overflow: 0,
         }
+    }
+
+    /// Equals [`Frontier::new`]: the [`SpillConfig`] is ignored. Kept as
+    /// frozen `benchmark/` surface until that surface is next revised.
+    pub fn with_spill(
+        topics: usize,
+        incoming_cap: usize,
+        outgoing_cap: usize,
+        _spill: Option<SpillConfig>,
+    ) -> Self {
+        Self::new(topics, incoming_cap, outgoing_cap)
     }
 
     fn slot(&self, topic: Option<u32>) -> usize {
@@ -393,14 +214,13 @@ impl Frontier {
     /// The best `k` entries, best first, as the next `k` pops would find
     /// them if nothing were pushed or released before: each outgoing
     /// queue with the incoming entries its refills could move in over
-    /// those pops, merged by priority. Payloads spilled to disk are left
-    /// out. Reads only.
+    /// those pops, merged by priority. Reads only.
     pub fn peek(&self, k: usize) -> Vec<&QueueEntry> {
         let mut best: Vec<&QueueEntry> = Vec::new();
         for (outgoing, incoming) in self.outgoing.iter().zip(&self.incoming) {
             let refills = (self.refill_below() + k).saturating_sub(outgoing.len() + 1);
-            best.extend(outgoing.hot().take(k));
-            best.extend(incoming.hot().take(refills.min(k)));
+            best.extend(outgoing.iter().take(k));
+            best.extend(incoming.iter().take(refills.min(k)));
         }
         best.sort_by(|a, b| b.priority.total_cmp(&a.priority));
         best.truncate(k);
@@ -481,14 +301,14 @@ impl Frontier {
         self.len() == 0
     }
 
-    /// Queued URLs whose payload currently lives in spill files rather
-    /// than memory (0 without a [`SpillConfig`]).
+    /// Always 0: every queued entry is resident. Kept as frozen
+    /// `benchmark/` surface until that surface is next revised.
     pub fn spilled_len(&self) -> usize {
-        self.incoming.iter().map(PriorityQueue::spilled_len).sum()
+        0
     }
 
-    /// [`QueueEntry::resident_bytes`] of every entry held in memory,
-    /// kept on push and pop (the ordered key index is not counted).
+    /// [`QueueEntry::resident_bytes`] of every queued entry, kept on
+    /// push and pop (the ordered key index is not counted).
     pub fn resident_bytes(&self) -> usize {
         let queues = self.incoming.iter().chain(&self.outgoing);
         queues.map(|q| q.resident).sum::<usize>() + self.parked_resident
@@ -496,13 +316,9 @@ impl Frontier {
 
     /// Serializable snapshot. Entries are listed in pop order per queue
     /// (priority order), parked entries in release order, so the
-    /// snapshot is byte-stable for identical frontiers. Spilled entries
-    /// are materialized from disk: a checkpoint is self-contained and
-    /// recovery never depends on spill scratch files.
+    /// snapshot is byte-stable for identical frontiers.
     pub fn snapshot(&self) -> FrontierSnapshot {
-        let drain = |q: &PriorityQueue| -> Vec<QueueEntry> {
-            q.entries.values().map(|s| q.materialize(s)).collect()
-        };
+        let drain = |q: &PriorityQueue| -> Vec<QueueEntry> { q.iter().cloned().collect() };
         FrontierSnapshot {
             incoming: self.incoming.iter().map(drain).collect(),
             outgoing: self.outgoing.iter().map(drain).collect(),
@@ -517,21 +333,8 @@ impl Frontier {
 
     /// Rebuild a frontier from a snapshot.
     pub fn restore(snap: FrontierSnapshot, incoming_cap: usize, outgoing_cap: usize) -> Self {
-        Self::restore_with(snap, incoming_cap, outgoing_cap, None)
-    }
-
-    /// Rebuild a frontier from a snapshot, re-spilling the incoming
-    /// queues' cold tail when a [`SpillConfig`] is given. Snapshots
-    /// are backend-agnostic, so a checkpoint taken by a spilling crawl
-    /// restores into a plain frontier and vice versa.
-    pub fn restore_with(
-        snap: FrontierSnapshot,
-        incoming_cap: usize,
-        outgoing_cap: usize,
-        spill: Option<SpillConfig>,
-    ) -> Self {
         let topics = snap.incoming.len().saturating_sub(1);
-        let mut f = Self::with_spill(topics, incoming_cap, outgoing_cap, spill);
+        let mut f = Self::new(topics, incoming_cap, outgoing_cap);
         for (slot, entries) in snap.incoming.into_iter().enumerate() {
             for e in entries {
                 f.incoming[slot].push(e, incoming_cap);
@@ -578,8 +381,10 @@ mod tests {
     /// [`Frontier::resident_bytes`] recomputed from every resident entry.
     fn rescan(f: &Frontier) -> usize {
         let queues = f.incoming.iter().chain(&f.outgoing);
-        let hot = queues.flat_map(PriorityQueue::hot).chain(f.parked.values());
-        hot.map(QueueEntry::resident_bytes).sum()
+        let entries = queues
+            .flat_map(PriorityQueue::iter)
+            .chain(f.parked.values());
+        entries.map(QueueEntry::resident_bytes).sum()
     }
 
     #[test]
@@ -715,154 +520,40 @@ mod tests {
         assert_eq!(f.pop().unwrap().url, "http://seed/");
     }
 
-    fn spill_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("bingo-frontier-spill-{tag}"));
-        std::fs::remove_dir_all(&dir).ok();
-        dir
-    }
-
-    fn spill(tag: &str, hot_cap: usize) -> Option<SpillConfig> {
-        Some(SpillConfig {
-            dir: spill_dir(tag),
-            hot_cap,
-        })
-    }
-
     #[test]
-    fn spilling_frontier_pops_identically_to_plain() {
-        let mut plain = Frontier::new(2, 50, 5);
-        let mut spilled = Frontier::with_spill(2, 50, 5, spill("ident", 4));
-        // Interleaved pushes and pops across topics with duplicate
-        // priorities, evictions (cap 50 exceeded) and parks.
-        for i in 0..200u64 {
+    fn resident_bytes_track_every_queue_operation() {
+        let mut f = Frontier::new(2, 20, 5);
+        let check = |f: &Frontier, step: &str| {
+            assert_eq!(f.resident_bytes(), rescan(f), "drifted after {step}");
+        };
+        // Pushes past the incoming cap (20 per slot), so some evict.
+        for i in 0..120u64 {
             let pri = ((i * 37) % 90) as f32 / 100.0;
-            let topic = match i % 4 {
-                0 => Some(0),
-                1 => Some(1),
-                2 => None,
-                _ => Some(0),
-            };
+            let topic = [Some(0), Some(1), None][(i % 3) as usize];
             let mut e = entry(&format!("u{i}"), pri, topic);
             e.neighbor_terms = vec![TermId(i as u32); (i % 9) as usize];
-            plain.push(e.clone());
-            spilled.push(e);
-            if i % 7 == 6 {
-                let a = plain.pop().map(|e| e.url);
-                let b = spilled.pop().map(|e| e.url);
-                assert_eq!(a, b, "pop {i} diverged");
-            }
-            if i % 31 == 30 {
-                let e = entry(&format!("parked{i}"), 0.95, Some(1));
-                plain.park(e.clone(), i * 10);
-                spilled.park(e, i * 10);
-                plain.release_due(i * 10);
-                spilled.release_due(i * 10);
-            }
-            // Kept on push, pop, park, release, demotion and eviction.
-            assert_eq!(plain.resident_bytes(), rescan(&plain));
-            assert_eq!(spilled.resident_bytes(), rescan(&spilled));
-            assert!(spilled.resident_bytes() <= plain.resident_bytes());
-        }
-        assert_eq!(plain.len(), spilled.len());
-        assert_eq!(plain.overflow, spilled.overflow);
-        assert!(spilled.spilled_len() > 0, "tail should have spilled");
-        assert_eq!(plain.spilled_len(), 0);
-        // Drain completely: the whole pop sequence matches.
-        loop {
-            let a = plain.pop().map(|e| e.url);
-            let b = spilled.pop().map(|e| e.url);
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn spill_preserves_per_slot_priority_order_and_payloads() {
-        let mut f = Frontier::with_spill(0, 1000, 1, spill("order", 2));
-        // One slot, hot cap 2: almost everything spills. Payload fields
-        // must survive the disk round trip intact.
-        for i in 0..50u64 {
-            let mut e = entry(&format!("u{i}"), (i % 10) as f32 / 10.0, None);
-            e.depth = i as u32;
-            e.anchor_terms = vec![bingo_textproc::TermId(i as u32)];
             f.push(e);
+            check(&f, "push");
         }
-        assert!(f.spilled_len() >= 40);
-        let mut last = f32::MAX;
-        let mut seen = 0;
-        while let Some(e) = f.pop() {
-            assert!(e.priority <= last, "priority order violated");
-            last = e.priority;
-            let i: u64 = e.url.trim_start_matches('u').parse().unwrap();
-            assert_eq!(e.depth, i as u32, "payload depth corrupted");
-            assert_eq!(e.anchor_terms, vec![bingo_textproc::TermId(i as u32)]);
-            seen += 1;
+        assert!(f.overflow > 0, "the incoming cap never evicted");
+        for i in 0..8u64 {
+            f.push_outgoing(entry(&format!("o{i}"), 0.95, Some(1)));
+            check(&f, "push_outgoing");
         }
-        assert_eq!(seen, 50);
-        assert_eq!(f.spilled_len(), 0);
-    }
-
-    #[test]
-    fn snapshot_of_spilling_frontier_matches_plain_and_restores() {
-        let mut plain = Frontier::new(1, 30, 4);
-        let mut spilled = Frontier::with_spill(1, 30, 4, spill("snap", 3));
-        for i in 0..60u64 {
-            let e = entry(&format!("u{i}"), ((i * 13) % 40) as f32 / 40.0, Some(0));
-            plain.push(e.clone());
-            spilled.push(e);
+        // Pops through refills of the outgoing queues.
+        for _ in 0..30 {
+            f.pop().expect("queued");
+            check(&f, "pop");
         }
-        let ps = plain.snapshot();
-        let ss = spilled.snapshot();
-        // Snapshots are backend-agnostic: byte-identical contents.
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        serde_json::to_writer(&mut a, &ps).unwrap();
-        serde_json::to_writer(&mut b, &ss).unwrap();
-        assert_eq!(a, b, "snapshot bytes diverged");
-        // A spilled snapshot restores into a plain frontier and vice
-        // versa, with identical pop sequences.
-        let mut from_spill = Frontier::restore(ss, 30, 4);
-        let mut to_spill = Frontier::restore_with(ps, 30, 4, spill("snap2", 3));
-        loop {
-            let x = from_spill.pop().map(|e| e.url);
-            let y = to_spill.pop().map(|e| e.url);
-            let z = plain.pop().map(|e| e.url);
-            assert_eq!(x, z);
-            assert_eq!(y, z);
-            if z.is_none() {
-                break;
-            }
+        for i in 0..4u64 {
+            let mut e = entry(&format!("p{i}"), 0.5, Some(0));
+            e.anchor_terms = vec![TermId(7); i as usize];
+            f.park(e, 100 * i);
+            check(&f, "park");
         }
-    }
-
-    #[test]
-    fn spill_file_reclaimed_when_drained_and_stale_files_removed() {
-        let dir = spill_dir("reclaim");
-        let cfg = Some(SpillConfig {
-            dir: dir.clone(),
-            hot_cap: 1,
-        });
-        let mut f = Frontier::with_spill(0, 100, 1, cfg.clone());
-        for i in 0..20u64 {
-            f.push(entry(&format!("u{i}"), 0.5, None));
-        }
-        let path = dir.join("slot-0.spill");
-        assert!(std::fs::metadata(&path).unwrap().len() > 0);
-        while f.pop().is_some() {}
-        assert_eq!(
-            std::fs::metadata(&path).unwrap().len(),
-            0,
-            "drained spill file must be truncated"
-        );
-        // A crashed run's leftovers vanish when a new frontier claims
-        // the directory.
-        std::fs::write(dir.join("slot-7.spill"), b"stale garbage").unwrap();
-        drop(f);
-        let f2 = Frontier::with_spill(0, 100, 1, cfg);
-        assert!(!dir.join("slot-7.spill").exists(), "stale spill survived");
-        assert_eq!(f2.len(), 0);
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(f.release_due(150), 2);
+        check(&f, "release_due");
+        let r = Frontier::restore(f.snapshot(), 20, 5);
+        check(&r, "snapshot and restore");
     }
 }

@@ -84,9 +84,6 @@ pub struct Crawler {
     /// (politeness: at most `per_host_connections` simultaneous fetches
     /// per host, Section 5.1).
     host_slots: bingo_textproc::fxhash::FxHashMap<String, Vec<u64>>,
-    /// Stale spill files swept from the configured spill directories at
-    /// construction.
-    stale_spill_reaped: u64,
     clock: u64,
     /// Metric handles; intentionally not part of checkpoints (telemetry
     /// describes a run, not the crawl state).
@@ -153,13 +150,7 @@ impl Crawler {
     /// New crawler over `world` writing into `store`.
     pub fn new(world: Arc<World>, config: CrawlConfig, store: DocumentStore) -> Self {
         let topics = world.topics().len();
-        let stale_spill_reaped = config.reap_stale_spill();
-        let frontier = Frontier::with_spill(
-            topics,
-            config.incoming_queue_cap,
-            config.outgoing_queue_cap,
-            Self::spill_config(&config),
-        );
+        let frontier = Frontier::new(topics, config.incoming_queue_cap, config.outgoing_queue_cap);
         let threads = (0..config.threads.max(1))
             .map(|tid| Reverse((0u64, tid)))
             .collect();
@@ -179,7 +170,6 @@ impl Crawler {
             None => store,
         };
         let pipeline = DocPipeline::new(store.clone(), 1, &telemetry);
-        telemetry.spill_reaped.add(stale_spill_reaped);
         Crawler {
             hosts: HostManager::with_config(config.breaker.clone()),
             frontier,
@@ -192,7 +182,6 @@ impl Crawler {
             pipeline,
             stats: CrawlStats::default(),
             host_slots: bingo_textproc::fxhash::FxHashMap::default(),
-            stale_spill_reaped,
             clock: 0,
             telemetry,
             authority,
@@ -204,18 +193,6 @@ impl Crawler {
     /// and tests inspecting the host graph).
     pub fn authority(&self) -> Option<&Arc<crate::authority::HostAuthority>> {
         self.authority.as_ref()
-    }
-
-    /// Spill configuration derived from the crawl config (`None` unless
-    /// `frontier_spill_dir` is set).
-    fn spill_config(config: &CrawlConfig) -> Option<crate::frontier::SpillConfig> {
-        config
-            .frontier_spill_dir
-            .as_ref()
-            .map(|dir| crate::frontier::SpillConfig {
-                dir: dir.clone(),
-                hot_cap: config.frontier_hot_cap,
-            })
     }
 
     /// Fingerprints held by the duplicate filter.
@@ -230,9 +207,6 @@ impl Crawler {
         if let Some(auth) = &self.authority {
             auth.set_telemetry(telemetry.graph.clone());
         }
-        // Replay startup-time spill state into the new registry: the
-        // stale-file sweep happened under the private default registry.
-        telemetry.spill_reaped.add(self.stale_spill_reaped);
         telemetry.dedup_hot.set(self.dedup.fingerprints() as i64);
         self.telemetry = telemetry;
     }
@@ -284,11 +258,10 @@ impl Crawler {
     pub fn restore_checkpoint(&mut self, cp: CrawlCheckpoint) {
         self.clock = cp.clock_ms;
         self.stats = cp.stats;
-        self.frontier = Frontier::restore_with(
+        self.frontier = Frontier::restore(
             cp.frontier,
             self.config.incoming_queue_cap,
             self.config.outgoing_queue_cap,
-            Self::spill_config(&self.config),
         );
         self.dedup = Dedup::restore(cp.dedup);
         self.hosts = HostManager::restore(
@@ -448,10 +421,10 @@ impl Crawler {
         self.frontier.len()
     }
 
-    /// Queued URLs whose payload lives in frontier spill files (0 unless
-    /// `frontier_spill_dir` is configured).
+    /// Always 0: every queued entry is resident. Kept as frozen
+    /// `benchmark/` surface until that surface is next revised.
     pub fn frontier_spilled_len(&self) -> usize {
-        self.frontier.spilled_len()
+        0
     }
 
     /// The simulated web (also the link analysis' unfocused database).

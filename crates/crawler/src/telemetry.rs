@@ -84,8 +84,6 @@ pub struct CrawlTelemetry {
     /// Fingerprints held by the duplicate filter
     /// ([`crate::dedup::Dedup::fingerprints`]).
     pub dedup_hot: Gauge,
-    /// Stale frontier spill files swept on startup.
-    pub spill_reaped: Counter,
     /// Speculative-lookahead counters (all zero unless the crawl runs
     /// through [`crate::Crawler::crawl_ahead`]).
     pub lookahead: LookaheadMetrics,
@@ -154,7 +152,6 @@ impl CrawlTelemetry {
             pipeline: PipelineMetrics::new(&registry),
             graph: GraphTelemetry::new(&registry),
             dedup_hot: registry.gauge("crawl.dedup.hot"),
-            spill_reaped: registry.counter("crawl.spill.reaped"),
             lookahead: LookaheadMetrics::new(&registry),
             registry,
             events,

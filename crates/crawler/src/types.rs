@@ -2,7 +2,6 @@
 
 use crate::authority::AuthorityConfig;
 use crate::hosts::BreakerConfig;
-use bingo_store::spill::{reap_stale_spill_files, SPILL_FILE_PREFIXES};
 use bingo_textproc::fxhash::FxHashSet;
 use bingo_webworld::fetch::host_of_url;
 use serde::{Deserialize, Serialize};
@@ -110,14 +109,10 @@ pub struct CrawlConfig {
     /// Directory checkpoints are written into; required when
     /// `checkpoint_every_docs > 0`.
     pub checkpoint_dir: Option<PathBuf>,
-    /// When set, incoming frontier queues spill their cold tail to
-    /// per-slot files under this directory, keeping at most
-    /// `frontier_hot_cap` entry payloads per queue in memory. Pop order
-    /// and eviction are identical to the unspilled frontier; spill files
-    /// are scratch (checkpoints stay self-contained). `None` (default)
-    /// keeps the whole frontier resident.
+    /// Ignored: every frontier queue is resident. Kept as frozen
+    /// `benchmark/` surface until that surface is next revised.
     pub frontier_spill_dir: Option<PathBuf>,
-    /// In-memory entry payloads per incoming queue when spilling.
+    /// Ignored, like `frontier_spill_dir`.
     pub frontier_hot_cap: usize,
     /// Authority-blended frontier ordering: maintain a host-level
     /// webgraph online and blend normalized host authority into link
@@ -181,17 +176,6 @@ impl CrawlConfig {
             Some(allowed) if !allowed.contains(host) => Err(UrlRejection::OutsideAllowed),
             _ => Ok(host),
         }
-    }
-
-    /// Sweep spill scratch left by an aborted run from the frontier
-    /// spill directory — every file family, not just the ones this
-    /// configuration would rewrite. Spill files are never referenced by
-    /// checkpoints, so anything present before a run starts is garbage.
-    /// Returns how many files were removed.
-    pub fn reap_stale_spill(&self) -> u64 {
-        self.frontier_spill_dir.as_ref().map_or(0, |dir| {
-            reap_stale_spill_files(dir, SPILL_FILE_PREFIXES) as u64
-        })
     }
 }
 

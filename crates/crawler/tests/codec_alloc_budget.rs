@@ -1,7 +1,8 @@
 //! Allocation budgets of the JSON codec, counted not timed.
 //!
-//! A sealed segment row and a spilled frontier entry are written and
-//! read through `serde_json` on the crawl's hot path. Either direction
+//! A sealed segment row is written and read through `serde_json` on the
+//! crawl's hot path, and a frontier queue entry is encoded into every
+//! checkpoint and decoded on every resume. Either direction
 //! must cost O(log bytes) heap allocations — the output string's growth,
 //! and on the way in the value's own strings and vectors — and nothing
 //! per number, per term pair or per field. The counts are deterministic,

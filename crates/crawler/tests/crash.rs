@@ -145,127 +145,6 @@ fn crash_at_every_point_recovers_the_last_good_generation() {
 }
 
 #[test]
-fn spill_file_corruption_at_every_boundary_never_touches_the_checkpoint() {
-    let world = small_world(42);
-    let dir = fresh_dir("spill-matrix");
-    let spill_dir = fresh_dir("spill-files");
-    // A tiny outgoing queue keeps URLs backed up in the incoming
-    // queues, and a tiny hot cap forces their payloads onto disk.
-    let config = CrawlConfig {
-        frontier_spill_dir: Some(spill_dir.clone()),
-        frontier_hot_cap: 4,
-        outgoing_queue_cap: 4,
-        ..CrawlConfig::default()
-    };
-
-    let spill_files = || -> Vec<PathBuf> {
-        let mut v: Vec<PathBuf> = std::fs::read_dir(&spill_dir)
-            .expect("spill dir must exist")
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|e| e == "spill"))
-            .collect();
-        v.sort();
-        v
-    };
-
-    // A crawl whose frontier genuinely spills, checkpointed mid-flight.
-    let mut doomed = Crawler::new(world.clone(), config.clone(), DocumentStore::new());
-    doomed.add_seed(&world.url_of(1), Some(0));
-    let mut judge = accept_all();
-    let mut vocab = Vocabulary::new();
-    doomed.run_until(15_000, &mut judge, &mut vocab);
-    assert!(
-        doomed.frontier_spilled_len() > 0,
-        "hot cap too generous: nothing spilled"
-    );
-    doomed.save_session(&dir).expect("checkpoint save");
-    let acked_stored = doomed.stats().stored_pages;
-    assert!(acked_stored > 0, "checkpoint too small to test");
-    let longest = spill_files()
-        .iter()
-        .map(|p| std::fs::metadata(p).unwrap().len())
-        .max()
-        .expect("at least one spill file");
-    assert!(longest > 0, "no spill bytes on disk at the checkpoint");
-
-    // More progress after the ack, then the process dies: every spill
-    // byte on disk now disagrees with the acked checkpoint. (Draining
-    // may even have reclaimed some files — any state is fair game.)
-    doomed.run_until(30_000, &mut judge, &mut vocab);
-    drop(doomed);
-
-    // Spill files are scratch — recovery reads only the checkpoint
-    // generation — so one clean resume defines the true recovered state.
-    let reference = Crawler::resume_session(world.clone(), config.clone(), &dir)
-        .expect("clean resume with spill config");
-    assert_eq!(reference.stats().stored_pages, acked_stored);
-    let ref_checkpoint = serde_json::to_string(&reference.checkpoint()).expect("serialize");
-    let ref_spilled = reference.frontier_spilled_len();
-    assert!(
-        ref_spilled > 0,
-        "restored frontier must spill again under the same cap"
-    );
-    drop(reference);
-
-    // Kill the spill writes at every interesting byte boundary: exact
-    // edges plus a seed-driven sweep. Even rounds truncate to the budget
-    // (a write that stopped short); odd rounds also smear garbage over
-    // the tail (a torn write that flushed junk).
-    let mut budgets: Vec<u64> = vec![0, 1, longest / 2, longest - 1, longest];
-    for seed in crash_seeds() {
-        for i in 0u64..4 {
-            budgets.push(fxhash::hash_one(&(seed, i)) % (longest + 1));
-        }
-    }
-    budgets.sort_unstable();
-    budgets.dedup();
-
-    for (round, budget) in budgets.into_iter().enumerate() {
-        for path in spill_files() {
-            let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-            let cut = budget.min(file.metadata().unwrap().len());
-            file.set_len(cut).unwrap();
-            if round % 2 == 1 {
-                use std::os::unix::fs::FileExt;
-                file.write_all_at(b"\xff\xfe{torn-garbage", cut).unwrap();
-            }
-        }
-        // A leftover file from a dead layout must be swept on claim.
-        std::fs::write(spill_dir.join("slot-99.spill"), b"stale").unwrap();
-
-        let resumed = Crawler::resume_session(world.clone(), config.clone(), &dir)
-            .unwrap_or_else(|e| panic!("budget {budget}: resume failed: {e}"));
-        assert_eq!(
-            serde_json::to_string(&resumed.checkpoint()).unwrap(),
-            ref_checkpoint,
-            "budget {budget}: recovered state must not depend on spill bytes"
-        );
-        assert_eq!(
-            resumed.frontier_spilled_len(),
-            ref_spilled,
-            "budget {budget}: frontier must re-spill to the same shape"
-        );
-        assert!(
-            !spill_dir.join("slot-99.spill").exists(),
-            "budget {budget}: stale spill file survived the claim"
-        );
-    }
-
-    // The recovered state is live, not just readable: a continuation
-    // pops through the re-spilled entries and keeps harvesting.
-    let mut resumed = Crawler::resume_session(world.clone(), config, &dir).expect("final resume");
-    let mut judge = accept_all();
-    let mut vocab = Vocabulary::new();
-    resumed.run_until(25_000, &mut judge, &mut vocab);
-    assert!(
-        resumed.stats().stored_pages > acked_stored,
-        "continuation made no progress past the checkpoint"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&spill_dir).ok();
-}
-
-#[test]
 fn continuation_after_crash_matches_uninterrupted_harvest() {
     let world = small_world(42);
 

@@ -1,5 +1,5 @@
 //! Crash matrix over segment-referenced sessions: where durability and
-//! scale meet. A segmented, spilling crawl seals and checkpoints several
+//! scale meet. A segmented crawl seals and checkpoints several
 //! times; then the process dies — in a save, at any byte, or in a seal
 //! that follows a committed generation. In every case
 //! [`Crawler::resume_session`] must hand back a *segmented* store over
@@ -52,8 +52,8 @@ fn crash_seeds() -> Vec<u64> {
     }
 }
 
-/// The scratch directories of one crawl: segments, session generations
-/// and frontier spill files under one root.
+/// The scratch directories of one crawl: segments and session
+/// generations under one root.
 struct Site(PathBuf);
 
 impl Site {
@@ -74,11 +74,9 @@ impl Site {
         self.0.join("session")
     }
 
-    /// A tiny outgoing queue and hot cap, so the frontier spills.
+    /// A tiny outgoing queue, so URLs back up in the incoming queues.
     fn config(&self) -> CrawlConfig {
         CrawlConfig {
-            frontier_spill_dir: Some(self.0.join("frontier")),
-            frontier_hot_cap: 4,
             outgoing_queue_cap: 4,
             ..CrawlConfig::default()
         }
@@ -182,7 +180,7 @@ fn reference(world: &Arc<World>, tag: &str) -> Outcome {
         points > DEATH_POINT,
         "world too small: {points} generation points"
     );
-    assert!(crawler.frontier_spilled_len() == 0 && crawler.store().segment_count() > 8);
+    assert!(crawler.store().segment_count() > 8);
     finish(&site, &crawler)
 }
 
@@ -198,9 +196,7 @@ struct Acked {
 fn doomed(site: &Site, world: &Arc<World>, die: &mut dyn FnMut(&Crawler)) -> Acked {
     let mut crawler = site.crawler(world);
     let mut acked = None;
-    let mut spilled = false;
     let exhausted = drive(&mut crawler, &mut Vocabulary::new(), &mut |k, c, v| {
-        spilled |= c.frontier_spilled_len() > 0;
         if k == DEATH_POINT {
             die(c);
             return false;
@@ -214,7 +210,6 @@ fn doomed(site: &Site, world: &Arc<World>, die: &mut dyn FnMut(&Crawler)) -> Ack
         true
     });
     assert!(!exhausted, "the crawl ended before its death point");
-    assert!(spilled, "hot cap too generous: the frontier never spilled");
     acked.expect("a generation was committed before the death point")
 }
 

@@ -37,8 +37,7 @@ use crate::telemetry::DistTelemetry;
 use bingo_crawler::{BatchJudge, CrawlConfig};
 use bingo_obs::Event;
 use bingo_store::durable::{find_newest_complete, prune_generations, GenerationWriter};
-use bingo_store::spill::reap_stale_spill_files;
-use bingo_store::{DocumentStore, DurableFs, StdFs, SPILL_FILE_PREFIXES};
+use bingo_store::{DocumentStore, DurableFs, StdFs};
 use bingo_textproc::Vocabulary;
 use bingo_webworld::{NodeFaultKind, NodeFaultPlan, World};
 use serde::{Deserialize, Serialize};
@@ -182,8 +181,6 @@ impl Coordinator {
     ) -> Self {
         let n = config.nodes;
         let telemetry = DistTelemetry::default();
-        let reaped = reap_stale_spill_files(&config.session_dir, SPILL_FILE_PREFIXES);
-        telemetry.scratch_reaped.add(reaped as u64);
         let queue = LeaseQueue::new(n, config.poison_budget, LEASE_TTL_MS);
         let slots = (0..n)
             .map(|k| NodeSlot {

@@ -29,9 +29,7 @@ use std::path::Path;
 pub const JOURNAL_MAGIC: &str = "bingo-lease-journal";
 /// Current journal format version.
 pub const JOURNAL_VERSION: u32 = 1;
-/// Conventional journal file name. The `lease-` prefix puts torn
-/// `.tmp` siblings of the journal under the stale-scratch sweep
-/// ([`bingo_store::reap_stale_spill_files`]).
+/// Conventional journal file name.
 pub const JOURNAL_FILE: &str = "lease-journal.json";
 
 /// One unit of crawl work: a URL with the crawl context it was
@@ -153,11 +151,6 @@ impl LeaseQueue {
             lease_ttl_ms,
             stats: LeaseStats::default(),
         }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Offer a newly discovered URL to `shard`. Returns `false` when

@@ -59,8 +59,6 @@ pub struct DistTelemetry {
     /// Bytes per committed generation (all node stores + journal +
     /// coordinator state).
     pub snapshot_bytes: Arc<Histogram>,
-    /// Torn lease-journal and spill temps swept when a session opens.
-    pub scratch_reaped: Counter,
 }
 
 impl DistTelemetry {
@@ -87,7 +85,6 @@ impl DistTelemetry {
             stored: registry.counter("dist.stored"),
             snapshot_commits: registry.counter("dist.snapshot.commits"),
             snapshot_bytes: registry.histogram("dist.snapshot.bytes"),
-            scratch_reaped: registry.counter("dist.scratch.reaped"),
             registry,
             events,
         }

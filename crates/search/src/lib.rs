@@ -49,16 +49,6 @@ pub struct QueryOptions {
     pub top_k: usize,
 }
 
-impl QueryOptions {
-    /// Exact filtering at one topic node.
-    pub fn exact_topic(topic: u32) -> Self {
-        QueryOptions {
-            filter: TopicFilter::Exact(topic),
-            ..Default::default()
-        }
-    }
-}
-
 impl Default for QueryOptions {
     fn default() -> Self {
         QueryOptions {

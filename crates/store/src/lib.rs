@@ -31,7 +31,6 @@ pub mod bulk;
 pub mod durable;
 pub mod persist;
 pub mod segment;
-pub mod spill;
 pub mod tables;
 
 pub use bulk::{BulkLoader, BulkLoaderObs};
@@ -39,7 +38,6 @@ pub use durable::{CrashFs, DurableFs, GenerationWriter, StdFs};
 pub use segment::{
     reap_orphan_segments, CompactionConfig, SegmentStoreConfig, DEFAULT_SEAL_EVERY, SEGMENTS_FILE,
 };
-pub use spill::{reap_stale_spill_files, SPILL_FILE_PREFIXES};
 pub use tables::{DocumentRow, LinkRow};
 
 use bingo_graph::{HostId, LinkSource, PageId};

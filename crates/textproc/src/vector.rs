@@ -87,11 +87,6 @@ impl SparseVector {
         self.entries.iter().map(|&(_, w)| w * w).sum::<f32>().sqrt()
     }
 
-    /// L1 norm.
-    pub fn l1_norm(&self) -> f32 {
-        self.entries.iter().map(|&(_, w)| w.abs()).sum()
-    }
-
     /// Cosine similarity; 0.0 when either vector is zero.
     pub fn cosine(&self, other: &SparseVector) -> f32 {
         let denom = self.norm() * other.norm();

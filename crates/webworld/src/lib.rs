@@ -239,12 +239,6 @@ impl World {
         }
     }
 
-    /// True when this world generates its metadata lazily
-    /// ([`World::paged`]).
-    pub fn is_paged(&self) -> bool {
-        self.paged.is_some()
-    }
-
     /// Always 0: a paged world derives each page alone and generates no
     /// host blocks. Kept as frozen `benchmark/` surface until that
     /// surface is next revised.
@@ -282,11 +276,6 @@ impl World {
     /// Look up a scenario page by its registered name.
     pub fn named_page(&self, name: &str) -> Option<PageId> {
         self.named.get(name).copied()
-    }
-
-    /// All registered scenario names.
-    pub fn named_pages(&self) -> impl Iterator<Item = (&str, PageId)> {
-        self.named.iter().map(|(n, &p)| (n.as_str(), p))
     }
 
     /// Ground-truth topic of a page.
