@@ -17,7 +17,7 @@
 #               plus the standalone benchmark/ crate's own tests, so
 #               a change to the API it uses fails here)
 #     crash  -> CI_STEPS=crash ./ci.sh   (crash-recovery matrices)
-#     paper  -> CI_STEPS=paper ./ci.sh   (reruns the six exp_* bins in
+#     paper  -> CI_STEPS=paper ./ci.sh   (reruns the five exp_* bins in
 #               a scratch directory and cmp's their reports against
 #               the committed experiments_*.json, so a change that
 #               moves a paper table fails here instead of leaving
@@ -139,7 +139,7 @@ paper_artifacts() {
     repo=$(pwd)
     scratch=$(mktemp -d)
     stale=""
-    for exp in portal expert meta ablation authority faults; do
+    for exp in portal expert meta ablation faults; do
         (cd "$scratch" && "$repo/target/release/exp_$exp" >"$exp.log" 2>&1)
         cmp "$scratch/experiments_$exp.json" "experiments_$exp.json" ||
             stale="$stale experiments_$exp.json"

@@ -35,9 +35,6 @@ pub struct ExpertExperimentConfig {
     pub crawl_ms: u64,
     /// OTHERS negatives.
     pub n_others: usize,
-    /// Authority-blend settings for the focused crawl (disabled by
-    /// default; `exp_authority` flips it on for the recall contrast).
-    pub authority: bingo_crawler::AuthorityConfig,
 }
 
 impl Default for ExpertExperimentConfig {
@@ -46,7 +43,6 @@ impl Default for ExpertExperimentConfig {
             seed: 2003,
             crawl_ms: 600_000,
             n_others: 40,
-            authority: bingo_crawler::AuthorityConfig::default(),
         }
     }
 }
@@ -196,7 +192,6 @@ pub fn run(cfg: &ExpertExperimentConfig) -> ExpertOutcome {
         world.clone(),
         CrawlConfig {
             max_depth: 0,
-            authority: cfg.authority.clone(),
             ..CrawlConfig::default()
         },
         DocumentStore::new(),
@@ -261,7 +256,6 @@ mod tests {
             seed: 7,
             crawl_ms: 600_000,
             n_others: 30,
-            ..ExpertExperimentConfig::default()
         });
         assert_eq!(out.seeds.len(), 7);
         assert!(out.stats.visited_urls > 100);

@@ -122,7 +122,7 @@ pub fn run(cfg: &FaultsConfig) -> FaultsOutcome {
 
     // 2. Chaos, uninterrupted.
     let chaos_world = Arc::new(WorldConfig::chaos(cfg.seed).build());
-    let faulty_hosts = chaos_world.faults().faulty_hosts();
+    let faulty_hosts = chaos_world.faults().faulty();
     let mut chaos = seed_crawler(&chaos_world, base.clone());
     let (mut chaos_summary, chaos_ids) = crawl_to_end(&mut chaos);
     chaos_summary.label = "chaos".into();

@@ -8,7 +8,6 @@
 //! | expert search | `exp_expert` | Figure 4 (training seeds), Figure 5 (top-10 postprocessing results), baseline contrast |
 //! | meta classification | `exp_meta` | §3.5 claim (precision ~80% → >90%), §2.3 feature-selection example |
 //! | focus ablations | `exp_ablation` | §3.1-3.3 design lessons |
-//! | authority blend | `exp_authority` | host-graph authority-blended frontier ordering (extension; baseline vs blended) |
 //! | fault scenarios | `exp_faults` | §4.2 failure handling: chaos resilience + checkpoint/resume convergence |
 //!
 //! Scaling: the synthetic web is orders of magnitude smaller than the
@@ -18,7 +17,6 @@
 //! the paper-vs-measured comparison for every artifact.
 
 pub mod ablation;
-pub mod authority_exp;
 pub mod expert;
 pub mod faults_exp;
 pub mod gate;

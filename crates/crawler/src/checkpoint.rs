@@ -64,12 +64,6 @@ pub struct CrawlCheckpoint {
     /// [`load_checkpoint`] moves them onto the entries and empties it.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub page_top_terms: Vec<(u64, Vec<TermId>)>,
-    /// Host-graph authority state; present only when the authority
-    /// blend is enabled, and omitted entirely when absent so
-    /// authority-free crawls write the same bytes as builds that predate
-    /// the field, and files without it still load.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub host_graph: Option<crate::authority::AuthorityCheckpoint>,
 }
 
 /// Why a checkpoint could not be written or read back.
@@ -175,7 +169,6 @@ mod tests {
             threads: vec![(0, 0), (5, 1)],
             host_slots: vec![("h".into(), vec![0, 7])],
             page_top_terms: Vec::new(),
-            host_graph: None,
         }
     }
 
@@ -196,17 +189,71 @@ mod tests {
             std::fs::read(&path).unwrap(),
             checkpoint_bytes(&loaded).unwrap()
         );
+        // An empty `page_top_terms` is omitted, and entries carry their
+        // neighbour terms.
+        let text = String::from_utf8(checkpoint_bytes(&loaded).unwrap()).unwrap();
+        assert!(text.ends_with("\"host_slots\":[[\"h\",[0,7]]]}"), "{text}");
+        assert!(text.contains("\"src_page\":3,\"anchor_terms\":[],\"neighbor_terms\":[1,9],"));
         std::fs::remove_file(path).ok();
     }
 
     #[test]
-    fn absent_host_graph_is_omitted_not_written_as_null() {
-        let bytes = checkpoint_bytes(&minimal()).unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        assert!(text.ends_with("\"host_slots\":[[\"h\",[0,7]]]}"), "{text}");
-        assert!(text.contains("\"src_page\":3,\"anchor_terms\":[],\"neighbor_terms\":[1,9],"));
-        let back: CrawlCheckpoint = serde_json::from_str(&text).unwrap();
-        assert!(back.host_graph.is_none());
+    fn host_graph_of_an_older_blended_crawl_is_skipped() {
+        // Builds that had an authority blend appended the host graph as
+        // the checkpoint's last key. It is read past, the crawl resumes
+        // exactly as if the key were absent, and it is not written back.
+        use crate::{Crawler, Judgment, PageContext};
+        use bingo_store::{persist, DocumentStore};
+        use bingo_textproc::{AnalyzedDocument, Vocabulary};
+        use bingo_webworld::gen::WorldConfig;
+        use std::sync::Arc;
+
+        let world = Arc::new(WorldConfig::small_test(59).build());
+        let judge = |doc: &AnalyzedDocument, _: &PageContext| Judgment {
+            topic: Some(0),
+            confidence: 0.1 + (doc.links.len() % 8) as f32 / 8.0,
+        };
+        let mut crawler = Crawler::new(world.clone(), Default::default(), DocumentStore::new());
+        crawler.add_seed(&world.url_of(1), Some(0));
+        let mut vocab = Vocabulary::new();
+        crawler.run_until(4_000, &mut judge.clone(), &mut vocab);
+        let current = checkpoint_bytes(&crawler.checkpoint()).unwrap();
+
+        let host_graph = concat!(
+            r#","host_graph":{"graph":{"hosts":["a.edu","b.edu"],"#,
+            r#""edges":[[0,1,3]],"scores":[0.35,0.65],"links_observed":7,"#,
+            r#""intra_host_links":4,"recomputes":1},"#,
+            r#""page_hosts":[[1,0],[2,1]],"batches_since_recompute":2}"#
+        );
+        let mut older = current[..current.len() - 1].to_vec();
+        older.extend_from_slice(host_graph.as_bytes());
+        older.push(b'}');
+        let dir = std::env::temp_dir().join("bingo-checkpoint-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let load = |name: &str, bytes: &[u8]| {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            let cp = load_checkpoint(&path).unwrap();
+            std::fs::remove_file(path).ok();
+            cp
+        };
+        let older = load("blended.json", &older);
+        assert_eq!(checkpoint_bytes(&older).unwrap(), current);
+
+        // Resumed from either file (the resolver cache is not part of a
+        // checkpoint, so both resume from a cold one), the crawl goes on
+        // identically.
+        let resume = |cp: CrawlCheckpoint| {
+            let mut buf = Vec::new();
+            persist::write_snapshot(crawler.store(), &mut buf).unwrap();
+            let store = persist::read_snapshot(&buf[..]).unwrap();
+            let mut resumed = Crawler::new(world.clone(), Default::default(), store);
+            resumed.restore_checkpoint(cp);
+            let stored = resumed.run_until(12_000, &mut judge.clone(), &mut vocab.clone());
+            assert!(stored > 0, "the restored crawl stored nothing");
+            (stored, checkpoint_bytes(&resumed.checkpoint()).unwrap())
+        };
+        assert_eq!(resume(older), resume(load("current.json", &current)));
     }
 
     #[test]

@@ -18,9 +18,6 @@
 //! * **adaptive retry**: transient failures (timeouts, 5xx bursts,
 //!   truncated bodies, DNS flaps) park the URL for an exponential
 //!   backoff with deterministic jitter on the virtual clock,
-//! * **authority-blended ordering** (off by default): an incrementally
-//!   maintained host-level webgraph whose PageRank/harmonic authority is
-//!   blended into frontier priorities ([`authority`]),
 //! * **checkpoint/resume**: the full mid-crawl state — frontier, parked
 //!   retries, breaker health, duplicate fingerprints, thread timelines —
 //!   serializes to a session directory and resumes byte-identically
@@ -42,7 +39,6 @@
 //! SVM classifier and drives phase switches and retraining between crawl
 //! steps.
 
-pub mod authority;
 pub mod checkpoint;
 pub mod dedup;
 pub mod dns;
@@ -56,7 +52,6 @@ pub mod types;
 
 mod step;
 
-pub use authority::{AuthorityCheckpoint, AuthorityConfig, HostAuthority};
 pub use checkpoint::{CheckpointError, CrawlCheckpoint};
 pub use dedup::Dedup;
 pub use dns::CachingResolver;

@@ -30,8 +30,7 @@
 //!   child entry carries the parent's [`top_terms`], the neighbour
 //!   features it is judged with (Section 3.4). What
 //!   stays with the scheduler is only what needs its state: the host
-//!   breaker, the duplicate filter, the authority blend and where the
-//!   entry is pushed.
+//!   breaker, the duplicate filter and where the entry is pushed.
 //!
 //! Link rows are emitted for **every resolvable out-link of a stored
 //! document** (order-independent), not just for links that survived the
@@ -536,7 +535,7 @@ pub struct LinkPlan {
     pub tunnel: u32,
     /// Topic the links are queued for.
     pub src_topic: Option<u32>,
-    /// Queue priority before the authority blend.
+    /// Queue priority of the links.
     pub priority: f32,
 }
 

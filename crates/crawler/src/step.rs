@@ -88,9 +88,6 @@ pub struct Crawler {
     /// Metric handles; intentionally not part of checkpoints (telemetry
     /// describes a run, not the crawl state).
     telemetry: CrawlTelemetry,
-    /// Incremental host-level webgraph feeding authority-blended
-    /// frontier priorities; `None` unless `config.authority.enabled`.
-    authority: Option<Arc<crate::authority::HostAuthority>>,
     /// Lookahead requests of [`Crawler::crawl_ahead`]; like telemetry,
     /// not crawl state, so not part of checkpoints.
     schedule: Schedule,
@@ -155,20 +152,6 @@ impl Crawler {
             .map(|tid| Reverse((0u64, tid)))
             .collect();
         let telemetry = CrawlTelemetry::default();
-        // When the authority blend is on, interpose the host-graph tee
-        // on the store handle so every accepted document and link row
-        // feeds the graph; with it off the store is untouched and the
-        // crawl is bit-identical to an authority-free build.
-        let authority = config.authority.enabled.then(|| {
-            Arc::new(crate::authority::HostAuthority::new(
-                config.authority.clone(),
-                telemetry.graph.clone(),
-            ))
-        });
-        let store = match &authority {
-            Some(auth) => store.with_added_tee(auth.clone() as Arc<dyn bingo_store::IndexTee>),
-            None => store,
-        };
         let pipeline = DocPipeline::new(store.clone(), 1, &telemetry);
         Crawler {
             hosts: HostManager::with_config(config.breaker.clone()),
@@ -184,15 +167,8 @@ impl Crawler {
             host_slots: bingo_textproc::fxhash::FxHashMap::default(),
             clock: 0,
             telemetry,
-            authority,
             schedule: Schedule::default(),
         }
-    }
-
-    /// The authority state when the blend is enabled (for experiments
-    /// and tests inspecting the host graph).
-    pub fn authority(&self) -> Option<&Arc<crate::authority::HostAuthority>> {
-        self.authority.as_ref()
     }
 
     /// Fingerprints held by the duplicate filter.
@@ -204,9 +180,6 @@ impl Crawler {
     /// namespace (e.g. one registry covering crawl + engine + index).
     pub fn set_telemetry(&mut self, telemetry: CrawlTelemetry) {
         self.pipeline = DocPipeline::new(self.store.clone(), 1, &telemetry);
-        if let Some(auth) = &self.authority {
-            auth.set_telemetry(telemetry.graph.clone());
-        }
         telemetry.dedup_hot.set(self.dedup.fingerprints() as i64);
         self.telemetry = telemetry;
     }
@@ -248,7 +221,6 @@ impl Crawler {
             threads,
             host_slots,
             page_top_terms: Vec::new(),
-            host_graph: self.authority.as_ref().map(|a| a.checkpoint()),
         }
     }
 
@@ -271,9 +243,6 @@ impl Crawler {
         );
         self.threads = cp.threads.into_iter().map(Reverse).collect();
         self.host_slots = cp.host_slots.into_iter().collect();
-        if let (Some(auth), Some(snap)) = (&self.authority, cp.host_graph) {
-            auth.restore(snap);
-        }
         self.resolver = CachingResolver::new();
     }
 
@@ -870,9 +839,9 @@ impl Crawler {
 
     /// Queue the links of a stored page as [`plan_links`] decided
     /// (Section 3.3). Only what needs this scheduler's state happens
-    /// here: the breaker's bad-host test, the duplicate filter, the
-    /// authority blend and the frontier push. (Link rows are emitted by
-    /// the pipeline's load stage, independent of these filters.)
+    /// here: the breaker's bad-host test, the duplicate filter and the
+    /// frontier push. (Link rows are emitted by the pipeline's load
+    /// stage, independent of these filters.)
     fn enqueue_links(
         &mut self,
         entry: &QueueEntry,
@@ -892,14 +861,8 @@ impl Crawler {
             if self.hosts.is_bad(link_host) || !self.dedup.mark_url(&link.href) {
                 continue;
             }
-            let mut child = plan.entry(link, page_id, &neighbor_terms);
-            // Authority blend (config-gated, default off):
-            // α·content_priority + β·host_authority(link host). With
-            // α = 1, β = 0 this is the identity on finite priorities.
-            if let Some(auth) = &self.authority {
-                child.priority = auth.blend(child.priority, link_host);
-            }
-            self.frontier.push(child);
+            self.frontier
+                .push(plan.entry(link, page_id, &neighbor_terms));
             self.telemetry.frontier_push.inc();
         }
         self.stats.queue_overflow = self.frontier.overflow;
@@ -934,190 +897,6 @@ mod tests {
         };
         let crawler = Crawler::new(world, config, DocumentStore::new());
         (crawler, Vocabulary::new())
-    }
-
-    /// Best-first config with the authority blend on and a short
-    /// recompute cadence so small test crawls exercise it.
-    fn authority_config(alpha: f32, beta: f32) -> CrawlConfig {
-        CrawlConfig {
-            max_depth: 0,
-            strategy: CrawlStrategy::BestFirst,
-            authority: crate::authority::AuthorityConfig {
-                enabled: true,
-                alpha,
-                beta,
-                recompute_every_batches: 4,
-                ..crate::authority::AuthorityConfig::default()
-            },
-            ..CrawlConfig::default()
-        }
-    }
-
-    /// Accept into topic 0 with document-dependent confidence, so
-    /// best-first ordering actually discriminates.
-    fn varying_confidence() -> impl FnMut(&AnalyzedDocument, &PageContext) -> Judgment {
-        |doc, _ctx| Judgment {
-            topic: Some(0),
-            confidence: 0.1 + (doc.links.len() % 8) as f32 / 8.0,
-        }
-    }
-
-    /// The per-document fetch order of a finished crawl: (fetched_at,
-    /// id), in virtual-time order. Byte-equal sequences mean the two
-    /// crawls popped the frontier in the same order.
-    fn fetch_order(c: &Crawler) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = c
-            .store()
-            .all_documents()
-            .iter()
-            .map(|d| (d.fetched_at, d.id))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    #[test]
-    fn authority_blend_feeds_graph_and_changes_ordering() {
-        let world = Arc::new(WorldConfig::small_test(57).build());
-        let run = |config: CrawlConfig| {
-            let mut c = Crawler::new(world.clone(), config, DocumentStore::new());
-            c.add_seed(&world.url_of(1), Some(0));
-            let mut judge = varying_confidence();
-            let mut vocab = Vocabulary::new();
-            c.run_until(u64::MAX, &mut judge, &mut vocab);
-            c
-        };
-        let plain = run(CrawlConfig {
-            max_depth: 0,
-            strategy: CrawlStrategy::BestFirst,
-            ..CrawlConfig::default()
-        });
-        let blended = run(authority_config(0.6, 0.4));
-
-        // The tee observed the harvest and recomputed on cadence.
-        let auth = blended.authority().expect("authority enabled");
-        assert!(plain.authority().is_none());
-        assert!(
-            auth.host_count() > 3,
-            "graph too small: {}",
-            auth.host_count()
-        );
-        assert!(auth.edge_count() > 0);
-        assert!(auth.recomputes() > 0, "cadence never fired");
-        let snap = blended.telemetry().registry.snapshot();
-        assert!(snap.gauges["crawl.graph.hosts"] > 3);
-        assert!(snap.counters["crawl.graph.links"] > 0);
-        assert!(snap.counters["crawl.graph.recomputes"] > 0);
-
-        // β > 0 reorders the frontier relative to the pure-content run
-        // (same harvest set in a fault-free world, different order).
-        assert_ne!(
-            fetch_order(&plain),
-            fetch_order(&blended),
-            "blend had no effect on frontier ordering"
-        );
-    }
-
-    #[test]
-    fn authority_identity_blend_is_bit_identical_to_disabled() {
-        let world = Arc::new(WorldConfig::small_test(58).build());
-        let run = |config: CrawlConfig| {
-            let mut c = Crawler::new(world.clone(), config, DocumentStore::new());
-            c.add_seed(&world.url_of(1), Some(0));
-            let mut judge = varying_confidence();
-            let mut vocab = Vocabulary::new();
-            c.run_until(u64::MAX, &mut judge, &mut vocab);
-            c
-        };
-        let disabled = run(CrawlConfig {
-            max_depth: 0,
-            strategy: CrawlStrategy::BestFirst,
-            ..CrawlConfig::default()
-        });
-        // α = 1, β = 0: the blend is the identity on every finite
-        // priority, so the whole crawl must replay identically even
-        // though the graph machinery runs.
-        let identity = run(authority_config(1.0, 0.0));
-        assert_eq!(fetch_order(&disabled), fetch_order(&identity));
-        assert_eq!(
-            serde_json::to_string(disabled.stats()).unwrap(),
-            serde_json::to_string(identity.stats()).unwrap()
-        );
-    }
-
-    #[test]
-    fn authority_checkpoint_resume_replays_identical_orderings() {
-        let world = Arc::new(WorldConfig::small_test(59).build());
-        let config = authority_config(0.6, 0.4);
-        let mut crawler = Crawler::new(world.clone(), config.clone(), DocumentStore::new());
-        crawler.add_seed(&world.url_of(1), Some(0));
-        let mut judge = varying_confidence();
-        let mut vocab = Vocabulary::new();
-        crawler.run_until(4_000, &mut judge, &mut vocab);
-
-        let cp = crawler.checkpoint();
-        assert!(
-            cp.host_graph.is_some(),
-            "enabled blend must checkpoint the graph"
-        );
-        // Checkpointing is a pure read and includes the graph.
-        assert_eq!(
-            serde_json::to_string(&cp).unwrap(),
-            serde_json::to_string(&crawler.checkpoint()).unwrap()
-        );
-
-        // Two replicas restored from the same checkpoint (deep store
-        // copies) must finish the crawl byte-identically: same fetch
-        // order, same stats, same final checkpoint — including the
-        // host-graph state driving the blend.
-        let replica = || {
-            let mut buf = Vec::new();
-            bingo_store::persist::write_snapshot(crawler.store(), &mut buf).unwrap();
-            let store_copy = bingo_store::persist::read_snapshot(&buf[..]).unwrap();
-            let mut r = Crawler::new(world.clone(), config.clone(), store_copy);
-            r.restore_checkpoint(crawler.checkpoint());
-            r
-        };
-        let (mut r1, mut r2) = (replica(), replica());
-        let auth1 = r1.authority().expect("replica has authority").clone();
-        assert_eq!(
-            auth1.host_count(),
-            crawler.authority().unwrap().host_count(),
-            "restore must rebuild the graph"
-        );
-        let mut judge1 = varying_confidence();
-        let mut judge2 = varying_confidence();
-        let mut vocab1 = vocab.clone();
-        let mut vocab2 = vocab.clone();
-        let s1 = r1.run_until(u64::MAX, &mut judge1, &mut vocab1);
-        let s2 = r2.run_until(u64::MAX, &mut judge2, &mut vocab2);
-        assert_eq!(s1, s2);
-        assert_eq!(
-            fetch_order(&r1),
-            fetch_order(&r2),
-            "resumed crawls must pop the frontier in the same order"
-        );
-        assert_eq!(
-            serde_json::to_string(&r1.checkpoint()).unwrap(),
-            serde_json::to_string(&r2.checkpoint()).unwrap(),
-            "final states (frontier + host graph) must be byte-identical"
-        );
-
-        // And the resumed harvest matches the uninterrupted original.
-        // (Set equality, not timing: the DNS cache is deliberately not
-        // checkpointed, so the resumed run re-resolves and fetch
-        // timestamps shift by the cache-miss latency.)
-        crawler.run_until(u64::MAX, &mut judge, &mut vocab);
-        let ids = |c: &Crawler| {
-            let mut v: Vec<u64> = c.store().all_documents().iter().map(|d| d.id).collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(
-            ids(&crawler),
-            ids(&r1),
-            "resume must reach the original's harvest"
-        );
     }
 
     #[test]

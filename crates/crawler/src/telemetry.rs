@@ -78,45 +78,12 @@ pub struct CrawlTelemetry {
     /// Per-stage document-pipeline metrics (queue depths, batch sizes,
     /// stage latencies).
     pub pipeline: PipelineMetrics,
-    /// Host-graph / authority-blend metrics (all zero unless the
-    /// authority blend is enabled).
-    pub graph: GraphTelemetry,
     /// Fingerprints held by the duplicate filter
     /// ([`crate::dedup::Dedup::fingerprints`]).
     pub dedup_hot: Gauge,
     /// Speculative-lookahead counters (all zero unless the crawl runs
     /// through [`crate::Crawler::crawl_ahead`]).
     pub lookahead: LookaheadMetrics,
-}
-
-/// Metric handles for the incremental host graph
-/// ([`crate::HostAuthority`]). Split out so the store tee can hold just
-/// these without dragging the full crawl telemetry along.
-#[derive(Clone)]
-pub struct GraphTelemetry {
-    /// Hosts currently interned in the graph.
-    pub hosts: Gauge,
-    /// Distinct inter-host edges.
-    pub edges: Gauge,
-    /// Page-level links folded into the graph.
-    pub links: Counter,
-    /// Authority recomputations performed.
-    pub recomputes: Counter,
-    /// Power iterations per PageRank recompute (0 for harmonic).
-    pub recompute_iters: Arc<Histogram>,
-}
-
-impl GraphTelemetry {
-    /// Register the `crawl.graph.*` handles in `registry`.
-    pub fn new(registry: &Registry) -> Self {
-        GraphTelemetry {
-            hosts: registry.gauge("crawl.graph.hosts"),
-            edges: registry.gauge("crawl.graph.edges"),
-            links: registry.counter("crawl.graph.links"),
-            recomputes: registry.counter("crawl.graph.recomputes"),
-            recompute_iters: registry.histogram("crawl.graph.recompute_iters"),
-        }
-    }
 }
 
 impl CrawlTelemetry {
@@ -150,7 +117,6 @@ impl CrawlTelemetry {
             worker_restarts: registry.counter("crawl.worker.restarts"),
             textproc: TextprocMetrics::new(registry.clone()),
             pipeline: PipelineMetrics::new(&registry),
-            graph: GraphTelemetry::new(&registry),
             dedup_hot: registry.gauge("crawl.dedup.hot"),
             lookahead: LookaheadMetrics::new(&registry),
             registry,

@@ -1,6 +1,5 @@
 //! Crawl configuration, statistics and shared types.
 
-use crate::authority::AuthorityConfig;
 use crate::hosts::BreakerConfig;
 use bingo_textproc::fxhash::FxHashSet;
 use bingo_webworld::fetch::host_of_url;
@@ -114,11 +113,6 @@ pub struct CrawlConfig {
     pub frontier_spill_dir: Option<PathBuf>,
     /// Ignored, like `frontier_spill_dir`.
     pub frontier_hot_cap: usize,
-    /// Authority-blended frontier ordering: maintain a host-level
-    /// webgraph online and blend normalized host authority into link
-    /// priorities (`α·confidence + β·authority`). Disabled by default;
-    /// existing crawls are bit-identical with it off.
-    pub authority: AuthorityConfig,
 }
 
 impl Default for CrawlConfig {
@@ -140,7 +134,6 @@ impl Default for CrawlConfig {
             checkpoint_dir: None,
             frontier_spill_dir: None,
             frontier_hot_cap: 4096,
-            authority: AuthorityConfig::default(),
         }
     }
 }

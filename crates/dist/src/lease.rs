@@ -11,19 +11,20 @@
 //! — the distributed version of the threaded executor's per-URL poison
 //! discipline (PR 5).
 //!
-//! The whole queue serializes to a single **journal** written through
-//! [`DurableFs::atomic_write`], so it obeys the same crash matrix as
-//! every other artifact: a kill at any byte of the journal write leaves
-//! the previous journal intact. Restoring a journal re-queues the
-//! leases that were in flight at journal time — orphaned work is
-//! re-leased, never lost.
+//! The whole queue serializes to a single **journal**
+//! ([`LeaseQueue::journal_bytes`]). It reaches disk only as one file of
+//! the coordinator's snapshot generation
+//! ([`bingo_store::durable::GenerationWriter`]), so it obeys the same crash matrix as every other
+//! artifact: a kill at any byte of the commit leaves the previous
+//! generation, and its journal, as the recovery target. Restoring a
+//! journal ([`LeaseQueue::from_journal_bytes`]) re-queues the leases
+//! that were in flight at journal time — orphaned work is re-leased,
+//! never lost.
 
-use bingo_store::DurableFs;
 use bingo_textproc::fxhash::{self, FxHashSet};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
 
 /// Format marker of lease journals.
 pub const JOURNAL_MAGIC: &str = "bingo-lease-journal";
@@ -324,12 +325,6 @@ impl LeaseQueue {
             .into_bytes()
     }
 
-    /// Write the journal to `path` through `fs` (atomic: a crash at any
-    /// byte leaves the previous journal intact).
-    pub fn save(&self, fs: &dyn DurableFs, path: &Path) -> io::Result<()> {
-        fs.atomic_write(path, &self.journal_bytes())
-    }
-
     /// Restore a queue from journal bytes. Leases that were in flight
     /// at journal time are **orphans** — their nodes' work died with
     /// the crash — and are immediately expired back into their shards
@@ -368,11 +363,6 @@ impl LeaseQueue {
             queue.requeue_expired(&lease);
         }
         Ok(queue)
-    }
-
-    /// Load a journal from `path`.
-    pub fn load(path: &Path) -> io::Result<Self> {
-        Self::from_journal_bytes(&std::fs::read(path)?)
     }
 }
 

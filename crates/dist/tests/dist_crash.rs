@@ -1,18 +1,20 @@
-//! Crash matrix for the distributed snapshot protocol: a kill at *any*
-//! byte of the lease-journal save or the two-phase generation commit —
-//! mid node-store file, between phase one and phase two, inside the
-//! manifest — must leave the previous complete generation as the
-//! recovery target for the **whole cluster**. There is no state where
-//! node 0's snapshot is newer than node 1's.
+//! Crash matrix for the distributed snapshot protocol. A kill at any
+//! byte of a generation holding the lease journal, and a kill in the
+//! two-phase cluster commit — at every file edge (mid node-store file,
+//! between phase one and phase two, inside the manifest) and at seeded
+//! points between them — must leave the previous complete generation as
+//! the recovery target for the **whole cluster**. There is no state
+//! where node 0's snapshot is newer than node 1's.
 //!
-//! The matrix is seed-driven like the single-node one: set
+//! The cluster matrix is seed-driven like the single-node one: set
 //! `BINGO_CRASH_SEEDS=7,8,9` to sweep extra pseudo-random crash points.
 
 use bingo_crawler::{BatchJudge, Judgment, PageContext};
 use bingo_dist::coordinator::{COORD_FILE, VOCAB_FILE};
 use bingo_dist::lease::{LeaseQueue, WorkItem, JOURNAL_FILE};
 use bingo_dist::{Coordinator, DistConfig};
-use bingo_store::durable::{self, CrashFs, MANIFEST_FILE};
+use bingo_store::durable::{self, CrashFs, GenerationWriter, StdFs, MANIFEST_FILE};
+use bingo_store::DurableFs;
 use bingo_textproc::{fxhash, AnalyzedDocument};
 use bingo_webworld::gen::WorldConfig;
 use bingo_webworld::World;
@@ -74,25 +76,29 @@ fn sorted_page_ids(coord: &Coordinator) -> Vec<u64> {
 }
 
 #[test]
-fn lease_journal_crash_at_every_byte_keeps_the_old_journal() {
+fn lease_journal_crash_at_every_byte_of_its_generation_keeps_the_old_journal() {
     let dir = fresh_dir("journal");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(JOURNAL_FILE);
-
     let item = |url: &str| WorkItem {
         url: url.into(),
         depth: 0,
         src_topic: Some(0),
+    };
+    // The journal reaches disk only inside a generation, as
+    // `Coordinator` commits it.
+    let commit = |fs: &dyn DurableFs, journal: &[u8]| {
+        let mut writer = GenerationWriter::begin(fs, &dir)?;
+        writer.write_file(JOURNAL_FILE, journal)?;
+        writer.commit()
     };
     let mut queue = LeaseQueue::new(2, 3, 1_000);
     for i in 0..8 {
         queue.offer(i % 2, item(&format!("http://h{i}.example/p")));
     }
     let lease = queue.lease(0, 3, 100).expect("lease");
-    queue.save(&bingo_store::StdFs, &path).expect("clean save");
-    let good = std::fs::read(&path).unwrap();
+    let good = queue.journal_bytes();
+    let base = commit(&StdFs, &good).expect("clean commit");
 
-    // More activity the crashed saves will try (and fail) to persist.
+    // More activity the crashed commits will try (and fail) to persist.
     queue.ack(lease.id);
     for i in 8..14 {
         queue.offer(i % 2, item(&format!("http://h{i}.example/p")));
@@ -100,32 +106,43 @@ fn lease_journal_crash_at_every_byte_keeps_the_old_journal() {
     let dirty = queue.journal_bytes();
     assert_ne!(dirty, good, "journal must have diverged");
 
-    // Every byte boundary of the new journal: the save must fail, the
-    // on-disk journal must keep its old bytes, and a load must still
-    // come back (orphan-requeuing the in-flight lease).
-    for budget in 0..dirty.len() as u64 {
+    // Every byte of the next generation, journal and manifest: the
+    // commit must fail, the old generation must stay the newest complete
+    // one with its journal intact, and that journal must still restore
+    // (orphan-requeuing the in-flight lease).
+    let mut budget = 0u64;
+    let next = loop {
         let fs = CrashFs::with_budget(budget);
-        assert!(queue.save(&fs, &path).is_err(), "budget {budget}");
-        assert!(fs.crashed(), "budget {budget}: crash must have fired");
+        match commit(&fs, &dirty) {
+            Ok(generation) => break generation,
+            Err(_) => assert!(fs.crashed(), "budget {budget}: crash must have fired"),
+        }
+        let newest = durable::find_newest_complete(&dir).expect("old generation");
+        assert_eq!(newest.generation, base, "budget {budget}");
+        let bytes = std::fs::read(newest.dir.join(JOURNAL_FILE)).unwrap();
         assert_eq!(
-            std::fs::read(&path).unwrap(),
-            good,
+            bytes, good,
             "budget {budget}: old journal bytes must survive"
         );
-        let restored = LeaseQueue::load(&path).expect("load after crash");
+        let restored = LeaseQueue::from_journal_bytes(&bytes).expect("load after crash");
         assert_eq!(
             restored.pending_total(),
             8,
             "budget {budget}: in-flight lease orphan-requeued"
         );
         assert_eq!(restored.leased_total(), 0, "budget {budget}");
-    }
+        std::fs::remove_dir_all(durable::generation_dir(&dir, base + 1)).unwrap();
+        budget += 1;
+    };
 
-    // A roomy budget goes through and the journal advances.
-    let fs = CrashFs::with_budget(dirty.len() as u64);
-    queue.save(&fs, &path).expect("exact budget saves fine");
-    assert!(!fs.crashed());
-    assert_eq!(std::fs::read(&path).unwrap(), dirty);
+    // The first budget that covers both files commits the new journal.
+    assert!(
+        budget > dirty.len() as u64,
+        "the journal write must be swept"
+    );
+    let newest = durable::find_newest_complete(&dir).expect("new generation");
+    assert_eq!(newest.generation, next);
+    assert_eq!(std::fs::read(newest.dir.join(JOURNAL_FILE)).unwrap(), dirty);
     std::fs::remove_dir_all(&dir).ok();
 }
 

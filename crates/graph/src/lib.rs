@@ -13,11 +13,9 @@
 //! the web simulator).
 
 pub mod hits;
-pub mod hostgraph;
 pub mod pagerank;
 
 pub use hits::{Hits, HitsConfig, HitsResult};
-pub use hostgraph::{AuthoritySignal, HostGraph, HostGraphSnapshot, HostNode};
 pub use pagerank::{pagerank, PageRankConfig, PageRankResult};
 
 use bingo_textproc::fxhash::{FxHashMap, FxHashSet};

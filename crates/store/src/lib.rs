@@ -76,29 +76,6 @@ impl std::error::Error for StoreError {}
 pub trait IndexTee: Send + Sync {
     /// Observe a batch of rows that were just accepted by the store.
     fn on_insert(&self, rows: &[DocumentRow]);
-
-    /// Observe a batch of link rows just recorded (same after-lock-drop
-    /// discipline as [`IndexTee::on_insert`]). Default: ignore — only
-    /// consumers that maintain link-derived state (e.g. the crawler's
-    /// host-level webgraph) override this.
-    fn on_links(&self, _links: &[LinkRow]) {}
-}
-
-/// Fan-out combinator: forwards every observation to both tees, in
-/// order. Built by [`DocumentStore::with_added_tee`] so independent
-/// consumers (live index, host graph) can observe the same store.
-struct TeePair(Arc<dyn IndexTee>, Arc<dyn IndexTee>);
-
-impl IndexTee for TeePair {
-    fn on_insert(&self, rows: &[DocumentRow]) {
-        self.0.on_insert(rows);
-        self.1.on_insert(rows);
-    }
-
-    fn on_links(&self, links: &[LinkRow]) {
-        self.0.on_links(links);
-        self.1.on_links(links);
-    }
 }
 
 /// The document store: cheaply cloneable handle over the shared state.
@@ -255,17 +232,6 @@ impl DocumentStore {
         }
     }
 
-    /// Like [`DocumentStore::with_tee`], but *composes* with any tee
-    /// already attached to this handle instead of replacing it: both
-    /// tees observe every accepted row, existing tee first.
-    pub fn with_added_tee(&self, tee: Arc<dyn IndexTee>) -> Self {
-        let combined: Arc<dyn IndexTee> = match &self.tee {
-            Some(existing) => Arc::new(TeePair(Arc::clone(existing), tee)),
-            None => tee,
-        };
-        self.with_tee(combined)
-    }
-
     /// Insert one document row. Fails on duplicate ids.
     pub fn insert_document(&self, row: DocumentRow) -> Result<(), StoreError> {
         let Some(tee) = &self.tee else {
@@ -308,26 +274,14 @@ impl DocumentStore {
     /// Record a hyperlink between pages (ids need not be stored yet; the
     /// link table also feeds the HITS predecessor lookup).
     pub fn insert_link(&self, link: LinkRow) {
-        let keep = self.tee.as_ref().map(|_| link.clone());
         self.spine.write().insert_link(link);
-        if let (Some(tee), Some(keep)) = (&self.tee, keep) {
-            tee.on_links(std::slice::from_ref(&keep));
-        }
     }
 
     /// Record a batch of links under one lock acquisition.
     pub fn insert_links(&self, links: Vec<LinkRow>) {
-        let keep = self.tee.as_ref().map(|_| links.clone());
-        {
-            let mut spine = self.spine.write();
-            for l in links {
-                spine.insert_link(l);
-            }
-        }
-        if let (Some(tee), Some(keep)) = (&self.tee, keep) {
-            if !keep.is_empty() {
-                tee.on_links(&keep);
-            }
+        let mut spine = self.spine.write();
+        for l in links {
+            spine.insert_link(l);
         }
     }
 
@@ -552,76 +506,6 @@ mod tests {
         let s2 = s.clone();
         s2.insert_document(doc(4, "d", None)).unwrap();
         assert_eq!(cap.0.lock().unwrap().len(), 4);
-    }
-
-    #[test]
-    fn tee_observes_link_rows() {
-        struct Links(std::sync::Mutex<Vec<(u64, u64)>>);
-        impl IndexTee for Links {
-            fn on_insert(&self, _rows: &[DocumentRow]) {}
-            fn on_links(&self, links: &[LinkRow]) {
-                self.0
-                    .lock()
-                    .unwrap()
-                    .extend(links.iter().map(|l| (l.from, l.to)));
-            }
-        }
-        let cap = Arc::new(Links(std::sync::Mutex::new(Vec::new())));
-        let s = DocumentStore::new().with_tee(cap.clone());
-        s.insert_link(LinkRow {
-            from: 1,
-            to: 2,
-            to_url: "u2".into(),
-        });
-        s.insert_links(vec![
-            LinkRow {
-                from: 1,
-                to: 3,
-                to_url: "u3".into(),
-            },
-            LinkRow {
-                from: 2,
-                to: 3,
-                to_url: "u3".into(),
-            },
-        ]);
-        s.insert_links(Vec::new());
-        assert_eq!(*cap.0.lock().unwrap(), vec![(1, 2), (1, 3), (2, 3)]);
-        assert_eq!(s.link_count(), 3, "tee does not replace storage");
-    }
-
-    #[test]
-    fn added_tee_composes_with_existing() {
-        struct Count(
-            std::sync::atomic::AtomicUsize,
-            std::sync::atomic::AtomicUsize,
-        );
-        impl IndexTee for Count {
-            fn on_insert(&self, rows: &[DocumentRow]) {
-                self.0
-                    .fetch_add(rows.len(), std::sync::atomic::Ordering::SeqCst);
-            }
-            fn on_links(&self, links: &[LinkRow]) {
-                self.1
-                    .fetch_add(links.len(), std::sync::atomic::Ordering::SeqCst);
-            }
-        }
-        let a = Arc::new(Count(Default::default(), Default::default()));
-        let b = Arc::new(Count(Default::default(), Default::default()));
-        // with_added_tee on a tee-less store is just with_tee...
-        let s = DocumentStore::new().with_added_tee(a.clone());
-        // ...and composes when one is already attached.
-        let s = s.with_added_tee(b.clone());
-        s.insert_document(doc(1, "a", None)).unwrap();
-        s.insert_link(LinkRow {
-            from: 1,
-            to: 2,
-            to_url: "u2".into(),
-        });
-        for t in [&a, &b] {
-            assert_eq!(t.0.load(std::sync::atomic::Ordering::SeqCst), 1);
-            assert_eq!(t.1.load(std::sync::atomic::Ordering::SeqCst), 1);
-        }
     }
 
     /// Two URLs of the `WorldConfig::portal(32, 5000, 4)` world with one

@@ -12,11 +12,16 @@
 //! The crawler never sees this plan directly — faults manifest only
 //! through [`crate::World::fetch_at`] and [`crate::World::dns_lookup_at`]
 //! outcomes, the same way a real crawler only sees socket behaviour.
+//!
+//! The script itself, [`FaultScript`], is generic over what it keys
+//! (hosts here, worker nodes in [`crate::nodefaults`]) and what a window
+//! does; each kind brings its own profile, seed salt and kind sampler.
 
 use bingo_graph::HostId;
 use bingo_textproc::fxhash::FxHashMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::hash::Hash;
 
 /// What a host does to requests while a fault window is active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,19 +57,19 @@ pub enum FaultKind {
     RedirectLoop,
 }
 
-/// One scripted fault episode on a host: `kind` holds during
-/// `[start_ms, end_ms)` of virtual time, then the host recovers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultWindow {
+/// One scripted fault episode: `kind` holds during `[start_ms, end_ms)`
+/// of virtual time, then the host (or node) recovers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultWindow<K = FaultKind> {
     /// First virtual millisecond the fault is active.
     pub start_ms: u64,
     /// First virtual millisecond after recovery.
     pub end_ms: u64,
     /// Failure mode during the window.
-    pub kind: FaultKind,
+    pub kind: K,
 }
 
-impl FaultWindow {
+impl<K> FaultWindow<K> {
     /// True while the window is active.
     pub fn contains(&self, now_ms: u64) -> bool {
         self.start_ms <= now_ms && now_ms < self.end_ms
@@ -111,55 +116,75 @@ impl FaultProfile {
     }
 }
 
-/// The complete fault script of a world: per-host windows, sorted by
-/// start time. Empty by default (worlds without a configured profile
-/// behave exactly as before).
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    windows: FxHashMap<HostId, Vec<FaultWindow>>,
+/// A fault script: per-key windows (keys are hosts or worker nodes),
+/// each key's script sorted by start time. Empty by default (worlds
+/// without a configured profile behave exactly as before).
+#[derive(Debug, Clone)]
+pub struct FaultScript<Key, Kind> {
+    windows: FxHashMap<Key, Vec<FaultWindow<Kind>>>,
 }
 
-impl FaultPlan {
-    /// A plan with no faults.
+/// The fault script of a world's hosts.
+pub type FaultPlan = FaultScript<HostId, FaultKind>;
+
+impl<Key, Kind> Default for FaultScript<Key, Kind> {
+    fn default() -> Self {
+        FaultScript {
+            windows: FxHashMap::default(),
+        }
+    }
+}
+
+impl<Key: Copy + Eq + Hash, Kind> FaultScript<Key, Kind> {
+    /// A script with no faults.
     pub fn empty() -> Self {
-        FaultPlan::default()
+        Self::default()
     }
 
-    /// True when no host has a fault script.
+    /// True when no key has a fault script.
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
     }
 
-    /// Number of hosts with at least one scripted window.
-    pub fn faulty_hosts(&self) -> usize {
+    /// Number of keys with at least one scripted window.
+    pub fn faulty(&self) -> usize {
         self.windows.len()
     }
 
-    /// Generate the script for `host_count` hosts. Pure function of the
-    /// arguments: the same seed and profile always produce the same
-    /// schedule.
-    pub fn generate(seed: u64, host_count: usize, profile: &FaultProfile) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x000F_A017_C4A0_5BAD);
-        let mut plan = FaultPlan::default();
-        let (min_len, max_len) = profile.window_ms;
+    /// Script `keys` in order from an RNG seeded with `seed`: each key is
+    /// faulty with probability `fraction` and then gets one to
+    /// `max_windows` windows inside `[0, horizon_ms)`, each lasting
+    /// within `window_ms`, with `sample_kind` choosing each window's mode.
+    pub(crate) fn generate_with(
+        seed: u64,
+        keys: impl Iterator<Item = Key>,
+        fraction: f64,
+        max_windows: u32,
+        horizon_ms: u64,
+        window_ms: (u64, u64),
+        mut sample_kind: impl FnMut(&mut SmallRng) -> Kind,
+    ) -> Self {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut script = Self::default();
+        let (min_len, max_len) = window_ms;
         let max_len = max_len.max(min_len + 1);
-        for host in 0..host_count as HostId {
-            if !rng.gen_bool(profile.host_fraction) {
+        for key in keys {
+            if !rng.gen_bool(fraction.clamp(0.0, 1.0)) {
                 continue;
             }
-            let n = rng.gen_range(1..=profile.max_windows_per_host.max(1));
-            // Windows are laid out sequentially with gaps, so a host's
+            let n = rng.gen_range(1..=max_windows.max(1));
+            // Windows are laid out sequentially with gaps, so a key's
             // episodes never overlap and recovery phases exist between
             // them.
-            let mut t = rng.gen_range(0..profile.horizon_ms.max(2) / 2);
+            let mut t = rng.gen_range(0..horizon_ms.max(2) / 2);
             for _ in 0..n {
-                if t >= profile.horizon_ms {
+                if t >= horizon_ms {
                     break;
                 }
                 let len = rng.gen_range(min_len..max_len);
                 let kind = sample_kind(&mut rng);
-                plan.insert_window(
-                    host,
+                script.insert_window(
+                    key,
                     FaultWindow {
                         start_ms: t,
                         end_ms: t + len,
@@ -169,25 +194,53 @@ impl FaultPlan {
                 t += len + rng.gen_range(min_len..max_len * 2);
             }
         }
-        plan
+        script
     }
 
-    /// Add one window to a host's script (scenario overlays use this for
-    /// hand-authored episodes). Keeps the script sorted by start time.
-    pub fn insert_window(&mut self, host: HostId, window: FaultWindow) {
-        let script = self.windows.entry(host).or_default();
+    /// Add one window to a key's script (scenario overlays and tests use
+    /// this for hand-authored episodes). Keeps the script sorted by start
+    /// time.
+    pub fn insert_window(&mut self, key: Key, window: FaultWindow<Kind>) {
+        let script = self.windows.entry(key).or_default();
         script.push(window);
         script.sort_by_key(|w| w.start_ms);
     }
 
-    /// The fault active on `host` at `now_ms`, if any.
-    pub fn active(&self, host: HostId, now_ms: u64) -> Option<&FaultWindow> {
-        self.windows.get(&host)?.iter().find(|w| w.contains(now_ms))
+    /// The fault active on `key` at `now_ms`, if any.
+    pub fn active(&self, key: Key, now_ms: u64) -> Option<&FaultWindow<Kind>> {
+        self.windows.get(&key)?.iter().find(|w| w.contains(now_ms))
     }
 
-    /// The full script of a host (empty for healthy hosts).
-    pub fn windows_for(&self, host: HostId) -> &[FaultWindow] {
-        self.windows.get(&host).map(Vec::as_slice).unwrap_or(&[])
+    /// The first window of `key` that *starts* in `[from_ms, to_ms)` —
+    /// how a coordinator discovers that a kill lands inside a node's
+    /// current processing span.
+    pub fn event_at(&self, key: Key, from_ms: u64, to_ms: u64) -> Option<&FaultWindow<Kind>> {
+        self.windows
+            .get(&key)?
+            .iter()
+            .find(|w| from_ms <= w.start_ms && w.start_ms < to_ms)
+    }
+
+    /// The full script of a key (empty for healthy keys).
+    pub fn windows_for(&self, key: Key) -> &[FaultWindow<Kind>] {
+        self.windows.get(&key).map(Vec::as_slice).unwrap_or(&[])
+    }
+}
+
+impl FaultPlan {
+    /// Generate the script for `host_count` hosts. Pure function of the
+    /// arguments: the same seed and profile always produce the same
+    /// schedule.
+    pub fn generate(seed: u64, host_count: usize, profile: &FaultProfile) -> Self {
+        Self::generate_with(
+            seed ^ 0x000F_A017_C4A0_5BAD,
+            0..host_count as HostId,
+            profile.host_fraction,
+            profile.max_windows_per_host,
+            profile.horizon_ms,
+            profile.window_ms,
+            sample_kind,
+        )
     }
 }
 
@@ -229,7 +282,7 @@ mod tests {
     #[test]
     fn windows_are_sorted_and_disjoint_per_host() {
         let plan = FaultPlan::generate(7, 60, &FaultProfile::chaos());
-        assert!(plan.faulty_hosts() > 10, "chaos profile faults most hosts");
+        assert!(plan.faulty() > 10, "chaos profile faults most hosts");
         for h in 0..60 {
             let ws = plan.windows_for(h);
             for w in ws {
@@ -272,7 +325,7 @@ mod tests {
     fn empty_plan_is_inert() {
         let plan = FaultPlan::empty();
         assert!(plan.is_empty());
-        assert_eq!(plan.faulty_hosts(), 0);
+        assert_eq!(plan.faulty(), 0);
         assert!(plan.active(0, 0).is_none());
     }
 }

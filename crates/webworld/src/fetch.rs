@@ -652,7 +652,7 @@ mod tests {
     fn chaos_preset_installs_fault_plan() {
         let w = WorldConfig::chaos(13).build();
         assert!(!w.faults().is_empty());
-        assert!(w.faults().faulty_hosts() >= w.host_count() / 3);
+        assert!(w.faults().faulty() >= w.host_count() / 3);
         // Same seed, same script.
         let v = WorldConfig::chaos(13).build();
         for h in 0..w.host_count() as u32 {

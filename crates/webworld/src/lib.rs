@@ -35,7 +35,7 @@ pub mod paged;
 pub mod scenario;
 
 pub use dblp::AuthorInfo;
-pub use faults::{FaultKind, FaultPlan, FaultProfile, FaultWindow};
+pub use faults::{FaultKind, FaultPlan, FaultProfile, FaultScript, FaultWindow};
 pub use fetch::{DnsError, FetchError, FetchOutcome, FetchResponse};
 pub use nodefaults::{NodeFaultKind, NodeFaultPlan, NodeFaultProfile, NodeFaultWindow};
 pub use paged::PagedConfig;

@@ -12,8 +12,8 @@
 //! The coordinator polls [`NodeFaultPlan::event_at`] on the virtual
 //! clock; the plan itself never touches node state.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::faults::{FaultScript, FaultWindow};
+use rand::Rng;
 
 /// What happens to a worker node during a fault window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,24 +29,9 @@ pub enum NodeFaultKind {
 }
 
 /// One scripted fault episode on a node: the node is down (or hung)
-/// during `[start_ms, end_ms)` of virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeFaultWindow {
-    /// First virtual millisecond the fault is active (the kill instant).
-    pub start_ms: u64,
-    /// First virtual millisecond the node is healthy again (the restart
-    /// instant for kills).
-    pub end_ms: u64,
-    /// Failure mode during the window.
-    pub kind: NodeFaultKind,
-}
-
-impl NodeFaultWindow {
-    /// True while the window is active.
-    pub fn contains(&self, now_ms: u64) -> bool {
-        self.start_ms <= now_ms && now_ms < self.end_ms
-    }
-}
+/// during `[start_ms, end_ms)` of virtual time; `end_ms` is the restart
+/// instant for kills.
+pub type NodeFaultWindow = FaultWindow<NodeFaultKind>;
 
 /// Parameters for seeding a node-fault script over an N-node crawl.
 #[derive(Debug, Clone)]
@@ -90,107 +75,31 @@ impl NodeFaultProfile {
     }
 }
 
-/// The complete node-fault script of a distributed crawl: per-node
-/// windows, sorted by start time. Empty by default — a calm run.
-#[derive(Debug, Clone, Default)]
-pub struct NodeFaultPlan {
-    /// `windows[node]` is that node's script.
-    windows: Vec<Vec<NodeFaultWindow>>,
-}
+/// The node-fault script of a distributed crawl, keyed by node index.
+/// Empty by default — a calm run.
+pub type NodeFaultPlan = FaultScript<usize, NodeFaultKind>;
 
 impl NodeFaultPlan {
-    /// A plan with no node faults.
-    pub fn empty() -> Self {
-        NodeFaultPlan::default()
-    }
-
-    /// True when no node has a fault script.
-    pub fn is_empty(&self) -> bool {
-        self.windows.iter().all(|w| w.is_empty())
-    }
-
-    /// Number of nodes with at least one scripted window.
-    pub fn faulty_nodes(&self) -> usize {
-        self.windows.iter().filter(|w| !w.is_empty()).count()
-    }
-
-    /// Total scripted windows across all nodes.
-    pub fn window_count(&self) -> usize {
-        self.windows.iter().map(Vec::len).sum()
-    }
-
     /// Generate the script for `node_count` nodes. Pure function of the
     /// arguments: the same seed and profile always produce the same
-    /// schedule.
+    /// schedule. Windows are laid out like host faults, so one node is
+    /// never scripted to die while already dead.
     pub fn generate(seed: u64, node_count: usize, profile: &NodeFaultProfile) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x000D_157F_A017_C4A0_u64);
-        let mut plan = NodeFaultPlan {
-            windows: vec![Vec::new(); node_count],
-        };
-        let (min_len, max_len) = profile.window_ms;
-        let max_len = max_len.max(min_len + 1);
-        for node in 0..node_count {
-            if !rng.gen_bool(profile.node_fraction.clamp(0.0, 1.0)) {
-                continue;
-            }
-            let n = rng.gen_range(1..=profile.max_windows_per_node.max(1));
-            // Sequential layout with recovery gaps, like host faults:
-            // one node is never scripted to die while already dead.
-            let mut t = rng.gen_range(0..profile.horizon_ms.max(2) / 2);
-            for _ in 0..n {
-                if t >= profile.horizon_ms {
-                    break;
-                }
-                let len = rng.gen_range(min_len..max_len);
-                let kind = if rng.gen_bool(profile.kill_fraction.clamp(0.0, 1.0)) {
+        Self::generate_with(
+            seed ^ 0x000D_157F_A017_C4A0_u64,
+            0..node_count,
+            profile.node_fraction,
+            profile.max_windows_per_node,
+            profile.horizon_ms,
+            profile.window_ms,
+            |rng| {
+                if rng.gen_bool(profile.kill_fraction.clamp(0.0, 1.0)) {
                     NodeFaultKind::Kill
                 } else {
                     NodeFaultKind::Stall
-                };
-                plan.insert_window(
-                    node,
-                    NodeFaultWindow {
-                        start_ms: t,
-                        end_ms: t + len,
-                        kind,
-                    },
-                );
-                t += len + rng.gen_range(min_len..max_len * 2);
-            }
-        }
-        plan
-    }
-
-    /// Add one window to a node's script (tests hand-author kills at
-    /// exact virtual instants with this). Keeps the script sorted by
-    /// start time and grows the plan to cover `node`.
-    pub fn insert_window(&mut self, node: usize, window: NodeFaultWindow) {
-        if self.windows.len() <= node {
-            self.windows.resize(node + 1, Vec::new());
-        }
-        let script = &mut self.windows[node];
-        script.push(window);
-        script.sort_by_key(|w| w.start_ms);
-    }
-
-    /// The fault active on `node` at `now_ms`, if any.
-    pub fn active(&self, node: usize, now_ms: u64) -> Option<&NodeFaultWindow> {
-        self.windows.get(node)?.iter().find(|w| w.contains(now_ms))
-    }
-
-    /// The first window of `node` that *starts* in `[from_ms, to_ms)` —
-    /// how a coordinator discovers that a kill lands inside a node's
-    /// current processing span.
-    pub fn event_at(&self, node: usize, from_ms: u64, to_ms: u64) -> Option<&NodeFaultWindow> {
-        self.windows
-            .get(node)?
-            .iter()
-            .find(|w| from_ms <= w.start_ms && w.start_ms < to_ms)
-    }
-
-    /// The full script of a node (empty for healthy nodes).
-    pub fn windows_for(&self, node: usize) -> &[NodeFaultWindow] {
-        self.windows.get(node).map(Vec::as_slice).unwrap_or(&[])
+                }
+            },
+        )
     }
 }
 
@@ -214,7 +123,7 @@ mod tests {
     #[test]
     fn windows_are_sorted_and_disjoint_per_node() {
         let plan = NodeFaultPlan::generate(3, 16, &NodeFaultProfile::chaos());
-        assert!(plan.faulty_nodes() > 4, "chaos profile faults most nodes");
+        assert!(plan.faulty() > 4, "chaos profile faults most nodes");
         for n in 0..16 {
             let ws = plan.windows_for(n);
             for w in ws {
@@ -256,8 +165,7 @@ mod tests {
     fn empty_plan_is_inert() {
         let plan = NodeFaultPlan::empty();
         assert!(plan.is_empty());
-        assert_eq!(plan.faulty_nodes(), 0);
-        assert_eq!(plan.window_count(), 0);
+        assert_eq!(plan.faulty(), 0);
         assert!(plan.active(0, 0).is_none());
         assert!(plan.event_at(3, 0, u64::MAX).is_none());
     }
