@@ -20,8 +20,10 @@
 //!   backoff with deterministic jitter on the virtual clock,
 //! * **checkpoint/resume**: the full mid-crawl state — frontier, parked
 //!   retries, breaker health, duplicate fingerprints, thread timelines —
-//!   serializes to a session directory and resumes byte-identically
-//!   ([`checkpoint`]),
+//!   serializes to a session directory ([`checkpoint`]); two resumes from
+//!   one checkpoint are byte-identical, but not yet equal to the crawl that
+//!   was never interrupted, because the DNS resolver cache is not part of
+//!   the checkpoint and a resumed crawl pays its lookups again,
 //! * URL hygiene: hostname ≤ 255 chars, URL ≤ 1000 chars, redirect chains
 //!   bounded, MIME-type and size limits per document class,
 //! * one **post-fetch core** — content-convert → analyze → classify →

@@ -225,8 +225,11 @@ impl Crawler {
     }
 
     /// Overwrite this crawler's mid-crawl state from a checkpoint. The
-    /// resolver cache is intentionally *not* part of checkpoints: it is
-    /// a pure cache and repopulates on the first fetch per host.
+    /// resolver cache is not part of checkpoints: the crawler starts a
+    /// cold one, and each host's first lookup after the resume costs DNS
+    /// latency on the virtual clock again. So two resumes from one
+    /// checkpoint are byte-identical, but neither equals the crawl that
+    /// was never interrupted.
     pub fn restore_checkpoint(&mut self, cp: CrawlCheckpoint) {
         self.clock = cp.clock_ms;
         self.stats = cp.stats;

@@ -41,6 +41,10 @@ pub use tokenize::Tokenizer;
 pub use vector::SparseVector;
 pub use vocab::{Interner, KnownTerms, SharedVocabulary, TermId, TermLookup, Vocabulary};
 
+use stopwords::StopList;
+use tokenize::{Key, RawToken};
+use vocab::TokenMemo;
+
 /// A fully analyzed document: the output of the document analyzer that the
 /// classifier, the feature selection and the local search engine consume.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -75,16 +79,6 @@ impl AnalyzedDocument {
     pub fn is_empty(&self) -> bool {
         self.terms.is_empty()
     }
-
-    /// Raw term-frequency sparse vector (unweighted).
-    pub fn tf_vector(&self) -> SparseVector {
-        SparseVector::from_pairs(
-            self.term_freqs
-                .iter()
-                .map(|&(t, f)| (t.0, f as f32))
-                .collect(),
-        )
-    }
 }
 
 /// Analyze an HTML document end to end: parse, tokenize, stem, intern.
@@ -96,46 +90,93 @@ impl AnalyzedDocument {
 /// concurrent pipeline (`&mut &SharedVocabulary`).
 ///
 /// One pass of the scanner behind [`html::parse`], nothing allocated per
-/// token: text runs are tokenized as they come and each token goes
-/// through [`Interner::intern_token`]. The result is what tokenizing
+/// token, one memo probe per raw token. The result is what tokenizing
 /// `parse`'s `text` and then each anchor would give, ids included: an
-/// anchor's run is a body run first and the anchor stopwords contain the
-/// body's, so interning an anchor term never creates an id.
+/// anchor's run is a body run first, so an anchor term is never new.
 pub fn analyze_html<I: Interner + ?Sized>(html_text: &str, vocab: &mut I) -> AnalyzedDocument {
-    let body_tokenizer = Tokenizer::default();
-    let anchor_tokenizer = Tokenizer::for_anchor_text();
+    vocab.analyze(html_text)
+}
+
+/// The analyzer's kernel, run by each [`Interner`] with its token memo.
+/// `resolve` interns a stem, or is `None` where a view lacks it, as is
+/// an id from `known` on. Also returns whether every token was known;
+/// the tokens after the first that was not are skipped.
+pub(crate) fn analyze_page(
+    html_text: &str,
+    memo: &mut TokenMemo,
+    known: u32,
+    mut resolve: impl FnMut(&str) -> Option<TermId>,
+) -> (AnalyzedDocument, bool) {
+    let mut all_known = true;
     // One allocation for the usual page: markup included, prose runs to
     // more than eight bytes per kept token.
     let mut terms = Vec::with_capacity(html_text.len() / 8);
     let mut links = Vec::new();
     let mut anchor_terms = Vec::new();
     let title = html::scan(html_text, |event| match event {
-        html::Event::Text { chunk, in_anchor } => {
-            body_tokenizer.for_each_token(chunk, |token| terms.push(vocab.intern_token(token)));
-            if in_anchor {
-                anchor_tokenizer.for_each_token(chunk, |token| {
-                    anchor_terms.push(vocab.intern_token(token));
-                });
+        html::Event::Text { chunk, in_anchor } => tokenize::for_each_raw_token(chunk, |raw| {
+            if !all_known {
+                return;
             }
-        }
+            let value = match raw {
+                RawToken::Key(key) => remembered(memo, key, &mut resolve),
+                RawToken::Text(token) => decide(token, &mut resolve),
+            };
+            match value {
+                Some(TokenMemo::STOPWORD) => {}
+                Some(value) if value & !TokenMemo::ANCHOR_STOP < known => {
+                    let id = TermId(value & !TokenMemo::ANCHOR_STOP);
+                    terms.push(id);
+                    if in_anchor && value & TokenMemo::ANCHOR_STOP == 0 {
+                        anchor_terms.push(id);
+                    }
+                }
+                _ => all_known = false,
+            }
+        }),
         html::Event::Link { href } => links.push(AnalyzedLink {
             href,
             anchor_terms: std::mem::take(&mut anchor_terms),
         }),
     });
 
-    let mut sorted = terms.clone();
-    sorted.sort_unstable();
-    let runs = || sorted.chunk_by(|a, b| a == b);
-    let mut term_freqs = Vec::with_capacity(runs().count());
-    term_freqs.extend(runs().map(|run| (run[0], run.len() as u32)));
-
-    AnalyzedDocument {
+    let term_freqs = memo.term_freqs(&terms);
+    let doc = AnalyzedDocument {
         title,
         terms,
         term_freqs,
         links,
+    };
+    (doc, all_known)
+}
+
+/// The memo's value for the token `key` stands for, decided and
+/// remembered on a miss.
+fn remembered(
+    memo: &mut TokenMemo,
+    key: &Key,
+    resolve: &mut impl FnMut(&str) -> Option<TermId>,
+) -> Option<u32> {
+    if let Some(value) = memo.get(key) {
+        return Some(value);
     }
+    let len = key.iter().position(|&byte| byte == 0).unwrap_or(key.len());
+    let token = std::str::from_utf8(&key[..len]).expect("a key holds a token's UTF-8");
+    let value = decide(token, resolve)?;
+    memo.insert(key, value);
+    Some(value)
+}
+
+/// The [`TokenMemo`] value of the lowercase raw `token`, worked out in
+/// full: one stopword probe, then `porter_stem` and `resolve`.
+fn decide(token: &str, resolve: &mut impl FnMut(&str) -> Option<TermId>) -> Option<u32> {
+    let list = stopwords::list_of(token);
+    if list == Some(StopList::Basic) {
+        return Some(TokenMemo::STOPWORD);
+    }
+    let TermId(id) = resolve(&porter_stem(token))?;
+    assert!(id < TokenMemo::ANCHOR_STOP - 1, "term ids fit in 31 bits");
+    Some(list.map_or(id, |_| id | TokenMemo::ANCHOR_STOP))
 }
 
 #[cfg(test)]
@@ -182,6 +223,6 @@ mod tests {
         let doc = analyze_html("", &mut vocab);
         assert!(doc.is_empty());
         assert_eq!(doc.len(), 0);
-        assert!(doc.tf_vector().is_empty());
+        assert!(doc.term_freqs.is_empty());
     }
 }

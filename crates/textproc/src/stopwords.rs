@@ -3,7 +3,7 @@
 //! stopword elimination on anchor texts" to remove phrases such as
 //! "click here").
 
-use crate::fxhash::FxHashSet;
+use crate::fxhash::FxHashMap;
 use std::sync::OnceLock;
 
 /// Standard English stopword list used by the document analyzer.
@@ -174,31 +174,25 @@ pub const ANCHOR_STOPWORDS: &[&str] = &[
     "disclaimer",
 ];
 
-fn basic_set() -> &'static FxHashSet<&'static str> {
-    static SET: OnceLock<FxHashSet<&'static str>> = OnceLock::new();
-    SET.get_or_init(|| BASIC_STOPWORDS.iter().copied().collect())
+/// The list a stopword is on. The anchor list contains the basic one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopList {
+    /// [`BASIC_STOPWORDS`]: dropped from body and anchor text alike.
+    Basic,
+    /// [`ANCHOR_STOPWORDS`] only: a body term, dropped from anchor texts.
+    Anchor,
 }
 
-fn anchor_set() -> &'static FxHashSet<&'static str> {
-    static SET: OnceLock<FxHashSet<&'static str>> = OnceLock::new();
-    SET.get_or_init(|| {
-        BASIC_STOPWORDS
-            .iter()
-            .chain(ANCHOR_STOPWORDS.iter())
-            .copied()
-            .collect()
-    })
-}
-
-/// True when `word` (lowercase) is a standard stopword.
-pub fn is_stopword(word: &str) -> bool {
-    basic_set().contains(word)
-}
-
-/// True when `word` (lowercase) is a stopword under the extended
-/// anchor-text list.
-pub fn is_anchor_stopword(word: &str) -> bool {
-    anchor_set().contains(word)
+/// The list `word` (lowercase) is on, if any: one probe answers both.
+pub fn list_of(word: &str) -> Option<StopList> {
+    static MAP: OnceLock<FxHashMap<&'static str, StopList>> = OnceLock::new();
+    let map = MAP.get_or_init(|| {
+        let anchor = ANCHOR_STOPWORDS.iter().map(|&w| (w, StopList::Anchor));
+        // Basic last: a word on both lists ("more") is a basic stopword.
+        let basic = BASIC_STOPWORDS.iter().map(|&w| (w, StopList::Basic));
+        anchor.chain(basic).collect()
+    });
+    map.get(word).copied()
 }
 
 #[cfg(test)]
@@ -207,18 +201,17 @@ mod tests {
 
     #[test]
     fn basic_stopwords() {
-        assert!(is_stopword("the"));
-        assert!(is_stopword("and"));
-        assert!(!is_stopword("database"));
-        assert!(!is_stopword("click"));
+        assert_eq!(list_of("the"), Some(StopList::Basic));
+        assert_eq!(list_of("and"), Some(StopList::Basic));
+        assert_eq!(list_of("database"), None);
     }
 
     #[test]
     fn anchor_stopwords_are_superset() {
-        assert!(is_anchor_stopword("the"));
-        assert!(is_anchor_stopword("click"));
-        assert!(is_anchor_stopword("here"));
-        assert!(!is_anchor_stopword("aries"));
+        assert_eq!(list_of("click"), Some(StopList::Anchor));
+        assert_eq!(list_of("here"), Some(StopList::Basic));
+        assert_eq!(list_of("more"), Some(StopList::Basic), "on both lists");
+        assert_eq!(list_of("aries"), None);
     }
 
     #[test]

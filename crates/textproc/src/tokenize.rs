@@ -1,12 +1,28 @@
 //! Tokenization: lowercasing, alphabetic token extraction and stopword
 //! elimination (Section 2.2).
 
-use crate::stopwords;
+use crate::stopwords::{self, StopList};
 
 /// Token length limits: tokens outside this range carry no topical signal
 /// (single letters, base64 blobs, crawler-trap noise).
 const MIN_TOKEN_LEN: usize = 2;
 const MAX_TOKEN_LEN: usize = 32;
+
+/// Longest token, in bytes, with a [`Key`]; longer ones (none in the
+/// generated lexicons, under 0.1% of English words) come as text.
+pub(crate) const KEY_LEN: usize = 16;
+
+/// A lowercase token's bytes, zero-padded. A token holds no zero byte and
+/// at least two bytes, so the all-zero key is no token's.
+pub(crate) type Key = [u8; KEY_LEN];
+
+/// A lowercase token inside the length limits, stopword or not.
+pub(crate) enum RawToken<'a> {
+    /// A token of at most [`KEY_LEN`] bytes, as its key.
+    Key(&'a Key),
+    /// A longer token, as its text.
+    Text(&'a str),
+}
 
 /// A configurable tokenizer. The default configuration matches the paper's
 /// analyzer (basic stopwords); [`Tokenizer::for_anchor_text`] applies the
@@ -26,64 +42,84 @@ impl Tokenizer {
     /// `text`. Tokens are maximal runs of alphabetic characters; digits and
     /// punctuation are separators.
     pub fn tokens<'a>(&'a self, text: &'a str) -> impl Iterator<Item = String> + 'a {
-        TokenIter {
-            rest: text,
-            tokenizer: self,
-        }
-    }
-
-    /// Call `f` with every token [`tokens`](Self::tokens) would yield, in
-    /// order, without allocating one `String` per token. ASCII text (where
-    /// `char::is_alphabetic` and `to_lowercase` are their ASCII namesakes)
-    /// is scanned bytewise: a token already in lowercase is a slice of
-    /// `text`, any other is lowercased into a stack buffer. Non-ASCII text
-    /// takes the `char` path of `tokens`.
-    pub(crate) fn for_each_token(&self, text: &str, mut f: impl FnMut(&str)) {
-        if !text.is_ascii() {
-            self.tokens(text).for_each(|token| f(&token));
-            return;
-        }
-        let bytes = text.as_bytes();
-        let mut buf = [0u8; MAX_TOKEN_LEN];
-        let mut end = 0;
-        while let Some(skip) = bytes[end..].iter().position(u8::is_ascii_alphabetic) {
-            let start = end + skip;
-            let len = bytes[start..]
-                .iter()
-                .position(|b| !b.is_ascii_alphabetic())
-                .unwrap_or(bytes.len() - start);
-            end = start + len;
-            if !(MIN_TOKEN_LEN..=MAX_TOKEN_LEN).contains(&len) {
-                continue;
-            }
-            let mut token = &text[start..end];
-            if token.bytes().any(|b| b.is_ascii_uppercase()) {
-                let lower = &mut buf[..len];
-                lower.copy_from_slice(token.as_bytes());
-                lower.make_ascii_lowercase();
-                token = std::str::from_utf8(lower).expect("ASCII letters are UTF-8");
-            }
-            if !self.is_stopword(token) {
-                f(token);
-            }
-        }
-    }
-
-    fn is_stopword(&self, lower: &str) -> bool {
-        if self.anchor_mode {
-            stopwords::is_anchor_stopword(lower)
-        } else {
-            stopwords::is_stopword(lower)
-        }
+        RawTokens { rest: text }.filter(|token| match stopwords::list_of(token) {
+            Some(StopList::Basic) => false,
+            Some(StopList::Anchor) => !self.anchor_mode,
+            None => true,
+        })
     }
 }
 
-struct TokenIter<'a> {
+/// Call `f` with every raw token of `text` in order: the tokens both
+/// [`Tokenizer`]s see before their stopword lists. ASCII text (where
+/// `char::is_alphabetic` and `to_lowercase` are their ASCII namesakes) is
+/// scanned 64 bytes at a time: a bit mask marks its letters, token edges
+/// are the mask's changes, and each key is built in place from the input
+/// (`| 0x20` lowercases an ASCII letter). Non-ASCII text takes the `char`
+/// path of [`Tokenizer::tokens`]. Only tokens without a key allocate.
+pub(crate) fn for_each_raw_token(text: &str, mut f: impl FnMut(RawToken<'_>)) {
+    if !text.is_ascii() {
+        for token in (RawTokens { rest: text }) {
+            let mut key = Key::default();
+            match key.get_mut(..token.len()) {
+                Some(head) => {
+                    head.copy_from_slice(token.as_bytes());
+                    f(RawToken::Key(&key));
+                }
+                None => f(RawToken::Text(&token)),
+            }
+        }
+        return;
+    }
+    let bytes = text.as_bytes();
+    let (mut start, mut in_token) = (0, false);
+    for (block, chunk) in bytes.chunks(64).enumerate() {
+        let mut letters = 0u64;
+        for (i, &byte) in chunk.iter().enumerate() {
+            letters |= u64::from((byte | 0x20).wrapping_sub(b'a') < 26) << i;
+        }
+        let mut edges = letters ^ (letters << 1 | u64::from(in_token));
+        while edges != 0 {
+            let at = block * 64 + edges.trailing_zeros() as usize;
+            if in_token {
+                emit(bytes, start, at, &mut f);
+            }
+            (start, in_token) = (at, !in_token);
+            edges &= edges - 1;
+        }
+    }
+    if in_token {
+        emit(bytes, start, bytes.len(), &mut f);
+    }
+}
+
+/// Hand the letters `bytes[start..end]` to `f` if their number is inside
+/// the limits.
+fn emit(bytes: &[u8], start: usize, end: usize, f: &mut impl FnMut(RawToken<'_>)) {
+    let raw = &bytes[start..end];
+    if (MIN_TOKEN_LEN..=KEY_LEN).contains(&raw.len()) {
+        // Sixteen bytes from `start` where the text has them: a load and
+        // a mask, not a copy of `len` bytes.
+        let mut padded = [0u8; KEY_LEN];
+        match bytes.get(start..start + KEY_LEN) {
+            Some(wide) => padded.copy_from_slice(wide),
+            None => padded[..raw.len()].copy_from_slice(raw),
+        }
+        let kept = u128::MAX >> (128 - 8 * raw.len());
+        let key = (u128::from_le_bytes(padded) | u128::from_le_bytes([0x20; KEY_LEN])) & kept;
+        f(RawToken::Key(&key.to_le_bytes()));
+    } else if (KEY_LEN..=MAX_TOKEN_LEN).contains(&raw.len()) {
+        let token = std::str::from_utf8(raw).expect("ASCII letters are UTF-8");
+        f(RawToken::Text(&token.to_ascii_lowercase()));
+    }
+}
+
+/// The raw tokens of `rest` by the `char` definitions, lowercased.
+struct RawTokens<'a> {
     rest: &'a str,
-    tokenizer: &'a Tokenizer,
 }
 
-impl Iterator for TokenIter<'_> {
+impl Iterator for RawTokens<'_> {
     type Item = String;
 
     fn next(&mut self) -> Option<String> {
@@ -95,12 +131,8 @@ impl Iterator for TokenIter<'_> {
                 .unwrap_or(tail.len());
             let raw = &tail[..end];
             self.rest = &tail[end..];
-            if raw.len() < MIN_TOKEN_LEN || raw.len() > MAX_TOKEN_LEN {
-                continue;
-            }
-            let lower = raw.to_lowercase();
-            if !self.tokenizer.is_stopword(&lower) {
-                return Some(lower);
+            if (MIN_TOKEN_LEN..=MAX_TOKEN_LEN).contains(&raw.len()) {
+                return Some(raw.to_lowercase());
             }
         }
     }

@@ -19,7 +19,8 @@
 //! through its own dictionary ([`SharedVocabulary::snapshot`]).
 
 use crate::fxhash::{self, FxHashMap};
-use crate::stem::porter_stem;
+use crate::tokenize::{Key, KEY_LEN};
+use crate::AnalyzedDocument;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -133,29 +134,27 @@ impl Vocabulary {
     }
 }
 
-/// Longest raw token a [`TokenMemo`] keeps; longer ones (none in the
-/// generated lexicons, under one in a thousand English words) are stemmed
-/// on every occurrence.
-const MEMO_KEY_LEN: usize = 16;
-
 /// Slots of a full-grown [`TokenMemo`]: 320 KiB, filled to three quarters
 /// (12,288 tokens) and then left as it is.
 const MEMO_MAX_SLOTS: usize = 1 << 14;
 
-/// Raw lowercase token → the id of its stem: what lets the analyzer stem
-/// and intern each distinct word once instead of once per occurrence.
+/// Raw lowercase token → what it adds to a page: nothing (a basic
+/// stopword), or its stem's id, which anchor texts drop if the token is
+/// an anchor stopword. One probe decides an occurrence.
 ///
-/// An open-addressed table with the key bytes inline (zero-padded; a
-/// token holds no zero byte and at least two letters, so the all-zero key
+/// An open-addressed table with the [`Key`] inline (the all-zero key
 /// marks an empty slot), grown by doubling up to [`MEMO_MAX_SLOTS`] and
-/// never evicted. It is a cache of `intern(&porter_stem(token))` against
-/// an append-only dictionary: an entry never goes stale, and a token that
-/// does not fit or arrives after the table is full just misses.
+/// never evicted. Its entries come from fixed lists and an append-only
+/// dictionary, so none goes stale; a miss only costs a stem.
 #[derive(Default, Clone)]
-struct TokenMemo {
+pub(crate) struct TokenMemo {
     /// Empty or a power of two long.
-    slots: Vec<([u8; MEMO_KEY_LEN], TermId)>,
+    slots: Vec<(Key, u32)>,
     used: usize,
+    /// A page's count per term id, and a two-level bitmap of those ids.
+    counts: Vec<u32>,
+    seen: Vec<u64>,
+    blocks: Vec<u64>,
 }
 
 /// Counts only: the table is derived data, and thousands of slots would
@@ -167,59 +166,87 @@ impl std::fmt::Debug for TokenMemo {
 }
 
 impl TokenMemo {
-    const EMPTY: [u8; MEMO_KEY_LEN] = [0; MEMO_KEY_LEN];
-
-    fn key(token: &str) -> Option<[u8; MEMO_KEY_LEN]> {
-        let mut key = Self::EMPTY;
-        key.get_mut(..token.len())?
-            .copy_from_slice(token.as_bytes());
-        Some(key)
-    }
+    const EMPTY: Key = [0; KEY_LEN];
+    /// The value of a basic stopword; a term's is its id, with this bit
+    /// set when anchor texts drop it.
+    pub(crate) const STOPWORD: u32 = u32::MAX;
+    pub(crate) const ANCHOR_STOP: u32 = 1 << 31;
 
     /// Where `key` is, or the empty slot where it would go. The table
     /// always has an empty slot, so the probe ends.
-    fn slot_of(&self, key: &[u8; MEMO_KEY_LEN]) -> usize {
+    fn slot_of(&self, key: &Key) -> usize {
         let mask = self.slots.len() - 1;
         // The high bits of a multiplicative hash are the mixed ones.
-        let mut at = (fxhash::hash_one(key) >> 32) as usize & mask;
+        let mut at = (fxhash::hash_one(&u128::from_le_bytes(*key)) >> 32) as usize & mask;
         while self.slots[at].0 != *key && self.slots[at].0 != Self::EMPTY {
             at = (at + 1) & mask;
         }
         at
     }
 
-    fn get(&self, token: &str) -> Option<TermId> {
+    pub(crate) fn get(&self, key: &Key) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
         }
-        let key = Self::key(token)?;
-        let (found, id) = self.slots[self.slot_of(&key)];
-        (found == key).then_some(id)
+        let (found, value) = self.slots[self.slot_of(key)];
+        (found == *key).then_some(value)
     }
 
-    /// Remember `token → id`; the caller has just seen [`get`](Self::get)
-    /// miss.
-    fn insert(&mut self, token: &str, id: TermId) {
-        let Some(key) = Self::key(token) else { return };
+    /// Remember `key → value`; the caller has just seen
+    /// [`get`](Self::get) miss.
+    pub(crate) fn insert(&mut self, key: &Key, value: u32) {
         if self.used * 4 >= self.slots.len() * 3 {
             if self.slots.len() >= MEMO_MAX_SLOTS {
                 return;
             }
-            let grown = vec![(Self::EMPTY, TermId(0)); (self.slots.len() * 2).max(256)];
-            for entry in std::mem::replace(&mut self.slots, grown) {
-                if entry.0 != Self::EMPTY {
-                    let at = self.slot_of(&entry.0);
-                    self.slots[at] = entry;
+            let grown = vec![(Self::EMPTY, 0); (self.slots.len() * 2).max(256)];
+            for slot in std::mem::replace(&mut self.slots, grown) {
+                if slot.0 != Self::EMPTY {
+                    let at = self.slot_of(&slot.0);
+                    self.slots[at] = slot;
                 }
             }
         }
-        let at = self.slot_of(&key);
-        self.slots[at] = (key, id);
+        let at = self.slot_of(key);
+        self.slots[at] = (*key, value);
         self.used += 1;
     }
 
+    /// `terms` counted by id, in id order without a sort: the bitmap's
+    /// marks are walked in order, clearing all three tables as they go.
+    pub(crate) fn term_freqs(&mut self, terms: &[TermId]) -> Vec<(TermId, u32)> {
+        let mut distinct = 0;
+        for &TermId(id) in terms {
+            let id = id as usize;
+            if id >= self.counts.len() {
+                self.counts.resize((id + 1).next_multiple_of(1 << 12), 0);
+                self.seen.resize(self.counts.len() >> 6, 0);
+                self.blocks.resize(self.counts.len() >> 12, 0);
+            }
+            distinct += usize::from(self.counts[id] == 0);
+            self.counts[id] += 1;
+            self.seen[id >> 6] |= 1 << (id & 63);
+            self.blocks[id >> 12] |= 1 << (id >> 6 & 63);
+        }
+        let mut freqs = Vec::with_capacity(distinct);
+        for block in 0..self.blocks.len() {
+            let mut words = std::mem::take(&mut self.blocks[block]);
+            while words != 0 {
+                let word = block << 6 | words.trailing_zeros() as usize;
+                let mut ids = std::mem::take(&mut self.seen[word]);
+                while ids != 0 {
+                    let id = word << 6 | ids.trailing_zeros() as usize;
+                    freqs.push((TermId(id as u32), std::mem::take(&mut self.counts[id])));
+                    ids &= ids - 1;
+                }
+                words &= words - 1;
+            }
+        }
+        freqs
+    }
+
     fn clear(&mut self) {
-        self.slots.fill((Self::EMPTY, TermId(0)));
+        self.slots.fill((Self::EMPTY, 0));
         self.used = 0;
     }
 }
@@ -352,14 +379,11 @@ impl SharedVocabulary {
 pub trait Interner {
     /// Intern `term`, returning its stable id.
     fn intern(&mut self, term: &str) -> TermId;
-    /// Stem the lowercase raw `token` and intern the stem. Always the id
-    /// `intern(&porter_stem(token))` returns; both dictionaries answer a
-    /// token they have met before from a memo instead.
-    fn intern_token(&mut self, token: &str) -> TermId {
-        self.intern(&porter_stem(token))
-    }
     /// Number of distinct terms interned so far.
     fn term_count(&self) -> usize;
+    /// [`analyze_html`](crate::analyze_html) into this dictionary, its
+    /// token memo taken once per page (one dynamic call per page).
+    fn analyze(&mut self, html_text: &str) -> AnalyzedDocument;
 }
 
 impl Interner for Vocabulary {
@@ -367,17 +391,17 @@ impl Interner for Vocabulary {
         Vocabulary::intern(self, term)
     }
 
-    fn intern_token(&mut self, token: &str) -> TermId {
-        if let Some(id) = self.memo.get(token) {
-            return id;
-        }
-        let id = self.intern(&porter_stem(token));
-        self.memo.insert(token, id);
-        id
-    }
-
     fn term_count(&self) -> usize {
         self.len()
+    }
+
+    fn analyze(&mut self, html_text: &str) -> AnalyzedDocument {
+        let mut memo = std::mem::take(&mut self.memo);
+        let (doc, _) = crate::analyze_page(html_text, &mut memo, u32::MAX, |stem| {
+            Some(self.intern(stem))
+        });
+        self.memo = memo;
+        doc
     }
 }
 
@@ -386,30 +410,28 @@ impl Interner for &SharedVocabulary {
         SharedVocabulary::intern(self, term)
     }
 
-    fn intern_token(&mut self, token: &str) -> TermId {
+    fn term_count(&self) -> usize {
+        self.len()
+    }
+
+    fn analyze(&mut self, html_text: &str) -> AnalyzedDocument {
         SHARED_MEMO.with_borrow_mut(|(instance, memo)| {
             if *instance != self.instance {
                 memo.clear();
                 *instance = self.instance;
             }
-            if let Some(id) = memo.get(token) {
-                return id;
-            }
-            let id = SharedVocabulary::intern(self, &porter_stem(token));
-            memo.insert(token, id);
-            id
+            let (doc, _) = crate::analyze_page(html_text, memo, u32::MAX, |stem| {
+                Some(SharedVocabulary::intern(self, stem))
+            });
+            doc
         })
-    }
-
-    fn term_count(&self) -> usize {
-        self.len()
     }
 }
 
 /// The first `len` terms of a dictionary as an [`Interner`] that never
 /// interns: a token whose stem is among them resolves to its id, and the
-/// first one that is not marks the view [`unknown`](Self::all_known)
-/// and stops resolution — every later token gets a placeholder id.
+/// first one that is not marks the view [`unknown`](Self::all_known):
+/// the rest of its page is skipped, and that analysis must not be used.
 ///
 /// Because a [`Vocabulary`] is append-only, an analysis through this
 /// view with every token known is exactly the analysis the full
@@ -436,9 +458,11 @@ impl<'a> KnownTerms<'a> {
     pub fn all_known(&self) -> bool {
         !self.unknown
     }
+}
 
-    fn within(&mut self, id: Option<TermId>) -> TermId {
-        match id {
+impl Interner for KnownTerms<'_> {
+    fn intern(&mut self, term: &str) -> TermId {
+        match self.vocab.lookup(term) {
             Some(id) if id.0 < self.len => id,
             _ => {
                 self.unknown = true;
@@ -446,29 +470,17 @@ impl<'a> KnownTerms<'a> {
             }
         }
     }
-}
-
-impl Interner for KnownTerms<'_> {
-    fn intern(&mut self, term: &str) -> TermId {
-        let id = self.vocab.lookup(term);
-        self.within(id)
-    }
-
-    fn intern_token(&mut self, token: &str) -> TermId {
-        if self.unknown {
-            return TermId(0);
-        }
-        let memo = &mut self.vocab.memo;
-        let id = memo.get(token).or_else(|| {
-            let id = self.vocab.index.get(&porter_stem(token)).copied()?;
-            memo.insert(token, id);
-            Some(id)
-        });
-        self.within(id)
-    }
 
     fn term_count(&self) -> usize {
         self.len as usize
+    }
+
+    fn analyze(&mut self, html_text: &str) -> AnalyzedDocument {
+        let Vocabulary { index, memo, .. } = &mut *self.vocab;
+        let (doc, all_known) =
+            crate::analyze_page(html_text, memo, self.len, |stem| index.get(stem).copied());
+        self.unknown |= !all_known;
+        doc
     }
 }
 

@@ -65,7 +65,7 @@ fn assert_budget(doc: &AnalyzedDocument, allocations: u64) {
     let (tokens, links) = (doc.terms.len() as u64, doc.links.len() as u64);
     assert!(tokens > 200 && links > 5, "fixture changed: {tokens} terms");
     assert!(
-        allocations < tokens / 8 && allocations <= 2 * links + 10,
+        allocations < tokens / 8 && allocations <= 2 * links + 7,
         "{allocations} allocations for {tokens} tokens and {links} links"
     );
 }

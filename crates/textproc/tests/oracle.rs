@@ -4,11 +4,12 @@
 //! rewrite: parse the whole page, tokenize the whole text into `String`s,
 //! stem and intern every occurrence, count frequencies in a hash map.
 //! `analyze_html` must return the same document and leave the same
-//! dictionary behind — for both interners, with a full memo, and on a
-//! thread whose memo keeps changing dictionaries.
+//! dictionary behind — for both interners, with a full memo, on a thread
+//! whose memo keeps changing dictionaries, and through the lookahead's
+//! read-only view of a dictionary.
 
 use bingo_textproc::{
-    analyze_html, html, porter_stem, AnalyzedDocument, AnalyzedLink, Interner, SharedVocabulary,
+    analyze_html, html, porter_stem, AnalyzedDocument, AnalyzedLink, KnownTerms, SharedVocabulary,
     TermId, Tokenizer, Vocabulary,
 };
 use proptest::prelude::*;
@@ -156,17 +157,16 @@ fn saturated() -> &'static (Vocabulary, Vocabulary) {
     PAIR.get_or_init(|| {
         let (mut fast, mut slow) = (Vocabulary::new(), Vocabulary::new());
         // More distinct tokens than the memo's documented 12,288.
-        for n in 0..14_000u32 {
-            let token: String = (0..4)
-                .map(|place| char::from(b'a' + (n / 26u32.pow(place) % 26) as u8))
-                .chain("zq".chars())
-                .collect();
-            assert_eq!(
-                fast.intern_token(&token),
-                slow.intern(&porter_stem(&token)),
-                "{token}"
-            );
-        }
+        let page: Vec<String> = (0..14_000u32)
+            .map(|n| {
+                (0..4)
+                    .map(|place| char::from(b'a' + (n / 26u32.pow(place) % 26) as u8))
+                    .chain("zq".chars())
+                    .collect()
+            })
+            .collect();
+        let page = page.join(" ");
+        assert_eq!(analyze_html(&page, &mut fast), reference(&page, &mut slow));
         (fast, slow)
     })
 }
@@ -203,6 +203,36 @@ proptest! {
         prop_assert_eq!(terms_of(&fast), terms_of(&slow));
     }
 
+    /// The lookahead's view of a replica that knows every stem, and more
+    /// terms past the view: the reference's analysis, ids included, with
+    /// nothing interned. One stem the view lacks — absent from the
+    /// dictionary, or present but past the view — makes a page unknown.
+    #[test]
+    fn known_terms_matches_reference(pages in corpus()) {
+        let mut slow = Vocabulary::new();
+        let want: Vec<AnalyzedDocument> = pages.iter().map(|page| reference(page, &mut slow)).collect();
+        let unknown = (b'a'..=b'z')
+            .map(|c| format!("unknown{}", char::from(c)))
+            .find(|word| slow.lookup(&porter_stem(word)).is_none())
+            .expect("a stem the replica lacks");
+        let mut replica = slow.clone();
+        let len = replica.len();
+        replica.intern(&porter_stem(&unknown));
+        for (page, want) in pages.iter().chain(&pages).zip(want.iter().chain(&want)) {
+            let mut view = KnownTerms::new(&mut replica, len);
+            prop_assert_eq!(&analyze_html(page, &mut view), want);
+            prop_assert!(view.all_known());
+        }
+        let page = format!("<p>{unknown}</p> {}", pages[0]);
+        for dictionary in [&mut replica, &mut slow] {
+            let mut view = KnownTerms::new(dictionary, len);
+            analyze_html(&page, &mut view);
+            prop_assert!(!view.all_known());
+        }
+        prop_assert_eq!(replica.len(), len + 1, "a view never interns");
+        prop_assert_eq!(slow.len(), len, "a view never interns");
+    }
+
     /// One thread, two shared dictionaries that number the same words
     /// differently, pages dealt to them alternately: the thread's memo
     /// must never answer for the dictionary it met before.
@@ -231,4 +261,20 @@ proptest! {
             prop_assert_eq!(terms_of(&fast[which].snapshot()), terms_of(&slow[which]));
         }
     }
+}
+
+/// A page of stopwords is known to any view, even an empty one, and
+/// whether its stopwords are decided afresh or answered from the memo:
+/// a stopword creates no id and is never unknown.
+#[test]
+fn stopwords_are_known_to_an_empty_view() {
+    let page = "The <b>and</B> OF a <a href=\"x\">the</a> between";
+    let mut empty = Vocabulary::new();
+    for _ in 0..2 {
+        let mut view = KnownTerms::new(&mut empty, 0);
+        let doc = analyze_html(page, &mut view);
+        assert!(view.all_known());
+        assert!(doc.terms.is_empty() && doc.links[0].anchor_terms.is_empty());
+    }
+    assert!(empty.is_empty());
 }
