@@ -15,6 +15,7 @@
 //! round trips; budgets are scaled 1:10 against the paper's wall clock,
 //! preserving the 90-minute : 12-hour ratio). `EXPERIMENTS.md` records
 //! the paper-vs-measured comparison for every artifact.
+#![forbid(unsafe_code)]
 
 pub mod ablation;
 pub mod expert;

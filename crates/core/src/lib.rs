@@ -47,6 +47,7 @@
 //! let stored = engine.crawl_until(&mut crawler, 60_000, 0);
 //! assert!(stored > 0);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod model;

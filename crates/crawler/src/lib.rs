@@ -40,6 +40,7 @@
 //! BINGO! engine (crate `bingo-core`) implements it with the hierarchical
 //! SVM classifier and drives phase switches and retraining between crawl
 //! steps.
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod dedup;

@@ -37,6 +37,7 @@
 //! The `dist` bench scenario (BENCH_dist.json) gates coverage, requeue
 //! counts, and node-kill recovery tolerances; see DESIGN.md
 //! "Distributed crawl & node supervision".
+#![forbid(unsafe_code)]
 
 pub mod coordinator;
 pub mod lease;

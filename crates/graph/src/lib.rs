@@ -11,6 +11,7 @@
 //! bounded set of predecessors obtained from a large unfocused web
 //! database (here: any [`LinkSource`], e.g. the crawler's link table or
 //! the web simulator).
+#![forbid(unsafe_code)]
 
 pub mod hits;
 pub mod pagerank;

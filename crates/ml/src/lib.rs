@@ -16,6 +16,7 @@
 //!   decision functions (Section 3.5) ([`meta`]),
 //! * K-means clustering with an entropy-based impurity measure for
 //!   choosing the number of clusters (Section 3.6) ([`kmeans`]).
+#![forbid(unsafe_code)]
 
 pub mod feature_selection;
 pub mod kmeans;

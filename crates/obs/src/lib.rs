@@ -29,6 +29,7 @@
 //!
 //! Snapshots serialize through `BTreeMap`s, so JSON key order is the
 //! sorted metric-name order regardless of registration order.
+#![forbid(unsafe_code)]
 
 pub mod events;
 pub mod histogram;

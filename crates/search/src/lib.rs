@@ -13,6 +13,7 @@
 //!   ([`feedback`]),
 //! * cluster analysis suggesting new subclasses with tentative labels
 //!   from the most characteristic cluster terms ([`cluster`]).
+#![forbid(unsafe_code)]
 
 pub mod cluster;
 pub mod feedback;

@@ -34,6 +34,7 @@
 //! // ... hand `store` to the crawler, query `portal` from anywhere.
 //! # let _ = portal;
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod loadgen;
 pub mod metrics;

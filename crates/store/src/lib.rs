@@ -26,6 +26,7 @@
 //! Persistence is snapshot-based ([`persist`]): the crawl result database
 //! can be saved and reloaded between the crawl and postprocessing
 //! sessions.
+#![forbid(unsafe_code)]
 
 pub mod bulk;
 pub mod durable;

@@ -17,6 +17,7 @@
 //!   anchor texts of predecessors, and neighbour-document terms, plus
 //!   combined spaces ([`features`]), whose per-page keys are put in order
 //!   by a radix sort ([`radix`]).
+#![forbid(unsafe_code)]
 
 pub mod content;
 pub mod features;

@@ -6,222 +6,310 @@
 //! shared common vocabulary, and the pseudo-word filler tail; hyperlinks
 //! are rendered with realistic anchor texts (including the "click here"
 //! noise that the extended anchor stopword list must remove).
+//!
+//! A page is written in one pass into one buffer, in the order its
+//! random draws are made. A word is one fixed-size copy of a 16-byte
+//! zero-padded entry (`Lexicons`) and a length bump, picked from three
+//! candidates without a branch; links are written in place by the world's
+//! one URL writer. DESIGN.md ("Simulated fetch cost model") gives the
+//! costs and the draw-order contract that keeps every payload byte for
+//! byte what it was.
 
 use crate::lexicon;
-use crate::{PageKind, World};
+use crate::{PageKind, PageMeta, TopicInfo, World};
 use bingo_graph::PageId;
 use bingo_textproc::content::{make_pdf, make_zip};
 use bingo_textproc::MimeType;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+use std::hint::select_unpredictable;
+
+/// A word as one fixed-size copy: its bytes zero-padded to 16, and its
+/// length.
+#[derive(Debug)]
+struct Padded {
+    bytes: [u8; 16],
+    len: u8,
+}
+
+/// One lexicon, its words padded.
+fn padded(words: &[&str]) -> Vec<Padded> {
+    let pad = |word: &&str| {
+        assert!(word.len() <= 16, "lexicon word {word:?} exceeds 16 bytes");
+        let mut bytes = [0; 16];
+        bytes[..word.len()].copy_from_slice(word.as_bytes());
+        let len = word.len() as u8;
+        Padded { bytes, len }
+    };
+    words.iter().map(pad).collect()
+}
+
+/// A world's lexicons with their words padded: the common vocabulary,
+/// then each topic's. Built with the world and never changed, so fetches
+/// from any thread read them without a lock.
+#[derive(Debug)]
+pub(crate) struct Lexicons(Vec<Vec<Padded>>);
+
+impl Lexicons {
+    pub(crate) fn new(topics: &[TopicInfo]) -> Self {
+        let lexicons = std::iter::once(lexicon::COMMON).chain(topics.iter().map(|t| t.lexicon));
+        Lexicons(lexicons.map(padded).collect())
+    }
+
+    /// The padded words of `topic`'s lexicon; the common vocabulary's for
+    /// none.
+    fn of(&self, topic: Option<u32>) -> &[Padded] {
+        &self.0[topic.map_or(0, |t| t as usize + 1)]
+    }
+}
+
+/// One `u64` already drawn, replayed through `rand`'s own conversions, so
+/// a value derived from it is the value a direct draw would have given.
+/// A conversion that asks for a second draw panics rather than differ.
+struct Replay(Option<u64>);
+
+impl RngCore for Replay {
+    fn next_u64(&mut self) -> u64 {
+        self.0.take().expect("a conversion takes one draw")
+    }
+}
+
+/// Closes the title and opens the body paragraph.
+const BODY: &str = "</title></head><body><p>";
 
 /// The full payload served when fetching `id` (including format
 /// envelopes for non-HTML types).
 pub fn payload(world: &World, id: PageId) -> String {
-    let meta = world.page_ref(id);
+    payload_of(world, id, &world.page_ref(id))
+}
+
+/// [`payload`] for page metadata the caller has already derived.
+pub(crate) fn payload_of(world: &World, id: PageId, meta: &PageMeta) -> String {
     if let Some(ov) = &meta.content_override {
         return ov.to_string();
     }
-    let mut rng = SmallRng::seed_from_u64(
+    let rng = SmallRng::seed_from_u64(
         world
             .seed()
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(id.wrapping_mul(0xB5_29_7A_4D)),
     );
-
-    let (title, body) = match meta.kind {
-        PageKind::Welcome => welcome_text(world, id, &mut rng),
-        PageKind::Hub => hub_text(world, id, &mut rng),
-        PageKind::AuthorHome => author_home_text(world, id, &mut rng),
-        PageKind::AuthorPub => author_pub_text(world, id, &mut rng),
-        _ => content_text(world, id, &mut rng),
+    let mut page = Page {
+        out: Vec::with_capacity(4096),
+        rng,
+        world,
     };
-    let links = render_links(world, id, &mut rng);
-    let html = format!(
-        "<html><head><title>{title}</title></head><body><p>{body}</p>{links}</body></html>"
-    );
+    page.text("<html><head><title>");
+    let topic = meta.topic;
+    match meta.kind {
+        PageKind::Welcome => {
+            let n = page.rng.gen_range(8..25);
+            for end in [BODY, ". "] {
+                page.text("Welcome to ");
+                world.write_host_name(&mut page.out, meta.host);
+                page.text(end);
+            }
+            page.words(None, n);
+        }
+        PageKind::Hub => {
+            let n = page.rng.gen_range(30..60);
+            page.text("Resources on ");
+            page.text(topic.map_or("the web", |t| &world.topics()[t as usize].name));
+            page.text(BODY);
+            page.words(topic, n);
+        }
+        PageKind::AuthorHome => {
+            let name = &world.authors()[meta.author.unwrap() as usize].name;
+            let n = page.rng.gen_range(60..120);
+            for text in ["Homepage of ", name, BODY, "Homepage of ", name] {
+                page.text(text);
+            }
+            page.text(". Research interests: ");
+            page.words(topic, 8);
+            page.text(". ");
+            page.words(topic, n);
+        }
+        PageKind::AuthorPub => {
+            let is_paper = meta.mime == MimeType::Pdf;
+            let n = page
+                .rng
+                .gen_range(if is_paper { 200..400 } else { 100..250 });
+            if is_paper {
+                for end in [" ", ": a ", " approach"] {
+                    page.word(topic, None);
+                    page.text(end);
+                }
+            } else {
+                page.text("Publications of ");
+                page.text(&world.authors()[meta.author.unwrap() as usize].name);
+            }
+            page.text(BODY);
+            page.words(topic, n);
+        }
+        _ => {
+            let n = page.rng.gen_range(120..300);
+            for end in [" ", BODY] {
+                page.word(topic, None);
+                page.text(end);
+            }
+            for i in 0..n {
+                if i > 0 {
+                    page.text(" ");
+                }
+                page.word(topic, meta.secondary_topic);
+            }
+        }
+    }
+    page.text("</p>");
+    page.links(meta);
+    page.text("</body></html>");
+    let html = page.take();
     match meta.mime {
         MimeType::Pdf => make_pdf(&html),
         MimeType::Zip => {
             // A proceedings archive: the main document plus a couple of
             // short topical entries; the zip handler concatenates them.
-            let extra1 = words(world, meta.topic, 40, &mut rng);
-            let extra2 = words(world, meta.topic, 40, &mut rng);
+            page.words(topic, 40);
+            let extra1 = page.take();
+            page.words(topic, 40);
+            let extra2 = page.take();
             make_zip(&[&html, &extra1, &extra2])
         }
         _ => html,
     }
 }
 
-/// Sample one word for a topical page onto the end of `out`: mostly
-/// topic lexicon (Zipf), some common vocabulary, some filler tail. Pages
-/// with a secondary topic split their topical mass between the two
-/// lexicons.
-fn push_word_blended(
-    out: &mut String,
-    world: &World,
-    topic: Option<u32>,
-    secondary: Option<u32>,
-    rng: &mut SmallRng,
-) {
-    let roll: f64 = rng.gen();
-    match (topic, secondary) {
-        (Some(t), Some(s)) if roll < 0.5 => {
-            let pick = if rng.gen_bool(0.6) { t } else { s };
-            let lex = world.topics()[pick as usize].lexicon;
-            out.push_str(lex[zipf(rng, lex.len())]);
-        }
-        (Some(t), None) if roll < 0.5 => {
-            let lex = world.topics()[t as usize].lexicon;
-            out.push_str(lex[zipf(rng, lex.len())]);
-        }
-        _ if roll < 0.85 => out.push_str(lexicon::COMMON[zipf(rng, lexicon::COMMON.len())]),
-        _ => lexicon::push_filler_word(out, rng.gen_range(0..5000u64)),
+/// A page being written: its one buffer and its generator.
+struct Page<'w> {
+    out: Vec<u8>,
+    rng: SmallRng,
+    world: &'w World,
+}
+
+impl Page<'_> {
+    fn text(&mut self, text: &str) {
+        self.out.extend_from_slice(text.as_bytes());
     }
-}
 
-fn push_word(out: &mut String, world: &World, topic: Option<u32>, rng: &mut SmallRng) {
-    push_word_blended(out, world, topic, None, rng)
-}
+    /// The text written so far, its allocation trimmed to it (a crawler
+    /// may hold many payloads); the buffer starts over.
+    fn take(&mut self) -> String {
+        self.out.shrink_to_fit();
+        String::from_utf8(std::mem::take(&mut self.out)).expect("generated text is UTF-8")
+    }
 
-/// Zipf-ish index: low indexes much more likely.
-fn zipf(rng: &mut SmallRng, n: usize) -> usize {
-    let u: f64 = rng.gen();
-    ((n as f64) * u * u * u) as usize % n
-}
+    /// One word: mostly topic lexicon (Zipf), some common vocabulary,
+    /// some filler tail. A page with a secondary topic splits its topical
+    /// mass between the two lexicons.
+    fn word(&mut self, topic: Option<u32>, secondary: Option<u32>) {
+        let lexicons = &self.world.lexicons;
+        let roll: f64 = self.rng.gen();
+        let lex = match (topic, secondary) {
+            // The only branch: which topic a topical word of a two-topic
+            // page comes from is drawn for that word alone.
+            (Some(t), Some(s)) => {
+                if roll < 0.5 {
+                    lexicons.of(Some(if self.rng.gen_bool(0.6) { t } else { s }))
+                } else {
+                    lexicons.of(topic)
+                }
+            }
+            _ => lexicons.of(topic),
+        };
+        let draw = Some(self.rng.next_u64());
+        let u: f64 = Replay(draw).gen();
+        let common = lexicons.of(None);
+        let (i, j) = (zipf(u, lex.len()), zipf(u, common.len()));
+        let (filler, len) = lexicon::filler_bytes(Replay(draw).gen_range(0..5000u64));
+        let filler = Padded {
+            bytes: filler.to_le_bytes(),
+            len: len as u8,
+        };
+        // The topic word below 0.5, the common word below 0.85, else the
+        // filler: selected without a branch, as the roll is a coin toss.
+        let other = select_unpredictable(roll < 0.85, &common[j], &filler);
+        let word = select_unpredictable(roll < 0.5, &lex[i], other);
+        let end = self.out.len() + usize::from(word.len);
+        self.out.extend_from_slice(&word.bytes);
+        self.out.truncate(end);
+    }
 
-fn words(world: &World, topic: Option<u32>, count: usize, rng: &mut SmallRng) -> String {
-    let mut out = String::with_capacity(count * 8);
-    for i in 0..count {
-        if i > 0 {
-            out.push(if i % 13 == 12 { '.' } else { ' ' });
-            if i % 13 == 12 {
-                out.push(' ');
+    fn words(&mut self, topic: Option<u32>, count: usize) {
+        for i in 0..count {
+            if i > 0 {
+                self.text(if i % 13 == 12 { ". " } else { " " });
+            }
+            self.word(topic, None);
+        }
+    }
+
+    /// The out-links of a page as HTML anchors. Some links use the
+    /// target's alias URL (producing duplicate content under two URLs);
+    /// some anchors are navigation noise ("click here").
+    fn links(&mut self, meta: &PageMeta) {
+        let world = self.world;
+        for &target in &meta.out {
+            self.text(" <a href=\"");
+            match world.alias_url_of(target) {
+                Some(alias) if self.rng.gen_bool(0.3) => self.text(alias),
+                _ => world.write_url(&mut self.out, target),
+            }
+            self.text("\">");
+            self.anchor(target);
+            self.text("</a>");
+        }
+        for raw in &meta.extra_out_urls {
+            for text in [" <a href=\"", raw, "\">more</a>"] {
+                self.text(text);
             }
         }
-        push_word(&mut out, world, topic, rng);
     }
-    out
-}
 
-fn content_text(world: &World, id: PageId, rng: &mut SmallRng) -> (String, String) {
-    let meta = world.page_ref(id);
-    let n = rng.gen_range(120..300);
-    let mut title = String::new();
-    push_word(&mut title, world, meta.topic, rng);
-    title.push(' ');
-    push_word(&mut title, world, meta.topic, rng);
-    let mut body = String::with_capacity(n * 8);
-    for i in 0..n {
-        if i > 0 {
-            body.push(' ');
+    fn anchor(&mut self, target: PageId) {
+        if self.rng.gen_bool(0.15) {
+            let noise = ["click here", "more", "link", "home page", "next page"];
+            let pick = self.rng.gen_range(0..5);
+            return self.text(noise[pick]);
         }
-        push_word_blended(&mut body, world, meta.topic, meta.secondary_topic, rng);
+        let world = self.world;
+        // What the anchor is drawn from, read without deriving a paged
+        // target's metadata whole.
+        let (kind, topic, author, host) = match &world.paged {
+            Some(p) => (
+                p.kind_of(target),
+                p.true_topic(target),
+                None,
+                p.host_of(target),
+            ),
+            None => {
+                let m = &world.pages[target as usize];
+                (m.kind, m.topic, m.author, m.host)
+            }
+        };
+        match kind {
+            PageKind::AuthorHome => self.text(&world.authors()[author.unwrap() as usize].name),
+            PageKind::AuthorPub => {
+                self.word(topic, None);
+                self.text(" paper");
+            }
+            PageKind::Welcome => world.write_host_name(&mut self.out, host),
+            _ => {
+                self.word(topic, None);
+                self.text(" ");
+                self.word(topic, None);
+            }
+        }
     }
-    (title, body)
 }
 
-fn welcome_text(world: &World, id: PageId, rng: &mut SmallRng) -> (String, String) {
-    let meta = world.page_ref(id);
-    let host = world.host_ref(meta.host);
-    let n = rng.gen_range(8..25);
-    (
-        format!("Welcome to {}", host.name),
-        format!("Welcome to {}. {}", host.name, words(world, None, n, rng)),
-    )
-}
-
-fn hub_text(world: &World, id: PageId, rng: &mut SmallRng) -> (String, String) {
-    let meta = world.page_ref(id);
-    let n = rng.gen_range(30..60);
-    let title = format!(
-        "Resources on {}",
-        meta.topic
-            .map(|t| world.topics()[t as usize].name.clone())
-            .unwrap_or_else(|| "the web".to_string())
-    );
-    (title, words(world, meta.topic, n, rng))
-}
-
-fn author_home_text(world: &World, id: PageId, rng: &mut SmallRng) -> (String, String) {
-    let meta = world.page_ref(id);
-    let author = &world.authors()[meta.author.unwrap() as usize];
-    let n = rng.gen_range(60..120);
-    (
-        format!("Homepage of {}", author.name),
-        format!(
-            "Homepage of {}. Research interests: {}. {}",
-            author.name,
-            words(world, meta.topic, 8, rng),
-            words(world, meta.topic, n, rng)
-        ),
-    )
-}
-
-fn author_pub_text(world: &World, id: PageId, rng: &mut SmallRng) -> (String, String) {
-    let meta = world.page_ref(id);
-    let author = &world.authors()[meta.author.unwrap() as usize];
-    let is_paper = meta.mime == MimeType::Pdf;
-    let n = rng.gen_range(if is_paper { 200..400 } else { 100..250 });
-    let title = if is_paper {
-        let mut title = String::new();
-        push_word(&mut title, world, meta.topic, rng);
-        title.push(' ');
-        push_word(&mut title, world, meta.topic, rng);
-        title.push_str(": a ");
-        push_word(&mut title, world, meta.topic, rng);
-        title.push_str(" approach");
-        title
+/// Zipf-ish index from a uniform `u`: low indexes much more likely. The
+/// `% n` is reached only where rounding lands on `n`.
+fn zipf(u: f64, n: usize) -> usize {
+    let i = ((n as f64) * u * u * u) as usize;
+    if i < n {
+        i
     } else {
-        format!("Publications of {}", author.name)
-    };
-    (title, words(world, meta.topic, n, rng))
-}
-
-/// Render the out-links of a page as HTML anchors. Some links use the
-/// target's alias URL (producing duplicate content under two URLs); some
-/// anchors are navigation noise ("click here").
-fn render_links(world: &World, id: PageId, rng: &mut SmallRng) -> String {
-    let meta = world.page_ref(id);
-    let mut out = String::new();
-    for &target in &meta.out {
-        out.push_str(" <a href=\"");
-        match world.alias_url_of(target) {
-            Some(alias) if rng.gen_bool(0.3) => out.push_str(alias),
-            _ => out.push_str(&world.url_of(target)),
-        }
-        out.push_str("\">");
-        push_anchor_text(&mut out, world, target, rng);
-        out.push_str("</a>");
-    }
-    for raw in &meta.extra_out_urls {
-        out.push_str(" <a href=\"");
-        out.push_str(raw);
-        out.push_str("\">more</a>");
-    }
-    out
-}
-
-fn push_anchor_text(out: &mut String, world: &World, target: PageId, rng: &mut SmallRng) {
-    if rng.gen_bool(0.15) {
-        out.push_str(["click here", "more", "link", "home page", "next page"][rng.gen_range(0..5)]);
-        return;
-    }
-    let meta = world.page_ref(target);
-    match meta.kind {
-        PageKind::AuthorHome => {
-            out.push_str(&world.authors()[meta.author.unwrap() as usize].name);
-        }
-        PageKind::AuthorPub => {
-            push_word(out, world, meta.topic, rng);
-            out.push_str(" paper");
-        }
-        PageKind::Welcome => out.push_str(&world.host_ref(meta.host).name),
-        _ => {
-            push_word(out, world, meta.topic, rng);
-            out.push(' ');
-            push_word(out, world, meta.topic, rng);
-        }
+        i % n
     }
 }
 

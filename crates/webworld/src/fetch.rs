@@ -156,9 +156,10 @@ impl World {
         };
 
         // Synthetic redirect-loop chain URLs exist only while the loop
-        // window is active; they are not part of the page index.
-        if let Some((host_id, host)) = self.find_host(hostname) {
-            if let Some(hop) = parse_loop_url(url) {
+        // window is active; they are not part of the page index. The
+        // prefix is tested first: finding a paged host derives it.
+        if let Some(hop) = parse_loop_url(url) {
+            if let Some((host_id, host)) = self.find_host(hostname) {
                 let active_loop = matches!(
                     self.faults.active(host_id, now_ms).map(|w| w.kind),
                     Some(FaultKind::RedirectLoop)
@@ -260,7 +261,7 @@ impl World {
         let (mut payload, size) = match meta.size_hint {
             Some(s) => (String::new(), s as u64),
             None => {
-                let p = content_gen::payload(self, page_id);
+                let p = content_gen::payload_of(self, page_id, &meta);
                 let len = p.len() as u64;
                 (p, len)
             }

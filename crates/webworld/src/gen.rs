@@ -755,20 +755,6 @@ impl Generator {
             }
         }
 
-        // URL index (canonical + alias).
-        let mut url_index: FxHashMap<String, PageId> = FxHashMap::default();
-        for id in 0..n {
-            let meta = &self.pages[id as usize];
-            let url = format!(
-                "http://{}/{}",
-                self.hosts[meta.host as usize].name, meta.path
-            );
-            url_index.insert(url, id);
-        }
-        for (&id, alias) in &aliases {
-            url_index.insert(alias.clone(), id);
-        }
-
         // Host index; the first host of a name answers for it.
         let mut host_index: FxHashMap<String, HostId> = FxHashMap::default();
         for (id, host) in (0..).zip(&self.hosts) {
@@ -794,20 +780,27 @@ impl Generator {
             faults.insert_window(host, window);
         }
 
-        World {
+        let lexicons = crate::content_gen::Lexicons::new(&self.topics);
+        let mut world = World {
             seed: self.cfg.seed,
             pages: self.pages,
             hosts: self.hosts,
             host_index,
             topics: self.topics,
-            url_index,
+            url_index: FxHashMap::default(),
             aliases,
             in_links,
             authors: self.authors,
             named: self.named,
             faults,
             paged: None,
-        }
+            lexicons,
+        };
+        // URL index (canonical + alias).
+        let canonical = (0..n).map(|id| (world.url_of(id), id));
+        let alias_urls = world.aliases.iter().map(|(&id, alias)| (alias.clone(), id));
+        world.url_index = canonical.chain(alias_urls).collect();
+        world
     }
 
     /// Zipf-ish index into `0..n`: earlier indexes are more likely.

@@ -550,27 +550,32 @@ pub fn by_key(key: &str) -> Option<&'static [&'static str]> {
     })
 }
 
-const SYLLABLES: &[&str] = &[
-    "ba", "re", "mo", "ti", "lan", "dor", "vek", "sul", "pra", "nim", "kel", "tur", "fos", "gri",
-    "hem", "jor", "lin", "mar", "nox", "pel", "qui", "ras", "sten", "val",
+/// Filler syllables, zero-padded to four bytes.
+const SYLLABLES: [&[u8; 4]; 24] = [
+    b"ba\0\0", b"re\0\0", b"mo\0\0", b"ti\0\0", b"lan\0", b"dor\0", b"vek\0", b"sul\0", b"pra\0",
+    b"nim\0", b"kel\0", b"tur\0", b"fos\0", b"gri\0", b"hem\0", b"jor\0", b"lin\0", b"mar\0",
+    b"nox\0", b"pel\0", b"qui\0", b"ras\0", b"sten", b"val\0",
 ];
 
 /// Deterministic pseudo-word for the long-tail filler vocabulary.
 /// `index` selects the word; the space is effectively unbounded.
 pub fn filler_word(index: u64) -> String {
-    let mut word = String::new();
-    push_filler_word(&mut word, index);
-    word
+    let (word, len) = filler_bytes(index);
+    String::from_utf8(word.to_le_bytes()[..len].to_vec()).expect("syllables are ASCII")
 }
 
-/// [`filler_word`] written onto the end of `out`.
-pub(crate) fn push_filler_word(out: &mut String, index: u64) {
+/// [`filler_word`] as zero-padded little-endian bytes and a length (at most 12): three
+/// syllables shifted into place, with no branch and no copy call.
+pub(crate) fn filler_bytes(index: u64) -> (u128, usize) {
     let n = SYLLABLES.len() as u64;
-    let mut x = index;
+    let (mut word, mut bits, mut x) = (0u128, 0, index);
     for _ in 0..3 {
-        out.push_str(SYLLABLES[(x % n) as usize]);
+        let syllable = u32::from_le_bytes(*SYLLABLES[(x % n) as usize]);
+        word |= u128::from(syllable) << bits;
+        bits += (39 - syllable.leading_zeros()) / 8 * 8;
         x /= n;
     }
+    (word, bits as usize / 8)
 }
 
 #[cfg(test)]

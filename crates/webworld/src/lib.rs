@@ -23,6 +23,7 @@
 //! Page *content* is generated lazily and deterministically from the
 //! world seed and page id ([`content_gen`]), so a hundred-thousand-page
 //! world costs only its graph metadata in memory.
+#![forbid(unsafe_code)]
 
 pub mod content_gen;
 pub mod dblp;
@@ -161,6 +162,8 @@ pub struct World {
     /// Per-page derivation backing paged worlds ([`World::paged`]);
     /// `None` for eagerly generated worlds.
     pub(crate) paged: Option<paged::PagedWeb>,
+    /// The topics' and the common lexicon as padded words.
+    pub(crate) lexicons: content_gen::Lexicons,
 }
 
 impl World {
@@ -248,11 +251,32 @@ impl World {
 
     /// Canonical URL of a page.
     pub fn url_of(&self, id: PageId) -> String {
+        let mut url = Vec::new();
+        self.write_url(&mut url, id);
+        String::from_utf8(url).expect("host names and paths are UTF-8")
+    }
+
+    /// The canonical URL of `id`, written onto `out`: the one URL writer,
+    /// behind [`World::url_of`] and every link of a generated page.
+    pub(crate) fn write_url(&self, out: &mut Vec<u8>, id: PageId) {
+        out.extend_from_slice(b"http://");
         if let Some(p) = &self.paged {
-            return p.url_of(id);
+            p.write_host_name(out, p.host_of(id));
+            return p.write_path(out, id);
         }
-        let p = &self.pages[id as usize];
-        format!("http://{}/{}", self.hosts[p.host as usize].name, p.path)
+        let page = &self.pages[id as usize];
+        let host = self.hosts[page.host as usize].name.as_bytes();
+        for part in [host, b"/", page.path.as_bytes()] {
+            out.extend_from_slice(part);
+        }
+    }
+
+    /// The name of host `id`, written onto `out`.
+    pub(crate) fn write_host_name(&self, out: &mut Vec<u8>, id: HostId) {
+        match &self.paged {
+            Some(p) => p.write_host_name(out, id),
+            None => out.extend_from_slice(self.hosts[id as usize].name.as_bytes()),
+        }
     }
 
     /// The alias URL of a page, when it has one.

@@ -36,6 +36,7 @@ use crate::{HostBehavior, HostMeta, PageKind, PageMeta, TopicInfo, World};
 use bingo_graph::{HostId, PageId};
 use bingo_textproc::fxhash::{self, FxHashMap};
 use bingo_textproc::MimeType;
+use std::io::Write;
 
 /// Topics of a paged world (fixed — the scale experiment needs one
 /// target topic and predictable noise, not configurability).
@@ -188,13 +189,16 @@ impl PagedWeb {
         (id / self.pages_per_host as u64) as HostId
     }
 
-    pub(crate) fn url_of(&self, id: PageId) -> String {
-        let host = self.host_of(id);
-        let k = id % self.pages_per_host as u64;
-        if k == 0 {
-            format!("http://h{host}{HOST_SUFFIX}/index.html")
-        } else {
-            format!("http://h{host}{HOST_SUFFIX}/p{k}.html")
+    /// The name of host `host`, written onto `out`.
+    pub(crate) fn write_host_name(&self, out: &mut Vec<u8>, host: HostId) {
+        write!(out, "h{host}{HOST_SUFFIX}").expect("a Vec takes every write");
+    }
+
+    /// The `/path` of page `id`'s URL, written onto `out`.
+    pub(crate) fn write_path(&self, out: &mut Vec<u8>, id: PageId) {
+        match id % self.pages_per_host as u64 {
+            0 => out.extend_from_slice(b"/index.html"),
+            k => write!(out, "/p{k}.html").expect("a Vec takes every write"),
         }
     }
 
@@ -213,6 +217,14 @@ impl PagedWeb {
     pub(crate) fn find_host(&self, name: &str) -> Option<(HostId, HostMeta)> {
         let id = self.parse_host(name)?;
         Some((id, self.host_meta(id)))
+    }
+
+    /// Every host's page 0 is its welcome page, the rest are content.
+    pub(crate) fn kind_of(&self, id: PageId) -> PageKind {
+        match id % self.pages_per_host as u64 {
+            0 => PageKind::Welcome,
+            _ => PageKind::Content,
+        }
     }
 
     pub(crate) fn true_topic(&self, id: PageId) -> Option<u32> {
@@ -263,12 +275,14 @@ impl World {
     /// returns empty — evaluation paths needing in-links use the
     /// document store's link table instead).
     pub fn paged(cfg: PagedConfig) -> World {
+        let topics = topic_infos();
         World {
             seed: cfg.seed,
             pages: Vec::new(),
             hosts: Vec::new(),
             host_index: FxHashMap::default(),
-            topics: topic_infos(),
+            lexicons: crate::content_gen::Lexicons::new(&topics),
+            topics,
             url_index: FxHashMap::default(),
             aliases: FxHashMap::default(),
             in_links: FxHashMap::default(),

@@ -25,6 +25,7 @@
 //!
 //! See `examples/quickstart.rs` for an end-to-end portal crawl and
 //! `DESIGN.md`/`EXPERIMENTS.md` for the paper-experiment mapping.
+#![forbid(unsafe_code)]
 
 pub use bingo_core as core;
 pub use bingo_crawler as crawler;
