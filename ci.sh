@@ -21,7 +21,8 @@
 #               a scratch directory and cmp's their reports against
 #               the committed experiments_*.json, so a change that
 #               moves a paper table fails here instead of leaving
-#               EXPERIMENTS.md stale; then diffs a `bingo` crawl +
+#               EXPERIMENTS.md stale, and prints a capped `diff -u`
+#               of each report that moved; then diffs a `bingo` crawl +
 #               resume session pinned to one CPU against an
 #               unrestricted one)
 #     bench  -> CI_STEPS=bench ./ci.sh   (bench gate, smoke mode;
@@ -141,8 +142,13 @@ paper_artifacts() {
     stale=""
     for exp in portal expert meta ablation faults; do
         (cd "$scratch" && "$repo/target/release/exp_$exp" >"$exp.log" 2>&1)
-        cmp "$scratch/experiments_$exp.json" "experiments_$exp.json" ||
+        if ! cmp -s "experiments_$exp.json" "$scratch/experiments_$exp.json"; then
             stale="$stale experiments_$exp.json"
+            # The rows that moved, capped so one rewritten report cannot
+            # flood the log.
+            diff -u "experiments_$exp.json" "$scratch/experiments_$exp.json" |
+                head -n 60 >&2
+        fi
     done
     if [ -n "$stale" ]; then
         echo "error: regenerated reports differ from the committed ones:$stale" >&2

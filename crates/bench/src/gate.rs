@@ -45,6 +45,7 @@
 //! per-metric tolerances; the values cannot flake, they only change
 //! when the code changes behaviour.
 
+use crate::held_out;
 use crate::portal::{PortalExperimentConfig, PortalRun};
 use bingo_core::{BingoEngine, EngineConfig, EngineTelemetry, TopicId, TopicTree};
 use bingo_crawler::checkpoint::STORE_FILE;
@@ -63,7 +64,7 @@ use bingo_store::durable::{self, CrashFs};
 use bingo_store::DocumentStore;
 use bingo_textproc::{AnalyzedDocument, SharedVocabulary, TermLookup, Vocabulary};
 use bingo_webworld::gen::{TopicConfig, WorldConfig};
-use bingo_webworld::{lexicon, HostBehavior, NodeFaultPlan, NodeFaultProfile, PageKind, World};
+use bingo_webworld::{lexicon, HostBehavior, NodeFaultPlan, NodeFaultProfile, World};
 use serde_json::{json, Value};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -149,16 +150,6 @@ fn scratch_dir(name: &str) -> ScratchDir {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("gate scratch dir");
     ScratchDir(dir)
-}
-
-fn held_out(world: &World, topic: u32, skip: usize, take: usize) -> Vec<u64> {
-    (0..world.page_count() as u64)
-        .filter(|&id| {
-            world.true_topic(id) == Some(topic) && world.page(id).kind == PageKind::Content
-        })
-        .skip(skip)
-        .take(take)
-        .collect()
 }
 
 /// The trained engine the classify and pipeline scenarios share: one

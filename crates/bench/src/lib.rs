@@ -28,6 +28,20 @@ pub mod report;
 use bingo_core::{BingoEngine, TopicId, TopicTree};
 use bingo_webworld::{PageKind, World};
 
+/// Content pages of true topic `topic` in page-id order, skipping the
+/// first `skip` and keeping at most `take`: disjoint ranges give a
+/// harness training and held-out evaluation pages. Like
+/// [`populate_others`], this consults ground truth.
+pub fn held_out(world: &World, topic: u32, skip: usize, take: usize) -> Vec<u64> {
+    (0..world.page_count() as u64)
+        .filter(|&id| {
+            world.true_topic(id) == Some(topic) && world.page(id).kind == PageKind::Content
+        })
+        .skip(skip)
+        .take(take)
+        .collect()
+}
+
 /// Pick `n` noise content pages (the "Yahoo top-level categories"
 /// material of Section 3.1) to populate the OTHERS class. The harness
 /// plays the human role here, so it may consult ground truth.

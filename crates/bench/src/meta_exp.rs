@@ -2,14 +2,15 @@
 //! unanimous/weighted meta decisions lift precision from ~80% to >90%)
 //! and the feature-selection example of Section 2.3.
 
-use crate::populate_others;
-use bingo_core::{BingoEngine, EngineConfig, TopicTree};
+use crate::{held_out, populate_others};
+use bingo_core::model::nb_vector;
+use bingo_core::{BingoEngine, EngineConfig, ModelConfig, TopicTree};
 use bingo_ml::feature_selection::{FeatureSelection, FeatureSelectionConfig};
-use bingo_ml::{NaiveBayes, TrainingSet};
+use bingo_ml::MetaPolicy;
 use bingo_textproc::features::{namespace_of, Namespace};
 use bingo_textproc::{DocumentFeatures, FeatureSpaceKind, TermId};
 use bingo_webworld::gen::WorldConfig;
-use bingo_webworld::{PageKind, World};
+use bingo_webworld::World;
 
 /// Precision/recall of one decision method on the held-out set.
 #[derive(Debug, Clone)]
@@ -35,122 +36,56 @@ pub struct MetaOutcome {
     pub test_neg: usize,
 }
 
-fn held_out_pages(world: &World, topic: u32, skip: usize, take: usize) -> Vec<u64> {
-    (0..world.page_count() as u64)
-        .filter(|&id| {
-            world.true_topic(id) == Some(topic) && world.page(id).kind == PageKind::Content
-        })
-        .skip(skip)
-        .take(take)
-        .collect()
-}
-
 /// Run the meta-classification experiment: train a db-research topic
 /// model on a modest seed set, then measure per-space and per-policy
 /// precision on held-out pages including *related-topic* hard negatives
 /// (data mining, web IR) that share vocabulary with the positives.
+///
+/// The committee is the engine's own: the topic model trains its three
+/// feature-space SVMs plus, through [`ModelConfig::use_naive_bayes`], a
+/// multinomial Naive Bayes over raw single-term counts (the paper's meta
+/// classifier combines alternative learning methods, not only
+/// alternative feature spaces). Every row reads the trained
+/// [`TopicModel`](bingo_core::TopicModel): the single rows its members,
+/// the meta rows [`TopicModel::decide`](bingo_core::TopicModel::decide).
 pub fn run_meta(seed: u64) -> MetaOutcome {
     let world = WorldConfig::portal(seed, 200, 1).build();
 
-    let mut engine = BingoEngine::new(EngineConfig::default());
+    let mut engine = BingoEngine::new(EngineConfig {
+        model: ModelConfig {
+            use_naive_bayes: true,
+            ..ModelConfig::default()
+        },
+        ..EngineConfig::default()
+    });
     let topic = engine.add_topic(TopicTree::ROOT, "database research");
 
     // Training positives: 16 db-research pages.
-    for id in held_out_pages(&world, 0, 0, 16) {
+    for id in held_out(&world, 0, 0, 16) {
         engine
             .add_training_url(&world, topic, &world.url_of(id))
             .expect("training page");
     }
     // Negatives: a mix of hard (related topics) and easy (noise) pages.
-    for id in held_out_pages(&world, 1, 0, 10) {
+    for id in held_out(&world, 1, 0, 10) {
         engine.add_others_url(&world, &world.url_of(id)).ok();
     }
-    for id in held_out_pages(&world, 2, 0, 10) {
+    for id in held_out(&world, 2, 0, 10) {
         engine.add_others_url(&world, &world.url_of(id)).ok();
     }
     populate_others(&mut engine, &world, &[3, 4], 20);
     engine.train().expect("training");
 
     // Held-out evaluation set.
-    let pos_ids = held_out_pages(&world, 0, 16, 120);
-    let mut neg_ids = held_out_pages(&world, 1, 10, 60);
-    neg_ids.extend(held_out_pages(&world, 2, 10, 60));
-    neg_ids.extend(held_out_pages(&world, 3, 0, 30));
+    let pos_ids = held_out(&world, 0, 16, 120);
+    let mut neg_ids = held_out(&world, 1, 10, 60);
+    neg_ids.extend(held_out(&world, 2, 10, 60));
+    neg_ids.extend(held_out(&world, 3, 0, 30));
 
-    let analyze = |engine: &mut BingoEngine, ids: &[u64]| -> Vec<DocumentFeatures> {
-        ids.iter()
-            .filter_map(|&id| {
-                engine
-                    .analyze_url(&world, &world.url_of(id))
-                    .ok()
-                    .map(|(_, _, f)| f)
-            })
-            .collect()
-    };
-    let pos = analyze(&mut engine, &pos_ids);
-    let neg = analyze(&mut engine, &neg_ids);
-    let model = engine.model(topic).expect("model").clone();
-
-    // A genuinely different fourth classifier for the committee: a
-    // multinomial Naive Bayes over raw single-term counts (the paper's
-    // meta classifier combines alternative learning methods, not only
-    // alternative feature spaces).
-    let nb_vector = |f: &DocumentFeatures| {
-        bingo_textproc::SparseVector::from_pairs(
-            f.occurrences(FeatureSpaceKind::SingleTerms)
-                .into_iter()
-                .map(|(i, c)| (i, c as f32))
-                .collect(),
-        )
-    };
-    let mut nb_set = TrainingSet::new();
-    for d in engine.tree.node(topic).training.iter() {
-        nb_set.push(nb_vector(&d.features), true);
-    }
-    for d in engine.tree.others.iter() {
-        nb_set.push(nb_vector(&d.features), false);
-    }
-    let nb = NaiveBayes::train(&nb_set).expect("naive bayes");
-
-    // The committee: per-member accept function plus its ξα-style weight
-    // (the SVMs use their ξα precision estimate; the NB is weighted by
-    // its training-set precision).
-    type Member<'a> = (String, Box<dyn Fn(&DocumentFeatures) -> bool + 'a>, f64);
-    let mut members: Vec<Member<'_>> = Vec::new();
-    for (i, space) in model.spaces.iter().enumerate() {
-        let m = &model;
-        members.push((
-            format!("{:?} (single)", space.kind),
-            Box::new(move |f: &DocumentFeatures| m.spaces[i].confidence(f) >= 0.0),
-            (space.xi_precision() as f64).max(0.05),
-        ));
-    }
-    {
-        let nb_ref = &nb;
-        let train_tp = engine
-            .tree
-            .node(topic)
-            .training
-            .iter()
-            .filter(|d| nb_ref.score(&nb_vector(&d.features)) >= 0.0)
-            .count();
-        let train_fp = engine
-            .tree
-            .others
-            .iter()
-            .filter(|d| nb_ref.score(&nb_vector(&d.features)) >= 0.0)
-            .count();
-        let nb_weight = if train_tp + train_fp > 0 {
-            (train_tp as f64 / (train_tp + train_fp) as f64).max(0.05)
-        } else {
-            0.05
-        };
-        members.push((
-            "NaiveBayes (single)".to_string(),
-            Box::new(move |f: &DocumentFeatures| nb_ref.score(&nb_vector(f)) >= 0.0),
-            nb_weight,
-        ));
-    }
+    let pos = analyze(&mut engine, &world, &pos_ids);
+    let neg = analyze(&mut engine, &world, &neg_ids);
+    let model = engine.model(topic).expect("model");
+    let (nb, _) = model.naive_bayes.as_ref().expect("naive bayes member");
 
     let mut rows = Vec::new();
     let mut measure = |method: &str, decide: &dyn Fn(&DocumentFeatures) -> bool| {
@@ -169,33 +104,39 @@ pub fn run_meta(seed: u64) -> MetaOutcome {
         });
     };
 
-    for (label, decide, _w) in &members {
-        measure(label, decide.as_ref());
+    for space in &model.spaces {
+        measure(&format!("{:?} (single)", space.kind), &|f| {
+            space.confidence(f) >= 0.0
+        });
     }
-    let h = members.len() as f64;
-    // Meta decision functions over the committee (Section 3.5 formula).
-    let vote = |f: &DocumentFeatures, weighted: bool| -> f64 {
-        members
-            .iter()
-            .map(|(_, d, w)| {
-                let res = if d(f) { 1.0 } else { -1.0 };
-                if weighted {
-                    w * res
-                } else {
-                    res
-                }
-            })
-            .sum()
-    };
-    measure("meta: majority", &|f| vote(f, false) > 0.0);
-    measure("meta: unanimous", &|f| vote(f, false) > h - 0.5);
-    measure("meta: weighted (xi-alpha)", &|f| vote(f, true) > 0.0);
+    measure("NaiveBayes (single)", &|f| {
+        nb.score(&nb_vector(&f.term_freqs)) >= 0.0
+    });
+    for (method, policy) in [
+        ("meta: majority", MetaPolicy::Majority),
+        ("meta: unanimous", MetaPolicy::Unanimous),
+        ("meta: weighted (xi-alpha)", MetaPolicy::WeightedAverage),
+    ] {
+        measure(method, &|f| model.decide(f, policy, false).0);
+    }
 
     MetaOutcome {
         rows,
         test_pos: pos.len(),
         test_neg: neg.len(),
     }
+}
+
+/// The features of each page that analyzes cleanly.
+fn analyze(engine: &mut BingoEngine, world: &World, ids: &[u64]) -> Vec<DocumentFeatures> {
+    ids.iter()
+        .filter_map(|&id| {
+            engine
+                .analyze_url(world, &world.url_of(id))
+                .ok()
+                .map(|(_, _, f)| f)
+        })
+        .collect()
 }
 
 /// The Section 2.3 example: MI feature selection for a "Data Mining"
@@ -208,22 +149,12 @@ pub fn run_feature_example(seed: u64, top_n: usize) -> Vec<String> {
 
     // Documents: data-mining pages (the class) vs. db-research and
     // web-IR pages (competing siblings at the same tree level).
-    let mining = held_out_pages(&world, 1, 0, 40);
-    let mut competing = held_out_pages(&world, 0, 0, 40);
-    competing.extend(held_out_pages(&world, 2, 0, 40));
+    let mining = held_out(&world, 1, 0, 40);
+    let mut competing = held_out(&world, 0, 0, 40);
+    competing.extend(held_out(&world, 2, 0, 40));
 
-    let analyze = |engine: &mut BingoEngine, ids: &[u64]| -> Vec<DocumentFeatures> {
-        ids.iter()
-            .filter_map(|&id| {
-                engine
-                    .analyze_url(&world, &world.url_of(id))
-                    .ok()
-                    .map(|(_, _, f)| f)
-            })
-            .collect()
-    };
-    let pos = analyze(&mut engine, &mining);
-    let neg = analyze(&mut engine, &competing);
+    let pos = analyze(&mut engine, &world, &mining);
+    let neg = analyze(&mut engine, &world, &competing);
 
     let pos_occ: Vec<Vec<(u32, u32)>> = pos
         .iter()

@@ -679,34 +679,21 @@ impl TopicModel {
             let conf = self.spaces[self.best_space].score_with(weights, buffers);
             return (conf >= 0.0, conf);
         }
-        let h = (self.spaces.len() + usize::from(self.naive_bayes.is_some())) as f32;
-        let t1 = match policy {
-            MetaPolicy::Unanimous => h - 0.5,
-            MetaPolicy::Majority | MetaPolicy::WeightedAverage => 0.0,
-        };
-        let weighted = policy == MetaPolicy::WeightedAverage;
-        let (mut vote_sum, mut conf_sum) = (0.0f32, 0.0f32);
-        let mut vote = |conf: f32, precision: f32| {
-            conf_sum += conf;
-            let w = if weighted { precision.max(0.01) } else { 1.0 };
-            vote_sum += w * if conf >= 0.0 { 1.0 } else { -1.0 };
-        };
         let mut rest = self.fused.hits(weights, buffers);
-        for (space, &end) in self.spaces.iter().zip(&self.fused.key_ends) {
-            let own;
-            (own, rest) = rest.split_at(rest.partition_point(|h| h.key < end));
-            vote(confidence_of_hits(&space.svm, own), space.xi_precision());
-        }
-        if let Some((nb, weight)) = &self.naive_bayes {
-            vote(nb.score(&nb_vector(term_freqs)), *weight);
-        }
-        let mean_conf = conf_sum / h;
-        if vote_sum > t1 {
-            (true, mean_conf.max(0.0))
-        } else {
-            // Negative or abstaining: report a non-positive confidence.
-            (false, mean_conf.min(-f32::EPSILON))
-        }
+        let spaces = self
+            .spaces
+            .iter()
+            .zip(&self.fused.key_ends)
+            .map(|(space, &end)| {
+                let own;
+                (own, rest) = rest.split_at(rest.partition_point(|h| h.key < end));
+                (confidence_of_hits(&space.svm, own), space.xi_precision())
+            });
+        let nb_votes = self
+            .naive_bayes
+            .iter()
+            .map(|(nb, weight)| (nb.score(&nb_vector(term_freqs)), *weight));
+        policy.decide(spaces.chain(nb_votes))
     }
 
     /// Finish loading a deserialized model: hand every space the
@@ -742,7 +729,7 @@ impl TopicModel {
 /// The raw single-term count vector a Naive Bayes member consumes: the
 /// single-term occurrences of a document with these body term
 /// frequencies.
-fn nb_vector(term_freqs: &[(TermId, u32)]) -> SparseVector {
+pub fn nb_vector(term_freqs: &[(TermId, u32)]) -> SparseVector {
     SparseVector::from_pairs(
         term_freqs
             .iter()

@@ -29,6 +29,7 @@
 
 use bingo_textproc::fxhash::{self, FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
+use std::hash::Hash;
 
 /// Circuit-breaker tuning. Defaults keep the paper's "3 strikes"
 /// threshold while adding recovery.
@@ -59,31 +60,27 @@ impl Default for BreakerConfig {
 }
 
 impl BreakerConfig {
-    /// The open deadline duration for a given re-open cycle:
-    /// exponential, capped, with deterministic per-host jitter.
+    /// The open deadline duration for a given re-open cycle.
     fn backoff_ms(&self, host: &str, cycle: u32) -> u64 {
-        let base = self
-            .base_backoff_ms
-            .saturating_shl(cycle.min(20))
+        self.jittered_backoff(self.base_backoff_ms, cycle, &(host, cycle, 0xB4C0u32))
+    }
+
+    /// `base << exponent` (an exponent of at most 20), capped by
+    /// `max_backoff_ms`, at least 1, then moved by up to
+    /// `jitter_permille` of itself either way by a hash of `key`, so that
+    /// co-failing hosts or URLs do not retry in lockstep.
+    pub(crate) fn jittered_backoff(&self, base: u64, exponent: u32, key: &impl Hash) -> u64 {
+        let base = base
+            .checked_shl(exponent.min(20))
+            .unwrap_or(u64::MAX)
             .min(self.max_backoff_ms)
             .max(1);
         let amplitude = base * self.jitter_permille as u64 / 1000;
         if amplitude == 0 {
             return base;
         }
-        // Hash in [0, 2*amplitude], centered on the base deadline.
-        let h = fxhash::hash_one(&(host, cycle, 0xB4C0u32)) % (2 * amplitude + 1);
-        base - amplitude + h
-    }
-}
-
-trait SaturatingShl {
-    fn saturating_shl(self, shift: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, shift: u32) -> u64 {
-        self.checked_shl(shift).unwrap_or(u64::MAX)
+        // Hash in [0, 2*amplitude], centered on the capped base.
+        base - amplitude + fxhash::hash_one(key) % (2 * amplitude + 1)
     }
 }
 

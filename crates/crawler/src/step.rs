@@ -37,7 +37,6 @@ use crate::{Assess, DocumentJudge};
 use bingo_obs::Event;
 use bingo_store::durable;
 use bingo_store::DocumentStore;
-use bingo_textproc::fxhash;
 use bingo_textproc::{AnalyzedDocument, Vocabulary};
 use bingo_webworld::fetch::host_of_url;
 use bingo_webworld::{DnsError, FetchOutcome, World};
@@ -828,16 +827,10 @@ impl Crawler {
     /// attempt`, capped by the breaker's ceiling, with deterministic
     /// per-URL jitter so co-failing URLs don't retry in lockstep.
     fn retry_backoff(&self, url: &str, attempt: u32) -> u64 {
-        let base = RETRY_BACKOFF_MS
-            .checked_shl(attempt.min(20))
-            .unwrap_or(u64::MAX)
-            .min(self.config.breaker.max_backoff_ms)
-            .max(1);
-        let amplitude = base * self.config.breaker.jitter_permille as u64 / 1000;
-        if amplitude == 0 {
-            return base;
-        }
-        base - amplitude + fxhash::hash_one(&(url, attempt, 0x5EEDu32)) % (2 * amplitude + 1)
+        let key = (url, attempt, 0x5EEDu32);
+        self.config
+            .breaker
+            .jittered_backoff(RETRY_BACKOFF_MS, attempt, &key)
     }
 
     /// Queue the links of a stored page as [`plan_links`] decided
@@ -876,6 +869,7 @@ impl Crawler {
 mod tests {
     use super::*;
     use crate::types::{CrawlStrategy, PageContext};
+    use bingo_textproc::fxhash;
     use bingo_textproc::{AnalyzedDocument, TermId};
     use bingo_webworld::gen::WorldConfig;
 

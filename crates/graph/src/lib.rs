@@ -14,10 +14,8 @@
 #![forbid(unsafe_code)]
 
 pub mod hits;
-pub mod pagerank;
 
 pub use hits::{Hits, HitsConfig, HitsResult};
-pub use pagerank::{pagerank, PageRankConfig, PageRankResult};
 
 use bingo_textproc::fxhash::{FxHashMap, FxHashSet};
 

@@ -12,10 +12,16 @@
 //! * a multinomial Naive Bayes classifier as the alternative learning
 //!   method the meta classifier combines (Sections 1.2 and 3.5)
 //!   ([`naive_bayes`]),
-//! * the meta classifier with unanimous, majority, and ξα-weighted
-//!   decision functions (Section 3.5) ([`meta`]),
+//! * the meta decision function with its unanimous, majority, and
+//!   ξα-weighted instances, over any committee of `(confidence, ξα
+//!   precision)` votes (Section 3.5) ([`meta`]),
 //! * K-means clustering with an entropy-based impurity measure for
 //!   choosing the number of clusters (Section 3.6) ([`kmeans`]).
+//!
+//! The classifiers share no trait: each reports a signed confidence
+//! (`>= 0` means "belongs to the topic") through its own method,
+//! [`TrainedSvm::confidence`] and [`NaiveBayes::score`], and the core
+//! crate's topic model hands those confidences to [`MetaPolicy::decide`].
 #![forbid(unsafe_code)]
 
 pub mod feature_selection;
@@ -27,40 +33,12 @@ pub mod xi_alpha;
 
 pub use feature_selection::{FeatureSelection, FeatureSelector};
 pub use kmeans::{KMeans, KMeansResult};
-pub use meta::{MetaClassifier, MetaPolicy};
+pub use meta::MetaPolicy;
 pub use naive_bayes::NaiveBayes;
 pub use svm::{LinearSvm, SvmConfig, TrainedSvm};
 pub use xi_alpha::XiAlphaEstimate;
 
 use bingo_textproc::SparseVector;
-
-/// A binary yes/no decision with the classifier's confidence.
-///
-/// `score` is the raw decision value (for the SVM, the signed distance of
-/// the document from the separating hyperplane); the decision is positive
-/// when `score >= 0`. The paper uses the score both as classification
-/// confidence and as the URL priority in the crawl frontier.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Decision {
-    /// Signed confidence; positive means "belongs to the topic".
-    pub score: f32,
-}
-
-impl Decision {
-    /// Yes/no view of the decision.
-    pub fn accept(&self) -> bool {
-        self.score >= 0.0
-    }
-}
-
-/// Anything that can classify a feature vector. Implemented by the SVM,
-/// Naive Bayes, and the meta classifier, so the engine treats them
-/// uniformly ("the classifier does not have to know how feature vectors
-/// are constructed").
-pub trait Classifier: Send + Sync {
-    /// Classify a (feature-selected) document vector.
-    fn decide(&self, x: &SparseVector) -> Decision;
-}
 
 /// A labeled training set in a compact (feature-selected) vector space.
 #[derive(Debug, Clone, Default)]
@@ -104,13 +82,6 @@ impl TrainingSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn decision_sign() {
-        assert!(Decision { score: 0.0 }.accept());
-        assert!(Decision { score: 2.5 }.accept());
-        assert!(!Decision { score: -0.1 }.accept());
-    }
 
     #[test]
     fn training_set_counts() {

@@ -14,9 +14,12 @@
 //! i is weighted by its estimated precision. "Unanimous and weighted
 //! average decisions improved precision from values around 80 percent to
 //! values above 90 percent."
+//!
+//! [`MetaPolicy::decide`] is the one implementation: the crawl's judge
+//! and the §3.5 experiment both reach it through the core crate's
+//! `TopicModel`. A document is accepted only at +1; abstention counts as
+//! rejection, so `t₂` never has to be evaluated.
 
-use crate::{Classifier, Decision};
-use bingo_textproc::SparseVector;
 use serde::{Deserialize, Serialize};
 
 /// The meta decision-function instance to apply.
@@ -27,105 +30,42 @@ pub enum MetaPolicy {
     Unanimous,
     /// Majority vote: `wᵢ = 1, t₁ = t₂ = 0`.
     Majority,
-    /// ξα-precision weighted average: `wᵢ = precision_ξα(vᵢ), t₁ = t₂ = 0`.
+    /// ξα-precision weighted average: `wᵢ = precision_ξα(vᵢ), t₁ = t₂ = 0`
+    /// (a precision below 0.01 counts as 0.01).
     WeightedAverage,
 }
 
-/// The tri-state outcome of the meta decision function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetaOutcome {
-    /// Definitively positive (+1).
-    Positive,
-    /// Definitively negative (-1).
-    Negative,
-    /// The meta classifier abstains (0).
-    Abstain,
-}
-
-/// A combination of base classifiers with per-classifier weights.
-pub struct MetaClassifier {
-    members: Vec<(Box<dyn Classifier>, f32)>,
-    policy: MetaPolicy,
-}
-
-impl MetaClassifier {
-    /// Build from `(classifier, ξα precision)` pairs. The precision is
-    /// only used by [`MetaPolicy::WeightedAverage`].
-    pub fn new(members: Vec<(Box<dyn Classifier>, f32)>, policy: MetaPolicy) -> Self {
-        MetaClassifier { members, policy }
-    }
-
-    /// Number of member classifiers.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when no members are configured.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// The configured decision policy.
-    pub fn policy(&self) -> MetaPolicy {
-        self.policy
-    }
-
-    /// Evaluate the tri-state meta decision function on `x`.
-    ///
-    /// Every member receives the *same* vector; members built over
-    /// different feature spaces ignore namespaces they were not trained
-    /// on, which is exactly how BINGO! runs its parallel classifiers.
-    pub fn evaluate(&self, x: &SparseVector) -> MetaOutcome {
-        if self.members.is_empty() {
-            return MetaOutcome::Abstain;
+impl MetaPolicy {
+    /// The meta decision over a committee's `(confidence, ξα precision)`
+    /// votes, where a member votes `res(vᵢ) = +1` when its signed
+    /// confidence is `>= 0`. Returns `(accepted, confidence)`: the
+    /// confidence is the members' mean, kept `>= 0` on acceptance and
+    /// below zero on rejection or abstention. An empty committee
+    /// rejects.
+    pub fn decide(self, votes: impl IntoIterator<Item = (f32, f32)>) -> (bool, f32) {
+        let weighted = self == MetaPolicy::WeightedAverage;
+        let (mut members, mut vote_sum, mut conf_sum) = (0usize, 0.0f32, 0.0f32);
+        for (conf, precision) in votes {
+            members += 1;
+            conf_sum += conf;
+            let w = if weighted { precision.max(0.01) } else { 1.0 };
+            vote_sum += w * if conf >= 0.0 { 1.0 } else { -1.0 };
         }
-        let h = self.members.len() as f32;
-        let (t1, t2) = match self.policy {
-            MetaPolicy::Unanimous => (h - 0.5, -(h - 0.5)),
-            MetaPolicy::Majority | MetaPolicy::WeightedAverage => (0.0, 0.0),
+        if members == 0 {
+            return (false, -f32::EPSILON);
+        }
+        let h = members as f32;
+        let t1 = match self {
+            MetaPolicy::Unanimous => h - 0.5,
+            MetaPolicy::Majority | MetaPolicy::WeightedAverage => 0.0,
         };
-        let mut sum = 0.0f32;
-        for (clf, precision) in &self.members {
-            let res = if clf.decide(x).accept() { 1.0 } else { -1.0 };
-            let w = match self.policy {
-                MetaPolicy::WeightedAverage => *precision,
-                _ => 1.0,
-            };
-            sum += w * res;
-        }
-        if sum > t1 {
-            MetaOutcome::Positive
-        } else if sum < t2 {
-            MetaOutcome::Negative
+        let mean_conf = conf_sum / h;
+        if vote_sum > t1 {
+            (true, mean_conf.max(0.0))
         } else {
-            MetaOutcome::Abstain
+            // Negative or abstaining: report a non-positive confidence.
+            (false, mean_conf.min(-f32::EPSILON))
         }
-    }
-
-    /// Mean signed confidence of the members — used when a single
-    /// confidence number is needed (e.g. URL priorities) for a meta
-    /// decision.
-    pub fn mean_confidence(&self, x: &SparseVector) -> f32 {
-        if self.members.is_empty() {
-            return 0.0;
-        }
-        let sum: f32 = self.members.iter().map(|(c, _)| c.decide(x).score).sum();
-        sum / self.members.len() as f32
-    }
-}
-
-impl Classifier for MetaClassifier {
-    /// Collapse the tri-state outcome into a [`Decision`]: abstention maps
-    /// to a zero-confidence rejection... except that `score = 0.0` counts
-    /// as accept in [`Decision`], so abstention is encoded as a tiny
-    /// negative score.
-    fn decide(&self, x: &SparseVector) -> Decision {
-        let score = match self.evaluate(x) {
-            MetaOutcome::Positive => self.mean_confidence(x).max(0.0),
-            MetaOutcome::Negative => self.mean_confidence(x).min(-f32::EPSILON),
-            MetaOutcome::Abstain => -f32::EPSILON,
-        };
-        Decision { score }
     }
 }
 
@@ -133,93 +73,78 @@ impl Classifier for MetaClassifier {
 mod tests {
     use super::*;
 
-    /// A fixed-score classifier for testing.
-    struct Fixed(f32);
-    impl Classifier for Fixed {
-        fn decide(&self, _x: &SparseVector) -> Decision {
-            Decision { score: self.0 }
-        }
-    }
-
-    fn members(scores: &[f32], precisions: &[f32]) -> Vec<(Box<dyn Classifier>, f32)> {
-        scores
+    /// Votes of members with these confidences and precisions.
+    fn votes(confidences: &[f32], precisions: &[f32]) -> Vec<(f32, f32)> {
+        confidences
             .iter()
-            .zip(precisions)
-            .map(|(&s, &p)| (Box::new(Fixed(s)) as Box<dyn Classifier>, p))
+            .copied()
+            .zip(precisions.iter().copied())
             .collect()
-    }
-
-    fn x() -> SparseVector {
-        SparseVector::new()
     }
 
     #[test]
     fn unanimous_requires_agreement() {
-        let all_yes =
-            MetaClassifier::new(members(&[1.0, 2.0, 0.5], &[1.0; 3]), MetaPolicy::Unanimous);
-        assert_eq!(all_yes.evaluate(&x()), MetaOutcome::Positive);
+        let all_yes = votes(&[1.0, 2.0, 0.5], &[1.0; 3]);
+        assert!(MetaPolicy::Unanimous.decide(all_yes).0);
 
-        let split =
-            MetaClassifier::new(members(&[1.0, 1.0, -1.0], &[1.0; 3]), MetaPolicy::Unanimous);
-        assert_eq!(split.evaluate(&x()), MetaOutcome::Abstain);
+        let split = votes(&[1.0, 1.0, -1.0], &[1.0; 3]);
+        let (accepted, conf) = MetaPolicy::Unanimous.decide(split);
+        assert!(!accepted, "a split committee abstains, which rejects");
+        assert!(conf < 0.0);
 
-        let all_no = MetaClassifier::new(
-            members(&[-1.0, -1.0, -2.0], &[1.0; 3]),
-            MetaPolicy::Unanimous,
-        );
-        assert_eq!(all_no.evaluate(&x()), MetaOutcome::Negative);
+        let all_no = votes(&[-1.0, -1.0, -2.0], &[1.0; 3]);
+        assert!(!MetaPolicy::Unanimous.decide(all_no).0);
     }
 
     #[test]
     fn majority_decides_by_count() {
-        let two_of_three =
-            MetaClassifier::new(members(&[1.0, 1.0, -1.0], &[1.0; 3]), MetaPolicy::Majority);
-        assert_eq!(two_of_three.evaluate(&x()), MetaOutcome::Positive);
+        let two_of_three = votes(&[1.0, 1.0, -1.0], &[1.0; 3]);
+        assert!(MetaPolicy::Majority.decide(two_of_three).0);
 
-        let one_of_three =
-            MetaClassifier::new(members(&[1.0, -1.0, -1.0], &[1.0; 3]), MetaPolicy::Majority);
-        assert_eq!(one_of_three.evaluate(&x()), MetaOutcome::Negative);
+        let one_of_three = votes(&[1.0, -1.0, -1.0], &[1.0; 3]);
+        assert!(!MetaPolicy::Majority.decide(one_of_three).0);
 
-        // Even split abstains (sum == 0).
-        let tie = MetaClassifier::new(members(&[1.0, -1.0], &[1.0; 2]), MetaPolicy::Majority);
-        assert_eq!(tie.evaluate(&x()), MetaOutcome::Abstain);
+        // An even split abstains (sum == 0), which rejects.
+        let tie = votes(&[1.0, -1.0], &[1.0; 2]);
+        assert!(!MetaPolicy::Majority.decide(tie).0);
     }
 
     #[test]
     fn weighted_average_respects_precision() {
         // One confident high-precision classifier outvotes two weak ones.
-        let m = MetaClassifier::new(
-            members(&[1.0, -1.0, -1.0], &[0.95, 0.3, 0.3]),
-            MetaPolicy::WeightedAverage,
-        );
-        assert_eq!(m.evaluate(&x()), MetaOutcome::Positive);
+        let heavy = votes(&[1.0, -1.0, -1.0], &[0.95, 0.3, 0.3]);
+        assert!(MetaPolicy::WeightedAverage.decide(heavy).0);
 
         // With equal precisions the majority wins instead.
-        let m = MetaClassifier::new(
-            members(&[1.0, -1.0, -1.0], &[0.5, 0.5, 0.5]),
+        let even = votes(&[1.0, -1.0, -1.0], &[0.5, 0.5, 0.5]);
+        assert!(!MetaPolicy::WeightedAverage.decide(even).0);
+    }
+
+    #[test]
+    fn empty_committee_rejects() {
+        for policy in [
+            MetaPolicy::Unanimous,
+            MetaPolicy::Majority,
             MetaPolicy::WeightedAverage,
-        );
-        assert_eq!(m.evaluate(&x()), MetaOutcome::Negative);
+        ] {
+            let (accepted, conf) = policy.decide(std::iter::empty());
+            assert!(!accepted, "{policy:?} accepted for an empty committee");
+            assert!(conf < 0.0);
+        }
     }
 
     #[test]
-    fn empty_meta_abstains() {
-        let m = MetaClassifier::new(vec![], MetaPolicy::Majority);
-        assert_eq!(m.evaluate(&x()), MetaOutcome::Abstain);
-        assert!(!m.decide(&x()).accept());
-    }
-
-    #[test]
-    fn decision_view_encodes_abstention_as_reject() {
-        let split = MetaClassifier::new(members(&[1.0, -1.0], &[1.0; 2]), MetaPolicy::Unanimous);
-        assert!(!split.decide(&x()).accept());
-        let yes = MetaClassifier::new(members(&[1.0, 1.0], &[1.0; 2]), MetaPolicy::Unanimous);
-        assert!(yes.decide(&x()).accept());
-    }
-
-    #[test]
-    fn mean_confidence_averages() {
-        let m = MetaClassifier::new(members(&[2.0, -1.0], &[1.0; 2]), MetaPolicy::Majority);
-        assert!((m.mean_confidence(&x()) - 0.5).abs() < 1e-6);
+    fn confidences_are_averaged() {
+        let (accepted, conf) = MetaPolicy::Majority.decide(votes(&[2.0, 1.0], &[1.0; 2]));
+        assert!(accepted);
+        assert_eq!(conf, 1.5);
+        // A rejection keeps the mean when it is already negative ...
+        let (accepted, conf) = MetaPolicy::Majority.decide(votes(&[-2.0, -1.0], &[1.0; 2]));
+        assert!(!accepted);
+        assert_eq!(conf, -1.5);
+        // ... and pushes a non-negative mean just below zero.
+        let (accepted, conf) = MetaPolicy::Unanimous.decide(votes(&[2.0, -1.0], &[1.0; 2]));
+        assert!(!accepted);
+        assert_eq!(conf, -f32::EPSILON);
     }
 }

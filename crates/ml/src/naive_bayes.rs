@@ -4,7 +4,7 @@
 //! classifier
 //! of Section 3.5 to combine with the SVM.
 
-use crate::{Classifier, Decision, TrainingSet};
+use crate::TrainingSet;
 use bingo_textproc::fxhash::FxHashMap;
 use bingo_textproc::SparseVector;
 use serde::{Deserialize, Serialize};
@@ -104,14 +104,6 @@ impl NaiveBayes {
     }
 }
 
-impl Classifier for NaiveBayes {
-    fn decide(&self, x: &SparseVector) -> Decision {
-        Decision {
-            score: self.score(x),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,8 +124,8 @@ mod tests {
     #[test]
     fn classifies_separable() {
         let nb = NaiveBayes::train(&set()).unwrap();
-        assert!(nb.decide(&v(&[(0, 2.0)])).accept());
-        assert!(!nb.decide(&v(&[(2, 2.0)])).accept());
+        assert!(nb.score(&v(&[(0, 2.0)])) >= 0.0);
+        assert!(nb.score(&v(&[(2, 2.0)])) < 0.0);
     }
 
     #[test]
@@ -164,8 +156,7 @@ mod tests {
     fn unseen_features_fall_back() {
         let nb = NaiveBayes::train(&set()).unwrap();
         // A document of only unseen features gets the smoothed default.
-        let d = nb.decide(&v(&[(99, 1.0)]));
-        assert!(d.score.is_finite());
+        assert!(nb.score(&v(&[(99, 1.0)])).is_finite());
     }
 
     #[test]
@@ -176,6 +167,6 @@ mod tests {
             ts.push(v(&[(2, 1.0)]), false);
         }
         let nb = NaiveBayes::train(&ts).unwrap();
-        assert!(!nb.decide(&SparseVector::new()).accept());
+        assert!(nb.score(&SparseVector::new()) < 0.0);
     }
 }

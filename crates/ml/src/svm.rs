@@ -22,7 +22,7 @@
 //! is the classifier's confidence.
 
 use crate::xi_alpha::XiAlphaEstimate;
-use crate::{Classifier, Decision, TrainingSet};
+use crate::TrainingSet;
 use bingo_textproc::SparseVector;
 use serde::{Deserialize, Serialize};
 
@@ -67,7 +67,7 @@ impl Default for SvmConfig {
 /// The trainer.
 ///
 /// ```
-/// use bingo_ml::{LinearSvm, TrainingSet, Classifier};
+/// use bingo_ml::{LinearSvm, TrainingSet};
 /// use bingo_textproc::SparseVector;
 ///
 /// let mut set = TrainingSet::new();
@@ -76,8 +76,8 @@ impl Default for SvmConfig {
 ///     set.push(SparseVector::from_pairs(vec![(10 + i % 4, 1.0)]), false);
 /// }
 /// let model = LinearSvm::default().train(&set).unwrap();
-/// assert!(model.decide(&SparseVector::from_pairs(vec![(1, 1.0)])).accept());
-/// assert!(!model.decide(&SparseVector::from_pairs(vec![(11, 1.0)])).accept());
+/// assert!(model.confidence(&SparseVector::from_pairs(vec![(1, 1.0)])) >= 0.0);
+/// assert!(model.confidence(&SparseVector::from_pairs(vec![(11, 1.0)])) < 0.0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LinearSvm {
@@ -274,14 +274,6 @@ impl TrainedSvm {
     }
 }
 
-impl Classifier for TrainedSvm {
-    fn decide(&self, x: &SparseVector) -> Decision {
-        Decision {
-            score: self.confidence(x),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,11 +297,11 @@ mod tests {
     fn learns_separable_data() {
         let svm = LinearSvm::default();
         let model = svm.train(&separable_set()).unwrap();
-        assert!(model.decide(&v(&[(0, 1.0)])).accept());
-        assert!(!model.decide(&v(&[(1, 1.0)])).accept());
+        assert!(model.confidence(&v(&[(0, 1.0)])) >= 0.0);
+        assert!(model.confidence(&v(&[(1, 1.0)])) < 0.0);
         // All training points classified correctly.
         for (x, p) in &separable_set().examples {
-            assert_eq!(model.decide(x).accept(), *p);
+            assert_eq!(model.confidence(x) >= 0.0, *p);
         }
     }
 
@@ -342,7 +334,7 @@ mod tests {
         let correct = ts
             .examples
             .iter()
-            .filter(|(x, p)| model.decide(x).accept() == *p)
+            .filter(|(x, p)| (model.confidence(x) >= 0.0) == *p)
             .count();
         assert!(correct as f32 / ts.len() as f32 > 0.9);
     }
@@ -356,8 +348,8 @@ mod tests {
             ts.push(v(&[(0, 1.0 + i as f32 * 0.05)]), false);
         }
         let model = LinearSvm::default().train(&ts).unwrap();
-        assert!(model.decide(&v(&[(0, 4.0)])).accept());
-        assert!(!model.decide(&v(&[(0, 0.5)])).accept());
+        assert!(model.confidence(&v(&[(0, 4.0)])) >= 0.0);
+        assert!(model.confidence(&v(&[(0, 0.5)])) < 0.0);
         assert!(model.bias != 0.0);
     }
 

@@ -5,7 +5,7 @@ use bingo_ml::feature_selection::{FeatureSelection, FeatureSelectionConfig};
 use bingo_ml::kmeans::{KMeans, KMeansConfig};
 use bingo_ml::svm::LinearSvm;
 use bingo_ml::xi_alpha::XiAlphaEstimate;
-use bingo_ml::{Classifier, NaiveBayes, TrainingSet};
+use bingo_ml::{NaiveBayes, TrainingSet};
 use bingo_textproc::SparseVector;
 use proptest::prelude::*;
 
@@ -121,8 +121,7 @@ proptest! {
         }
         let model = LinearSvm::default().train(&set).unwrap();
         let x = SparseVector::from_pairs(probe);
-        let d = model.decide(&x);
-        prop_assert!(d.score.is_finite());
+        prop_assert!(model.confidence(&x).is_finite());
     }
 
     #[test]
@@ -139,8 +138,8 @@ proptest! {
         let mut xk = x.clone();
         xk.scale(k);
         // Scaling a positive-side input must not flip the decision.
-        prop_assert!(model.decide(&x).accept());
-        prop_assert!(model.decide(&xk).accept());
+        prop_assert!(model.confidence(&x) >= 0.0);
+        prop_assert!(model.confidence(&xk) >= 0.0);
         prop_assert!(model.confidence(&xk) >= model.confidence(&x) - 1e-4);
     }
 

@@ -60,9 +60,6 @@ pub enum RankingScheme {
     Confidence,
     /// HITS authority score over the matching documents' link subgraph.
     Authority,
-    /// PageRank over the matching documents' link subgraph (extension
-    /// beyond the paper's HITS-only postprocessor).
-    PageRank,
     /// Weighted linear combination of the three components.
     Combined {
         /// Weight of the cosine component.
@@ -161,20 +158,9 @@ pub fn rank<I: TermIndex + ?Sized>(
     if needs_authority(scheme) && !matches.is_empty() {
         let base: Vec<PageId> = matches.iter().map(|h| h.doc_id).collect();
         let nodes = bingo_graph::expand_base_set(store, &base, 10);
-        if scheme == RankingScheme::PageRank {
-            let pr = bingo_graph::pagerank(
-                store as &dyn LinkSource,
-                &nodes,
-                bingo_graph::PageRankConfig::default(),
-            );
-            for m in &mut matches {
-                m.authority = pr.score_of(m.doc_id) as f32;
-            }
-        } else {
-            let hits = Hits::default().run(store as &dyn LinkSource, &nodes);
-            for m in &mut matches {
-                m.authority = hits.authority_of(m.doc_id) as f32;
-            }
+        let hits = Hits::default().run(store as &dyn LinkSource, &nodes);
+        for m in &mut matches {
+            m.authority = hits.authority_of(m.doc_id) as f32;
         }
     }
 
@@ -182,7 +168,7 @@ pub fn rank<I: TermIndex + ?Sized>(
         m.score = match scheme {
             RankingScheme::Cosine => m.cosine,
             RankingScheme::Confidence => m.confidence,
-            RankingScheme::Authority | RankingScheme::PageRank => m.authority,
+            RankingScheme::Authority => m.authority,
             RankingScheme::Combined {
                 cosine,
                 confidence,
@@ -210,7 +196,7 @@ pub fn rank<I: TermIndex + ?Sized>(
 
 fn needs_authority(scheme: RankingScheme) -> bool {
     match scheme {
-        RankingScheme::Authority | RankingScheme::PageRank => true,
+        RankingScheme::Authority => true,
         RankingScheme::Combined { authority, .. } => authority != 0.0,
         _ => false,
     }
@@ -308,23 +294,6 @@ mod tests {
             10,
         );
         assert!(exact.iter().all(|h| h.doc_id == 5));
-    }
-
-    #[test]
-    fn pagerank_ranking_prefers_linked_doc() {
-        let (store, vocab) = sample_store();
-        let index = InvertedIndex::build(&store);
-        let q = analyze_query(&vocab, "recovery");
-        let hits = rank(
-            &store,
-            &index,
-            &q,
-            &TopicFilter::Exact(1),
-            RankingScheme::PageRank,
-            3,
-        );
-        assert_eq!(hits[0].doc_id, 1, "doc 1 has all in-links");
-        assert!(hits[0].authority > 0.0);
     }
 
     #[test]

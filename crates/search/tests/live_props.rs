@@ -10,11 +10,10 @@ use bingo_store::{DocumentRow, DocumentStore, LinkRow};
 use bingo_textproc::MimeType;
 use proptest::prelude::*;
 
-const SCHEMES: [RankingScheme; 5] = [
+const SCHEMES: [RankingScheme; 4] = [
     RankingScheme::Cosine,
     RankingScheme::Confidence,
     RankingScheme::Authority,
-    RankingScheme::PageRank,
     RankingScheme::Combined {
         cosine: 1.0,
         confidence: 0.5,
