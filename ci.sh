@@ -12,7 +12,7 @@
 #   ci.yml (every push/PR) — five parallel jobs sharing one cargo
 #   cache, each invoking this script with a CI_STEPS selector:
 #     lint   -> CI_STEPS=lint  ./ci.sh   (fmt, no-wall-clock guard,
-#               clippy, rustdoc)
+#               code ledger, clippy, rustdoc)
 #     test   -> CI_STEPS=test  ./ci.sh   (release build + full tests,
 #               plus the standalone benchmark/ crate's own tests, so
 #               a change to the API it uses fails here)
@@ -132,6 +132,25 @@ no_wall_clock() {
     fi
 }
 
+# The code ledger ROADMAP.md keeps: non-test lines of each crate's
+# src/, counting each file's lines before its first #[cfg(test)].
+# Prints only; it gates nothing.
+code_ledger() {
+    total=0
+    for src in crates/*/src; do
+        crate=${src#crates/}
+        crate=${crate%/src}
+        n=$(find "$src" -name '*.rs' -exec awk '
+            FNR == 1 { skip = 0 }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
+            !skip { n++ }
+            END { print n + 0 }' {} +)
+        printf '    %-10s %6d\n' "$crate" "$n"
+        total=$((total + n))
+    done
+    printf '    %-10s %6d\n' total "$total"
+}
+
 # The committed experiments_*.json (and the EXPERIMENTS.md tables
 # quoting them) are pure functions of the seeds in the exp_* harnesses.
 # Rerun every harness in a scratch directory and require byte-identical
@@ -183,6 +202,8 @@ if wants lint; then
     step "cargo fmt --check" cargo fmt --all -- --check
 
     step "no wall clock in product crates" no_wall_clock
+
+    step "code ledger (non-test lines per crate)" code_ledger
 fi
 
 if wants test; then

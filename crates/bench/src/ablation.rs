@@ -141,13 +141,11 @@ pub fn run_variant(cfg: &AblationConfig, variant: Variant) -> VariantResult {
     if variant == Variant::NoTunnelling {
         learn_config.max_tunnel = 0;
     }
-    let mut config = learn_config.clone();
-    if variant == Variant::SoftOnly {
-        config = config.harvesting();
-        if variant == Variant::NoTunnelling {
-            config.max_tunnel = 0;
-        }
-    }
+    let config = if variant == Variant::SoftOnly {
+        learn_config.harvesting()
+    } else {
+        learn_config
+    };
     let mut crawler = Crawler::new(world.clone(), config, DocumentStore::new());
     for url in &seeds {
         crawler.add_seed(url, Some(topic.0));
@@ -155,9 +153,9 @@ pub fn run_variant(cfg: &AblationConfig, variant: Variant) -> VariantResult {
 
     match variant {
         Variant::SoftOnly => {
+            // The crawler already runs the harvesting config; this
+            // only moves the engine into its harvesting phase.
             engine.switch_to_harvesting(&mut crawler);
-            // switch_to_harvesting resets tunnel config from the
-            // learning config; keep the variant's tunnel setting.
             engine.crawl_until(&mut crawler, cfg.total_ms, 0);
         }
         Variant::SharpOnly => {
@@ -172,10 +170,8 @@ pub fn run_variant(cfg: &AblationConfig, variant: Variant) -> VariantResult {
         _ => {
             engine.crawl_until(&mut crawler, cfg.learning_ms, 0);
             engine.retrain(&mut crawler);
+            // `harvesting()` keeps `max_tunnel`: NoTunnelling stays at 0.
             engine.switch_to_harvesting(&mut crawler);
-            if variant == Variant::NoTunnelling {
-                crawler.config.max_tunnel = 0;
-            }
             engine.crawl_until(&mut crawler, cfg.total_ms, 0);
         }
     }

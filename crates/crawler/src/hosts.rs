@@ -41,7 +41,9 @@ pub struct BreakerConfig {
     pub base_backoff_ms: u64,
     /// Ceiling on the open deadline.
     pub max_backoff_ms: u64,
-    /// Jitter amplitude around the deadline, in per-mille of it.
+    /// Jitter amplitude around the deadline, in per-mille of it. Values
+    /// above 1000 act as 1000: a deadline moves by at most its own
+    /// length either way.
     pub jitter_permille: u16,
     /// Open→half-open→open round trips before the host is declared dead.
     pub max_open_cycles: u32,
@@ -67,20 +69,29 @@ impl BreakerConfig {
 
     /// `base << exponent` (an exponent of at most 20), capped by
     /// `max_backoff_ms`, at least 1, then moved by up to
-    /// `jitter_permille` of itself either way by a hash of `key`, so that
-    /// co-failing hosts or URLs do not retry in lockstep.
+    /// `jitter_permille` (at most 1000) of itself either way by a hash of
+    /// `key`, so that co-failing hosts or URLs do not retry in lockstep.
+    /// No input overflows: a deadline past `u64::MAX` saturates there.
     pub(crate) fn jittered_backoff(&self, base: u64, exponent: u32, key: &impl Hash) -> u64 {
         let base = base
             .checked_shl(exponent.min(20))
             .unwrap_or(u64::MAX)
             .min(self.max_backoff_ms)
             .max(1);
-        let amplitude = base * self.jitter_permille as u64 / 1000;
+        let permille = u64::from(self.jitter_permille.min(1000));
+        // `base * permille / 1000`, split so that no product overflows;
+        // at most `base`.
+        let amplitude = base / 1000 * permille + base % 1000 * permille / 1000;
         if amplitude == 0 {
             return base;
         }
-        // Hash in [0, 2*amplitude], centered on the capped base.
-        base - amplitude + fxhash::hash_one(key) % (2 * amplitude + 1)
+        // Hash in [0, 2*amplitude], centered on the capped base. A
+        // modulus past `u64::MAX` leaves every hash as it is.
+        let hash = fxhash::hash_one(key);
+        let offset = (2 * u128::from(amplitude) + 1)
+            .try_into()
+            .map_or(hash, |modulus: u64| hash % modulus);
+        (base - amplitude).saturating_add(offset)
     }
 }
 
@@ -310,7 +321,7 @@ impl HostManager {
             h.state = BreakerState::Dead;
             return FailureOutcome::Died;
         }
-        let until_ms = now_ms + config.backoff_ms(host, h.open_cycles);
+        let until_ms = now_ms.saturating_add(config.backoff_ms(host, h.open_cycles));
         h.state = BreakerState::Open { until_ms };
         h.open_cycles += 1;
         h.consecutive_failures = 0;
@@ -502,5 +513,51 @@ mod tests {
         let (h2, v2) = r.snapshot();
         assert_eq!(format!("{h2:?}"), format!("{health:?}"));
         assert_eq!(v2, visited);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2_000))]
+
+        /// Over the full ranges of its inputs (magnitudes spread by a
+        /// shift), a jittered backoff never overflows and lands within
+        /// the capped base plus or minus its amplitude; where the
+        /// arithmetic it replaced could not overflow, it is bit-exact.
+        #[test]
+        fn jittered_backoff_never_overflows_and_stays_in_its_band(
+            base_bits in proptest::prelude::any::<u64>(),
+            base_shift in 0u32..64,
+            cap_bits in proptest::prelude::any::<u64>(),
+            cap_shift in 0u32..64,
+            exponent in proptest::prelude::any::<u32>(),
+            permille in proptest::prelude::any::<u16>(),
+            in_range in 0u16..2,
+            key in proptest::prelude::any::<u64>(),
+        ) {
+            let jitter_permille = if in_range == 1 { permille % 1001 } else { permille };
+            let config = BreakerConfig {
+                max_backoff_ms: cap_bits >> cap_shift,
+                jitter_permille,
+                ..BreakerConfig::default()
+            };
+            let base = base_bits >> base_shift;
+            let got = u128::from(config.jittered_backoff(base, exponent, &key));
+            let capped = base
+                .checked_shl(exponent.min(20))
+                .unwrap_or(u64::MAX)
+                .min(config.max_backoff_ms)
+                .max(1);
+            let amplitude = u128::from(capped) * u128::from(jitter_permille.min(1000)) / 1000;
+            proptest::prop_assert!(got + amplitude >= u128::from(capped));
+            proptest::prop_assert!(got <= u128::from(capped) + amplitude);
+            if jitter_permille <= 1000 && capped < 1 << 40 {
+                let amplitude = capped * u64::from(jitter_permille) / 1000;
+                let old = if amplitude == 0 {
+                    capped
+                } else {
+                    capped - amplitude + fxhash::hash_one(&key) % (2 * amplitude + 1)
+                };
+                proptest::prop_assert_eq!(got, u128::from(old));
+            }
+        }
     }
 }

@@ -65,7 +65,7 @@ pub use hosts::{
 pub use pipeline::{BatchJudge, DocOutcome, DocPipeline, FetchedDoc, PipelineMetrics};
 pub use step::{Crawler, StepOutcome};
 pub use telemetry::CrawlTelemetry;
-pub use threaded::{run_pipeline, FaultPlan, FaultStage, PipelineOptions, ThroughputReport};
+pub use threaded::{run_pipeline, PipelineOptions, ThroughputReport};
 pub use types::{
     CrawlConfig, CrawlStats, CrawlStrategy, FocusRule, Judgment, PageContext, UrlRejection,
 };

@@ -818,7 +818,7 @@ impl Crawler {
                 attempt: entry.attempt + 1,
                 ..entry
             },
-            now + backoff,
+            now.saturating_add(backoff),
         );
         true
     }

@@ -65,14 +65,12 @@ pub struct CrawlTelemetry {
     pub checkpoint_bytes: Arc<Histogram>,
     /// Old checkpoint generations pruned after successful saves.
     pub checkpoint_pruned: Counter,
-    /// Worker panics caught by the threaded executor's supervisor.
+    /// Batch panics caught by the threaded executor's workers.
     pub worker_panics: Counter,
-    /// URLs requeued after riding in a panicked batch.
+    /// Solo re-runs of items that rode in a panicked batch.
     pub worker_requeued: Counter,
     /// URLs quarantined after exhausting their poison budget.
     pub worker_quarantined: Counter,
-    /// Replacement workers spawned by the supervisor.
-    pub worker_restarts: Counter,
     /// Document-analysis metrics (tokenize/vectorize volume and cost).
     pub textproc: TextprocMetrics,
     /// Per-stage document-pipeline metrics (queue depths, batch sizes,
@@ -114,7 +112,6 @@ impl CrawlTelemetry {
             worker_panics: registry.counter("crawl.worker.panics"),
             worker_requeued: registry.counter("crawl.worker.requeued"),
             worker_quarantined: registry.counter("crawl.worker.quarantined"),
-            worker_restarts: registry.counter("crawl.worker.restarts"),
             textproc: TextprocMetrics::new(registry.clone()),
             pipeline: PipelineMetrics::new(&registry),
             dedup_hot: registry.gauge("crawl.dedup.hot"),

@@ -3,7 +3,9 @@
 //! of its document budget and resumed from the last automatic
 //! checkpoint converges to the harvest ratio of an uninterrupted run.
 
-use bingo_crawler::{BreakerState, CrawlConfig, Crawler, Judgment, PageContext, StepOutcome};
+use bingo_crawler::{
+    BreakerConfig, BreakerState, CrawlConfig, Crawler, Judgment, PageContext, StepOutcome,
+};
 use bingo_store::durable::CrashFs;
 use bingo_store::DocumentStore;
 use bingo_textproc::{AnalyzedDocument, Vocabulary};
@@ -70,6 +72,29 @@ fn different_seeds_differ() {
     let (stats_a, _) = run_to_end(&mut chaos_crawler(77, base_config()));
     let (stats_b, _) = run_to_end(&mut chaos_crawler(78, base_config()));
     assert_ne!(stats_a, stats_b);
+}
+
+#[test]
+fn jitter_beyond_a_full_deadline_acts_as_a_full_deadline() {
+    // `jitter_permille` above 1000 is clamped: a breaker deadline and a
+    // retry backoff move by at most their own length, so a chaos crawl
+    // neither panics on the subtraction (debug) nor wraps its deadlines
+    // towards 2^64 (release).
+    let config = CrawlConfig {
+        breaker: BreakerConfig {
+            jitter_permille: 2_000,
+            ..BreakerConfig::default()
+        },
+        ..base_config()
+    };
+    let mut crawler = chaos_crawler(77, config);
+    let (_, ids) = run_to_end(&mut crawler);
+    assert!(!ids.is_empty(), "chaos crawl must store documents");
+    let stats = crawler.stats();
+    assert!(stats.breaker_opened > 0, "no breaker tripped");
+    assert!(stats.retries > 0, "no retry backed off");
+    let ceiling = 2 * BreakerConfig::default().max_backoff_ms;
+    assert!(stats.backoff_wait_ms <= stats.retries * ceiling);
 }
 
 #[test]

@@ -19,9 +19,11 @@
 //! executors are allowed to keep different representatives of a
 //! duplicate class.
 
+mod support;
+
 use bingo_crawler::{
-    CrawlConfig, CrawlTelemetry, Crawler, FaultPlan, FaultStage, Judgment, PageContext,
-    PipelineOptions, StepOutcome,
+    BatchJudge, CrawlConfig, CrawlTelemetry, Crawler, Judgment, PageContext, PipelineOptions,
+    StepOutcome,
 };
 use bingo_store::{DocumentStore, LinkRow};
 use bingo_textproc::fxhash::{FxHashMap, FxHashSet};
@@ -29,6 +31,7 @@ use bingo_textproc::{AnalyzedDocument, SharedVocabulary, TermId, Vocabulary};
 use bingo_webworld::gen::WorldConfig;
 use bingo_webworld::{FetchOutcome, HostBehavior, World};
 use std::sync::Arc;
+use support::PanicJudge;
 
 /// Hosts whose every page fetches cleanly (no redirects, truncation or
 /// scripted faults) and collides with no other selected page on either
@@ -323,37 +326,28 @@ fn panic_injected_run_matches_calm_run_minus_quarantined() {
     let urls = calm_urls(&world, &calm_hosts(&world));
     assert!(urls.len() >= 10, "world too hostile for the test");
 
-    let run = |fault: Option<FaultPlan>| {
+    let run = |judge: &dyn BatchJudge| {
         let store = DocumentStore::new();
         let shared = SharedVocabulary::new();
-        let opts = match fault {
-            Some(fault) => PipelineOptions::flat(4, 8).with_fault(fault),
-            None => PipelineOptions::flat(4, 8),
-        };
         let report = bingo_crawler::run_pipeline(
             Arc::clone(&world),
             store.clone(),
             urls.iter().map(|u| (u.clone(), None)).collect(),
             &shared,
-            &accept_all,
+            judge,
             &CrawlTelemetry::default(),
-            &opts,
+            &PipelineOptions::flat(4, 8),
         );
         ((store, shared.snapshot()), report)
     };
 
-    let (calm_store, calm_report) = run(None);
+    let (calm_store, calm_report) = run(&accept_all);
     assert!(calm_report.quarantined.is_empty());
 
-    let fault = FaultPlan {
-        seed: 5,
-        one_in: 6,
-        panics_per_url: u32::MAX, // deterministic crashers
-        stage: FaultStage::Classify,
-    };
-    let poisoned: Vec<String> = urls.iter().filter(|u| fault.selects(u)).cloned().collect();
-    assert!(!poisoned.is_empty(), "plan must poison at least one URL");
-    let (faulted_store, report) = run(Some(fault));
+    let judge = PanicJudge::new(5, 6, u32::MAX); // deterministic crashers
+    let poisoned: Vec<String> = urls.iter().filter(|u| judge.selects(u)).cloned().collect();
+    assert!(!poisoned.is_empty(), "judge must poison at least one URL");
+    let (faulted_store, report) = run(&judge);
     assert_eq!(report.quarantined, poisoned, "exactly the poisoned URLs");
 
     let poisoned: FxHashSet<String> = poisoned.into_iter().collect();
