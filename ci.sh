@@ -133,22 +133,32 @@ no_wall_clock() {
 }
 
 # The code ledger ROADMAP.md keeps: non-test lines of each crate's
-# src/, counting each file's lines before its first #[cfg(test)].
-# Prints only; it gates nothing.
+# src/, counting each file's lines before its first #[cfg(test)]. Beside
+# them, each crate's test lines: those #[cfg(test)] tails plus
+# crates/<crate>/tests/, so that a "reduction" which only moved code
+# into tests shows. Prints only; it gates nothing.
 code_ledger() {
     total=0
+    total_tests=0
+    printf '    %-10s %6s %6s\n' crate code tests
     for src in crates/*/src; do
         crate=${src#crates/}
         crate=${crate%/src}
-        n=$(find "$src" -name '*.rs' -exec awk '
+        set -- $(find "$src" -name '*.rs' -exec awk '
             FNR == 1 { skip = 0 }
             /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
-            !skip { n++ }
-            END { print n + 0 }' {} +)
-        printf '    %-10s %6d\n' "$crate" "$n"
+            { if (skip) t++; else n++ }
+            END { print n + 0, t + 0 }' {} +)
+        n=$1
+        t=$2
+        if [ -d "crates/$crate/tests" ]; then
+            t=$((t + $(find "crates/$crate/tests" -name '*.rs' -exec cat {} + | wc -l)))
+        fi
+        printf '    %-10s %6d %6d\n' "$crate" "$n" "$t"
         total=$((total + n))
+        total_tests=$((total_tests + t))
     done
-    printf '    %-10s %6d\n' total "$total"
+    printf '    %-10s %6d %6d\n' total "$total" "$total_tests"
 }
 
 # The committed experiments_*.json (and the EXPERIMENTS.md tables
@@ -203,7 +213,7 @@ if wants lint; then
 
     step "no wall clock in product crates" no_wall_clock
 
-    step "code ledger (non-test lines per crate)" code_ledger
+    step "code ledger (non-test and test lines per crate)" code_ledger
 fi
 
 if wants test; then

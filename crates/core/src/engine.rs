@@ -5,7 +5,7 @@
 use crate::model::{features_from_term_freqs, HitBuffers, ModelConfig, TopicModel};
 use crate::telemetry::EngineTelemetry;
 use crate::topic::{TopicId, TopicTree, TrainingDoc};
-use bingo_crawler::{Assess, Crawler, DocumentJudge, Judgment, PageContext, StepOutcome};
+use bingo_crawler::{Assess, Crawler, Judgment, PageContext, StepOutcome};
 use bingo_graph::{expand_base_set, Hits, LinkSource};
 use bingo_ml::meta::MetaPolicy;
 use bingo_obs::Event;
@@ -453,7 +453,7 @@ impl BingoEngine {
             crawler.crawl_ahead(
                 deadline_ms,
                 &assess,
-                &mut |ctx, assessed| ledger.record(ctx, assessed),
+                &mut |_, ctx, assessed| ledger.record(ctx, assessed),
                 vocab,
                 workers,
                 &mut |outcome| {
@@ -480,8 +480,12 @@ impl BingoEngine {
 
     /// One crawl step with this engine as the judge.
     pub fn judge_step(&mut self, crawler: &mut Crawler) -> StepOutcome {
-        let (assess, ledger, vocab) = self.judge_halves();
-        crawler.step(&mut EngineJudge { assess, ledger }, vocab)
+        let (assess, mut ledger, vocab) = self.judge_halves();
+        let mut judge = |doc: &AnalyzedDocument, ctx: &PageContext| {
+            let assessed = assess.assess(doc, &ctx.anchor_terms, &ctx.neighbor_terms);
+            ledger.record(ctx, assessed)
+        };
+        crawler.step(&mut judge, vocab)
     }
 
     /// The crawl-time judge in its two halves — the classifier, and the
@@ -801,9 +805,9 @@ impl BingoEngine {
 /// on every worker against one handle. Obtain one via
 /// [`BingoEngine::batch_classifier`].
 ///
-/// Unlike the crawl-time `EngineJudge` this handle performs *no*
-/// corpus or archetype-candidate bookkeeping — it is the harvesting
-/// fast path, where throughput matters and retraining is off.
+/// Unlike the crawl-time judge, this handle performs *no* corpus or
+/// archetype-candidate bookkeeping — it is the harvesting fast path,
+/// where throughput matters and retraining is off.
 #[derive(Clone, Copy)]
 pub struct TopicClassifier<'a> {
     tree: &'a TopicTree,
@@ -1006,22 +1010,6 @@ impl Ledger<'_> {
             }
         }
         judgment
-    }
-}
-
-/// The crawl-time judge of [`BingoEngine::judge_step`]: both halves, one
-/// page at a time.
-struct EngineJudge<'a> {
-    assess: TopicClassifier<'a>,
-    ledger: Ledger<'a>,
-}
-
-impl DocumentJudge for EngineJudge<'_> {
-    fn judge(&mut self, doc: &AnalyzedDocument, ctx: &PageContext) -> Judgment {
-        let assessed = self
-            .assess
-            .assess(doc, &ctx.anchor_terms, &ctx.neighbor_terms);
-        self.ledger.record(ctx, assessed)
     }
 }
 

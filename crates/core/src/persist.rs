@@ -195,9 +195,9 @@ pub const ENGINE_FILE: &str = "engine.json";
 /// byte of the write leaves the previous generation untouched. Together
 /// with [`load_session`] this is the "overnight crawl" workflow with
 /// crash tolerance: a killed harvest resumes from the last complete
-/// generation written by this function (or by the crawler's automatic
-/// checkpoint interval, which writes the same layout minus the engine
-/// file).
+/// generation written by this function. (The crawler's automatic
+/// checkpoint interval writes the same layout minus the engine file;
+/// [`load_session`] skips those generations.)
 pub fn save_session<P: AsRef<std::path::Path>>(
     engine: &BingoEngine,
     crawler: &bingo_crawler::Crawler,
@@ -231,31 +231,27 @@ pub fn save_session_with<P: AsRef<std::path::Path>>(
 
 /// Resume a crawl session saved by [`save_session`]: rebuilds the
 /// engine and a crawler positioned exactly where the crawl stopped.
-/// `world` and `config` must match the original crawl. The engine comes
-/// from the newest complete generation that carries an engine snapshot
-/// (automatic crawl checkpoints do not); the crawler from the newest
-/// complete generation overall. Only manifest-committed files are ever
-/// loaded.
+/// `world` and `config` must match the original crawl. Both come from
+/// one generation: the newest complete one that carries an engine
+/// snapshot and whose store opens. The crawler's automatic checkpoints
+/// ([`bingo_crawler::CrawlConfig::checkpoint_dir`]) write crawler-only
+/// generations, which are skipped here; once they have pruned every
+/// generation this function wrote, the session fails to load. Only
+/// manifest-committed files are ever loaded.
 pub fn load_session<P: AsRef<std::path::Path>>(
     world: std::sync::Arc<bingo_webworld::World>,
     config: bingo_crawler::CrawlConfig,
     dir: P,
 ) -> Result<(BingoEngine, bingo_crawler::Crawler), EngineError> {
-    let dir = dir.as_ref();
-    let engine_path = bingo_store::durable::complete_generations(dir)
-        .into_iter()
-        .find(|g| g.manifest.files.iter().any(|f| f.name == ENGINE_FILE))
-        .map(|g| g.dir.join(ENGINE_FILE))
-        .ok_or_else(|| {
-            EngineError::Persist(format!(
-                "no complete generation with an engine snapshot in {}",
-                dir.display()
-            ))
-        })?;
-    let file = std::fs::File::open(engine_path).map_err(|e| EngineError::Persist(e.to_string()))?;
-    let engine = load_engine(std::io::BufReader::new(file))?;
-    let crawler = bingo_crawler::Crawler::resume_session(world, config, dir)
+    let holds_engine = |g: &bingo_store::durable::CompleteGeneration| {
+        g.manifest.files.iter().any(|f| f.name == ENGINE_FILE)
+    };
+    let (crawler, generation) =
+        bingo_crawler::Crawler::resume_generation(world, config, dir.as_ref(), holds_engine)
+            .map_err(|e| EngineError::Persist(format!("session with an engine snapshot: {e}")))?;
+    let file = std::fs::File::open(generation.dir.join(ENGINE_FILE))
         .map_err(|e| EngineError::Persist(e.to_string()))?;
+    let engine = load_engine(std::io::BufReader::new(file))?;
     Ok((engine, crawler))
 }
 
@@ -525,6 +521,65 @@ mod tests {
         let more = engine2.crawl_until(&mut resumed, u64::MAX, 0);
         assert!(more > 0, "resumed session must continue the harvest");
         assert!(resumed.stats().stored_pages > mid_stored);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn session_loads_engine_and_crawl_from_one_generation() {
+        use bingo_crawler::{CrawlConfig, Crawler};
+        use bingo_store::DocumentStore;
+        use std::sync::Arc;
+
+        // Save a session at 3,000 ms, then crawl on to 4,000 ms with
+        // automatic checkpoints, which add crawler-only generations.
+        let crawl = |every: u64, dir: &std::path::Path| {
+            let (mut engine, world, _topic) = trained_engine();
+            let world = Arc::new(world);
+            let config = CrawlConfig {
+                max_depth: 0,
+                checkpoint_every_docs: every,
+                checkpoint_dir: Some(dir.to_path_buf()),
+                ..CrawlConfig::default()
+            };
+            std::fs::remove_dir_all(dir).ok();
+            let mut crawler = Crawler::new(world.clone(), config.clone(), DocumentStore::new());
+            crawler.add_seed(&world.url_of(1), None);
+            engine.crawl_until(&mut crawler, 3_000, 0);
+            save_session(&engine, &crawler, dir).unwrap();
+            let saved = (
+                serde_json::to_string(&crawler.checkpoint()).unwrap(),
+                engine.vocab.len(),
+            );
+            let written = crawler.stats().checkpoints_written;
+            engine.crawl_until(&mut crawler, 4_000, 0);
+            assert!(crawler.stats().checkpoints_written > written);
+            (world, config, saved)
+        };
+
+        // One automatic generation on top of the saved one: the crawl
+        // resumes from the saved generation, whose dictionary names
+        // every term its store holds.
+        let dir = std::env::temp_dir().join("bingo-session-pairing-test");
+        let (world, config, (checkpoint, vocab_len)) = crawl(15, &dir);
+        let (engine, resumed) = load_session(world, config, &dir).unwrap();
+        assert_eq!(
+            serde_json::to_string(&resumed.checkpoint()).unwrap(),
+            checkpoint
+        );
+        assert_eq!(engine.vocab.len(), vocab_len);
+        resumed.store().for_each_document(|row| {
+            for &(t, _) in &row.term_freqs {
+                assert!((t as usize) < vocab_len, "term {t} past the dictionary");
+            }
+        });
+
+        // Enough automatic generations to prune the saved one: the
+        // session fails closed.
+        let (world, config, _) = crawl(5, &dir);
+        match load_session(world, config, &dir) {
+            Err(EngineError::Persist(msg)) => assert!(msg.contains("engine snapshot"), "{msg}"),
+            other => panic!("expected a persist error, got {:?}", other.map(|_| ())),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

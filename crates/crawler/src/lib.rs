@@ -36,10 +36,13 @@
 //!   executor that pulls batches through the same pipeline for raw
 //!   throughput measurements ([`threaded`]).
 //!
-//! Classification is pluggable through the [`DocumentJudge`] trait; the
-//! BINGO! engine (crate `bingo-core`) implements it with the hierarchical
-//! SVM classifier and drives phase switches and retraining between crawl
-//! steps.
+//! Classification is pluggable: [`Crawler::crawl_ahead`] judges each
+//! page with an [`Assess`] half, which lookahead workers may run ahead
+//! of the pop, and a commit closure applied in pop order;
+//! [`Crawler::step`] takes a whole [`DocumentJudge`], a split judge whose
+//! assessment is empty. The BINGO! engine (crate `bingo-core`) judges
+//! with its hierarchical SVM classifier and drives phase switches and
+//! retraining between crawl steps.
 #![forbid(unsafe_code)]
 
 pub mod checkpoint;

@@ -230,11 +230,11 @@ impl Schedule {
     /// entry went back to the frontier, put the request back for the
     /// entry's next pop: a request follows its URL until the URL leaves
     /// the frontier.
-    pub(crate) fn settle<T>(
+    pub(crate) fn settle<A: Assess>(
         &mut self,
         ticket: Ticket,
         metrics: &LookaheadMetrics,
-        pool: &mut (dyn Ahead<T> + '_),
+        pool: &mut Pool<'_, A>,
     ) {
         let mut request = ticket.request;
         if ticket.comes_back {
@@ -345,14 +345,6 @@ type Answer<T> = (u64, Option<Prepared<T>>);
 /// A worker thread, returning its replica — `None` after a panic.
 type Worker<'s> = ScopedJoinHandle<'s, Option<Vocabulary>>;
 
-/// Where a step's commit finds the preparations made ahead of it.
-pub(crate) trait Ahead<T> {
-    /// The preparation of job `seq`; `None` means prepare inline.
-    fn take(&mut self, seq: u64, vocab: &mut Vocabulary) -> Option<Prepared<T>>;
-    /// Job `seq` will not be taken.
-    fn abandon(&mut self, seq: u64);
-}
-
 /// The workers of one epoch, as the crawl thread sees them. Jobs wait on
 /// one shared queue, oldest first. When the crawl thread needs a job no
 /// worker has started, it takes it back and prepares the page inline;
@@ -453,10 +445,13 @@ impl<'s, A: Assess> Pool<'s, A> {
             _ => {}
         }
     }
-}
 
-impl<A: Assess> Ahead<A::Assessment> for Pool<'_, A> {
-    fn take(&mut self, seq: u64, vocab: &mut Vocabulary) -> Option<Prepared<A::Assessment>> {
+    /// The preparation of job `seq`; `None` means prepare inline.
+    pub(crate) fn take(
+        &mut self,
+        seq: u64,
+        vocab: &mut Vocabulary,
+    ) -> Option<Prepared<A::Assessment>> {
         loop {
             while let Ok(answer) = self.answers.try_recv() {
                 if answer.0 == seq {
@@ -486,6 +481,7 @@ impl<A: Assess> Ahead<A::Assessment> for Pool<'_, A> {
         }
     }
 
+    /// Job `seq` will not be taken.
     fn abandon(&mut self, seq: u64) {
         if self.ready.remove(&seq).is_none() && !self.unqueue(seq) {
             self.abandoned.insert(seq);

@@ -5,18 +5,21 @@
 //! earliest-free simulated thread: frontier pop → hygiene guards → DNS →
 //! fetch (with redirect/timeout handling), then the post-fetch core
 //! ([`crate::pipeline`]) — MIME/size filter → duplicate fingerprints →
-//! content conversion → document analysis → classification via the
-//! pluggable [`DocumentJudge`] → bulk-load → settle → focus decision.
+//! content conversion → document analysis → classification by the
+//! judge → bulk-load → settle → focus decision.
 //! This module is the scheduler: the virtual clock, the frontier,
 //! politeness slots, breakers and retries. Virtual time advances by the
 //! real latencies the simulated network reports, so wall-clock budgets
 //! ("a 90-minute crawl") are meaningful and deterministic.
 //!
-//! [`Crawler::crawl_ahead`] runs the same steps on real cores: worker
-//! threads fetch, analyze and assess the entries the frontier will pop
-//! next ([`crate::lookahead`]), and each step commits in pop order,
-//! using a preparation only when its inputs are the ones the step itself
-//! would have used. Its stores, term ids and clock are those of
+//! The loop knows one judge type, a split judge: an [`Assess`] half and
+//! a commit closure, each page judged `commit(doc, ctx, assess(..))`.
+//! [`Crawler::step`] wraps its [`DocumentJudge`] as one whose assessment
+//! is empty. [`Crawler::crawl_ahead`] runs the same steps on real cores:
+//! worker threads fetch, analyze and assess the entries the frontier
+//! will pop next ([`crate::lookahead`]), and each step commits in pop
+//! order, using a preparation only when its inputs are the ones the step
+//! itself would have used. Its stores, term ids and clock are those of
 //! [`Crawler::step`] at any worker count.
 
 use crate::checkpoint::{
@@ -26,7 +29,7 @@ use crate::dedup::{path_of_url, Dedup};
 use crate::dns::CachingResolver;
 use crate::frontier::{Frontier, QueueEntry};
 use crate::hosts::{FailureOutcome, HostDecision, HostManager, HostState};
-use crate::lookahead::{Ahead, Miss, Pool, Schedule, Ticket, LOOKAHEAD};
+use crate::lookahead::{Miss, Pool, Schedule, Ticket, LOOKAHEAD};
 use crate::pipeline::{admit_link, plan_links, top_terms, DocOutcome, DocPipeline, FetchedDoc};
 use crate::telemetry::CrawlTelemetry;
 use crate::types::{
@@ -37,7 +40,7 @@ use crate::{Assess, DocumentJudge};
 use bingo_obs::Event;
 use bingo_store::durable;
 use bingo_store::DocumentStore;
-use bingo_textproc::{AnalyzedDocument, Vocabulary};
+use bingo_textproc::{AnalyzedDocument, TermId, Vocabulary};
 use bingo_webworld::fetch::host_of_url;
 use bingo_webworld::{DnsError, FetchOutcome, World};
 use std::cmp::Reverse;
@@ -92,53 +95,30 @@ pub struct Crawler {
     schedule: Schedule,
 }
 
-/// The judge as a step's commit calls it: a whole [`DocumentJudge`],
-/// whose assessment is empty, or the two halves of a split one.
-trait Judge {
-    type Assessment: Send;
-    fn assess(&self, doc: &AnalyzedDocument, ctx: &PageContext) -> Self::Assessment;
-    fn judge(
-        &mut self,
-        doc: &AnalyzedDocument,
-        ctx: &PageContext,
-        assessment: Self::Assessment,
-    ) -> Judgment;
+/// The crawl loop's judge: an [`Assess`] half and the commit half
+/// applying its assessments. Each page is judged
+/// `commit(doc, ctx, assess(doc, anchors, neighbours))` unless a
+/// lookahead worker already made the assessment.
+struct Split<'a, A: Assess> {
+    assess: &'a A,
+    commit: &'a mut dyn FnMut(&AnalyzedDocument, &PageContext, A::Assessment) -> Judgment,
 }
 
-impl Judge for dyn DocumentJudge + '_ {
+/// The assessor of [`Crawler::step`]: a whole [`DocumentJudge`] is a
+/// split judge whose assessment is empty.
+struct Whole;
+
+impl Assess for Whole {
     type Assessment = ();
 
-    fn assess(&self, _: &AnalyzedDocument, _: &PageContext) {}
-
-    fn judge(&mut self, doc: &AnalyzedDocument, ctx: &PageContext, (): ()) -> Judgment {
-        DocumentJudge::judge(self, doc, ctx)
-    }
+    fn assess(&self, _: &AnalyzedDocument, _: &[TermId], _: &[TermId]) {}
 }
 
 /// Note on a step's lookahead ticket that its entry went back to the
 /// frontier.
-fn went_back<T>(ahead: &mut Option<(&mut Ticket, &mut (dyn Ahead<T> + '_))>) {
+fn went_back<P>(ahead: &mut Option<(&mut Ticket, P)>) {
     if let Some((ticket, _)) = ahead {
         ticket.comes_back = true;
-    }
-}
-
-/// An [`Assess`] half and the commit half applying its assessments.
-struct Split<'a, A: Assess> {
-    assess: &'a A,
-    commit: &'a mut dyn FnMut(&PageContext, A::Assessment) -> Judgment,
-}
-
-impl<A: Assess> Judge for Split<'_, A> {
-    type Assessment = A::Assessment;
-
-    fn assess(&self, doc: &AnalyzedDocument, ctx: &PageContext) -> A::Assessment {
-        self.assess
-            .assess(doc, &ctx.anchor_terms, &ctx.neighbor_terms)
-    }
-
-    fn judge(&mut self, _: &AnalyzedDocument, ctx: &PageContext, a: A::Assessment) -> Judgment {
-        (self.commit)(ctx, a)
     }
 }
 
@@ -318,15 +298,29 @@ impl Crawler {
         config: CrawlConfig,
         dir: P,
     ) -> Result<Crawler, CheckpointError> {
-        let dir = dir.as_ref();
+        Crawler::resume_generation(world, config, dir.as_ref(), |_| true)
+            .map(|(crawler, _)| crawler)
+    }
+
+    /// [`Crawler::resume_session`] from the newest complete generation
+    /// that `wanted` accepts and whose store opens, returned beside the
+    /// crawler so that the caller loads the rest of its state from the
+    /// same generation (`bingo_core::persist::load_session` takes the
+    /// engine snapshot from it).
+    pub fn resume_generation(
+        world: Arc<World>,
+        config: CrawlConfig,
+        dir: &std::path::Path,
+        wanted: impl Fn(&durable::CompleteGeneration) -> bool,
+    ) -> Result<(Crawler, durable::CompleteGeneration), CheckpointError> {
         let mut newest_failure = None;
-        for session in durable::complete_newest_first(dir) {
-            match bingo_store::persist::load(session.dir.join(STORE_FILE)) {
+        for generation in durable::complete_newest_first(dir).filter(|g| wanted(g)) {
+            match bingo_store::persist::load(generation.dir.join(STORE_FILE)) {
                 Ok(store) => {
-                    let cp = load_checkpoint(session.dir.join(CRAWLER_FILE))?;
+                    let cp = load_checkpoint(generation.dir.join(CRAWLER_FILE))?;
                     let mut crawler = Crawler::new(world, config, store);
                     crawler.restore_checkpoint(cp);
-                    return Ok(crawler);
+                    return Ok((crawler, generation));
                 }
                 Err(e) => {
                     newest_failure.get_or_insert(e);
@@ -427,7 +421,7 @@ impl Crawler {
     /// for a step's outcome, with `workers` threads preparing the next
     /// [`LOOKAHEAD`] entries of the frontier ahead of their pops. `assess`
     /// and `commit` are the two halves of the judge: each page is judged
-    /// `commit(ctx, assess(doc, anchors, neighbours))` in pop order, so
+    /// `commit(doc, ctx, assess(doc, anchors, neighbours))` in pop order, so
     /// the crawl is the one [`Crawler::step`] makes with that judge,
     /// whatever the number of workers (0 prepares everything inline).
     ///
@@ -439,7 +433,7 @@ impl Crawler {
         &mut self,
         deadline_ms: u64,
         assess: &A,
-        commit: &mut dyn FnMut(&PageContext, A::Assessment) -> Judgment,
+        commit: &mut dyn FnMut(&AnalyzedDocument, &PageContext, A::Assessment) -> Judgment,
         vocab: &mut Vocabulary,
         workers: usize,
         until: &mut dyn FnMut(&StepOutcome) -> bool,
@@ -474,16 +468,21 @@ impl Crawler {
     /// virtual clock fast-forwards to the earliest release time — the
     /// simulated crawler idles until work becomes available again.
     pub fn step(&mut self, judge: &mut dyn DocumentJudge, vocab: &mut Vocabulary) -> StepOutcome {
+        let commit = &mut |doc: &AnalyzedDocument, ctx: &PageContext, ()| judge.judge(doc, ctx);
+        let judge = &mut Split {
+            assess: &Whole,
+            commit,
+        };
         self.step_with(judge, vocab, None)
     }
 
-    /// [`Crawler::step`] with any judge; with a `pool`, the pop may use
-    /// the preparation its request on the schedule got.
-    fn step_with<J: Judge + ?Sized>(
+    /// [`Crawler::step`] with a split judge; with a `pool`, the pop may
+    /// use the preparation its request on the schedule got.
+    fn step_with<A: Assess>(
         &mut self,
-        judge: &mut J,
+        judge: &mut Split<'_, A>,
         vocab: &mut Vocabulary,
-        mut pool: Option<&mut (dyn Ahead<J::Assessment> + '_)>,
+        mut pool: Option<&mut Pool<'_, A>>,
     ) -> StepOutcome {
         let entry = loop {
             self.frontier.release_due(self.clock);
@@ -528,7 +527,7 @@ impl Crawler {
             self.schedule
                 .settle(ticket, &self.telemetry.lookahead, pool);
         }
-        let done = now + cost;
+        let done = now.saturating_add(cost);
         if let (Some(host), Some(idx)) = (&slot_key, slot_index) {
             if let Some(slots) = self.host_slots.get_mut(host) {
                 slots[idx] = done;
@@ -592,14 +591,14 @@ impl Crawler {
     /// ticket and the workers' pool: once the gates before the fetch let
     /// the page through, a valid preparation replaces the fetch, the
     /// content stage and the judge's assessment.
-    fn process<J: Judge + ?Sized>(
+    fn process<A: Assess>(
         &mut self,
         entry: QueueEntry,
         now: u64,
         cost: &mut u64,
-        judge: &mut J,
+        judge: &mut Split<'_, A>,
         vocab: &mut Vocabulary,
-        mut ahead: Option<(&mut Ticket, &mut (dyn Ahead<J::Assessment> + '_))>,
+        mut ahead: Option<(&mut Ticket, &mut Pool<'_, A>)>,
     ) -> StepOutcome {
         self.stats.visited_urls += 1;
         self.stats.max_depth = self.stats.max_depth.max(entry.depth);
@@ -617,7 +616,10 @@ impl Crawler {
         match self.hosts.decide(&host, now) {
             HostDecision::Dead => return StepOutcome::Skipped("bad host"),
             HostDecision::Defer { until_ms } => {
-                self.stats.backoff_wait_ms += until_ms.saturating_sub(now);
+                self.stats.backoff_wait_ms = self
+                    .stats
+                    .backoff_wait_ms
+                    .saturating_add(until_ms.saturating_sub(now));
                 went_back(&mut ahead);
                 self.frontier.park(entry, until_ms);
                 self.telemetry.frontier_park.inc();
@@ -743,8 +745,10 @@ impl Crawler {
                     docs.iter()
                         .zip(ctxs)
                         .map(|(d, c)| {
-                            let a = assessment.take().unwrap_or_else(|| judge.assess(d, c));
-                            judge.judge(d, c, a)
+                            let a = assessment.take().unwrap_or_else(|| {
+                                judge.assess.assess(d, &c.anchor_terms, &c.neighbor_terms)
+                            });
+                            (judge.commit)(d, c, a)
                         })
                         .collect()
                 },
@@ -809,7 +813,7 @@ impl Crawler {
         }
         let backoff = self.retry_backoff(&entry.url, entry.attempt);
         self.stats.retries += 1;
-        self.stats.backoff_wait_ms += backoff;
+        self.stats.backoff_wait_ms = self.stats.backoff_wait_ms.saturating_add(backoff);
         self.telemetry.retries.inc();
         self.telemetry.retry_backoff_ms.observe(backoff);
         self.telemetry.frontier_park.inc();

@@ -106,7 +106,10 @@ pub struct CrawlConfig {
     /// Write a crawl checkpoint every N stored documents (0 = never).
     pub checkpoint_every_docs: u64,
     /// Directory checkpoints are written into; required when
-    /// `checkpoint_every_docs > 0`.
+    /// `checkpoint_every_docs > 0`. Automatic checkpoints are
+    /// crawler-only generations ([`crate::Crawler::save_session`]): they
+    /// hold no engine snapshot, so `bingo_core::persist::load_session`
+    /// skips them, and they count towards the generations kept.
     pub checkpoint_dir: Option<PathBuf>,
     /// Ignored: every frontier queue is resident. Kept as frozen
     /// `benchmark/` surface until that surface is next revised.
@@ -305,7 +308,7 @@ impl CrawlStats {
         self.queue_overflow += other.queue_overflow;
         self.elapsed_ms = self.elapsed_ms.max(other.elapsed_ms);
         self.retries += other.retries;
-        self.backoff_wait_ms += other.backoff_wait_ms;
+        self.backoff_wait_ms = self.backoff_wait_ms.saturating_add(other.backoff_wait_ms);
         self.wasted_bytes += other.wasted_bytes;
         self.truncated_fetches += other.truncated_fetches;
         self.breaker_opened += other.breaker_opened;

@@ -98,6 +98,27 @@ fn jitter_beyond_a_full_deadline_acts_as_a_full_deadline() {
 }
 
 #[test]
+fn breaker_deadlines_at_the_end_of_time_saturate_the_wait_counter() {
+    // A breaker that opens until `u64::MAX` parks its host for good: the
+    // summed wait saturates instead of overflowing (a panic in debug
+    // builds, a wrap in release).
+    let config = CrawlConfig {
+        breaker: BreakerConfig {
+            base_backoff_ms: u64::MAX,
+            max_backoff_ms: u64::MAX,
+            ..BreakerConfig::default()
+        },
+        ..base_config()
+    };
+    let mut crawler = chaos_crawler(77, config);
+    let (_, ids) = run_to_end(&mut crawler);
+    assert!(!ids.is_empty(), "chaos crawl must store documents");
+    let stats = crawler.stats();
+    assert!(stats.breaker_opened > 0, "no breaker tripped");
+    assert_eq!(stats.backoff_wait_ms, u64::MAX);
+}
+
+#[test]
 fn killed_at_half_budget_resumes_to_same_harvest_ratio() {
     let seed = 91;
 

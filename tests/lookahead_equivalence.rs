@@ -5,10 +5,13 @@
 //! than the threads. The generated worlds between them make every reason
 //! a preparation can be turned down fire at least once. A paged world,
 //! whose metadata every worker derives on its own, is speculated too.
+//! And the crawl is the one a `judge_step` loop under the same retrain
+//! rule makes: the same store, crawler checkpoint and engine snapshot
+//! (only the lookahead counts `crawl.lookahead.*`).
 
 use bingo::core::persist::save_engine;
 use bingo::core::EngineTelemetry;
-use bingo::crawler::CrawlTelemetry;
+use bingo::crawler::{CrawlTelemetry, StepOutcome};
 use bingo::prelude::*;
 use bingo::store::persist::write_snapshot;
 use bingo::webworld::fetch::host_of_url;
@@ -57,7 +60,41 @@ impl Scenario {
     }
 }
 
-fn run(s: &Scenario, workers: usize) -> (Artifacts, BTreeMap<String, u64>) {
+/// `crawl_until` spelled out one `judge_step` at a time: retrain once
+/// `retrain_every` pages were stored with a topic.
+fn judge_steps(
+    engine: &mut BingoEngine,
+    crawler: &mut Crawler,
+    deadline_ms: u64,
+    retrain_every: u64,
+) {
+    let mut classified = 0u64;
+    while crawler.clock_ms() < deadline_ms {
+        match engine.judge_step(crawler) {
+            StepOutcome::Stored { judgment, .. } => {
+                classified += u64::from(judgment.topic.is_some());
+            }
+            StepOutcome::Skipped(_) => {}
+            StepOutcome::FrontierEmpty => break,
+        }
+        if retrain_every > 0 && classified >= retrain_every {
+            classified = 0;
+            engine.retrain(crawler);
+        }
+    }
+}
+
+/// Crawl `s` with `workers` lookahead threads, or with a `judge_step`
+/// loop when `workers` is `None`.
+fn run(s: &Scenario, workers: Option<usize>) -> (Artifacts, BTreeMap<String, u64>) {
+    let crawl =
+        |engine: &mut BingoEngine, crawler: &mut Crawler, deadline_ms, retrain_every| match workers
+        {
+            Some(n) => {
+                engine.crawl_until_with_workers(crawler, deadline_ms, retrain_every, n);
+            }
+            None => judge_steps(engine, crawler, deadline_ms, retrain_every),
+        };
     let world = &s.world;
     let telemetry = CrawlTelemetry::default();
     let mut engine = BingoEngine::new(EngineConfig {
@@ -97,10 +134,10 @@ fn run(s: &Scenario, workers: usize) -> (Artifacts, BTreeMap<String, u64>) {
     for url in &s.seeds {
         crawler.add_seed(url, Some(topic.0));
     }
-    engine.crawl_until_with_workers(&mut crawler, 20_000, 0, workers);
+    crawl(&mut engine, &mut crawler, 20_000, 0);
     engine.retrain(&mut crawler);
     engine.switch_to_harvesting(&mut crawler);
-    engine.crawl_until_with_workers(&mut crawler, s.harvest_ms, s.retrain_every, workers);
+    crawl(&mut engine, &mut crawler, s.harvest_ms, s.retrain_every);
 
     let mut store = Vec::new();
     write_snapshot(crawler.store(), &mut store).unwrap();
@@ -155,10 +192,17 @@ fn lookahead_workers_change_nothing_but_speed() {
     ];
     let mut fired: BTreeMap<String, u64> = BTreeMap::new();
     for scenario in &scenarios {
-        let (inline, counters) = run(scenario, 0);
+        let name = scenario.name;
+        let (inline, counters) = run(scenario, Some(0));
+        let (steps, _) = run(scenario, None);
+        assert!(inline.store == steps.store, "{name}, judge_step: store");
+        assert!(
+            inline.checkpoint == steps.checkpoint,
+            "{name}, judge_step: crawler checkpoint"
+        );
+        assert!(inline.engine == steps.engine, "{name}, judge_step: engine");
         for workers in [1, 3] {
-            let (ahead, _) = run(scenario, workers);
-            let name = scenario.name;
+            let (ahead, _) = run(scenario, Some(workers));
             assert!(
                 inline.store == ahead.store,
                 "{name}, {workers} workers: store"
