@@ -161,6 +161,31 @@ code_ledger() {
     printf '    %-10s %6d %6d\n' total "$total" "$total_tests"
 }
 
+# The knob ledger: every independently settable value, read as the
+# `pub` fields of each `*Config` / `*Options` struct in crates/*/src
+# (non-test code), per struct and in total. Prints only; it gates
+# nothing.
+knob_ledger() {
+    find crates/*/src -name '*.rs' | sort | xargs awk '
+        FNR == 1 { skip = 0; inside = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
+        skip { next }
+        /^pub struct [A-Za-z0-9_]*(Config|Options) \{/ {
+            name = $3
+            n = 0
+            inside = 1
+            next
+        }
+        inside && /^}/ {
+            printf "    %-28s %3d  %s\n", name, n, FILENAME
+            total += n
+            inside = 0
+            next
+        }
+        inside && /^    pub [a-z0-9_]+:/ { n++ }
+        END { printf "    %-28s %3d\n", "total", total }'
+}
+
 # The committed experiments_*.json (and the EXPERIMENTS.md tables
 # quoting them) are pure functions of the seeds in the exp_* harnesses.
 # Rerun every harness in a scratch directory and require byte-identical
@@ -214,6 +239,8 @@ if wants lint; then
     step "no wall clock in product crates" no_wall_clock
 
     step "code ledger (non-test and test lines per crate)" code_ledger
+
+    step "knob ledger (pub fields of every *Config/*Options struct)" knob_ledger
 fi
 
 if wants test; then

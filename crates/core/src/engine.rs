@@ -553,7 +553,7 @@ impl BingoEngine {
                 });
                 if known.is_none() {
                     let nodes = expand_base_set(world.as_ref(), &base, params.0);
-                    let hits = Hits::default().run(world.as_ref(), &nodes);
+                    let hits = Hits.run(world.as_ref(), &nodes);
                     self.link_analysis.insert(
                         t,
                         LinkAnalysis {

@@ -12,7 +12,7 @@
 //! excluded forever. This module replaces the fixed budget with a
 //! circuit breaker per host:
 //!
-//! * **Closed** — requests flow. `failure_threshold` *consecutive*
+//! * **Closed** — requests flow. [`FAILURE_THRESHOLD`] *consecutive*
 //!   failures trip the breaker.
 //! * **Open** — requests are deferred until a deadline computed by
 //!   exponential backoff (`base << cycles`, capped, ± deterministic
@@ -20,7 +20,7 @@
 //! * **Half-open** — after the deadline one *probe* request is let
 //!   through. Success closes the breaker (the only path back to
 //!   closed); failure re-opens it with a doubled deadline.
-//! * **Dead** — after `max_open_cycles` re-opens the host is excluded
+//! * **Dead** — after [`MAX_OPEN_CYCLES`] re-opens the host is excluded
 //!   for the rest of the crawl, which recovers the paper's "tagged as
 //!   bad" terminal state.
 //!
@@ -31,68 +31,40 @@ use bingo_textproc::fxhash::{self, FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 use std::hash::Hash;
 
-/// Circuit-breaker tuning. Defaults keep the paper's "3 strikes"
-/// threshold while adding recovery.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip a closed breaker (paper: 3).
-    pub failure_threshold: u32,
-    /// First open deadline, in virtual ms.
-    pub base_backoff_ms: u64,
-    /// Ceiling on the open deadline.
-    pub max_backoff_ms: u64,
-    /// Jitter amplitude around the deadline, in per-mille of it. Values
-    /// above 1000 act as 1000: a deadline moves by at most its own
-    /// length either way.
-    pub jitter_permille: u16,
-    /// Open→half-open→open round trips before the host is declared dead.
-    pub max_open_cycles: u32,
+/// Consecutive failures that trip a closed breaker (paper: "the number
+/// of retrials is restricted to 3").
+pub const FAILURE_THRESHOLD: u32 = 3;
+/// First open deadline, in virtual ms.
+pub const BASE_BACKOFF_MS: u64 = 500;
+/// Ceiling on an open deadline or a retry backoff, in virtual ms.
+pub const MAX_BACKOFF_MS: u64 = 60_000;
+/// Jitter amplitude around a deadline, in per-mille of it.
+pub const JITTER_PERMILLE: u64 = 250;
+/// Open→half-open→open round trips before the host is declared dead.
+/// An open breaker waits at least 375 + 750 + 1,500 + 3,000 + 6,000 =
+/// 11,625 virtual ms before its host dies.
+pub const MAX_OPEN_CYCLES: u32 = 5;
+
+/// The open deadline duration for a given re-open cycle.
+fn backoff_ms(host: &str, cycle: u32) -> u64 {
+    jittered_backoff(BASE_BACKOFF_MS, cycle, &(host, cycle, 0xB4C0u32))
 }
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            base_backoff_ms: 500,
-            max_backoff_ms: 60_000,
-            jitter_permille: 250,
-            max_open_cycles: 5,
-        }
+/// `base << exponent` (an exponent of at most 20, saturating), capped by
+/// [`MAX_BACKOFF_MS`], at least 1, then moved by up to
+/// [`JITTER_PERMILLE`] of itself either way by a hash of `key`, so that
+/// co-failing hosts or URLs do not retry in lockstep. The result is at
+/// most 1.25 × [`MAX_BACKOFF_MS`].
+pub(crate) fn jittered_backoff(base: u64, exponent: u32, key: &impl Hash) -> u64 {
+    let base = base
+        .saturating_mul(1 << exponent.min(20))
+        .clamp(1, MAX_BACKOFF_MS);
+    let amplitude = base * JITTER_PERMILLE / 1000;
+    if amplitude == 0 {
+        return base;
     }
-}
-
-impl BreakerConfig {
-    /// The open deadline duration for a given re-open cycle.
-    fn backoff_ms(&self, host: &str, cycle: u32) -> u64 {
-        self.jittered_backoff(self.base_backoff_ms, cycle, &(host, cycle, 0xB4C0u32))
-    }
-
-    /// `base << exponent` (an exponent of at most 20), capped by
-    /// `max_backoff_ms`, at least 1, then moved by up to
-    /// `jitter_permille` (at most 1000) of itself either way by a hash of
-    /// `key`, so that co-failing hosts or URLs do not retry in lockstep.
-    /// No input overflows: a deadline past `u64::MAX` saturates there.
-    pub(crate) fn jittered_backoff(&self, base: u64, exponent: u32, key: &impl Hash) -> u64 {
-        let base = base
-            .checked_shl(exponent.min(20))
-            .unwrap_or(u64::MAX)
-            .min(self.max_backoff_ms)
-            .max(1);
-        let permille = u64::from(self.jitter_permille.min(1000));
-        // `base * permille / 1000`, split so that no product overflows;
-        // at most `base`.
-        let amplitude = base / 1000 * permille + base % 1000 * permille / 1000;
-        if amplitude == 0 {
-            return base;
-        }
-        // Hash in [0, 2*amplitude], centered on the capped base. A
-        // modulus past `u64::MAX` leaves every hash as it is.
-        let hash = fxhash::hash_one(key);
-        let offset = (2 * u128::from(amplitude) + 1)
-            .try_into()
-            .map_or(hash, |modulus: u64| hash % modulus);
-        (base - amplitude).saturating_add(offset)
-    }
+    // Hash in [0, 2*amplitude], centered on the capped base.
+    base - amplitude + fxhash::hash_one(key) % (2 * amplitude + 1)
 }
 
 /// Crawler-visible host health (Section 4.2: hosts are tagged "slow"
@@ -185,31 +157,12 @@ pub enum FailureOutcome {
 pub struct HostManager {
     health: FxHashMap<String, HostHealth>,
     visited: FxHashSet<String>,
-    config: BreakerConfig,
 }
 
 impl HostManager {
-    /// Manager with the paper-style threshold of `max_retries`
-    /// consecutive failures and default breaker timing.
-    pub fn new(max_retries: u32) -> Self {
-        HostManager::with_config(BreakerConfig {
-            failure_threshold: max_retries.max(1),
-            ..BreakerConfig::default()
-        })
-    }
-
-    /// Manager with explicit breaker tuning.
-    pub fn with_config(config: BreakerConfig) -> Self {
-        HostManager {
-            health: FxHashMap::default(),
-            visited: FxHashSet::default(),
-            config,
-        }
-    }
-
-    /// The breaker tuning in effect.
-    pub fn config(&self) -> &BreakerConfig {
-        &self.config
+    /// Manager with every host healthy and none visited.
+    pub fn new() -> Self {
+        HostManager::default()
     }
 
     /// True when the host has been excluded for the rest of the crawl.
@@ -294,15 +247,14 @@ impl HostManager {
     /// Record a failed fetch/DNS attempt at virtual time `now_ms` and
     /// report what it did to the breaker.
     pub fn record_failure(&mut self, host: &str, now_ms: u64) -> FailureOutcome {
-        let config = self.config.clone();
         let h = self.health.entry(host.to_string()).or_default();
         h.total_failures += 1;
         match h.state {
             BreakerState::Dead => FailureOutcome::Died,
             BreakerState::Closed => {
                 h.consecutive_failures += 1;
-                if h.consecutive_failures >= config.failure_threshold {
-                    Self::trip(h, host, now_ms, &config)
+                if h.consecutive_failures >= FAILURE_THRESHOLD {
+                    Self::trip(h, host, now_ms)
                 } else {
                     FailureOutcome::Counted
                 }
@@ -310,27 +262,20 @@ impl HostManager {
             // A failed probe re-opens with a longer deadline; a failure
             // reported while already open (a fetch that was in flight
             // when the breaker tripped) counts the same way.
-            BreakerState::HalfOpen | BreakerState::Open { .. } => {
-                Self::trip(h, host, now_ms, &config)
-            }
+            BreakerState::HalfOpen | BreakerState::Open { .. } => Self::trip(h, host, now_ms),
         }
     }
 
-    fn trip(h: &mut HostHealth, host: &str, now_ms: u64, config: &BreakerConfig) -> FailureOutcome {
-        if h.open_cycles >= config.max_open_cycles {
+    fn trip(h: &mut HostHealth, host: &str, now_ms: u64) -> FailureOutcome {
+        if h.open_cycles >= MAX_OPEN_CYCLES {
             h.state = BreakerState::Dead;
             return FailureOutcome::Died;
         }
-        let until_ms = now_ms.saturating_add(config.backoff_ms(host, h.open_cycles));
+        let until_ms = now_ms.saturating_add(backoff_ms(host, h.open_cycles));
         h.state = BreakerState::Open { until_ms };
         h.open_cycles += 1;
         h.consecutive_failures = 0;
         FailureOutcome::Opened { until_ms }
-    }
-
-    /// Whether requests to this host can still eventually succeed.
-    pub fn retries_left(&self, host: &str) -> bool {
-        !self.is_bad(host)
     }
 
     /// Number of distinct hosts successfully visited (Table 1).
@@ -361,15 +306,10 @@ impl HostManager {
     }
 
     /// Rebuild a manager from a snapshot.
-    pub fn restore(
-        config: BreakerConfig,
-        health: Vec<(String, HostHealth)>,
-        visited: Vec<String>,
-    ) -> Self {
+    pub fn restore(health: Vec<(String, HostHealth)>, visited: Vec<String>) -> Self {
         HostManager {
             health: health.into_iter().collect(),
             visited: visited.into_iter().collect(),
-            config,
         }
     }
 }
@@ -378,72 +318,83 @@ impl HostManager {
 mod tests {
     use super::*;
 
-    fn cfg() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 3,
-            base_backoff_ms: 1000,
-            max_backoff_ms: 8000,
-            jitter_permille: 0, // deterministic deadlines for assertions
-            max_open_cycles: 2,
-        }
-    }
-
     #[test]
     fn threshold_trips_breaker_open() {
-        let mut m = HostManager::with_config(cfg());
+        let mut m = HostManager::new();
         assert_eq!(m.decide("h", 0), HostDecision::Proceed);
         assert_eq!(m.record_failure("h", 10), FailureOutcome::Counted);
         assert_eq!(m.record_failure("h", 20), FailureOutcome::Counted);
         assert_eq!(m.state("h"), HostState::Slow);
-        match m.record_failure("h", 30) {
-            FailureOutcome::Opened { until_ms } => assert_eq!(until_ms, 1030),
-            o => panic!("{o:?}"),
-        }
-        assert_eq!(m.decide("h", 500), HostDecision::Defer { until_ms: 1030 });
+        let until = 30 + backoff_ms("h", 0);
+        assert_eq!(
+            m.record_failure("h", 30),
+            FailureOutcome::Opened { until_ms: until }
+        );
+        assert_eq!(
+            m.decide("h", until - 1),
+            HostDecision::Defer { until_ms: until }
+        );
         assert!(!m.is_bad("h"));
     }
 
     #[test]
     fn open_becomes_half_open_probe_then_closed_on_success() {
-        let mut m = HostManager::with_config(cfg());
+        let mut m = HostManager::new();
         for t in 0..3 {
             m.record_failure("h", t * 10);
         }
-        assert_eq!(m.decide("h", 2000), HostDecision::Probe);
+        let probe_at = 20 + backoff_ms("h", 0);
+        assert!(matches!(
+            m.decide("h", probe_at - 1),
+            HostDecision::Defer { .. }
+        ));
+        assert_eq!(m.decide("h", probe_at), HostDecision::Probe);
         assert_eq!(m.breaker_state("h"), BreakerState::HalfOpen);
         // Probe succeeds: breaker closes and history resets.
         assert!(m.record_success("h"));
         assert_eq!(m.breaker_state("h"), BreakerState::Closed);
-        assert_eq!(m.decide("h", 2100), HostDecision::Proceed);
+        assert_eq!(m.decide("h", probe_at + 100), HostDecision::Proceed);
         // The reset is real: three fresh failures are needed to re-trip.
-        assert_eq!(m.record_failure("h", 2200), FailureOutcome::Counted);
-        assert_eq!(m.record_failure("h", 2210), FailureOutcome::Counted);
+        assert_eq!(
+            m.record_failure("h", probe_at + 200),
+            FailureOutcome::Counted
+        );
+        assert_eq!(
+            m.record_failure("h", probe_at + 210),
+            FailureOutcome::Counted
+        );
     }
 
     #[test]
     fn failed_probe_doubles_backoff_then_dies() {
-        let mut m = HostManager::with_config(cfg());
+        let mut m = HostManager::new();
         for t in 0..3 {
             m.record_failure("h", t);
         }
-        assert_eq!(m.decide("h", 1500), HostDecision::Probe);
-        match m.record_failure("h", 1500) {
-            // Second cycle: base << 1.
-            FailureOutcome::Opened { until_ms } => assert_eq!(until_ms, 1500 + 2000),
-            o => panic!("{o:?}"),
+        let mut now = 2 + backoff_ms("h", 0);
+        // Every failed probe re-opens with the next cycle's deadline
+        // (base << cycle) until the cycles are spent.
+        for cycle in 1..MAX_OPEN_CYCLES {
+            assert_eq!(m.decide("h", now), HostDecision::Probe);
+            let until = now + backoff_ms("h", cycle);
+            assert_eq!(
+                m.record_failure("h", now),
+                FailureOutcome::Opened { until_ms: until }
+            );
+            now = until;
         }
-        assert_eq!(m.decide("h", 4000), HostDecision::Probe);
-        // max_open_cycles = 2 exhausted: the host dies.
-        assert_eq!(m.record_failure("h", 4000), FailureOutcome::Died);
+        assert_eq!(m.decide("h", now), HostDecision::Probe);
+        assert_eq!(m.record_failure("h", now), FailureOutcome::Died);
         assert!(m.is_bad("h"));
-        assert!(!m.retries_left("h"));
-        assert_eq!(m.decide("h", 9999), HostDecision::Dead);
+        assert_eq!(m.decide("h", u64::MAX), HostDecision::Dead);
         assert_eq!(m.state("h"), HostState::Bad);
+        // At least the documented minimum open time passed.
+        assert!(now >= 11_625, "host died at {now}");
     }
 
     #[test]
     fn success_only_closes_from_half_open() {
-        let mut m = HostManager::with_config(cfg());
+        let mut m = HostManager::new();
         for t in 0..3 {
             m.record_failure("h", t);
         }
@@ -457,27 +408,21 @@ mod tests {
 
     #[test]
     fn backoff_caps_and_jitters_deterministically() {
-        let c = BreakerConfig {
-            base_backoff_ms: 1000,
-            max_backoff_ms: 4000,
-            jitter_permille: 250,
-            ..BreakerConfig::default()
-        };
-        // Cap: cycle 10 would be 1000 << 10 without the ceiling.
-        let capped = c.backoff_ms("h", 10);
-        assert!(capped <= 5000, "cap + jitter bound, got {capped}");
-        assert!(capped >= 3000, "cap - jitter bound, got {capped}");
+        // Cap: cycle 10 would be 500 << 10 without the ceiling.
+        let capped = backoff_ms("h", 10);
+        assert!(capped <= 75_000, "cap + jitter bound, got {capped}");
+        assert!(capped >= 45_000, "cap - jitter bound, got {capped}");
         // Determinism and host spread.
-        assert_eq!(c.backoff_ms("h", 0), c.backoff_ms("h", 0));
+        assert_eq!(backoff_ms("h", 0), backoff_ms("h", 0));
         let spread: std::collections::HashSet<u64> = (0..20)
-            .map(|i| c.backoff_ms(&format!("host{i}"), 0))
+            .map(|i| backoff_ms(&format!("host{i}"), 0))
             .collect();
         assert!(spread.len() > 1, "jitter must separate hosts");
     }
 
     #[test]
     fn success_counts_visited_hosts() {
-        let mut m = HostManager::new(3);
+        let mut m = HostManager::new();
         m.record_success("a");
         m.record_success("a");
         m.record_success("b");
@@ -486,27 +431,25 @@ mod tests {
 
     #[test]
     fn independent_hosts() {
-        let mut m = HostManager::with_config(BreakerConfig {
-            failure_threshold: 1,
-            max_open_cycles: 0,
-            ..cfg()
-        });
-        assert_eq!(m.record_failure("x", 0), FailureOutcome::Died);
-        assert!(m.is_bad("x"));
-        assert!(!m.is_bad("y"));
+        let mut m = HostManager::new();
+        for t in 0..3 {
+            m.record_failure("x", t);
+        }
+        assert!(matches!(m.breaker_state("x"), BreakerState::Open { .. }));
         assert_eq!(m.state("y"), HostState::Good);
+        assert_eq!(m.decide("y", 3), HostDecision::Proceed);
     }
 
     #[test]
     fn snapshot_restore_round_trip() {
-        let mut m = HostManager::with_config(cfg());
+        let mut m = HostManager::new();
         m.record_failure("x", 5);
         for t in 0..3 {
             m.record_failure("y", t);
         }
         m.record_success("a");
         let (health, visited) = m.snapshot();
-        let r = HostManager::restore(cfg(), health.clone(), visited.clone());
+        let r = HostManager::restore(health.clone(), visited.clone());
         assert_eq!(r.breaker_state("x"), m.breaker_state("x"));
         assert_eq!(r.breaker_state("y"), m.breaker_state("y"));
         assert_eq!(r.visited_count(), 1);
@@ -519,45 +462,31 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2_000))]
 
         /// Over the full ranges of its inputs (magnitudes spread by a
-        /// shift), a jittered backoff never overflows and lands within
-        /// the capped base plus or minus its amplitude; where the
-        /// arithmetic it replaced could not overflow, it is bit-exact.
+        /// shift), a jittered backoff never overflows, lands within the
+        /// capped base plus or minus its amplitude, and is the
+        /// `base - amplitude + hash % (2 * amplitude + 1)` of the paper's
+        /// breaker.
         #[test]
         fn jittered_backoff_never_overflows_and_stays_in_its_band(
             base_bits in proptest::prelude::any::<u64>(),
             base_shift in 0u32..64,
-            cap_bits in proptest::prelude::any::<u64>(),
-            cap_shift in 0u32..64,
             exponent in proptest::prelude::any::<u32>(),
-            permille in proptest::prelude::any::<u16>(),
-            in_range in 0u16..2,
             key in proptest::prelude::any::<u64>(),
         ) {
-            let jitter_permille = if in_range == 1 { permille % 1001 } else { permille };
-            let config = BreakerConfig {
-                max_backoff_ms: cap_bits >> cap_shift,
-                jitter_permille,
-                ..BreakerConfig::default()
-            };
             let base = base_bits >> base_shift;
-            let got = u128::from(config.jittered_backoff(base, exponent, &key));
-            let capped = base
-                .checked_shl(exponent.min(20))
-                .unwrap_or(u64::MAX)
-                .min(config.max_backoff_ms)
-                .max(1);
-            let amplitude = u128::from(capped) * u128::from(jitter_permille.min(1000)) / 1000;
-            proptest::prop_assert!(got + amplitude >= u128::from(capped));
-            proptest::prop_assert!(got <= u128::from(capped) + amplitude);
-            if jitter_permille <= 1000 && capped < 1 << 40 {
-                let amplitude = capped * u64::from(jitter_permille) / 1000;
-                let old = if amplitude == 0 {
-                    capped
-                } else {
-                    capped - amplitude + fxhash::hash_one(&key) % (2 * amplitude + 1)
-                };
-                proptest::prop_assert_eq!(got, u128::from(old));
-            }
+            let got = jittered_backoff(base, exponent, &key);
+            let capped = (u128::from(base) << exponent.min(20))
+                .min(u128::from(MAX_BACKOFF_MS))
+                .max(1) as u64;
+            let amplitude = capped * JITTER_PERMILLE / 1000;
+            proptest::prop_assert!(got + amplitude >= capped);
+            proptest::prop_assert!(got <= capped + amplitude);
+            let want = if amplitude == 0 {
+                capped
+            } else {
+                capped - amplitude + fxhash::hash_one(&key) % (2 * amplitude + 1)
+            };
+            proptest::prop_assert_eq!(got, want);
         }
     }
 }

@@ -29,8 +29,10 @@
 //! * one **post-fetch core** — content-convert → analyze → classify →
 //!   bulk-load → outcome accounting → focus decision — that every
 //!   executor schedules documents into ([`pipeline`]),
-//! * a **discrete-event executor** modelling N crawler threads over
-//!   virtual time, deterministic and snapshot-friendly ([`Crawler`]),
+//! * a **discrete-event executor** modelling the testbed's 15 crawler
+//!   threads, two connections per host, over virtual time
+//!   ([`types::SIMULATED_THREADS`], [`types::PER_HOST_CONNECTIONS`]),
+//!   deterministic and snapshot-friendly ([`Crawler`]),
 //!   which prepares the pages it will pop next on spare cores without
 //!   changing a byte of its output ([`lookahead`]), and a real-thread
 //!   executor that pulls batches through the same pipeline for raw
@@ -62,9 +64,7 @@ pub use checkpoint::{CheckpointError, CrawlCheckpoint};
 pub use dedup::Dedup;
 pub use dns::CachingResolver;
 pub use frontier::{Frontier, QueueEntry, SpillConfig};
-pub use hosts::{
-    BreakerConfig, BreakerState, FailureOutcome, HostDecision, HostHealth, HostManager, HostState,
-};
+pub use hosts::{BreakerState, FailureOutcome, HostDecision, HostHealth, HostManager, HostState};
 pub use pipeline::{BatchJudge, DocOutcome, DocPipeline, FetchedDoc, PipelineMetrics};
 pub use step::{Crawler, StepOutcome};
 pub use telemetry::CrawlTelemetry;

@@ -28,13 +28,13 @@ use crate::checkpoint::{
 use crate::dedup::{path_of_url, Dedup};
 use crate::dns::CachingResolver;
 use crate::frontier::{Frontier, QueueEntry};
-use crate::hosts::{FailureOutcome, HostDecision, HostManager, HostState};
+use crate::hosts::{jittered_backoff, FailureOutcome, HostDecision, HostManager, HostState};
 use crate::lookahead::{Miss, Pool, Schedule, Ticket, LOOKAHEAD};
 use crate::pipeline::{admit_link, plan_links, top_terms, DocOutcome, DocPipeline, FetchedDoc};
 use crate::telemetry::CrawlTelemetry;
 use crate::types::{
-    CrawlConfig, CrawlStats, Judgment, PageContext, MAX_REDIRECTS, PROCESSING_COST_MS,
-    RETRY_BACKOFF_MS,
+    CrawlConfig, CrawlStats, Judgment, PageContext, MAX_REDIRECTS, MAX_RETRIES, OUTGOING_QUEUE_CAP,
+    PER_HOST_CONNECTIONS, PROCESSING_COST_MS, RETRY_BACKOFF_MS, SIMULATED_THREADS,
 };
 use crate::{Assess, DocumentJudge};
 use bingo_obs::Event;
@@ -83,7 +83,7 @@ pub struct Crawler {
     /// Min-heap of (free-at, thread id).
     threads: BinaryHeap<Reverse<(u64, usize)>>,
     /// Per-host connection slots: times each slot becomes free
-    /// (politeness: at most `per_host_connections` simultaneous fetches
+    /// (politeness: at most [`PER_HOST_CONNECTIONS`] simultaneous fetches
     /// per host, Section 5.1).
     host_slots: bingo_textproc::fxhash::FxHashMap<String, Vec<u64>>,
     clock: u64,
@@ -126,14 +126,14 @@ impl Crawler {
     /// New crawler over `world` writing into `store`.
     pub fn new(world: Arc<World>, config: CrawlConfig, store: DocumentStore) -> Self {
         let topics = world.topics().len();
-        let frontier = Frontier::new(topics, config.incoming_queue_cap, config.outgoing_queue_cap);
-        let threads = (0..config.threads.max(1))
+        let frontier = Frontier::new(topics, config.incoming_queue_cap, OUTGOING_QUEUE_CAP);
+        let threads = (0..SIMULATED_THREADS)
             .map(|tid| Reverse((0u64, tid)))
             .collect();
         let telemetry = CrawlTelemetry::default();
         let pipeline = DocPipeline::new(store.clone(), 1, &telemetry);
         Crawler {
-            hosts: HostManager::with_config(config.breaker.clone()),
+            hosts: HostManager::new(),
             frontier,
             threads,
             dedup: Dedup::new(),
@@ -215,14 +215,10 @@ impl Crawler {
         self.frontier = Frontier::restore(
             cp.frontier,
             self.config.incoming_queue_cap,
-            self.config.outgoing_queue_cap,
+            OUTGOING_QUEUE_CAP,
         );
         self.dedup = Dedup::restore(cp.dedup);
-        self.hosts = HostManager::restore(
-            self.config.breaker.clone(),
-            cp.host_health,
-            cp.visited_hosts,
-        );
+        self.hosts = HostManager::restore(cp.host_health, cp.visited_hosts);
         self.threads = cp.threads.into_iter().map(Reverse).collect();
         self.host_slots = cp.host_slots.into_iter().collect();
         self.resolver = CachingResolver::new();
@@ -499,14 +495,14 @@ impl Crawler {
         let Reverse((free_at, tid)) = self.threads.pop().expect("threads configured");
         let mut now = self.clock.max(free_at);
         // ...and a connection slot on the target host (politeness: at
-        // most `per_host_connections` simultaneous fetches per host).
+        // most `PER_HOST_CONNECTIONS` simultaneous fetches per host).
         let slot_key = host_of_url(&entry.url).map(str::to_string);
         let mut slot_index = None;
         if let Some(host) = &slot_key {
             let slots = self
                 .host_slots
                 .entry(host.clone())
-                .or_insert_with(|| vec![0; self.config.per_host_connections.max(1)]);
+                .or_insert_with(|| vec![0; PER_HOST_CONNECTIONS]);
             let (idx, &earliest) = slots
                 .iter()
                 .enumerate()
@@ -802,16 +798,19 @@ impl Crawler {
     /// attempt budget and the host's breaker allow another try. Returns
     /// whether it was parked.
     fn maybe_retry(&mut self, entry: QueueEntry, now: u64) -> bool {
-        if entry.attempt >= self.config.max_retries {
+        if entry.attempt >= MAX_RETRIES {
             return false;
         }
         let Some(host) = host_of_url(&entry.url) else {
             return false;
         };
-        if !self.hosts.retries_left(host) {
+        if self.hosts.is_bad(host) {
             return false;
         }
-        let backoff = self.retry_backoff(&entry.url, entry.attempt);
+        // `RETRY_BACKOFF_MS << attempt`, capped, with per-URL jitter so
+        // co-failing URLs don't retry in lockstep.
+        let key = (entry.url.as_str(), entry.attempt, 0x5EEDu32);
+        let backoff = jittered_backoff(RETRY_BACKOFF_MS, entry.attempt, &key);
         self.stats.retries += 1;
         self.stats.backoff_wait_ms = self.stats.backoff_wait_ms.saturating_add(backoff);
         self.telemetry.retries.inc();
@@ -825,16 +824,6 @@ impl Crawler {
             now.saturating_add(backoff),
         );
         true
-    }
-
-    /// Backoff before retry `attempt` of `url`: `RETRY_BACKOFF_MS <<
-    /// attempt`, capped by the breaker's ceiling, with deterministic
-    /// per-URL jitter so co-failing URLs don't retry in lockstep.
-    fn retry_backoff(&self, url: &str, attempt: u32) -> u64 {
-        let key = (url, attempt, 0x5EEDu32);
-        self.config
-            .breaker
-            .jittered_backoff(RETRY_BACKOFF_MS, attempt, &key)
     }
 
     /// Queue the links of a stored page as [`plan_links`] decided
@@ -1181,34 +1170,29 @@ mod tests {
 
     #[test]
     fn per_host_politeness_serializes_single_host_crawls() {
-        // Crawl restricted to one host: with 1 connection slot the crawl
-        // must take longer (virtual time) than with 8 slots, because
-        // fetches serialize.
-        let elapsed_with = |conns: usize| {
-            let world = Arc::new(WorldConfig::small_test(31).build());
-            let seed_url = world.url_of(1);
-            let host = bingo_webworld::fetch::host_of_url(&seed_url)
-                .unwrap()
-                .to_string();
-            let config = CrawlConfig {
-                max_depth: 0,
-                per_host_connections: conns,
-                allowed_hosts: Some([host].into_iter().collect()),
-                ..CrawlConfig::default()
-            };
-            let mut crawler = Crawler::new(world, config, DocumentStore::new());
-            crawler.add_seed(&seed_url, Some(0));
-            let mut judge = accept_all();
-            let mut vocab = Vocabulary::new();
-            crawler.run_until(u64::MAX, &mut judge, &mut vocab);
-            (crawler.stats().stored_pages, crawler.stats().elapsed_ms)
+        // Crawl restricted to one host: at most `PER_HOST_CONNECTIONS`
+        // of the 15 simulated threads fetch from it at once, so the
+        // crawl takes at least its summed fetch latency divided by the
+        // connection count in virtual time.
+        let world = Arc::new(WorldConfig::small_test(31).build());
+        let seed_url = world.url_of(1);
+        let host = host_of_url(&seed_url).unwrap().to_string();
+        let config = CrawlConfig {
+            max_depth: 0,
+            allowed_hosts: Some([host].into_iter().collect()),
+            ..CrawlConfig::default()
         };
-        let (stored_1, time_1) = elapsed_with(1);
-        let (stored_8, time_8) = elapsed_with(8);
-        assert_eq!(stored_1, stored_8, "same pages crawled either way");
+        let mut crawler = Crawler::new(world, config, DocumentStore::new());
+        crawler.add_seed(&seed_url, Some(0));
+        let mut judge = accept_all();
+        let mut vocab = Vocabulary::new();
+        crawler.run_until(u64::MAX, &mut judge, &mut vocab);
+        let latency = crawler.telemetry().fetch_latency_ms.sum();
+        let elapsed = crawler.stats().elapsed_ms;
+        assert!(crawler.stats().stored_pages >= 10, "{:?}", crawler.stats());
         assert!(
-            time_1 > time_8,
-            "1 connection must be slower: {time_1} vs {time_8}"
+            elapsed >= latency / PER_HOST_CONNECTIONS as u64,
+            "{elapsed} ms for {latency} ms of fetches on one host"
         );
     }
 
@@ -1246,7 +1230,8 @@ mod tests {
     #[test]
     fn truncated_bodies_are_retried_and_counted() {
         // Deterministic corruption: every body on the seed's host is
-        // truncated for the first 10 virtual seconds. The crawler must
+        // truncated for the first 10 virtual seconds, fewer than the
+        // breaker's open deadlines add up to. The crawler must
         // count the waste, retry with backoff, and eventually (after the
         // window) harvest the host's pages anyway.
         let mut world = WorldConfig::small_test(31).build();
@@ -1274,12 +1259,6 @@ mod tests {
             world.clone(),
             CrawlConfig {
                 max_depth: 0,
-                // Generous recovery budget: the window outlasts several
-                // breaker cycles.
-                breaker: crate::hosts::BreakerConfig {
-                    max_open_cycles: 10,
-                    ..Default::default()
-                },
                 ..CrawlConfig::default()
             },
             DocumentStore::new(),
@@ -1299,10 +1278,12 @@ mod tests {
 
     #[test]
     fn breaker_recovers_hosts_the_paper_would_abandon() {
-        // Deterministic outage: the seed's host is down for the first 3
-        // virtual seconds. The paper's escalation would tag it bad after
-        // 3 failed retrials and lose it forever; the breaker probes it
-        // after backoff and recovers the host's harvest.
+        // Deterministic outage: the seed's host is down for the first 10
+        // virtual seconds, shorter than the 11,625 ms a breaker stays
+        // open at least before its host dies. The paper's escalation
+        // would tag it bad after 3 failed retrials and lose it forever;
+        // the breaker probes it after backoff and recovers the host's
+        // harvest.
         let mut world = WorldConfig::small_test(31).build();
         let host_id = world.page(1).host;
         let mut plan = bingo_webworld::FaultPlan::empty();
@@ -1310,7 +1291,7 @@ mod tests {
             host_id,
             bingo_webworld::FaultWindow {
                 start_ms: 0,
-                end_ms: 12_000,
+                end_ms: 10_000,
                 kind: bingo_webworld::FaultKind::Outage,
             },
         );
@@ -1331,10 +1312,6 @@ mod tests {
             world.clone(),
             CrawlConfig {
                 max_depth: 0,
-                breaker: crate::hosts::BreakerConfig {
-                    max_open_cycles: 10,
-                    ..Default::default()
-                },
                 ..CrawlConfig::default()
             },
             DocumentStore::new(),

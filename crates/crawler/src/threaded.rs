@@ -49,7 +49,7 @@
 use crate::dedup::{path_of_url, Dedup, DedupMark};
 use crate::pipeline::{BatchJudge, DocPipeline, FetchedDoc};
 use crate::telemetry::CrawlTelemetry;
-use crate::types::{CrawlConfig, CrawlStats, MAX_REDIRECTS};
+use crate::types::{CrawlConfig, CrawlStats, MAX_REDIRECTS, MAX_RETRIES};
 use bingo_obs::Event;
 use bingo_store::DocumentStore;
 use bingo_textproc::SharedVocabulary;
@@ -349,7 +349,7 @@ impl Shared<'_> {
             if let Err(err) = self.world.dns_lookup(host, attempt) {
                 stats.fetch_errors += 1;
                 // NxDomain is permanent; only a timeout is worth a retry.
-                if err == DnsError::Timeout && attempt < self.config.max_retries {
+                if err == DnsError::Timeout && attempt < MAX_RETRIES {
                     attempt += 1;
                     continue;
                 }
@@ -360,7 +360,7 @@ impl Shared<'_> {
                     stats.truncated_fetches += 1;
                     stats.wasted_bytes += resp.payload.len() as u64;
                     stats.fetch_errors += 1;
-                    if attempt < self.config.max_retries {
+                    if attempt < MAX_RETRIES {
                         attempt += 1;
                         continue;
                     }
@@ -381,7 +381,7 @@ impl Shared<'_> {
                 }
                 FetchOutcome::Err { error, .. } => {
                     stats.fetch_errors += 1;
-                    if error.is_transient() && attempt < self.config.max_retries {
+                    if error.is_transient() && attempt < MAX_RETRIES {
                         attempt += 1;
                         continue;
                     }

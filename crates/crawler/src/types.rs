@@ -1,6 +1,5 @@
 //! Crawl configuration, statistics and shared types.
 
-use crate::hosts::BreakerConfig;
 use bingo_textproc::fxhash::FxHashSet;
 use bingo_webworld::fetch::host_of_url;
 use serde::{Deserialize, Serialize};
@@ -18,9 +17,20 @@ pub const MAX_REDIRECTS: u32 = 25;
 /// classification, storing) added to each simulated thread's busy time.
 pub const PROCESSING_COST_MS: u64 = 5;
 /// Base delay for per-URL retry backoff after a transient failure.
-/// Retry `n` waits `RETRY_BACKOFF_MS << n` (capped by the breaker's
-/// `max_backoff_ms`) plus deterministic jitter, on the virtual clock.
+/// Retry `n` waits `RETRY_BACKOFF_MS << n` (capped by
+/// [`crate::hosts::MAX_BACKOFF_MS`]) plus deterministic jitter, on the
+/// virtual clock.
 pub const RETRY_BACKOFF_MS: u64 = 250;
+/// Simulated crawler threads (paper testbed: 15).
+pub const SIMULATED_THREADS: usize = 15;
+/// Fetch attempts after the first before a URL is given up (paper: "the
+/// number of retrials is restricted to 3").
+pub const MAX_RETRIES: u32 = 3;
+/// Outgoing queue capacity per topic (paper: 1,000).
+pub const OUTGOING_QUEUE_CAP: usize = 1_000;
+/// Maximum simultaneous connections per host (paper testbed: 2). A
+/// fetch whose host has no free connection slot waits for one.
+pub const PER_HOST_CONNECTIONS: usize = 2;
 
 /// Why [`CrawlConfig::admit_url`] turned a URL away.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,10 +83,12 @@ pub enum CrawlStrategy {
 }
 
 /// Crawl parameters; defaults follow the paper's testbed (Section 5.1).
+/// The testbed's fixed values (threads, retries, outgoing queue cap,
+/// connections per host, breaker timing) are constants:
+/// [`SIMULATED_THREADS`], [`MAX_RETRIES`], [`OUTGOING_QUEUE_CAP`],
+/// [`PER_HOST_CONNECTIONS`] and those of [`crate::hosts`].
 #[derive(Debug, Clone)]
 pub struct CrawlConfig {
-    /// Simulated crawler threads (paper: 15).
-    pub threads: usize,
     /// Focusing rule in effect.
     pub focus: FocusRule,
     /// Frontier ordering.
@@ -85,24 +97,14 @@ pub struct CrawlConfig {
     pub max_depth: u32,
     /// Maximum tunnelling distance through rejected pages (paper: 2).
     pub max_tunnel: u32,
-    /// Retries per host before it is tagged bad (paper: 3).
-    pub max_retries: u32,
     /// Incoming queue capacity per topic (paper: 25,000).
     pub incoming_queue_cap: usize,
-    /// Outgoing queue capacity per topic (paper: 1,000).
-    pub outgoing_queue_cap: usize,
     /// When set, the crawl only visits these hostnames (learning-phase
     /// domain restriction).
     pub allowed_hosts: Option<FxHashSet<String>>,
     /// Hostnames never visited ("the domains of major Web search engines
     /// were explicitly locked", and DBLP is locked in the experiment).
     pub locked_hosts: FxHashSet<String>,
-    /// Maximum simultaneous connections per host (paper testbed: 2).
-    /// A fetch whose host has no free connection slot waits for one.
-    pub per_host_connections: usize,
-    /// Per-host circuit-breaker tuning (replaces the paper's one-way
-    /// good → slow → bad escalation with recovery; see [`crate::hosts`]).
-    pub breaker: BreakerConfig,
     /// Write a crawl checkpoint every N stored documents (0 = never).
     pub checkpoint_every_docs: u64,
     /// Directory checkpoints are written into; required when
@@ -121,18 +123,13 @@ pub struct CrawlConfig {
 impl Default for CrawlConfig {
     fn default() -> Self {
         CrawlConfig {
-            threads: 15,
             focus: FocusRule::Sharp,
             strategy: CrawlStrategy::DepthFirst,
             max_depth: 4,
             max_tunnel: 2,
-            max_retries: 3,
             incoming_queue_cap: 25_000,
-            outgoing_queue_cap: 1_000,
             allowed_hosts: None,
             locked_hosts: FxHashSet::default(),
-            per_host_connections: 2,
-            breaker: BreakerConfig::default(),
             checkpoint_every_docs: 0,
             checkpoint_dir: None,
             frontier_spill_dir: None,
@@ -326,11 +323,9 @@ mod tests {
     #[test]
     fn default_matches_paper_testbed() {
         let c = CrawlConfig::default();
-        assert_eq!(c.threads, 15);
+        assert_eq!(c.max_depth, 4);
         assert_eq!(c.max_tunnel, 2);
-        assert_eq!(c.max_retries, 3);
         assert_eq!(c.incoming_queue_cap, 25_000);
-        assert_eq!(c.outgoing_queue_cap, 1_000);
     }
 
     #[test]
@@ -344,7 +339,8 @@ mod tests {
         assert_eq!(h.strategy, CrawlStrategy::BestFirst);
         assert_eq!(h.max_depth, 0);
         assert!(h.allowed_hosts.is_none());
-        assert_eq!(h.threads, c.threads);
+        assert_eq!(h.max_tunnel, c.max_tunnel);
+        assert_eq!(h.incoming_queue_cap, c.incoming_queue_cap);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! of its document budget and resumed from the last automatic
 //! checkpoint converges to the harvest ratio of an uninterrupted run.
 
-use bingo_crawler::{
-    BreakerConfig, BreakerState, CrawlConfig, Crawler, Judgment, PageContext, StepOutcome,
-};
+use bingo_crawler::hosts::MAX_BACKOFF_MS;
+use bingo_crawler::{BreakerState, CrawlConfig, Crawler, Judgment, PageContext, StepOutcome};
 use bingo_store::durable::CrashFs;
 use bingo_store::DocumentStore;
 use bingo_textproc::{AnalyzedDocument, Vocabulary};
@@ -72,50 +71,6 @@ fn different_seeds_differ() {
     let (stats_a, _) = run_to_end(&mut chaos_crawler(77, base_config()));
     let (stats_b, _) = run_to_end(&mut chaos_crawler(78, base_config()));
     assert_ne!(stats_a, stats_b);
-}
-
-#[test]
-fn jitter_beyond_a_full_deadline_acts_as_a_full_deadline() {
-    // `jitter_permille` above 1000 is clamped: a breaker deadline and a
-    // retry backoff move by at most their own length, so a chaos crawl
-    // neither panics on the subtraction (debug) nor wraps its deadlines
-    // towards 2^64 (release).
-    let config = CrawlConfig {
-        breaker: BreakerConfig {
-            jitter_permille: 2_000,
-            ..BreakerConfig::default()
-        },
-        ..base_config()
-    };
-    let mut crawler = chaos_crawler(77, config);
-    let (_, ids) = run_to_end(&mut crawler);
-    assert!(!ids.is_empty(), "chaos crawl must store documents");
-    let stats = crawler.stats();
-    assert!(stats.breaker_opened > 0, "no breaker tripped");
-    assert!(stats.retries > 0, "no retry backed off");
-    let ceiling = 2 * BreakerConfig::default().max_backoff_ms;
-    assert!(stats.backoff_wait_ms <= stats.retries * ceiling);
-}
-
-#[test]
-fn breaker_deadlines_at_the_end_of_time_saturate_the_wait_counter() {
-    // A breaker that opens until `u64::MAX` parks its host for good: the
-    // summed wait saturates instead of overflowing (a panic in debug
-    // builds, a wrap in release).
-    let config = CrawlConfig {
-        breaker: BreakerConfig {
-            base_backoff_ms: u64::MAX,
-            max_backoff_ms: u64::MAX,
-            ..BreakerConfig::default()
-        },
-        ..base_config()
-    };
-    let mut crawler = chaos_crawler(77, config);
-    let (_, ids) = run_to_end(&mut crawler);
-    assert!(!ids.is_empty(), "chaos crawl must store documents");
-    let stats = crawler.stats();
-    assert!(stats.breaker_opened > 0, "no breaker tripped");
-    assert_eq!(stats.backoff_wait_ms, u64::MAX);
 }
 
 #[test]
@@ -236,7 +191,6 @@ fn crash_mid_checkpoint_under_chaos_recovers_with_sane_breakers() {
     }
 
     let world = Arc::new(WorldConfig::chaos(seed).build());
-    let max_backoff_ms = ckpt_config.breaker.max_backoff_ms;
     let resume_config = CrawlConfig {
         checkpoint_every_docs: 0,
         checkpoint_dir: None,
@@ -249,7 +203,7 @@ fn crash_mid_checkpoint_under_chaos_recovers_with_sane_breakers() {
 
     // Breaker sanity straight out of the checkpoint: every re-derived
     // open window is bounded by the breaker's own backoff cap.
-    let horizon = |clock: u64| clock + max_backoff_ms + 1;
+    let horizon = |clock: u64| clock + MAX_BACKOFF_MS + 1;
     for (host, _, _) in crawler.host_states() {
         if let BreakerState::Open { until_ms } = crawler.breaker_state(&host) {
             assert!(

@@ -74,18 +74,10 @@ impl Site {
         self.0.join("session")
     }
 
-    /// A tiny outgoing queue, so URLs back up in the incoming queues.
-    fn config(&self) -> CrawlConfig {
-        CrawlConfig {
-            outgoing_queue_cap: 4,
-            ..CrawlConfig::default()
-        }
-    }
-
     fn crawler(&self, world: &Arc<World>) -> Crawler {
         let store = DocumentStore::segmented_with(self.segments(), SEAL_EVERY)
             .expect("segment directory opens");
-        let mut crawler = Crawler::new(world.clone(), self.config(), store);
+        let mut crawler = Crawler::new(world.clone(), CrawlConfig::default(), store);
         crawler.add_seed(&world.url_of(1), Some(0));
         crawler
     }
@@ -222,8 +214,9 @@ fn resume_and_finish(
     acked: Acked,
     case: &dyn std::fmt::Display,
 ) -> Outcome {
-    let mut resumed = Crawler::resume_session(world.clone(), site.config(), site.session())
-        .unwrap_or_else(|e| panic!("{case}: resume failed: {e}"));
+    let mut resumed =
+        Crawler::resume_session(world.clone(), CrawlConfig::default(), site.session())
+            .unwrap_or_else(|e| panic!("{case}: resume failed: {e}"));
     let store = resumed.store().clone();
     assert!(store.is_segmented(), "{case}: resumed store is in memory");
     assert_eq!(store.segment_dir(), Some(site.segments()), "{case}");

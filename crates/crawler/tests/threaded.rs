@@ -99,6 +99,38 @@ fn single_thread_works() {
 }
 
 #[test]
+fn a_batch_size_past_any_allocation_stores_what_a_small_one_does() {
+    // A workspace reserves at most the store's default batch up front,
+    // so a batch size no allocation can hold runs like any other.
+    let world = Arc::new(WorldConfig::small_test(7).build());
+    let urls: Vec<(String, Option<u32>)> = (0..world.page_count() as u64)
+        .map(|id| (world.url_of(id), Some(0)))
+        .collect();
+    let stored_ids = |batch_size: usize| {
+        let store = DocumentStore::new();
+        let telemetry = CrawlTelemetry::default();
+        let report = run_pipeline(
+            Arc::clone(&world),
+            store.clone(),
+            urls.clone(),
+            &SharedVocabulary::new(),
+            &accept_all(),
+            &telemetry,
+            &PipelineOptions::flat(1, batch_size),
+        );
+        let snap = telemetry.registry.snapshot();
+        assert_eq!(snap.counters["crawl.worker.panics"], 0, "{batch_size}");
+        assert_eq!(report.documents as usize, store.document_count());
+        let mut ids: Vec<u64> = store.all_documents().iter().map(|d| d.id).collect();
+        ids.sort_unstable();
+        ids
+    };
+    let small = stored_ids(64);
+    assert!(small.len() > 10, "{} documents", small.len());
+    assert_eq!(stored_ids(usize::MAX), small);
+}
+
+#[test]
 fn unresolvable_host_costs_one_lookup() {
     // NxDomain is permanent: no retry, one fetch error, nothing stored.
     let world = Arc::new(WorldConfig::small_test(42).build());

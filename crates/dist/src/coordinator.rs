@@ -36,7 +36,9 @@ use crate::shard_of_url;
 use crate::telemetry::DistTelemetry;
 use bingo_crawler::{BatchJudge, CrawlConfig};
 use bingo_obs::Event;
-use bingo_store::durable::{find_newest_complete, prune_generations, GenerationWriter};
+use bingo_store::durable::{
+    find_newest_complete, prune_generations, GenerationWriter, DEFAULT_KEEP_GENERATIONS,
+};
 use bingo_store::{DocumentStore, DurableFs, StdFs};
 use bingo_textproc::Vocabulary;
 use bingo_webworld::{NodeFaultKind, NodeFaultPlan, World};
@@ -59,6 +61,8 @@ pub const VOCAB_FILE: &str = "vocab.json";
 pub const LEASE_TTL_MS: u64 = 30_000;
 /// Max items per lease (and the size of a node's bulk-load workspace).
 pub const LEASE_BATCH: usize = 16;
+/// Virtual per-stored-document processing cost on a node, in ms.
+pub const NODE_PROC_MS: u64 = 2;
 
 /// Configuration of a distributed crawl.
 #[derive(Debug, Clone)]
@@ -74,10 +78,6 @@ pub struct DistConfig {
     pub snapshot_every_acks: u64,
     /// Links deeper than this are not followed.
     pub max_depth: u32,
-    /// Complete snapshot generations kept on disk.
-    pub keep_generations: usize,
-    /// Virtual per-stored-document processing cost.
-    pub node_proc_ms: u64,
 }
 
 impl DistConfig {
@@ -89,8 +89,6 @@ impl DistConfig {
             poison_budget: 3,
             snapshot_every_acks: 64,
             max_depth: 4,
-            keep_generations: 2,
-            node_proc_ms: 2,
         }
     }
 }
@@ -528,7 +526,6 @@ impl Coordinator {
                 self.judge.as_ref(),
                 &items,
                 now,
-                self.config.node_proc_ms,
             );
             let end = now + result.cost_ms.max(1);
             let killed_mid_batch = self
@@ -633,7 +630,7 @@ impl Coordinator {
                 .with("generation", generation)
                 .with("bytes", total_bytes),
         );
-        prune_generations(&self.config.session_dir, self.config.keep_generations);
+        prune_generations(&self.config.session_dir, DEFAULT_KEEP_GENERATIONS);
         Ok(generation)
     }
 }

@@ -21,7 +21,7 @@
 //! world a killed-and-replayed URL fetches identical bytes, which is
 //! what lets chaos runs converge to calm-run store contents.
 
-use crate::coordinator::LEASE_BATCH;
+use crate::coordinator::{LEASE_BATCH, NODE_PROC_MS};
 use crate::lease::WorkItem;
 use bingo_crawler::{BatchJudge, CrawlTelemetry, DocOutcome, DocPipeline, FetchedDoc};
 use bingo_store::persist::{read_snapshot, write_snapshot};
@@ -108,7 +108,6 @@ impl WorkerNode {
     }
 
     /// Fetch and process one leased batch at virtual time `now_ms`.
-    /// `proc_ms` is the virtual per-stored-document processing cost.
     /// The batch's rows are in the store when this returns, whether or
     /// not the coordinator goes on to [`WorkerNode::ack`] the lease.
     pub fn process(
@@ -118,7 +117,6 @@ impl WorkerNode {
         judge: &dyn BatchJudge,
         items: &[WorkItem],
         now_ms: u64,
-        proc_ms: u64,
     ) -> BatchResult {
         let mut out = BatchResult::default();
         let mut batch: Vec<FetchedDoc> = Vec::with_capacity(items.len());
@@ -183,7 +181,7 @@ impl WorkerNode {
             };
             if stored {
                 out.stored += 1;
-                out.cost_ms += proc_ms;
+                out.cost_ms += NODE_PROC_MS;
             }
             for link in &doc.links {
                 out.discovered.push(WorkItem {
@@ -246,7 +244,7 @@ mod tests {
         let mut node = WorkerNode::new(0);
         let items = seed_items(&world, 4);
         let judge = judge_all();
-        let result = node.process(&world, &mut vocab, &judge, &items, 0, 2);
+        let result = node.process(&world, &mut vocab, &judge, &items, 0);
         assert!(result.stored > 0, "seed pages store");
         assert!(!result.discovered.is_empty(), "links discovered");
         assert!(result.cost_ms > 0, "virtual cost accrues");
@@ -268,7 +266,7 @@ mod tests {
         let mut node = WorkerNode::new(1);
         let items = seed_items(&world, 4);
         let judge = judge_all();
-        node.process(&world, &mut vocab, &judge, &items, 0, 2);
+        node.process(&world, &mut vocab, &judge, &items, 0);
         node.ack();
         let bytes = node.snapshot_bytes().unwrap();
         let restored = WorkerNode::restore(1, &bytes).unwrap();

@@ -270,11 +270,10 @@ fn repeatedly_dying_items_quarantine_instead_of_wedging() {
     let world = Arc::new(WorldConfig::small_test(34).build());
     let dir = fresh_dir("poison");
     let mut config = dist_config(3, &dir);
-    // Zero tolerance: one lease expiry quarantines the item. Long
-    // per-document cost widens the processing spans so scripted kills
-    // land mid-batch and their leases die with the node.
+    // Zero tolerance: one lease expiry quarantines the item. The
+    // scripted kills land inside processing spans (`NODE_PROC_MS` per
+    // stored document), so their leases die with the node.
     config.poison_budget = 0;
-    config.node_proc_ms = 50;
     let mut coord = seeded(&world, config);
     let mut plan = NodeFaultPlan::empty();
     for (node, start) in [(0u64, 150u64), (1, 400), (2, 900), (0, 1_600), (1, 2_500)] {

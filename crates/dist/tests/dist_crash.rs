@@ -49,7 +49,6 @@ fn dist_config(nodes: usize, dir: &PathBuf) -> DistConfig {
     // Only explicit end-of-run commits: each `run` call commits exactly
     // one generation, which the matrix then targets.
     config.snapshot_every_acks = u64::MAX;
-    config.keep_generations = 8;
     // Depth beyond the world's diameter so scheduling order can't move
     // the truncation fringe between runs.
     config.max_depth = 100;

@@ -15,26 +15,10 @@
 use crate::{HostId, LinkSource, PageId};
 use bingo_textproc::fxhash::{FxHashMap, FxHashSet};
 
-/// HITS iteration parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct HitsConfig {
-    /// Maximum power iterations.
-    pub max_iterations: usize,
-    /// Convergence threshold on the L1 change of the score vectors.
-    pub epsilon: f64,
-    /// Drop edges between pages of the same host (navigation noise).
-    pub skip_intra_host: bool,
-}
-
-impl Default for HitsConfig {
-    fn default() -> Self {
-        HitsConfig {
-            max_iterations: 50,
-            epsilon: 1e-8,
-            skip_intra_host: true,
-        }
-    }
-}
+/// Maximum power iterations.
+pub const MAX_ITERATIONS: usize = 50;
+/// Convergence threshold on the L1 change of the score vectors.
+pub const EPSILON: f64 = 1e-8;
 
 /// The HITS computation.
 ///
@@ -46,13 +30,11 @@ impl Default for HitsConfig {
 /// g.add_link(0, 3);
 /// g.add_link(1, 3);
 /// g.add_link(2, 3);
-/// let result = Hits::default().run(&g, &[0, 1, 2, 3]);
+/// let result = Hits.run(&g, &[0, 1, 2, 3]);
 /// assert_eq!(result.top_authorities(1)[0].0, 3);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Hits {
-    config: HitsConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Hits;
 
 /// Authority and hub scores over the analyzed node set.
 #[derive(Debug, Clone)]
@@ -110,11 +92,6 @@ struct Edge {
 }
 
 impl Hits {
-    /// HITS with the given configuration.
-    pub fn new(config: HitsConfig) -> Self {
-        Hits { config }
-    }
-
     /// Run HITS over the subgraph induced by `nodes` (typically the
     /// expanded base set of a topic, see [`crate::expand_base_set`]).
     pub fn run<S: LinkSource + ?Sized>(&self, source: &S, nodes: &[PageId]) -> HitsResult {
@@ -132,7 +109,7 @@ impl Hits {
                     if i == j || !seen.insert(j) {
                         continue;
                     }
-                    if self.config.skip_intra_host && hosts[i] == hosts[j] {
+                    if hosts[i] == hosts[j] {
                         continue;
                     }
                     raw_edges.push((i, j));
@@ -165,7 +142,7 @@ impl Hits {
         normalize(&mut authority);
         normalize(&mut hub);
         let mut iterations = 0;
-        for it in 0..self.config.max_iterations {
+        for it in 0..MAX_ITERATIONS {
             iterations = it + 1;
             let mut new_auth = vec![0.0f64; n];
             for e in &edges {
@@ -186,7 +163,7 @@ impl Hits {
                 .sum();
             authority = new_auth;
             hub = new_hub;
-            if delta < self.config.epsilon {
+            if delta < EPSILON {
                 break;
             }
         }
@@ -235,7 +212,7 @@ mod tests {
     fn authorities_and_hubs_separate() {
         let g = hub_authority_graph();
         let nodes: Vec<PageId> = vec![0, 1, 2, 10, 11, 20];
-        let res = Hits::default().run(&g, &nodes);
+        let res = Hits.run(&g, &nodes);
         let top_auth = res.top_authorities(2);
         assert!(top_auth.iter().all(|&(p, _)| p == 10 || p == 11));
         let top_hubs = res.top_hubs(3);
@@ -258,7 +235,7 @@ mod tests {
         g.add_page(10, 3);
         g.add_link(4, 10);
         let nodes: Vec<PageId> = vec![0, 1, 2, 3, 4, 10];
-        let res = Hits::default().run(&g, &nodes);
+        let res = Hits.run(&g, &nodes);
         assert!(
             res.authority_of(10) > res.authority_of(3),
             "cross-host endorsement must beat same-host self-promotion"
@@ -285,7 +262,7 @@ mod tests {
             g.add_link(p, 51);
         }
         let nodes: Vec<PageId> = vec![0, 1, 2, 3, 4, 20, 21, 22, 50, 51];
-        let res = Hits::new(HitsConfig::default()).run(&g, &nodes);
+        let res = Hits.run(&g, &nodes);
         assert!(
             res.authority_of(51) > res.authority_of(50),
             "3 independent hosts must outweigh a 5-page single-host farm: {} vs {}",
@@ -297,7 +274,7 @@ mod tests {
     #[test]
     fn empty_node_set() {
         let g = LinkGraph::new();
-        let res = Hits::default().run(&g, &[]);
+        let res = Hits.run(&g, &[]);
         assert!(res.nodes.is_empty());
         assert!(res.top_authorities(5).is_empty());
     }
@@ -305,14 +282,18 @@ mod tests {
     #[test]
     fn converges_quickly_on_small_graph() {
         let g = hub_authority_graph();
-        let res = Hits::default().run(&g, &[0, 1, 2, 10, 11, 20]);
-        assert!(res.iterations < 50, "took {} iterations", res.iterations);
+        let res = Hits.run(&g, &[0, 1, 2, 10, 11, 20]);
+        assert!(
+            res.iterations < MAX_ITERATIONS,
+            "took {} iterations",
+            res.iterations
+        );
     }
 
     #[test]
     fn scores_are_normalized() {
         let g = hub_authority_graph();
-        let res = Hits::default().run(&g, &[0, 1, 2, 10, 11, 20]);
+        let res = Hits.run(&g, &[0, 1, 2, 10, 11, 20]);
         let an: f64 = res.authority.iter().map(|x| x * x).sum();
         let hn: f64 = res.hub.iter().map(|x| x * x).sum();
         assert!((an - 1.0).abs() < 1e-6);

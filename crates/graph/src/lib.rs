@@ -15,7 +15,7 @@
 
 pub mod hits;
 
-pub use hits::{Hits, HitsConfig, HitsResult};
+pub use hits::{Hits, HitsResult};
 
 use bingo_textproc::fxhash::{FxHashMap, FxHashSet};
 

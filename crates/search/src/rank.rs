@@ -158,7 +158,7 @@ pub fn rank<I: TermIndex + ?Sized>(
     if needs_authority(scheme) && !matches.is_empty() {
         let base: Vec<PageId> = matches.iter().map(|h| h.doc_id).collect();
         let nodes = bingo_graph::expand_base_set(store, &base, 10);
-        let hits = Hits::default().run(store as &dyn LinkSource, &nodes);
+        let hits = Hits.run(store as &dyn LinkSource, &nodes);
         for m in &mut matches {
             m.authority = hits.authority_of(m.doc_id) as f32;
         }

@@ -66,12 +66,15 @@ impl BulkLoader {
         Self::with_batch_size(store, DEFAULT_BATCH_SIZE)
     }
 
-    /// Workspace with an explicit batch size (≥ 1).
+    /// Workspace with an explicit batch size (≥ 1). At most
+    /// [`DEFAULT_BATCH_SIZE`] rows are reserved up front; a larger
+    /// workspace grows as it fills.
     pub fn with_batch_size(store: DocumentStore, batch_size: usize) -> Self {
+        let batch_size = batch_size.max(1);
         BulkLoader {
             store,
-            batch_size: batch_size.max(1),
-            documents: Vec::with_capacity(batch_size.max(1)),
+            batch_size,
+            documents: Vec::with_capacity(batch_size.min(DEFAULT_BATCH_SIZE)),
             links: Vec::new(),
             errors: Vec::new(),
             flushed_documents: 0,

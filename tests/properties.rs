@@ -234,14 +234,8 @@ proptest! {
     fn breaker_never_closes_without_successful_probe(
         ops in proptest::collection::vec((0u8..3, 1u64..2000), 1..80),
     ) {
-        use bingo::crawler::hosts::{BreakerConfig, BreakerState, HostManager};
-        let mut m = HostManager::with_config(BreakerConfig {
-            failure_threshold: 2,
-            base_backoff_ms: 100,
-            max_backoff_ms: 1000,
-            jitter_permille: 250,
-            max_open_cycles: 3,
-        });
+        use bingo::crawler::hosts::{BreakerState, HostManager};
+        let mut m = HostManager::new();
         let mut now = 0u64;
         for &(op, dt) in &ops {
             now += dt;
