@@ -12,7 +12,8 @@
 #   ci.yml (every push/PR) — five parallel jobs sharing one cargo
 #   cache, each invoking this script with a CI_STEPS selector:
 #     lint   -> CI_STEPS=lint  ./ci.sh   (fmt, no-wall-clock guard,
-#               code ledger, clippy, rustdoc)
+#               code ledger, knob ledger under its ceiling, clippy,
+#               rustdoc)
 #     test   -> CI_STEPS=test  ./ci.sh   (release build + full tests,
 #               plus the standalone benchmark/ crate's own tests, so
 #               a change to the API it uses fails here)
@@ -161,19 +162,24 @@ code_ledger() {
     printf '    %-10s %6d %6d\n' total "$total" "$total_tests"
 }
 
+# The most settable values the knob ledger may count. A change that
+# adds a setting raises this in the same diff, where review sees it.
+KNOB_CEILING=89
+
 # The knob ledger: every independently settable value, read as the
 # `pub` fields of each `*Config` / `*Options` struct in crates/*/src
-# (non-test code), per struct and in total. Prints only; it gates
-# nothing.
+# (non-test code), per struct and in total. Fails when the total is
+# above KNOB_CEILING.
 knob_ledger() {
-    find crates/*/src -name '*.rs' | sort | xargs awk '
+    ledger=$(find crates/*/src -name '*.rs' | sort | xargs awk '
         FNR == 1 { skip = 0; inside = 0 }
         /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
         skip { next }
         /^pub struct [A-Za-z0-9_]*(Config|Options) \{/ {
             name = $3
             n = 0
-            inside = 1
+            inside = !/\}$/
+            if (!inside) printf "    %-28s %3d  %s\n", name, n, FILENAME
             next
         }
         inside && /^}/ {
@@ -183,7 +189,14 @@ knob_ledger() {
             next
         }
         inside && /^    pub [a-z0-9_]+:/ { n++ }
-        END { printf "    %-28s %3d\n", "total", total }'
+        END { printf "    %-28s %3d\n", "total", total }')
+    printf '%s\n' "$ledger"
+    total=$(printf '%s\n' "$ledger" | awk '$1 == "total" { print $2 }')
+    if [ "$total" -gt "$KNOB_CEILING" ]; then
+        echo "error: $total settable values, above KNOB_CEILING=$KNOB_CEILING" >&2
+        echo "       (make a one-value setting a constant, or raise the ceiling)" >&2
+        return 1
+    fi
 }
 
 # The committed experiments_*.json (and the EXPERIMENTS.md tables
@@ -240,7 +253,7 @@ if wants lint; then
 
     step "code ledger (non-test and test lines per crate)" code_ledger
 
-    step "knob ledger (pub fields of every *Config/*Options struct)" knob_ledger
+    step "knob ledger (pub fields of every *Config/*Options struct, at most $KNOB_CEILING)" knob_ledger
 fi
 
 if wants test; then

@@ -31,13 +31,9 @@ fn bench_kmeans(c: &mut Criterion) {
     let docs = synthetic_docs(400, 5000, 60, 11);
     c.bench_function("kmeans_k4_400docs", |b| {
         b.iter(|| {
-            let res = KMeans::new(KMeansConfig {
-                k: 4,
-                max_iterations: 20,
-                seed: 1,
-            })
-            .run(black_box(&docs))
-            .unwrap();
+            let res = KMeans::new(KMeansConfig { k: 4, seed: 1 })
+                .run(black_box(&docs))
+                .unwrap();
             black_box(res)
         })
     });

@@ -5,7 +5,7 @@
 use crate::{held_out, populate_others};
 use bingo_core::model::nb_vector;
 use bingo_core::{BingoEngine, EngineConfig, ModelConfig, TopicTree};
-use bingo_ml::feature_selection::{FeatureSelection, FeatureSelectionConfig};
+use bingo_ml::feature_selection::FeatureSelection;
 use bingo_ml::MetaPolicy;
 use bingo_textproc::features::{namespace_of, Namespace};
 use bingo_textproc::{DocumentFeatures, FeatureSpaceKind, TermId};
@@ -117,7 +117,7 @@ pub fn run_meta(seed: u64) -> MetaOutcome {
         ("meta: unanimous", MetaPolicy::Unanimous),
         ("meta: weighted (xi-alpha)", MetaPolicy::WeightedAverage),
     ] {
-        measure(method, &|f| model.decide(f, policy, false).0);
+        measure(method, &|f| model.decide(f, policy).0);
     }
 
     MetaOutcome {
@@ -169,7 +169,7 @@ pub fn run_feature_example(seed: u64, top_n: usize) -> Vec<String> {
         .map(|o| (o.as_slice(), true))
         .chain(neg_occ.iter().map(|o| (o.as_slice(), false)))
         .collect();
-    let selector = FeatureSelection::new(FeatureSelectionConfig::default()).select(&labeled);
+    let selector = FeatureSelection.select(&labeled);
 
     selector
         .ranked()

@@ -20,25 +20,26 @@ use bingo_webworld::{FetchOutcome, World};
 use std::cell::RefCell;
 use std::sync::Arc;
 
+/// Top authorities considered for archetype promotion (N_auth,
+/// Section 2.5).
+pub const N_AUTH: usize = 10;
+/// Top-confidence documents considered for promotion (N_conf,
+/// Section 3.2).
+pub const N_CONF: usize = 10;
+/// Archetypes a topic needs before harvesting may start, and the most
+/// one retraining promotes per topic: min{N_auth, N_conf} (Section 2.6).
+pub(crate) const ARCHETYPES_PER_ROUND: usize = if N_AUTH < N_CONF { N_AUTH } else { N_CONF };
+/// Candidate pool kept per topic between retrainings.
+pub const CANDIDATE_POOL: usize = 200;
+/// Top hubs whose outgoing links are boosted after each retraining
+/// (Section 2.5).
+pub const HUB_BOOST: usize = 5;
+
 /// Engine-level configuration (defaults follow Section 5.1).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct EngineConfig {
     /// Per-topic model training parameters.
     pub model: ModelConfig,
-    /// Meta decision function during the learning phase (paper default:
-    /// unanimous).
-    pub meta_learning: MetaPolicy,
-    /// Meta decision function during harvesting (paper default:
-    /// ξα-weighted average).
-    pub meta_harvesting: MetaPolicy,
-    /// Run-time-critical mode: evaluate only the single best space.
-    pub single_classifier: bool,
-    /// Top authorities considered for archetype promotion (N_auth).
-    pub n_auth: usize,
-    /// Top-confidence documents considered for promotion (N_conf).
-    pub n_conf: usize,
-    /// Candidate pool size per topic.
-    pub candidate_pool: usize,
     /// Enforce the mean-training-confidence threshold on archetypes
     /// (Section 3.2; switch off to reproduce the topic-drift ablation).
     pub archetype_threshold: bool,
@@ -46,24 +47,15 @@ pub struct EngineConfig {
     pub max_predecessors: usize,
     /// Base-set size cap for the per-topic link analysis.
     pub max_base_set: usize,
-    /// Top hubs whose outgoing links are boosted after each retraining.
-    pub hub_boost: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             model: ModelConfig::default(),
-            meta_learning: MetaPolicy::Unanimous,
-            meta_harvesting: MetaPolicy::WeightedAverage,
-            single_classifier: false,
-            n_auth: 10,
-            n_conf: 10,
-            candidate_pool: 200,
             archetype_threshold: true,
             max_predecessors: 10,
             max_base_set: 1000,
-            hub_boost: 5,
         }
     }
 }
@@ -75,6 +67,17 @@ pub enum Phase {
     Learning,
     /// Maximizing recall: soft focus, best-first.
     Harvesting,
+}
+
+impl Phase {
+    /// The meta decision function of the phase (Section 3.5): unanimous
+    /// while learning, for precision; ξα-weighted while harvesting.
+    pub fn meta_policy(self) -> MetaPolicy {
+        match self {
+            Phase::Learning => MetaPolicy::Unanimous,
+            Phase::Harvesting => MetaPolicy::WeightedAverage,
+        }
+    }
 }
 
 /// Errors surfaced by engine operations.
@@ -132,8 +135,8 @@ pub struct RetrainReport {
 struct LinkAnalysis {
     world: Arc<World>,
     base: Vec<u64>,
-    /// `(max_predecessors, n_auth, hub_boost)` it was computed with.
-    params: (usize, usize, usize),
+    /// The `max_predecessors` it was computed with.
+    max_predecessors: usize,
     authorities: Vec<(u64, f64)>,
     hubs: Vec<(u64, f64)>,
 }
@@ -393,17 +396,12 @@ impl BingoEngine {
     /// threads of the batch document pipeline share one of these to
     /// classify concurrently while the engine itself stays untouched.
     pub fn batch_classifier(&self) -> TopicClassifier<'_> {
-        let policy = match self.phase {
-            Phase::Learning => self.config.meta_learning,
-            Phase::Harvesting => self.config.meta_harvesting,
-        };
         TopicClassifier {
             tree: &self.tree,
             models: &self.models,
             weighter: &self.frozen,
             obs: &self.obs,
-            policy,
-            single_classifier: self.config.single_classifier,
+            policy: self.phase.meta_policy(),
         }
     }
 
@@ -492,17 +490,13 @@ impl BingoEngine {
     /// ledger of corpus statistics and archetype candidates — beside the
     /// dictionary the crawl interns into.
     fn judge_halves(&mut self) -> (TopicClassifier<'_>, Ledger<'_>, &mut Vocabulary) {
-        let policy = match self.phase {
-            Phase::Learning => self.config.meta_learning,
-            Phase::Harvesting => self.config.meta_harvesting,
-        };
         let BingoEngine {
             tree,
             vocab,
-            config,
             corpus,
             frozen,
             models,
+            phase,
             candidates,
             obs,
             ..
@@ -512,14 +506,12 @@ impl BingoEngine {
             models,
             weighter: frozen,
             obs,
-            policy,
-            single_classifier: config.single_classifier,
+            policy: phase.meta_policy(),
         };
         let ledger = Ledger {
             corpus,
             candidates,
             obs,
-            pool_cap: config.candidate_pool,
         };
         (assess, ledger, vocab)
     }
@@ -529,7 +521,6 @@ impl BingoEngine {
     /// and boost the best hubs' links in the frontier.
     pub fn retrain(&mut self, crawler: &mut Crawler) -> RetrainReport {
         let mut report = RetrainReport::default();
-        let cap = self.config.n_auth.min(self.config.n_conf);
         let leaves = self.tree.leaves();
         for topic in leaves {
             let t = topic.0;
@@ -543,25 +534,23 @@ impl BingoEngine {
                 // set — insertion order, truncated — repeats from one
                 // retraining to the next.
                 let world = crawler.world();
-                let params = (
-                    self.config.max_predecessors,
-                    self.config.n_auth,
-                    self.config.hub_boost,
-                );
+                let max_predecessors = self.config.max_predecessors;
                 let known = self.link_analysis.get(&t).filter(|known| {
-                    Arc::ptr_eq(&known.world, world) && known.params == params && known.base == base
+                    Arc::ptr_eq(&known.world, world)
+                        && known.max_predecessors == max_predecessors
+                        && known.base == base
                 });
                 if known.is_none() {
-                    let nodes = expand_base_set(world.as_ref(), &base, params.0);
+                    let nodes = expand_base_set(world.as_ref(), &base, max_predecessors);
                     let hits = Hits.run(world.as_ref(), &nodes);
                     self.link_analysis.insert(
                         t,
                         LinkAnalysis {
                             world: Arc::clone(world),
                             base,
-                            params,
-                            authorities: hits.top_authorities(params.1),
-                            hubs: hits.top_hubs(params.2),
+                            max_predecessors,
+                            authorities: hits.top_authorities(N_AUTH),
+                            hubs: hits.top_hubs(HUB_BOOST),
                         },
                     );
                 }
@@ -579,7 +568,7 @@ impl BingoEngine {
                     .partial_cmp(&a.confidence)
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
-            pool.truncate(self.config.n_conf);
+            pool.truncate(N_CONF);
             let mut union: FxHashMap<u64, Candidate> =
                 pool.into_iter().map(|c| (c.page_id, c.clone())).collect();
             for (page, _score) in &authority_candidates {
@@ -596,13 +585,7 @@ impl BingoEngine {
                     let confidence = self
                         .models
                         .get(&t)
-                        .map(|m| {
-                            m.confidence(
-                                &features,
-                                MetaPolicy::WeightedAverage,
-                                self.config.single_classifier,
-                            )
-                        })
+                        .map(|m| m.confidence(&features, MetaPolicy::WeightedAverage))
                         .unwrap_or(0.0);
                     union.insert(
                         *page,
@@ -637,7 +620,7 @@ impl BingoEngine {
             });
             let mut promoted = 0usize;
             for cand in ordered {
-                if promoted >= cap {
+                if promoted >= ARCHETYPES_PER_ROUND {
                     break;
                 }
                 if cand.confidence <= threshold || existing.contains(&cand.page_id) {
@@ -733,11 +716,10 @@ impl BingoEngine {
     /// "Once the training set has reached min{N_auth, N_conf} documents
     /// per topic" the harvesting phase can start.
     pub fn ready_for_harvesting(&self) -> bool {
-        let need = self.config.n_auth.min(self.config.n_conf);
         self.tree
             .leaves()
             .iter()
-            .all(|&t| self.archetype_count(t) >= need)
+            .all(|&t| self.archetype_count(t) >= ARCHETYPES_PER_ROUND)
     }
 
     /// Switch to the harvesting phase: soft focus, best-first strategy,
@@ -815,7 +797,6 @@ pub struct TopicClassifier<'a> {
     weighter: &'a TfIdfWeighter,
     obs: &'a EngineTelemetry,
     policy: MetaPolicy,
-    single_classifier: bool,
 }
 
 impl TopicClassifier<'_> {
@@ -850,17 +831,8 @@ impl TopicClassifier<'_> {
             parts.term_freqs,
             weights,
             self.policy,
-            self.single_classifier,
             hits,
         )
-    }
-
-    /// [`classify`](Self::classify) over a batch, in order. Nothing is
-    /// shared between documents; what is shared is per document — one
-    /// weighing against the frozen corpus serves every topic and feature
-    /// space the descent evaluates.
-    pub fn classify_batch(&self, features: &[DocumentFeatures]) -> Vec<Judgment> {
-        features.iter().map(|f| self.classify(f)).collect()
     }
 }
 
@@ -980,7 +952,6 @@ struct Ledger<'a> {
     corpus: &'a mut CorpusStats,
     candidates: &'a mut FxHashMap<u32, Vec<Candidate>>,
     obs: &'a EngineTelemetry,
-    pool_cap: usize,
 }
 
 impl Ledger<'_> {
@@ -1000,13 +971,13 @@ impl Ledger<'_> {
                 confidence: judgment.confidence,
                 features,
             });
-            if pool.len() > self.pool_cap * 2 {
+            if pool.len() > CANDIDATE_POOL * 2 {
                 pool.sort_by(|a, b| {
                     b.confidence
                         .partial_cmp(&a.confidence)
                         .unwrap_or(std::cmp::Ordering::Equal)
                 });
-                pool.truncate(self.pool_cap);
+                pool.truncate(CANDIDATE_POOL);
             }
         }
         judgment
@@ -1025,7 +996,6 @@ fn classify_impl(
     term_freqs: &[(TermId, u32)],
     weights: &DocWeights,
     policy: MetaPolicy,
-    single_classifier: bool,
     hits: &mut HitBuffers,
 ) -> Judgment {
     let mut current = TopicTree::ROOT;
@@ -1042,8 +1012,7 @@ fn classify_impl(
             let Some(model) = models.get(&child.0) else {
                 continue;
             };
-            let (accept, conf) =
-                model.decide_with(term_freqs, weights, policy, single_classifier, hits);
+            let (accept, conf) = model.decide_with(term_freqs, weights, policy, hits);
             if accept {
                 if best.map(|(_, c)| conf > c).unwrap_or(true) {
                     best = Some((child, conf));

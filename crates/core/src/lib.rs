@@ -168,32 +168,34 @@ mod tests {
         fn assert_sync<T: Sync>(_: &T) {}
         assert_sync(&classifier);
 
-        let batch = classifier.classify_batch(&features);
-        let mut accepted = 0;
-        for (f, got) in features.iter().zip(&batch) {
-            let want = classifier.classify(f);
-            assert_eq!(got.topic, want.topic);
-            assert_eq!(got.confidence, want.confidence);
-            accepted += usize::from(got.topic.is_some());
-        }
-        assert!(accepted > 0, "batch accepted nothing — test is vacuous");
-        assert!(accepted < batch.len(), "batch rejected nothing");
+        let sequential: Vec<bingo_crawler::Judgment> =
+            features.iter().map(|f| engine.classify(f)).collect();
+        let accepted = sequential.iter().filter(|j| j.topic.is_some()).count();
+        assert!(accepted > 0, "accepted nothing — test is vacuous");
+        assert!(accepted < sequential.len(), "rejected nothing");
 
         // Shared across worker threads the handle gives the same answers.
         let threaded: Vec<bingo_crawler::Judgment> = std::thread::scope(|scope| {
             let handles: Vec<_> = features
                 .chunks(7)
-                .map(|chunk| scope.spawn(move || classifier.classify_batch(chunk)))
+                .map(|chunk| {
+                    scope.spawn(move || {
+                        chunk
+                            .iter()
+                            .map(|f| classifier.classify(f))
+                            .collect::<Vec<_>>()
+                    })
+                })
                 .collect();
             handles
                 .into_iter()
                 .flat_map(|h| h.join().unwrap())
                 .collect()
         });
-        assert_eq!(threaded.len(), batch.len());
-        for (a, b) in threaded.iter().zip(&batch) {
+        assert_eq!(threaded.len(), sequential.len());
+        for (a, b) in threaded.iter().zip(&sequential) {
             assert_eq!(a.topic, b.topic);
-            assert_eq!(a.confidence, b.confidence);
+            assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
         }
     }
 
@@ -384,16 +386,32 @@ mod tests {
     #[test]
     fn ready_for_harvesting_gate() {
         let world = Arc::new(WorldConfig::small_test(53).build());
-        let (mut engine, _topic) = trained_engine(&world);
-        engine.config.n_auth = 1;
-        engine.config.n_conf = 1;
+        let (mut engine, topic) = trained_engine(&world);
+        let cap = crate::engine::ARCHETYPES_PER_ROUND;
         assert!(!engine.ready_for_harvesting());
         let mut crawler = Crawler::new(world.clone(), CrawlConfig::default(), DocumentStore::new());
         for a in &world.authors()[..2] {
-            crawler.add_seed(&world.url_of(a.homepage), Some(1));
+            crawler.add_seed(&world.url_of(a.homepage), Some(topic.0));
         }
         engine.crawl_until(&mut crawler, 300_000, 0);
-        engine.retrain(&mut crawler);
+        // One short of min{N_auth, N_conf} archetypes: not yet.
+        let seeds: Vec<u64> = (engine.tree.node(topic).training.iter())
+            .map(|d| d.page_id)
+            .collect();
+        let mut rows = crawler.store().all_documents();
+        rows.sort_unstable_by_key(|r| r.id);
+        let mut rows = rows.into_iter().filter(|r| !seeds.contains(&r.id));
+        while engine.archetype_count(topic) + 1 < cap {
+            let row = rows.next().expect("enough crawled pages");
+            engine
+                .promote_manual_archetype(crawler.store(), topic, row.id, None)
+                .unwrap();
+        }
+        assert!(!engine.ready_for_harvesting());
+        // A retraining promotes the rest, no more than one round's worth.
+        let report = engine.retrain(&mut crawler);
+        assert!(report.promoted.iter().all(|&(_, n)| n <= cap));
+        assert!(engine.archetype_count(topic) >= cap);
         assert!(engine.ready_for_harvesting());
     }
 }

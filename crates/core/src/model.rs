@@ -5,9 +5,8 @@
 //! and the OTHERS documents (negatives). Each space carries its own MI
 //! feature selection and a handle to the training round's frozen idf
 //! weighting; at decision time a page is weighed once for all spaces
-//! and the per-space verdicts are combined by the configured meta decision
-//! function, or — in the run-time-critical single-classifier mode — only
-//! the space with the best ξα precision estimate is evaluated.
+//! and the per-space verdicts are combined by the meta decision function
+//! of the crawl phase.
 
 use bingo_ml::feature_selection::{FeatureSelection, FeatureSelectionConfig};
 use bingo_ml::meta::MetaPolicy;
@@ -421,11 +420,7 @@ impl SpaceModel {
     /// unit-normalized weights and put in compact-index order;
     /// `confidence_of_hits` does the rest.
     pub fn score(&self, doc: &DocWeights) -> f32 {
-        self.score_with(doc, &mut HitBuffers::default())
-    }
-
-    /// [`score`](Self::score) with the hits gathered in `buffers`.
-    fn score_with(&self, doc: &DocWeights, buffers: &mut HitBuffers) -> f32 {
+        let mut buffers = HitBuffers::default();
         let runs = doc.runs(self.kind);
         let unit = unit_factor(doc.norm(self.kind));
         let hits = &mut buffers.hits;
@@ -462,9 +457,11 @@ impl SpaceModel {
 /// Training parameters for one topic model.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ModelConfig {
-    /// SVM hyperparameters.
+    /// Not read by training: its one field, `positive_cost_factor`, is
+    /// set per topic from the training set's balance.
     pub svm: SvmConfig,
-    /// Feature-selection sizes (paper: pre-select 5000, keep 2000).
+    /// Not read by training: the selection sizes are the paper's
+    /// constants (`feature_selection::{PRE_SELECT, SELECT}`).
     pub selection: FeatureSelectionConfig,
     /// Feature spaces to train, one after another; the meta decision
     /// combines their verdicts.
@@ -496,9 +493,6 @@ impl Default for ModelConfig {
 pub struct TopicModel {
     /// One model per configured feature space.
     pub spaces: Vec<SpaceModel>,
-    /// Index into `spaces` of the best space by ξα precision (used in
-    /// single-classifier mode).
-    pub best_space: usize,
     /// Optional Naive Bayes committee member over the *raw* single-term
     /// space (NB models class-conditional term distributions, so it must
     /// see the negatives' vocabulary too — the MI-projected space keeps
@@ -530,10 +524,10 @@ impl TopicModel {
         }
         // Balance the box constraints for the (typically tiny) positive
         // side.
-        let mut svm_cfg = config.svm;
-        svm_cfg.positive_cost_factor =
-            (negatives.len() as f32 / positives.len() as f32).clamp(1.0, 50.0);
-        let trainer = LinearSvm::new(svm_cfg);
+        let trainer = LinearSvm::new(SvmConfig {
+            positive_cost_factor: (negatives.len() as f32 / positives.len() as f32)
+                .clamp(1.0, 50.0),
+        });
 
         // Every document is weighed once for all spaces, positives first.
         let documents: Vec<(&DocumentFeatures, DocWeights, bool)> = positives
@@ -554,7 +548,7 @@ impl TopicModel {
                 .zip(&documents)
                 .map(|(o, &(.., positive))| (o.as_slice(), positive))
                 .collect();
-            let selector = FeatureSelection::new(config.selection).select(&labeled);
+            let selector = FeatureSelection.select(&labeled);
             if selector.is_empty() {
                 continue;
             }
@@ -571,17 +565,6 @@ impl TopicModel {
         if spaces.is_empty() {
             return None;
         }
-
-        let best_space = spaces
-            .iter()
-            .enumerate()
-            .max_by(|a, b| {
-                a.1.xi_precision()
-                    .partial_cmp(&b.1.xi_precision())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(i, _)| i)
-            .unwrap_or(0);
 
         // Optional Naive Bayes committee member over raw term counts.
         let naive_bayes = if config.use_naive_bayes {
@@ -615,7 +598,6 @@ impl TopicModel {
         let mut model = TopicModel {
             fused: FusedTable::new(&spaces),
             spaces,
-            best_space,
             naive_bayes,
             mean_training_confidence: 0.0,
         };
@@ -627,7 +609,7 @@ impl TopicModel {
             .iter()
             .map(|(f, weights, _)| {
                 let policy = MetaPolicy::WeightedAverage;
-                (model.decide_with(&f.term_freqs, weights, policy, false, &mut buffers)).1
+                (model.decide_with(&f.term_freqs, weights, policy, &mut buffers)).1
             })
             .sum();
         model.mean_training_confidence = sum / positives.len() as f32;
@@ -636,14 +618,9 @@ impl TopicModel {
 
     /// The tri-state meta decision over all spaces (Section 3.5).
     /// Returns `(accepted, confidence)`; abstention counts as rejection.
-    pub fn decide(
-        &self,
-        features: &DocumentFeatures,
-        policy: MetaPolicy,
-        single_classifier: bool,
-    ) -> (bool, f32) {
+    pub fn decide(&self, features: &DocumentFeatures, policy: MetaPolicy) -> (bool, f32) {
         let weights = DocWeights::new(features, &self.spaces[0].weighter);
-        self.decide_weighed(features, &weights, policy, single_classifier)
+        self.decide_weighed(features, &weights, policy)
     }
 
     /// [`decide`](Self::decide) for a document already weighed with this
@@ -657,11 +634,9 @@ impl TopicModel {
         features: &DocumentFeatures,
         weights: &DocWeights,
         policy: MetaPolicy,
-        single_classifier: bool,
     ) -> (bool, f32) {
         let mut buffers = HitBuffers::default();
-        let term_freqs = &features.term_freqs;
-        self.decide_with(term_freqs, weights, policy, single_classifier, &mut buffers)
+        self.decide_with(&features.term_freqs, weights, policy, &mut buffers)
     }
 
     /// [`decide_weighed`](Self::decide_weighed) of a document given by
@@ -672,13 +647,8 @@ impl TopicModel {
         term_freqs: &[(TermId, u32)],
         weights: &DocWeights,
         policy: MetaPolicy,
-        single_classifier: bool,
         buffers: &mut HitBuffers,
     ) -> (bool, f32) {
-        if single_classifier {
-            let conf = self.spaces[self.best_space].score_with(weights, buffers);
-            return (conf >= 0.0, conf);
-        }
         let mut rest = self.fused.hits(weights, buffers);
         let spaces = self
             .spaces
@@ -716,13 +686,8 @@ impl TopicModel {
     }
 
     /// Confidence only (signed), under the given policy.
-    pub fn confidence(
-        &self,
-        features: &DocumentFeatures,
-        policy: MetaPolicy,
-        single_classifier: bool,
-    ) -> f32 {
-        self.decide(features, policy, single_classifier).1
+    pub fn confidence(&self, features: &DocumentFeatures, policy: MetaPolicy) -> f32 {
+        self.decide(features, policy).1
     }
 }
 
@@ -736,36 +701,6 @@ pub fn nb_vector(term_freqs: &[(TermId, u32)]) -> SparseVector {
             .map(|&(t, c)| (ns_index(Namespace::Term, t.0), c as f32))
             .collect(),
     )
-}
-
-/// Choose the number of selected features by ξα estimate (Section 3.5:
-/// "the same estimation technique can be used for choosing an
-/// appropriate value for the number of most significant terms").
-///
-/// Trains one model per candidate `select` size and returns the size
-/// whose best-space ξα precision estimate is highest, together with
-/// that model.
-pub fn choose_feature_count(
-    positives: &[&DocumentFeatures],
-    negatives: &[&DocumentFeatures],
-    weighter: &TfIdfWeighter,
-    base: &ModelConfig,
-    candidates: &[usize],
-) -> Option<(usize, TopicModel)> {
-    let mut best: Option<(usize, TopicModel, f32)> = None;
-    for &count in candidates {
-        let mut config = base.clone();
-        config.selection.select = count;
-        let Some(model) = TopicModel::train(positives, negatives, weighter, &config) else {
-            continue;
-        };
-        let score = model.spaces[model.best_space].xi_precision();
-        let better = best.as_ref().map(|&(_, _, s)| score > s).unwrap_or(true);
-        if better {
-            best = Some((count, model, score));
-        }
-    }
-    best.map(|(count, model, _)| (count, model))
 }
 
 /// Build [`DocumentFeatures`] from a stored row's term frequencies (used
@@ -875,26 +810,18 @@ mod tests {
             MetaPolicy::WeightedAverage,
         ] {
             for f in &pos {
-                assert!(model.decide(f, policy, false).0, "positive rejected");
+                assert!(model.decide(f, policy).0, "positive rejected");
             }
             for f in &neg {
-                assert!(!model.decide(f, policy, false).0, "negative accepted");
+                assert!(!model.decide(f, policy).0, "negative accepted");
             }
         }
-    }
-
-    #[test]
-    fn single_classifier_mode_works() {
-        let (model, pos, neg) = train();
-        assert!(model.decide(&pos[0], MetaPolicy::Majority, true).0);
-        assert!(!model.decide(&neg[0], MetaPolicy::Majority, true).0);
     }
 
     #[test]
     fn trains_one_model_per_space() {
         let (model, _, _) = train();
         assert_eq!(model.spaces.len(), 3);
-        assert!(model.best_space < model.spaces.len());
         for s in &model.spaces {
             let p = s.xi_precision();
             assert!((0.0..=1.0).contains(&p), "precision {p} out of range");
@@ -944,32 +871,11 @@ mod tests {
             pos.len()
         );
         for f in &pos {
-            assert!(model.decide(f, MetaPolicy::Majority, false).0);
+            assert!(model.decide(f, MetaPolicy::Majority).0);
         }
         for f in &neg {
-            assert!(!model.decide(f, MetaPolicy::Unanimous, false).0);
-            assert!(!model.decide(f, MetaPolicy::Majority, false).0);
-        }
-    }
-
-    #[test]
-    fn choose_feature_count_picks_a_candidate() {
-        let (corpus, pos, neg) = corpus_and_docs();
-        let p: Vec<&DocumentFeatures> = pos.iter().collect();
-        let n: Vec<&DocumentFeatures> = neg.iter().collect();
-        let (count, model) = choose_feature_count(
-            &p,
-            &n,
-            &corpus.weighter(),
-            &ModelConfig::default(),
-            &[5, 50, 500],
-        )
-        .expect("some candidate trains");
-        assert!([5usize, 50, 500].contains(&count));
-        // The returned model is trained with that size.
-        assert!(model.spaces[0].selector.len() <= count);
-        for f in &pos {
-            assert!(model.decide(f, MetaPolicy::Majority, false).0);
+            assert!(!model.decide(f, MetaPolicy::Unanimous).0);
+            assert!(!model.decide(f, MetaPolicy::Majority).0);
         }
     }
 

@@ -7,10 +7,17 @@
 //! process through a JSON snapshot, so postprocessing, feedback rounds
 //! and crawl resumption can run in later sessions.
 //!
-//! Format version 3 stores the corpus statistics the models were trained
+//! Format version 4 stores the corpus statistics the models were trained
 //! with once (`frozen`), and beside them only what was counted since
 //! (`pending`), one df map each: the live statistics are their sum.
-//! Version 2 stored the live statistics in full (`corpus`) next to
+//! Version 3 was version 4 plus the settings that are constants now:
+//! `EngineConfig::{meta_learning, meta_harvesting, single_classifier,
+//! n_auth, n_conf, candidate_pool, hub_boost}`, `SvmConfig::{cost,
+//! max_iterations, tolerance, bias_value, seed}`,
+//! `FeatureSelectionConfig::{pre_select, select}` and every model's
+//! `best_space`. It still loads: a key naming no field is skipped, and
+//! no writer outside tests ever saved any of them at a value other than
+//! the constant that replaced it. Version 2 stored the live statistics in full (`corpus`) next to
 //! `frozen`; it still loads, with `pending` = `corpus` − `frozen`, and a
 //! file where that difference is negative is refused. Version 1
 //! repeated the statistics inside every feature space of every model.
@@ -61,7 +68,7 @@ impl Serialize for EngineSnapshot<'_> {
     }
 }
 
-/// A snapshot as read, of version 2 (`corpus`) or 3 (`pending`).
+/// A snapshot as read, of version 2 (`corpus`) or 3 and 4 (`pending`).
 #[derive(Deserialize)]
 struct LoadedSnapshot {
     config: EngineConfig,
@@ -77,7 +84,7 @@ struct LoadedSnapshot {
 }
 
 const MAGIC: &str = "bingo-engine";
-const VERSION: u64 = 3;
+const VERSION: u64 = 4;
 /// The oldest version this build reads.
 const OLDEST_VERSION: u64 = 2;
 
@@ -144,13 +151,7 @@ pub fn load_engine<R: Read>(mut r: R) -> Result<BingoEngine, EngineError> {
     }
     let mut snapshot: LoadedSnapshot = serde_json::from_str(&text).map_err(|e| persist(&e))?;
     check_df_bound("frozen", snapshot.frozen.stats())?;
-    let pending = if probe.version == VERSION {
-        let pending = snapshot
-            .pending
-            .ok_or_else(|| persist(&"missing field `pending`"))?;
-        check_df_bound("pending", &pending)?;
-        pending
-    } else {
+    let pending = if probe.version == OLDEST_VERSION {
         let corpus = snapshot
             .corpus
             .ok_or_else(|| persist(&"missing field `corpus`"))?;
@@ -158,6 +159,12 @@ pub fn load_engine<R: Read>(mut r: R) -> Result<BingoEngine, EngineError> {
         corpus
             .counted_since(&snapshot.frozen)
             .ok_or_else(|| persist(&"corpus holds fewer counts than frozen: not frozen from it"))?
+    } else {
+        let pending = snapshot
+            .pending
+            .ok_or_else(|| persist(&"missing field `pending`"))?;
+        check_df_bound("pending", &pending)?;
+        pending
     };
     // Counts are `u32`: no df of the live corpus may overflow one.
     let docs = snapshot
@@ -378,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn parent_written_snapshot_loads_and_saves_as_v3_to_a_fixed_point() {
+    fn parent_written_snapshot_loads_and_saves_in_the_current_format_to_a_fixed_point() {
         let engine = load_engine(PARENT).unwrap();
         // Every live and every frozen count is the v2 file's.
         assert!(engine.corpus().doc_count() > engine.frozen().stats().doc_count());
@@ -392,21 +399,24 @@ mod tests {
             engine.frozen().stats().table_ptr()
         );
 
-        let mut v3 = Vec::new();
-        save_engine(&engine, &mut v3).unwrap();
-        assert_eq!(field_text(&v3, "version"), "3");
-        assert_eq!(field_text(&v3, "frozen"), frozen);
-        let pending: CorpusStats = serde_json::from_str(&field_text(&v3, "pending")).unwrap();
+        let mut current = Vec::new();
+        save_engine(&engine, &mut current).unwrap();
+        assert_eq!(field_text(&current, "version"), VERSION.to_string());
+        assert_eq!(field_text(&current, "frozen"), frozen);
+        let pending: CorpusStats = serde_json::from_str(&field_text(&current, "pending")).unwrap();
         assert_eq!(
             pending.doc_count(),
             engine.corpus().doc_count() - engine.frozen().stats().doc_count()
         );
-        assert!(v3.len() < PARENT.len());
-        let reloaded = load_engine(&v3[..]).unwrap();
+        assert!(current.len() < PARENT.len());
+        let reloaded = load_engine(&current[..]).unwrap();
         assert_eq!(serde_json::to_string(reloaded.corpus()).unwrap(), live);
         let mut again = Vec::new();
         save_engine(&reloaded, &mut again).unwrap();
-        assert!(again == v3, "v3 save -> load -> save is not a fixed point");
+        assert!(
+            again == current,
+            "save -> load -> save is not a fixed point"
+        );
     }
 
     #[test]
@@ -438,31 +448,31 @@ mod tests {
             "corpus: a df of",
         );
         let (engine, _world, _topic) = trained_engine();
-        let mut v3 = Vec::new();
-        save_engine(&engine, &mut v3).unwrap();
-        let v3 = String::from_utf8(v3).unwrap();
-        let frozen = field_text(v3.as_bytes(), "frozen");
+        let mut current = Vec::new();
+        save_engine(&engine, &mut current).unwrap();
+        let current = String::from_utf8(current).unwrap();
+        let frozen = field_text(current.as_bytes(), "frozen");
         let docs = frozen[..frozen.find(',').unwrap()].to_string();
         refused(
-            &v3.replacen(&docs, "{\"doc_count\":1", 1),
+            &current.replacen(&docs, "{\"doc_count\":1", 1),
             "frozen: a df of",
         );
         // `trained_engine` judged nothing after training: pending is empty.
         let pending = r#""pending":{"doc_count":0,"doc_freq":{}}"#;
-        assert!(v3.contains(pending));
+        assert!(current.contains(pending));
         refused(
-            &v3.replace(pending, r#""pending":{"doc_count":1,"doc_freq":{"7":2}}"#),
+            &current.replace(pending, r#""pending":{"doc_count":1,"doc_freq":{"7":2}}"#),
             "pending: a df of",
         );
         refused(
-            &v3.replace(
+            &current.replace(
                 pending,
                 r#""pending":{"doc_count":3,"doc_freq":{"7":2,"7":3}}"#,
             ),
             "repeated feature key 7",
         );
         refused(
-            &v3.replace(
+            &current.replace(
                 pending,
                 r#""pending":{"doc_count":4294967295,"doc_freq":{}}"#,
             ),

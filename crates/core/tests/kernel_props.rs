@@ -2,37 +2,47 @@
 //! and the fused pass of `TopicModel::decide_weighed`) is the vector path
 //! bit for bit. For arbitrary documents — unsorted components, repeated
 //! link-context terms, tf up to 10⁴, features the corpus never saw, empty
-//! components — in all five feature spaces, with and without the
-//! single-classifier mode and a Naive Bayes member, under all three meta
-//! policies, for a trained model and the same model restored from disk,
-//! over a tree with three competing siblings at its root; and for
+//! components — in all five feature spaces, with and without a Naive
+//! Bayes member, under all three meta policies (the engine in both crawl
+//! phases, each of which classifies with its own), for a trained model
+//! and the same model restored from disk, over a tree with three
+//! competing siblings at its root; and for
 //! documents drawn from the training documents' features, which hit
 //! more selected features than the kernel orders by comparison:
 //!
 //! * `score` equals `svm.confidence(&space.vector(f))` by `to_bits()`,
 //! * `TopicModel::decide` and `decide_weighed` equal the meta decision
 //!   written over the vector path and over a loop of `score` calls,
-//! * `BingoEngine::classify`, `TopicClassifier::classify_batch` and a
-//!   saved-and-reloaded engine all equal the hierarchical descent written
-//!   over that reference decision.
+//! * `BingoEngine::classify` and a saved-and-reloaded engine both equal
+//!   the hierarchical descent written over that reference decision,
+//!   under the policy of the engine's phase.
 
 use bingo_core::persist::{load_engine, save_engine};
 use bingo_core::{
-    BingoEngine, EngineConfig, ModelConfig, SpaceModel, TopicId, TopicModel, TopicTree,
+    BingoEngine, EngineConfig, ModelConfig, Phase, SpaceModel, TopicId, TopicModel, TopicTree,
 };
-use bingo_crawler::Judgment;
+use bingo_crawler::{CrawlConfig, Crawler, Judgment};
 use bingo_ml::meta::MetaPolicy;
+use bingo_store::DocumentStore;
 use bingo_textproc::features::pair_feature;
 use bingo_textproc::vocab::TermId;
 use bingo_textproc::{DocWeights, DocumentFeatures, FeatureSpaceKind, SparseVector};
+use bingo_webworld::gen::WorldConfig;
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 const POLICIES: [MetaPolicy; 3] = [
     MetaPolicy::Unanimous,
     MetaPolicy::Majority,
     MetaPolicy::WeightedAverage,
+];
+
+/// Each crawl phase with the meta policy it classifies with
+/// (Section 3.5).
+const PHASES: [(Phase, MetaPolicy); 2] = [
+    (Phase::Learning, MetaPolicy::Unanimous),
+    (Phase::Harvesting, MetaPolicy::WeightedAverage),
 ];
 
 /// Term ids the arbitrary documents draw from: the training vocabulary
@@ -66,16 +76,15 @@ const OTHERS: &str = "recipe kitchen flour oven butter sugar baking dinner";
 /// An engine over a two-level tree (database → {recovery, mining}, sports
 /// and music) with all five feature spaces, trained on small virtual
 /// documents; every other training document also carries link context,
-/// so anchor and neighbour features get selected too.
-fn engine(single_classifier: bool, policy: MetaPolicy, naive_bayes: bool) -> BingoEngine {
+/// so anchor and neighbour features get selected too. The engine is in
+/// `phase`.
+fn engine(phase: Phase, naive_bayes: bool) -> BingoEngine {
     let mut engine = BingoEngine::new(EngineConfig {
         model: ModelConfig {
             spaces: FeatureSpaceKind::ALL.to_vec(),
             use_naive_bayes: naive_bayes,
             ..ModelConfig::default()
         },
-        meta_learning: policy,
-        single_classifier,
         ..EngineConfig::default()
     });
     let database = engine.add_topic(TopicTree::ROOT, TOPICS[0].0);
@@ -121,22 +130,29 @@ fn engine(single_classifier: bool, policy: MetaPolicy, naive_bayes: bool) -> Bin
         engine.analyze_virtual(&format!("<p>{words} {words} {OTHERS}</p>"));
     }
     assert!((engine.vocab.len() as u32) < TERM_IDS - 20);
+    if phase == Phase::Harvesting {
+        let world = Arc::new(WorldConfig::small_test(1).build());
+        let mut crawler = Crawler::new(world, CrawlConfig::default(), DocumentStore::new());
+        engine.switch_to_harvesting(&mut crawler);
+    }
+    assert_eq!(engine.phase(), phase);
     engine
 }
 
-/// `(single_classifier, policy, engine, the same engine saved and loaded)`
-/// for every mode; Naive Bayes joins the committee in every other one.
-fn engines() -> &'static [(bool, MetaPolicy, BingoEngine, BingoEngine)] {
-    static ENGINES: OnceLock<Vec<(bool, MetaPolicy, BingoEngine, BingoEngine)>> = OnceLock::new();
+/// `(policy, engine, the same engine saved and loaded)` for each phase,
+/// the policy being the phase's, with and without a Naive Bayes member.
+fn engines() -> &'static [(MetaPolicy, BingoEngine, BingoEngine)] {
+    static ENGINES: OnceLock<Vec<(MetaPolicy, BingoEngine, BingoEngine)>> = OnceLock::new();
     ENGINES.get_or_init(|| {
         let mut out = Vec::new();
-        for single in [false, true] {
-            for (i, policy) in POLICIES.into_iter().enumerate() {
-                let engine = engine(single, policy, i % 2 == 0);
+        for (phase, policy) in PHASES {
+            for naive_bayes in [false, true] {
+                let engine = engine(phase, naive_bayes);
                 let mut bytes = Vec::new();
                 save_engine(&engine, &mut bytes).unwrap();
                 let restored = load_engine(&bytes[..]).unwrap();
-                out.push((single, policy, engine, restored));
+                assert_eq!(restored.phase(), phase);
+                out.push((policy, engine, restored));
             }
         }
         out
@@ -184,7 +200,7 @@ fn features() -> impl Strategy<Value = DocumentFeatures> {
 fn training_features() -> &'static [DocumentFeatures] {
     static FEATURES: OnceLock<Vec<DocumentFeatures>> = OnceLock::new();
     FEATURES.get_or_init(|| {
-        let tree = &engines()[0].2.tree;
+        let tree = &engines()[0].1.tree;
         (tree.topic_ids().flat_map(|t| &tree.node(t).training))
             .chain(&tree.others)
             .map(|d| d.features.clone())
@@ -242,12 +258,7 @@ fn decide_by(
     model: &TopicModel,
     features: &DocumentFeatures,
     policy: MetaPolicy,
-    single_classifier: bool,
 ) -> (bool, f32) {
-    if single_classifier {
-        let conf = confidence(&model.spaces[model.best_space]);
-        return (conf >= 0.0, conf);
-    }
     let h = (model.spaces.len() + usize::from(model.naive_bayes.is_some())) as f32;
     let t1 = match policy {
         MetaPolicy::Unanimous => h - 0.5,
@@ -290,10 +301,9 @@ fn decide_by_vectors(
     model: &TopicModel,
     features: &DocumentFeatures,
     policy: MetaPolicy,
-    single_classifier: bool,
 ) -> (bool, f32) {
     let by_vector = |space: &SpaceModel| space.svm.confidence(&space.vector(features));
-    decide_by(by_vector, model, features, policy, single_classifier)
+    decide_by(by_vector, model, features, policy)
 }
 
 /// The top-down descent of `BingoEngine::classify` over
@@ -302,7 +312,6 @@ fn classify_by_vectors(
     engine: &BingoEngine,
     features: &DocumentFeatures,
     policy: MetaPolicy,
-    single_classifier: bool,
 ) -> Judgment {
     let mut current = TopicTree::ROOT;
     let mut assigned: Option<TopicId> = None;
@@ -314,7 +323,7 @@ fn classify_by_vectors(
             let Some(model) = engine.model(child) else {
                 continue;
             };
-            let (accept, conf) = decide_by_vectors(model, features, policy, single_classifier);
+            let (accept, conf) = decide_by_vectors(model, features, policy);
             if accept {
                 if best.map(|(_, c)| conf > c).unwrap_or(true) {
                     best = Some((child, conf));
@@ -353,8 +362,7 @@ fn bits(j: &Judgment) -> (Option<u32>, u32) {
 
 /// Every claim of the module header, for `docs`.
 fn check_kernel(docs: &[DocumentFeatures]) -> Result<(), TestCaseError> {
-    for (single, policy, engine, restored) in engines() {
-        let (single, policy) = (*single, *policy);
+    for (policy, engine, restored) in engines() {
         for topic in engine.tree.topic_ids() {
             for model in [engine, restored].map(|e| e.model(topic).expect("every topic trained")) {
                 prop_assert_eq!(model.spaces.len(), FeatureSpaceKind::ALL.len());
@@ -373,12 +381,12 @@ fn check_kernel(docs: &[DocumentFeatures]) -> Result<(), TestCaseError> {
                         prop_assert_eq!(space.confidence(f).to_bits(), reference.to_bits());
                     }
                     for p in POLICIES {
-                        let (ref_accept, ref_conf) = decide_by_vectors(model, f, p, single);
+                        let (ref_accept, ref_conf) = decide_by_vectors(model, f, p);
                         let by_score = |space: &SpaceModel| space.score(&weights);
                         for (accept, conf) in [
-                            model.decide(f, p, single),
-                            model.decide_weighed(f, &weights, p, single),
-                            decide_by(by_score, model, f, p, single),
+                            model.decide(f, p),
+                            model.decide_weighed(f, &weights, p),
+                            decide_by(by_score, model, f, p),
                         ] {
                             prop_assert_eq!(
                                 (accept, conf.to_bits()),
@@ -391,18 +399,11 @@ fn check_kernel(docs: &[DocumentFeatures]) -> Result<(), TestCaseError> {
         }
         let reference: Vec<_> = docs
             .iter()
-            .map(|f| bits(&classify_by_vectors(engine, f, policy, single)))
+            .map(|f| bits(&classify_by_vectors(engine, f, *policy)))
             .collect();
         let one_by_one: Vec<_> = docs.iter().map(|f| bits(&engine.classify(f))).collect();
-        let batch: Vec<_> = engine
-            .batch_classifier()
-            .classify_batch(docs)
-            .iter()
-            .map(bits)
-            .collect();
         let reloaded: Vec<_> = docs.iter().map(|f| bits(&restored.classify(f))).collect();
         prop_assert_eq!(&one_by_one, &reference);
-        prop_assert_eq!(&batch, &reference);
         prop_assert_eq!(&reloaded, &reference);
     }
     Ok(())
@@ -450,7 +451,7 @@ fn spaces_with_zero_norm_score_like_the_vector_path() {
             ..DocumentFeatures::default()
         },
     ];
-    let weighter = &engines()[0].2.model(TopicId(1)).unwrap().spaces[0].weighter;
+    let weighter = &engines()[0].1.model(TopicId(1)).unwrap().spaces[0].weighter;
     let pairs_only = DocWeights::new(&docs[1], weighter);
     assert_eq!(pairs_only.norm(FeatureSpaceKind::SingleTerms), 0.0);
     assert!(pairs_only.norm(FeatureSpaceKind::TermPairs) > 0.0);
@@ -462,7 +463,7 @@ fn spaces_with_zero_norm_score_like_the_vector_path() {
 /// link-context features.
 #[test]
 fn fixture_exercises_acceptance_descent_and_link_context() {
-    for (single, policy, engine, _) in engines() {
+    for (policy, engine, _) in engines() {
         let leaf = engine.tree.leaves()[0];
         let parent = engine.tree.node(leaf).parent.unwrap();
         assert_ne!(parent, TopicTree::ROOT, "two-level tree");
@@ -470,12 +471,12 @@ fn fixture_exercises_acceptance_descent_and_link_context() {
         let judged = engine.classify(own);
         assert_eq!(
             judged.topic,
-            classify_by_vectors(engine, own, *policy, *single).topic
+            classify_by_vectors(engine, own, *policy).topic
         );
         let model = engine.model(leaf).unwrap();
-        assert!(model.decide(own, MetaPolicy::Majority, false).0);
+        assert!(model.decide(own, MetaPolicy::Majority).0);
         let foreign = &engine.tree.others[0].features;
-        assert!(!model.decide(foreign, MetaPolicy::Majority, false).0);
+        assert!(!model.decide(foreign, MetaPolicy::Majority).0);
         let selects = |kind, namespace: u32| {
             let space = model.spaces.iter().find(|s| s.kind == kind).unwrap();
             space
@@ -505,12 +506,12 @@ fn fixture_exercises_acceptance_descent_and_link_context() {
 /// The topical documents are worth their property only if they can hit
 /// selected features by the dozen, as a crawled page does (≈165 per
 /// topic): a topic's fused pass orders the hits of all its spaces
-/// together, and the single-classifier mode one space's. Every training
+/// together, and `SpaceModel::score` one space's. Every training
 /// document at once does both.
 #[test]
 fn topical_documents_hit_many_selected_features() {
     let all = union_of(training_features().iter(), &[1, 2, 3]);
-    for (_, _, engine, _) in engines() {
+    for (_, engine, _) in engines() {
         let mut widest_space = 0;
         for topic in engine.tree.topic_ids() {
             let model = engine.model(topic).unwrap();

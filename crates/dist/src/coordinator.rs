@@ -74,7 +74,8 @@ pub struct DistConfig {
     pub session_dir: PathBuf,
     /// Expired leases an item may ride before quarantine.
     pub poison_budget: u32,
-    /// Commit a distributed snapshot every this many acks.
+    /// Commit a distributed snapshot every this many acks (0 acts as 1:
+    /// a round with no ack commits nothing).
     pub snapshot_every_acks: u64,
     /// Links deeper than this are not followed.
     pub max_depth: u32,
@@ -361,7 +362,7 @@ impl Coordinator {
             self.apply_faults()?;
             self.expire_leases();
             let progressed = self.dispatch()?;
-            if self.acks_since_snapshot >= self.config.snapshot_every_acks {
+            if self.acks_since_snapshot >= self.config.snapshot_every_acks.max(1) {
                 self.commit_snapshot()?;
             }
             if self.finished() || self.clock_ms >= deadline {

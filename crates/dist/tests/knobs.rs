@@ -1,7 +1,8 @@
 //! Every numeric setting of a distributed crawl, drawn over its whole
 //! range (0 and the type's maximum included), runs a short crawl
 //! through node kills without a panic. The node count sizes per-node
-//! state and is drawn from 1–4 only.
+//! state and is drawn from 1–4 only. A snapshot interval of 0 commits
+//! what an interval of 1 does.
 
 use bingo_crawler::{BatchJudge, Judgment, PageContext};
 use bingo_dist::{Coordinator, DistConfig};
@@ -68,4 +69,29 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
         prop_assert!(stats.expect("the crawl runs").fetch_ok > 0);
     }
+}
+
+/// The distributed snapshots a calm 3-node crawl of `small_test(11)`
+/// commits, every `snapshot_every_acks` acks.
+fn snapshots_committed(snapshot_every_acks: u64) -> u64 {
+    let world = Arc::new(WorldConfig::small_test(11).build());
+    let dir = session_dir();
+    let config = DistConfig {
+        snapshot_every_acks,
+        ..DistConfig::new(3, &dir)
+    };
+    let mut coord = Coordinator::new(world.clone(), judge(), config);
+    for id in 1..=6 {
+        coord.add_seed(&world.url_of(id), Some(0));
+    }
+    let stats = coord.run(BUDGET_MS).expect("the crawl runs");
+    std::fs::remove_dir_all(&dir).ok();
+    stats.snapshots
+}
+
+#[test]
+fn an_interval_of_zero_commits_what_an_interval_of_one_does() {
+    let every_ack = snapshots_committed(1);
+    assert!(every_ack > 2, "{every_ack} snapshots");
+    assert_eq!(snapshots_committed(0), every_ack);
 }

@@ -18,23 +18,16 @@ use bingo_textproc::fxhash::FxHashMap;
 use bingo_textproc::SparseVector;
 use serde::{Deserialize, Serialize};
 
-/// Configuration mirroring the paper's defaults.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct FeatureSelectionConfig {
-    /// Candidates pre-selected by within-topic frequency (paper: 5000).
-    pub pre_select: usize,
-    /// Features kept by MI rank (paper: 2000).
-    pub select: usize,
-}
+/// Candidates pre-selected by within-topic frequency (Section 2.3).
+pub const PRE_SELECT: usize = 5000;
+/// Features kept by MI rank (Section 2.3).
+pub const SELECT: usize = 2000;
 
-impl Default for FeatureSelectionConfig {
-    fn default() -> Self {
-        FeatureSelectionConfig {
-            pre_select: 5000,
-            select: 2000,
-        }
-    }
-}
+/// The selection's configuration. It holds nothing: both sizes are the
+/// paper's, [`PRE_SELECT`] and [`SELECT`]. The type stays so that code
+/// passing `ModelConfig::selection` through keeps compiling.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+pub struct FeatureSelectionConfig {}
 
 /// One document for selection purposes: its distinct features with raw
 /// frequencies, and whether it belongs to the topic under consideration
@@ -42,15 +35,13 @@ impl Default for FeatureSelectionConfig {
 pub type LabeledOccurrences<'a> = (&'a [(u32, u32)], bool);
 
 /// Runs MI feature selection.
-#[derive(Debug, Clone, Default)]
-pub struct FeatureSelection {
-    config: FeatureSelectionConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FeatureSelection;
 
 impl FeatureSelection {
-    /// Selector with the paper's default parameters.
-    pub fn new(config: FeatureSelectionConfig) -> Self {
-        FeatureSelection { config }
+    /// Selector with the paper's parameters.
+    pub fn new(_config: FeatureSelectionConfig) -> Self {
+        FeatureSelection
     }
 
     /// Select the most discriminative features for a topic.
@@ -82,7 +73,7 @@ impl FeatureSelection {
         // Pre-select by tf within the topic.
         let mut candidates: Vec<(u32, u64)> = topic_tf.into_iter().collect();
         candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        candidates.truncate(self.config.pre_select);
+        candidates.truncate(PRE_SELECT);
 
         // MI over the candidates.
         let p_topic = n_topic as f64 / n_docs as f64;
@@ -104,7 +95,7 @@ impl FeatureSelection {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.0.cmp(&b.0))
         });
-        ranked.truncate(self.config.select);
+        ranked.truncate(SELECT);
 
         FeatureSelector::from_ranked(ranked)
     }
@@ -195,16 +186,19 @@ mod tests {
         docs
     }
 
-    fn run(cfg: FeatureSelectionConfig) -> FeatureSelector {
-        let docs = corpus();
+    fn select(docs: &[(Vec<(u32, u32)>, bool)]) -> FeatureSelector {
         let labeled: Vec<LabeledOccurrences<'_>> =
             docs.iter().map(|(o, l)| (o.as_slice(), *l)).collect();
-        FeatureSelection::new(cfg).select(&labeled)
+        FeatureSelection.select(&labeled)
+    }
+
+    fn run() -> FeatureSelector {
+        select(&corpus())
     }
 
     #[test]
     fn discriminative_features_rank_above_common() {
-        let sel = run(FeatureSelectionConfig::default());
+        let sel = run();
         let rank_of = |f: u32| {
             sel.ranked()
                 .iter()
@@ -220,27 +214,30 @@ mod tests {
 
     #[test]
     fn select_limit_respected() {
-        let sel = run(FeatureSelectionConfig {
-            pre_select: 10,
-            select: 2,
-        });
-        assert_eq!(sel.len(), 2);
+        // More in-topic candidates than SELECT, fewer than PRE_SELECT.
+        let topic: Vec<(u32, u32)> = (0..SELECT as u32 + 1000).map(|f| (f, 1)).collect();
+        let docs = vec![(topic, true), (vec![(0, 1)], false)];
+        assert_eq!(select(&docs).len(), SELECT);
     }
 
     #[test]
     fn pre_select_by_tf_limits_candidates() {
-        // pre_select = 1 keeps only the most frequent in-topic feature (0).
-        let sel = run(FeatureSelectionConfig {
-            pre_select: 1,
-            select: 10,
-        });
-        assert_eq!(sel.len(), 1);
-        assert_eq!(sel.raw(0), Some(0));
+        // PRE_SELECT features of tf 2 shared with the sibling, then 1,000
+        // topic-only features of tf 1: the latter have the higher MI,
+        // but pre-selection by tf never lets them reach the MI ranking.
+        let frequent = PRE_SELECT as u32;
+        let mut topic: Vec<(u32, u32)> = (0..frequent).map(|f| (f, 2)).collect();
+        topic.extend((frequent..frequent + 1000).map(|f| (f, 1)));
+        let sibling: Vec<(u32, u32)> = (0..frequent).map(|f| (f, 1)).collect();
+        let docs = vec![(topic, true), (sibling, false)];
+        let sel = select(&docs);
+        assert_eq!(sel.len(), SELECT);
+        assert!(sel.ranked().iter().all(|&(f, _)| f < frequent));
     }
 
     #[test]
     fn projection_remaps_and_drops() {
-        let sel = run(FeatureSelectionConfig::default());
+        let sel = run();
         let v = SparseVector::from_pairs(vec![(1, 1.0), (3, 9.0)]);
         let p = sel.project(&v);
         assert_eq!(p.nnz(), 1, "sibling-only feature dropped");
@@ -250,7 +247,7 @@ mod tests {
 
     #[test]
     fn empty_corpus_selects_nothing() {
-        let sel = FeatureSelection::default().select(&[]);
+        let sel = FeatureSelection.select(&[]);
         assert!(sel.is_empty());
         assert!(sel
             .project(&SparseVector::from_pairs(vec![(0, 1.0)]))
@@ -259,7 +256,7 @@ mod tests {
 
     #[test]
     fn compact_raw_round_trip() {
-        let sel = run(FeatureSelectionConfig::default());
+        let sel = run();
         for i in 0..sel.len() as u32 {
             let raw = sel.raw(i).unwrap();
             assert_eq!(sel.compact(raw), Some(i));
@@ -269,7 +266,7 @@ mod tests {
 
     #[test]
     fn rebuild_index_restores_lookup() {
-        let sel = run(FeatureSelectionConfig::default());
+        let sel = run();
         let json = serde_json::to_string(&sel).unwrap();
         let mut back: FeatureSelector = serde_json::from_str(&json).unwrap();
         back.rebuild_index();

@@ -17,24 +17,21 @@
 use bingo_textproc::fxhash::FxHashMap;
 use bingo_textproc::SparseVector;
 
+/// Maximum Lloyd iterations of one run.
+pub const MAX_ITERATIONS: usize = 50;
+
 /// Configuration for one k-means run.
 #[derive(Debug, Clone, Copy)]
 pub struct KMeansConfig {
     /// Number of clusters.
     pub k: usize,
-    /// Maximum Lloyd iterations.
-    pub max_iterations: usize,
     /// Seed for the deterministic initialization.
     pub seed: u64,
 }
 
 impl Default for KMeansConfig {
     fn default() -> Self {
-        KMeansConfig {
-            k: 2,
-            max_iterations: 50,
-            seed: 42,
-        }
+        KMeansConfig { k: 2, seed: 42 }
     }
 }
 
@@ -131,7 +128,7 @@ impl KMeans {
         }
 
         let mut assignments = vec![0usize; docs.len()];
-        for _ in 0..self.config.max_iterations {
+        for _ in 0..MAX_ITERATIONS {
             let mut changed = false;
             for (i, d) in docs.iter().enumerate() {
                 let best = centroids
@@ -223,12 +220,7 @@ pub fn choose_k_by_impurity(
 ) -> Option<(usize, KMeansResult)> {
     let mut best: Option<(usize, KMeansResult)> = None;
     for k in k_range {
-        let Some(res) = KMeans::new(KMeansConfig {
-            k,
-            seed,
-            ..Default::default()
-        })
-        .run(docs) else {
+        let Some(res) = KMeans::new(KMeansConfig { k, seed }).run(docs) else {
             continue;
         };
         let cost = res.impurity + penalty_per_cluster * k as f64;
@@ -358,11 +350,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let docs = two_topics();
-        let cfg = KMeansConfig {
-            k: 2,
-            seed: 7,
-            ..Default::default()
-        };
+        let cfg = KMeansConfig { k: 2, seed: 7 };
         let a = KMeans::new(cfg).run(&docs).unwrap();
         let b = KMeans::new(cfg).run(&docs).unwrap();
         assert_eq!(a.assignments, b.assignments);

@@ -31,35 +31,32 @@ use serde::{Deserialize, Serialize};
 /// namespaced feature space of `bingo-textproc`.
 pub const BIAS_FEATURE: u32 = u32::MAX;
 
-/// Training hyperparameters.
+/// Soft-margin cost C; larger values fit the training data harder.
+pub const COST: f32 = 1.0;
+/// Maximum passes over the training set.
+pub const MAX_ITERATIONS: usize = 200;
+/// Stop when the maximal projected-gradient violation falls below this.
+pub const TOLERANCE: f32 = 1e-3;
+/// Value of the constant bias feature appended to every example.
+pub const BIAS_VALUE: f32 = 1.0;
+/// Shuffle seed for the coordinate order.
+pub const SEED: u64 = 0x5eed;
+
+/// Training hyperparameters: the one that varies per topic. The rest
+/// are the constants above.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SvmConfig {
-    /// Soft-margin cost C; larger values fit the training data harder.
-    pub cost: f32,
-    /// Multiplier on C for *positive* examples. Topic training sets are
-    /// heavily imbalanced (a handful of seed documents against hundreds
-    /// of negatives); weighting positive slack harder keeps the
+    /// Multiplier on [`COST`] for *positive* examples. Topic training
+    /// sets are heavily imbalanced (a handful of seed documents against
+    /// hundreds of negatives); weighting positive slack harder keeps the
     /// hyperplane from collapsing onto "always reject".
     pub positive_cost_factor: f32,
-    /// Maximum passes over the training set.
-    pub max_iterations: usize,
-    /// Stop when the maximal projected-gradient violation falls below this.
-    pub tolerance: f32,
-    /// Value of the constant bias feature appended to every example.
-    pub bias_value: f32,
-    /// Shuffle seed for the coordinate order.
-    pub seed: u64,
 }
 
 impl Default for SvmConfig {
     fn default() -> Self {
         SvmConfig {
-            cost: 1.0,
             positive_cost_factor: 1.0,
-            max_iterations: 200,
-            tolerance: 1e-3,
-            bias_value: 1.0,
-            seed: 0x5eed,
         }
     }
 }
@@ -100,11 +97,7 @@ impl LinearSvm {
         let cfg = &self.config;
 
         // Augment with the bias feature and precompute diagonal Q_ii.
-        let xs: Vec<SparseVector> = data
-            .examples
-            .iter()
-            .map(|(x, _)| augment(x, cfg.bias_value))
-            .collect();
+        let xs: Vec<SparseVector> = data.examples.iter().map(|(x, _)| augment(x)).collect();
         let ys: Vec<f32> = data
             .examples
             .iter()
@@ -117,9 +110,9 @@ impl LinearSvm {
             .iter()
             .map(|&(_, p)| {
                 if p {
-                    cfg.cost * cfg.positive_cost_factor.max(f32::EPSILON)
+                    COST * cfg.positive_cost_factor.max(f32::EPSILON)
                 } else {
-                    cfg.cost
+                    COST
                 }
             })
             .collect();
@@ -146,9 +139,9 @@ impl LinearSvm {
         let mut w = vec![0.0f32; dim];
         let mut alpha = vec![0.0f32; n];
         let mut order: Vec<usize> = (0..n).collect();
-        let mut rng_state = cfg.seed.max(1);
+        let mut rng_state = SEED;
 
-        for _iter in 0..cfg.max_iterations {
+        for _iter in 0..MAX_ITERATIONS {
             // Fisher-Yates with a small xorshift; deterministic given seed.
             for i in (1..n).rev() {
                 rng_state ^= rng_state << 13;
@@ -186,12 +179,12 @@ impl LinearSvm {
                     w[slot(f)] += delta * v;
                 }
             }
-            if max_violation < cfg.tolerance {
+            if max_violation < TOLERANCE {
                 break;
             }
         }
 
-        let bias = w[bias_slot] * cfg.bias_value;
+        let bias = w[bias_slot] * BIAS_VALUE;
         w.truncate(bias_slot);
         let weights = SparseVector::from_pairs(
             w.iter()
@@ -200,7 +193,7 @@ impl LinearSvm {
                 .map(|(i, &v)| (i as u32, v))
                 .collect(),
         );
-        let weight_norm = (weights.norm().powi(2) + (bias / cfg.bias_value).powi(2))
+        let weight_norm = (weights.norm().powi(2) + (bias / BIAS_VALUE).powi(2))
             .sqrt()
             .max(1e-12);
 
@@ -213,7 +206,7 @@ impl LinearSvm {
                 .iter()
                 .map(|&(fi, v)| {
                     if fi == BIAS_FEATURE {
-                        bias / cfg.bias_value * v
+                        bias / BIAS_VALUE * v
                     } else {
                         weights.get(fi) * v
                     }
@@ -233,9 +226,9 @@ impl LinearSvm {
     }
 }
 
-fn augment(x: &SparseVector, bias_value: f32) -> SparseVector {
+fn augment(x: &SparseVector) -> SparseVector {
     let mut pairs: Vec<(u32, f32)> = x.entries().to_vec();
-    pairs.push((BIAS_FEATURE, bias_value));
+    pairs.push((BIAS_FEATURE, BIAS_VALUE));
     SparseVector::from_pairs(pairs)
 }
 

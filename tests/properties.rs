@@ -3,7 +3,7 @@
 
 use bingo::crawler::frontier::{Frontier, QueueEntry};
 use bingo::crawler::Dedup;
-use bingo::ml::svm::{LinearSvm, SvmConfig};
+use bingo::ml::svm::LinearSvm;
 use bingo::ml::TrainingSet;
 use bingo::textproc::stem::porter_stem;
 use bingo::textproc::tfidf::CorpusStats;
@@ -264,17 +264,20 @@ proptest! {
     // ---- SVM -------------------------------------------------------------
 
     #[test]
-    fn svm_separates_disjoint_supports(seed in 0u64..500) {
-        // Positives on features 0..10, negatives on 10..20.
+    fn svm_separates_disjoint_supports(
+        positives in proptest::collection::vec((0u32..10, 1.0f32..2.0), 2..13),
+        negatives in proptest::collection::vec((10u32..20, 1.0f32..2.0), 2..13),
+        shared in 0.0f32..0.3,
+    ) {
+        // Positives on features 0..10, negatives on 10..20, all of them
+        // on feature 20 too.
         let mut set = TrainingSet::new();
-        for i in 0..12u32 {
-            let f = i % 10;
-            set.push(SparseVector::from_pairs(vec![(f, 1.0), (20, 0.1)]), true);
-            set.push(SparseVector::from_pairs(vec![(10 + f, 1.0), (20, 0.1)]), false);
+        for (examples, label) in [(&positives, true), (&negatives, false)] {
+            for &(f, v) in examples {
+                set.push(SparseVector::from_pairs(vec![(f, v), (20, shared)]), label);
+            }
         }
-        let model = LinearSvm::new(SvmConfig { seed, ..SvmConfig::default() })
-            .train(&set)
-            .unwrap();
+        let model = LinearSvm::default().train(&set).unwrap();
         for (x, label) in &set.examples {
             prop_assert_eq!(model.confidence(x) >= 0.0, *label);
         }

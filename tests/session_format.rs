@@ -18,11 +18,13 @@ use std::sync::Arc;
 /// --budget-secs 20`: its second generation, after the harvest.
 const SESSION: &str = "tests/fixtures/session_parent_b82963c";
 
-/// `checksum` of the store snapshot and of `engine.json` after
-/// `bingo resume --seed 2003 --authors 300 --budget-secs 20` of the
-/// session at b82963c (its third generation's manifest).
+/// `checksum` of the store snapshot after `bingo resume --seed 2003
+/// --authors 300 --budget-secs 20` of the session at b82963c (its third
+/// generation's manifest), and of the engine snapshot beside it in
+/// format version 4: that generation's `engine.json` without the
+/// settings that are constants now (`tests/engine_format.rs`).
 const RESUMED_STORE: u64 = 10193732361226533820;
-const RESUMED_ENGINE: u64 = 6422548136715029159;
+const RESUMED_ENGINE: u64 = 18168224091930949079;
 
 fn entries(cp: &CrawlCheckpoint) -> Vec<&QueueEntry> {
     let f = &cp.frontier;
