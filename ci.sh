@@ -12,8 +12,8 @@
 #   ci.yml (every push/PR) — five parallel jobs sharing one cargo
 #   cache, each invoking this script with a CI_STEPS selector:
 #     lint   -> CI_STEPS=lint  ./ci.sh   (fmt, no-wall-clock guard,
-#               code ledger, knob ledger under its ceiling, clippy,
-#               rustdoc)
+#               code ledger, knob ledger under its ceiling,
+#               dependency ledger, clippy, rustdoc)
 #     test   -> CI_STEPS=test  ./ci.sh   (release build + full tests,
 #               plus the standalone benchmark/ crate's own tests, so
 #               a change to the API it uses fails here)
@@ -199,6 +199,56 @@ knob_ledger() {
     fi
 }
 
+# Declared dependencies that no line of a crate's src/, tests/ or
+# benches/ names, allowed only because benchmark/Cargo.lock still pins
+# them (ROADMAP item 5 drops them with the next benchmark revision).
+# Entries are crate:dependency.
+DEP_PINNED="core:rand ml:rand crawler:rand crawler:parking_lot crawler:crossbeam
+crawler:bingo-ml search:serde graph:serde"
+
+# The dependency ledger: per crate, the dependencies its Cargo.toml
+# declares (normal, dev and build) and those its src/, tests/ and
+# benches/ never name (as a word, `-` read as `_`). Fails on an unnamed
+# dependency that DEP_PINNED does not list.
+dep_ledger() {
+    # shellcheck disable=SC2086
+    pinned=" $(echo $DEP_PINNED) "
+    unused=""
+    printf '    %-10s %4s  %s\n' crate deps unnamed
+    for toml in crates/*/Cargo.toml; do
+        dir=${toml%/Cargo.toml}
+        crate=${dir#crates/}
+        deps=$(awk '
+            /^\[/ { on = ($0 ~ /^\[(dev-|build-)?dependencies\]$/); next }
+            on && /^[A-Za-z0-9_-]+[[:space:]]*[.=]/ { sub(/[[:space:]]*[.=].*/, ""); print }
+        ' "$toml" | sort -u)
+        srcs=""
+        for s in src tests benches; do
+            [ -d "$dir/$s" ] && srcs="$srcs $dir/$s"
+        done
+        n=0
+        unnamed=""
+        for dep in $deps; do
+            n=$((n + 1))
+            # shellcheck disable=SC2086
+            grep -rqw --include='*.rs' "$(printf '%s' "$dep" | tr - _)" $srcs && continue
+            case "$pinned" in
+            *" $crate:$dep "*) unnamed="$unnamed $dep(pinned)" ;;
+            *)
+                unnamed="$unnamed $dep"
+                unused="$unused $crate:$dep"
+                ;;
+            esac
+        done
+        printf '    %-10s %4d %s\n' "$crate" "$n" "$unnamed"
+    done
+    if [ -n "$unused" ]; then
+        echo "error: declared but never named in src/, tests/ or benches/:$unused" >&2
+        echo "       (drop the dependency from the crate's Cargo.toml)" >&2
+        return 1
+    fi
+}
+
 # The committed experiments_*.json (and the EXPERIMENTS.md tables
 # quoting them) are pure functions of the seeds in the exp_* harnesses.
 # Rerun every harness in a scratch directory and require byte-identical
@@ -254,6 +304,8 @@ if wants lint; then
     step "code ledger (non-test and test lines per crate)" code_ledger
 
     step "knob ledger (pub fields of every *Config/*Options struct, at most $KNOB_CEILING)" knob_ledger
+
+    step "dependency ledger (declared dependencies each crate names)" dep_ledger
 fi
 
 if wants test; then

@@ -21,7 +21,7 @@ use bingo_core::{BingoEngine, EngineConfig, TopicTree};
 use bingo_crawler::{CrawlConfig, CrawlStats, Crawler};
 use bingo_search::{QueryOptions, RankingScheme, SearchEngine};
 use bingo_store::{DocumentRow, DocumentStore};
-use bingo_textproc::{analyze_html, ContentRegistry, Vocabulary};
+use bingo_textproc::{analyze_html, Vocabulary};
 use bingo_webworld::gen::WorldConfig;
 use bingo_webworld::{FetchOutcome, World};
 use std::sync::Arc;
@@ -80,7 +80,6 @@ pub struct ExpertOutcome {
 /// every page analyzed and indexed, no focusing. This is the baseline
 /// the paper contrasts against.
 pub fn build_global_index(world: &World, vocab: &mut Vocabulary) -> (DocumentStore, SearchEngine) {
-    let registry = ContentRegistry::new();
     let store = DocumentStore::new();
     for id in 0..world.page_count() as u64 {
         let meta = world.page(id);
@@ -91,7 +90,7 @@ pub fn build_global_index(world: &World, vocab: &mut Vocabulary) -> (DocumentSto
         let FetchOutcome::Ok(resp) = world.fetch(&url, 0) else {
             continue;
         };
-        let Ok(html) = registry.to_html(resp.mime, &resp.payload) else {
+        let Ok(html) = resp.mime.to_html(&resp.payload) else {
             continue;
         };
         let doc = analyze_html(&html, vocab);

@@ -5,6 +5,7 @@
 use crate::model::{features_from_term_freqs, HitBuffers, ModelConfig, TopicModel};
 use crate::telemetry::EngineTelemetry;
 use crate::topic::{TopicId, TopicTree, TrainingDoc};
+use bingo_crawler::pipeline::{prepare_content, Content};
 use bingo_crawler::{Assess, Crawler, Judgment, PageContext, StepOutcome};
 use bingo_graph::{expand_base_set, Hits, LinkSource};
 use bingo_ml::meta::MetaPolicy;
@@ -13,8 +14,8 @@ use bingo_textproc::fxhash::FxHashMap;
 use bingo_textproc::tfidf::{CorpusStats, TfIdfWeighter};
 use bingo_textproc::vocab::TermId;
 use bingo_textproc::{
-    analyze_html_metered, AnalyzedDocument, ContentRegistry, DocWeights, DocumentFeatures,
-    FeatureParts, PairCounter, Vocabulary,
+    analyze_html, AnalyzedDocument, DocWeights, DocumentFeatures, FeatureParts, PairCounter,
+    Vocabulary,
 };
 use bingo_webworld::{FetchOutcome, World};
 use std::cell::RefCell;
@@ -164,7 +165,6 @@ pub struct BingoEngine {
     candidates: FxHashMap<u32, Vec<Candidate>>,
     /// Per topic, what its last link analysis read and found.
     link_analysis: FxHashMap<u32, LinkAnalysis>,
-    registry: ContentRegistry,
     obs: EngineTelemetry,
 }
 
@@ -181,7 +181,6 @@ impl BingoEngine {
             phase: Phase::Learning,
             candidates: FxHashMap::default(),
             link_analysis: FxHashMap::default(),
-            registry: ContentRegistry::new(),
             obs: EngineTelemetry::default(),
         }
     }
@@ -233,27 +232,27 @@ impl BingoEngine {
                 _ => None,
             })
             .ok_or_else(|| EngineError::Fetch(url.to_string()))?;
-        let html = self
-            .registry
-            .to_html(response.mime, &response.payload)
-            .map_err(|_| EngineError::Content(url.to_string()))?;
-        let doc = analyze_html_metered(&html, &mut self.vocab, &self.obs.textproc);
-        let features = DocumentFeatures::from_document(&doc);
-        self.record_corpus(&features);
+        let Content::Analyzed(doc) = prepare_content(&response, &mut self.vocab) else {
+            return Err(EngineError::Content(url.to_string()));
+        };
+        let features = self.record_analysis(&doc);
         Ok((response.page_id, doc.title, features))
     }
 
     /// Analyze a raw HTML string into features (virtual training
     /// documents, e.g. a query turned into a document for expert search).
     pub fn analyze_virtual(&mut self, html: &str) -> DocumentFeatures {
-        let doc = analyze_html_metered(html, &mut self.vocab, &self.obs.textproc);
-        let features = DocumentFeatures::from_document(&doc);
-        self.record_corpus(&features);
-        features
+        let doc = analyze_html(html, &mut self.vocab);
+        self.record_analysis(&doc)
     }
 
-    fn record_corpus(&mut self, features: &DocumentFeatures) {
+    /// Roll an analyzed document into the text-processing counters and
+    /// the corpus statistics, and return its features.
+    fn record_analysis(&mut self, doc: &AnalyzedDocument) -> DocumentFeatures {
+        self.obs.textproc.record(doc, self.vocab.len());
+        let features = DocumentFeatures::from_document(doc);
         self.corpus.add_document(features.distinct_features());
+        features
     }
 
     /// Add an intellectually classified training document for `topic` by
@@ -765,7 +764,6 @@ impl BingoEngine {
             phase,
             candidates: FxHashMap::default(),
             link_analysis: FxHashMap::default(),
-            registry: ContentRegistry::new(),
             obs: EngineTelemetry::default(),
         };
         engine.gauge_corpus();

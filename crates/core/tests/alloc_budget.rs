@@ -10,7 +10,7 @@
 
 use bingo_core::{BingoEngine, EngineConfig, TopicTree};
 use bingo_crawler::Assess;
-use bingo_textproc::{analyze_html, AnalyzedDocument, ContentRegistry, DocumentFeatures};
+use bingo_textproc::{analyze_html, AnalyzedDocument, DocumentFeatures};
 use bingo_webworld::gen::WorldConfig;
 use bingo_webworld::{FetchOutcome, PageKind, World};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -96,12 +96,11 @@ fn engine_and_pages() -> (BingoEngine, Vec<AnalyzedDocument>) {
         }
     }
     engine.train().expect("the fixture trains");
-    let registry = ContentRegistry::new();
     let mut pages = Vec::new();
     for topic in 0..5 {
         for url in content_urls(&world, topic).skip(8).take(4) {
             if let FetchOutcome::Ok(r) = world.fetch(&url, 0) {
-                if let Ok(html) = registry.to_html(r.mime, &r.payload) {
+                if let Ok(html) = r.mime.to_html(&r.payload) {
                     pages.push(analyze_html(&html, &mut engine.vocab));
                 }
             }

@@ -38,11 +38,12 @@
 //!   executor that pulls batches through the same pipeline for raw
 //!   throughput measurements ([`threaded`]).
 //!
-//! Classification is pluggable: [`Crawler::crawl_ahead`] judges each
-//! page with an [`Assess`] half, which lookahead workers may run ahead
-//! of the pop, and a commit closure applied in pop order;
-//! [`Crawler::step`] takes a whole [`DocumentJudge`], a split judge whose
-//! assessment is empty. The BINGO! engine (crate `bingo-core`) judges
+//! Classification is a caller's closure: [`Crawler::crawl_ahead`] judges
+//! each page with an [`Assess`] half, which lookahead workers may run
+//! ahead of the pop, and a commit closure applied in pop order;
+//! [`Crawler::step`] takes one
+//! `FnMut(&AnalyzedDocument, &PageContext) -> Judgment`, a split judge
+//! whose assessment is empty. The BINGO! engine (crate `bingo-core`) judges
 //! with its hierarchical SVM classifier and drives phase switches and
 //! retraining between crawl steps.
 #![forbid(unsafe_code)]
@@ -93,21 +94,4 @@ pub trait Assess: Sync {
         anchor_terms: &[TermId],
         neighbor_terms: &[TermId],
     ) -> Self::Assessment;
-}
-
-/// The classification callback the crawler invokes for every analyzed
-/// document. Implemented by the BINGO! engine's topic-tree classifier.
-pub trait DocumentJudge {
-    /// Classify `doc`; return the assigned topic and the classifier's
-    /// confidence, or a rejection (`topic: None`).
-    fn judge(&mut self, doc: &AnalyzedDocument, ctx: &PageContext) -> Judgment;
-}
-
-impl<F> DocumentJudge for F
-where
-    F: FnMut(&AnalyzedDocument, &PageContext) -> Judgment,
-{
-    fn judge(&mut self, doc: &AnalyzedDocument, ctx: &PageContext) -> Judgment {
-        self(doc, ctx)
-    }
 }

@@ -31,7 +31,7 @@ use crate::Assess;
 use bingo_obs::{Counter, Registry};
 use bingo_store::DocumentStore;
 use bingo_textproc::fxhash::{FxHashMap, FxHashSet};
-use bingo_textproc::{AnalyzedDocument, ContentRegistry, KnownTerms, Vocabulary};
+use bingo_textproc::{AnalyzedDocument, KnownTerms, Vocabulary};
 use bingo_webworld::{FetchOutcome, World};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -354,7 +354,6 @@ type Worker<'s> = ScopedJoinHandle<'s, Option<Vocabulary>>;
 pub(crate) struct Pool<'s, A: Assess> {
     world: &'s World,
     assess: &'s A,
-    registry: ContentRegistry,
     board: Arc<(Mutex<Board>, Condvar)>,
     workers: Vec<Worker<'s>>,
     /// Dictionary length the board's log reaches.
@@ -390,7 +389,6 @@ impl<'s, A: Assess> Pool<'s, A> {
         Pool {
             world,
             assess,
-            registry: ContentRegistry::new(),
             board,
             workers,
             logged: dict_len,
@@ -469,7 +467,7 @@ impl<'s, A: Assess> Pool<'s, A> {
             let next = self.lock().next_job();
             match next {
                 Some(job) => {
-                    let prepared = prepare(self.world, &self.registry, vocab, self.assess, &job);
+                    let prepared = prepare(self.world, vocab, self.assess, &job);
                     self.ready.insert(job.seq, prepared);
                 }
                 None => match self.answers.recv() {
@@ -541,7 +539,6 @@ fn work<A: Assess>(
     mut replica: Vocabulary,
     answer: Sender<Answer<A::Assessment>>,
 ) -> Option<Vocabulary> {
-    let registry = ContentRegistry::new();
     let base = replica.len();
     loop {
         let (job, tail) = {
@@ -566,7 +563,7 @@ fn work<A: Assess>(
             for term in &tail {
                 replica.intern(term);
             }
-            prepare(world, &registry, &mut replica, assess, &job)
+            prepare(world, &mut replica, assess, &job)
         }))
         .ok();
         let failed = prepared.is_none();
@@ -579,7 +576,6 @@ fn work<A: Assess>(
 /// The pure half of a crawl step for one job.
 fn prepare<A: Assess>(
     world: &World,
-    registry: &ContentRegistry,
     replica: &mut Vocabulary,
     assess: &A,
     job: &Job,
@@ -588,9 +584,9 @@ fn prepare<A: Assess>(
     // fetch is the same at every virtual time.
     let mut fetch = world.fetch_at(&job.entry.url, job.entry.attempt, 0);
     let content = match &mut fetch {
-        FetchOutcome::Ok(response) if !response.truncated && admit(registry, response) => {
+        FetchOutcome::Ok(response) if !response.truncated && admit(response) => {
             let mut known = KnownTerms::new(replica, job.dict_len);
-            match prepare_content(registry, response, &mut known) {
+            match prepare_content(response, &mut known) {
                 Content::Analyzed(doc) if known.all_known() => {
                     let assessment =
                         assess.assess(&doc, &job.entry.anchor_terms, &job.entry.neighbor_terms);

@@ -49,8 +49,7 @@ use bingo_obs::{Counter, Gauge, Histogram, Registry};
 use bingo_store::{BulkLoader, BulkLoaderObs, DocumentRow, DocumentStore, LinkRow, StoreError};
 use bingo_textproc::fxhash::{FxHashMap, FxHashSet};
 use bingo_textproc::{
-    analyze_html, AnalyzedDocument, AnalyzedLink, ContentRegistry, Interner, TermId,
-    TextprocMetrics,
+    analyze_html, AnalyzedDocument, AnalyzedLink, Interner, TermId, TextprocMetrics,
 };
 use bingo_webworld::fetch::FetchResponse;
 use bingo_webworld::World;
@@ -202,8 +201,8 @@ impl PipelineMetrics {
 
 /// The MIME-type/size admission filter (Section 4.2 "document type
 /// management").
-pub fn admit(registry: &ContentRegistry, response: &FetchResponse) -> bool {
-    registry.can_handle(response.mime) && response.size <= response.mime.max_size() as u64
+pub fn admit(response: &FetchResponse) -> bool {
+    response.mime.is_handled() && response.size <= response.mime.max_size() as u64
 }
 
 /// What the content stage made of an admitted response.
@@ -221,12 +220,8 @@ pub enum Content {
 /// runs it ahead of the commit against a read-only dictionary view
 /// ([`bingo_textproc::KnownTerms`]) and the commit runs it inline
 /// against the real dictionary.
-pub fn prepare_content<I: Interner + ?Sized>(
-    registry: &ContentRegistry,
-    response: &FetchResponse,
-    vocab: &mut I,
-) -> Content {
-    match registry.to_html(response.mime, &response.payload) {
+pub fn prepare_content<I: Interner + ?Sized>(response: &FetchResponse, vocab: &mut I) -> Content {
+    match response.mime.to_html(&response.payload) {
         Ok(html) => Content::Analyzed(analyze_html(&html, vocab)),
         Err(_) => Content::Malformed,
     }
@@ -298,14 +293,13 @@ pub fn link_rows(world: &World, page_id: u64, doc: &AnalyzedDocument) -> Vec<Lin
         .collect()
 }
 
-/// One worker's post-fetch state: content registry, bulk-load
-/// workspace (with its flush-error observer) and the metric handles the
-/// stages report into. Every executor builds one per worker through
-/// [`DocPipeline::new`] — the only place crawl-side `BulkLoader` values
-/// are constructed. (Lookahead workers, which only run the content
-/// stage, hold a `ContentRegistry` of their own.)
+/// One worker's post-fetch state: bulk-load workspace (with its
+/// flush-error observer) and the metric handles the stages report into.
+/// Every executor builds one per worker through [`DocPipeline::new`] —
+/// the only place crawl-side `BulkLoader` values are constructed. (The
+/// content stage, which lookahead workers also run, needs no state: each
+/// [`bingo_textproc::MimeType`] converts its own payload.)
 pub struct DocPipeline {
-    registry: ContentRegistry,
     loader: BulkLoader,
     textproc: TextprocMetrics,
     metrics: PipelineMetrics,
@@ -317,7 +311,6 @@ impl DocPipeline {
     /// documents, reporting into `telemetry`'s registry.
     pub fn new(store: DocumentStore, batch_size: usize, telemetry: &CrawlTelemetry) -> Self {
         DocPipeline {
-            registry: ContentRegistry::new(),
             loader: BulkLoader::with_batch_size(store, batch_size).with_observer(
                 BulkLoaderObs::new(&telemetry.registry, telemetry.events.clone()),
             ),
@@ -375,7 +368,6 @@ impl DocPipeline {
         judge: impl FnOnce(&[AnalyzedDocument], &[PageContext]) -> Vec<Judgment>,
     ) -> Vec<DocOutcome> {
         let DocPipeline {
-            registry,
             loader,
             textproc,
             metrics,
@@ -391,7 +383,7 @@ impl DocPipeline {
         let mut fetched: Vec<FetchedDoc> = Vec::with_capacity(batch.len());
         let mut docs: Vec<AnalyzedDocument> = Vec::with_capacity(batch.len());
         for (i, (item, ready)) in batch.into_iter().enumerate() {
-            if !admit(registry, &item.response) {
+            if !admit(&item.response) {
                 metrics.mime_rejected.inc();
                 outcomes[i] = Some(DocOutcome::MimeFiltered);
                 continue;
@@ -401,7 +393,7 @@ impl DocPipeline {
                 outcomes[i] = Some(DocOutcome::DuplicateContent);
                 continue;
             }
-            match ready.unwrap_or_else(|| prepare_content(registry, &item.response, vocab)) {
+            match ready.unwrap_or_else(|| prepare_content(&item.response, vocab)) {
                 Content::Analyzed(doc) => {
                     metrics.converted.inc();
                     textproc.record(&doc, vocab.term_count());
@@ -727,7 +719,6 @@ mod tests {
         let store = DocumentStore::new();
         let telemetry = CrawlTelemetry::default();
         let mut pipeline = DocPipeline::new(store.clone(), 4, &telemetry);
-        let content = ContentRegistry::new();
         let mut vocab = Vocabulary::new();
 
         let batch: Vec<FetchedDoc> = (0..30u64).filter_map(|id| fetch_ok(&world, id)).collect();
@@ -736,9 +727,7 @@ mod tests {
         let expected_links: usize = batch
             .iter()
             .map(|f| {
-                let html = content
-                    .to_html(f.response.mime, &f.response.payload)
-                    .unwrap();
+                let html = f.response.mime.to_html(&f.response.payload).unwrap();
                 let doc = bingo_textproc::analyze_html(&html, &mut Vocabulary::new());
                 link_rows(&world, f.response.page_id, &doc).len()
             })

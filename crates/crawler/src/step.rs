@@ -14,8 +14,8 @@
 //!
 //! The loop knows one judge type, a split judge: an [`Assess`] half and
 //! a commit closure, each page judged `commit(doc, ctx, assess(..))`.
-//! [`Crawler::step`] wraps its [`DocumentJudge`] as one whose assessment
-//! is empty. [`Crawler::crawl_ahead`] runs the same steps on real cores:
+//! [`Crawler::step`] wraps its judge closure as one whose assessment is
+//! empty. [`Crawler::crawl_ahead`] runs the same steps on real cores:
 //! worker threads fetch, analyze and assess the entries the frontier
 //! will pop next ([`crate::lookahead`]), and each step commits in pop
 //! order, using a preparation only when its inputs are the ones the step
@@ -36,7 +36,7 @@ use crate::types::{
     CrawlConfig, CrawlStats, Judgment, PageContext, MAX_REDIRECTS, MAX_RETRIES, OUTGOING_QUEUE_CAP,
     PER_HOST_CONNECTIONS, PROCESSING_COST_MS, RETRY_BACKOFF_MS, SIMULATED_THREADS,
 };
-use crate::{Assess, DocumentJudge};
+use crate::Assess;
 use bingo_obs::Event;
 use bingo_store::durable;
 use bingo_store::DocumentStore;
@@ -104,8 +104,8 @@ struct Split<'a, A: Assess> {
     commit: &'a mut dyn FnMut(&AnalyzedDocument, &PageContext, A::Assessment) -> Judgment,
 }
 
-/// The assessor of [`Crawler::step`]: a whole [`DocumentJudge`] is a
-/// split judge whose assessment is empty.
+/// The assessor of [`Crawler::step`]: a whole judge is a split judge
+/// whose assessment is empty.
 struct Whole;
 
 impl Assess for Whole {
@@ -398,7 +398,7 @@ impl Crawler {
     pub fn run_until(
         &mut self,
         deadline_ms: u64,
-        judge: &mut dyn DocumentJudge,
+        judge: &mut dyn FnMut(&AnalyzedDocument, &PageContext) -> Judgment,
         vocab: &mut Vocabulary,
     ) -> u64 {
         let mut stored = 0;
@@ -463,8 +463,12 @@ impl Crawler {
     /// When every remaining URL is parked in retry/breaker backoff, the
     /// virtual clock fast-forwards to the earliest release time — the
     /// simulated crawler idles until work becomes available again.
-    pub fn step(&mut self, judge: &mut dyn DocumentJudge, vocab: &mut Vocabulary) -> StepOutcome {
-        let commit = &mut |doc: &AnalyzedDocument, ctx: &PageContext, ()| judge.judge(doc, ctx);
+    pub fn step(
+        &mut self,
+        judge: &mut dyn FnMut(&AnalyzedDocument, &PageContext) -> Judgment,
+        vocab: &mut Vocabulary,
+    ) -> StepOutcome {
+        let commit = &mut |doc: &AnalyzedDocument, ctx: &PageContext, ()| judge(doc, ctx);
         let judge = &mut Split {
             assess: &Whole,
             commit,

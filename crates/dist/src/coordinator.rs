@@ -166,18 +166,9 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// A fresh distributed crawl (durable writes through [`StdFs`]).
+    /// A fresh distributed crawl (durable writes through [`StdFs`];
+    /// [`Coordinator::set_fs`] swaps in another filesystem).
     pub fn new(world: Arc<World>, judge: Arc<dyn BatchJudge>, config: DistConfig) -> Self {
-        Self::with_fs(world, judge, config, Arc::new(StdFs))
-    }
-
-    /// A fresh crawl with an injected filesystem (crash tests).
-    pub fn with_fs(
-        world: Arc<World>,
-        judge: Arc<dyn BatchJudge>,
-        config: DistConfig,
-        fs: Arc<dyn DurableFs>,
-    ) -> Self {
         let n = config.nodes;
         let telemetry = DistTelemetry::default();
         let queue = LeaseQueue::new(n, config.poison_budget, LEASE_TTL_MS);
@@ -192,7 +183,7 @@ impl Coordinator {
         Coordinator {
             world,
             judge,
-            fs,
+            fs: Arc::new(StdFs),
             vocab: Vocabulary::new(),
             queue,
             slots,

@@ -1,4 +1,4 @@
-//! Content handlers for non-HTML document formats (Section 2.2).
+//! Document-type handling for non-HTML formats (Section 2.2).
 //!
 //! "The document analyzer can handle a wide range of content handlers for
 //! different document formats (in particular, PDF, MS Word, MS PowerPoint
@@ -8,12 +8,14 @@
 //! Real PDF/Word parsing is out of scope (and the corpus is synthetic);
 //! the simulated web emits *container formats* with the same structure a
 //! real converter pipeline faces: a typed envelope whose payload must be
-//! extracted and converted to HTML before analysis. The registry
-//! dispatches by MIME type exactly as the paper's analyzer does, and
-//! unhandleable types (video, audio) are rejected so the crawler can skip
-//! them (Section 4.2 "document type management").
+//! extracted and converted to HTML before analysis. The set of formats
+//! is fixed, so each [`MimeType`] converts its own payload
+//! ([`MimeType::to_html`]) and unhandleable types (video, audio) are
+//! rejected so the crawler can skip them (Section 4.2 "document type
+//! management").
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// MIME types known to the engine (the crawler checks all incoming
 /// documents against this list, Section 4.2).
@@ -69,12 +71,36 @@ impl MimeType {
             _ => MimeType::Other,
         }
     }
+
+    /// True for the types the analyzer converts: the crawler's accept
+    /// test.
+    pub fn is_handled(self) -> bool {
+        !matches!(self, MimeType::Video | MimeType::Audio | MimeType::Other)
+    }
+
+    /// Convert a payload of this type to HTML. HTML is passed through
+    /// borrowed; every other handled type is converted into a new string.
+    pub fn to_html(self, payload: &str) -> Result<Cow<'_, str>, ContentError> {
+        match self {
+            MimeType::Html => Ok(Cow::Borrowed(payload)),
+            MimeType::Plain => Ok(Cow::Owned(format!(
+                "<html><body><pre>{payload}</pre></body></html>"
+            ))),
+            MimeType::Pdf => unwrap_envelope(payload, PDF_MAGIC),
+            MimeType::Word => unwrap_envelope(payload, WORD_MAGIC),
+            MimeType::PowerPoint => unwrap_envelope(payload, PPT_MAGIC),
+            MimeType::Zip => unzip(payload),
+            MimeType::Video | MimeType::Audio | MimeType::Other => {
+                Err(ContentError::Unhandled(self))
+            }
+        }
+    }
 }
 
 /// Error converting a payload to HTML.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ContentError {
-    /// The MIME type has no registered handler (e.g. video).
+    /// The MIME type is not converted (video, audio, unknown types).
     Unhandled(MimeType),
     /// The payload did not match its declared format.
     Malformed(&'static str),
@@ -91,155 +117,70 @@ impl std::fmt::Display for ContentError {
 
 impl std::error::Error for ContentError {}
 
-/// A converter from one document format to HTML.
-pub trait ContentHandler: Send + Sync {
-    /// The MIME type this handler accepts.
-    fn mime(&self) -> MimeType;
-    /// Convert the raw payload into HTML text.
-    fn to_html(&self, payload: &str) -> Result<String, ContentError>;
-}
-
-/// Dispatches payloads to the appropriate [`ContentHandler`].
-pub struct ContentRegistry {
-    handlers: Vec<Box<dyn ContentHandler>>,
-}
-
-impl Default for ContentRegistry {
-    fn default() -> Self {
-        ContentRegistry {
-            handlers: vec![
-                Box::new(HtmlHandler),
-                Box::new(PlainTextHandler),
-                Box::new(EnvelopeHandler {
-                    mime: MimeType::Pdf,
-                    magic: "%SIMPDF\n",
-                }),
-                Box::new(EnvelopeHandler {
-                    mime: MimeType::Word,
-                    magic: "%SIMDOC\n",
-                }),
-                Box::new(EnvelopeHandler {
-                    mime: MimeType::PowerPoint,
-                    magic: "%SIMPPT\n",
-                }),
-                Box::new(ZipHandler),
-            ],
-        }
-    }
-}
+/// A stateless name kept only because `benchmark/` calls
+/// `ContentRegistry::new()` and `ContentRegistry::to_html` (ROADMAP
+/// item 5). It holds nothing: every conversion is [`MimeType::to_html`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ContentRegistry;
 
 impl ContentRegistry {
-    /// Registry with the default handlers (HTML, plain text, simulated
-    /// PDF/Word/PowerPoint envelopes, simulated zip archives).
+    /// The stateless registry.
     pub fn new() -> Self {
-        Self::default()
+        ContentRegistry
     }
 
-    /// Register an additional handler; later registrations win on type
-    /// conflicts.
-    pub fn register(&mut self, handler: Box<dyn ContentHandler>) {
-        self.handlers.push(handler);
-    }
-
-    /// True when some handler accepts `mime` — the crawler's accept test.
-    pub fn can_handle(&self, mime: MimeType) -> bool {
-        self.handlers.iter().any(|h| h.mime() == mime)
-    }
-
-    /// Convert a payload of the given type to HTML.
+    /// [`MimeType::to_html`], copied into an owned string.
     pub fn to_html(&self, mime: MimeType, payload: &str) -> Result<String, ContentError> {
-        self.handlers
-            .iter()
-            .rev()
-            .find(|h| h.mime() == mime)
-            .ok_or(ContentError::Unhandled(mime))?
-            .to_html(payload)
+        mime.to_html(payload).map(Cow::into_owned)
     }
 }
 
-struct HtmlHandler;
-
-impl ContentHandler for HtmlHandler {
-    fn mime(&self) -> MimeType {
-        MimeType::Html
-    }
-
-    fn to_html(&self, payload: &str) -> Result<String, ContentError> {
-        Ok(payload.to_string())
-    }
-}
-
-struct PlainTextHandler;
-
-impl ContentHandler for PlainTextHandler {
-    fn mime(&self) -> MimeType {
-        MimeType::Plain
-    }
-
-    fn to_html(&self, payload: &str) -> Result<String, ContentError> {
-        Ok(format!("<html><body><pre>{payload}</pre></body></html>"))
-    }
-}
-
-/// Handler for the simulated binary envelopes: a magic line followed by
-/// the embedded text. Mirrors a pdf-to-text converter: validate the
-/// container, pull out the text.
-struct EnvelopeHandler {
-    mime: MimeType,
-    magic: &'static str,
-}
-
-impl ContentHandler for EnvelopeHandler {
-    fn mime(&self) -> MimeType {
-        self.mime
-    }
-
-    fn to_html(&self, payload: &str) -> Result<String, ContentError> {
-        let body = payload
-            .strip_prefix(self.magic)
-            .ok_or(ContentError::Malformed("missing format magic"))?;
-        Ok(format!("<html><body>{body}</body></html>"))
-    }
-}
-
-/// Simulated archive: `%SIMZIP\n` then entries separated by
-/// `\n--entry--\n`; all entries are concatenated into one HTML document,
-/// the way BINGO! treats an archive as one analyzable unit.
-struct ZipHandler;
-
+/// Magic prefix of the simulated PDF envelope.
+const PDF_MAGIC: &str = "%SIMPDF\n";
+/// Magic prefix of the simulated Word envelope.
+const WORD_MAGIC: &str = "%SIMDOC\n";
+/// Magic prefix of the simulated PowerPoint envelope.
+const PPT_MAGIC: &str = "%SIMPPT\n";
 /// Magic prefix of the simulated zip container.
 pub const ZIP_MAGIC: &str = "%SIMZIP\n";
 /// Entry separator of the simulated zip container.
 pub const ZIP_SEPARATOR: &str = "\n--entry--\n";
 
-impl ContentHandler for ZipHandler {
-    fn mime(&self) -> MimeType {
-        MimeType::Zip
-    }
+/// A simulated binary envelope: a magic line followed by the embedded
+/// text. Mirrors a pdf-to-text converter: validate the container, pull
+/// out the text.
+fn unwrap_envelope(payload: &str, magic: &str) -> Result<Cow<'static, str>, ContentError> {
+    let body = payload
+        .strip_prefix(magic)
+        .ok_or(ContentError::Malformed("missing format magic"))?;
+    Ok(Cow::Owned(format!("<html><body>{body}</body></html>")))
+}
 
-    fn to_html(&self, payload: &str) -> Result<String, ContentError> {
-        let body = payload
-            .strip_prefix(ZIP_MAGIC)
-            .ok_or(ContentError::Malformed("missing zip magic"))?;
-        let mut html = String::from("<html><body>");
-        for entry in body.split(ZIP_SEPARATOR) {
-            html.push_str("<div>");
-            html.push_str(entry);
-            html.push_str("</div>");
-        }
-        html.push_str("</body></html>");
-        Ok(html)
+/// The simulated archive: [`ZIP_MAGIC`], then entries separated by
+/// [`ZIP_SEPARATOR`]; all entries are concatenated into one HTML
+/// document, the way BINGO! treats an archive as one analyzable unit.
+fn unzip(payload: &str) -> Result<Cow<'static, str>, ContentError> {
+    let body = payload
+        .strip_prefix(ZIP_MAGIC)
+        .ok_or(ContentError::Malformed("missing zip magic"))?;
+    let mut html = String::from("<html><body>");
+    for entry in body.split(ZIP_SEPARATOR) {
+        html.push_str("<div>");
+        html.push_str(entry);
+        html.push_str("</div>");
     }
+    html.push_str("</body></html>");
+    Ok(Cow::Owned(html))
 }
 
 /// Wrap text in a simulated PDF envelope (used by the web simulator).
 pub fn make_pdf(text: &str) -> String {
-    format!("%SIMPDF\n{text}")
+    format!("{PDF_MAGIC}{text}")
 }
 
 /// Wrap text in a simulated Word envelope.
 pub fn make_word(text: &str) -> String {
-    format!("%SIMDOC\n{text}")
+    format!("{WORD_MAGIC}{text}")
 }
 
 /// Wrap entries in a simulated zip container.
@@ -267,9 +208,8 @@ mod tests {
 
     #[test]
     fn pdf_envelope_round_trip() {
-        let reg = ContentRegistry::new();
         let pdf = make_pdf("ARIES recovery algorithm paper text");
-        let html = reg.to_html(MimeType::Pdf, &pdf).unwrap();
+        let html = MimeType::Pdf.to_html(&pdf).unwrap();
         assert!(html.contains("ARIES recovery"));
         let parsed = crate::html::parse(&html);
         assert!(parsed.text.contains("ARIES recovery"));
@@ -277,51 +217,36 @@ mod tests {
 
     #[test]
     fn malformed_pdf_rejected() {
-        let reg = ContentRegistry::new();
-        let err = reg.to_html(MimeType::Pdf, "not a pdf").unwrap_err();
+        let err = MimeType::Pdf.to_html("not a pdf").unwrap_err();
         assert!(matches!(err, ContentError::Malformed(_)));
     }
 
     #[test]
     fn zip_concatenates_entries() {
-        let reg = ContentRegistry::new();
         let zip = make_zip(&["first entry text", "second entry text"]);
-        let html = reg.to_html(MimeType::Zip, &zip).unwrap();
+        let html = MimeType::Zip.to_html(&zip).unwrap();
         assert!(html.contains("first entry text"));
         assert!(html.contains("second entry text"));
     }
 
     #[test]
     fn video_is_unhandled() {
-        let reg = ContentRegistry::new();
-        assert!(!reg.can_handle(MimeType::Video));
+        assert!(!MimeType::Video.is_handled());
         assert!(matches!(
-            reg.to_html(MimeType::Video, "data"),
+            MimeType::Video.to_html("data"),
             Err(ContentError::Unhandled(MimeType::Video))
         ));
     }
 
     #[test]
     fn plain_text_wrapped() {
-        let reg = ContentRegistry::new();
-        let html = reg.to_html(MimeType::Plain, "hello plain world").unwrap();
+        let html = MimeType::Plain.to_html("hello plain world").unwrap();
         assert!(crate::html::parse(&html).text.contains("hello plain world"));
     }
 
     #[test]
-    fn custom_handler_overrides() {
-        struct Custom;
-        impl ContentHandler for Custom {
-            fn mime(&self) -> MimeType {
-                MimeType::Other
-            }
-            fn to_html(&self, _p: &str) -> Result<String, ContentError> {
-                Ok("<p>custom</p>".into())
-            }
-        }
-        let mut reg = ContentRegistry::new();
-        reg.register(Box::new(Custom));
-        assert!(reg.can_handle(MimeType::Other));
-        assert_eq!(reg.to_html(MimeType::Other, "x").unwrap(), "<p>custom</p>");
+    fn html_is_borrowed() {
+        let page = "<p>as served</p>";
+        assert!(matches!(MimeType::Html.to_html(page), Ok(Cow::Borrowed(p)) if p == page));
     }
 }

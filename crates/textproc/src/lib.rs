@@ -5,8 +5,9 @@
 //!
 //! * an HTML parser that strips tags, extracts the title, hyperlinks and
 //!   their anchor texts ([`html`]),
-//! * content handlers that convert non-HTML formats (simulated PDF, Word,
-//!   zip archives) into analyzable text ([`content`]),
+//! * document-type handling: each known [`MimeType`] converts its own
+//!   payload (HTML as is, simulated PDF, Word, PowerPoint and zip
+//!   archives) into analyzable HTML ([`content`]),
 //! * a tokenizer with stopword elimination ([`tokenize`], [`stopwords`]),
 //! * the full Porter stemming algorithm ([`stem`]),
 //! * a term dictionary interning strings to dense [`TermId`]s ([`vocab`]),
@@ -32,10 +33,10 @@ pub mod tokenize;
 pub mod vector;
 pub mod vocab;
 
-pub use content::{ContentHandler, ContentRegistry, MimeType};
+pub use content::{ContentRegistry, MimeType};
 pub use features::{DocWeights, DocumentFeatures, FeatureParts, FeatureSpaceKind, PairCounter};
 pub use html::{HtmlDocument, Hyperlink};
-pub use metrics::{analyze_html_metered, TextprocMetrics};
+pub use metrics::TextprocMetrics;
 pub use stem::porter_stem;
 pub use tfidf::{CorpusStats, TfIdfWeighter};
 pub use tokenize::Tokenizer;

@@ -3,7 +3,7 @@
 //! Term, token and link counts derive from document contents and are
 //! deterministic.
 
-use crate::{analyze_html, AnalyzedDocument, Interner};
+use crate::AnalyzedDocument;
 use bingo_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 
@@ -49,33 +49,22 @@ impl TextprocMetrics {
     }
 }
 
-/// [`analyze_html`] plus the volume counters.
-pub fn analyze_html_metered<I: Interner + ?Sized>(
-    html_text: &str,
-    vocab: &mut I,
-    metrics: &TextprocMetrics,
-) -> AnalyzedDocument {
-    let doc = analyze_html(html_text, vocab);
-    metrics.record(&doc, vocab.term_count());
-    doc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Vocabulary;
+    use crate::{analyze_html, Vocabulary};
 
     #[test]
-    fn metered_analysis_counts_volume() {
+    fn recorded_analysis_counts_volume() {
         let reg = Arc::new(Registry::new());
         let m = TextprocMetrics::new(reg.clone());
         let mut vocab = Vocabulary::new();
-        let doc = analyze_html_metered(
+        let doc = analyze_html(
             "<html><title>t</title><body>crawling spiders crawling \
              <a href=\"http://h/x\">focused crawling</a></body></html>",
             &mut vocab,
-            &m,
         );
+        m.record(&doc, vocab.len());
         assert!(!doc.terms.is_empty());
         let snap = reg.snapshot();
         assert_eq!(snap.counters["textproc.docs"], 1);

@@ -1,9 +1,9 @@
 //! Property-based tests of the text-processing substrate: the HTML
-//! parser and content handlers must survive arbitrary (including
+//! parser and the MIME-type conversions must survive arbitrary (including
 //! adversarial) input, and the analyzer invariants must hold on any
 //! document the web could serve.
 
-use bingo_textproc::content::{make_pdf, make_word, make_zip, ContentRegistry};
+use bingo_textproc::content::{make_pdf, make_word, make_zip};
 use bingo_textproc::features::{ns_index, pair_feature, Namespace, PAIR_WINDOW};
 use bingo_textproc::fxhash::FxHashMap;
 use bingo_textproc::html;
@@ -164,29 +164,26 @@ proptest! {
         }
     }
 
-    // ---- Content handlers ---------------------------------------------
+    // ---- MIME-type conversion -----------------------------------------
 
     #[test]
-    fn content_registry_never_panics(payload in ".{0,300}") {
-        let reg = ContentRegistry::new();
+    fn content_conversion_never_panics(payload in ".{0,300}") {
         for mime in [
             MimeType::Html, MimeType::Plain, MimeType::Pdf, MimeType::Word,
             MimeType::PowerPoint, MimeType::Zip, MimeType::Video, MimeType::Other,
         ] {
-            let _ = reg.to_html(mime, &payload);
+            let _ = mime.to_html(&payload);
         }
     }
 
     #[test]
     fn envelopes_round_trip(text in "[a-zA-Z0-9 .,]{0,200}") {
-        let reg = ContentRegistry::new();
-        let pdf = reg.to_html(MimeType::Pdf, &make_pdf(&text)).unwrap();
+        let (pdf, word, zip) = (make_pdf(&text), make_word(&text), make_zip(&[&text, "second entry"]));
+        let pdf = MimeType::Pdf.to_html(&pdf).unwrap();
         prop_assert!(pdf.contains(&text));
-        let word = reg.to_html(MimeType::Word, &make_word(&text)).unwrap();
+        let word = MimeType::Word.to_html(&word).unwrap();
         prop_assert!(word.contains(&text));
-        let zip = reg
-            .to_html(MimeType::Zip, &make_zip(&[&text, "second entry"]))
-            .unwrap();
+        let zip = MimeType::Zip.to_html(&zip).unwrap();
         prop_assert!(zip.contains(&text));
         prop_assert!(zip.contains("second entry"));
     }

@@ -368,8 +368,7 @@ mod tests {
         };
         let p = payload(&world, id);
         assert!(p.starts_with("%SIMZIP\n"));
-        let reg = bingo_textproc::ContentRegistry::new();
-        let html = reg.to_html(MimeType::Zip, &p).unwrap();
+        let html = MimeType::Zip.to_html(&p).unwrap();
         let parsed = bingo_textproc::html::parse(&html);
         assert!(parsed.text.split_whitespace().count() > 50);
     }

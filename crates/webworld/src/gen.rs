@@ -370,7 +370,7 @@ impl Generator {
             let is_hub = self.rng.gen_bool(self.cfg.hub_fraction);
             let is_pdf = !is_hub && self.rng.gen_bool(self.cfg.pdf_fraction);
             // A few "proceedings" archives per topic exercise the zip
-            // content handler during crawls.
+            // conversion during crawls.
             let is_zip = !is_hub && !is_pdf && self.rng.gen_bool(0.03);
             let (kind, mime, path) = if is_hub {
                 (PageKind::Hub, MimeType::Html, format!("links{k}.html"))

@@ -3,7 +3,7 @@
 //! correctness arguments (dedup, politeness, focusing) rest on them.
 
 use bingo_graph::LinkSource;
-use bingo_textproc::{ContentRegistry, MimeType};
+use bingo_textproc::MimeType;
 use bingo_webworld::gen::{AuthorDirectoryConfig, TopicConfig, WorldConfig};
 use bingo_webworld::{content_gen, FetchOutcome, HostBehavior, PageKind, World};
 
@@ -68,7 +68,6 @@ fn host_indices_and_urls_are_consistent() {
 #[test]
 fn rendered_links_resolve_or_are_intentional_traps() {
     let world = WorldConfig::small_test(105).build();
-    let registry = ContentRegistry::new();
     let mut checked = 0;
     for id in 0..world.page_count() as u64 {
         let meta = world.page(id);
@@ -76,7 +75,7 @@ fn rendered_links_resolve_or_are_intentional_traps() {
             continue;
         }
         let payload = content_gen::payload(&world, id);
-        let Ok(html) = registry.to_html(meta.mime, &payload) else {
+        let Ok(html) = meta.mime.to_html(&payload) else {
             continue;
         };
         let parsed = bingo_textproc::html::parse(&html);
@@ -162,14 +161,13 @@ fn author_directory_is_sound() {
 #[test]
 fn media_pages_never_offer_analyzable_payloads() {
     let world = WorldConfig::small_test(108).build();
-    let registry = ContentRegistry::new();
     for id in 0..world.page_count() as u64 {
         let meta = world.page(id);
         if meta.kind != PageKind::Media {
             continue;
         }
         assert_eq!(meta.mime, MimeType::Video);
-        assert!(!registry.can_handle(meta.mime));
+        assert!(!meta.mime.is_handled());
         assert!(meta.size_hint.unwrap_or(0) > MimeType::Html.max_size() as u32);
     }
 }

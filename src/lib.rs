@@ -12,7 +12,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`textproc`] | `bingo-textproc` | HTML parsing, Porter stemming, tf·idf, feature spaces, content handlers |
+//! | [`textproc`] | `bingo-textproc` | HTML parsing, Porter stemming, tf·idf, feature spaces, MIME-type conversion |
 //! | [`ml`] | `bingo-ml` | linear SVM, ξα estimator, MI feature selection, Naive Bayes, meta classifier, k-means |
 //! | [`graph`] | `bingo-graph` | link graph, HITS with Bharat-Henzinger weighting |
 //! | [`store`] | `bingo-store` | embedded crawl database: flat tables, bulk loader, snapshots |
