@@ -498,7 +498,9 @@ const SERVE_POOLS: &[&[&str]] = &[
 /// counts and the serve/index telemetry are the determinism evidence;
 /// `norm_postings` is the work every commit's norm recomputation did,
 /// summed (each commit visits every posting indexed so far) — the count
-/// an O(batch) commit would collapse.
+/// an O(batch) commit would collapse. `index_bytes` is
+/// [`LiveIndex::resident_bytes`] after the final commit: the index's
+/// layout, counted from its tables' sizes.
 /// Afterwards the final snapshot must answer a fixed query prefix
 /// *identically* (ids and bit-exact scores) to a batch
 /// [`InvertedIndex::build`] over the final store — the
@@ -595,6 +597,7 @@ pub fn run_serve_scenario(mode: GateMode) -> ScenarioRun {
             "equivalence_ok": u64::from(equivalent),
             "equivalence_queries": eq_queries,
             "norm_postings": index_obs.norm_postings.get(),
+            "index_bytes": live.resident_bytes(),
         });
         ScenarioRun {
             report,
@@ -992,13 +995,15 @@ const RECOVERY_SPECS: &[MetricSpec] = &[
 ];
 
 /// `equivalence_ok` is the snapshot-consistency contract and admits no
-/// tolerance.
+/// tolerance; neither does `index_bytes`, a count that only a layout
+/// change moves.
 const SERVE_SPECS: &[MetricSpec] = &[
     MetricSpec::at_least("queries_issued", 0.02),
     MetricSpec::at_least("query_hits", 0.10),
     MetricSpec::at_least("stored_pages", 0.10),
     MetricSpec::at_least("epochs", 0.10),
     MetricSpec::at_least("equivalence_ok", 0.0),
+    MetricSpec::at_most("index_bytes", 0.0),
 ];
 
 /// `rss_within_budget` is the memory-bounded contract itself (the

@@ -4,6 +4,7 @@ use bingo_graph::PageId;
 use bingo_store::DocumentStore;
 use bingo_textproc::fxhash::FxHashMap;
 use bingo_textproc::{porter_stem, Tokenizer, Vocabulary};
+use std::sync::LazyLock;
 
 /// The read interface the ranking code needs from an index: document
 /// frequencies, postings and precomputed norms. Implemented by the batch
@@ -49,6 +50,22 @@ pub(crate) fn idf(doc_count: u64, df: u64) -> f32 {
 /// a posting weighs this times its term's idf.
 pub(crate) fn tf_damp(tf: u32) -> f32 {
     1.0 + (tf as f32).ln()
+}
+
+/// A tf below `ESCAPE` is stored as its own one-byte code; `ESCAPE`
+/// stands for a value kept exactly in a short per-segment escape list.
+const ESCAPE: u8 = u8::MAX;
+
+/// [`tf_damp`] of every one-byte tf, each entry computed by `tf_damp`
+/// itself, so a lookup has its exact bits.
+static DAMP: LazyLock<[f32; 256]> = LazyLock::new(|| std::array::from_fn(|tf| tf_damp(tf as u32)));
+
+/// [`tf_damp`], read from a table below tf 256: ranking pays no `ln`
+/// for a common tf.
+pub(crate) fn damped(tf: u32) -> f32 {
+    DAMP.get(tf as usize)
+        .copied()
+        .unwrap_or_else(|| tf_damp(tf))
 }
 
 /// Term id → dense slot in first-sight order, with the document
@@ -104,51 +121,94 @@ pub(crate) fn map_bytes<K, V, S>(map: &std::collections::HashMap<K, V, S>) -> us
     map.capacity() / 7 * 8 * (size_of::<(K, V)>() + 1)
 }
 
+/// A doc-major entry whose tf code is [`ESCAPE`]: its slot and tf are
+/// listed in the segment's escapes.
+const ESCAPED: u32 = u32::MAX;
+
+/// An entry or run end as a `u32`.
+fn position(at: usize) -> u32 {
+    u32::try_from(at).expect("a segment holds < 2^32 postings")
+}
+
+/// The value listed under entry `at` in an escape list, which is sorted
+/// by entry.
+fn escaped<T: Copy>(escapes: &[(u32, T)], at: usize) -> T {
+    let i = escapes.binary_search_by_key(&position(at), |&(at, _)| at);
+    escapes[i.expect("an escaped entry is listed")].1
+}
+
 /// A batch of indexed documents in two layouts, each a few flat arrays.
 ///
-/// * Doc-major: one (CSR) run of `(term slot, 1 + ln tf)` per document,
-///   in arrival order and stored term order — the norm accumulation
-///   order. `push` appends here, plus each raw tf for the seal.
-/// * Term-major, built once by `seal`: one postings
-///   array of `(document ordinal, tf)`, a run per term slot with the
-///   run's documents in id order, and a directory of `(slot, run end)`
-///   for the slots present, ascending. The directory is sized by the
-///   segment's own distinct terms, never by the global vocabulary.
+/// * Doc-major: one (CSR) run of `(term slot, tf)` entries per
+///   document, in arrival order and stored term order — the norm
+///   accumulation order. `push` appends here.
+/// * Term-major, built once by `seal`: one postings array of
+///   `(document ordinal, tf)`, a run per term slot with the run's
+///   documents in id order, and a directory of `(slot, run end)` for the
+///   slots present, ascending. The directory is sized by the segment's
+///   own distinct terms, never by the global vocabulary.
 ///
-/// An ordinal indexes the segment's arrival-order document list. A
-/// sealed segment holds 16 bytes per posting plus 8 per distinct term
-/// and ≈16 per document. The batch index is one segment over the whole
-/// store; the live index seals one per commit.
+/// An ordinal indexes the segment's arrival-order document list. A tf
+/// is stored as a one-byte code, the tf itself below 255; a doc-major
+/// entry packs a slot below 2^24 − 1 and the code in one `u32`. A larger
+/// tf or slot escapes to a short per-segment list of exact values, so
+/// every slot, ordinal and tf round-trips. A sealed segment holds 7
+/// bytes per posting (a packed entry, a `u16` ordinal and a code; a
+/// segment over 65,536 documents keeps `u32` ordinals, 9 bytes), 8 per
+/// distinct term and 12 per document. The batch index is one segment
+/// over the whole store; the live index seals one per commit.
 #[derive(Debug, Default)]
 pub struct Segment {
     docs: Vec<PageId>,
-    /// End of each document's run in `weights`.
-    ends: Vec<usize>,
-    weights: Vec<(u32, f32)>,
-    /// Raw tf of each entry of `weights`, staged until the seal.
-    tfs: Vec<u32>,
-    /// `(slot, end of its run in postings)`, ascending by slot.
+    /// End of each document's run in `entries`.
+    ends: Vec<u32>,
+    /// `slot << 8 | tf code` per doc-major entry, or [`ESCAPED`].
+    entries: Vec<u32>,
+    /// `(entry, (slot, tf))` of every escaped entry, ascending.
+    escapes: Vec<(u32, (u32, u32))>,
+    /// `(slot, end of its run in the postings)`, ascending by slot.
     directory: Vec<(u32, u32)>,
-    postings: Vec<(u32, u32)>,
+    /// Low 16 bits of each posting's document ordinal...
+    ordinals: Vec<u16>,
+    /// ...and the high 16, kept only by a segment over 65,536
+    /// documents, as the seal decides from its size.
+    ordinals_high: Vec<u16>,
+    /// tf code per posting.
+    codes: Vec<u8>,
+    /// `(posting, tf)` of every posting coded [`ESCAPE`], ascending.
+    posting_escapes: Vec<(u32, u32)>,
 }
 
 impl Segment {
     /// Append one document, counting its terms into `terms`.
     pub(crate) fn push(&mut self, terms: &mut TermSlots, doc: PageId, term_freqs: &[(u32, u32)]) {
         for &(term, tf) in term_freqs {
-            self.weights.push((terms.count(term), tf_damp(tf)));
-            self.tfs.push(tf);
+            let slot = terms.count(term);
+            if slot < ESCAPED >> 8 && tf < u32::from(ESCAPE) {
+                self.entries.push(slot << 8 | tf);
+            } else {
+                self.escapes
+                    .push((position(self.entries.len()), (slot, tf)));
+                self.entries.push(ESCAPED);
+            }
         }
         self.docs.push(doc);
-        self.ends.push(self.weights.len());
+        self.ends.push(position(self.entries.len()));
+    }
+
+    /// Slot and tf of doc-major entry `i`.
+    fn entry(&self, i: usize) -> (u32, u32) {
+        match self.entries[i] {
+            ESCAPED => escaped(&self.escapes, i),
+            e => (e >> 8, e & 0xFF),
+        }
     }
 
     /// Build the term-major layout with one stable counting sort by
     /// slot, visiting documents in id order so every run is ordered by
     /// document id. The segment is immutable from here on.
     pub(crate) fn seal(&mut self) {
-        // Ordinals and run ends are `u32`.
-        let total = u32::try_from(self.weights.len()).expect("a segment holds < 2^32 postings");
+        let total = self.entries.len();
         let docs = u32::try_from(self.docs.len()).expect("a segment holds < 2^32 documents");
         let mut order: Vec<u32> = (0..docs).collect();
         order.sort_by_key(|&ord| self.docs[ord as usize]);
@@ -156,10 +216,10 @@ impl Segment {
         // Postings per slot, then each slot's write cursor. The counts
         // are a scratch table over the slots seen so far; only the
         // directory outlives the seal.
-        let width = self.weights.iter().map(|&(slot, _)| slot + 1).max();
+        let width = (0..total).map(|i| self.entry(i).0 + 1).max();
         let mut next = vec![0u32; width.unwrap_or(0) as usize];
-        for &(slot, _) in &self.weights {
-            next[slot as usize] += 1;
+        for i in 0..total {
+            next[self.entry(i).0 as usize] += 1;
         }
         let mut directory = Vec::with_capacity(next.iter().filter(|&&n| n > 0).count());
         let mut end = 0;
@@ -171,28 +231,41 @@ impl Segment {
                 *n = start;
             }
         }
-        debug_assert_eq!(end, total);
+        debug_assert_eq!(end as usize, total);
 
-        let mut postings = vec![(0, 0); self.weights.len()];
+        let mut ordinals = vec![0u32; total];
+        let mut codes = vec![ESCAPE; total];
+        let mut posting_escapes = Vec::new();
         for ord in order {
             for i in self.run(ord as usize) {
-                let at = &mut next[self.weights[i].0 as usize];
-                postings[*at as usize] = (ord, self.tfs[i]);
+                let (slot, tf) = self.entry(i);
+                let at = &mut next[slot as usize];
+                ordinals[*at as usize] = ord;
+                match u8::try_from(tf) {
+                    Ok(code) if code < ESCAPE => codes[*at as usize] = code,
+                    _ => posting_escapes.push((*at, tf)),
+                }
                 *at += 1;
             }
         }
+        posting_escapes.sort_unstable();
+        self.ordinals = ordinals.iter().map(|&ord| ord as u16).collect();
+        if docs > 1 << 16 {
+            self.ordinals_high = ordinals.iter().map(|&ord| (ord >> 16) as u16).collect();
+        }
         self.directory = directory;
-        self.postings = postings;
-        self.tfs = Vec::new();
+        self.codes = codes;
+        self.posting_escapes = posting_escapes;
         self.docs.shrink_to_fit();
         self.ends.shrink_to_fit();
-        self.weights.shrink_to_fit();
+        self.entries.shrink_to_fit();
+        self.escapes.shrink_to_fit();
     }
 
-    /// Index range of document `ord`'s run in `weights`.
+    /// Index range of document `ord`'s run in `entries`.
     fn run(&self, ord: usize) -> std::ops::Range<usize> {
         let start = if ord == 0 { 0 } else { self.ends[ord - 1] };
-        start..self.ends[ord]
+        start as usize..self.ends[ord] as usize
     }
 
     /// Documents in this segment.
@@ -202,7 +275,7 @@ impl Segment {
 
     /// `(term, doc)` occurrences in this segment.
     pub(crate) fn posting_count(&self) -> usize {
-        self.weights.len()
+        self.entries.len()
     }
 
     /// `(doc, tf)` postings of term `slot` in document id order (none
@@ -215,19 +288,29 @@ impl Segment {
             }
             Err(_) => 0..0,
         };
-        self.postings[run]
-            .iter()
-            .map(|&(ord, tf)| (self.docs[ord as usize], tf))
+        run.map(|i| {
+            let tf = match self.codes[i] {
+                ESCAPE => escaped(&self.posting_escapes, i),
+                code => u32::from(code),
+            };
+            let high = self
+                .ordinals_high
+                .get(i)
+                .map_or(0, |&h| usize::from(h) << 16);
+            (self.docs[usize::from(self.ordinals[i]) | high], tf)
+        })
     }
 
     /// Heap bytes of the segment's arrays, from their lengths.
     pub(crate) fn resident_bytes(&self) -> usize {
         self.docs.len() * size_of::<PageId>()
-            + self.ends.len() * size_of::<usize>()
-            + self.weights.len() * size_of::<(u32, f32)>()
-            + self.tfs.len() * size_of::<u32>()
+            + self.ends.len() * size_of::<u32>()
+            + self.entries.len() * size_of::<u32>()
+            + self.escapes.len() * size_of::<(u32, (u32, u32))>()
             + self.directory.len() * size_of::<(u32, u32)>()
-            + self.postings.len() * size_of::<(u32, u32)>()
+            + (self.ordinals.len() + self.ordinals_high.len()) * size_of::<u16>()
+            + self.codes.len()
+            + self.posting_escapes.len() * size_of::<(u32, u32)>()
     }
 
     /// L2 norm of every document's tf·idf vector under `idf` (indexed by
@@ -235,13 +318,22 @@ impl Segment {
     /// norm routine: the batch build and every live commit run it, and
     /// float addition is not associative — the shared accumulation order
     /// is what makes an incrementally built index bit-identical to a
-    /// batch rebuild.
+    /// batch rebuild. A one-byte tf is damped by table, not by `ln`.
     pub(crate) fn norms_into(&self, idf: &[f32], norms: &mut FxHashMap<PageId, f32>) {
+        let damp = &*DAMP;
         let mut start = 0;
         for (&doc, &end) in self.docs.iter().zip(&self.ends) {
+            let end = end as usize;
             let mut sq = 0.0f32;
-            for &(slot, damped_tf) in &self.weights[start..end] {
-                let w = damped_tf * idf[slot as usize];
+            for (i, &entry) in (start..end).zip(&self.entries[start..end]) {
+                let (slot, damped) = match entry {
+                    ESCAPED => {
+                        let (slot, tf) = escaped(&self.escapes, i);
+                        (slot, tf_damp(tf))
+                    }
+                    e => (e >> 8, damp[(e & 0xFF) as usize]),
+                };
+                let w = damped * idf[slot as usize];
                 sq += w * w;
             }
             norms.insert(doc, sq.sqrt());
@@ -429,8 +521,8 @@ mod tests {
 
     /// Seal `rows` (in the order given) into one segment and compare
     /// every term's postings with the naive definition: each `(doc, tf)`
-    /// of the term, in document id order.
-    fn assert_postings_match_reference(rows: &[Row]) {
+    /// of the term, in document id order. Returns the sealed segment.
+    fn assert_postings_match_reference(rows: &[Row]) -> Segment {
         let mut terms = TermSlots::default();
         let mut segment = Segment::default();
         for (doc, term_freqs) in rows {
@@ -453,6 +545,18 @@ mod tests {
             assert_eq!(&got, want, "term {term}");
         }
         assert_eq!(segment.postings(terms.len() as u32).count(), 0);
+        segment
+    }
+
+    /// Any tf, with the code boundaries and the extremes drawn often.
+    fn any_tf() -> impl Strategy<Value = u32> {
+        let edges = prop_oneof![Just(0), Just(254), Just(255), Just(256), Just(u32::MAX)];
+        prop_oneof![1u32..9, 1u32..9, 1u32..9, edges, any::<u32>()]
+    }
+
+    /// Any term id, most of them shared between rows.
+    fn any_term() -> impl Strategy<Value = u32> {
+        prop_oneof![0u32..40, 0u32..40, 0u32..40, any::<u32>(), Just(u32::MAX)]
     }
 
     proptest! {
@@ -461,7 +565,7 @@ mod tests {
         #[test]
         fn sealed_postings_equal_a_naive_reference_in_any_arrival_order(
             rows in proptest::collection::vec(
-                (any::<u32>(), proptest::collection::vec((0u32..40, 1u32..9), 0..12)),
+                (any::<u32>(), proptest::collection::vec((any_term(), any_tf()), 0..12)),
                 0..40,
             ),
             huge_at in any::<u32>(),
@@ -480,6 +584,26 @@ mod tests {
             arrivals.sort_by_key(|&(at, _)| at);
             let rows: Vec<Row> = arrivals.into_iter().map(|(_, row)| row).collect();
             assert_postings_match_reference(&rows);
+        }
+    }
+
+    /// A segment of up to 65,536 documents stores `u16` ordinals, a
+    /// larger one `u32`; both round-trip every ordinal, the last ones
+    /// included, whatever order the documents arrived in.
+    #[test]
+    fn ordinals_widen_past_65536_documents() {
+        for (docs, wide) in [(1 << 16, false), ((1 << 16) + 1, true)] {
+            let rows: Vec<Row> = (1..=docs as u64)
+                .rev()
+                .map(|id| (id, vec![((id % 3) as u32, (id % 300) as u32), (7, 1)]))
+                .collect();
+            let segment = assert_postings_match_reference(&rows);
+            let high = segment.ordinals_high.len();
+            assert_eq!(
+                high,
+                if wide { rows.len() * 2 } else { 0 },
+                "{docs} documents"
+            );
         }
     }
 

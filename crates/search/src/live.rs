@@ -25,31 +25,34 @@
 //! # Cost model
 //!
 //! * [`LiveIndex::ingest`] is O(batch): each row is appended to the
-//!   pending [`Segment`]'s doc-major arrays — one term-slot lookup, one
-//!   `1 + ln tf` (computed once and never again) and the raw tf per
-//!   posting.
+//!   pending [`Segment`]'s doc-major arrays — one term-slot lookup and
+//!   one packed `(slot, tf code)` entry per posting, no `ln`.
 //! * [`LiveIndex::commit`] seals the pending segment with one counting
 //!   sort by term slot into a single postings array (O(batch) plus a
 //!   scratch count per slot), builds one dense idf table (O(vocabulary))
 //!   and then recomputes **every** document norm: idf depends on the global
 //!   document count, so all tf·idf norms change whenever the corpus
 //!   grows. That pass is O(total postings) — amortized by committing per
-//!   bulk-load batch rather than per document — but it is one
-//!   multiply-add over flat arrays per posting (≈2 ns; it was a hash
-//!   lookup and two `ln` calls, ≈22 ns). It buys exact equivalence with
-//!   a batch rebuild (see [`IndexSnapshot`] and the `live_equivalence`
-//!   test); `search.live.norm_postings` counts the postings it visits.
+//!   bulk-load batch rather than per document — but it is one table
+//!   read of `1 + ln tf` and one multiply-add over flat arrays per
+//!   posting (≈2 ns; it was a hash lookup and two `ln` calls, ≈22 ns).
+//!   It buys exact equivalence with a batch rebuild (see
+//!   [`IndexSnapshot`] and the `live_equivalence` test);
+//!   `search.live.norm_postings` counts the postings it visits.
 //! * A query term costs one slot lookup, then one binary search of each
 //!   segment's directory — O(segments · log terms per segment) before
 //!   its postings are read.
-//! * Memory: a sealed segment holds 16 bytes per posting (its doc-major
-//!   weight and its term-major posting), 8 per distinct term of the
-//!   segment and ≈16 per document; the published snapshot adds a norm
-//!   per document and the slot and idf tables. In all that is 24 heap
-//!   bytes per posting on `live_commit`'s synthetic rows and ≈19 bytes
-//!   of RSS on the `serve_live` corpus, where one heap vector per term
-//!   per segment cost 93 and ≈48 (`tests/live_alloc_budget.rs` gates the
-//!   first).
+//! * Memory: a sealed segment holds 7 bytes per posting (a packed
+//!   doc-major `(slot, tf code)` entry, a `u16` ordinal and a tf code
+//!   term-major), 8 per distinct term of the segment and 12 per
+//!   document; the published snapshot adds a norm per document and the
+//!   slot and idf tables. In all that is 15.2 heap bytes per posting on
+//!   `live_commit`'s synthetic rows (24.2 at 16 bytes a posting; one
+//!   heap vector per term per segment cost 93) and ≈9 of
+//!   [`LiveIndex::resident_bytes`] on the `serve_live` corpus (17.1
+//!   before). `tests/live_alloc_budget.rs` gates the first. The
+//!   directory is most of the rest on the synthetic rows, where a term
+//!   has 1.3 postings per segment on average.
 //!   [`LiveIndex::resident_bytes`] estimates the total from the tables'
 //!   sizes.
 //!

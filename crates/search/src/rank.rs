@@ -119,7 +119,7 @@ pub fn rank<I: TermIndex + ?Sized>(
         let qw = idf; // query tf = 1
         query_norm_sq += qw * qw;
         index.for_each_posting(term, &mut |doc, tf| {
-            let dw = crate::index::tf_damp(tf) * idf;
+            let dw = crate::index::damped(tf) * idf;
             *scores.entry(doc).or_insert(0.0) += qw * dw;
         });
     }

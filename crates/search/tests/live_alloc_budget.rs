@@ -98,7 +98,7 @@ fn row(id: u64) -> DocumentRow {
 }
 
 #[test]
-fn a_live_index_holds_at_most_32_heap_bytes_per_posting() {
+fn a_live_index_holds_at_most_17_heap_bytes_per_posting() {
     let before = live_bytes();
     let live = LiveIndex::new(COMMIT_EVERY as usize);
     let mut postings = 0u64;
@@ -114,7 +114,7 @@ fn a_live_index_holds_at_most_32_heap_bytes_per_posting() {
 
     let per_posting = held / postings as f64;
     assert!(
-        per_posting <= 32.0,
+        per_posting <= 17.0,
         "{per_posting:.1} heap bytes per posting ({held} bytes, {postings} postings)"
     );
     let estimate = live.resident_bytes() as f64;

@@ -2,7 +2,8 @@
 //! under *any* commit chunking is indistinguishable from
 //! `InvertedIndex::build` over that store — norms bit for bit, every
 //! term's postings, and `rank` hit for hit under every ranking scheme and
-//! topic filter — and every hit carries its row's metadata.
+//! topic filter — every posting carries its row's exact tf, and every
+//! hit carries its row's metadata.
 
 use bingo_search::rank::rank;
 use bingo_search::{InvertedIndex, LiveIndex, RankingScheme, SearchHit, TermIndex, TopicFilter};
@@ -35,10 +36,16 @@ fn filters() -> [TopicFilter; 3] {
 /// `(term_freqs, topic, confidence)` of one document.
 type RowSpec = (Vec<(u32, u32)>, Option<u32>, f32);
 
+/// A tf, at times one past the one-byte codes the index stores below
+/// 255.
+fn tf() -> impl Strategy<Value = u32> {
+    prop_oneof![1u32..9, 1u32..9, 1u32..9, 250u32..260, Just(u32::MAX)]
+}
+
 fn row_specs() -> impl Strategy<Value = Vec<RowSpec>> {
     proptest::collection::vec(
         (
-            proptest::collection::vec((0u32..40, 1u32..9), 0..12),
+            proptest::collection::vec((0u32..40, tf()), 0..12),
             proptest::option::of(0u32..3),
             -1.0f32..1.0,
         ),
@@ -132,6 +139,14 @@ proptest! {
             incremental.sort_unstable();
             let full: Vec<_> = batch.postings(term).collect();
             prop_assert!(full.windows(2).all(|w| w[0].0 < w[1].0), "term {} in id order", term);
+            let mut stored: Vec<_> = rows
+                .iter()
+                .flat_map(|r| r.term_freqs.iter().map(move |&(t, tf)| (t, r.id, tf)))
+                .filter(|&(t, _, _)| t == term)
+                .map(|(_, id, tf)| (id, tf))
+                .collect();
+            stored.sort_unstable();
+            prop_assert_eq!(&full, &stored, "postings of term {} against the rows", term);
             prop_assert_eq!(incremental, full, "postings of term {}", term);
         }
 
