@@ -500,7 +500,8 @@ const SERVE_POOLS: &[&[&str]] = &[
 /// summed (each commit visits every posting indexed so far) — the count
 /// an O(batch) commit would collapse. `index_bytes` is
 /// [`LiveIndex::resident_bytes`] after the final commit: the index's
-/// layout, counted from its tables' sizes.
+/// layout, counted from its tables' sizes; `store_bytes` is
+/// [`DocumentStore::resident_bytes`] after the crawl, the store's.
 /// Afterwards the final snapshot must answer a fixed query prefix
 /// *identically* (ids and bit-exact scores) to a batch
 /// [`InvertedIndex::build`] over the final store — the
@@ -598,6 +599,7 @@ pub fn run_serve_scenario(mode: GateMode) -> ScenarioRun {
             "equivalence_queries": eq_queries,
             "norm_postings": index_obs.norm_postings.get(),
             "index_bytes": live.resident_bytes(),
+            "store_bytes": crawler.store().resident_bytes(),
         });
         ScenarioRun {
             report,
@@ -995,8 +997,8 @@ const RECOVERY_SPECS: &[MetricSpec] = &[
 ];
 
 /// `equivalence_ok` is the snapshot-consistency contract and admits no
-/// tolerance; neither does `index_bytes`, a count that only a layout
-/// change moves.
+/// tolerance; neither do `index_bytes` and `store_bytes`, counts that
+/// only a layout change moves.
 const SERVE_SPECS: &[MetricSpec] = &[
     MetricSpec::at_least("queries_issued", 0.02),
     MetricSpec::at_least("query_hits", 0.10),
@@ -1004,6 +1006,7 @@ const SERVE_SPECS: &[MetricSpec] = &[
     MetricSpec::at_least("epochs", 0.10),
     MetricSpec::at_least("equivalence_ok", 0.0),
     MetricSpec::at_most("index_bytes", 0.0),
+    MetricSpec::at_most("store_bytes", 0.0),
 ];
 
 /// `rss_within_budget` is the memory-bounded contract itself (the

@@ -2,7 +2,7 @@
 
 use bingo_graph::PageId;
 use bingo_store::DocumentStore;
-use bingo_textproc::fxhash::FxHashMap;
+use bingo_textproc::fxhash::{map_bytes, FxHashMap};
 use bingo_textproc::{porter_stem, Tokenizer, Vocabulary};
 use std::sync::LazyLock;
 
@@ -113,12 +113,6 @@ impl TermSlots {
     pub(crate) fn resident_bytes(&self) -> usize {
         map_bytes(&self.slot_of) + self.df.len() * size_of::<u64>()
     }
-}
-
-/// Heap bytes of a hash table from its capacity: one entry and one
-/// control byte per bucket, at the table's 7/8 maximum load.
-pub(crate) fn map_bytes<K, V, S>(map: &std::collections::HashMap<K, V, S>) -> usize {
-    map.capacity() / 7 * 8 * (size_of::<(K, V)>() + 1)
 }
 
 /// A doc-major entry whose tf code is [`ESCAPE`]: its slot and tf are

@@ -65,11 +65,11 @@
 //! norms that do not depend on the corpus size, i.e. a different
 //! ranking.
 
-use crate::index::{map_bytes, Segment, TermIndex, TermSlots};
+use crate::index::{Segment, TermIndex, TermSlots};
 use bingo_graph::PageId;
 use bingo_obs::{Counter, Gauge, Registry};
 use bingo_store::{DocumentRow, IndexTee};
-use bingo_textproc::fxhash::FxHashMap;
+use bingo_textproc::fxhash::{map_bytes, FxHashMap};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -133,7 +133,7 @@ pub fn rank<I: TermIndex + ?Sized>(
     // for the `top_k` survivors only.
     let mut matches: Vec<SearchHit> = Vec::new();
     for (doc, dot) in scores {
-        let Some((topic, confidence)) = store.with_document(doc, |row| (row.topic, row.confidence))
+        let Some((topic, confidence)) = store.with_head(doc, |head| (head.topic, head.confidence))
         else {
             continue;
         };
@@ -184,9 +184,9 @@ pub fn rank<I: TermIndex + ?Sized>(
     });
     matches.truncate(top_k);
     for m in &mut matches {
-        if let Some((url, title)) =
-            store.with_document(m.doc_id, |row| (row.url.clone(), row.title.clone()))
-        {
+        if let Some((url, title)) = store.with_head(m.doc_id, |head| {
+            (head.url().to_string(), head.title().to_string())
+        }) {
             m.url = url;
             m.title = title;
         }

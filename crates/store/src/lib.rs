@@ -33,13 +33,14 @@ pub mod durable;
 pub mod persist;
 pub mod segment;
 pub mod tables;
+mod workspace;
 
 pub use bulk::{BulkLoader, BulkLoaderObs};
 pub use durable::{CrashFs, DurableFs, GenerationWriter, StdFs};
 pub use segment::{
     reap_orphan_segments, CompactionConfig, SegmentStoreConfig, DEFAULT_SEAL_EVERY, SEGMENTS_FILE,
 };
-pub use tables::{DocumentRow, LinkRow};
+pub use tables::{DocumentHead, DocumentRow, LinkRow};
 
 use bingo_graph::{HostId, LinkSource, PageId};
 use parking_lot::RwLock;
@@ -194,7 +195,7 @@ impl DocumentStore {
     /// Documents in the in-memory write workspace, not yet sealed (every
     /// document of a store with no directory).
     pub fn workspace_documents(&self) -> usize {
-        self.spine.read().workspace_documents()
+        self.spine.read().workspace().document_count()
     }
 
     /// Seal the workspace into a new on-disk segment if it has grown
@@ -235,39 +236,30 @@ impl DocumentStore {
 
     /// Insert one document row. Fails on duplicate ids.
     pub fn insert_document(&self, row: DocumentRow) -> Result<(), StoreError> {
-        let Some(tee) = &self.tee else {
-            return self.spine.write().insert_document(row);
-        };
-        let keep = row.clone();
-        self.spine.write().insert_document(row)?;
-        tee.on_insert(std::slice::from_ref(&keep));
+        self.spine.write().insert_document(&row)?;
+        if let Some(tee) = &self.tee {
+            tee.on_insert(std::slice::from_ref(&row));
+        }
         Ok(())
     }
 
     /// Insert a batch of documents under one lock acquisition; rows with
-    /// duplicate ids are skipped and reported back.
-    pub fn insert_documents(&self, rows: Vec<DocumentRow>) -> Vec<StoreError> {
-        let Some(tee) = &self.tee else {
-            let mut spine = self.spine.write();
-            return rows
-                .into_iter()
-                .filter_map(|r| spine.insert_document(r).err())
-                .collect();
-        };
+    /// duplicate ids are skipped and reported back. The tee is handed the
+    /// accepted rows themselves: the store keeps its own packed copy.
+    pub fn insert_documents(&self, mut rows: Vec<DocumentRow>) -> Vec<StoreError> {
         let mut errors = Vec::new();
-        let mut accepted = Vec::with_capacity(rows.len());
         {
             let mut spine = self.spine.write();
-            for row in rows {
-                let keep = row.clone();
-                match spine.insert_document(row) {
-                    Ok(()) => accepted.push(keep),
-                    Err(e) => errors.push(e),
+            rows.retain(|row| match spine.insert_document(row) {
+                Ok(()) => true,
+                Err(e) => {
+                    errors.push(e);
+                    false
                 }
-            }
+            });
         }
-        if !accepted.is_empty() {
-            tee.on_insert(&accepted);
+        if let Some(tee) = self.tee.as_ref().filter(|_| !rows.is_empty()) {
+            tee.on_insert(&rows);
         }
         errors
     }
@@ -275,15 +267,22 @@ impl DocumentStore {
     /// Record a hyperlink between pages (ids need not be stored yet; the
     /// link table also feeds the HITS predecessor lookup).
     pub fn insert_link(&self, link: LinkRow) {
-        self.spine.write().insert_link(link);
+        self.spine.write().insert_link(&link);
     }
 
     /// Record a batch of links under one lock acquisition.
     pub fn insert_links(&self, links: Vec<LinkRow>) {
         let mut spine = self.spine.write();
-        for l in links {
-            spine.insert_link(l);
+        for link in &links {
+            spine.insert_link(link);
         }
+    }
+
+    /// Heap bytes the store holds: its write workspace (every row of a
+    /// store with no directory) and its resident indexes, computed from
+    /// their lengths and capacities, not counted by an allocator.
+    pub fn resident_bytes(&self) -> usize {
+        self.spine.read().resident_bytes()
     }
 
     /// Update the topic assignment and classification confidence of a
@@ -308,12 +307,13 @@ impl DocumentStore {
         self.spine.read().contains(id)
     }
 
-    /// Run `f` on a document row under the read lock — in place for a
-    /// workspace row, without cloning it — for readers that need a
-    /// field or two of many rows (ranking reads `topic` and
-    /// `confidence` of every match). A sealed row is read first.
-    pub fn with_document<R>(&self, id: PageId, f: impl FnOnce(&DocumentRow) -> R) -> Option<R> {
-        self.spine.read().with_document(id, f)
+    /// Run `f` on a document's [`DocumentHead`] under the read lock — for
+    /// readers that need a field or two of many rows (ranking reads
+    /// `topic` and `confidence` of every match): a workspace row's head
+    /// is read in place without decoding its `term_freqs`. A sealed row
+    /// is read first.
+    pub fn with_head<R>(&self, id: PageId, f: impl FnOnce(DocumentHead<'_>) -> R) -> Option<R> {
+        self.spine.read().with_head(id, f)
     }
 
     /// Fetch a document row by URL. Exact: the newest row with that URL.

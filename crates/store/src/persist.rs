@@ -26,6 +26,7 @@
 use crate::segment::{pe, SegmentManifest, SegmentStoreConfig, Spine};
 use crate::tables::{DocumentRow, LinkRow};
 use crate::{DocumentStore, StoreError};
+use bingo_graph::PageId;
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -70,20 +71,31 @@ fn write_line<W: Write, T: Serialize>(w: &mut W, value: &T) -> Result<(), StoreE
 /// read.
 pub fn write_snapshot<W: Write>(store: &DocumentStore, w: W) -> Result<(), StoreError> {
     let spine = store.spine.read();
+    let ws = spine.workspace();
     let mut sealed = Vec::with_capacity(spine.sealed_documents());
     spine.for_each_sealed_document(|row| sealed.push(row))?;
-    let mut docs: Vec<&DocumentRow> = sealed.iter().chain(spine.workspace().0).collect();
-    docs.sort_unstable_by_key(|row| row.id);
+    // Each row by id: sealed rows at their place in `sealed`, workspace
+    // rows after them, decoded one at a time.
+    let mut order: Vec<(PageId, usize)> = sealed
+        .iter()
+        .map(|row| row.id)
+        .chain(ws.ids())
+        .zip(0..)
+        .collect();
+    order.sort_unstable_by_key(|&(id, _)| id);
     let mut w = BufWriter::new(w);
     let header = SnapshotHeader {
         magic: MAGIC.to_string(),
         version: VERSION,
-        documents: docs.len(),
+        documents: order.len(),
         links: spine.link_count(),
     };
     write_line(&mut w, &header)?;
-    for row in docs {
-        write_line(&mut w, row)?;
+    for (_, at) in order {
+        match sealed.get(at) {
+            Some(row) => write_line(&mut w, row)?,
+            None => write_line(&mut w, &ws.row(at - sealed.len()))?,
+        }
     }
     let mut link_err = None;
     spine.for_each_link(|link| {
@@ -110,24 +122,20 @@ pub fn write_checkpoint<W: Write>(store: &DocumentStore, w: W) -> Result<(), Sto
         .ok_or_else(|| pe("segment directory is not valid UTF-8"))?
         .to_string();
     let spine = store.spine.read();
-    let (docs, links) = spine.workspace();
+    let ws = spine.workspace();
     let header = ReferenceHeader {
         magic: MAGIC.to_string(),
         version: REFERENCE_VERSION,
-        documents: docs.len(),
-        links: links.len(),
+        documents: ws.document_count(),
+        links: ws.link_count(),
         dir,
         config: spine.config().clone(),
         manifest: spine.manifest_now(),
     };
     let mut w = BufWriter::new(w);
     write_line(&mut w, &header)?;
-    for row in docs {
-        write_line(&mut w, row)?;
-    }
-    for link in links {
-        write_line(&mut w, link)?;
-    }
+    ws.for_each_document(|row| write_line(&mut w, row))?;
+    ws.for_each_link(|link| write_line(&mut w, link))?;
     w.flush().map_err(pe)
 }
 
@@ -192,10 +200,10 @@ pub fn read_snapshot<R: Read>(r: R) -> Result<DocumentStore, StoreError> {
             let mut spine =
                 Spine::open_referenced(PathBuf::from(header.dir), header.config, header.manifest)?;
             for _ in 0..header.documents {
-                spine.insert_document(serde_json::from_str(&next()?).map_err(pe)?)?;
+                spine.insert_document(&serde_json::from_str(&next()?).map_err(pe)?)?;
             }
             for _ in 0..header.links {
-                spine.insert_link(serde_json::from_str(&next()?).map_err(pe)?);
+                spine.insert_link(&serde_json::from_str(&next()?).map_err(pe)?);
             }
             Ok(DocumentStore::from_spine(spine))
         }

@@ -11,6 +11,19 @@
 //! document bodies. A store with no directory ([`crate::DocumentStore::new`])
 //! is the same structure with a workspace that never seals.
 //!
+//! The workspace holds its rows packed, not as [`DocumentRow`]s and
+//! [`LinkRow`]s. A document is one fixed-width record plus its url and
+//! title in one text arena and its `term_freqs` in one byte arena, each
+//! pair a varint of the zig-zagged difference from the previous term id,
+//! then a varint tf (2.17 bytes a pair on `serve_live`, against 8; any
+//! `(u32, u32)` sequence round-trips, sorted or not). Links are one log
+//! of `(from, to, href ordinal)` entries, each href text stored once;
+//! the first entry of each distinct edge is chained to the next one with
+//! the same source and with the same target, so successor and
+//! predecessor lookups walk the log itself. Rows are decoded only where
+//! the API hands one out, and [`crate::DocumentHead`] reads url, title
+//! and scalars without decoding the pairs.
+//!
 //! On-disk layout of a segmented store directory:
 //!
 //! ```text
@@ -56,10 +69,11 @@
 //! (set-equal, order may differ).
 
 use crate::durable::{checksum, DurableFs};
-use crate::tables::{DocumentRow, LinkRow};
+use crate::tables::{DocumentHead, DocumentRow, LinkRow};
+use crate::workspace::Workspace;
 use crate::StoreError;
 use bingo_graph::{HostId, PageId};
-use bingo_textproc::fxhash::{self, FxHashMap};
+use bingo_textproc::fxhash::{self, map_bytes, FxHashMap};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -280,19 +294,16 @@ fn parse_segment(bytes: &[u8]) -> Result<ParsedSegment<'_>, StoreError> {
     })
 }
 
-/// The store state: workspace + sealed segments + resident locator
-/// indexes. Wrapped in a lock by [`crate::DocumentStore`].
+/// The store state: the packed write workspace (see the module doc),
+/// sealed segments, and the resident locator indexes. Wrapped in a lock
+/// by [`crate::DocumentStore`].
 pub(crate) struct Spine {
     /// `None` for a store with no directory: it never seals.
     dir: Option<PathBuf>,
     manifest: SegmentManifest,
     cfg: SegmentStoreConfig,
-    // --- in-memory write workspace (insertion order defines segment bytes) ---
-    ws_docs: Vec<DocumentRow>,
-    ws_index: FxHashMap<PageId, usize>,
-    ws_links: Vec<LinkRow>,
-    /// The distinct edges of `ws_links`.
-    ws_edges: Adjacency,
+    /// The unsealed rows; insertion order defines segment bytes.
+    ws: Workspace,
     // --- resident indexes over sealed rows ---
     locs: FxHashMap<PageId, SegLoc>,
     /// `fxhash(url) -> id` of the first URL with that hash, verified
@@ -320,53 +331,8 @@ impl std::fmt::Debug for Spine {
             .field("dir", &self.dir)
             .field("segments", &self.manifest.segments.len())
             .field("sealed_docs", &self.locs.len())
-            .field("workspace_docs", &self.ws_docs.len())
+            .field("workspace_docs", &self.ws.document_count())
             .finish()
-    }
-}
-
-/// Distinct `[from, to]` edges in first-occurrence order, chained per
-/// source and per target: a lookup walks only its page's edges, and an
-/// insert allocates nothing per page.
-#[derive(Default)]
-struct Adjacency {
-    edges: Vec<[PageId; 2]>,
-    /// Per edge and side (0: source, 1: target), the next edge with the
-    /// same page on that side, or `NO_EDGE`.
-    next: Vec<[u32; 2]>,
-    /// Per side, the first and last edge of each page.
-    ends: [FxHashMap<PageId, (u32, u32)>; 2],
-}
-
-const NO_EDGE: u32 = u32::MAX;
-
-impl Adjacency {
-    /// The edges whose `side` is `page`, in insertion order.
-    fn chain(&self, side: usize, page: PageId) -> impl Iterator<Item = [PageId; 2]> + '_ {
-        let mut e = self.ends[side]
-            .get(&page)
-            .map_or(NO_EDGE, |&(first, _)| first);
-        std::iter::from_fn(move || {
-            let edge = *self.edges.get(e as usize)?;
-            e = self.next[e as usize][side];
-            Some(edge)
-        })
-    }
-
-    fn insert(&mut self, edge: [PageId; 2]) {
-        if self.chain(0, edge[0]).any(|known| known == edge) {
-            return;
-        }
-        let e = u32::try_from(self.edges.len()).expect("fewer than 2^32 workspace edges");
-        self.edges.push(edge);
-        self.next.push([NO_EDGE; 2]);
-        for (side, &page) in edge.iter().enumerate() {
-            let ends = self.ends[side].entry(page).or_insert((e, e));
-            if ends.1 != e {
-                self.next[ends.1 as usize][side] = e;
-                ends.1 = e;
-            }
-        }
     }
 }
 
@@ -381,10 +347,7 @@ impl Spine {
                 seal_every: cfg.seal_every.max(1),
                 ..cfg
             },
-            ws_docs: Vec::new(),
-            ws_index: FxHashMap::default(),
-            ws_links: Vec::new(),
-            ws_edges: Adjacency::default(),
+            ws: Workspace::default(),
             locs: FxHashMap::default(),
             by_url_hash: FxHashMap::default(),
             url_collisions: FxHashMap::default(),
@@ -504,9 +467,9 @@ impl Spine {
         &self.cfg
     }
 
-    /// The unsealed rows: documents and links in insertion order.
-    pub(crate) fn workspace(&self) -> (&[DocumentRow], &[LinkRow]) {
-        (&self.ws_docs, &self.ws_links)
+    /// The unsealed rows.
+    pub(crate) fn workspace(&self) -> &Workspace {
+        &self.ws
     }
 
     /// The manifest a commit would write *now*: the committed segments
@@ -543,19 +506,33 @@ impl Spine {
         self.locs.len()
     }
 
-    pub(crate) fn workspace_documents(&self) -> usize {
-        self.ws_docs.len()
-    }
-
     pub(crate) fn document_count(&self) -> usize {
-        self.sealed_documents() + self.ws_docs.len()
+        self.sealed_documents() + self.ws.document_count()
     }
 
     pub(crate) fn link_count(&self) -> usize {
-        self.sealed_links as usize + self.ws_links.len()
+        self.sealed_links as usize + self.ws.link_count()
     }
 
-    pub(crate) fn insert_document(&mut self, row: DocumentRow) -> Result<(), StoreError> {
+    /// Heap bytes of the store: the workspace and the resident indexes,
+    /// from their lengths and capacities.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        let lists = |ids: &Vec<PageId>| ids.capacity() * size_of::<PageId>();
+        self.ws.resident_bytes()
+            + map_bytes(&self.locs)
+            + map_bytes(&self.by_url_hash)
+            + map_bytes(&self.url_collisions)
+            + self
+                .url_collisions
+                .keys()
+                .map(String::capacity)
+                .sum::<usize>()
+            + map_bytes(&self.by_topic)
+            + self.by_topic.values().map(lists).sum::<usize>()
+            + map_bytes(&self.overrides)
+    }
+
+    pub(crate) fn insert_document(&mut self, row: &DocumentRow) -> Result<(), StoreError> {
         if self.contains(row.id) {
             return Err(StoreError::DuplicateKey(row.id));
         }
@@ -563,8 +540,7 @@ impl Spine {
         if let Some(topic) = row.topic {
             self.by_topic.entry(topic).or_default().push(row.id);
         }
-        self.ws_index.insert(row.id, self.ws_docs.len());
-        self.ws_docs.push(row);
+        self.ws.insert_document(row);
         Ok(())
     }
 
@@ -576,12 +552,11 @@ impl Spine {
 
     /// Exact membership: two resident-map probes, no disk read.
     pub(crate) fn contains(&self, id: PageId) -> bool {
-        self.ws_index.contains_key(&id) || self.locs.contains_key(&id)
+        self.ws.contains(id) || self.locs.contains_key(&id)
     }
 
-    pub(crate) fn insert_link(&mut self, link: LinkRow) {
-        self.ws_edges.insert([link.from, link.to]);
-        self.ws_links.push(link);
+    pub(crate) fn insert_link(&mut self, link: &LinkRow) {
+        self.ws.insert_link(link);
     }
 
     pub(crate) fn set_topic(
@@ -590,10 +565,7 @@ impl Spine {
         topic: Option<u32>,
         confidence: f32,
     ) -> Result<(), StoreError> {
-        let old = if let Some(&i) = self.ws_index.get(&id) {
-            let old = self.ws_docs[i].topic;
-            self.ws_docs[i].topic = topic;
-            self.ws_docs[i].confidence = confidence;
+        let old = if let Some(old) = self.ws.set_topic(id, topic, confidence) {
             old
         } else if let Some(&loc) = self.locs.get(&id) {
             let old = match self.overrides.get(&id) {
@@ -636,22 +608,36 @@ impl Spine {
         }
     }
 
-    /// Run `f` on row `id`: a workspace row in place, a sealed one once
-    /// read (a sealed row that cannot be read counts as absent).
-    pub(crate) fn with_document<R>(
+    /// Run `f` on the head of row `id`: a workspace row's read in place,
+    /// its pairs not decoded; a sealed row's once the row is read (a
+    /// sealed row that cannot be read counts as absent).
+    pub(crate) fn with_head<R>(
         &self,
         id: PageId,
-        f: impl FnOnce(&DocumentRow) -> R,
+        f: impl FnOnce(DocumentHead<'_>) -> R,
     ) -> Option<R> {
-        if let Some(&i) = self.ws_index.get(&id) {
-            return Some(f(&self.ws_docs[i]));
+        if let Some(head) = self.ws.head(id) {
+            return Some(f(head));
         }
         let row = self.read_sealed(*self.locs.get(&id)?).ok()?;
-        Some(f(&row))
+        Some(f(DocumentHead {
+            host: row.host,
+            topic: row.topic,
+            confidence: row.confidence,
+            text: [
+                (&row.url, 0, row.url.len()),
+                (&row.title, 0, row.title.len()),
+            ],
+        }))
     }
 
+    /// Row `id`, decoded from the workspace or read from its segment (a
+    /// sealed row that cannot be read counts as absent).
     pub(crate) fn document(&self, id: PageId) -> Option<DocumentRow> {
-        self.with_document(id, DocumentRow::clone)
+        match self.ws.document(id) {
+            Some(row) => Some(row),
+            None => self.read_sealed(*self.locs.get(&id)?).ok(),
+        }
     }
 
     pub(crate) fn document_by_url(&self, url: &str) -> Option<DocumentRow> {
@@ -660,7 +646,7 @@ impl Spine {
             None => *self.by_url_hash.get(&url_hash(url))?,
         };
         // Verify: the hash slot may hold a different URL.
-        self.with_document(id, |row| (row.url == url).then(|| row.clone()))?
+        self.document(id).filter(|row| row.url == url)
     }
 
     pub(crate) fn topic_documents(&self, topic: u32) -> Vec<PageId> {
@@ -691,8 +677,10 @@ impl Spine {
         mut f: F,
     ) -> Result<(), StoreError> {
         self.for_each_sealed_document(|row| f(&row))?;
-        self.ws_docs.iter().for_each(f);
-        Ok(())
+        self.ws.for_each_document(|row| {
+            f(row);
+            Ok(())
+        })
     }
 
     /// Stream every *sealed* link row in seal order.
@@ -710,8 +698,10 @@ impl Spine {
     /// insertion order; workspace links come last).
     pub(crate) fn for_each_link<F: FnMut(&LinkRow)>(&self, mut f: F) -> Result<(), StoreError> {
         self.for_each_sealed_link(&mut f)?;
-        self.ws_links.iter().for_each(f);
-        Ok(())
+        self.ws.for_each_link(|link| {
+            f(link);
+            Ok(())
+        })
     }
 
     pub(crate) fn all_documents(&self) -> Vec<DocumentRow> {
@@ -730,7 +720,7 @@ impl Spine {
     /// predecessors) in first-occurrence order over the whole link log:
     /// the streamed sealed links, then the workspace edges not seen yet.
     fn neighbours(&self, side: usize, page: PageId) -> Vec<PageId> {
-        let ws = self.ws_edges.chain(side, page).map(|edge| edge[1 - side]);
+        let ws = self.ws.neighbours(side, page);
         if self.sealed_links == 0 {
             return ws.collect();
         }
@@ -759,7 +749,7 @@ impl Spine {
     }
 
     pub(crate) fn host_of(&self, page: PageId) -> HostId {
-        self.with_document(page, |d| d.host).unwrap_or(0)
+        self.with_head(page, |head| head.host).unwrap_or(0)
     }
 
     /// Whether the workspace has grown past the seal threshold. A store
@@ -767,7 +757,7 @@ impl Spine {
     pub(crate) fn seal_due(&self) -> bool {
         let seal_every = self.cfg.seal_every;
         self.dir.is_some()
-            && (self.ws_docs.len() >= seal_every || self.ws_links.len() >= seal_every * 16)
+            && (self.ws.document_count() >= seal_every || self.ws.link_count() >= seal_every * 16)
     }
 
     /// Seal the workspace when it has grown past the threshold.
@@ -789,7 +779,7 @@ impl Spine {
         if self.dir.is_none() {
             return Ok(false);
         }
-        if self.ws_docs.is_empty() && self.ws_links.is_empty() {
+        if self.ws.document_count() == 0 && self.ws.link_count() == 0 {
             if !self.meta_dirty {
                 return Ok(false);
             }
@@ -805,39 +795,41 @@ impl Spine {
             magic: SEGMENT_MAGIC.to_string(),
             version: SEGMENT_VERSION,
             seg: seg_no,
-            docs: self.ws_docs.len() as u64,
-            links: self.ws_links.len() as u64,
+            docs: self.ws.document_count() as u64,
+            links: self.ws.link_count() as u64,
         };
         let mut bytes = Vec::new();
         serde_json::to_writer(&mut bytes, &header).map_err(pe)?;
         bytes.push(b'\n');
-        let mut offsets = Vec::with_capacity(self.ws_docs.len());
-        for row in &self.ws_docs {
+        let mut offsets = Vec::with_capacity(self.ws.document_count());
+        self.ws.for_each_document(|row| {
             let start = bytes.len() as u64;
             serde_json::to_writer(&mut bytes, row).map_err(pe)?;
             offsets.push((start, (bytes.len() as u64 - start) as u32));
             bytes.push(b'\n');
-        }
-        for link in &self.ws_links {
+            Ok(())
+        })?;
+        self.ws.for_each_link(|link| {
             serde_json::to_writer(&mut bytes, link).map_err(pe)?;
             bytes.push(b'\n');
-        }
+            Ok(())
+        })?;
         fs.create_dir_all(self.root()).map_err(pe)?;
         fs.atomic_write(&self.file(&name), &bytes).map_err(pe)?;
         let mut manifest = self.manifest_now();
         manifest.segments.push(SegmentEntry {
             name,
-            docs: self.ws_docs.len() as u64,
-            links: self.ws_links.len() as u64,
+            docs: header.docs,
+            links: header.links,
             len: bytes.len() as u64,
             checksum: checksum(&bytes),
         });
         manifest.next_seg = seg_no + 1;
         self.commit_manifest(fs, manifest)?;
         // Committed: move the workspace into the sealed state.
-        for (row, &(offset, len)) in self.ws_docs.iter().zip(&offsets) {
+        for (id, (offset, len)) in self.ws.ids().zip(offsets) {
             self.locs.insert(
-                row.id,
+                id,
                 SegLoc {
                     seg: seg_index,
                     offset,
@@ -845,11 +837,8 @@ impl Spine {
                 },
             );
         }
-        self.ws_docs.clear();
-        self.ws_index.clear();
-        self.sealed_links += self.ws_links.len() as u64;
-        self.ws_links.clear();
-        self.ws_edges = Adjacency::default();
+        self.sealed_links += header.links;
+        self.ws = Workspace::default();
         Ok(true)
     }
 
@@ -947,15 +936,17 @@ mod tests {
         let dir = temp_dir("seal");
         let mut spine = Spine::open(dir.clone(), cfg4()).unwrap();
         for i in 0..6 {
-            spine.insert_document(doc(i, Some((i % 2) as u32))).unwrap();
+            spine
+                .insert_document(&doc(i, Some((i % 2) as u32)))
+                .unwrap();
         }
-        spine.insert_link(LinkRow {
+        spine.insert_link(&LinkRow {
             from: 0,
             to: 1,
             to_url: "u".into(),
         });
         assert!(spine.seal(&StdFs).unwrap());
-        spine.insert_document(doc(6, None)).unwrap();
+        spine.insert_document(&doc(6, None)).unwrap();
         assert_eq!(spine.document_count(), 7);
         assert_eq!(spine.sealed_documents(), 6);
         assert_eq!(spine.document(3).unwrap().title, "doc 3");
@@ -981,7 +972,7 @@ mod tests {
         let dir = temp_dir("override");
         let mut spine = Spine::open(dir.clone(), cfg4()).unwrap();
         for i in 0..3 {
-            spine.insert_document(doc(i, Some(0))).unwrap();
+            spine.insert_document(&doc(i, Some(0))).unwrap();
         }
         spine.seal(&StdFs).unwrap();
         spine.set_topic(1, Some(9), 0.75).unwrap();
@@ -989,7 +980,7 @@ mod tests {
         assert_eq!(spine.topic_documents(0), vec![0, 2]);
         assert_eq!(spine.topic_documents(9), vec![1]);
         // The override is carried into the next manifest commit.
-        spine.insert_document(doc(3, None)).unwrap();
+        spine.insert_document(&doc(3, None)).unwrap();
         spine.seal(&StdFs).unwrap();
         drop(spine);
         let spine = Spine::open(dir.clone(), cfg4()).unwrap();
@@ -1003,7 +994,7 @@ mod tests {
     fn orphan_segments_are_reaped_and_ignored() {
         let dir = temp_dir("orphan");
         let mut spine = Spine::open(dir.clone(), cfg4()).unwrap();
-        spine.insert_document(doc(0, None)).unwrap();
+        spine.insert_document(&doc(0, None)).unwrap();
         spine.seal(&StdFs).unwrap();
         // Simulate a crash between seal and manifest commit: an extra
         // segment file the manifest never saw.
@@ -1022,7 +1013,7 @@ mod tests {
         let dir = temp_dir("corrupt");
         let mut spine = Spine::open(dir.clone(), cfg4()).unwrap();
         for i in 0..2 {
-            spine.insert_document(doc(i, None)).unwrap();
+            spine.insert_document(&doc(i, None)).unwrap();
         }
         spine.seal(&StdFs).unwrap();
         drop(spine);

@@ -7,7 +7,7 @@ use bingo_textproc::MimeType;
 use serde::{Deserialize, Serialize};
 
 /// One crawled, analyzed, classified document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DocumentRow {
     /// Stable page id (shared with the web graph).
     pub id: PageId,
@@ -33,9 +33,39 @@ pub struct DocumentRow {
     pub fetched_at: u64,
 }
 
+/// The fields of a stored document that a reader can take without
+/// decoding its `term_freqs`: what ranking reads of every match, and of
+/// the top hits ([`crate::DocumentStore::with_head`]). The url and title
+/// are read only when asked for, so reading the scalars touches no text.
+#[derive(Clone, Copy)]
+pub struct DocumentHead<'a> {
+    /// Host the document lives on.
+    pub host: HostId,
+    /// Topic node the classifier assigned (None = unclassified/OTHERS).
+    pub topic: Option<u32>,
+    /// Classification confidence (signed hyperplane distance).
+    pub confidence: f32,
+    /// Url, then title: each a byte range of a string.
+    pub(crate) text: [(&'a str, usize, usize); 2],
+}
+
+impl<'a> DocumentHead<'a> {
+    /// Canonical URL the document was fetched from.
+    pub fn url(&self) -> &'a str {
+        let (text, start, end) = self.text[0];
+        &text[start..end]
+    }
+
+    /// Document title.
+    pub fn title(&self) -> &'a str {
+        let (text, start, end) = self.text[1];
+        &text[start..end]
+    }
+}
+
 /// One hyperlink row (log-style: duplicates allowed; the store maintains
 /// a deduplicated edge index on top).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LinkRow {
     /// Source page.
     pub from: PageId,

@@ -1,32 +1,65 @@
 //! Property-based tests of the storage engine: index consistency under
 //! arbitrary operation sequences and lossless snapshots of arbitrary
-//! databases.
+//! databases. Rows carry what the packed workspace must keep exactly:
+//! unsorted `term_freqs` with repeated term ids, term ids and tfs up to
+//! `u32::MAX` (tf 0, 1, 127, 128 drawn often: the varint boundaries),
+//! empty and non-ASCII urls and titles, urls shared by several rows,
+//! and links repeated with repeated hrefs.
 
 use bingo_graph::LinkSource;
 use bingo_store::segment::{SegmentEntry, SegmentManifest};
-use bingo_store::{persist, DocumentRow, DocumentStore, LinkRow, SegmentStoreConfig};
+use bingo_store::{persist, DocumentHead, DocumentRow, DocumentStore, LinkRow, SegmentStoreConfig};
 use bingo_textproc::MimeType;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// A term id: mostly small (so ids repeat within a row), sometimes
+/// anywhere in `u32`.
+fn term_strategy() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..40, 0u32..40, Just(u32::MAX), any::<u32>()]
+}
+
+/// A tf: the varint boundaries and the extremes, or anything small.
+fn tf_strategy() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        Just(0u32),
+        Just(1u32),
+        Just(127u32),
+        Just(128u32),
+        Just(u32::MAX),
+        0u32..300,
+        any::<u32>(),
+    ]
+}
+
+/// A url: the page's own, or one several rows share (empty, non-ASCII).
+fn url_of(id: u64, host: u32, pick: u8) -> String {
+    match pick {
+        0 => String::new(),
+        1 => format!("http://bücher.example/straße/{}", id % 3),
+        2 => "http://shared.example/".to_string(),
+        _ => format!("http://h{host}.example/p{id}"),
+    }
+}
+
 fn row_strategy() -> impl Strategy<Value = DocumentRow> {
     (
-        0u64..60,
-        0u32..8,
+        (0u64..60, 0u32..8, 0u8..8),
         proptest::option::of(0u32..5),
         -1.0f32..1.0,
-        proptest::collection::vec((0u32..100, 1u32..9), 0..12),
+        proptest::collection::vec((term_strategy(), tf_strategy()), 0..12),
         0usize..5000,
+        prop_oneof![Just(String::new()), "[a-z ]{0,8}", "[a-zäöüß语言 ]{1,6}"],
     )
         .prop_map(
-            |(id, host, topic, confidence, term_freqs, size)| DocumentRow {
+            |((id, host, pick), topic, confidence, term_freqs, size, title)| DocumentRow {
                 id,
-                url: format!("http://h{host}.example/p{id}"),
+                url: url_of(id, host, pick),
                 host,
                 mime: MimeType::Html,
                 depth: (id % 7) as u32,
-                title: format!("t{id}"),
+                title,
                 topic,
                 confidence,
                 term_freqs,
@@ -36,12 +69,22 @@ fn row_strategy() -> impl Strategy<Value = DocumentRow> {
         )
 }
 
+/// An href: the target's own, or one many links share.
+fn href_of(to: u64, pick: u8) -> String {
+    match pick {
+        0 => String::new(),
+        1 => "http://ä.example/ü".to_string(),
+        _ => format!("u{to}"),
+    }
+}
+
 /// An operation against the store.
 #[derive(Debug, Clone)]
 enum Op {
     Insert(DocumentRow),
     SetTopic(u64, Option<u32>, f32),
-    Link(u64, u64),
+    /// `from`, `to`, and which href the link carries.
+    Link(u64, u64, u8),
     /// Seal the store's workspace (no-op on a store with no directory)
     /// — this is what makes flush points arbitrary.
     Seal,
@@ -52,7 +95,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         row_strategy().prop_map(Op::Insert),
         (0u64..60, proptest::option::of(0u32..5), -1.0f32..1.0)
             .prop_map(|(id, t, c)| Op::SetTopic(id, t, c)),
-        (0u64..60, 0u64..60).prop_map(|(a, b)| Op::Link(a, b)),
+        (0u64..60, 0u64..60, 0u8..4).prop_map(|(a, b, h)| Op::Link(a, b, h)),
+        // Few pages: edges and hrefs repeat.
+        (0u64..4, 0u64..4, 0u8..4).prop_map(|(a, b, h)| Op::Link(a, b, h)),
     ]
 }
 
@@ -75,11 +120,11 @@ fn apply(store: &DocumentStore, op: &Op) -> bool {
     match op {
         Op::Insert(row) => store.insert_document(row.clone()).is_ok(),
         Op::SetTopic(id, t, c) => store.set_topic(*id, *t, *c).is_ok(),
-        Op::Link(a, b) => {
+        Op::Link(a, b, h) => {
             store.insert_link(LinkRow {
                 from: *a,
                 to: *b,
-                to_url: format!("u{b}"),
+                to_url: href_of(*b, *h),
             });
             true
         }
@@ -127,10 +172,10 @@ impl Model {
                     self.by_topic.entry(*t).or_default().push(*id);
                 }
             }
-            Op::Link(a, b) => self.links.push(LinkRow {
+            Op::Link(a, b, h) => self.links.push(LinkRow {
                 from: *a,
                 to: *b,
-                to_url: format!("u{b}"),
+                to_url: href_of(*b, *h),
             }),
             Op::Seal => {}
         }
@@ -161,6 +206,48 @@ impl Model {
             .map(|id| self.docs[id].clone())
             .collect()
     }
+
+    /// Each stored url with the id of the newest row holding it.
+    fn by_url(&self) -> BTreeMap<String, u64> {
+        self.inserted
+            .iter()
+            .map(|id| (self.docs[id].url.clone(), *id))
+            .collect()
+    }
+
+    /// The bytes `persist::write_snapshot` must write: a header, the rows
+    /// by id, then the link log.
+    fn snapshot(&self) -> Vec<u8> {
+        let mut out = format!(
+            "{{\"magic\":\"bingo-snapshot\",\"version\":1,\"documents\":{},\"links\":{}}}\n",
+            self.docs.len(),
+            self.links.len()
+        )
+        .into_bytes();
+        for row in self.docs.values() {
+            serde_json::to_writer(&mut out, row).unwrap();
+            out.push(b'\n');
+        }
+        for link in &self.links {
+            serde_json::to_writer(&mut out, link).unwrap();
+            out.push(b'\n');
+        }
+        out
+    }
+}
+
+/// What [`DocumentStore::with_head`] reads of a row.
+type Head = (String, String, u32, Option<u32>, f32);
+
+fn head_of(head: DocumentHead<'_>) -> Head {
+    let text = |s: &str| s.to_string();
+    (
+        text(head.url()),
+        text(head.title()),
+        head.host,
+        head.topic,
+        head.confidence,
+    )
 }
 
 /// `store` answers every read as `model` does; `topics_in_order` is
@@ -171,12 +258,16 @@ fn check(store: &DocumentStore, model: &Model, topics_in_order: bool) -> Result<
     for id in 0..60u64 {
         let row = model.docs.get(&id).cloned();
         prop_assert_eq!(store.document(id), row.clone(), "doc {}", id);
-        prop_assert_eq!(
-            store.with_document(id, Clone::clone),
-            row.clone(),
-            "doc {}",
-            id
-        );
+        let want = row.as_ref().map(|r| {
+            (
+                r.url.clone(),
+                r.title.clone(),
+                r.host,
+                r.topic,
+                r.confidence,
+            )
+        });
+        prop_assert_eq!(store.with_head(id, head_of), want, "head {}", id);
         prop_assert_eq!(
             store.host_of(id),
             row.map_or(0, |r| r.host),
@@ -196,15 +287,18 @@ fn check(store: &DocumentStore, model: &Model, topics_in_order: bool) -> Result<
         }
         prop_assert_eq!(got, want, "topic {}", t);
     }
-    for row in model.docs.values() {
-        let hit = store.document_by_url(&row.url);
-        prop_assert_eq!(hit.map(|r| r.id), Some(row.id), "url {}", &row.url);
+    for (url, id) in model.by_url() {
+        let hit = store.document_by_url(&url);
+        prop_assert_eq!(hit, Some(model.docs[&id].clone()), "url {}", &url);
     }
     prop_assert_eq!(store.all_links(), model.links.clone());
     prop_assert_eq!(store.all_documents(), model.scan(), "scan order");
     let mut streamed = Vec::new();
-    store.for_each_document(|row| streamed.push(row.id));
-    prop_assert_eq!(streamed, model.inserted.clone(), "for_each_document order");
+    store.for_each_document(|row| streamed.push(row.clone()));
+    prop_assert_eq!(streamed, model.scan(), "for_each_document");
+    let mut snapshot = Vec::new();
+    persist::write_snapshot(store, &mut snapshot).unwrap();
+    prop_assert!(snapshot == model.snapshot(), "write_snapshot bytes");
     Ok(())
 }
 
@@ -382,7 +476,7 @@ proptest! {
         }
         for row in live.all_documents() {
             let hit = loaded.document_by_url(&row.url);
-            prop_assert_eq!(hit.map(|r| r.id), Some(row.id), "url {}", &row.url);
+            prop_assert_eq!(hit, live.document_by_url(&row.url), "url {}", &row.url);
         }
         for t in 0..5u32 {
             let as_set = |s: &DocumentStore| -> std::collections::BTreeSet<u64> {

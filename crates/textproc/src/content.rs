@@ -19,9 +19,10 @@ use std::borrow::Cow;
 
 /// MIME types known to the engine (the crawler checks all incoming
 /// documents against this list, Section 4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MimeType {
     /// `text/html`
+    #[default]
     Html,
     /// `text/plain`
     Plain,

@@ -235,10 +235,16 @@ impl World {
                 }
             }
             Some(FaultKind::RedirectLoop) => {
+                let mut location = b"http://".to_vec();
+                self.write_host_name(&mut location, meta.host);
+                location.push(b'/');
+                location.extend_from_slice(LOOP_PREFIX.as_bytes());
+                location.push(b'1');
+                self.write_path(&mut location, page_id);
                 return FetchOutcome::Redirect {
-                    location: format!("http://{}/{}1/{}", host.name, LOOP_PREFIX, meta.path),
+                    location: String::from_utf8(location).expect("host names and paths are UTF-8"),
                     latency_ms: host.base_latency_ms as u64,
-                }
+                };
             }
             _ => {}
         }

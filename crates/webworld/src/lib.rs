@@ -217,27 +217,37 @@ impl World {
 
     /// Owned page metadata; works on both eager and paged worlds.
     pub fn page_meta(&self, id: PageId) -> PageMeta {
-        self.page_ref(id).into_owned()
+        match &self.paged {
+            Some(p) => p.page_meta(id),
+            None => self.pages[id as usize].clone(),
+        }
     }
 
     /// Owned host metadata; works on both eager and paged worlds.
     pub fn host_meta(&self, id: HostId) -> HostMeta {
-        self.host_ref(id).into_owned()
+        match &self.paged {
+            Some(p) => p.host_meta(id),
+            None => self.hosts[id as usize].clone(),
+        }
     }
 
     /// Page metadata for the simulator's own fetch and content paths:
-    /// borrowed from an eager world, generated by a paged one.
+    /// borrowed from an eager world; generated by a paged one with an
+    /// empty `path`, which those paths write through
+    /// [`World::write_path`] instead.
     pub(crate) fn page_ref(&self, id: PageId) -> Cow<'_, PageMeta> {
         match &self.paged {
-            Some(p) => Cow::Owned(p.page_meta(id)),
+            Some(p) => Cow::Owned(p.page_meta_pathless(id)),
             None => Cow::Borrowed(&self.pages[id as usize]),
         }
     }
 
-    /// Host metadata, as [`page_ref`](Self::page_ref).
+    /// Host metadata, as [`page_ref`](Self::page_ref): a paged host's
+    /// `name` is empty, written through [`World::write_host_name`]
+    /// instead.
     pub(crate) fn host_ref(&self, id: HostId) -> Cow<'_, HostMeta> {
         match &self.paged {
-            Some(p) => Cow::Owned(p.host_meta(id)),
+            Some(p) => Cow::Owned(p.host_meta_nameless(id)),
             None => Cow::Borrowed(&self.hosts[id as usize]),
         }
     }
@@ -260,14 +270,22 @@ impl World {
     /// behind [`World::url_of`] and every link of a generated page.
     pub(crate) fn write_url(&self, out: &mut Vec<u8>, id: PageId) {
         out.extend_from_slice(b"http://");
-        if let Some(p) = &self.paged {
-            p.write_host_name(out, p.host_of(id));
-            return p.write_path(out, id);
-        }
-        let page = &self.pages[id as usize];
-        let host = self.hosts[page.host as usize].name.as_bytes();
-        for part in [host, b"/", page.path.as_bytes()] {
-            out.extend_from_slice(part);
+        let host = match &self.paged {
+            Some(p) => p.host_of(id),
+            None => self.pages[id as usize].host,
+        };
+        self.write_host_name(out, host);
+        self.write_path(out, id);
+    }
+
+    /// The `/path` of page `id`'s URL, written onto `out`.
+    pub(crate) fn write_path(&self, out: &mut Vec<u8>, id: PageId) {
+        match &self.paged {
+            Some(p) => p.write_path(out, id),
+            None => {
+                out.push(b'/');
+                out.extend_from_slice(self.pages[id as usize].path.as_bytes());
+            }
         }
     }
 

@@ -120,6 +120,19 @@ impl PagedWeb {
 
     /// Page `k` of host `h` — a pure function of `(seed, h, k)`.
     pub(crate) fn page_meta(&self, id: PageId) -> PageMeta {
+        let path = match id % self.pages_per_host as u64 {
+            0 => "index.html".to_string(),
+            k => format!("p{k}.html"),
+        };
+        PageMeta {
+            path,
+            ..self.page_meta_pathless(id)
+        }
+    }
+
+    /// [`PagedWeb::page_meta`] with an empty `path`: what a fetch reads,
+    /// derived without formatting the path.
+    pub(crate) fn page_meta_pathless(&self, id: PageId) -> PageMeta {
         assert!(
             (id as usize) < self.page_count(),
             "page id {id} out of range for paged world"
@@ -128,7 +141,7 @@ impl PagedWeb {
         let host = self.host_of(id);
         let k = id % p;
         let base = id - k;
-        let (path, topic, kind, out) = if k == 0 {
+        let (topic, kind, out) = if k == 0 {
             // Welcome page: own-host fanout plus heap-child welcome links.
             let mut out: Vec<PageId> = (1..p.min(WELCOME_FANOUT + 1)).map(|k| base + k).collect();
             for child in [2 * host as u64 + 1, 2 * host as u64 + 2] {
@@ -136,7 +149,7 @@ impl PagedWeb {
                     out.push(child * p);
                 }
             }
-            ("index.html".to_string(), None, PageKind::Welcome, out)
+            (None, PageKind::Welcome, out)
         } else {
             let mut out = vec![base]; // back to the welcome page
             if k + 1 < p {
@@ -151,11 +164,11 @@ impl PagedWeb {
                 out.push(peer * p);
             }
             let topic = host % TOPIC_KEYS.len() as u32;
-            (format!("p{k}.html"), Some(topic), PageKind::Content, out)
+            (Some(topic), PageKind::Content, out)
         };
         PageMeta {
             host,
-            path,
+            path: String::new(),
             topic,
             secondary_topic: None,
             kind,
@@ -171,13 +184,22 @@ impl PagedWeb {
 
     /// Host `h` — a pure function of `(seed, h)`.
     pub(crate) fn host_meta(&self, host: HostId) -> HostMeta {
+        HostMeta {
+            name: format!("h{host}{HOST_SUFFIX}"),
+            ..self.host_meta_nameless(host)
+        }
+    }
+
+    /// [`PagedWeb::host_meta`] with an empty `name`: what a fetch reads,
+    /// derived without formatting the name.
+    pub(crate) fn host_meta_nameless(&self, host: HostId) -> HostMeta {
         assert!(
             host < self.hosts,
             "host id {host} out of range for paged world"
         );
         let h = |salt: u32| fxhash::hash_one(&(self.seed, host, salt));
         HostMeta {
-            name: format!("h{host}{HOST_SUFFIX}"),
+            name: String::new(),
             ip: 0x0b00_0000 + host,
             base_latency_ms: 20 + (h(0x1a7) % 100) as u32,
             behavior: HostBehavior::Normal,
